@@ -334,6 +334,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("STR", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := rtree.BulkLoadSTR(rtree.Config{}, d.Points, nil); err != nil {
 				b.Fatal(err)
@@ -341,6 +342,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 		}
 	})
 	b.Run("Hilbert", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := rtree.BulkLoadHilbert(rtree.Config{}, d.Points, nil); err != nil {
 				b.Fatal(err)
@@ -348,6 +350,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 		}
 	})
 	b.Run("Insert", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			t, _ := rtree.New(rtree.Config{})
 			for j, p := range d.Points {

@@ -231,6 +231,12 @@ func BuildIndex(points []Point, ids []int64, cfg IndexConfig) (*Index, error) {
 	return newIndexOver(t, t.Pack(), acct, rcfg), nil
 }
 
+// NonFiniteError reports a point with a NaN or infinite coordinate.
+// BuildIndex, BuildShardedIndex and both Insert methods reject such a
+// point before it reaches the index or its write overlay; errors.As
+// recovers the point's position in the input and the offending axis.
+type NonFiniteError = rtree.NonFiniteError
+
 func indexConfig(cfg IndexConfig) (*pagestore.Accountant, rtree.Config) {
 	acct := pagestore.NewAccountant(cfg.BufferPages)
 	return acct, rtree.Config{
@@ -245,7 +251,8 @@ func indexConfig(cfg IndexConfig) (*pagestore.Accountant, rtree.Config) {
 // the insert is safe under concurrent readers; Pack or the background
 // compactor folds the overlay into a fresh base. On a never-packed index
 // it mutates the R*-tree directly (legacy contract: no concurrent
-// readers). A rejected insert (dimension mismatch) changes nothing.
+// readers). A rejected insert (dimension mismatch, or a non-finite
+// coordinate: *NonFiniteError) changes nothing.
 func (ix *Index) Insert(p Point, id int64) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -254,10 +261,13 @@ func (ix *Index) Insert(p Point, id int64) error {
 	}
 	v := ix.view.Load()
 	if !v.frozen {
-		return v.tree.Insert(geom.Point(p), id)
+		return v.tree.Insert(geom.Point(p), id) // same dimension and finiteness checks
 	}
 	if len(p) != v.tree.Dim() {
 		return fmt.Errorf("rtree: point dimension %d, tree dimension %d", len(p), v.tree.Dim())
+	}
+	if err := rtree.CheckFinite(0, geom.Point(p)); err != nil {
+		return err
 	}
 	nv, err := ix.applyInsert(v, geom.Point(p).Clone(), id)
 	if err != nil {

@@ -198,6 +198,36 @@ func TestSnapshotGoldenCompat(t *testing.T) {
 		t.Error("re-written snapshot differs from the golden bytes (format drift)")
 	}
 
+	// Canonical build: bulk-loading the fixture's points reproduces both
+	// fixtures byte for byte, so a loader change that moves one entry,
+	// renumbers one page or rounds one MBR corner differently fails here.
+	built, err := gnn.BuildIndex(pts, nil, gnn.IndexConfig{NodeCapacity: goldenCap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var builtBytes bytes.Buffer
+	if err := built.WriteSnapshot(&builtBytes); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(builtBytes.Bytes(), snapBytes) {
+		t.Error("BuildIndex over the golden points writes bytes that differ from the golden fixture")
+	}
+	shardedBytes, err := os.ReadFile(goldenShardedSnapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sbuilt, err := gnn.BuildShardedIndex(pts, nil, goldenShards, gnn.IndexConfig{NodeCapacity: goldenCap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	builtBytes.Reset()
+	if err := sbuilt.WriteSnapshot(&builtBytes); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(builtBytes.Bytes(), shardedBytes) {
+		t.Error("BuildShardedIndex over the golden points writes bytes that differ from the golden sharded fixture")
+	}
+
 	// Mapped open: the zero-copy path must reproduce the same locked
 	// trace — results, NA and logical accesses bit for bit — from the
 	// same fixture bytes.

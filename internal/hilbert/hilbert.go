@@ -11,7 +11,10 @@
 // curve of order k visits every cell of a 2^k × 2^k grid exactly once.
 package hilbert
 
-import "slices"
+import (
+	"cmp"
+	"slices"
+)
 
 // DefaultOrder is the curve order used when sorting floating-point data:
 // a 2^16 × 2^16 grid gives sub-meter resolution on the paper's
@@ -119,23 +122,27 @@ func (m *Mapper) Value(x, y float64) uint64 {
 // the sharded index: contiguous runs of the permutation are spatially
 // coherent chunks of the data set.
 func Perm(n int, m *Mapper, at func(i int) (x, y float64)) []int {
-	keys := make([]uint64, n)
-	idx := make([]int, n)
-	for i := 0; i < n; i++ {
-		x, y := at(i)
-		keys[i] = m.Value(x, y)
-		idx[i] = i
+	// Sorting (value, index) pairs, all distinct, yields exactly the
+	// stable order by value, without a stable sort's merge passes.
+	type keyed struct {
+		h uint64
+		i int
 	}
-	slices.SortStableFunc(idx, func(a, b int) int {
-		switch {
-		case keys[a] < keys[b]:
-			return -1
-		case keys[a] > keys[b]:
-			return 1
-		default:
-			return 0
+	keys := make([]keyed, n)
+	for i := range keys {
+		x, y := at(i)
+		keys[i] = keyed{m.Value(x, y), i}
+	}
+	slices.SortFunc(keys, func(a, b keyed) int {
+		if c := cmp.Compare(a.h, b.h); c != 0 {
+			return c
 		}
+		return cmp.Compare(a.i, b.i)
 	})
+	idx := make([]int, n)
+	for r, k := range keys {
+		idx[r] = k.i
+	}
 	return idx
 }
 

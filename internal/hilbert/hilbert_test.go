@@ -1,8 +1,10 @@
 package hilbert
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -141,6 +143,50 @@ func TestSortByValuePreservesMultiset(t *testing.T) {
 	}
 	if sum != sum2 {
 		t.Fatalf("elements lost during sort: %v vs %v", sum, sum2)
+	}
+}
+
+// referencePerm is the specification of Perm: a stable sort of the
+// indices by Hilbert value.
+func referencePerm(n int, m *Mapper, at func(i int) (x, y float64)) []int {
+	keys := make([]uint64, n)
+	idx := make([]int, n)
+	for i := range idx {
+		x, y := at(i)
+		keys[i] = m.Value(x, y)
+		idx[i] = i
+	}
+	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(keys[a], keys[b]) })
+	return idx
+}
+
+func TestPermMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, tc := range []struct {
+		name  string
+		order uint
+		n     int
+		span  float64
+	}{
+		{"order2-crowded", 2, 3000, 100}, // 16 cells: ~190 points share each value
+		{"order4", 4, 2000, 100},
+		{"default-grid", DefaultOrder, 5000, 8}, // integer coordinates: exact duplicates
+		{"default", DefaultOrder, 5000, 1e4},
+		{"tiny", 3, 1, 1},
+		{"empty", 3, 0, 1},
+	} {
+		xs, ys := make([]float64, tc.n), make([]float64, tc.n)
+		for i := range xs {
+			xs[i], ys[i] = rng.Float64()*tc.span, rng.Float64()*tc.span
+			if tc.span < 10 {
+				xs[i], ys[i] = math.Floor(xs[i]), math.Floor(ys[i])
+			}
+		}
+		m := NewMapper(tc.order, 0, 0, tc.span, tc.span)
+		at := func(i int) (float64, float64) { return xs[i], ys[i] }
+		if got, want := Perm(tc.n, m, at), referencePerm(tc.n, m, at); !slices.Equal(got, want) {
+			t.Errorf("%s: Perm differs from the stable sort", tc.name)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -10,78 +11,119 @@ import (
 	"gnn/internal/pagestore"
 )
 
+// NonFiniteError reports a point with a NaN or infinite coordinate. No
+// index accepts one: a NaN fails every comparison and math.Min/math.Max
+// carry it into every MBR above the point, so queries silently miss
+// neighbours; an infinity makes distances and MBR extents infinite and
+// their differences NaN.
+type NonFiniteError struct {
+	Index int     // position of the point in a bulk-load input; 0 for a single insert
+	Axis  int     // the offending coordinate
+	Value float64 // NaN, +Inf or -Inf
+}
+
+func (e *NonFiniteError) Error() string {
+	return fmt.Sprintf("rtree: point %d has non-finite coordinate %d (%v); coordinates must be finite",
+		e.Index, e.Axis, e.Value)
+}
+
+// CheckFinite returns a *NonFiniteError for the first NaN or infinite
+// coordinate of p, reported as the point at position i, or nil. Every
+// path by which a point enters an index runs it: the bulk loads and
+// Insert here, and the overlay writes one layer up.
+func CheckFinite(i int, p geom.Point) error {
+	for a, v := range p {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return &NonFiniteError{Index: i, Axis: a, Value: v}
+		}
+	}
+	return nil
+}
+
 // BulkLoadSTR builds a tree over the given points with the Sort-Tile-
 // Recursive algorithm: points are tiled into vertical slabs of √(n/M)
 // tiles, each slab sorted on the second axis, and leaves packed to
-// capacity. Internal levels are packed the same way over child centres.
+// capacity. Each upper level groups consecutive nodes of the level below.
 // ids[i] identifies pts[i]; pass nil to use the point index.
 func BulkLoadSTR(cfg Config, pts []geom.Point, ids []int64) (*Tree, error) {
-	t, pts2, ids2, err := prepareBulk(cfg, pts, ids)
+	t, err := prepareBulk(cfg, pts, ids)
 	if err != nil || t.size == 0 {
 		return t, err
 	}
-	entries := leafEntries(pts2, ids2)
-
-	// STR tiling on the first two axes (points beyond 2-D are tiled on the
-	// first two dimensions, which preserves correctness — tiling is purely
-	// a quality heuristic).
-	M := t.cfg.MaxEntries
-	nLeaves := (len(entries) + M - 1) / M
-	slabs := int(math.Ceil(math.Sqrt(float64(nLeaves))))
-	perSlab := slabs * M
-
-	cmpAxis := func(axis int) func(a, b Entry) int {
-		return func(a, b Entry) int {
-			switch {
-			case a.Point[axis] < b.Point[axis]:
-				return -1
-			case a.Point[axis] > b.Point[axis]:
-				return 1
-			default:
-				return 0
-			}
-		}
-	}
-	slices.SortStableFunc(entries, cmpAxis(0))
-	for lo := 0; lo < len(entries); lo += perSlab {
-		hi := lo + perSlab
-		if hi > len(entries) {
-			hi = len(entries)
-		}
-		if t.cfg.Dim >= 2 {
-			slices.SortStableFunc(entries[lo:hi], cmpAxis(1))
-		}
-	}
-	t.packLevels(entries)
+	t.packLevels(pts, ids, strOrder(t.cfg, pts))
 	return t, nil
+}
+
+// axisKey is one sort key of an STR pass: a coordinate and the position
+// of its point before the pass.
+type axisKey struct {
+	v   float64
+	pos int
+}
+
+// cmpAxisKey orders keys by coordinate, then by prior position. Ordering
+// on (v, pos) with v compared by < reproduces a stable sort on v exactly
+// (ties, -0 against +0 included, keep their prior order); it is a total
+// order because prepareBulk admits only finite coordinates.
+func cmpAxisKey(a, b axisKey) int {
+	switch {
+	case a.v < b.v:
+		return -1
+	case a.v > b.v:
+		return 1
+	}
+	return cmp.Compare(a.pos, b.pos)
+}
+
+// strOrder returns the STR leaf order of pts: order[rank] is the index
+// of the point at that rank. Points are sorted on the first axis and cut
+// into slabs of ⌈√(leaves)⌉·M points, each slab sorted on the second axis
+// (points beyond 2-D are tiled on their first two axes, which preserves
+// correctness — tiling is purely a quality heuristic).
+func strOrder(cfg Config, pts []geom.Point) []int {
+	n := len(pts)
+	keys := make([]axisKey, n)
+	for i, p := range pts {
+		keys[i] = axisKey{p[0], i}
+	}
+	slices.SortFunc(keys, cmpAxisKey)
+	order := make([]int, n)
+	for r, k := range keys {
+		order[r] = k.pos
+	}
+	if cfg.Dim < 2 {
+		return order
+	}
+
+	M := cfg.MaxEntries
+	nLeaves := (n + M - 1) / M
+	perSlab := int(math.Ceil(math.Sqrt(float64(nLeaves)))) * M
+	for r, i := range order {
+		keys[r] = axisKey{pts[i][1], r}
+	}
+	for lo := 0; lo < n; lo += perSlab {
+		slices.SortFunc(keys[lo:min(lo+perSlab, n)], cmpAxisKey)
+	}
+	// keys[r].pos is a first-pass rank: map it to its point before the
+	// second pass's order overwrites the first's.
+	for r := range keys {
+		keys[r].pos = order[keys[r].pos]
+	}
+	for r, k := range keys {
+		order[r] = k.pos
+	}
+	return order
 }
 
 // BulkLoadHilbert builds a tree by packing points in Hilbert order — the
 // classic Hilbert-packed R-tree. Only the first two dimensions contribute
 // to the ordering.
 func BulkLoadHilbert(cfg Config, pts []geom.Point, ids []int64) (*Tree, error) {
-	t, pts2, ids2, err := prepareBulk(cfg, pts, ids)
+	t, err := prepareBulk(cfg, pts, ids)
 	if err != nil || t.size == 0 {
 		return t, err
 	}
-	entries := leafEntries(pts2, ids2)
-	r := mbrOf(entries)
-	hiX, hiY := r.Hi[0], r.Lo[0]
-	loX, loY := r.Lo[0], r.Lo[0]
-	if t.cfg.Dim >= 2 {
-		loY, hiY = r.Lo[1], r.Hi[1]
-	}
-	m := hilbert.NewMapper(hilbert.DefaultOrder, loX, loY, hiX, hiY)
-	hilbert.SortByValue(len(entries), m,
-		func(i int) (float64, float64) {
-			y := 0.0
-			if t.cfg.Dim >= 2 {
-				y = entries[i].Point[1]
-			}
-			return entries[i].Point[0], y
-		},
-		func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
-	t.packLevels(entries)
+	t.packLevels(pts, ids, hilbertPerm(t.cfg.Dim, pts))
 	return t, nil
 }
 
@@ -102,14 +144,8 @@ func BulkLoadSTRPartitioned(cfg Config, pts []geom.Point, ids []int64, parts int
 	if err != nil {
 		return nil, err
 	}
-	if ids == nil {
-		ids = make([]int64, len(pts))
-		for i := range ids {
-			ids[i] = int64(i)
-		}
-	}
-	if len(ids) != len(pts) {
-		return nil, fmt.Errorf("rtree: %d ids for %d points", len(ids), len(pts))
+	if err := checkBulk(cfg.Dim, pts, ids); err != nil {
+		return nil, err
 	}
 	perm := hilbertPerm(cfg.Dim, pts)
 	trees := make([]*Tree, 0, parts)
@@ -121,7 +157,7 @@ func BulkLoadSTRPartitioned(cfg Config, pts []geom.Point, ids []int64, parts int
 		cids := make([]int64, hi-lo)
 		for i, j := range perm[lo:hi] {
 			cpts[i] = pts[j]
-			cids[i] = ids[j]
+			cids[i] = idAt(ids, j)
 		}
 		scfg := cfg
 		scfg.FirstPage = nextPage
@@ -157,66 +193,107 @@ func hilbertPerm(dim int, pts []geom.Point) []int {
 	})
 }
 
-func prepareBulk(cfg Config, pts []geom.Point, ids []int64) (*Tree, []geom.Point, []int64, error) {
+// prepareBulk validates a bulk-load input and returns the empty tree it
+// will be packed into, sized for pts.
+func prepareBulk(cfg Config, pts []geom.Point, ids []int64) (*Tree, error) {
 	t, err := New(cfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, err
 	}
-	if ids == nil {
-		ids = make([]int64, len(pts))
-		for i := range ids {
-			ids[i] = int64(i)
-		}
-	}
-	if len(ids) != len(pts) {
-		return nil, nil, nil, fmt.Errorf("rtree: %d ids for %d points", len(ids), len(pts))
-	}
-	for i, p := range pts {
-		if len(p) != t.cfg.Dim {
-			return nil, nil, nil, fmt.Errorf("rtree: point %d has dimension %d, tree dimension %d",
-				i, len(p), t.cfg.Dim)
-		}
+	if err := checkBulk(t.cfg.Dim, pts, ids); err != nil {
+		return nil, err
 	}
 	t.size = len(pts)
-	return t, pts, ids, nil
+	return t, nil
 }
 
-func leafEntries(pts []geom.Point, ids []int64) []Entry {
-	entries := make([]Entry, len(pts))
-	for i, p := range pts {
-		entries[i] = Entry{Rect: geom.RectFromPoint(p), Point: p.Clone(), ID: ids[i]}
+// checkBulk rejects an id slice of the wrong length and any point of the
+// wrong dimension or with a non-finite coordinate.
+func checkBulk(dim int, pts []geom.Point, ids []int64) error {
+	if ids != nil && len(ids) != len(pts) {
+		return fmt.Errorf("rtree: %d ids for %d points", len(ids), len(pts))
 	}
-	return entries
+	for i, p := range pts {
+		if len(p) != dim {
+			return fmt.Errorf("rtree: point %d has dimension %d, tree dimension %d", i, len(p), dim)
+		}
+		if err := CheckFinite(i, p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// packLevels packs the ordered entries into leaves, then packs each level
-// bottom-up until a single root remains. The final node of each level is
-// kept at or above MinEntries by borrowing from its predecessor, so packed
-// trees satisfy the same fill invariants as incrementally built ones.
-func (t *Tree) packLevels(entries []Entry) {
+// idAt returns the identifier of point i: ids[i], or i when ids is nil.
+func idAt(ids []int64, i int) int64 {
+	if ids == nil {
+		return int64(i)
+	}
+	return ids[i]
+}
+
+// packLevels lays the points out as leaf entries in the given order, packs
+// them into leaves, then packs each level bottom-up until a single root
+// remains. The final node of each level is kept at or above MinEntries by
+// borrowing from its predecessor, so packed trees satisfy the same fill
+// invariants as incrementally built ones. Pages are numbered level by
+// level from the leaves up, left to right.
+//
+// Storage comes in per-level slabs, as for snapshot-loaded trees
+// (buildNodes): the leaf coordinates in one slab, each point doubling as
+// its entry's degenerate rectangle, and per level one slab each of nodes,
+// routing entries and MBR corners. Entry slices are capacity-clipped, so
+// a later Insert that overflows a node reallocates instead of clobbering
+// its slab neighbour.
+func (t *Tree) packLevels(pts []geom.Point, ids []int64, order []int) {
+	dim := t.cfg.Dim
+	coords := make([]float64, len(order)*dim)
+	entries := make([]Entry, len(order))
+	for r, i := range order {
+		p := coords[r*dim : (r+1)*dim : (r+1)*dim]
+		copy(p, pts[i])
+		entries[r] = Entry{Rect: geom.Rect{Lo: p, Hi: p}, Point: p, ID: idAt(ids, i)}
+	}
+
 	M, m := t.cfg.MaxEntries, t.cfg.MinEntries
 	level := 0
 	for len(entries) > M {
-		nodes := make([]Entry, 0, (len(entries)+M-1)/M)
-		for lo := 0; lo < len(entries); {
+		count := (len(entries) + M - 1) / M
+		nodes := make([]node, count)
+		parents := make([]Entry, count)
+		corners := make([]float64, 2*dim*count)
+		for k, lo := 0, 0; lo < len(entries); k++ {
 			hi := lo + M
 			if rem := len(entries) - hi; rem > 0 && rem < m {
 				// Shrink this node so the final one reaches MinEntries.
 				hi = len(entries) - m
 			}
-			if hi > len(entries) {
-				hi = len(entries)
-			}
-			n := t.newNode(level)
-			n.entries = append(n.entries, entries[lo:hi]...)
-			nodes = append(nodes, Entry{Rect: mbrOf(n.entries), child: n})
+			hi = min(hi, len(entries))
+			n := &nodes[k]
+			n.page, n.level, n.entries = t.nextPage, level, entries[lo:hi:hi]
+			t.nextPage++
+			c := corners[2*dim*k : 2*dim*(k+1) : 2*dim*(k+1)]
+			parents[k] = Entry{Rect: foldMBR(n.entries, c[:dim:dim], c[dim:]), child: n}
 			lo = hi
 		}
-		entries = nodes
+		entries = parents
 		level++
 	}
-	root := t.newNode(level)
-	root.entries = append(root.entries, entries...)
-	t.root = root
+	t.root = &node{page: t.nextPage, level: level, entries: entries}
+	t.nextPage++
 	t.height = level + 1
+}
+
+// foldMBR computes the MBR of the non-empty es into lo and hi: one
+// math.Min/math.Max fold per axis, the values a Rect.Union chain yields.
+func foldMBR(es []Entry, lo, hi geom.Point) geom.Rect {
+	copy(lo, es[0].Rect.Lo)
+	copy(hi, es[0].Rect.Hi)
+	for _, e := range es[1:] {
+		for a := range lo {
+			lo[a] = math.Min(lo[a], e.Rect.Lo[a])
+			hi[a] = math.Max(hi[a], e.Rect.Hi[a])
+		}
+	}
+	return geom.Rect{Lo: lo, Hi: hi}
 }

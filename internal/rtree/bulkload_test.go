@@ -1,12 +1,17 @@
 package rtree
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"gnn/internal/geom"
+	"gnn/internal/hilbert"
 )
 
 func TestBulkLoadSTR(t *testing.T) {
@@ -126,5 +131,352 @@ func TestBulkLoadQualityVsInsertion(t *testing.T) {
 	}
 	if a1 > a2*1.5 {
 		t.Fatalf("STR leaf area %v far worse than insertion %v", a1, a2)
+	}
+}
+
+// referenceSTR is the specification BulkLoadSTR must reproduce node for
+// node, written the plain way: a stable sort of the leaf entries on each
+// axis, one allocation per node, and node MBRs built by Rect.Union
+// chains (mbrOf).
+func referenceSTR(cfg Config, pts []geom.Point, ids []int64) (*Tree, error) {
+	return referenceLoad(cfg, pts, ids, func(t *Tree, entries []Entry) {
+		M := t.cfg.MaxEntries
+		nLeaves := (len(entries) + M - 1) / M
+		perSlab := int(math.Ceil(math.Sqrt(float64(nLeaves)))) * M
+		cmpAxis := func(axis int) func(a, b Entry) int {
+			return func(a, b Entry) int {
+				switch {
+				case a.Point[axis] < b.Point[axis]:
+					return -1
+				case a.Point[axis] > b.Point[axis]:
+					return 1
+				default:
+					return 0
+				}
+			}
+		}
+		slices.SortStableFunc(entries, cmpAxis(0))
+		for lo := 0; lo < len(entries); lo += perSlab {
+			if t.cfg.Dim >= 2 {
+				slices.SortStableFunc(entries[lo:min(lo+perSlab, len(entries))], cmpAxis(1))
+			}
+		}
+	})
+}
+
+// referenceHilbert is the specification of BulkLoadHilbert: the curve is
+// fitted to the mbrOf bounds of the leaf entries, which are then swapped
+// into curve order in place.
+func referenceHilbert(cfg Config, pts []geom.Point, ids []int64) (*Tree, error) {
+	return referenceLoad(cfg, pts, ids, func(t *Tree, entries []Entry) {
+		r := mbrOf(entries)
+		hiX, hiY := r.Hi[0], r.Lo[0]
+		loX, loY := r.Lo[0], r.Lo[0]
+		if t.cfg.Dim >= 2 {
+			loY, hiY = r.Lo[1], r.Hi[1]
+		}
+		m := hilbert.NewMapper(hilbert.DefaultOrder, loX, loY, hiX, hiY)
+		hilbert.SortByValue(len(entries), m,
+			func(i int) (float64, float64) {
+				y := 0.0
+				if t.cfg.Dim >= 2 {
+					y = entries[i].Point[1]
+				}
+				return entries[i].Point[0], y
+			},
+			func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+	})
+}
+
+// referenceLoad is the packing both reference loaders share: one cloned
+// leaf entry per point, ordered in place by order, then packed level by
+// level with one allocation per node.
+func referenceLoad(cfg Config, pts []geom.Point, ids []int64, order func(*Tree, []Entry)) (*Tree, error) {
+	t, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if ids == nil {
+		ids = make([]int64, len(pts))
+		for i := range ids {
+			ids[i] = int64(i)
+		}
+	}
+	t.size = len(pts)
+	if t.size == 0 {
+		return t, nil
+	}
+	entries := make([]Entry, len(pts))
+	for i, p := range pts {
+		entries[i] = Entry{Rect: geom.RectFromPoint(p), Point: p.Clone(), ID: ids[i]}
+	}
+	order(t, entries)
+
+	M, m := t.cfg.MaxEntries, t.cfg.MinEntries
+	level := 0
+	for len(entries) > M {
+		var nodes []Entry
+		for lo := 0; lo < len(entries); {
+			hi := lo + M
+			if rem := len(entries) - hi; rem > 0 && rem < m {
+				hi = len(entries) - m
+			}
+			hi = min(hi, len(entries))
+			n := t.newNode(level)
+			n.entries = append(n.entries, entries[lo:hi]...)
+			nodes = append(nodes, Entry{Rect: mbrOf(n.entries), child: n})
+			lo = hi
+		}
+		entries = nodes
+		level++
+	}
+	root := t.newNode(level)
+	root.entries = append(root.entries, entries...)
+	t.root = root
+	t.height = level + 1
+	return t, nil
+}
+
+// diffTrees returns the first difference between two trees, comparing
+// size, height, page allocation and every node: page, level, entry order,
+// IDs, and the bit patterns of every rectangle corner and point.
+func diffTrees(got, want *Tree) error {
+	if got.size != want.size || got.height != want.height || got.nextPage != want.nextPage {
+		return fmt.Errorf("size/height/nextPage %d/%d/%d, want %d/%d/%d",
+			got.size, got.height, got.nextPage, want.size, want.height, want.nextPage)
+	}
+	return diffNodes(got.root, want.root, "root")
+}
+
+func diffNodes(g, w *node, path string) error {
+	if g.page != w.page || g.level != w.level || len(g.entries) != len(w.entries) {
+		return fmt.Errorf("%s: page/level/entries %d/%d/%d, want %d/%d/%d",
+			path, g.page, g.level, len(g.entries), w.page, w.level, len(w.entries))
+	}
+	for i := range w.entries {
+		ge, we := g.entries[i], w.entries[i]
+		at := fmt.Sprintf("%s/%d", path, i)
+		if ge.ID != we.ID || (ge.child == nil) != (we.child == nil) {
+			return fmt.Errorf("%s: id %d leaf %v, want id %d leaf %v", at, ge.ID, ge.child == nil, we.ID, we.child == nil)
+		}
+		for _, c := range [][2]geom.Point{{ge.Rect.Lo, we.Rect.Lo}, {ge.Rect.Hi, we.Rect.Hi}, {ge.Point, we.Point}} {
+			if !sameBits(c[0], c[1]) {
+				return fmt.Errorf("%s: coordinates %v, want %v", at, c[0], c[1])
+			}
+		}
+		if we.child != nil {
+			if err := diffNodes(ge.child, we.child, at); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+func sameBits(a, b geom.Point) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+type loader func(Config, []geom.Point, []int64) (*Tree, error)
+
+// checkAgainstReference builds pts with a loader and its reference and
+// fails on the first difference.
+func checkAgainstReference(t *testing.T, label string, load, reference loader, cfg Config, pts []geom.Point, ids []int64) {
+	t.Helper()
+	want, err := reference(cfg, pts, ids)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", label, err)
+	}
+	got, err := load(cfg, pts, ids)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if err := diffTrees(got, want); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if err := got.CheckInvariants(); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
+var negZero = math.Copysign(0, -1)
+
+// refGenerators produce coordinate streams that stress the sort's tie
+// handling: continuous values, coordinates in {0, 1, 2} (each tied with
+// a third of the input), and a mix of -0, +0 and ±1.
+var refGenerators = []struct {
+	name  string
+	coord func(rng *rand.Rand) float64
+}{
+	{"uniform", func(rng *rand.Rand) float64 { return rng.Float64()*200 - 100 }},
+	{"grid3", func(rng *rand.Rand) float64 { return float64(rng.Intn(3)) }},
+	{"signed-zero", func(rng *rand.Rand) float64 {
+		return [...]float64{negZero, 0, negZero, 0, 1, -1}[rng.Intn(6)]
+	}},
+}
+
+func genPoints(rng *rand.Rand, n, dim int, coord func(*rand.Rand) float64) []geom.Point {
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = make(geom.Point, dim)
+		for a := range pts[i] {
+			pts[i][a] = coord(rng)
+		}
+	}
+	return pts
+}
+
+func TestBulkLoadMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	cfgs := []Config{
+		{MaxEntries: 4, MinEntries: 2},
+		{MaxEntries: 5, MinEntries: 1},
+		{MaxEntries: 8},
+		{MaxEntries: 9, MinEntries: 4},
+		{FirstPage: 1000}, // the default M = 50, m = 20
+	}
+	for dim := 1; dim <= 3; dim++ {
+		for _, cfg := range cfgs {
+			cfg.Dim = dim
+			c, err := cfg.withDefaults()
+			if err != nil {
+				t.Fatal(err)
+			}
+			M, m := c.MaxEntries, c.MinEntries
+			sizes := []int{
+				0, 1, M, M + 1,
+				3*M + m - 1,   // last leaf borrows from its predecessor
+				M*(M+1) + 1,   // M+2 leaves, so the level above borrows when m > 2
+				2*M*M + M - 1, // several slabs, a short final slab
+			}
+			for _, n := range sizes {
+				for _, g := range refGenerators {
+					pts := genPoints(rng, n, dim, g.coord)
+					ids := make([]int64, n)
+					for i := range ids {
+						ids[i] = int64(n - i) // not the point index
+					}
+					label := fmt.Sprintf("dim%d/M%d/m%d/n%d/%s", dim, M, m, n, g.name)
+					checkAgainstReference(t, "STR/"+label, BulkLoadSTR, referenceSTR, cfg, pts, ids)
+					checkAgainstReference(t, "Hilbert/"+label, BulkLoadHilbert, referenceHilbert, cfg, pts, ids)
+				}
+			}
+		}
+	}
+	for _, g := range refGenerators {
+		pts := genPoints(rng, 10000, 2, g.coord)
+		checkAgainstReference(t, "STR/10k/"+g.name, BulkLoadSTR, referenceSTR, Config{}, pts, nil)
+		checkAgainstReference(t, "Hilbert/10k/"+g.name, BulkLoadHilbert, referenceHilbert, Config{}, pts, nil)
+	}
+}
+
+// fuzzPalette holds the coordinates one fuzz byte selects: signed zeros,
+// small integers (dense ties), and extremes of magnitude.
+var fuzzPalette = [15]float64{negZero, 0, 1, -1, 2, -2, 0.5, -0.5, 3, 1e-300, -1e-300, 1e300, -1e300, 7, 1}
+
+// fuzzPoints decodes dim-dimensional points from data: a byte below 0xF0
+// picks a palette entry; 0xF0 and above reads the next 8 bytes as raw
+// float64 bits (non-finite patterns become 0, which no loader accepts).
+func fuzzPoints(data []byte, dim int) []geom.Point {
+	var coords []float64
+	for len(data) > 0 {
+		b := data[0]
+		data = data[1:]
+		if b < 0xF0 || len(data) < 8 {
+			coords = append(coords, fuzzPalette[int(b)%len(fuzzPalette)])
+			continue
+		}
+		v := math.Float64frombits(binary.LittleEndian.Uint64(data))
+		data = data[8:]
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			v = 0
+		}
+		coords = append(coords, v)
+	}
+	pts := make([]geom.Point, len(coords)/dim)
+	for i := range pts {
+		pts[i] = coords[i*dim : (i+1)*dim]
+	}
+	return pts
+}
+
+// FuzzBulkLoadSTR checks BulkLoadSTR against referenceSTR node for node
+// on fuzzed point sets, dimensions 1–3, and node capacities 4–16 with
+// every legal minimum fill. The seed corpus lives in
+// testdata/fuzz/FuzzBulkLoadSTR and replays in every plain go test run.
+func FuzzBulkLoadSTR(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 1, 2, 2, 1, 0, 0, 0, 3, 3}, uint8(2), uint8(0), uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, dim, maxE, minE uint8) {
+		d := int(dim%3) + 1
+		M := int(maxE%13) + 4
+		cfg := Config{Dim: d, MaxEntries: M, MinEntries: int(minE) % (M/2 + 1)} // 0 = default fill
+		checkAgainstReference(t, "fuzz", BulkLoadSTR, referenceSTR, cfg, fuzzPoints(data, d), nil)
+	})
+}
+
+func TestBulkLoadRejectsNonFinite(t *testing.T) {
+	loaders := map[string]loader{
+		"STR":     BulkLoadSTR,
+		"Hilbert": BulkLoadHilbert,
+		"Partitioned": func(cfg Config, pts []geom.Point, ids []int64) (*Tree, error) {
+			_, err := BulkLoadSTRPartitioned(cfg, pts, ids, 3)
+			return nil, err
+		},
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for axis := 0; axis < 2; axis++ {
+			pts := randPoints(rand.New(rand.NewSource(24)), 200, 100)
+			pts[137] = geom.Point{5, 5}
+			pts[137][axis] = bad
+			for name, load := range loaders {
+				_, err := load(Config{MaxEntries: 8}, pts, nil)
+				var nf *NonFiniteError
+				if !errors.As(err, &nf) || nf.Index != 137 || nf.Axis != axis {
+					t.Errorf("%s with %v on axis %d: err %v, want NonFiniteError at point 137 axis %d",
+						name, bad, axis, err, axis)
+				}
+			}
+			tr, err := BulkLoadSTR(Config{MaxEntries: 8}, pts[:100], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var nf *NonFiniteError
+			if err := tr.Insert(pts[137], 1); !errors.As(err, &nf) || nf.Axis != axis {
+				t.Errorf("Insert with %v on axis %d: err %v", bad, axis, err)
+			}
+			if tr.Len() != 100 || tr.CheckInvariants() != nil {
+				t.Errorf("rejected insert changed the tree: len %d", tr.Len())
+			}
+		}
+	}
+}
+
+// TestBulkLoadAllocsFlat pins the loader's allocation count: a fixed
+// number per build plus a few per tree level, never one per point.
+func TestBulkLoadAllocsFlat(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	allocs := func(n int) (float64, int) {
+		pts := randPoints(rng, n, 1000)
+		tr, err := BulkLoadSTR(Config{}, pts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() { BulkLoadSTR(Config{}, pts, nil) }), tr.Height()
+	}
+	small, hSmall := allocs(2000)
+	large, hLarge := allocs(20000)
+	// Each level above the leaves adds three slabs: nodes, routing
+	// entries, MBR corners.
+	if large > small+3*float64(hLarge-hSmall) {
+		t.Fatalf("BulkLoadSTR allocations grow with n: %v at 2k points (height %d), %v at 20k (height %d)",
+			small, hSmall, large, hLarge)
 	}
 }

@@ -278,6 +278,9 @@ func (t *Tree) Insert(p geom.Point, id int64) error {
 	if len(p) != t.cfg.Dim {
 		return fmt.Errorf("rtree: point dimension %d, tree dimension %d", len(p), t.cfg.Dim)
 	}
+	if err := CheckFinite(0, p); err != nil {
+		return err
+	}
 	e := Entry{Rect: geom.RectFromPoint(p), Point: p.Clone(), ID: id}
 	reinserted := make(map[int]bool)
 	t.insertEntry(e, 0, reinserted)

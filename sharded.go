@@ -187,7 +187,7 @@ func BuildShardedIndex(points []Point, ids []int64, shards int, cfg IndexConfig)
 // delta overlay — the immutable shard set keeps serving, and the insert
 // is safe under concurrent readers; Compact or the background compactor
 // re-partitions it into a fresh shard set. A rejected insert (dimension
-// mismatch) changes nothing.
+// mismatch, or a non-finite coordinate: *NonFiniteError) changes nothing.
 func (sx *ShardedIndex) Insert(p Point, id int64) error {
 	sx.mu.Lock()
 	defer sx.mu.Unlock()
@@ -197,6 +197,9 @@ func (sx *ShardedIndex) Insert(p Point, id int64) error {
 	v := sx.view.Load()
 	if len(p) != v.set.Dim() {
 		return fmt.Errorf("rtree: point dimension %d, tree dimension %d", len(p), v.set.Dim())
+	}
+	if err := rtree.CheckFinite(0, geom.Point(p)); err != nil {
+		return err
 	}
 	nv, err := sx.applyInsert(v, geom.Point(p).Clone(), id)
 	if err != nil {
