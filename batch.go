@@ -2,7 +2,6 @@ package gnn
 
 import (
 	"gnn/internal/core"
-	"gnn/internal/pagestore"
 )
 
 // BatchResult is the outcome of one query of a GroupNNBatch call.
@@ -34,9 +33,7 @@ func (ix *Index) GroupNNBatch(queries [][]Point, opts ...QueryOption) []BatchRes
 	}
 	c := buildConfig(opts)
 	core.RunPooled(len(queries), c.parallelism, func(i int, ec *core.ExecContext) {
-		var tk pagestore.CostTracker
-		out[i].Results, out[i].Err = ix.groupNN(queries[i], c, &tk, ec)
-		out[i].Cost = costOf(tk)
+		out[i].Results, out[i].Cost, out[i].Err = ix.groupNN(queries[i], c, ec)
 	})
 	return out
 }
@@ -57,9 +54,7 @@ func (sx *ShardedIndex) GroupNNBatch(queries [][]Point, opts ...QueryOption) []B
 	}
 	c := buildConfig(opts)
 	core.RunPooled(len(queries), c.parallelism, func(i int, ec *core.ExecContext) {
-		var tk pagestore.CostTracker
-		out[i].Results, out[i].Err = sx.groupNN(queries[i], c, &tk, ec, 1)
-		out[i].Cost = costOf(tk)
+		out[i].Results, out[i].Cost, out[i].Err = sx.groupNN(queries[i], c, ec, 1)
 	})
 	return out
 }

@@ -56,8 +56,7 @@ type snapshotPoint struct {
 // load of the same file: open latency (the lazy default defers checksums
 // to the first query, so this is the instant-serving number), retained
 // heap as a resident-set proxy (measured after the first query, so the
-// deferred verification and point-view materialisation are charged), and
-// serving throughput once warm.
+// deferred verification is charged), and serving throughput once warm.
 type mappedPoint struct {
 	// OpenSeconds maps the file and adopts the arena (frame validation
 	// only); SpeedupVsLoad is LoadSeconds / OpenSeconds.
@@ -65,8 +64,8 @@ type mappedPoint struct {
 	SpeedupVsLoad float64 `json:"speedup_open_vs_load"`
 	// LoadHeapBytes and OpenHeapBytes are the retained-heap deltas of a
 	// copying load vs a mapped open, both taken after one query: the
-	// mapped arena lives in shared file-backed pages, so its private
-	// footprint stays near the point-view slab alone.
+	// mapped arena lives in shared file-backed pages and keeps no copy of
+	// the points, so its private footprint is the open's fixed metadata.
 	LoadHeapBytes int64 `json:"load_heap_bytes"`
 	OpenHeapBytes int64 `json:"open_heap_bytes"`
 	// QueriesSec serves the bench workload from the mapped index

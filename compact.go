@@ -246,7 +246,7 @@ func (ix *Index) compactOnce() (err error) {
 }
 
 // persistPacked rotates a snapshot of the packed arena into path
-// crash-safely, re-decoding the temp file with the strict decoder before
+// crash-safely, re-validating the temp file with the strict checks before
 // the rename so a torn or corrupt write can never replace a good file.
 func persistPacked(path string, p *rtree.Packed) error {
 	return snapshot.AtomicWriteFile(path, func(w io.Writer) error {
@@ -255,11 +255,27 @@ func persistPacked(path string, p *rtree.Packed) error {
 	}, verifySnapshotFile)
 }
 
+// verifySnapshotFile reads a rotation's temp file and validates it with
+// verifySnapshot.
 func verifySnapshotFile(tmp string) error {
 	data, err := os.ReadFile(tmp)
 	if err != nil {
 		return err
 	}
-	_, _, err = snapshot.Decode(data)
-	return err
+	return verifySnapshot(data)
+}
+
+// verifySnapshot runs every check of the copying decoder — frame, section
+// checksums, per-tree structure and the cross-tree checks — without
+// copying a column: DecodeAdopted frame-checks data and aliases its
+// columns, and Verify runs the checksum, structure and cross-check passes
+// over the same buffer. Where the buffer cannot be adopted in place (a
+// misaligned base, a big-endian host) DecodeAdopted itself falls back to
+// the fully validating copying decode.
+func verifySnapshot(data []byte) error {
+	a, err := snapshot.DecodeAdopted(data)
+	if err != nil {
+		return err
+	}
+	return a.Verify()
 }

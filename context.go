@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"gnn/internal/core"
-	"gnn/internal/pagestore"
 )
 
 // Cancellation errors, re-exported from the query kernels. Both wrap
@@ -37,9 +36,7 @@ func (ix *Index) GroupNNContext(ctx context.Context, query []Point, opts ...Quer
 func (ix *Index) GroupNNWithCostContext(ctx context.Context, query []Point, opts ...QueryOption) ([]Result, Cost, error) {
 	c := buildConfig(opts)
 	c.cancel = core.NewCancelCheck(ctx)
-	var tk pagestore.CostTracker
-	res, err := ix.groupNN(query, c, &tk, nil)
-	return res, costOf(tk), err
+	return ix.groupNN(query, c, nil)
 }
 
 // GroupNNContext is GroupNN under a context for the sharded index. Each
@@ -56,9 +53,7 @@ func (sx *ShardedIndex) GroupNNContext(ctx context.Context, query []Point, opts 
 func (sx *ShardedIndex) GroupNNWithCostContext(ctx context.Context, query []Point, opts ...QueryOption) ([]Result, Cost, error) {
 	c := buildConfig(opts)
 	c.cancel = core.NewCancelCheck(ctx)
-	var tk pagestore.CostTracker
-	res, err := sx.groupNN(query, c, &tk, nil, defaultScatterWorkers())
-	return res, costOf(tk), err
+	return sx.groupNN(query, c, nil, defaultScatterWorkers())
 }
 
 // GroupNNBatchContext is GroupNNBatch under a context. Queries the
@@ -68,16 +63,16 @@ func (sx *ShardedIndex) GroupNNWithCostContext(ctx context.Context, query []Poin
 // the context outlived the batch, the typed context error otherwise —
 // per-query entries remain individually meaningful either way.
 func (ix *Index) GroupNNBatchContext(ctx context.Context, queries [][]Point, opts ...QueryOption) ([]BatchResult, error) {
-	return batchContext(ctx, queries, opts, func(q []Point, c queryConfig, tk *pagestore.CostTracker, ec *core.ExecContext) ([]Result, error) {
-		return ix.groupNN(q, c, tk, ec)
+	return batchContext(ctx, queries, opts, func(q []Point, c queryConfig, ec *core.ExecContext) ([]Result, Cost, error) {
+		return ix.groupNN(q, c, ec)
 	})
 }
 
 // GroupNNBatchContext is GroupNNBatch under a context for the sharded
 // index; semantics as for Index.GroupNNBatchContext.
 func (sx *ShardedIndex) GroupNNBatchContext(ctx context.Context, queries [][]Point, opts ...QueryOption) ([]BatchResult, error) {
-	return batchContext(ctx, queries, opts, func(q []Point, c queryConfig, tk *pagestore.CostTracker, ec *core.ExecContext) ([]Result, error) {
-		return sx.groupNN(q, c, tk, ec, 1)
+	return batchContext(ctx, queries, opts, func(q []Point, c queryConfig, ec *core.ExecContext) ([]Result, Cost, error) {
+		return sx.groupNN(q, c, ec, 1)
 	})
 }
 
@@ -85,7 +80,7 @@ func (sx *ShardedIndex) GroupNNBatchContext(ctx context.Context, queries [][]Poi
 // cancel check (a CancelCheck belongs to one goroutine; pool workers
 // run concurrently, so each query gets its own).
 func batchContext(ctx context.Context, queries [][]Point, opts []QueryOption,
-	run func([]Point, queryConfig, *pagestore.CostTracker, *core.ExecContext) ([]Result, error)) ([]BatchResult, error) {
+	run func([]Point, queryConfig, *core.ExecContext) ([]Result, Cost, error)) ([]BatchResult, error) {
 	out := make([]BatchResult, len(queries))
 	if len(queries) == 0 {
 		return out, core.ContextErr(ctx)
@@ -103,9 +98,7 @@ func batchContext(ctx context.Context, queries [][]Point, opts []QueryOption,
 		}()
 		qc := c
 		qc.cancel = root.Fork()
-		var tk pagestore.CostTracker
-		out[i].Results, out[i].Err = run(queries[i], qc, &tk, ec)
-		out[i].Cost = costOf(tk)
+		out[i].Results, out[i].Cost, out[i].Err = run(queries[i], qc, ec)
 	})
 	return out, core.ContextErr(ctx)
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"gnn/internal/core"
-	"gnn/internal/pagestore"
 )
 
 // TraceCounters is the public mirror of the engine's per-query pruning
@@ -100,7 +99,7 @@ type QueryExplain struct {
 }
 
 // explainFrom assembles the public report from a completed probe.
-func explainFrom(c queryConfig, groupSize, shards int, tk pagestore.CostTracker, total time.Duration) *QueryExplain {
+func explainFrom(c queryConfig, groupSize, shards int, cost Cost, total time.Duration) *QueryExplain {
 	p := c.probe
 	algo := c.algo
 	if algo == AlgoAuto {
@@ -120,7 +119,7 @@ func explainFrom(c queryConfig, groupSize, shards int, tk pagestore.CostTracker,
 		Overlay:   p.overlay,
 		Stages:    make([]StageTiming, 0, len(p.stages.Stages)),
 		Trace:     traceCounters(&p.trace),
-		Cost:      costOf(tk),
+		Cost:      cost,
 		TotalUS:   total.Microseconds(),
 	}
 	if c.aggregate == MaxDist && (algo == AlgoMBM) {
@@ -150,13 +149,12 @@ func (ix *Index) GroupNNExplainContext(ctx context.Context, query []Point, opts 
 	c := buildConfig(opts)
 	c.cancel = core.NewCancelCheck(ctx)
 	c.probe = &explainProbe{}
-	var tk pagestore.CostTracker
 	start := time.Now()
-	res, err := ix.groupNN(query, c, &tk, nil)
+	res, cost, err := ix.groupNN(query, c, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, explainFrom(c, len(query), 0, tk, time.Since(start)), nil
+	return res, explainFrom(c, len(query), 0, cost, time.Since(start)), nil
 }
 
 // GroupNNExplain is Index.GroupNNExplain for the sharded index: the
@@ -172,11 +170,10 @@ func (sx *ShardedIndex) GroupNNExplainContext(ctx context.Context, query []Point
 	c := buildConfig(opts)
 	c.cancel = core.NewCancelCheck(ctx)
 	c.probe = &explainProbe{}
-	var tk pagestore.CostTracker
 	start := time.Now()
-	res, err := sx.groupNN(query, c, &tk, nil, defaultScatterWorkers())
+	res, cost, err := sx.groupNN(query, c, nil, defaultScatterWorkers())
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, explainFrom(c, len(query), sx.NumShards(), tk, time.Since(start)), nil
+	return res, explainFrom(c, len(query), sx.NumShards(), cost, time.Since(start)), nil
 }

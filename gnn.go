@@ -477,6 +477,9 @@ func (ix *Index) NearestNeighborsWithCost(q Point, k int) ([]Result, Cost, error
 	if k < 1 {
 		return nil, Cost{}, core.ErrBadK
 	}
+	if err := rtree.CheckFinite(0, geom.Point(q)); err != nil {
+		return nil, Cost{}, err
+	}
 	if err := ix.acquire(); err != nil {
 		return nil, Cost{}, err
 	}
@@ -500,7 +503,10 @@ func (ix *Index) NearestNeighborsWithCost(q Point, k int) ([]Result, Cost, error
 // nearestOverlay merges the base NN stream (tombstoned hits skipped),
 // the delta-tree NN stream and the exact pending distances into the k
 // nearest live points. Cost is the sum of both tree traversals' node
-// accesses; the pending tail is a memory array and charges nothing.
+// accesses; the pending tail is a memory array and charges nothing. A
+// stream's emitted point is only valid until it advances, so each taken
+// result is copied into one slab the caller owns, and the output is
+// sized by the points the view holds, not by k.
 func (ix *Index) nearestOverlay(v *viewState, q geom.Point, k int, tk *pagestore.CostTracker) ([]Result, Cost, error) {
 	ov := v.ov
 	base := rtree.ReaderOver(v.tree, v.servingPacked(), tk).NewNNIterator(q)
@@ -543,7 +549,9 @@ func (ix *Index) nearestOverlay(v *viewState, q geom.Point, k int, tk *pagestore
 	for i := range heads {
 		heads[i].nb, heads[i].ok = heads[i].next()
 	}
-	out := make([]Result, 0, k)
+	n, dim := min(k, v.tree.Len()+len(ov.pts)), len(q)
+	out := make([]Result, 0, n)
+	slab := make([]float64, 0, n*dim)
 	for len(out) < k {
 		pick := -1
 		for i := range heads {
@@ -558,7 +566,9 @@ func (ix *Index) nearestOverlay(v *viewState, q geom.Point, k int, tk *pagestore
 			break
 		}
 		nb := heads[pick].nb
-		out = append(out, Result{Point: Point(nb.Point), ID: nb.ID, Dist: nb.Dist})
+		s := len(slab)
+		slab = append(slab, nb.Point...)
+		out = append(out, Result{Point: Point(slab[s : s+dim : s+dim]), ID: nb.ID, Dist: nb.Dist})
 		heads[pick].nb, heads[pick].ok = heads[pick].next()
 	}
 	return out, costOf(*tk), nil

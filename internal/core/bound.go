@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -65,10 +66,20 @@ func (b *SharedBound) Tighten(d float64) {
 // the same ID-deduplication and tie semantics as a single kbest fed the
 // candidates in ascending (distance, partition-order) order. It is the
 // gather half of the sharded scatter-gather execution.
+//
+// Candidates arrive in ascending order, so each one that survives
+// deduplication ranks last among those taken: the merge appends, and
+// stops at k. The output is sized by what the lists hold, min(k, total),
+// and its points are the lists' own, which the kernels returned as
+// caller-owned copies.
 func MergeNeighbors(k int, lists [][]GroupNeighbor) []GroupNeighbor {
-	best := kbest{k: k, items: make([]GroupNeighbor, 0, k)}
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	out := make([]GroupNeighbor, 0, min(k, total))
 	idx := make([]int, len(lists))
-	for {
+	for len(out) < k {
 		pick := -1
 		var d float64
 		for l, i := range idx {
@@ -79,11 +90,14 @@ func MergeNeighbors(k int, lists [][]GroupNeighbor) []GroupNeighbor {
 				pick, d = l, lists[l][i].Dist
 			}
 		}
-		if pick == -1 || d >= best.bound() {
-			break // remaining candidates are all at least as far
+		if pick == -1 {
+			break
 		}
-		best.offer(lists[pick][idx[pick]])
+		g := lists[pick][idx[pick]]
 		idx[pick]++
+		if !slices.ContainsFunc(out, func(o GroupNeighbor) bool { return o.ID == g.ID }) {
+			out = append(out, g) // already a result otherwise (same point ⇒ same distance)
+		}
 	}
-	return best.results()
+	return out
 }

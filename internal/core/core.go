@@ -44,7 +44,9 @@ type GroupNeighbor struct {
 
 // RejectFunc vetoes a candidate data point (see Options.Reject). It must
 // be pure and safe for concurrent use: the sharded scatter calls one
-// function value from every shard worker.
+// function value from every shard worker. It must not retain p: on the
+// packed layout p is the kernel's gather scratch, overwritten by the next
+// candidate.
 type RejectFunc func(p geom.Point, id int64) bool
 
 // Aggregate selects the distance-combination function dist(p,Q).
@@ -166,7 +168,8 @@ type Options struct {
 	// filter acts at the result accumulator (and the iterator's candidate
 	// stage), never at node granularity, so the traversal order and the
 	// node-access counts of a traversal are unchanged — only which leaf
-	// points may become results. nil rejects nothing.
+	// points may become results. It must not retain p (see RejectFunc).
+	// nil rejects nothing.
 	Reject RejectFunc
 	// GenericMax forces the MAX aggregate onto the generic per-member
 	// pruning bounds, disabling the dedicated minimum-enclosing-ball
@@ -319,15 +322,31 @@ func quickPointLB(a Aggregate, p geom.Point, qmbr geom.Rect, n int) float64 {
 // heap because the paper's k ≤ 32. When shared is non-nil the accumulator
 // participates in a sharded query: bound() folds the cross-shard bound in
 // and offer publishes local improvements back (see SharedBound).
+//
+// The accumulator owns its results' coordinates: offer copies an accepted
+// candidate's point into row i of rows, kept parallel to items, so a
+// candidate may live in scratch (a packed kernel's gather buffer) and
+// results never alias the index. Both slices grow with the results
+// held, never with k.
 type kbest struct {
 	k      int
-	items  []GroupNeighbor
+	dim    int
+	items  []kbItem
+	rows   []float64 // rows[i*dim:(i+1)*dim] holds items[i]'s coordinates
 	shared *SharedBound
 	reject RejectFunc
 }
 
+// kbItem is one held result; its coordinates are the matching row.
+type kbItem struct {
+	ID   int64
+	Dist float64
+}
+
+// newKBest returns a standalone accumulator for k results whose buffers
+// grow with the results held.
 func newKBest(k int) *kbest {
-	return &kbest{k: k, items: make([]GroupNeighbor, 0, k)}
+	return &kbest{k: k}
 }
 
 // bound returns the current pruning bound best_dist: the k-th best
@@ -370,11 +389,17 @@ func (b *kbest) offer(g GroupNeighbor) bool {
 			break
 		}
 	}
-	b.items = append(b.items, GroupNeighbor{})
+	b.items = append(b.items, kbItem{})
 	copy(b.items[pos+1:], b.items[pos:])
-	b.items[pos] = g
+	b.items[pos] = kbItem{ID: g.ID, Dist: g.Dist}
+	d := len(g.Point)
+	b.dim = d
+	b.rows = append(b.rows, g.Point...)
+	copy(b.rows[(pos+1)*d:], b.rows[pos*d:])
+	copy(b.rows[pos*d:(pos+1)*d], g.Point)
 	if len(b.items) > b.k {
 		b.items = b.items[:b.k]
+		b.rows = b.rows[:b.k*d]
 	}
 	if b.shared != nil && len(b.items) == b.k {
 		b.shared.Tighten(b.items[len(b.items)-1].Dist)
@@ -382,10 +407,16 @@ func (b *kbest) offer(g GroupNeighbor) bool {
 	return true
 }
 
-// results returns the accumulated neighbors in ascending distance order.
+// results returns the accumulated neighbors in ascending distance order,
+// their points in one fresh slab the caller owns.
 func (b *kbest) results() []GroupNeighbor {
 	out := make([]GroupNeighbor, len(b.items))
-	copy(out, b.items)
+	slab := make([]float64, len(b.rows))
+	copy(slab, b.rows)
+	d := b.dim
+	for i, it := range b.items {
+		out[i] = GroupNeighbor{Point: slab[i*d : (i+1)*d : (i+1)*d], ID: it.ID, Dist: it.Dist}
+	}
 	return out
 }
 
@@ -403,7 +434,7 @@ func BruteForce(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, e
 	}
 	ec, owned := opt.exec()
 	defer releaseIfOwned(ec, owned)
-	best := ec.kbestShared(opt.K, opt.Shared, opt.Reject)
+	best := ec.kbestShared(t, opt.K, opt.Shared, opt.Reject)
 	if p := opt.packedFor(t, true); p != nil {
 		bruteForcePacked(p, qs, w, opt, best, ec)
 		if err := opt.Cancel.Failure(); err != nil {
@@ -487,7 +518,7 @@ func bruteForcePacked(p *rtree.Packed, qs []geom.Point, w *weightCtx, opt Option
 		}
 		for i := 0; i < e-s; i++ {
 			slot := int32(s + i)
-			pt := p.LeafPoint(slot)
+			pt := ec.gather(p, slot)
 			if !regionAllows(opt.Region, pt) {
 				continue
 			}

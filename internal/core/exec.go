@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"gnn/internal/geom"
+	"gnn/internal/pagestore"
 	"gnn/internal/pq"
 	"gnn/internal/rtree"
 )
@@ -14,8 +15,9 @@ import (
 // every slice and heap a query needs in steady state — the result
 // accumulator, per-depth candidate buffers for depth-first traversals,
 // best-first entry heaps, MQM's threshold and iterator slices, F-MBM's
-// leaf buffers and the query-MBR corners — lives here and is reused across
-// queries, so a warm kernel allocates (almost) nothing.
+// leaf buffers, the query-MBR corners, the leaf-point gather scratch and
+// the query's cost tracker — lives here and is reused across queries, so
+// a warm kernel allocates (almost) nothing.
 //
 // Acquire a context with AcquireExec and return it with Release, or set
 // Options.Exec to reuse one context across many sequential queries (the
@@ -23,6 +25,7 @@ import (
 // concurrent queries: like Options.Cost, it is unsynchronised by design.
 type ExecContext struct {
 	best  kbest
+	tk    pagestore.CostTracker
 	cands rtree.CandStack
 	eheap pq.Heap[rtree.Entry]
 	qmbr  geom.Rect
@@ -36,6 +39,12 @@ type ExecContext struct {
 	dbuf   []float64
 	dbuf2  []float64
 	prect  geom.Rect
+
+	// Gather scratch of the packed kernels: a leaf slot's coordinates,
+	// copied from the arena's axis columns (rtree.Packed.PointInto) so
+	// the geom.Point helpers can run on it. Overwritten per leaf point;
+	// the result accumulator copies what it keeps.
+	pt geom.Point
 
 	// SoA copy of the query group (per-axis columns) for the exact-
 	// distance and heuristic-3 inner loops.
@@ -71,24 +80,40 @@ func AcquireExec() *ExecContext { return execPool.Get() }
 
 // Release zeroes everything the context retained (so pooled buffers don't
 // pin a finished query's points or subtrees) and returns it to the pool.
-// The context must not be used afterwards.
+// Buffers sized by what a caller asked for — the result rows (k) and the
+// group's columns and streams (the group size) — are dropped instead of
+// kept when they exceed pq.RetainCap, so one outsized request cannot pin
+// its memory in the pool. The context must not be used afterwards.
 func (ec *ExecContext) Release() {
 	if ec == nil {
 		return
 	}
-	ec.best.reset(0)
+	ec.best.release()
 	ec.cands.Reset()
 	ec.eheap.Reset()
 	ec.pcands.Reset()
 	ec.peheap.Reset()
 	clear(ec.qsbuf[:cap(ec.qsbuf)])
+	ec.qsbuf = pq.Trim(ec.qsbuf)
+	clear(ec.gsoa[:cap(ec.gsoa)]) // columns of gflat, rebuilt per query
+	ec.gflat = pq.Trim(ec.gflat)
+	ec.thresholds = pq.Trim(ec.thresholds)
 	clear(ec.iters[:cap(ec.iters)])
+	ec.iters = pq.Trim(ec.iters)
 	clear(ec.fcands[:cap(ec.fcands)])
 	ec.pfcands = ec.pfcands[:0]
 	ec.lbs = ec.lbs[:0]
 	ec.mebs.Reset()
 	ec.meb = mebCtx{}
 	execPool.Put(ec)
+}
+
+// Tracker returns the context's cost tracker, zeroed for a new query.
+// Holding the tracker in the pooled context keeps a per-query tracker
+// from escaping to the heap on every call; read it before Release.
+func (ec *ExecContext) Tracker() *pagestore.CostTracker {
+	ec.tk = pagestore.CostTracker{}
+	return &ec.tk
 }
 
 // RunPooled distributes n independent jobs over a pool of the requested
@@ -187,21 +212,28 @@ func groupSoAInto(dst [][]float64, flat []float64, qs []geom.Point) ([][]float64
 	return dst, flat
 }
 
-// kbestFor returns the context's result accumulator, reset for k results,
-// with an optional candidate veto (nil rejects nothing).
-func (ec *ExecContext) kbestFor(k int, rej RejectFunc) *kbest {
-	ec.best.reset(k)
+// kbestFor returns the context's result accumulator, reset for k results
+// over tree t (which bounds how many it can hold), with an optional
+// candidate veto (nil rejects nothing).
+func (ec *ExecContext) kbestFor(t *rtree.Tree, k int, rej RejectFunc) *kbest {
+	ec.best.reset(k, t.Len(), t.Dim())
 	ec.best.reject = rej
 	return &ec.best
 }
 
 // kbestShared is kbestFor coupled to a cross-shard pruning bound (nil for
 // a standalone query — the common case — which behaves exactly as before).
-func (ec *ExecContext) kbestShared(k int, s *SharedBound, rej RejectFunc) *kbest {
-	ec.best.reset(k)
-	ec.best.shared = s
-	ec.best.reject = rej
-	return &ec.best
+func (ec *ExecContext) kbestShared(t *rtree.Tree, k int, s *SharedBound, rej RejectFunc) *kbest {
+	b := ec.kbestFor(t, k, rej)
+	b.shared = s
+	return b
+}
+
+// gather copies packed leaf slot s's coordinates into the context's
+// gather scratch and returns it (valid until the next gather).
+func (ec *ExecContext) gather(p *rtree.Packed, s int32) geom.Point {
+	ec.pt = p.PointInto(s, ec.pt)
+	return ec.pt
 }
 
 // mebFor arms and returns the context's dedicated-MAX pruning context for
@@ -252,19 +284,30 @@ func grow[T any](dst []T, n int) []T {
 	return dst[:n]
 }
 
-// reset prepares the accumulator for a new query with result size k
-// (k = 0 only for Release-time zeroing), dropping prior results and
-// zeroing their payloads while keeping the backing array. It zeroes up to
-// capacity, not length: offer's append-then-truncate leaves an evicted
-// candidate in the slot beyond len, which must not stay pinned while the
-// context sits in the pool.
-func (b *kbest) reset(k int) {
-	clear(b.items[:cap(b.items)])
+// reset prepares the accumulator for a new query with result size k in
+// dim dimensions, over a source of hold points: the backing arrays are
+// kept and reserved for min(k, hold) results — what the accumulator can
+// actually come to hold — never for k itself.
+func (b *kbest) reset(k, hold, dim int) {
+	n := min(k, hold)
 	b.items = b.items[:0]
-	if cap(b.items) < k {
-		b.items = make([]GroupNeighbor, 0, k)
+	if cap(b.items) < n {
+		b.items = make([]kbItem, 0, n)
+	}
+	b.rows = b.rows[:0]
+	if cap(b.rows) < n*dim {
+		b.rows = make([]float64, 0, n*dim)
 	}
 	b.k = k
+	b.shared = nil
+	b.reject = nil
+}
+
+// release empties the accumulator for the pool, dropping backing arrays
+// above pq.RetainCap elements.
+func (b *kbest) release() {
+	b.items = pq.Trim(b.items)
+	b.rows = pq.Trim(b.rows)
 	b.shared = nil
 	b.reject = nil
 }

@@ -47,7 +47,7 @@ func FMBM(t *rtree.Tree, qf *QueryFile, opt DiskOptions) (*DiskReport, error) {
 	ec, owned := opt.exec()
 	defer releaseIfOwned(ec, owned)
 	f := &fmbmRun{rd: rtree.ReaderOver(t, opt.packedFor(t, false), opt.Cost),
-		qf: qf, opt: opt, best: ec.kbestFor(opt.K, opt.Reject), ec: ec, report: &DiskReport{}}
+		qf: qf, opt: opt, best: ec.kbestFor(t, opt.K, opt.Reject), ec: ec, report: &DiskReport{}}
 	if t.Len() > 0 {
 		switch {
 		case f.rd.Packed() != nil && opt.Traversal == DepthFirst:
@@ -434,12 +434,12 @@ func (f *fmbmRun) processLeafPacked(nd int32, ndRect geom.Rect) error {
 			return err
 		}
 		for _, ci := range survivors {
-			cands[ci].curr += geom.SumDist(p.LeafPoint(cands[ci].slot), blk)
+			cands[ci].curr += geom.SumDist(f.ec.gather(p, cands[ci].slot), blk)
 		}
 	}
 	for _, ci := range survivors {
 		f.best.offer(GroupNeighbor{
-			Point: p.LeafPoint(cands[ci].slot),
+			Point: f.ec.gather(p, cands[ci].slot),
 			ID:    p.LeafID(cands[ci].slot),
 			Dist:  cands[ci].curr,
 		})

@@ -77,7 +77,7 @@ func FMQM(t *rtree.Tree, qf *QueryFile, opt DiskOptions) (*DiskReport, error) {
 	ec.thresholds = growFloats(ec.thresholds, m)
 	thresholds := ec.thresholds
 	var pending []*fmqmCand
-	best := ec.kbestFor(opt.K, opt.Reject)
+	best := ec.kbestFor(t, opt.K, opt.Reject)
 	report := &DiskReport{}
 
 	sumT := func() float64 {
@@ -149,6 +149,9 @@ func FMQM(t *rtree.Tree, qf *QueryFile, opt DiskOptions) (*DiskReport, error) {
 				if m == 1 {
 					best.offer(g) // the group is all of Q
 				} else {
+					// g.Point borrows stream j's scratch, which stays intact
+					// until stream j is drawn again — and the candidate
+					// completes in the m-1 phases before that.
 					pending = append(pending, &fmqmCand{
 						nb:        g,
 						acc:       g.Dist,

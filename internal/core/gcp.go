@@ -85,7 +85,7 @@ func GCP(tp, tq *rtree.Tree, opt GCPOptions) (*GCPReport, error) {
 	ec, owned := opt.exec()
 	defer releaseIfOwned(ec, owned)
 	n := tq.Len()
-	best := ec.kbestFor(opt.K, opt.Reject)
+	best := ec.kbestFor(tp, opt.K, opt.Reject)
 	list := make(map[int64]*gcpCand)
 	report := &GCPReport{}
 	T := 0.0

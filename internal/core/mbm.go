@@ -23,7 +23,7 @@ import (
 //
 // Both variants draw their scratch (candidate buffers, result list, query
 // MBR corners, heaps) from the pooled execution context, so a warm query
-// allocates only its result slice.
+// allocates only its results: the slice and the slab of their points.
 func MBM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 	opt = opt.withDefaults()
 	if err := validate(t, qs, opt); err != nil {
@@ -39,7 +39,7 @@ func MBM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 		if err != nil {
 			return nil, err
 		}
-		best := ec.kbestShared(opt.K, opt.Shared, opt.Reject)
+		best := ec.kbestShared(t, opt.K, opt.Shared, opt.Reject)
 		st := mbmState{
 			rd:   rtree.ReaderOver(t, opt.packedFor(t, false), opt.Cost),
 			qs:   qs,
@@ -69,7 +69,7 @@ func MBM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 		return nil, err
 	}
 	defer it.Close()
-	best := ec.kbestShared(opt.K, opt.Shared, opt.Reject)
+	best := ec.kbestShared(t, opt.K, opt.Shared, opt.Reject)
 	for len(best.items) < opt.K {
 		// The iterator emits in ascending order, so once its lower bound
 		// reaches the pruning bound nothing ahead can improve the result.
@@ -266,7 +266,7 @@ func (st *mbmState) dfPacked(nd int32, depth int) {
 				st.opt.Trace.add(func(tr *Trace) { tr.PointsPrunedQuick++ })
 				return
 			}
-			pt := p.LeafPoint(slot)
+			pt := st.ec.gather(p, slot)
 			if st.meb != nil && st.meb.pointBound(pt) >= st.best.bound() {
 				st.opt.Trace.add(func(tr *Trace) { tr.PointsPrunedMEB++ })
 				continue // MEB point bound: skip the n exact distances
@@ -320,6 +320,11 @@ func (st *mbmState) dfPacked(nd int32, depth int) {
 // Iterators (and their heaps and MBR corners) are drawn from a pool;
 // callers that finish early should Close the iterator so its scratch is
 // recycled. Forgetting to Close costs only the reuse, never correctness.
+//
+// On the packed layout an emitted point is gathered into the iterator's
+// scratch, so a result's Point is valid only until the next Next or
+// Close; consumers that keep results (the result accumulator, the public
+// iterator) copy it.
 type GNNIterator struct {
 	rd     rtree.Reader
 	qs     []geom.Point
@@ -333,6 +338,7 @@ type GNNIterator struct {
 	dbuf   []float64         // fused-kernel distance buffer (packed path)
 	dbuf2  []float64         // fused MEB-bound buffer (packed path)
 	prect  geom.Rect         // spare rect for the packed heuristic-3 bound
+	pt     geom.Point        // leaf-point gather scratch (packed path)
 	mebs   geom.MEBScratch   // dedicated aggregate-MAX solver scratch
 	meb    mebCtx
 	mebp   *mebCtx // armed (&meb) on the dedicated MAX path, else nil
@@ -495,17 +501,19 @@ func (it *GNNIterator) nextPacked() (GroupNeighbor, bool) {
 		slot, _ := rtree.RefSlot(item.Value.ref)
 		switch item.Value.state {
 		case pointExact:
+			it.pt = p.PointInto(slot, it.pt)
 			return GroupNeighbor{
-				Point: p.LeafPoint(slot),
+				Point: it.pt,
 				ID:    p.LeafID(slot),
 				Dist:  item.Priority,
 			}, true
 		case pointCheap:
-			if rej := it.opt.Reject; rej != nil && rej(p.LeafPoint(slot), p.LeafID(slot)) {
+			it.pt = p.PointInto(slot, it.pt)
+			if rej := it.opt.Reject; rej != nil && rej(it.pt, p.LeafID(slot)) {
 				continue // tombstoned: drop before the exact-distance stage
 			}
 			it.opt.Trace.add(func(tr *Trace) { tr.ExactDistances++ })
-			exact := aggDistSoA(it.opt.Aggregate, p.LeafPoint(slot), it.gq, it.w)
+			exact := aggDistSoA(it.opt.Aggregate, it.pt, it.gq, it.w)
 			it.ph.Push(pgnnItem{item.Value.ref, pointExact}, exact)
 		case nodeCheap:
 			if !it.opt.DisableHeuristic3 {
@@ -526,7 +534,8 @@ func (it *GNNIterator) nextPacked() (GroupNeighbor, bool) {
 }
 
 // Next returns the next group nearest neighbor; ok is false when the data
-// set is exhausted or the iterator has been closed.
+// set is exhausted or the iterator has been closed. The returned Point is
+// valid only until the next call to Next or Close; copy it to keep it.
 func (it *GNNIterator) Next() (GroupNeighbor, bool) {
 	if it.closed {
 		return GroupNeighbor{}, false
@@ -598,6 +607,8 @@ func (it *GNNIterator) Close() {
 	it.closed = true
 	it.rd = rtree.Reader{}
 	it.qs = nil
+	clear(it.gq[:cap(it.gq)]) // columns of gflat, rebuilt per query
+	it.gflat = pq.Trim(it.gflat)
 	it.opt = Options{}
 	it.w = nil
 	it.mebp = nil

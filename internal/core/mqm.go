@@ -52,7 +52,7 @@ func MQM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 	ec.thresholds = growFloats(ec.thresholds, n)
 	thresholds := ec.thresholds
 	gq := ec.groupSoA(qs)
-	best := ec.kbestShared(opt.K, opt.Shared, opt.Reject)
+	best := ec.kbestShared(t, opt.K, opt.Shared, opt.Reject)
 
 	// T = agg_i(w_i·t_i). For SUM (the common case) it is maintained
 	// incrementally; MAX/MIN recompute, which is still cheap because the

@@ -18,7 +18,9 @@ import (
 // shard merge iterator consumes Streams, which lets one merge
 // implementation serve both sharded queries and overlay queries.
 type Stream interface {
-	// Next returns the next candidate; ok is false when exhausted.
+	// Next returns the next candidate; ok is false when exhausted. The
+	// candidate's Point may be the stream's scratch, valid only until the
+	// stream's next Next or Close: consumers that keep it copy it.
 	Next() (GroupNeighbor, bool)
 	// PeekDist returns a lower bound on the next candidate's distance;
 	// ok is false when exhausted.

@@ -47,7 +47,7 @@ func SPM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 	}
 	ec, owned := opt.exec()
 	defer releaseIfOwned(ec, owned)
-	best := ec.kbestShared(opt.K, opt.Shared, opt.Reject)
+	best := ec.kbestShared(t, opt.K, opt.Shared, opt.Reject)
 	if t.Len() > 0 {
 		run := spmRun{rd: rtree.ReaderOver(t, opt.packedFor(t, false), opt.Cost),
 			qs: qs, gq: ec.groupSoA(qs), q: q, dq: dq, n: n, w: w, region: opt.Region,
@@ -232,7 +232,7 @@ func (r *spmRun) dfPacked(nd int32, depth int) {
 			if r.trace != nil {
 				r.trace.ExactDistances++
 			}
-			pt := p.LeafPoint(slot)
+			pt := r.ec.gather(p, slot)
 			r.best.offer(GroupNeighbor{
 				Point: pt, ID: p.LeafID(slot),
 				Dist: aggDistSoA(Sum, pt, r.gq, r.w),
@@ -299,7 +299,7 @@ func (r *spmRun) bfPacked() {
 			if r.trace != nil {
 				r.trace.ExactDistances++
 			}
-			pt := p.LeafPoint(slot)
+			pt := r.ec.gather(p, slot)
 			r.best.offer(GroupNeighbor{
 				Point: pt, ID: p.LeafID(slot),
 				Dist: aggDistSoA(Sum, pt, r.gq, r.w),

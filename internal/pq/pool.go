@@ -37,3 +37,19 @@ func (p *Pool[T]) Put(v *T) {
 		p.inner.Put(v)
 	}
 }
+
+// RetainCap is the largest capacity, in elements, that a pooled scratch
+// buffer keeps between queries. Buffers sized by a caller-controlled
+// quantity (k, the group size) would otherwise pin one outsized request's
+// memory in the pool for as long as the pool holds the scratch.
+const RetainCap = 1 << 12
+
+// Trim returns s emptied for reuse, or nil when its capacity exceeds
+// RetainCap. Callers clear pointer payloads first when the elements hold
+// any.
+func Trim[T any](s []T) []T {
+	if cap(s) > RetainCap {
+		return nil
+	}
+	return s[:0]
+}

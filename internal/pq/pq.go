@@ -132,28 +132,26 @@ type BoundedMax[T any] struct {
 }
 
 // NewBoundedMax returns a bounded heap that retains the k smallest entries.
-// It panics when k < 1: a result set of size zero is meaningless.
+// It panics when k < 1: a result set of size zero is meaningless. The
+// backing array grows with the entries actually retained, so a huge k
+// costs nothing until that many entries arrive.
 func NewBoundedMax[T any](k int) *BoundedMax[T] {
 	if k < 1 {
 		panic("pq: BoundedMax requires k >= 1")
 	}
-	return &BoundedMax[T]{k: k, items: make([]Item[T], 0, k)}
+	return &BoundedMax[T]{k: k}
 }
 
 // Reset prepares the heap for reuse by a new query with result size k,
-// retaining the backing array (grown when the new k needs more room). It
-// panics when k < 1, like NewBoundedMax.
+// retaining the backing array, which grows with the entries retained,
+// never with k. Backing arrays above RetainCap are dropped rather than
+// kept for the next query. It panics when k < 1, like NewBoundedMax.
 func (b *BoundedMax[T]) Reset(k int) {
 	if k < 1 {
 		panic("pq: BoundedMax requires k >= 1")
 	}
-	for i := range b.items {
-		b.items[i] = Item[T]{}
-	}
-	b.items = b.items[:0]
-	if cap(b.items) < k {
-		b.items = make([]Item[T], 0, k)
-	}
+	clear(b.items)
+	b.items = Trim(b.items)
 	b.k = k
 }
 
@@ -170,6 +168,15 @@ func (b *BoundedMax[T]) Kth() (float64, bool) {
 		return 0, false
 	}
 	return b.items[0].Priority, true
+}
+
+// Max returns the largest retained entry: the one a Push into a full
+// heap evicts. ok is false when the heap is empty.
+func (b *BoundedMax[T]) Max() (item Item[T], ok bool) {
+	if len(b.items) == 0 {
+		return Item[T]{}, false
+	}
+	return b.items[0], true
 }
 
 // Push offers an entry; it is retained only while it ranks among the k

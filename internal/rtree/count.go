@@ -34,20 +34,21 @@ func (t *Tree) countExactNode(n *node, p geom.Point, id int64) int {
 // CountExact is the packed-arena analogue of Tree.CountExact: an
 // uncharged MBR-pruned walk of the SoA arena. It works on heap-packed
 // and mapped (borrowed) arenas alike; borrowed arenas must have been
-// Prepared so the point views exist.
+// Prepared (verified) first. Candidate leaf points are gathered from the
+// coordinate columns into one scratch point for the comparison.
 func (p *Packed) CountExact(pt geom.Point, id int64) int {
 	if p == nil || p.size == 0 || len(pt) != p.dim {
 		return 0
 	}
-	return p.countExactNode(p.root, pt, id)
+	return p.countExactNode(p.root, pt, id, make(geom.Point, p.dim))
 }
 
-func (p *Packed) countExactNode(n int32, pt geom.Point, id int64) int {
+func (p *Packed) countExactNode(n int32, pt geom.Point, id int64, scratch geom.Point) int {
 	s, e := p.start[n], p.end[n]
 	c := 0
 	if p.level[n] == 0 {
 		for i := s; i < e; i++ {
-			if p.ids[i] == id && p.pts[i].Equal(pt) {
+			if p.ids[i] == id && p.PointInto(i, scratch).Equal(pt) {
 				c++
 			}
 		}
@@ -62,7 +63,7 @@ func (p *Packed) countExactNode(n int32, pt geom.Point, id int64) int {
 			}
 		}
 		if inside {
-			c += p.countExactNode(p.child[i], pt, id)
+			c += p.countExactNode(p.child[i], pt, id, scratch)
 		}
 	}
 	return c

@@ -20,9 +20,15 @@ import (
 //
 //   - routing slots (internal-node entries): per-axis rectangle corners
 //     rlo/rhi plus the child node id;
-//   - leaf slots (data entries): per-axis point coordinates pc, the
-//     original geom.Point (shared with the source tree, so emitted results
-//     are bit-identical) and the caller's id.
+//   - leaf slots (data entries): per-axis point coordinates pc and the
+//     caller's id.
+//
+// The coordinate columns are the arena's only copy of the points: there
+// is no point-major view. A traversal that needs a leaf point as a
+// geom.Point gathers it into its own per-query scratch with PointInto,
+// and the result accumulators copy accepted points into rows they own,
+// so an emitted result never aliases the arena (or, on a mapped arena,
+// the file).
 //
 // Node i owns the contiguous slot range [start[i], end[i]) of whichever
 // space its level selects. Page ids are preserved from the source tree and
@@ -57,14 +63,12 @@ type Packed struct {
 
 	// Leaf-slot arrays (data entries).
 	pc  [][]float64 // pc[axis][slot]
-	pts []geom.Point
 	ids []int64
 
-	// prep, when non-nil, holds the deferred verification and
-	// materialisation of a borrowed arena (PackedFromSnapshotBorrowed);
-	// Prepare must succeed before the arena is traversed. nil for arenas
-	// built by Pack or copied by PackedFromSnapshot, which are complete
-	// at construction.
+	// prep, when non-nil, holds the deferred verification of a borrowed
+	// arena (PackedFromSnapshotBorrowed); Prepare must succeed before the
+	// arena is traversed. nil for arenas built by Pack or copied by
+	// PackedFromSnapshot, which are complete at construction.
 	prep *packedPrep
 
 	// mbr is the root MBR of a borrowed arena, set by Prepare (the shell
@@ -73,18 +77,19 @@ type Packed struct {
 }
 
 // packedPrep defers a borrowed arena's expensive open work — checksum
-// verification, structural validation, point materialisation — to first
-// use, exactly once, safely under concurrency.
+// verification and structural validation — to first use, exactly once,
+// safely under concurrency.
 type packedPrep struct {
 	once sync.Once
 	fn   func() error
 	err  error
 }
 
-// Prepare runs the deferred verification and materialisation of a
-// borrowed arena: section checksums over the backing buffer, structural
-// validation of the node graph, the point-major coordinate view and the
-// root MBR. It is idempotent, safe for concurrent callers (the first
+// Prepare runs the deferred verification of a borrowed arena — section
+// checksums over the backing buffer and structural validation of the
+// node graph — and computes the root MBR. It allocates nothing per
+// point: the coordinate columns stay in the backing buffer as the only
+// copy. It is idempotent, safe for concurrent callers (the first
 // outcome is cached) and a no-op on arenas that were complete at
 // construction. Every traversal requires a prior successful Prepare;
 // the public layer calls it on each query entry, so a corrupt mapping
@@ -136,7 +141,6 @@ func (t *Tree) Pack() *Packed {
 		rlo:   make([][]float64, t.cfg.Dim),
 		rhi:   make([][]float64, t.cfg.Dim),
 		pc:    make([][]float64, t.cfg.Dim),
-		pts:   make([]geom.Point, 0, lslots),
 		ids:   make([]int64, 0, lslots),
 	}
 	for a := 0; a < t.cfg.Dim; a++ {
@@ -160,7 +164,6 @@ func (t *Tree) Pack() *Packed {
 				for a := 0; a < p.dim; a++ {
 					p.pc[a] = append(p.pc[a], e.Point[a])
 				}
-				p.pts = append(p.pts, e.Point)
 				p.ids = append(p.ids, e.ID)
 			}
 			nextL += int32(len(n.entries))
@@ -227,10 +230,21 @@ func (p *Packed) RectSoA() (lo, hi [][]float64) { return p.rlo, p.rhi }
 // PointSoA returns the per-axis coordinate arrays of the leaf slots.
 func (p *Packed) PointSoA() [][]float64 { return p.pc }
 
-// LeafPoint returns the data point of leaf slot s. The returned slice is
-// shared with the source tree's entry (never modify it); emitting it keeps
-// packed results bit-identical to dynamic ones.
-func (p *Packed) LeafPoint(s int32) geom.Point { return p.pts[s] }
+// PointInto gathers leaf slot s's coordinates from the axis columns into
+// dst, growing it only when its capacity is too small, and returns it —
+// the allocation-free bridge from a slot to the geom.Point helpers. The
+// gathered values are the column values bit for bit. dst is the
+// caller's scratch: it is overwritten by the next gather into it.
+func (p *Packed) PointInto(s int32, dst geom.Point) geom.Point {
+	if cap(dst) < p.dim {
+		dst = make(geom.Point, p.dim)
+	}
+	dst = dst[:p.dim]
+	for a := range dst {
+		dst[a] = p.pc[a][s]
+	}
+	return dst
+}
 
 // LeafID returns the caller-supplied id of leaf slot s.
 func (p *Packed) LeafID(s int32) int64 { return p.ids[s] }
@@ -319,8 +333,9 @@ func growFloat64(dst []float64, n int) []float64 {
 	return dst[:n]
 }
 
-// searchPacked is Reader.Search over the packed arena.
-func (rd Reader) searchPacked(n int32, r geom.Rect, fn func(geom.Point, int64) bool) bool {
+// searchPacked is Reader.Search over the packed arena; pt is the
+// gather scratch handed to fn.
+func (rd Reader) searchPacked(n int32, r geom.Rect, pt geom.Point, fn func(geom.Point, int64) bool) bool {
 	p := rd.p
 	s, e := p.start[n], p.end[n]
 	if p.level[n] == 0 {
@@ -332,7 +347,7 @@ func (rd Reader) searchPacked(n int32, r geom.Rect, fn func(geom.Point, int64) b
 					break
 				}
 			}
-			if inside && !fn(p.pts[i], p.ids[i]) {
+			if inside && !fn(p.PointInto(i, pt), p.ids[i]) {
 				return false
 			}
 		}
@@ -346,7 +361,7 @@ func (rd Reader) searchPacked(n int32, r geom.Rect, fn func(geom.Point, int64) b
 				break
 			}
 		}
-		if intersects && !rd.searchPacked(rd.PackedChild(i), r, fn) {
+		if intersects && !rd.searchPacked(rd.PackedChild(i), r, pt, fn) {
 			return false
 		}
 	}
@@ -355,13 +370,16 @@ func (rd Reader) searchPacked(n int32, r geom.Rect, fn func(geom.Point, int64) b
 
 // All invokes fn for every indexed point in depth-first order — a pure
 // streaming pass over the flat leaf arrays, without charging node accesses
-// (matching Tree.All's bookkeeping-scan semantics).
+// (matching Tree.All's bookkeeping-scan semantics). Each point is gathered
+// into one scratch point reused for the whole scan, so fn must not retain
+// pt: copy it to keep it.
 func (p *Packed) All(fn func(pt geom.Point, id int64) bool) {
 	if p.Prepare() != nil {
 		return // unverifiable borrowed arena; opens surfaced the error
 	}
-	for i := range p.pts {
-		if !fn(p.pts[i], p.ids[i]) {
+	pt := make(geom.Point, p.dim)
+	for i := range p.ids {
+		if !fn(p.PointInto(int32(i), pt), p.ids[i]) {
 			return
 		}
 	}
@@ -396,7 +414,8 @@ func (rd Reader) nearestDFPacked(n int32, q geom.Point, sc *nnScratch, depth int
 			return // every remaining candidate is at least this far
 		}
 		if slot, leaf := RefSlot(c.Ref); leaf {
-			sc.best.Push(Neighbor{Point: p.pts[slot], ID: p.ids[slot]}, c.D)
+			sc.pt = p.PointInto(slot, sc.pt)
+			sc.best.push(sc.pt, p.ids[slot], c.D)
 		} else {
 			rd.nearestDFPacked(rd.PackedChild(slot), q, sc, depth+1)
 		}
@@ -423,7 +442,8 @@ func (it *NNIterator) pushNodePacked(n int32) {
 	}
 }
 
-// nextPacked is NNIterator.Next over the packed arena.
+// nextPacked is NNIterator.Next over the packed arena: the emitted point
+// is gathered into the iterator's scratch.
 func (it *NNIterator) nextPacked() (Neighbor, bool) {
 	p := it.rd.p
 	for {
@@ -433,8 +453,9 @@ func (it *NNIterator) nextPacked() (Neighbor, bool) {
 		}
 		slot, leaf := RefSlot(item.Value)
 		if leaf {
+			it.pt = p.PointInto(slot, it.pt)
 			return Neighbor{
-				Point: p.pts[slot],
+				Point: it.pt,
 				ID:    p.ids[slot],
 				Dist:  math.Sqrt(item.Priority),
 			}, true

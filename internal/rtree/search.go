@@ -23,13 +23,15 @@ func (t *Tree) Search(r geom.Rect, fn func(p geom.Point, id int64) bool) {
 
 // Search invokes fn for every indexed point inside r (boundaries
 // inclusive). Traversal stops early when fn returns false. Visited nodes
-// are charged to the reader's context.
+// are charged to the reader's context. fn must not retain p: on the
+// packed layout it is one scratch point reused for every hit, and on the
+// dynamic layout it is the tree's own entry. Copy it to keep it.
 func (rd Reader) Search(r geom.Rect, fn func(p geom.Point, id int64) bool) {
 	if rd.t.size == 0 {
 		return
 	}
 	if rd.p != nil {
-		rd.searchPacked(rd.PackedRoot(), r, fn)
+		rd.searchPacked(rd.PackedRoot(), r, make(geom.Point, rd.p.dim), fn)
 		return
 	}
 	rd.searchNode(rd.Root(), r, fn)
@@ -52,7 +54,9 @@ func (rd Reader) searchNode(nd Node, r geom.Rect, fn func(geom.Point, int64) boo
 }
 
 // All invokes fn for every indexed point without charging node accesses
-// (a bookkeeping scan, not a simulated disk traversal).
+// (a bookkeeping scan, not a simulated disk traversal). fn must not
+// retain p: it is the tree's own entry, or on a mapped shell tree one
+// scratch point reused for the whole scan. Copy it to keep it.
 func (t *Tree) All(fn func(p geom.Point, id int64) bool) {
 	if t.size == 0 {
 		return
@@ -90,20 +94,21 @@ func (t *Tree) NearestDF(q geom.Point, k int) []Neighbor {
 //
 // The traversal works entirely in squared distances (comparisons are
 // order-preserving, so pruning is unaffected) and draws its candidate
-// buffers and result heap from a pooled scratch; only the returned slice
-// is allocated in steady state, with each result paying one Sqrt.
+// buffers and result set from a pooled scratch; in steady state only the
+// returned results are allocated, with each result paying one Sqrt.
+// The caller owns the returned points.
 func (rd Reader) NearestDF(q geom.Point, k int) []Neighbor {
 	if rd.t.size == 0 || k < 1 {
 		return nil
 	}
 	sc := nnScratchPool.Get()
-	sc.best.Reset(k)
+	sc.best.reset(k, rd.t.cfg.Dim)
 	if rd.p != nil {
 		rd.nearestDFPacked(rd.PackedRoot(), q, sc, 0)
 	} else {
 		rd.nearestDF(rd.Root(), q, sc, 0)
 	}
-	out := neighborsFromSq(&sc.best)
+	out := sc.best.neighbors()
 	sc.release()
 	return out
 }
@@ -128,7 +133,7 @@ func (rd Reader) nearestDF(nd Node, q geom.Point, sc *nnScratch, depth int) {
 			return // every remaining candidate is at least this far
 		}
 		if c.E.IsLeafEntry() {
-			sc.best.Push(Neighbor{Point: c.E.Point, ID: c.E.ID}, c.D)
+			sc.best.push(c.E.Point, c.E.ID, c.D)
 		} else {
 			rd.nearestDF(rd.Child(c.E), q, sc, depth+1)
 		}
@@ -142,34 +147,27 @@ func (t *Tree) NearestBF(q geom.Point, k int) []Neighbor {
 }
 
 // NearestBF returns the k nearest neighbors of q using the I/O-optimal
-// best-first algorithm of [HS99].
+// best-first algorithm of [HS99]. The results are sized by what the tree
+// can hold, min(k, Len), not by k, and their points are copied into one
+// slab the caller owns.
 func (rd Reader) NearestBF(q geom.Point, k int) []Neighbor {
 	if rd.t.size == 0 || k < 1 {
 		return nil
 	}
 	it := rd.NewNNIterator(q)
 	defer it.Close()
-	out := make([]Neighbor, 0, k)
+	n, dim := min(k, rd.t.size), rd.t.cfg.Dim
+	out := make([]Neighbor, 0, n)
+	slab := make([]float64, 0, n*dim)
 	for len(out) < k {
 		nb, ok := it.Next()
 		if !ok {
 			break
 		}
+		s := len(slab)
+		slab = append(slab, nb.Point...)
+		nb.Point = slab[s : s+dim : s+dim]
 		out = append(out, nb)
-	}
-	return out
-}
-
-// neighborsFromSq extracts the heap's neighbors in ascending order,
-// converting the squared-priority keys into the Euclidean distances the
-// API reports. Dist(p,q) is defined as Sqrt(DistSq(p,q)), so the converted
-// values are bit-identical to distances computed directly.
-func neighborsFromSq(best *pq.BoundedMax[Neighbor]) []Neighbor {
-	items := best.Sorted()
-	out := make([]Neighbor, len(items))
-	for i, it := range items {
-		out[i] = it.Value
-		out[i].Dist = math.Sqrt(it.Priority)
 	}
 	return out
 }
@@ -189,6 +187,7 @@ type NNIterator struct {
 	heap   pq.Heap[Entry]
 	ph     pq.Heap[PackedRef] // packed-layout heap: 4-byte refs, fused keys
 	dbuf   []float64          // fused-kernel distance buffer (packed path)
+	pt     geom.Point         // gather scratch of the emitted point (packed path)
 	closed bool
 }
 
@@ -227,7 +226,9 @@ func (it *NNIterator) pushNode(nd Node) {
 }
 
 // Next returns the next nearest point; ok is false when the data set is
-// exhausted or the iterator has been closed.
+// exhausted or the iterator has been closed. The returned Point is valid
+// only until the next call to Next or Close (on the packed layout it is
+// the iterator's gather scratch); copy it to keep it.
 func (it *NNIterator) Next() (Neighbor, bool) {
 	if it.closed {
 		return Neighbor{}, false

@@ -41,9 +41,11 @@ func (p *Packed) Snapshot() *snapshot.Tree {
 	}
 }
 
-// ArenaBytes returns the approximate in-memory size of the packed arena's
-// flat arrays (node metadata, routing rectangles, coordinate columns,
-// ids) — the payload a snapshot serialises, excluding the dynamic nodes.
+// ArenaBytes returns the size of the packed arena's flat arrays (node
+// metadata, routing rectangles, coordinate columns, ids): exactly the
+// column payload a snapshot serialises, and the arena's whole footprint
+// (the columns are its only copy of the points). The dynamic nodes of a
+// heap-built index are not counted.
 func (p *Packed) ArenaBytes() int64 {
 	nodes := int64(len(p.level))
 	rslots := int64(len(p.child))
@@ -51,8 +53,7 @@ func (p *Packed) ArenaBytes() int64 {
 	d := int64(p.dim)
 	return nodes*(4+8+4+4) + // level, page, start, end
 		rslots*4 + 2*d*rslots*8 + // child, rlo, rhi
-		d*lslots*8 + lslots*8 + // pc, ids
-		lslots*24 // pts slice headers (coordinates shared with the tree)
+		d*lslots*8 + lslots*8 // pc, ids
 }
 
 // countingWriter tracks bytes written for io.WriterTo bookkeeping.
@@ -130,9 +131,9 @@ func PackedFromSnapshot(st *snapshot.Tree, dim int, cfg Config) (*Packed, error)
 	numNodes := len(st.Level)
 	lslots := len(st.IDs)
 
-	// Leaf points: one coordinate slab in point-major order, gathered from
-	// the snapshot's axis-major columns. The packed arena and the dynamic
-	// leaf entries share these exact slices, as after Tree.Pack.
+	// The dynamic leaf entries' points: one coordinate slab in point-major
+	// order, gathered from the snapshot's axis-major columns. The arena
+	// itself keeps only the columns.
 	ptSlab := make([]float64, dim*lslots)
 	pts := make([]geom.Point, lslots)
 	for i := 0; i < lslots; i++ {
@@ -172,7 +173,6 @@ func PackedFromSnapshot(st *snapshot.Tree, dim int, cfg Config) (*Packed, error)
 		rlo:   st.RectLo,
 		rhi:   st.RectHi,
 		pc:    st.PointCols,
-		pts:   pts,
 		ids:   st.IDs,
 	}
 	return p, nil
@@ -189,9 +189,10 @@ func PackedFromSnapshot(st *snapshot.Tree, dim int, cfg Config) (*Packed, error)
 // verify runs the caller's deferred validation of st's backing bytes
 // (checksums and structural checks, e.g. snapshot.Adopted.Verify); it is
 // invoked exactly once, from Packed.Prepare, before the first traversal.
-// After verify succeeds, Prepare materialises the one representation the
-// snapshot's axis-major columns cannot alias — the point-major
-// geom.Point view used when emitting results — and the root MBR.
+// After verify succeeds, Prepare computes the root MBR and nothing else:
+// the arena keeps no copy of the points, so every traversal reads the
+// coordinates straight from the backing buffer's columns, and emitted
+// results are copies the caller owns.
 //
 // The caller owns the backing buffer's lifetime: it must stay alive and
 // unmodified until the returned arena is unreachable or closed one
@@ -240,19 +241,6 @@ func PackedFromSnapshotBorrowed(st *snapshot.Tree, dim int, cfg Config, verify f
 		if err := verify(); err != nil {
 			return err
 		}
-		// Point-major view of the leaf coordinates, shared by the packed
-		// emit paths and the shell tree's All — the only copied column.
-		lslots := len(st.IDs)
-		ptSlab := make([]float64, dim*lslots)
-		pts := make([]geom.Point, lslots)
-		for i := 0; i < lslots; i++ {
-			pt := ptSlab[i*dim : (i+1)*dim : (i+1)*dim]
-			for a := 0; a < dim; a++ {
-				pt[a] = st.PointCols[a][i]
-			}
-			pts[i] = pt
-		}
-		p.pts = pts
 		p.mbr = p.rootMBR()
 		return nil
 	}}

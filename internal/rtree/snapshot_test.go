@@ -72,7 +72,6 @@ func TestPackedSnapshotRoundTrip(t *testing.T) {
 		"rlo":   {loaded.rlo, p.rlo},
 		"rhi":   {loaded.rhi, p.rhi},
 		"pc":    {loaded.pc, p.pc},
-		"pts":   {loaded.pts, p.pts},
 		"ids":   {loaded.ids, p.ids},
 	} {
 		if !reflect.DeepEqual(pair[0], pair[1]) {

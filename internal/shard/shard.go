@@ -102,10 +102,10 @@ func (s *Set) Close() {
 	}
 }
 
-// Prepare forces the deferred verification and materialisation of every
-// borrowed shard arena (SetFromSnapshotBorrowed); a no-op on built or
-// copy-loaded sets. Queries require a prior successful Prepare on
-// borrowed sets; the public layer calls it on each query entry.
+// Prepare forces the deferred verification of every borrowed shard arena
+// (SetFromSnapshotBorrowed); a no-op on built or copy-loaded sets.
+// Queries require a prior successful Prepare on borrowed sets; the
+// public layer calls it on each query entry.
 func (s *Set) Prepare() error {
 	for i := range s.units {
 		if err := s.units[i].Packed.Prepare(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gnn/internal/snapshot"
+	"gnn/internal/snapshot/snapshottest"
 )
 
 // FuzzSnapshotDecode throws arbitrary bytes at the decoder: it must
@@ -14,7 +15,7 @@ import (
 func FuzzSnapshotDecode(f *testing.F) {
 	var seeds [][]byte
 	for _, n := range []int{0, 3, 120} {
-		st := buildArena(f, n, 2, 8, int64(n)+1)
+		st := snapshottest.BuildArena(f, n, 2, 8, int64(n)+1)
 		var buf bytes.Buffer
 		m := snapshot.Manifest{Kind: snapshot.KindPlain, Dim: 2, Points: st.Size}
 		if err := snapshot.Write(&buf, m, []*snapshot.Tree{st}); err != nil {

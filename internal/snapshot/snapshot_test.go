@@ -2,57 +2,14 @@ package snapshot_test
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"reflect"
 	"testing"
 
-	"gnn/internal/geom"
-	"gnn/internal/pagestore"
-	"gnn/internal/rtree"
 	"gnn/internal/snapshot"
+	"gnn/internal/snapshot/snapshottest"
 )
-
-// buildArena packs a bulk-loaded tree over n pseudo-random points and
-// returns its serialisable arena. Using the real tree keeps the fixtures
-// structurally honest (multi-level, partially filled final nodes).
-func buildArena(t testing.TB, n, dim, cap int, seed int64) *snapshot.Tree {
-	return buildArenaAt(t, n, dim, cap, seed, 0)
-}
-
-// buildArenaAt builds the arena with its page IDs offset to firstPage
-// (sharded fixtures need disjoint per-tree page ranges, like the real
-// partitioned builder assigns).
-func buildArenaAt(t testing.TB, n, dim, cap int, seed, firstPage int64) *snapshot.Tree {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	pts := make([]geom.Point, n)
-	for i := range pts {
-		p := make(geom.Point, dim)
-		for a := range p {
-			p[a] = rng.Float64() * 1000
-		}
-		pts[i] = p
-	}
-	tree, err := rtree.BulkLoadSTR(rtree.Config{Dim: dim, MaxEntries: cap, FirstPage: pagestore.PageID(firstPage)}, pts, nil)
-	if err != nil {
-		t.Fatalf("bulk load: %v", err)
-	}
-	return tree.Pack().Snapshot()
-}
-
-// encodePlain serialises a single arena as a plain snapshot.
-func encodePlain(t testing.TB, st *snapshot.Tree, dim int) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	m := snapshot.Manifest{Kind: snapshot.KindPlain, Dim: dim, Points: st.Size}
-	if err := snapshot.Write(&buf, m, []*snapshot.Tree{st}); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	return buf.Bytes()
-}
 
 func TestRoundTripPlain(t *testing.T) {
 	for _, tc := range []struct{ n, dim, cap int }{
@@ -63,8 +20,8 @@ func TestRoundTripPlain(t *testing.T) {
 		{50, 1, 4},
 	} {
 		t.Run(fmt.Sprintf("n%d_d%d_c%d", tc.n, tc.dim, tc.cap), func(t *testing.T) {
-			st := buildArena(t, tc.n, tc.dim, tc.cap, 42)
-			data := encodePlain(t, st, tc.dim)
+			st := snapshottest.BuildArena(t, tc.n, tc.dim, tc.cap, 42)
+			data := snapshottest.EncodePlain(t, st, tc.dim)
 			m, trees, err := snapshot.Decode(data)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
@@ -80,7 +37,7 @@ func TestRoundTripPlain(t *testing.T) {
 			}
 			// Decoded → re-encoded bytes are identical: the format is
 			// canonical, so snapshots are stable across save/load cycles.
-			again := encodePlain(t, trees[0], tc.dim)
+			again := snapshottest.EncodePlain(t, trees[0], tc.dim)
 			if !bytes.Equal(data, again) {
 				t.Fatalf("re-encoded bytes differ (%d vs %d bytes)", len(data), len(again))
 			}
@@ -93,7 +50,7 @@ func TestRoundTripSharded(t *testing.T) {
 	var cuts []int64
 	points := 0
 	for i, n := range []int{120, 95, 121} {
-		st := buildArenaAt(t, n, 2, 8, int64(100+i), int64(10_000*i))
+		st := snapshottest.BuildArenaAt(t, n, 2, 8, int64(100+i), int64(10_000*i))
 		trees = append(trees, st)
 		cuts = append(cuts, int64(n))
 		points += n
@@ -119,7 +76,7 @@ func TestRoundTripSharded(t *testing.T) {
 }
 
 func TestWriteRejectsBadInput(t *testing.T) {
-	st := buildArena(t, 20, 2, 8, 1)
+	st := snapshottest.BuildArena(t, 20, 2, 8, 1)
 	var buf bytes.Buffer
 	for name, tc := range map[string]struct {
 		m     snapshot.Manifest
@@ -138,51 +95,19 @@ func TestWriteRejectsBadInput(t *testing.T) {
 	}
 }
 
-// corrupt returns a copy of data with the byte at off XORed.
-func corrupt(data []byte, off int) []byte {
-	out := bytes.Clone(data)
-	out[off] ^= 0x5a
-	return out
-}
-
 func TestDecodeCorruptHeader(t *testing.T) {
-	st := buildArena(t, 300, 2, 8, 7)
-	valid := encodePlain(t, st, 2)
+	valid := snapshottest.EncodePlain(t, snapshottest.BuildArena(t, 300, 2, 8, 7), 2)
 	if _, _, err := snapshot.Decode(valid); err != nil {
 		t.Fatalf("valid snapshot rejected: %v", err)
 	}
-
-	const headerSize = 40
-	cases := []struct {
-		name string
-		data []byte
-		want error
-	}{
-		{"empty", nil, snapshot.ErrTruncated},
-		{"just magic", valid[:8:8], snapshot.ErrTruncated},
-		{"half header", valid[:20:20], snapshot.ErrTruncated},
-		{"bad magic", corrupt(valid, 0), snapshot.ErrBadMagic},
-		{"bad magic tail", corrupt(valid, 7), snapshot.ErrBadMagic},
-		{"future version", corrupt(valid, 8), snapshot.ErrVersion},
-		{"bad kind", corrupt(valid, 12), snapshot.ErrCorrupt},
-		{"zero dim", zeroField(valid, 16), snapshot.ErrCorrupt},
-		{"zero trees", zeroField(valid, 20), snapshot.ErrCorrupt},
-		{"section count", corrupt(valid, 32), snapshot.ErrCorrupt},
-		{"table truncated", valid[: headerSize+10 : headerSize+10], snapshot.ErrTruncated},
-		{"section offset", corrupt(valid, headerSize+8), snapshot.ErrCorrupt},
-		{"section crc field", corrupt(valid, headerSize+24), snapshot.ErrChecksum},
-		{"payload flipped", corrupt(valid, len(valid)-3), snapshot.ErrChecksum},
-		{"payload truncated", valid[: len(valid)-5 : len(valid)-5], snapshot.ErrTruncated},
-		{"trailing garbage", append(bytes.Clone(valid), 0xff), snapshot.ErrCorrupt},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := snapshot.Decode(tc.data)
+	for _, tc := range snapshottest.HeaderCases(t) {
+		t.Run(tc.Name, func(t *testing.T) {
+			_, _, err := snapshot.Decode(tc.Data)
 			if err == nil {
 				t.Fatalf("decode accepted corrupt input")
 			}
-			if !errors.Is(err, tc.want) {
-				t.Fatalf("error %v, want %v", err, tc.want)
+			if !errors.Is(err, tc.Want) {
+				t.Fatalf("error %v, want %v", err, tc.Want)
 			}
 		})
 	}
@@ -196,56 +121,16 @@ func TestDecodeCorruptHeader(t *testing.T) {
 	}
 }
 
-// zeroField zeroes the uint32 at off (corrupting values a bit-flip of a
-// small integer would not reach).
-func zeroField(data []byte, off int) []byte {
-	out := bytes.Clone(data)
-	binary.LittleEndian.PutUint32(out[off:], 0)
-	return out
-}
-
 // TestDecodeCorruptStructure feeds structurally invalid — but correctly
 // framed and checksummed — contents through a mutate-and-re-encode
 // cycle, so the structural validator (not the CRC) must catch them.
 func TestDecodeCorruptStructure(t *testing.T) {
-	mutations := map[string]func(st *snapshot.Tree){
-		"root out of range":  func(st *snapshot.Tree) { st.Root = int32(len(st.Level)) },
-		"child out of range": func(st *snapshot.Tree) { st.Child[0] = int32(len(st.Level)) },
-		"child cycle":        func(st *snapshot.Tree) { st.Child[0] = st.Root },
-		"child level":        func(st *snapshot.Tree) { st.Level[st.Child[0]] = st.Level[st.Root] },
-		"negative start":     func(st *snapshot.Tree) { st.Start[0] = -1 },
-		"inverted range":     func(st *snapshot.Tree) { st.Start[0], st.End[0] = st.End[0], st.Start[0] },
-		"height mismatch":    func(st *snapshot.Tree) { st.Height++ },
-		"duplicate page":     func(st *snapshot.Tree) { st.Page[1] = st.Page[0] },
-		"negative page":      func(st *snapshot.Tree) { st.Page[0] = -4 },
-		"page out of range":  func(st *snapshot.Tree) { st.Page[0] = st.FirstPage + st.Pages + 5 },
-		"tiny capacity":      func(st *snapshot.Tree) { st.MaxEntries = 2 },
-		"pages undercount":   func(st *snapshot.Tree) { st.Pages = 0 },
-		"overlapping leaves": func(st *snapshot.Tree) {
-			// Make the second leaf claim the first leaf's slot range: the
-			// totals still fit, only the partition property breaks.
-			var leaves []int
-			for n, lvl := range st.Level {
-				if lvl == 0 {
-					leaves = append(leaves, n)
-				}
+	for _, tc := range snapshottest.StructureCases(t) {
+		t.Run(tc.Name, func(t *testing.T) {
+			if tc.Data == nil {
+				t.Skipf("writer already rejects: %v", tc.Want)
 			}
-			a, b := leaves[0], leaves[1]
-			st.Start[b], st.End[b] = st.Start[a], st.End[a]
-		},
-	}
-	for name, mutate := range mutations {
-		t.Run(name, func(t *testing.T) {
-			// A fresh arena per case: mutations write through the packed
-			// tree's borrowed slices.
-			st := buildArena(t, 300, 2, 8, 7)
-			mutate(st)
-			var buf bytes.Buffer
-			m := snapshot.Manifest{Kind: snapshot.KindPlain, Dim: 2, Points: st.Size}
-			if err := snapshot.Write(&buf, m, []*snapshot.Tree{st}); err != nil {
-				t.Skipf("writer already rejects: %v", err)
-			}
-			_, _, err := snapshot.Decode(buf.Bytes())
+			_, _, err := snapshot.Decode(tc.Data)
 			if !errors.Is(err, snapshot.ErrCorrupt) {
 				t.Fatalf("error %v, want ErrCorrupt", err)
 			}
@@ -257,13 +142,9 @@ func TestDecodeCorruptStructure(t *testing.T) {
 // decoder's length arithmetic overflow-free: a forged header dimension
 // must fail as corrupt before any section is interpreted.
 func TestDecodeRejectsHugeDim(t *testing.T) {
-	st := buildArena(t, 50, 2, 8, 3)
-	valid := encodePlain(t, st, 2)
-	for _, dim := range []uint32{snapshot.MaxDim + 1, 1 << 30, ^uint32(0)} {
-		data := bytes.Clone(valid)
-		binary.LittleEndian.PutUint32(data[16:], dim)
-		if _, _, err := snapshot.Decode(data); !errors.Is(err, snapshot.ErrCorrupt) {
-			t.Fatalf("dim %d: error %v, want ErrCorrupt", dim, err)
+	for _, tc := range snapshottest.HugeDimCases(t) {
+		if _, _, err := snapshot.Decode(tc.Data); !errors.Is(err, snapshot.ErrCorrupt) {
+			t.Fatalf("%s: error %v, want ErrCorrupt", tc.Name, err)
 		}
 	}
 }
@@ -271,24 +152,15 @@ func TestDecodeRejectsHugeDim(t *testing.T) {
 // TestDecodeRejectsOverlappingShardPages: trees sharing page IDs would
 // corrupt the shared LRU accounting, so the decoder must reject them.
 func TestDecodeRejectsOverlappingShardPages(t *testing.T) {
-	t1 := buildArenaAt(t, 80, 2, 8, 1, 0)
-	t2 := buildArenaAt(t, 80, 2, 8, 2, 0) // same page range as t1
-	m := snapshot.Manifest{
-		Kind: snapshot.KindSharded, Dim: 2, Points: 160,
-		Hilbert: &snapshot.Hilbert{Order: 16, CutSizes: []int64{80, 80}},
-	}
-	var buf bytes.Buffer
-	if err := snapshot.Write(&buf, m, []*snapshot.Tree{t1, t2}); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if _, _, err := snapshot.Decode(buf.Bytes()); !errors.Is(err, snapshot.ErrCorrupt) {
+	tc := snapshottest.OverlappingShardPages(t)
+	if _, _, err := snapshot.Decode(tc.Data); !errors.Is(err, snapshot.ErrCorrupt) {
 		t.Fatalf("error %v, want ErrCorrupt for overlapping shard page ranges", err)
 	}
 }
 
 func TestSniff(t *testing.T) {
-	st := buildArena(t, 30, 2, 8, 1)
-	plain := encodePlain(t, st, 2)
+	st := snapshottest.BuildArena(t, 30, 2, 8, 1)
+	plain := snapshottest.EncodePlain(t, st, 2)
 	if kind, ok := snapshot.Sniff(plain[:snapshot.SniffLen]); !ok || kind != snapshot.KindPlain {
 		t.Fatalf("plain sniff: %v %v", kind, ok)
 	}
@@ -301,8 +173,8 @@ func TestSniff(t *testing.T) {
 }
 
 func TestReadFromReader(t *testing.T) {
-	st := buildArena(t, 100, 2, 8, 9)
-	data := encodePlain(t, st, 2)
+	st := snapshottest.BuildArena(t, 100, 2, 8, 9)
+	data := snapshottest.EncodePlain(t, st, 2)
 	m, trees, err := snapshot.Read(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("read: %v", err)

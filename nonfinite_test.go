@@ -1,6 +1,7 @@
 package gnn_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -176,3 +177,114 @@ func TestNonFiniteRejected(t *testing.T) {
 
 // sameFloat is equality that also holds between two NaNs.
 func sameFloat(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+
+// TestNonFiniteQueryRejected is the query-side table: a NaN or ±Inf
+// coordinate on either axis of any group member is rejected with
+// *gnn.NonFiniteError (naming the member and axis) by every query entry
+// point of both index kinds, where a NaN member would otherwise yield k
+// results with Dist NaN and a nil error. Mapped indexes and indexes with
+// pending writes are covered too.
+func TestNonFiniteQueryRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	pts := randGroup(rng, 400)
+	cfg := gnn.IndexConfig{NodeCapacity: 8}
+	ix, err := gnn.BuildIndex(pts, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sx, err := gnn.BuildShardedIndex(pts, nil, 3, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := gnn.OpenSnapshotMapped(writeSnapFile(t, t.TempDir(), "ix.snap", ix.WriteSnapshotFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	written, err := gnn.BuildIndex(pts, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := written.Insert(gnn.Point{500, 500}, 9999); err != nil {
+		t.Fatal(err)
+	}
+
+	type querier interface {
+		GroupNN([]gnn.Point, ...gnn.QueryOption) ([]gnn.Result, error)
+		GroupNNWithCost([]gnn.Point, ...gnn.QueryOption) ([]gnn.Result, gnn.Cost, error)
+		GroupNNContext(context.Context, []gnn.Point, ...gnn.QueryOption) ([]gnn.Result, error)
+		GroupNNWithCostContext(context.Context, []gnn.Point, ...gnn.QueryOption) ([]gnn.Result, gnn.Cost, error)
+		GroupNNBatch([][]gnn.Point, ...gnn.QueryOption) []gnn.BatchResult
+		GroupNNBatchContext(context.Context, [][]gnn.Point, ...gnn.QueryOption) ([]gnn.BatchResult, error)
+		GroupNNExplain([]gnn.Point, ...gnn.QueryOption) ([]gnn.Result, *gnn.QueryExplain, error)
+		GroupNNExplainContext(context.Context, []gnn.Point, ...gnn.QueryOption) ([]gnn.Result, *gnn.QueryExplain, error)
+		GroupNNIterator([]gnn.Point, ...gnn.QueryOption) (*gnn.Iterator, error)
+	}
+	ctx := context.Background()
+	entries := map[string]func(q querier, g []gnn.Point) error{
+		"GroupNN": func(q querier, g []gnn.Point) error {
+			_, err := q.GroupNN(g, gnn.WithK(3))
+			return err
+		},
+		"GroupNNWithCost": func(q querier, g []gnn.Point) error {
+			_, _, err := q.GroupNNWithCost(g, gnn.WithK(3))
+			return err
+		},
+		"GroupNNContext": func(q querier, g []gnn.Point) error {
+			_, err := q.GroupNNContext(ctx, g, gnn.WithK(3))
+			return err
+		},
+		"GroupNNWithCostContext": func(q querier, g []gnn.Point) error {
+			_, _, err := q.GroupNNWithCostContext(ctx, g, gnn.WithK(3))
+			return err
+		},
+		"GroupNNBatch": func(q querier, g []gnn.Point) error {
+			return q.GroupNNBatch([][]gnn.Point{g}, gnn.WithK(3))[0].Err
+		},
+		"GroupNNBatchContext": func(q querier, g []gnn.Point) error {
+			out, err := q.GroupNNBatchContext(ctx, [][]gnn.Point{g}, gnn.WithK(3))
+			if err != nil {
+				return err
+			}
+			return out[0].Err
+		},
+		"GroupNNExplain": func(q querier, g []gnn.Point) error {
+			_, _, err := q.GroupNNExplain(g, gnn.WithK(3))
+			return err
+		},
+		"GroupNNExplainContext": func(q querier, g []gnn.Point) error {
+			_, _, err := q.GroupNNExplainContext(ctx, g, gnn.WithK(3))
+			return err
+		},
+		"GroupNNIterator": func(q querier, g []gnn.Point) error {
+			it, err := q.GroupNNIterator(g)
+			if err == nil {
+				it.Close()
+			}
+			return err
+		},
+	}
+	indexes := map[string]querier{"Index": ix, "ShardedIndex": sx, "Index/mapped": mapped, "Index/writes": written}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for axis := 0; axis < 2; axis++ {
+			group := []gnn.Point{{100, 200}, {300, 400}, {250, 350}}
+			group[1][axis] = bad
+			check := func(what string, err error, member int) {
+				t.Helper()
+				var nf *gnn.NonFiniteError
+				if !errors.As(err, &nf) || nf.Index != member || nf.Axis != axis || !sameFloat(nf.Value, bad) {
+					t.Errorf("%s with %v on axis %d: err %v", what, bad, axis, err)
+				}
+			}
+			for iname, q := range indexes {
+				for ename, run := range entries {
+					check(iname+"."+ename, run(q, group), 1)
+				}
+			}
+			for iname, q := range map[string]*gnn.Index{"Index": ix, "Index/mapped": mapped, "Index/writes": written} {
+				_, err := q.NearestNeighbors(group[1], 3)
+				check(iname+".NearestNeighbors", err, 0)
+			}
+		}
+	}
+}

@@ -270,17 +270,27 @@ func (ix *Index) GroupNN(query []Point, opts ...QueryOption) ([]Result, error) {
 // the results. The index-wide aggregate (Index.Cost) accrues the same
 // counts, so per-query costs of any set of queries sum to the aggregate.
 func (ix *Index) GroupNNWithCost(query []Point, opts ...QueryOption) ([]Result, Cost, error) {
-	c := buildConfig(opts)
-	var tk pagestore.CostTracker
-	res, err := ix.groupNN(query, c, &tk, nil)
-	return res, costOf(tk), err
+	return ix.groupNN(query, buildConfig(opts), nil)
 }
 
-// groupNN dispatches one memory-resident query charging tk. ec supplies
-// the query's pooled scratch arena; nil draws one from the pool for the
-// duration of the call (the batch engine passes one per worker so a whole
-// batch reuses the same warm scratch).
-func (ix *Index) groupNN(query []Point, c queryConfig, tk *pagestore.CostTracker, ec *core.ExecContext) ([]Result, error) {
+// groupNN dispatches one memory-resident query and returns its results
+// with the query's own cost (partial when the query was canceled). ec
+// supplies the query's pooled scratch arena, which also holds the
+// query's cost tracker; nil draws one from the pool for the duration of
+// the call (the batch engine passes one per worker so a whole batch
+// reuses the same warm scratch).
+func (ix *Index) groupNN(query []Point, c queryConfig, ec *core.ExecContext) ([]Result, Cost, error) {
+	if ec == nil {
+		ec = core.AcquireExec()
+		defer ec.Release()
+	}
+	tk := ec.Tracker()
+	res, err := ix.answer(query, c, tk, ec)
+	return res, costOf(*tk), err
+}
+
+// answer runs one memory-resident query on ec's scratch, charging tk.
+func (ix *Index) answer(query []Point, c queryConfig, tk *pagestore.CostTracker, ec *core.ExecContext) ([]Result, error) {
 	if err := ix.acquire(); err != nil {
 		return nil, err
 	}
@@ -291,13 +301,9 @@ func (ix *Index) groupNN(query []Point, c queryConfig, tk *pagestore.CostTracker
 	if err := ix.prepare(); err != nil {
 		return nil, err
 	}
-	if ec == nil {
-		ec = core.AcquireExec()
-		defer ec.Release()
-	}
-	qs := ec.Points(len(query))
-	for i, q := range query {
-		qs[i] = geom.Point(q)
+	qs, err := groupPoints(ec.Points(len(query)), query)
+	if err != nil {
+		return nil, err
 	}
 	opt := c.coreOptions()
 	opt.Cost = tk
@@ -407,6 +413,22 @@ func overlayQuery(v *viewState, qs []geom.Point, opt core.Options, basePacked *r
 	return merged, nil
 }
 
+// groupPoints converts the caller's query group into dst (len(query)
+// long) without copying coordinates, and rejects a NaN or infinite
+// coordinate with *NonFiniteError: one would poison every aggregate
+// distance and pruning bound the kernels compute. Every query entry
+// point (plain, sharded, batch, explain, iterator, context) converts
+// its group here.
+func groupPoints(dst []geom.Point, query []Point) ([]geom.Point, error) {
+	for i, q := range query {
+		if err := rtree.CheckFinite(i, geom.Point(q)); err != nil {
+			return nil, err
+		}
+		dst[i] = geom.Point(q)
+	}
+	return dst, nil
+}
+
 // kernelFor maps a public algorithm to its core entry point — the single
 // dispatch table shared by the plain and the sharded read paths.
 func kernelFor(a Algorithm) (shard.Kernel, error) {
@@ -477,9 +499,10 @@ func (ix *Index) GroupNNIterator(query []Point, opts ...QueryOption) (*Iterator,
 		return nil, err
 	}
 	c := buildConfig(opts)
-	qs := make([]geom.Point, len(query))
-	for i, q := range query {
-		qs[i] = geom.Point(q)
+	qs, err := groupPoints(make([]geom.Point, len(query)), query)
+	if err != nil {
+		ix.release()
+		return nil, err
 	}
 	out := &Iterator{}
 	opt := c.coreOptions()
@@ -560,7 +583,8 @@ func overlayIterator(v *viewState, qs []geom.Point, opt core.Options, basePacked
 }
 
 // Next returns the next group nearest neighbor; ok is false when the data
-// set is exhausted or the iterator has been closed.
+// set is exhausted or the iterator has been closed. The result's Point
+// is a fresh copy the caller owns.
 func (it *Iterator) Next() (Result, bool) {
 	if it.iterDone() {
 		return Result{}, false
@@ -572,7 +596,9 @@ func (it *Iterator) Next() (Result, bool) {
 		it.Close()
 		return Result{}, false
 	}
-	return Result{Point: Point(g.Point), ID: g.ID, Dist: g.Dist}, true
+	// The stream's point is only valid until it advances (and may be an
+	// overlay's own pending point): hand out a copy.
+	return Result{Point: Point(g.Point.Clone()), ID: g.ID, Dist: g.Dist}, true
 }
 
 // Cost returns the I/O this iterator has charged so far.

@@ -338,18 +338,27 @@ func defaultScatterWorkers() int { return runtime.GOMAXPROCS(0) }
 // exact sum of all per-shard node accesses — alongside the results. The
 // index-wide aggregate (ShardedIndex.Cost) accrues the same counts.
 func (sx *ShardedIndex) GroupNNWithCost(query []Point, opts ...QueryOption) ([]Result, Cost, error) {
-	c := buildConfig(opts)
-	var tk pagestore.CostTracker
 	// Single queries default to full parallel scatter for latency.
-	res, err := sx.groupNN(query, c, &tk, nil, defaultScatterWorkers())
-	return res, costOf(tk), err
+	return sx.groupNN(query, buildConfig(opts), nil, defaultScatterWorkers())
 }
 
-// groupNN scatters one query across the shards, charging tk. ec supplies
-// the sequential-scatter scratch arena (the batch engine passes its
-// per-worker context); defaultWorkers applies when WithShards was not
-// given.
-func (sx *ShardedIndex) groupNN(query []Point, c queryConfig, tk *pagestore.CostTracker, ec *core.ExecContext, defaultWorkers int) ([]Result, error) {
+// groupNN scatters one query across the shards and returns its results
+// with the query's own cost. ec supplies the sequential-scatter scratch
+// arena and the query's cost tracker (the batch engine passes its
+// per-worker context; nil draws one from the pool); defaultWorkers
+// applies when WithShards was not given.
+func (sx *ShardedIndex) groupNN(query []Point, c queryConfig, ec *core.ExecContext, defaultWorkers int) ([]Result, Cost, error) {
+	if ec == nil {
+		ec = core.AcquireExec()
+		defer ec.Release()
+	}
+	tk := ec.Tracker()
+	res, err := sx.answer(query, c, tk, ec, defaultWorkers)
+	return res, costOf(*tk), err
+}
+
+// answer runs one scattered query on ec's scratch, charging tk.
+func (sx *ShardedIndex) answer(query []Point, c queryConfig, tk *pagestore.CostTracker, ec *core.ExecContext, defaultWorkers int) ([]Result, error) {
 	kern, err := kernelFor(c.algo)
 	if err != nil {
 		return nil, err
@@ -369,14 +378,9 @@ func (sx *ShardedIndex) groupNN(query []Point, c queryConfig, tk *pagestore.Cost
 	if err := sx.prepare(); err != nil {
 		return nil, err
 	}
-	owned := false
-	if ec == nil {
-		ec = core.AcquireExec()
-		owned = true
-	}
-	qs := ec.Points(len(query))
-	for i, q := range query {
-		qs[i] = geom.Point(q)
+	qs, err := groupPoints(ec.Points(len(query)), query)
+	if err != nil {
+		return nil, err
 	}
 	opt := c.coreOptions()
 	opt.Cost = tk
@@ -395,9 +399,6 @@ func (sx *ShardedIndex) groupNN(query []Point, c queryConfig, tk *pagestore.Cost
 		gs, err = v.set.Search(qs, opt, usePacked, workers, kern)
 	} else {
 		gs, err = shardedOverlayQuery(v, qs, opt, usePacked, workers, kern, c.k)
-	}
-	if owned {
-		ec.Release()
 	}
 	if err != nil {
 		return nil, err
@@ -495,9 +496,10 @@ func (sx *ShardedIndex) GroupNNIterator(query []Point, opts ...QueryOption) (*It
 		sx.release()
 		return nil, err
 	}
-	qs := make([]geom.Point, len(query))
-	for i, q := range query {
-		qs[i] = geom.Point(q)
+	qs, err := groupPoints(make([]geom.Point, len(query)), query)
+	if err != nil {
+		sx.release()
+		return nil, err
 	}
 	out := &Iterator{}
 	opt := c.coreOptions()

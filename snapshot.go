@@ -241,7 +241,9 @@ func shardedRcfg(set *shard.Set) rtree.Config {
 // structurally broken file fails here with a typed error — while the
 // per-section checksums are verified lazily on the first query (a
 // failure surfaces there as ErrSnapshotChecksum, never as a fault);
-// WithEagerVerify moves all of it to the open.
+// WithEagerVerify moves all of it to the open. Neither allocates per
+// point: queries read the coordinates from the mapping, and results are
+// copies the caller owns.
 //
 // The mapped index serves the packed layout only: Insert returns an
 // immutability error, Delete reports false, and WithLayout(LayoutDynamic)

@@ -24,8 +24,10 @@ type Stats struct {
 	// 0 when no packed layout is live (the dynamic tree does not keep a
 	// node counter).
 	Nodes int
-	// ArenaBytes approximates the in-memory size of the packed arena(s) —
-	// the payload a snapshot serialises; 0 when no packed layout is live.
+	// ArenaBytes is the size of the packed arena(s): exactly the column
+	// payload a snapshot serialises, the columns being the arena's only
+	// copy of the points (a heap-built index's dynamic nodes are not
+	// counted); 0 when no packed layout is live.
 	ArenaBytes int64
 	// Delta is the number of overlay-inserted points not yet folded into
 	// a compacted base (delta tree plus pending tail).
