@@ -162,6 +162,7 @@ func (s *Set) CountExact(p geom.Point, id int64) int {
 
 // All invokes fn for every indexed point across all shards without
 // charging node accesses; traversal stops early when fn returns false.
+// Like rtree.Tree.All, fn must not retain p.
 func (s *Set) All(fn func(p geom.Point, id int64) bool) {
 	stop := false
 	for _, u := range s.units {
