@@ -11,6 +11,7 @@ import (
 	"os"
 	"time"
 
+	"gnn/internal/mmapfile"
 	"gnn/internal/overlay"
 	"gnn/internal/rtree"
 	"gnn/internal/snapshot"
@@ -202,13 +203,14 @@ func (ix *Index) compactOnce() (err error) {
 	}()
 
 	// Build the replacement base off the write lock: writers and readers
-	// proceed against the captured view while this runs.
-	pts, ids := materializeLive(v.tree, v.ov)
-	nt, err := rtree.BulkLoadSTR(ix.rcfg, pts, ids)
+	// proceed against the captured view while this runs. The new base
+	// keeps the captured one's kind: dynamic nodes for a heap-built base,
+	// a packed-only shell for a mapped one (which never had any).
+	coords, ids := gatherLive(v.tree, v.ov)
+	np, err := rtree.PackSTR(ix.rcfg, coords, ids, !v.tree.IsShell())
 	if err != nil {
 		return fmt.Errorf("gnn: compact: %w", err)
 	}
-	np := nt.Pack()
 
 	var persistErr error
 	if path != "" {
@@ -226,7 +228,7 @@ func (ix *Index) compactOnce() (err error) {
 	// state (tombstone multiplicities are recomputed against the new
 	// base).
 	tail := ix.log[v.seq:]
-	nv := &viewState{tree: nt, packed: np, frozen: true}
+	nv := &viewState{tree: np.Tree(), packed: np, frozen: true}
 	for _, m := range tail {
 		if m.Del {
 			if nv2, ok := ix.applyDelete(nv, m.P, m.ID); ok {
@@ -255,14 +257,16 @@ func persistPacked(path string, p *rtree.Packed) error {
 	}, verifySnapshotFile)
 }
 
-// verifySnapshotFile reads a rotation's temp file and validates it with
-// verifySnapshot.
+// verifySnapshotFile maps a rotation's temp file and validates it with
+// verifySnapshot, reading the bytes through the page cache instead of
+// copying the file onto the heap.
 func verifySnapshotFile(tmp string) error {
-	data, err := os.ReadFile(tmp)
+	mf, err := mmapfile.Open(tmp)
 	if err != nil {
 		return err
 	}
-	return verifySnapshot(data)
+	defer mf.Close()
+	return verifySnapshot(mf.Data())
 }
 
 // verifySnapshot runs every check of the copying decoder — frame, section

@@ -220,15 +220,15 @@ func NewIndex(cfg IndexConfig) (*Index, error) {
 // packing. ids[i] identifies points[i]; pass nil to use the slice index.
 func BuildIndex(points []Point, ids []int64, cfg IndexConfig) (*Index, error) {
 	acct, rcfg := indexConfig(cfg)
-	pts := make([]geom.Point, len(points))
-	for i, p := range points {
-		pts[i] = geom.Point(p)
-	}
-	t, err := rtree.BulkLoadSTR(rcfg, pts, ids)
+	coords, err := rtree.Flatten(rcfg, points)
 	if err != nil {
 		return nil, err
 	}
-	return newIndexOver(t, t.Pack(), acct, rcfg), nil
+	p, err := rtree.PackSTR(rcfg, coords, ids, true)
+	if err != nil {
+		return nil, err
+	}
+	return newIndexOver(p.Tree(), p, acct, rcfg), nil
 }
 
 // NonFiniteError reports a point with a NaN or infinite coordinate.

@@ -9,7 +9,12 @@
 // prepare the next view.
 package overlay
 
-import "gnn/internal/geom"
+import (
+	"maps"
+	"slices"
+
+	"gnn/internal/geom"
+)
 
 // Mutation is one logged write. Only effective writes are logged: an
 // insert that landed in the overlay (or resurrected a tombstoned point)
@@ -101,17 +106,21 @@ func (ts *TombSet) Masked(p geom.Point, id int64) int {
 	return t.Count
 }
 
-// clone deep-copies the id → tombs map.
+// clone copies the id → tombs map shallowly: the per-id lists stay
+// shared with ts, so a successor edits a list only through edit.
 func (ts *TombSet) clone() *TombSet {
-	n := &TombSet{m: make(map[int64][]Tomb)}
 	if ts == nil {
-		return n
+		return &TombSet{m: make(map[int64][]Tomb)}
 	}
-	n.total = ts.total
-	for id, l := range ts.m {
-		n.m[id] = append([]Tomb(nil), l...)
-	}
-	return n
+	return &TombSet{m: maps.Clone(ts.m), total: ts.total}
+}
+
+// edit gives the clone n a private copy of id's list, with room for
+// one more tomb, and returns it.
+func (n *TombSet) edit(id int64) []Tomb {
+	l := append(make([]Tomb, 0, len(n.m[id])+1), n.m[id]...)
+	n.m[id] = l
+	return l
 }
 
 // Delete records one more deletion of (p, id) whose base multiplicity is
@@ -124,7 +133,7 @@ func (ts *TombSet) Delete(p geom.Point, id int64, baseN int) (*TombSet, bool) {
 			return ts, false // already fully masked
 		}
 		n := ts.clone()
-		l := n.m[id]
+		l := n.edit(id)
 		for i := range l {
 			if l[i].P.Equal(p) {
 				l[i].Count++
@@ -138,7 +147,7 @@ func (ts *TombSet) Delete(p geom.Point, id int64, baseN int) (*TombSet, bool) {
 		return ts, false
 	}
 	n := ts.clone()
-	n.m[id] = append(n.m[id], Tomb{P: p.Clone(), Count: 1, BaseN: baseN})
+	n.m[id] = append(n.edit(id), Tomb{P: p.Clone(), Count: 1, BaseN: baseN})
 	n.total++
 	return n, true
 }
@@ -153,7 +162,7 @@ func (ts *TombSet) Resurrect(p geom.Point, id int64) (*TombSet, bool) {
 		return ts, false
 	}
 	n := ts.clone()
-	l := n.m[id]
+	l := n.edit(id)
 	for i := range l {
 		if l[i].P.Equal(p) {
 			l[i].Count--
@@ -182,9 +191,13 @@ func (ts *TombSet) Consumer() func(p geom.Point, id int64) bool {
 	if ts == nil || ts.total == 0 {
 		return func(geom.Point, int64) bool { return false }
 	}
-	left := ts.clone()
+	// A private deep copy: the filter decrements counts in place.
+	left := make(map[int64][]Tomb, len(ts.m))
+	for id, l := range ts.m {
+		left[id] = slices.Clone(l)
+	}
 	return func(p geom.Point, id int64) bool {
-		l := left.m[id]
+		l := left[id]
 		for i := range l {
 			if l[i].Count > 0 && l[i].P.Equal(p) {
 				l[i].Count--

@@ -133,3 +133,73 @@ func TestTombSetConsumer(t *testing.T) {
 		t.Fatal("Consumer mutated the TombSet")
 	}
 }
+
+// TestTombSetPublishedUnchanged: successors share the published set's
+// per-id lists, so every edit must copy the one list it changes. A
+// published set answers Masked, Rejects, Total and Len the same after
+// successor Deletes and Resurrects on the same id and after a Consumer
+// pass, and two successors of one set never see each other's tombs.
+func TestTombSetPublishedUnchanged(t *testing.T) {
+	p, q, r, u := geom.Point{1, 2}, geom.Point{3, 4}, geom.Point{5, 6}, geom.Point{7, 8}
+	var pub *TombSet
+	for _, d := range []struct {
+		p     geom.Point
+		id    int64
+		baseN int
+	}{{p, 7, 3}, {q, 7, 1}, {u, 7, 1}, {p, 9, 1}} {
+		var ok bool
+		if pub, ok = pub.Delete(d.p, d.id, d.baseN); !ok {
+			t.Fatalf("setup delete of %v/%d refused", d.p, d.id)
+		}
+	}
+	// Reviving u drops it from id 7's list, leaving spare capacity that a
+	// successor's append must not write into.
+	pub, _ = pub.Resurrect(u, 7)
+	type answers struct {
+		masked         [3]int
+		rejectP, rejQ  bool
+		total, tombLen int
+	}
+	snap := func(ts *TombSet) answers {
+		return answers{
+			masked:  [3]int{ts.Masked(p, 7), ts.Masked(q, 7), ts.Masked(p, 9)},
+			rejectP: ts.Rejects(p, 7), rejQ: ts.Rejects(q, 7),
+			total: ts.Total(), tombLen: ts.Len(),
+		}
+	}
+	want := snap(pub)
+	check := func(step string) {
+		t.Helper()
+		if got := snap(pub); got != want {
+			t.Fatalf("after %s the published set answers %+v, want %+v", step, got, want)
+		}
+	}
+
+	s1, ok := pub.Delete(p, 7, 3) // an existing tomb's count
+	if !ok || s1.Masked(p, 7) != 2 {
+		t.Fatalf("successor delete: ok %v, masked %d", ok, s1.Masked(p, 7))
+	}
+	check("Delete of a tombstoned point")
+	s2, ok := pub.Resurrect(q, 7) // removes q's tomb from the shared list
+	if !ok || s2.Masked(q, 7) != 0 || s2.Masked(p, 7) != 1 {
+		t.Fatalf("successor resurrect: ok %v, masked q %d p %d", ok, s2.Masked(q, 7), s2.Masked(p, 7))
+	}
+	check("Resurrect")
+	s3, _ := pub.Resurrect(p, 7)
+	check("Resurrect of a multiply masked point")
+	if s3.Masked(p, 7) != 0 || s3.Masked(q, 7) != 1 {
+		t.Fatalf("successor resurrect of p: masked p %d q %d", s3.Masked(p, 7), s3.Masked(q, 7))
+	}
+	a, _ := pub.Delete(r, 7, 1)
+	b, _ := pub.Delete(u, 7, 1)
+	check("two Deletes of new points")
+	if a.Masked(r, 7) != 1 || a.Masked(u, 7) != 0 || b.Masked(u, 7) != 1 || b.Masked(r, 7) != 0 {
+		t.Fatalf("sibling successors share a list: a masks r %d u %d, b masks u %d r %d",
+			a.Masked(r, 7), a.Masked(u, 7), b.Masked(u, 7), b.Masked(r, 7))
+	}
+	drop := pub.Consumer()
+	for range 3 {
+		drop(p, 7)
+	}
+	check("a Consumer pass")
+}

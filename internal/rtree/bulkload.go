@@ -40,31 +40,153 @@ func CheckFinite(i int, p geom.Point) error {
 	return nil
 }
 
-// BulkLoadSTR builds a tree over the given points with the Sort-Tile-
-// Recursive algorithm: points are tiled into vertical slabs of √(n/M)
-// tiles, each slab sorted on the second axis, and leaves packed to
-// capacity. Each upper level groups consecutive nodes of the level below.
-// ids[i] identifies pts[i]; pass nil to use the point index.
-func BulkLoadSTR(cfg Config, pts []geom.Point, ids []int64) (*Tree, error) {
-	t, err := prepareBulk(cfg, pts, ids)
-	if err != nil || t.size == 0 {
-		return t, err
+// Flatten copies pts into one point-major coordinate slab — the input of
+// PackSTR and PackSTRPartitioned, with no per-point slice headers —
+// rejecting a point whose dimension is not cfg.Dim (after defaults).
+// The packers check everything else.
+func Flatten[P ~[]float64](cfg Config, pts []P) ([]float64, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
 	}
-	t.packLevels(pts, ids, strOrder(t.cfg, pts))
-	return t, nil
+	coords := make([]float64, 0, len(pts)*cfg.Dim)
+	for i, p := range pts {
+		if len(p) != cfg.Dim {
+			return nil, fmt.Errorf("rtree: point %d has dimension %d, tree dimension %d", i, len(p), cfg.Dim)
+		}
+		coords = append(coords, p...)
+	}
+	return coords, nil
+}
+
+// BulkLoadSTR builds a tree over the given points with the Sort-Tile-
+// Recursive algorithm (see PackSTR), dynamic nodes included. ids[i]
+// identifies pts[i]; pass nil to use the point index.
+func BulkLoadSTR(cfg Config, pts []geom.Point, ids []int64) (*Tree, error) {
+	coords, err := Flatten(cfg, pts)
+	if err != nil {
+		return nil, err
+	}
+	p, err := PackSTR(cfg, coords, ids, true)
+	if err != nil {
+		return nil, err
+	}
+	return p.src, nil
+}
+
+// BulkLoadHilbert builds a tree by packing points in Hilbert order — the
+// classic Hilbert-packed R-tree — dynamic nodes included. Only the first
+// two dimensions contribute to the ordering.
+func BulkLoadHilbert(cfg Config, pts []geom.Point, ids []int64) (*Tree, error) {
+	coords, err := Flatten(cfg, pts)
+	if err != nil {
+		return nil, err
+	}
+	p, err := packHilbert(cfg, coords, ids, true)
+	if err != nil {
+		return nil, err
+	}
+	return p.src, nil
+}
+
+// PackSTR bulk-loads the points of a point-major coordinate slab (point
+// i is coords[i*Dim : (i+1)*Dim]) with the Sort-Tile-Recursive
+// algorithm, writing the packed arena directly: points are tiled into
+// vertical slabs of √(n/M) tiles, each slab sorted on the second axis,
+// and leaves packed to capacity; each upper level groups consecutive
+// nodes of the level below. ids[i] identifies point i; pass nil to use
+// the point index. The arena is the one Tree.Pack produces from the
+// tree these levels describe, bit for bit (see packOrdered).
+//
+// dynamic selects what the arena's Tree() is: the materialised dynamic
+// nodes, for an index that serves LayoutDynamic queries, mutations and
+// pair traversals; or, when false, an immutable shell like a borrowed
+// arena's, for packed-only serving and for snapshots.
+func PackSTR(cfg Config, coords []float64, ids []int64, dynamic bool) (*Packed, error) {
+	cfg, err := checkFlat(cfg, coords, ids)
+	if err != nil {
+		return nil, err
+	}
+	return packOrdered(cfg, coords, ids, strOrder(cfg, coords, nil), dynamic), nil
+}
+
+// packHilbert is PackSTR with the leaves in Hilbert order instead.
+func packHilbert(cfg Config, coords []float64, ids []int64, dynamic bool) (*Packed, error) {
+	cfg, err := checkFlat(cfg, coords, ids)
+	if err != nil {
+		return nil, err
+	}
+	return packOrdered(cfg, coords, ids, hilbertPerm(cfg.Dim, coords), dynamic), nil
+}
+
+// PackSTRPartitioned Hilbert-partitions the points into parts contiguous
+// chunks of near-equal size (the classic shard split: sort by Hilbert
+// value, cut the curve into parts runs, so every chunk is spatially
+// coherent) and STR-packs one independent arena per chunk, as PackSTR
+// does. All arenas share cfg.Accountant (one allocated here when nil)
+// and their page IDs are offset to be disjoint, so they can also share
+// an LRU buffer and the usual node-access accounting stays exactly
+// additive across the partition. Points beyond 2-D are ordered on their
+// first two axes, like BulkLoadHilbert; 1-D points on their single axis.
+// dynamic selects each arena's tree kind, as for PackSTR.
+func PackSTRPartitioned(cfg Config, coords []float64, ids []int64, parts int, dynamic bool) ([]*Packed, error) {
+	if parts < 1 {
+		return nil, fmt.Errorf("rtree: %d partitions; need at least 1", parts)
+	}
+	cfg, err := checkFlat(cfg, coords, ids) // resolves the shared Accountant once
+	if err != nil {
+		return nil, err
+	}
+	perm := hilbertPerm(cfg.Dim, coords)
+	n := len(perm)
+	out := make([]*Packed, 0, parts)
+	for s := 0; s < parts; s++ {
+		chunk := perm[n*s/parts : n*(s+1)/parts]
+		p := packOrdered(cfg, coords, ids, strOrder(cfg, coords, chunk), dynamic)
+		cfg.FirstPage += pagestore.PageID(p.src.Pages())
+		out = append(out, p)
+	}
+	return out, nil
+}
+
+// checkFlat resolves cfg's defaults and rejects a coordinate slab that
+// does not divide into cfg.Dim-dimensional points, an id slice of the
+// wrong length, and any non-finite coordinate.
+func checkFlat(cfg Config, coords []float64, ids []int64) (Config, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return cfg, err
+	}
+	dim := cfg.Dim
+	if len(coords)%dim != 0 {
+		return cfg, fmt.Errorf("rtree: %d coordinates do not divide into %d-dimensional points", len(coords), dim)
+	}
+	n := len(coords) / dim
+	if n > math.MaxInt32 {
+		return cfg, fmt.Errorf("rtree: %d points exceed the packed arena's int32 slots", n)
+	}
+	if ids != nil && len(ids) != n {
+		return cfg, fmt.Errorf("rtree: %d ids for %d points", len(ids), n)
+	}
+	for i := 0; i < n; i++ {
+		if err := CheckFinite(i, coords[i*dim:(i+1)*dim]); err != nil {
+			return cfg, err
+		}
+	}
+	return cfg, nil
 }
 
 // axisKey is one sort key of an STR pass: a coordinate and the position
 // of its point before the pass.
 type axisKey struct {
 	v   float64
-	pos int
+	pos int32
 }
 
 // cmpAxisKey orders keys by coordinate, then by prior position. Ordering
 // on (v, pos) with v compared by < reproduces a stable sort on v exactly
 // (ties, -0 against +0 included, keep their prior order); it is a total
-// order because prepareBulk admits only finite coordinates.
+// order because the loaders admit only finite coordinates.
 func cmpAxisKey(a, b axisKey) int {
 	switch {
 	case a.v < b.v:
@@ -75,153 +197,101 @@ func cmpAxisKey(a, b axisKey) int {
 	return cmp.Compare(a.pos, b.pos)
 }
 
-// strOrder returns the STR leaf order of pts: order[rank] is the index
-// of the point at that rank. Points are sorted on the first axis and cut
-// into slabs of ⌈√(leaves)⌉·M points, each slab sorted on the second axis
-// (points beyond 2-D are tiled on their first two axes, which preserves
-// correctness — tiling is purely a quality heuristic).
-func strOrder(cfg Config, pts []geom.Point) []int {
-	n := len(pts)
+// strOrder returns the STR leaf order of the points sel picks out of
+// coords (every point, in slab order, when sel is nil): order[rank] is
+// the slab position of the point at that rank. Positions are int32,
+// like every slot index of the packed arena. Points are sorted on the
+// first axis and cut into slabs of ⌈√(leaves)⌉·M points, each slab sorted
+// on the second axis (points beyond 2-D are tiled on their first two
+// axes, which preserves correctness — tiling is purely a quality
+// heuristic). Ties keep their order in sel.
+func strOrder(cfg Config, coords []float64, sel []int32) []int32 {
+	dim := cfg.Dim
+	n := len(coords) / dim
+	if sel != nil {
+		n = len(sel)
+	}
+	at := func(i int32) int {
+		if sel == nil {
+			return int(i)
+		}
+		return int(sel[i])
+	}
 	keys := make([]axisKey, n)
-	for i, p := range pts {
-		keys[i] = axisKey{p[0], i}
+	for i := range keys {
+		keys[i] = axisKey{coords[at(int32(i))*dim], int32(i)}
 	}
 	slices.SortFunc(keys, cmpAxisKey)
-	order := make([]int, n)
+	order := make([]int32, n)
 	for r, k := range keys {
 		order[r] = k.pos
 	}
-	if cfg.Dim < 2 {
-		return order
+	if dim >= 2 {
+		M := cfg.MaxEntries
+		nLeaves := (n + M - 1) / M
+		perSlab := int(math.Ceil(math.Sqrt(float64(nLeaves)))) * M
+		for r, i := range order {
+			keys[r] = axisKey{coords[at(i)*dim+1], int32(r)}
+		}
+		for lo := 0; lo < n; lo += perSlab {
+			slices.SortFunc(keys[lo:min(lo+perSlab, n)], cmpAxisKey)
+		}
+		// keys[r].pos is a first-pass rank: map it to its point before the
+		// second pass's order overwrites the first's.
+		for r := range keys {
+			keys[r].pos = order[keys[r].pos]
+		}
+		for r, k := range keys {
+			order[r] = k.pos
+		}
 	}
-
-	M := cfg.MaxEntries
-	nLeaves := (n + M - 1) / M
-	perSlab := int(math.Ceil(math.Sqrt(float64(nLeaves)))) * M
-	for r, i := range order {
-		keys[r] = axisKey{pts[i][1], r}
-	}
-	for lo := 0; lo < n; lo += perSlab {
-		slices.SortFunc(keys[lo:min(lo+perSlab, n)], cmpAxisKey)
-	}
-	// keys[r].pos is a first-pass rank: map it to its point before the
-	// second pass's order overwrites the first's.
-	for r := range keys {
-		keys[r].pos = order[keys[r].pos]
-	}
-	for r, k := range keys {
-		order[r] = k.pos
+	if sel != nil {
+		for r, i := range order {
+			order[r] = sel[i]
+		}
 	}
 	return order
 }
 
-// BulkLoadHilbert builds a tree by packing points in Hilbert order — the
-// classic Hilbert-packed R-tree. Only the first two dimensions contribute
-// to the ordering.
-func BulkLoadHilbert(cfg Config, pts []geom.Point, ids []int64) (*Tree, error) {
-	t, err := prepareBulk(cfg, pts, ids)
-	if err != nil || t.size == 0 {
-		return t, err
-	}
-	t.packLevels(pts, ids, hilbertPerm(t.cfg.Dim, pts))
-	return t, nil
-}
-
-// BulkLoadSTRPartitioned Hilbert-partitions the points into parts
-// contiguous chunks of near-equal size (the classic shard split: sort by
-// Hilbert value, cut the curve into parts runs, so every chunk is
-// spatially coherent) and STR-bulk-loads one independent tree per chunk.
-// All trees share cfg.Accountant (one allocated here when nil) and their
-// page IDs are offset to be disjoint, so they can also share an LRU
-// buffer and the usual node-access accounting stays exactly additive
-// across the partition. Points beyond 2-D are ordered on their first two
-// axes, like BulkLoadHilbert; 1-D points on their single axis.
-func BulkLoadSTRPartitioned(cfg Config, pts []geom.Point, ids []int64, parts int) ([]*Tree, error) {
-	if parts < 1 {
-		return nil, fmt.Errorf("rtree: %d partitions; need at least 1", parts)
-	}
-	cfg, err := cfg.withDefaults() // resolves the shared Accountant once
-	if err != nil {
-		return nil, err
-	}
-	if err := checkBulk(cfg.Dim, pts, ids); err != nil {
-		return nil, err
-	}
-	perm := hilbertPerm(cfg.Dim, pts)
-	trees := make([]*Tree, 0, parts)
-	nextPage := cfg.FirstPage
-	n := len(pts)
-	for s := 0; s < parts; s++ {
-		lo, hi := n*s/parts, n*(s+1)/parts
-		cpts := make([]geom.Point, hi-lo)
-		cids := make([]int64, hi-lo)
-		for i, j := range perm[lo:hi] {
-			cpts[i] = pts[j]
-			cids[i] = idAt(ids, j)
-		}
-		scfg := cfg
-		scfg.FirstPage = nextPage
-		t, err := BulkLoadSTR(scfg, cpts, cids)
-		if err != nil {
-			return nil, err
-		}
-		nextPage += pagestore.PageID(t.Pages())
-		trees = append(trees, t)
-	}
-	return trees, nil
-}
-
-// hilbertPerm returns the Hilbert-order permutation of pts over their
-// bounding box (input order for an empty slice).
-func hilbertPerm(dim int, pts []geom.Point) []int {
-	if len(pts) == 0 {
+// hilbertPerm returns the Hilbert-order permutation of the points in
+// coords over their bounding box (nil for no points).
+func hilbertPerm(dim int, coords []float64) []int32 {
+	n := len(coords) / dim
+	if n == 0 {
 		return nil
 	}
-	r := geom.BoundingRect(pts)
-	hiX, hiY := r.Hi[0], r.Lo[0]
-	loX, loY := r.Lo[0], r.Lo[0]
-	if dim >= 2 {
-		loY, hiY = r.Lo[1], r.Hi[1]
-	}
-	m := hilbert.NewMapper(hilbert.DefaultOrder, loX, loY, hiX, hiY)
-	return hilbert.Perm(len(pts), m, func(i int) (float64, float64) {
-		y := 0.0
+	at := func(i int) (x, y float64) {
 		if dim >= 2 {
-			y = pts[i][1]
+			y = coords[i*dim+1]
 		}
-		return pts[i][0], y
-	})
-}
-
-// prepareBulk validates a bulk-load input and returns the empty tree it
-// will be packed into, sized for pts.
-func prepareBulk(cfg Config, pts []geom.Point, ids []int64) (*Tree, error) {
-	t, err := New(cfg)
-	if err != nil {
-		return nil, err
+		return coords[i*dim], y
 	}
-	if err := checkBulk(t.cfg.Dim, pts, ids); err != nil {
-		return nil, err
-	}
-	t.size = len(pts)
-	return t, nil
-}
-
-// checkBulk rejects an id slice of the wrong length and any point of the
-// wrong dimension or with a non-finite coordinate.
-func checkBulk(dim int, pts []geom.Point, ids []int64) error {
-	if ids != nil && len(ids) != len(pts) {
-		return fmt.Errorf("rtree: %d ids for %d points", len(ids), len(pts))
-	}
-	for i, p := range pts {
-		if len(p) != dim {
-			return fmt.Errorf("rtree: point %d has dimension %d, tree dimension %d", i, len(p), dim)
+	// The box on the first two axes, folded as geom.BoundingRect folds it.
+	loX, loY := at(0)
+	hiX, hiY := loX, loY
+	for i := 1; i < n; i++ {
+		x, y := at(i)
+		if x < loX {
+			loX = x
 		}
-		if err := CheckFinite(i, p); err != nil {
-			return err
+		if x > hiX {
+			hiX = x
+		}
+		if y < loY {
+			loY = y
+		}
+		if y > hiY {
+			hiY = y
 		}
 	}
-	return nil
+	if dim < 2 {
+		loY, hiY = loX, loX
+	}
+	perm := make([]int32, n)
+	for r, i := range hilbert.Perm(n, hilbert.NewMapper(hilbert.DefaultOrder, loX, loY, hiX, hiY), at) {
+		perm[r] = int32(i)
+	}
+	return perm
 }
 
 // idAt returns the identifier of point i: ids[i], or i when ids is nil.
@@ -232,68 +302,123 @@ func idAt(ids []int64, i int) int64 {
 	return ids[i]
 }
 
-// packLevels lays the points out as leaf entries in the given order, packs
-// them into leaves, then packs each level bottom-up until a single root
-// remains. The final node of each level is kept at or above MinEntries by
-// borrowing from its predecessor, so packed trees satisfy the same fill
-// invariants as incrementally built ones. Pages are numbered level by
-// level from the leaves up, left to right.
+// packOrdered lays the points out as leaf slots in the given order and
+// packs them bottom-up, straight into a Packed arena. Each level groups
+// consecutive nodes of the level below, M to a node, until one root
+// remains; the final node of each level is kept at or above MinEntries
+// by borrowing from its predecessor, so packed trees satisfy the same
+// fill invariants as incrementally built ones. Pages are numbered level
+// by level from the leaves up, left to right, after the one page the
+// empty root of New takes.
 //
-// Storage comes in per-level slabs, as for snapshot-loaded trees
-// (buildNodes): the leaf coordinates in one slab, each point doubling as
-// its entry's degenerate rectangle, and per level one slab each of nodes,
-// routing entries and MBR corners. Entry slices are capacity-clipped, so
-// a later Insert that overflows a node reallocates instead of clobbering
-// its slab neighbour.
-func (t *Tree) packLevels(pts []geom.Point, ids []int64, order []int) {
-	dim := t.cfg.Dim
-	coords := make([]float64, len(order)*dim)
-	entries := make([]Entry, len(order))
-	for r, i := range order {
-		p := coords[r*dim : (r+1)*dim : (r+1)*dim]
-		copy(p, pts[i])
-		entries[r] = Entry{Rect: geom.Rect{Lo: p, Hi: p}, Point: p, ID: idAt(ids, i)}
-	}
+// The arena is exactly what Tree.Pack writes for the tree those levels
+// describe: node ids and routing slots in depth-first preorder, leaf
+// slots in leaf order (which is the given order), and each routing
+// rectangle the math.Min/math.Max fold of its child's entries in entry
+// order — the values a Rect.Union chain over them yields. With dynamic
+// set, buildNodes then materialises the nodes from the arena; otherwise
+// the arena's tree is an immutable shell.
+func packOrdered(cfg Config, coords []float64, ids []int64, order []int32, dynamic bool) *Packed {
+	dim, n := cfg.Dim, len(order)
+	M, m := cfg.MaxEntries, cfg.MinEntries
 
-	M, m := t.cfg.MaxEntries, t.cfg.MinEntries
-	level := 0
-	for len(entries) > M {
-		count := (len(entries) + M - 1) / M
-		nodes := make([]node, count)
-		parents := make([]Entry, count)
-		corners := make([]float64, 2*dim*count)
-		for k, lo := 0, 0; lo < len(entries); k++ {
+	// firsts[l][j] is the first child of node j on level l (a leaf slot
+	// on level 0); each level closes with its child count.
+	var firsts [][]int32
+	nodes := 0
+	for items := n; ; {
+		b := make([]int32, 0, (items+M-1)/M+1)
+		for lo := 0; lo < items || len(b) == 0; {
+			b = append(b, int32(lo))
 			hi := lo + M
-			if rem := len(entries) - hi; rem > 0 && rem < m {
+			if items <= M {
+				hi = items // the root takes everything left
+			} else if rem := items - hi; rem > 0 && rem < m {
 				// Shrink this node so the final one reaches MinEntries.
-				hi = len(entries) - m
+				hi = items - m
 			}
-			hi = min(hi, len(entries))
-			n := &nodes[k]
-			n.page, n.level, n.entries = t.nextPage, level, entries[lo:hi:hi]
-			t.nextPage++
-			c := corners[2*dim*k : 2*dim*(k+1) : 2*dim*(k+1)]
-			parents[k] = Entry{Rect: foldMBR(n.entries, c[:dim:dim], c[dim:]), child: n}
-			lo = hi
+			lo = min(hi, items)
 		}
-		entries = parents
-		level++
+		firsts = append(firsts, append(b, int32(items)))
+		nodes += len(b)
+		if len(b) == 1 {
+			break
+		}
+		items = len(b)
 	}
-	t.root = &node{page: t.nextPage, level: level, entries: entries}
-	t.nextPage++
-	t.height = level + 1
-}
+	pageBase := make([]pagestore.PageID, len(firsts))
+	next := cfg.FirstPage
+	if n > 0 {
+		next++ // the discarded root of an empty tree
+	}
+	for l, b := range firsts {
+		pageBase[l] = next
+		next += pagestore.PageID(len(b) - 1)
+	}
 
-// foldMBR computes the MBR of the non-empty es into lo and hi: one
-// math.Min/math.Max fold per axis, the values a Rect.Union chain yields.
-func foldMBR(es []Entry, lo, hi geom.Point) geom.Rect {
-	copy(lo, es[0].Rect.Lo)
-	copy(hi, es[0].Rect.Hi)
-	for _, e := range es[1:] {
-		for a := range lo {
-			lo[a] = math.Min(lo[a], e.Rect.Lo[a])
-			hi[a] = math.Max(hi[a], e.Rect.Hi[a])
-		}
+	t := &Tree{cfg: cfg, size: n, height: len(firsts), nextPage: next}
+	rslots := nodes - 1
+	rects := make([]float64, 2*dim*rslots)
+	cols := make([]float64, dim*n)
+	p := &Packed{
+		src: t, muts: t.muts, dim: dim, size: n, height: t.height,
+		acct:  cfg.Accountant,
+		level: make([]int32, nodes),
+		page:  make([]pagestore.PageID, nodes),
+		start: make([]int32, nodes),
+		end:   make([]int32, nodes),
+		child: make([]int32, rslots),
+		rlo:   make([][]float64, dim),
+		rhi:   make([][]float64, dim),
+		pc:    make([][]float64, dim),
+		ids:   make([]int64, n),
 	}
-	return geom.Rect{Lo: lo, Hi: hi}
+	for a := 0; a < dim; a++ {
+		p.rlo[a] = rects[2*a*rslots : (2*a+1)*rslots : (2*a+1)*rslots]
+		p.rhi[a] = rects[(2*a+1)*rslots : (2*a+2)*rslots : (2*a+2)*rslots]
+		p.pc[a] = cols[a*n : (a+1)*n : (a+1)*n]
+	}
+	for r, i := range order {
+		for a := 0; a < dim; a++ {
+			p.pc[a][r] = coords[int(i)*dim+a]
+		}
+		p.ids[r] = idAt(ids, int(i))
+	}
+
+	// Depth-first preorder fill: a node's routing slots are claimed
+	// before its children are visited, and each child's id and MBR are
+	// written into its slot as the recursion returns.
+	var nextID, nextR int32
+	var fill func(l int, j int32) int32
+	fill = func(l int, j int32) int32 {
+		id := nextID
+		nextID++
+		p.level[id] = int32(l)
+		p.page[id] = pageBase[l] + pagestore.PageID(j)
+		lo, hi := firsts[l][j], firsts[l][j+1]
+		if l == 0 {
+			p.start[id], p.end[id] = lo, hi
+			return id
+		}
+		s := nextR
+		nextR += hi - lo
+		p.start[id], p.end[id] = s, nextR
+		for c := lo; c < hi; c++ {
+			slot := s + c - lo
+			p.child[slot] = fill(l-1, c)
+			for a := 0; a < dim; a++ {
+				p.rlo[a][slot], p.rhi[a][slot] = p.nodeSpan(p.child[slot], a)
+			}
+		}
+		return id
+	}
+	p.root = fill(len(firsts)-1, 0)
+
+	if dynamic {
+		t.root = p.buildNodes()
+	} else {
+		t.shellOf = p
+		p.mbr = p.rootMBR()
+	}
+	return p
 }

@@ -12,6 +12,7 @@ import (
 
 	"gnn/internal/geom"
 	"gnn/internal/hilbert"
+	"gnn/internal/pagestore"
 )
 
 func TestBulkLoadSTR(t *testing.T) {
@@ -169,23 +170,66 @@ func referenceSTR(cfg Config, pts []geom.Point, ids []int64) (*Tree, error) {
 // into curve order in place.
 func referenceHilbert(cfg Config, pts []geom.Point, ids []int64) (*Tree, error) {
 	return referenceLoad(cfg, pts, ids, func(t *Tree, entries []Entry) {
-		r := mbrOf(entries)
-		hiX, hiY := r.Hi[0], r.Lo[0]
-		loX, loY := r.Lo[0], r.Lo[0]
-		if t.cfg.Dim >= 2 {
-			loY, hiY = r.Lo[1], r.Hi[1]
-		}
-		m := hilbert.NewMapper(hilbert.DefaultOrder, loX, loY, hiX, hiY)
-		hilbert.SortByValue(len(entries), m,
-			func(i int) (float64, float64) {
-				y := 0.0
-				if t.cfg.Dim >= 2 {
-					y = entries[i].Point[1]
-				}
-				return entries[i].Point[0], y
-			},
-			func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+		hilbertSortEntries(t.cfg.Dim, entries)
 	})
+}
+
+// hilbertSortEntries swaps the non-empty leaf entries into the Hilbert
+// order of the curve fitted to their mbrOf bounds.
+func hilbertSortEntries(dim int, entries []Entry) {
+	r := mbrOf(entries)
+	hiX, hiY := r.Hi[0], r.Lo[0]
+	loX, loY := r.Lo[0], r.Lo[0]
+	if dim >= 2 {
+		loY, hiY = r.Lo[1], r.Hi[1]
+	}
+	m := hilbert.NewMapper(hilbert.DefaultOrder, loX, loY, hiX, hiY)
+	hilbert.SortByValue(len(entries), m,
+		func(i int) (float64, float64) {
+			y := 0.0
+			if dim >= 2 {
+				y = entries[i].Point[1]
+			}
+			return entries[i].Point[0], y
+		},
+		func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+}
+
+// referencePartitioned is the specification of PackSTRPartitioned:
+// the entries in Hilbert order (hilbertSortEntries), cut into parts
+// near-equal runs, each loaded by referenceSTR on the next free pages.
+func referencePartitioned(cfg Config, pts []geom.Point, ids []int64, parts int) ([]*Tree, error) {
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	entries := make([]Entry, len(pts))
+	for i, p := range pts {
+		entries[i] = Entry{Point: p, ID: idAt(ids, i)}
+	}
+	if len(entries) > 0 {
+		for i := range entries {
+			entries[i].Rect = geom.RectFromPoint(entries[i].Point)
+		}
+		hilbertSortEntries(cfg.Dim, entries)
+	}
+	var trees []*Tree
+	n := len(entries)
+	for s := 0; s < parts; s++ {
+		chunk := entries[n*s/parts : n*(s+1)/parts]
+		cpts := make([]geom.Point, len(chunk))
+		cids := make([]int64, len(chunk))
+		for i, e := range chunk {
+			cpts[i], cids[i] = e.Point, e.ID
+		}
+		t, err := referenceSTR(cfg, cpts, cids)
+		if err != nil {
+			return nil, err
+		}
+		cfg.FirstPage += pagestore.PageID(t.Pages())
+		trees = append(trees, t)
+	}
+	return trees, nil
 }
 
 // referenceLoad is the packing both reference loaders share: one cloned
@@ -287,15 +331,33 @@ func sameBits(a, b geom.Point) bool {
 
 type loader func(Config, []geom.Point, []int64) (*Tree, error)
 
-// checkAgainstReference builds pts with a loader and its reference and
-// fails on the first difference.
-func checkAgainstReference(t *testing.T, label string, load, reference loader, cfg Config, pts []geom.Point, ids []int64) {
+// algorithm is one bulk-load order: the tree loader, the arena packer it
+// is built on, and the reference both must reproduce.
+type algorithm struct {
+	name      string
+	load      loader
+	pack      func(cfg Config, coords []float64, ids []int64, dynamic bool) (*Packed, error)
+	reference loader
+}
+
+var (
+	strAlgorithm     = algorithm{"STR", BulkLoadSTR, PackSTR, referenceSTR}
+	hilbertAlgorithm = algorithm{"Hilbert", BulkLoadHilbert, packHilbert, referenceHilbert}
+)
+
+// checkAgainstReference builds pts with an algorithm's loader and its
+// reference and fails on the first difference: the loaded tree node for
+// node, and the arena the packer writes — with dynamic nodes and as a
+// packed-only shell — column for column against the reference tree's
+// Pack.
+func checkAgainstReference(t *testing.T, label string, al algorithm, cfg Config, pts []geom.Point, ids []int64) {
 	t.Helper()
-	want, err := reference(cfg, pts, ids)
+	label = al.name + "/" + label
+	want, err := al.reference(cfg, pts, ids)
 	if err != nil {
 		t.Fatalf("%s: reference: %v", label, err)
 	}
-	got, err := load(cfg, pts, ids)
+	got, err := al.load(cfg, pts, ids)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -304,6 +366,117 @@ func checkAgainstReference(t *testing.T, label string, load, reference loader, c
 	}
 	if err := got.CheckInvariants(); err != nil {
 		t.Fatalf("%s: %v", label, err)
+	}
+	coords, err := Flatten(cfg, pts)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	for _, dynamic := range []bool{true, false} {
+		p, err := al.pack(cfg, coords, ids, dynamic)
+		if err != nil {
+			t.Fatalf("%s: pack: %v", label, err)
+		}
+		if err := checkPacked(p, want, dynamic); err != nil {
+			t.Fatalf("%s (dynamic %v): %v", label, dynamic, err)
+		}
+	}
+}
+
+// checkPacked compares an arena a loader packed with the reference tree
+// it must match: the arena column for column against want.Pack(), then
+// its tree — the materialised nodes node for node, or a shell with the
+// same page range and bounds.
+func checkPacked(p *Packed, want *Tree, dynamic bool) error {
+	if err := diffArenas(p, want.Pack()); err != nil {
+		return err
+	}
+	tr := p.Tree()
+	if !p.Valid(tr) || tr.IsShell() == dynamic {
+		return fmt.Errorf("tree valid %v, shell %v", p.Valid(tr), tr.IsShell())
+	}
+	if dynamic {
+		if err := diffTrees(tr, want); err != nil {
+			return fmt.Errorf("materialised nodes: %w", err)
+		}
+		return tr.CheckInvariants()
+	}
+	gb, gok := tr.Bounds()
+	wb, wok := want.Bounds()
+	if tr.size != want.size || tr.height != want.height || tr.nextPage != want.nextPage ||
+		gok != wok || (wok && (!sameBits(gb.Lo, wb.Lo) || !sameBits(gb.Hi, wb.Hi))) {
+		return fmt.Errorf("shell size/height/nextPage/bounds %d/%d/%d/%v, want %d/%d/%d/%v",
+			tr.size, tr.height, tr.nextPage, gb, want.size, want.height, want.nextPage, wb)
+	}
+	return nil
+}
+
+// diffArenas returns the first difference between two packed arenas,
+// column by column: node levels, pages and slot ranges, routing children
+// and the bit patterns of their rectangles, leaf coordinates and ids,
+// then root, height, size and dimension.
+func diffArenas(got, want *Packed) error {
+	for _, c := range []struct {
+		name string
+		g, w []int32
+	}{
+		{"level", got.level, want.level},
+		{"start", got.start, want.start},
+		{"end", got.end, want.end},
+		{"child", got.child, want.child},
+	} {
+		if !slices.Equal(c.g, c.w) {
+			return fmt.Errorf("arena %s column %v, want %v", c.name, c.g, c.w)
+		}
+	}
+	if !slices.Equal(got.page, want.page) {
+		return fmt.Errorf("arena pages %v, want %v", got.page, want.page)
+	}
+	if !slices.Equal(got.ids, want.ids) {
+		return fmt.Errorf("arena ids %v, want %v", got.ids, want.ids)
+	}
+	if len(got.pc) != len(want.pc) || len(got.rlo) != len(want.rlo) || len(got.rhi) != len(want.rhi) {
+		return fmt.Errorf("arena axes %d/%d/%d, want %d", len(got.pc), len(got.rlo), len(got.rhi), len(want.pc))
+	}
+	for a := range want.pc {
+		for _, c := range []struct {
+			name string
+			g, w []float64
+		}{{"rlo", got.rlo[a], want.rlo[a]}, {"rhi", got.rhi[a], want.rhi[a]}, {"pc", got.pc[a], want.pc[a]}} {
+			if !sameBits(c.g, c.w) {
+				return fmt.Errorf("arena %s[%d] %v, want %v", c.name, a, c.g, c.w)
+			}
+		}
+	}
+	if got.root != want.root || got.height != want.height || got.size != want.size || got.dim != want.dim {
+		return fmt.Errorf("arena root/height/size/dim %d/%d/%d/%d, want %d/%d/%d/%d",
+			got.root, got.height, got.size, got.dim, want.root, want.height, want.size, want.dim)
+	}
+	return nil
+}
+
+// checkPartitioned compares both kinds of PackSTRPartitioned arenas
+// against referencePartitioned, shard by shard.
+func checkPartitioned(t *testing.T, label string, cfg Config, pts []geom.Point, ids []int64, parts int) {
+	t.Helper()
+	label = fmt.Sprintf("Partitioned%d/%s", parts, label)
+	want, err := referencePartitioned(cfg, pts, ids, parts)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", label, err)
+	}
+	coords, err := Flatten(cfg, pts)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	for _, dynamic := range []bool{true, false} {
+		ps, err := PackSTRPartitioned(cfg, coords, ids, parts, dynamic)
+		if err != nil || len(ps) != parts {
+			t.Fatalf("%s: %d arenas, err %v", label, len(ps), err)
+		}
+		for i, p := range ps {
+			if err := checkPacked(p, want[i], dynamic); err != nil {
+				t.Fatalf("%s (dynamic %v): shard %d: %v", label, dynamic, i, err)
+			}
+		}
 	}
 }
 
@@ -365,16 +538,18 @@ func TestBulkLoadMatchesReference(t *testing.T) {
 						ids[i] = int64(n - i) // not the point index
 					}
 					label := fmt.Sprintf("dim%d/M%d/m%d/n%d/%s", dim, M, m, n, g.name)
-					checkAgainstReference(t, "STR/"+label, BulkLoadSTR, referenceSTR, cfg, pts, ids)
-					checkAgainstReference(t, "Hilbert/"+label, BulkLoadHilbert, referenceHilbert, cfg, pts, ids)
+					checkAgainstReference(t, label, strAlgorithm, cfg, pts, ids)
+					checkAgainstReference(t, label, hilbertAlgorithm, cfg, pts, ids)
+					checkPartitioned(t, label, cfg, pts, ids, 1+n%5)
 				}
 			}
 		}
 	}
 	for _, g := range refGenerators {
 		pts := genPoints(rng, 10000, 2, g.coord)
-		checkAgainstReference(t, "STR/10k/"+g.name, BulkLoadSTR, referenceSTR, Config{}, pts, nil)
-		checkAgainstReference(t, "Hilbert/10k/"+g.name, BulkLoadHilbert, referenceHilbert, Config{}, pts, nil)
+		checkAgainstReference(t, "10k/"+g.name, strAlgorithm, Config{}, pts, nil)
+		checkAgainstReference(t, "10k/"+g.name, hilbertAlgorithm, Config{}, pts, nil)
+		checkPartitioned(t, "10k/"+g.name, Config{}, pts, nil, 4)
 	}
 }
 
@@ -408,9 +583,11 @@ func fuzzPoints(data []byte, dim int) []geom.Point {
 	return pts
 }
 
-// FuzzBulkLoadSTR checks BulkLoadSTR against referenceSTR node for node
-// on fuzzed point sets, dimensions 1–3, and node capacities 4–16 with
-// every legal minimum fill. The seed corpus lives in
+// FuzzBulkLoadSTR checks the STR loader against referenceSTR — the tree
+// node for node, the packed arena column for column — on fuzzed point
+// sets, dimensions 1–3, and node capacities 4–16 with every legal
+// minimum fill; the Hilbert and partitioned loaders are checked the same
+// way on the same input. The seed corpus lives in
 // testdata/fuzz/FuzzBulkLoadSTR and replays in every plain go test run.
 func FuzzBulkLoadSTR(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 1, 2, 2, 1, 0, 0, 0, 3, 3}, uint8(2), uint8(0), uint8(0))
@@ -418,18 +595,36 @@ func FuzzBulkLoadSTR(f *testing.F) {
 		d := int(dim%3) + 1
 		M := int(maxE%13) + 4
 		cfg := Config{Dim: d, MaxEntries: M, MinEntries: int(minE) % (M/2 + 1)} // 0 = default fill
-		checkAgainstReference(t, "fuzz", BulkLoadSTR, referenceSTR, cfg, fuzzPoints(data, d), nil)
+		pts := fuzzPoints(data, d)
+		checkAgainstReference(t, "fuzz", strAlgorithm, cfg, pts, nil)
+		checkAgainstReference(t, "fuzz", hilbertAlgorithm, cfg, pts, nil)
+		checkPartitioned(t, "fuzz", cfg, pts, nil, 1+len(data)%4)
 	})
 }
 
 func TestBulkLoadRejectsNonFinite(t *testing.T) {
+	// The packers get the points as a slab nothing has checked: their
+	// own check must reject it.
+	flat := func(pack func(Config, []float64) error) loader {
+		return func(cfg Config, pts []geom.Point, _ []int64) (*Tree, error) {
+			var coords []float64
+			for _, p := range pts {
+				coords = append(coords, p...)
+			}
+			return nil, pack(cfg, coords)
+		}
+	}
 	loaders := map[string]loader{
 		"STR":     BulkLoadSTR,
 		"Hilbert": BulkLoadHilbert,
-		"Partitioned": func(cfg Config, pts []geom.Point, ids []int64) (*Tree, error) {
-			_, err := BulkLoadSTRPartitioned(cfg, pts, ids, 3)
-			return nil, err
-		},
+		"PackSTR": flat(func(cfg Config, coords []float64) error {
+			_, err := PackSTR(cfg, coords, nil, false)
+			return err
+		}),
+		"Partitioned": flat(func(cfg Config, coords []float64) error {
+			_, err := PackSTRPartitioned(cfg, coords, nil, 3, false)
+			return err
+		}),
 	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for axis := 0; axis < 2; axis++ {

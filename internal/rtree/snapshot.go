@@ -128,23 +128,8 @@ func PackedFromSnapshot(st *snapshot.Tree, dim int, cfg Config) (*Packed, error)
 	if err != nil {
 		return nil, fmt.Errorf("rtree: snapshot config: %w", err)
 	}
-	numNodes := len(st.Level)
-	lslots := len(st.IDs)
 
-	// The dynamic leaf entries' points: one coordinate slab in point-major
-	// order, gathered from the snapshot's axis-major columns. The arena
-	// itself keeps only the columns.
-	ptSlab := make([]float64, dim*lslots)
-	pts := make([]geom.Point, lslots)
-	for i := 0; i < lslots; i++ {
-		pt := ptSlab[i*dim : (i+1)*dim : (i+1)*dim]
-		for a := 0; a < dim; a++ {
-			pt[a] = st.PointCols[a][i]
-		}
-		pts[i] = pt
-	}
-
-	pages := make([]pagestore.PageID, numNodes)
+	pages := make([]pagestore.PageID, len(st.Level))
 	maxPage := cfg.FirstPage + pagestore.PageID(st.Pages) - 1
 	for i, pg := range st.Page {
 		pages[i] = pagestore.PageID(pg)
@@ -159,8 +144,6 @@ func PackedFromSnapshot(st *snapshot.Tree, dim int, cfg Config) (*Packed, error)
 		height:   st.Height,
 		nextPage: maxPage + 1,
 	}
-	t.root = buildNodes(st, dim, pages, pts)
-
 	p := &Packed{
 		src: t, muts: t.muts, dim: dim, size: st.Size, height: st.Height,
 		acct:  cfg.Accountant,
@@ -175,6 +158,7 @@ func PackedFromSnapshot(st *snapshot.Tree, dim int, cfg Config) (*Packed, error)
 		pc:    st.PointCols,
 		ids:   st.IDs,
 	}
+	t.root = p.buildNodes()
 	return p, nil
 }
 
@@ -252,73 +236,77 @@ func PackedFromSnapshotBorrowed(st *snapshot.Tree, dim int, cfg Config, verify f
 func (p *Packed) rootMBR() geom.Rect {
 	lo := make(geom.Point, p.dim)
 	hi := make(geom.Point, p.dim)
-	s, e := p.start[p.root], p.end[p.root]
-	if s >= e {
-		return geom.Rect{Lo: lo, Hi: hi}
-	}
-	if p.level[p.root] == 0 {
+	if p.start[p.root] < p.end[p.root] {
 		for a := 0; a < p.dim; a++ {
-			lo[a], hi[a] = p.pc[a][s], p.pc[a][s]
-			for i := s + 1; i < e; i++ {
-				lo[a] = math.Min(lo[a], p.pc[a][i])
-				hi[a] = math.Max(hi[a], p.pc[a][i])
-			}
-		}
-	} else {
-		for a := 0; a < p.dim; a++ {
-			lo[a], hi[a] = p.rlo[a][s], p.rhi[a][s]
-			for i := s + 1; i < e; i++ {
-				lo[a] = math.Min(lo[a], p.rlo[a][i])
-				hi[a] = math.Max(hi[a], p.rhi[a][i])
-			}
+			lo[a], hi[a] = p.nodeSpan(p.root, a)
 		}
 	}
 	return geom.Rect{Lo: lo, Hi: hi}
 }
 
-// buildNodes materialises the dynamic node structs from the arena and
-// returns the root. The nodes and their entry/rectangle storage come
-// from per-kind slabs: a handful of large allocations instead of one per
-// node, which keeps cold-start loading fast. Entry slices are
-// capacity-clipped, so a post-load Insert that overflows a node
-// reallocates instead of clobbering its slab neighbour.
-func buildNodes(st *snapshot.Tree, dim int, pages []pagestore.PageID, pts []geom.Point) *node {
-	numNodes := len(st.Level)
-	rslots := len(st.Child)
-	lslots := len(st.IDs)
+// nodeSpan returns the extent on axis a of non-empty node n's entries:
+// the math.Min/math.Max fold of their corners in entry order, the values
+// a Rect.Union chain over the entries yields.
+func (p *Packed) nodeSpan(n int32, a int) (lo, hi float64) {
+	los, his := p.rlo[a], p.rhi[a]
+	if p.level[n] == 0 {
+		los, his = p.pc[a], p.pc[a]
+	}
+	s, e := p.start[n], p.end[n]
+	lo, hi = los[s], his[s]
+	for i := s + 1; i < e; i++ {
+		lo = math.Min(lo, los[i])
+		hi = math.Max(hi, his[i])
+	}
+	return lo, hi
+}
 
-	nodes := make([]node, numNodes)
+// buildNodes materialises the dynamic node structs from the arena and
+// returns the root. The nodes, their entries, the leaf points (gathered
+// point-major from the axis columns, each doubling as its entry's
+// degenerate rectangle) and the routing rectangles come from per-kind
+// slabs: a handful of large allocations instead of one per node, which
+// keeps cold-start loading fast. Entry slices are capacity-clipped, so a
+// later Insert that overflows a node reallocates instead of clobbering
+// its slab neighbour.
+func (p *Packed) buildNodes() *node {
+	dim := p.dim
+	rslots := len(p.child)
+	lslots := len(p.ids)
+
+	nodes := make([]node, len(p.level))
 	entrySlab := make([]Entry, rslots+lslots)
+	ptSlab := make([]float64, dim*lslots)
 	rectSlab := make([]float64, 2*dim*rslots) // lo+hi corners of every routing rect
 	nextEntry := 0
 
-	for i := 0; i < numNodes; i++ {
+	for i := range nodes {
 		n := &nodes[i]
-		n.page = pages[i]
-		n.level = int(st.Level[i])
-		s, e := st.Start[i], st.End[i]
+		n.page = p.page[i]
+		n.level = int(p.level[i])
+		s, e := p.start[i], p.end[i]
 		cnt := int(e - s)
 		ents := entrySlab[nextEntry : nextEntry+cnt : nextEntry+cnt]
 		nextEntry += cnt
-		if n.level == 0 {
-			for j := 0; j < cnt; j++ {
-				slot := s + int32(j)
-				pt := pts[slot]
-				ents[j] = Entry{Rect: geom.Rect{Lo: pt, Hi: pt}, Point: pt, ID: st.IDs[slot]}
-			}
-		} else {
-			for j := 0; j < cnt; j++ {
-				slot := s + int32(j)
-				lo := rectSlab[2*dim*int(slot) : 2*dim*int(slot)+dim : 2*dim*int(slot)+dim]
-				hi := rectSlab[2*dim*int(slot)+dim : 2*dim*int(slot)+2*dim : 2*dim*int(slot)+2*dim]
-				for a := 0; a < dim; a++ {
-					lo[a] = st.RectLo[a][slot]
-					hi[a] = st.RectHi[a][slot]
+		for j := range ents {
+			slot := int(s) + j
+			if n.level == 0 {
+				pt := geom.Point(ptSlab[dim*slot : dim*(slot+1) : dim*(slot+1)])
+				for a := range pt {
+					pt[a] = p.pc[a][slot]
 				}
-				ents[j] = Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, child: &nodes[st.Child[slot]]}
+				ents[j] = Entry{Rect: geom.Rect{Lo: pt, Hi: pt}, Point: pt, ID: p.ids[slot]}
+				continue
 			}
+			c := rectSlab[2*dim*slot : 2*dim*(slot+1) : 2*dim*(slot+1)]
+			lo, hi := geom.Point(c[:dim:dim]), geom.Point(c[dim:])
+			for a := 0; a < dim; a++ {
+				lo[a] = p.rlo[a][slot]
+				hi[a] = p.rhi[a][slot]
+			}
+			ents[j] = Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, child: &nodes[p.child[slot]]}
 		}
 		n.entries = ents
 	}
-	return &nodes[st.Root]
+	return &nodes[p.root]
 }

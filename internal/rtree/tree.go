@@ -14,8 +14,9 @@
 // drive their own traversals through the exported Reader.Root/Reader.Child
 // accessors, so their node accesses are accounted identically.
 //
-// For read-heavy serving, Tree.Pack snapshots the tree into a Packed
-// arena — flat structure-of-arrays node storage traversed through the
+// For read-heavy serving, the bulk loaders (PackSTR) write a Packed
+// arena directly, and Tree.Pack snapshots an insertion-built tree into
+// one — flat structure-of-arrays node storage traversed through the
 // same Reader abstraction with identical accounting — which the fused
 // kernels in internal/geom turn into streaming passes over contiguous
 // coordinate arrays.
@@ -147,15 +148,16 @@ type Tree struct {
 	// records the value at build time and is valid only while it matches.
 	muts uint64
 	// shellOf, when non-nil, marks this tree as the metadata shell of a
-	// borrowed packed arena (PackedFromSnapshotBorrowed): root is nil, no
-	// dynamic nodes exist, the structure is immutable (Insert fails,
-	// Delete reports false), and reads that would walk the dynamic nodes
-	// are served from the arena instead.
+	// packed-only arena (PackedFromSnapshotBorrowed, or a PackSTR without
+	// dynamic nodes): root is nil, no dynamic nodes exist, the structure
+	// is immutable (Insert fails, Delete reports false), and reads that
+	// would walk the dynamic nodes are served from the arena instead.
 	shellOf *Packed
 }
 
-// ErrImmutable reports a mutation on the shell tree of a borrowed packed
-// arena: the nodes live in a read-only (typically memory-mapped) buffer.
+// ErrImmutable reports a mutation on the shell tree of a packed-only
+// arena: there are no dynamic nodes to change, and a borrowed arena's
+// columns live in a read-only (typically memory-mapped) buffer.
 var ErrImmutable = errors.New("rtree: tree borrows a read-only arena and cannot be mutated; rebuild the index to change the data")
 
 // Mutations returns the tree's structural-mutation counter, used to
@@ -169,7 +171,7 @@ func (t *Tree) Mutations() uint64 { return t.muts }
 func (t *Tree) Config() Config { return t.cfg }
 
 // IsShell reports whether the tree is the immutable metadata shell of a
-// borrowed packed arena: it has no dynamic nodes, so only packed-layout
+// packed-only arena: it has no dynamic nodes, so only packed-layout
 // traversals can serve it.
 func (t *Tree) IsShell() bool { return t.root == nil && t.shellOf != nil }
 

@@ -2,7 +2,7 @@
 // queries, the horizontal-scale twin of the single-tree read path.
 //
 // The data set is Hilbert-partitioned into S independent packed R-trees
-// (rtree.BulkLoadSTRPartitioned): sorting by Hilbert value and cutting
+// (rtree.PackSTRPartitioned): sorting by Hilbert value and cutting
 // the curve into S runs yields spatially coherent shards, so a query
 // group's neighborhood usually concentrates in few shards and the rest
 // prune quickly. A query then runs the same unmodified MQM/SPM/MBM/brute
@@ -115,20 +115,23 @@ func (s *Set) Prepare() error {
 	return nil
 }
 
-// Build partitions pts (with their ids; nil means slice indexes) into the
-// requested number of shards and bulk-loads plus packs each one. All
-// shards share cfg.Accountant and use disjoint page ID ranges.
-func Build(cfg rtree.Config, pts []geom.Point, ids []int64, shards int) (*Set, error) {
+// Build partitions the points of a point-major coordinate slab (with
+// their ids; nil means slab positions) into the requested number of
+// shards and packs each one (rtree.PackSTRPartitioned); dynamic selects
+// whether each shard's dynamic nodes are materialised too. All shards
+// share cfg.Accountant and use disjoint page ID ranges.
+func Build(cfg rtree.Config, coords []float64, ids []int64, shards int, dynamic bool) (*Set, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: %d shards; need at least 1", shards)
 	}
-	trees, err := rtree.BulkLoadSTRPartitioned(cfg, pts, ids, shards)
+	ps, err := rtree.PackSTRPartitioned(cfg, coords, ids, shards, dynamic)
 	if err != nil {
 		return nil, err
 	}
-	s := &Set{units: make([]Unit, len(trees)), dim: trees[0].Dim(), size: len(pts)}
-	for i, t := range trees {
-		s.units[i] = Unit{Tree: t, Packed: t.Pack()}
+	s := &Set{units: make([]Unit, len(ps)), dim: ps[0].Dim()}
+	for i, p := range ps {
+		s.units[i] = Unit{Tree: p.Tree(), Packed: p}
+		s.size += p.Len()
 	}
 	return s, nil
 }
@@ -179,9 +182,11 @@ func (s *Set) All(fn func(p geom.Point, id int64) bool) {
 	}
 }
 
-// Borrowed reports whether the shards borrow their arenas from an
-// external buffer (SetFromSnapshotBorrowed): no dynamic nodes exist, so
-// only packed-layout traversals can serve the set.
+// Borrowed reports whether the shards are packed-only shells: arenas
+// borrowed from an external buffer (SetFromSnapshotBorrowed), or a
+// Build without dynamic nodes (how a borrowed set is compacted). No
+// dynamic nodes exist, so only packed-layout traversals can serve the
+// set.
 func (s *Set) Borrowed() bool {
 	return len(s.units) > 0 && s.units[0].Tree.IsShell()
 }

@@ -11,6 +11,15 @@ import (
 	"gnn/internal/rtree"
 )
 
+// buildPts is Build over a point slice, dynamic nodes included.
+func buildPts(cfg rtree.Config, pts []geom.Point, shards int) (*Set, error) {
+	coords, err := rtree.Flatten(cfg, pts)
+	if err != nil {
+		return nil, err
+	}
+	return Build(cfg, coords, nil, shards, true)
+}
+
 func randPts(rng *rand.Rand, n int, span float64) []geom.Point {
 	pts := make([]geom.Point, n)
 	for i := range pts {
@@ -26,7 +35,7 @@ func TestBuildPartition(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pts := randPts(rng, 1003, 500)
 	for _, shards := range []int{1, 2, 5, 16} {
-		s, err := Build(rtree.Config{MaxEntries: 8}, pts, nil, shards)
+		s, err := buildPts(rtree.Config{MaxEntries: 8}, pts, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,13 +84,13 @@ func TestBuildPartition(t *testing.T) {
 // ranges, the precondition for sharing one LRU buffer.
 func TestDisjointPages(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	trees, err := rtree.BulkLoadSTRPartitioned(rtree.Config{MaxEntries: 8}, randPts(rng, 400, 300), nil, 4)
+	s, err := buildPts(rtree.Config{MaxEntries: 8}, randPts(rng, 400, 300), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[pagestore.PageID]bool{}
-	for i, tr := range trees {
-		rd := tr.Reader(nil)
+	for i := range s.NumShards() {
+		rd := s.Shard(i).Tree.Reader(nil)
 		var walk func(nd rtree.Node)
 		walk = func(nd rtree.Node) {
 			if seen[nd.Page()] {
@@ -108,7 +117,7 @@ func TestSearchMatchesSingleTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := Build(rtree.Config{MaxEntries: 16}, pts, nil, 6)
+	set, err := buildPts(rtree.Config{MaxEntries: 16}, pts, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +166,7 @@ func TestIteratorMatchesSingleTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := Build(rtree.Config{MaxEntries: 8}, pts, nil, 5)
+	set, err := buildPts(rtree.Config{MaxEntries: 8}, pts, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

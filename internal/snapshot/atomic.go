@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -71,12 +70,9 @@ func AtomicWriteFile(path string, write func(io.Writer) error, verify func(tmpPa
 	if err = failpoint(StageWrite, tmp); err != nil {
 		return fmt.Errorf("snapshot: rotate %s: %w", StageWrite, err)
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if err = write(bw); err != nil {
+	// Unbuffered: the snapshot writer hands the file whole sections.
+	if err = write(f); err != nil {
 		return fmt.Errorf("snapshot: rotate write: %w", err)
-	}
-	if err = bw.Flush(); err != nil {
-		return fmt.Errorf("snapshot: rotate flush: %w", err)
 	}
 
 	if err = failpoint(StageSync, tmp); err != nil {

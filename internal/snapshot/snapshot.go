@@ -352,17 +352,23 @@ func Write(w io.Writer, m Manifest, trees []*Tree) error {
 	}
 
 	// First pass: compute offsets, lengths and CRCs. Payloads are encoded
-	// into a reusable buffer; the bytes written in the second pass are the
-	// exact same encoding, so the table is correct by construction. Every
-	// payload starts on a sectionAlign boundary (zero padding in between)
-	// so mmap'd decoders can adopt the arrays in place.
+	// into one buffer sized for the largest section, so no append ever
+	// grows it; the bytes written in the second pass are the exact same
+	// encoding, so the table is correct by construction. Every payload
+	// starts on a sectionAlign boundary (zero padding in between) so
+	// mmap'd decoders can adopt the arrays in place.
 	offset := uint64(headerSize + tableEntrySize*len(secs))
-	scratch := make([]byte, 0, 1<<16)
+	var largest uint64
 	for i := range secs {
 		s := &secs[i]
 		s.offset = alignUp(offset)
 		s.length = sectionLength(s.kind, m, trees, treeOf[i])
 		offset = s.offset + s.length
+		largest = max(largest, s.length)
+	}
+	scratch := make([]byte, 0, largest)
+	for i := range secs {
+		s := &secs[i]
 		scratch = encodeSection(scratch[:0], s.kind, m, trees, treeOf[i])
 		if uint64(len(scratch)) != s.length {
 			return fmt.Errorf("snapshot: internal error: section %d encoded %d bytes, declared %d",

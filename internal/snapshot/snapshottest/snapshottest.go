@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"testing"
 
-	"gnn/internal/geom"
 	"gnn/internal/pagestore"
 	"gnn/internal/rtree"
 	"gnn/internal/snapshot"
@@ -39,19 +38,15 @@ func BuildArena(tb testing.TB, n, dim, cap int, seed int64) *snapshot.Tree {
 func BuildArenaAt(tb testing.TB, n, dim, cap int, seed, firstPage int64) *snapshot.Tree {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	pts := make([]geom.Point, n)
-	for i := range pts {
-		p := make(geom.Point, dim)
-		for a := range p {
-			p[a] = rng.Float64() * 1000
-		}
-		pts[i] = p
+	coords := make([]float64, n*dim)
+	for i := range coords {
+		coords[i] = rng.Float64() * 1000
 	}
-	tree, err := rtree.BulkLoadSTR(rtree.Config{Dim: dim, MaxEntries: cap, FirstPage: pagestore.PageID(firstPage)}, pts, nil)
+	p, err := rtree.PackSTR(rtree.Config{Dim: dim, MaxEntries: cap, FirstPage: pagestore.PageID(firstPage)}, coords, nil, false)
 	if err != nil {
 		tb.Fatalf("bulk load: %v", err)
 	}
-	return tree.Pack().Snapshot()
+	return p.Snapshot()
 }
 
 // EncodePlain serialises a single arena as a plain snapshot.

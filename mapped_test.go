@@ -3,6 +3,7 @@ package gnn_test
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -576,5 +577,104 @@ func TestMappedEmpty(t *testing.T) {
 	}
 	if _, _, ok := mx.Bounds(); ok {
 		t.Fatal("empty index should have no bounds")
+	}
+}
+
+// TestMappedRegionNeedsDynamic: region pruning of MBM, SPM and the
+// iterator runs on the dynamic nodes, which a mapped index — and a
+// compacted one, which stays packed-only — does not have. Those queries
+// fail with ErrMappedDynamic, plain and sharded alike, instead of
+// dereferencing the shell's missing root; MQM and brute force filter per
+// point on the packed layout and keep answering exactly like a heap index
+// over the same points.
+func TestMappedRegionNeedsDynamic(t *testing.T) {
+	const n = 2000
+	rng := rand.New(rand.NewSource(53))
+	pts := randGroup(rng, n)
+	ins := randGroup(rng, 50)
+	dir := t.TempDir()
+	ix, err := gnn.BuildIndex(pts, nil, gnn.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sx, err := gnn.BuildShardedIndex(pts, nil, 4, gnn.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sx.Close()
+	path := writeSnapFile(t, dir, "ix.snap", ix.WriteSnapshotFile)
+	spath := writeSnapFile(t, dir, "sx.snap", sx.WriteSnapshotFile)
+	grown, err := gnn.BuildIndex(append(append([]gnn.Point(nil), pts...), ins...), nil, gnn.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type regionQueryable interface {
+		GroupNN(query []gnn.Point, opts ...gnn.QueryOption) ([]gnn.Result, error)
+		GroupNNIterator(query []gnn.Point, opts ...gnn.QueryOption) (*gnn.Iterator, error)
+		Insert(p gnn.Point, id int64) error
+		Compact() error
+		Close() error
+	}
+	openPlain := func() (regionQueryable, error) { return gnn.OpenSnapshotMapped(path) }
+	openSharded := func() (regionQueryable, error) { return gnn.OpenShardedSnapshotMapped(spath) }
+	group := []gnn.Point{{480, 500}, {520, 530}, {500, 470}}
+	region := gnn.WithRegion(gnn.Point{300, 300}, gnn.Point{700, 700})
+	for _, kind := range []struct {
+		name    string
+		open    func() (regionQueryable, error)
+		compact bool
+	}{
+		{"mapped", openPlain, false},
+		{"mapped-sharded", openSharded, false},
+		{"compacted-mapped", openPlain, true},
+		{"compacted-mapped-sharded", openSharded, true},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			mx, err := kind.open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mx.Close()
+			ref := ix
+			if kind.compact {
+				for i, p := range ins {
+					if err := mx.Insert(p, int64(n+i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := mx.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				ref = grown
+			}
+			for _, algo := range []gnn.Algorithm{gnn.AlgoAuto, gnn.AlgoMBM, gnn.AlgoSPM} {
+				if _, err := mx.GroupNN(group, gnn.WithAlgorithm(algo), region); !errors.Is(err, gnn.ErrMappedDynamic) {
+					t.Errorf("%v with a region: %v, want ErrMappedDynamic", algo, err)
+				}
+			}
+			if it, err := mx.GroupNNIterator(group, region); !errors.Is(err, gnn.ErrMappedDynamic) {
+				if it != nil {
+					it.Close()
+				}
+				t.Errorf("iterator with a region: %v, want ErrMappedDynamic", err)
+			}
+			for _, algo := range []gnn.Algorithm{gnn.AlgoMQM, gnn.AlgoBruteForce} {
+				opts := []gnn.QueryOption{gnn.WithAlgorithm(algo), region, gnn.WithK(4)}
+				want, err := ref.GroupNN(group, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := mx.GroupNN(group, opts...)
+				if err != nil {
+					t.Fatalf("%v with a region: %v", algo, err)
+				}
+				sameResults(t, kind.name+"/"+algo.String(), want, got)
+			}
+			// Unconstrained queries are untouched.
+			if _, err := mx.GroupNN(group, gnn.WithAlgorithm(gnn.AlgoSPM)); err != nil {
+				t.Fatalf("SPM without a region: %v", err)
+			}
+		})
 	}
 }

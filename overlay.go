@@ -29,7 +29,7 @@ const deltaFirstPage = pagestore.PageID(1) << 40
 // once and traverse only its fields, so a concurrent writer publishing a
 // successor never perturbs an in-flight traversal.
 type viewState struct {
-	tree   *rtree.Tree   // base tree (dynamic nodes, or shell of a mapped arena)
+	tree   *rtree.Tree   // base tree (dynamic nodes, or the shell of a mapped or mapped-compacted arena)
 	packed *rtree.Packed // packed base arena; nil only while never-packed
 	// frozen marks the base immutable: mutations go through the overlay.
 	// False only for a never-packed index (legacy in-place mutation).
@@ -92,21 +92,27 @@ func deltaConfig(rcfg rtree.Config) rtree.Config {
 
 // applier folds one mutation into an overlay state. It is the write
 // logic shared by Index and ShardedIndex: each supplies its delta-tree
-// geometry and its way of counting exact base occurrences.
+// geometry, whether its base has dynamic nodes (the delta follows the
+// base's kind) and its way of counting exact base occurrences.
 type applier struct {
 	dcfg      rtree.Config
+	dynamic   bool
 	baseCount func(p geom.Point, id int64) int
 }
 
-// foldDelta bulk-loads (and packs) a delta tree over all overlay points.
-// Points and ids are retained, not copied: overlay slices are immutable
-// once published.
+// foldDelta packs a delta tree over all overlay points — with dynamic
+// nodes only when the base has them, so a packed-only base gets a
+// packed-only delta.
 func (a applier) foldDelta(pts []geom.Point, ids []int64) (*rtree.Tree, *rtree.Packed, error) {
-	t, err := rtree.BulkLoadSTR(a.dcfg, pts, ids)
+	coords, err := rtree.Flatten(a.dcfg, pts)
 	if err != nil {
 		return nil, nil, err
 	}
-	return t, t.Pack(), nil
+	p, err := rtree.PackSTR(a.dcfg, coords, ids, a.dynamic)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.Tree(), p, nil
 }
 
 // insert returns the successor overlay for inserting (p, id) over a
@@ -198,6 +204,7 @@ func baseCount(v *viewState, p geom.Point, id int64) int {
 func (ix *Index) applier(v *viewState) applier {
 	return applier{
 		dcfg:      deltaConfig(ix.rcfg),
+		dynamic:   !v.tree.IsShell(),
 		baseCount: func(p geom.Point, id int64) int { return baseCount(v, p, id) },
 	}
 }
@@ -233,7 +240,7 @@ func removeID(s []int64, i int) []int64 {
 	return append(n, s[i+1:]...)
 }
 
-// liveBase is the enumerable base a compaction materialises: the plain
+// liveBase is the enumerable base a compaction gathers: the plain
 // index's tree or the sharded index's shard set.
 type liveBase interface {
 	Len() int
@@ -241,39 +248,34 @@ type liveBase interface {
 	All(fn func(p geom.Point, id int64) bool)
 }
 
-// materializeLive returns a view's live multiset — base points not
-// masked by a tombstone, then overlay points in insertion order — with
-// every coordinate deep-copied into fresh heap slabs, so the result
-// never aliases a mapped arena that a later Close will unmap.
-func materializeLive(base liveBase, ov *overlayState) ([]geom.Point, []int64) {
+// gatherLive returns a view's live multiset — base points not masked by
+// a tombstone, in the base's slot order, then overlay points in
+// insertion order — as one point-major coordinate slab plus ids, the
+// input of rtree.PackSTR. Every coordinate is copied into the slab, so
+// it never aliases a mapped arena that a later Close will unmap.
+func gatherLive(base liveBase, ov *overlayState) ([]float64, []int64) {
 	n := base.Len()
 	if ov != nil {
 		n += len(ov.pts)
 	}
-	dim := base.Dim()
-	flat := make([]float64, 0, n*dim)
-	pts := make([]geom.Point, 0, n)
+	coords := make([]float64, 0, n*base.Dim())
 	ids := make([]int64, 0, n)
-	add := func(p geom.Point, id int64) {
-		s := len(flat)
-		flat = append(flat, p...)
-		pts = append(pts, geom.Point(flat[s:s+dim:s+dim]))
-		ids = append(ids, id)
-	}
 	var drop func(geom.Point, int64) bool
 	if ov != nil {
 		drop = ov.tombs.Consumer()
 	}
 	base.All(func(p geom.Point, id int64) bool {
 		if drop == nil || !drop(p, id) {
-			add(p, id)
+			coords = append(coords, p...)
+			ids = append(ids, id)
 		}
 		return true
 	})
 	if ov != nil {
 		for i, p := range ov.pts {
-			add(p, ov.ids[i])
+			coords = append(coords, p...)
+			ids = append(ids, ov.ids[i])
 		}
 	}
-	return pts, ids
+	return coords, ids
 }

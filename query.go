@@ -98,12 +98,16 @@ func (l Layout) String() string {
 // incrementally without one).
 var ErrNotPacked = errors.New("gnn: index has no valid packed layout; call Index.Pack")
 
-// ErrMappedDynamic reports a WithLayout(LayoutDynamic) query against a
+// ErrMappedDynamic reports a query that needs dynamic nodes against a
 // mapped snapshot (OpenSnapshotMapped/OpenShardedSnapshotMapped): a
-// mapped index borrows the packed arena straight from the file and never
-// materialises dynamic nodes. Use the default layout, or open with
-// OpenSnapshotFile to serve both layouts from heap memory.
-var ErrMappedDynamic = errors.New("gnn: a mapped snapshot serves only the packed layout; drop WithLayout(LayoutDynamic)")
+// WithLayout(LayoutDynamic) query, GCP, or a WithRegion query on MBM,
+// SPM or the iterator (whose region pruning runs on the dynamic nodes;
+// MQM and brute force serve regions from the packed layout). A mapped
+// index borrows the packed arena straight from the file and never
+// materialises dynamic nodes, and its compactions keep it packed-only.
+// Use the default layout and MQM or brute force for regions, or open
+// with OpenSnapshotFile to serve everything from heap memory.
+var ErrMappedDynamic = errors.New("gnn: a mapped snapshot serves only the packed layout; drop WithLayout(LayoutDynamic), or WithRegion on MBM, SPM and the iterator")
 
 // ErrPackedRegion reports a WithLayout(LayoutPacked) query combined with
 // WithRegion on an algorithm whose region pruning lives in the traversal
@@ -233,10 +237,12 @@ func (c queryConfig) coreOptions() core.Options {
 // packedForLayout resolves a layout request against one index view: nil
 // for the dynamic nodes, the snapshot for packed, ErrNotPacked when a
 // required snapshot is missing or stale, ErrPackedRegion when a pinned
-// packed layout meets a region constraint it cannot serve. The layout
-// choice governs the base tree; an overlay delta tree follows it (packed
-// delta arena unless the dynamic layout is pinned), and the pending tail
-// is a layout-less array scan.
+// packed layout meets a region constraint it cannot serve, and
+// ErrMappedDynamic when a packed-only (mapped) base would need dynamic
+// nodes: a pinned dynamic layout or a region the packed kernel cannot
+// serve. The layout choice governs the base tree; an overlay delta tree
+// follows it (packed delta arena unless the dynamic layout is pinned),
+// and the pending tail is a layout-less array scan.
 func packedForLayout(v *viewState, l Layout, region *geom.Rect) (*rtree.Packed, error) {
 	switch l {
 	case LayoutDynamic:
@@ -254,6 +260,9 @@ func packedForLayout(v *viewState, l Layout, region *geom.Rect) (*rtree.Packed, 
 		}
 		return p, nil
 	default:
+		if region != nil && v.tree.IsShell() {
+			return nil, ErrMappedDynamic
+		}
 		return v.servingPacked(), nil
 	}
 }

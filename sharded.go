@@ -140,6 +140,7 @@ func (sx *ShardedIndex) prepare() error {
 func (sx *ShardedIndex) applierFor(v *shardedView) applier {
 	return applier{
 		dcfg:      deltaConfig(sx.rcfg),
+		dynamic:   !v.set.Borrowed(),
 		baseCount: func(p geom.Point, id int64) int { return v.set.CountExact(p, id) },
 	}
 }
@@ -172,11 +173,11 @@ func BuildShardedIndex(points []Point, ids []int64, shards int, cfg IndexConfig)
 		return nil, fmt.Errorf("gnn: %d shards; need at least 1", shards)
 	}
 	acct, rcfg := indexConfig(cfg)
-	pts := make([]geom.Point, len(points))
-	for i, p := range points {
-		pts[i] = geom.Point(p)
+	coords, err := rtree.Flatten(rcfg, points)
+	if err != nil {
+		return nil, err
 	}
-	set, err := shard.Build(rcfg, pts, ids, shards)
+	set, err := shard.Build(rcfg, coords, ids, shards, true)
 	if err != nil {
 		return nil, err
 	}
@@ -303,8 +304,9 @@ func (sx *ShardedIndex) CheckInvariants() error {
 // Shard snapshots are always valid (the set is immutable), so LayoutAuto
 // and LayoutPacked both serve packed and ErrNotPacked cannot occur; the
 // packed/region conflict follows the same demotion rule
-// (queryConfig.effectiveRegion) as the plain Index, and LayoutDynamic is
-// rejected on a mapped open (no dynamic nodes exist).
+// (queryConfig.effectiveRegion) as the plain Index, and on a packed-only
+// (mapped) set LayoutDynamic and a region the packed kernel cannot serve
+// fail with ErrMappedDynamic (no dynamic nodes exist).
 func usePackedLayout(v *shardedView, c queryConfig) (bool, error) {
 	switch c.layout {
 	case LayoutDynamic:
@@ -318,6 +320,9 @@ func usePackedLayout(v *shardedView, c queryConfig) (bool, error) {
 		}
 		return true, nil
 	default:
+		if c.effectiveRegion() != nil && v.set.Borrowed() {
+			return false, ErrMappedDynamic
+		}
 		return true, nil
 	}
 }
@@ -683,9 +688,10 @@ func (sx *ShardedIndex) compactOnce() (err error) {
 	}()
 
 	// Re-partition off the write lock: writers and readers proceed
-	// against the captured view while this runs.
-	pts, ids := materializeLive(v.set, v.ov)
-	nset, err := shard.Build(sx.rcfg, pts, ids, sx.shards)
+	// against the captured view while this runs. The new set keeps the
+	// base's kind: dynamic nodes only where the replaced set has them.
+	coords, ids := gatherLive(v.set, v.ov)
+	nset, err := shard.Build(sx.rcfg, coords, ids, sx.shards, !v.set.Borrowed())
 	if err != nil {
 		return fmt.Errorf("gnn: compact: %w", err)
 	}

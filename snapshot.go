@@ -1,7 +1,6 @@
 package gnn
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -86,12 +85,11 @@ func (ix *Index) WriteSnapshot(w io.Writer) error {
 	p := v.servingPacked()
 	switch {
 	case v.ov != nil:
-		pts, ids := materializeLive(v.tree, v.ov)
-		nt, err := rtree.BulkLoadSTR(ix.rcfg, pts, ids)
-		if err != nil {
+		coords, ids := gatherLive(v.tree, v.ov)
+		var err error
+		if p, err = rtree.PackSTR(ix.rcfg, coords, ids, false); err != nil {
 			return err
 		}
-		p = nt.Pack()
 	case p == nil:
 		p = v.tree.Pack()
 	}
@@ -160,8 +158,8 @@ func (sx *ShardedIndex) WriteSnapshot(w io.Writer) error {
 	v := sx.view.Load()
 	set := v.set
 	if v.ov != nil {
-		pts, ids := materializeLive(v.set, v.ov)
-		nset, err := shard.Build(sx.rcfg, pts, ids, sx.shards)
+		coords, ids := gatherLive(v.set, v.ov)
+		nset, err := shard.Build(sx.rcfg, coords, ids, sx.shards, false)
 		if err != nil {
 			return err
 		}
@@ -245,9 +243,11 @@ func shardedRcfg(set *shard.Set) rtree.Config {
 // point: queries read the coordinates from the mapping, and results are
 // copies the caller owns.
 //
-// The mapped index serves the packed layout only: Insert returns an
-// immutability error, Delete reports false, and WithLayout(LayoutDynamic)
-// or GCP fail with ErrMappedDynamic. Call Close when done to unmap the
+// The mapped index serves the packed layout only, for its whole
+// lifetime: writes go to the overlay as on any packed index, and its
+// compactions build packed-only bases, so WithLayout(LayoutDynamic),
+// GCP, and WithRegion on MBM, SPM or the iterator always fail with
+// ErrMappedDynamic. Call Close when done to unmap the
 // file; queries after Close fail with ErrSnapshotClosed. On platforms
 // without mmap support (or when the mapping cannot be adopted in place)
 // the function transparently degrades to a read-and-copy open that
@@ -434,20 +434,16 @@ func readAllSized(r io.Reader) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// writeSnapshotFile writes via fn into a buffered file at path,
-// surfacing close/flush errors (a snapshot with a silent short write
-// would fail its checksums on load, but the writer should say so).
+// writeSnapshotFile writes via fn into a file created at path, surfacing
+// the close error (a snapshot with a silent short write would fail its
+// checksums on load, but the writer should say so). The file is not
+// buffered: snapshot.Write issues one write per whole section.
 func writeSnapshotFile(path string, fn func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	if err := fn(bw); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
+	if err := fn(f); err != nil {
 		f.Close()
 		return err
 	}
