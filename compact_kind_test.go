@@ -16,10 +16,10 @@ import (
 
 // TestCompactionKeepsBaseKind pins what a compaction hands back: the
 // packed base the same points would get from a fresh build, of the kind
-// the replaced base had. A mapped index stays packed-only (LayoutDynamic
-// and GCP keep failing with ErrMappedDynamic); a BuildIndex index keeps
-// its dynamic nodes and answers LayoutDynamic and GCP exactly like a
-// fresh build. Either way the compacted base's snapshot — and the file
+// the replaced base had. A mapped index stays packed-only (LayoutDynamic,
+// region MBM/SPM and GCP keep failing with ErrMappedDynamic); a
+// BuildIndex index keeps its dynamic nodes and answers them exactly like
+// a fresh build. Either way the compacted base's snapshot — and the file
 // the compactor rotates — is byte for byte the snapshot of BuildIndex
 // over the live multiset in the order compaction gathers it (base slots
 // minus tombstones, then overlay inserts).
@@ -125,27 +125,36 @@ func TestCompactionKeepsBaseKind(t *testing.T) {
 				t.Fatalf("rotated snapshot differs from a fresh build's (err %v)", err)
 			}
 
-			dyn := []QueryOption{WithK(5), WithLayout(LayoutDynamic)}
-			res, cost, err := ix.GroupNNWithCost(group, dyn...)
+			region := WithRegion(Point{300, 300}, Point{600, 600})
+			dynamic := map[string][]QueryOption{
+				"LayoutDynamic": {WithK(5), WithLayout(LayoutDynamic)},
+				"region MBM":    {WithK(5), WithAlgorithm(AlgoMBM), region},
+				"region SPM":    {WithK(5), WithAlgorithm(AlgoSPM), region},
+			}
 			gcp, gcpCost, gcpErr := ix.GroupNNClosestPairsWithCost(qix, 0)
 			if kind.mapped {
-				if !errors.Is(err, ErrMappedDynamic) {
-					t.Fatalf("LayoutDynamic after compaction: %v, want ErrMappedDynamic", err)
+				for name, opts := range dynamic {
+					if _, err := ix.GroupNN(group, opts...); !errors.Is(err, ErrMappedDynamic) {
+						t.Fatalf("%s after compaction: %v, want ErrMappedDynamic", name, err)
+					}
 				}
 				if !errors.Is(gcpErr, ErrMappedDynamic) {
 					t.Fatalf("GCP after compaction: %v, want ErrMappedDynamic", gcpErr)
 				}
 				return
 			}
-			wantRes, wantCost, err2 := fresh.GroupNNWithCost(group, dyn...)
-			if err != nil || err2 != nil || !reflect.DeepEqual(res, wantRes) || cost != wantCost {
-				t.Fatalf("LayoutDynamic after compaction: %v %+v (err %v), fresh build %v %+v (err %v)",
-					res, cost, err, wantRes, wantCost, err2)
+			for name, opts := range dynamic {
+				res, cost, err := ix.GroupNNWithCost(group, opts...)
+				wantRes, wantCost, err2 := fresh.GroupNNWithCost(group, opts...)
+				if err != nil || err2 != nil || !reflect.DeepEqual(res, wantRes) || cost != wantCost {
+					t.Fatalf("%s after compaction: %v %+v (err %v), fresh build %v %+v (err %v)",
+						name, res, cost, err, wantRes, wantCost, err2)
+				}
 			}
-			wantGCP, wantGCPCost, err2 := fresh.GroupNNClosestPairsWithCost(qix, 0)
-			if gcpErr != nil || err2 != nil || !reflect.DeepEqual(gcp, wantGCP) || gcpCost != wantGCPCost {
+			wantGCP, wantGCPCost, err := fresh.GroupNNClosestPairsWithCost(qix, 0)
+			if gcpErr != nil || err != nil || !reflect.DeepEqual(gcp, wantGCP) || gcpCost != wantGCPCost {
 				t.Fatalf("GCP after compaction: %v %+v (err %v), fresh build %v %+v (err %v)",
-					gcp, gcpCost, gcpErr, wantGCP, wantGCPCost, err2)
+					gcp, gcpCost, gcpErr, wantGCP, wantGCPCost, err)
 			}
 		})
 	}
