@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"gnn"
 	"gnn/internal/core"
 	"gnn/internal/dataset"
 	"gnn/internal/experiments"
@@ -347,6 +348,22 @@ func BenchmarkIndexBuild(b *testing.B) {
 			if _, err := rtree.BulkLoadHilbert(rtree.Config{}, d.Points, nil); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+	b.Run("Partitioned4", func(b *testing.B) {
+		// BuildShardedIndex's path: the Hilbert split, then STR per shard.
+		pts := make([]gnn.Point, len(d.Points))
+		for i, p := range d.Points {
+			pts[i] = gnn.Point(p)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sx, err := gnn.BuildShardedIndex(pts, nil, 4, gnn.IndexConfig{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sx.Close()
 		}
 	})
 	b.Run("Insert", func(b *testing.B) {

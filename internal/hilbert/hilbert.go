@@ -7,24 +7,70 @@
 // and Hilbert ordering is a standard R-tree bulk-loading strategy, which we
 // expose through the rtree package.
 //
-// The encoding follows the classic iterative rotate/flip formulation: a
+// The curve follows the classic iterative rotate/flip formulation: a
 // curve of order k visits every cell of a 2^k × 2^k grid exactly once.
+// Decode applies the rule level by level; Encode applies it four levels
+// at a time through a table derived from it.
 package hilbert
 
-import (
-	"cmp"
-	"slices"
-)
+import "gnn/internal/radix"
 
 // DefaultOrder is the curve order used when sorting floating-point data:
 // a 2^16 × 2^16 grid gives sub-meter resolution on the paper's
 // [0,10000]² workspace while keeping values comfortably inside 32 bits.
 const DefaultOrder = 16
 
+// A curve state is the transform the levels above a cell apply to its
+// remaining bits: swapState exchanges x and y, flipState complements
+// both. The two commute, so a state is any combination of the two bits
+// and composing transforms XORs them.
+const (
+	swapState = 1
+	flipState = 2
+)
+
+// encodeTable advances the curve four levels per lookup. Entry
+// state<<8 | xNibble<<4 | yNibble holds, above its low two bits, the
+// four quadrant digits of those levels, most significant first; its low
+// two bits hold the state the next four levels start in.
+var encodeTable [4 << 8]uint16
+
+func init() {
+	for st := range 4 {
+		for xy := range 256 {
+			s, digits := st, 0
+			for b := 3; b >= 0; b-- {
+				rx, ry := xy>>(4+b)&1, xy>>b&1
+				if s&flipState != 0 {
+					rx, ry = rx^1, ry^1
+				}
+				if s&swapState != 0 {
+					rx, ry = ry, rx
+				}
+				digits = digits<<2 | ((3 * rx) ^ ry)
+				// rotate's rule: the lower quadrants swap, and the lower
+				// right one also flips.
+				if ry == 0 {
+					s ^= swapState
+					if rx == 1 {
+						s ^= flipState
+					}
+				}
+			}
+			encodeTable[st<<8|xy] = uint16(digits<<2 | s)
+		}
+	}
+}
+
 // Encode returns the Hilbert value (distance along the curve) of grid cell
-// (x, y) for a curve of the given order. x and y must lie in [0, 2^order).
-// Out-of-range coordinates are clamped, which keeps the function total —
-// callers sorting noisy data never crash, they just get edge ordering.
+// (x, y) for a curve of the given order, 1 to 32. x and y must lie in
+// [0, 2^order). Out-of-range coordinates are clamped, which keeps the
+// function total — callers sorting noisy data never crash, they just get
+// edge ordering.
+//
+// Encode reads four levels per table lookup. An order not divisible by
+// four is padded with leading zero levels; each turns the curve by one
+// swap, so an odd pad starts in the swapped state to cancel them.
 func Encode(order uint, x, y uint32) uint64 {
 	max := uint32(1)<<order - 1
 	if x > max {
@@ -33,26 +79,26 @@ func Encode(order uint, x, y uint32) uint64 {
 	if y > max {
 		y = max
 	}
+	pad := -order & 3
+	var s uint16
+	if pad%2 == 1 {
+		s = swapState
+	}
 	var d uint64
-	for s := uint32(1) << (order - 1); s > 0; s >>= 1 {
-		var rx, ry uint32
-		if x&s > 0 {
-			rx = 1
-		}
-		if y&s > 0 {
-			ry = 1
-		}
-		d += uint64(s) * uint64(s) * uint64((3*rx)^ry)
-		x, y = rotate(s, x, y, rx, ry)
+	for shift := int(order+pad) - 4; shift >= 0; shift -= 4 {
+		e := encodeTable[s<<8|uint16(x>>shift&15)<<4|uint16(y>>shift&15)]
+		d = d<<8 | uint64(e>>2)
+		s = e & 3
 	}
 	return d
 }
 
 // Decode is the inverse of Encode: it maps a curve distance d back to the
-// grid cell (x, y) it occupies on a curve of the given order.
+// grid cell (x, y) it occupies on a curve of the given order, 1 to 32.
 func Decode(order uint, d uint64) (x, y uint32) {
 	t := d
-	for s := uint32(1); s < uint32(1)<<order; s <<= 1 {
+	for l := uint(0); l < order; l++ {
+		s := uint32(1) << l
 		rx := uint32(1) & uint32(t/2)
 		ry := uint32(1) & uint32(t^uint64(rx))
 		x, y = rotate(s, x, y, rx, ry)
@@ -78,18 +124,16 @@ func rotate(s, x, y, rx, ry uint32) (uint32, uint32) {
 // Mapper quantises floating-point coordinates from an arbitrary bounding
 // box onto the Hilbert grid, so real datasets can be curve-ordered.
 type Mapper struct {
-	order                  uint
-	minX, minY             float64
-	scaleX, scaleY         float64
-	hasExtent              bool
-	loX, loY, spanX, spanY float64
+	order          uint
+	minX, minY     float64
+	scaleX, scaleY float64
 }
 
 // NewMapper returns a Mapper for data inside the box [loX,hiX] × [loY,hiY].
 // Degenerate extents (all points sharing a coordinate) are handled by
 // mapping that axis to cell 0.
 func NewMapper(order uint, loX, loY, hiX, hiY float64) *Mapper {
-	m := &Mapper{order: order, minX: loX, minY: loY, loX: loX, loY: loY}
+	m := &Mapper{order: order, minX: loX, minY: loY}
 	cells := float64(uint64(1) << order)
 	if hiX > loX {
 		m.scaleX = (cells - 1) / (hiX - loX)
@@ -97,8 +141,6 @@ func NewMapper(order uint, loX, loY, hiX, hiY float64) *Mapper {
 	if hiY > loY {
 		m.scaleY = (cells - 1) / (hiY - loY)
 	}
-	m.spanX, m.spanY = hiX-loX, hiY-loY
-	m.hasExtent = true
 	return m
 }
 
@@ -118,30 +160,21 @@ func (m *Mapper) Value(x, y float64) uint64 {
 // Perm returns the permutation that orders n items by ascending Hilbert
 // value of the coordinates at(i) reports: Perm(...)[rank] is the index of
 // the item with that rank. Equal values keep their input order (stable),
-// so the permutation is deterministic. It is the partitioning primitive of
-// the sharded index: contiguous runs of the permutation are spatially
-// coherent chunks of the data set.
+// so the permutation is deterministic; the values are radix-sorted with
+// int32 positions, so n must not exceed math.MaxInt32. It is the
+// partitioning primitive of the sharded index: contiguous runs of the
+// permutation are spatially coherent chunks of the data set.
 func Perm(n int, m *Mapper, at func(i int) (x, y float64)) []int {
-	// Sorting (value, index) pairs, all distinct, yields exactly the
-	// stable order by value, without a stable sort's merge passes.
-	type keyed struct {
-		h uint64
-		i int
-	}
-	keys := make([]keyed, n)
+	keys := make([]uint64, n)
+	pos := make([]int32, n)
 	for i := range keys {
 		x, y := at(i)
-		keys[i] = keyed{m.Value(x, y), i}
+		keys[i], pos[i] = m.Value(x, y), int32(i)
 	}
-	slices.SortFunc(keys, func(a, b keyed) int {
-		if c := cmp.Compare(a.h, b.h); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.i, b.i)
-	})
+	radix.Sort(keys, pos, nil)
 	idx := make([]int, n)
-	for r, k := range keys {
-		idx[r] = k.i
+	for r, i := range pos {
+		idx[r] = int(i)
 	}
 	return idx
 }

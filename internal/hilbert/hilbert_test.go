@@ -69,15 +69,76 @@ func TestCurveContinuity(t *testing.T) {
 }
 
 func TestQuickRoundTripLargeOrder(t *testing.T) {
-	f := func(x, y uint32) bool {
-		const order = 16
-		x %= 1 << order
-		y %= 1 << order
-		gx, gy := Decode(order, Encode(order, x, y))
-		return gx == x && gy == y
+	for _, order := range []uint{16, 31, 32} {
+		mask := uint32(1)<<order - 1 // all ones at order 32
+		f := func(x, y uint32) bool {
+			x &= mask
+			y &= mask
+			gx, gy := Decode(order, Encode(order, x, y))
+			return gx == x && gy == y
+		}
+		if err := quick.Check(f, nil); err != nil {
+			t.Errorf("order %d: %v", order, err)
+		}
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+}
+
+// referenceEncode is the specification of Encode: the classic loop that
+// reads one level per step and rotates the remaining bits with rotate.
+func referenceEncode(order uint, x, y uint32) uint64 {
+	max := uint32(1)<<order - 1
+	if x > max {
+		x = max
+	}
+	if y > max {
+		y = max
+	}
+	var d uint64
+	for s := uint32(1) << (order - 1); s > 0; s >>= 1 {
+		var rx, ry uint32
+		if x&s > 0 {
+			rx = 1
+		}
+		if y&s > 0 {
+			ry = 1
+		}
+		d += uint64(s) * uint64(s) * uint64((3*rx)^ry)
+		x, y = rotate(s, x, y, rx, ry)
+	}
+	return d
+}
+
+func TestEncodeMatchesReference(t *testing.T) {
+	// Up to order 8, every cell of the grid and of a margin beyond it,
+	// which Encode clamps.
+	for order := uint(1); order <= 8; order++ {
+		n := uint32(1) << order
+		for x := uint32(0); x < n+3; x++ {
+			for y := uint32(0); y < n+3; y++ {
+				if got, want := Encode(order, x, y), referenceEncode(order, x, y); got != want {
+					t.Fatalf("Encode(%d, %d, %d) = %d, want %d", order, x, y, got, want)
+				}
+			}
+		}
+	}
+	// Above it, seeded random cells: half inside the grid, half anywhere
+	// in uint32 (clamped below order 32), plus the grid's corners.
+	rng := rand.New(rand.NewSource(17))
+	for order := uint(9); order <= 32; order++ {
+		mask := uint32(1)<<order - 1
+		cells := [][2]uint32{{0, 0}, {0, mask}, {mask, 0}, {mask, mask}, {math.MaxUint32, 0}}
+		for i := 0; i < 4000; i++ {
+			x, y := rng.Uint32(), rng.Uint32()
+			if i%2 == 0 {
+				x, y = x&mask, y&mask
+			}
+			cells = append(cells, [2]uint32{x, y})
+		}
+		for _, c := range cells {
+			if got, want := Encode(order, c[0], c[1]), referenceEncode(order, c[0], c[1]); got != want {
+				t.Fatalf("Encode(%d, %d, %d) = %d, want %d", order, c[0], c[1], got, want)
+			}
+		}
 	}
 }
 
@@ -221,8 +282,10 @@ func TestHilbertLocalityBeatsRandom(t *testing.T) {
 	}
 }
 
+var sinkValue uint64
+
 func BenchmarkEncode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		Encode(16, uint32(i)&0xffff, uint32(i>>8)&0xffff)
+		sinkValue += Encode(16, uint32(i)&0xffff, uint32(i>>8)&0xffff)
 	}
 }

@@ -1,14 +1,13 @@
 package rtree
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"gnn/internal/geom"
 	"gnn/internal/hilbert"
 	"gnn/internal/pagestore"
+	"gnn/internal/radix"
 )
 
 // NonFiniteError reports a point with a NaN or infinite coordinate. No
@@ -176,27 +175,6 @@ func checkFlat(cfg Config, coords []float64, ids []int64) (Config, error) {
 	return cfg, nil
 }
 
-// axisKey is one sort key of an STR pass: a coordinate and the position
-// of its point before the pass.
-type axisKey struct {
-	v   float64
-	pos int32
-}
-
-// cmpAxisKey orders keys by coordinate, then by prior position. Ordering
-// on (v, pos) with v compared by < reproduces a stable sort on v exactly
-// (ties, -0 against +0 included, keep their prior order); it is a total
-// order because the loaders admit only finite coordinates.
-func cmpAxisKey(a, b axisKey) int {
-	switch {
-	case a.v < b.v:
-		return -1
-	case a.v > b.v:
-		return 1
-	}
-	return cmp.Compare(a.pos, b.pos)
-}
-
 // strOrder returns the STR leaf order of the points sel picks out of
 // coords (every point, in slab order, when sel is nil): order[rank] is
 // the slab position of the point at that rank. Positions are int32,
@@ -204,50 +182,36 @@ func cmpAxisKey(a, b axisKey) int {
 // first axis and cut into slabs of ⌈√(leaves)⌉·M points, each slab sorted
 // on the second axis (points beyond 2-D are tiled on their first two
 // axes, which preserves correctness — tiling is purely a quality
-// heuristic). Ties keep their order in sel.
+// heuristic). Both sorts are stable radix sorts of the coordinates'
+// radix.Float64Key images, so ties, -0 against +0 included, keep their
+// order in sel: the order a stable sort under < gives.
 func strOrder(cfg Config, coords []float64, sel []int32) []int32 {
 	dim := cfg.Dim
 	n := len(coords) / dim
 	if sel != nil {
 		n = len(sel)
 	}
-	at := func(i int32) int {
-		if sel == nil {
-			return int(i)
-		}
-		return int(sel[i])
-	}
-	keys := make([]axisKey, n)
-	for i := range keys {
-		keys[i] = axisKey{coords[at(int32(i))*dim], int32(i)}
-	}
-	slices.SortFunc(keys, cmpAxisKey)
 	order := make([]int32, n)
-	for r, k := range keys {
-		order[r] = k.pos
+	keys := make([]uint64, n)
+	for r := range order {
+		i := int32(r)
+		if sel != nil {
+			i = sel[r]
+		}
+		order[r], keys[r] = i, radix.Float64Key(coords[int(i)*dim])
 	}
+	var scratch radix.Scratch
+	radix.Sort(keys, order, &scratch)
 	if dim >= 2 {
 		M := cfg.MaxEntries
 		nLeaves := (n + M - 1) / M
 		perSlab := int(math.Ceil(math.Sqrt(float64(nLeaves)))) * M
 		for r, i := range order {
-			keys[r] = axisKey{coords[at(i)*dim+1], int32(r)}
+			keys[r] = radix.Float64Key(coords[int(i)*dim+1])
 		}
 		for lo := 0; lo < n; lo += perSlab {
-			slices.SortFunc(keys[lo:min(lo+perSlab, n)], cmpAxisKey)
-		}
-		// keys[r].pos is a first-pass rank: map it to its point before the
-		// second pass's order overwrites the first's.
-		for r := range keys {
-			keys[r].pos = order[keys[r].pos]
-		}
-		for r, k := range keys {
-			order[r] = k.pos
-		}
-	}
-	if sel != nil {
-		for r, i := range order {
-			order[r] = sel[i]
+			hi := min(lo+perSlab, n)
+			radix.Sort(keys[lo:hi], order[lo:hi], &scratch)
 		}
 	}
 	return order

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -174,8 +175,8 @@ func referenceHilbert(cfg Config, pts []geom.Point, ids []int64) (*Tree, error) 
 	})
 }
 
-// hilbertSortEntries swaps the non-empty leaf entries into the Hilbert
-// order of the curve fitted to their mbrOf bounds.
+// hilbertSortEntries stably sorts the non-empty leaf entries into the
+// Hilbert order of the curve fitted to their mbrOf bounds.
 func hilbertSortEntries(dim int, entries []Entry) {
 	r := mbrOf(entries)
 	hiX, hiY := r.Hi[0], r.Lo[0]
@@ -184,15 +185,14 @@ func hilbertSortEntries(dim int, entries []Entry) {
 		loY, hiY = r.Lo[1], r.Hi[1]
 	}
 	m := hilbert.NewMapper(hilbert.DefaultOrder, loX, loY, hiX, hiY)
-	hilbert.SortByValue(len(entries), m,
-		func(i int) (float64, float64) {
-			y := 0.0
-			if dim >= 2 {
-				y = entries[i].Point[1]
-			}
-			return entries[i].Point[0], y
-		},
-		func(i, j int) { entries[i], entries[j] = entries[j], entries[i] })
+	value := func(e Entry) uint64 {
+		y := 0.0
+		if dim >= 2 {
+			y = e.Point[1]
+		}
+		return m.Value(e.Point[0], y)
+	}
+	slices.SortStableFunc(entries, func(a, b Entry) int { return cmp.Compare(value(a), value(b)) })
 }
 
 // referencePartitioned is the specification of PackSTRPartitioned:
