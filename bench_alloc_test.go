@@ -3,11 +3,9 @@
 //
 //	go test -run=NONE -bench=GroupNNAllocs -benchmem
 //
-// allocs/op is the steady-state allocation count of one query; the
-// acceptance target for warm MBM (both traversals) is ≤ 10 on either
-// layout, and CI pins the packed MBM cells to ≤ 4. Every cell runs on the
-// dynamic and the packed layout. The same grid is snapshotted to
-// BENCH_alloc.json / BENCH_packed.json by `gnnbench -allocs`.
+// allocs/op is the steady-state allocation count of one query; CI pins
+// the MBM cells (both traversals) to ≤ 4. The same grid is snapshotted to
+// BENCH_alloc.json by `gnnbench -allocs`.
 package gnn_test
 
 import (
@@ -65,24 +63,22 @@ func BenchmarkGroupNNAllocs(b *testing.B) {
 		{"SPM/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoSPM)}},
 		{"MQM/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMQM)}},
 	}
-	for _, layout := range []gnn.Layout{gnn.LayoutDynamic, gnn.LayoutPacked} {
-		for _, cell := range cells {
-			opts := append([]gnn.QueryOption{gnn.WithK(8), gnn.WithLayout(layout)}, cell.opts...)
-			b.Run(cell.name+"/"+layout.String(), func(b *testing.B) {
-				// Warm the pools so the measurement sees steady state.
-				for _, q := range queries {
-					if _, err := ix.GroupNN(q, opts...); err != nil {
-						b.Fatal(err)
-					}
+	for _, cell := range cells {
+		opts := append([]gnn.QueryOption{gnn.WithK(8)}, cell.opts...)
+		b.Run(cell.name, func(b *testing.B) {
+			// Warm the pools so the measurement sees steady state.
+			for _, q := range queries {
+				if _, err := ix.GroupNN(q, opts...); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := ix.GroupNN(queries[i%len(queries)], opts...); err != nil {
-						b.Fatal(err)
-					}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ix.GroupNN(queries[i%len(queries)], opts...); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -45,13 +45,27 @@ func env() *experiments.Env {
 	return benchEnv
 }
 
-func benchTree(b *testing.B, ds string) *rtree.Tree {
+func benchTree(b *testing.B, ds string) *rtree.Packed {
 	b.Helper()
 	t, err := env().Tree(ds)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return t
+}
+
+// packPoints STR-packs pts under cfg.
+func packPoints(b *testing.B, cfg rtree.Config, pts []geom.Point) *rtree.Packed {
+	b.Helper()
+	coords, err := rtree.Flatten(cfg, pts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := rtree.PackSTR(cfg, coords, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return p
 }
 
 func benchQueries(b *testing.B, n int, m float64) []workload.Query {
@@ -84,9 +98,10 @@ func memBenchAlgos() []benchAlgo {
 // per query (queries are independent; the LRU buffer's documented role is
 // within one MQM execution).
 func benchMemoryCell(b *testing.B, ds string, a benchAlgo, n int, m float64, k int) {
-	t := benchTree(b, ds)
+	p := benchTree(b, ds)
+	t := p.Tree()
 	queries := benchQueries(b, n, m)[:10]
-	opt := core.Options{K: k}
+	opt := core.Options{K: k, Packed: p}
 	var physical int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -157,7 +172,8 @@ func BenchmarkFig53(b *testing.B) {
 // the single whole-dataset query once with fresh counters.
 func benchDiskCell(b *testing.B, dataP, dataQ string, area float64, overlapMode bool, algo string) {
 	e := env()
-	tp := benchTree(b, dataP)
+	pp := benchTree(b, dataP)
+	tp := pp.Tree()
 	qd, err := e.Dataset(dataQ)
 	if err != nil {
 		b.Fatal(err)
@@ -184,15 +200,12 @@ func benchDiskCell(b *testing.B, dataP, dataQ string, area float64, overlapMode 
 		b.StartTimer()
 		switch algo {
 		case "GCP":
-			tq, err := rtree.BulkLoadSTR(rtree.Config{
+			pq := packPoints(b, rtree.Config{
 				MaxEntries: rtree.DefaultMaxEntries,
 				Accountant: acct,
 				FirstPage:  1 << 40,
-			}, qpts, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := core.GCP(tp, tq, core.GCPOptions{
+			}, qpts)
+			if _, err := core.GCP(pp, pq, core.GCPOptions{
 				Options: core.Options{K: 8}, PairBudget: e.Config().GCPPairBudget,
 			}); err != nil && err != core.ErrBudgetExceeded {
 				b.Fatal(err)
@@ -202,7 +215,7 @@ func benchDiskCell(b *testing.B, dataP, dataQ string, area float64, overlapMode 
 			if err != nil {
 				b.Fatal(err)
 			}
-			dopt := core.DiskOptions{Options: core.Options{K: 8}}
+			dopt := core.DiskOptions{Options: core.Options{K: 8, Packed: pp}}
 			if algo == "F-MQM" {
 				_, err = core.FMQM(tp, qf, dopt)
 			} else {
@@ -304,18 +317,15 @@ func BenchmarkAblationBuffer(b *testing.B) {
 				b.Fatal(err)
 			}
 			acct := pagestore.NewAccountant(pages)
-			t, err := rtree.BulkLoadSTR(rtree.Config{
+			p := packPoints(b, rtree.Config{
 				MaxEntries: rtree.DefaultMaxEntries, Accountant: acct,
-			}, d.Points, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
+			}, d.Points)
 			queries := benchQueries(b, 64, 0.08)
 			acct.Reset()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, q := range queries {
-					if _, err := core.MQM(t, q.Points, core.Options{K: 8}); err != nil {
+					if _, err := core.MQM(p.Tree(), q.Points, core.Options{K: 8, Packed: p}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -337,17 +347,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 	b.Run("STR", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := rtree.BulkLoadSTR(rtree.Config{}, d.Points, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Hilbert", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := rtree.BulkLoadHilbert(rtree.Config{}, d.Points, nil); err != nil {
-				b.Fatal(err)
-			}
+			packPoints(b, rtree.Config{}, d.Points)
 		}
 	})
 	b.Run("Partitioned4", func(b *testing.B) {
@@ -380,16 +380,16 @@ func BenchmarkIndexBuild(b *testing.B) {
 }
 
 func BenchmarkPointNN(b *testing.B) {
-	t := benchTree(b, "TS")
+	rd := benchTree(b, "TS").Reader(nil)
 	q := geom.Point{5000, 5000}
 	b.Run("BF", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			t.NearestBF(q, 8)
+			rd.NearestBF(q, 8)
 		}
 	})
 	b.Run("DF", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			t.NearestDF(q, 8)
+			rd.NearestDF(q, 8)
 		}
 	})
 }

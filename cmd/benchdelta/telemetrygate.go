@@ -55,7 +55,6 @@ type allocBaselineFile struct {
 	Cells     []struct {
 		Algorithm string  `json:"algorithm"`
 		Aggregate string  `json:"aggregate"`
-		Layout    string  `json:"layout"`
 		NsPerOp   float64 `json:"ns_per_op"`
 	} `json:"cells"`
 }
@@ -119,7 +118,7 @@ func runTelemetryGate(path, basePath string, maxRatio, tracedRatio float64) int 
 	return 0
 }
 
-// baselinePlainNs extracts the packed MBM-BF/sum ns/op from a committed
+// baselinePlainNs extracts the MBM-BF/sum ns/op from a committed
 // BENCH_alloc.json, or a non-empty skip reason when the comparison would
 // not be apples-to-apples (different workload — absolute times only
 // compare on the same fixture).
@@ -138,9 +137,9 @@ func baselinePlainNs(path string, f *telemetryFile) (float64, string) {
 			base.NumPoints, base.Queries, f.NumPoints, f.Queries)
 	}
 	for _, c := range base.Cells {
-		if c.Algorithm == "MBM-BF" && c.Aggregate == "sum" && c.Layout == "packed" {
+		if c.Algorithm == "MBM-BF" && c.Aggregate == "sum" {
 			return c.NsPerOp, ""
 		}
 	}
-	return 0, "skipped (no packed MBM-BF/sum cell in baseline)"
+	return 0, "skipped (no MBM-BF/sum cell in baseline)"
 }

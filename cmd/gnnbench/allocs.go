@@ -26,7 +26,6 @@ type allocSnapshot struct {
 type allocCell struct {
 	Algorithm string  `json:"algorithm"`
 	Aggregate string  `json:"aggregate"`
-	Layout    string  `json:"layout,omitempty"`
 	NsPerOp   float64 `json:"ns_per_op"`
 	AllocsOp  float64 `json:"allocs_per_op"`
 	BytesOp   float64 `json:"bytes_per_op"`
@@ -55,11 +54,10 @@ func allocGrid() []allocGridCell {
 	return grid
 }
 
-// runAllocs measures ns/op, allocs/op, B/op and NA/op per kernel cell and
-// layout over the paper's default workload (n = 64, M = 8%, k = 8) on TS —
-// the same fixture the -parallel mode measures, via benchFixture. With two
-// layouts it additionally prints the packed-vs-dynamic comparison table.
-func runAllocs(scale float64, numQueries int, seed int64, outPath, baselinePath string, layouts []gnn.Layout) error {
+// runAllocs measures ns/op, allocs/op, B/op and NA/op per kernel cell
+// over the paper's default workload (n = 64, M = 8%, k = 8) on TS — the
+// same fixture the -parallel mode measures, via benchFixture.
+func runAllocs(scale float64, numQueries int, seed int64, outPath, baselinePath string) error {
 	d, ix, queries, err := benchFixture(scale, numQueries, seed)
 	if err != nil {
 		return err
@@ -84,15 +82,15 @@ func runAllocs(scale float64, numQueries int, seed int64, outPath, baselinePath 
 
 	fmt.Printf("# query kernel cost — %s (%d points), %d queries of n=%d, k=%d\n\n",
 		d.Name, ix.Len(), len(queries), groupSize, k)
-	fmt.Printf("%-8s  %-4s  %-8s  %12s  %12s  %12s  %10s\n",
-		"algo", "agg", "layout", "ns/op", "allocs/op", "B/op", "na/op")
-	measure := func(cell allocGridCell, layout gnn.Layout) (allocCell, error) {
-		opts := append([]gnn.QueryOption{gnn.WithK(k), gnn.WithLayout(layout)}, cell.opts...)
+	fmt.Printf("%-8s  %-4s  %12s  %12s  %12s  %10s\n",
+		"algo", "agg", "ns/op", "allocs/op", "B/op", "na/op")
+	measure := func(cell allocGridCell) (allocCell, error) {
+		opts := append([]gnn.QueryOption{gnn.WithK(k)}, cell.opts...)
 		// Warm-up pass: fills buffer-free caches, pools and grows scratch to
 		// steady-state capacity so the measurement sees the warm path.
 		for _, q := range queries {
 			if _, err := ix.GroupNN(q, opts...); err != nil {
-				return allocCell{}, fmt.Errorf("%s/%s/%v: %w", cell.algo, cell.agg, layout, err)
+				return allocCell{}, fmt.Errorf("%s/%s: %w", cell.algo, cell.agg, err)
 			}
 		}
 		ix.ResetCost()
@@ -107,7 +105,7 @@ func runAllocs(scale float64, numQueries int, seed int64, outPath, baselinePath 
 		for rounds < minRounds || (time.Since(start) < minWall && rounds < maxRounds) {
 			for _, q := range queries {
 				if _, err := ix.GroupNN(q, opts...); err != nil {
-					return allocCell{}, fmt.Errorf("%s/%s/%v: %w", cell.algo, cell.agg, layout, err)
+					return allocCell{}, fmt.Errorf("%s/%s: %w", cell.algo, cell.agg, err)
 				}
 			}
 			rounds++
@@ -118,7 +116,6 @@ func runAllocs(scale float64, numQueries int, seed int64, outPath, baselinePath 
 		return allocCell{
 			Algorithm: cell.algo,
 			Aggregate: cell.agg.String(),
-			Layout:    layout.String(),
 			NsPerOp:   float64(elapsed.Nanoseconds()) / total,
 			AllocsOp:  float64(after.Mallocs-before.Mallocs) / total,
 			BytesOp:   float64(after.TotalAlloc-before.TotalAlloc) / total,
@@ -126,52 +123,13 @@ func runAllocs(scale float64, numQueries int, seed int64, outPath, baselinePath 
 		}, nil
 	}
 	for _, cell := range allocGrid() {
-		for _, layout := range layouts {
-			c, err := measure(cell, layout)
-			if err != nil {
-				return err
-			}
-			snap.Cells = append(snap.Cells, c)
-			fmt.Printf("%-8s  %-4s  %-8s  %12.0f  %12.1f  %12.1f  %10.1f\n",
-				c.Algorithm, c.Aggregate, c.Layout, c.NsPerOp, c.AllocsOp, c.BytesOp, c.NAPerOp)
+		c, err := measure(cell)
+		if err != nil {
+			return err
 		}
+		snap.Cells = append(snap.Cells, c)
+		fmt.Printf("%-8s  %-4s  %12.0f  %12.1f  %12.1f  %10.1f\n",
+			c.Algorithm, c.Aggregate, c.NsPerOp, c.AllocsOp, c.BytesOp, c.NAPerOp)
 	}
-	printLayoutComparison(snap.Cells)
 	return writeBenchJSON(outPath, snap)
-}
-
-// printLayoutComparison renders the packed-vs-dynamic side-by-side table
-// when the measured cells cover both layouts.
-func printLayoutComparison(cells []allocCell) {
-	type key struct{ algo, agg string }
-	dyn := map[key]allocCell{}
-	pkd := map[key]allocCell{}
-	var order []key
-	for _, c := range cells {
-		k := key{c.Algorithm, c.Aggregate}
-		switch c.Layout {
-		case "dynamic":
-			if _, ok := dyn[k]; !ok {
-				order = append(order, k)
-			}
-			dyn[k] = c
-		case "packed":
-			pkd[k] = c
-		}
-	}
-	if len(dyn) == 0 || len(pkd) == 0 {
-		return
-	}
-	fmt.Printf("\n# layout comparison — dynamic vs packed (same queries, identical NA by construction)\n\n")
-	fmt.Printf("%-8s  %-4s  %14s  %14s  %8s  %10s\n",
-		"algo", "agg", "dynamic ns/op", "packed ns/op", "speedup", "na/op")
-	for _, k := range order {
-		d, ok1 := dyn[k]
-		p, ok2 := pkd[k]
-		if !ok1 || !ok2 {
-			continue
-		}
-		fmt.Printf("%-8s  %-4s  %14.0f  %14.0f  %7.2fx  %10.1f\n",
-			k.algo, k.agg, d.NsPerOp, p.NsPerOp, d.NsPerOp/p.NsPerOp, p.NAPerOp)
-	}
 }

@@ -83,7 +83,6 @@ func main() {
 		maxagg   = flag.Bool("maxagg", false, "MAX-kernel mode: dedicated MEB pruning vs the generic path on a uniform workload")
 		maxN     = flag.Int("maxagg-n", 100_000, "points for the -maxagg uniform fixture")
 		mxout    = flag.String("maxagg-out", "", "write the -maxagg comparison as JSON to this file (BENCH_max.json)")
-		layout   = flag.String("layout", "", "index layout to serve queries from: auto, dynamic, packed, or both (side-by-side; -allocs default)")
 		snapMode = flag.Bool("snapshot", false, "cold-start mode: snapshot load vs rebuild time")
 		snapN    = flag.Int("snapshot-n", 100_000, "points for the -snapshot cold-start index")
 		snout    = flag.String("snapshot-out", "", "write the -snapshot measurement as JSON to this file")
@@ -99,12 +98,6 @@ func main() {
 		mout     = flag.String("mutate-out", "", "write the -mutate sweep as JSON to this file")
 	)
 	flag.Parse()
-
-	layouts, err := resolveLayouts(*layout, *allocs)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gnnbench:", err)
-		os.Exit(2)
-	}
 
 	if *list {
 		fmt.Println("experiments:", strings.Join(experiments.IDs(), " "))
@@ -122,12 +115,6 @@ func main() {
 		return
 	}
 	if *mutateB {
-		if *layout != "" {
-			// The mutated index serves from its packed base + overlay; a
-			// pinned layout would mislabel what the sweep measures.
-			fmt.Fprintln(os.Stderr, "gnnbench: -mutate measures the serving default; drop -layout")
-			os.Exit(2)
-		}
 		if err := runMutate(*scale, *queries, *seed, *mutDur, *mout); err != nil {
 			fmt.Fprintln(os.Stderr, "gnnbench:", err)
 			os.Exit(1)
@@ -135,12 +122,6 @@ func main() {
 		return
 	}
 	if *snapMode {
-		if *layout != "" {
-			// A snapshot always persists (and loads back) the packed
-			// layout; a pinned layout would mislabel the measurement.
-			fmt.Fprintln(os.Stderr, "gnnbench: -snapshot measures the persisted packed layout; drop -layout")
-			os.Exit(2)
-		}
 		if err := runSnapshotBench(*snapN, *seed, *snout, *snapMmap); err != nil {
 			fmt.Fprintln(os.Stderr, "gnnbench:", err)
 			os.Exit(1)
@@ -148,20 +129,13 @@ func main() {
 		return
 	}
 	if *allocs {
-		if err := runAllocs(*scale, *queries, *seed, *aout, *abase, layouts); err != nil {
+		if err := runAllocs(*scale, *queries, *seed, *aout, *abase); err != nil {
 			fmt.Fprintln(os.Stderr, "gnnbench:", err)
 			os.Exit(1)
 		}
 		return
 	}
 	if *telem {
-		if *layout != "" {
-			// The overhead claim is about the serving default (packed MBM);
-			// a pinned layout would gate a different kernel than the one the
-			// daemon runs.
-			fmt.Fprintln(os.Stderr, "gnnbench: -telemetry measures the packed serving default; drop -layout")
-			os.Exit(2)
-		}
 		if err := runTelemetry(*scale, *queries, *seed, *tout); err != nil {
 			fmt.Fprintln(os.Stderr, "gnnbench:", err)
 			os.Exit(1)
@@ -169,12 +143,6 @@ func main() {
 		return
 	}
 	if *maxagg {
-		if *layout != "" {
-			// Both kernel paths serve from the packed default; NA is
-			// layout-invariant by the bit-parity contract.
-			fmt.Fprintln(os.Stderr, "gnnbench: -maxagg measures the serving default; drop -layout")
-			os.Exit(2)
-		}
 		if err := runMaxAgg(*maxN, *queries, *seed, *mxout); err != nil {
 			fmt.Fprintln(os.Stderr, "gnnbench:", err)
 			os.Exit(1)
@@ -182,23 +150,13 @@ func main() {
 		return
 	}
 	if *parallel > 0 {
-		if len(layouts) != 1 {
-			fmt.Fprintln(os.Stderr, "gnnbench: -parallel supports a single -layout (auto, dynamic or packed)")
-			os.Exit(2)
-		}
-		if err := runParallel(*parallel, *scale, *queries, *seed, *pout, layouts[0]); err != nil {
+		if err := runParallel(*parallel, *scale, *queries, *seed, *pout); err != nil {
 			fmt.Fprintln(os.Stderr, "gnnbench:", err)
 			os.Exit(1)
 		}
 		return
 	}
 	if *shards > 0 {
-		if *layout != "" {
-			// Both index kinds serve from their packed default; a pinned
-			// layout would measure something the sweep does not label.
-			fmt.Fprintln(os.Stderr, "gnnbench: -shards measures the serving default; drop -layout")
-			os.Exit(2)
-		}
 		if err := runShards(*shards, *scale, *queries, *seed, *sout); err != nil {
 			fmt.Fprintln(os.Stderr, "gnnbench:", err)
 			os.Exit(1)
@@ -210,13 +168,6 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	if *layout != "" {
-		// The figure harness drives the library through its serving
-		// default; accepting a layout here and ignoring it would mislabel
-		// identical runs.
-		fmt.Fprintln(os.Stderr, "gnnbench: -layout applies to -allocs and -parallel modes only")
-		os.Exit(2)
-	}
 	env := experiments.NewEnv(experiments.Config{
 		Scale:         *scale,
 		Queries:       *queries,
@@ -226,6 +177,7 @@ func main() {
 	})
 	fmt.Printf("# gnn benchmark harness — scale %g, %d queries/workload, seed %d\n\n",
 		*scale, *queries, *seed)
+	var err error
 	if *all {
 		err = experiments.RunAll(env, os.Stdout)
 	} else {
@@ -237,36 +189,11 @@ func main() {
 	}
 }
 
-// resolveLayouts maps the -layout flag to the layout list a mode
-// measures. The -allocs mode defaults to both layouts (the side-by-side
-// comparison that BENCH_packed.json snapshots); everything else defaults
-// to auto, the serving default.
-func resolveLayouts(flag string, allocsMode bool) ([]gnn.Layout, error) {
-	switch flag {
-	case "":
-		if allocsMode {
-			return []gnn.Layout{gnn.LayoutDynamic, gnn.LayoutPacked}, nil
-		}
-		return []gnn.Layout{gnn.LayoutAuto}, nil
-	case "auto":
-		return []gnn.Layout{gnn.LayoutAuto}, nil
-	case "dynamic":
-		return []gnn.Layout{gnn.LayoutDynamic}, nil
-	case "packed":
-		return []gnn.Layout{gnn.LayoutPacked}, nil
-	case "both":
-		return []gnn.Layout{gnn.LayoutDynamic, gnn.LayoutPacked}, nil
-	default:
-		return nil, fmt.Errorf("unknown -layout %q (want auto, dynamic, packed or both)", flag)
-	}
-}
-
 // parallelSnapshot is the JSON schema of the -parallel-out file; the
 // shared headers live in emit.go.
 type parallelSnapshot struct {
 	benchEnv
 	benchWorkload
-	Layout  string          `json:"layout"`
 	Results []parallelPoint `json:"results"`
 }
 
@@ -328,7 +255,7 @@ func benchFixture(scale float64, numQueries int, seed int64) (*dataset.Dataset, 
 // runParallel measures the batch engine's throughput: worker counts
 // 1/2/4/NumCPU (plus the requested maximum) answering the same workload of
 // GNN queries (n = 64, M = 8%, k = 8 — the paper's defaults) over TS.
-func runParallel(maxWorkers int, scale float64, numQueries int, seed int64, outPath string, layout gnn.Layout) error {
+func runParallel(maxWorkers int, scale float64, numQueries int, seed int64, outPath string) error {
 	d, ix, batch, err := benchFixture(scale, numQueries, seed)
 	if err != nil {
 		return err
@@ -347,19 +274,18 @@ func runParallel(maxWorkers int, scale float64, numQueries int, seed int64, outP
 	snap := parallelSnapshot{
 		benchEnv:      newBenchEnv(d.Name, ix.Len(), scale),
 		benchWorkload: newBenchWorkload(len(batch)),
-		Layout:        layout.String(),
 	}
-	fmt.Printf("# batch query engine throughput — %s (%d points), %d queries of n=%d, k=%d, layout %v\n\n",
-		d.Name, ix.Len(), len(batch), groupSize, k, layout)
+	fmt.Printf("# batch query engine throughput — %s (%d points), %d queries of n=%d, k=%d\n\n",
+		d.Name, ix.Len(), len(batch), groupSize, k)
 	fmt.Printf("%-8s  %12s  %10s  %8s  %14s\n", "workers", "queries/sec", "seconds", "speedup", "allocs/query")
 	var base float64
 	for _, w := range workers {
 		// One warm-up pass, then the measured pass.
-		ix.GroupNNBatch(batch, gnn.WithK(k), gnn.WithParallelism(w), gnn.WithLayout(layout))
+		ix.GroupNNBatch(batch, gnn.WithK(k), gnn.WithParallelism(w))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
-		out := ix.GroupNNBatch(batch, gnn.WithK(k), gnn.WithParallelism(w), gnn.WithLayout(layout))
+		out := ix.GroupNNBatch(batch, gnn.WithK(k), gnn.WithParallelism(w))
 		elapsed := time.Since(start)
 		runtime.ReadMemStats(&after)
 		for _, r := range out {

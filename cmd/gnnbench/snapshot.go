@@ -39,7 +39,7 @@ type snapshotPoint struct {
 	WriteSeconds  float64 `json:"write_seconds"`
 	SnapshotBytes int64   `json:"snapshot_bytes"`
 	// LoadSeconds cold-starts from the snapshot file (read + decode +
-	// validate + rebuild dynamic nodes).
+	// validate).
 	LoadSeconds float64 `json:"load_seconds"`
 	// SpeedupLoadVsBuild is BuildSeconds / LoadSeconds — the cold-start
 	// win persistence buys.
@@ -135,7 +135,7 @@ func runSnapshotBench(n int, seed int64, outPath string, withMmap bool) error {
 	snap := snapshotBench{
 		benchEnv:      newBenchEnv(d.Name, n, 1.0),
 		FormatVersion: snapshot.Version,
-		Layout:        gnn.LayoutPacked.String(),
+		Layout:        "packed",
 	}
 	fmt.Printf("# cold-start: snapshot load vs rebuild — %d uniform points, format v%d\n\n", n, snapshot.Version)
 	fmt.Printf("%-8s  %7s  %10s  %10s  %10s  %10s  %9s\n",

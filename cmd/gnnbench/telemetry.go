@@ -50,7 +50,7 @@ func runTelemetry(scale float64, numQueries int, seed int64, outPath string) err
 		return err
 	}
 	opts := []gnn.QueryOption{
-		gnn.WithK(benchK), gnn.WithLayout(gnn.LayoutPacked), gnn.WithAlgorithm(gnn.AlgoMBM),
+		gnn.WithK(benchK), gnn.WithAlgorithm(gnn.AlgoMBM),
 	}
 
 	// Warm both entry points so the measured passes see steady-state

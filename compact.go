@@ -21,9 +21,10 @@ import (
 // intervening StopCompactor.
 var ErrCompactorRunning = errors.New("gnn: compactor already running")
 
-// ErrNotFrozen reports StartCompactor/Compact on a never-packed index:
-// its mutations go straight into the R*-tree, so there is no overlay to
-// compact. Call Pack once to freeze a base first.
+// ErrNotFrozen reports StartCompactor/Compact on a NewIndex before its
+// first read: its mutations go straight into the R*-tree builder, so
+// there is no overlay to compact. Call Pack (or query it) once to freeze
+// a base first.
 var ErrNotFrozen = errors.New("gnn: index has no packed base; call Pack first")
 
 // CompactorConfig tunes the background compactor.
@@ -119,7 +120,7 @@ func (ix *Index) StartCompactor(cfg CompactorConfig) error {
 	if ix.comp != nil {
 		return ErrCompactorRunning
 	}
-	if !ix.view.Load().frozen {
+	if ix.view.Load().packed == nil {
 		return ErrNotFrozen
 	}
 	ix.persist = cfg.Path
@@ -185,7 +186,7 @@ func (ix *Index) compactOnce() (err error) {
 	v := ix.view.Load()
 	path := ix.persist
 	ix.mu.Unlock()
-	if !v.frozen {
+	if v.packed == nil {
 		return ErrNotFrozen
 	}
 	if v.ov == nil {
@@ -203,11 +204,9 @@ func (ix *Index) compactOnce() (err error) {
 	}()
 
 	// Build the replacement base off the write lock: writers and readers
-	// proceed against the captured view while this runs. The new base
-	// keeps the captured one's kind: dynamic nodes for a heap-built base,
-	// a packed-only shell for a mapped one (which never had any).
-	coords, ids := gatherLive(v.tree, v.ov)
-	np, err := rtree.PackSTR(ix.rcfg, coords, ids, !v.tree.IsShell())
+	// proceed against the captured view while this runs.
+	coords, ids := gatherLive(v.packed, v.ov)
+	np, err := rtree.PackSTR(ix.rcfg, coords, ids)
 	if err != nil {
 		return fmt.Errorf("gnn: compact: %w", err)
 	}
@@ -228,7 +227,7 @@ func (ix *Index) compactOnce() (err error) {
 	// state (tombstone multiplicities are recomputed against the new
 	// base).
 	tail := ix.log[v.seq:]
-	nv := &viewState{tree: np.Tree(), packed: np, frozen: true}
+	nv := &viewState{tree: np.Tree(), packed: np}
 	for _, m := range tail {
 		if m.Del {
 			if nv2, ok := ix.applyDelete(nv, m.P, m.ID); ok {

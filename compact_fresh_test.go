@@ -2,7 +2,6 @@ package gnn
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"math/rand"
 	"os"
@@ -14,16 +13,15 @@ import (
 	"gnn/internal/geom"
 )
 
-// TestCompactionKeepsBaseKind pins what a compaction hands back: the
-// packed base the same points would get from a fresh build, of the kind
-// the replaced base had. A mapped index stays packed-only (LayoutDynamic,
-// region MBM/SPM and GCP keep failing with ErrMappedDynamic); a
-// BuildIndex index keeps its dynamic nodes and answers them exactly like
-// a fresh build. Either way the compacted base's snapshot — and the file
-// the compactor rotates — is byte for byte the snapshot of BuildIndex
-// over the live multiset in the order compaction gathers it (base slots
-// minus tombstones, then overlay inserts).
-func TestCompactionKeepsBaseKind(t *testing.T) {
+// TestCompactionMatchesFreshBuild pins what a compaction hands back: the
+// packed base the same points would get from a fresh build, whether the
+// replaced base was built on the heap or mapped from a file. The
+// compacted base's snapshot — and the file the compactor rotates — is
+// byte for byte the snapshot of BuildIndex over the live multiset in the
+// order compaction gathers it (base slots minus tombstones, then overlay
+// inserts), and region MBM/SPM queries and GCP answer exactly like the
+// fresh build, with the same cost.
+func TestCompactionMatchesFreshBuild(t *testing.T) {
 	const n = 3000
 	cfg := IndexConfig{NodeCapacity: 16}
 	rng := rand.New(rand.NewSource(47))
@@ -51,12 +49,11 @@ func TestCompactionKeepsBaseKind(t *testing.T) {
 	}
 
 	for _, kind := range []struct {
-		name   string
-		mapped bool
-		open   func() (*Index, error)
+		name string
+		open func() (*Index, error)
 	}{
-		{"built", false, func() (*Index, error) { return BuildIndex(pts, nil, cfg) }},
-		{"mapped", true, func() (*Index, error) { return OpenSnapshotMapped(path) }},
+		{"built", func() (*Index, error) { return BuildIndex(pts, nil, cfg) }},
+		{"mapped", func() (*Index, error) { return OpenSnapshotMapped(path) }},
 	} {
 		t.Run(kind.name, func(t *testing.T) {
 			ix, err := kind.open()
@@ -94,17 +91,14 @@ func TestCompactionKeepsBaseKind(t *testing.T) {
 				livePts = append(livePts, p)
 				liveIDs = append(liveIDs, int64(n+i))
 			}
-			ov := ix.view.Load().ov
-			if ov.delta == nil || ov.delta.IsShell() != kind.mapped {
-				t.Fatalf("delta tree: folded %v, packed-only %v; want packed-only %v",
-					ov.delta != nil, ov.delta != nil && ov.delta.IsShell(), kind.mapped)
+			if ix.view.Load().ov.delta == nil {
+				t.Fatal("inserts did not fold a delta tree")
 			}
 			if err := ix.Compact(); err != nil {
 				t.Fatal(err)
 			}
-			if v := ix.view.Load(); v.ov != nil || v.tree.IsShell() != kind.mapped {
-				t.Fatalf("compacted base: overlay %v, packed-only %v; want packed-only %v",
-					v.ov != nil, v.tree.IsShell(), kind.mapped)
+			if v := ix.view.Load(); v.ov != nil {
+				t.Fatal("compaction left an overlay")
 			}
 
 			fresh, err := BuildIndex(livePts, liveIDs, cfg)
@@ -126,24 +120,14 @@ func TestCompactionKeepsBaseKind(t *testing.T) {
 			}
 
 			region := WithRegion(Point{300, 300}, Point{600, 600})
-			dynamic := map[string][]QueryOption{
-				"LayoutDynamic": {WithK(5), WithLayout(LayoutDynamic)},
+			queries := map[string][]QueryOption{
 				"region MBM":    {WithK(5), WithAlgorithm(AlgoMBM), region},
+				"region MBM-DF": {WithK(5), WithAlgorithm(AlgoMBM), WithDepthFirst(), region},
 				"region SPM":    {WithK(5), WithAlgorithm(AlgoSPM), region},
+				"region SPM-DF": {WithK(5), WithAlgorithm(AlgoSPM), WithDepthFirst(), region},
 			}
 			gcp, gcpCost, gcpErr := ix.GroupNNClosestPairsWithCost(qix, 0)
-			if kind.mapped {
-				for name, opts := range dynamic {
-					if _, err := ix.GroupNN(group, opts...); !errors.Is(err, ErrMappedDynamic) {
-						t.Fatalf("%s after compaction: %v, want ErrMappedDynamic", name, err)
-					}
-				}
-				if !errors.Is(gcpErr, ErrMappedDynamic) {
-					t.Fatalf("GCP after compaction: %v, want ErrMappedDynamic", gcpErr)
-				}
-				return
-			}
-			for name, opts := range dynamic {
+			for name, opts := range queries {
 				res, cost, err := ix.GroupNNWithCost(group, opts...)
 				wantRes, wantCost, err2 := fresh.GroupNNWithCost(group, opts...)
 				if err != nil || err2 != nil || !reflect.DeepEqual(res, wantRes) || cost != wantCost {

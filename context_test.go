@@ -3,6 +3,8 @@ package gnn_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -183,7 +185,10 @@ func TestBatchContext(t *testing.T) {
 // TestCloseDrainsInflight is the regression gate for refcounted Close:
 // closing a mapped index while queries hammer it must neither fault nor
 // corrupt results — inflight queries finish against the live mapping,
-// later ones fail with ErrSnapshotClosed.
+// later ones fail with ErrSnapshotClosed. Besides memory-resident
+// queries, workers run the disk family (F-MQM, F-MBM), GCP with the
+// mapped index on either side, and WriteSnapshot: every call that reads
+// the arena.
 func TestCloseDrainsInflight(t *testing.T) {
 	_, ix, queries := snapshotFixture(t, 4000, 23)
 	dir := t.TempDir()
@@ -192,24 +197,48 @@ func TestCloseDrainsInflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	qix, err := gnn.BuildIndex(queries[0], nil, gnn.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qset, err := gnn.NewQuerySet(queries[1], gnn.QuerySetConfig{BlockPoints: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each op fails on an error or on a short answer.
+	want4 := func(res []gnn.Result, err error) error {
+		if err == nil && len(res) != 4 {
+			return fmt.Errorf("%d results, want 4", len(res))
+		}
+		return err
+	}
+	ops := []func(i int) error{
+		func(i int) error { return want4(mx.GroupNN(queries[i%len(queries)], gnn.WithK(4))) },
+		func(int) error { return want4(mx.GroupNNFromSet(qset, gnn.DiskFMQM, gnn.WithK(4))) },
+		func(int) error { return want4(mx.GroupNNFromSet(qset, gnn.DiskFMBM, gnn.WithK(4))) },
+		func(int) error { return want4(mx.GroupNNClosestPairs(qix, 0, gnn.WithK(4))) },
+		func(int) error {
+			res, err := qix.GroupNNClosestPairs(mx, 0)
+			if err == nil && len(res) != 1 {
+				return fmt.Errorf("%d results, want 1", len(res))
+			}
+			return err
+		},
+		func(int) error { return mx.WriteSnapshot(io.Discard) },
+	}
 
 	var wg sync.WaitGroup
 	start := make(chan struct{})
-	for w := 0; w < 8; w++ {
+	for w := 0; w < 2*len(ops); w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			<-start
 			for i := 0; ; i++ {
-				res, err := mx.GroupNN(queries[(w+i)%len(queries)], gnn.WithK(4))
-				if err != nil {
+				if err := ops[w%len(ops)](w + i); err != nil {
 					if !errors.Is(err, gnn.ErrSnapshotClosed) {
 						t.Errorf("worker %d: unexpected error %v", w, err)
 					}
-					return
-				}
-				if len(res) != 4 {
-					t.Errorf("worker %d: %d results", w, len(res))
 					return
 				}
 			}
@@ -231,7 +260,7 @@ func TestCloseDrainsInflight(t *testing.T) {
 
 // TestShardedCloseDrainsInflight is TestCloseDrainsInflight for the
 // sharded mapped open, which additionally stops resident scatter workers
-// mid-storm.
+// mid-storm; half the workers write snapshots instead of querying.
 func TestShardedCloseDrainsInflight(t *testing.T) {
 	pts, _, queries := snapshotFixture(t, 4000, 29)
 	sx, err := gnn.BuildShardedIndex(pts, nil, 4, gnn.IndexConfig{})
@@ -254,7 +283,12 @@ func TestShardedCloseDrainsInflight(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; ; i++ {
-				_, err := mx.GroupNN(queries[(w+i)%len(queries)], gnn.WithK(4))
+				var err error
+				if w%2 == 0 {
+					_, err = mx.GroupNN(queries[(w+i)%len(queries)], gnn.WithK(4))
+				} else {
+					err = mx.WriteSnapshot(io.Discard)
+				}
 				if err != nil {
 					if !errors.Is(err, gnn.ErrSnapshotClosed) {
 						t.Errorf("worker %d: unexpected error %v", w, err)

@@ -131,6 +131,10 @@ func (ix *Index) GroupNNFromSetWithCost(qs *QuerySet, algo DiskAlgorithm, opts .
 	if c.aggregate != SumDist {
 		return nil, Cost{}, ErrUnsupportedAggregate
 	}
+	if err := ix.acquire(); err != nil {
+		return nil, Cost{}, err
+	}
+	defer ix.release()
 	if err := ix.prepare(); err != nil {
 		return nil, Cost{}, err
 	}
@@ -141,15 +145,12 @@ func (ix *Index) GroupNNFromSetWithCost(qs *QuerySet, algo DiskAlgorithm, opts .
 	dopt := core.DiskOptions{Options: c.coreOptions()}
 	var tk pagestore.CostTracker
 	dopt.Cost = &tk
-	p, err := packedForLayout(v, c.layout, c.region)
-	if err != nil {
-		return nil, Cost{}, err
-	}
-	dopt.Packed = p
+	dopt.Packed = v.packed
 	if algo == DiskAuto {
 		algo = qs.AutoAlgorithm()
 	}
 	var rep *core.DiskReport
+	var err error
 	switch algo {
 	case DiskFMQM:
 		rep, err = core.FMQM(v.tree, qs.qf, dopt)
@@ -181,22 +182,20 @@ func (ix *Index) GroupNNClosestPairsWithCost(queryIndex *Index, pairBudget int64
 	if c.aggregate != SumDist {
 		return nil, Cost{}, ErrUnsupportedAggregate
 	}
-	if c.layout == LayoutPacked {
-		// GCP is a synchronised pair traversal over two dynamic trees; it
-		// has no packed form, and LayoutPacked promises to fail rather
-		// than silently degrade.
-		return nil, Cost{}, fmt.Errorf("gnn: GCP traverses two dynamic trees: %w", ErrNotPacked)
+	// The pair traversal reads both arenas, so both indexes stay
+	// referenced (and a mapped one mapped) until it finishes.
+	for _, x := range []*Index{ix, queryIndex} {
+		if err := x.acquire(); err != nil {
+			return nil, Cost{}, err
+		}
+		defer x.release()
+		if err := x.prepare(); err != nil {
+			return nil, Cost{}, err
+		}
 	}
 	v, qv := ix.view.Load(), queryIndex.view.Load()
 	if v.ov != nil || qv.ov != nil {
 		return nil, Cost{}, ErrPendingMutations
-	}
-	if v.tree.IsShell() || qv.tree.IsShell() {
-		// Mapped indexes have no dynamic nodes for GCP to pair-traverse.
-		return nil, Cost{}, fmt.Errorf("gnn: GCP traverses two dynamic trees: %w", ErrMappedDynamic)
-	}
-	if err := ix.prepare(); err != nil {
-		return nil, Cost{}, err
 	}
 	gopt := core.GCPOptions{
 		Options:    c.coreOptions(),
@@ -204,7 +203,7 @@ func (ix *Index) GroupNNClosestPairsWithCost(queryIndex *Index, pairBudget int64
 	}
 	var tk pagestore.CostTracker
 	gopt.Cost = &tk
-	rep, err := core.GCP(v.tree, qv.tree, gopt)
+	rep, err := core.GCP(v.packed, qv.packed, gopt)
 	if err != nil {
 		return nil, Cost{}, err
 	}

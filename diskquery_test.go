@@ -92,29 +92,3 @@ func TestDiskAutoThreshold(t *testing.T) {
 		}
 	}
 }
-
-// TestDiskLayoutEquivalence answers the same disk-resident query on both
-// index layouts and requires identical results and I/O costs.
-func TestDiskLayoutEquivalence(t *testing.T) {
-	ix, qpts := diskFixture(t, 2500, 500)
-	qs, err := gnn.NewQuerySet(qpts, gnn.QuerySetConfig{BlockPoints: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, algo := range []gnn.DiskAlgorithm{gnn.DiskFMQM, gnn.DiskFMBM} {
-		dyn, dcost, err := ix.GroupNNFromSetWithCost(qs, algo, gnn.WithK(4), gnn.WithLayout(gnn.LayoutDynamic))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkd, pcost, err := ix.GroupNNFromSetWithCost(qs, algo, gnn.WithK(4), gnn.WithLayout(gnn.LayoutPacked))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(dyn, pkd) {
-			t.Fatalf("%v: results diverged between layouts", algo)
-		}
-		if dcost != pcost {
-			t.Fatalf("%v: cost diverged: %+v vs %+v", algo, dcost, pcost)
-		}
-	}
-}

@@ -1,13 +1,12 @@
 // Edge-case tests for the query surface's corners: the DiskAuto
-// algorithm crossover, WithLayout pinning against indexes that have no
-// packed snapshot (or nothing at all), empty indexes, and query groups
-// larger than the data set.
+// algorithm crossover, a NewIndex before and after the first read that
+// packs it, empty indexes, and query groups larger than the data set.
 package gnn_test
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"gnn"
@@ -156,34 +155,29 @@ func TestQuerySetLargerThanDataset(t *testing.T) {
 	}
 }
 
-// TestLayoutPinningEdges locks the WithLayout contract at the corners:
-// a pinned packed layout must fail with ErrNotPacked on indexes without
-// a valid snapshot (incremental, or mutated since Pack) for every read
-// path, succeed on an empty-but-packed index, and recover after Pack.
-func TestLayoutPinningEdges(t *testing.T) {
+// TestNewIndexFreezesAtFirstRead locks the builder contract at the
+// corners: an empty bulk-loaded index answers every read path with no
+// results; a NewIndex stays an insertion builder until its first read,
+// which packs it (answers match a bulk load of the same points) and sends
+// later writes through the overlay, where the disk family refuses pending
+// mutations. Concurrent first reads and writes race under -race.
+func TestNewIndexFreezesAtFirstRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	group := randGroup(rng, 4)
+	algos := []gnn.Algorithm{gnn.AlgoMBM, gnn.AlgoMQM, gnn.AlgoSPM, gnn.AlgoBruteForce}
 
-	// Empty bulk-loaded index has a (trivially valid) snapshot: pinned
-	// packed queries answer cleanly with no results.
 	empty, err := gnn.BuildIndex(nil, nil, gnn.IndexConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !empty.IsPacked() {
-		t.Fatal("bulk-loaded empty index reports no packed layout")
-	}
-	for _, algo := range []gnn.Algorithm{gnn.AlgoMBM, gnn.AlgoMQM, gnn.AlgoSPM, gnn.AlgoBruteForce} {
-		res, err := empty.GroupNN(group, gnn.WithAlgorithm(algo), gnn.WithLayout(gnn.LayoutPacked))
-		if err != nil {
-			t.Fatalf("%v pinned-packed on empty index: %v", algo, err)
-		}
-		if len(res) != 0 {
-			t.Fatalf("%v on empty index returned %v", algo, res)
+	for _, algo := range algos {
+		res, err := empty.GroupNN(group, gnn.WithAlgorithm(algo))
+		if err != nil || len(res) != 0 {
+			t.Fatalf("%v on empty index: %v, %v", algo, res, err)
 		}
 	}
-	if it, err := empty.GroupNNIterator(group, gnn.WithLayout(gnn.LayoutPacked)); err != nil {
-		t.Fatalf("iterator pinned-packed on empty index: %v", err)
+	if it, err := empty.GroupNNIterator(group); err != nil {
+		t.Fatalf("iterator on empty index: %v", err)
 	} else {
 		if _, ok := it.Next(); ok {
 			t.Fatal("empty iterator yielded")
@@ -191,76 +185,63 @@ func TestLayoutPinningEdges(t *testing.T) {
 		it.Close()
 	}
 
-	// An incrementally built index never packs until told to.
+	pts := randGroup(rng, 300)
+	built, err := gnn.BuildIndex(pts, nil, gnn.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	fresh, err := gnn.NewIndex(gnn.IndexConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range randGroup(rng, 100) {
-		if err := fresh.Insert(p, -1); err != nil {
+	for i, p := range pts {
+		if err := fresh.Insert(p, int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	assertNotPacked := func(ix *gnn.Index, when string) {
-		t.Helper()
-		for _, algo := range []gnn.Algorithm{gnn.AlgoMBM, gnn.AlgoMQM, gnn.AlgoSPM, gnn.AlgoBruteForce} {
-			if _, err := ix.GroupNN(group, gnn.WithAlgorithm(algo), gnn.WithLayout(gnn.LayoutPacked)); !errors.Is(err, gnn.ErrNotPacked) {
-				t.Fatalf("%s: %v pinned-packed: %v, want ErrNotPacked", when, algo, err)
-			}
-		}
-		if _, err := ix.GroupNNIterator(group, gnn.WithLayout(gnn.LayoutPacked)); !errors.Is(err, gnn.ErrNotPacked) {
-			t.Fatalf("%s: iterator pinned-packed: %v, want ErrNotPacked", when, err)
-		}
-		qset, qerr := gnn.NewQuerySet(randGroup(rng, 50), gnn.QuerySetConfig{})
-		if qerr != nil {
-			t.Fatal(qerr)
-		}
-		if _, err := ix.GroupNNFromSet(qset, gnn.DiskAuto, gnn.WithLayout(gnn.LayoutPacked)); !errors.Is(err, gnn.ErrNotPacked) {
-			t.Fatalf("%s: disk query pinned-packed: %v, want ErrNotPacked", when, err)
-		}
+	if fresh.IsPacked() {
+		t.Fatal("NewIndex packed before its first read")
 	}
-	assertNotPacked(fresh, "incremental")
-
-	// Pack freezes the base and restores pinned-packed service; from then
-	// on mutations land in the overlay and pinned-packed keeps serving.
-	fresh.Pack()
-	if _, err := fresh.GroupNN(group, gnn.WithLayout(gnn.LayoutPacked)); err != nil {
-		t.Fatalf("pinned-packed after Pack: %v", err)
+	// Concurrent first reads: exactly one freezes, all answer.
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(algo gnn.Algorithm) {
+			defer wg.Done()
+			got, err := fresh.GroupNN(group, gnn.WithAlgorithm(algo), gnn.WithK(5))
+			want, werr := built.GroupNN(group, gnn.WithAlgorithm(algo), gnn.WithK(5))
+			if err != nil || werr != nil {
+				t.Errorf("%v: %v / %v", algo, err, werr)
+				return
+			}
+			for i := range want {
+				if got[i].Dist != want[i].Dist {
+					t.Errorf("%v rank %d: %v, bulk load %v", algo, i, got[i].Dist, want[i].Dist)
+				}
+			}
+		}(algos[w])
+	}
+	wg.Wait()
+	if !fresh.IsPacked() {
+		t.Fatal("first read did not pack the index")
+	}
+	if err := fresh.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 	if err := fresh.Insert(gnn.Point{1, 1}, 999); err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []gnn.Algorithm{gnn.AlgoMBM, gnn.AlgoMQM, gnn.AlgoSPM, gnn.AlgoBruteForce} {
-		if _, err := fresh.GroupNN(group, gnn.WithAlgorithm(algo), gnn.WithLayout(gnn.LayoutPacked)); err != nil {
-			t.Fatalf("mutated: %v pinned-packed: %v", algo, err)
-		}
+	if !fresh.Delete(pts[0], 0) {
+		t.Fatal("delete of a base point after the freeze failed")
 	}
-	if it, err := fresh.GroupNNIterator(group, gnn.WithLayout(gnn.LayoutPacked)); err != nil {
-		t.Fatalf("mutated: iterator pinned-packed: %v", err)
-	} else {
-		it.Close()
+	if st := fresh.Stats(); st.Delta != 1 || st.Tombstones != 1 {
+		t.Fatalf("writes after the freeze: delta %d, tombstones %d; want 1, 1", st.Delta, st.Tombstones)
 	}
-	// The disk family refuses pending mutations with a dedicated
-	// sentinel instead of serving from a stale base.
 	qset, qerr := gnn.NewQuerySet(randGroup(rng, 50), gnn.QuerySetConfig{})
 	if qerr != nil {
 		t.Fatal(qerr)
 	}
 	if _, err := fresh.GroupNNFromSet(qset, gnn.DiskAuto); !errors.Is(err, gnn.ErrPendingMutations) {
 		t.Fatalf("mutated: disk query: %v, want ErrPendingMutations", err)
-	}
-
-	// LayoutDynamic and LayoutAuto always serve, snapshot or not.
-	for _, layout := range []gnn.Layout{gnn.LayoutDynamic, gnn.LayoutAuto} {
-		if _, err := fresh.GroupNN(group, gnn.WithLayout(layout)); err != nil {
-			t.Fatalf("%v after mutation: %v", layout, err)
-		}
-	}
-
-	// Layout and algorithm strings stay printable for diagnostics.
-	for _, s := range []fmt.Stringer{gnn.LayoutAuto, gnn.LayoutDynamic, gnn.LayoutPacked, gnn.Layout(42)} {
-		if s.String() == "" {
-			t.Fatal("empty layout string")
-		}
 	}
 }

@@ -63,8 +63,8 @@ func main() {
 	}
 	post(url+"/v1/groupnn", queryBody(rng, true), &traced)
 	ex := traced.Explain
-	fmt.Printf("traced query: %s/%s on the %s layout, %d stage(s), %d nodes visited, H2+H3 pruned %d\n",
-		ex.Algorithm, ex.Aggregate, ex.Layout, len(ex.Stages),
+	fmt.Printf("traced query: %s/%s, %d stage(s), %d nodes visited, H2+H3 pruned %d\n",
+		ex.Algorithm, ex.Aggregate, len(ex.Stages),
 		ex.Trace.NodesVisited, ex.Trace.NodesPrunedH2+ex.Trace.NodesPrunedH3)
 	for _, st := range ex.Stages {
 		fmt.Printf("  stage %-10s %6d µs\n", st.Name, st.DurationUS)

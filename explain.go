@@ -61,7 +61,7 @@ type StageTiming struct {
 }
 
 // QueryExplain is the structured execution report of one GNN query:
-// which algorithm/aggregate/layout actually served it, where the time
+// which algorithm/aggregate actually served it, where the time
 // went stage by stage, what the pruning heuristics saved, and what I/O
 // it cost. Collecting it changes no results — tracing only increments
 // counters and reads clocks — so an explained query returns exactly the
@@ -76,9 +76,6 @@ type QueryExplain struct {
 	// the dedicated minimum-enclosing-ball kernel, "generic" under
 	// WithGenericMax. Empty for SUM/MIN queries.
 	MaxKernel string `json:"max_kernel,omitempty"`
-	// Layout is the representation the traversal walked: "packed" or
-	// "dynamic".
-	Layout string `json:"layout"`
 	// K and GroupSize echo the query shape.
 	K         int `json:"k"`
 	GroupSize int `json:"group_size"`
@@ -105,14 +102,9 @@ func explainFrom(c queryConfig, groupSize, shards int, cost Cost, total time.Dur
 	if algo == AlgoAuto {
 		algo = AlgoMBM
 	}
-	layout := "dynamic"
-	if p.packed {
-		layout = "packed"
-	}
 	ex := &QueryExplain{
 		Algorithm: algo.String(),
 		Aggregate: c.aggregate.String(),
-		Layout:    layout,
 		K:         c.k,
 		GroupSize: groupSize,
 		Shards:    shards,

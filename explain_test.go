@@ -37,9 +37,6 @@ func requireExplainMatches(t *testing.T, label string, ix explainTarget, q []gnn
 	if len(ex.Stages) == 0 {
 		t.Errorf("%s: no stages recorded", label)
 	}
-	if ex.Layout != "packed" && ex.Layout != "dynamic" {
-		t.Errorf("%s: layout %q", label, ex.Layout)
-	}
 	return ex
 }
 
@@ -101,9 +98,9 @@ func TestExplainPlainIndexAllAlgorithms(t *testing.T) {
 				t.Errorf("max kernel = %q, want generic", ex.MaxKernel)
 			}
 		}},
-		{"dynamic-layout", []gnn.QueryOption{gnn.WithLayout(gnn.LayoutDynamic)}, func(t *testing.T, ex *gnn.QueryExplain) {
-			if ex.Layout != "dynamic" {
-				t.Errorf("layout = %q, want dynamic", ex.Layout)
+		{"MBM-region", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithRegion(gnn.Point{200, 200}, gnn.Point{700, 700})}, func(t *testing.T, ex *gnn.QueryExplain) {
+			if ex.Trace.NodesVisited == 0 {
+				t.Error("region MBM visited no nodes")
 			}
 		}},
 	}
@@ -163,10 +160,21 @@ func TestExplainMappedSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mapped.Close()
+	region := gnn.WithRegion(gnn.Point{200, 200}, gnn.Point{700, 700})
 	for _, q := range queries[:4] {
-		ex := requireExplainMatches(t, "mapped", mapped, q, gnn.WithK(2))
-		if ex.Layout != "packed" {
-			t.Errorf("mapped layout = %q, want packed", ex.Layout)
+		requireExplainMatches(t, "mapped", mapped, q, gnn.WithK(2))
+		for _, algo := range []gnn.Algorithm{gnn.AlgoMBM, gnn.AlgoSPM} {
+			_, got, err := mapped.GroupNNExplain(q, gnn.WithK(2), gnn.WithAlgorithm(algo), region)
+			if err != nil {
+				t.Fatalf("mapped region %v: %v", algo, err)
+			}
+			_, want, err := ix.GroupNNExplain(q, gnn.WithK(2), gnn.WithAlgorithm(algo), region)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Trace != want.Trace || got.Cost != want.Cost {
+				t.Errorf("mapped region %v: trace %+v cost %+v, heap %+v %+v", algo, got.Trace, got.Cost, want.Trace, want.Cost)
+			}
 		}
 	}
 }

@@ -21,21 +21,26 @@
 // index-wide aggregate (Index.Cost) stay exact under concurrency: the
 // per-query costs of any set of queries sum to the aggregate they accrued.
 //
-// Writes under live traffic: once an index has a packed base (BuildIndex,
-// OpenSnapshot*, or the first Pack), Insert and Delete are safe to call
-// concurrently with any number of readers. Mutations never touch the
-// immutable base — inserts land in a small delta overlay (a dynamic
-// pending tail folded into a packed mini tree) and deletes tombstone base
-// points or physically remove overlay points — and every write publishes
-// a new immutable index view atomically, so an in-flight query keeps
-// traversing the consistent view it started on. Queries merge the base,
-// delta and pending candidate streams with the same shared-bound
-// machinery the sharded scatter uses, returning exactly what a fresh
-// index over the live point set would return. Pack (or the background
-// compactor, see StartCompactor) folds the overlay back into a fresh
-// packed base off the hot path and swaps it in under live readers. Only a
-// never-packed index (NewIndex before its first Pack) retains the legacy
-// contract: mutations go straight into the R*-tree and require external
+// Every query traverses a packed base: a flat structure-of-arrays arena
+// that keeps the R-tree's pages, so node accesses follow the paper's cost
+// model exactly. BuildIndex and the snapshot opens produce one directly.
+// NewIndex starts an R*-tree insertion builder; its first read (or Pack)
+// freezes the builder into a packed base.
+//
+// Writes under live traffic: once an index has a packed base, Insert and
+// Delete are safe to call concurrently with any number of readers.
+// Mutations never touch the immutable base — inserts land in a small
+// delta overlay (a pending tail folded into a packed mini tree) and
+// deletes tombstone base points or physically remove overlay points — and
+// every write publishes a new immutable index view atomically, so an
+// in-flight query keeps traversing the consistent view it started on.
+// Queries merge the base, delta and pending candidate streams with the
+// same shared-bound machinery the sharded scatter uses, returning exactly
+// what a fresh index over the live point set would return. Pack (or the
+// background compactor, see StartCompactor) folds the overlay back into a
+// fresh packed base off the hot path and swaps it in under live readers.
+// Only a NewIndex before its first read keeps the builder's contract:
+// mutations go straight into the R*-tree and require external
 // synchronisation with no concurrent readers.
 //
 // Scale-out: ShardedIndex Hilbert-partitions the data set into S
@@ -104,13 +109,13 @@ type IndexConfig struct {
 // then Insert) or BuildIndex (bulk load). All read operations are safe for
 // unlimited concurrent callers.
 //
-// Serving layout: BuildIndex packs the tree into a flat, cache-friendly
-// SoA snapshot (see Pack) that queries use by default. The packed base is
-// immutable: Insert and Delete on a packed index go into a delta overlay
-// (see the package comment) and are themselves safe under concurrent
-// readers; Pack or the background compactor folds the overlay back into
-// a fresh packed base. On a never-packed index (NewIndex before the first
-// Pack) mutations go straight into the R*-tree and require external
+// Queries traverse the index's packed base: a flat, cache-friendly SoA
+// arena. The packed base is immutable: Insert and Delete on a packed
+// index go into a delta overlay (see the package comment) and are
+// themselves safe under concurrent readers; Pack or the background
+// compactor folds the overlay back into a fresh packed base. A NewIndex
+// is an insertion builder until its first read packs it: until then
+// mutations go straight into the R*-tree and require external
 // synchronisation with no concurrent readers.
 type Index struct {
 	// view is the index's current immutable serving state: base tree,
@@ -153,17 +158,35 @@ type Index struct {
 }
 
 // prepare readies the index for a traversal: it fails fast on a closed
-// mapping and forces the deferred verification of a mapped open (lazy
-// checksum + structure validation, run once). A no-op for built or
-// copy-loaded indexes.
+// mapping, freezes a NewIndex's builder into its packed base at the first
+// read, and forces the deferred verification of a mapped open (lazy
+// checksum + structure validation, run once). Writers that already hold
+// mu call it only on packed views, where it never locks.
 func (ix *Index) prepare() error {
 	if ix.closed.Load() {
 		return ErrSnapshotClosed
 	}
-	if v := ix.view.Load(); v.packed != nil {
-		return v.packed.Prepare()
+	v := ix.view.Load()
+	if v.packed == nil {
+		v = ix.freeze()
 	}
-	return nil
+	return v.packed.Prepare()
+}
+
+// freeze packs the insertion builder of a never-read NewIndex into the
+// index's packed base (structure and pages preserved, so results and node
+// accesses are unchanged) and publishes it; from then on mutations go
+// through the overlay. It returns the current view, packed.
+func (ix *Index) freeze() *viewState {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	v := ix.view.Load()
+	if v.packed == nil {
+		p := v.tree.Pack()
+		v = &viewState{tree: p.Tree(), packed: p, seq: v.seq}
+		ix.view.Store(v)
+	}
+	return v
 }
 
 // acquire registers an inflight read against the index lifecycle so a
@@ -196,17 +219,20 @@ func drainRefs(refs *atomic.Int64) {
 	}
 }
 
-// newIndexOver wraps a constructed base (tree + optional packed arena)
-// into an Index with its initial view published.
+// newIndexOver wraps a constructed base — an insertion builder (p nil)
+// or a packed arena's shell — into an Index with its initial view
+// published.
 func newIndexOver(t *rtree.Tree, p *rtree.Packed, acct *pagestore.Accountant, rcfg rtree.Config) *Index {
 	ix := &Index{acct: acct, rcfg: rcfg}
-	ix.view.Store(&viewState{tree: t, packed: p, frozen: p != nil})
+	ix.view.Store(&viewState{tree: t, packed: p})
 	empty := ""
 	ix.compactErr.Store(&empty)
 	return ix
 }
 
-// NewIndex returns an empty index.
+// NewIndex returns an empty index whose R*-tree is an insertion builder:
+// Insert and Delete mutate it directly until the first read (or Pack)
+// freezes it into the packed base that every query traverses.
 func NewIndex(cfg IndexConfig) (*Index, error) {
 	acct, rcfg := indexConfig(cfg)
 	t, err := rtree.New(rcfg)
@@ -224,7 +250,7 @@ func BuildIndex(points []Point, ids []int64, cfg IndexConfig) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := rtree.PackSTR(rcfg, coords, ids, true)
+	p, err := rtree.PackSTR(rcfg, coords, ids)
 	if err != nil {
 		return nil, err
 	}
@@ -249,8 +275,8 @@ func indexConfig(cfg IndexConfig) (*pagestore.Accountant, rtree.Config) {
 // Insert adds a data point with its identifier. On a packed index the
 // insert lands in the delta overlay — the packed base keeps serving, and
 // the insert is safe under concurrent readers; Pack or the background
-// compactor folds the overlay into a fresh base. On a never-packed index
-// it mutates the R*-tree directly (legacy contract: no concurrent
+// compactor folds the overlay into a fresh base. On a NewIndex before its
+// first read it mutates the R*-tree builder directly (no concurrent
 // readers). A rejected insert (dimension mismatch, or a non-finite
 // coordinate: *NonFiniteError) changes nothing.
 func (ix *Index) Insert(p Point, id int64) error {
@@ -260,7 +286,7 @@ func (ix *Index) Insert(p Point, id int64) error {
 		return ErrSnapshotClosed
 	}
 	v := ix.view.Load()
-	if !v.frozen {
+	if v.packed == nil {
 		return v.tree.Insert(geom.Point(p), id) // same dimension and finiteness checks
 	}
 	if len(p) != v.tree.Dim() {
@@ -282,8 +308,8 @@ func (ix *Index) Insert(p Point, id int64) error {
 // Delete removes one occurrence of (p, id); it reports whether a matching
 // entry existed. On a packed index the delete either physically removes an
 // overlay point or tombstones a base occurrence — the packed base keeps
-// serving, and the delete is safe under concurrent readers. On a
-// never-packed index it mutates the R*-tree directly (legacy contract: no
+// serving, and the delete is safe under concurrent readers. On a NewIndex
+// before its first read it mutates the R*-tree builder directly (no
 // concurrent readers). A no-op delete changes nothing.
 func (ix *Index) Delete(p Point, id int64) bool {
 	ix.mu.Lock()
@@ -292,7 +318,7 @@ func (ix *Index) Delete(p Point, id int64) bool {
 		return false
 	}
 	v := ix.view.Load()
-	if !v.frozen {
+	if v.packed == nil {
 		return v.tree.Delete(geom.Point(p), id)
 	}
 	if len(p) != v.tree.Dim() {
@@ -311,52 +337,33 @@ func (ix *Index) Delete(p Point, id int64) bool {
 	return true
 }
 
-// Pack (re)builds the packed serving layout: an immutable snapshot of the
-// index that stores all nodes in one flat structure-of-arrays arena, which
-// queries then traverse instead of the pointer-linked nodes — same
-// results, same node-access counts, substantially less pointer chasing.
-// BuildIndex packs automatically. On a never-packed index Pack freezes the
-// current tree as the immutable base (structure preserved, so results and
-// node accesses are unchanged); from then on mutations go through the
-// overlay. On a packed index with overlay writes Pack compacts
-// synchronously: base and overlay are folded into a fresh packed base
-// (equivalent to Compact, with any error recorded in Stats). Pack is safe
-// under concurrent readers; only the never-packed→packed transition
-// retains the legacy no-concurrent-readers contract of the mutations
-// that preceded it.
+// Pack folds the index into a fresh packed base: the immutable flat
+// structure-of-arrays arena every query traverses. BuildIndex and the
+// snapshot opens produce one directly. On a NewIndex before its first
+// read Pack freezes the insertion builder into the base, as that read
+// would (structure preserved, so results and node accesses are
+// unchanged); from then on mutations go through the overlay. On a packed
+// index with overlay writes Pack compacts synchronously: base and overlay
+// are folded into a fresh packed base (equivalent to Compact, with any
+// error recorded in Stats). Pack is safe under concurrent readers.
 func (ix *Index) Pack() {
-	ix.mu.Lock()
 	if ix.closed.Load() {
-		ix.mu.Unlock()
 		return
 	}
-	v := ix.view.Load()
-	if !v.frozen {
-		ix.view.Store(&viewState{tree: v.tree, packed: v.tree.Pack(), frozen: true, seq: v.seq})
-		ix.mu.Unlock()
-		return
-	}
-	ov := v.ov
-	ix.mu.Unlock()
-	if ov != nil {
+	switch v := ix.view.Load(); {
+	case v.packed == nil:
+		ix.freeze()
+	case v.ov != nil:
 		ix.Compact() // error recorded in Stats; old view keeps serving on failure
 	}
 }
 
-// IsPacked reports whether the index serves queries from a packed base
-// arena. Overlay writes do not unpack the base: a built or snapshot-opened
-// index stays packed across Insert/Delete. Only a never-packed index
-// (NewIndex before the first Pack) reports false.
+// IsPacked reports whether the index has its packed base. Overlay writes
+// do not unpack the base: a built or snapshot-opened index stays packed
+// across Insert/Delete. Only a NewIndex before its first read (or Pack)
+// reports false.
 func (ix *Index) IsPacked() bool {
-	v := ix.view.Load()
-	return v.packed.Valid(v.tree)
-}
-
-// servingPacked returns the packed base of the current view, or nil.
-// Kept for call sites that do not otherwise need the view; paths that
-// already hold a view use v.servingPacked() for a consistent read.
-func (ix *Index) servingPacked() *rtree.Packed {
-	return ix.view.Load().servingPacked()
+	return ix.view.Load().packed != nil
 }
 
 // Len returns the number of live points: base points not masked by a
@@ -439,9 +446,11 @@ func (ix *Index) ResetCost() { ix.acct.Reset() }
 // ResetCostCold zeroes the counters and drops the buffer contents.
 func (ix *Index) ResetCostCold() { ix.acct.ResetAll() }
 
-// CheckInvariants validates the underlying R*-tree structure (exposed for
-// tests and diagnostics). On a mapped index it runs the arena's checksum
-// and structural validation instead (there are no dynamic nodes).
+// CheckInvariants validates the structure of the packed base — node fill,
+// exact routing rectangles, levels, size and height — and of the
+// overlay's delta tree when present (exposed for tests and diagnostics).
+// On a mapped index the snapshot's checksum and structural validation run
+// first.
 func (ix *Index) CheckInvariants() error {
 	if err := ix.acquire(); err != nil {
 		return err
@@ -455,7 +464,7 @@ func (ix *Index) CheckInvariants() error {
 		return err
 	}
 	if v.ov != nil && v.ov.delta != nil {
-		return v.ov.delta.CheckInvariants()
+		return v.ov.delta.Tree().CheckInvariants()
 	}
 	return nil
 }
@@ -490,7 +499,7 @@ func (ix *Index) NearestNeighborsWithCost(q Point, k int) ([]Result, Cost, error
 	var tk pagestore.CostTracker
 	v := ix.view.Load()
 	if v.ov == nil {
-		nbs := rtree.ReaderOver(v.tree, v.servingPacked(), &tk).NearestBF(geom.Point(q), k)
+		nbs := v.packed.Reader(&tk).NearestBF(geom.Point(q), k)
 		out := make([]Result, len(nbs))
 		for i, nb := range nbs {
 			out[i] = Result{Point: Point(nb.Point), ID: nb.ID, Dist: nb.Dist}
@@ -509,7 +518,7 @@ func (ix *Index) NearestNeighborsWithCost(q Point, k int) ([]Result, Cost, error
 // sized by the points the view holds, not by k.
 func (ix *Index) nearestOverlay(v *viewState, q geom.Point, k int, tk *pagestore.CostTracker) ([]Result, Cost, error) {
 	ov := v.ov
-	base := rtree.ReaderOver(v.tree, v.servingPacked(), tk).NewNNIterator(q)
+	base := v.packed.Reader(tk).NewNNIterator(q)
 	defer base.Close()
 	nextBase := func() (rtree.Neighbor, bool) {
 		for {
@@ -525,7 +534,7 @@ func (ix *Index) nearestOverlay(v *viewState, q geom.Point, k int, tk *pagestore
 	}
 	nextDelta := func() (rtree.Neighbor, bool) { return rtree.Neighbor{}, false }
 	if ov.delta != nil {
-		delta := rtree.ReaderOver(ov.delta, ov.deltaP, tk).NewNNIterator(q)
+		delta := ov.delta.Reader(tk).NewNNIterator(q)
 		defer delta.Close()
 		nextDelta = func() (rtree.Neighbor, bool) { return delta.Next() }
 	}

@@ -3,8 +3,7 @@
 // pruning (looser bounds, reordered candidates, a broken heuristic) fails
 // loudly instead of shipping as a quiet slowdown. The counts are exact,
 // not thresholds: every traversal in this codebase is deterministic for a
-// fixed dataset and query list, and the packed/dynamic layouts are
-// bit-equivalent, so both layouts must land on the same number.
+// fixed dataset and query list.
 //
 // If an intentional pruning improvement changes a number, update the
 // table — in its own commit, with the new value justified.
@@ -42,6 +41,22 @@ var goldenNA = map[string]int64{
 	"sharded-MQM/sum":         13568,
 	"iterator-k8/sum":         281,
 	"sharded-iter/sum":        432,
+	// Region-constrained traversals (goldenRegion), GCP against a query
+	// index per group, and F-MBM over a 16-point-block query set.
+	"MBM-BF/sum/region":      225,
+	"MBM-DF/sum/region":      226,
+	"SPM-BF/sum/region":      285,
+	"SPM-DF/sum/region":      285,
+	"iterator-k8/sum/region": 225,
+	"GCP/sum":                12461,
+	"F-MBM-BF/sum":           1050,
+	"F-MBM-DF/sum":           1196,
+}
+
+// goldenRegion is the constraint box of the region cells: it overlaps the
+// group's neighbourhood on one side only.
+func goldenRegion(qs []gnn.Point) (lo, hi gnn.Point) {
+	return gnn.Point{qs[0][0] + 100, qs[0][1] - 50}, gnn.Point{qs[0][0] + 300, qs[0][1] + 150}
 }
 
 // goldenFixture builds the fixed workload: clustered data and spatially
@@ -70,21 +85,57 @@ func TestGoldenNodeAccesses(t *testing.T) {
 
 	type cell struct {
 		name string
-		run  func(qs []gnn.Point, layout gnn.Layout) (gnn.Cost, error)
+		run  func(qs []gnn.Point) (gnn.Cost, error)
 	}
-	q := func(ix *gnn.Index, opts ...gnn.QueryOption) func([]gnn.Point, gnn.Layout) (gnn.Cost, error) {
-		return func(qs []gnn.Point, layout gnn.Layout) (gnn.Cost, error) {
-			_, c, err := ix.GroupNNWithCost(qs, append(opts, gnn.WithK(8), gnn.WithLayout(layout))...)
+	q := func(ix *gnn.Index, opts ...gnn.QueryOption) func([]gnn.Point) (gnn.Cost, error) {
+		return func(qs []gnn.Point) (gnn.Cost, error) {
+			_, c, err := ix.GroupNNWithCost(qs, append(opts, gnn.WithK(8))...)
 			return c, err
 		}
 	}
-	sq := func(opts ...gnn.QueryOption) func([]gnn.Point, gnn.Layout) (gnn.Cost, error) {
-		return func(qs []gnn.Point, layout gnn.Layout) (gnn.Cost, error) {
+	sq := func(opts ...gnn.QueryOption) func([]gnn.Point) (gnn.Cost, error) {
+		return func(qs []gnn.Point) (gnn.Cost, error) {
 			// WithShards(1): the sequential scatter is the deterministic
 			// execution (the bound cascades shard to shard in index order);
 			// concurrent scatter has timing-dependent NA by design.
-			_, c, err := sx.GroupNNWithCost(qs,
-				append(opts, gnn.WithK(8), gnn.WithLayout(layout), gnn.WithShards(1))...)
+			_, c, err := sx.GroupNNWithCost(qs, append(opts, gnn.WithK(8), gnn.WithShards(1))...)
+			return c, err
+		}
+	}
+	rq := func(opts ...gnn.QueryOption) func([]gnn.Point) (gnn.Cost, error) {
+		return func(qs []gnn.Point) (gnn.Cost, error) {
+			return q(ix, append(opts, gnn.WithRegion(goldenRegion(qs)))...)(qs)
+		}
+	}
+	// iter8 charges the first eight results of an incremental scan.
+	iter8 := func(g interface {
+		GroupNNIterator([]gnn.Point, ...gnn.QueryOption) (*gnn.Iterator, error)
+	}, region bool) func([]gnn.Point) (gnn.Cost, error) {
+		return func(qs []gnn.Point) (gnn.Cost, error) {
+			var opts []gnn.QueryOption
+			if region {
+				opts = append(opts, gnn.WithRegion(goldenRegion(qs)))
+			}
+			it, err := g.GroupNNIterator(qs, opts...)
+			if err != nil {
+				return gnn.Cost{}, err
+			}
+			defer it.Close()
+			for i := 0; i < 8; i++ {
+				if _, ok := it.Next(); !ok {
+					break
+				}
+			}
+			return it.Cost(), nil
+		}
+	}
+	fmbm := func(opts ...gnn.QueryOption) func([]gnn.Point) (gnn.Cost, error) {
+		return func(qs []gnn.Point) (gnn.Cost, error) {
+			set, err := gnn.NewQuerySet(qs, gnn.QuerySetConfig{BlockPoints: 16})
+			if err != nil {
+				return gnn.Cost{}, err
+			}
+			_, c, err := ix.GroupNNFromSetWithCost(set, gnn.DiskFMBM, append(opts, gnn.WithK(8))...)
 			return c, err
 		}
 	}
@@ -103,61 +154,43 @@ func TestGoldenNodeAccesses(t *testing.T) {
 		{"sharded-MBM/sum", sq(gnn.WithAlgorithm(gnn.AlgoMBM))},
 		{"sharded-MBM/max", sq(gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithAggregate(gnn.MaxDist))},
 		{"sharded-MQM/sum", sq(gnn.WithAlgorithm(gnn.AlgoMQM))},
-		{"iterator-k8/sum", func(qs []gnn.Point, layout gnn.Layout) (gnn.Cost, error) {
-			it, err := ix.GroupNNIterator(qs, gnn.WithLayout(layout))
+		{"iterator-k8/sum", iter8(ix, false)},
+		{"sharded-iter/sum", iter8(sx, false)},
+		{"MBM-BF/sum/region", rq(gnn.WithAlgorithm(gnn.AlgoMBM))},
+		{"MBM-DF/sum/region", rq(gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithDepthFirst())},
+		{"SPM-BF/sum/region", rq(gnn.WithAlgorithm(gnn.AlgoSPM))},
+		{"SPM-DF/sum/region", rq(gnn.WithAlgorithm(gnn.AlgoSPM), gnn.WithDepthFirst())},
+		{"iterator-k8/sum/region", iter8(ix, true)},
+		{"GCP/sum", func(qs []gnn.Point) (gnn.Cost, error) {
+			qix, err := gnn.BuildIndex(qs, nil, gnn.IndexConfig{NodeCapacity: 16})
 			if err != nil {
 				return gnn.Cost{}, err
 			}
-			defer it.Close()
-			for i := 0; i < 8; i++ {
-				if _, ok := it.Next(); !ok {
-					break
-				}
-			}
-			return it.Cost(), nil
+			_, c, err := ix.GroupNNClosestPairsWithCost(qix, 0, gnn.WithK(8))
+			return c, err
 		}},
-		{"sharded-iter/sum", func(qs []gnn.Point, layout gnn.Layout) (gnn.Cost, error) {
-			it, err := sx.GroupNNIterator(qs, gnn.WithLayout(layout))
-			if err != nil {
-				return gnn.Cost{}, err
-			}
-			defer it.Close()
-			for i := 0; i < 8; i++ {
-				if _, ok := it.Next(); !ok {
-					break
-				}
-			}
-			return it.Cost(), nil
-		}},
+		{"F-MBM-BF/sum", fmbm()},
+		{"F-MBM-DF/sum", fmbm(gnn.WithDepthFirst())},
 	}
 
 	for _, c := range cells {
-		var perLayout [2]int64
-		for li, layout := range []gnn.Layout{gnn.LayoutDynamic, gnn.LayoutPacked} {
-			var total int64
-			for _, qs := range queries {
-				cost, err := c.run(qs, layout)
-				if err != nil {
-					t.Fatalf("%s (%v): %v", c.name, layout, err)
-				}
-				total += cost.NodeAccesses
+		var total int64
+		for _, qs := range queries {
+			cost, err := c.run(qs)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
 			}
-			perLayout[li] = total
-		}
-		if perLayout[0] != perLayout[1] {
-			t.Errorf("%s: NA diverged between layouts: dynamic %d, packed %d",
-				c.name, perLayout[0], perLayout[1])
-			continue
+			total += cost.NodeAccesses
 		}
 		want, ok := goldenNA[c.name]
 		if !ok {
-			t.Errorf("%s: no golden value; measured %d", c.name, perLayout[0])
+			t.Errorf("%s: no golden value; measured %d", c.name, total)
 			continue
 		}
-		if perLayout[0] != want {
+		if total != want {
 			t.Errorf("%s: node accesses changed: got %d, golden %d — a pruning regression "+
 				"(or an intentional change that must update the golden table)",
-				c.name, perLayout[0], want)
+				c.name, total, want)
 		}
 	}
 }

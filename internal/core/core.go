@@ -44,9 +44,8 @@ type GroupNeighbor struct {
 
 // RejectFunc vetoes a candidate data point (see Options.Reject). It must
 // be pure and safe for concurrent use: the sharded scatter calls one
-// function value from every shard worker. It must not retain p: on the
-// packed layout p is the kernel's gather scratch, overwritten by the next
-// candidate.
+// function value from every shard worker. It must not retain p: p is the
+// kernel's gather scratch, overwritten by the next candidate.
 type RejectFunc func(p geom.Point, id int64) bool
 
 // Aggregate selects the distance-combination function dist(p,Q).
@@ -147,11 +146,9 @@ type Options struct {
 	// from the pool for the duration of the call. Like Cost, an Exec must
 	// not be shared by concurrent queries.
 	Exec *ExecContext
-	// Packed, when non-nil and still valid for the queried tree, makes the
-	// traversal run against the flat SoA arena instead of the dynamic
-	// nodes. Results, per-query costs and node-access counts are identical
-	// between the layouts; only the memory walked differs. A stale or
-	// mismatched snapshot is ignored (dynamic fallback), never an error.
+	// Packed is the packed arena of the queried tree: the structure every
+	// traversal walks. It is required; a nil arena, or one that is not
+	// the tree's (Packed.Valid), fails the query with ErrNoArena.
 	Packed *rtree.Packed
 	// Shared, when non-nil, couples this traversal to the other partitions
 	// of one sharded query: MQM, SPM, MBM and BruteForce prune with
@@ -210,21 +207,17 @@ var (
 	// passed to an algorithm whose bounds do not cover it (the disk-
 	// resident family).
 	ErrUnsupportedOption = errors.New("core: option not supported by this algorithm")
+	// ErrNoArena reports a kernel call whose Options.Packed is not the
+	// queried tree's packed arena.
+	ErrNoArena = errors.New("core: Options.Packed is not the queried tree's packed arena")
 )
 
-// packedFor returns the packed snapshot the traversal should use, or nil
-// for the dynamic layout. The region extension stays on the dynamic nodes
-// unless the algorithm filters per point only (allowRegion): the packed
-// kernels keep their fused loops branch-free rather than threading a
-// rectangle test through every pass.
-func (o Options) packedFor(t *rtree.Tree, allowRegion bool) *rtree.Packed {
-	if o.Packed == nil || (o.Region != nil && !allowRegion) || !o.Packed.Valid(t) {
-		return nil
-	}
-	return o.Packed
-}
-
+// validate checks the arena and the query group of a memory-resident
+// query.
 func validate(t *rtree.Tree, qs []geom.Point, opt Options) error {
+	if !opt.Packed.Valid(t) {
+		return ErrNoArena
+	}
 	if len(qs) == 0 {
 		return ErrEmptyQuery
 	}
@@ -435,41 +428,18 @@ func BruteForce(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, e
 	ec, owned := opt.exec()
 	defer releaseIfOwned(ec, owned)
 	best := ec.kbestShared(t, opt.K, opt.Shared, opt.Reject)
-	if p := opt.packedFor(t, true); p != nil {
-		bruteForcePacked(p, qs, w, opt, best, ec)
-		if err := opt.Cancel.Failure(); err != nil {
-			return nil, err
-		}
-		return best.results(), nil
-	}
-	t.All(func(p geom.Point, id int64) bool {
-		if opt.Cancel.Stop() {
-			return false
-		}
-		if tr := opt.Trace; tr != nil {
-			tr.PointsScanned++
-		}
-		if regionAllows(opt.Region, p) {
-			if tr := opt.Trace; tr != nil {
-				tr.ExactDistances++
-			}
-			best.offer(GroupNeighbor{Point: p, ID: id, Dist: aggDistW(opt.Aggregate, p, qs, w)})
-		}
-		return true
-	})
+	bruteForceScan(opt.Packed, qs, w, opt, best, ec)
 	if err := opt.Cancel.Failure(); err != nil {
 		return nil, err
 	}
 	return best.results(), nil
 }
 
-// bruteForcePacked is the packed-layout baseline: the flat leaf arena is
-// consumed in streaming chunks, each chunk's aggregate distances computed
-// by one fused group kernel over the SoA coordinate arrays — the linear
-// scan the packed layout was built to make fast. Offers happen in the
-// same depth-first slot order as Tree.All, so results are identical to
-// the dynamic scan.
-func bruteForcePacked(p *rtree.Packed, qs []geom.Point, w *weightCtx, opt Options, best *kbest, ec *ExecContext) {
+// bruteForceScan is the baseline's scan: the flat leaf arena is consumed
+// in streaming chunks, each chunk's aggregate distances computed by one
+// fused group kernel over the SoA coordinate arrays. Offers happen in
+// the arena's depth-first slot order.
+func bruteForceScan(p *rtree.Packed, qs []geom.Point, w *weightCtx, opt Options, best *kbest, ec *ExecContext) {
 	pc := p.PointSoA()
 	n := p.NumLeafSlots()
 	const chunk = 512
@@ -518,10 +488,10 @@ func bruteForcePacked(p *rtree.Packed, qs []geom.Point, w *weightCtx, opt Option
 		}
 		for i := 0; i < e-s; i++ {
 			slot := int32(s + i)
-			pt := ec.gather(p, slot)
-			if !regionAllows(opt.Region, pt) {
+			if opt.Region != nil && !p.PointIn(slot, *opt.Region) {
 				continue
 			}
+			pt := ec.gather(p, slot)
 			d := dists[i]
 			if sqrtEach {
 				d = math.Sqrt(d)

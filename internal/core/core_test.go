@@ -12,7 +12,9 @@ import (
 
 // --- shared helpers ---
 
-func buildTree(t testing.TB, pts []geom.Point, maxEntries int) *rtree.Tree {
+// buildTree inserts pts into an R*-tree builder (ids are the slice
+// positions) and returns its packed arena.
+func buildTree(t testing.TB, pts []geom.Point, maxEntries int) *rtree.Packed {
 	t.Helper()
 	tr, err := rtree.New(rtree.Config{MaxEntries: maxEntries})
 	if err != nil {
@@ -23,7 +25,27 @@ func buildTree(t testing.TB, pts []geom.Point, maxEntries int) *rtree.Tree {
 			t.Fatal(err)
 		}
 	}
-	return tr
+	return tr.Pack()
+}
+
+// on runs a memory-resident kernel on arena p.
+func on(p *rtree.Packed, kernel func(*rtree.Tree, []geom.Point, Options) ([]GroupNeighbor, error),
+	qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
+	opt.Packed = p
+	return kernel(p.Tree(), qs, opt)
+}
+
+// iterOn starts an incremental GNN scan of arena p.
+func iterOn(p *rtree.Packed, qs []geom.Point, opt Options) (*GNNIterator, error) {
+	opt.Packed = p
+	return NewGNNIterator(p.Tree(), qs, opt)
+}
+
+// diskOn runs a disk-resident kernel on arena p.
+func diskOn(p *rtree.Packed, kernel func(*rtree.Tree, *QueryFile, DiskOptions) (*DiskReport, error),
+	qf *QueryFile, opt DiskOptions) (*DiskReport, error) {
+	opt.Packed = p
+	return kernel(p.Tree(), qf, opt)
 }
 
 func randPts(rng *rand.Rand, n int, span float64) []geom.Point {
@@ -85,20 +107,20 @@ func TestValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tr := buildTree(t, randPts(rng, 50, 100), 8)
 	for _, a := range memAlgos {
-		if _, err := a.run(tr, nil, Options{}); !errors.Is(err, ErrEmptyQuery) {
+		if _, err := on(tr, a.run, nil, Options{}); !errors.Is(err, ErrEmptyQuery) {
 			t.Errorf("%s empty query err = %v", a.name, err)
 		}
-		if _, err := a.run(tr, []geom.Point{{1, 2}}, Options{K: -1}); !errors.Is(err, ErrBadK) {
+		if _, err := on(tr, a.run, []geom.Point{{1, 2}}, Options{K: -1}); !errors.Is(err, ErrBadK) {
 			t.Errorf("%s bad k err = %v", a.name, err)
 		}
-		if _, err := a.run(tr, []geom.Point{{1, 2, 3}}, Options{}); err == nil {
+		if _, err := on(tr, a.run, []geom.Point{{1, 2, 3}}, Options{}); err == nil {
 			t.Errorf("%s accepted 3-D query on 2-D tree", a.name)
 		}
 	}
-	if _, err := SPM(tr, []geom.Point{{1, 2}}, Options{Aggregate: Max}); !errors.Is(err, ErrUnsupportedAggregate) {
+	if _, err := on(tr, SPM, []geom.Point{{1, 2}}, Options{Aggregate: Max}); !errors.Is(err, ErrUnsupportedAggregate) {
 		t.Errorf("SPM Max err = %v", err)
 	}
-	if _, err := BruteForce(tr, nil, Options{}); !errors.Is(err, ErrEmptyQuery) {
+	if _, err := on(tr, BruteForce, nil, Options{}); !errors.Is(err, ErrEmptyQuery) {
 		t.Error("BruteForce accepted empty query")
 	}
 }
@@ -113,10 +135,10 @@ func TestAggregateString(t *testing.T) {
 }
 
 func TestEmptyTreeAllAlgorithms(t *testing.T) {
-	tr, _ := rtree.New(rtree.Config{})
+	tr := buildTree(t, nil, 0)
 	qs := []geom.Point{{1, 1}, {2, 2}}
 	for _, a := range memAlgos {
-		got, err := a.run(tr, qs, Options{})
+		got, err := on(tr, a.run, qs, Options{})
 		if err != nil || len(got) != 0 {
 			t.Errorf("%s on empty tree: %v, %d results", a.name, err, len(got))
 		}
@@ -167,12 +189,12 @@ func TestMemoryAlgorithmsMatchBruteForce(t *testing.T) {
 			qs[i][1] += dy
 		}
 		opt := Options{K: k}
-		want, err := BruteForce(tr, qs, opt)
+		want, err := on(tr, BruteForce, qs, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, a := range memAlgos {
-			got, err := a.run(tr, qs, opt)
+			got, err := on(tr, a.run, qs, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", a.name, err)
 			}
@@ -188,9 +210,9 @@ func TestDepthFirstVariantsMatch(t *testing.T) {
 		tr := buildTree(t, pts, 8)
 		qs := randPts(rng, 16, 300)
 		opt := Options{K: 4, Traversal: DepthFirst}
-		want, _ := BruteForce(tr, qs, opt)
+		want, _ := on(tr, BruteForce, qs, opt)
 		for _, a := range []memAlgo{{"SPM-DF", SPM}, {"MBM-DF", MBM}} {
-			got, err := a.run(tr, qs, opt)
+			got, err := on(tr, a.run, qs, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -205,9 +227,9 @@ func TestMBMHeuristic2Only(t *testing.T) {
 		pts := randPts(rng, 800, 1000)
 		tr := buildTree(t, pts, 10)
 		qs := randPts(rng, 8, 200)
-		want, _ := BruteForce(tr, qs, Options{K: 3})
+		want, _ := on(tr, BruteForce, qs, Options{K: 3})
 		for _, trav := range []Traversal{BestFirst, DepthFirst} {
-			got, err := MBM(tr, qs, Options{K: 3, DisableHeuristic3: true, Traversal: trav})
+			got, err := on(tr, MBM, qs, Options{K: 3, DisableHeuristic3: true, Traversal: trav})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,16 +247,16 @@ func TestHeuristic3NeverWorseNA(t *testing.T) {
 	var naFull, naH2 int64
 	for trial := 0; trial < 20; trial++ {
 		qs := randPts(rng, 32, 250)
-		tr.Accountant().Reset()
-		if _, err := MBM(tr, qs, Options{}); err != nil {
+		tr.Tree().Accountant().Reset()
+		if _, err := on(tr, MBM, qs, Options{}); err != nil {
 			t.Fatal(err)
 		}
-		naFull += tr.Accountant().Physical()
-		tr.Accountant().Reset()
-		if _, err := MBM(tr, qs, Options{DisableHeuristic3: true}); err != nil {
+		naFull += tr.Tree().Accountant().Physical()
+		tr.Tree().Accountant().Reset()
+		if _, err := on(tr, MBM, qs, Options{DisableHeuristic3: true}); err != nil {
 			t.Fatal(err)
 		}
-		naH2 += tr.Accountant().Physical()
+		naH2 += tr.Tree().Accountant().Physical()
 	}
 	if naFull > naH2 {
 		t.Fatalf("full MBM NA %d > H2-only NA %d", naFull, naH2)
@@ -249,9 +271,9 @@ func TestSingleQueryPointDegeneratesToNN(t *testing.T) {
 	tr := buildTree(t, pts, 8)
 	for trial := 0; trial < 10; trial++ {
 		q := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
-		nn := tr.NearestBF(q, 5)
+		nn := tr.Reader(nil).NearestBF(q, 5)
 		for _, a := range memAlgos {
-			got, err := a.run(tr, []geom.Point{q}, Options{K: 5})
+			got, err := on(tr, a.run, []geom.Point{q}, Options{K: 5})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,9 +294,9 @@ func TestCoincidentQueryPoints(t *testing.T) {
 	tr := buildTree(t, pts, 8)
 	q := geom.Point{321, 654}
 	qs := []geom.Point{q.Clone(), q.Clone(), q.Clone(), q.Clone()}
-	nn := tr.NearestBF(q, 3)
+	nn := tr.Reader(nil).NearestBF(q, 3)
 	for _, a := range memAlgos {
-		got, err := a.run(tr, qs, Options{K: 3})
+		got, err := on(tr, a.run, qs, Options{K: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,12 +313,12 @@ func TestKLargerThanDataset(t *testing.T) {
 	pts := randPts(rng, 10, 100)
 	tr := buildTree(t, pts, 4)
 	qs := randPts(rng, 4, 100)
-	want, _ := BruteForce(tr, qs, Options{K: 25})
+	want, _ := on(tr, BruteForce, qs, Options{K: 25})
 	if len(want) != 10 {
 		t.Fatalf("brute force returned %d", len(want))
 	}
 	for _, a := range memAlgos {
-		got, err := a.run(tr, qs, Options{K: 25})
+		got, err := on(tr, a.run, qs, Options{K: 25})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -312,18 +334,18 @@ func TestMaxMinAggregates(t *testing.T) {
 		qs := randPts(rng, 8, 300)
 		for _, agg := range []Aggregate{Max, Min} {
 			opt := Options{K: 3, Aggregate: agg}
-			want, err := BruteForce(tr, qs, opt)
+			want, err := on(tr, BruteForce, qs, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, a := range []memAlgo{{"MQM", MQM}, {"MBM", MBM}} {
-				got, err := a.run(tr, qs, opt)
+				got, err := on(tr, a.run, qs, opt)
 				if err != nil {
 					t.Fatalf("%s/%v: %v", a.name, agg, err)
 				}
 				sameResults(t, a.name+"/"+agg.String(), got, want)
 			}
-			gotDF, err := MBM(tr, qs, Options{K: 3, Aggregate: agg, Traversal: DepthFirst})
+			gotDF, err := on(tr, MBM, qs, Options{K: 3, Aggregate: agg, Traversal: DepthFirst})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -338,9 +360,9 @@ func TestCentroidMethodsAllCorrect(t *testing.T) {
 	tr := buildTree(t, pts, 8)
 	for trial := 0; trial < 8; trial++ {
 		qs := randPts(rng, 16, 400)
-		want, _ := BruteForce(tr, qs, Options{K: 2})
+		want, _ := on(tr, BruteForce, qs, Options{K: 2})
 		for _, cm := range []CentroidMethod{GradientDescent, Weiszfeld, ArithmeticMean} {
-			got, err := SPM(tr, qs, Options{K: 2, Centroid: cm})
+			got, err := on(tr, SPM, qs, Options{K: 2, Centroid: cm})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -354,8 +376,8 @@ func TestGNNIteratorIncrementalOrder(t *testing.T) {
 	pts := randPts(rng, 300, 500)
 	tr := buildTree(t, pts, 8)
 	qs := randPts(rng, 8, 200)
-	want, _ := BruteForce(tr, qs, Options{K: len(pts)})
-	it, err := NewGNNIterator(tr, qs, Options{})
+	want, _ := on(tr, BruteForce, qs, Options{K: len(pts)})
+	it, err := iterOn(tr, qs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,16 +407,16 @@ func TestMBMOutperformsMQMOnNodeAccesses(t *testing.T) {
 	var naMQM, naMBM int64
 	for trial := 0; trial < 10; trial++ {
 		qs := randPts(rng, 64, 250)
-		tr.Accountant().Reset()
-		if _, err := MQM(tr, qs, Options{K: 4}); err != nil {
+		tr.Tree().Accountant().Reset()
+		if _, err := on(tr, MQM, qs, Options{K: 4}); err != nil {
 			t.Fatal(err)
 		}
-		naMQM += tr.Accountant().Physical()
-		tr.Accountant().Reset()
-		if _, err := MBM(tr, qs, Options{K: 4}); err != nil {
+		naMQM += tr.Tree().Accountant().Physical()
+		tr.Tree().Accountant().Reset()
+		if _, err := on(tr, MBM, qs, Options{K: 4}); err != nil {
 			t.Fatal(err)
 		}
-		naMBM += tr.Accountant().Physical()
+		naMBM += tr.Tree().Accountant().Physical()
 	}
 	if naMBM*2 > naMQM {
 		t.Fatalf("MBM NA %d not clearly below MQM NA %d", naMBM, naMQM)

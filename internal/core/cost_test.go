@@ -33,24 +33,24 @@ func TestPerQueryCostSumsToAggregate(t *testing.T) {
 	}
 	for _, a := range algos {
 		// Untracked baseline totals.
-		tr.Accountant().Reset()
+		tr.Tree().Accountant().Reset()
 		baseline := make([][]GroupNeighbor, len(workload))
 		for i, qs := range workload {
-			got, err := a.run(tr, qs, Options{K: 4})
+			got, err := on(tr, a.run, qs, Options{K: 4})
 			if err != nil {
 				t.Fatalf("%s: %v", a.name, err)
 			}
 			baseline[i] = got
 		}
-		baselineNA := tr.Accountant().Totals()
+		baselineNA := tr.Tree().Accountant().Totals()
 
 		// Tracked rerun: per-query costs must sum to the aggregate delta,
 		// which must equal the untracked totals.
-		tr.Accountant().Reset()
+		tr.Tree().Accountant().Reset()
 		var sum pagestore.CostTracker
 		for i, qs := range workload {
 			var tk pagestore.CostTracker
-			got, err := a.run(tr, qs, Options{K: 4, Cost: &tk})
+			got, err := on(tr, a.run, qs, Options{K: 4, Cost: &tk})
 			if err != nil {
 				t.Fatalf("%s: %v", a.name, err)
 			}
@@ -65,8 +65,8 @@ func TestPerQueryCostSumsToAggregate(t *testing.T) {
 			}
 			sum.Add(tk)
 		}
-		if sum != tr.Accountant().Totals() {
-			t.Fatalf("%s: per-query sum %+v != aggregate %+v", a.name, sum, tr.Accountant().Totals())
+		if sum != tr.Tree().Accountant().Totals() {
+			t.Fatalf("%s: per-query sum %+v != aggregate %+v", a.name, sum, tr.Tree().Accountant().Totals())
 		}
 		if sum != baselineNA {
 			t.Fatalf("%s: tracked NA %+v != untracked NA %+v", a.name, sum, baselineNA)
@@ -88,17 +88,17 @@ func TestDiskReportCostMatchesAggregates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr.Accountant().Reset()
+		tr.Tree().Accountant().Reset()
 		var rep *DiskReport
 		if algo == "F-MQM" {
-			rep, err = FMQM(tr, qf, DiskOptions{Options: Options{K: 3}})
+			rep, err = diskOn(tr, FMQM, qf, DiskOptions{Options: Options{K: 3}})
 		} else {
-			rep, err = FMBM(tr, qf, DiskOptions{Options: Options{K: 3}})
+			rep, err = diskOn(tr, FMBM, qf, DiskOptions{Options: Options{K: 3}})
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := tr.Accountant().Logical() + qacct.Logical()
+		want := tr.Tree().Accountant().Logical() + qacct.Logical()
 		if rep.Cost.Logical != want || rep.Cost.Logical == 0 {
 			t.Fatalf("%s: report cost %d, aggregates %d", algo, rep.Cost.Logical, want)
 		}
@@ -106,13 +106,13 @@ func TestDiskReportCostMatchesAggregates(t *testing.T) {
 
 	// GCP: the report cost spans both trees.
 	tq := buildTreeIDs(t, qs[:60])
-	tr.Accountant().Reset()
-	tq.Accountant().Reset()
+	tr.Tree().Accountant().Reset()
+	tq.Tree().Accountant().Reset()
 	rep, err := GCP(tr, tq, GCPOptions{Options: Options{K: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tr.Accountant().Logical() + tq.Accountant().Logical()
+	want := tr.Tree().Accountant().Logical() + tq.Tree().Accountant().Logical()
 	if rep.Cost.Logical != want || rep.Cost.Logical == 0 {
 		t.Fatalf("GCP: report cost %d, aggregates %d", rep.Cost.Logical, want)
 	}

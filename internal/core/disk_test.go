@@ -11,13 +11,19 @@ import (
 	"gnn/internal/rtree"
 )
 
-func buildTreeIDs(t testing.TB, pts []geom.Point) *rtree.Tree {
+// buildTreeIDs STR-packs pts (ids are the slice positions).
+func buildTreeIDs(t testing.TB, pts []geom.Point) *rtree.Packed {
 	t.Helper()
-	tr, err := rtree.BulkLoadSTR(rtree.Config{MaxEntries: 10}, pts, nil)
+	cfg := rtree.Config{MaxEntries: 10}
+	coords, err := rtree.Flatten(cfg, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr
+	p, err := rtree.PackSTR(cfg, coords, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestQueryFileBasics(t *testing.T) {
@@ -135,7 +141,7 @@ func TestGCPErrors(t *testing.T) {
 	if _, err := GCP(tp, tq, GCPOptions{Options: Options{Aggregate: Max}}); !errors.Is(err, ErrUnsupportedAggregate) {
 		t.Fatal("Max aggregate accepted")
 	}
-	empty, _ := rtree.New(rtree.Config{})
+	empty := buildTree(t, nil, 0)
 	if _, err := GCP(tp, empty, GCPOptions{}); !errors.Is(err, ErrEmptyQuery) {
 		t.Fatal("empty Q accepted")
 	}
@@ -194,7 +200,7 @@ func TestFMQMMatchesBruteForce(t *testing.T) {
 		}
 		k := 1 + rng.Intn(4)
 		want, _ := BruteForcePoints(pts, qs, Options{K: k})
-		rep, err := FMQM(tr, qf, DiskOptions{Options: Options{K: k}})
+		rep, err := diskOn(tr, FMQM, qf, DiskOptions{Options: Options{K: k}})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -219,7 +225,7 @@ func TestFMBMMatchesBruteForce(t *testing.T) {
 		k := 1 + rng.Intn(4)
 		want, _ := BruteForcePoints(pts, qs, Options{K: k})
 		for _, trav := range []Traversal{BestFirst, DepthFirst} {
-			rep, err := FMBM(tr, qf, DiskOptions{Options: Options{K: k, Traversal: trav}})
+			rep, err := diskOn(tr, FMBM, qf, DiskOptions{Options: Options{K: k, Traversal: trav}})
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
@@ -239,12 +245,12 @@ func TestFDiskAlgorithmsSingleBlockEqualsMemory(t *testing.T) {
 	if qf.NumBlocks() != 1 {
 		t.Fatal("expected one block")
 	}
-	rep1, err := FMQM(tr, qf, DiskOptions{Options: Options{K: 3}})
+	rep1, err := diskOn(tr, FMQM, qf, DiskOptions{Options: Options{K: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResults(t, "FMQM-1block", rep1.Neighbors, want)
-	rep2, err := FMBM(tr, qf, DiskOptions{Options: Options{K: 3}})
+	rep2, err := diskOn(tr, FMBM, qf, DiskOptions{Options: Options{K: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,28 +261,28 @@ func TestFDiskErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	tr := buildTreeIDs(t, randPts(rng, 50, 100))
 	qf, _ := NewQueryFile(randPts(rng, 20, 100), 10, nil, 0)
-	if _, err := FMQM(tr, qf, DiskOptions{Options: Options{K: -1}}); !errors.Is(err, ErrBadK) {
+	if _, err := diskOn(tr, FMQM, qf, DiskOptions{Options: Options{K: -1}}); !errors.Is(err, ErrBadK) {
 		t.Fatal("FMQM bad k accepted")
 	}
-	if _, err := FMQM(tr, qf, DiskOptions{Options: Options{Aggregate: Min}}); !errors.Is(err, ErrUnsupportedAggregate) {
+	if _, err := diskOn(tr, FMQM, qf, DiskOptions{Options: Options{Aggregate: Min}}); !errors.Is(err, ErrUnsupportedAggregate) {
 		t.Fatal("FMQM Min accepted")
 	}
-	if _, err := FMBM(tr, qf, DiskOptions{Options: Options{K: -1}}); !errors.Is(err, ErrBadK) {
+	if _, err := diskOn(tr, FMBM, qf, DiskOptions{Options: Options{K: -1}}); !errors.Is(err, ErrBadK) {
 		t.Fatal("FMBM bad k accepted")
 	}
-	if _, err := FMBM(tr, qf, DiskOptions{Options: Options{Aggregate: Max}}); !errors.Is(err, ErrUnsupportedAggregate) {
+	if _, err := diskOn(tr, FMBM, qf, DiskOptions{Options: Options{Aggregate: Max}}); !errors.Is(err, ErrUnsupportedAggregate) {
 		t.Fatal("FMBM Max accepted")
 	}
 }
 
 func TestFDiskEmptyTree(t *testing.T) {
-	tr, _ := rtree.New(rtree.Config{})
+	tr := buildTree(t, nil, 0)
 	qf, _ := NewQueryFile([]geom.Point{{1, 1}, {2, 2}}, 10, nil, 0)
-	rep, err := FMBM(tr, qf, DiskOptions{})
+	rep, err := diskOn(tr, FMBM, qf, DiskOptions{})
 	if err != nil || len(rep.Neighbors) != 0 {
 		t.Fatalf("FMBM empty tree: %v, %d", err, len(rep.Neighbors))
 	}
-	rep, err = FMQM(tr, qf, DiskOptions{})
+	rep, err = diskOn(tr, FMQM, qf, DiskOptions{})
 	if err != nil || len(rep.Neighbors) != 0 {
 		t.Fatalf("FMQM empty tree: %v, %d", err, len(rep.Neighbors))
 	}
@@ -289,21 +295,21 @@ func TestDiskAlgorithmsChargeQueryIO(t *testing.T) {
 	tr := buildTreeIDs(t, pts)
 	qc := pagestore.NewAccountant(0)
 	qf, _ := NewQueryFile(qs, 50, qc, 0)
-	tr.Accountant().Reset()
-	rep, err := FMBM(tr, qf, DiskOptions{})
+	tr.Tree().Accountant().Reset()
+	rep, err := diskOn(tr, FMBM, qf, DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if qc.Physical() == 0 {
 		t.Fatal("F-MBM paid no Q page reads")
 	}
-	if tr.Accountant().Physical() == 0 {
+	if tr.Tree().Accountant().Physical() == 0 {
 		t.Fatal("F-MBM paid no R-tree accesses")
 	}
 	// The report's per-query cost must equal the combined aggregates.
-	if rep.Cost.Logical != tr.Accountant().Logical()+qc.Logical() {
+	if rep.Cost.Logical != tr.Tree().Accountant().Logical()+qc.Logical() {
 		t.Fatalf("per-query cost %d != tree %d + Q %d",
-			rep.Cost.Logical, tr.Accountant().Logical(), qc.Logical())
+			rep.Cost.Logical, tr.Tree().Accountant().Logical(), qc.Logical())
 	}
 }
 
@@ -320,7 +326,7 @@ func TestFMBMBufferReducesQReads(t *testing.T) {
 		}
 		qc := pagestore.NewAccountant(pages)
 		qf, _ := NewQueryFile(qs, 50, qc, 0)
-		if _, err := FMBM(tr, qf, DiskOptions{}); err != nil {
+		if _, err := diskOn(tr, FMBM, qf, DiskOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		return qc.Physical()
@@ -346,11 +352,11 @@ func TestGCPAndFVariantsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmqm, err := FMQM(tp, qf, DiskOptions{Options: Options{K: 3}})
+		fmqm, err := diskOn(tp, FMQM, qf, DiskOptions{Options: Options{K: 3}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmbm, err := FMBM(tp, qf, DiskOptions{Options: Options{K: 3}})
+		fmbm, err := diskOn(tp, FMBM, qf, DiskOptions{Options: Options{K: 3}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"gnn/internal/geom"
-	"gnn/internal/rtree"
 )
 
 // Exhaustion paths: k exceeding |P| must drain every stream/loop cleanly.
@@ -27,13 +26,13 @@ func TestDiskAlgorithmsKLargerThanDataset(t *testing.T) {
 	}
 	sameResults(t, "GCP/k>|P|", rep.Neighbors, want)
 
-	drep, err := FMQM(tp, qf, DiskOptions{Options: Options{K: 20}})
+	drep, err := diskOn(tp, FMQM, qf, DiskOptions{Options: Options{K: 20}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResults(t, "FMQM/k>|P|", drep.Neighbors, want)
 
-	drep, err = FMBM(tp, qf, DiskOptions{Options: Options{K: 20}})
+	drep, err = diskOn(tp, FMBM, qf, DiskOptions{Options: Options{K: 20}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +52,11 @@ func TestDiskAlgorithmsSingleDataPoint(t *testing.T) {
 	if err != nil || len(rep.Neighbors) != 1 || !almostSame(rep.Neighbors[0].Dist, want) {
 		t.Fatalf("GCP: %v %+v", err, rep)
 	}
-	drep, err := FMQM(tp, qf, DiskOptions{})
+	drep, err := diskOn(tp, FMQM, qf, DiskOptions{})
 	if err != nil || len(drep.Neighbors) != 1 || !almostSame(drep.Neighbors[0].Dist, want) {
 		t.Fatalf("FMQM: %v %+v", err, drep)
 	}
-	drep, err = FMBM(tp, qf, DiskOptions{})
+	drep, err = diskOn(tp, FMBM, qf, DiskOptions{})
 	if err != nil || len(drep.Neighbors) != 1 || !almostSame(drep.Neighbors[0].Dist, want) {
 		t.Fatalf("FMBM: %v %+v", err, drep)
 	}
@@ -70,15 +69,11 @@ func almostSame(a, b float64) bool {
 
 // Duplicate data points must all be reportable as distinct results.
 func TestDuplicateDataPointsAsResults(t *testing.T) {
-	tr, _ := rtree.New(rtree.Config{MaxEntries: 4})
 	p := geom.Point{10, 10}
-	for i := 0; i < 5; i++ {
-		tr.Insert(p, int64(i))
-	}
-	tr.Insert(geom.Point{90, 90}, 99)
+	tr := buildTree(t, []geom.Point{p, p, p, p, p, {90, 90}}, 4)
 	qs := []geom.Point{{9, 9}, {11, 11}}
 	for _, a := range memAlgos {
-		got, err := a.run(tr, qs, Options{K: 5})
+		got, err := on(tr, a.run, qs, Options{K: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,9 +102,9 @@ func TestDisjointQueryWorkspace(t *testing.T) {
 		qs[i] = geom.Point{5000 + rng.Float64()*100, 5000 + rng.Float64()*100}
 	}
 	tr := buildTree(t, pts, 8)
-	want, _ := BruteForce(tr, qs, Options{K: 3})
+	want, _ := on(tr, BruteForce, qs, Options{K: 3})
 	for _, a := range memAlgos {
-		got, err := a.run(tr, qs, Options{K: 3})
+		got, err := on(tr, a.run, qs, Options{K: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,12 +120,12 @@ func TestDisjointQueryWorkspace(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResults(t, "GCP/disjoint", rep.Neighbors, wantPts)
-	drep, err := FMQM(tp, qf, DiskOptions{Options: Options{K: 3}})
+	drep, err := diskOn(tp, FMQM, qf, DiskOptions{Options: Options{K: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResults(t, "FMQM/disjoint", drep.Neighbors, wantPts)
-	drep, err = FMBM(tp, qf, DiskOptions{Options: Options{K: 3}})
+	drep, err = diskOn(tp, FMBM, qf, DiskOptions{Options: Options{K: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +137,9 @@ func TestQueryEqualsData(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	pts := randPts(rng, 60, 100)
 	tr := buildTree(t, pts, 8)
-	want, _ := BruteForce(tr, pts, Options{})
+	want, _ := on(tr, BruteForce, pts, Options{})
 	for _, a := range memAlgos {
-		got, err := a.run(tr, pts, Options{})
+		got, err := on(tr, a.run, pts, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +179,7 @@ func TestFMQMRoundsBounded(t *testing.T) {
 	qs := randPts(rng, 100, 200)
 	tr := buildTreeIDs(t, pts)
 	qf, _ := NewQueryFile(qs, 10, nil, 0) // 10 blocks
-	rep, err := FMQM(tr, qf, DiskOptions{})
+	rep, err := diskOn(tr, FMQM, qf, DiskOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,10 +205,10 @@ func TestDiskAlgorithmsRejectExtensionOptions(t *testing.T) {
 		if _, err := GCP(tp, tq, GCPOptions{Options: opt}); err != ErrUnsupportedOption {
 			t.Errorf("GCP err = %v", err)
 		}
-		if _, err := FMQM(tp, qf, DiskOptions{Options: opt}); err != ErrUnsupportedOption {
+		if _, err := diskOn(tp, FMQM, qf, DiskOptions{Options: opt}); err != ErrUnsupportedOption {
 			t.Errorf("FMQM err = %v", err)
 		}
-		if _, err := FMBM(tp, qf, DiskOptions{Options: opt}); err != ErrUnsupportedOption {
+		if _, err := diskOn(tp, FMBM, qf, DiskOptions{Options: opt}); err != ErrUnsupportedOption {
 			t.Errorf("FMBM err = %v", err)
 		}
 	}

@@ -97,7 +97,7 @@ func TestEquivalenceMemoryKernels(t *testing.T) {
 		k := []int{1, 4, 9}[trial%3]
 		for _, agg := range aggs {
 			opt := Options{K: k, Aggregate: agg, Weights: weights}
-			oracle, err := BruteForce(tr, qs, opt)
+			oracle, err := on(tr, BruteForce, qs, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,16 +107,16 @@ func TestEquivalenceMemoryKernels(t *testing.T) {
 				sum  bool // SUM-only algorithm
 			}
 			cells := []cell{
-				{"MQM", func(o Options) ([]GroupNeighbor, error) { return MQM(tr, qs, o) }, false},
-				{"MBM-BF", func(o Options) ([]GroupNeighbor, error) { return MBM(tr, qs, o) }, false},
+				{"MQM", func(o Options) ([]GroupNeighbor, error) { return on(tr, MQM, qs, o) }, false},
+				{"MBM-BF", func(o Options) ([]GroupNeighbor, error) { return on(tr, MBM, qs, o) }, false},
 				{"MBM-DF", func(o Options) ([]GroupNeighbor, error) {
 					o.Traversal = DepthFirst
-					return MBM(tr, qs, o)
+					return on(tr, MBM, qs, o)
 				}, false},
-				{"SPM-BF", func(o Options) ([]GroupNeighbor, error) { return SPM(tr, qs, o) }, true},
+				{"SPM-BF", func(o Options) ([]GroupNeighbor, error) { return on(tr, SPM, qs, o) }, true},
 				{"SPM-DF", func(o Options) ([]GroupNeighbor, error) {
 					o.Traversal = DepthFirst
-					return SPM(tr, qs, o)
+					return on(tr, SPM, qs, o)
 				}, true},
 			}
 			for _, c := range cells {
@@ -147,7 +147,7 @@ func TestEquivalenceDiskKernels(t *testing.T) {
 		}
 		k := []int{1, 5}[trial%2]
 		opt := Options{K: k}
-		oracle, err := BruteForce(tr, qpts, opt)
+		oracle, err := on(tr, BruteForce, qpts, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,14 +164,14 @@ func TestEquivalenceDiskKernels(t *testing.T) {
 		}
 		cells := []cell{
 			{"F-MQM", func(o Options) ([]GroupNeighbor, error) {
-				rep, err := FMQM(tr, qf, DiskOptions{Options: o})
+				rep, err := diskOn(tr, FMQM, qf, DiskOptions{Options: o})
 				if err != nil {
 					return nil, err
 				}
 				return rep.Neighbors, nil
 			}},
 			{"F-MBM-BF", func(o Options) ([]GroupNeighbor, error) {
-				rep, err := FMBM(tr, qf, DiskOptions{Options: o})
+				rep, err := diskOn(tr, FMBM, qf, DiskOptions{Options: o})
 				if err != nil {
 					return nil, err
 				}
@@ -179,7 +179,7 @@ func TestEquivalenceDiskKernels(t *testing.T) {
 			}},
 			{"F-MBM-DF", func(o Options) ([]GroupNeighbor, error) {
 				o.Traversal = DepthFirst
-				rep, err := FMBM(tr, qf, DiskOptions{Options: o})
+				rep, err := diskOn(tr, FMBM, qf, DiskOptions{Options: o})
 				if err != nil {
 					return nil, err
 				}
@@ -217,13 +217,13 @@ func TestEquivalenceSumOnlyRejections(t *testing.T) {
 	}
 	qtree := buildTree(t, qpts, 8)
 	for _, agg := range []Aggregate{Max, Min} {
-		if _, err := SPM(tr, qpts, Options{K: 1, Aggregate: agg}); err != ErrUnsupportedAggregate {
+		if _, err := on(tr, SPM, qpts, Options{K: 1, Aggregate: agg}); err != ErrUnsupportedAggregate {
 			t.Fatalf("SPM(%v): err = %v", agg, err)
 		}
-		if _, err := FMQM(tr, qf, DiskOptions{Options: Options{K: 1, Aggregate: agg}}); err != ErrUnsupportedAggregate {
+		if _, err := diskOn(tr, FMQM, qf, DiskOptions{Options: Options{K: 1, Aggregate: agg}}); err != ErrUnsupportedAggregate {
 			t.Fatalf("FMQM(%v): err = %v", agg, err)
 		}
-		if _, err := FMBM(tr, qf, DiskOptions{Options: Options{K: 1, Aggregate: agg}}); err != ErrUnsupportedAggregate {
+		if _, err := diskOn(tr, FMBM, qf, DiskOptions{Options: Options{K: 1, Aggregate: agg}}); err != ErrUnsupportedAggregate {
 			t.Fatalf("FMBM(%v): err = %v", agg, err)
 		}
 		if _, err := GCP(tr, qtree, GCPOptions{Options: Options{K: 1, Aggregate: agg}}); err != ErrUnsupportedAggregate {

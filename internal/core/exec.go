@@ -26,21 +26,19 @@ import (
 type ExecContext struct {
 	best  kbest
 	tk    pagestore.CostTracker
-	cands rtree.CandStack
-	eheap pq.Heap[rtree.Entry]
 	qmbr  geom.Rect
 	qcent geom.Point
 
-	// Packed-layout scratch: per-depth ref candidates, the int32 best-first
+	// Traversal scratch: per-depth ref candidates, the int32 best-first
 	// heap, the fused-kernel distance buffers and a spare rectangle for the
 	// per-node bounds that need one (heuristic 3, F-MBM leaf ordering).
-	pcands rtree.PCandStack
-	peheap pq.Heap[rtree.PackedRef]
-	dbuf   []float64
-	dbuf2  []float64
-	prect  geom.Rect
+	cands rtree.PCandStack
+	heap  pq.Heap[rtree.PackedRef]
+	dbuf  []float64
+	dbuf2 []float64
+	prect geom.Rect
 
-	// Gather scratch of the packed kernels: a leaf slot's coordinates,
+	// Gather scratch of the kernels: a leaf slot's coordinates,
 	// copied from the arena's axis columns (rtree.Packed.PointInto) so
 	// the geom.Point helpers can run on it. Overwritten per leaf point;
 	// the result accumulator copies what it keeps.
@@ -68,8 +66,7 @@ type ExecContext struct {
 	keep      []int
 	blockDist []float64
 	lbs       []float64
-	fcands    []fmbmLeafCand
-	pfcands   []fmbmPackedCand
+	fcands    []fmbmCand
 }
 
 var execPool = pq.NewPool(func() *ExecContext { return &ExecContext{} })
@@ -90,9 +87,7 @@ func (ec *ExecContext) Release() {
 	}
 	ec.best.release()
 	ec.cands.Reset()
-	ec.eheap.Reset()
-	ec.pcands.Reset()
-	ec.peheap.Reset()
+	ec.heap.Reset()
 	clear(ec.qsbuf[:cap(ec.qsbuf)])
 	ec.qsbuf = pq.Trim(ec.qsbuf)
 	clear(ec.gsoa[:cap(ec.gsoa)]) // columns of gflat, rebuilt per query
@@ -100,8 +95,7 @@ func (ec *ExecContext) Release() {
 	ec.thresholds = pq.Trim(ec.thresholds)
 	clear(ec.iters[:cap(ec.iters)])
 	ec.iters = pq.Trim(ec.iters)
-	clear(ec.fcands[:cap(ec.fcands)])
-	ec.pfcands = ec.pfcands[:0]
+	ec.fcands = ec.fcands[:0]
 	ec.lbs = ec.lbs[:0]
 	ec.mebs.Reset()
 	ec.meb = mebCtx{}

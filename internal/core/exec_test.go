@@ -6,7 +6,6 @@ import (
 
 	"gnn/internal/geom"
 	"gnn/internal/pq"
-	"gnn/internal/rtree"
 )
 
 // TestReleaseDropsOversizedBuffers: a released context keeps the buffers
@@ -16,11 +15,7 @@ import (
 func TestReleaseDropsOversizedBuffers(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pts := randPts(rng, 6000, 1000)
-	tr, err := rtree.BulkLoadSTR(rtree.Config{MaxEntries: 16}, pts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := tr.Pack()
+	tr := buildTree(t, pts, 16)
 	run := func(k, n int) *ExecContext {
 		t.Helper()
 		ec := &ExecContext{}
@@ -28,7 +23,7 @@ func TestReleaseDropsOversizedBuffers(t *testing.T) {
 		for i := range qs {
 			qs[i] = geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
 		}
-		if _, err := BruteForce(tr, qs, Options{K: k, Exec: ec, Packed: p}); err != nil {
+		if _, err := on(tr, BruteForce, qs, Options{K: k, Exec: ec}); err != nil {
 			t.Fatal(err)
 		}
 		if cap(ec.best.items) < min(k, tr.Len()) {

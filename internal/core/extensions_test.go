@@ -55,7 +55,7 @@ func TestWeightedSumAllAlgorithms(t *testing.T) {
 		want := bruteWeighted(pts, qs, w, Sum, nil, k)
 		opt := Options{K: k, Weights: w}
 		for _, a := range memAlgos {
-			got, err := a.run(tr, qs, opt)
+			got, err := on(tr, a.run, qs, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", a.name, err)
 			}
@@ -63,7 +63,7 @@ func TestWeightedSumAllAlgorithms(t *testing.T) {
 		}
 		// Depth-first variants too.
 		for _, a := range []memAlgo{{"SPM-DF", SPM}, {"MBM-DF", MBM}} {
-			got, err := a.run(tr, qs, Options{K: k, Weights: w, Traversal: DepthFirst})
+			got, err := on(tr, a.run, qs, Options{K: k, Weights: w, Traversal: DepthFirst})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,7 +83,7 @@ func TestWeightedMaxMin(t *testing.T) {
 			want := bruteWeighted(pts, qs, w, agg, nil, 3)
 			opt := Options{K: 3, Weights: w, Aggregate: agg}
 			for _, a := range []memAlgo{{"MQM", MQM}, {"MBM", MBM}} {
-				got, err := a.run(tr, qs, opt)
+				got, err := on(tr, a.run, qs, opt)
 				if err != nil {
 					t.Fatalf("%s/%v: %v", a.name, agg, err)
 				}
@@ -107,14 +107,14 @@ func TestWeightValidation(t *testing.T) {
 	}
 	for i, w := range bad {
 		for _, a := range memAlgos {
-			if _, err := a.run(tr, qs, Options{Weights: w}); err == nil {
+			if _, err := on(tr, a.run, qs, Options{Weights: w}); err == nil {
 				t.Errorf("case %d: %s accepted bad weights %v", i, a.name, w)
 			}
 		}
-		if _, err := BruteForce(tr, qs, Options{Weights: w}); err == nil {
+		if _, err := on(tr, BruteForce, qs, Options{Weights: w}); err == nil {
 			t.Errorf("case %d: BruteForce accepted bad weights", i)
 		}
-		if _, err := NewGNNIterator(tr, qs, Options{Weights: w}); err == nil {
+		if _, err := iterOn(tr, qs, Options{Weights: w}); err == nil {
 			t.Errorf("case %d: iterator accepted bad weights", i)
 		}
 	}
@@ -127,11 +127,11 @@ func TestWeightedEqualsUnweightedWithUnitWeights(t *testing.T) {
 	qs := randPts(rng, 8, 200)
 	ones := []float64{1, 1, 1, 1, 1, 1, 1, 1}
 	for _, a := range memAlgos {
-		plain, err := a.run(tr, qs, Options{K: 5})
+		plain, err := on(tr, a.run, qs, Options{K: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		weighted, err := a.run(tr, qs, Options{K: 5, Weights: ones})
+		weighted, err := on(tr, a.run, qs, Options{K: 5, Weights: ones})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestConstrainedRegionAllAlgorithms(t *testing.T) {
 		want := bruteWeighted(pts, qs, ones, Sum, &region, k)
 		opt := Options{K: k, Region: &region}
 		for _, a := range memAlgos {
-			got, err := a.run(tr, qs, opt)
+			got, err := on(tr, a.run, qs, opt)
 			if err != nil {
 				t.Fatalf("%s: %v", a.name, err)
 			}
@@ -177,7 +177,7 @@ func TestConstrainedRegionEmpty(t *testing.T) {
 	qs := randPts(rng, 4, 100)
 	region := geom.NewRect(geom.Point{500, 500}, geom.Point{600, 600})
 	for _, a := range memAlgos {
-		got, err := a.run(tr, qs, Options{K: 3, Region: &region})
+		got, err := on(tr, a.run, qs, Options{K: 3, Region: &region})
 		if err != nil {
 			t.Fatalf("%s: %v", a.name, err)
 		}
@@ -195,16 +195,16 @@ func TestConstrainedRegionPrunesMBM(t *testing.T) {
 	qs := randPts(rng, 8, 1000) // spread-out group: expensive unconstrained
 	region := geom.NewRect(geom.Point{480, 480}, geom.Point{520, 520})
 
-	tr.Accountant().Reset()
-	if _, err := MBM(tr, qs, Options{}); err != nil {
+	tr.Tree().Accountant().Reset()
+	if _, err := on(tr, MBM, qs, Options{}); err != nil {
 		t.Fatal(err)
 	}
-	unconstrained := tr.Accountant().Physical()
-	tr.Accountant().Reset()
-	if _, err := MBM(tr, qs, Options{Region: &region}); err != nil {
+	unconstrained := tr.Tree().Accountant().Physical()
+	tr.Tree().Accountant().Reset()
+	if _, err := on(tr, MBM, qs, Options{Region: &region}); err != nil {
 		t.Fatal(err)
 	}
-	constrained := tr.Accountant().Physical()
+	constrained := tr.Tree().Accountant().Physical()
 	if constrained > unconstrained {
 		t.Fatalf("region increased NA: %d vs %d", constrained, unconstrained)
 	}
@@ -219,7 +219,7 @@ func TestWeightedRegionCombination(t *testing.T) {
 	region := geom.NewRect(geom.Point{100, 100}, geom.Point{900, 900})
 	want := bruteWeighted(pts, qs, w, Sum, &region, 4)
 	for _, a := range memAlgos {
-		got, err := a.run(tr, qs, Options{K: 4, Weights: w, Region: &region})
+		got, err := on(tr, a.run, qs, Options{K: 4, Weights: w, Region: &region})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func TestWeightedIteratorOrder(t *testing.T) {
 	qs := randPts(rng, 4, 200)
 	w := []float64{4, 1, 2, 0.5}
 	want := bruteWeighted(pts, qs, w, Sum, nil, len(pts))
-	it, err := NewGNNIterator(tr, qs, Options{Weights: w})
+	it, err := iterOn(tr, qs, Options{Weights: w})
 	if err != nil {
 		t.Fatal(err)
 	}

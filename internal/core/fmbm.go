@@ -41,34 +41,26 @@ func FMBM(t *rtree.Tree, qf *QueryFile, opt DiskOptions) (*DiskReport, error) {
 	if opt.Weights != nil || opt.Region != nil {
 		return nil, ErrUnsupportedOption
 	}
+	if !opt.Packed.Valid(t) {
+		return nil, ErrNoArena
+	}
 	if opt.Cost == nil {
 		opt.Cost = &pagestore.CostTracker{}
 	}
 	ec, owned := opt.exec()
 	defer releaseIfOwned(ec, owned)
-	f := &fmbmRun{rd: rtree.ReaderOver(t, opt.packedFor(t, false), opt.Cost),
+	f := &fmbmRun{rd: opt.Packed.Reader(opt.Cost),
 		qf: qf, opt: opt, best: ec.kbestFor(t, opt.K, opt.Reject), ec: ec, report: &DiskReport{}}
 	if t.Len() > 0 {
-		switch {
-		case f.rd.Packed() != nil && opt.Traversal == DepthFirst:
+		var err error
+		if opt.Traversal == DepthFirst {
 			rootRect, _ := t.Bounds()
-			if err := f.dfPacked(f.rd.PackedRoot(), rootRect, 0); err != nil {
-				return nil, err
-			}
-		case f.rd.Packed() != nil:
-			if err := f.bfPacked(); err != nil {
-				return nil, err
-			}
-		case opt.Traversal == DepthFirst:
-			root := f.rd.Root()
-			rootRect, _ := t.Bounds()
-			if err := f.df(root, rootRect, 0); err != nil {
-				return nil, err
-			}
-		default:
-			if err := f.bf(); err != nil {
-				return nil, err
-			}
+			err = f.df(f.rd.PackedRoot(), rootRect, 0)
+		} else {
+			err = f.bf()
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
 	f.report.Neighbors = f.best.results()
@@ -85,90 +77,11 @@ type fmbmRun struct {
 	report *DiskReport
 }
 
-// fmbmLeafCand is one leaf point whose global distance is being
-// accumulated block by block. lbSuffix views into the execution context's
-// flat backing: lbSuffix[s] = Σ_{l≥s in processing order} n_l·mindist(p, M_l),
-// so lbSuffix[0] is the point's weighted mindist.
-type fmbmLeafCand struct {
-	e        rtree.Entry
-	lbSuffix []float64
-	curr     float64
-}
-
-// weightedMindist is the heuristic-5 bound Σ_i n_i·mindist(r, M_i).
-func (f *fmbmRun) weightedMindist(r geom.Rect) float64 {
-	var s float64
-	for i := 0; i < f.qf.NumBlocks(); i++ {
-		s += float64(f.qf.BlockLen(i)) * geom.MinDistRectRect(r, f.qf.MBR(i))
-	}
-	return s
-}
-
-// bf traverses internal entries best-first by weighted mindist; leaves are
-// processed wholesale when popped.
-func (f *fmbmRun) bf() error {
-	root := f.rd.Root()
-	if root.IsLeaf() {
-		rootRect, _ := f.rd.Tree().Bounds()
-		return f.processLeaf(root, rootRect)
-	}
-	heap := &f.ec.eheap
-	heap.Reset()
-	for _, e := range root.Entries() {
-		heap.Push(e, f.weightedMindist(e.Rect))
-	}
-	for {
-		item, ok := heap.Pop()
-		if !ok {
-			return nil
-		}
-		if item.Priority >= f.best.bound() {
-			return nil // heuristic 5 ends the search: all keys are larger
-		}
-		nd := f.rd.Child(item.Value)
-		if nd.IsLeaf() {
-			if err := f.processLeaf(nd, item.Value.Rect); err != nil {
-				return err
-			}
-			continue
-		}
-		for _, e := range nd.Entries() {
-			heap.Push(e, f.weightedMindist(e.Rect))
-		}
-	}
-}
-
-// df is the depth-first variant of Figure 4.7, with per-depth pooled
-// candidate buffers and an inlined insertion sort.
-func (f *fmbmRun) df(nd rtree.Node, ndRect geom.Rect, depth int) error {
-	if nd.IsLeaf() {
-		return f.processLeaf(nd, ndRect)
-	}
-	buf := f.ec.cands.Level(depth)
-	cands := *buf
-	for _, e := range nd.Entries() {
-		cands = append(cands, rtree.Cand{E: e, D: f.weightedMindist(e.Rect)})
-	}
-	rtree.SortCands(cands)
-	*buf = cands
-	for i := range cands {
-		c := cands[i]
-		if c.D >= f.best.bound() {
-			return nil // heuristic 5; list is sorted, so stop
-		}
-		if err := f.df(f.rd.Child(c.E), c.E.Rect, depth+1); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // orderBlocks returns the query blocks in descending mindist(N, M_i):
 // far groups first, so their large exact distances inflate curr_dist
 // early and heuristic 6 kills hopeless points before the near (expensive)
 // groups. The per-block mindists are computed once into a pooled buffer
-// instead of twice per comparison inside the sort closure. Shared by both
-// layouts so the processing order is identical by construction.
+// instead of twice per comparison inside the sort closure.
 func (f *fmbmRun) orderBlocks(ndRect geom.Rect) []int {
 	m := f.qf.NumBlocks()
 	f.ec.blockDist = growFloats(f.ec.blockDist, m)
@@ -194,87 +107,19 @@ func (f *fmbmRun) orderBlocks(ndRect geom.Rect) []int {
 	return order
 }
 
-// processLeaf accumulates the global distance of the leaf's points over
-// all query blocks, applying heuristic 6 before each exact pass.
-func (f *fmbmRun) processLeaf(nd rtree.Node, ndRect geom.Rect) error {
-	f.report.Rounds++
-	m := f.qf.NumBlocks()
-	order := f.orderBlocks(ndRect)
-
-	entries := nd.Entries()
-	// One flat suffix-bound backing for the whole leaf: rows of m+1 carved
-	// per candidate.
-	f.ec.lbs = grow(f.ec.lbs, len(entries)*(m+1))
-	f.ec.fcands = grow(f.ec.fcands, len(entries))[:0]
-	cands := f.ec.fcands
-	for ei, e := range entries {
-		row := f.ec.lbs[ei*(m+1) : (ei+1)*(m+1)]
-		row[m] = 0
-		for s := m - 1; s >= 0; s-- {
-			i := order[s]
-			row[s] = row[s+1] +
-				float64(f.qf.BlockLen(i))*geom.MinDistPointRect(e.Point, f.qf.MBR(i))
-		}
-		cands = append(cands, fmbmLeafCand{e: e, lbSuffix: row})
-	}
-	// Points sorted by weighted mindist, as in Figure 4.7.
-	slices.SortFunc(cands, func(a, b fmbmLeafCand) int {
-		switch {
-		case a.lbSuffix[0] < b.lbSuffix[0]:
-			return -1
-		case a.lbSuffix[0] > b.lbSuffix[0]:
-			return 1
-		default:
-			return 0
-		}
-	})
-
-	// survivors holds indexes into cands; filtering shuffles indexes, not
-	// candidate rows.
-	f.ec.keep = grow(f.ec.keep, len(cands))
-	survivors := f.ec.keep[:0]
-	for i := range cands {
-		survivors = append(survivors, i)
-	}
-	for s := 0; s < m && len(survivors) > 0; s++ {
-		// Heuristic 6 before paying for the block read.
-		keep := survivors[:0]
-		for _, ci := range survivors {
-			if cands[ci].curr+cands[ci].lbSuffix[s] < f.best.bound() {
-				keep = append(keep, ci)
-			}
-		}
-		survivors = keep
-		if len(survivors) == 0 {
-			break
-		}
-		blk, err := f.qf.ReadBlock(order[s], f.opt.Cost)
-		if err != nil {
-			return err
-		}
-		for _, ci := range survivors {
-			cands[ci].curr += geom.SumDist(cands[ci].e.Point, blk)
-		}
-	}
-	for _, ci := range survivors {
-		f.best.offer(GroupNeighbor{Point: cands[ci].e.Point, ID: cands[ci].e.ID, Dist: cands[ci].curr})
-	}
-	return nil
-}
-
-// fmbmPackedCand is fmbmLeafCand for the packed layout: the entry shrinks
-// to its leaf slot plus its position within the leaf, which indexes the
-// column-major suffix-bound matrix.
-type fmbmPackedCand struct {
+// fmbmCand is one leaf point whose global distance is being accumulated
+// block by block: its leaf slot plus its position within the leaf, which
+// indexes the column-major suffix-bound matrix.
+type fmbmCand struct {
 	slot int32
 	idx  int32
 	curr float64
 }
 
-// weightedMindistPacked computes the heuristic-5 bound for node nd's whole
-// routing range in fused per-block passes over the SoA corner arrays,
-// writing dst[i] = Σ_l n_l·mindist(rect_i, M_l).
-func (f *fmbmRun) weightedMindistPacked(s, e int32, dst []float64) {
+// weightedMindist computes the heuristic-5 bound Σ_i n_i·mindist(N,M_i)
+// for a whole routing-slot range in fused per-block passes over the SoA
+// corner arrays, writing dst[i] = Σ_l n_l·mindist(rect_i, M_l).
+func (f *fmbmRun) weightedMindist(s, e int32, dst []float64) {
 	p := f.rd.Packed()
 	lo, hi := p.RectSoA()
 	dst = dst[:e-s]
@@ -287,19 +132,19 @@ func (f *fmbmRun) weightedMindistPacked(s, e int32, dst []float64) {
 	}
 }
 
-// dfPacked is the depth-first variant of Figure 4.7 over the packed
-// arena. ndRect is consumed only when nd is a leaf (the block-ordering
-// reference), exactly like df.
-func (f *fmbmRun) dfPacked(nd int32, ndRect geom.Rect, depth int) error {
+// df is the depth-first variant of Figure 4.7, with per-depth pooled
+// candidate buffers and an inlined insertion sort. ndRect is consumed
+// only when nd is a leaf (the block-ordering reference).
+func (f *fmbmRun) df(nd int32, ndRect geom.Rect, depth int) error {
 	p := f.rd.Packed()
 	if p.IsLeaf(nd) {
-		return f.processLeafPacked(nd, ndRect)
+		return f.processLeaf(nd, ndRect)
 	}
 	s, e := p.NodeRange(nd)
 	cnt := int(e - s)
 	f.ec.dbuf = grow(f.ec.dbuf, cnt)
-	f.weightedMindistPacked(s, e, f.ec.dbuf)
-	buf := f.ec.pcands.Level(depth)
+	f.weightedMindist(s, e, f.ec.dbuf)
+	buf := f.ec.cands.Level(depth)
 	cands := *buf
 	for i := 0; i < cnt; i++ {
 		cands = append(cands, rtree.PCand{Ref: rtree.NodeRef(s + int32(i)), D: f.ec.dbuf[i]})
@@ -315,29 +160,29 @@ func (f *fmbmRun) dfPacked(nd int32, ndRect geom.Rect, depth int) error {
 		// The child rect is needed only if the child is a leaf; the scratch
 		// rect is consumed (or ignored) before any deeper descent reuses it.
 		p.RectInto(slot, &f.ec.prect)
-		if err := f.dfPacked(f.rd.PackedChild(slot), f.ec.prect, depth+1); err != nil {
+		if err := f.df(f.rd.PackedChild(slot), f.ec.prect, depth+1); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// bfPacked traverses internal routing slots best-first by their fused
-// weighted mindist; leaves are processed wholesale when popped.
-func (f *fmbmRun) bfPacked() error {
+// bf traverses internal routing slots best-first by their fused weighted
+// mindist; leaves are processed wholesale when popped.
+func (f *fmbmRun) bf() error {
 	p := f.rd.Packed()
 	root := f.rd.PackedRoot()
 	if p.IsLeaf(root) {
-		rootRect, _ := f.rd.Tree().Bounds()
-		return f.processLeafPacked(root, rootRect)
+		rootRect, _ := p.Bounds()
+		return f.processLeaf(root, rootRect)
 	}
-	heap := &f.ec.peheap
+	heap := &f.ec.heap
 	heap.Reset()
 	push := func(nd int32) {
 		s, e := p.NodeRange(nd)
 		cnt := int(e - s)
 		f.ec.dbuf = grow(f.ec.dbuf, cnt)
-		f.weightedMindistPacked(s, e, f.ec.dbuf)
+		f.weightedMindist(s, e, f.ec.dbuf)
 		for i := 0; i < cnt; i++ {
 			heap.Push(rtree.NodeRef(s+int32(i)), f.ec.dbuf[i])
 		}
@@ -355,7 +200,7 @@ func (f *fmbmRun) bfPacked() error {
 		nd := f.rd.PackedChild(slot)
 		if p.IsLeaf(nd) {
 			p.RectInto(slot, &f.ec.prect)
-			if err := f.processLeafPacked(nd, f.ec.prect); err != nil {
+			if err := f.processLeaf(nd, f.ec.prect); err != nil {
 				return err
 			}
 			continue
@@ -364,11 +209,13 @@ func (f *fmbmRun) bfPacked() error {
 	}
 }
 
-// processLeafPacked is processLeaf over the packed arena. The heuristic-6
-// suffix bounds live in a column-major matrix (column s contiguous over
-// the leaf's points) so each block contributes one fused unit-stride pass
-// over the SoA point arrays instead of a strided per-point loop.
-func (f *fmbmRun) processLeafPacked(nd int32, ndRect geom.Rect) error {
+// processLeaf accumulates the global distance of the leaf's points over
+// all query blocks, applying heuristic 6 before each exact pass. The
+// heuristic-6 suffix bounds live in a column-major matrix (column s
+// contiguous over the leaf's points) so each block contributes one fused
+// unit-stride pass over the SoA point arrays instead of a strided
+// per-point loop.
+func (f *fmbmRun) processLeaf(nd int32, ndRect geom.Rect) error {
 	p := f.rd.Packed()
 	f.report.Rounds++
 	m := f.qf.NumBlocks()
@@ -391,15 +238,14 @@ func (f *fmbmRun) processLeafPacked(nd int32, ndRect geom.Rect) error {
 			lbsT[(c+1)*np:(c+2)*np], lbsT[c*np:(c+1)*np])
 	}
 
-	f.ec.pfcands = grow(f.ec.pfcands, np)[:0]
-	cands := f.ec.pfcands
+	f.ec.fcands = grow(f.ec.fcands, np)[:0]
+	cands := f.ec.fcands
 	for i := 0; i < np; i++ {
-		cands = append(cands, fmbmPackedCand{slot: s + int32(i), idx: int32(i)})
+		cands = append(cands, fmbmCand{slot: s + int32(i), idx: int32(i)})
 	}
 	// Points sorted by weighted mindist (= suffix column 0), as in
-	// Figure 4.7; same keys and comparator as the dynamic sort, so the
-	// same permutation.
-	slices.SortFunc(cands, func(a, b fmbmPackedCand) int {
+	// Figure 4.7.
+	slices.SortFunc(cands, func(a, b fmbmCand) int {
 		la, lb := lbsT[a.idx], lbsT[b.idx]
 		switch {
 		case la < lb:

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"gnn/internal/geom"
 	"gnn/internal/pagestore"
 	"gnn/internal/rtree"
 )
@@ -32,15 +33,17 @@ type GCPReport struct {
 }
 
 // gcpCand is a qualifying-list record: the running state of a data point
-// whose distances to Q are still being accumulated.
+// whose distances to Q are still being accumulated. pt is the point's own
+// copy: the pair stream's points are scratch.
 type gcpCand struct {
-	nb       rtree.Neighbor
+	pt       geom.Point
 	count    int
 	currDist float64
 }
 
 // GCP answers a GNN query with the group closest pairs method (§4.1). Both
-// P and Q are indexed by R-trees. An incremental closest-pair stream
+// P and Q are indexed by R-trees, given as their packed arenas (pp and
+// pq; opt.Packed is not consulted). An incremental closest-pair stream
 // (<p_i, q_j> in ascending distance, [HS98]) feeds a qualifying list that
 // accumulates, per data point, the count of pairs seen and the partial sum
 // of distances. A point whose count reaches n = |Q| has its exact global
@@ -58,7 +61,7 @@ type gcpCand struct {
 // reaches T.
 //
 // The SUM aggregate only: the accumulation is a running sum.
-func GCP(tp, tq *rtree.Tree, opt GCPOptions) (*GCPReport, error) {
+func GCP(pp, pq *rtree.Packed, opt GCPOptions) (*GCPReport, error) {
 	opt.Options = opt.Options.withDefaults()
 	if opt.K < 1 {
 		return nil, ErrBadK
@@ -69,7 +72,10 @@ func GCP(tp, tq *rtree.Tree, opt GCPOptions) (*GCPReport, error) {
 	if opt.Weights != nil || opt.Region != nil {
 		return nil, ErrUnsupportedOption
 	}
-	if tq.Len() == 0 {
+	if pp == nil || pq == nil {
+		return nil, ErrNoArena
+	}
+	if pq.Len() == 0 {
 		return nil, ErrEmptyQuery
 	}
 	if opt.Cost == nil {
@@ -77,15 +83,15 @@ func GCP(tp, tq *rtree.Tree, opt GCPOptions) (*GCPReport, error) {
 	}
 	// Both trees charge the same per-query tracker, so the report's cost is
 	// the combined NA over P and Q.
-	it, err := rtree.NewClosestPairIteratorReaders(tp.Reader(opt.Cost), tq.Reader(opt.Cost))
+	it, err := rtree.NewClosestPairIterator(pp.Reader(opt.Cost), pq.Reader(opt.Cost))
 	if err != nil {
 		return nil, err
 	}
 	defer it.Close()
 	ec, owned := opt.exec()
 	defer releaseIfOwned(ec, owned)
-	n := tq.Len()
-	best := ec.kbestFor(tp, opt.K, opt.Reject)
+	n := pq.Len()
+	best := ec.kbestFor(pp.Tree(), opt.K, opt.Reject)
 	list := make(map[int64]*gcpCand)
 	report := &GCPReport{}
 	T := 0.0
@@ -110,7 +116,7 @@ func GCP(tp, tq *rtree.Tree, opt GCPOptions) (*GCPReport, error) {
 		switch {
 		case !inList && math.IsInf(bestDist, 1):
 			// No complete result yet: every first-seen point qualifies.
-			list[pair.P.ID] = &gcpCand{nb: pair.P, count: 1, currDist: d}
+			list[pair.P.ID] = &gcpCand{pt: pair.P.Point.Clone(), count: 1, currDist: d}
 			if len(list) > report.MaxQualifying {
 				report.MaxQualifying = len(list)
 			}
@@ -127,7 +133,7 @@ func GCP(tp, tq *rtree.Tree, opt GCPOptions) (*GCPReport, error) {
 			if c.count == n {
 				delete(list, pair.P.ID)
 				if c.currDist < bestDist {
-					best.offer(GroupNeighbor{Point: c.nb.Point, ID: c.nb.ID, Dist: c.currDist})
+					best.offer(GroupNeighbor{Point: c.pt, ID: pair.P.ID, Dist: c.currDist})
 					// Re-prune the whole list against the new bound
 					// (heuristic 4) and rebuild the global threshold.
 					bestDist = best.bound()

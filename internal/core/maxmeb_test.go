@@ -12,7 +12,7 @@ import (
 // Differential suite for the dedicated aggregate-MAX kernel: the
 // minimum-enclosing-ball path (the default for MAX) must return results
 // bit-identical to the generic per-member pruning path (Options.
-// GenericMax), on both layouts and both traversals, while never reading
+// GenericMax), on both traversals, while never reading
 // more nodes. The two paths evaluate exact distances identically and the
 // MEB bound only removes candidates the result accumulator would reject,
 // so this is strict equality on results — divergence is a bug, not noise.
@@ -50,7 +50,6 @@ func TestMaxKernelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	pts := clusteredPts(rng, 2500, 1000)
 	tr := buildTree(t, pts, 16)
-	packed := tr.Pack()
 
 	for trial := 0; trial < 16; trial++ {
 		n := []int{1, 2, 3, 8, 33}[trial%5]
@@ -68,20 +67,15 @@ func TestMaxKernelEquivalence(t *testing.T) {
 		}
 		k := []int{1, 4, 9}[trial%3]
 		for _, df := range []bool{false, true} {
-			for _, usePacked := range []bool{false, true} {
-				opt := Options{K: k, Weights: weights}
-				if df {
-					opt.Traversal = DepthFirst
-				}
-				if usePacked {
-					opt.Packed = packed
-				}
-				name := fmt.Sprintf("trial%d/n=%d/k=%d/df=%v/packed=%v/weighted=%v",
-					trial, n, k, df, usePacked, weights != nil)
-				maxDiff(t, name, func(o Options) ([]GroupNeighbor, error) {
-					return MBM(tr, qs, o)
-				}, opt)
+			opt := Options{K: k, Weights: weights}
+			if df {
+				opt.Traversal = DepthFirst
 			}
+			name := fmt.Sprintf("trial%d/n=%d/k=%d/df=%v/weighted=%v",
+				trial, n, k, df, weights != nil)
+			maxDiff(t, name, func(o Options) ([]GroupNeighbor, error) {
+				return on(tr, MBM, qs, o)
+			}, opt)
 		}
 	}
 }
@@ -94,24 +88,17 @@ func TestMaxKernelIterator(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	pts := clusteredPts(rng, 2000, 800)
 	tr := buildTree(t, pts, 16)
-	packed := tr.Pack()
 
-	for _, usePacked := range []bool{false, true} {
+	for trial := 0; trial < 2; trial++ {
 		qs := make([]geom.Point, 7)
 		for i := range qs {
 			qs[i] = geom.Point{rng.Float64() * 800, rng.Float64() * 800}
 		}
-		dopt := Options{Aggregate: Max}
-		gopt := Options{Aggregate: Max, GenericMax: true}
-		if usePacked {
-			dopt.Packed = packed
-			gopt.Packed = packed
-		}
-		di, err := NewGNNIterator(tr, qs, dopt)
+		di, err := iterOn(tr, qs, Options{Aggregate: Max})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gi, err := NewGNNIterator(tr, qs, gopt)
+		gi, err := iterOn(tr, qs, Options{Aggregate: Max, GenericMax: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,8 +106,8 @@ func TestMaxKernelIterator(t *testing.T) {
 			dn, dok := di.Next()
 			gn, gok := gi.Next()
 			if dok != gok || !reflect.DeepEqual(dn, gn) {
-				t.Fatalf("packed=%v: stream diverged at %d:\ndedicated: %v %v\ngeneric:   %v %v",
-					usePacked, i, dn, dok, gn, gok)
+				t.Fatalf("trial %d: stream diverged at %d:\ndedicated: %v %v\ngeneric:   %v %v",
+					trial, i, dn, dok, gn, gok)
 			}
 			if !dok {
 				break
@@ -132,7 +119,7 @@ func TestMaxKernelIterator(t *testing.T) {
 }
 
 // FuzzMaxEquivalence fuzzes the dedicated-vs-generic MAX differential
-// across dataset shape, group size, k, weights, traversal and layout.
+// across dataset shape, group size, k, weights and traversal.
 // Any divergence in results — or the dedicated kernel reading more nodes
 // than the generic one — crashes the fuzz target.
 func FuzzMaxEquivalence(f *testing.F) {
@@ -146,7 +133,6 @@ func FuzzMaxEquivalence(f *testing.F) {
 		np := int(n)%1200 + 1
 		pts := clusteredPts(rng, np, 500)
 		tr := buildTree(t, pts, 8)
-		packed := tr.Pack()
 		qs := make([]geom.Point, int(groupSize)%24+1)
 		for i := range qs {
 			qs[i] = geom.Point{rng.Float64() * 600, rng.Float64() * 600}
@@ -162,12 +148,8 @@ func FuzzMaxEquivalence(f *testing.F) {
 		if df {
 			opt.Traversal = DepthFirst
 		}
-		maxDiff(t, "fuzz/dynamic", func(o Options) ([]GroupNeighbor, error) {
-			return MBM(tr, qs, o)
-		}, opt)
-		opt.Packed = packed
-		maxDiff(t, "fuzz/packed", func(o Options) ([]GroupNeighbor, error) {
-			return MBM(tr, qs, o)
+		maxDiff(t, "fuzz", func(o Options) ([]GroupNeighbor, error) {
+			return on(tr, MBM, qs, o)
 		}, opt)
 	})
 }

@@ -34,10 +34,9 @@ func MQM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 
 	ec, owned := opt.exec()
 	defer releaseIfOwned(ec, owned)
-	// MQM's per-point NN streams never consult the region (it filters
-	// results point by point), so the packed layout serves constrained
-	// queries too.
-	rd := rtree.ReaderOver(t, opt.packedFor(t, true), opt.Cost)
+	// The per-point NN streams never consult the region: MQM filters
+	// results point by point.
+	rd := opt.Packed.Reader(opt.Cost)
 	ec.iters = grow(ec.iters, n)
 	iters := ec.iters
 	for i, q := range qs {

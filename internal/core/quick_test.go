@@ -22,7 +22,7 @@ func TestQuickAllAlgorithmsAgree(t *testing.T) {
 		qs := randPts(rng, nQuery, 200)
 		tr := buildTree(t, pts, 4+rng.Intn(10))
 		opt := Options{K: k}
-		want, err := BruteForce(tr, qs, opt)
+		want, err := on(tr, BruteForce, qs, opt)
 		if err != nil {
 			return false
 		}
@@ -37,23 +37,23 @@ func TestQuickAllAlgorithmsAgree(t *testing.T) {
 			}
 			return true
 		}
-		if !check(MQM(tr, qs, opt)) {
+		if !check(on(tr, MQM, qs, opt)) {
 			t.Log("MQM mismatch")
 			return false
 		}
-		if !check(SPM(tr, qs, opt)) {
+		if !check(on(tr, SPM, qs, opt)) {
 			t.Log("SPM mismatch")
 			return false
 		}
-		if !check(MBM(tr, qs, opt)) {
+		if !check(on(tr, MBM, qs, opt)) {
 			t.Log("MBM mismatch")
 			return false
 		}
-		if !check(SPM(tr, qs, Options{K: k, Traversal: DepthFirst})) {
+		if !check(on(tr, SPM, qs, Options{K: k, Traversal: DepthFirst})) {
 			t.Log("SPM-DF mismatch")
 			return false
 		}
-		if !check(MBM(tr, qs, Options{K: k, Traversal: DepthFirst})) {
+		if !check(on(tr, MBM, qs, Options{K: k, Traversal: DepthFirst})) {
 			t.Log("MBM-DF mismatch")
 			return false
 		}
@@ -96,12 +96,12 @@ func TestQuickDiskAlgorithmsAgree(t *testing.T) {
 			t.Log("GCP mismatch")
 			return false
 		}
-		fq, err := FMQM(tp, qf, DiskOptions{Options: Options{K: 2}})
+		fq, err := diskOn(tp, FMQM, qf, DiskOptions{Options: Options{K: 2}})
 		if !match(fq.Neighbors, err) {
 			t.Log("FMQM mismatch")
 			return false
 		}
-		fb, err := FMBM(tp, qf, DiskOptions{Options: Options{K: 2}})
+		fb, err := diskOn(tp, FMBM, qf, DiskOptions{Options: Options{K: 2}})
 		if !match(fb.Neighbors, err) {
 			t.Log("FMBM mismatch")
 			return false

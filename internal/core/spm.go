@@ -49,17 +49,12 @@ func SPM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 	defer releaseIfOwned(ec, owned)
 	best := ec.kbestShared(t, opt.K, opt.Shared, opt.Reject)
 	if t.Len() > 0 {
-		run := spmRun{rd: rtree.ReaderOver(t, opt.packedFor(t, false), opt.Cost),
+		run := spmRun{rd: opt.Packed.Reader(opt.Cost),
 			qs: qs, gq: ec.groupSoA(qs), q: q, dq: dq, n: n, w: w, region: opt.Region,
 			best: best, ec: ec, cancel: opt.Cancel, trace: opt.Trace}
-		switch {
-		case run.rd.Packed() != nil && opt.Traversal == DepthFirst:
-			run.dfPacked(run.rd.PackedRoot(), 0)
-		case run.rd.Packed() != nil:
-			run.bfPacked()
-		case opt.Traversal == DepthFirst:
-			run.df(run.rd.Root(), 0)
-		default:
+		if opt.Traversal == DepthFirst {
+			run.df(run.rd.PackedRoot(), 0)
+		} else {
 			run.bf()
 		}
 	}
@@ -108,35 +103,26 @@ func (r *spmRun) threshold() float64 {
 	return (r.best.bound() + r.dq) / r.n
 }
 
-// offer evaluates a data point against the region constraint and the
+// offer evaluates leaf slot s against the region constraint and the
 // exact (weighted) group distance.
-func (r *spmRun) offer(e rtree.Entry) {
-	if !regionAllows(r.region, e.Point) {
+func (r *spmRun) offer(s int32) {
+	p := r.rd.Packed()
+	if r.region != nil && !p.PointIn(s, *r.region) {
 		return
 	}
 	if r.trace != nil {
 		r.trace.ExactDistances++
 	}
+	pt := r.ec.gather(p, s)
 	r.best.offer(GroupNeighbor{
-		Point: e.Point, ID: e.ID,
-		Dist: aggDistSoA(Sum, e.Point, r.gq, r.w),
+		Point: pt, ID: p.LeafID(s),
+		Dist: aggDistSoA(Sum, pt, r.gq, r.w),
 	})
 }
 
 // tracePrunedH1 classifies candidates cut by heuristic 1 into node and
 // point counters. Only runs with a trace attached.
-func (r *spmRun) tracePrunedH1(cands []rtree.Cand) {
-	for i := range cands {
-		if cands[i].E.IsLeafEntry() {
-			r.trace.PointsPrunedH1++
-		} else {
-			r.trace.NodesPrunedH1++
-		}
-	}
-}
-
-// tracePrunedH1Packed is tracePrunedH1 over packed int32 refs.
-func (r *spmRun) tracePrunedH1Packed(cands []rtree.PCand) {
+func (r *spmRun) tracePrunedH1(cands []rtree.PCand) {
 	for i := range cands {
 		if _, isPoint := rtree.RefSlot(cands[i].Ref); isPoint {
 			r.trace.PointsPrunedH1++
@@ -148,49 +134,12 @@ func (r *spmRun) tracePrunedH1Packed(cands []rtree.PCand) {
 
 // df is the depth-first variant of Figure 3.4: entries sorted by mindist
 // to the centroid (per-depth pooled buffer, inlined insertion sort),
-// recursion pruned by heuristic 1.
-func (r *spmRun) df(nd rtree.Node, depth int) {
-	if r.cancel.Stop() {
-		return
-	}
-	if r.trace != nil {
-		r.trace.NodesVisited++
-	}
-	buf := r.ec.cands.Level(depth)
-	cands := *buf
-	for _, e := range nd.Entries() {
-		var d float64 // mindist(entry, centroid)
-		if e.IsLeafEntry() {
-			d = geom.Dist(r.q, e.Point)
-		} else {
-			d = geom.MinDistPointRect(r.q, e.Rect)
-		}
-		cands = append(cands, rtree.Cand{E: e, D: d})
-	}
-	rtree.SortCands(cands)
-	*buf = cands
-	for i := range cands {
-		c := cands[i]
-		if c.D >= r.threshold() {
-			if r.trace != nil {
-				r.tracePrunedH1(cands[i:])
-			}
-			return // heuristic 1 prunes this and all later entries
-		}
-		if c.E.IsLeafEntry() {
-			r.offer(c.E)
-		} else if regionIntersects(r.region, c.E.Rect) {
-			r.df(r.rd.Child(c.E), depth+1)
-		}
-	}
-}
-
-// dfPacked is df over the packed arena: the mindist-to-centroid keys of a
+// recursion pruned by heuristic 1. The mindist-to-centroid keys of a
 // whole node come from one fused pass over the SoA arrays (square rooted
-// to the real distances heuristic 1 is stated in), candidates are int32
-// refs. The packed path runs only for unconstrained queries, so the
-// region checks of df vanish rather than branch.
-func (r *spmRun) dfPacked(nd int32, depth int) {
+// to the real distances heuristic 1 is stated in); candidates are int32
+// refs. Under a region constraint a point outside it is not evaluated
+// and a subtree whose rectangle misses it is not entered.
+func (r *spmRun) df(nd int32, depth int) {
 	if r.cancel.Stop() {
 		return
 	}
@@ -209,7 +158,7 @@ func (r *spmRun) dfPacked(nd int32, depth int) {
 		lo, hi := p.RectSoA()
 		geom.MinDistSqRectsPoint(lo, hi, int(s), int(e), r.q, d)
 	}
-	buf := r.ec.pcands.Level(depth)
+	buf := r.ec.cands.Level(depth)
 	cands := *buf
 	for i := 0; i < cnt; i++ {
 		ref := rtree.LeafRef(s + int32(i))
@@ -224,29 +173,26 @@ func (r *spmRun) dfPacked(nd int32, depth int) {
 		c := cands[i]
 		if c.D >= r.threshold() {
 			if r.trace != nil {
-				r.tracePrunedH1Packed(cands[i:])
+				r.tracePrunedH1(cands[i:])
 			}
 			return // heuristic 1 prunes this and all later entries
 		}
 		if slot, isPoint := rtree.RefSlot(c.Ref); isPoint {
-			if r.trace != nil {
-				r.trace.ExactDistances++
-			}
-			pt := r.ec.gather(p, slot)
-			r.best.offer(GroupNeighbor{
-				Point: pt, ID: p.LeafID(slot),
-				Dist: aggDistSoA(Sum, pt, r.gq, r.w),
-			})
-		} else {
-			r.dfPacked(r.rd.PackedChild(slot), depth+1)
+			r.offer(slot)
+		} else if r.region == nil || p.RectIntersects(slot, *r.region) {
+			r.df(r.rd.PackedChild(slot), depth+1)
 		}
 	}
 }
 
-// bfPacked is bf over the packed arena, with the int32 ref heap.
-func (r *spmRun) bfPacked() {
+// bf is the best-first variant: a single priority queue (pooled with the
+// execution context) over int32 refs keyed by mindist to the centroid;
+// the first key that fails heuristic 1 ends the search, since all
+// remaining keys are at least as large. Under a region constraint a
+// subtree whose rectangle misses it is never enqueued.
+func (r *spmRun) bf() {
 	p := r.rd.Packed()
-	heap := &r.ec.peheap
+	heap := &r.ec.heap
 	heap.Reset()
 	push := func(nd int32) {
 		if r.trace != nil {
@@ -266,7 +212,10 @@ func (r *spmRun) bfPacked() {
 		lo, hi := p.RectSoA()
 		geom.MinDistSqRectsPoint(lo, hi, int(s), int(e), r.q, d)
 		for i := 0; i < cnt; i++ {
-			heap.Push(rtree.NodeRef(s+int32(i)), math.Sqrt(d[i]))
+			slot := s + int32(i)
+			if r.region == nil || p.RectIntersects(slot, *r.region) {
+				heap.Push(rtree.NodeRef(slot), math.Sqrt(d[i]))
+			}
 		}
 	}
 	push(r.rd.PackedRoot())
@@ -296,67 +245,9 @@ func (r *spmRun) bfPacked() {
 			return
 		}
 		if slot, isPoint := rtree.RefSlot(item.Value); isPoint {
-			if r.trace != nil {
-				r.trace.ExactDistances++
-			}
-			pt := r.ec.gather(p, slot)
-			r.best.offer(GroupNeighbor{
-				Point: pt, ID: p.LeafID(slot),
-				Dist: aggDistSoA(Sum, pt, r.gq, r.w),
-			})
+			r.offer(slot)
 		} else {
 			push(r.rd.PackedChild(slot))
-		}
-	}
-}
-
-// bf is the best-first variant: a single priority queue (pooled with the
-// execution context) over entries keyed by mindist to the centroid; the
-// first key that fails heuristic 1 ends the search, since all remaining
-// keys are at least as large.
-func (r *spmRun) bf() {
-	heap := &r.ec.eheap
-	heap.Reset()
-	push := func(nd rtree.Node) {
-		if r.trace != nil {
-			r.trace.NodesVisited++
-		}
-		for _, e := range nd.Entries() {
-			if e.IsLeafEntry() {
-				heap.Push(e, geom.Dist(r.q, e.Point))
-			} else if regionIntersects(r.region, e.Rect) {
-				heap.Push(e, geom.MinDistPointRect(r.q, e.Rect))
-			}
-		}
-	}
-	push(r.rd.Root())
-	for {
-		if r.cancel.Stop() {
-			return
-		}
-		item, ok := heap.Pop()
-		if !ok {
-			return
-		}
-		if item.Priority >= r.threshold() {
-			if r.trace != nil {
-				// The frontier's keys are all ≥ this one: heuristic 1 prunes
-				// every remaining entry (see bfPacked).
-				for ok {
-					if item.Value.IsLeafEntry() {
-						r.trace.PointsPrunedH1++
-					} else {
-						r.trace.NodesPrunedH1++
-					}
-					item, ok = heap.Pop()
-				}
-			}
-			return
-		}
-		if item.Value.IsLeafEntry() {
-			r.offer(item.Value)
-		} else {
-			push(r.rd.Child(item.Value))
 		}
 	}
 }

@@ -10,7 +10,7 @@ func TestTraceBestFirst(t *testing.T) {
 	pts := clusteredPts(rng, 3000, 1000)
 	tr := buildTree(t, pts, 10)
 	qs := randPts(rng, 16, 200)
-	res, trace, err := MBMTraced(tr, qs, Options{K: 4})
+	res, trace, err := MBMTraced(tr.Tree(), qs, Options{K: 4, Packed: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestTraceDepthFirstHeuristicSplit(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		qs := randPts(rng, 8, 150)
 		trace := &Trace{}
-		if _, err := MBM(tr, qs, Options{Traversal: DepthFirst, Trace: trace}); err != nil {
+		if _, err := on(tr, MBM, qs, Options{Traversal: DepthFirst, Trace: trace}); err != nil {
 			t.Fatal(err)
 		}
 		h2 += trace.NodesPrunedH2
@@ -61,7 +61,7 @@ func TestTraceDisabledHeuristic3(t *testing.T) {
 	tr := buildTree(t, pts, 10)
 	qs := randPts(rng, 8, 200)
 	trace := &Trace{}
-	if _, err := MBM(tr, qs, Options{Traversal: DepthFirst, DisableHeuristic3: true, Trace: trace}); err != nil {
+	if _, err := on(tr, MBM, qs, Options{Traversal: DepthFirst, DisableHeuristic3: true, Trace: trace}); err != nil {
 		t.Fatal(err)
 	}
 	if trace.NodesPrunedH3 != 0 {
@@ -75,7 +75,7 @@ func TestTraceNilSafe(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	pts := randPts(rng, 100, 100)
 	tree := buildTree(t, pts, 8)
-	if _, err := MBM(tree, randPts(rng, 4, 100), Options{}); err != nil {
+	if _, err := on(tree, MBM, randPts(rng, 4, 100), Options{}); err != nil {
 		t.Fatal(err) // no trace attached: nothing recorded, nothing broken
 	}
 }

@@ -217,8 +217,7 @@ func combineThresholdsW(a Aggregate, thresholds []float64, w *weightCtx) float64
 // in the same order as its AoS counterpart in aggDistW/nodeLBW (the 2-D
 // specialisation's dx*dx + dy*dy equals the (0+d0²)+d1² accumulation
 // bit for bit, squares being non-negative), so results, pruning and
-// node-access counts are unchanged — on both tree layouts, which share
-// these functions.
+// node-access counts are unchanged.
 
 // aggDistSoA is aggDistW over the SoA group g (g[axis][j]).
 func aggDistSoA(a Aggregate, p geom.Point, g [][]float64, w *weightCtx) float64 {
@@ -473,10 +472,4 @@ func nodeLBSoA(a Aggregate, r geom.Rect, g [][]float64, w *weightCtx) float64 {
 // constraint region.
 func regionAllows(region *geom.Rect, p geom.Point) bool {
 	return region == nil || region.ContainsPoint(p)
-}
-
-// regionIntersects reports whether a subtree can contain qualifying
-// points under the optional constraint region.
-func regionIntersects(region *geom.Rect, r geom.Rect) bool {
-	return region == nil || region.Intersects(r)
 }

@@ -107,13 +107,13 @@ func scaledBlockPoints(scale float64) int {
 
 // measureGCP builds an R*-tree over the query set (its cost excluded, as
 // in §5.2) and runs GCP, reporting the summed NA of both trees.
-func (e *Env) measureGCP(tp *rtree.Tree, qpts []geom.Point, opt core.Options) (stats.Measurement, error) {
+func (e *Env) measureGCP(tp *rtree.Packed, qpts []geom.Point, opt core.Options) (stats.Measurement, error) {
 	tq, err := e.buildTree(&dataset.Dataset{Name: "Q", Points: qpts}, 1<<40)
 	if err != nil {
 		return stats.Measurement{}, err
 	}
-	tp.Accountant().ResetAll()
-	tq.Accountant().ResetAll()
+	tp.Tree().Accountant().ResetAll()
+	tq.Tree().Accountant().ResetAll()
 	start := time.Now()
 	rep, err := core.GCP(tp, tq, core.GCPOptions{Options: opt, PairBudget: e.cfg.GCPPairBudget})
 	elapsed := time.Since(start)
@@ -127,7 +127,7 @@ func (e *Env) measureGCP(tp *rtree.Tree, qpts []geom.Point, opt core.Options) (s
 		return stats.Measurement{}, fmt.Errorf("experiments: GCP returned no results")
 	}
 	return stats.Measurement{
-		NodeAccesses: float64(tp.Accountant().Logical() + tq.Accountant().Logical()),
+		NodeAccesses: float64(tp.Tree().Accountant().Logical() + tq.Tree().Accountant().Logical()),
 		CPU:          elapsed,
 		Queries:      1,
 	}, nil
@@ -135,7 +135,9 @@ func (e *Env) measureGCP(tp *rtree.Tree, qpts []geom.Point, opt core.Options) (s
 
 // measureFDisk runs F-MQM or F-MBM over a fresh query file, reporting the
 // R-tree NA plus the Q page reads (both behind the configured buffer).
-func (e *Env) measureFDisk(tp *rtree.Tree, qpts []geom.Point, algo string, blockPts int, opt core.Options) (stats.Measurement, error) {
+func (e *Env) measureFDisk(pp *rtree.Packed, qpts []geom.Point, algo string, blockPts int, opt core.Options) (stats.Measurement, error) {
+	tp := pp.Tree()
+	opt.Packed = pp
 	acct := pagestore.NewAccountant(e.cfg.BufferPages)
 	qf, err := core.NewQueryFile(qpts, blockPts, acct, 1<<41)
 	if err != nil {

@@ -62,7 +62,7 @@ func (c Config) withDefaults() Config {
 type Env struct {
 	cfg      Config
 	datasets map[string]*dataset.Dataset
-	trees    map[string]*rtree.Tree
+	trees    map[string]*rtree.Packed
 }
 
 // NewEnv prepares an experiment environment.
@@ -70,7 +70,7 @@ func NewEnv(cfg Config) *Env {
 	return &Env{
 		cfg:      cfg.withDefaults(),
 		datasets: map[string]*dataset.Dataset{},
-		trees:    map[string]*rtree.Tree{},
+		trees:    map[string]*rtree.Packed{},
 	}
 }
 
@@ -103,9 +103,9 @@ func (e *Env) Dataset(name string) (*dataset.Dataset, error) {
 	return d, nil
 }
 
-// Tree returns an R*-tree over the named dataset with a fresh LRU-buffered
-// counter, building and caching it on first use.
-func (e *Env) Tree(name string) (*rtree.Tree, error) {
+// Tree returns the packed R-tree over the named dataset with a fresh
+// LRU-buffered counter, building and caching it on first use.
+func (e *Env) Tree(name string) (*rtree.Packed, error) {
 	if t, ok := e.trees[name]; ok {
 		return t, nil
 	}
@@ -121,14 +121,19 @@ func (e *Env) Tree(name string) (*rtree.Tree, error) {
 	return t, nil
 }
 
-// buildTree bulk-loads a tree over the dataset with the paper's node
+// buildTree STR-packs a tree over the dataset with the paper's node
 // capacity, attaching an LRU buffer when configured.
-func (e *Env) buildTree(d *dataset.Dataset, firstPage pagestore.PageID) (*rtree.Tree, error) {
-	return rtree.BulkLoadSTR(rtree.Config{
+func (e *Env) buildTree(d *dataset.Dataset, firstPage pagestore.PageID) (*rtree.Packed, error) {
+	cfg := rtree.Config{
 		MaxEntries: rtree.DefaultMaxEntries,
 		Accountant: pagestore.NewAccountant(e.cfg.BufferPages),
 		FirstPage:  firstPage,
-	}, d.Points, nil)
+	}
+	coords, err := rtree.Flatten(cfg, d.Points)
+	if err != nil {
+		return nil, err
+	}
+	return rtree.PackSTR(cfg, coords, nil)
 }
 
 // scaledQuerySet returns the query dataset (named src) affinely mapped

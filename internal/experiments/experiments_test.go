@@ -43,7 +43,7 @@ func TestEnvTree(t *testing.T) {
 	if tr.Len() != 489 {
 		t.Fatalf("tree len %d", tr.Len())
 	}
-	if err := tr.CheckInvariants(); err != nil {
+	if err := tr.Tree().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	tr2, _ := e.Tree("PP")

@@ -109,14 +109,16 @@ func (e *Env) runMemSweep(s memSweep) (*stats.Figure, error) {
 // buffer remark of §5.1 concerns wall time, not the NA series).
 // Correctness is cross-checked against brute force on the first query of
 // every workload (cheap tripwire).
-func measureMemory(t *rtree.Tree, queries []workload.Query, a memAlgorithm, opt core.Options) (stats.Measurement, error) {
-	return measureMemoryMetric(t, queries, a, opt, false)
+func measureMemory(p *rtree.Packed, queries []workload.Query, a memAlgorithm, opt core.Options) (stats.Measurement, error) {
+	return measureMemoryMetric(p, queries, a, opt, false)
 }
 
 // measureMemoryMetric implements measureMemory; usePhysical switches the
 // NA column from logical node accesses (the paper's plotted metric) to
 // physical buffer misses (what the A3 buffer ablation quantifies).
-func measureMemoryMetric(t *rtree.Tree, queries []workload.Query, a memAlgorithm, opt core.Options, usePhysical bool) (stats.Measurement, error) {
+func measureMemoryMetric(p *rtree.Packed, queries []workload.Query, a memAlgorithm, opt core.Options, usePhysical bool) (stats.Measurement, error) {
+	t := p.Tree()
+	opt.Packed = p
 	var elapsed time.Duration
 	var accesses int64
 	for qi, q := range queries {

@@ -16,10 +16,12 @@ import "math"
 // counterpart in geom.go (axis terms accumulate in ascending axis order,
 // group terms in query order, with identical expression shapes). Packed
 // traversals therefore produce bit-identical distances and bounds to the
-// dynamic layout, which keeps pruning decisions — and hence results and
-// node-access counts — identical between the two layouts. Do not
-// restructure the arithmetic (e.g. hoisting a Sqrt across a fold or
-// squaring weights) without revisiting that contract.
+// scalar helpers — which serve the overlay's pending-tail scan and the
+// per-rectangle bounds (heuristic 3, MEB) — so results are identical
+// whichever source a point is scored from, and the golden node-access
+// counts stay fixed. Do not restructure the arithmetic (e.g. hoisting a
+// Sqrt across a fold or squaring weights) without revisiting that
+// contract.
 
 // MinDistSqPointsRect writes dst[i] = MinDistSqPointRect(p_{s+i}, r) for
 // the point slots [s, e) of the SoA array pc (pc[axis][slot]).

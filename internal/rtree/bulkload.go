@@ -58,36 +58,6 @@ func Flatten[P ~[]float64](cfg Config, pts []P) ([]float64, error) {
 	return coords, nil
 }
 
-// BulkLoadSTR builds a tree over the given points with the Sort-Tile-
-// Recursive algorithm (see PackSTR), dynamic nodes included. ids[i]
-// identifies pts[i]; pass nil to use the point index.
-func BulkLoadSTR(cfg Config, pts []geom.Point, ids []int64) (*Tree, error) {
-	coords, err := Flatten(cfg, pts)
-	if err != nil {
-		return nil, err
-	}
-	p, err := PackSTR(cfg, coords, ids, true)
-	if err != nil {
-		return nil, err
-	}
-	return p.src, nil
-}
-
-// BulkLoadHilbert builds a tree by packing points in Hilbert order — the
-// classic Hilbert-packed R-tree — dynamic nodes included. Only the first
-// two dimensions contribute to the ordering.
-func BulkLoadHilbert(cfg Config, pts []geom.Point, ids []int64) (*Tree, error) {
-	coords, err := Flatten(cfg, pts)
-	if err != nil {
-		return nil, err
-	}
-	p, err := packHilbert(cfg, coords, ids, true)
-	if err != nil {
-		return nil, err
-	}
-	return p.src, nil
-}
-
 // PackSTR bulk-loads the points of a point-major coordinate slab (point
 // i is coords[i*Dim : (i+1)*Dim]) with the Sort-Tile-Recursive
 // algorithm, writing the packed arena directly: points are tiled into
@@ -95,27 +65,25 @@ func BulkLoadHilbert(cfg Config, pts []geom.Point, ids []int64) (*Tree, error) {
 // and leaves packed to capacity; each upper level groups consecutive
 // nodes of the level below. ids[i] identifies point i; pass nil to use
 // the point index. The arena is the one Tree.Pack produces from the
-// tree these levels describe, bit for bit (see packOrdered).
-//
-// dynamic selects what the arena's Tree() is: the materialised dynamic
-// nodes, for an index that serves LayoutDynamic queries, mutations and
-// pair traversals; or, when false, an immutable shell like a borrowed
-// arena's, for packed-only serving and for snapshots.
-func PackSTR(cfg Config, coords []float64, ids []int64, dynamic bool) (*Packed, error) {
+// tree these levels describe, bit for bit (see packOrdered), and its
+// Tree() is the arena's immutable shell.
+func PackSTR(cfg Config, coords []float64, ids []int64) (*Packed, error) {
 	cfg, err := checkFlat(cfg, coords, ids)
 	if err != nil {
 		return nil, err
 	}
-	return packOrdered(cfg, coords, ids, strOrder(cfg, coords, nil), dynamic), nil
+	return packOrdered(cfg, coords, ids, strOrder(cfg, coords, nil)), nil
 }
 
-// packHilbert is PackSTR with the leaves in Hilbert order instead.
-func packHilbert(cfg Config, coords []float64, ids []int64, dynamic bool) (*Packed, error) {
+// packHilbert is PackSTR with the leaves in Hilbert order instead — the
+// classic Hilbert-packed R-tree. Only the first two dimensions contribute
+// to the ordering.
+func packHilbert(cfg Config, coords []float64, ids []int64) (*Packed, error) {
 	cfg, err := checkFlat(cfg, coords, ids)
 	if err != nil {
 		return nil, err
 	}
-	return packOrdered(cfg, coords, ids, hilbertPerm(cfg.Dim, coords), dynamic), nil
+	return packOrdered(cfg, coords, ids, hilbertPerm(cfg.Dim, coords)), nil
 }
 
 // PackSTRPartitioned Hilbert-partitions the points into parts contiguous
@@ -126,9 +94,8 @@ func packHilbert(cfg Config, coords []float64, ids []int64, dynamic bool) (*Pack
 // and their page IDs are offset to be disjoint, so they can also share
 // an LRU buffer and the usual node-access accounting stays exactly
 // additive across the partition. Points beyond 2-D are ordered on their
-// first two axes, like BulkLoadHilbert; 1-D points on their single axis.
-// dynamic selects each arena's tree kind, as for PackSTR.
-func PackSTRPartitioned(cfg Config, coords []float64, ids []int64, parts int, dynamic bool) ([]*Packed, error) {
+// first two axes, like packHilbert; 1-D points on their single axis.
+func PackSTRPartitioned(cfg Config, coords []float64, ids []int64, parts int) ([]*Packed, error) {
 	if parts < 1 {
 		return nil, fmt.Errorf("rtree: %d partitions; need at least 1", parts)
 	}
@@ -141,8 +108,8 @@ func PackSTRPartitioned(cfg Config, coords []float64, ids []int64, parts int, dy
 	out := make([]*Packed, 0, parts)
 	for s := 0; s < parts; s++ {
 		chunk := perm[n*s/parts : n*(s+1)/parts]
-		p := packOrdered(cfg, coords, ids, strOrder(cfg, coords, chunk), dynamic)
-		cfg.FirstPage += pagestore.PageID(p.src.Pages())
+		p := packOrdered(cfg, coords, ids, strOrder(cfg, coords, chunk))
+		cfg.FirstPage += pagestore.PageID(p.Tree().Pages())
 		out = append(out, p)
 	}
 	return out, nil
@@ -279,10 +246,8 @@ func idAt(ids []int64, i int) int64 {
 // describe: node ids and routing slots in depth-first preorder, leaf
 // slots in leaf order (which is the given order), and each routing
 // rectangle the math.Min/math.Max fold of its child's entries in entry
-// order — the values a Rect.Union chain over them yields. With dynamic
-// set, buildNodes then materialises the nodes from the arena; otherwise
-// the arena's tree is an immutable shell.
-func packOrdered(cfg Config, coords []float64, ids []int64, order []int32, dynamic bool) *Packed {
+// order — the values a Rect.Union chain over them yields.
+func packOrdered(cfg Config, coords []float64, ids []int64, order []int32) *Packed {
 	dim, n := cfg.Dim, len(order)
 	M, m := cfg.MaxEntries, cfg.MinEntries
 
@@ -320,12 +285,11 @@ func packOrdered(cfg Config, coords []float64, ids []int64, order []int32, dynam
 		next += pagestore.PageID(len(b) - 1)
 	}
 
-	t := &Tree{cfg: cfg, size: n, height: len(firsts), nextPage: next}
 	rslots := nodes - 1
 	rects := make([]float64, 2*dim*rslots)
 	cols := make([]float64, dim*n)
 	p := &Packed{
-		src: t, muts: t.muts, dim: dim, size: n, height: t.height,
+		dim: dim, size: n, height: len(firsts),
 		acct:  cfg.Accountant,
 		level: make([]int32, nodes),
 		page:  make([]pagestore.PageID, nodes),
@@ -377,12 +341,6 @@ func packOrdered(cfg Config, coords []float64, ids []int64, order []int32, dynam
 		return id
 	}
 	p.root = fill(len(firsts)-1, 0)
-
-	if dynamic {
-		t.root = p.buildNodes()
-	} else {
-		t.shellOf = p
-		p.mbr = p.rootMBR()
-	}
+	p.setShell(cfg, next)
 	return p
 }

@@ -16,24 +16,42 @@ import (
 	"gnn/internal/pagestore"
 )
 
+// bulkLoadSTR flattens pts and STR-packs them.
+func bulkLoadSTR(cfg Config, pts []geom.Point, ids []int64) (*Packed, error) {
+	coords, err := Flatten(cfg, pts)
+	if err != nil {
+		return nil, err
+	}
+	return PackSTR(cfg, coords, ids)
+}
+
+// bulkLoadHilbert flattens pts and Hilbert-packs them.
+func bulkLoadHilbert(cfg Config, pts []geom.Point, ids []int64) (*Packed, error) {
+	coords, err := Flatten(cfg, pts)
+	if err != nil {
+		return nil, err
+	}
+	return packHilbert(cfg, coords, ids)
+}
+
 func TestBulkLoadSTR(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	pts := randPoints(rng, 3000, 1000)
-	tr, err := BulkLoadSTR(Config{MaxEntries: 10}, pts, nil)
+	tr, err := bulkLoadSTR(Config{MaxEntries: 10}, pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.Len() != 3000 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	if err := tr.CheckInvariants(); err != nil {
+	if err := tr.Tree().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	// Bulk-loaded trees must answer NN exactly like brute force.
 	for trial := 0; trial < 30; trial++ {
 		q := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
 		want := bruteKNN(pts, q, 3)
-		got := tr.NearestBF(q, 3)
+		got := tr.Reader(nil).NearestBF(q, 3)
 		for i := range got {
 			if !almostEq(got[i].Dist, want[i]) {
 				t.Fatalf("trial %d rank %d: %v vs %v", trial, i, got[i].Dist, want[i])
@@ -45,16 +63,16 @@ func TestBulkLoadSTR(t *testing.T) {
 func TestBulkLoadHilbert(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	pts := randPoints(rng, 2500, 1000)
-	tr, err := BulkLoadHilbert(Config{MaxEntries: 10}, pts, nil)
+	tr, err := bulkLoadHilbert(Config{MaxEntries: 10}, pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.CheckInvariants(); err != nil {
+	if err := tr.Tree().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	q := geom.Point{500, 500}
 	want := bruteKNN(pts, q, 10)
-	got := tr.NearestBF(q, 10)
+	got := tr.Reader(nil).NearestBF(q, 10)
 	for i := range got {
 		if !almostEq(got[i].Dist, want[i]) {
 			t.Fatalf("rank %d: %v vs %v", i, got[i].Dist, want[i])
@@ -63,29 +81,29 @@ func TestBulkLoadHilbert(t *testing.T) {
 }
 
 func TestBulkLoadEmptyAndTiny(t *testing.T) {
-	tr, err := BulkLoadSTR(Config{}, nil, nil)
+	tr, err := bulkLoadSTR(Config{}, nil, nil)
 	if err != nil || tr.Len() != 0 {
 		t.Fatalf("empty bulk load: %v, len %d", err, tr.Len())
 	}
-	if err := tr.CheckInvariants(); err != nil {
+	if err := tr.Tree().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	pts := []geom.Point{{1, 1}, {2, 2}}
-	tr, err = BulkLoadHilbert(Config{}, pts, []int64{7, 8})
+	tr, err = bulkLoadHilbert(Config{}, pts, []int64{7, 8})
 	if err != nil || tr.Len() != 2 || tr.Height() != 1 {
 		t.Fatalf("tiny bulk load: %v len %d h %d", err, tr.Len(), tr.Height())
 	}
-	nn := tr.NearestBF(geom.Point{0, 0}, 1)
+	nn := tr.Reader(nil).NearestBF(geom.Point{0, 0}, 1)
 	if nn[0].ID != 7 {
 		t.Fatalf("NN id = %d", nn[0].ID)
 	}
 }
 
 func TestBulkLoadValidation(t *testing.T) {
-	if _, err := BulkLoadSTR(Config{}, []geom.Point{{1, 2}}, []int64{1, 2}); err == nil {
+	if _, err := bulkLoadSTR(Config{}, []geom.Point{{1, 2}}, []int64{1, 2}); err == nil {
 		t.Fatal("mismatched ids accepted")
 	}
-	if _, err := BulkLoadSTR(Config{Dim: 3}, []geom.Point{{1, 2}}, nil); err == nil {
+	if _, err := bulkLoadSTR(Config{Dim: 3}, []geom.Point{{1, 2}}, nil); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
 }
@@ -96,11 +114,11 @@ func TestBulkLoadSizesProperty(t *testing.T) {
 		n := int(nRaw%1200) + 1
 		rng := rand.New(rand.NewSource(seed))
 		pts := randPoints(rng, n, 500)
-		for _, build := range []func(Config, []geom.Point, []int64) (*Tree, error){
-			BulkLoadSTR, BulkLoadHilbert,
+		for _, build := range []func(Config, []geom.Point, []int64) (*Packed, error){
+			bulkLoadSTR, bulkLoadHilbert,
 		} {
 			tr, err := build(Config{MaxEntries: 8}, pts, nil)
-			if err != nil || tr.Len() != n || tr.CheckInvariants() != nil {
+			if err != nil || tr.Len() != n || tr.Tree().CheckInvariants() != nil {
 				return false
 			}
 			count := 0
@@ -121,13 +139,13 @@ func TestBulkLoadQualityVsInsertion(t *testing.T) {
 	// one-at-a-time insertion (a weak but telling quality signal).
 	rng := rand.New(rand.NewSource(22))
 	pts := randPoints(rng, 4000, 1000)
-	str, err := BulkLoadSTR(Config{MaxEntries: 20}, pts, nil)
+	str, err := bulkLoadSTR(Config{MaxEntries: 20}, pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ins := mustTree(t, Config{MaxEntries: 20})
 	insertAll(t, ins, pts)
-	a1, a2 := str.ComputeStats().LeafArea, ins.ComputeStats().LeafArea
+	a1, a2 := str.ComputeStats().LeafArea, ins.Pack().ComputeStats().LeafArea
 	if math.IsNaN(a1) || a1 <= 0 {
 		t.Fatalf("STR leaf area %v", a1)
 	}
@@ -136,7 +154,7 @@ func TestBulkLoadQualityVsInsertion(t *testing.T) {
 	}
 }
 
-// referenceSTR is the specification BulkLoadSTR must reproduce node for
+// referenceSTR is the specification PackSTR must reproduce node for
 // node, written the plain way: a stable sort of the leaf entries on each
 // axis, one allocation per node, and node MBRs built by Rect.Union
 // chains (mbrOf).
@@ -166,7 +184,7 @@ func referenceSTR(cfg Config, pts []geom.Point, ids []int64) (*Tree, error) {
 	})
 }
 
-// referenceHilbert is the specification of BulkLoadHilbert: the curve is
+// referenceHilbert is the specification of packHilbert: the curve is
 // fitted to the mbrOf bounds of the leaf entries, which are then swapped
 // into curve order in place.
 func referenceHilbert(cfg Config, pts []geom.Point, ids []int64) (*Tree, error) {
@@ -281,42 +299,6 @@ func referenceLoad(cfg Config, pts []geom.Point, ids []int64, order func(*Tree, 
 	return t, nil
 }
 
-// diffTrees returns the first difference between two trees, comparing
-// size, height, page allocation and every node: page, level, entry order,
-// IDs, and the bit patterns of every rectangle corner and point.
-func diffTrees(got, want *Tree) error {
-	if got.size != want.size || got.height != want.height || got.nextPage != want.nextPage {
-		return fmt.Errorf("size/height/nextPage %d/%d/%d, want %d/%d/%d",
-			got.size, got.height, got.nextPage, want.size, want.height, want.nextPage)
-	}
-	return diffNodes(got.root, want.root, "root")
-}
-
-func diffNodes(g, w *node, path string) error {
-	if g.page != w.page || g.level != w.level || len(g.entries) != len(w.entries) {
-		return fmt.Errorf("%s: page/level/entries %d/%d/%d, want %d/%d/%d",
-			path, g.page, g.level, len(g.entries), w.page, w.level, len(w.entries))
-	}
-	for i := range w.entries {
-		ge, we := g.entries[i], w.entries[i]
-		at := fmt.Sprintf("%s/%d", path, i)
-		if ge.ID != we.ID || (ge.child == nil) != (we.child == nil) {
-			return fmt.Errorf("%s: id %d leaf %v, want id %d leaf %v", at, ge.ID, ge.child == nil, we.ID, we.child == nil)
-		}
-		for _, c := range [][2]geom.Point{{ge.Rect.Lo, we.Rect.Lo}, {ge.Rect.Hi, we.Rect.Hi}, {ge.Point, we.Point}} {
-			if !sameBits(c[0], c[1]) {
-				return fmt.Errorf("%s: coordinates %v, want %v", at, c[0], c[1])
-			}
-		}
-		if we.child != nil {
-			if err := diffNodes(ge.child, we.child, at); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 func sameBits(a, b geom.Point) bool {
 	if len(a) != len(b) {
 		return false
@@ -331,25 +313,22 @@ func sameBits(a, b geom.Point) bool {
 
 type loader func(Config, []geom.Point, []int64) (*Tree, error)
 
-// algorithm is one bulk-load order: the tree loader, the arena packer it
-// is built on, and the reference both must reproduce.
+// algorithm is one bulk-load order: the arena packer and the reference it
+// must reproduce.
 type algorithm struct {
 	name      string
-	load      loader
-	pack      func(cfg Config, coords []float64, ids []int64, dynamic bool) (*Packed, error)
+	pack      func(cfg Config, coords []float64, ids []int64) (*Packed, error)
 	reference loader
 }
 
 var (
-	strAlgorithm     = algorithm{"STR", BulkLoadSTR, PackSTR, referenceSTR}
-	hilbertAlgorithm = algorithm{"Hilbert", BulkLoadHilbert, packHilbert, referenceHilbert}
+	strAlgorithm     = algorithm{"STR", PackSTR, referenceSTR}
+	hilbertAlgorithm = algorithm{"Hilbert", packHilbert, referenceHilbert}
 )
 
-// checkAgainstReference builds pts with an algorithm's loader and its
-// reference and fails on the first difference: the loaded tree node for
-// node, and the arena the packer writes — with dynamic nodes and as a
-// packed-only shell — column for column against the reference tree's
-// Pack.
+// checkAgainstReference packs pts with an algorithm's packer, builds its
+// reference, and fails on the first difference between the arena and the
+// reference tree's Pack (see checkPacked).
 func checkAgainstReference(t *testing.T, label string, al algorithm, cfg Config, pts []geom.Point, ids []int64) {
 	t.Helper()
 	label = al.name + "/" + label
@@ -357,48 +336,32 @@ func checkAgainstReference(t *testing.T, label string, al algorithm, cfg Config,
 	if err != nil {
 		t.Fatalf("%s: reference: %v", label, err)
 	}
-	got, err := al.load(cfg, pts, ids)
-	if err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
-	if err := diffTrees(got, want); err != nil {
-		t.Fatalf("%s: %v", label, err)
-	}
-	if err := got.CheckInvariants(); err != nil {
-		t.Fatalf("%s: %v", label, err)
+	if err := want.CheckInvariants(); err != nil {
+		t.Fatalf("%s: reference: %v", label, err)
 	}
 	coords, err := Flatten(cfg, pts)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	for _, dynamic := range []bool{true, false} {
-		p, err := al.pack(cfg, coords, ids, dynamic)
-		if err != nil {
-			t.Fatalf("%s: pack: %v", label, err)
-		}
-		if err := checkPacked(p, want, dynamic); err != nil {
-			t.Fatalf("%s (dynamic %v): %v", label, dynamic, err)
-		}
+	p, err := al.pack(cfg, coords, ids)
+	if err != nil {
+		t.Fatalf("%s: pack: %v", label, err)
+	}
+	if err := checkPacked(p, want); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 }
 
 // checkPacked compares an arena a loader packed with the reference tree
 // it must match: the arena column for column against want.Pack(), then
-// its tree — the materialised nodes node for node, or a shell with the
-// same page range and bounds.
-func checkPacked(p *Packed, want *Tree, dynamic bool) error {
+// its shell — same page range and bounds — and the arena's invariants.
+func checkPacked(p *Packed, want *Tree) error {
 	if err := diffArenas(p, want.Pack()); err != nil {
 		return err
 	}
 	tr := p.Tree()
-	if !p.Valid(tr) || tr.IsShell() == dynamic {
-		return fmt.Errorf("tree valid %v, shell %v", p.Valid(tr), tr.IsShell())
-	}
-	if dynamic {
-		if err := diffTrees(tr, want); err != nil {
-			return fmt.Errorf("materialised nodes: %w", err)
-		}
-		return tr.CheckInvariants()
+	if !p.Valid(tr) || tr.root != nil {
+		return fmt.Errorf("tree valid %v, has nodes %v", p.Valid(tr), tr.root != nil)
 	}
 	gb, gok := tr.Bounds()
 	wb, wok := want.Bounds()
@@ -407,7 +370,7 @@ func checkPacked(p *Packed, want *Tree, dynamic bool) error {
 		return fmt.Errorf("shell size/height/nextPage/bounds %d/%d/%d/%v, want %d/%d/%d/%v",
 			tr.size, tr.height, tr.nextPage, gb, want.size, want.height, want.nextPage, wb)
 	}
-	return nil
+	return tr.CheckInvariants()
 }
 
 // diffArenas returns the first difference between two packed arenas,
@@ -454,8 +417,8 @@ func diffArenas(got, want *Packed) error {
 	return nil
 }
 
-// checkPartitioned compares both kinds of PackSTRPartitioned arenas
-// against referencePartitioned, shard by shard.
+// checkPartitioned compares the PackSTRPartitioned arenas against
+// referencePartitioned, shard by shard.
 func checkPartitioned(t *testing.T, label string, cfg Config, pts []geom.Point, ids []int64, parts int) {
 	t.Helper()
 	label = fmt.Sprintf("Partitioned%d/%s", parts, label)
@@ -467,15 +430,13 @@ func checkPartitioned(t *testing.T, label string, cfg Config, pts []geom.Point, 
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	for _, dynamic := range []bool{true, false} {
-		ps, err := PackSTRPartitioned(cfg, coords, ids, parts, dynamic)
-		if err != nil || len(ps) != parts {
-			t.Fatalf("%s: %d arenas, err %v", label, len(ps), err)
-		}
-		for i, p := range ps {
-			if err := checkPacked(p, want[i], dynamic); err != nil {
-				t.Fatalf("%s (dynamic %v): shard %d: %v", label, dynamic, i, err)
-			}
+	ps, err := PackSTRPartitioned(cfg, coords, ids, parts)
+	if err != nil || len(ps) != parts {
+		t.Fatalf("%s: %d arenas, err %v", label, len(ps), err)
+	}
+	for i, p := range ps {
+		if err := checkPacked(p, want[i]); err != nil {
+			t.Fatalf("%s: shard %d: %v", label, i, err)
 		}
 	}
 }
@@ -583,8 +544,8 @@ func fuzzPoints(data []byte, dim int) []geom.Point {
 	return pts
 }
 
-// FuzzBulkLoadSTR checks the STR loader against referenceSTR — the tree
-// node for node, the packed arena column for column — on fuzzed point
+// FuzzBulkLoadSTR checks the STR loader against referenceSTR — the packed
+// arena column for column — on fuzzed point
 // sets, dimensions 1–3, and node capacities 4–16 with every legal
 // minimum fill; the Hilbert and partitioned loaders are checked the same
 // way on the same input. The seed corpus lives in
@@ -605,44 +566,39 @@ func FuzzBulkLoadSTR(f *testing.F) {
 func TestBulkLoadRejectsNonFinite(t *testing.T) {
 	// The packers get the points as a slab nothing has checked: their
 	// own check must reject it.
-	flat := func(pack func(Config, []float64) error) loader {
-		return func(cfg Config, pts []geom.Point, _ []int64) (*Tree, error) {
-			var coords []float64
-			for _, p := range pts {
-				coords = append(coords, p...)
-			}
-			return nil, pack(cfg, coords)
-		}
-	}
-	loaders := map[string]loader{
-		"STR":     BulkLoadSTR,
-		"Hilbert": BulkLoadHilbert,
-		"PackSTR": flat(func(cfg Config, coords []float64) error {
-			_, err := PackSTR(cfg, coords, nil, false)
+	loaders := map[string]func(Config, []float64) error{
+		"STR": func(cfg Config, coords []float64) error {
+			_, err := PackSTR(cfg, coords, nil)
 			return err
-		}),
-		"Partitioned": flat(func(cfg Config, coords []float64) error {
-			_, err := PackSTRPartitioned(cfg, coords, nil, 3, false)
+		},
+		"Hilbert": func(cfg Config, coords []float64) error {
+			_, err := packHilbert(cfg, coords, nil)
 			return err
-		}),
+		},
+		"Partitioned": func(cfg Config, coords []float64) error {
+			_, err := PackSTRPartitioned(cfg, coords, nil, 3)
+			return err
+		},
 	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		for axis := 0; axis < 2; axis++ {
 			pts := randPoints(rand.New(rand.NewSource(24)), 200, 100)
 			pts[137] = geom.Point{5, 5}
 			pts[137][axis] = bad
+			var coords []float64
+			for _, p := range pts {
+				coords = append(coords, p...)
+			}
 			for name, load := range loaders {
-				_, err := load(Config{MaxEntries: 8}, pts, nil)
+				err := load(Config{MaxEntries: 8}, coords)
 				var nf *NonFiniteError
 				if !errors.As(err, &nf) || nf.Index != 137 || nf.Axis != axis {
 					t.Errorf("%s with %v on axis %d: err %v, want NonFiniteError at point 137 axis %d",
 						name, bad, axis, err, axis)
 				}
 			}
-			tr, err := BulkLoadSTR(Config{MaxEntries: 8}, pts[:100], nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			tr := mustTree(t, Config{MaxEntries: 8})
+			insertAll(t, tr, pts[:100])
 			var nf *NonFiniteError
 			if err := tr.Insert(pts[137], 1); !errors.As(err, &nf) || nf.Axis != axis {
 				t.Errorf("Insert with %v on axis %d: err %v", bad, axis, err)
@@ -660,18 +616,17 @@ func TestBulkLoadAllocsFlat(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	allocs := func(n int) (float64, int) {
 		pts := randPoints(rng, n, 1000)
-		tr, err := BulkLoadSTR(Config{}, pts, nil)
+		tr, err := bulkLoadSTR(Config{}, pts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(5, func() { BulkLoadSTR(Config{}, pts, nil) }), tr.Height()
+		return testing.AllocsPerRun(5, func() { bulkLoadSTR(Config{}, pts, nil) }), tr.Height()
 	}
 	small, hSmall := allocs(2000)
 	large, hLarge := allocs(20000)
-	// Each level above the leaves adds three slabs: nodes, routing
-	// entries, MBR corners.
+	// Each level above the leaves may add up to three allocations.
 	if large > small+3*float64(hLarge-hSmall) {
-		t.Fatalf("BulkLoadSTR allocations grow with n: %v at 2k points (height %d), %v at 20k (height %d)",
+		t.Fatalf("PackSTR allocations grow with n: %v at 2k points (height %d), %v at 20k (height %d)",
 			small, hSmall, large, hLarge)
 	}
 }

@@ -10,16 +10,20 @@ import (
 )
 
 // TestNearestResultsOwned: NearestDF and NearestBF copy their results'
-// points out of the arena (and out of the tree's entries), so writing
-// to a returned point changes neither a repeat answer nor the index, on
-// both layouts. Results still match the dynamic traversal bit for bit.
+// points out of the arena, so writing to a returned point changes
+// neither a repeat answer nor the index, for a bulk-loaded and a packed
+// insertion-built arena alike. The two traversals agree bit for bit.
 func TestNearestResultsOwned(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	tr := randTree(t, rng, 2000, 10, true)
-	p := tr.Pack()
-	for i := 0; i < 20; i++ {
-		q := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
-		for _, rd := range []Reader{p.Reader(nil), tr.Reader(nil)} {
+	pts := randPoints(rng, 2000, 1000)
+	bulk, err := bulkLoadSTR(Config{MaxEntries: 10}, pts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []*Packed{bulk, randTree(t, rng, 2000, 10).Pack()} {
+		rd := p.Reader(nil)
+		for i := 0; i < 20; i++ {
+			q := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
 			for name, nearest := range map[string]func(geom.Point, int) []Neighbor{
 				"DF": rd.NearestDF, "BF": rd.NearestBF,
 			} {
@@ -32,8 +36,8 @@ func TestNearestResultsOwned(t *testing.T) {
 				if got := nearest(q, 7); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s query %d: answer changed after writing to returned points:\n got %v\nwant %v", name, i, got, want)
 				}
-				if dyn := tr.Reader(nil).NearestBF(q, 7); !reflect.DeepEqual(dyn, want) {
-					t.Fatalf("%s query %d: diverged from the dynamic traversal", name, i)
+				if bf := rd.NearestBF(q, 7); !reflect.DeepEqual(bf, want) {
+					t.Fatalf("%s query %d: diverged from the best-first traversal", name, i)
 				}
 			}
 		}

@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"math"
 	"sync"
 
 	"gnn/internal/geom"
@@ -31,19 +30,16 @@ import (
 // the file).
 //
 // Node i owns the contiguous slot range [start[i], end[i]) of whichever
-// space its level selects. Page ids are preserved from the source tree and
-// every packed traversal charges the same accountant, so per-query
-// CostTracker and aggregate node-access accounting is bit-identical to the
-// dynamic layout.
+// space its level selects. Page ids are preserved from the tree the
+// loader or Pack laid out, and every traversal charges the tree's
+// accountant, so per-query CostTracker and aggregate node-access
+// accounting follow the paper's page model exactly.
 //
-// A Packed is valid only for the exact tree state it was built from:
-// Insert and Delete bump the tree's mutation counter, after which Valid
-// reports false and ReaderOver silently falls back to the dynamic nodes.
-// Build a fresh snapshot with Pack after mutating (under the same
-// no-concurrent-readers contract as the mutation itself).
+// An arena is immutable. Its Tree is a metadata shell (size, height,
+// page range, configuration) that the query layers pass around; a
+// mutation is a new arena, built by a loader or by Pack.
 type Packed struct {
 	src    *Tree
-	muts   uint64
 	dim    int
 	size   int
 	height int
@@ -71,8 +67,8 @@ type Packed struct {
 	// PackedFromSnapshot, which are complete at construction.
 	prep *packedPrep
 
-	// mbr is the root MBR of a borrowed arena, set by Prepare (the shell
-	// tree has no dynamic nodes to compute it from).
+	// mbr is the root MBR, set at construction (by Prepare for a
+	// borrowed arena, whose columns are unverified until then).
 	mbr geom.Rect
 }
 
@@ -102,17 +98,20 @@ func (p *Packed) Prepare() error {
 	return p.prep.err
 }
 
-// bounds serves the shell tree's Bounds from the prepared arena.
-func (p *Packed) bounds() (geom.Rect, bool) {
+// Bounds returns the MBR of the indexed points; ok is false when the
+// arena is empty (or a borrowed arena fails its verification).
+func (p *Packed) Bounds() (geom.Rect, bool) {
 	if p.size == 0 || p.Prepare() != nil {
 		return geom.Rect{}, false
 	}
 	return p.mbr, true
 }
 
-// Pack builds the packed query-time snapshot of the tree's current state.
-// Like every read operation it may run concurrently with queries, but not
-// with Insert or Delete.
+// Pack lays the builder's current nodes out as a packed arena, page
+// identifiers and entry order included, so queries on it charge exactly
+// the accesses a traversal of the nodes would. The arena's Tree is a new
+// shell: later mutations of t do not affect it. Pack must not run
+// concurrently with Insert or Delete.
 func (t *Tree) Pack() *Packed {
 	// First pass: count nodes and slots so every arena is allocated once.
 	var nodes, rslots, lslots int
@@ -131,7 +130,7 @@ func (t *Tree) Pack() *Packed {
 	count(t.root)
 
 	p := &Packed{
-		src: t, muts: t.muts, dim: t.cfg.Dim, size: t.size, height: t.height,
+		dim: t.cfg.Dim, size: t.size, height: t.height,
 		acct:  t.cfg.Accountant,
 		level: make([]int32, 0, nodes),
 		page:  make([]pagestore.PageID, 0, nodes),
@@ -186,16 +185,25 @@ func (t *Tree) Pack() *Packed {
 		return id
 	}
 	p.root = fill(t.root)
+	p.setShell(t.cfg, t.nextPage)
 	return p
 }
 
-// Valid reports whether the snapshot still matches the tree's state: it
-// was built from exactly this tree and no Insert/Delete happened since.
-func (p *Packed) Valid(t *Tree) bool {
-	return p != nil && p.src == t && p.muts == t.muts
+// setShell attaches the arena's metadata shell and computes its root
+// MBR. A borrowed arena defers the MBR to Prepare instead.
+func (p *Packed) setShell(cfg Config, nextPage pagestore.PageID) {
+	p.src = &Tree{cfg: cfg, size: p.size, height: p.height, nextPage: nextPage, shellOf: p}
+	if p.prep == nil {
+		p.mbr = p.rootMBR()
+	}
 }
 
-// Tree returns the source tree the snapshot was built from.
+// Valid reports whether p is the arena of tree t.
+func (p *Packed) Valid(t *Tree) bool {
+	return p != nil && p.src == t
+}
+
+// Tree returns the arena's metadata shell.
 func (p *Packed) Tree() *Tree { return p.src }
 
 // Len returns the number of indexed points.
@@ -289,27 +297,30 @@ func RefSlot(r PackedRef) (s int32, leaf bool) {
 	return ^r, false
 }
 
-// ReaderOver returns an execution context over the packed snapshot when it
-// is valid for t, and over the dynamic nodes otherwise. It is the single
-// dispatch point through which every query picks its layout.
-func ReaderOver(t *Tree, p *Packed, tk *pagestore.CostTracker) Reader {
-	if !p.Valid(t) {
-		p = nil
-	}
-	return Reader{t: t, p: p, tk: tk}
+// Reader is a per-query execution context: a read-only view of the arena
+// whose node accesses are charged to one query's CostTracker (may be nil:
+// aggregate-only accounting) as well as the tree's shared Accountant.
+// Create one Reader per query; a Reader itself is a cheap value but must
+// not be shared between goroutines, because the tracker it carries is
+// unsynchronised by design.
+type Reader struct {
+	p  *Packed
+	tk *pagestore.CostTracker
 }
 
-// Reader returns an execution context over the packed snapshot, charging
-// tk (nil for aggregate-only accounting).
+// Reader returns an execution context over the arena, charging tk (nil
+// for aggregate-only accounting).
 func (p *Packed) Reader(tk *pagestore.CostTracker) Reader {
-	return Reader{t: p.src, p: p, tk: tk}
+	return Reader{p: p, tk: tk}
 }
 
-// Packed returns the packed snapshot this reader traverses, or nil when it
-// reads the dynamic nodes.
+// Packed returns the arena this reader traverses.
 func (r Reader) Packed() *Packed { return r.p }
 
-// PackedRoot returns the packed root node id, charging one node access.
+// Cost returns the reader's per-query tracker (nil when aggregate-only).
+func (r Reader) Cost() *pagestore.CostTracker { return r.tk }
+
+// PackedRoot returns the root node id, charging one node access.
 func (r Reader) PackedRoot() int32 {
 	r.p.acct.Access(r.p.page[r.p.root], r.tk)
 	return r.p.root
@@ -323,6 +334,28 @@ func (r Reader) PackedChild(s int32) int32 {
 	return c
 }
 
+// PointIn reports whether leaf slot s lies inside r, boundaries
+// inclusive: r.ContainsPoint of the slot's point, without gathering it.
+func (p *Packed) PointIn(s int32, r geom.Rect) bool {
+	for a := 0; a < p.dim; a++ {
+		if v := p.pc[a][s]; v < r.Lo[a] || v > r.Hi[a] {
+			return false
+		}
+	}
+	return true
+}
+
+// RectIntersects reports whether routing slot s's rectangle intersects
+// r: r.Intersects of the slot's rectangle, without gathering it.
+func (p *Packed) RectIntersects(s int32, r geom.Rect) bool {
+	for a := 0; a < p.dim; a++ {
+		if r.Hi[a] < p.rlo[a][s] || p.rhi[a][s] < r.Lo[a] {
+			return false
+		}
+	}
+	return true
+}
+
 // growFloat64 returns dst with length n (contents undefined), reallocating
 // only when capacity is short — the scratch-buffer growth helper of the
 // packed traversals.
@@ -333,35 +366,21 @@ func growFloat64(dst []float64, n int) []float64 {
 	return dst[:n]
 }
 
-// searchPacked is Reader.Search over the packed arena; pt is the
-// gather scratch handed to fn.
-func (rd Reader) searchPacked(n int32, r geom.Rect, pt geom.Point, fn func(geom.Point, int64) bool) bool {
+// search walks node n for Reader.Search; pt is the gather scratch handed
+// to fn.
+func (rd Reader) search(n int32, r geom.Rect, pt geom.Point, fn func(geom.Point, int64) bool) bool {
 	p := rd.p
 	s, e := p.start[n], p.end[n]
 	if p.level[n] == 0 {
 		for i := s; i < e; i++ {
-			inside := true
-			for a := 0; a < p.dim; a++ {
-				if v := p.pc[a][i]; v < r.Lo[a] || v > r.Hi[a] {
-					inside = false
-					break
-				}
-			}
-			if inside && !fn(p.PointInto(i, pt), p.ids[i]) {
+			if p.PointIn(i, r) && !fn(p.PointInto(i, pt), p.ids[i]) {
 				return false
 			}
 		}
 		return true
 	}
 	for i := s; i < e; i++ {
-		intersects := true
-		for a := 0; a < p.dim; a++ {
-			if p.rhi[a][i] < r.Lo[a] || r.Hi[a] < p.rlo[a][i] {
-				intersects = false
-				break
-			}
-		}
-		if intersects && !rd.searchPacked(rd.PackedChild(i), r, pt, fn) {
+		if p.RectIntersects(i, r) && !rd.search(rd.PackedChild(i), r, pt, fn) {
 			return false
 		}
 	}
@@ -369,10 +388,10 @@ func (rd Reader) searchPacked(n int32, r geom.Rect, pt geom.Point, fn func(geom.
 }
 
 // All invokes fn for every indexed point in depth-first order — a pure
-// streaming pass over the flat leaf arrays, without charging node accesses
-// (matching Tree.All's bookkeeping-scan semantics). Each point is gathered
-// into one scratch point reused for the whole scan, so fn must not retain
-// pt: copy it to keep it.
+// streaming pass over the flat leaf arrays, without charging node
+// accesses (a bookkeeping scan, not a simulated disk traversal). Each
+// point is gathered into one scratch point reused for the whole scan, so
+// fn must not retain pt: copy it to keep it.
 func (p *Packed) All(fn func(pt geom.Point, id int64) bool) {
 	if p.Prepare() != nil {
 		return // unverifiable borrowed arena; opens surfaced the error
@@ -382,84 +401,5 @@ func (p *Packed) All(fn func(pt geom.Point, id int64) bool) {
 		if !fn(p.PointInto(int32(i), pt), p.ids[i]) {
 			return
 		}
-	}
-}
-
-// nearestDFPacked is the packed-arena [RKV95] depth-first k-NN traversal:
-// the per-node candidate distances come from one fused pass over the SoA
-// arrays, and candidates are int32 refs instead of copied entries.
-func (rd Reader) nearestDFPacked(n int32, q geom.Point, sc *nnScratch, depth int) {
-	p := rd.p
-	s, e := p.start[n], p.end[n]
-	cnt := int(e - s)
-	sc.dbuf = growFloat64(sc.dbuf, cnt)
-	buf := sc.pcands.Level(depth)
-	cands := *buf
-	if p.level[n] == 0 {
-		geom.DistSqPointsPoint(p.pc, int(s), int(e), q, sc.dbuf)
-		for i := 0; i < cnt; i++ {
-			cands = append(cands, PCand{Ref: LeafRef(s + int32(i)), D: sc.dbuf[i]})
-		}
-	} else {
-		geom.MinDistSqRectsPoint(p.rlo, p.rhi, int(s), int(e), q, sc.dbuf)
-		for i := 0; i < cnt; i++ {
-			cands = append(cands, PCand{Ref: NodeRef(s + int32(i)), D: sc.dbuf[i]})
-		}
-	}
-	SortPCands(cands)
-	*buf = cands
-	for i := range cands {
-		c := cands[i]
-		if bd, ok := sc.best.Kth(); ok && c.D >= bd {
-			return // every remaining candidate is at least this far
-		}
-		if slot, leaf := RefSlot(c.Ref); leaf {
-			sc.pt = p.PointInto(slot, sc.pt)
-			sc.best.push(sc.pt, p.ids[slot], c.D)
-		} else {
-			rd.nearestDFPacked(rd.PackedChild(slot), q, sc, depth+1)
-		}
-	}
-}
-
-// pushNodePacked enqueues node n's slots on the packed heap, keyed by the
-// fused squared distances to q.
-func (it *NNIterator) pushNodePacked(n int32) {
-	p := it.rd.p
-	s, e := p.start[n], p.end[n]
-	cnt := int(e - s)
-	it.dbuf = growFloat64(it.dbuf, cnt)
-	if p.level[n] == 0 {
-		geom.DistSqPointsPoint(p.pc, int(s), int(e), it.q, it.dbuf)
-		for i := 0; i < cnt; i++ {
-			it.ph.Push(LeafRef(s+int32(i)), it.dbuf[i])
-		}
-	} else {
-		geom.MinDistSqRectsPoint(p.rlo, p.rhi, int(s), int(e), it.q, it.dbuf)
-		for i := 0; i < cnt; i++ {
-			it.ph.Push(NodeRef(s+int32(i)), it.dbuf[i])
-		}
-	}
-}
-
-// nextPacked is NNIterator.Next over the packed arena: the emitted point
-// is gathered into the iterator's scratch.
-func (it *NNIterator) nextPacked() (Neighbor, bool) {
-	p := it.rd.p
-	for {
-		item, ok := it.ph.Pop()
-		if !ok {
-			return Neighbor{}, false
-		}
-		slot, leaf := RefSlot(item.Value)
-		if leaf {
-			it.pt = p.PointInto(slot, it.pt)
-			return Neighbor{
-				Point: it.pt,
-				ID:    p.ids[slot],
-				Dist:  math.Sqrt(item.Priority),
-			}, true
-		}
-		it.pushNodePacked(it.rd.PackedChild(slot))
 	}
 }

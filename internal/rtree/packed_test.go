@@ -1,172 +1,103 @@
 package rtree
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"gnn/internal/geom"
-	"gnn/internal/pagestore"
 )
 
-func randTree(t *testing.T, rng *rand.Rand, n, maxEntries int, bulk bool) *Tree {
+// randTree inserts n random points into an R*-tree builder.
+func randTree(t *testing.T, rng *rand.Rand, n, maxEntries int) *Tree {
 	t.Helper()
-	pts := make([]geom.Point, n)
-	for i := range pts {
-		pts[i] = geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
-	}
-	cfg := Config{Dim: 2, MaxEntries: maxEntries}
-	if bulk {
-		tr, err := BulkLoadSTR(cfg, pts, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
-	tr, err := New(cfg)
+	tr, err := New(Config{Dim: 2, MaxEntries: maxEntries})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range pts {
-		if err := tr.Insert(p, int64(i)); err != nil {
+	for i := 0; i < n; i++ {
+		if err := tr.Insert(geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}, int64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return tr
 }
 
-// TestPackedTraversalEquivalence checks that every rtree-level traversal
-// returns identical neighbors and charges identical per-query costs on
-// both layouts.
-func TestPackedTraversalEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, bulk := range []bool{true, false} {
-		tr := randTree(t, rng, 2000, 8, bulk)
-		p := tr.Pack()
-		if !p.Valid(tr) {
-			t.Fatal("fresh snapshot reports invalid")
-		}
-		if p.Len() != tr.Len() || p.Height() != tr.Height() {
-			t.Fatalf("snapshot shape: len %d/%d height %d/%d", p.Len(), tr.Len(), p.Height(), tr.Height())
-		}
-		for trial := 0; trial < 50; trial++ {
-			q := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
-			k := 1 + rng.Intn(10)
-
-			var dtk, ptk pagestore.CostTracker
-			dyn := tr.Reader(&dtk).NearestDF(q, k)
-			pkd := ReaderOver(tr, p, &ptk).NearestDF(q, k)
-			if !reflect.DeepEqual(dyn, pkd) {
-				t.Fatalf("NearestDF diverged (bulk=%v trial %d):\ndyn: %v\npkd: %v", bulk, trial, dyn, pkd)
-			}
-			if dtk != ptk {
-				t.Fatalf("NearestDF cost diverged: dyn %+v pkd %+v", dtk, ptk)
-			}
-
-			dtk, ptk = pagestore.CostTracker{}, pagestore.CostTracker{}
-			dyn = tr.Reader(&dtk).NearestBF(q, k)
-			pkd = p.Reader(&ptk).NearestBF(q, k)
-			if !reflect.DeepEqual(dyn, pkd) {
-				t.Fatalf("NearestBF diverged (bulk=%v trial %d)", bulk, trial)
-			}
-			if dtk != ptk {
-				t.Fatalf("NearestBF cost diverged: dyn %+v pkd %+v", dtk, ptk)
-			}
-
-			r := geom.NewRect(
-				geom.Point{rng.Float64() * 1000, rng.Float64() * 1000},
-				geom.Point{rng.Float64() * 1000, rng.Float64() * 1000})
-			var dres, pres []int64
-			dtk, ptk = pagestore.CostTracker{}, pagestore.CostTracker{}
-			tr.Reader(&dtk).Search(r, func(_ geom.Point, id int64) bool {
-				dres = append(dres, id)
-				return true
-			})
-			ReaderOver(tr, p, &ptk).Search(r, func(_ geom.Point, id int64) bool {
-				pres = append(pres, id)
-				return true
-			})
-			if !reflect.DeepEqual(dres, pres) {
-				t.Fatalf("Search diverged: %d vs %d ids", len(dres), len(pres))
-			}
-			if dtk != ptk {
-				t.Fatalf("Search cost diverged: dyn %+v pkd %+v", dtk, ptk)
-			}
-		}
-
-		// Incremental NN streams must emit the same prefix with the same
-		// per-step costs.
-		q := geom.Point{500, 500}
-		var dtk, ptk pagestore.CostTracker
-		di := tr.Reader(&dtk).NewNNIterator(q)
-		pi := ReaderOver(tr, p, &ptk).NewNNIterator(q)
-		for i := 0; i < 200; i++ {
-			dn, dok := di.Next()
-			pn, pok := pi.Next()
-			if dok != pok || !reflect.DeepEqual(dn, pn) {
-				t.Fatalf("NN stream diverged at %d: %v/%v vs %v/%v", i, dn, dok, pn, pok)
-			}
-			if dtk != ptk {
-				t.Fatalf("NN stream cost diverged at %d: dyn %+v pkd %+v", i, dtk, ptk)
-			}
-		}
-		di.Close()
-		pi.Close()
-
-		// All must stream the identical sequence.
-		var dall, pall []int64
-		tr.All(func(_ geom.Point, id int64) bool { dall = append(dall, id); return true })
-		p.All(func(_ geom.Point, id int64) bool { pall = append(pall, id); return true })
-		if !reflect.DeepEqual(dall, pall) {
-			t.Fatal("All order diverged between layouts")
-		}
+// TestPackIndependentOfBuilder: Pack snapshots the builder into an arena
+// with its own immutable shell; later builder mutations leave the arena
+// (and its answers and invariants) untouched.
+func TestPackIndependentOfBuilder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	tr := randTree(t, rng, 800, 8)
+	p := tr.Pack()
+	if p.Valid(tr) || !p.Valid(p.Tree()) {
+		t.Fatal("the arena must belong to its shell, not to the builder")
+	}
+	q := geom.Point{500, 500}
+	before := p.Reader(nil).NearestBF(q, 5)
+	if err := tr.Insert(q, 9999); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Reader(nil).NearestBF(q, 5); !reflect.DeepEqual(got, before) {
+		t.Fatalf("builder insert leaked into the arena: %v, was %v", got, before)
+	}
+	if got := tr.Pack().Reader(nil).NearestBF(q, 1); got[0].ID != 9999 {
+		t.Fatalf("a fresh Pack missed the insert: %v", got)
+	}
+	sh := p.Tree()
+	if err := sh.Insert(q, 1); !errors.Is(err, ErrImmutable) {
+		t.Fatalf("shell Insert: %v, want ErrImmutable", err)
+	}
+	if sh.Delete(before[0].Point, before[0].ID) {
+		t.Fatal("shell Delete reported true")
+	}
+	if err := sh.CheckInvariants(); err != nil || sh.Len() != 800 {
+		t.Fatalf("shell after builder insert: len %d, invariants %v", sh.Len(), err)
 	}
 }
 
-// TestPackedInvalidation checks the mutation-invalidation rule: any
-// Insert or Delete makes the snapshot stale and ReaderOver falls back to
-// the dynamic nodes.
-func TestPackedInvalidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	tr := randTree(t, rng, 200, 8, true)
-	p := tr.Pack()
-	if !p.Valid(tr) {
-		t.Fatal("fresh snapshot invalid")
+// TestShellCheckInvariants: a shell's CheckInvariants walks the arena and
+// reports every corruption a node walk of the builder would: a routing
+// rectangle that is not its child's exact MBR, a fill violation, a level
+// skip, a size mismatch, a wrong height, and a child id outside the
+// arena — each as an error, never a panic.
+func TestShellCheckInvariants(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	pts := make([]geom.Point, 600)
+	for i := range pts {
+		pts[i] = geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
 	}
-	if rd := ReaderOver(tr, p, nil); rd.Packed() != p {
-		t.Fatal("ReaderOver dropped a valid snapshot")
+	fresh := func() *Packed {
+		p, err := bulkLoadSTR(Config{MaxEntries: 8}, pts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Tree().CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	if err := tr.Insert(geom.Point{1, 2}, 999); err != nil {
-		t.Fatal(err)
-	}
-	if p.Valid(tr) {
-		t.Fatal("snapshot still valid after Insert")
-	}
-	if rd := ReaderOver(tr, p, nil); rd.Packed() != nil {
-		t.Fatal("ReaderOver served a stale snapshot")
-	}
-	// Queries through the stale-snapshot ReaderOver must see the new point.
-	got := ReaderOver(tr, p, nil).NearestDF(geom.Point{1, 2}, 1)
-	if len(got) != 1 || got[0].ID != 999 {
-		t.Fatalf("fallback query missed the inserted point: %v", got)
-	}
-	p2 := tr.Pack()
-	if !p2.Valid(tr) {
-		t.Fatal("re-packed snapshot invalid")
-	}
-	if !tr.Delete(geom.Point{1, 2}, 999) {
-		t.Fatal("delete failed")
-	}
-	if p2.Valid(tr) {
-		t.Fatal("snapshot still valid after Delete")
-	}
-	// A snapshot of one tree is never valid for another.
-	other := randTree(t, rng, 50, 8, true)
-	if p.Valid(other) {
-		t.Fatal("snapshot valid for a different tree")
-	}
-	if rd := ReaderOver(other, other.Pack(), nil); rd.Packed() == nil {
-		t.Fatal("ReaderOver rejected a matching snapshot")
+	for name, corrupt := range map[string]func(p *Packed){
+		"widened rect":  func(p *Packed) { p.rlo[0][0] -= 1 },
+		"shrunk rect":   func(p *Packed) { p.rhi[1][len(p.child)-1] -= 1e-9 },
+		"moved point":   func(p *Packed) { p.pc[0][0] -= 5000 },
+		"overflow":      func(p *Packed) { p.src.cfg.MaxEntries = 6 },
+		"underflow":     func(p *Packed) { p.src.cfg.MinEntries = 8 },
+		"root overrun":  func(p *Packed) { p.end[p.root] = p.start[p.root] + 9 },
+		"level skip":    func(p *Packed) { p.level[p.child[p.start[p.root]]]-- },
+		"size":          func(p *Packed) { p.size++ },
+		"height":        func(p *Packed) { p.height++ },
+		"child id":      func(p *Packed) { p.child[0] = int32(len(p.level)) },
+		"shared child":  func(p *Packed) { p.child[p.start[p.root]+1] = p.child[p.start[p.root]] },
+		"slot range":    func(p *Packed) { p.end[p.root] = int32(len(p.child)) + 1 },
+		"inverted root": func(p *Packed) { p.root = -1 },
+	} {
+		p := fresh()
+		corrupt(p)
+		if err := p.Tree().CheckInvariants(); err == nil {
+			t.Errorf("%s: corrupted arena passed CheckInvariants", name)
+		}
 	}
 }
 
@@ -175,7 +106,7 @@ func TestPackedInvalidation(t *testing.T) {
 // source nodes.
 func TestPackedShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	tr := randTree(t, rng, 1500, 10, false)
+	tr := randTree(t, rng, 1500, 10)
 	p := tr.Pack()
 	var walk func(n int32, level int32)
 	seenLeaf := 0
@@ -202,7 +133,7 @@ func TestPackedShape(t *testing.T) {
 	if p.NumLeafSlots() != tr.Len() {
 		t.Fatalf("NumLeafSlots %d, want %d", p.NumLeafSlots(), tr.Len())
 	}
-	// Pages must be preserved — same id space as the dynamic nodes.
+	// Pages must be preserved — same id space as the builder's nodes.
 	if p.page[p.Root()] != tr.root.page {
 		t.Fatalf("root page %d, want %d", p.page[p.Root()], tr.root.page)
 	}

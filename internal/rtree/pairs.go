@@ -15,18 +15,18 @@ type Pair struct {
 }
 
 // pairItem is a heap element of the incremental closest-pair search. Each
-// side is either a resolved data entry or a routing entry of its tree.
+// side is a ref into its arena: a resolved leaf slot or a routing slot.
 type pairItem struct {
-	ep, eq Entry
+	p, q PackedRef
 }
 
-// PairIterator enumerates point pairs (p, q), p from the first tree and q
-// from the second, in ascending distance order — the incremental closest-
-// pair algorithm of [HS98] used as the engine of GCP (§4.1).
+// PairIterator enumerates point pairs (p, q), p from the first arena and
+// q from the second, in ascending distance order — the incremental
+// closest-pair algorithm of [HS98] used as the engine of GCP (§4.1).
 //
-// The iterator maintains a heap of entry pairs keyed by the squared
+// The iterator maintains a heap of slot pairs keyed by the squared
 // mindist of their rectangles: since mindist lower-bounds every concrete
-// pair beneath an entry pair and squaring preserves order, popping in heap
+// pair beneath a slot pair and squaring preserves order, popping in heap
 // order yields pairs in ascending distance while no heap key pays a Sqrt.
 // Node accesses are charged to each side's execution context (each tree's
 // shared accountant, plus whatever tracker the contexts carry).
@@ -36,6 +36,7 @@ type pairItem struct {
 type PairIterator struct {
 	rp, rq Reader
 	heap   pq.Heap[pairItem]
+	pp, pq geom.Point // gather scratch of the emitted pair's points
 	closed bool
 	// heapMax tracks the high-water mark of the heap, reported because the
 	// paper discusses GCP's "large heap requirements" (§4.1).
@@ -44,38 +45,55 @@ type PairIterator struct {
 
 var pairIterPool = pq.NewPool(func() *PairIterator { return &PairIterator{} })
 
-// NewClosestPairIterator starts an incremental closest-pair scan between
-// two non-empty trees of equal dimensionality, in fresh aggregate-only
-// execution contexts. Use NewClosestPairIteratorReaders to charge
-// per-query trackers.
-func NewClosestPairIterator(tp, tq *Tree) (*PairIterator, error) {
-	return NewClosestPairIteratorReaders(tp.Reader(nil), tq.Reader(nil))
+// slotRange is a run of slots on one side of a cross product: the slots
+// [s, e) of one node, or a single slot (e = s+1); leaf selects the leaf
+// slot space.
+type slotRange struct {
+	s, e int32
+	leaf bool
 }
 
-// NewClosestPairIteratorReaders starts an incremental closest-pair scan
-// between the trees behind two per-query execution contexts. The contexts
-// may share one CostTracker, which then accumulates the combined NA of
-// both trees.
-func NewClosestPairIteratorReaders(rp, rq Reader) (*PairIterator, error) {
-	tp, tq := rp.Tree(), rq.Tree()
-	if tp.Dim() != tq.Dim() {
-		return nil, fmt.Errorf("rtree: dimension mismatch %d vs %d", tp.Dim(), tq.Dim())
+// nodeRange returns node n's slots as a range.
+func (p *Packed) nodeRange(n int32) slotRange {
+	return slotRange{p.start[n], p.end[n], p.level[n] == 0}
+}
+
+// refRange returns the single slot of ref r as a range.
+func refRange(r PackedRef) slotRange {
+	s, leaf := RefSlot(r)
+	return slotRange{s, s + 1, leaf}
+}
+
+func (r slotRange) ref(s int32) PackedRef {
+	if r.leaf {
+		return LeafRef(s)
+	}
+	return NodeRef(s)
+}
+
+// NewClosestPairIterator starts an incremental closest-pair scan between
+// the arenas behind two per-query execution contexts of equal
+// dimensionality. The contexts may share one CostTracker, which then
+// accumulates the combined NA of both trees.
+func NewClosestPairIterator(rp, rq Reader) (*PairIterator, error) {
+	if rp.p.dim != rq.p.dim {
+		return nil, fmt.Errorf("rtree: dimension mismatch %d vs %d", rp.p.dim, rq.p.dim)
 	}
 	it := pairIterPool.Get()
 	it.rp, it.rq, it.closed, it.heapMax = rp, rq, false, 0
 	it.heap.Reset()
-	if tp.Len() > 0 && tq.Len() > 0 {
-		np, nq := rp.Root(), rq.Root()
-		it.pushCross(np.Entries(), nq.Entries())
+	if rp.p.size > 0 && rq.p.size > 0 {
+		np, nq := rp.PackedRoot(), rq.PackedRoot()
+		it.pushCross(rp.p.nodeRange(np), rq.p.nodeRange(nq))
 	}
 	return it, nil
 }
 
-// pushCross enqueues the cross product of two entry sets.
-func (it *PairIterator) pushCross(eps, eqs []Entry) {
-	for _, ep := range eps {
-		for _, eq := range eqs {
-			it.heap.Push(pairItem{ep, eq}, pairDistSq(ep, eq))
+// pushCross enqueues the cross product of two slot ranges, P outer.
+func (it *PairIterator) pushCross(ps, qs slotRange) {
+	for i := ps.s; i < ps.e; i++ {
+		for j := qs.s; j < qs.e; j++ {
+			it.heap.Push(pairItem{ps.ref(i), qs.ref(j)}, it.pairDistSq(ps.leaf, i, qs.leaf, j))
 		}
 	}
 	if it.heap.Len() > it.heapMax {
@@ -83,51 +101,88 @@ func (it *PairIterator) pushCross(eps, eqs []Entry) {
 	}
 }
 
-func pairDistSq(ep, eq Entry) float64 {
-	switch {
-	case ep.IsLeafEntry() && eq.IsLeafEntry():
-		return geom.DistSq(ep.Point, eq.Point)
-	case ep.IsLeafEntry():
-		return geom.MinDistSqPointRect(ep.Point, eq.Rect)
-	case eq.IsLeafEntry():
-		return geom.MinDistSqPointRect(eq.Point, ep.Rect)
-	default:
-		return geom.MinDistSqRectRect(ep.Rect, eq.Rect)
+// pairDistSq is the squared mindist between P slot i and Q slot j:
+// geom.DistSq for two points, geom.MinDistSqPointRect for a point and a
+// rectangle, geom.MinDistSqRectRect for two rectangles, evaluated on the
+// columns with the same operations in the same order.
+func (it *PairIterator) pairDistSq(pLeaf bool, i int32, qLeaf bool, j int32) float64 {
+	p, q := it.rp.p, it.rq.p
+	var sum float64
+	for a := 0; a < p.dim; a++ {
+		var d float64
+		switch {
+		case pLeaf && qLeaf:
+			d = p.pc[a][i] - q.pc[a][j]
+		case pLeaf:
+			d = pointRectGap(p.pc[a][i], q.rlo[a][j], q.rhi[a][j])
+		case qLeaf:
+			d = pointRectGap(q.pc[a][j], p.rlo[a][i], p.rhi[a][i])
+		default:
+			switch lo, hi := p.rlo[a][i], p.rhi[a][i]; {
+			case q.rhi[a][j] < lo:
+				d = lo - q.rhi[a][j]
+			case hi < q.rlo[a][j]:
+				d = q.rlo[a][j] - hi
+			}
+		}
+		sum += d * d
 	}
+	return sum
+}
+
+// pointRectGap is one axis term of geom.MinDistSqPointRect.
+func pointRectGap(v, lo, hi float64) float64 {
+	switch {
+	case v < lo:
+		return lo - v
+	case v > hi:
+		return v - hi
+	}
+	return 0
+}
+
+// rectArea is geom.Rect.Area of routing slot s.
+func (p *Packed) rectArea(s int32) float64 {
+	a := 1.0
+	for ax := 0; ax < p.dim; ax++ {
+		a *= p.rhi[ax][s] - p.rlo[ax][s]
+	}
+	return a
 }
 
 // Next returns the next closest pair; ok is false when all pairs have been
-// reported or the iterator is closed.
+// reported or the iterator is closed. The pair's points are the
+// iterator's gather scratch, valid only until the next call to Next or
+// Close; copy them to keep them.
 func (it *PairIterator) Next() (Pair, bool) {
 	if it.closed {
 		return Pair{}, false
 	}
+	p, q := it.rp.p, it.rq.p
 	for {
 		item, ok := it.heap.Pop()
 		if !ok {
 			return Pair{}, false
 		}
-		ep, eq := item.Value.ep, item.Value.eq
-		if ep.IsLeafEntry() && eq.IsLeafEntry() {
+		ps, pLeaf := RefSlot(item.Value.p)
+		qs, qLeaf := RefSlot(item.Value.q)
+		if pLeaf && qLeaf {
 			d := math.Sqrt(item.Priority)
+			it.pp = p.PointInto(ps, it.pp)
+			it.pq = q.PointInto(qs, it.pq)
 			return Pair{
-				P:    Neighbor{Point: ep.Point, ID: ep.ID, Dist: d},
-				Q:    Neighbor{Point: eq.Point, ID: eq.ID, Dist: d},
+				P:    Neighbor{Point: it.pp, ID: p.ids[ps], Dist: d},
+				Q:    Neighbor{Point: it.pq, ID: q.ids[qs], Dist: d},
 				Dist: d,
 			}, true
 		}
 		// Expand the unresolved side with the larger rectangle (both when
 		// only one is unresolved); this balanced policy keeps the heap
 		// smaller than always expanding a fixed side.
-		switch {
-		case ep.IsLeafEntry():
-			it.pushCross([]Entry{ep}, it.rq.Child(eq).Entries())
-		case eq.IsLeafEntry():
-			it.pushCross(it.rp.Child(ep).Entries(), []Entry{eq})
-		case ep.Rect.Area() >= eq.Rect.Area():
-			it.pushCross(it.rp.Child(ep).Entries(), []Entry{eq})
-		default:
-			it.pushCross([]Entry{ep}, it.rq.Child(eq).Entries())
+		if qLeaf || (!pLeaf && p.rectArea(ps) >= q.rectArea(qs)) {
+			it.pushCross(p.nodeRange(it.rp.PackedChild(ps)), refRange(item.Value.q))
+		} else {
+			it.pushCross(refRange(item.Value.p), q.nodeRange(it.rq.PackedChild(qs)))
 		}
 	}
 }
@@ -145,7 +200,7 @@ func (it *PairIterator) PeekDist() (float64, bool) {
 	return math.Sqrt(d), true
 }
 
-// HeapLen returns the current number of queued entry pairs.
+// HeapLen returns the current number of queued slot pairs.
 func (it *PairIterator) HeapLen() int { return it.heap.Len() }
 
 // HeapMax returns the high-water mark of the pair heap.

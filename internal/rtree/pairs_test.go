@@ -26,7 +26,7 @@ func TestClosestPairIteratorOrder(t *testing.T) {
 	}
 	sort.Float64s(want)
 
-	it, err := NewClosestPairIterator(tp, tq)
+	it, err := NewClosestPairIterator(tp.Pack().Reader(nil), tq.Pack().Reader(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestClosestPairFirstResult(t *testing.T) {
 	tp.Insert(geom.Point{10, 10}, 2)
 	tq.Insert(geom.Point{0, 1}, 3)
 	tq.Insert(geom.Point{50, 50}, 4)
-	it, err := NewClosestPairIterator(tp, tq)
+	it, err := NewClosestPairIterator(tp.Pack().Reader(nil), tq.Pack().Reader(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestClosestPairEmptyTree(t *testing.T) {
 	tp := mustTree(t, Config{})
 	tq := mustTree(t, Config{})
 	tq.Insert(geom.Point{1, 1}, 1)
-	it, err := NewClosestPairIterator(tp, tq)
+	it, err := NewClosestPairIterator(tp.Pack().Reader(nil), tq.Pack().Reader(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestClosestPairEmptyTree(t *testing.T) {
 func TestClosestPairDimensionMismatch(t *testing.T) {
 	tp := mustTree(t, Config{Dim: 2})
 	tq := mustTree(t, Config{Dim: 3})
-	if _, err := NewClosestPairIterator(tp, tq); err == nil {
+	if _, err := NewClosestPairIterator(tp.Pack().Reader(nil), tq.Pack().Reader(nil)); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
 }
@@ -91,7 +91,7 @@ func TestClosestPairPeekAndHeapStats(t *testing.T) {
 	tq := mustTree(t, Config{MaxEntries: 6})
 	insertAll(t, tp, randPoints(rng, 80, 50))
 	insertAll(t, tq, randPoints(rng, 80, 50))
-	it, _ := NewClosestPairIterator(tp, tq)
+	it, _ := NewClosestPairIterator(tp.Pack().Reader(nil), tq.Pack().Reader(nil))
 	last := -1.0
 	for i := 0; i < 100; i++ {
 		if lb, ok := it.PeekDist(); ok && lb < last-1e-9 {
@@ -117,7 +117,7 @@ func TestClosestPairChargesBothCounters(t *testing.T) {
 	tp.Accountant().Reset()
 	tq.Accountant().Reset()
 	var tk pagestore.CostTracker
-	it, _ := NewClosestPairIteratorReaders(tp.Reader(&tk), tq.Reader(&tk))
+	it, _ := NewClosestPairIterator(tp.Pack().Reader(&tk), tq.Pack().Reader(&tk))
 	for i := 0; i < 50; i++ {
 		it.Next()
 	}

@@ -15,47 +15,24 @@ import (
 // allocated slice and a `sort.Slice` closure. The GNN kernels in
 // internal/core share these types through their own pooled ExecContext.
 
-// Cand pairs an entry with its traversal sort key D, plus a secondary
-// tie-break key D2. Keys may be squared distances (squaring is monotone,
-// so ordering is unaffected and no heap key pays a Sqrt); kernels whose
-// primary key has a large tie mass (MBM's heuristic-2 key is zero for
-// every entry overlapping the query MBR) order ties most-promising-first
-// via D2, while the others leave D2 zero.
-type Cand struct {
-	E  Entry
-	D  float64
-	D2 float64
-}
-
-// SortCands orders candidates by ascending (D, D2). Nodes hold at most
-// MaxEntries (50 in the paper's setup) entries, where a branch-light
-// insertion sort beats the reflection/closure machinery of the generic
-// sorts and allocates nothing.
-func SortCands(c []Cand) {
-	for i := 1; i < len(c); i++ {
-		x := c[i]
-		j := i - 1
-		for j >= 0 && (c[j].D > x.D || (c[j].D == x.D && c[j].D2 > x.D2)) {
-			c[j+1] = c[j]
-			j--
-		}
-		c[j+1] = x
-	}
-}
-
-// PCand is the packed-layout candidate: an int32 PackedRef (leaf slot or
-// ^routing slot) with the same sort keys as Cand. Replacing the copied
-// Entry with a 4-byte ref keeps per-depth candidate buffers within a few
-// cache lines per node.
+// PCand pairs an int32 PackedRef (leaf slot or ^routing slot) with its
+// traversal sort key D, plus a secondary tie-break key D2. Keys may be
+// squared distances (squaring is monotone, so ordering is unaffected and
+// no heap key pays a Sqrt); kernels whose primary key has a large tie
+// mass (MBM's heuristic-2 key is zero for every entry overlapping the
+// query MBR) order ties most-promising-first via D2, while the others
+// leave D2 zero. A 4-byte ref keeps per-depth candidate buffers within a
+// few cache lines per node.
 type PCand struct {
 	Ref PackedRef
 	D   float64
 	D2  float64
 }
 
-// SortPCands orders packed candidates by ascending (D, D2) with the same
-// insertion sort as SortCands, so both layouts produce identical
-// permutations for identical keys.
+// SortPCands orders candidates by ascending (D, D2). Nodes hold at most
+// MaxEntries (50 in the paper's setup) entries, where a branch-light
+// insertion sort beats the reflection/closure machinery of the generic
+// sorts and allocates nothing.
 func SortPCands(c []PCand) {
 	for i := 1; i < len(c); i++ {
 		x := c[i]
@@ -68,37 +45,12 @@ func SortPCands(c []PCand) {
 	}
 }
 
-// CandStack hands out one candidate buffer per recursion depth: the
+// PCandStack hands out one candidate buffer per recursion depth: the
 // parent is still iterating its sorted buffer while the child sorts its
 // own, so depth-first traversals need a buffer per level, not one per
 // query. Tree height is logarithmic (≤ 5 for the paper's datasets), so
 // the stack stays tiny and is reused across queries via the scratch
-// pools.
-type CandStack struct {
-	levels [][]Cand
-}
-
-// Level returns the (emptied) buffer of the given recursion depth,
-// growing the stack on first descent.
-func (s *CandStack) Level(depth int) *[]Cand {
-	for len(s.levels) <= depth {
-		s.levels = append(s.levels, nil)
-	}
-	s.levels[depth] = s.levels[depth][:0]
-	return &s.levels[depth]
-}
-
-// Reset zeroes retained entries so pooled buffers don't pin points or
-// subtrees of a finished query.
-func (s *CandStack) Reset() {
-	for i := range s.levels {
-		clear(s.levels[i][:cap(s.levels[i])])
-		s.levels[i] = s.levels[i][:0]
-	}
-}
-
-// PCandStack is CandStack for packed candidates. PCands hold no pointers,
-// so Reset only rewinds lengths.
+// pools. PCands hold no pointers, so Reset only rewinds lengths.
 type PCandStack struct {
 	levels [][]PCand
 }
@@ -120,15 +72,13 @@ func (s *PCandStack) Reset() {
 }
 
 // nnScratch is the per-query scratch of NearestDF: the per-depth
-// candidate buffers (one stack per layout) and the bounded result set,
-// plus the fused-kernel distance buffer and the point-gather scratch of
-// the packed path.
+// candidate buffers and the bounded result set, plus the fused-kernel
+// distance buffer and the point-gather scratch.
 type nnScratch struct {
-	cands  CandStack
-	pcands PCandStack
-	dbuf   []float64
-	pt     geom.Point
-	best   nnBest
+	cands PCandStack
+	dbuf  []float64
+	pt    geom.Point
+	best  nnBest
 }
 
 var nnScratchPool = pq.NewPool(func() *nnScratch { return &nnScratch{} })
@@ -136,7 +86,6 @@ var nnScratchPool = pq.NewPool(func() *nnScratch { return &nnScratch{} })
 // release resets the scratch and returns it to the pool.
 func (s *nnScratch) release() {
 	s.cands.Reset()
-	s.pcands.Reset()
 	s.best.reset(1, 0)
 	nnScratchPool.Put(s)
 }
@@ -144,9 +93,9 @@ func (s *nnScratch) release() {
 // nnBest is NearestDF's bounded result set: a max-heap of the k nearest
 // candidates keyed by squared distance. An accepted candidate's
 // coordinates are copied into a row the set owns (the row of the
-// candidate it evicts, once full), so the set never aliases the arena, a
-// tree entry or the caller's gather scratch, and the rows grow with the
-// candidates held, never with k.
+// candidate it evicts, once full), so the set never aliases the arena or
+// the caller's gather scratch, and the rows grow with the candidates
+// held, never with k.
 type nnBest struct {
 	heap pq.BoundedMax[nnRow]
 	rows []float64 // row r holds coordinates rows[r*dim : (r+1)*dim]

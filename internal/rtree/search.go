@@ -15,76 +15,14 @@ type Neighbor struct {
 }
 
 // Search invokes fn for every indexed point inside r (boundaries
-// inclusive) in a fresh aggregate-only execution context. Use
-// Reader.Search to charge a per-query tracker.
-func (t *Tree) Search(r geom.Rect, fn func(p geom.Point, id int64) bool) {
-	t.Reader(nil).Search(r, fn)
-}
-
-// Search invokes fn for every indexed point inside r (boundaries
 // inclusive). Traversal stops early when fn returns false. Visited nodes
-// are charged to the reader's context. fn must not retain p: on the
-// packed layout it is one scratch point reused for every hit, and on the
-// dynamic layout it is the tree's own entry. Copy it to keep it.
+// are charged to the reader's context. fn must not retain p: it is one
+// scratch point reused for every hit. Copy it to keep it.
 func (rd Reader) Search(r geom.Rect, fn func(p geom.Point, id int64) bool) {
-	if rd.t.size == 0 {
+	if rd.p.size == 0 {
 		return
 	}
-	if rd.p != nil {
-		rd.searchPacked(rd.PackedRoot(), r, make(geom.Point, rd.p.dim), fn)
-		return
-	}
-	rd.searchNode(rd.Root(), r, fn)
-}
-
-func (rd Reader) searchNode(nd Node, r geom.Rect, fn func(geom.Point, int64) bool) bool {
-	for _, e := range nd.Entries() {
-		if !e.Rect.Intersects(r) {
-			continue
-		}
-		if e.IsLeafEntry() {
-			if r.ContainsPoint(e.Point) && !fn(e.Point, e.ID) {
-				return false
-			}
-		} else if !rd.searchNode(rd.Child(e), r, fn) {
-			return false
-		}
-	}
-	return true
-}
-
-// All invokes fn for every indexed point without charging node accesses
-// (a bookkeeping scan, not a simulated disk traversal). fn must not
-// retain p: it is the tree's own entry, or on a mapped shell tree one
-// scratch point reused for the whole scan. Copy it to keep it.
-func (t *Tree) All(fn func(p geom.Point, id int64) bool) {
-	if t.size == 0 {
-		return
-	}
-	if t.root == nil {
-		t.shellOf.All(fn) // same depth-first slot order as the dynamic scan
-		return
-	}
-	t.allNode(t.root, fn)
-}
-
-func (t *Tree) allNode(n *node, fn func(geom.Point, int64) bool) bool {
-	for _, e := range n.entries {
-		if e.child == nil {
-			if !fn(e.Point, e.ID) {
-				return false
-			}
-		} else if !t.allNode(e.child, fn) {
-			return false
-		}
-	}
-	return true
-}
-
-// NearestDF answers a depth-first k-NN query in a fresh aggregate-only
-// execution context. Use Reader.NearestDF to charge a per-query tracker.
-func (t *Tree) NearestDF(q geom.Point, k int) []Neighbor {
-	return t.Reader(nil).NearestDF(q, k)
+	rd.search(rd.PackedRoot(), r, make(geom.Point, rd.p.dim), fn)
 }
 
 // NearestDF returns the k nearest neighbors of q using the depth-first
@@ -93,57 +31,55 @@ func (t *Tree) NearestDF(q geom.Point, k int) []Neighbor {
 // best are pruned. Results are sorted by ascending distance.
 //
 // The traversal works entirely in squared distances (comparisons are
-// order-preserving, so pruning is unaffected) and draws its candidate
-// buffers and result set from a pooled scratch; in steady state only the
-// returned results are allocated, with each result paying one Sqrt.
-// The caller owns the returned points.
+// order-preserving, so pruning is unaffected): the per-node candidate
+// distances come from one fused pass over the SoA arrays, candidates are
+// int32 refs, and the candidate buffers and result set come from a pooled
+// scratch; in steady state only the returned results are allocated, with
+// each result paying one Sqrt. The caller owns the returned points.
 func (rd Reader) NearestDF(q geom.Point, k int) []Neighbor {
-	if rd.t.size == 0 || k < 1 {
+	if rd.p.size == 0 || k < 1 {
 		return nil
 	}
 	sc := nnScratchPool.Get()
-	sc.best.reset(k, rd.t.cfg.Dim)
-	if rd.p != nil {
-		rd.nearestDFPacked(rd.PackedRoot(), q, sc, 0)
-	} else {
-		rd.nearestDF(rd.Root(), q, sc, 0)
-	}
+	sc.best.reset(k, rd.p.dim)
+	rd.nearestDF(rd.PackedRoot(), q, sc, 0)
 	out := sc.best.neighbors()
 	sc.release()
 	return out
 }
 
-func (rd Reader) nearestDF(nd Node, q geom.Point, sc *nnScratch, depth int) {
+func (rd Reader) nearestDF(n int32, q geom.Point, sc *nnScratch, depth int) {
+	p := rd.p
+	s, e := p.start[n], p.end[n]
+	cnt := int(e - s)
+	sc.dbuf = growFloat64(sc.dbuf, cnt)
 	buf := sc.cands.Level(depth)
 	cands := *buf
-	for _, e := range nd.Entries() {
-		var d float64
-		if e.IsLeafEntry() {
-			d = geom.DistSq(q, e.Point)
-		} else {
-			d = geom.MinDistSqPointRect(q, e.Rect)
+	if p.level[n] == 0 {
+		geom.DistSqPointsPoint(p.pc, int(s), int(e), q, sc.dbuf)
+		for i := 0; i < cnt; i++ {
+			cands = append(cands, PCand{Ref: LeafRef(s + int32(i)), D: sc.dbuf[i]})
 		}
-		cands = append(cands, Cand{E: e, D: d})
+	} else {
+		geom.MinDistSqRectsPoint(p.rlo, p.rhi, int(s), int(e), q, sc.dbuf)
+		for i := 0; i < cnt; i++ {
+			cands = append(cands, PCand{Ref: NodeRef(s + int32(i)), D: sc.dbuf[i]})
+		}
 	}
-	SortCands(cands)
+	SortPCands(cands)
 	*buf = cands
 	for i := range cands {
 		c := cands[i]
 		if bd, ok := sc.best.Kth(); ok && c.D >= bd {
 			return // every remaining candidate is at least this far
 		}
-		if c.E.IsLeafEntry() {
-			sc.best.push(c.E.Point, c.E.ID, c.D)
+		if slot, leaf := RefSlot(c.Ref); leaf {
+			sc.pt = p.PointInto(slot, sc.pt)
+			sc.best.push(sc.pt, p.ids[slot], c.D)
 		} else {
-			rd.nearestDF(rd.Child(c.E), q, sc, depth+1)
+			rd.nearestDF(rd.PackedChild(slot), q, sc, depth+1)
 		}
 	}
-}
-
-// NearestBF answers a best-first k-NN query in a fresh aggregate-only
-// execution context. Use Reader.NearestBF to charge a per-query tracker.
-func (t *Tree) NearestBF(q geom.Point, k int) []Neighbor {
-	return t.Reader(nil).NearestBF(q, k)
 }
 
 // NearestBF returns the k nearest neighbors of q using the I/O-optimal
@@ -151,12 +87,12 @@ func (t *Tree) NearestBF(q geom.Point, k int) []Neighbor {
 // can hold, min(k, Len), not by k, and their points are copied into one
 // slab the caller owns.
 func (rd Reader) NearestBF(q geom.Point, k int) []Neighbor {
-	if rd.t.size == 0 || k < 1 {
+	if rd.p.size == 0 || k < 1 {
 		return nil
 	}
 	it := rd.NewNNIterator(q)
 	defer it.Close()
-	n, dim := min(k, rd.t.size), rd.t.cfg.Dim
+	n, dim := min(k, rd.p.size), rd.p.dim
 	out := make([]Neighbor, 0, n)
 	slab := make([]float64, 0, n*dim)
 	for len(out) < k {
@@ -179,76 +115,75 @@ func (rd Reader) NearestBF(q geom.Point, k int) []Neighbor {
 //
 // Iterators are drawn from a pool: callers that finish with an iterator
 // before exhausting it should Close it so its heap is recycled; forgetting
-// to Close only costs the reuse, never correctness. The heap is keyed by
-// squared distances, with one Sqrt per emitted neighbor.
+// to Close only costs the reuse, never correctness. The heap holds 4-byte
+// refs keyed by squared distances from fused passes, with one Sqrt per
+// emitted neighbor.
 type NNIterator struct {
 	rd     Reader
 	q      geom.Point
-	heap   pq.Heap[Entry]
-	ph     pq.Heap[PackedRef] // packed-layout heap: 4-byte refs, fused keys
-	dbuf   []float64          // fused-kernel distance buffer (packed path)
-	pt     geom.Point         // gather scratch of the emitted point (packed path)
+	heap   pq.Heap[PackedRef]
+	dbuf   []float64  // fused-kernel distance buffer
+	pt     geom.Point // gather scratch of the emitted point
 	closed bool
 }
 
 var nnIterPool = pq.NewPool(func() *NNIterator { return &NNIterator{} })
-
-// NewNNIterator starts an incremental nearest-neighbor scan around q in a
-// fresh aggregate-only execution context.
-func (t *Tree) NewNNIterator(q geom.Point) *NNIterator {
-	return t.Reader(nil).NewNNIterator(q)
-}
 
 // NewNNIterator starts an incremental nearest-neighbor scan around q.
 func (rd Reader) NewNNIterator(q geom.Point) *NNIterator {
 	it := nnIterPool.Get()
 	it.rd, it.q, it.closed = rd, q, false
 	it.heap.Reset()
-	it.ph.Reset()
-	if rd.t.size > 0 {
-		if rd.p != nil {
-			it.pushNodePacked(rd.PackedRoot())
-		} else {
-			it.pushNode(rd.Root())
-		}
+	if rd.p.size > 0 {
+		it.pushNode(rd.PackedRoot())
 	}
 	return it
 }
 
-func (it *NNIterator) pushNode(nd Node) {
-	for _, e := range nd.Entries() {
-		if e.IsLeafEntry() {
-			it.heap.Push(e, geom.DistSq(it.q, e.Point))
-		} else {
-			it.heap.Push(e, geom.MinDistSqPointRect(it.q, e.Rect))
+// pushNode enqueues node n's slots on the heap, keyed by the fused
+// squared distances to q.
+func (it *NNIterator) pushNode(n int32) {
+	p := it.rd.p
+	s, e := p.start[n], p.end[n]
+	cnt := int(e - s)
+	it.dbuf = growFloat64(it.dbuf, cnt)
+	if p.level[n] == 0 {
+		geom.DistSqPointsPoint(p.pc, int(s), int(e), it.q, it.dbuf)
+		for i := 0; i < cnt; i++ {
+			it.heap.Push(LeafRef(s+int32(i)), it.dbuf[i])
+		}
+	} else {
+		geom.MinDistSqRectsPoint(p.rlo, p.rhi, int(s), int(e), it.q, it.dbuf)
+		for i := 0; i < cnt; i++ {
+			it.heap.Push(NodeRef(s+int32(i)), it.dbuf[i])
 		}
 	}
 }
 
 // Next returns the next nearest point; ok is false when the data set is
-// exhausted or the iterator has been closed. The returned Point is valid
-// only until the next call to Next or Close (on the packed layout it is
-// the iterator's gather scratch); copy it to keep it.
+// exhausted or the iterator has been closed. The returned Point is the
+// iterator's gather scratch, valid only until the next call to Next or
+// Close; copy it to keep it.
 func (it *NNIterator) Next() (Neighbor, bool) {
 	if it.closed {
 		return Neighbor{}, false
 	}
-	if it.rd.p != nil {
-		return it.nextPacked()
-	}
+	p := it.rd.p
 	for {
 		item, ok := it.heap.Pop()
 		if !ok {
 			return Neighbor{}, false
 		}
-		if item.Value.IsLeafEntry() {
+		slot, leaf := RefSlot(item.Value)
+		if leaf {
+			it.pt = p.PointInto(slot, it.pt)
 			return Neighbor{
-				Point: item.Value.Point,
-				ID:    item.Value.ID,
+				Point: it.pt,
+				ID:    p.ids[slot],
 				Dist:  math.Sqrt(item.Priority),
 			}, true
 		}
-		it.pushNode(it.rd.Child(item.Value))
+		it.pushNode(it.rd.PackedChild(slot))
 	}
 }
 
@@ -258,13 +193,7 @@ func (it *NNIterator) PeekDist() (float64, bool) {
 	if it.closed {
 		return 0, false
 	}
-	var d float64
-	var ok bool
-	if it.rd.p != nil {
-		d, ok = it.ph.MinPriority()
-	} else {
-		d, ok = it.heap.MinPriority()
-	}
+	d, ok := it.heap.MinPriority()
 	if !ok {
 		return 0, false
 	}
@@ -285,6 +214,5 @@ func (it *NNIterator) Close() {
 	it.rd = Reader{}
 	it.q = nil
 	it.heap.Reset()
-	it.ph.Reset()
 	nnIterPool.Put(it)
 }

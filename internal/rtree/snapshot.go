@@ -44,8 +44,7 @@ func (p *Packed) Snapshot() *snapshot.Tree {
 // ArenaBytes returns the size of the packed arena's flat arrays (node
 // metadata, routing rectangles, coordinate columns, ids): exactly the
 // column payload a snapshot serialises, and the arena's whole footprint
-// (the columns are its only copy of the points). The dynamic nodes of a
-// heap-built index are not counted.
+// (the columns are its only copy of the points).
 func (p *Packed) ArenaBytes() int64 {
 	nodes := int64(len(p.level))
 	rslots := int64(len(p.child))
@@ -81,10 +80,9 @@ func (p *Packed) WriteTo(w io.Writer) (int64, error) {
 
 // ReadFrom loads a single-tree snapshot into p, implementing
 // io.ReaderFrom: the receiver (typically zero) is overwritten with the
-// deserialised arena, and p.Tree() returns the reconstructed dynamic
-// tree. The rebuilt index answers every query with bit-identical
-// results, costs and node-access counts to the tree that wrote the
-// snapshot. A fresh unbuffered Accountant is attached; load through the
+// deserialised arena, and p.Tree() returns its shell. The loaded arena
+// answers every query with bit-identical results, costs and node-access
+// counts to the arena that wrote the snapshot. A fresh unbuffered Accountant is attached; load through the
 // public layer (gnn.OpenSnapshot) to configure buffering.
 func (p *Packed) ReadFrom(r io.Reader) (int64, error) {
 	data, err := io.ReadAll(r)
@@ -103,22 +101,20 @@ func (p *Packed) ReadFrom(r io.Reader) (int64, error) {
 		return int64(len(data)), err
 	}
 	*p = *loaded
+	p.src.shellOf = p
 	return int64(len(data)), nil
 }
 
-// PackedFromSnapshot reconstructs a packed arena — and the dynamic tree
-// around it — from a decoded snapshot tree. The arena arrays are adopted
-// directly from st (zero rebuild); the dynamic nodes are materialised in
-// one linear pass over the arena so that Insert, Delete and
-// LayoutDynamic queries work on the loaded index exactly as on the
-// writer's. cfg supplies runtime wiring only (Accountant,
-// ReinsertFraction); the structural parameters (dimension, node
-// capacity, page range) come from the snapshot.
+// PackedFromSnapshot reconstructs a packed arena, with its shell, from a
+// decoded snapshot tree. The arena arrays are adopted directly from st
+// (zero rebuild). cfg supplies runtime wiring only (the Accountant); the
+// structural parameters (dimension, node capacity, page range) come from
+// the snapshot.
 //
 // Page identifiers are preserved node for node and the entry order
-// inside every node is the writer's, so traversals on the loaded index
+// inside every node is the writer's, so traversals on the loaded arena
 // charge the same accesses in the same order: results, Cost and NA are
-// bit-identical for both layouts.
+// bit-identical to the writer's.
 func PackedFromSnapshot(st *snapshot.Tree, dim int, cfg Config) (*Packed, error) {
 	cfg.Dim = dim
 	cfg.MaxEntries = st.MaxEntries
@@ -138,14 +134,8 @@ func PackedFromSnapshot(st *snapshot.Tree, dim int, cfg Config) (*Packed, error)
 		}
 	}
 
-	t := &Tree{
-		cfg:      cfg,
-		size:     st.Size,
-		height:   st.Height,
-		nextPage: maxPage + 1,
-	}
 	p := &Packed{
-		src: t, muts: t.muts, dim: dim, size: st.Size, height: st.Height,
+		dim: dim, size: st.Size, height: st.Height,
 		acct:  cfg.Accountant,
 		root:  st.Root,
 		level: st.Level,
@@ -158,17 +148,14 @@ func PackedFromSnapshot(st *snapshot.Tree, dim int, cfg Config) (*Packed, error)
 		pc:    st.PointCols,
 		ids:   st.IDs,
 	}
-	t.root = p.buildNodes()
+	p.setShell(cfg, maxPage+1)
 	return p, nil
 }
 
 // PackedFromSnapshotBorrowed is the zero-copy sibling of
 // PackedFromSnapshot: the arena arrays alias st's slices (which for a
-// mapped open alias the file mapping itself), no dynamic nodes are
-// materialised, and the expensive open work is deferred. The returned
-// arena's Tree() is a metadata shell — immutable (Insert returns
-// rtree.ErrImmutable, Delete reports false) and serving Bounds/All from
-// the arena — so only packed-layout traversals are possible.
+// mapped open alias the file mapping itself) and the expensive open work
+// is deferred.
 //
 // verify runs the caller's deferred validation of st's backing bytes
 // (checksums and structural checks, e.g. snapshot.Adopted.Verify); it is
@@ -200,14 +187,8 @@ func PackedFromSnapshotBorrowed(st *snapshot.Tree, dim int, cfg Config, verify f
 		pages = unsafe.Slice((*pagestore.PageID)(unsafe.Pointer(unsafe.SliceData(st.Page))), len(st.Page))
 	}
 
-	t := &Tree{
-		cfg:      cfg,
-		size:     st.Size,
-		height:   st.Height,
-		nextPage: cfg.FirstPage + pagestore.PageID(st.Pages),
-	}
 	p := &Packed{
-		src: t, muts: t.muts, dim: dim, size: st.Size, height: st.Height,
+		dim: dim, size: st.Size, height: st.Height,
 		acct:  cfg.Accountant,
 		root:  st.Root,
 		level: st.Level,
@@ -220,7 +201,6 @@ func PackedFromSnapshotBorrowed(st *snapshot.Tree, dim int, cfg Config, verify f
 		pc:    st.PointCols,
 		ids:   st.IDs,
 	}
-	t.shellOf = p
 	p.prep = &packedPrep{fn: func() error {
 		if err := verify(); err != nil {
 			return err
@@ -228,6 +208,7 @@ func PackedFromSnapshotBorrowed(st *snapshot.Tree, dim int, cfg Config, verify f
 		p.mbr = p.rootMBR()
 		return nil
 	}}
+	p.setShell(cfg, cfg.FirstPage+pagestore.PageID(st.Pages))
 	return p, nil
 }
 
@@ -259,54 +240,4 @@ func (p *Packed) nodeSpan(n int32, a int) (lo, hi float64) {
 		hi = math.Max(hi, his[i])
 	}
 	return lo, hi
-}
-
-// buildNodes materialises the dynamic node structs from the arena and
-// returns the root. The nodes, their entries, the leaf points (gathered
-// point-major from the axis columns, each doubling as its entry's
-// degenerate rectangle) and the routing rectangles come from per-kind
-// slabs: a handful of large allocations instead of one per node, which
-// keeps cold-start loading fast. Entry slices are capacity-clipped, so a
-// later Insert that overflows a node reallocates instead of clobbering
-// its slab neighbour.
-func (p *Packed) buildNodes() *node {
-	dim := p.dim
-	rslots := len(p.child)
-	lslots := len(p.ids)
-
-	nodes := make([]node, len(p.level))
-	entrySlab := make([]Entry, rslots+lslots)
-	ptSlab := make([]float64, dim*lslots)
-	rectSlab := make([]float64, 2*dim*rslots) // lo+hi corners of every routing rect
-	nextEntry := 0
-
-	for i := range nodes {
-		n := &nodes[i]
-		n.page = p.page[i]
-		n.level = int(p.level[i])
-		s, e := p.start[i], p.end[i]
-		cnt := int(e - s)
-		ents := entrySlab[nextEntry : nextEntry+cnt : nextEntry+cnt]
-		nextEntry += cnt
-		for j := range ents {
-			slot := int(s) + j
-			if n.level == 0 {
-				pt := geom.Point(ptSlab[dim*slot : dim*(slot+1) : dim*(slot+1)])
-				for a := range pt {
-					pt[a] = p.pc[a][slot]
-				}
-				ents[j] = Entry{Rect: geom.Rect{Lo: pt, Hi: pt}, Point: pt, ID: p.ids[slot]}
-				continue
-			}
-			c := rectSlab[2*dim*slot : 2*dim*(slot+1) : 2*dim*(slot+1)]
-			lo, hi := geom.Point(c[:dim:dim]), geom.Point(c[dim:])
-			for a := 0; a < dim; a++ {
-				lo[a] = p.rlo[a][slot]
-				hi[a] = p.rhi[a][slot]
-			}
-			ents[j] = Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, child: &nodes[p.child[slot]]}
-		}
-		n.entries = ents
-	}
-	return &nodes[p.root]
 }

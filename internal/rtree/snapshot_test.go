@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -79,7 +80,7 @@ func TestPackedSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The rebuilt dynamic tree must be a valid R*-tree with the writer's
+	// The loaded shell must describe a valid R*-tree with the writer's
 	// shape and paging.
 	lt := loaded.Tree()
 	if err := lt.CheckInvariants(); err != nil {
@@ -105,20 +106,19 @@ func TestPackedSnapshotRoundTrip(t *testing.T) {
 		t.Fatal("loaded snapshot not valid for its own tree")
 	}
 
-	// Queries on both layouts of the loaded index must match the writer's
-	// results AND accesses exactly.
+	// Queries on the loaded arena must match the writer's results AND
+	// accesses exactly.
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 30; i++ {
 		q := geom.Point{rng.Float64() * 512, rng.Float64() * 512}
-		var wtk, ptk, dtk pagestore.CostTracker
-		want := tree.Reader(&wtk).NearestBF(q, 5)
-		gotP := ReaderOver(lt, &loaded, &ptk).NearestBF(q, 5)
-		gotD := lt.Reader(&dtk).NearestBF(q, 5)
-		if !reflect.DeepEqual(want, gotP) || !reflect.DeepEqual(want, gotD) {
+		var wtk, ltk pagestore.CostTracker
+		want := p.Reader(&wtk).NearestBF(q, 5)
+		got := loaded.Reader(&ltk).NearestBF(q, 5)
+		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("query %d: results differ", i)
 		}
-		if wtk != ptk || wtk != dtk {
-			t.Fatalf("query %d: cost %+v (writer) vs %+v (packed) vs %+v (dynamic)", i, wtk, ptk, dtk)
+		if wtk != ltk {
+			t.Fatalf("query %d: cost %+v (writer) vs %+v (loaded)", i, wtk, ltk)
 		}
 	}
 
@@ -133,10 +133,10 @@ func TestPackedSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadedTreeMutable locks the post-load mutation contract: Insert
-// invalidates the adopted snapshot, queries fall back to the dynamic
-// nodes, and Pack restores packed serving.
-func TestLoadedTreeMutable(t *testing.T) {
+// TestLoadedShellImmutable locks the post-load contract: a loaded arena's
+// tree is an immutable shell — Insert fails with ErrImmutable, Delete
+// reports false — and a change is a new arena built from the points.
+func TestLoadedShellImmutable(t *testing.T) {
 	tree := buildMutatedTree(t, 150, 2, 5)
 	var buf bytes.Buffer
 	if _, err := tree.Pack().WriteTo(&buf); err != nil {
@@ -147,23 +147,19 @@ func TestLoadedTreeMutable(t *testing.T) {
 		t.Fatal(err)
 	}
 	lt := loaded.Tree()
-	for i := 0; i < 100; i++ {
-		p := geom.Point{float64(i) * 3.7, float64(i) * 1.3}
-		if err := lt.Insert(p, int64(1000+i)); err != nil {
-			t.Fatal(err)
-		}
+	if err := lt.Insert(geom.Point{1, 2}, 1000); !errors.Is(err, ErrImmutable) {
+		t.Fatalf("Insert on a loaded shell: %v, want ErrImmutable", err)
 	}
-	if loaded.Valid(lt) {
-		t.Fatal("snapshot still valid after Insert")
+	var first geom.Point
+	var firstID int64
+	loaded.All(func(p geom.Point, id int64) bool {
+		first, firstID = p.Clone(), id
+		return false
+	})
+	if lt.Delete(first, firstID) {
+		t.Fatal("Delete on a loaded shell reported true")
 	}
-	if err := lt.CheckInvariants(); err != nil {
-		t.Fatalf("invariants after post-load inserts: %v", err)
-	}
-	if !lt.Delete(geom.Point{3.7, 1.3}, 1001) {
-		t.Fatal("delete of inserted point failed")
-	}
-	p2 := lt.Pack()
-	if !p2.Valid(lt) {
-		t.Fatal("re-pack after mutations not valid")
+	if lt.Len() != tree.Len() || lt.CheckInvariants() != nil {
+		t.Fatalf("refused writes changed the shell: len %d", lt.Len())
 	}
 }

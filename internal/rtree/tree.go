@@ -3,23 +3,26 @@
 // nearest neighbor [RKV95], best-first (incremental) nearest neighbor
 // [HS99] and incremental closest pairs over two trees [HS98, CMTV00].
 //
-// The tree is memory-resident but page-structured: every node carries a
-// page identifier and all query traversals are routed through a per-query
-// Reader execution context, which charges each node access to the query's
-// own pagestore.CostTracker and to the tree's shared pagestore.Accountant —
+// Queries traverse a Packed arena: flat structure-of-arrays node storage
+// that the bulk loaders (PackSTR) write directly and Tree.Pack snapshots
+// from an insertion-built tree. The arena is memory-resident but
+// page-structured: every node keeps its page identifier and all query
+// traversals are routed through a per-query Reader execution context,
+// which charges each node access to the query's own
+// pagestore.CostTracker and to the tree's shared pagestore.Accountant —
 // reproducing the paper's node-access (NA) metric, optionally through an
 // LRU buffer, while keeping unlimited concurrent read traversals safe.
 //
 // Query algorithms outside this package (SPM, MBM, F-MBM in internal/core)
-// drive their own traversals through the exported Reader.Root/Reader.Child
-// accessors, so their node accesses are accounted identically.
+// drive their own traversals through the exported Reader.PackedRoot and
+// Reader.PackedChild accessors, so their node accesses are accounted
+// identically, and the fused kernels in internal/geom turn their per-node
+// loops into streaming passes over contiguous coordinate arrays.
 //
-// For read-heavy serving, the bulk loaders (PackSTR) write a Packed
-// arena directly, and Tree.Pack snapshots an insertion-built tree into
-// one — flat structure-of-arrays node storage traversed through the
-// same Reader abstraction with identical accounting — which the fused
-// kernels in internal/geom turn into streaming passes over contiguous
-// coordinate arrays.
+// A Tree is either the R*-tree insertion builder (New, Insert, Delete),
+// whose pointer-linked nodes exist only to be packed, or the immutable
+// metadata shell of an arena (Packed.Tree) that the query layers pass
+// around.
 package rtree
 
 import (
@@ -60,22 +63,6 @@ type node struct {
 	level   int // 0 = leaf
 	entries []Entry
 }
-
-// Node is the exported read-only view of a tree node handed to external
-// traversals.
-type Node struct{ n *node }
-
-// IsLeaf reports whether the node is at leaf level.
-func (nd Node) IsLeaf() bool { return nd.n.level == 0 }
-
-// Level returns the node's level, with leaves at level 0.
-func (nd Node) Level() int { return nd.n.level }
-
-// Entries returns the node's entry slice. Callers must not modify it.
-func (nd Node) Entries() []Entry { return nd.n.entries }
-
-// Page returns the node's page identifier.
-func (nd Node) Page() pagestore.PageID { return nd.n.page }
 
 // Config parameterises a tree.
 type Config struct {
@@ -133,47 +120,33 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// Tree is an R*-tree over d-dimensional points. Read-only queries (all
-// traversals in this package and the drivers built on Reader) are safe for
-// unlimited concurrent callers: each query charges its own CostTracker and
-// the shared Accountant handles contention. Insert and Delete mutate the
-// structure and require external synchronisation, with no readers active.
+// Tree is an R*-tree over d-dimensional points: the insertion builder, or
+// the shell of a packed arena. Insert and Delete mutate a builder and
+// require external synchronisation; queries run on its Pack. A shell is
+// immutable, so any number of queries may share it.
 type Tree struct {
 	cfg      Config
-	root     *node
+	root     *node // the builder's nodes; nil on a shell
 	size     int
 	height   int // number of levels; 1 = root is a leaf
 	nextPage pagestore.PageID
-	// muts counts structural mutations (Insert/Delete); a Packed snapshot
-	// records the value at build time and is valid only while it matches.
-	muts uint64
 	// shellOf, when non-nil, marks this tree as the metadata shell of a
-	// packed-only arena (PackedFromSnapshotBorrowed, or a PackSTR without
-	// dynamic nodes): root is nil, no dynamic nodes exist, the structure
-	// is immutable (Insert fails, Delete reports false), and reads that
-	// would walk the dynamic nodes are served from the arena instead.
+	// packed arena: root is nil, the structure is immutable (Insert
+	// fails, Delete reports false), and Bounds and CheckInvariants are
+	// served from the arena.
 	shellOf *Packed
 }
 
-// ErrImmutable reports a mutation on the shell tree of a packed-only
-// arena: there are no dynamic nodes to change, and a borrowed arena's
-// columns live in a read-only (typically memory-mapped) buffer.
-var ErrImmutable = errors.New("rtree: tree borrows a read-only arena and cannot be mutated; rebuild the index to change the data")
-
-// Mutations returns the tree's structural-mutation counter, used to
-// validate Packed snapshots.
-func (t *Tree) Mutations() uint64 { return t.muts }
+// ErrImmutable reports a mutation on the shell tree of a packed arena:
+// there are no nodes to change, and a borrowed arena's columns live in a
+// read-only (typically memory-mapped) buffer.
+var ErrImmutable = errors.New("rtree: tree is the shell of a packed arena and cannot be mutated; rebuild the index to change the data")
 
 // Config returns the tree's effective configuration (defaults applied;
 // for snapshot-loaded trees, the writer's structural parameters). The
 // overlay layer uses it to bulk-load compacted replacements and delta
 // trees with identical geometry.
 func (t *Tree) Config() Config { return t.cfg }
-
-// IsShell reports whether the tree is the immutable metadata shell of a
-// packed-only arena: it has no dynamic nodes, so only packed-layout
-// traversals can serve it.
-func (t *Tree) IsShell() bool { return t.root == nil && t.shellOf != nil }
 
 // New returns an empty tree.
 func New(cfg Config) (*Tree, error) {
@@ -215,52 +188,9 @@ func (t *Tree) Bounds() (geom.Rect, bool) {
 		return geom.Rect{}, false
 	}
 	if t.root == nil {
-		return t.shellOf.bounds()
+		return t.shellOf.Bounds()
 	}
 	return t.nodeMBR(t.root), true
-}
-
-// Reader is a per-query execution context: a read-only view of the tree
-// whose node accesses are charged to one query's CostTracker (may be nil:
-// aggregate-only accounting) as well as the tree's shared Accountant.
-// Create one Reader per query; a Reader itself is a cheap value but must
-// not be shared between goroutines, because the tracker it carries is
-// unsynchronised by design.
-//
-// A Reader traverses either the dynamic nodes (Tree.Reader) or, when it
-// carries a valid Packed snapshot (ReaderOver, Packed.Reader), the flat
-// SoA arena — same pages, same accounting, same results, different memory
-// layout.
-type Reader struct {
-	t  *Tree
-	p  *Packed
-	tk *pagestore.CostTracker
-}
-
-// Reader returns an execution context charging tk (nil for aggregate-only
-// accounting).
-func (t *Tree) Reader(tk *pagestore.CostTracker) Reader { return Reader{t: t, tk: tk} }
-
-// Tree returns the underlying tree.
-func (r Reader) Tree() *Tree { return r.t }
-
-// Cost returns the reader's per-query tracker (nil when aggregate-only).
-func (r Reader) Cost() *pagestore.CostTracker { return r.tk }
-
-// Root returns the root node, charging one node access.
-func (r Reader) Root() Node {
-	r.t.cfg.Accountant.Access(r.t.root.page, r.tk)
-	return Node{r.t.root}
-}
-
-// Child resolves a routing entry to its child node, charging one access.
-// It panics on leaf entries: following a data entry is a logic error.
-func (r Reader) Child(e Entry) Node {
-	if e.child == nil {
-		panic("rtree: Child called on a leaf entry")
-	}
-	r.t.cfg.Accountant.Access(e.child.page, r.tk)
-	return Node{e.child}
 }
 
 func (t *Tree) nodeMBR(n *node) geom.Rect {
@@ -287,7 +217,6 @@ func (t *Tree) Insert(p geom.Point, id int64) error {
 	reinserted := make(map[int]bool)
 	t.insertEntry(e, 0, reinserted)
 	t.size++
-	t.muts++
 	return nil
 }
 
@@ -571,7 +500,6 @@ func (t *Tree) Delete(p geom.Point, id int64) bool {
 	}
 	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
 	t.size--
-	t.muts++
 
 	// Condense: dissolve underflowing nodes bottom-up, collecting orphans.
 	type orphan struct {

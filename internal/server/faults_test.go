@@ -102,7 +102,7 @@ func (f *fakeIndex) GroupNNExplainContext(ctx context.Context, query []gnn.Point
 		return nil, nil, err
 	}
 	return res, &gnn.QueryExplain{
-		Algorithm: "MBM", Aggregate: "sum", Layout: "packed",
+		Algorithm: "MBM", Aggregate: "sum",
 		K: 1, GroupSize: len(query), Cost: cost,
 		Stages: []gnn.StageTiming{{Name: "query", Shard: -1, DurationUS: 1}},
 	}, nil

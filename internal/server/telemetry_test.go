@@ -150,7 +150,7 @@ func TestTraceEchoAndSlowLog(t *testing.T) {
 	if ex == nil {
 		t.Fatal("trace:true returned no explain")
 	}
-	if ex.Algorithm != "MBM" || ex.Layout != "packed" || ex.K != 3 || ex.GroupSize != 2 {
+	if ex.Algorithm != "MBM" || ex.K != 3 || ex.GroupSize != 2 {
 		t.Errorf("explain provenance: %+v", ex)
 	}
 	if ex.Trace.NodesVisited == 0 || len(ex.Stages) == 0 {

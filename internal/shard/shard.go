@@ -9,8 +9,8 @@
 // kernel against every shard — scattered over a small worker pool or
 // sequentially — with three pieces of per-shard state:
 //
-//   - its own rtree.Reader (via core.Options.Packed per shard), so
-//     traversals never contend;
+//   - its own arena and rtree.Reader (via core.Options.Packed per
+//     shard), so traversals never contend;
 //   - its own pagestore.CostTracker, summed into the query's tracker at
 //     gather time, so reported cost is exactly the sum of per-shard node
 //     accesses (and the shared Accountant keeps the index-wide aggregate
@@ -117,14 +117,13 @@ func (s *Set) Prepare() error {
 
 // Build partitions the points of a point-major coordinate slab (with
 // their ids; nil means slab positions) into the requested number of
-// shards and packs each one (rtree.PackSTRPartitioned); dynamic selects
-// whether each shard's dynamic nodes are materialised too. All shards
+// shards and packs each one (rtree.PackSTRPartitioned). All shards
 // share cfg.Accountant and use disjoint page ID ranges.
-func Build(cfg rtree.Config, coords []float64, ids []int64, shards int, dynamic bool) (*Set, error) {
+func Build(cfg rtree.Config, coords []float64, ids []int64, shards int) (*Set, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: %d shards; need at least 1", shards)
 	}
-	ps, err := rtree.PackSTRPartitioned(cfg, coords, ids, shards, dynamic)
+	ps, err := rtree.PackSTRPartitioned(cfg, coords, ids, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -154,22 +153,18 @@ func (s *Set) Shard(i int) Unit { return s.units[i] }
 func (s *Set) CountExact(p geom.Point, id int64) int {
 	n := 0
 	for _, u := range s.units {
-		if u.Packed != nil {
-			n += u.Packed.CountExact(p, id)
-		} else {
-			n += u.Tree.CountExact(p, id)
-		}
+		n += u.Packed.CountExact(p, id)
 	}
 	return n
 }
 
 // All invokes fn for every indexed point across all shards without
 // charging node accesses; traversal stops early when fn returns false.
-// Like rtree.Tree.All, fn must not retain p.
+// Like rtree.Packed.All, fn must not retain p.
 func (s *Set) All(fn func(p geom.Point, id int64) bool) {
 	stop := false
 	for _, u := range s.units {
-		u.Tree.All(func(p geom.Point, id int64) bool {
+		u.Packed.All(func(p geom.Point, id int64) bool {
 			if !fn(p, id) {
 				stop = true
 				return false
@@ -180,15 +175,6 @@ func (s *Set) All(fn func(p geom.Point, id int64) bool) {
 			return
 		}
 	}
-}
-
-// Borrowed reports whether the shards are packed-only shells: arenas
-// borrowed from an external buffer (SetFromSnapshotBorrowed), or a
-// Build without dynamic nodes (how a borrowed set is compacted). No
-// dynamic nodes exist, so only packed-layout traversals can serve the
-// set.
-func (s *Set) Borrowed() bool {
-	return len(s.units) > 0 && s.units[0].Tree.IsShell()
 }
 
 // Sizes returns the per-shard point counts.
@@ -228,12 +214,8 @@ type shardRun struct {
 // opt.Exec (the batch engine's warm per-worker context) and carries the
 // bound from shard to shard, while workers > 1 run shards concurrently on
 // pooled contexts for latency. The merged result does not depend on
-// workers or timing.
-//
-// usePacked selects the per-shard layout: the packed snapshot (the
-// serving default — a Set's snapshots are always valid because a Set is
-// immutable) or the dynamic nodes (benchmarking, differential tests).
-func (s *Set) Search(qs []geom.Point, opt core.Options, usePacked bool, workers int, kernel Kernel) ([]core.GroupNeighbor, error) {
+// workers or timing. Each shard runs on its own arena (Options.Packed).
+func (s *Set) Search(qs []geom.Point, opt core.Options, workers int, kernel Kernel) ([]core.GroupNeighbor, error) {
 	n := len(s.units)
 	k := opt.K
 	if k == 0 {
@@ -264,10 +246,7 @@ func (s *Set) Search(qs []geom.Point, opt core.Options, usePacked bool, workers 
 		if traced {
 			o.Trace = &runs[i].trace
 		}
-		o.Packed = nil
-		if usePacked {
-			o.Packed = s.units[i].Packed
-		}
+		o.Packed = s.units[i].Packed
 		return o
 	}
 	runShard := func(i int, ec *core.ExecContext) {
@@ -393,17 +372,14 @@ type iterHead struct {
 // charges opt.Cost (safe: the merge advances them from the caller's
 // goroutine only), so the iterator's reported cost is exactly the sum of
 // per-shard node accesses. Constructing it reads every shard's root.
-func (s *Set) NewIterator(qs []geom.Point, opt core.Options, usePacked bool) (*Iterator, error) {
+func (s *Set) NewIterator(qs []geom.Point, opt core.Options) (*Iterator, error) {
 	it := &Iterator{
 		its:   make([]core.Stream, len(s.units)),
 		heads: make([]iterHead, len(s.units)),
 	}
 	for i, u := range s.units {
 		o := opt
-		o.Packed = nil
-		if usePacked {
-			o.Packed = u.Packed
-		}
+		o.Packed = u.Packed
 		sub, err := core.NewGNNIterator(u.Tree, qs, o)
 		if err != nil {
 			it.Close()

@@ -11,13 +11,27 @@ import (
 	"gnn/internal/rtree"
 )
 
-// buildPts is Build over a point slice, dynamic nodes included.
+// buildPts is Build over a point slice.
 func buildPts(cfg rtree.Config, pts []geom.Point, shards int) (*Set, error) {
 	coords, err := rtree.Flatten(cfg, pts)
 	if err != nil {
 		return nil, err
 	}
-	return Build(cfg, coords, nil, shards, true)
+	return Build(cfg, coords, nil, shards)
+}
+
+// packPts STR-packs a point slice into one arena.
+func packPts(t *testing.T, cfg rtree.Config, pts []geom.Point) *rtree.Packed {
+	t.Helper()
+	coords, err := rtree.Flatten(cfg, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := rtree.PackSTR(cfg, coords, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func randPts(rng *rand.Rand, n int, span float64) []geom.Point {
@@ -60,7 +74,7 @@ func TestBuildPartition(t *testing.T) {
 			if n > max {
 				max = n
 			}
-			u.Tree.All(func(p geom.Point, id int64) bool {
+			u.Packed.All(func(p geom.Point, id int64) bool {
 				if seen[id] {
 					t.Fatalf("id %d appears in two shards", id)
 				}
@@ -88,35 +102,24 @@ func TestDisjointPages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[pagestore.PageID]bool{}
+	seen := map[int64]bool{}
 	for i := range s.NumShards() {
-		rd := s.Shard(i).Tree.Reader(nil)
-		var walk func(nd rtree.Node)
-		walk = func(nd rtree.Node) {
-			if seen[nd.Page()] {
-				t.Fatalf("tree %d reuses page %d", i, nd.Page())
+		for _, pg := range s.Shard(i).Packed.Snapshot().Page {
+			if seen[pg] {
+				t.Fatalf("tree %d reuses page %d", i, pg)
 			}
-			seen[nd.Page()] = true
-			for _, e := range nd.Entries() {
-				if !e.IsLeafEntry() {
-					walk(rd.Child(e))
-				}
-			}
+			seen[pg] = true
 		}
-		walk(rd.Root())
 	}
 }
 
 // TestSearchMatchesSingleTree runs the same kernels against a sharded set
 // and one monolithic tree and demands identical merged answers, for both
-// scatter widths and both layouts.
+// scatter widths.
 func TestSearchMatchesSingleTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pts := randPts(rng, 2000, 800)
-	single, err := rtree.BulkLoadSTR(rtree.Config{MaxEntries: 16}, pts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	single := packPts(t, rtree.Config{MaxEntries: 16}, pts)
 	set, err := buildPts(rtree.Config{MaxEntries: 16}, pts, 6)
 	if err != nil {
 		t.Fatal(err)
@@ -126,31 +129,31 @@ func TestSearchMatchesSingleTree(t *testing.T) {
 		qs := randPts(rng, trial%5+1, 800)
 		opt := core.Options{K: trial%4 + 1}
 		for name, kern := range kernels {
-			want, err := kern(single, qs, opt)
+			sopt := opt
+			sopt.Packed = single
+			want, err := kern(single.Tree(), qs, sopt)
 			if err != nil {
 				t.Fatalf("%s single: %v", name, err)
 			}
 			for _, workers := range []int{1, 4} {
-				for _, packed := range []bool{false, true} {
-					var tk pagestore.CostTracker
-					o := opt
-					o.Cost = &tk
-					got, err := set.Search(qs, o, packed, workers, kern)
-					if err != nil {
-						t.Fatalf("%s sharded: %v", name, err)
+				var tk pagestore.CostTracker
+				o := opt
+				o.Cost = &tk
+				got, err := set.Search(qs, o, workers, kern)
+				if err != nil {
+					t.Fatalf("%s sharded: %v", name, err)
+				}
+				cfg := fmt.Sprintf("%s/workers=%d", name, workers)
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d results, want %d", cfg, len(got), len(want))
+				}
+				for i := range want {
+					if want[i].Dist != got[i].Dist || want[i].ID != got[i].ID {
+						t.Fatalf("%s diverged at %d:\nwant %+v\ngot  %+v", cfg, i, want, got)
 					}
-					cfg := fmt.Sprintf("%s/workers=%d/packed=%v", name, workers, packed)
-					if len(got) != len(want) {
-						t.Fatalf("%s: %d results, want %d", cfg, len(got), len(want))
-					}
-					for i := range want {
-						if want[i].Dist != got[i].Dist || want[i].ID != got[i].ID {
-							t.Fatalf("%s diverged at %d:\nwant %+v\ngot  %+v", cfg, i, want, got)
-						}
-					}
-					if tk.Logical == 0 && name != "brute" {
-						t.Fatalf("%s: no node accesses recorded", cfg)
-					}
+				}
+				if tk.Logical == 0 && name != "brute" {
+					t.Fatalf("%s: no node accesses recorded", cfg)
 				}
 			}
 		}
@@ -162,21 +165,18 @@ func TestSearchMatchesSingleTree(t *testing.T) {
 func TestIteratorMatchesSingleTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	pts := randPts(rng, 600, 400)
-	single, err := rtree.BulkLoadSTR(rtree.Config{MaxEntries: 8}, pts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	single := packPts(t, rtree.Config{MaxEntries: 8}, pts)
 	set, err := buildPts(rtree.Config{MaxEntries: 8}, pts, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	qs := randPts(rng, 4, 400)
-	ref, err := core.NewGNNIterator(single, qs, core.Options{})
+	ref, err := core.NewGNNIterator(single.Tree(), qs, core.Options{Packed: single})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	it, err := set.NewIterator(qs, core.Options{}, true)
+	it, err := set.NewIterator(qs, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,12 +209,9 @@ func TestIteratorMatchesSingleTree(t *testing.T) {
 func TestSharedBoundTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pts := randPts(rng, 500, 300)
-	tr, err := rtree.BulkLoadSTR(rtree.Config{MaxEntries: 8}, pts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := packPts(t, rtree.Config{MaxEntries: 8}, pts)
 	qs := randPts(rng, 3, 300)
-	full, err := core.MBM(tr, qs, core.Options{K: 10})
+	full, err := core.MBM(p.Tree(), qs, core.Options{K: 10, Packed: p})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +220,7 @@ func TestSharedBoundTruncation(t *testing.T) {
 	}
 	b := core.NewSharedBound()
 	b.Tighten(full[4].Dist) // pretend another shard already found 10 ≤ this
-	got, err := core.MBM(tr, qs, core.Options{K: 10, Shared: b})
+	got, err := core.MBM(p.Tree(), qs, core.Options{K: 10, Shared: b, Packed: p})
 	if err != nil {
 		t.Fatal(err)
 	}

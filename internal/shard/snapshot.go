@@ -50,8 +50,8 @@ func (s *Set) Snapshot() (snapshot.Manifest, []*snapshot.Tree) {
 }
 
 // SetFromSnapshot reconstructs a shard set from a decoded sharded
-// snapshot: every shard's packed arena is adopted directly and its
-// dynamic tree rebuilt, with the Hilbert partition intact (each shard
+// snapshot: every shard's packed arena is adopted directly, with the
+// Hilbert partition intact (each shard
 // keeps exactly the points, page range and node structure it was written
 // with). All shards share cfg.Accountant (one allocated here when nil),
 // so cost accounting stays exactly additive across the partition, as

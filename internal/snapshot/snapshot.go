@@ -180,9 +180,9 @@ type Manifest struct {
 
 // Tree is the serialisable arena of one packed R-tree: a flat
 // structure-of-arrays mirror of rtree.Packed plus the construction
-// parameters needed to rebuild the dynamic tree around it. Node ids are
-// depth-first preorder; node i owns slot range [Start[i], End[i]) of the
-// routing space (internal nodes) or the leaf space (leaves).
+// parameters of the tree it describes (node capacity, page range). Node
+// ids are depth-first preorder; node i owns slot range [Start[i], End[i])
+// of the routing space (internal nodes) or the leaf space (leaves).
 type Tree struct {
 	Size       int
 	Height     int

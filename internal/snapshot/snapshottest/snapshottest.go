@@ -42,7 +42,7 @@ func BuildArenaAt(tb testing.TB, n, dim, cap int, seed, firstPage int64) *snapsh
 	for i := range coords {
 		coords[i] = rng.Float64() * 1000
 	}
-	p, err := rtree.PackSTR(rtree.Config{Dim: dim, MaxEntries: cap, FirstPage: pagestore.PageID(firstPage)}, coords, nil, false)
+	p, err := rtree.PackSTR(rtree.Config{Dim: dim, MaxEntries: cap, FirstPage: pagestore.PageID(firstPage)}, coords, nil)
 	if err != nil {
 		tb.Fatalf("bulk load: %v", err)
 	}

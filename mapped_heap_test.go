@@ -52,8 +52,8 @@ func TestMappedHeapPerPoint(t *testing.T) {
 
 // TestCompactedMappedHeap pins the compaction memory contract of a
 // mapped index: a compaction packs the live points straight into a new
-// packed-only arena, so the retained heap afterwards is that arena and
-// little else (no dynamic nodes the mapped daemon never traverses), and
+// arena, so the retained heap afterwards is that arena and little else,
+// and
 // one cycle, snapshot rotation included, allocates a small multiple of
 // the arena rather than copies of it in every intermediate form.
 func TestCompactedMappedHeap(t *testing.T) {

@@ -367,10 +367,10 @@ func TestMappedCorruption(t *testing.T) {
 }
 
 // TestMappedImmutable: a mapped index keeps its base arena immutable —
-// writes land in the overlay without invalidating the serving state —
-// and the dynamic-layout escape hatches are rejected with
-// ErrMappedDynamic (GCP additionally refuses pending mutations with
-// ErrPendingMutations).
+// writes land in the overlay without invalidating the serving state, GCP
+// refuses pending mutations with ErrPendingMutations, and once the
+// overlay drains GCP answers from the mapped arena like the heap index it
+// was written from, as the data index and as the query index.
 func TestMappedImmutable(t *testing.T) {
 	_, ix, queries := snapshotFixture(t, 600, 91)
 	dir := t.TempDir()
@@ -412,38 +412,22 @@ func TestMappedImmutable(t *testing.T) {
 	if mx.Delete(gnn.Point{1, 2}, 9001) {
 		t.Fatal("second Delete should report false")
 	}
-	mx.Pack() // must be a no-op, not a rebuild from the (absent) dynamic nodes
+	mx.Pack() // must be a no-op: the drained overlay leaves nothing to compact
 	if _, err := mx.GroupNN(queries[0], gnn.WithK(2)); err != nil {
 		t.Fatalf("query after drained overlay: %v", err)
 	}
 
-	if _, err := mx.GroupNN(queries[0], gnn.WithLayout(gnn.LayoutDynamic)); !errors.Is(err, gnn.ErrMappedDynamic) {
-		t.Fatalf("LayoutDynamic on mapped index: %v", err)
-	}
-	if _, err := mx.GroupNNClosestPairs(qix, 0); !errors.Is(err, gnn.ErrMappedDynamic) {
-		t.Fatalf("GCP on mapped index: %v", err)
-	}
-	if _, err := qix.GroupNNClosestPairs(mx, 0); !errors.Is(err, gnn.ErrMappedDynamic) {
-		t.Fatalf("GCP with mapped query index: %v", err)
-	}
-
-	// Sharded: LayoutDynamic is rejected on a mapped set.
-	pts := goldenPoints(300)
-	sx, err := gnn.BuildShardedIndex(pts, nil, 2, gnn.IndexConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spath := writeSnapFile(t, dir, "sx.snap", sx.WriteSnapshotFile)
-	smx, err := gnn.OpenShardedSnapshotMapped(spath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer smx.Close()
-	if _, err := smx.GroupNN(queries[0], gnn.WithLayout(gnn.LayoutDynamic)); !errors.Is(err, gnn.ErrMappedDynamic) {
-		t.Fatalf("LayoutDynamic on mapped sharded index: %v", err)
-	}
-	if _, err := sx.GroupNN(queries[0], gnn.WithLayout(gnn.LayoutDynamic)); err != nil {
-		t.Fatalf("LayoutDynamic on built sharded index must keep working: %v", err)
+	for _, pair := range []struct {
+		name           string
+		data, query    *gnn.Index
+		heapD, heapQix *gnn.Index
+	}{
+		{"mapped data index", mx, qix, ix, qix},
+		{"mapped query index", qix, mx, qix, ix},
+	} {
+		got, gc, err := pair.data.GroupNNClosestPairsWithCost(pair.query, 0, gnn.WithK(3))
+		want, wc, werr := pair.heapD.GroupNNClosestPairsWithCost(pair.heapQix, 0, gnn.WithK(3))
+		requireSameAnswer(t, "GCP/"+pair.name, want, wc, werr, got, gc, err)
 	}
 }
 
@@ -580,14 +564,12 @@ func TestMappedEmpty(t *testing.T) {
 	}
 }
 
-// TestMappedRegionNeedsDynamic: region pruning of MBM, SPM and the
-// iterator runs on the dynamic nodes, which a mapped index — and a
-// compacted one, which stays packed-only — does not have. Those queries
-// fail with ErrMappedDynamic, plain and sharded alike, instead of
-// dereferencing the shell's missing root; MQM and brute force filter per
-// point on the packed layout and keep answering exactly like a heap index
-// over the same points.
-func TestMappedRegionNeedsDynamic(t *testing.T) {
+// TestMappedRegionQueries: a mapped index — plain or sharded, before and
+// after a compaction — answers region-constrained queries of every
+// algorithm (MBM and SPM in both traversals, the iterator, MQM and brute
+// force) exactly like a heap index over the same points, and a plain one
+// answers GCP too, as the data index and as the query index.
+func TestMappedRegionQueries(t *testing.T) {
 	const n = 2000
 	rng := rand.New(rand.NewSource(53))
 	pts := randGroup(rng, n)
@@ -620,6 +602,26 @@ func TestMappedRegionNeedsDynamic(t *testing.T) {
 	openSharded := func() (regionQueryable, error) { return gnn.OpenShardedSnapshotMapped(spath) }
 	group := []gnn.Point{{480, 500}, {520, 530}, {500, 470}}
 	region := gnn.WithRegion(gnn.Point{300, 300}, gnn.Point{700, 700})
+	qix, err := gnn.BuildIndex(group, nil, gnn.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := func(it *gnn.Iterator, err error) []gnn.Result {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("iterator with a region: %v", err)
+		}
+		defer it.Close()
+		var out []gnn.Result
+		for len(out) < 6 {
+			r, ok := it.Next()
+			if !ok {
+				break
+			}
+			out = append(out, r)
+		}
+		return out
+	}
 	for _, kind := range []struct {
 		name    string
 		open    func() (regionQueryable, error)
@@ -648,32 +650,46 @@ func TestMappedRegionNeedsDynamic(t *testing.T) {
 				}
 				ref = grown
 			}
-			for _, algo := range []gnn.Algorithm{gnn.AlgoAuto, gnn.AlgoMBM, gnn.AlgoSPM} {
-				if _, err := mx.GroupNN(group, gnn.WithAlgorithm(algo), region); !errors.Is(err, gnn.ErrMappedDynamic) {
-					t.Errorf("%v with a region: %v, want ErrMappedDynamic", algo, err)
+			for _, algo := range []gnn.Algorithm{gnn.AlgoAuto, gnn.AlgoMBM, gnn.AlgoSPM, gnn.AlgoMQM, gnn.AlgoBruteForce} {
+				for _, df := range []bool{false, true} {
+					opts := []gnn.QueryOption{gnn.WithAlgorithm(algo), region, gnn.WithK(4)}
+					name := kind.name + "/" + algo.String()
+					if df {
+						opts = append(opts, gnn.WithDepthFirst())
+						name += "-DF"
+					}
+					want, err := ref.GroupNN(group, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := mx.GroupNN(group, opts...)
+					if err != nil {
+						t.Fatalf("%s with a region: %v", name, err)
+					}
+					sameResults(t, name, want, got)
 				}
 			}
-			if it, err := mx.GroupNNIterator(group, region); !errors.Is(err, gnn.ErrMappedDynamic) {
-				if it != nil {
-					it.Close()
-				}
-				t.Errorf("iterator with a region: %v, want ErrMappedDynamic", err)
-			}
-			for _, algo := range []gnn.Algorithm{gnn.AlgoMQM, gnn.AlgoBruteForce} {
-				opts := []gnn.QueryOption{gnn.WithAlgorithm(algo), region, gnn.WithK(4)}
-				want, err := ref.GroupNN(group, opts...)
+			sameResults(t, kind.name+"/iterator", first(ref.GroupNNIterator(group, region)),
+				first(mx.GroupNNIterator(group, region)))
+			if px, ok := mx.(*gnn.Index); ok {
+				want, err := ref.GroupNNClosestPairs(qix, 0, gnn.WithK(4))
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := mx.GroupNN(group, opts...)
+				got, err := px.GroupNNClosestPairs(qix, 0, gnn.WithK(4))
 				if err != nil {
-					t.Fatalf("%v with a region: %v", algo, err)
+					t.Fatalf("GCP: %v", err)
 				}
-				sameResults(t, kind.name+"/"+algo.String(), want, got)
-			}
-			// Unconstrained queries are untouched.
-			if _, err := mx.GroupNN(group, gnn.WithAlgorithm(gnn.AlgoSPM)); err != nil {
-				t.Fatalf("SPM without a region: %v", err)
+				sameResults(t, kind.name+"/GCP", want, got)
+				want, err = qix.GroupNNClosestPairs(ref, 0, gnn.WithK(4))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err = qix.GroupNNClosestPairs(px, 0, gnn.WithK(4))
+				if err != nil {
+					t.Fatalf("GCP with a mapped query index: %v", err)
+				}
+				sameResults(t, kind.name+"/GCP-query", want, got)
 			}
 		})
 	}

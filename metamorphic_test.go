@@ -1,7 +1,7 @@
 // Metamorphic test suite: GNN answers must be invariant under geometric
 // transformations of the whole scene (data and query group together) and
-// under permutation of the query group, for every algorithm, aggregate
-// and layout, on both the plain and the sharded index.
+// under permutation of the query group, for every algorithm and
+// aggregate, on both the plain and the sharded index.
 //
 // The first three transformations are chosen to be floating-point exact
 // on integer-coordinate data, so the suite can demand bit-identical
@@ -165,36 +165,34 @@ func TestMetamorphicTransforms(t *testing.T) {
 				xqs := mapPoints(qs, xf.pt)
 				k := []int{1, 8}[gi%2]
 				for _, cell := range metaCells() {
-					for _, layout := range []gnn.Layout{gnn.LayoutDynamic, gnn.LayoutPacked} {
-						name := fmt.Sprintf("%s/%s/%s/group%d/%v", eng.name, xf.name, cell.name, len(qs), layout)
-						opts := append(append([]gnn.QueryOption{}, cell.opts...),
-							gnn.WithK(k), gnn.WithLayout(layout))
-						want, err := base.GroupNN(qs, opts...)
-						if err != nil {
-							t.Fatalf("%s (base): %v", name, err)
+					name := fmt.Sprintf("%s/%s/%s/group%d", eng.name, xf.name, cell.name, len(qs))
+					opts := append(append([]gnn.QueryOption{}, cell.opts...),
+						gnn.WithK(k))
+					want, err := base.GroupNN(qs, opts...)
+					if err != nil {
+						t.Fatalf("%s (base): %v", name, err)
+					}
+					got, err := xformed.GroupNN(xqs, opts...)
+					if err != nil {
+						t.Fatalf("%s (transformed): %v", name, err)
+					}
+					if len(want) != len(got) {
+						t.Fatalf("%s: %d results vs %d", name, len(want), len(got))
+					}
+					exact := !(xf.reordersGroup && cell.mqm)
+					for i := range want {
+						if got[i].ID != want[i].ID {
+							t.Fatalf("%s: rank %d is #%d, want #%d\nbase: %v\nxf:   %v",
+								name, i, got[i].ID, want[i].ID, want, got)
 						}
-						got, err := xformed.GroupNN(xqs, opts...)
-						if err != nil {
-							t.Fatalf("%s (transformed): %v", name, err)
+						scaled := want[i].Dist * xf.distFactor
+						if exact && got[i].Dist != scaled {
+							t.Fatalf("%s: rank %d distance %v, want exactly %v·%v",
+								name, i, got[i].Dist, want[i].Dist, xf.distFactor)
 						}
-						if len(want) != len(got) {
-							t.Fatalf("%s: %d results vs %d", name, len(want), len(got))
-						}
-						exact := !(xf.reordersGroup && cell.mqm)
-						for i := range want {
-							if got[i].ID != want[i].ID {
-								t.Fatalf("%s: rank %d is #%d, want #%d\nbase: %v\nxf:   %v",
-									name, i, got[i].ID, want[i].ID, want, got)
-							}
-							scaled := want[i].Dist * xf.distFactor
-							if exact && got[i].Dist != scaled {
-								t.Fatalf("%s: rank %d distance %v, want exactly %v·%v",
-									name, i, got[i].Dist, want[i].Dist, xf.distFactor)
-							}
-							if d := math.Abs(got[i].Dist - scaled); d > 1e-9*(1+scaled) {
-								t.Fatalf("%s: rank %d distance drifted %v vs %v",
-									name, i, got[i].Dist, scaled)
-							}
+						if d := math.Abs(got[i].Dist - scaled); d > 1e-9*(1+scaled) {
+							t.Fatalf("%s: rank %d distance drifted %v vs %v",
+								name, i, got[i].Dist, scaled)
 						}
 					}
 				}
@@ -216,31 +214,29 @@ func TestMetamorphicGroupPermutation(t *testing.T) {
 			qs := intPoints(rng, n, 1<<20)
 			perms := [][]gnn.Point{reversed(qs), shuffled(rng, qs)}
 			for _, cell := range metaCells() {
-				for _, layout := range []gnn.Layout{gnn.LayoutDynamic, gnn.LayoutPacked} {
-					name := fmt.Sprintf("%s/%s/group%d/%v", eng.name, cell.name, n, layout)
-					opts := append(append([]gnn.QueryOption{}, cell.opts...),
-						gnn.WithK(6), gnn.WithLayout(layout))
-					want, err := ix.GroupNN(qs, opts...)
+				name := fmt.Sprintf("%s/%s/group%d", eng.name, cell.name, n)
+				opts := append(append([]gnn.QueryOption{}, cell.opts...),
+					gnn.WithK(6))
+				want, err := ix.GroupNN(qs, opts...)
+				if err != nil {
+					t.Fatalf("%s (base): %v", name, err)
+				}
+				for pi, pqs := range perms {
+					got, err := ix.GroupNN(pqs, opts...)
 					if err != nil {
-						t.Fatalf("%s (base): %v", name, err)
+						t.Fatalf("%s (perm %d): %v", name, pi, err)
 					}
-					for pi, pqs := range perms {
-						got, err := ix.GroupNN(pqs, opts...)
-						if err != nil {
-							t.Fatalf("%s (perm %d): %v", name, pi, err)
+					if len(want) != len(got) {
+						t.Fatalf("%s perm %d: %d results vs %d", name, pi, len(want), len(got))
+					}
+					for i := range want {
+						if got[i].ID != want[i].ID {
+							t.Fatalf("%s perm %d: rank %d is #%d, want #%d\nbase: %v\nperm: %v",
+								name, pi, i, got[i].ID, want[i].ID, want, got)
 						}
-						if len(want) != len(got) {
-							t.Fatalf("%s perm %d: %d results vs %d", name, pi, len(want), len(got))
-						}
-						for i := range want {
-							if got[i].ID != want[i].ID {
-								t.Fatalf("%s perm %d: rank %d is #%d, want #%d\nbase: %v\nperm: %v",
-									name, pi, i, got[i].ID, want[i].ID, want, got)
-							}
-							if d := math.Abs(got[i].Dist - want[i].Dist); d > rtol*(1+want[i].Dist) {
-								t.Fatalf("%s perm %d: rank %d distance drifted %v vs %v",
-									name, pi, i, got[i].Dist, want[i].Dist)
-							}
+						if d := math.Abs(got[i].Dist - want[i].Dist); d > rtol*(1+want[i].Dist) {
+							t.Fatalf("%s perm %d: rank %d distance drifted %v vs %v",
+								name, pi, i, got[i].Dist, want[i].Dist)
 						}
 					}
 				}

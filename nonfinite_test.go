@@ -20,7 +20,7 @@ func disagreements(t *testing.T, g grouper, pts []gnn.Point, ids []int64, groups
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := oracleTopK(pts, ids, qs, gnn.SumDist, nil, k)
+		want := oracleTopK(pts, ids, qs, gnn.SumDist, nil, k, nil)
 		if len(got) != len(want) {
 			bad++
 			continue

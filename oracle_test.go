@@ -1,11 +1,11 @@
 package gnn_test
 
-// Brute-force-oracle differential suite: every algorithm × aggregate ×
-// layout × k cell, across every serving environment (plain index, packed
-// layout, sharded scatter-gather, mapped snapshot, overlay-mutated
-// index), must reproduce an independent streaming brute-force scan of
-// the live point set bit for bit — identical distances, identical IDs up
-// to sanctioned exact ties, identical Cost between layouts. The oracle
+// Brute-force-oracle differential suite: every algorithm × aggregate × k
+// × region cell, across every serving environment (plain index, sharded
+// scatter-gather, mapped snapshot, overlay-mutated index), must reproduce
+// an independent streaming brute-force scan of the live point set bit
+// for bit — identical distances, identical IDs up to sanctioned exact
+// ties. The oracle
 // below shares no traversal code with the kernels: it recomputes every
 // aggregate distance from raw coordinates with the library's canonical
 // floating-point op order (per-member sqrt of an axis-ordered squared
@@ -60,13 +60,17 @@ func oracleDist(p gnn.Point, qs []gnn.Point, agg gnn.Aggregate, w []float64) flo
 }
 
 // oracleTopK is the streaming brute-force ground truth: every live point
-// scored, sorted ascending by aggregate distance (ties by ID — the
-// tie-aware comparison treats equal-distance runs as sets).
+// inside the region (all of them when region is nil) scored, sorted
+// ascending by aggregate distance (ties by ID — the tie-aware comparison
+// treats equal-distance runs as sets).
 func oracleTopK(pts []gnn.Point, ids []int64, qs []gnn.Point,
-	agg gnn.Aggregate, w []float64, k int) []gnn.Result {
-	all := make([]gnn.Result, len(pts))
+	agg gnn.Aggregate, w []float64, k int, region *[2]gnn.Point) []gnn.Result {
+	all := make([]gnn.Result, 0, len(pts))
 	for i, p := range pts {
-		all[i] = gnn.Result{Point: p, ID: ids[i], Dist: oracleDist(p, qs, agg, w)}
+		if region != nil && !oracleInside(p, region) {
+			continue
+		}
+		all = append(all, gnn.Result{Point: p, ID: ids[i], Dist: oracleDist(p, qs, agg, w)})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Dist != all[j].Dist {
@@ -80,8 +84,27 @@ func oracleTopK(pts []gnn.Point, ids []int64, qs []gnn.Point,
 	return all[:k]
 }
 
+// oracleInside reports whether p lies in the closed box region[0]..region[1].
+func oracleInside(p gnn.Point, region *[2]gnn.Point) bool {
+	for ax := range p {
+		if p[ax] < region[0][ax] || p[ax] > region[1][ax] {
+			return false
+		}
+	}
+	return true
+}
+
+// oracleRegion derives a deterministic constraint box from a group: it
+// overlaps the group's neighbourhood on one side only, so constrained
+// answers differ from unconstrained ones and whole subtrees miss it.
+func oracleRegion(qs []gnn.Point) *[2]gnn.Point {
+	return &[2]gnn.Point{{qs[0][0] + 30, qs[0][1] - 200}, {qs[0][0] + 260, qs[0][1] + 60}}
+}
+
 // oracleCell is one registered query shape. weighted derives a
-// deterministic per-member weight vector from the group size. rtol 0
+// deterministic per-member weight vector from the group size; region
+// constrains it with oracleRegion; iter answers it with the first k
+// results of GroupNNIterator instead of GroupNN. rtol 0
 // demands bit-identical distances (the single-pass kernels share the
 // oracle's canonical FP op order); MQM cells carry an ulp-scale
 // tolerance because its incremental per-stream accumulation legitimately
@@ -91,6 +114,8 @@ type oracleCell struct {
 	k        int
 	agg      gnn.Aggregate
 	weighted bool
+	region   bool
+	iter     bool
 	sumOnly  bool // cell uses an algorithm whose pruning lemma is sum-only
 	rtol     float64
 	opts     []gnn.QueryOption
@@ -100,7 +125,13 @@ func oracleCells() []oracleCell {
 	c := func(name string, k int, agg gnn.Aggregate, weighted bool, opts ...gnn.QueryOption) oracleCell {
 		return oracleCell{name: name, k: k, agg: agg, weighted: weighted, opts: opts}
 	}
+	regional := func(name string, k int, agg gnn.Aggregate, weighted bool, opts ...gnn.QueryOption) oracleCell {
+		cell := c(name, k, agg, weighted, opts...)
+		cell.region = true
+		return cell
+	}
 	mbm := gnn.WithAlgorithm(gnn.AlgoMBM)
+	spm := gnn.WithAlgorithm(gnn.AlgoSPM)
 	df := gnn.WithDepthFirst()
 	return []oracleCell{
 		c("MBM-BF/sum", 5, gnn.SumDist, false, mbm),
@@ -123,7 +154,61 @@ func oracleCells() []oracleCell {
 		{name: "SPM/sum", k: 5, agg: gnn.SumDist, sumOnly: true,
 			opts: []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoSPM)}},
 		c("brute/max", 5, gnn.MaxDist, false, gnn.WithAlgorithm(gnn.AlgoBruteForce)),
+		regional("MBM-BF/sum/region", 5, gnn.SumDist, false, mbm),
+		regional("MBM-DF/sum/region", 5, gnn.SumDist, false, mbm, df),
+		regional("MBM-BF/max/region", 5, gnn.MaxDist, false, mbm),
+		regional("MBM-BF/sum/region/weighted", 5, gnn.SumDist, true, mbm),
+		regional("MBM-DF/sum/region/weighted", 5, gnn.SumDist, true, mbm, df),
+		regional("SPM-BF/sum/region", 5, gnn.SumDist, false, spm),
+		regional("SPM-DF/sum/region", 5, gnn.SumDist, false, spm, df),
+		regional("SPM-BF/sum/region/weighted", 5, gnn.SumDist, true, spm),
+		regional("SPM-DF/sum/region/weighted", 5, gnn.SumDist, true, spm, df),
+		{name: "iterator/sum/region", k: 5, agg: gnn.SumDist, region: true, iter: true},
+		{name: "iterator/sum/region/weighted", k: 5, agg: gnn.SumDist, weighted: true, region: true, iter: true},
 	}
+}
+
+// iterGrouper is an index that also serves incremental scans.
+type iterGrouper interface {
+	grouper
+	GroupNNIterator(query []gnn.Point, opts ...gnn.QueryOption) (*gnn.Iterator, error)
+}
+
+// oracleAnswer runs one cell's query: GroupNN, or the first k results of
+// the incremental iterator.
+func oracleAnswer(g iterGrouper, cell oracleCell, qs []gnn.Point, opts []gnn.QueryOption) ([]gnn.Result, error) {
+	if !cell.iter {
+		return g.GroupNN(qs, opts...)
+	}
+	it, err := g.GroupNNIterator(qs, opts...)
+	if err != nil {
+		return nil, err
+	}
+	defer it.Close()
+	var out []gnn.Result
+	for len(out) < cell.k {
+		r, ok := it.Next()
+		if !ok {
+			break
+		}
+		out = append(out, r)
+	}
+	return out, nil
+}
+
+// cellOptions assembles a cell's query options for one group; w and
+// region are the cell's weights and constraint box (nil when unused).
+func cellOptions(cell oracleCell, qs []gnn.Point) (opts []gnn.QueryOption, w []float64, region *[2]gnn.Point) {
+	opts = append([]gnn.QueryOption{gnn.WithK(cell.k), gnn.WithAggregate(cell.agg)}, cell.opts...)
+	if cell.weighted {
+		w = oracleWeights(len(qs))
+		opts = append(opts, gnn.WithWeights(w))
+	}
+	if cell.region {
+		region = oracleRegion(qs)
+		opts = append(opts, gnn.WithRegion(region[0], region[1]))
+	}
+	return opts, w, region
 }
 
 // oracleWeights derives the deterministic weight vector for a group.
@@ -135,27 +220,18 @@ func oracleWeights(n int) []float64 {
 	return w
 }
 
-// oracleCheck runs one cell against one environment on the given layout
-// and compares with the brute-force ground truth, tie-aware.
-func oracleCheck(t *testing.T, env string, g grouper, pts []gnn.Point, ids []int64,
-	groups [][]gnn.Point, cell oracleCell, layout gnn.Layout) {
+// oracleCheck runs one cell against one environment and compares with
+// the brute-force ground truth, tie-aware.
+func oracleCheck(t *testing.T, env string, g iterGrouper, pts []gnn.Point, ids []int64,
+	groups [][]gnn.Point, cell oracleCell) {
 	t.Helper()
 	for gi, qs := range groups {
-		var w []float64
-		if cell.weighted {
-			w = oracleWeights(len(qs))
-		}
-		opts := append([]gnn.QueryOption{
-			gnn.WithK(cell.k), gnn.WithAggregate(cell.agg), gnn.WithLayout(layout),
-		}, cell.opts...)
-		if w != nil {
-			opts = append(opts, gnn.WithWeights(w))
-		}
-		got, err := g.GroupNN(qs, opts...)
+		opts, w, region := cellOptions(cell, qs)
+		got, err := oracleAnswer(g, cell, qs, opts)
 		if err != nil {
 			t.Fatalf("%s/%s group=%d: %v", env, cell.name, gi, err)
 		}
-		want := oracleTopK(pts, ids, qs, cell.agg, w, cell.k)
+		want := oracleTopK(pts, ids, qs, cell.agg, w, cell.k, region)
 		if cell.rtol == 0 {
 			sameResults(t, env+"/"+cell.name, want, got)
 			continue
@@ -233,30 +309,26 @@ func TestOracleDifferential(t *testing.T) {
 	livePts, liveIDs := runMutationScript(t, oix, pts, mrng)
 
 	envs := []struct {
-		name    string
-		g       grouper
-		pts     []gnn.Point
-		ids     []int64
-		layouts []gnn.Layout
+		name string
+		g    iterGrouper
+		pts  []gnn.Point
+		ids  []int64
 	}{
-		{"plain", ix, pts, ids, []gnn.Layout{gnn.LayoutDynamic, gnn.LayoutPacked}},
-		{"sharded", sx, pts, ids, []gnn.Layout{gnn.LayoutDynamic, gnn.LayoutPacked}},
-		{"mapped", mapped, pts, ids, []gnn.Layout{gnn.LayoutPacked}},
-		{"overlay", oix, livePts, liveIDs, []gnn.Layout{gnn.LayoutDynamic, gnn.LayoutPacked}},
+		{"plain", ix, pts, ids},
+		{"sharded", sx, pts, ids},
+		{"mapped", mapped, pts, ids},
+		{"overlay", oix, livePts, liveIDs},
 	}
 	for _, env := range envs {
 		for _, cell := range oracleCells() {
-			for _, layout := range env.layouts {
-				oracleCheck(t, env.name, env.g, env.pts, env.ids, groups, cell, layout)
-			}
+			oracleCheck(t, env.name, env.g, env.pts, env.ids, groups, cell)
 		}
 	}
 }
 
-// TestOracleCostParity locks the layout contract on top of the result
-// contract: for deterministic executions (plain index, sequential
-// sharded scatter) the dynamic and packed layouts of every cell must
-// charge the identical Cost.
+// TestOracleCostParity locks the sharded contract on top of the result
+// contract: the sequential sharded scatter of every cell answers exactly
+// like the plain index.
 func TestOracleCostParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(8765))
 	pts := clusterPoints(rng, 2200, 1000)
@@ -265,38 +337,22 @@ func TestOracleCostParity(t *testing.T) {
 	for i := range groups {
 		groups[i] = queryGroup(rng, []int{1, 4, 16}[i%3], 1000)
 	}
-	run := func(name string, qs []gnn.Point, opts []gnn.QueryOption) {
-		t.Helper()
-		dRes, dCost, err := ix.GroupNNWithCost(qs, append(opts, gnn.WithLayout(gnn.LayoutDynamic))...)
-		if err != nil {
-			t.Fatalf("%s dynamic: %v", name, err)
-		}
-		pRes, pCost, err := ix.GroupNNWithCost(qs, append(opts, gnn.WithLayout(gnn.LayoutPacked))...)
-		if err != nil {
-			t.Fatalf("%s packed: %v", name, err)
-		}
-		sameResults(t, name, dRes, pRes)
-		if dCost != pCost {
-			t.Fatalf("%s: cost diverged between layouts: %+v vs %+v", name, dCost, pCost)
-		}
-		sRes, _, err := sx.GroupNNWithCost(qs, append(opts, gnn.WithShards(1))...)
-		if err != nil {
-			t.Fatalf("%s sharded: %v", name, err)
-		}
-		sameResults(t, name+"/sharded", dRes, sRes)
-	}
 	for gi, qs := range groups {
 		for _, cell := range oracleCells() {
-			if cell.sumOnly && cell.agg != gnn.SumDist {
+			if cell.sumOnly && cell.agg != gnn.SumDist || cell.iter {
 				continue
 			}
-			opts := append([]gnn.QueryOption{
-				gnn.WithK(cell.k), gnn.WithAggregate(cell.agg),
-			}, cell.opts...)
-			if cell.weighted {
-				opts = append(opts, gnn.WithWeights(oracleWeights(len(qs))))
+			name := cell.name + "/g" + string(rune('0'+gi))
+			opts, _, _ := cellOptions(cell, qs)
+			res, err := ix.GroupNN(qs, opts...)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
-			run(cell.name+"/g"+string(rune('0'+gi)), qs, opts)
+			sRes, err := sx.GroupNN(qs, append(opts, gnn.WithShards(1))...)
+			if err != nil {
+				t.Fatalf("%s sharded: %v", name, err)
+			}
+			sameResults(t, name+"/sharded", res, sRes)
 		}
 	}
 }

@@ -29,25 +29,19 @@ const deltaFirstPage = pagestore.PageID(1) << 40
 // once and traverse only its fields, so a concurrent writer publishing a
 // successor never perturbs an in-flight traversal.
 type viewState struct {
-	tree   *rtree.Tree   // base tree (dynamic nodes, or the shell of a mapped or mapped-compacted arena)
-	packed *rtree.Packed // packed base arena; nil only while never-packed
-	// frozen marks the base immutable: mutations go through the overlay.
-	// False only for a never-packed index (legacy in-place mutation).
-	frozen bool
+	// tree is the packed base's shell, or a NewIndex's insertion builder
+	// before its first read.
+	tree *rtree.Tree
+	// packed is the base arena every query traverses; nil only before a
+	// NewIndex's first read, while mutations go straight into tree.
+	// Once set, the base is immutable: mutations go through the overlay.
+	packed *rtree.Packed
 	// ov is the write overlay; nil when the index has no un-compacted
 	// writes (the fast path: queries run exactly the single-source code
 	// that served before overlays existed).
 	ov *overlayState
 	// seq is the mutation-log length when this view was published.
 	seq uint64
-}
-
-// servingPacked returns the packed base queries should traverse, or nil.
-func (v *viewState) servingPacked() *rtree.Packed {
-	if v.packed.Valid(v.tree) {
-		return v.packed
-	}
-	return nil
 }
 
 // overlaySize is the overlay's footprint for compaction triggering:
@@ -65,8 +59,7 @@ type overlayState struct {
 	pts    []geom.Point // overlay-inserted points, insertion order
 	ids    []int64
 	folded int              // pts[:folded] are indexed by delta; the rest is the pending tail
-	delta  *rtree.Tree      // bulk-loaded mini tree over pts[:folded]; nil while folded == 0
-	deltaP *rtree.Packed    // packed arena of delta
+	delta  *rtree.Packed    // packed mini tree over pts[:folded]; nil while folded == 0
 	tombs  *overlay.TombSet // masked base occurrences
 }
 
@@ -81,7 +74,7 @@ func (v *viewState) succ(ov *overlayState) *viewState {
 	if ov.empty() {
 		ov = nil
 	}
-	return &viewState{tree: v.tree, packed: v.packed, frozen: v.frozen, ov: ov, seq: v.seq + 1}
+	return &viewState{tree: v.tree, packed: v.packed, ov: ov, seq: v.seq + 1}
 }
 
 // deltaConfig is the base geometry with the delta page range.
@@ -92,27 +85,19 @@ func deltaConfig(rcfg rtree.Config) rtree.Config {
 
 // applier folds one mutation into an overlay state. It is the write
 // logic shared by Index and ShardedIndex: each supplies its delta-tree
-// geometry, whether its base has dynamic nodes (the delta follows the
-// base's kind) and its way of counting exact base occurrences.
+// geometry and its way of counting exact base occurrences.
 type applier struct {
 	dcfg      rtree.Config
-	dynamic   bool
 	baseCount func(p geom.Point, id int64) int
 }
 
-// foldDelta packs a delta tree over all overlay points — with dynamic
-// nodes only when the base has them, so a packed-only base gets a
-// packed-only delta.
-func (a applier) foldDelta(pts []geom.Point, ids []int64) (*rtree.Tree, *rtree.Packed, error) {
+// foldDelta packs a delta tree over all overlay points.
+func (a applier) foldDelta(pts []geom.Point, ids []int64) (*rtree.Packed, error) {
 	coords, err := rtree.Flatten(a.dcfg, pts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	p, err := rtree.PackSTR(a.dcfg, coords, ids, a.dynamic)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p.Tree(), p, nil
+	return rtree.PackSTR(a.dcfg, coords, ids)
 }
 
 // insert returns the successor overlay for inserting (p, id) over a
@@ -138,11 +123,11 @@ func (a applier) insert(ov *overlayState, p geom.Point, id int64) (*overlayState
 	nov.pts = append(npts, p)
 	nov.ids = append(nids, id)
 	if len(nov.pts)-nov.folded >= pendFold {
-		delta, deltaP, err := a.foldDelta(nov.pts, nov.ids)
+		delta, err := a.foldDelta(nov.pts, nov.ids)
 		if err != nil {
 			return nil, err
 		}
-		nov.delta, nov.deltaP, nov.folded = delta, deltaP, len(nov.pts)
+		nov.delta, nov.folded = delta, len(nov.pts)
 	}
 	return &nov, nil
 }
@@ -164,11 +149,11 @@ func (a applier) delete(ov *overlayState, p geom.Point, id int64) (*overlayState
 				// The removed point was in the delta tree: refold over
 				// the surviving points. Failure cannot happen (the
 				// surviving points already bulk-loaded once).
-				delta, deltaP, err := a.foldDelta(nov.pts, nov.ids)
+				delta, err := a.foldDelta(nov.pts, nov.ids)
 				if err != nil {
 					return nil, false
 				}
-				nov.delta, nov.deltaP, nov.folded = delta, deltaP, len(nov.pts)
+				nov.delta, nov.folded = delta, len(nov.pts)
 			} else {
 				nov.folded = ov.folded
 			}
@@ -191,22 +176,11 @@ func (a applier) delete(ov *overlayState, p geom.Point, id int64) (*overlayState
 	return &nov, true
 }
 
-// baseCount returns the multiplicity of (p, id) in the view's base,
-// uncharged (tombstone bookkeeping, not a query).
-func baseCount(v *viewState, p geom.Point, id int64) int {
-	if sp := v.servingPacked(); sp != nil {
-		return sp.CountExact(p, id)
-	}
-	return v.tree.CountExact(p, id)
-}
-
-// applier binds the shared write logic to one plain-index view.
+// applier binds the shared write logic to one plain-index view; base
+// multiplicities are counted uncharged (tombstone bookkeeping, not a
+// query).
 func (ix *Index) applier(v *viewState) applier {
-	return applier{
-		dcfg:      deltaConfig(ix.rcfg),
-		dynamic:   !v.tree.IsShell(),
-		baseCount: func(p geom.Point, id int64) int { return baseCount(v, p, id) },
-	}
+	return applier{dcfg: deltaConfig(ix.rcfg), baseCount: v.packed.CountExact}
 }
 
 // applyInsert returns the successor view for inserting (p, id).
@@ -241,7 +215,7 @@ func removeID(s []int64, i int) []int64 {
 }
 
 // liveBase is the enumerable base a compaction gathers: the plain
-// index's tree or the sharded index's shard set.
+// index's arena or the sharded index's shard set.
 type liveBase interface {
 	Len() int
 	Dim() int

@@ -107,24 +107,22 @@ type grouper interface {
 // assertEquivalent sweeps the variant grid over both indexes and demands
 // identical results. Coordinates are distinct random floats, so exact
 // aggregate-distance ties (the one sanctioned divergence) do not occur.
-func assertEquivalent(t *testing.T, label string, got, want grouper, groups [][]gnn.Point, layouts []gnn.Layout) {
+func assertEquivalent(t *testing.T, label string, got, want grouper, groups [][]gnn.Point) {
 	t.Helper()
 	for _, v := range variants() {
 		for gi, q := range groups {
-			for _, l := range layouts {
-				opts := []gnn.QueryOption{gnn.WithAlgorithm(v.algo), gnn.WithAggregate(v.agg), gnn.WithK(v.k), gnn.WithLayout(l)}
-				g, err := got.GroupNN(q, opts...)
-				if err != nil {
-					t.Fatalf("%s: %v/%v k=%d layout=%v group=%d: %v", label, v.algo, v.agg, v.k, l, gi, err)
-				}
-				w, err := want.GroupNN(q, opts...)
-				if err != nil {
-					t.Fatalf("%s: fresh %v/%v k=%d layout=%v group=%d: %v", label, v.algo, v.agg, v.k, l, gi, err)
-				}
-				if !reflect.DeepEqual(g, w) {
-					t.Fatalf("%s: %v/%v k=%d layout=%v group=%d diverged\nmutated: %v\nfresh:   %v",
-						label, v.algo, v.agg, v.k, l, gi, g, w)
-				}
+			opts := []gnn.QueryOption{gnn.WithAlgorithm(v.algo), gnn.WithAggregate(v.agg), gnn.WithK(v.k)}
+			g, err := got.GroupNN(q, opts...)
+			if err != nil {
+				t.Fatalf("%s: %v/%v k=%d group=%d: %v", label, v.algo, v.agg, v.k, gi, err)
+			}
+			w, err := want.GroupNN(q, opts...)
+			if err != nil {
+				t.Fatalf("%s: fresh %v/%v k=%d group=%d: %v", label, v.algo, v.agg, v.k, gi, err)
+			}
+			if !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: %v/%v k=%d group=%d diverged\nmutated: %v\nfresh:   %v",
+					label, v.algo, v.agg, v.k, gi, g, w)
 			}
 		}
 	}
@@ -165,7 +163,7 @@ func TestOverlayDifferentialPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertEquivalent(t, "pre-compaction", ix, fresh, groups, []gnn.Layout{gnn.LayoutPacked, gnn.LayoutDynamic})
+	assertEquivalent(t, "pre-compaction", ix, fresh, groups)
 
 	// Iterator: the merged overlay stream yields the fresh index's
 	// stream, element for element.
@@ -251,7 +249,7 @@ func TestOverlayDifferentialSharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	assertEquivalent(t, "sharded pre-compaction", sx, fresh, groups, []gnn.Layout{gnn.LayoutAuto, gnn.LayoutDynamic})
+	assertEquivalent(t, "sharded pre-compaction", sx, fresh, groups)
 
 	// The mutated sharded index also matches a plain fresh index — the
 	// cross-execution-strategy equivalence the sharding layer promises.
@@ -259,7 +257,7 @@ func TestOverlayDifferentialSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertEquivalent(t, "sharded vs plain", sx, plain, groups[:2], []gnn.Layout{gnn.LayoutAuto})
+	assertEquivalent(t, "sharded vs plain", sx, plain, groups[:2])
 
 	mit, err := sx.GroupNNIterator(groups[0])
 	if err != nil {
@@ -293,7 +291,7 @@ func TestOverlayDifferentialSharded(t *testing.T) {
 	// Costs are compared on the sequential scatter (WithShards(1)), the
 	// deterministic execution: the concurrent default scatter has
 	// timing-dependent NA by design, so there only results are compared.
-	assertEquivalent(t, "sharded post-compaction", sx, fresh, groups[:1], []gnn.Layout{gnn.LayoutAuto})
+	assertEquivalent(t, "sharded post-compaction", sx, fresh, groups[:1])
 	for _, v := range variants()[:4] {
 		opts := []gnn.QueryOption{gnn.WithAlgorithm(v.algo), gnn.WithAggregate(v.agg), gnn.WithK(v.k), gnn.WithShards(1)}
 		g, gc, err := sx.GroupNNWithCost(groups[0], opts...)
@@ -339,7 +337,7 @@ func TestOverlaySnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertEquivalent(t, "snapshot round-trip", loaded, fresh, groups[:2], []gnn.Layout{gnn.LayoutPacked})
+	assertEquivalent(t, "snapshot round-trip", loaded, fresh, groups[:2])
 }
 
 // TestOverlayDiskFamilyGuard: the query-set family refuses indexes with

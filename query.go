@@ -58,67 +58,6 @@ const (
 	MinDist = core.Min
 )
 
-// Layout selects the tree representation a query traverses.
-type Layout int
-
-const (
-	// LayoutAuto (default) uses the packed SoA arena whenever the index
-	// has a valid snapshot and falls back to the dynamic nodes otherwise
-	// (after Insert/Delete, or on an incrementally built index that never
-	// called Pack). Results and node-access counts are identical either
-	// way.
-	LayoutAuto Layout = iota
-	// LayoutDynamic forces the pointer-linked dynamic nodes (benchmarking
-	// and differential testing).
-	LayoutDynamic
-	// LayoutPacked requires the packed arena and fails instead of
-	// silently degrading: ErrNotPacked when no valid snapshot exists,
-	// ErrPackedRegion when combined with WithRegion on an algorithm
-	// whose constrained traversal runs on the dynamic nodes (MBM, SPM,
-	// the iterator, the disk-resident family).
-	LayoutPacked
-)
-
-// String names the layout.
-func (l Layout) String() string {
-	switch l {
-	case LayoutAuto:
-		return "auto"
-	case LayoutDynamic:
-		return "dynamic"
-	case LayoutPacked:
-		return "packed"
-	default:
-		return fmt.Sprintf("Layout(%d)", int(l))
-	}
-}
-
-// ErrNotPacked reports a WithLayout(LayoutPacked) query against an index
-// with no valid packed snapshot (mutated since the last Pack, or built
-// incrementally without one).
-var ErrNotPacked = errors.New("gnn: index has no valid packed layout; call Index.Pack")
-
-// ErrMappedDynamic reports a query that needs dynamic nodes against a
-// mapped snapshot (OpenSnapshotMapped/OpenShardedSnapshotMapped): a
-// WithLayout(LayoutDynamic) query, GCP, or a WithRegion query on MBM,
-// SPM or the iterator (whose region pruning runs on the dynamic nodes;
-// MQM and brute force serve regions from the packed layout). A mapped
-// index borrows the packed arena straight from the file and never
-// materialises dynamic nodes, and its compactions keep it packed-only.
-// Use the default layout and MQM or brute force for regions, or open
-// with OpenSnapshotFile to serve everything from heap memory.
-var ErrMappedDynamic = errors.New("gnn: a mapped snapshot serves only the packed layout; drop WithLayout(LayoutDynamic), or WithRegion on MBM, SPM and the iterator")
-
-// ErrPackedRegion reports a WithLayout(LayoutPacked) query combined with
-// WithRegion on an algorithm whose region pruning lives in the traversal
-// (MBM, SPM, the incremental iterator): their packed kernels are
-// region-free by design, so the constrained query runs on the dynamic
-// nodes and a pinned packed layout cannot be honoured. MQM and brute
-// force filter results point by point and serve constrained queries from
-// the packed layout normally. Use LayoutAuto to get the right layout per
-// algorithm with identical results either way.
-var ErrPackedRegion = errors.New("gnn: this algorithm serves region-constrained queries from the dynamic layout; drop WithLayout(LayoutPacked) or WithRegion")
-
 // ErrPendingMutations reports a disk-family query (F-MQM, F-MBM, GCP) on
 // an index carrying un-compacted overlay writes. These algorithms drive a
 // stateful traversal over one base structure and have no sound
@@ -138,7 +77,6 @@ type queryConfig struct {
 	weights     []float64
 	region      *geom.Rect
 	parallelism int
-	layout      Layout
 	shards      int
 	genericMax  bool
 	// probe, when non-nil, collects the diagnostics GroupNNExplain
@@ -152,7 +90,6 @@ type queryConfig struct {
 type explainProbe struct {
 	trace   core.Trace
 	stages  core.StageLog
-	packed  bool // the traversal ran on the packed layout
 	overlay bool // overlay sources were merged into the answer
 }
 
@@ -183,8 +120,9 @@ func WithGenericMax() QueryOption { return func(c *queryConfig) { c.genericMax =
 func WithWeights(w []float64) QueryOption { return func(c *queryConfig) { c.weights = w } }
 
 // WithRegion restricts results to data points inside the axis-aligned
-// rectangle [lo, hi] — constrained GNN search. Supported by MQM, SPM, MBM
-// and brute force; MBM additionally prunes non-intersecting subtrees.
+// rectangle [lo, hi] — constrained GNN search. Supported by MQM, SPM, MBM,
+// the iterator and brute force, on every kind of index; MBM, SPM and the
+// iterator additionally prune the subtrees that miss the region.
 func WithRegion(lo, hi Point) QueryOption {
 	return func(c *queryConfig) {
 		r := geom.NewRect(geom.Point(lo), geom.Point(hi))
@@ -206,13 +144,6 @@ func WithParallelism(n int) QueryOption { return func(c *queryConfig) { c.parall
 // effect on a plain Index.
 func WithShards(n int) QueryOption { return func(c *queryConfig) { c.shards = n } }
 
-// WithLayout pins the tree representation the query traverses (default
-// LayoutAuto: packed when available). Both layouts return identical
-// results and node-access counts; the knob exists for benchmarking and
-// for callers that must fail loudly rather than serve the slower dynamic
-// path.
-func WithLayout(l Layout) QueryOption { return func(c *queryConfig) { c.layout = l } }
-
 func buildConfig(opts []QueryOption) queryConfig {
 	c := queryConfig{k: 1}
 	for _, o := range opts {
@@ -232,39 +163,6 @@ func (c queryConfig) coreOptions() core.Options {
 		o.Stages = &c.probe.stages
 	}
 	return o
-}
-
-// packedForLayout resolves a layout request against one index view: nil
-// for the dynamic nodes, the snapshot for packed, ErrNotPacked when a
-// required snapshot is missing or stale, ErrPackedRegion when a pinned
-// packed layout meets a region constraint it cannot serve, and
-// ErrMappedDynamic when a packed-only (mapped) base would need dynamic
-// nodes: a pinned dynamic layout or a region the packed kernel cannot
-// serve. The layout choice governs the base tree; an overlay delta tree
-// follows it (packed delta arena unless the dynamic layout is pinned),
-// and the pending tail is a layout-less array scan.
-func packedForLayout(v *viewState, l Layout, region *geom.Rect) (*rtree.Packed, error) {
-	switch l {
-	case LayoutDynamic:
-		if v.tree.IsShell() {
-			return nil, ErrMappedDynamic
-		}
-		return nil, nil
-	case LayoutPacked:
-		if region != nil {
-			return nil, ErrPackedRegion
-		}
-		p := v.servingPacked()
-		if p == nil {
-			return nil, ErrNotPacked
-		}
-		return p, nil
-	default:
-		if region != nil && v.tree.IsShell() {
-			return nil, ErrMappedDynamic
-		}
-		return v.servingPacked(), nil
-	}
 }
 
 // GroupNN answers a GNN query for a memory-resident query group: the k
@@ -318,21 +216,16 @@ func (ix *Index) answer(query []Point, c queryConfig, tk *pagestore.CostTracker,
 	opt.Cost = tk
 	opt.Exec = ec
 	v := ix.view.Load()
-	p, err := packedForLayout(v, c.layout, c.effectiveRegion())
-	if err != nil {
-		return nil, err
-	}
 	kern, err := kernelFor(c.algo)
 	if err != nil {
 		return nil, err
 	}
 	if c.probe != nil {
-		c.probe.packed = p != nil
 		c.probe.overlay = v.ov != nil
 	}
 	if v.ov == nil {
 		// No overlay writes: exactly the single-source path, bit for bit.
-		opt.Packed = p
+		opt.Packed = v.packed
 		var start time.Time
 		if opt.Stages != nil {
 			start = time.Now()
@@ -346,7 +239,7 @@ func (ix *Index) answer(query []Point, c queryConfig, tk *pagestore.CostTracker,
 		}
 		return toResults(gs), nil
 	}
-	gs, err := overlayQuery(v, qs, opt, p, c.k, kern)
+	gs, err := overlayQuery(v, qs, opt, c.k, kern)
 	if err != nil {
 		return nil, err
 	}
@@ -359,7 +252,7 @@ func (ix *Index) answer(query []Point, c queryConfig, tk *pagestore.CostTracker,
 // discipline of the sharded scatter. The sources run sequentially and
 // share one tightening bound, and all charge the same per-query tracker,
 // so reported cost is the exact sum of per-source node accesses.
-func overlayQuery(v *viewState, qs []geom.Point, opt core.Options, basePacked *rtree.Packed, k int, kern shard.Kernel) ([]core.GroupNeighbor, error) {
+func overlayQuery(v *viewState, qs []geom.Point, opt core.Options, k int, kern shard.Kernel) ([]core.GroupNeighbor, error) {
 	ov := v.ov
 	shared := core.NewSharedBound()
 	lists := make([][]core.GroupNeighbor, 0, 3)
@@ -379,7 +272,7 @@ func overlayQuery(v *viewState, qs []geom.Point, opt core.Options, basePacked *r
 	}
 
 	bopt := opt
-	bopt.Packed = basePacked
+	bopt.Packed = v.packed
 	bopt.Shared = shared
 	if ov.tombs.Total() > 0 {
 		bopt.Reject = ov.tombs.Rejects
@@ -394,11 +287,8 @@ func overlayQuery(v *viewState, qs []geom.Point, opt core.Options, basePacked *r
 	if ov.delta != nil {
 		dopt := opt
 		dopt.Shared = shared
-		dopt.Packed = nil
-		if basePacked != nil {
-			dopt.Packed = ov.deltaP
-		}
-		gs, err := kern(ov.delta, qs, dopt)
+		dopt.Packed = ov.delta
+		gs, err := kern(ov.delta.Tree(), qs, dopt)
 		if err != nil {
 			return nil, err
 		}
@@ -409,7 +299,6 @@ func overlayQuery(v *viewState, qs []geom.Point, opt core.Options, basePacked *r
 	if pend := ov.pts[ov.folded:]; len(pend) > 0 {
 		sopt := opt
 		sopt.Shared = shared
-		sopt.Packed = nil
 		gs, err := core.ScanPoints(pend, ov.ids[ov.folded:], qs, sopt)
 		if err != nil {
 			return nil, err
@@ -453,18 +342,6 @@ func kernelFor(a Algorithm) (shard.Kernel, error) {
 	default:
 		return nil, fmt.Errorf("gnn: unknown algorithm %v", a)
 	}
-}
-
-// effectiveRegion returns the region constraint a layout decision must
-// respect: nil for algorithms that filter per point (MQM, brute force) —
-// their packed kernels serve constrained queries, so there is no
-// packed/region conflict to reject. It is the single demotion rule shared
-// by the plain and the sharded layout resolution.
-func (c queryConfig) effectiveRegion() *geom.Rect {
-	if c.algo == AlgoMQM || c.algo == AlgoBruteForce {
-		return nil
-	}
-	return c.region
 }
 
 // gnnStream is the engine behind a public Iterator: the single-tree
@@ -517,13 +394,8 @@ func (ix *Index) GroupNNIterator(query []Point, opts ...QueryOption) (*Iterator,
 	opt := c.coreOptions()
 	opt.Cost = &out.tk
 	v := ix.view.Load()
-	p, err := packedForLayout(v, c.layout, c.region)
-	if err != nil {
-		ix.release()
-		return nil, err
-	}
 	if v.ov == nil {
-		opt.Packed = p
+		opt.Packed = v.packed
 		it, err := core.NewGNNIterator(v.tree, qs, opt)
 		if err != nil {
 			ix.release()
@@ -531,7 +403,7 @@ func (ix *Index) GroupNNIterator(query []Point, opts ...QueryOption) (*Iterator,
 		}
 		out.it = it
 	} else {
-		it, err := overlayIterator(v, qs, opt, p)
+		it, err := overlayIterator(v, qs, opt)
 		if err != nil {
 			ix.release()
 			return nil, err
@@ -547,7 +419,7 @@ func (ix *Index) GroupNNIterator(query []Point, opts ...QueryOption) (*Iterator,
 // the pending tail as a pre-computed sorted list, all k-way merged by the
 // same machinery that merges shard iterators. Every source charges the
 // iterator's tracker, so cost stays the exact sum of node accesses.
-func overlayIterator(v *viewState, qs []geom.Point, opt core.Options, basePacked *rtree.Packed) (*shard.Iterator, error) {
+func overlayIterator(v *viewState, qs []geom.Point, opt core.Options) (*shard.Iterator, error) {
 	ov := v.ov
 	streams := make([]core.Stream, 0, 3)
 	fail := func(err error) (*shard.Iterator, error) {
@@ -558,7 +430,7 @@ func overlayIterator(v *viewState, qs []geom.Point, opt core.Options, basePacked
 	}
 
 	bopt := opt
-	bopt.Packed = basePacked
+	bopt.Packed = v.packed
 	if ov.tombs.Total() > 0 {
 		bopt.Reject = ov.tombs.Rejects
 	}
@@ -570,11 +442,8 @@ func overlayIterator(v *viewState, qs []geom.Point, opt core.Options, basePacked
 
 	if ov.delta != nil {
 		dopt := opt
-		dopt.Packed = nil
-		if basePacked != nil {
-			dopt.Packed = ov.deltaP
-		}
-		dit, err := core.NewGNNIterator(ov.delta, qs, dopt)
+		dopt.Packed = ov.delta
+		dit, err := core.NewGNNIterator(ov.delta.Tree(), qs, dopt)
 		if err != nil {
 			return fail(err)
 		}

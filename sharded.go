@@ -79,7 +79,7 @@ type ShardedIndex struct {
 
 // shardedView is one immutable serving version of a ShardedIndex: the
 // sharded twin of viewState. A shard set is always packed, so there is
-// no frozen flag — every ShardedIndex mutates through the overlay.
+// no builder phase — every ShardedIndex mutates through the overlay.
 type shardedView struct {
 	set *shard.Set
 	ov  *overlayState
@@ -138,11 +138,7 @@ func (sx *ShardedIndex) prepare() error {
 
 // applierFor binds the shared write logic to one sharded view.
 func (sx *ShardedIndex) applierFor(v *shardedView) applier {
-	return applier{
-		dcfg:      deltaConfig(sx.rcfg),
-		dynamic:   !v.set.Borrowed(),
-		baseCount: func(p geom.Point, id int64) int { return v.set.CountExact(p, id) },
-	}
+	return applier{dcfg: deltaConfig(sx.rcfg), baseCount: v.set.CountExact}
 }
 
 // applyInsert returns the successor view for inserting (p, id).
@@ -177,7 +173,7 @@ func BuildShardedIndex(points []Point, ids []int64, shards int, cfg IndexConfig)
 	if err != nil {
 		return nil, err
 	}
-	set, err := shard.Build(rcfg, coords, ids, shards, true)
+	set, err := shard.Build(rcfg, coords, ids, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -274,10 +270,9 @@ func (sx *ShardedIndex) ResetCost() { sx.acct.Reset() }
 // ResetCostCold zeroes the counters and drops the buffer contents.
 func (sx *ShardedIndex) ResetCostCold() { sx.acct.ResetAll() }
 
-// CheckInvariants validates every shard's R-tree structure, plus the
-// overlay's delta tree when present. On a mapped index it runs the
-// snapshot's checksum and structural validation instead (there are no
-// dynamic nodes).
+// CheckInvariants validates every shard's packed R-tree structure, plus
+// the overlay's delta tree when present. On a mapped index the
+// snapshot's checksum and structural validation run first.
 func (sx *ShardedIndex) CheckInvariants() error {
 	if err := sx.acquire(); err != nil {
 		return err
@@ -293,38 +288,11 @@ func (sx *ShardedIndex) CheckInvariants() error {
 		}
 	}
 	if v.ov != nil && v.ov.delta != nil {
-		if err := v.ov.delta.CheckInvariants(); err != nil {
+		if err := v.ov.delta.Tree().CheckInvariants(); err != nil {
 			return fmt.Errorf("overlay delta: %w", err)
 		}
 	}
 	return nil
-}
-
-// usePackedLayout resolves a layout request for the sharded read path.
-// Shard snapshots are always valid (the set is immutable), so LayoutAuto
-// and LayoutPacked both serve packed and ErrNotPacked cannot occur; the
-// packed/region conflict follows the same demotion rule
-// (queryConfig.effectiveRegion) as the plain Index, and on a packed-only
-// (mapped) set LayoutDynamic and a region the packed kernel cannot serve
-// fail with ErrMappedDynamic (no dynamic nodes exist).
-func usePackedLayout(v *shardedView, c queryConfig) (bool, error) {
-	switch c.layout {
-	case LayoutDynamic:
-		if v.set.Borrowed() {
-			return false, ErrMappedDynamic
-		}
-		return false, nil
-	case LayoutPacked:
-		if c.effectiveRegion() != nil {
-			return false, ErrPackedRegion
-		}
-		return true, nil
-	default:
-		if c.effectiveRegion() != nil && v.set.Borrowed() {
-			return false, ErrMappedDynamic
-		}
-		return true, nil
-	}
 }
 
 // GroupNN answers a GNN query against the sharded index: identical
@@ -373,10 +341,6 @@ func (sx *ShardedIndex) answer(query []Point, c queryConfig, tk *pagestore.CostT
 	}
 	defer sx.release()
 	v := sx.view.Load()
-	usePacked, err := usePackedLayout(v, c)
-	if err != nil {
-		return nil, err
-	}
 	if err := c.cancel.Check(); err != nil {
 		return nil, err // already expired/canceled on arrival
 	}
@@ -395,15 +359,14 @@ func (sx *ShardedIndex) answer(query []Point, c queryConfig, tk *pagestore.CostT
 		workers = defaultWorkers
 	}
 	if c.probe != nil {
-		c.probe.packed = usePacked
 		c.probe.overlay = v.ov != nil
 	}
 	var gs []core.GroupNeighbor
 	if v.ov == nil {
 		// No overlay writes: exactly the old scatter-gather, bit for bit.
-		gs, err = v.set.Search(qs, opt, usePacked, workers, kern)
+		gs, err = v.set.Search(qs, opt, workers, kern)
 	} else {
-		gs, err = shardedOverlayQuery(v, qs, opt, usePacked, workers, kern, c.k)
+		gs, err = shardedOverlayQuery(v, qs, opt, workers, kern, c.k)
 	}
 	if err != nil {
 		return nil, err
@@ -416,7 +379,7 @@ func (sx *ShardedIndex) answer(query []Point, c queryConfig, tk *pagestore.CostT
 // and the pending tail all share one tightening bound and one cost
 // tracker, and a final k-way merge reassembles the exact answer — the
 // same discipline as the plain index's overlayQuery.
-func shardedOverlayQuery(v *shardedView, qs []geom.Point, opt core.Options, usePacked bool, workers int, kern shard.Kernel, k int) ([]core.GroupNeighbor, error) {
+func shardedOverlayQuery(v *shardedView, qs []geom.Point, opt core.Options, workers int, kern shard.Kernel, k int) ([]core.GroupNeighbor, error) {
 	ov := v.ov
 	shared := core.NewSharedBound()
 	lists := make([][]core.GroupNeighbor, 0, 3)
@@ -441,7 +404,7 @@ func shardedOverlayQuery(v *shardedView, qs []geom.Point, opt core.Options, useP
 	if ov.tombs.Total() > 0 {
 		bopt.Reject = ov.tombs.Rejects
 	}
-	gs, err := v.set.Search(qs, bopt, usePacked, workers, kern)
+	gs, err := v.set.Search(qs, bopt, workers, kern)
 	if err != nil {
 		return nil, err
 	}
@@ -451,11 +414,8 @@ func shardedOverlayQuery(v *shardedView, qs []geom.Point, opt core.Options, useP
 	if ov.delta != nil {
 		dopt := opt
 		dopt.Shared = shared
-		dopt.Packed = nil
-		if usePacked {
-			dopt.Packed = ov.deltaP
-		}
-		gs, err := kern(ov.delta, qs, dopt)
+		dopt.Packed = ov.delta
+		gs, err := kern(ov.delta.Tree(), qs, dopt)
 		if err != nil {
 			return nil, err
 		}
@@ -466,7 +426,6 @@ func shardedOverlayQuery(v *shardedView, qs []geom.Point, opt core.Options, useP
 	if pend := ov.pts[ov.folded:]; len(pend) > 0 {
 		sopt := opt
 		sopt.Shared = shared
-		sopt.Packed = nil
 		gs, err := core.ScanPoints(pend, ov.ids[ov.folded:], qs, sopt)
 		if err != nil {
 			return nil, err
@@ -492,11 +451,6 @@ func (sx *ShardedIndex) GroupNNIterator(query []Point, opts ...QueryOption) (*It
 		return nil, err
 	}
 	v := sx.view.Load()
-	usePacked, err := usePackedLayout(v, queryConfig{algo: AlgoMBM, layout: c.layout, region: c.region})
-	if err != nil {
-		sx.release()
-		return nil, err
-	}
 	if err := sx.prepare(); err != nil {
 		sx.release()
 		return nil, err
@@ -510,14 +464,14 @@ func (sx *ShardedIndex) GroupNNIterator(query []Point, opts ...QueryOption) (*It
 	opt := c.coreOptions()
 	opt.Cost = &out.tk
 	if v.ov == nil {
-		it, err := v.set.NewIterator(qs, opt, usePacked)
+		it, err := v.set.NewIterator(qs, opt)
 		if err != nil {
 			sx.release()
 			return nil, err
 		}
 		out.it = it
 	} else {
-		it, err := shardedOverlayIterator(v, qs, opt, usePacked)
+		it, err := shardedOverlayIterator(v, qs, opt)
 		if err != nil {
 			sx.release()
 			return nil, err
@@ -530,7 +484,7 @@ func (sx *ShardedIndex) GroupNNIterator(query []Point, opts ...QueryOption) (*It
 
 // shardedOverlayIterator merges the base set's lazy shard merge with the
 // overlay sources, mirroring the plain index's overlayIterator.
-func shardedOverlayIterator(v *shardedView, qs []geom.Point, opt core.Options, usePacked bool) (*shard.Iterator, error) {
+func shardedOverlayIterator(v *shardedView, qs []geom.Point, opt core.Options) (*shard.Iterator, error) {
 	ov := v.ov
 	streams := make([]core.Stream, 0, 3)
 	fail := func(err error) (*shard.Iterator, error) {
@@ -544,7 +498,7 @@ func shardedOverlayIterator(v *shardedView, qs []geom.Point, opt core.Options, u
 	if ov.tombs.Total() > 0 {
 		bopt.Reject = ov.tombs.Rejects
 	}
-	bit, err := v.set.NewIterator(qs, bopt, usePacked)
+	bit, err := v.set.NewIterator(qs, bopt)
 	if err != nil {
 		return fail(err)
 	}
@@ -552,11 +506,8 @@ func shardedOverlayIterator(v *shardedView, qs []geom.Point, opt core.Options, u
 
 	if ov.delta != nil {
 		dopt := opt
-		dopt.Packed = nil
-		if usePacked {
-			dopt.Packed = ov.deltaP
-		}
-		dit, err := core.NewGNNIterator(ov.delta, qs, dopt)
+		dopt.Packed = ov.delta
+		dit, err := core.NewGNNIterator(ov.delta.Tree(), qs, dopt)
 		if err != nil {
 			return fail(err)
 		}
@@ -688,10 +639,9 @@ func (sx *ShardedIndex) compactOnce() (err error) {
 	}()
 
 	// Re-partition off the write lock: writers and readers proceed
-	// against the captured view while this runs. The new set keeps the
-	// base's kind: dynamic nodes only where the replaced set has them.
+	// against the captured view while this runs.
 	coords, ids := gatherLive(v.set, v.ov)
-	nset, err := shard.Build(sx.rcfg, coords, ids, sx.shards, !v.set.Borrowed())
+	nset, err := shard.Build(sx.rcfg, coords, ids, sx.shards)
 	if err != nil {
 		return fmt.Errorf("gnn: compact: %w", err)
 	}

@@ -110,8 +110,8 @@ func buildBoth(t testing.TB, pts []gnn.Point, shards int, cfg gnn.IndexConfig) (
 }
 
 // TestShardedEquivalence is the core differential: identical result sets
-// and ordering for S ∈ {1, 2, 7} across every algorithm, aggregate, k,
-// both layouts and several scatter widths, plus the cost-sum invariant —
+// and ordering for S ∈ {1, 2, 7} across every algorithm, aggregate, k
+// and several scatter widths, plus the cost-sum invariant —
 // the reported per-query cost (the sum of per-shard trackers) must equal
 // exactly what the shard-shared accountant accrued for the query.
 func TestShardedEquivalence(t *testing.T) {
@@ -150,37 +150,34 @@ func TestShardedEquivalence(t *testing.T) {
 					if algo == gnn.AlgoSPM && agg != gnn.SumDist {
 						continue
 					}
-					for _, layout := range []gnn.Layout{gnn.LayoutPacked, gnn.LayoutDynamic} {
-						opts := []gnn.QueryOption{
-							gnn.WithK(k), gnn.WithAlgorithm(algo),
-							gnn.WithAggregate(agg), gnn.WithLayout(layout),
+					opts := []gnn.QueryOption{
+						gnn.WithK(k), gnn.WithAlgorithm(algo), gnn.WithAggregate(agg),
+					}
+					if weights != nil {
+						opts = append(opts, gnn.WithWeights(weights))
+					}
+					if trial%4 == 3 {
+						opts = append(opts, gnn.WithDepthFirst())
+					}
+					name := fmt.Sprintf("S=%d/trial%d/%v/%v/k=%d", shards, trial, algo, agg, k)
+					want, _, err := ix.GroupNNWithCost(qs, opts...)
+					if err != nil {
+						t.Fatalf("%s (unsharded): %v", name, err)
+					}
+					for _, width := range []int{0, 1, 3} {
+						wopts := opts
+						if width > 0 {
+							wopts = append(append([]gnn.QueryOption{}, opts...), gnn.WithShards(width))
 						}
-						if weights != nil {
-							opts = append(opts, gnn.WithWeights(weights))
-						}
-						if trial%4 == 3 {
-							opts = append(opts, gnn.WithDepthFirst())
-						}
-						name := fmt.Sprintf("S=%d/trial%d/%v/%v/%v/k=%d", shards, trial, algo, agg, layout, k)
-						want, _, err := ix.GroupNNWithCost(qs, opts...)
+						sx.ResetCost()
+						got, cost, err := sx.GroupNNWithCost(qs, wopts...)
 						if err != nil {
-							t.Fatalf("%s (unsharded): %v", name, err)
+							t.Fatalf("%s (sharded, width=%d): %v", name, width, err)
 						}
-						for _, width := range []int{0, 1, 3} {
-							wopts := opts
-							if width > 0 {
-								wopts = append(append([]gnn.QueryOption{}, opts...), gnn.WithShards(width))
-							}
-							sx.ResetCost()
-							got, cost, err := sx.GroupNNWithCost(qs, wopts...)
-							if err != nil {
-								t.Fatalf("%s (sharded, width=%d): %v", name, width, err)
-							}
-							sameResults(t, fmt.Sprintf("%s/width=%d", name, width), want, got)
-							if agg := sx.Cost(); agg != cost {
-								t.Fatalf("%s/width=%d: cost-sum invariant broken: reported %+v, accountant %+v",
-									name, width, cost, agg)
-							}
+						sameResults(t, fmt.Sprintf("%s/width=%d", name, width), want, got)
+						if agg := sx.Cost(); agg != cost {
+							t.Fatalf("%s/width=%d: cost-sum invariant broken: reported %+v, accountant %+v",
+								name, width, cost, agg)
 						}
 					}
 				}
@@ -190,7 +187,7 @@ func TestShardedEquivalence(t *testing.T) {
 }
 
 // TestShardedRegionEquivalence covers the constrained-query extension on
-// the sharded path (every algorithm, both effective layouts).
+// the sharded path (every algorithm).
 func TestShardedRegionEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	pts := clusterPoints(rng, 2500, 800)
@@ -392,9 +389,6 @@ func TestShardedEdgeCases(t *testing.T) {
 	}
 	if _, err := sx.GroupNN(group, gnn.WithAlgorithm(gnn.AlgoSPM), gnn.WithAggregate(gnn.MaxDist)); err == nil {
 		t.Fatal("sharded SPM accepted the MAX aggregate")
-	}
-	if _, err := sx.GroupNN(group, gnn.WithLayout(gnn.LayoutPacked), gnn.WithRegion(gnn.Point{0, 0}, gnn.Point{5, 5})); err == nil {
-		t.Fatal("sharded MBM accepted a pinned packed layout with a region")
 	}
 }
 

@@ -73,25 +73,31 @@ func WithEagerVerify() SnapshotOption {
 // atomically loaded view — a consistent point-in-time state. A view with
 // un-compacted overlay writes is compacted transiently into the snapshot
 // (the format holds exactly one packed base); the serving state is not
-// changed. A never-packed index is packed transiently the same way.
+// changed. A NewIndex before its first read is packed transiently the
+// same way, and stays an unfrozen builder.
 func (ix *Index) WriteSnapshot(w io.Writer) error {
-	// A mapped index must verify its borrowed bytes before re-serialising
-	// them under fresh checksums, or a corrupt mapping would be laundered
-	// into a snapshot that passes its CRCs.
-	if err := ix.prepare(); err != nil {
+	// The write reads the arena, so it holds a lifecycle reference: Close
+	// cannot unmap a mapped index under it.
+	if err := ix.acquire(); err != nil {
 		return err
 	}
+	defer ix.release()
 	v := ix.view.Load()
-	p := v.servingPacked()
-	switch {
-	case v.ov != nil:
-		coords, ids := gatherLive(v.tree, v.ov)
+	p := v.packed
+	if p == nil {
+		p = v.tree.Pack()
+	} else if err := p.Prepare(); err != nil {
+		// A mapped index must verify its borrowed bytes before
+		// re-serialising them under fresh checksums, or a corrupt mapping
+		// would be laundered into a snapshot that passes its CRCs.
+		return err
+	}
+	if v.ov != nil {
+		coords, ids := gatherLive(v.packed, v.ov)
 		var err error
-		if p, err = rtree.PackSTR(ix.rcfg, coords, ids, false); err != nil {
+		if p, err = rtree.PackSTR(ix.rcfg, coords, ids); err != nil {
 			return err
 		}
-	case p == nil:
-		p = v.tree.Pack()
 	}
 	_, err := p.WriteTo(w)
 	return err
@@ -103,10 +109,9 @@ func (ix *Index) WriteSnapshotFile(path string) error {
 }
 
 // OpenSnapshot loads an index from a snapshot written by WriteSnapshot.
-// The packed arena is adopted directly — no re-bulk-loading — and the
-// dynamic tree is rebuilt around it in one linear pass, so the loaded
-// index serves every algorithm (including LayoutDynamic queries,
-// mutations and re-packing) exactly like the index that wrote it.
+// The packed arena is adopted directly — no re-bulk-loading — so the
+// loaded index serves every algorithm, mutation and compaction exactly
+// like the index that wrote it.
 // Opening a sharded snapshot fails with ErrSnapshotKind; use
 // OpenShardedSnapshot.
 func OpenSnapshot(r io.Reader, opts ...SnapshotOption) (*Index, error) {
@@ -150,8 +155,13 @@ func openSnapshotBytes(data []byte, opts []SnapshotOption) (*Index, error) {
 // un-compacted overlay writes is re-partitioned transiently into the
 // snapshot; the serving state is not changed.
 func (sx *ShardedIndex) WriteSnapshot(w io.Writer) error {
-	// Same laundering guard as Index.WriteSnapshot: verify a mapped
+	// Same lifecycle reference and laundering guard as
+	// Index.WriteSnapshot: hold the mapping open and verify a mapped
 	// set's borrowed bytes before re-checksumming them.
+	if err := sx.acquire(); err != nil {
+		return err
+	}
+	defer sx.release()
 	if err := sx.prepare(); err != nil {
 		return err
 	}
@@ -159,7 +169,7 @@ func (sx *ShardedIndex) WriteSnapshot(w io.Writer) error {
 	set := v.set
 	if v.ov != nil {
 		coords, ids := gatherLive(v.set, v.ov)
-		nset, err := shard.Build(sx.rcfg, coords, ids, sx.shards, false)
+		nset, err := shard.Build(sx.rcfg, coords, ids, sx.shards)
 		if err != nil {
 			return err
 		}
@@ -243,12 +253,11 @@ func shardedRcfg(set *shard.Set) rtree.Config {
 // point: queries read the coordinates from the mapping, and results are
 // copies the caller owns.
 //
-// The mapped index serves the packed layout only, for its whole
-// lifetime: writes go to the overlay as on any packed index, and its
-// compactions build packed-only bases, so WithLayout(LayoutDynamic),
-// GCP, and WithRegion on MBM, SPM or the iterator always fail with
-// ErrMappedDynamic. Call Close when done to unmap the
-// file; queries after Close fail with ErrSnapshotClosed. On platforms
+// The mapped index serves every query a heap-loaded one does. Writes go
+// to the overlay as on any packed index, and a compaction builds its new
+// base on the heap while the mapping keeps serving until the swap. Call
+// Close when done to unmap the file; queries after Close fail with
+// ErrSnapshotClosed. On platforms
 // without mmap support (or when the mapping cannot be adopted in place)
 // the function transparently degrades to a read-and-copy open that
 // behaves exactly like OpenSnapshotFile.

@@ -71,7 +71,7 @@ func requireSameAnswer(t *testing.T, label string, wantRes []gnn.Result, wantCos
 
 // TestSnapshotRoundTripEquivalence is the acceptance suite's core: a
 // snapshot-loaded index answers every memory-resident algorithm — across
-// aggregates, k values and both layouts — with bit-identical results,
+// aggregates and k values — with bit-identical results,
 // Cost and node-access counts to the index that wrote it.
 func TestSnapshotRoundTripEquivalence(t *testing.T) {
 	_, ix, queries := snapshotFixture(t, 2500, 7)
@@ -96,18 +96,15 @@ func TestSnapshotRoundTripEquivalence(t *testing.T) {
 		{"MBM/region", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithRegion(gnn.Point{200, 200}, gnn.Point{900, 900})}},
 		{"MQM/weights", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMQM), gnn.WithWeights([]float64{3, 1, 2})}},
 	}
-	layouts := []gnn.Layout{gnn.LayoutAuto, gnn.LayoutDynamic, gnn.LayoutPacked}
 	for _, c := range cells {
-		for _, layout := range layouts {
-			for qi, q := range queries {
-				if c.name == "MQM/weights" && len(q) != 3 {
-					continue
-				}
-				opts := append([]gnn.QueryOption{gnn.WithK(1 + qi%5), gnn.WithLayout(layout)}, c.opts...)
-				wr, wc, werr := ix.GroupNNWithCost(q, opts...)
-				lr, lc, lerr := loaded.GroupNNWithCost(q, opts...)
-				requireSameAnswer(t, c.name+"/"+layout.String(), wr, wc, werr, lr, lc, lerr)
+		for qi, q := range queries {
+			if c.name == "MQM/weights" && len(q) != 3 {
+				continue
 			}
+			opts := append([]gnn.QueryOption{gnn.WithK(1 + qi%5)}, c.opts...)
+			wr, wc, werr := ix.GroupNNWithCost(q, opts...)
+			lr, lc, lerr := loaded.GroupNNWithCost(q, opts...)
+			requireSameAnswer(t, c.name, wr, wc, werr, lr, lc, lerr)
 		}
 	}
 

@@ -12,22 +12,22 @@ type Stats struct {
 	Points int
 	// Dim is the point dimensionality.
 	Dim int
-	// Packed reports whether queries are currently served from the packed
-	// SoA arena. Overlay writes do not unset it: the base arena keeps
-	// serving, with the delta sources merged in.
+	// Packed reports whether the index has its packed SoA base: false
+	// only for a NewIndex before its first read. Overlay writes do not
+	// unset it: the base arena keeps serving, with the delta sources
+	// merged in.
 	Packed bool
 	// Shards is the shard count of a ShardedIndex; 0 for a plain Index.
 	Shards int
 	// Height is the R-tree height in levels (the maximum across shards).
 	Height int
 	// Nodes is the total R-tree node count across the packed arena(s);
-	// 0 when no packed layout is live (the dynamic tree does not keep a
+	// 0 before a NewIndex's first read (its insertion builder keeps no
 	// node counter).
 	Nodes int
 	// ArenaBytes is the size of the packed arena(s): exactly the column
 	// payload a snapshot serialises, the columns being the arena's only
-	// copy of the points (a heap-built index's dynamic nodes are not
-	// counted); 0 when no packed layout is live.
+	// copy of the points; 0 before a NewIndex's first read.
 	ArenaBytes int64
 	// Delta is the number of overlay-inserted points not yet folded into
 	// a compacted base (delta tree plus pending tail).
@@ -64,7 +64,7 @@ func (ix *Index) Stats() Stats {
 		Dim:    ix.Dim(),
 		Height: v.tree.Height(),
 	}
-	if p := v.servingPacked(); p != nil {
+	if p := v.packed; p != nil {
 		s.Packed = true
 		s.Nodes = p.Nodes()
 		s.ArenaBytes = p.ArenaBytes()

@@ -46,7 +46,7 @@ func TestWeightedAggregateSemantics(t *testing.T) {
 		qs := queryGroup(rng, []int{2, 5, 17}[trial%3], 1000)
 		w := oracleWeights(len(qs))
 		for _, agg := range []gnn.Aggregate{gnn.SumDist, gnn.MaxDist, gnn.MinDist} {
-			want := oracleTopK(pts, ids, qs, agg, w, 6)
+			want := oracleTopK(pts, ids, qs, agg, w, 6, nil)
 			for _, al := range algos {
 				name := al.name + "/" + aggName(agg)
 				opts := append([]gnn.QueryOption{
