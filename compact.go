@@ -11,7 +11,6 @@ import (
 	"os"
 	"time"
 
-	"gnn/internal/mmapfile"
 	"gnn/internal/overlay"
 	"gnn/internal/rtree"
 	"gnn/internal/snapshot"
@@ -27,7 +26,11 @@ var ErrCompactorRunning = errors.New("gnn: compactor already running")
 // a base first.
 var ErrNotFrozen = errors.New("gnn: index has no packed base; call Pack first")
 
-// CompactorConfig tunes the background compactor.
+// CompactorConfig tunes the background compactor. On a mapped index
+// (OpenSnapshotMapped, OpenShardedSnapshotMapped) the first compaction
+// also releases the mapping: the file is unmapped once the reads that
+// started before the swap are done, so Close is no longer the only point
+// where it goes.
 type CompactorConfig struct {
 	// Threshold is the overlay size (live overlay inserts + masked base
 	// occurrences) at which a compaction cycle is triggered. Default
@@ -160,12 +163,14 @@ func (ix *Index) kickCompactor(nv *viewState) {
 
 // Compact synchronously folds the overlay into a fresh packed base and
 // swaps it in under live readers: the old base is never freed under a
-// traversal (in-flight queries hold their view; a mapped arena is only
-// unmapped by Close after the reference drain). When a rotation path is
-// configured (StartCompactor), the new base is also rotated to disk
-// crash-safely; a rotation failure is returned and recorded but the
-// in-memory swap still happens. Compacting an index without overlay
-// writes is a cheap no-op.
+// traversal (in-flight queries hold their view). A mapped base's file is
+// unmapped once every read that started before the swap has released its
+// lifecycle reference, so the compacted index keeps one resident copy of
+// its points instead of holding the file mapped until Close. When a
+// rotation path is configured (StartCompactor), the new base is also
+// rotated to disk crash-safely; a rotation failure is returned and
+// recorded but the in-memory swap still happens. Compacting an index
+// without overlay writes is a cheap no-op.
 func (ix *Index) Compact() error {
 	return ix.compactOnce()
 }
@@ -177,10 +182,11 @@ func (ix *Index) compactOnce() (err error) {
 	// Hold a lifecycle reference for the whole cycle so Close's drain
 	// waits for it: the rebuild walks the base tree, which on a mapped
 	// index reads the mapping Close would unmap.
-	if err := ix.acquire(); err != nil {
+	r, err := ix.acquire()
+	if err != nil {
 		return err
 	}
-	defer ix.release()
+	defer ix.release(r)
 
 	ix.mu.Lock()
 	v := ix.view.Load()
@@ -243,42 +249,21 @@ func (ix *Index) compactOnce() (err error) {
 	ix.log = append([]overlay.Mutation(nil), tail...)
 	ix.view.Store(nv)
 	ix.compactGen.Add(1)
+	// The new base lives on the heap: a mapped file goes once the reads
+	// that may hold the old view — this cycle's own included — release.
+	ix.retire()
 	return persistErr
 }
 
 // persistPacked rotates a snapshot of the packed arena into path
 // crash-safely, re-validating the temp file with the strict checks before
 // the rename so a torn or corrupt write can never replace a good file.
+// snapshot.VerifyFile runs every check of the copying decoder while
+// reading the file's columns in bounded chunks, so they never become
+// resident.
 func persistPacked(path string, p *rtree.Packed) error {
 	return snapshot.AtomicWriteFile(path, func(w io.Writer) error {
 		_, err := p.WriteTo(w)
 		return err
-	}, verifySnapshotFile)
-}
-
-// verifySnapshotFile maps a rotation's temp file and validates it with
-// verifySnapshot, reading the bytes through the page cache instead of
-// copying the file onto the heap.
-func verifySnapshotFile(tmp string) error {
-	mf, err := mmapfile.Open(tmp)
-	if err != nil {
-		return err
-	}
-	defer mf.Close()
-	return verifySnapshot(mf.Data())
-}
-
-// verifySnapshot runs every check of the copying decoder — frame, section
-// checksums, per-tree structure and the cross-tree checks — without
-// copying a column: DecodeAdopted frame-checks data and aliases its
-// columns, and Verify runs the checksum, structure and cross-check passes
-// over the same buffer. Where the buffer cannot be adopted in place (a
-// misaligned base, a big-endian host) DecodeAdopted itself falls back to
-// the fully validating copying decode.
-func verifySnapshot(data []byte) error {
-	a, err := snapshot.DecodeAdopted(data)
-	if err != nil {
-		return err
-	}
-	return a.Verify()
+	}, snapshot.VerifyFile)
 }

@@ -1,8 +1,9 @@
 package gnn_test
 
 // Fault table for crash-safe snapshot rotation: compaction is killed at
-// every rotation stage (plus a torn-write corruption and a simulated
-// full disk) while readers hammer the index. Requirements: zero failed
+// every rotation stage (plus a torn-write corruption, a flipped byte in
+// every section and a simulated full disk) while readers hammer the
+// index. Requirements: zero failed
 // queries, the previous snapshot generation survives intact and
 // decodable, no temp-file orphans, the failure lands in
 // Stats().LastCompactionError, and the next clean cycle rotates
@@ -21,6 +22,7 @@ import (
 
 	"gnn"
 	"gnn/internal/snapshot"
+	"gnn/internal/snapshot/snapshottest"
 )
 
 type faultCase struct {
@@ -30,7 +32,49 @@ type faultCase struct {
 	// reports failure but the new generation is already durable — the
 	// on-disk file holds the NEW state, never a torn one.
 	postCommit bool
+	// want, when set, is the typed error the failed rotation must wrap.
+	want error
 }
+
+// sectionFlipCases returns one fault per named section: at StageVerify
+// the byte in the middle of the first such section's payload (located
+// through the temp file's section table) is flipped. The rotation's
+// verify must reject each with ErrSnapshotChecksum before the rename —
+// the column sections included, whose checksums the verify reads through
+// the file rather than a mapping.
+func sectionFlipCases(names ...string) []faultCase {
+	var cases []faultCase
+	for _, name := range names {
+		cases = append(cases, faultCase{
+			name: "flip-" + name,
+			want: gnn.ErrSnapshotChecksum,
+			hook: func(stage, tmp string) error {
+				if stage != snapshot.StageVerify {
+					return nil
+				}
+				data, err := os.ReadFile(tmp)
+				if err != nil {
+					return err
+				}
+				secs, ok := snapshottest.Sections(data)
+				if !ok {
+					return errors.New("temp file has no section table")
+				}
+				for _, sec := range secs {
+					if sec.Name == name && sec.Length > 0 {
+						data[sec.Offset+sec.Length/2] ^= 0x20
+						return os.WriteFile(tmp, data, 0o644)
+					}
+				}
+				return fmt.Errorf("temp file has no non-empty %s section", name)
+			},
+		})
+	}
+	return cases
+}
+
+// treeSections names every per-tree section of the format.
+var treeSections = []string{"meta", "levels", "pages", "ranges", "children", "rect-lo", "rect-hi", "points", "ids"}
 
 func faultTable() []faultCase {
 	var cases []faultCase
@@ -77,8 +121,9 @@ func faultTable() []faultCase {
 	return cases
 }
 
-// TestCompactionFaultTablePlain drives the full fault table against a
-// plain index with a rotation path configured.
+// TestCompactionFaultTablePlain drives the full fault table, and a
+// flipped byte in every section, against a plain index with a rotation
+// path configured.
 func TestCompactionFaultTablePlain(t *testing.T) {
 	pts, groups, _ := overlayFixture(t, 300, 81)
 	ix, err := gnn.BuildIndex(pts, nil, gnn.IndexConfig{})
@@ -151,13 +196,16 @@ func TestCompactionFaultTablePlain(t *testing.T) {
 		}(w)
 	}
 
-	for _, fc := range faultTable() {
+	for _, fc := range append(faultTable(), sectionFlipCases(treeSections...)...) {
 		mutate()
 		snapshot.Failpoint = fc.hook
 		err := ix.Compact()
 		snapshot.Failpoint = nil
 		if err == nil {
 			t.Fatalf("%s: compaction reported success", fc.name)
+		}
+		if fc.want != nil && !errors.Is(err, fc.want) {
+			t.Fatalf("%s: compaction error %v, want %v", fc.name, err, fc.want)
 		}
 		// The in-memory swap still happened: serving degrades to
 		// memory-only, it does not stall.
@@ -198,7 +246,8 @@ func TestCompactionFaultTablePlain(t *testing.T) {
 }
 
 // TestCompactionFaultTableSharded spot-checks the same contract on the
-// sharded rotation path (same AtomicWriteFile machinery underneath).
+// sharded rotation path (same AtomicWriteFile machinery underneath), with
+// a flipped byte in every section, the manifest extension included.
 func TestCompactionFaultTableSharded(t *testing.T) {
 	pts, groups, _ := overlayFixture(t, 300, 82)
 	sx, err := gnn.BuildShardedIndex(pts, nil, 3, gnn.IndexConfig{})
@@ -221,7 +270,9 @@ func TestCompactionFaultTableSharded(t *testing.T) {
 	}
 	goodLen := sx.Len()
 
-	for _, fc := range []faultCase{faultTable()[4], faultTable()[6]} { // kill-at-rename, corrupt-temp
+	cases := []faultCase{faultTable()[4], faultTable()[6]} // kill-at-rename, corrupt-temp
+	cases = append(cases, sectionFlipCases(append([]string{"hilbert"}, treeSections...)...)...)
+	for _, fc := range cases {
 		if err := sx.Insert(gnn.Point{3, 4}, 9002); err != nil {
 			t.Fatal(err)
 		}
@@ -230,6 +281,9 @@ func TestCompactionFaultTableSharded(t *testing.T) {
 		snapshot.Failpoint = nil
 		if err == nil {
 			t.Fatalf("%s: compaction reported success", fc.name)
+		}
+		if fc.want != nil && !errors.Is(err, fc.want) {
+			t.Fatalf("%s: compaction error %v, want %v", fc.name, err, fc.want)
 		}
 		if s := sx.Stats(); s.Delta != 0 || s.LastCompactionError == "" {
 			t.Fatalf("%s: stats after failed rotation: %+v", fc.name, s)

@@ -11,23 +11,33 @@ import (
 )
 
 // TestVerifySnapshotCorruptionTable runs the decoder's whole corruption
-// table through the compactor's rotate-verify: every case must still fail
-// with its typed error, read from a file (an aligned buffer, verified in
-// place) and from a misaligned copy (the copying fallback), so decoding
-// in place lost no check of the copying decoder.
+// table through the compactor's rotate-verify, snapshot.VerifyFile, which
+// reads a file's checksummed bytes in bounded chunks and adopts its node
+// sections in place: every case must still fail with its typed error.
+// Each case also goes through the adopted decoder on a misaligned copy
+// (the copying fallback), so neither path lost a check of the copying
+// decoder.
 func TestVerifySnapshotCorruptionTable(t *testing.T) {
 	dir := t.TempDir()
 	valid := snapshottest.EncodePlain(t, snapshottest.BuildArena(t, 300, 2, 8, 7), 2)
+	path := filepath.Join(dir, "valid.snap")
+	if err := os.WriteFile(path, valid, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := snapshot.VerifyFile(path); err != nil {
+		t.Fatalf("valid snapshot file rejected: %v", err)
+	}
 	for _, c := range []struct {
 		data     []byte
 		zeroCopy bool
 	}{{valid, true}, {misaligned(valid), false}} {
-		if err := verifySnapshot(c.data); err != nil {
-			t.Fatalf("valid snapshot rejected: %v", err)
-		}
 		// Both decode paths are exercised: in place, and the fallback.
-		if a, err := snapshot.DecodeAdopted(c.data); err != nil || a.ZeroCopy != c.zeroCopy {
+		a, err := snapshot.DecodeAdopted(c.data)
+		if err != nil || a.ZeroCopy != c.zeroCopy {
 			t.Fatalf("adopted decode: zero-copy %v (err %v), want %v", a != nil && a.ZeroCopy, err, c.zeroCopy)
+		}
+		if err := a.Verify(); err != nil {
+			t.Fatalf("valid snapshot rejected: %v", err)
 		}
 	}
 	for i, tc := range snapshottest.Table(t) {
@@ -36,14 +46,23 @@ func TestVerifySnapshotCorruptionTable(t *testing.T) {
 			if err := os.WriteFile(path, tc.Data, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if err := verifySnapshotFile(path); !errors.Is(err, tc.Want) {
+			if err := snapshot.VerifyFile(path); !errors.Is(err, tc.Want) {
 				t.Fatalf("case %d: file verify: error %v, want %v", i, err, tc.Want)
 			}
-			if err := verifySnapshot(misaligned(tc.Data)); !errors.Is(err, tc.Want) {
+			if err := verifyAdopted(misaligned(tc.Data)); !errors.Is(err, tc.Want) {
 				t.Fatalf("case %d: misaligned verify: error %v, want %v", i, err, tc.Want)
 			}
 		})
 	}
+}
+
+// verifyAdopted runs every check of the adopted decoder on data.
+func verifyAdopted(data []byte) error {
+	a, err := snapshot.DecodeAdopted(data)
+	if err != nil {
+		return err
+	}
+	return a.Verify()
 }
 
 // misaligned returns a copy of data whose first byte sits one byte past

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -187,16 +188,16 @@ func TestBatchContext(t *testing.T) {
 // corrupt results — inflight queries finish against the live mapping,
 // later ones fail with ErrSnapshotClosed. Besides memory-resident
 // queries, workers run the disk family (F-MQM, F-MBM), GCP with the
-// mapped index on either side, and WriteSnapshot: every call that reads
-// the arena.
+// mapped index on either side, WriteSnapshot, and writes: a Delete of an
+// absent entry counts the base occurrences, reading the arena, between
+// an Insert and the Delete that removes it again. Every call that reads
+// the arena runs under Close. The write window is short and inflight
+// queries delay the unmap past it, so every other round runs the writers
+// alone, and there are enough rounds for the window to meet the unmap.
 func TestCloseDrainsInflight(t *testing.T) {
-	_, ix, queries := snapshotFixture(t, 4000, 23)
+	pts, ix, queries := snapshotFixture(t, 4000, 23)
 	dir := t.TempDir()
 	path := writeSnapFile(t, dir, "ix.snap", ix.WriteSnapshotFile)
-	mx, err := gnn.OpenSnapshotMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	qix, err := gnn.BuildIndex(queries[0], nil, gnn.IndexConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -212,55 +213,93 @@ func TestCloseDrainsInflight(t *testing.T) {
 		}
 		return err
 	}
-	ops := []func(i int) error{
-		func(i int) error { return want4(mx.GroupNN(queries[i%len(queries)], gnn.WithK(4))) },
-		func(int) error { return want4(mx.GroupNNFromSet(qset, gnn.DiskFMQM, gnn.WithK(4))) },
-		func(int) error { return want4(mx.GroupNNFromSet(qset, gnn.DiskFMBM, gnn.WithK(4))) },
-		func(int) error { return want4(mx.GroupNNClosestPairs(qix, 0, gnn.WithK(4))) },
-		func(int) error {
-			res, err := qix.GroupNNClosestPairs(mx, 0)
-			if err == nil && len(res) != 1 {
-				return fmt.Errorf("%d results, want 1", len(res))
-			}
-			return err
-		},
-		func(int) error { return mx.WriteSnapshot(io.Discard) },
+	var absent atomic.Int64 // ids no entry carries: -1, -2, ...
+	for round := 0; round < 40; round++ {
+		mx, err := gnn.OpenSnapshotMapped(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := []func(i int) error{
+			func(i int) error { return want4(mx.GroupNN(queries[i%len(queries)], gnn.WithK(4))) },
+			func(int) error { return want4(mx.GroupNNFromSet(qset, gnn.DiskFMQM, gnn.WithK(4))) },
+			func(int) error { return want4(mx.GroupNNFromSet(qset, gnn.DiskFMBM, gnn.WithK(4))) },
+			func(int) error { return want4(mx.GroupNNClosestPairs(qix, 0, gnn.WithK(4))) },
+			func(int) error {
+				res, err := qix.GroupNNClosestPairs(mx, 0)
+				if err == nil && len(res) != 1 {
+					return fmt.Errorf("%d results, want 1", len(res))
+				}
+				return err
+			},
+			func(int) error { return mx.WriteSnapshot(io.Discard) },
+			func(i int) error { return deleteInsertDelete(mx, pts[i%len(pts)], -absent.Add(1)) },
+		}
+		if round%2 == 1 {
+			ops = ops[len(ops)-1:] // writers alone
+		}
+		closeUnderStorm(t, mx, ops, max(2*len(ops), 4), 2*time.Millisecond)
+		if _, err := mx.GroupNN(queries[0]); !errors.Is(err, gnn.ErrSnapshotClosed) {
+			t.Fatalf("query after close: got %v, want ErrSnapshotClosed", err)
+		}
 	}
+}
 
+// deleteInsertDelete deletes the absent entry (p, id) — a delete that
+// must count p's base occurrences — then inserts it and deletes it again,
+// leaving the overlay as it found it. Only the insert reports a closed
+// index; a delete on one reports false.
+func deleteInsertDelete(m mutable, p gnn.Point, id int64) error {
+	if m.Delete(p, id) {
+		return fmt.Errorf("deleted absent entry %d", id)
+	}
+	if err := m.Insert(p, id); err != nil {
+		return err
+	}
+	m.Delete(p, id)
+	return nil
+}
+
+// closeUnderStorm runs workers goroutines, worker w calling ops[w %
+// len(ops)] in a loop, closes c after d (twice: Close is idempotent) and
+// waits for them. A worker stops at the first error, which must be
+// ErrSnapshotClosed; ErrPendingMutations is the disk family's refusal
+// while a writer's insert is in the overlay, and the worker goes on.
+func closeUnderStorm(t *testing.T, c io.Closer, ops []func(i int) error, workers int, d time.Duration) {
+	t.Helper()
 	var wg sync.WaitGroup
 	start := make(chan struct{})
-	for w := 0; w < 2*len(ops); w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			<-start
 			for i := 0; ; i++ {
-				if err := ops[w%len(ops)](w + i); err != nil {
-					if !errors.Is(err, gnn.ErrSnapshotClosed) {
-						t.Errorf("worker %d: unexpected error %v", w, err)
-					}
-					return
+				err := ops[w%len(ops)](w + i)
+				if err == nil || errors.Is(err, gnn.ErrPendingMutations) {
+					continue
 				}
+				if !errors.Is(err, gnn.ErrSnapshotClosed) {
+					t.Errorf("worker %d: unexpected error %v", w, err)
+				}
+				return
 			}
 		}(w)
 	}
 	close(start)
-	time.Sleep(5 * time.Millisecond)
-	if err := mx.Close(); err != nil {
+	time.Sleep(d)
+	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := mx.Close(); err != nil { // idempotent
+	if err := c.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
 	wg.Wait()
-	if _, err := mx.GroupNN(queries[0]); !errors.Is(err, gnn.ErrSnapshotClosed) {
-		t.Fatalf("query after close: got %v, want ErrSnapshotClosed", err)
-	}
 }
 
 // TestShardedCloseDrainsInflight is TestCloseDrainsInflight for the
 // sharded mapped open, which additionally stops resident scatter workers
-// mid-storm; half the workers write snapshots instead of querying.
+// mid-storm; the workers query, write snapshots and write, with every
+// other round left to the writers alone.
 func TestShardedCloseDrainsInflight(t *testing.T) {
 	pts, _, queries := snapshotFixture(t, 4000, 29)
 	sx, err := gnn.BuildShardedIndex(pts, nil, 4, gnn.IndexConfig{})
@@ -270,42 +309,101 @@ func TestShardedCloseDrainsInflight(t *testing.T) {
 	dir := t.TempDir()
 	path := writeSnapFile(t, dir, "sx.snap", sx.WriteSnapshotFile)
 	sx.Close()
-	mx, err := gnn.OpenShardedSnapshotMapped(path)
+	var absent atomic.Int64
+	for round := 0; round < 80; round++ {
+		mx, err := gnn.OpenShardedSnapshotMapped(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := []func(i int) error{
+			func(i int) error {
+				_, err := mx.GroupNN(queries[i%len(queries)], gnn.WithK(4))
+				return err
+			},
+			func(int) error { return mx.WriteSnapshot(io.Discard) },
+			func(i int) error { return deleteInsertDelete(mx, pts[i%len(pts)], -absent.Add(1)) },
+		}
+		if round%2 == 1 {
+			ops = ops[len(ops)-1:] // writers alone
+		}
+		closeUnderStorm(t, mx, ops, max(3*len(ops), 4), 2*time.Millisecond)
+		if _, err := mx.GroupNN(queries[0]); !errors.Is(err, gnn.ErrSnapshotClosed) {
+			t.Fatalf("query after close: got %v, want ErrSnapshotClosed", err)
+		}
+	}
+}
+
+// compacting is the surface both index kinds share that the release
+// tests drive.
+type compacting interface {
+	io.Closer
+	mutable
+	GroupNN(query []gnn.Point, opts ...gnn.QueryOption) ([]gnn.Result, error)
+	GroupNNIterator(query []gnn.Point, opts ...gnn.QueryOption) (*gnn.Iterator, error)
+	StartCompactor(cfg gnn.CompactorConfig) error
+	Compact() error
+}
+
+// TestCloseDrainsReleasedMapping storms a mapped index, plain and
+// sharded, while compactions swap heap bases over the mapped one and so
+// release the file: queries, iterators and deletes that loaded the
+// mapped view must finish on it before the unmap, the ones that start
+// later must run on the heap base, and a Close that follows a release
+// must neither fault nor unmap twice.
+func TestCloseDrainsReleasedMapping(t *testing.T) {
+	pts, ix, queries := snapshotFixture(t, 4000, 37)
+	sx, err := gnn.BuildShardedIndex(pts, nil, 4, gnn.IndexConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			<-start
-			for i := 0; ; i++ {
-				var err error
-				if w%2 == 0 {
-					_, err = mx.GroupNN(queries[(w+i)%len(queries)], gnn.WithK(4))
-				} else {
-					err = mx.WriteSnapshot(io.Discard)
-				}
-				if err != nil {
-					if !errors.Is(err, gnn.ErrSnapshotClosed) {
-						t.Errorf("worker %d: unexpected error %v", w, err)
-					}
-					return
-				}
+	defer sx.Close()
+	dir := t.TempDir()
+	plainPath := writeSnapFile(t, dir, "ix.snap", ix.WriteSnapshotFile)
+	shardedPath := writeSnapFile(t, dir, "sx.snap", sx.WriteSnapshotFile)
+	open := map[string]func() (compacting, error){
+		"plain":   func() (compacting, error) { return gnn.OpenSnapshotMapped(plainPath) },
+		"sharded": func() (compacting, error) { return gnn.OpenShardedSnapshotMapped(shardedPath) },
+	}
+	var absent, fresh atomic.Int64
+	for round := 0; round < 6; round++ {
+		for _, kind := range []string{"plain", "sharded"} {
+			mx, err := open[kind]()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(w)
-	}
-	close(start)
-	time.Sleep(5 * time.Millisecond)
-	if err := mx.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	if _, err := mx.GroupNN(queries[0]); !errors.Is(err, gnn.ErrSnapshotClosed) {
-		t.Fatalf("query after close: got %v, want ErrSnapshotClosed", err)
+			if err := mx.StartCompactor(gnn.CompactorConfig{Threshold: 32, Interval: time.Millisecond}); err != nil {
+				t.Fatal(err)
+			}
+			ops := []func(i int) error{
+				func(i int) error {
+					res, err := mx.GroupNN(queries[i%len(queries)], gnn.WithK(4))
+					if err == nil && len(res) != 4 {
+						return fmt.Errorf("%d results, want 4", len(res))
+					}
+					return err
+				},
+				func(i int) error {
+					it, err := mx.GroupNNIterator(queries[i%len(queries)])
+					if err != nil {
+						return err
+					}
+					defer it.Close()
+					for j := 0; j < 8; j++ {
+						if _, ok := it.Next(); !ok {
+							return fmt.Errorf("iterator ended after %d results", j)
+						}
+					}
+					return nil
+				},
+				func(i int) error { return deleteInsertDelete(mx, pts[i%len(pts)], -absent.Add(1)) },
+				func(i int) error { return mx.Insert(pts[i%len(pts)], 1_000_000+fresh.Add(1)) },
+				func(int) error { return mx.Compact() },
+			}
+			closeUnderStorm(t, mx, ops, 2*len(ops), 20*time.Millisecond)
+			if _, err := mx.GroupNN(queries[0]); !errors.Is(err, gnn.ErrSnapshotClosed) {
+				t.Fatalf("%s: query after close: got %v, want ErrSnapshotClosed", kind, err)
+			}
+		}
 	}
 }
 

@@ -131,10 +131,11 @@ func (ix *Index) GroupNNFromSetWithCost(qs *QuerySet, algo DiskAlgorithm, opts .
 	if c.aggregate != SumDist {
 		return nil, Cost{}, ErrUnsupportedAggregate
 	}
-	if err := ix.acquire(); err != nil {
+	r, err := ix.acquire()
+	if err != nil {
 		return nil, Cost{}, err
 	}
-	defer ix.release()
+	defer ix.release(r)
 	if err := ix.prepare(); err != nil {
 		return nil, Cost{}, err
 	}
@@ -150,7 +151,6 @@ func (ix *Index) GroupNNFromSetWithCost(qs *QuerySet, algo DiskAlgorithm, opts .
 		algo = qs.AutoAlgorithm()
 	}
 	var rep *core.DiskReport
-	var err error
 	switch algo {
 	case DiskFMQM:
 		rep, err = core.FMQM(v.tree, qs.qf, dopt)
@@ -185,10 +185,11 @@ func (ix *Index) GroupNNClosestPairsWithCost(queryIndex *Index, pairBudget int64
 	// The pair traversal reads both arenas, so both indexes stay
 	// referenced (and a mapped one mapped) until it finishes.
 	for _, x := range []*Index{ix, queryIndex} {
-		if err := x.acquire(); err != nil {
+		r, err := x.acquire()
+		if err != nil {
 			return nil, Cost{}, err
 		}
-		defer x.release()
+		defer x.release(r)
 		if err := x.prepare(); err != nil {
 			return nil, Cost{}, err
 		}

@@ -147,14 +147,9 @@ type Index struct {
 	compactNS  atomic.Int64           // duration of the last compaction
 	compactErr atomic.Pointer[string] // last compaction error ("" = none)
 
-	// mapped is the file view backing a zero-copy open
-	// (OpenSnapshotMapped); nil for every other construction. closed
-	// flips when Close starts, after which new queries fail fast with
-	// ErrSnapshotClosed; refs counts the reads still inflight, which
-	// Close drains before unmapping (see acquire/release).
-	mapped *mmapfile.File
-	closed atomic.Bool
-	refs   atomic.Int64
+	// lifecycle holds the file view of a zero-copy open
+	// (OpenSnapshotMapped) and the references that keep it mapped.
+	lifecycle
 }
 
 // prepare readies the index for a traversal: it fails fast on a closed
@@ -189,22 +184,97 @@ func (ix *Index) freeze() *viewState {
 	return v
 }
 
-// acquire registers an inflight read against the index lifecycle so a
-// concurrent Close drains it before unmapping. The order — increment,
-// then check closed — pairs with Close's flip-then-wait: a reader that
-// saw closed == false has already published its reference, so Close
-// cannot observe a drained count before that reader releases.
-func (ix *Index) acquire() error {
-	ix.refs.Add(1)
-	if ix.closed.Load() {
-		ix.refs.Add(-1)
-		return ErrSnapshotClosed
-	}
-	return nil
+// lifecycle keeps the file view of a mapped open alive under every read
+// that may touch it. A read takes a reference (acquire) before it loads
+// the index view and drops it (release) when done. Close flips closed,
+// drains every reference and unmaps. A compaction that swaps a heap base
+// over the mapped one retires the mapping instead (retire): the file is
+// unmapped as soon as the references taken before that swap are gone,
+// since only those can hold a view of the mapped base.
+//
+// Index and ShardedIndex embed it; for every other construction file is
+// nil, retire does nothing and Close leaves closed unset.
+type lifecycle struct {
+	// file is the mapping; nil unless the index was opened mapped. It
+	// stays set after the unmap, so a closed mapped index still fails its
+	// queries with ErrSnapshotClosed.
+	file   *mmapfile.File
+	closed atomic.Bool
+	// retired flips once, when a compaction publishes a view whose base
+	// no longer borrows the mapping. refs[0] counts the references taken
+	// before that, refs[1] those taken after.
+	retired  atomic.Bool
+	refs     [2]atomic.Int64
+	unmap    sync.Once
+	unmapErr error
 }
 
-// release retires a reference taken by acquire.
-func (ix *Index) release() { ix.refs.Add(-1) }
+// ref names the counter a reference was taken on.
+type ref uint8
+
+// acquire registers an inflight read. The order — increment, then check
+// closed — pairs with Close's flip-then-drain: a reader that saw closed
+// == false has already published its reference, so Close cannot observe
+// a drained count before that reader releases. The same order pairs with
+// retire's publish-then-flip: a reader counted on refs[1] loads its view
+// after the swap, so it never sees the mapped base.
+func (l *lifecycle) acquire() (ref, error) {
+	var r ref
+	if l.retired.Load() {
+		r = 1
+	}
+	l.refs[r].Add(1)
+	if l.closed.Load() {
+		l.release(r)
+		return r, ErrSnapshotClosed
+	}
+	return r, nil
+}
+
+// release retires a reference taken by acquire. The last reference taken
+// before a retire unmaps the file.
+func (l *lifecycle) release(r ref) {
+	if l.refs[r].Add(-1) == 0 && r == 0 && l.retired.Load() {
+		l.unmapFile()
+	}
+}
+
+// retire releases the mapping once no reference taken before this call
+// is held. The compaction calls it under the writer lock, right after it
+// published a view whose base no longer borrows the mapping. Later
+// compactions find it retired already.
+func (l *lifecycle) retire() {
+	if l.file == nil || l.retired.Swap(true) {
+		return
+	}
+	if l.refs[0].Load() == 0 {
+		l.unmapFile()
+	}
+}
+
+// unmapFile unmaps the file exactly once, whichever of retire, release
+// and Close gets there first.
+func (l *lifecycle) unmapFile() {
+	l.unmap.Do(func() { l.unmapErr = l.file.Close() })
+}
+
+// shut marks a mapped index closed, waits for every inflight read to
+// release, runs stop (nil for none; it may still touch the base) and
+// unmaps the file unless a compaction did already. A second call returns
+// nil at once.
+func (l *lifecycle) shut(stop func()) error {
+	if l.closed.Swap(true) {
+		return nil // another Close won the race and owns the drain
+	}
+	for i := range l.refs {
+		drainRefs(&l.refs[i])
+	}
+	if stop != nil {
+		stop()
+	}
+	l.unmapFile()
+	return l.unmapErr
+}
 
 // drainRefs spins until every inflight read has released: briefly yielding
 // the processor, then backing off to short sleeps. Queries are bounded
@@ -312,11 +382,15 @@ func (ix *Index) Insert(p Point, id int64) error {
 // before its first read it mutates the R*-tree builder directly (no
 // concurrent readers). A no-op delete changes nothing.
 func (ix *Index) Delete(p Point, id int64) bool {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.closed.Load() {
+	// Counting the base occurrences reads the arena, so the delete holds a
+	// lifecycle reference like every other read of it.
+	r, err := ix.acquire()
+	if err != nil {
 		return false
 	}
+	defer ix.release(r)
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
 	v := ix.view.Load()
 	if v.packed == nil {
 		return v.tree.Delete(geom.Point(p), id)
@@ -383,10 +457,11 @@ func (ix *Index) Dim() int { return ix.view.Load().tree.Dim() }
 // Bounds returns the MBR of the indexed points as (lo, hi); ok is false
 // when the index is empty.
 func (ix *Index) Bounds() (lo, hi Point, ok bool) {
-	if ix.acquire() != nil {
+	held, err := ix.acquire()
+	if err != nil {
 		return nil, nil, false // closed mapping; opens/queries report why
 	}
-	defer ix.release()
+	defer ix.release(held)
 	if ix.prepare() != nil {
 		return nil, nil, false // corrupt mapping; opens/queries report why
 	}
@@ -452,10 +527,11 @@ func (ix *Index) ResetCostCold() { ix.acct.ResetAll() }
 // On a mapped index the snapshot's checksum and structural validation run
 // first.
 func (ix *Index) CheckInvariants() error {
-	if err := ix.acquire(); err != nil {
+	r, err := ix.acquire()
+	if err != nil {
 		return err
 	}
-	defer ix.release()
+	defer ix.release(r)
 	if err := ix.prepare(); err != nil {
 		return err
 	}
@@ -489,10 +565,11 @@ func (ix *Index) NearestNeighborsWithCost(q Point, k int) ([]Result, Cost, error
 	if err := rtree.CheckFinite(0, geom.Point(q)); err != nil {
 		return nil, Cost{}, err
 	}
-	if err := ix.acquire(); err != nil {
+	r, err := ix.acquire()
+	if err != nil {
 		return nil, Cost{}, err
 	}
-	defer ix.release()
+	defer ix.release(r)
 	if err := ix.prepare(); err != nil {
 		return nil, Cost{}, err
 	}

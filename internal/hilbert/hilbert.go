@@ -160,11 +160,11 @@ func (m *Mapper) Value(x, y float64) uint64 {
 // Perm returns the permutation that orders n items by ascending Hilbert
 // value of the coordinates at(i) reports: Perm(...)[rank] is the index of
 // the item with that rank. Equal values keep their input order (stable),
-// so the permutation is deterministic; the values are radix-sorted with
-// int32 positions, so n must not exceed math.MaxInt32. It is the
+// so the permutation is deterministic. The positions are the radix sort's
+// own int32 values, so n must not exceed math.MaxInt32. It is the
 // partitioning primitive of the sharded index: contiguous runs of the
 // permutation are spatially coherent chunks of the data set.
-func Perm(n int, m *Mapper, at func(i int) (x, y float64)) []int {
+func Perm(n int, m *Mapper, at func(i int) (x, y float64)) []int32 {
 	keys := make([]uint64, n)
 	pos := make([]int32, n)
 	for i := range keys {
@@ -172,33 +172,28 @@ func Perm(n int, m *Mapper, at func(i int) (x, y float64)) []int {
 		keys[i], pos[i] = m.Value(x, y), int32(i)
 	}
 	radix.Sort(keys, pos, nil)
-	idx := make([]int, n)
-	for r, i := range pos {
-		idx[r] = int(i)
-	}
-	return idx
+	return pos
 }
 
 // SortByValue sorts items in place by ascending Hilbert value of the
-// coordinates that at(i) reports. It is the single sorting entry point used
-// by MQM, F-MQM, F-MBM and Hilbert bulk-loading.
+// coordinates that at(i) reports. It is the sorting entry point of MQM,
+// F-MQM and F-MBM; the bulk loaders take Perm's positions directly.
 func SortByValue(n int, m *Mapper, at func(i int) (x, y float64), swap func(i, j int)) {
 	idx := Perm(n, m, at)
-	n = len(idx)
 	// Apply the permutation with the provided swap, tracking positions.
-	pos := make([]int, n)  // pos[item] = current index of item
-	item := make([]int, n) // item[index] = item currently at index
-	for i := 0; i < n; i++ {
-		pos[i], item[i] = i, i
+	pos := make([]int32, n)  // pos[item] = current index of item
+	item := make([]int32, n) // item[index] = item currently at index
+	for i := range pos {
+		pos[i], item[i] = int32(i), int32(i)
 	}
 	for target, want := range idx {
 		cur := pos[want]
-		if cur == target {
+		if int(cur) == target {
 			continue
 		}
-		swap(cur, target)
+		swap(int(cur), target)
 		other := item[target]
-		pos[want], pos[other] = target, cur
+		pos[want], pos[other] = int32(target), cur
 		item[target], item[cur] = want, other
 	}
 }

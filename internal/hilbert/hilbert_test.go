@@ -209,15 +209,15 @@ func TestSortByValuePreservesMultiset(t *testing.T) {
 
 // referencePerm is the specification of Perm: a stable sort of the
 // indices by Hilbert value.
-func referencePerm(n int, m *Mapper, at func(i int) (x, y float64)) []int {
+func referencePerm(n int, m *Mapper, at func(i int) (x, y float64)) []int32 {
 	keys := make([]uint64, n)
-	idx := make([]int, n)
+	idx := make([]int32, n)
 	for i := range idx {
 		x, y := at(i)
 		keys[i] = m.Value(x, y)
-		idx[i] = i
+		idx[i] = int32(i)
 	}
-	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(keys[a], keys[b]) })
+	slices.SortStableFunc(idx, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
 	return idx
 }
 

@@ -218,11 +218,7 @@ func hilbertPerm(dim int, coords []float64) []int32 {
 	if dim < 2 {
 		loY, hiY = loX, loX
 	}
-	perm := make([]int32, n)
-	for r, i := range hilbert.Perm(n, hilbert.NewMapper(hilbert.DefaultOrder, loX, loY, hiX, hiY), at) {
-		perm[r] = int32(i)
-	}
-	return perm
+	return hilbert.Perm(n, hilbert.NewMapper(hilbert.DefaultOrder, loX, loY, hiX, hiY), at)
 }
 
 // idAt returns the identifier of point i: ids[i], or i when ids is nil.

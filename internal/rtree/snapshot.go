@@ -12,13 +12,13 @@ import (
 )
 
 // Snapshot returns the serialisable arena of the packed tree. The
-// returned Tree borrows the snapshot's slices (no copies except the page
-// array, whose element type differs), so it is cheap and must be treated
-// as read-only, valid while p is.
+// returned Tree borrows the arena's slices without copying any (the page
+// array is reinterpreted: pagestore.PageID is int64 under another name),
+// so it is cheap and must be treated as read-only, valid while p is.
 func (p *Packed) Snapshot() *snapshot.Tree {
-	pages := make([]int64, len(p.page))
-	for i, pg := range p.page {
-		pages[i] = int64(pg)
+	var pages []int64
+	if len(p.page) > 0 {
+		pages = unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(p.page))), len(p.page))
 	}
 	t := p.src
 	return &snapshot.Tree{

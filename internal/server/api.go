@@ -276,6 +276,10 @@ func (s *Server) handleGroupNN(w http.ResponseWriter, r *http.Request) {
 	// slow-query log capture a query that only turned out slow at the
 	// end. Results are bit-identical to the untraced call.
 	res, ex, err := h.q.GroupNNExplainContext(ctx, query, opts...)
+	for s.displaced(h, err) {
+		h = s.liveHandle()
+		res, ex, err = h.q.GroupNNExplainContext(ctx, query, opts...)
+	}
 	elapsed := time.Since(start)
 	if ex != nil {
 		if wait := admissionWaitFrom(r.Context()); wait > 0 {
@@ -378,6 +382,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	h := s.liveHandle()
 	start := time.Now()
 	out, err := h.q.GroupNNBatchContext(ctx, queries, opts...)
+	for s.displaced(h, err) {
+		h = s.liveHandle()
+		out, err = h.q.GroupNNBatchContext(ctx, queries, opts...)
+	}
 	elapsed := time.Since(start)
 	if err != nil {
 		// The whole batch was cut short by the request's own context;
@@ -421,6 +429,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// displaced reports whether a request must run again on the live handle:
+// err says h was closed, and h is no longer live. A reload closes the
+// handle it displaces on a goroutine, so a request that loaded h just
+// before the swap can find it closed; running it again on the handle
+// that replaced h keeps the reload invisible to clients. Only a shutdown
+// closes the live handle itself, and then the request fails with 503.
+func (s *Server) displaced(h *handle, err error) bool {
+	return errors.Is(err, gnn.ErrSnapshotClosed) && s.liveHandle() != h
+}
+
 // mutableHandle resolves the live handle's write surface, or fails the
 // request. Both index kinds are mutable; the assertion only misses if a
 // future Queryable implementation opts out of writes.
@@ -447,7 +465,14 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if err := m.Insert(gnn.Point(req.Point), req.ID); err != nil {
+	err := m.Insert(gnn.Point(req.Point), req.ID)
+	for s.displaced(h, err) {
+		if h, m, ok = s.mutableHandle(w); !ok {
+			return
+		}
+		err = m.Insert(gnn.Point(req.Point), req.ID)
+	}
+	if err != nil {
 		s.badRequest(w, err.Error())
 		return
 	}
@@ -472,6 +497,14 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	deleted := m.Delete(gnn.Point(req.Point), req.ID)
+	// A closed index deletes nothing and says only false, so a delete that
+	// missed on a handle a reload displaced runs again on the live one.
+	for !deleted && s.liveHandle() != h {
+		if h, m, ok = s.mutableHandle(w); !ok {
+			return
+		}
+		deleted = m.Delete(gnn.Point(req.Point), req.ID)
+	}
 	s.stats.mutations.Add(1)
 	st := h.q.Stats()
 	writeJSON(w, http.StatusOK, MutateResponse{
@@ -560,7 +593,8 @@ func (s *Server) failQuery(w http.ResponseWriter, err error) {
 		writeError(w, StatusClientClosedRequest, err.Error())
 	case errors.Is(err, gnn.ErrSnapshotClosed):
 		// Only reachable in a shutdown race; the request arrived as the
-		// live handle was being torn down.
+		// live handle was being torn down (a reload's displaced handle
+		// sends its requests to the live one: see displaced).
 		writeError(w, http.StatusServiceUnavailable, err.Error())
 	default:
 		s.stats.badReq.Add(1)

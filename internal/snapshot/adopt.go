@@ -1,8 +1,11 @@
 package snapshot
 
 import (
+	"os"
 	"sync"
 	"unsafe"
+
+	"gnn/internal/mmapfile"
 )
 
 // hostLittleEndian reports whether this machine stores multi-byte
@@ -49,7 +52,7 @@ func DecodeAdopted(data []byte) (*Adopted, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !hostLittleEndian || uintptr(unsafe.Pointer(unsafe.SliceData(data)))%8 != 0 {
+	if !adoptable(data) {
 		// In-place reinterpretation is unsound here; decode the slow,
 		// safe way. Verified eagerly, so Verify has nothing left to do.
 		m, trees, err := Decode(data)
@@ -58,7 +61,18 @@ func DecodeAdopted(data []byte) (*Adopted, error) {
 		}
 		return &Adopted{Manifest: m, Trees: trees}, nil
 	}
+	return adopt(f, data)
+}
 
+// adoptable reports whether data's columns may be reinterpreted in
+// place: a little-endian host and an 8-byte aligned base.
+func adoptable(data []byte) bool {
+	return hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(data)))%8 == 0
+}
+
+// adopt builds the trees of a frame-checked, adoptable snapshot over its
+// payloads in data.
+func adopt(f *frame, data []byte) (*Adopted, error) {
 	m := f.m
 	m.Points = int(f.points) // declared; confirmed against trees in Verify
 	if m.Kind == KindSharded {
@@ -101,17 +115,63 @@ func (a *Adopted) Verify() error {
 			return // the copying fallback validated everything already
 		}
 		f := frame{secs: a.secs}
-		if a.err = f.verifyChecksums(a.data); a.err != nil {
+		if a.err = f.verifyChecksums(crcInMemory(a.data)); a.err != nil {
 			return
 		}
-		for ti, t := range a.Trees {
-			if a.err = validateTreeStructure(t, len(t.Level), len(t.Child), len(t.IDs), ti); a.err != nil {
-				return
-			}
-		}
-		a.err = crossCheck(&a.Manifest, a.Trees, a.points)
+		a.err = a.checkStructure()
 	})
 	return a.err
+}
+
+// checkStructure runs the per-tree structural validation and the
+// whole-snapshot cross-checks on the adopted trees. They read the node
+// sections and the meta counters only, never a coordinate or id column.
+func (a *Adopted) checkStructure() error {
+	for ti, t := range a.Trees {
+		if err := validateTreeStructure(t, len(t.Level), len(t.Child), len(t.IDs), ti); err != nil {
+			return err
+		}
+	}
+	return crossCheck(&a.Manifest, a.Trees, a.points)
+}
+
+// VerifyFile validates the snapshot file at path with every check Decode
+// runs, in Decode's order: frame, section checksums, tree structure,
+// cross-checks. It keeps the file's columns out of memory: the frame is
+// parsed from a read-only mapping, the checksums read the file through a
+// verifyChunk buffer, and the structure checks run on node sections
+// adopted from the mapping, so the only mapped pages touched hold the
+// header, the section table, the padding between sections and the meta
+// and node sections. Where the mapping cannot be adopted in place (a
+// big-endian host) the file is decoded the copying way.
+func VerifyFile(path string) error {
+	mf, err := mmapfile.Open(path)
+	if err != nil {
+		return err
+	}
+	defer mf.Close()
+	data := mf.Data()
+	f, err := parseFrame(data)
+	if err != nil {
+		return err
+	}
+	if !adoptable(data) {
+		_, _, err := Decode(data)
+		return err
+	}
+	file, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer file.Close()
+	if err := f.verifyChecksums(crcReading(file)); err != nil {
+		return err
+	}
+	a, err := adopt(f, data)
+	if err != nil {
+		return err
+	}
+	return a.checkStructure()
 }
 
 // adoptTree builds one tree whose column slices alias the section

@@ -70,7 +70,7 @@ func AtomicWriteFile(path string, write func(io.Writer) error, verify func(tmpPa
 	if err = failpoint(StageWrite, tmp); err != nil {
 		return fmt.Errorf("snapshot: rotate %s: %w", StageWrite, err)
 	}
-	// Unbuffered: the snapshot writer hands the file whole sections.
+	// Unbuffered: the snapshot writer hands the file whole section columns.
 	if err = write(f); err != nil {
 		return fmt.Errorf("snapshot: rotate write: %w", err)
 	}

@@ -67,6 +67,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"unsafe"
 )
 
 // Magic identifies a snapshot file. The trailing NUL keeps it exactly 8
@@ -255,7 +256,10 @@ func sectionLength(kind uint32, m Manifest, trees []*Tree, t *Tree) uint64 {
 	panic("snapshot: unknown section kind") // writer-internal; unreachable
 }
 
-// encodeSection appends section kind's payload to buf and returns it.
+// encodeSection appends section kind's payload to buf and returns it:
+// the element-wise little-endian encoding, which Write uses for the small
+// manifest and meta sections everywhere and for the column sections on
+// big-endian hosts.
 func encodeSection(buf []byte, kind uint32, m Manifest, trees []*Tree, t *Tree) []byte {
 	switch kind {
 	case secHilbert:
@@ -328,9 +332,72 @@ func encodeSection(buf []byte, kind uint32, m Manifest, trees []*Tree, t *Tree) 
 	return buf
 }
 
+// writeColumnsInPlace selects how Write produces the column sections: as
+// views of the trees' own memory (little-endian hosts, whose in-memory
+// layout is the wire layout) or by encodeSection. Only host endianness
+// sets it; the package's tests flip it to compare the two paths.
+var writeColumnsInPlace = hostLittleEndian
+
+// inPlace reports whether Write takes section kind's payload straight
+// from the trees' memory: every column section, when
+// writeColumnsInPlace. The manifest extension and the tree meta are
+// scalars, always encoded.
+func inPlace(kind uint32) bool {
+	return writeColumnsInPlace && kind != secHilbert && kind != secTreeMeta
+}
+
+// columnParts returns column section kind of t as the views of t's memory
+// that concatenate to its payload.
+func columnParts(kind uint32, t *Tree) [][]byte {
+	switch kind {
+	case secLevels:
+		return [][]byte{asBytes(t.Level)}
+	case secPages:
+		return [][]byte{asBytes(t.Page)}
+	case secRanges:
+		return [][]byte{asBytes(t.Start), asBytes(t.End)}
+	case secChildren:
+		return [][]byte{asBytes(t.Child)}
+	case secRectLo:
+		return colBytes(t.RectLo)
+	case secRectHi:
+		return colBytes(t.RectHi)
+	case secPoints:
+		return colBytes(t.PointCols)
+	case secIDs:
+		return [][]byte{asBytes(t.IDs)}
+	}
+	panic("snapshot: not a column section") // writer-internal; unreachable
+}
+
+// asBytes views a numeric slice's memory as bytes: its little-endian
+// encoding on a little-endian host.
+func asBytes[T int32 | int64 | float64](s []T) []byte {
+	if len(s) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(s[0])))
+}
+
+// colBytes views axis-major columns as one byte slice per axis.
+func colBytes(cols [][]float64) [][]byte {
+	out := make([][]byte, len(cols))
+	for a, c := range cols {
+		out[a] = asBytes(c)
+	}
+	return out
+}
+
 // Write serialises the manifest and its trees to w in format Version.
 // The trees slice must have one entry per shard (exactly one for
 // KindPlain); m.Hilbert is written for KindSharded and ignored otherwise.
+//
+// On a little-endian host the column sections are written straight from
+// the trees' memory, and their checksums are computed over those same
+// bytes, so the write copies no column. Elsewhere each column section is
+// encoded element by element into a buffer sized for the largest one,
+// once for its checksum and once for the write. The bytes are the same
+// either way.
 func Write(w io.Writer, m Manifest, trees []*Tree) error {
 	if err := validateForWrite(m, trees); err != nil {
 		return err
@@ -351,12 +418,24 @@ func Write(w io.Writer, m Manifest, trees []*Tree) error {
 		}
 	}
 
-	// First pass: compute offsets, lengths and CRCs. Payloads are encoded
-	// into one buffer sized for the largest section, so no append ever
-	// grows it; the bytes written in the second pass are the exact same
-	// encoding, so the table is correct by construction. Every payload
-	// starts on a sectionAlign boundary (zero padding in between) so
-	// mmap'd decoders can adopt the arrays in place.
+	// payload returns section i's bytes as the parts that concatenate to
+	// them: views of the trees' memory, or one encoding into scratch,
+	// which the caller consumes before the next call.
+	var scratch []byte
+	payload := func(i int) [][]byte {
+		if inPlace(secs[i].kind) {
+			return columnParts(secs[i].kind, treeOf[i])
+		}
+		scratch = encodeSection(scratch[:0], secs[i].kind, m, trees, treeOf[i])
+		return [][]byte{scratch}
+	}
+
+	// First pass: compute offsets, lengths and CRCs. Every payload starts
+	// on a sectionAlign boundary (zero padding in between) so mmap'd
+	// decoders can adopt the arrays in place. The encode buffer is sized
+	// for the largest section that gets encoded, so no append grows it;
+	// the second pass writes the exact bytes checksummed here, so the
+	// table is correct by construction.
 	offset := uint64(headerSize + tableEntrySize*len(secs))
 	var largest uint64
 	for i := range secs {
@@ -364,17 +443,22 @@ func Write(w io.Writer, m Manifest, trees []*Tree) error {
 		s.offset = alignUp(offset)
 		s.length = sectionLength(s.kind, m, trees, treeOf[i])
 		offset = s.offset + s.length
-		largest = max(largest, s.length)
+		if !inPlace(s.kind) {
+			largest = max(largest, s.length)
+		}
 	}
-	scratch := make([]byte, 0, largest)
+	scratch = make([]byte, 0, largest)
 	for i := range secs {
 		s := &secs[i]
-		scratch = encodeSection(scratch[:0], s.kind, m, trees, treeOf[i])
-		if uint64(len(scratch)) != s.length {
-			return fmt.Errorf("snapshot: internal error: section %d encoded %d bytes, declared %d",
-				s.kind, len(scratch), s.length)
+		var n uint64
+		for _, part := range payload(i) {
+			s.crc = crc32.Update(s.crc, crc32.IEEETable, part)
+			n += uint64(len(part))
 		}
-		s.crc = crc32.ChecksumIEEE(scratch)
+		if n != s.length {
+			return fmt.Errorf("snapshot: internal error: section %d encoded %d bytes, declared %d",
+				s.kind, n, s.length)
+		}
 	}
 
 	// Header.
@@ -408,9 +492,10 @@ func Write(w io.Writer, m Manifest, trees []*Tree) error {
 				return err
 			}
 		}
-		scratch = encodeSection(scratch[:0], secs[i].kind, m, trees, treeOf[i])
-		if _, err := w.Write(scratch); err != nil {
-			return err
+		for _, part := range payload(i) {
+			if _, err := w.Write(part); err != nil {
+				return err
+			}
 		}
 		cursor = secs[i].offset + secs[i].length
 	}
@@ -629,12 +714,52 @@ func parseFrame(data []byte) (*frame, error) {
 	return f, nil
 }
 
-// verifyChecksums checks every section's CRC against its payload.
-func (f *frame) verifyChecksums(data []byte) error {
+// crcFunc returns the IEEE CRC-32 of the snapshot bytes [off, off+n),
+// which the frame check has put in bounds.
+type crcFunc func(off, n uint64) (uint32, error)
+
+// crcInMemory checksums the bytes of data in place.
+func crcInMemory(data []byte) crcFunc {
+	return func(off, n uint64) (uint32, error) {
+		return crc32.ChecksumIEEE(data[off : off+n]), nil
+	}
+}
+
+// verifyChunk bounds the buffer crcReading reads a file through.
+const verifyChunk = 64 << 10
+
+// crcReading checksums bytes read from r through one buffer of at most
+// verifyChunk bytes, so a file's sections never need to be in memory
+// whole.
+func crcReading(r io.ReaderAt) crcFunc {
+	buf := make([]byte, verifyChunk)
+	return func(off, n uint64) (uint32, error) {
+		var crc uint32
+		for n > 0 {
+			p := buf[:min(n, verifyChunk)]
+			if _, err := r.ReadAt(p, int64(off)); err != nil {
+				if err == io.EOF {
+					err = ErrTruncated
+				}
+				return 0, fmt.Errorf("snapshot: reading %d bytes at offset %d: %w", len(p), off, err)
+			}
+			crc = crc32.Update(crc, crc32.IEEETable, p)
+			off, n = off+uint64(len(p)), n-uint64(len(p))
+		}
+		return crc, nil
+	}
+}
+
+// verifyChecksums checks every section's CRC against its payload, as
+// crc computes it: the one checksum loop of every verifier.
+func (f *frame) verifyChecksums(crc crcFunc) error {
 	for i, s := range f.secs {
-		payload := data[s.offset : s.offset+s.length]
-		if crc := crc32.ChecksumIEEE(payload); crc != s.crc {
-			return fmt.Errorf("%w: section %d (kind %d): %08x != %08x", ErrChecksum, i, s.kind, crc, s.crc)
+		got, err := crc(s.offset, s.length)
+		if err != nil {
+			return err
+		}
+		if got != s.crc {
+			return fmt.Errorf("%w: section %d (kind %d): %08x != %08x", ErrChecksum, i, s.kind, got, s.crc)
 		}
 	}
 	return nil
@@ -694,7 +819,7 @@ func Decode(data []byte) (Manifest, []*Tree, error) {
 		return Manifest{}, nil, err
 	}
 	// Verify every section's checksum before interpreting any payload.
-	if err := f.verifyChecksums(data); err != nil {
+	if err := f.verifyChecksums(crcInMemory(data)); err != nil {
 		return Manifest{}, nil, err
 	}
 	m := f.m

@@ -197,3 +197,40 @@ func Table(tb testing.TB) []Case {
 	cases = append(cases, HugeDimCases(tb)...)
 	return append(cases, OverlappingShardPages(tb))
 }
+
+// Section is one entry of an encoded snapshot's section table.
+type Section struct {
+	Name           string // the section kind's name in SectionNames
+	Tree           uint32 // owning tree; ^uint32(0) for the manifest extension
+	Offset, Length uint64 // payload location from the start of the file
+}
+
+// SectionNames names the format's section kinds, indexed by kind (see
+// the format table in internal/snapshot's package comment).
+var SectionNames = map[uint32]string{
+	1: "hilbert", 2: "meta", 3: "levels", 4: "pages", 5: "ranges",
+	6: "children", 7: "rect-lo", 8: "rect-hi", 9: "points", 10: "ids",
+}
+
+// Sections parses the section table of an encoded snapshot. It checks
+// only that the table is in bounds; ok is false otherwise.
+func Sections(data []byte) (secs []Section, ok bool) {
+	const headerSize, entrySize = 40, 28
+	if len(data) < headerSize {
+		return nil, false
+	}
+	n := int(binary.LittleEndian.Uint32(data[32:]))
+	if n < 0 || len(data) < headerSize+entrySize*n {
+		return nil, false
+	}
+	for i := 0; i < n; i++ {
+		e := data[headerSize+entrySize*i:]
+		secs = append(secs, Section{
+			Name:   SectionNames[binary.LittleEndian.Uint32(e)],
+			Tree:   binary.LittleEndian.Uint32(e[4:]),
+			Offset: binary.LittleEndian.Uint64(e[8:]),
+			Length: binary.LittleEndian.Uint64(e[16:]),
+		})
+	}
+	return secs, true
+}

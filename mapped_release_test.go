@@ -1,0 +1,174 @@
+//go:build unix && !mmapfallback
+
+package gnn_test
+
+import (
+	"bufio"
+	"errors"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"gnn"
+)
+
+// TestCompactionReleasesMapping pins the one-resident-copy contract of a
+// mapped index that compacts, plain and sharded. The compaction rotates
+// its snapshot over the served file, as the daemon does, and:
+//   - once no reader holds the old view, the original file is no longer
+//     mapped (read from /proc/self/maps), and queries go on;
+//   - an iterator opened before the compaction keeps the file mapped
+//     until it closes, and answers like the heap index the snapshot was
+//     written from;
+//   - Close after the release succeeds, twice, and later queries fail
+//     with ErrSnapshotClosed.
+func TestCompactionReleasesMapping(t *testing.T) {
+	if _, err := os.ReadFile("/proc/self/maps"); err != nil {
+		t.Skipf("no /proc/self/maps: %v", err)
+	}
+	const n = 20_000
+	rng := rand.New(rand.NewSource(47))
+	pts := randGroup(rng, n)
+	group := []gnn.Point{{400, 400}, {430, 460}, {470, 410}}
+	plain, err := gnn.BuildIndex(pts, nil, gnn.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := gnn.BuildShardedIndex(pts, nil, 4, gnn.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+
+	for _, kind := range []struct {
+		name  string
+		heap  compacting
+		write func(string) error
+		open  func(string) (compacting, error)
+	}{
+		{"plain", plain, plain.WriteSnapshotFile,
+			func(p string) (compacting, error) { return gnn.OpenSnapshotMapped(p) }},
+		{"sharded", sharded, sharded.WriteSnapshotFile,
+			func(p string) (compacting, error) { return gnn.OpenShardedSnapshotMapped(p) }},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			dir := t.TempDir()
+			open := func(name string) (compacting, string) {
+				t.Helper()
+				path := writeSnapFile(t, dir, name, kind.write)
+				mx, err := kind.open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The background loop never fires: only the Compact calls
+				// below run, each rotating over the served file.
+				err = mx.StartCompactor(gnn.CompactorConfig{Threshold: math.MaxInt, Interval: time.Hour, Path: path})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !mapsFile(t, path) {
+					t.Fatalf("%s not in /proc/self/maps after the mapped open", path)
+				}
+				return mx, path
+			}
+			compact := func(mx compacting) {
+				t.Helper()
+				if err := mx.Insert(gnn.Point{500, 500}, n); err != nil {
+					t.Fatal(err)
+				}
+				if err := mx.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// Released once no reader holds the old view.
+			mx, path := open("release.snap")
+			if _, err := mx.GroupNN(group); err != nil {
+				t.Fatal(err)
+			}
+			compact(mx)
+			if mapsFile(t, path) {
+				t.Fatalf("%s still mapped after the compaction, with no reader left", path)
+			}
+			if res, err := mx.GroupNN(group, gnn.WithK(3)); err != nil || len(res) != 3 {
+				t.Fatalf("query after the release: %d results, err %v", len(res), err)
+			}
+			compact(mx) // a second compaction finds the mapping released
+			for i := 0; i < 2; i++ {
+				if err := mx.Close(); err != nil {
+					t.Fatalf("Close %d after the release: %v", i+1, err)
+				}
+			}
+			if _, err := mx.GroupNN(group); !errors.Is(err, gnn.ErrSnapshotClosed) {
+				t.Fatalf("query after Close: %v, want ErrSnapshotClosed", err)
+			}
+
+			// Held by an iterator opened before the compaction.
+			const take = 200
+			mx, path = open("iterator.snap")
+			defer mx.Close()
+			it, err := mx.GroupNNIterator(group)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := kind.heap.GroupNNIterator(group)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ref.Close()
+			next := func(i int) {
+				t.Helper()
+				got, ok1 := it.Next()
+				want, ok2 := ref.Next()
+				if !ok1 || !ok2 || got.ID != want.ID || got.Dist != want.Dist ||
+					got.Point[0] != want.Point[0] || got.Point[1] != want.Point[1] {
+					t.Fatalf("result %d: mapped %+v (%v), heap %+v (%v)", i, got, ok1, want, ok2)
+				}
+			}
+			for i := 0; i < take/2; i++ {
+				next(i)
+			}
+			compact(mx)
+			if !mapsFile(t, path) {
+				t.Fatalf("%s unmapped under an open iterator", path)
+			}
+			for i := take / 2; i < take; i++ {
+				next(i)
+			}
+			it.Close()
+			if mapsFile(t, path) {
+				t.Fatalf("%s still mapped after the iterator closed", path)
+			}
+		})
+	}
+}
+
+// mapsFile reports whether /proc/self/maps lists a mapping of path,
+// under its name or, once renamed over, as deleted.
+func mapsFile(t *testing.T, path string) bool {
+	t.Helper()
+	path, err := filepath.Abs(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open("/proc/self/maps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := strings.TrimSuffix(sc.Text(), " (deleted)")
+		if strings.HasSuffix(line, " "+path) {
+			return true
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return false
+}

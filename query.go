@@ -198,10 +198,11 @@ func (ix *Index) groupNN(query []Point, c queryConfig, ec *core.ExecContext) ([]
 
 // answer runs one memory-resident query on ec's scratch, charging tk.
 func (ix *Index) answer(query []Point, c queryConfig, tk *pagestore.CostTracker, ec *core.ExecContext) ([]Result, error) {
-	if err := ix.acquire(); err != nil {
+	r, err := ix.acquire()
+	if err != nil {
 		return nil, err
 	}
-	defer ix.release()
+	defer ix.release(r)
 	if err := c.cancel.Check(); err != nil {
 		return nil, err // already expired/canceled on arrival
 	}
@@ -377,17 +378,18 @@ func (it *Iterator) iterDone() bool { return it.it == nil }
 // reference on the index until Close or exhaustion, so a concurrent
 // Index.Close waits for it; close iterators you abandon early.
 func (ix *Index) GroupNNIterator(query []Point, opts ...QueryOption) (*Iterator, error) {
-	if err := ix.acquire(); err != nil {
+	r, err := ix.acquire()
+	if err != nil {
 		return nil, err
 	}
 	if err := ix.prepare(); err != nil {
-		ix.release()
+		ix.release(r)
 		return nil, err
 	}
 	c := buildConfig(opts)
 	qs, err := groupPoints(make([]geom.Point, len(query)), query)
 	if err != nil {
-		ix.release()
+		ix.release(r)
 		return nil, err
 	}
 	out := &Iterator{}
@@ -398,19 +400,19 @@ func (ix *Index) GroupNNIterator(query []Point, opts ...QueryOption) (*Iterator,
 		opt.Packed = v.packed
 		it, err := core.NewGNNIterator(v.tree, qs, opt)
 		if err != nil {
-			ix.release()
+			ix.release(r)
 			return nil, err
 		}
 		out.it = it
 	} else {
 		it, err := overlayIterator(v, qs, opt)
 		if err != nil {
-			ix.release()
+			ix.release(r)
 			return nil, err
 		}
 		out.it = it
 	}
-	out.done = ix.release
+	out.done = func() { ix.release(r) }
 	return out, nil
 }
 

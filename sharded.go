@@ -11,7 +11,6 @@ import (
 
 	"gnn/internal/core"
 	"gnn/internal/geom"
-	"gnn/internal/mmapfile"
 	"gnn/internal/overlay"
 	"gnn/internal/pagestore"
 	"gnn/internal/rtree"
@@ -67,14 +66,10 @@ type ShardedIndex struct {
 	compactNS  atomic.Int64
 	compactErr atomic.Pointer[string]
 
-	// mapped is the file view backing a zero-copy open
-	// (OpenShardedSnapshotMapped); nil otherwise. closed flips when Close
-	// unmaps it, after which queries fail fast. refs counts inflight
-	// readers so Close can drain them before unmapping (see
-	// Index.acquire for the ordering argument).
-	mapped *mmapfile.File
-	closed atomic.Bool
-	refs   atomic.Int64
+	// lifecycle holds the file view of a zero-copy open
+	// (OpenShardedSnapshotMapped) and the references that keep it mapped;
+	// see Index.
+	lifecycle
 }
 
 // shardedView is one immutable serving version of a ShardedIndex: the
@@ -112,19 +107,6 @@ func newShardedOver(set *shard.Set, acct *pagestore.Accountant, rcfg rtree.Confi
 	sx.compactErr.Store(&empty)
 	return sx
 }
-
-// acquire registers an inflight reader; see Index.acquire.
-func (sx *ShardedIndex) acquire() error {
-	sx.refs.Add(1)
-	if sx.closed.Load() {
-		sx.refs.Add(-1)
-		return ErrSnapshotClosed
-	}
-	return nil
-}
-
-// release drops a reference taken by acquire.
-func (sx *ShardedIndex) release() { sx.refs.Add(-1) }
 
 // prepare readies the sharded index for a traversal: it fails fast on a
 // closed mapping and forces the deferred verification of a mapped open
@@ -214,11 +196,15 @@ func (sx *ShardedIndex) Insert(p Point, id int64) error {
 // delete is safe under concurrent readers. A no-op delete changes
 // nothing.
 func (sx *ShardedIndex) Delete(p Point, id int64) bool {
-	sx.mu.Lock()
-	defer sx.mu.Unlock()
-	if sx.closed.Load() {
+	// Counting the base occurrences reads the shard arenas; see
+	// Index.Delete.
+	r, err := sx.acquire()
+	if err != nil {
 		return false
 	}
+	defer sx.release(r)
+	sx.mu.Lock()
+	defer sx.mu.Unlock()
 	v := sx.view.Load()
 	if len(p) != v.set.Dim() {
 		return false
@@ -274,10 +260,11 @@ func (sx *ShardedIndex) ResetCostCold() { sx.acct.ResetAll() }
 // the overlay's delta tree when present. On a mapped index the
 // snapshot's checksum and structural validation run first.
 func (sx *ShardedIndex) CheckInvariants() error {
-	if err := sx.acquire(); err != nil {
+	r, err := sx.acquire()
+	if err != nil {
 		return err
 	}
-	defer sx.release()
+	defer sx.release(r)
 	if err := sx.prepare(); err != nil {
 		return err
 	}
@@ -336,10 +323,11 @@ func (sx *ShardedIndex) answer(query []Point, c queryConfig, tk *pagestore.CostT
 	if err != nil {
 		return nil, err
 	}
-	if err := sx.acquire(); err != nil {
+	r, err := sx.acquire()
+	if err != nil {
 		return nil, err
 	}
-	defer sx.release()
+	defer sx.release(r)
 	v := sx.view.Load()
 	if err := c.cancel.Check(); err != nil {
 		return nil, err // already expired/canceled on arrival
@@ -447,17 +435,18 @@ func shardedOverlayQuery(v *shardedView, qs []geom.Point, opt core.Options, work
 // merge as additional streams.
 func (sx *ShardedIndex) GroupNNIterator(query []Point, opts ...QueryOption) (*Iterator, error) {
 	c := buildConfig(opts)
-	if err := sx.acquire(); err != nil {
+	r, err := sx.acquire()
+	if err != nil {
+		return nil, err
+	}
+	if err := sx.prepare(); err != nil {
+		sx.release(r)
 		return nil, err
 	}
 	v := sx.view.Load()
-	if err := sx.prepare(); err != nil {
-		sx.release()
-		return nil, err
-	}
 	qs, err := groupPoints(make([]geom.Point, len(query)), query)
 	if err != nil {
-		sx.release()
+		sx.release(r)
 		return nil, err
 	}
 	out := &Iterator{}
@@ -466,19 +455,19 @@ func (sx *ShardedIndex) GroupNNIterator(query []Point, opts ...QueryOption) (*It
 	if v.ov == nil {
 		it, err := v.set.NewIterator(qs, opt)
 		if err != nil {
-			sx.release()
+			sx.release(r)
 			return nil, err
 		}
 		out.it = it
 	} else {
 		it, err := shardedOverlayIterator(v, qs, opt)
 		if err != nil {
-			sx.release()
+			sx.release(r)
 			return nil, err
 		}
 		out.it = it
 	}
-	out.done = sx.release
+	out.done = func() { sx.release(r) }
 	return out, nil
 }
 
@@ -615,10 +604,11 @@ func (sx *ShardedIndex) compactOnce() (err error) {
 	// Hold a lifecycle reference for the whole cycle so Close's drain
 	// waits for it (the rebuild walks the shard trees, which on a mapped
 	// index read the mapping Close would unmap).
-	if err := sx.acquire(); err != nil {
+	r, err := sx.acquire()
+	if err != nil {
 		return err
 	}
-	defer sx.release()
+	defer sx.release(r)
 
 	sx.mu.Lock()
 	v := sx.view.Load()
@@ -679,8 +669,10 @@ func (sx *ShardedIndex) compactOnce() (err error) {
 	// Stop the replaced set's resident workers deterministically:
 	// in-flight queries holding the old view finish on pooled workers
 	// (shard.Set.Close is drain-safe), and the arenas themselves stay
-	// reachable until those views are dropped.
+	// reachable until those views are dropped. A mapped file goes once the
+	// reads that may hold the old view release; see Index.compactOnce.
 	v.set.Close()
+	sx.retire()
 	return persistErr
 }
 
@@ -691,5 +683,5 @@ func persistSharded(path string, set *shard.Set) error {
 	m, trees := set.Snapshot()
 	return snapshot.AtomicWriteFile(path, func(w io.Writer) error {
 		return snapshot.Write(w, m, trees)
-	}, verifySnapshotFile)
+	}, snapshot.VerifyFile)
 }

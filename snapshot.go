@@ -32,8 +32,9 @@ var (
 	// ErrSnapshotKind reports opening a snapshot with the wrong function:
 	// OpenSnapshot on a sharded file or OpenShardedSnapshot on a plain one.
 	ErrSnapshotKind = errors.New("gnn: snapshot holds a different index kind")
-	// ErrSnapshotClosed reports a query against a mapped index whose
-	// Close has already unmapped the backing file.
+	// ErrSnapshotClosed reports a query or write against a mapped index
+	// after its Close, which unmaps the backing file unless a compaction
+	// released it earlier.
 	ErrSnapshotClosed = errors.New("gnn: mapped snapshot is closed")
 )
 
@@ -78,10 +79,11 @@ func WithEagerVerify() SnapshotOption {
 func (ix *Index) WriteSnapshot(w io.Writer) error {
 	// The write reads the arena, so it holds a lifecycle reference: Close
 	// cannot unmap a mapped index under it.
-	if err := ix.acquire(); err != nil {
+	r, err := ix.acquire()
+	if err != nil {
 		return err
 	}
-	defer ix.release()
+	defer ix.release(r)
 	v := ix.view.Load()
 	p := v.packed
 	if p == nil {
@@ -94,12 +96,11 @@ func (ix *Index) WriteSnapshot(w io.Writer) error {
 	}
 	if v.ov != nil {
 		coords, ids := gatherLive(v.packed, v.ov)
-		var err error
 		if p, err = rtree.PackSTR(ix.rcfg, coords, ids); err != nil {
 			return err
 		}
 	}
-	_, err := p.WriteTo(w)
+	_, err = p.WriteTo(w)
 	return err
 }
 
@@ -158,10 +159,11 @@ func (sx *ShardedIndex) WriteSnapshot(w io.Writer) error {
 	// Same lifecycle reference and laundering guard as
 	// Index.WriteSnapshot: hold the mapping open and verify a mapped
 	// set's borrowed bytes before re-checksumming them.
-	if err := sx.acquire(); err != nil {
+	r, err := sx.acquire()
+	if err != nil {
 		return err
 	}
-	defer sx.release()
+	defer sx.release(r)
 	if err := sx.prepare(); err != nil {
 		return err
 	}
@@ -255,9 +257,12 @@ func shardedRcfg(set *shard.Set) rtree.Config {
 //
 // The mapped index serves every query a heap-loaded one does. Writes go
 // to the overlay as on any packed index, and a compaction builds its new
-// base on the heap while the mapping keeps serving until the swap. Call
-// Close when done to unmap the file; queries after Close fail with
-// ErrSnapshotClosed. On platforms
+// base on the heap while the mapping keeps serving until the swap. After
+// the swap the compaction releases the mapping: the file is unmapped once
+// the reads that started before the swap (queries, open iterators) have
+// finished, so a compacted index keeps one resident copy of its points.
+// Call Close when done to unmap the file if no compaction did; queries
+// after Close fail with ErrSnapshotClosed either way. On platforms
 // without mmap support (or when the mapping cannot be adopted in place)
 // the function transparently degrades to a read-and-copy open that
 // behaves exactly like OpenSnapshotFile.
@@ -300,7 +305,7 @@ func openMappedPlain(mf *mmapfile.File, c snapshotConfig) (*Index, error) {
 		return nil, err
 	}
 	ix := newIndexOver(p.Tree(), p, acct, p.Tree().Config())
-	ix.mapped = mf
+	ix.file = mf
 	if c.eagerVerify {
 		if err := ix.prepare(); err != nil {
 			return nil, err
@@ -310,26 +315,22 @@ func openMappedPlain(mf *mmapfile.File, c snapshotConfig) (*Index, error) {
 }
 
 // Close stops the background compactor (waiting for an in-flight cycle
-// to finish or abort cleanly) and releases the file mapping of an index
-// opened with OpenSnapshotMapped; on every other construction it only
-// stops the compactor and returns nil. Close is safe under concurrent
-// queries: it first marks the index closed — queries and writes arriving
-// after that fail with ErrSnapshotClosed rather than touching unmapped
-// memory — then waits for every inflight query, open iterator and
-// compaction cycle to finish before the file is actually unmapped.
-// Closing twice is safe; the second call returns nil immediately.
+// to finish or abort cleanly) and, on an index opened with
+// OpenSnapshotMapped, releases the file mapping if a compaction has not
+// released it already; on every other construction it only stops the
+// compactor and returns nil. Close is safe under concurrent queries: it
+// first marks the index closed — queries and writes arriving after that
+// fail with ErrSnapshotClosed rather than touching unmapped memory, even
+// when a compaction released the mapping earlier — then waits for every
+// inflight query, open iterator and compaction cycle to finish before the
+// file is actually unmapped. Closing twice is safe; the second call
+// returns nil immediately.
 func (ix *Index) Close() error {
 	ix.StopCompactor()
-	if ix.mapped == nil {
+	if ix.file == nil {
 		return nil
 	}
-	if ix.closed.Swap(true) {
-		return nil // another Close won the race and owns the drain
-	}
-	drainRefs(&ix.refs)
-	m := ix.mapped
-	ix.mapped = nil
-	return m.Close()
+	return ix.shut(nil)
 }
 
 // OpenShardedSnapshotMapped is OpenSnapshotMapped for sharded
@@ -374,7 +375,7 @@ func openMappedSharded(mf *mmapfile.File, c snapshotConfig) (*ShardedIndex, erro
 		return nil, err
 	}
 	sx := newShardedOver(set, acct, shardedRcfg(set))
-	sx.mapped = mf
+	sx.file = mf
 	if c.eagerVerify {
 		if err := sx.prepare(); err != nil {
 			return nil, err
@@ -385,27 +386,22 @@ func openMappedSharded(mf *mmapfile.File, c snapshotConfig) (*ShardedIndex, erro
 
 // Close stops the background compactor and the index's resident scatter
 // workers and, when the index was opened with OpenShardedSnapshotMapped,
-// releases the file mapping. The same contract as Index.Close applies:
-// safe under concurrent queries — it marks the index closed (later
-// queries fail with ErrSnapshotClosed on a mapped index), drains the
-// inflight ones and any in-flight compaction, stops the workers, then
-// unmaps; closing twice is safe. On a built or copy-loaded index Close
-// only stops the compactor and the workers — later queries still succeed
-// on transient pooled ones.
+// releases the file mapping if a compaction has not released it already.
+// The same contract as Index.Close applies: safe under concurrent
+// queries — it marks the index closed (later queries fail with
+// ErrSnapshotClosed on a mapped-opened index), drains the inflight ones
+// and any in-flight compaction, stops the workers, then unmaps; closing
+// twice is safe. On a built or copy-loaded index Close only stops the
+// compactor and the workers — later queries still succeed on transient
+// pooled ones.
 func (sx *ShardedIndex) Close() error {
 	sx.StopCompactor()
-	if sx.mapped == nil {
-		sx.view.Load().set.Close()
+	stopWorkers := func() { sx.view.Load().set.Close() }
+	if sx.file == nil {
+		stopWorkers()
 		return nil
 	}
-	if sx.closed.Swap(true) {
-		return nil // another Close won the race and owns the drain
-	}
-	drainRefs(&sx.refs)
-	sx.view.Load().set.Close()
-	m := sx.mapped
-	sx.mapped = nil
-	return m.Close()
+	return sx.shut(stopWorkers)
 }
 
 func buildSnapshotConfig(opts []SnapshotOption) snapshotConfig {
@@ -446,7 +442,7 @@ func readAllSized(r io.Reader) ([]byte, error) {
 // writeSnapshotFile writes via fn into a file created at path, surfacing
 // the close error (a snapshot with a silent short write would fail its
 // checksums on load, but the writer should say so). The file is not
-// buffered: snapshot.Write issues one write per whole section.
+// buffered: snapshot.Write issues one write per section column.
 func writeSnapshotFile(path string, fn func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
