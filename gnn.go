@@ -240,20 +240,19 @@ func (l *lifecycle) release(r ref) {
 }
 
 // retire releases the mapping once no reference taken before this call
-// is held. The compaction calls it under the writer lock, right after it
-// published a view whose base no longer borrows the mapping. Later
-// compactions find it retired already.
+// is held: the last such release unmaps it. The compaction calls it under
+// the writer lock, right after it published a view whose base no longer
+// borrows the mapping. The caller must hold a reference taken before that
+// swap, so the unmap always happens in release; later compactions find
+// the mapping retired already.
 func (l *lifecycle) retire() {
-	if l.file == nil || l.retired.Swap(true) {
-		return
-	}
-	if l.refs[0].Load() == 0 {
-		l.unmapFile()
+	if l.file != nil {
+		l.retired.Store(true)
 	}
 }
 
-// unmapFile unmaps the file exactly once, whichever of retire, release
-// and Close gets there first.
+// unmapFile unmaps the file exactly once, whichever of release and Close
+// gets there first.
 func (l *lifecycle) unmapFile() {
 	l.unmap.Do(func() { l.unmapErr = l.file.Close() })
 }

@@ -382,7 +382,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	h := s.liveHandle()
 	start := time.Now()
 	out, err := h.q.GroupNNBatchContext(ctx, queries, opts...)
-	for s.displaced(h, err) {
+	// A query that finds h closed fails in its own entry, not in err: the
+	// whole batch runs again on the live handle, so every entry answers
+	// from the one generation the response reports.
+	for err == nil && s.displaced(h, closedEntry(out)) {
 		h = s.liveHandle()
 		out, err = h.q.GroupNNBatchContext(ctx, queries, opts...)
 	}
@@ -437,6 +440,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // closes the live handle itself, and then the request fails with 503.
 func (s *Server) displaced(h *handle, err error) bool {
 	return errors.Is(err, gnn.ErrSnapshotClosed) && s.liveHandle() != h
+}
+
+// closedEntry returns the first batch entry error saying the handle was
+// closed, or nil.
+func closedEntry(out []gnn.BatchResult) error {
+	for _, br := range out {
+		if errors.Is(br.Err, gnn.ErrSnapshotClosed) {
+			return br.Err
+		}
+	}
+	return nil
 }
 
 // mutableHandle resolves the live handle's write surface, or fails the

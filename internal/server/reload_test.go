@@ -13,12 +13,12 @@ import (
 )
 
 // TestReloadUnderWriteTraffic hot-reloads the served snapshot over and
-// over while workers drive /v1/groupnn, /v1/insert and /v1/delete through
-// the handler. Each reload closes the displaced handle on a goroutine
-// while requests that loaded it may still be reading or writing its
-// mapping. Every response must be 2xx or a documented 4xx, and the
-// process must survive: a request that touched an unmapped page would
-// kill the test binary.
+// over while workers drive /v1/groupnn, /v1/batch, /v1/insert and
+// /v1/delete through the handler. Each reload closes the displaced handle
+// on a goroutine while requests that loaded it may still be reading or
+// writing its mapping. Every response must be 2xx or a documented 4xx,
+// no batch entry may carry an error, and the process must survive: a
+// request that touched an unmapped page would kill the test binary.
 func TestReloadUnderWriteTraffic(t *testing.T) {
 	const minReloads, minAnswers = 300, 4000
 	dir := t.TempDir()
@@ -64,12 +64,13 @@ func TestReloadUnderWriteTraffic(t *testing.T) {
 					body any
 				}{
 					{"/v1/groupnn", QueryRequest{Query: [][]float64{p, {500, 500}}, K: 2}},
+					{"/v1/batch", BatchRequest{Queries: [][][]float64{{p, {500, 500}}, {p}, {{500, 500}, p, {0, 0}}}, K: 2}},
 					{"/v1/delete", MutateRequest{Point: p, ID: id}}, // absent: counts base occurrences
 					{"/v1/insert", MutateRequest{Point: p, ID: id}},
 					{"/v1/delete", MutateRequest{Point: p, ID: id}},
 				} {
 					code, body := post(req.url, req.body)
-					if !documented[code] {
+					if !documented[code] || code == http.StatusOK && req.url == "/v1/batch" && batchFailed(body) {
 						mu.Lock()
 						bad = append(bad, fmt.Sprintf("%s: %d %s", req.url, code, body))
 						mu.Unlock()
@@ -96,4 +97,19 @@ func TestReloadUnderWriteTraffic(t *testing.T) {
 		t.Fatalf("generation %d after %d reloads", g, n)
 	}
 	t.Logf("%d responses across %d reloads", answers.Load(), n)
+}
+
+// batchFailed reports whether a /v1/batch response body carries an entry
+// error (or does not parse).
+func batchFailed(body string) bool {
+	var resp BatchResponse
+	if err := json.Unmarshal([]byte(body), &resp); err != nil {
+		return true
+	}
+	for _, e := range resp.Entries {
+		if e.Error != "" {
+			return true
+		}
+	}
+	return false
 }
