@@ -3,9 +3,9 @@
 //
 //	go test -run=NONE -bench=GroupNNAllocs -benchmem
 //
-// allocs/op is the steady-state allocation count of one query; CI pins
-// the MBM cells (both traversals) to ≤ 4. The same grid is snapshotted to
-// BENCH_alloc.json by `gnnbench -allocs`.
+// allocs/op is the steady-state allocation count of one query.
+// TestHotPathAllocs (hotpath_test.go) pins the MBM cells (both
+// traversals) to exactly 4 on the same fixture.
 package gnn_test
 
 import (
@@ -13,22 +13,20 @@ import (
 
 	"gnn"
 	"gnn/internal/dataset"
+	"gnn/internal/geom"
 	"gnn/internal/workload"
 )
 
 // allocFixture builds the TS index (bench scale) and the paper's default
-// workload (n = 64, M = 8%), shared by every sub-benchmark.
-func allocFixture(b *testing.B) (*gnn.Index, [][]gnn.Point) {
+// workload (n = 64, M = 8%), shared by every sub-benchmark and by the
+// hot-path tests.
+func allocFixture(b testing.TB) (*gnn.Index, [][]gnn.Point) {
 	b.Helper()
 	d, err := env().Dataset("TS")
 	if err != nil {
 		b.Fatal(err)
 	}
-	pts := make([]gnn.Point, len(d.Points))
-	for i, p := range d.Points {
-		pts[i] = gnn.Point(p)
-	}
-	ix, err := gnn.BuildIndex(pts, nil, gnn.IndexConfig{})
+	ix, err := gnn.BuildIndex(publicPoints(d.Points), nil, gnn.IndexConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -39,31 +37,44 @@ func allocFixture(b *testing.B) (*gnn.Index, [][]gnn.Point) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	queries := make([][]gnn.Point, len(qs))
-	for i, q := range qs {
-		group := make([]gnn.Point, len(q.Points))
-		for j, p := range q.Points {
-			group[j] = gnn.Point(p)
-		}
-		queries[i] = group
+	return ix, publicGroups(qs)
+}
+
+// publicPoints converts generated points to the public point type.
+func publicPoints(ps []geom.Point) []gnn.Point {
+	out := make([]gnn.Point, len(ps))
+	for i, p := range ps {
+		out[i] = gnn.Point(p)
 	}
-	return ix, queries
+	return out
+}
+
+// publicGroups converts a generated workload to public query groups.
+func publicGroups(qs []workload.Query) [][]gnn.Point {
+	out := make([][]gnn.Point, len(qs))
+	for i, q := range qs {
+		out[i] = publicPoints(q.Points)
+	}
+	return out
+}
+
+// allocCells is the algorithm×aggregate grid of BenchmarkGroupNNAllocs;
+// every cell queries with k = 8.
+var allocCells = []struct {
+	name string
+	opts []gnn.QueryOption
+}{
+	{"MBM-BF/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM)}},
+	{"MBM-DF/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithDepthFirst()}},
+	{"MBM-BF/max", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithAggregate(gnn.MaxDist)}},
+	{"MBM-DF/min", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithAggregate(gnn.MinDist), gnn.WithDepthFirst()}},
+	{"SPM/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoSPM)}},
+	{"MQM/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMQM)}},
 }
 
 func BenchmarkGroupNNAllocs(b *testing.B) {
 	ix, queries := allocFixture(b)
-	cells := []struct {
-		name string
-		opts []gnn.QueryOption
-	}{
-		{"MBM-BF/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM)}},
-		{"MBM-DF/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithDepthFirst()}},
-		{"MBM-BF/max", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithAggregate(gnn.MaxDist)}},
-		{"MBM-DF/min", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithAggregate(gnn.MinDist), gnn.WithDepthFirst()}},
-		{"SPM/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoSPM)}},
-		{"MQM/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMQM)}},
-	}
-	for _, cell := range cells {
+	for _, cell := range allocCells {
 		opts := append([]gnn.QueryOption{gnn.WithK(8)}, cell.opts...)
 		b.Run(cell.name, func(b *testing.B) {
 			// Warm the pools so the measurement sees steady state.

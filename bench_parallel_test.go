@@ -1,8 +1,7 @@
 // Throughput benchmark of the parallel batch query engine: the same
 // workload answered by GroupNNBatch under worker counts 1/2/4/NumCPU.
-// Reports qps (queries per second) so scaling across PRs is trackable;
-// `go run ./cmd/gnnbench -parallel N` produces the JSON snapshot
-// (BENCH_parallel.json) from the same sweep.
+// Reports qps (queries per second); read a speedup together with the
+// host's CPU count, since on one CPU flat scaling is the expected result.
 package gnn_test
 
 import (
@@ -20,11 +19,7 @@ func BenchmarkGroupNNParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pts := make([]gnn.Point, len(d.Points))
-	for i, p := range d.Points {
-		pts[i] = gnn.Point(p)
-	}
-	ix, err := gnn.BuildIndex(pts, nil, gnn.IndexConfig{})
+	ix, err := gnn.BuildIndex(publicPoints(d.Points), nil, gnn.IndexConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -35,14 +30,7 @@ func BenchmarkGroupNNParallel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	queries := make([][]gnn.Point, len(qs))
-	for i, q := range qs {
-		group := make([]gnn.Point, len(q.Points))
-		for j, p := range q.Points {
-			group[j] = gnn.Point(p)
-		}
-		queries[i] = group
-	}
+	queries := publicGroups(qs)
 
 	workers := []int{1, 2, 4}
 	if n := runtime.NumCPU(); n != 1 && n != 2 && n != 4 {

@@ -209,6 +209,12 @@ func (ix *Index) compactOnce() (err error) {
 		ix.compactErr.Store(&msg)
 	}()
 
+	// A lazily verified mapped base must pass its checks before it is
+	// folded: a corrupt one enumerates no points, and the cycle would
+	// swap (and rotate over the served file) the overlay alone.
+	if err := v.packed.Prepare(); err != nil {
+		return fmt.Errorf("gnn: compact: %w", err)
+	}
 	// Build the replacement base off the write lock: writers and readers
 	// proceed against the captured view while this runs.
 	coords, ids := gatherLive(v.packed, v.ov)

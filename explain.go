@@ -73,8 +73,9 @@ type QueryExplain struct {
 	// Aggregate is the distance combination served ("sum", "max", "min").
 	Aggregate string `json:"aggregate"`
 	// MaxKernel records the MAX aggregate's kernel provenance: "meb" for
-	// the dedicated minimum-enclosing-ball kernel, "generic" under
-	// WithGenericMax. Empty for SUM/MIN queries.
+	// the dedicated minimum-enclosing-ball kernel, "generic" for the
+	// per-member reference path the differential tests select. Empty for
+	// SUM/MIN queries.
 	MaxKernel string `json:"max_kernel,omitempty"`
 	// K and GroupSize echo the query shape.
 	K         int `json:"k"`

@@ -31,7 +31,8 @@ var goldenNA = map[string]int64{
 	// so both stay regression-guarded independently. On this clustered
 	// fixture only the sharded cell improves (the per-shard re-descents
 	// give the ball bound more laterally-wide nodes to kill); the uniform
-	// 100k benchmark (BENCH_max.json) shows the plain-index gap.
+	// 100k grid of TestMaxKernelPrunesBelowGeneric shows the plain-index
+	// gap.
 	"MBM-BF/max-generic":      251,
 	"MBM-DF/max-generic":      283,
 	"sharded-MBM/max-generic": 571,

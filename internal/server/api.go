@@ -144,7 +144,11 @@ type StatsResponse struct {
 		Failed    uint64 `json:"failed"`
 		LastError string `json:"last_error,omitempty"`
 	} `json:"reload"`
-	// LatencyUS summarises served-query latency in microseconds.
+	// LatencyUS summarises served-query latency in microseconds, read
+	// from the gnn_request_duration_us histograms of /metrics (every
+	// endpoint and algorithm, bucket counts summed). Each percentile is
+	// the upper bound of the power-of-2 bucket (2^(i-1), 2^i] holding it,
+	// so a latency of exactly 2^i µs reports 2^i.
 	LatencyUS struct {
 		Mean float64 `json:"mean"`
 		P50  uint64  `json:"p50"`
@@ -311,7 +315,6 @@ func (s *Server) handleGroupNN(w http.ResponseWriter, r *http.Request) {
 	}
 	s.stats.served.Add(1)
 	us := uint64(elapsed.Microseconds())
-	s.hist.observe(us)
 	s.metrics.observeQuery(epGroupNN, parseAlgoID(strings.ToLower(req.Algo)), us)
 	entry.Outcome = "ok"
 	if s.slow.record(entry) {
@@ -408,7 +411,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.stats.served.Add(1)
 	us := uint64(elapsed.Microseconds())
-	s.hist.observe(us)
 	s.metrics.observeQuery(epBatch, parseAlgoID(strings.ToLower(req.Algo)), us)
 	// A batch competes for the slow log as one unit: there is no
 	// per-query explain, so GroupSize reports how many groups it carried.
@@ -563,9 +565,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Reload.LastError = *msg
 	}
 
-	p := s.hist.percentiles(0.50, 0.99, 0.999)
-	resp.LatencyUS.Mean = s.hist.meanUS()
-	resp.LatencyUS.P50, resp.LatencyUS.P99, resp.LatencyUS.P999 = p[0], p[1], p[2]
+	lat := s.metrics.servedLatency()
+	resp.LatencyUS.Mean = lat.MeanUS()
+	resp.LatencyUS.P50, resp.LatencyUS.P99, resp.LatencyUS.P999 = lat.Quantile(0.50), lat.Quantile(0.99), lat.Quantile(0.999)
 
 	rt := s.runtime.sample()
 	resp.Runtime.Goroutines = runtime.NumGoroutine()

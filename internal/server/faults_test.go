@@ -650,33 +650,6 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 	}
 }
 
-// TestHistogram pins the latency histogram's bucketing and percentile
-// read-out (monotone, ≤2× upper-bound bias).
-func TestHistogram(t *testing.T) {
-	var h histogram
-	for _, us := range []uint64{0, 1, 2, 3, 100, 1000, 1000, 1000, 100000} {
-		h.observe(us)
-	}
-	p := h.percentiles(0.50, 0.99, 0.999)
-	if p[0] > p[1] || p[1] > p[2] {
-		t.Fatalf("percentiles not monotone: %v", p)
-	}
-	// p50 of the 9 samples is 100µs → bucket upper bound 128.
-	if p[0] != 128 {
-		t.Fatalf("p50 = %d, want 128", p[0])
-	}
-	if p[2] != 131072 { // 100000µs → 2^17
-		t.Fatalf("p999 = %d, want 131072", p[2])
-	}
-	if h.meanUS() == 0 {
-		t.Fatal("mean lost")
-	}
-	var empty histogram
-	if p := empty.percentiles(0.5); p[0] != 0 {
-		t.Fatalf("empty histogram p50 = %d", p[0])
-	}
-}
-
 // TestSniffKind covers the open-path dispatch: plain vs sharded vs junk.
 func TestSniffKind(t *testing.T) {
 	dir := t.TempDir()

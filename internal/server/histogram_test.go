@@ -1,127 +1,70 @@
 package server
 
-import (
-	"sync"
-	"testing"
-)
+import "testing"
 
-func TestHistogramEmpty(t *testing.T) {
-	var h histogram
-	p := h.percentiles(0.50, 0.99, 0.999)
-	for i, v := range p {
-		if v != 0 {
-			t.Errorf("quantile %d = %d on empty histogram, want 0", i, v)
-		}
+// observed returns a fresh metrics plane with the given latencies
+// recorded on the groupnn/mbm series.
+func observed(us ...uint64) *serverMetrics {
+	m := newServerMetrics(&Server{})
+	for _, v := range us {
+		m.observeQuery(epGroupNN, algoMBM, v)
 	}
-	if m := h.meanUS(); m != 0 {
-		t.Errorf("mean = %v on empty histogram, want 0", m)
+	return m
+}
+
+// TestHistogram pins the /v1/stats latency read-out: one summary over
+// every endpoint × algorithm series, monotone percentiles with a ≤2×
+// upper-bound bias, and zeros before the first served query.
+func TestHistogram(t *testing.T) {
+	m := observed(0, 1, 2, 3, 100, 1000, 1000)
+	m.observeQuery(epGroupNN, algoMQM, 1000)
+	m.observeQuery(epBatch, algoSPM, 100000)
+	lat := m.servedLatency()
+	if n := lat.Total(); n != 9 {
+		t.Fatalf("summary counts %d observations, want all 9 series' observations", n)
+	}
+	p50, p99, p999 := lat.Quantile(0.50), lat.Quantile(0.99), lat.Quantile(0.999)
+	if p50 > p99 || p99 > p999 {
+		t.Fatalf("percentiles not monotone: %d %d %d", p50, p99, p999)
+	}
+	// p50 of the 9 samples is 100µs → bucket (64, 128].
+	if p50 != 128 {
+		t.Fatalf("p50 = %d, want 128", p50)
+	}
+	if p999 != 131072 { // 100000µs → (2^16, 2^17]
+		t.Fatalf("p999 = %d, want 131072", p999)
+	}
+	if mean, want := lat.MeanUS(), float64(0+1+2+3+100+3000+100000)/9; mean != want {
+		t.Fatalf("mean = %v, want %v", mean, want)
+	}
+	empty := observed().servedLatency()
+	if p := empty.Quantile(0.5); p != 0 || empty.MeanUS() != 0 {
+		t.Fatalf("empty summary p50 = %d, mean %v", p, empty.MeanUS())
 	}
 }
 
-func TestHistogramSingleObservation(t *testing.T) {
-	var h histogram
-	h.observe(100) // bucket 7: [64, 128)
-	p := h.percentiles(0.0, 0.50, 0.99, 0.999)
-	for i, v := range p {
-		if v != 128 {
-			t.Errorf("quantile %d = %d, want 128 (the single bucket's upper bound)", i, v)
-		}
-	}
-	if m := h.meanUS(); m != 100 {
-		t.Errorf("mean = %v, want 100", m)
-	}
-}
-
+// TestHistogramBucketEdges pins the bucket convention /v1/stats reports
+// in, shared with /metrics: bucket i is (2^(i-1), 2^i], so a latency of
+// exactly 2^i µs reports 2^i and one microsecond more reports 2^(i+1).
 func TestHistogramBucketEdges(t *testing.T) {
-	// Observations at exact powers of two land in the bucket whose upper
-	// bound is the next power: [2^(i-1), 2^i) ← bucketUpperUS(i) = 2^i.
 	cases := []struct {
 		us   uint64
-		want uint64 // p50 upper bound with only this observation
+		want uint64 // p50 with only this observation
 	}{
-		{0, 1}, // sub-microsecond
-		{1, 2}, // [1,2)
-		{2, 4}, // [2,4)
-		{3, 4}, // [2,4)
-		{4, 8}, // [4,8)
+		{0, 1}, // [0, 1]
+		{1, 1},
+		{2, 2}, // (1, 2]
+		{3, 4}, // (2, 4]
+		{4, 4},
+		{5, 8},
 		{1023, 1024},
-		{1024, 2048},
+		{1024, 1024},
+		{1025, 2048},
 	}
 	for _, c := range cases {
-		var h histogram
-		h.observe(c.us)
-		if got := h.percentiles(0.5)[0]; got != c.want {
+		lat := observed(c.us).servedLatency()
+		if got := lat.Quantile(0.5); got != c.want {
 			t.Errorf("observe(%d): p50 = %d, want %d", c.us, got, c.want)
 		}
-	}
-}
-
-func TestHistogramOverflowBucket(t *testing.T) {
-	var h histogram
-	// Larger than the final bucket's nominal range (~2^39 µs): must clamp
-	// into the last bucket, not index out of bounds.
-	h.observe(1 << 50)
-	h.observe(^uint64(0))
-	p := h.percentiles(0.5, 0.999)
-	wantUpper := bucketUpperUS(len(h.buckets) - 1)
-	for i, v := range p {
-		if v != wantUpper {
-			t.Errorf("quantile %d = %d, want overflow-bucket bound %d", i, v, wantUpper)
-		}
-	}
-	if n := h.count.Load(); n != 2 {
-		t.Errorf("count = %d, want 2", n)
-	}
-}
-
-func TestHistogramQuantileRankBoundaries(t *testing.T) {
-	var h histogram
-	// 99 fast observations and 1 slow one: p99 must land on the slow
-	// bucket boundary behavior exactly (rank 99 of 0..99 is the slow one).
-	for i := 0; i < 99; i++ {
-		h.observe(10) // bucket upper bound 16
-	}
-	h.observe(1 << 20) // bucket upper bound 2^21
-	p := h.percentiles(0.50, 0.98, 0.99, 1.0)
-	if p[0] != 16 || p[1] != 16 {
-		t.Errorf("p50/p98 = %d/%d, want 16/16", p[0], p[1])
-	}
-	if p[2] != 1<<21 {
-		t.Errorf("p99 = %d, want %d (the slow observation)", p[2], 1<<21)
-	}
-	// q=1.0 clamps to the last recorded rank instead of reading past it.
-	if p[3] != 1<<21 {
-		t.Errorf("p100 = %d, want %d", p[3], 1<<21)
-	}
-}
-
-func TestHistogramConcurrent(t *testing.T) {
-	var h histogram
-	const workers, perWorker = 8, 10000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				h.observe(uint64(i % 4096))
-				if i%512 == 0 {
-					h.percentiles(0.5, 0.99) // concurrent reads must not race
-					h.meanUS()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if n := h.count.Load(); n != workers*perWorker {
-		t.Errorf("count = %d, want %d", n, workers*perWorker)
-	}
-	_, total := h.snapshotCounts()
-	if total != workers*perWorker {
-		t.Errorf("bucket sum = %d, want %d", total, workers*perWorker)
-	}
-	// All observations < 4096 µs, so every quantile is ≤ 4096.
-	if p := h.percentiles(0.999)[0]; p > 4096 {
-		t.Errorf("p99.9 = %d, want ≤ 4096", p)
 	}
 }

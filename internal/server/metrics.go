@@ -164,6 +164,21 @@ func (m *serverMetrics) observeQuery(ep endpointID, a algoID, us uint64) {
 	m.latency[ep][a].Observe(us)
 }
 
+// servedLatency sums every registered latency series (the query
+// endpoints' only) into one read, the source of /v1/stats' latency
+// summary.
+func (m *serverMetrics) servedLatency() telemetry.Buckets {
+	var b telemetry.Buckets
+	for _, byAlgo := range m.latency {
+		for _, h := range byAlgo {
+			if h != nil {
+				h.AddTo(&b)
+			}
+		}
+	}
+	return b
+}
+
 // runtimeSampler batches runtime/metrics reads: every gauge closure on
 // the scrape path shares one sample at most sampleTTL old, so a scrape
 // with several runtime gauges pays one metrics read, not one per gauge.

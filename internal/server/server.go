@@ -159,7 +159,6 @@ type Server struct {
 	generation atomic.Uint64
 
 	stats statsCounters
-	hist  histogram
 	mux   *http.ServeMux
 
 	// Observability plane, built once by initTelemetry: the Prometheus

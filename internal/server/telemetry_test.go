@@ -9,7 +9,10 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -336,6 +339,79 @@ func TestStatsRuntimeBlock(t *testing.T) {
 	}
 	if st.Runtime.UptimeSeconds <= 0 {
 		t.Errorf("uptime = %v", st.Runtime.UptimeSeconds)
+	}
+}
+
+// TestStatsLatencyMatchesMetrics checks that /v1/stats' latency_us is
+// a read of the gnn_request_duration_us histograms /metrics exposes:
+// its percentiles are the quantiles a scraper computes from the summed
+// cumulative buckets of every endpoint × algorithm series, and its mean
+// is their summed _sum over their summed _count.
+func TestStatsLatencyMatchesMetrics(t *testing.T) {
+	path, _ := buildSnapshot(t, t.TempDir(), "lat.snap", 3000, 19)
+	_, ts := newSnapshotServer(t, path, nil)
+	for i, algo := range []string{"mbm", "mbm", "mbm", "mqm", "spm", "brute", "mbm", "mqm"} {
+		b := queryBody(false)
+		b["algo"] = algo
+		if code := postQuery(t, ts.URL, b, nil); code != 200 {
+			t.Fatalf("query %d (%s): status %d", i, algo, code)
+		}
+	}
+	query := [][]float64{{100, 100}, {200, 250}}
+	if code := postJSON(t, ts.Client(), ts.URL+"/v1/batch",
+		BatchRequest{Queries: [][][]float64{query, query, query}, K: 2}, nil); code != 200 {
+		t.Fatalf("batch: status %d", code)
+	}
+
+	st := getStats(t, ts)
+	lat := fetchFamilies(t, ts.URL)["gnn_request_duration_us"]
+	cum := map[string]float64{} // le → cumulative count over every series
+	var sum, count float64
+	for _, s := range lat.Samples {
+		switch s.Name {
+		case "gnn_request_duration_us_bucket":
+			cum[s.Labels["le"]] += s.Value
+		case "gnn_request_duration_us_sum":
+			sum += s.Value
+		case "gnn_request_duration_us_count":
+			count += s.Value
+		}
+	}
+	if count != 9 || cum["+Inf"] != count {
+		t.Fatalf("/metrics counts %v served queries (+Inf bucket %v), want 9", count, cum["+Inf"])
+	}
+	var bounds []float64
+	for le := range cum {
+		if le != "+Inf" {
+			v, err := strconv.ParseFloat(le, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bounds = append(bounds, v)
+		}
+	}
+	sort.Float64s(bounds)
+	quantile := func(q float64) uint64 {
+		rank := math.Min(math.Floor(q*count), count-1)
+		for _, b := range bounds {
+			if cum[strconv.FormatFloat(b, 'f', -1, 64)] > rank {
+				return uint64(b)
+			}
+		}
+		t.Fatalf("no bucket holds rank %v", rank)
+		return 0
+	}
+	for _, c := range []struct {
+		name string
+		got  uint64
+		q    float64
+	}{{"p50", st.LatencyUS.P50, 0.50}, {"p99", st.LatencyUS.P99, 0.99}, {"p999", st.LatencyUS.P999, 0.999}} {
+		if want := quantile(c.q); c.got != want {
+			t.Errorf("/v1/stats %s = %d µs, /metrics quantile %d µs", c.name, c.got, want)
+		}
+	}
+	if want := sum / count; st.LatencyUS.Mean != want {
+		t.Errorf("/v1/stats mean = %v µs, /metrics _sum/_count = %v µs", st.LatencyUS.Mean, want)
 	}
 }
 

@@ -17,12 +17,13 @@
 //
 // Exposition (Registry.WritePrometheus) renders the standard text
 // format: one # HELP / # TYPE header per family followed by its
-// series. Histograms use the same power-of-2 microsecond buckets as
-// the serving layer's latency histogram (NumBuckets cells,
-// BucketUpperUS bounds) and emit cumulative _bucket{le="..."} lines,
-// _sum and _count. Durations are exposed in microseconds — integral
-// bucket bounds, no float rounding — and the metric names carry the
-// _us suffix so the unit is explicit.
+// series. Histograms use power-of-2 microsecond buckets (NumBuckets
+// cells, BucketUpperUS bounds) and emit cumulative _bucket{le="..."}
+// lines, _sum and _count. Durations are exposed in microseconds —
+// integral bucket bounds, no float rounding — and the metric names
+// carry the _us suffix so the unit is explicit. Buckets reads the same
+// counts back in-process, summed over any set of series, for quantile
+// summaries that agree with what a scraper computes.
 //
 // ParseText (parse.go) is the matching minimal parser; CI round-trips
 // every emitted line through it so the exposition can never drift
@@ -42,9 +43,9 @@ import (
 )
 
 // NumBuckets is the number of histogram buckets. Bucket i covers
-// (BucketUpperUS(i-1), BucketUpperUS(i)] microseconds; the last bucket
-// is the overflow cell. 40 power-of-2 buckets span 1µs..~9min, the
-// same scheme as the serving layer's latency histogram.
+// (BucketUpperUS(i-1), BucketUpperUS(i)] microseconds (bucket 0 is
+// [0, 1]); the last bucket is the overflow cell, past 2^38 µs (~3
+// days).
 const NumBuckets = 40
 
 // BucketUpperUS returns the inclusive upper bound, in microseconds, of
@@ -122,6 +123,65 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // SumUS returns the sum of all observations in microseconds.
 func (h *Histogram) SumUS() uint64 { return h.sumUS.Load() }
+
+// AddTo adds h's bucket counts and sum into b. The read is not atomic
+// across buckets, so under concurrent recording a summary is
+// approximate, which is all a monitoring read needs.
+func (h *Histogram) AddTo(b *Buckets) {
+	for i := range h.buckets {
+		b.Counts[i] += h.buckets[i].Load()
+	}
+	b.SumUS += h.sumUS.Load()
+}
+
+// Buckets is an in-process read of histogram counts, summed over the
+// Histograms added to it (AddTo): the histogram of their union.
+type Buckets struct {
+	Counts [NumBuckets]uint64
+	SumUS  uint64
+}
+
+// Total returns the number of observations counted.
+func (b *Buckets) Total() uint64 {
+	var n uint64
+	for _, c := range b.Counts {
+		n += c
+	}
+	return n
+}
+
+// MeanUS returns the mean observation in microseconds, 0 when empty.
+func (b *Buckets) MeanUS() float64 {
+	n := b.Total()
+	if n == 0 {
+		return 0
+	}
+	return float64(b.SumUS) / float64(n)
+}
+
+// Quantile returns the q-quantile in microseconds as the upper bound of
+// the bucket holding rank ⌊q·total⌋ (clamped to the last observation):
+// at most a 2× overestimate, monotone in q, and the value a scraper
+// reads off the cumulative le buckets. An observation of exactly 2^i µs
+// reports 2^i. Returns 0 when empty.
+func (b *Buckets) Quantile(q float64) uint64 {
+	total := b.Total()
+	if total == 0 {
+		return 0
+	}
+	rank := uint64(q * float64(total))
+	if rank >= total {
+		rank = total - 1
+	}
+	var cum uint64
+	for i, c := range b.Counts {
+		cum += c
+		if cum > rank {
+			return BucketUpperUS(i)
+		}
+	}
+	return BucketUpperUS(NumBuckets - 1)
+}
 
 // metricKind tags a series with its exposition TYPE.
 type metricKind uint8
@@ -370,20 +430,17 @@ func writeSample(b *strings.Builder, name, labels, value string) {
 }
 
 func writeHistogram(b *strings.Builder, name, labels string, h *Histogram) {
-	// Snapshot buckets first, then count: Observe increments the bucket
-	// before the count, so this ordering can only under-report the
-	// cumulative tail, never emit a _count above the +Inf bucket.
-	var counts [NumBuckets]uint64
-	for i := range counts {
-		counts[i] = h.buckets[i].Load()
-	}
+	// _count is the cumulative bucket total of the same read, so it can
+	// never disagree with the +Inf bucket.
+	var read Buckets
+	h.AddTo(&read)
 	var cum uint64
-	for i := 0; i < NumBuckets; i++ {
-		cum += counts[i]
+	for i, c := range read.Counts {
+		cum += c
 		writeSample(b, name+"_bucket", mergeLabels(labels, "le", strconv.FormatUint(BucketUpperUS(i), 10)), strconv.FormatUint(cum, 10))
 	}
 	writeSample(b, name+"_bucket", mergeLabels(labels, "le", "+Inf"), strconv.FormatUint(cum, 10))
-	writeSample(b, name+"_sum", labels, strconv.FormatUint(h.SumUS(), 10))
+	writeSample(b, name+"_sum", labels, strconv.FormatUint(read.SumUS, 10))
 	writeSample(b, name+"_count", labels, strconv.FormatUint(cum, 10))
 }
 

@@ -262,3 +262,108 @@ func TestRecordingDoesNotAllocate(t *testing.T) {
 		t.Fatalf("hot-path recording allocates %.1f allocs/op, want 0", n)
 	}
 }
+
+// read returns h's in-process bucket read.
+func read(h *Histogram) Buckets {
+	var b Buckets
+	h.AddTo(&b)
+	return b
+}
+
+func TestHistogramEmpty(t *testing.T) {
+	var h Histogram
+	b := read(&h)
+	for _, q := range []float64{0.50, 0.99, 0.999} {
+		if v := b.Quantile(q); v != 0 {
+			t.Errorf("quantile %v = %d on empty histogram, want 0", q, v)
+		}
+	}
+	if m := b.MeanUS(); m != 0 {
+		t.Errorf("mean = %v on empty histogram, want 0", m)
+	}
+}
+
+func TestHistogramSingleObservation(t *testing.T) {
+	var h Histogram
+	h.Observe(100) // bucket 7: (64, 128]
+	b := read(&h)
+	for _, q := range []float64{0.0, 0.50, 0.99, 0.999} {
+		if v := b.Quantile(q); v != 128 {
+			t.Errorf("quantile %v = %d, want 128 (the single bucket's upper bound)", q, v)
+		}
+	}
+	if m := b.MeanUS(); m != 100 {
+		t.Errorf("mean = %v, want 100", m)
+	}
+}
+
+func TestHistogramQuantileRankBoundaries(t *testing.T) {
+	var h Histogram
+	// 99 fast observations and 1 slow one: rank 99 of 0..99 is the slow
+	// one, so p99 lands exactly on its bucket.
+	for i := 0; i < 99; i++ {
+		h.Observe(10) // bucket (8, 16]
+	}
+	h.Observe(1 << 20) // bucket (2^19, 2^20]: an exact power reports itself
+	b := read(&h)
+	if p50, p98 := b.Quantile(0.50), b.Quantile(0.98); p50 != 16 || p98 != 16 {
+		t.Errorf("p50/p98 = %d/%d, want 16/16", p50, p98)
+	}
+	if p := b.Quantile(0.99); p != 1<<20 {
+		t.Errorf("p99 = %d, want %d (the slow observation)", p, 1<<20)
+	}
+	// q = 1.0 clamps to the last recorded rank instead of reading past it.
+	if p := b.Quantile(1.0); p != 1<<20 {
+		t.Errorf("p100 = %d, want %d", p, 1<<20)
+	}
+}
+
+func TestHistogramOverflowBucket(t *testing.T) {
+	var h Histogram
+	// Past the last finite bucket (2^38 µs): both land in the overflow
+	// cell, not out of bounds.
+	h.Observe(1 << 50)
+	h.Observe(math.MaxUint64)
+	b := read(&h)
+	want := BucketUpperUS(NumBuckets - 1)
+	for _, q := range []float64{0.5, 0.999} {
+		if v := b.Quantile(q); v != want {
+			t.Errorf("quantile %v = %d, want overflow-bucket bound %d", q, v, want)
+		}
+	}
+	if n := h.Count(); n != 2 {
+		t.Errorf("count = %d, want 2", n)
+	}
+}
+
+func TestHistogramConcurrent(t *testing.T) {
+	var h Histogram
+	const workers, perWorker = 8, 10000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				h.Observe(uint64(i % 4096))
+				if i%512 == 0 {
+					b := read(&h) // concurrent reads must not race
+					b.Quantile(0.5)
+					b.MeanUS()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := h.Count(); n != workers*perWorker {
+		t.Errorf("count = %d, want %d", n, workers*perWorker)
+	}
+	b := read(&h)
+	if n := b.Total(); n != workers*perWorker {
+		t.Errorf("bucket sum = %d, want %d", n, workers*perWorker)
+	}
+	// All observations are < 4096 µs, so every quantile is ≤ 4096.
+	if p := b.Quantile(0.999); p > 4096 {
+		t.Errorf("p99.9 = %d, want ≤ 4096", p)
+	}
+}

@@ -3,6 +3,7 @@
 package gnn_test
 
 import (
+	"io"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -115,6 +116,68 @@ func TestCompactedMappedHeap(t *testing.T) {
 	}
 	if budget := 4 * arena; alloc > budget {
 		t.Errorf("one Compact allocated %d B, over 4 × arena = %d B", alloc, budget)
+	}
+}
+
+// TestMappedOpenFraction pins the zero-copy open's latency contract: a
+// mapped open validates the frame and adopts the file's sections in
+// place (checksums wait for the first query), so it costs at most a
+// tenth of a copying load of the same file, plain and sharded. The two
+// sides alternate in one process and each keeps its fastest open, so
+// the fraction does not depend on the host's speed.
+func TestMappedOpenFraction(t *testing.T) {
+	const n, shards, rounds, maxFraction = 100_000, 4, 5, 0.10
+	dir := t.TempDir()
+	pts := randGroup(rand.New(rand.NewSource(47)), n)
+	ix, err := gnn.BuildIndex(pts, nil, gnn.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sx, err := gnn.BuildShardedIndex(pts, nil, shards, gnn.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sx.Close()
+	kinds := []struct {
+		name       string
+		path       string
+		load, open func(string) (io.Closer, error)
+	}{
+		{"plain", writeSnapFile(t, dir, "plain.snap", ix.WriteSnapshotFile),
+			func(p string) (io.Closer, error) { return gnn.OpenSnapshotFile(p) },
+			func(p string) (io.Closer, error) { return gnn.OpenSnapshotMapped(p) }},
+		{"sharded", writeSnapFile(t, dir, "sharded.snap", sx.WriteSnapshotFile),
+			func(p string) (io.Closer, error) { return gnn.OpenShardedSnapshotFile(p) },
+			func(p string) (io.Closer, error) { return gnn.OpenShardedSnapshotMapped(p) }},
+	}
+	timed := func(open func(string) (io.Closer, error), path string) time.Duration {
+		start := time.Now()
+		c, err := open(path)
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return elapsed
+	}
+	for _, k := range kinds {
+		var load, open time.Duration
+		for i := 0; i < rounds; i++ {
+			l, o := timed(k.load, k.path), timed(k.open, k.path)
+			if i == 0 || l < load {
+				load = l
+			}
+			if i == 0 || o < open {
+				open = o
+			}
+		}
+		frac := float64(open) / float64(load)
+		t.Logf("%s: mapped open %v, copying load %v, fraction %.4f", k.name, open, load, frac)
+		if frac > maxFraction {
+			t.Errorf("%s: mapped open is %.4f of the copying load, want ≤ %.2f", k.name, frac, maxFraction)
+		}
 	}
 }
 

@@ -311,6 +311,11 @@ func TestMappedCorruption(t *testing.T) {
 		t.Fatalf("WriteSnapshot on corrupt mapping: got %v", err)
 	}
 	mx.Close()
+	cx, err := gnn.OpenSnapshotMapped(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireCompactionRefusesCorruptBase(t, "mx", p, cx)
 
 	// WithEagerVerify surfaces the same corruption at open time.
 	if _, err := gnn.OpenSnapshotMapped(p, gnn.WithEagerVerify()); !errors.Is(err, gnn.ErrSnapshotChecksum) {
@@ -361,8 +366,57 @@ func TestMappedCorruption(t *testing.T) {
 		t.Fatalf("first sharded query on corrupt mapping: got %v", err)
 	}
 	smx.Close()
+	scx, err := gnn.OpenShardedSnapshotMapped(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireCompactionRefusesCorruptBase(t, "smx", sp, scx)
 	if _, err := gnn.OpenShardedSnapshotMapped(sp, gnn.WithEagerVerify()); !errors.Is(err, gnn.ErrSnapshotChecksum) {
 		t.Fatalf("eager sharded open of corrupt snapshot: got %v", err)
+	}
+}
+
+// requireCompactionRefusesCorruptBase drives the daemon's default on a
+// payload-corrupt file: a lazy mapped open that is never queried, a
+// compactor rotating into that same file, one insert, then a cycle. The
+// cycle must fail with the verification error and change nothing: no
+// swap (Len keeps the base), and no rotation over the served file.
+func requireCompactionRefusesCorruptBase(t *testing.T, label, path string, ix interface {
+	mutable
+	Len() int
+	Stats() gnn.Stats
+	StartCompactor(gnn.CompactorConfig) error
+	Compact() error
+	Close() error
+}) {
+	t.Helper()
+	defer ix.Close()
+	onDisk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.StartCompactor(gnn.CompactorConfig{Path: path}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Insert(gnn.Point{1, 2}, 9001); err != nil {
+		t.Fatalf("%s: insert on a lazily mapped index: %v", label, err)
+	}
+	n := ix.Len()
+	if err := ix.Compact(); !errors.Is(err, gnn.ErrSnapshotChecksum) {
+		t.Fatalf("%s: compaction of a corrupt mapped base: got %v, want ErrSnapshotChecksum", label, err)
+	}
+	if ix.Stats().LastCompactionError == "" {
+		t.Errorf("%s: the failed cycle left no LastCompactionError", label)
+	}
+	if got := ix.Len(); got != n {
+		t.Errorf("%s: Len %d after the failed cycle, want %d", label, got, n)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, onDisk) {
+		t.Errorf("%s: the failed cycle rewrote the served file (%d bytes, was %d)", label, len(after), len(onDisk))
 	}
 }
 

@@ -78,7 +78,9 @@ type queryConfig struct {
 	region      *geom.Rect
 	parallelism int
 	shards      int
-	genericMax  bool
+	// genericMax is set only by the test-only WithGenericMax
+	// (export_test.go), the reference path of the MAX differential suites.
+	genericMax bool
 	// probe, when non-nil, collects the diagnostics GroupNNExplain
 	// reports: pruning counters, per-stage wall times and execution
 	// provenance. It is set only by the explain entry points — plain
@@ -105,14 +107,6 @@ func WithAggregate(a Aggregate) QueryOption { return func(c *queryConfig) { c.ag
 // WithDepthFirst switches SPM/MBM to depth-first traversal (best-first is
 // the default, as in the paper's experiments).
 func WithDepthFirst() QueryOption { return func(c *queryConfig) { c.depthFirst = true } }
-
-// WithGenericMax forces WithAggregate(MaxDist) queries onto the generic
-// per-member pruning bounds instead of the dedicated minimum-enclosing-
-// ball kernel MBM dispatches to by default. Results are identical either
-// way — only node accesses differ (the dedicated kernel's are never
-// higher). The knob exists for differential testing and benchmarking; it
-// has no effect on SUM or MIN queries.
-func WithGenericMax() QueryOption { return func(c *queryConfig) { c.genericMax = true } }
 
 // WithWeights assigns a positive weight per query point, making the
 // aggregate Σᵢ wᵢ·|p qᵢ| (or the weighted max/min). The slice must match

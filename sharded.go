@@ -628,6 +628,11 @@ func (sx *ShardedIndex) compactOnce() (err error) {
 		sx.compactErr.Store(&msg)
 	}()
 
+	// Verify a lazily mapped base before folding it; see
+	// Index.compactOnce.
+	if err := v.set.Prepare(); err != nil {
+		return fmt.Errorf("gnn: compact: %w", err)
+	}
 	// Re-partition off the write lock: writers and readers proceed
 	// against the captured view while this runs.
 	coords, ids := gatherLive(v.set, v.ov)
