@@ -12,8 +12,12 @@
 package gnn_test
 
 import (
+	"math"
+	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"gnn"
 	"gnn/internal/core"
@@ -57,11 +61,11 @@ func benchTree(b *testing.B, ds string) *rtree.Packed {
 // packPoints STR-packs pts under cfg.
 func packPoints(b *testing.B, cfg rtree.Config, pts []geom.Point) *rtree.Packed {
 	b.Helper()
-	coords, err := rtree.Flatten(cfg, pts)
+	cols, err := rtree.Columns(cfg, pts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := rtree.PackSTR(cfg, coords, nil)
+	p, err := rtree.PackSTR(cfg, cols, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -377,7 +381,82 @@ func BenchmarkIndexBuild(b *testing.B) {
 			}
 		}
 	})
+	// The loads of perfbench's TS workloads at their scale (194,971
+	// points): the plain and the 4-shard build, and one compaction of a
+	// mapped index folding 1% inserts and 1% deletes.
+	b.Run("TS/BuildIndex", func(b *testing.B) {
+		pts := tsPoints()
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := gnn.BuildIndex(pts, nil, gnn.IndexConfig{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("TS/BuildShardedIndex4", func(b *testing.B) {
+		pts := tsPoints()
+		b.ReportAllocs()
+		for b.Loop() {
+			sx, err := gnn.BuildShardedIndex(pts, nil, 4, gnn.IndexConfig{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			sx.Close()
+		}
+	})
+	b.Run("TS/Compact", func(b *testing.B) {
+		pts := tsPoints()
+		ix, err := gnn.BuildIndex(pts, nil, gnn.IndexConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		path := filepath.Join(b.TempDir(), "ts.snap")
+		if err := ix.WriteSnapshotFile(path); err != nil {
+			b.Fatal(err)
+		}
+		ix = nil
+		rng := rand.New(rand.NewSource(1))
+		writes := len(pts) / 100
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			mx, err := gnn.OpenSnapshotMapped(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := mx.StartCompactor(gnn.CompactorConfig{Threshold: math.MaxInt, Interval: time.Hour}); err != nil {
+				b.Fatal(err)
+			}
+			for j := 0; j < writes; j++ {
+				p := gnn.Point{rng.Float64() * dataset.WorkspaceSize, rng.Float64() * dataset.WorkspaceSize}
+				if err := mx.Insert(p, int64(len(pts)+j)); err != nil {
+					b.Fatal(err)
+				}
+				if victim := j * 100; !mx.Delete(pts[victim], int64(victim)) {
+					b.Fatalf("delete of base point %d failed", victim)
+				}
+			}
+			b.StartTimer()
+			if err := mx.Compact(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			mx.Close()
+			b.StartTimer()
+		}
+	})
 }
+
+// tsPoints is TS at full scale, the dataset of perfbench's two TS
+// workloads, as public points.
+var tsPoints = sync.OnceValue(func() []gnn.Point {
+	d := dataset.GenerateTS(1)
+	pts := make([]gnn.Point, len(d.Points))
+	for i, p := range d.Points {
+		pts[i] = gnn.Point(p)
+	}
+	return pts
+})
 
 func BenchmarkPointNN(b *testing.B) {
 	rd := benchTree(b, "TS").Reader(nil)

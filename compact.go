@@ -217,8 +217,11 @@ func (ix *Index) compactOnce() (err error) {
 	}
 	// Build the replacement base off the write lock: writers and readers
 	// proceed against the captured view while this runs.
-	coords, ids := gatherLive(v.packed, v.ov)
-	np, err := rtree.PackSTR(ix.rcfg, coords, ids)
+	cols, ids, err := liveColumns([]*rtree.Packed{v.packed}, v.ov)
+	if err != nil {
+		return fmt.Errorf("gnn: compact: %w", err)
+	}
+	np, err := rtree.PackSTR(ix.rcfg, cols, ids)
 	if err != nil {
 		return fmt.Errorf("gnn: compact: %w", err)
 	}

@@ -2,6 +2,7 @@ package gnn
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -10,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"gnn/internal/geom"
+	"gnn/internal/rtree"
 )
 
 // TestCompactionMatchesFreshBuild pins what a compaction hands back: the
@@ -71,19 +72,18 @@ func TestCompactionMatchesFreshBuild(t *testing.T) {
 			// multiset is the surviving base slots, then the inserts.
 			var livePts []Point
 			var liveIDs []int64
-			slot := 0
-			ix.view.Load().packed.All(func(p geom.Point, id int64) bool {
+			base := ix.view.Load().packed
+			for slot, id := range base.IDs() {
+				p := Point(base.PointInto(int32(slot), nil))
 				if slot%7 == 0 {
-					if !ix.Delete(Point(p), id) {
+					if !ix.Delete(p, id) {
 						t.Fatalf("delete of base point %d failed", id)
 					}
 				} else {
-					livePts = append(livePts, Point(p.Clone()))
+					livePts = append(livePts, p)
 					liveIDs = append(liveIDs, id)
 				}
-				slot++
-				return true
-			})
+			}
 			for i, p := range ins {
 				if err := ix.Insert(p, int64(n+i)); err != nil {
 					t.Fatal(err)
@@ -141,5 +141,168 @@ func TestCompactionMatchesFreshBuild(t *testing.T) {
 					gcp, gcpCost, gcpErr, wantGCP, wantGCPCost, err)
 			}
 		})
+	}
+}
+
+// folding is what TestFoldsMatchFreshBuild drives on both index kinds.
+type folding interface {
+	Insert(p Point, id int64) error
+	Delete(p Point, id int64) bool
+	StartCompactor(cfg CompactorConfig) error
+	Compact() error
+	WriteSnapshot(w io.Writer) error
+	Close() error
+}
+
+// TestFoldsMatchFreshBuild pins what a fold hands back on both index
+// kinds, built and mapped, over the shapes an in-place bulk load must
+// get right: a random mix of deletes and inserts (one folded delta tree
+// and a pending tail), every point deleted, fewer live points than
+// shards (2 of 4), and a (point, id) stored twice with one copy
+// deleted. For each, the snapshot WriteSnapshot writes of the view with
+// its writes still in the overlay, the snapshot after Compact and the
+// file the compactor rotates are all byte for byte the snapshot of a
+// fresh BuildIndex or BuildShardedIndex over the live multiset in the
+// order compaction gathers it: base slots in shard then slot order,
+// each delete masking the first live copy of its (point, id), then the
+// inserts.
+func TestFoldsMatchFreshBuild(t *testing.T) {
+	const shards = 4
+	cfg := IndexConfig{NodeCapacity: 8}
+	rng := rand.New(rand.NewSource(59))
+	random := func(n int) []Point {
+		pts := make([]Point, n)
+		for i := range pts {
+			pts[i] = Point{rng.Float64() * 1000, rng.Float64() * 1000}
+		}
+		return pts
+	}
+	dup := random(60)
+	dup[41] = dup[17]
+	dupIDs := make([]int64, len(dup))
+	for i := range dupIDs {
+		dupIDs[i] = int64(i)
+	}
+	dupIDs[41] = 17
+	shapes := []struct {
+		name string
+		pts  []Point
+		ids  []int64
+		// del reports whether the base point at gather position i, the
+		// copy-th one gathered with its id, is deleted.
+		del func(i int, id int64, copy int) bool
+		ins []Point
+	}{
+		{"mixed", random(3000), nil, func(i int, _ int64, _ int) bool { return i%7 == 0 }, random(2*pendFold - 10)},
+		{"all-deleted", random(300), nil, func(int, int64, int) bool { return true }, nil},
+		{"fewer-than-shards", random(40), nil, func(i int, _ int64, _ int) bool { return i != 5 && i != 30 }, nil},
+		{"duplicate", dup, dupIDs, func(_ int, id int64, copy int) bool { return id == 17 && copy == 0 }, nil},
+	}
+	type kind struct {
+		name  string
+		build func(pts []Point, ids []int64) (folding, error)
+		open  func(path string) (folding, error)
+		// base returns a fresh index's base arenas in gather order.
+		base func(ix folding) []*rtree.Packed
+	}
+	kinds := []kind{
+		{"plain",
+			func(pts []Point, ids []int64) (folding, error) { return BuildIndex(pts, ids, cfg) },
+			func(path string) (folding, error) { return OpenSnapshotMapped(path) },
+			func(ix folding) []*rtree.Packed { return []*rtree.Packed{ix.(*Index).view.Load().packed} }},
+		{"sharded",
+			func(pts []Point, ids []int64) (folding, error) { return BuildShardedIndex(pts, ids, shards, cfg) },
+			func(path string) (folding, error) { return OpenShardedSnapshotMapped(path) },
+			func(ix folding) []*rtree.Packed { return ix.(*ShardedIndex).view.Load().set.Arenas() }},
+	}
+	snap := func(t *testing.T, ix folding) []byte {
+		t.Helper()
+		var b bytes.Buffer
+		if err := ix.WriteSnapshot(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	for _, sh := range shapes {
+		for _, k := range kinds {
+			built, err := k.build(sh.pts, sh.ids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			path := filepath.Join(dir, "base.snap")
+			if err := os.WriteFile(path, snap(t, built), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			// The live multiset in gather order.
+			var livePts, delPts []Point
+			var liveIDs, delIDs []int64
+			i, copies := 0, map[int64]int{}
+			for _, base := range k.base(built) {
+				for s, id := range base.IDs() {
+					p := Point(base.PointInto(int32(s), nil))
+					copies[id]++
+					if sh.del(i, id, copies[id]-1) {
+						delPts, delIDs = append(delPts, p), append(delIDs, id)
+					} else {
+						livePts, liveIDs = append(livePts, p), append(liveIDs, id)
+					}
+					i++
+				}
+			}
+			for j, p := range sh.ins {
+				livePts, liveIDs = append(livePts, p), append(liveIDs, int64(len(sh.pts)+j))
+			}
+			built.Close()
+			fresh, err := k.build(livePts, liveIDs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := snap(t, fresh)
+			fresh.Close()
+
+			for _, o := range []struct {
+				name string
+				open func() (folding, error)
+			}{
+				{"built", func() (folding, error) { return k.build(sh.pts, sh.ids) }},
+				{"mapped", func() (folding, error) { return k.open(path) }},
+			} {
+				t.Run(sh.name+"/"+k.name+"/"+o.name, func(t *testing.T) {
+					ix, err := o.open()
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer ix.Close()
+					rotated := filepath.Join(dir, o.name+"-rotated.snap")
+					err = ix.StartCompactor(CompactorConfig{Threshold: math.MaxInt, Interval: time.Hour, Path: rotated})
+					if err != nil {
+						t.Fatal(err)
+					}
+					for j, p := range delPts {
+						if !ix.Delete(p, delIDs[j]) {
+							t.Fatalf("delete of base point %d failed", delIDs[j])
+						}
+					}
+					for j, p := range sh.ins {
+						if err := ix.Insert(p, int64(len(sh.pts)+j)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if got := snap(t, ix); !bytes.Equal(got, want) {
+						t.Fatalf("snapshot of the view with overlay writes (%d B) differs from a fresh build's (%d B)", len(got), len(want))
+					}
+					if err := ix.Compact(); err != nil {
+						t.Fatal(err)
+					}
+					if got := snap(t, ix); !bytes.Equal(got, want) {
+						t.Fatalf("compacted snapshot (%d B) differs from a fresh build's (%d B)", len(got), len(want))
+					}
+					if file, err := os.ReadFile(rotated); err != nil || !bytes.Equal(file, want) {
+						t.Fatalf("rotated snapshot differs from a fresh build's (err %v)", err)
+					}
+				})
+			}
+		}
 	}
 }

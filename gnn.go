@@ -68,6 +68,7 @@ package gnn
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -315,11 +316,11 @@ func NewIndex(cfg IndexConfig) (*Index, error) {
 // packing. ids[i] identifies points[i]; pass nil to use the slice index.
 func BuildIndex(points []Point, ids []int64, cfg IndexConfig) (*Index, error) {
 	acct, rcfg := indexConfig(cfg)
-	coords, err := rtree.Flatten(rcfg, points)
+	cols, err := rtree.Columns(rcfg, points)
 	if err != nil {
 		return nil, err
 	}
-	p, err := rtree.PackSTR(rcfg, coords, ids)
+	p, err := rtree.PackSTR(rcfg, cols, slices.Clone(ids))
 	if err != nil {
 		return nil, err
 	}

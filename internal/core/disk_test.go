@@ -15,11 +15,11 @@ import (
 func buildTreeIDs(t testing.TB, pts []geom.Point) *rtree.Packed {
 	t.Helper()
 	cfg := rtree.Config{MaxEntries: 10}
-	coords, err := rtree.Flatten(cfg, pts)
+	cols, err := rtree.Columns(cfg, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := rtree.PackSTR(cfg, coords, nil)
+	p, err := rtree.PackSTR(cfg, cols, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,11 +129,11 @@ func (e *Env) buildTree(d *dataset.Dataset, firstPage pagestore.PageID) (*rtree.
 		Accountant: pagestore.NewAccountant(e.cfg.BufferPages),
 		FirstPage:  firstPage,
 	}
-	coords, err := rtree.Flatten(cfg, d.Points)
+	cols, err := rtree.Columns(cfg, d.Points)
 	if err != nil {
 		return nil, err
 	}
-	return rtree.PackSTR(cfg, coords, nil)
+	return rtree.PackSTR(cfg, cols, nil)
 }
 
 // scaledQuerySet returns the query dataset (named src) affinely mapped

@@ -161,9 +161,9 @@ func (m *Mapper) Value(x, y float64) uint64 {
 // value of the coordinates at(i) reports: Perm(...)[rank] is the index of
 // the item with that rank. Equal values keep their input order (stable),
 // so the permutation is deterministic. The positions are the radix sort's
-// own int32 values, so n must not exceed math.MaxInt32. It is the
-// partitioning primitive of the sharded index: contiguous runs of the
-// permutation are spatially coherent chunks of the data set.
+// own int32 values, so n must not exceed math.MaxInt32. The bulk loaders
+// sort their curve values with radix.Sort in buffers they reuse; this is
+// the same order.
 func Perm(n int, m *Mapper, at func(i int) (x, y float64)) []int32 {
 	keys := make([]uint64, n)
 	pos := make([]int32, n)
@@ -177,7 +177,7 @@ func Perm(n int, m *Mapper, at func(i int) (x, y float64)) []int32 {
 
 // SortByValue sorts items in place by ascending Hilbert value of the
 // coordinates that at(i) reports. It is the sorting entry point of MQM,
-// F-MQM and F-MBM; the bulk loaders take Perm's positions directly.
+// F-MQM and F-MBM.
 func SortByValue(n int, m *Mapper, at func(i int) (x, y float64), swap func(i, j int)) {
 	idx := Perm(n, m, at)
 	// Apply the permutation with the provided swap, tracking positions.

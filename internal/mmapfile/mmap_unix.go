@@ -12,14 +12,18 @@ import (
 
 // Open maps the file at path read-only and shared (MAP_SHARED: pages are
 // the page cache itself, so concurrent processes mapping the same file
-// share physical memory). The file descriptor is closed before Open
-// returns — the mapping outlives it.
-func Open(path string) (*File, error) {
+// share physical memory). The file descriptor stays open with the
+// mapping, as ReaderAt.
+func Open(path string) (mf *File, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	st, err := f.Stat()
 	if err != nil {
 		return nil, err
@@ -27,7 +31,7 @@ func Open(path string) (*File, error) {
 	size := st.Size()
 	if size == 0 {
 		// mmap rejects zero-length mappings; an empty view needs no pages.
-		return &File{data: []byte{}, mapped: true}, nil
+		return &File{data: []byte{}, mapped: true, file: f}, nil
 	}
 	if size != int64(int(size)) {
 		return nil, fmt.Errorf("mmapfile: %s is %d bytes, exceeds address space", path, size)
@@ -36,20 +40,25 @@ func Open(path string) (*File, error) {
 	if err != nil {
 		return nil, fmt.Errorf("mmapfile: mmap %s: %w", path, err)
 	}
-	return &File{data: data, mapped: true}, nil
+	return &File{data: data, mapped: true, file: f}, nil
 }
 
-// Close unmaps the view. Any slice still aliasing Data faults on touch
-// afterwards; the caller must order Close after the last reader. Safe
-// on a nil receiver and when called repeatedly.
+// Close unmaps the view and closes its descriptor. Any slice still
+// aliasing Data faults on touch afterwards; the caller must order Close
+// after the last reader. Safe on a nil receiver and when called
+// repeatedly.
 func (f *File) Close() error {
 	if f == nil || f.data == nil {
 		return nil
 	}
-	data := f.data
-	f.data = nil
-	if len(data) == 0 {
-		return nil
+	data, file := f.data, f.file
+	f.data, f.file = nil, nil
+	var err error
+	if len(data) > 0 {
+		err = syscall.Munmap(data)
 	}
-	return syscall.Munmap(data)
+	if cerr := file.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

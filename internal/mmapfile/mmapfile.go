@@ -7,10 +7,31 @@
 // mode is live so callers can surface it.
 package mmapfile
 
+import (
+	"io"
+	"os"
+)
+
 // File is a read-only view of a file's contents.
 type File struct {
 	data   []byte
 	mapped bool
+	// file is the descriptor a mapping was made from, open until Close;
+	// nil in the fallback, whose data is a heap copy.
+	file *os.File
+}
+
+// ReaderAt returns a reader of the file's bytes that does not go through
+// Data: the descriptor the mapping was made from, so reading the whole
+// file (to checksum it, say) faults none of the mapping in. It is still
+// the file that was opened even if another has since been renamed over
+// its path, and it closes with the mapping. nil in the fallback, where
+// Data is a heap copy that is cheap to read in place.
+func (f *File) ReaderAt() io.ReaderAt {
+	if f.file == nil {
+		return nil
+	}
+	return f.file
 }
 
 // Data returns the file contents. With a true mapping the slice aliases

@@ -1,9 +1,11 @@
 // Package radix orders the bulk loaders' points: a stable
-// least-significant-digit radix sort of uint64 keys, each carrying an
-// int32 position. STR sorts the coordinates' order-preserving images
+// least-significant-digit radix sort of int32 positions by a uint64 key
+// column. STR sorts the coordinates' order-preserving images
 // (Float64Key) and the Hilbert packer and shard split sort curve values.
-// A stable sort on the key alone yields exactly the order a stable
-// comparison sort on that key yields.
+// The key column stays where it is, indexed by position, so a sort moves
+// four bytes per point and no key travels with it. A stable sort on the
+// key alone yields exactly the order a stable comparison sort on that
+// key yields.
 package radix
 
 import "math"
@@ -22,67 +24,68 @@ func Float64Key(v float64) uint64 {
 	return b ^ (uint64(int64(b)>>63) | 1<<63)
 }
 
-// Scratch is the buffer Sort moves keys and positions through. The zero
-// value is ready to use; Sort grows it to the longest input it has
-// seen, so one Scratch serves a run of sorts with one allocation.
+// A key is sorted in digits of digitBits bits, least significant first:
+// six passes cover 64 bits, and one pass's counts fit in 8 KiB.
+const (
+	digitBits = 11
+	buckets   = 1 << digitBits
+	digits    = (64 + digitBits - 1) / digitBits
+)
+
+// Scratch is the buffer Sort moves positions through. The zero value is
+// ready to use; Sort grows it to the longest input it has seen, so one
+// Scratch serves a run of sorts with one allocation.
 type Scratch struct {
-	keys []uint64
-	pos  []int32
+	pos []int32
 }
 
-// Sort sorts keys ascending and permutes pos with them: pos[i] travels
-// with keys[i], and equal keys keep their input order. It makes one
-// counting pass, then one scatter pass per 8-bit digit, least
-// significant first, skipping a digit on which every key agrees. s is
-// the scratch; nil allocates one for this call. pos must be as long as
-// keys.
+// Sort orders pos by ascending keys[pos[i]], keeping positions whose
+// keys are equal in their input order. keys is read, never written, and
+// every position must index it; pos may be any sub-slice of a longer
+// permutation, such as one slab of an STR order. Sort makes one counting
+// pass, then one scatter pass per digit, skipping a digit on which every
+// key agrees. s is the scratch; nil allocates one for this call.
 func Sort(keys []uint64, pos []int32, s *Scratch) {
-	n := len(keys)
-	if len(pos) != n {
-		panic("radix: keys and positions differ in length")
-	}
+	n := len(pos)
 	if n < 2 {
 		return
 	}
-	var counts [8][256]int
-	for _, k := range keys {
-		counts[0][byte(k)]++
-		counts[1][byte(k>>8)]++
-		counts[2][byte(k>>16)]++
-		counts[3][byte(k>>24)]++
-		counts[4][byte(k>>32)]++
-		counts[5][byte(k>>40)]++
-		counts[6][byte(k>>48)]++
-		counts[7][byte(k>>56)]++
+	var counts [digits][buckets]uint32
+	for _, p := range pos {
+		k := keys[p]
+		counts[0][k&(buckets-1)]++
+		counts[1][k>>digitBits&(buckets-1)]++
+		counts[2][k>>(2*digitBits)&(buckets-1)]++
+		counts[3][k>>(3*digitBits)&(buckets-1)]++
+		counts[4][k>>(4*digitBits)&(buckets-1)]++
+		counts[5][k>>(5*digitBits)]++
 	}
 	if s == nil {
 		s = new(Scratch)
 	}
-	if len(s.keys) < n {
-		s.keys, s.pos = make([]uint64, n), make([]int32, n)
+	if len(s.pos) < n {
+		s.pos = make([]int32, n)
 	}
-	srcK, srcP := keys, pos
-	dstK, dstP := s.keys[:n], s.pos[:n]
+	src, dst := pos, s.pos[:n]
+	first := keys[pos[0]]
 	for d := range counts {
 		c := &counts[d]
-		shift := 8 * uint(d)
-		if c[byte(srcK[0]>>shift)] == n {
+		shift := digitBits * uint(d)
+		if c[first>>shift&(buckets-1)] == uint32(n) {
 			continue // every key has this digit: the pass moves nothing
 		}
-		next := 0
+		var next uint32
 		for b, m := range c {
 			c[b], next = next, next+m
 		}
-		for i, k := range srcK {
-			b := byte(k >> shift)
-			dstK[c[b]], dstP[c[b]] = k, srcP[i]
+		for _, p := range src {
+			b := keys[p] >> shift & (buckets - 1)
+			dst[c[b]] = p
 			c[b]++
 		}
-		srcK, dstK = dstK, srcK
-		srcP, dstP = dstP, srcP
+		src, dst = dst, src
 	}
-	if &srcK[0] != &keys[0] {
-		copy(keys, srcK)
-		copy(pos, srcP)
+	if &src[0] != &pos[0] {
+		copy(pos, src)
 	}
 }

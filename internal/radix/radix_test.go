@@ -9,46 +9,42 @@ import (
 	"testing"
 )
 
-// pair is one key with the position that must travel with it.
-type pair struct {
-	key uint64
-	pos int32
-}
-
 // referenceSort is the specification of Sort: a stable comparison sort
-// of the pairs by key.
-func referenceSort(keys []uint64, pos []int32) []pair {
-	ps := make([]pair, len(keys))
-	for i := range keys {
-		ps[i] = pair{keys[i], pos[i]}
-	}
-	slices.SortStableFunc(ps, func(a, b pair) int { return cmp.Compare(a.key, b.key) })
-	return ps
+// of the positions by their keys.
+func referenceSort(keys []uint64, pos []int32) []int32 {
+	want := slices.Clone(pos)
+	slices.SortStableFunc(want, func(a, b int32) int { return cmp.Compare(keys[a], keys[b]) })
+	return want
 }
 
-// checkSort sorts copies of keys and pos with s and compares the result
-// with referenceSort, pair for pair.
+// checkSort sorts a copy of pos by keys with s and compares the result
+// with referenceSort, rank for rank. keys must come back unchanged.
 func checkSort(t *testing.T, name string, keys []uint64, pos []int32, s *Scratch) {
 	t.Helper()
 	want := referenceSort(keys, pos)
-	gotK, gotP := slices.Clone(keys), slices.Clone(pos)
-	Sort(gotK, gotP, s)
+	before := slices.Clone(keys)
+	got := slices.Clone(pos)
+	Sort(keys, got, s)
 	for r := range want {
-		if gotK[r] != want[r].key || gotP[r] != want[r].pos {
-			t.Fatalf("%s: rank %d of %d is (%#x, %d), want (%#x, %d)",
-				name, r, len(want), gotK[r], gotP[r], want[r].key, want[r].pos)
+		if got[r] != want[r] {
+			t.Fatalf("%s: rank %d of %d is position %d (key %#x), want %d (key %#x)",
+				name, r, len(want), got[r], keys[got[r]], want[r], keys[want[r]])
 		}
+	}
+	if !slices.Equal(keys, before) {
+		t.Fatalf("%s: Sort wrote to the key column", name)
 	}
 }
 
 // FuzzRadixSort checks Sort against a stable comparison sort on keys
 // read from the fuzz bytes, eight little-endian bytes each (a short tail
 // zero-padded) and ANDed with mask, so a sparse mask makes ties and
-// digits every key shares. Positions are distinct, so a tie out of
-// input order shows. The first half is sorted first through the same
-// Scratch, which the full sort then grows and reuses. The seed corpus
-// lives in testdata/fuzz/FuzzRadixSort and replays in every plain go
-// test run.
+// digits every key shares. The positions run backwards through the key
+// column, so a tie out of input order shows. The second half is sorted
+// first through the same Scratch, as an STR slab is (its positions index
+// the whole column), which the full sort then grows and reuses. The
+// seed corpus lives in testdata/fuzz/FuzzRadixSort and replays in every
+// plain go test run.
 func FuzzRadixSort(f *testing.F) {
 	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4}, uint64(math.MaxUint64))
 	f.Fuzz(func(t *testing.T, data []byte, mask uint64) {
@@ -59,10 +55,10 @@ func FuzzRadixSort(f *testing.F) {
 			var chunk [8]byte
 			copy(chunk[:], data[8*i:])
 			keys[i] = binary.LittleEndian.Uint64(chunk[:]) & mask
-			pos[i] = int32(n/2 - i)
+			pos[i] = int32(n - 1 - i)
 		}
 		var s Scratch
-		checkSort(t, "first half", keys[:n/2], pos[:n/2], &s)
+		checkSort(t, "second half", keys, pos[n/2:], &s)
 		checkSort(t, "all", keys, pos, &s)
 	})
 }
@@ -122,27 +118,27 @@ func TestSortFloat64Keys(t *testing.T) {
 	}
 }
 
-func TestSortMismatchedLengthsPanics(t *testing.T) {
+func TestSortPositionOutOfRangePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("Sort accepted 2 keys with 1 position")
+			t.Error("Sort accepted position 2 of a 2-key column")
 		}
 	}()
-	Sort([]uint64{2, 1}, []int32{0}, nil)
+	Sort([]uint64{2, 1}, []int32{0, 2}, nil)
 }
 
-// BenchmarkSort sorts the images of 194,971 uniform coordinates on
-// [0, 10000], the size of TS, through one reused Scratch.
+// BenchmarkSort sorts the positions of 194,971 uniform coordinates on
+// [0, 10000], the size of TS, by their images, through one reused
+// Scratch.
 func BenchmarkSort(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	src := make([]uint64, 194_971)
-	for i := range src {
-		src[i] = Float64Key(rng.Float64() * 10000)
+	keys := make([]uint64, 194_971)
+	for i := range keys {
+		keys[i] = Float64Key(rng.Float64() * 10000)
 	}
-	keys, pos := make([]uint64, len(src)), make([]int32, len(src))
+	pos := make([]int32, len(keys))
 	var s Scratch
 	for b.Loop() {
-		copy(keys, src)
 		for i := range pos {
 			pos[i] = int32(i)
 		}

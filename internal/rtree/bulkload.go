@@ -39,212 +39,277 @@ func CheckFinite(i int, p geom.Point) error {
 	return nil
 }
 
-// Flatten copies pts into one point-major coordinate slab — the input of
-// PackSTR and PackSTRPartitioned, with no per-point slice headers —
+// Columns copies pts into one axis-major coordinate buffer of stride
+// len(pts) — coordinate a of point i at cols[a*len(pts)+i] — the input
+// PackSTR and PackSTRPartitioned adopt as the new arena's leaf columns,
 // rejecting a point whose dimension is not cfg.Dim (after defaults).
 // The packers check everything else.
-func Flatten[P ~[]float64](cfg Config, pts []P) ([]float64, error) {
+func Columns[P ~[]float64](cfg Config, pts []P) ([]float64, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	coords := make([]float64, 0, len(pts)*cfg.Dim)
+	n := len(pts)
+	cols := make([]float64, n*cfg.Dim)
 	for i, p := range pts {
 		if len(p) != cfg.Dim {
 			return nil, fmt.Errorf("rtree: point %d has dimension %d, tree dimension %d", i, len(p), cfg.Dim)
 		}
-		coords = append(coords, p...)
+		for a, v := range p {
+			cols[a*n+i] = v
+		}
 	}
-	return coords, nil
+	return cols, nil
 }
 
-// PackSTR bulk-loads the points of a point-major coordinate slab (point
-// i is coords[i*Dim : (i+1)*Dim]) with the Sort-Tile-Recursive
-// algorithm, writing the packed arena directly: points are tiled into
-// vertical slabs of √(n/M) tiles, each slab sorted on the second axis,
-// and leaves packed to capacity; each upper level groups consecutive
-// nodes of the level below. ids[i] identifies point i; pass nil to use
-// the point index. The arena is the one Tree.Pack produces from the
-// tree these levels describe, bit for bit (see packOrdered), and its
-// Tree() is the arena's immutable shell.
-func PackSTR(cfg Config, coords []float64, ids []int64) (*Packed, error) {
-	cfg, err := checkFlat(cfg, coords, ids)
+// PackSTR bulk-loads the points of an axis-major coordinate buffer
+// (coordinate a of point i is cols[a*n+i], n points in all; see
+// Columns) with the Sort-Tile-Recursive algorithm, writing the packed
+// arena directly: points are tiled into vertical slabs of √(n/M) tiles,
+// each slab sorted on the second axis, and leaves packed to capacity;
+// each upper level groups consecutive nodes of the level below. ids[i]
+// identifies point i; nil numbers the points from 0.
+//
+// PackSTR takes cols and ids over: it reorders both in place into leaf
+// order and the arena adopts them as its leaf columns, so the buffer the
+// caller filled is the arena's only copy of the points. The caller must
+// not use either afterwards. The arena is
+// the one Tree.Pack produces from the tree these levels describe, bit
+// for bit (see packOrdered), and its Tree() is the arena's immutable
+// shell.
+func PackSTR(cfg Config, cols []float64, ids []int64) (*Packed, error) {
+	cfg, pc, ids, err := adoptColumns(cfg, cols, ids)
 	if err != nil {
 		return nil, err
 	}
-	return packOrdered(cfg, coords, ids, strOrder(cfg, coords, nil)), nil
+	var b sortBuffers
+	b.strOrder(cfg, pc, ids)
+	return packOrdered(cfg, pc, ids), nil
 }
 
 // packHilbert is PackSTR with the leaves in Hilbert order instead — the
 // classic Hilbert-packed R-tree. Only the first two dimensions contribute
 // to the ordering.
-func packHilbert(cfg Config, coords []float64, ids []int64) (*Packed, error) {
-	cfg, err := checkFlat(cfg, coords, ids)
+func packHilbert(cfg Config, cols []float64, ids []int64) (*Packed, error) {
+	cfg, pc, ids, err := adoptColumns(cfg, cols, ids)
 	if err != nil {
 		return nil, err
 	}
-	return packOrdered(cfg, coords, ids, hilbertPerm(cfg.Dim, coords)), nil
+	var b sortBuffers
+	b.hilbertOrder(pc, ids)
+	return packOrdered(cfg, pc, ids), nil
 }
 
 // PackSTRPartitioned Hilbert-partitions the points into parts contiguous
 // chunks of near-equal size (the classic shard split: sort by Hilbert
 // value, cut the curve into parts runs, so every chunk is spatially
 // coherent) and STR-packs one independent arena per chunk, as PackSTR
-// does. All arenas share cfg.Accountant (one allocated here when nil)
-// and their page IDs are offset to be disjoint, so they can also share
-// an LRU buffer and the usual node-access accounting stays exactly
+// does. It takes cols and ids over as PackSTR does: the split reorders
+// them into curve order in place, so each chunk's columns are one
+// contiguous run of every axis, which its arena adopts after STR-ordering
+// it in place. All arenas share cfg.Accountant (one allocated here when
+// nil) and their page IDs are offset to be disjoint, so they can also
+// share an LRU buffer and the usual node-access accounting stays exactly
 // additive across the partition. Points beyond 2-D are ordered on their
 // first two axes, like packHilbert; 1-D points on their single axis.
-func PackSTRPartitioned(cfg Config, coords []float64, ids []int64, parts int) ([]*Packed, error) {
+func PackSTRPartitioned(cfg Config, cols []float64, ids []int64, parts int) ([]*Packed, error) {
 	if parts < 1 {
 		return nil, fmt.Errorf("rtree: %d partitions; need at least 1", parts)
 	}
-	cfg, err := checkFlat(cfg, coords, ids) // resolves the shared Accountant once
+	cfg, pc, ids, err := adoptColumns(cfg, cols, ids) // resolves the shared Accountant once
 	if err != nil {
 		return nil, err
 	}
-	perm := hilbertPerm(cfg.Dim, coords)
-	n := len(perm)
+	var b sortBuffers
+	b.hilbertOrder(pc, ids)
+	n := len(ids)
 	out := make([]*Packed, 0, parts)
 	for s := 0; s < parts; s++ {
-		chunk := perm[n*s/parts : n*(s+1)/parts]
-		p := packOrdered(cfg, coords, ids, strOrder(cfg, coords, chunk))
+		lo, hi := n*s/parts, n*(s+1)/parts
+		chunk := make([][]float64, len(pc))
+		for a, col := range pc {
+			chunk[a] = col[lo:hi:hi]
+		}
+		cids := ids[lo:hi:hi]
+		b.strOrder(cfg, chunk, cids)
+		p := packOrdered(cfg, chunk, cids)
 		cfg.FirstPage += pagestore.PageID(p.Tree().Pages())
 		out = append(out, p)
 	}
 	return out, nil
 }
 
-// checkFlat resolves cfg's defaults and rejects a coordinate slab that
-// does not divide into cfg.Dim-dimensional points, an id slice of the
-// wrong length, and any non-finite coordinate.
-func checkFlat(cfg Config, coords []float64, ids []int64) (Config, error) {
+// adoptColumns resolves cfg's defaults, rejects a coordinate buffer that
+// does not divide into cfg.Dim axes, an id slice of the wrong length and
+// any non-finite coordinate, and returns the buffer's axis columns and
+// the ids (numbered from 0 when ids is nil).
+func adoptColumns(cfg Config, cols []float64, ids []int64) (Config, [][]float64, []int64, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
-		return cfg, err
+		return cfg, nil, nil, err
 	}
 	dim := cfg.Dim
-	if len(coords)%dim != 0 {
-		return cfg, fmt.Errorf("rtree: %d coordinates do not divide into %d-dimensional points", len(coords), dim)
+	if len(cols)%dim != 0 {
+		return cfg, nil, nil, fmt.Errorf("rtree: %d coordinates do not divide into %d-dimensional points", len(cols), dim)
 	}
-	n := len(coords) / dim
+	n := len(cols) / dim
 	if n > math.MaxInt32 {
-		return cfg, fmt.Errorf("rtree: %d points exceed the packed arena's int32 slots", n)
+		return cfg, nil, nil, fmt.Errorf("rtree: %d points exceed the packed arena's int32 slots", n)
 	}
 	if ids != nil && len(ids) != n {
-		return cfg, fmt.Errorf("rtree: %d ids for %d points", len(ids), n)
+		return cfg, nil, nil, fmt.Errorf("rtree: %d ids for %d points", len(ids), n)
+	}
+	pc := make([][]float64, dim)
+	for a := range pc {
+		pc[a] = cols[a*n : (a+1)*n : (a+1)*n]
 	}
 	for i := 0; i < n; i++ {
-		if err := CheckFinite(i, coords[i*dim:(i+1)*dim]); err != nil {
-			return cfg, err
+		for a, col := range pc {
+			if v := col[i]; math.IsNaN(v) || math.IsInf(v, 0) {
+				return cfg, nil, nil, &NonFiniteError{Index: i, Axis: a, Value: v}
+			}
 		}
 	}
-	return cfg, nil
+	if ids == nil {
+		ids = make([]int64, n)
+		for i := range ids {
+			ids[i] = int64(i)
+		}
+	}
+	return cfg, pc, ids, nil
 }
 
-// strOrder returns the STR leaf order of the points sel picks out of
-// coords (every point, in slab order, when sel is nil): order[rank] is
-// the slab position of the point at that rank. Positions are int32,
-// like every slot index of the packed arena. Points are sorted on the
-// first axis and cut into slabs of ⌈√(leaves)⌉·M points, each slab sorted
-// on the second axis (points beyond 2-D are tiled on their first two
-// axes, which preserves correctness — tiling is purely a quality
-// heuristic). Both sorts are stable radix sorts of the coordinates'
-// radix.Float64Key images, so ties, -0 against +0 included, keep their
-// order in sel: the order a stable sort under < gives.
-func strOrder(cfg Config, coords []float64, sel []int32) []int32 {
-	dim := cfg.Dim
-	n := len(coords) / dim
-	if sel != nil {
-		n = len(sel)
+// sortBuffers are the orderings' working memory, sized to the longest
+// input sorted through them: a key column indexed by position, the
+// order of positions a radix sort produces, and the sort's scratch. The
+// key column also carries the gather that applies an order in place.
+type sortBuffers struct {
+	keys  []uint64
+	order []int32
+	radix radix.Scratch
+}
+
+// start returns the key column and the identity order over n positions.
+func (b *sortBuffers) start(n int) ([]uint64, []int32) {
+	if len(b.keys) < n {
+		b.keys, b.order = make([]uint64, n), make([]int32, n)
 	}
-	order := make([]int32, n)
-	keys := make([]uint64, n)
-	for r := range order {
-		i := int32(r)
-		if sel != nil {
-			i = sel[r]
-		}
-		order[r], keys[r] = i, radix.Float64Key(coords[int(i)*dim])
+	keys, order := b.keys[:n], b.order[:n]
+	for i := range order {
+		order[i] = int32(i)
 	}
-	var scratch radix.Scratch
-	radix.Sort(keys, order, &scratch)
-	if dim >= 2 {
+	return keys, order
+}
+
+// strOrder reorders the points of pc and ids in place into STR leaf
+// order. Points are sorted on the first axis and cut into slabs of
+// ⌈√(leaves)⌉·M points, each slab sorted on the second axis (points
+// beyond 2-D are tiled on their first two axes, which preserves
+// correctness — tiling is purely a quality heuristic). Both sorts are
+// stable radix sorts of the coordinates' radix.Float64Key images, so
+// ties, -0 against +0 included, keep their input order: the order a
+// stable sort under < gives.
+func (b *sortBuffers) strOrder(cfg Config, pc [][]float64, ids []int64) {
+	n := len(ids)
+	keys, order := b.start(n)
+	for i, v := range pc[0] {
+		keys[i] = radix.Float64Key(v)
+	}
+	radix.Sort(keys, order, &b.radix)
+	if cfg.Dim >= 2 {
 		M := cfg.MaxEntries
 		nLeaves := (n + M - 1) / M
 		perSlab := int(math.Ceil(math.Sqrt(float64(nLeaves)))) * M
-		for r, i := range order {
-			keys[r] = radix.Float64Key(coords[int(i)*dim+1])
+		for i, v := range pc[1] {
+			keys[i] = radix.Float64Key(v)
 		}
 		for lo := 0; lo < n; lo += perSlab {
-			hi := min(lo+perSlab, n)
-			radix.Sort(keys[lo:hi], order[lo:hi], &scratch)
+			radix.Sort(keys, order[lo:min(lo+perSlab, n)], &b.radix)
 		}
 	}
-	return order
+	b.apply(order, pc, ids)
 }
 
-// hilbertPerm returns the Hilbert-order permutation of the points in
-// coords over their bounding box (nil for no points).
-func hilbertPerm(dim int, coords []float64) []int32 {
-	n := len(coords) / dim
+// hilbertOrder reorders the points of pc and ids in place into the
+// Hilbert order of the curve fitted to their bounding box on the first
+// two axes (a 1-D point set degenerates the second axis to the first
+// axis' minimum). Equal curve values keep their input order.
+func (b *sortBuffers) hilbertOrder(pc [][]float64, ids []int64) {
+	n := len(ids)
 	if n == 0 {
-		return nil
+		return
 	}
-	at := func(i int) (x, y float64) {
-		if dim >= 2 {
-			y = coords[i*dim+1]
-		}
-		return coords[i*dim], y
+	xs, ys := pc[0], pc[0]
+	if len(pc) >= 2 {
+		ys = pc[1]
 	}
 	// The box on the first two axes, folded as geom.BoundingRect folds it.
-	loX, loY := at(0)
-	hiX, hiY := loX, loY
-	for i := 1; i < n; i++ {
-		x, y := at(i)
-		if x < loX {
-			loX = x
-		}
-		if x > hiX {
-			hiX = x
-		}
-		if y < loY {
-			loY = y
-		}
-		if y > hiY {
-			hiY = y
-		}
+	loX, hiX := span(xs)
+	loY, hiY := span(ys)
+	if len(pc) < 2 {
+		hiY = loY // a zero-height box: every 1-D point maps to grid row 0
 	}
-	if dim < 2 {
-		loY, hiY = loX, loX
+	m := hilbert.NewMapper(hilbert.DefaultOrder, loX, loY, hiX, hiY)
+	keys, order := b.start(n)
+	for i, x := range xs {
+		keys[i] = m.Value(x, ys[i])
 	}
-	return hilbert.Perm(n, hilbert.NewMapper(hilbert.DefaultOrder, loX, loY, hiX, hiY), at)
+	radix.Sort(keys, order, &b.radix)
+	b.apply(order, pc, ids)
 }
 
-// idAt returns the identifier of point i: ids[i], or i when ids is nil.
-func idAt(ids []int64, i int) int64 {
-	if ids == nil {
-		return int64(i)
+// span returns the least and greatest of the non-empty, NaN-free col,
+// keeping the first of equal values (so -0 or +0, whichever comes
+// first).
+func span(col []float64) (lo, hi float64) {
+	lo, hi = col[0], col[0]
+	for _, v := range col[1:] {
+		if v < lo {
+			lo = v
+		}
+		if v > hi {
+			hi = v
+		}
 	}
-	return ids[i]
+	return lo, hi
 }
 
-// packOrdered lays the points out as leaf slots in the given order and
-// packs them bottom-up, straight into a Packed arena. Each level groups
-// consecutive nodes of the level below, M to a node, until one root
-// remains; the final node of each level is kept at or above MinEntries
-// by borrowing from its predecessor, so packed trees satisfy the same
-// fill invariants as incrementally built ones. Pages are numbered level
-// by level from the leaves up, left to right, after the one page the
-// empty root of New takes.
+// apply reorders every column of pc, and ids, so the point at rank r is
+// the one order[r] names, gathering each column through the key column.
+func (b *sortBuffers) apply(order []int32, pc [][]float64, ids []int64) {
+	tmp := b.keys[:len(order)]
+	for _, col := range pc {
+		for r, i := range order {
+			tmp[r] = math.Float64bits(col[i])
+		}
+		for r, v := range tmp {
+			col[r] = math.Float64frombits(v)
+		}
+	}
+	for r, i := range order {
+		tmp[r] = uint64(ids[i])
+	}
+	for r, v := range tmp {
+		ids[r] = int64(v)
+	}
+}
+
+// packOrdered adopts the leaf columns pc and ids, already in leaf order,
+// and packs the levels above them bottom-up, straight into a Packed
+// arena. Each level groups consecutive nodes of the level below, M to a
+// node, until one root remains; the final node of each level is kept at
+// or above MinEntries by borrowing from its predecessor, so packed trees
+// satisfy the same fill invariants as incrementally built ones. Pages
+// are numbered level by level from the leaves up, left to right, after
+// the one page the empty root of New takes.
 //
 // The arena is exactly what Tree.Pack writes for the tree those levels
 // describe: node ids and routing slots in depth-first preorder, leaf
-// slots in leaf order (which is the given order), and each routing
-// rectangle the math.Min/math.Max fold of its child's entries in entry
-// order — the values a Rect.Union chain over them yields.
-func packOrdered(cfg Config, coords []float64, ids []int64, order []int32) *Packed {
-	dim, n := cfg.Dim, len(order)
+// slots in leaf order, and each routing rectangle the math.Min/math.Max
+// fold of its child's entries in entry order — the values a Rect.Union
+// chain over them yields.
+func packOrdered(cfg Config, pc [][]float64, ids []int64) *Packed {
+	dim, n := cfg.Dim, len(ids)
 	M, m := cfg.MaxEntries, cfg.MinEntries
 
 	// firsts[l][j] is the first child of node j on level l (a leaf slot
@@ -283,7 +348,6 @@ func packOrdered(cfg Config, coords []float64, ids []int64, order []int32) *Pack
 
 	rslots := nodes - 1
 	rects := make([]float64, 2*dim*rslots)
-	cols := make([]float64, dim*n)
 	p := &Packed{
 		dim: dim, size: n, height: len(firsts),
 		acct:  cfg.Accountant,
@@ -294,19 +358,12 @@ func packOrdered(cfg Config, coords []float64, ids []int64, order []int32) *Pack
 		child: make([]int32, rslots),
 		rlo:   make([][]float64, dim),
 		rhi:   make([][]float64, dim),
-		pc:    make([][]float64, dim),
-		ids:   make([]int64, n),
+		pc:    pc,
+		ids:   ids,
 	}
 	for a := 0; a < dim; a++ {
 		p.rlo[a] = rects[2*a*rslots : (2*a+1)*rslots : (2*a+1)*rslots]
 		p.rhi[a] = rects[(2*a+1)*rslots : (2*a+2)*rslots : (2*a+2)*rslots]
-		p.pc[a] = cols[a*n : (a+1)*n : (a+1)*n]
-	}
-	for r, i := range order {
-		for a := 0; a < dim; a++ {
-			p.pc[a][r] = coords[int(i)*dim+a]
-		}
-		p.ids[r] = idAt(ids, int(i))
 	}
 
 	// Depth-first preorder fill: a node's routing slots are claimed

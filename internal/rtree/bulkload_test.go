@@ -16,22 +16,22 @@ import (
 	"gnn/internal/pagestore"
 )
 
-// bulkLoadSTR flattens pts and STR-packs them.
+// bulkLoadSTR copies pts into columns and STR-packs them.
 func bulkLoadSTR(cfg Config, pts []geom.Point, ids []int64) (*Packed, error) {
-	coords, err := Flatten(cfg, pts)
+	cols, err := Columns(cfg, pts)
 	if err != nil {
 		return nil, err
 	}
-	return PackSTR(cfg, coords, ids)
+	return PackSTR(cfg, cols, slices.Clone(ids))
 }
 
-// bulkLoadHilbert flattens pts and Hilbert-packs them.
+// bulkLoadHilbert copies pts into columns and Hilbert-packs them.
 func bulkLoadHilbert(cfg Config, pts []geom.Point, ids []int64) (*Packed, error) {
-	coords, err := Flatten(cfg, pts)
+	cols, err := Columns(cfg, pts)
 	if err != nil {
 		return nil, err
 	}
-	return packHilbert(cfg, coords, ids)
+	return packHilbert(cfg, cols, slices.Clone(ids))
 }
 
 func TestBulkLoadSTR(t *testing.T) {
@@ -118,12 +118,7 @@ func TestBulkLoadSizesProperty(t *testing.T) {
 			bulkLoadSTR, bulkLoadHilbert,
 		} {
 			tr, err := build(Config{MaxEntries: 8}, pts, nil)
-			if err != nil || tr.Len() != n || tr.Tree().CheckInvariants() != nil {
-				return false
-			}
-			count := 0
-			tr.All(func(geom.Point, int64) bool { count++; return true })
-			if count != n {
+			if err != nil || tr.Len() != n || len(tr.IDs()) != n || tr.Tree().CheckInvariants() != nil {
 				return false
 			}
 		}
@@ -223,7 +218,10 @@ func referencePartitioned(cfg Config, pts []geom.Point, ids []int64, parts int) 
 	}
 	entries := make([]Entry, len(pts))
 	for i, p := range pts {
-		entries[i] = Entry{Point: p, ID: idAt(ids, i)}
+		entries[i] = Entry{Point: p, ID: int64(i)}
+		if ids != nil {
+			entries[i].ID = ids[i]
+		}
 	}
 	if len(entries) > 0 {
 		for i := range entries {
@@ -339,11 +337,11 @@ func checkAgainstReference(t *testing.T, label string, al algorithm, cfg Config,
 	if err := want.CheckInvariants(); err != nil {
 		t.Fatalf("%s: reference: %v", label, err)
 	}
-	coords, err := Flatten(cfg, pts)
+	coords, err := Columns(cfg, pts)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	p, err := al.pack(cfg, coords, ids)
+	p, err := al.pack(cfg, coords, slices.Clone(ids)) // the packer reorders ids in place
 	if err != nil {
 		t.Fatalf("%s: pack: %v", label, err)
 	}
@@ -426,11 +424,11 @@ func checkPartitioned(t *testing.T, label string, cfg Config, pts []geom.Point, 
 	if err != nil {
 		t.Fatalf("%s: reference: %v", label, err)
 	}
-	coords, err := Flatten(cfg, pts)
+	coords, err := Columns(cfg, pts)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	ps, err := PackSTRPartitioned(cfg, coords, ids, parts)
+	ps, err := PackSTRPartitioned(cfg, coords, slices.Clone(ids), parts)
 	if err != nil || len(ps) != parts {
 		t.Fatalf("%s: %d arenas, err %v", label, len(ps), err)
 	}
@@ -564,8 +562,8 @@ func FuzzBulkLoadSTR(f *testing.F) {
 }
 
 func TestBulkLoadRejectsNonFinite(t *testing.T) {
-	// The packers get the points as a slab nothing has checked: their
-	// own check must reject it.
+	// The packers get the points as columns nothing has checked: their
+	// own check must reject them.
 	loaders := map[string]func(Config, []float64) error{
 		"STR": func(cfg Config, coords []float64) error {
 			_, err := PackSTR(cfg, coords, nil)
@@ -585,12 +583,12 @@ func TestBulkLoadRejectsNonFinite(t *testing.T) {
 			pts := randPoints(rand.New(rand.NewSource(24)), 200, 100)
 			pts[137] = geom.Point{5, 5}
 			pts[137][axis] = bad
-			var coords []float64
-			for _, p := range pts {
-				coords = append(coords, p...)
+			coords, err := Columns(Config{}, pts)
+			if err != nil {
+				t.Fatal(err)
 			}
 			for name, load := range loaders {
-				err := load(Config{MaxEntries: 8}, coords)
+				err := load(Config{MaxEntries: 8}, slices.Clone(coords))
 				var nf *NonFiniteError
 				if !errors.As(err, &nf) || nf.Index != 137 || nf.Axis != axis {
 					t.Errorf("%s with %v on axis %d: err %v, want NonFiniteError at point 137 axis %d",

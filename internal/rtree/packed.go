@@ -82,8 +82,8 @@ type packedPrep struct {
 }
 
 // Prepare runs the deferred verification of a borrowed arena — section
-// checksums over the backing buffer and structural validation of the
-// node graph — and computes the root MBR. It allocates nothing per
+// checksums of the backing bytes and structural validation of the node
+// graph — and computes the root MBR. It allocates nothing per
 // point: the coordinate columns stay in the backing buffer as the only
 // copy. It is idempotent, safe for concurrent callers (the first
 // outcome is cached) and a no-op on arenas that were complete at
@@ -238,6 +238,9 @@ func (p *Packed) RectSoA() (lo, hi [][]float64) { return p.rlo, p.rhi }
 // PointSoA returns the per-axis coordinate arrays of the leaf slots.
 func (p *Packed) PointSoA() [][]float64 { return p.pc }
 
+// IDs returns the caller-supplied ids of the leaf slots, in slot order.
+func (p *Packed) IDs() []int64 { return p.ids }
+
 // PointInto gathers leaf slot s's coordinates from the axis columns into
 // dst, growing it only when its capacity is too small, and returns it —
 // the allocation-free bridge from a slot to the geom.Point helpers. The
@@ -385,21 +388,4 @@ func (rd Reader) search(n int32, r geom.Rect, pt geom.Point, fn func(geom.Point,
 		}
 	}
 	return true
-}
-
-// All invokes fn for every indexed point in depth-first order — a pure
-// streaming pass over the flat leaf arrays, without charging node
-// accesses (a bookkeeping scan, not a simulated disk traversal). Each
-// point is gathered into one scratch point reused for the whole scan, so
-// fn must not retain pt: copy it to keep it.
-func (p *Packed) All(fn func(pt geom.Point, id int64) bool) {
-	if p.Prepare() != nil {
-		return // unverifiable borrowed arena; opens surfaced the error
-	}
-	pt := make(geom.Point, p.dim)
-	for i := range p.ids {
-		if !fn(p.PointInto(int32(i), pt), p.ids[i]) {
-			return
-		}
-	}
 }

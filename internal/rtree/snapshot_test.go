@@ -150,13 +150,7 @@ func TestLoadedShellImmutable(t *testing.T) {
 	if err := lt.Insert(geom.Point{1, 2}, 1000); !errors.Is(err, ErrImmutable) {
 		t.Fatalf("Insert on a loaded shell: %v, want ErrImmutable", err)
 	}
-	var first geom.Point
-	var firstID int64
-	loaded.All(func(p geom.Point, id int64) bool {
-		first, firstID = p.Clone(), id
-		return false
-	})
-	if lt.Delete(first, firstID) {
+	if lt.Delete(loaded.PointInto(0, nil), loaded.LeafID(0)) {
 		t.Fatal("Delete on a loaded shell reported true")
 	}
 	if lt.Len() != tree.Len() || lt.CheckInvariants() != nil {

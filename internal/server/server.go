@@ -89,7 +89,9 @@ type Config struct {
 	BufferPages int
 	// EagerVerify verifies the initial open eagerly too (reloads always
 	// verify eagerly; for the initial open it is optional so a huge
-	// snapshot can start serving before its pages are faulted in).
+	// snapshot can start serving before the whole file has been read
+	// for its checksums). Verification reads the file through the
+	// mapping's descriptor, so it does not make the mapping resident.
 	EagerVerify bool
 	// CompactThreshold, when positive, starts a background compactor on
 	// every opened index: once the write overlay (inserts + tombstones)

@@ -115,15 +115,16 @@ func (s *Set) Prepare() error {
 	return nil
 }
 
-// Build partitions the points of a point-major coordinate slab (with
-// their ids; nil means slab positions) into the requested number of
-// shards and packs each one (rtree.PackSTRPartitioned). All shards
-// share cfg.Accountant and use disjoint page ID ranges.
-func Build(cfg rtree.Config, coords []float64, ids []int64, shards int) (*Set, error) {
+// Build partitions the points of an axis-major coordinate buffer (with
+// their ids; nil numbers them from 0) into the requested number of
+// shards and packs each one (rtree.PackSTRPartitioned), which takes
+// both buffers over: every shard's arena adopts its run of them. All
+// shards share cfg.Accountant and use disjoint page ID ranges.
+func Build(cfg rtree.Config, cols []float64, ids []int64, shards int) (*Set, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: %d shards; need at least 1", shards)
 	}
-	ps, err := rtree.PackSTRPartitioned(cfg, coords, ids, shards)
+	ps, err := rtree.PackSTRPartitioned(cfg, cols, ids, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -158,23 +159,14 @@ func (s *Set) CountExact(p geom.Point, id int64) int {
 	return n
 }
 
-// All invokes fn for every indexed point across all shards without
-// charging node accesses; traversal stops early when fn returns false.
-// Like rtree.Packed.All, fn must not retain p.
-func (s *Set) All(fn func(p geom.Point, id int64) bool) {
-	stop := false
-	for _, u := range s.units {
-		u.Packed.All(func(p geom.Point, id int64) bool {
-			if !fn(p, id) {
-				stop = true
-				return false
-			}
-			return true
-		})
-		if stop {
-			return
-		}
+// Arenas returns the shards' packed arenas in shard order. A borrowed
+// set must pass Prepare before their columns are read.
+func (s *Set) Arenas() []*rtree.Packed {
+	out := make([]*rtree.Packed, len(s.units))
+	for i, u := range s.units {
+		out[i] = u.Packed
 	}
+	return out
 }
 
 // Sizes returns the per-shard point counts.

@@ -13,21 +13,21 @@ import (
 
 // buildPts is Build over a point slice.
 func buildPts(cfg rtree.Config, pts []geom.Point, shards int) (*Set, error) {
-	coords, err := rtree.Flatten(cfg, pts)
+	cols, err := rtree.Columns(cfg, pts)
 	if err != nil {
 		return nil, err
 	}
-	return Build(cfg, coords, nil, shards)
+	return Build(cfg, cols, nil, shards)
 }
 
 // packPts STR-packs a point slice into one arena.
 func packPts(t *testing.T, cfg rtree.Config, pts []geom.Point) *rtree.Packed {
 	t.Helper()
-	coords, err := rtree.Flatten(cfg, pts)
+	cols, err := rtree.Columns(cfg, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := rtree.PackSTR(cfg, coords, nil)
+	p, err := rtree.PackSTR(cfg, cols, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,16 +74,15 @@ func TestBuildPartition(t *testing.T) {
 			if n > max {
 				max = n
 			}
-			u.Packed.All(func(p geom.Point, id int64) bool {
+			for s, id := range u.Packed.IDs() {
 				if seen[id] {
 					t.Fatalf("id %d appears in two shards", id)
 				}
 				seen[id] = true
-				if !p.Equal(pts[id]) {
+				if p := u.Packed.PointInto(int32(s), nil); !p.Equal(pts[id]) {
 					t.Fatalf("id %d moved: %v vs %v", id, p, pts[id])
 				}
-				return true
-			})
+			}
 		}
 		if total != len(pts) || len(seen) != len(pts) {
 			t.Fatalf("partition covers %d/%d points", len(seen), len(pts))

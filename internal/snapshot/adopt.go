@@ -1,7 +1,7 @@
 package snapshot
 
 import (
-	"os"
+	"io"
 	"sync"
 	"unsafe"
 
@@ -38,6 +38,7 @@ type Adopted struct {
 	ZeroCopy bool
 
 	data   []byte
+	src    io.ReaderAt
 	secs   []section
 	points uint64
 
@@ -47,6 +48,8 @@ type Adopted struct {
 
 // DecodeAdopted parses a snapshot without copying its columns. See the
 // Adopted contract for what is and is not yet validated on return.
+// Verify checksums data in place; DecodeMapped checksums a mapped file
+// through its descriptor instead.
 func DecodeAdopted(data []byte) (*Adopted, error) {
 	f, err := parseFrame(data)
 	if err != nil {
@@ -62,6 +65,21 @@ func DecodeAdopted(data []byte) (*Adopted, error) {
 		return &Adopted{Manifest: m, Trees: trees}, nil
 	}
 	return adopt(f, data)
+}
+
+// DecodeMapped is DecodeAdopted over a mapped file, whose Verify reads
+// the section checksums through the descriptor the mapping was made from
+// (mmapfile.File's ReaderAt) in bounded chunks: verification leaves the
+// mapped columns out of memory, touching only the pages of the header,
+// the section table and the meta and node sections. The fallback's heap
+// copy is checksummed in place.
+func DecodeMapped(mf *mmapfile.File) (*Adopted, error) {
+	a, err := DecodeAdopted(mf.Data())
+	if err != nil {
+		return nil, err
+	}
+	a.src = mf.ReaderAt()
+	return a, nil
 }
 
 // adoptable reports whether data's columns may be reinterpreted in
@@ -104,23 +122,33 @@ func adopt(f *frame, data []byte) (*Adopted, error) {
 }
 
 // Verify runs the validation DecodeAdopted deferred: every section's
-// CRC-32 against the buffer as mapped now, then the per-tree structural
-// validation and whole-snapshot cross-checks — exactly the checks Decode
-// performs eagerly. Idempotent and safe for concurrent callers; the
-// first outcome is cached. Until Verify has returned nil, the adopted
-// trees must not be traversed.
+// CRC-32 against the bytes as they are now (read through the descriptor
+// after DecodeMapped, in the buffer otherwise), then the per-tree
+// structural validation and whole-snapshot cross-checks — exactly the
+// checks Decode performs eagerly. Idempotent and safe for concurrent
+// callers; the first outcome is cached. Until Verify has returned nil,
+// the adopted trees must not be traversed.
 func (a *Adopted) Verify() error {
 	a.once.Do(func() {
 		if !a.ZeroCopy {
 			return // the copying fallback validated everything already
 		}
 		f := frame{secs: a.secs}
-		if a.err = f.verifyChecksums(crcInMemory(a.data)); a.err != nil {
+		if a.err = f.verifyChecksums(checksummer(a.data, a.src)); a.err != nil {
 			return
 		}
 		a.err = a.checkStructure()
 	})
 	return a.err
+}
+
+// checksummer checksums through src when there is one, and data in
+// place otherwise.
+func checksummer(data []byte, src io.ReaderAt) crcFunc {
+	if src != nil {
+		return crcReading(src)
+	}
+	return crcInMemory(data)
 }
 
 // checkStructure runs the per-tree structural validation and the
@@ -138,12 +166,13 @@ func (a *Adopted) checkStructure() error {
 // VerifyFile validates the snapshot file at path with every check Decode
 // runs, in Decode's order: frame, section checksums, tree structure,
 // cross-checks. It keeps the file's columns out of memory: the frame is
-// parsed from a read-only mapping, the checksums read the file through a
-// verifyChunk buffer, and the structure checks run on node sections
-// adopted from the mapping, so the only mapped pages touched hold the
-// header, the section table, the padding between sections and the meta
-// and node sections. Where the mapping cannot be adopted in place (a
-// big-endian host) the file is decoded the copying way.
+// parsed from a read-only mapping, the checksums read the file through
+// the mapping's descriptor and a verifyChunk buffer, and the structure
+// checks run on node sections adopted from the mapping, so the only
+// mapped pages touched hold the header, the section table, the padding
+// between sections and the meta and node sections. Where the mapping
+// cannot be adopted in place (a big-endian host) the file is decoded the
+// copying way.
 func VerifyFile(path string) error {
 	mf, err := mmapfile.Open(path)
 	if err != nil {
@@ -159,12 +188,7 @@ func VerifyFile(path string) error {
 		_, _, err := Decode(data)
 		return err
 	}
-	file, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer file.Close()
-	if err := f.verifyChecksums(crcReading(file)); err != nil {
+	if err := f.verifyChecksums(checksummer(data, mf.ReaderAt())); err != nil {
 		return err
 	}
 	a, err := adopt(f, data)

@@ -38,9 +38,11 @@ func BuildArena(tb testing.TB, n, dim, cap int, seed int64) *snapshot.Tree {
 func BuildArenaAt(tb testing.TB, n, dim, cap int, seed, firstPage int64) *snapshot.Tree {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	coords := make([]float64, n*dim)
-	for i := range coords {
-		coords[i] = rng.Float64() * 1000
+	coords := make([]float64, n*dim) // axis-major: coordinate a of point i at a*n+i
+	for i := range n {
+		for a := range dim {
+			coords[a*n+i] = rng.Float64() * 1000
+		}
 	}
 	p, err := rtree.PackSTR(rtree.Config{Dim: dim, MaxEntries: cap, FirstPage: pagestore.PageID(firstPage)}, coords, nil)
 	if err != nil {

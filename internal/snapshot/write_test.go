@@ -53,9 +53,11 @@ func TestWriteInPlaceMatchesEncoding(t *testing.T) {
 func writeFixture(t *testing.T, shards, dim, n int) (snapshot.Manifest, []*snapshot.Tree) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(97*n + dim)))
-	coords := make([]float64, n*dim)
-	for i := range coords {
-		coords[i] = rng.Float64() * 1000
+	coords := make([]float64, n*dim) // axis-major: coordinate a of point i at a*n+i
+	for i := range n {
+		for a := range dim {
+			coords[a*n+i] = rng.Float64() * 1000
+		}
 	}
 	cfg := rtree.Config{Dim: dim, MaxEntries: 8}
 	if shards == 0 {

@@ -53,10 +53,9 @@ func TestMappedHeapPerPoint(t *testing.T) {
 
 // TestCompactedMappedHeap pins the compaction memory contract of a
 // mapped index: a compaction packs the live points straight into a new
-// arena, so the retained heap afterwards is that arena and little else,
-// and
-// one cycle, snapshot rotation included, allocates a small multiple of
-// the arena rather than copies of it in every intermediate form.
+// arena, so the retained heap afterwards is that arena and little else.
+// What the cycle allocates on the way is TestBulkLoadArenaAllocs's
+// plain-compaction row.
 func TestCompactedMappedHeap(t *testing.T) {
 	const n, inserts, deletes = 100_000, 1_500, 500
 	dir := t.TempDir()
@@ -114,8 +113,113 @@ func TestCompactedMappedHeap(t *testing.T) {
 	if budget := 5*arena/4 + 64<<10; retained > budget {
 		t.Errorf("retained heap after Compact %d B exceeds 1.25 × arena + 64 KiB = %d B", retained, budget)
 	}
-	if budget := 4 * arena; alloc > budget {
-		t.Errorf("one Compact allocated %d B, over 4 × arena = %d B", alloc, budget)
+}
+
+// TestBulkLoadArenaAllocs pins what a bulk load allocates against the
+// arena it produces, on the four paths that build one from many points:
+// a compaction of a mapped plain index and of a mapped 4-shard index
+// (1,500 inserts and 500 deletes folded, snapshot rotation included),
+// BuildIndex and the 4-shard BuildShardedIndex. Each load writes the
+// points once, into the columns the new arena adopts, and sorts them
+// through a key column and two position buffers, so it allocates at
+// most twice the arena; staging the points point-major first, or
+// carrying keys through the sort, breaks the bound.
+func TestBulkLoadArenaAllocs(t *testing.T) {
+	const n, inserts, deletes, shards = 100_000, 1_500, 500, 4
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(43))
+	pts := randGroup(rng, n)
+	ins := randGroup(rng, inserts)
+
+	// allocated returns the bytes run allocates.
+	allocated := func(run func()) int64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		run()
+		runtime.ReadMemStats(&m1)
+		return int64(m1.TotalAlloc - m0.TotalAlloc)
+	}
+	type writable interface {
+		io.Closer
+		StartCompactor(gnn.CompactorConfig) error
+		Insert(gnn.Point, int64) error
+		Delete(gnn.Point, int64) bool
+		Compact() error
+		Stats() gnn.Stats
+	}
+	// compaction maps the snapshot write makes, queues the writes and
+	// measures the Compact that folds them.
+	compaction := func(name string, write func(string) error, open func(string) (writable, error)) func() (int64, int64) {
+		return func() (int64, int64) {
+			ix, err := open(writeSnapFile(t, dir, name+".snap", write))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.Close()
+			err = ix.StartCompactor(gnn.CompactorConfig{Threshold: math.MaxInt, Interval: time.Hour,
+				Path: filepath.Join(dir, name+"-rotated.snap")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range ins {
+				if err := ix.Insert(p, int64(n+i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, p := range pts[:deletes] {
+				if !ix.Delete(p, int64(i)) {
+					t.Fatalf("delete of base point %d failed", i)
+				}
+			}
+			alloc := allocated(func() { err = ix.Compact() })
+			st := ix.Stats()
+			if err != nil || st.Points != n+inserts-deletes || st.Delta != 0 || st.Tombstones != 0 {
+				t.Fatalf("Compact: %d points, delta %d, tombstones %d, err %v", st.Points, st.Delta, st.Tombstones, err)
+			}
+			return alloc, st.ArenaBytes
+		}
+	}
+	plain, err := gnn.BuildIndex(pts, nil, gnn.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := gnn.BuildShardedIndex(pts, nil, shards, gnn.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+
+	for _, c := range []struct {
+		name string
+		load func() (alloc, arena int64)
+	}{
+		{"compact", compaction("plain", plain.WriteSnapshotFile,
+			func(p string) (writable, error) { return gnn.OpenSnapshotMapped(p) })},
+		{"compact-sharded", compaction("sharded", sharded.WriteSnapshotFile,
+			func(p string) (writable, error) { return gnn.OpenShardedSnapshotMapped(p) })},
+		{"BuildIndex", func() (int64, int64) {
+			var ix *gnn.Index
+			alloc := allocated(func() { ix, err = gnn.BuildIndex(pts, nil, gnn.IndexConfig{}) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			return alloc, ix.Stats().ArenaBytes
+		}},
+		{"BuildShardedIndex", func() (int64, int64) {
+			var sx *gnn.ShardedIndex
+			alloc := allocated(func() { sx, err = gnn.BuildShardedIndex(pts, nil, shards, gnn.IndexConfig{}) })
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sx.Close()
+			return alloc, sx.Stats().ArenaBytes
+		}},
+	} {
+		alloc, arena := c.load()
+		t.Logf("%s: arena %d B, allocated %d B (%.2f× arena)", c.name, arena, alloc, float64(alloc)/float64(arena))
+		if alloc > 2*arena {
+			t.Errorf("%s allocated %d B, over 2 × its %d B arena", c.name, alloc, arena)
+		}
 	}
 }
 

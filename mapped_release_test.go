@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -169,6 +170,166 @@ func mapsFile(t *testing.T, path string) bool {
 	}
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
+	}
+	return false
+}
+
+// TestVerifiedOpenResidency pins what verification leaves resident. An
+// eagerly verified mapped open checksums the file through the
+// descriptor its mapping was made from, so the only mapped pages it
+// touches hold the header, the section table and the meta and node
+// sections (resident bytes read from /proc/self/smaps):
+//   - a plain open leaves at most a tenth of the file resident;
+//   - plain or sharded, the eager verify adds at most a tenth of the
+//     file to what a lazy open of it leaves resident. (The kernel maps
+//     a window of pages around each one a read faults in, so the frame
+//     reads of a 4-shard open, one meta section per shard, already
+//     leave more than a tenth of this file resident.)
+//
+// The descriptor stays open with the mapping and is gone from
+// /proc/self/fd after Close, and after a compaction releases the
+// mapping.
+func TestVerifiedOpenResidency(t *testing.T) {
+	if _, err := os.ReadFile("/proc/self/smaps"); err != nil {
+		t.Skipf("no /proc/self/smaps: %v", err)
+	}
+	const n = 100_000
+	pts := randGroup(rand.New(rand.NewSource(53)), n)
+	plain, err := gnn.BuildIndex(pts, nil, gnn.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := gnn.BuildShardedIndex(pts, nil, 4, gnn.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+	for _, kind := range []struct {
+		name  string
+		write func(string) error
+		open  func(string, ...gnn.SnapshotOption) (compacting, error)
+	}{
+		{"plain", plain.WriteSnapshotFile,
+			func(p string, o ...gnn.SnapshotOption) (compacting, error) { return gnn.OpenSnapshotMapped(p, o...) }},
+		{"sharded", sharded.WriteSnapshotFile,
+			func(p string, o ...gnn.SnapshotOption) (compacting, error) {
+				return gnn.OpenShardedSnapshotMapped(p, o...)
+			}},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			path := writeSnapFile(t, t.TempDir(), "ix.snap", kind.write)
+			st, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mx, err := kind.open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lazy := mappedRSS(t, path)
+			if err := mx.Close(); err != nil {
+				t.Fatal(err)
+			}
+			mx, err = kind.open(path, gnn.WithEagerVerify())
+			if err != nil {
+				t.Fatal(err)
+			}
+			eager, tenth := mappedRSS(t, path), st.Size()/10
+			t.Logf("file %d kB: %d kB resident after a lazy open, %d kB after an eager one",
+				st.Size()>>10, lazy>>10, eager>>10)
+			if kind.name == "plain" && eager > tenth {
+				t.Errorf("eager open left %d of the file's %d bytes resident, over a tenth", eager, st.Size())
+			}
+			if eager-lazy > tenth {
+				t.Errorf("eager verify made %d more bytes of the %d-byte file resident, over a tenth", eager-lazy, st.Size())
+			}
+			if !holdsFD(t, path) {
+				t.Fatal("the mapping's descriptor is not open")
+			}
+			if err := mx.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if holdsFD(t, path) {
+				t.Fatal("descriptor still open after Close")
+			}
+
+			mx, err = kind.open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mx.Close()
+			err = mx.StartCompactor(gnn.CompactorConfig{Threshold: math.MaxInt, Interval: time.Hour, Path: path})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mx.Insert(gnn.Point{500, 500}, n); err != nil {
+				t.Fatal(err)
+			}
+			if err := mx.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			if holdsFD(t, path) {
+				t.Fatal("descriptor still open after the compaction released the mapping")
+			}
+		})
+	}
+}
+
+// mappedRSS returns the bytes of path's mappings resident in this
+// process, summed from the Rss lines of /proc/self/smaps.
+func mappedRSS(t *testing.T, path string) int64 {
+	t.Helper()
+	path, err := filepath.Abs(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open("/proc/self/smaps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var kb int64
+	in := false
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if key, val, ok := strings.Cut(line, ":"); ok && !strings.Contains(key, " ") {
+			if in && key == "Rss" {
+				v, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimSpace(val), " kB"), 10, 64)
+				if err != nil {
+					t.Fatalf("parsing %q: %v", line, err)
+				}
+				kb += v
+			}
+			continue
+		}
+		// A mapping's header line: address range, perms, offset, device,
+		// inode, then the path.
+		in = strings.HasSuffix(strings.TrimSuffix(line, " (deleted)"), " "+path)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return kb << 10
+}
+
+// holdsFD reports whether one of this process's descriptors is open on
+// path, under its name or, once renamed over, as deleted.
+func holdsFD(t *testing.T, path string) bool {
+	t.Helper()
+	path, err := filepath.Abs(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err == nil && strings.TrimSuffix(target, " (deleted)") == path {
+			return true
+		}
 	}
 	return false
 }

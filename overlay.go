@@ -8,6 +8,9 @@
 package gnn
 
 import (
+	"errors"
+	"slices"
+
 	"gnn/internal/geom"
 	"gnn/internal/overlay"
 	"gnn/internal/pagestore"
@@ -91,13 +94,14 @@ type applier struct {
 	baseCount func(p geom.Point, id int64) int
 }
 
-// foldDelta packs a delta tree over all overlay points.
+// foldDelta packs a delta tree over all overlay points. The tree adopts
+// a copy of ids: the packer reorders its columns in place.
 func (a applier) foldDelta(pts []geom.Point, ids []int64) (*rtree.Packed, error) {
-	coords, err := rtree.Flatten(a.dcfg, pts)
+	cols, err := rtree.Columns(a.dcfg, pts)
 	if err != nil {
 		return nil, err
 	}
-	return rtree.PackSTR(a.dcfg, coords, ids)
+	return rtree.PackSTR(a.dcfg, cols, slices.Clone(ids))
 }
 
 // insert returns the successor overlay for inserting (p, id) over a
@@ -214,42 +218,65 @@ func removeID(s []int64, i int) []int64 {
 	return append(n, s[i+1:]...)
 }
 
-// liveBase is the enumerable base a compaction gathers: the plain
-// index's arena or the sharded index's shard set.
-type liveBase interface {
-	Len() int
-	Dim() int
-	All(fn func(p geom.Point, id int64) bool)
-}
+// errTombstones reports a view whose tombstones do not mask as many base
+// points as they count; liveColumns cannot lay out its live multiset.
+var errTombstones = errors.New("gnn: tombstones do not match the base points they mask")
 
-// gatherLive returns a view's live multiset — base points not masked by
-// a tombstone, in the base's slot order, then overlay points in
-// insertion order — as one point-major coordinate slab plus ids, the
-// input of rtree.PackSTR. Every coordinate is copied into the slab, so
-// it never aliases a mapped arena that a later Close will unmap.
-func gatherLive(base liveBase, ov *overlayState) ([]float64, []int64) {
-	n := base.Len()
+// liveColumns returns a view's live multiset — the points of the base
+// arenas, in order and in slot order, not masked by a tombstone, then
+// overlay points in insertion order — as the axis-major columns and ids
+// that rtree.PackSTR adopts as the new base's leaf columns. Coordinates
+// are copied column to column, never staged point by point, and nothing
+// aliases a mapped arena that a later Close will unmap.
+func liveColumns(bases []*rtree.Packed, ov *overlayState) ([]float64, []int64, error) {
+	dim := bases[0].Dim()
+	var tombs *overlay.TombSet
+	var pts []geom.Point
+	var ovIDs []int64
 	if ov != nil {
-		n += len(ov.pts)
+		tombs, pts, ovIDs = ov.tombs, ov.pts, ov.ids
 	}
-	coords := make([]float64, 0, n*base.Dim())
+	// Each tombstone masks one base point, so live base points fill the
+	// first live slots of every axis; a base point beyond them means the
+	// tombstones do not match the base.
+	live := -tombs.Total()
+	for _, p := range bases {
+		live += p.Len()
+	}
+	if live < 0 {
+		return nil, nil, errTombstones
+	}
+	n := live + len(pts)
+	cols := make([]float64, dim*n)
 	ids := make([]int64, 0, n)
-	var drop func(geom.Point, int64) bool
-	if ov != nil {
-		drop = ov.tombs.Consumer()
-	}
-	base.All(func(p geom.Point, id int64) bool {
-		if drop == nil || !drop(p, id) {
-			coords = append(coords, p...)
+	drop := tombs.Consumer()
+	pt := make(geom.Point, dim)
+	for _, p := range bases {
+		pc, pids := p.PointSoA(), p.IDs()
+		if tombs.Total() == 0 {
+			for a, col := range pc {
+				copy(cols[a*n+len(ids):], col)
+			}
+			ids = append(ids, pids...)
+			continue
+		}
+		for s, id := range pids {
+			if drop(p.PointInto(int32(s), pt), id) {
+				continue
+			}
+			if len(ids) == live {
+				return nil, nil, errTombstones
+			}
+			for a, col := range pc {
+				cols[a*n+len(ids)] = col[s]
+			}
 			ids = append(ids, id)
 		}
-		return true
-	})
-	if ov != nil {
-		for i, p := range ov.pts {
-			coords = append(coords, p...)
-			ids = append(ids, ov.ids[i])
+	}
+	for i, q := range pts {
+		for a, v := range q {
+			cols[a*n+live+i] = v
 		}
 	}
-	return coords, ids
+	return cols, append(ids, ovIDs...), nil
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -151,11 +152,11 @@ func BuildShardedIndex(points []Point, ids []int64, shards int, cfg IndexConfig)
 		return nil, fmt.Errorf("gnn: %d shards; need at least 1", shards)
 	}
 	acct, rcfg := indexConfig(cfg)
-	coords, err := rtree.Flatten(rcfg, points)
+	cols, err := rtree.Columns(rcfg, points)
 	if err != nil {
 		return nil, err
 	}
-	set, err := shard.Build(rcfg, coords, ids, shards)
+	set, err := shard.Build(rcfg, cols, slices.Clone(ids), shards)
 	if err != nil {
 		return nil, err
 	}
@@ -635,8 +636,11 @@ func (sx *ShardedIndex) compactOnce() (err error) {
 	}
 	// Re-partition off the write lock: writers and readers proceed
 	// against the captured view while this runs.
-	coords, ids := gatherLive(v.set, v.ov)
-	nset, err := shard.Build(sx.rcfg, coords, ids, sx.shards)
+	cols, ids, err := liveColumns(v.set.Arenas(), v.ov)
+	if err != nil {
+		return fmt.Errorf("gnn: compact: %w", err)
+	}
+	nset, err := shard.Build(sx.rcfg, cols, ids, sx.shards)
 	if err != nil {
 		return fmt.Errorf("gnn: compact: %w", err)
 	}

@@ -9,6 +9,7 @@ package gnn_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -450,17 +451,33 @@ func TestShardedExactTies(t *testing.T) {
 }
 
 // FuzzShardedEquivalence fuzzes the sharded/unsharded differential across
-// dataset size, shard count, group size, k, aggregate, algorithm and
-// traversal. Any divergence in results or in the cost-sum invariant
-// crashes the target.
+// dataset size, shard count, group size, k, aggregate, algorithm,
+// traversal and point shape: clustered, every point on one spot, or
+// coordinates drawn from {-0, +0, -1, 1}, so the shard split and the
+// per-shard STR sorts meet exact ties, signed zeros included. Any
+// divergence in results or in the cost-sum invariant crashes the
+// target. The seed corpus in testdata/fuzz/FuzzShardedEquivalence
+// (fewer points than shards, one point, all-equal and signed-zero
+// coordinates) replays in every plain go test run.
 func FuzzShardedEquivalence(f *testing.F) {
-	f.Add(int64(1), uint16(300), uint8(3), uint8(4), uint8(2), uint8(0), false)
-	f.Add(int64(2), uint16(50), uint8(1), uint8(2), uint8(1), uint8(1), true)
-	f.Add(int64(3), uint16(900), uint8(9), uint8(16), uint8(5), uint8(2), false)
-	f.Add(int64(4), uint16(2), uint8(7), uint8(3), uint8(1), uint8(3), true)
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, shards, groupSize, k, algo uint8, df bool) {
+	f.Add(int64(1), uint16(300), uint8(3), uint8(4), uint8(2), uint8(0), false, uint8(0))
+	f.Add(int64(2), uint16(50), uint8(1), uint8(2), uint8(1), uint8(1), true, uint8(0))
+	f.Add(int64(3), uint16(900), uint8(9), uint8(16), uint8(5), uint8(2), false, uint8(0))
+	f.Add(int64(4), uint16(2), uint8(7), uint8(3), uint8(1), uint8(3), true, uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, shards, groupSize, k, algo uint8, df bool, shape uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		pts := clusterPoints(rng, int(n)%1200+1, 600)
+		switch shape % 3 {
+		case 1:
+			for i := range pts {
+				pts[i] = gnn.Point{300, 300}
+			}
+		case 2:
+			zeros := [...]float64{math.Copysign(0, -1), 0, -1, 1}
+			for i := range pts {
+				pts[i] = gnn.Point{zeros[rng.Intn(4)], zeros[rng.Intn(4)]}
+			}
+		}
 		s := int(shards)%9 + 1
 		ix, err := gnn.BuildIndex(pts, nil, gnn.IndexConfig{NodeCapacity: 8})
 		if err != nil {

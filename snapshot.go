@@ -57,11 +57,15 @@ func WithSnapshotBuffer(pages int) SnapshotOption {
 // WithEagerVerify makes a mapped open (OpenSnapshotMapped,
 // OpenShardedSnapshotMapped) run the full checksum and structural
 // validation before returning, instead of deferring it to the first
-// query. Eager verification touches every mapped page — paying the read
-// I/O the lazy default avoids — in exchange for the v1 guarantee that a
-// successfully opened index cannot later fail a query with
-// ErrSnapshotChecksum. The copying opens (OpenSnapshot and friends)
-// always verify eagerly; the option is a no-op there.
+// query. Eager verification reads the whole file once — paying at the
+// open the read I/O the lazy default pays at the first query — in
+// exchange for the v1 guarantee that a successfully opened index cannot
+// later fail a query with ErrSnapshotChecksum. Either way the checksums
+// read the file through the mapping's descriptor, not the mapping, so
+// verification leaves only the header, section table and node sections
+// resident; the columns fault in as queries touch them. The copying
+// opens (OpenSnapshot and friends) always verify eagerly; the option is
+// a no-op there.
 func WithEagerVerify() SnapshotOption {
 	return func(c *snapshotConfig) { c.eagerVerify = true }
 }
@@ -95,8 +99,11 @@ func (ix *Index) WriteSnapshot(w io.Writer) error {
 		return err
 	}
 	if v.ov != nil {
-		coords, ids := gatherLive(v.packed, v.ov)
-		if p, err = rtree.PackSTR(ix.rcfg, coords, ids); err != nil {
+		cols, ids, err := liveColumns([]*rtree.Packed{v.packed}, v.ov)
+		if err != nil {
+			return err
+		}
+		if p, err = rtree.PackSTR(ix.rcfg, cols, ids); err != nil {
 			return err
 		}
 	}
@@ -170,8 +177,11 @@ func (sx *ShardedIndex) WriteSnapshot(w io.Writer) error {
 	v := sx.view.Load()
 	set := v.set
 	if v.ov != nil {
-		coords, ids := gatherLive(v.set, v.ov)
-		nset, err := shard.Build(sx.rcfg, coords, ids, sx.shards)
+		cols, ids, err := liveColumns(v.set.Arenas(), v.ov)
+		if err != nil {
+			return err
+		}
+		nset, err := shard.Build(sx.rcfg, cols, ids, sx.shards)
 		if err != nil {
 			return err
 		}
@@ -281,7 +291,7 @@ func OpenSnapshotMapped(path string, opts ...SnapshotOption) (*Index, error) {
 }
 
 func openMappedPlain(mf *mmapfile.File, c snapshotConfig) (*Index, error) {
-	ad, err := snapshot.DecodeAdopted(mf.Data())
+	ad, err := snapshot.DecodeMapped(mf)
 	if err != nil {
 		return nil, err
 	}
@@ -354,7 +364,7 @@ func OpenShardedSnapshotMapped(path string, opts ...SnapshotOption) (*ShardedInd
 }
 
 func openMappedSharded(mf *mmapfile.File, c snapshotConfig) (*ShardedIndex, error) {
-	ad, err := snapshot.DecodeAdopted(mf.Data())
+	ad, err := snapshot.DecodeMapped(mf)
 	if err != nil {
 		return nil, err
 	}
