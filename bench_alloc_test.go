@@ -70,6 +70,8 @@ var allocCells = []struct {
 	{"MBM-DF/min", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithAggregate(gnn.MinDist), gnn.WithDepthFirst()}},
 	{"SPM/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoSPM)}},
 	{"MQM/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMQM)}},
+	{"brute/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoBruteForce)}},
+	{"brute/max", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoBruteForce), gnn.WithAggregate(gnn.MaxDist)}},
 }
 
 func BenchmarkGroupNNAllocs(b *testing.B) {

@@ -466,11 +466,6 @@ func BenchmarkPointNN(b *testing.B) {
 			rd.NearestBF(q, 8)
 		}
 	})
-	b.Run("DF", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			rd.NearestDF(q, 8)
-		}
-	})
 }
 
 func itoa(n int) string {

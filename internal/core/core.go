@@ -233,83 +233,6 @@ func validate(t *rtree.Tree, qs []geom.Point, opt Options) error {
 	return nil
 }
 
-// aggDist returns dist(p,Q) under the aggregate.
-func aggDist(a Aggregate, p geom.Point, qs []geom.Point) float64 {
-	switch a {
-	case Max:
-		return geom.MaxDistToGroup(p, qs)
-	case Min:
-		return geom.MinDistToGroup(p, qs)
-	default:
-		return geom.SumDist(p, qs)
-	}
-}
-
-// aggCombine folds per-query-point lower bounds into a group bound: given
-// values v_i that lower-bound |p q_i| for every p of interest, the result
-// lower-bounds dist(p,Q).
-func aggCombine(a Aggregate, vs []float64) float64 {
-	switch a {
-	case Max:
-		m := 0.0
-		for _, v := range vs {
-			if v > m {
-				m = v
-			}
-		}
-		return m
-	case Min:
-		m := math.Inf(1)
-		for _, v := range vs {
-			if v < m {
-				m = v
-			}
-		}
-		return m
-	default:
-		s := 0.0
-		for _, v := range vs {
-			s += v
-		}
-		return s
-	}
-}
-
-// nodeLB returns the tight per-query-point lower bound on dist(p,Q) for
-// any p inside r — heuristic 3 for SUM, the analogous bounds for MAX/MIN.
-// The MAX/MIN bounds compare squared mindists and Sqrt only the winner
-// (squaring is monotone); SUM adds the distances themselves, so each term
-// keeps its Sqrt.
-func nodeLB(a Aggregate, r geom.Rect, qs []geom.Point) float64 {
-	switch a {
-	case Max:
-		return math.Sqrt(geom.MaxMinDistSqRectToGroup(r, qs))
-	case Min:
-		return math.Sqrt(geom.MinMinDistSqRectToGroup(r, qs))
-	default:
-		return geom.SumMinDistRectToGroup(r, qs)
-	}
-}
-
-// quickNodeLB returns the cheap single-computation lower bound on
-// dist(p,Q) for p inside r, from the query MBR — heuristic 2 for SUM.
-func quickNodeLB(a Aggregate, r geom.Rect, qmbr geom.Rect, n int) float64 {
-	d := geom.MinDistRectRect(r, qmbr)
-	if a == Sum {
-		return float64(n) * d
-	}
-	return d // both max_i and min_i of |p qi| are ≥ mindist(r, MBR(Q))
-}
-
-// quickPointLB is quickNodeLB for a data point.
-func quickPointLB(a Aggregate, p geom.Point, qmbr geom.Rect, n int) float64 {
-	d := geom.MinDistPointRect(p, qmbr)
-	if a == Sum {
-		return float64(n) * d
-	}
-	return d
-}
-
 // kbest maintains the k best (smallest-distance) group neighbors found so
 // far, deduplicated by point ID. It is a small sorted slice rather than a
 // heap because the paper's k ≤ 32. When shared is non-nil the accumulator
@@ -435,86 +358,27 @@ func BruteForce(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, e
 	return best.results(), nil
 }
 
-// bruteForceScan is the baseline's scan: the flat leaf arena is consumed
-// in streaming chunks, each chunk's aggregate distances computed by one
-// fused group kernel over the SoA coordinate arrays. Offers happen in
-// the arena's depth-first slot order.
+// bruteForceScan is the baseline's scan: every leaf slot, in the arena's
+// depth-first slot order, scored by the one exact aggregate.
 func bruteForceScan(p *rtree.Packed, qs []geom.Point, w *weightCtx, opt Options, best *kbest, ec *ExecContext) {
-	pc := p.PointSoA()
-	n := p.NumLeafSlots()
-	const chunk = 512
-	var ws []float64
-	if w != nil {
-		ws = w.w
-	}
-	for s := 0; s < n; s += chunk {
-		// A direct poll per chunk, not the strided Stop: each chunk is
-		// already hundreds of points × the group size in distance work,
-		// so one context read per chunk is noise — while a 256-chunk
-		// stride would let a canceled scan run for another 128k points.
-		if opt.Cancel.Check() != nil {
+	g := ec.grp.fill(qs)
+	n := int32(p.NumLeafSlots())
+	for s := int32(0); s < n; s++ {
+		// A direct poll every 512 points, not the strided Stop: a scan of
+		// a small index must still see a context that fired before it.
+		if s%512 == 0 && opt.Cancel.Check() != nil {
 			return
 		}
-		e := s + chunk
-		if e > n {
-			e = n
+		if tr := opt.Trace; tr != nil {
+			tr.PointsScanned++
+		}
+		if opt.Region != nil && !p.PointIn(s, *opt.Region) {
+			continue
 		}
 		if tr := opt.Trace; tr != nil {
-			// The fused kernel computes every chunk point's exact group
-			// distance in one pass, region filtering happens after.
-			tr.PointsScanned += e - s
-			tr.ExactDistances += e - s
+			tr.ExactDistances++
 		}
-		ec.dbuf = grow(ec.dbuf, e-s)
-		dists := ec.dbuf
-		sqrtEach := false
-		switch opt.Aggregate {
-		case Max:
-			if ws == nil {
-				geom.MaxDistSqPointsGroup(pc, s, e, qs, dists)
-				sqrtEach = true
-			} else {
-				geom.MaxDistPointsGroupW(pc, s, e, qs, ws, dists)
-			}
-		case Min:
-			if ws == nil {
-				geom.MinDistSqPointsGroup(pc, s, e, qs, dists)
-				sqrtEach = true
-			} else {
-				geom.MinDistPointsGroupW(pc, s, e, qs, ws, dists)
-			}
-		default:
-			geom.SumDistPointsGroup(pc, s, e, qs, ws, dists)
-		}
-		for i := 0; i < e-s; i++ {
-			slot := int32(s + i)
-			if opt.Region != nil && !p.PointIn(slot, *opt.Region) {
-				continue
-			}
-			pt := ec.gather(p, slot)
-			d := dists[i]
-			if sqrtEach {
-				d = math.Sqrt(d)
-			}
-			best.offer(GroupNeighbor{Point: pt, ID: p.LeafID(slot), Dist: d})
-		}
+		pt := ec.gather(p, s)
+		best.offer(GroupNeighbor{Point: pt, ID: p.LeafID(s), Dist: aggDistSoA(opt.Aggregate, pt, g, w)})
 	}
-}
-
-// BruteForcePoints computes the exact k GNNs of qs over a plain point
-// slice (ids are the slice indexes). Used to validate the disk-resident
-// algorithms without building a tree.
-func BruteForcePoints(pts []geom.Point, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
-	opt = opt.withDefaults()
-	if len(qs) == 0 {
-		return nil, ErrEmptyQuery
-	}
-	if opt.K < 1 {
-		return nil, ErrBadK
-	}
-	best := newKBest(opt.K)
-	for i, p := range pts {
-		best.offer(GroupNeighbor{Point: p, ID: int64(i), Dist: aggDist(opt.Aggregate, p, qs)})
-	}
-	return best.results(), nil
 }

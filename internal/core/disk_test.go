@@ -14,7 +14,7 @@ import (
 // buildTreeIDs STR-packs pts (ids are the slice positions).
 func buildTreeIDs(t testing.TB, pts []geom.Point) *rtree.Packed {
 	t.Helper()
-	cfg := rtree.Config{MaxEntries: 10}
+	cfg := rtree.Config{MaxEntries: 10, Dim: dimOf(pts)}
 	cols, err := rtree.Columns(cfg, pts)
 	if err != nil {
 		t.Fatal(err)
@@ -87,9 +87,17 @@ func TestQueryFileAllPoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	pts := randPts(rng, 120, 500)
 	qf, _ := NewQueryFile(pts, 50, nil, 0)
-	all, err := qf.AllPoints(nil)
-	if err != nil || len(all) != 120 {
-		t.Fatalf("AllPoints: %v, %d", err, len(all))
+	// Together the blocks hold every point, none lost or altered.
+	var all []geom.Point
+	for i := 0; i < qf.NumBlocks(); i++ {
+		blk, err := qf.ReadBlock(i, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, blk...)
+	}
+	if len(all) != 120 {
+		t.Fatalf("blocks hold %d points, want 120", len(all))
 	}
 	// Same multiset: compare coordinate sums.
 	var s1, s2 float64
@@ -100,7 +108,7 @@ func TestQueryFileAllPoints(t *testing.T) {
 		s2 += p[0] + p[1]
 	}
 	if math.Abs(s1-s2) > 1e-6 {
-		t.Fatal("AllPoints lost or altered points")
+		t.Fatal("blocks lost or altered points")
 	}
 }
 
@@ -119,7 +127,7 @@ func TestGCPMatchesBruteForce(t *testing.T) {
 		tp := buildTreeIDs(t, pts)
 		tq := buildTreeIDs(t, qs)
 		k := 1 + rng.Intn(4)
-		want, _ := BruteForcePoints(pts, qs, Options{K: k})
+		want := bruteForcePoints(pts, qs, k)
 		rep, err := GCP(tp, tq, GCPOptions{Options: Options{K: k}})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -176,7 +184,7 @@ func TestGCPSmallContainedQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := BruteForcePoints(pts, qs, Options{})
+	want := bruteForcePoints(pts, qs, 1)
 	sameResults(t, "GCP", rep.Neighbors, want)
 	if rep.PairsConsumed > int64(len(pts)*len(qs))/10 {
 		t.Fatalf("GCP consumed %d of %d pairs on an easy instance",
@@ -199,7 +207,7 @@ func TestFMQMMatchesBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := 1 + rng.Intn(4)
-		want, _ := BruteForcePoints(pts, qs, Options{K: k})
+		want := bruteForcePoints(pts, qs, k)
 		rep, err := diskOn(tr, FMQM, qf, DiskOptions{Options: Options{K: k}})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -223,7 +231,7 @@ func TestFMBMMatchesBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := 1 + rng.Intn(4)
-		want, _ := BruteForcePoints(pts, qs, Options{K: k})
+		want := bruteForcePoints(pts, qs, k)
 		for _, trav := range []Traversal{BestFirst, DepthFirst} {
 			rep, err := diskOn(tr, FMBM, qf, DiskOptions{Options: Options{K: k, Traversal: trav}})
 			if err != nil {
@@ -240,7 +248,7 @@ func TestFDiskAlgorithmsSingleBlockEqualsMemory(t *testing.T) {
 	pts := randPts(rng, 500, 1000)
 	qs := randPts(rng, 40, 300)
 	tr := buildTreeIDs(t, pts)
-	want, _ := BruteForcePoints(pts, qs, Options{K: 3})
+	want := bruteForcePoints(pts, qs, 3)
 	qf, _ := NewQueryFile(qs, 1000, nil, 0)
 	if qf.NumBlocks() != 1 {
 		t.Fatal("expected one block")

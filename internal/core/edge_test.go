@@ -15,7 +15,7 @@ func TestDiskAlgorithmsKLargerThanDataset(t *testing.T) {
 	tp := buildTreeIDs(t, pts)
 	tq := buildTreeIDs(t, qs)
 	qf, _ := NewQueryFile(qs, 7, nil, 0)
-	want, _ := BruteForcePoints(pts, qs, Options{K: 20})
+	want := bruteForcePoints(pts, qs, 20)
 	if len(want) != 12 {
 		t.Fatalf("baseline has %d results", len(want))
 	}
@@ -114,7 +114,7 @@ func TestDisjointQueryWorkspace(t *testing.T) {
 	tp := buildTreeIDs(t, pts)
 	tq := buildTreeIDs(t, qs)
 	qf, _ := NewQueryFile(qs, 5, nil, 0)
-	wantPts, _ := BruteForcePoints(pts, qs, Options{K: 3})
+	wantPts := bruteForcePoints(pts, qs, 3)
 	rep, err := GCP(tp, tq, GCPOptions{Options: Options{K: 3}})
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestGCPKPruningDelay(t *testing.T) {
 		tp := buildTreeIDs(t, pts)
 		tq := buildTreeIDs(t, qs)
 		for _, k := range []int{2, 5, 10} {
-			want, _ := BruteForcePoints(pts, qs, Options{K: k})
+			want := bruteForcePoints(pts, qs, k)
 			rep, err := GCP(tp, tq, GCPOptions{Options: Options{K: k}})
 			if err != nil {
 				t.Fatal(err)

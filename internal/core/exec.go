@@ -44,10 +44,8 @@ type ExecContext struct {
 	// the result accumulator copies what it keeps.
 	pt geom.Point
 
-	// SoA copy of the query group (per-axis columns) for the exact-
-	// distance and heuristic-3 inner loops.
-	gsoa  [][]float64
-	gflat []float64
+	// The query group laid out for the aggregate family (aggregate.go).
+	grp soaGroup
 
 	// Dedicated aggregate-MAX scratch: the minimum-enclosing-ball solver's
 	// buffers and the derived pruning context (see maxmeb.go).
@@ -90,8 +88,7 @@ func (ec *ExecContext) Release() {
 	ec.heap.Reset()
 	clear(ec.qsbuf[:cap(ec.qsbuf)])
 	ec.qsbuf = pq.Trim(ec.qsbuf)
-	clear(ec.gsoa[:cap(ec.gsoa)]) // columns of gflat, rebuilt per query
-	ec.gflat = pq.Trim(ec.gflat)
+	ec.grp.release()
 	ec.thresholds = pq.Trim(ec.thresholds)
 	clear(ec.iters[:cap(ec.iters)])
 	ec.iters = pq.Trim(ec.iters)
@@ -175,35 +172,6 @@ func (ec *ExecContext) Points(n int) []geom.Point {
 	}
 	ec.qsbuf = ec.qsbuf[:n]
 	return ec.qsbuf
-}
-
-// groupSoA lays the query group out as per-axis columns into the
-// context's reusable backing (see the SoA group fast path in weighted.go).
-func (ec *ExecContext) groupSoA(qs []geom.Point) [][]float64 {
-	ec.gsoa, ec.gflat = groupSoAInto(ec.gsoa, ec.gflat, qs)
-	return ec.gsoa
-}
-
-// groupSoAInto fills (and grows) the given column/backing buffers with
-// the group's coordinates, column a holding axis a of every query point.
-func groupSoAInto(dst [][]float64, flat []float64, qs []geom.Point) ([][]float64, []float64) {
-	dim, n := len(qs[0]), len(qs)
-	if cap(flat) < dim*n {
-		flat = make([]float64, dim*n)
-	}
-	flat = flat[:dim*n]
-	if cap(dst) < dim {
-		dst = make([][]float64, dim)
-	}
-	dst = dst[:dim]
-	for a := 0; a < dim; a++ {
-		col := flat[a*n : (a+1)*n]
-		for j, q := range qs {
-			col[j] = q[a]
-		}
-		dst[a] = col
-	}
-	return dst, flat
 }
 
 // kbestFor returns the context's result accumulator, reset for k results

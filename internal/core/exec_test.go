@@ -37,9 +37,9 @@ func TestReleaseDropsOversizedBuffers(t *testing.T) {
 			cap(ec.best.items), cap(ec.best.rows), cap(ec.qsbuf))
 	}
 	if ec := run(5000, pq.RetainCap+1); cap(ec.best.items) != 0 || cap(ec.best.rows) != 0 ||
-		cap(ec.qsbuf) != 0 || cap(ec.gflat) != 0 {
+		cap(ec.qsbuf) != 0 || cap(ec.grp.flat) != 0 {
 		t.Fatalf("oversized buffers kept: items %d rows %d group %d columns %d",
-			cap(ec.best.items), cap(ec.best.rows), cap(ec.qsbuf), cap(ec.gflat))
+			cap(ec.best.items), cap(ec.best.rows), cap(ec.qsbuf), cap(ec.grp.flat))
 	}
 }
 

@@ -45,7 +45,7 @@ func MBM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 		st := mbmState{
 			rd:   opt.Packed.Reader(opt.Cost),
 			qs:   qs,
-			gq:   ec.groupSoA(qs),
+			g:    ec.grp.fill(qs),
 			qmbr: ec.boundingRect(qs),
 			w:    w,
 			opt:  opt,
@@ -117,7 +117,7 @@ func (it *GNNIterator) drainPruneCounts(tr *Trace) {
 type mbmState struct {
 	rd    rtree.Reader
 	qs    []geom.Point
-	gq    [][]float64 // SoA copy of qs for the group-facing inner loops
+	g     *soaGroup // the query group, for the exact distance and heuristic 3
 	qmbr  geom.Rect
 	qcent geom.Point // centre of qmbr — the tie-break reference
 	meb   *mebCtx    // dedicated aggregate-MAX bound; nil on the generic path
@@ -176,9 +176,9 @@ func (st *mbmState) df(nd int32, depth int) {
 	n := len(st.qs)
 	for i := range cands {
 		c := cands[i]
-		// Heuristic 2 from the sort key: quickLBFromMindist(√key) equals
-		// the quickNodeLBW/quickPointLBW bound bit for bit, because every
-		// mindist function is defined as the Sqrt of its squared variant.
+		// Heuristic 2 from the sort key: √key is the mindist to the query
+		// MBR bit for bit, because every mindist function is defined as
+		// the Sqrt of its squared variant.
 		lb := quickLBFromMindist(st.opt.Aggregate, math.Sqrt(c.D), n, st.w)
 		slot, isPoint := rtree.RefSlot(c.Ref)
 		if isPoint {
@@ -197,7 +197,7 @@ func (st *mbmState) df(nd int32, depth int) {
 			st.opt.Trace.add(func(tr *Trace) { tr.ExactDistances++ })
 			st.best.offer(GroupNeighbor{
 				Point: pt, ID: p.LeafID(slot),
-				Dist: aggDistSoA(st.opt.Aggregate, pt, st.gq, st.w),
+				Dist: aggDistSoA(st.opt.Aggregate, pt, st.g, st.w),
 			})
 			continue
 		}
@@ -213,7 +213,7 @@ func (st *mbmState) df(nd int32, depth int) {
 			continue // MEB node bound: skip just this node (order unchanged)
 		}
 		if !st.opt.DisableHeuristic3 {
-			if nodeLBSoA(st.opt.Aggregate, st.ec.prect, st.gq, st.w) >= st.best.bound() {
+			if nodeLBSoA(st.opt.Aggregate, st.ec.prect, st.g, st.w) >= st.best.bound() {
 				st.opt.Trace.add(func(tr *Trace) { tr.NodesPrunedH3++ })
 				continue // heuristic 3: skip just this node
 			}
@@ -253,8 +253,7 @@ type GNNIterator struct {
 	qmbr   geom.Rect
 	opt    Options
 	w      *weightCtx
-	gq     [][]float64      // SoA copy of qs for the group-facing inner loops
-	gflat  []float64        // backing of gq
+	grp    soaGroup         // the query group, for the exact distance and heuristic 3
 	heap   pq.Heap[gnnItem] // 8-byte items, fused keys
 	dbuf   []float64        // fused-kernel distance buffer
 	dbuf2  []float64        // fused MEB-bound buffer
@@ -301,7 +300,7 @@ func NewGNNIterator(t *rtree.Tree, qs []geom.Point, opt Options) (*GNNIterator, 
 	it := gnnIterPool.Get()
 	it.rd = opt.Packed.Reader(opt.Cost)
 	it.qs = qs
-	it.gq, it.gflat = groupSoAInto(it.gq, it.gflat, qs)
+	it.grp.fill(qs)
 	it.qmbr = geom.BoundingRectInto(it.qmbr, qs)
 	it.opt = opt
 	it.w = w
@@ -319,8 +318,7 @@ func NewGNNIterator(t *rtree.Tree, qs []geom.Point, opt Options) (*GNNIterator, 
 }
 
 // pushNode enqueues node nd's slots with their heuristic-2 keys, derived
-// from one fused mindist pass over the SoA arrays — the same values
-// quickPointLBW/quickNodeLBW produce entry by entry. Under a region
+// from one fused mindist pass over the SoA arrays. Under a region
 // constraint, entries that cannot hold a qualifying point are skipped.
 func (it *GNNIterator) pushNode(nd int32) {
 	p := it.rd.Packed()
@@ -407,12 +405,12 @@ func (it *GNNIterator) Next() (GroupNeighbor, bool) {
 				continue // tombstoned: drop before the exact-distance stage
 			}
 			it.opt.Trace.add(func(tr *Trace) { tr.ExactDistances++ })
-			exact := aggDistSoA(it.opt.Aggregate, it.pt, it.gq, it.w)
+			exact := aggDistSoA(it.opt.Aggregate, it.pt, &it.grp, it.w)
 			it.heap.Push(gnnItem{item.Value.ref, pointExact}, exact)
 		case nodeCheap:
 			if !it.opt.DisableHeuristic3 {
 				p.RectInto(slot, &it.prect)
-				tight := nodeLBSoA(it.opt.Aggregate, it.prect, it.gq, it.w)
+				tight := nodeLBSoA(it.opt.Aggregate, it.prect, &it.grp, it.w)
 				if tight > item.Priority {
 					it.heap.Push(gnnItem{item.Value.ref, nodeTight}, tight)
 					continue
@@ -449,8 +447,7 @@ func (it *GNNIterator) Close() {
 	it.closed = true
 	it.rd = rtree.Reader{}
 	it.qs = nil
-	clear(it.gq[:cap(it.gq)]) // columns of gflat, rebuilt per query
-	it.gflat = pq.Trim(it.gflat)
+	it.grp.release()
 	it.opt = Options{}
 	it.w = nil
 	it.mebp = nil

@@ -50,7 +50,7 @@ func MQM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 	}()
 	ec.thresholds = growFloats(ec.thresholds, n)
 	thresholds := ec.thresholds
-	gq := ec.groupSoA(qs)
+	g := ec.grp.fill(qs)
 	best := ec.kbestShared(t, opt.K, opt.Shared, opt.Reject)
 
 	// T = agg_i(w_i·t_i). For SUM (the common case) it is maintained
@@ -61,7 +61,7 @@ func MQM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 		if opt.Aggregate == Sum {
 			return tSum
 		}
-		return combineThresholdsW(opt.Aggregate, thresholds, w)
+		return combineThresholds(opt.Aggregate, thresholds, w)
 	}
 	weightOf := func(i int) float64 {
 		if w == nil {
@@ -96,7 +96,7 @@ func MQM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 			best.offer(GroupNeighbor{
 				Point: nb.Point,
 				ID:    nb.ID,
-				Dist:  aggDistSoA(opt.Aggregate, nb.Point, gq, w),
+				Dist:  aggDistSoA(opt.Aggregate, nb.Point, g, w),
 			})
 		}
 	}

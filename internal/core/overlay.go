@@ -84,6 +84,9 @@ func ScanPoints(pts []geom.Point, ids []int64, qs []geom.Point, opt Options) ([]
 	if err != nil {
 		return nil, err
 	}
+	ec, owned := opt.exec()
+	defer releaseIfOwned(ec, owned)
+	g := ec.grp.fill(qs)
 	best := newKBest(opt.K)
 	best.shared = opt.Shared
 	for i, p := range pts {
@@ -91,7 +94,7 @@ func ScanPoints(pts []geom.Point, ids []int64, qs []geom.Point, opt Options) ([]
 			break
 		}
 		if regionAllows(opt.Region, p) {
-			best.offer(GroupNeighbor{Point: p, ID: ids[i], Dist: aggDistW(opt.Aggregate, p, qs, w)})
+			best.offer(GroupNeighbor{Point: p, ID: ids[i], Dist: aggDistSoA(opt.Aggregate, p, g, w)})
 		}
 	}
 	if err := opt.Cancel.Failure(); err != nil {
@@ -113,10 +116,13 @@ func ScanAll(pts []geom.Point, ids []int64, qs []geom.Point, opt Options) ([]Gro
 	if err != nil {
 		return nil, err
 	}
+	ec, owned := opt.exec()
+	defer releaseIfOwned(ec, owned)
+	g := ec.grp.fill(qs)
 	out := make([]GroupNeighbor, 0, len(pts))
 	for i, p := range pts {
 		if regionAllows(opt.Region, p) {
-			out = append(out, GroupNeighbor{Point: p, ID: ids[i], Dist: aggDistW(opt.Aggregate, p, qs, w)})
+			out = append(out, GroupNeighbor{Point: p, ID: ids[i], Dist: aggDistSoA(opt.Aggregate, p, g, w)})
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Dist < out[j].Dist })

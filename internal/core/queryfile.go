@@ -99,17 +99,3 @@ func (qf *QueryFile) Accountant() *pagestore.Accountant { return qf.file.Account
 
 // Pages returns the number of pages Q occupies.
 func (qf *QueryFile) Pages() int { return qf.file.Pages() }
-
-// AllPoints reads every block (charging the I/O to tk and the aggregate)
-// and returns the full query group; used by validation baselines.
-func (qf *QueryFile) AllPoints(tk *pagestore.CostTracker) ([]geom.Point, error) {
-	out := make([]geom.Point, 0, qf.total)
-	for i := 0; i < qf.NumBlocks(); i++ {
-		blk, err := qf.ReadBlock(i, tk)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, blk...)
-	}
-	return out, nil
-}

@@ -79,7 +79,7 @@ func TestQuickDiskAlgorithmsAgree(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want, _ := BruteForcePoints(pts, qs, Options{K: 2})
+		want := bruteForcePoints(pts, qs, 2)
 		match := func(got []GroupNeighbor, err error) bool {
 			if err != nil || len(got) != len(want) {
 				return false

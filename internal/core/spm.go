@@ -32,25 +32,26 @@ func SPM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 	if err != nil {
 		return nil, err
 	}
-	q, _, err := spmCentroid(qs, opt.Centroid)
+	q, err := spmCentroid(qs, opt.Centroid)
 	if err != nil {
 		return nil, err
 	}
+	ec, owned := opt.exec()
+	defer releaseIfOwned(ec, owned)
+	g := ec.grp.fill(qs)
 	// Lemma 1 under weights: w_i·|p q_i| ≥ w_i·(|pq| − |q_i q|), so
 	// dist_w(p,Q) ≥ W·|pq| − dist_w(q,Q) with W = Σ w_i. The centroid q
 	// may be any point (the unweighted Fermat point is used even for
 	// weighted queries — the bound stays sound, only slightly looser).
-	dq := aggDistW(Sum, q, qs, w)
+	dq := aggDistSoA(Sum, q, g, w)
 	n := float64(len(qs))
 	if w != nil {
 		n = w.sum
 	}
-	ec, owned := opt.exec()
-	defer releaseIfOwned(ec, owned)
 	best := ec.kbestShared(t, opt.K, opt.Shared, opt.Reject)
 	if t.Len() > 0 {
 		run := spmRun{rd: opt.Packed.Reader(opt.Cost),
-			qs: qs, gq: ec.groupSoA(qs), q: q, dq: dq, n: n, w: w, region: opt.Region,
+			g: g, q: q, dq: dq, n: n, w: w, region: opt.Region,
 			best: best, ec: ec, cancel: opt.Cancel, trace: opt.Trace}
 		if opt.Traversal == DepthFirst {
 			run.df(run.rd.PackedRoot(), 0)
@@ -67,11 +68,10 @@ func SPM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 // spmRun carries the per-query state of an SPM traversal.
 type spmRun struct {
 	rd     rtree.Reader
-	qs     []geom.Point
-	gq     [][]float64 // SoA copy of qs for the exact-distance loop
-	q      geom.Point  // centroid
-	dq     float64     // dist_w(q, Q)
-	n      float64     // W = Σ w_i (or n when unweighted)
+	g      *soaGroup  // the query group, for the exact distance
+	q      geom.Point // centroid
+	dq     float64    // dist_w(q, Q)
+	n      float64    // W = Σ w_i (or n when unweighted)
 	w      *weightCtx
 	region *geom.Rect
 	best   *kbest
@@ -80,21 +80,17 @@ type spmRun struct {
 	trace  *Trace
 }
 
-// spmCentroid computes the approximate centroid and its dist(q,Q).
-func spmCentroid(qs []geom.Point, m CentroidMethod) (geom.Point, float64, error) {
+// spmCentroid computes the approximate centroid.
+func spmCentroid(qs []geom.Point, m CentroidMethod) (geom.Point, error) {
 	switch m {
 	case Weiszfeld:
-		q, d, err := centroid.Weiszfeld(qs, centroid.Options{})
-		return q, d, err
+		q, _, err := centroid.Weiszfeld(qs, centroid.Options{})
+		return q, err
 	case ArithmeticMean:
-		q, err := centroid.Mean(qs)
-		if err != nil {
-			return nil, 0, err
-		}
-		return q, geom.SumDist(q, qs), nil
+		return centroid.Mean(qs)
 	default:
-		q, d, err := centroid.GradientDescent(qs, centroid.Options{})
-		return q, d, err
+		q, _, err := centroid.GradientDescent(qs, centroid.Options{})
+		return q, err
 	}
 }
 
@@ -116,7 +112,7 @@ func (r *spmRun) offer(s int32) {
 	pt := r.ec.gather(p, s)
 	r.best.offer(GroupNeighbor{
 		Point: pt, ID: p.LeafID(s),
-		Dist: aggDistSoA(Sum, pt, r.gq, r.w),
+		Dist: aggDistSoA(Sum, pt, r.g, r.w),
 	})
 }
 

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"gnn/internal/geom"
-	"gnn/internal/rtree"
-)
+import "time"
 
 // Trace collects per-query diagnostics about the work a traversal did and
 // which heuristic saved what. Attach one via Options.Trace; every
@@ -112,13 +107,4 @@ func (s *StageLog) Record(name string, shard int, d time.Duration) {
 	if s != nil {
 		s.Stages = append(s.Stages, Stage{Name: name, Shard: shard, Duration: d})
 	}
-}
-
-// MBMTraced runs MBM and returns the trace alongside the results. It is a
-// convenience wrapper over Options.Trace.
-func MBMTraced(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, *Trace, error) {
-	trace := &Trace{}
-	opt.Trace = trace
-	res, err := MBM(t, qs, opt)
-	return res, trace, err
 }

@@ -10,7 +10,8 @@ func TestTraceBestFirst(t *testing.T) {
 	pts := clusteredPts(rng, 3000, 1000)
 	tr := buildTree(t, pts, 10)
 	qs := randPts(rng, 16, 200)
-	res, trace, err := MBMTraced(tr.Tree(), qs, Options{K: 4, Packed: tr})
+	trace := &Trace{}
+	res, err := on(tr, MBM, qs, Options{K: 4, Trace: trace})
 	if err != nil {
 		t.Fatal(err)
 	}

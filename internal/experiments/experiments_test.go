@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -52,16 +53,25 @@ func TestEnvTree(t *testing.T) {
 	}
 }
 
+// checkFigure checks the figure's series, read off the rows of its
+// rendered node-access panel, and that every cell holds a measurement.
 func checkFigure(t *testing.T, fig *stats.Figure, wantSeries []string, xCount int) {
 	t.Helper()
-	names := fig.SeriesNames()
-	if len(names) != len(wantSeries) {
-		t.Fatalf("%s: series %v, want %v", fig.Title, names, wantSeries)
+	var b strings.Builder
+	if err := fig.Render(&b); err != nil {
+		t.Fatal(err)
 	}
-	for i, s := range wantSeries {
-		if names[i] != s {
-			t.Fatalf("%s: series %v, want %v", fig.Title, names, wantSeries)
+	// The title and the panel header come first, then one row per series
+	// in insertion order, then a blank line.
+	var names []string
+	for _, row := range strings.Split(b.String(), "\n")[2:] {
+		if row == "" {
+			break
 		}
+		names = append(names, strings.Fields(row)[0])
+	}
+	if !slices.Equal(names, wantSeries) {
+		t.Fatalf("%s: series %v, want %v", fig.Title, names, wantSeries)
 	}
 	if len(fig.XValues) != xCount {
 		t.Fatalf("%s: %d x-values", fig.Title, len(fig.XValues))

@@ -14,14 +14,14 @@ import "math"
 // Bit-exactness contract: every kernel performs, per element, exactly the
 // same floating-point operations in exactly the same order as its scalar
 // counterpart in geom.go (axis terms accumulate in ascending axis order,
-// group terms in query order, with identical expression shapes). Packed
-// traversals therefore produce bit-identical distances and bounds to the
-// scalar helpers — which serve the overlay's pending-tail scan and the
-// per-rectangle bounds (heuristic 3, MEB) — so results are identical
-// whichever source a point is scored from, and the golden node-access
-// counts stay fixed. Do not restructure the arithmetic (e.g. hoisting a
-// Sqrt across a fold or squaring weights) without revisiting that
-// contract.
+// with identical expression shapes), so a packed traversal's keys equal
+// the scalar helpers' bit for bit. The query kernels' aggregate family
+// (internal/core/aggregate.go) also runs MinDistSqPointsRect and
+// DistSqPointsPoint over the query group's columns, for heuristic 3 and
+// the exact distance outside 2-D; its contract restates the order, and
+// the golden node-access counts rest on it. Do not restructure the
+// arithmetic (e.g. hoisting a Sqrt across a fold) without revisiting
+// both.
 
 // MinDistSqPointsRect writes dst[i] = MinDistSqPointRect(p_{s+i}, r) for
 // the point slots [s, e) of the SoA array pc (pc[axis][slot]).
@@ -106,199 +106,6 @@ func MinDistSqRectsPoint(lo, hi [][]float64, s, e int, q Point, dst []float64) {
 			}
 			dst[i] += d * d
 		}
-	}
-}
-
-// The group kernels below carry a 2-D fast path: the slot's coordinates
-// are hoisted into scalars before the group loop (the compiler cannot do
-// this itself across the pc[a][s+i] double indexing, because dst may
-// alias the coordinate arrays). The 2-D sum dx*dx + dy*dy is bit-identical
-// to the scalar (0 + d0²) + d1² accumulation: squares are non-negative,
-// so the leading 0 + x is exact.
-
-// SumDistPointsGroup writes dst[i] = Σ_j w_j·|p_{s+i} q_j| for the point
-// slots [s, e) — the fused SUM-aggregate distance of a whole entry range
-// to the query group. ws == nil means unweighted, matching SumDist.
-func SumDistPointsGroup(pc [][]float64, s, e int, qs []Point, ws []float64, dst []float64) {
-	dim := len(pc)
-	dst = dst[:e-s]
-	if dim == 2 {
-		xs, ys := pc[0][s:e], pc[1][s:e]
-		for i := range dst {
-			px, py := xs[i], ys[i]
-			var acc float64
-			for j, q := range qs {
-				dx, dy := px-q[0], py-q[1]
-				if ws == nil {
-					acc += math.Sqrt(dx*dx + dy*dy)
-				} else {
-					acc += ws[j] * math.Sqrt(dx*dx+dy*dy)
-				}
-			}
-			dst[i] = acc
-		}
-		return
-	}
-	for i := range dst {
-		var acc float64
-		for j, q := range qs {
-			var dsq float64
-			for a := 0; a < dim; a++ {
-				d := pc[a][s+i] - q[a]
-				dsq += d * d
-			}
-			if ws == nil {
-				acc += math.Sqrt(dsq)
-			} else {
-				acc += ws[j] * math.Sqrt(dsq)
-			}
-		}
-		dst[i] = acc
-	}
-}
-
-// MaxDistSqPointsGroup writes dst[i] = MaxDistSqToGroup(p_{s+i}, qs) —
-// the fused squared MAX-aggregate distance of a whole entry range.
-func MaxDistSqPointsGroup(pc [][]float64, s, e int, qs []Point, dst []float64) {
-	dim := len(pc)
-	dst = dst[:e-s]
-	if dim == 2 {
-		xs, ys := pc[0][s:e], pc[1][s:e]
-		for i := range dst {
-			px, py := xs[i], ys[i]
-			var m float64
-			for _, q := range qs {
-				dx, dy := px-q[0], py-q[1]
-				if dsq := dx*dx + dy*dy; dsq > m {
-					m = dsq
-				}
-			}
-			dst[i] = m
-		}
-		return
-	}
-	for i := range dst {
-		var m float64
-		for _, q := range qs {
-			var dsq float64
-			for a := 0; a < dim; a++ {
-				d := pc[a][s+i] - q[a]
-				dsq += d * d
-			}
-			if dsq > m {
-				m = dsq
-			}
-		}
-		dst[i] = m
-	}
-}
-
-// MinDistSqPointsGroup writes dst[i] = MinDistSqToGroup(p_{s+i}, qs) —
-// the fused squared MIN-aggregate distance of a whole entry range.
-func MinDistSqPointsGroup(pc [][]float64, s, e int, qs []Point, dst []float64) {
-	dim := len(pc)
-	dst = dst[:e-s]
-	if dim == 2 {
-		xs, ys := pc[0][s:e], pc[1][s:e]
-		for i := range dst {
-			px, py := xs[i], ys[i]
-			m := math.Inf(1)
-			for _, q := range qs {
-				dx, dy := px-q[0], py-q[1]
-				if dsq := dx*dx + dy*dy; dsq < m {
-					m = dsq
-				}
-			}
-			dst[i] = m
-		}
-		return
-	}
-	for i := range dst {
-		m := math.Inf(1)
-		for _, q := range qs {
-			var dsq float64
-			for a := 0; a < dim; a++ {
-				d := pc[a][s+i] - q[a]
-				dsq += d * d
-			}
-			if dsq < m {
-				m = dsq
-			}
-		}
-		dst[i] = m
-	}
-}
-
-// MaxDistPointsGroupW writes dst[i] = max_j w_j·|p_{s+i} q_j| — the fused
-// weighted MAX aggregate. The weight multiplies the distance (not its
-// square), matching the scalar weighted fold in the query kernels.
-func MaxDistPointsGroupW(pc [][]float64, s, e int, qs []Point, ws []float64, dst []float64) {
-	dim := len(pc)
-	dst = dst[:e-s]
-	if dim == 2 {
-		xs, ys := pc[0][s:e], pc[1][s:e]
-		for i := range dst {
-			px, py := xs[i], ys[i]
-			var m float64
-			for j, q := range qs {
-				dx, dy := px-q[0], py-q[1]
-				if d := ws[j] * math.Sqrt(dx*dx+dy*dy); d > m {
-					m = d
-				}
-			}
-			dst[i] = m
-		}
-		return
-	}
-	for i := range dst {
-		var m float64
-		for j, q := range qs {
-			var dsq float64
-			for a := 0; a < dim; a++ {
-				d := pc[a][s+i] - q[a]
-				dsq += d * d
-			}
-			if d := ws[j] * math.Sqrt(dsq); d > m {
-				m = d
-			}
-		}
-		dst[i] = m
-	}
-}
-
-// MinDistPointsGroupW writes dst[i] = min_j w_j·|p_{s+i} q_j| — the fused
-// weighted MIN aggregate.
-func MinDistPointsGroupW(pc [][]float64, s, e int, qs []Point, ws []float64, dst []float64) {
-	dim := len(pc)
-	dst = dst[:e-s]
-	if dim == 2 {
-		xs, ys := pc[0][s:e], pc[1][s:e]
-		for i := range dst {
-			px, py := xs[i], ys[i]
-			m := math.Inf(1)
-			for j, q := range qs {
-				dx, dy := px-q[0], py-q[1]
-				if d := ws[j] * math.Sqrt(dx*dx+dy*dy); d < m {
-					m = d
-				}
-			}
-			dst[i] = m
-		}
-		return
-	}
-	for i := range dst {
-		m := math.Inf(1)
-		for j, q := range qs {
-			var dsq float64
-			for a := 0; a < dim; a++ {
-				d := pc[a][s+i] - q[a]
-				dsq += d * d
-			}
-			if d := ws[j] * math.Sqrt(dsq); d < m {
-				m = d
-			}
-		}
-		dst[i] = m
 	}
 }
 

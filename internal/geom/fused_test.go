@@ -1,7 +1,6 @@
 package geom
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -62,14 +61,6 @@ func fusedRandRect(rng *rand.Rand, dim int) Rect {
 	return NewRect(fusedRandPoint(rng, dim), fusedRandPoint(rng, dim))
 }
 
-func fusedRandGroup(rng *rand.Rand, n, dim int) []Point {
-	qs := make([]Point, n)
-	for i := range qs {
-		qs[i] = fusedRandPoint(rng, dim)
-	}
-	return qs
-}
-
 func checkExact(t *testing.T, kernel string, got, want []float64) {
 	t.Helper()
 	for i := range want {
@@ -86,11 +77,6 @@ func TestFusedKernelsMatchScalar(t *testing.T) {
 		f := newSoAFixture(rng, 64, dim)
 		q := fusedRandPoint(rng, dim)
 		r := fusedRandRect(rng, dim)
-		qs := fusedRandGroup(rng, 9, dim)
-		ws := make([]float64, len(qs))
-		for i := range ws {
-			ws[i] = 0.25 + rng.Float64()
-		}
 		// Exercise a strict sub-range too: kernels index pc[a][s+i].
 		for _, span := range [][2]int{{0, f.n}, {17, 53}} {
 			s, e := span[0], span[1]
@@ -120,58 +106,6 @@ func TestFusedKernelsMatchScalar(t *testing.T) {
 				want[i] = MinDistSqPointRect(q, f.rects[s+i])
 			}
 			checkExact(t, "MinDistSqRectsPoint", got, want)
-
-			SumDistPointsGroup(f.pc, s, e, qs, nil, got)
-			for i := range want {
-				want[i] = SumDist(f.pts[s+i], qs)
-			}
-			checkExact(t, "SumDistPointsGroup", got, want)
-
-			SumDistPointsGroup(f.pc, s, e, qs, ws, got)
-			for i := range want {
-				var acc float64
-				for j, qp := range qs {
-					acc += ws[j] * Dist(f.pts[s+i], qp)
-				}
-				want[i] = acc
-			}
-			checkExact(t, "SumDistPointsGroup(w)", got, want)
-
-			MaxDistSqPointsGroup(f.pc, s, e, qs, got)
-			for i := range want {
-				want[i] = MaxDistSqToGroup(f.pts[s+i], qs)
-			}
-			checkExact(t, "MaxDistSqPointsGroup", got, want)
-
-			MinDistSqPointsGroup(f.pc, s, e, qs, got)
-			for i := range want {
-				want[i] = MinDistSqToGroup(f.pts[s+i], qs)
-			}
-			checkExact(t, "MinDistSqPointsGroup", got, want)
-
-			MaxDistPointsGroupW(f.pc, s, e, qs, ws, got)
-			for i := range want {
-				m := 0.0
-				for j, qp := range qs {
-					if d := ws[j] * Dist(f.pts[s+i], qp); d > m {
-						m = d
-					}
-				}
-				want[i] = m
-			}
-			checkExact(t, "MaxDistPointsGroupW", got, want)
-
-			MinDistPointsGroupW(f.pc, s, e, qs, ws, got)
-			for i := range want {
-				m := math.Inf(1)
-				for j, qp := range qs {
-					if d := ws[j] * Dist(f.pts[s+i], qp); d < m {
-						m = d
-					}
-				}
-				want[i] = m
-			}
-			checkExact(t, "MinDistPointsGroupW", got, want)
 
 			for i := range got {
 				got[i] = 1.5

@@ -81,44 +81,6 @@ func SumDist(p Point, qs []Point) float64 {
 	return s
 }
 
-// MaxDistToGroup returns max_i |p qi| (used by the MAX-aggregate extension).
-// Only the winning distance pays a Sqrt: squaring is monotone, so the
-// maximum of the squared distances identifies the maximum distance.
-func MaxDistToGroup(p Point, qs []Point) float64 {
-	return math.Sqrt(MaxDistSqToGroup(p, qs))
-}
-
-// MaxDistSqToGroup returns max_i |p qi|², the squared MAX-aggregate
-// distance. It is sufficient (and Sqrt-free) when only comparisons are
-// needed.
-func MaxDistSqToGroup(p Point, qs []Point) float64 {
-	var m float64
-	for _, q := range qs {
-		if d := DistSq(p, q); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// MinDistToGroup returns min_i |p qi| (used by the MIN-aggregate extension).
-// Only the winning distance pays a Sqrt, as in MaxDistToGroup.
-func MinDistToGroup(p Point, qs []Point) float64 {
-	return math.Sqrt(MinDistSqToGroup(p, qs))
-}
-
-// MinDistSqToGroup returns min_i |p qi|², the squared MIN-aggregate
-// distance.
-func MinDistSqToGroup(p Point, qs []Point) float64 {
-	m := math.Inf(1)
-	for _, q := range qs {
-		if d := DistSq(p, q); d < m {
-			m = d
-		}
-	}
-	return m
-}
-
 // Rect is an axis-aligned rectangle (minimum bounding rectangle). Lo holds
 // the minimum coordinate on every axis, Hi the maximum. A Rect with
 // Lo[i] == Hi[i] on every axis degenerates to a point and remains valid.
@@ -358,17 +320,6 @@ func MinDistSqPointRect(p Point, r Rect) float64 {
 	return s
 }
 
-// MaxDistPointRect returns the largest distance between p and any point of
-// r, i.e. the distance from p to the farthest corner.
-func MaxDistPointRect(p Point, r Rect) float64 {
-	var s float64
-	for i := range p {
-		d := math.Max(math.Abs(p[i]-r.Lo[i]), math.Abs(p[i]-r.Hi[i]))
-		s += d * d
-	}
-	return math.Sqrt(s)
-}
-
 // MinDistRectRect returns mindist(r, s): the smallest possible distance
 // between any point of r and any point of s; zero when they intersect.
 // Used by heuristics 2 and 5 (node MBR vs query-group MBR) and by the
@@ -391,53 +342,4 @@ func MinDistSqRectRect(r, s Rect) float64 {
 		sum += d * d
 	}
 	return sum
-}
-
-// MaxDistRectRect returns an upper bound on the distance between any point
-// of r and any point of s (distance between the farthest corner pair).
-func MaxDistRectRect(r, s Rect) float64 {
-	var sum float64
-	for i := range r.Lo {
-		d := math.Max(s.Hi[i]-r.Lo[i], r.Hi[i]-s.Lo[i])
-		sum += d * d
-	}
-	return math.Sqrt(sum)
-}
-
-// SumMinDistRectToGroup returns Σ_i mindist(r, qi), the heuristic-3 lower
-// bound on dist(p,Q) for any point p inside r. The SUM aggregate adds the
-// distances themselves, so every term pays its Sqrt — squared-distance
-// elision is not legal here (Σ√dᵢ² ≠ √Σdᵢ²).
-func SumMinDistRectToGroup(r Rect, qs []Point) float64 {
-	var s float64
-	for _, q := range qs {
-		s += MinDistPointRect(q, r)
-	}
-	return s
-}
-
-// MaxMinDistSqRectToGroup returns max_i mindist(r, qi)², the squared
-// heuristic-3 lower bound for the MAX aggregate. Squaring is monotone, so
-// the maximum of the squared per-point bounds is the square of the maximum
-// bound; callers compare in squared space and Sqrt only the result.
-func MaxMinDistSqRectToGroup(r Rect, qs []Point) float64 {
-	var m float64
-	for _, q := range qs {
-		if d := MinDistSqPointRect(q, r); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-// MinMinDistSqRectToGroup returns min_i mindist(r, qi)², the squared
-// heuristic-3 lower bound for the MIN aggregate.
-func MinMinDistSqRectToGroup(r Rect, qs []Point) float64 {
-	m := math.Inf(1)
-	for _, q := range qs {
-		if d := MinDistSqPointRect(q, r); d < m {
-			m = d
-		}
-	}
-	return m
 }

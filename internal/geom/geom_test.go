@@ -47,23 +47,6 @@ func TestSumDist(t *testing.T) {
 	}
 }
 
-func TestGroupAggregates(t *testing.T) {
-	qs := []Point{pt(0, 0), pt(10, 0), pt(0, 10)}
-	p := pt(0, 0)
-	if got := MinDistToGroup(p, qs); got != 0 {
-		t.Errorf("MinDistToGroup = %v, want 0", got)
-	}
-	if got := MaxDistToGroup(p, qs); !almostEqual(got, 10) {
-		t.Errorf("MaxDistToGroup = %v, want 10", got)
-	}
-	if got := MinDistToGroup(p, nil); !math.IsInf(got, 1) {
-		t.Errorf("MinDistToGroup(empty) = %v, want +Inf", got)
-	}
-	if got := MaxDistToGroup(p, nil); got != 0 {
-		t.Errorf("MaxDistToGroup(empty) = %v, want 0", got)
-	}
-}
-
 func TestPointEqualClone(t *testing.T) {
 	p := pt(1, 2)
 	q := p.Clone()
@@ -226,16 +209,6 @@ func TestMinDistPointRect(t *testing.T) {
 	}
 }
 
-func TestMaxDistPointRect(t *testing.T) {
-	r := NewRect(pt(0, 0), pt(10, 10))
-	if got := MaxDistPointRect(pt(0, 0), r); !almostEqual(got, math.Sqrt(200)) {
-		t.Errorf("MaxDistPointRect corner = %v", got)
-	}
-	if got := MaxDistPointRect(pt(5, 5), r); !almostEqual(got, math.Sqrt(50)) {
-		t.Errorf("MaxDistPointRect centre = %v", got)
-	}
-}
-
 func TestMinDistRectRect(t *testing.T) {
 	r := NewRect(pt(0, 0), pt(2, 2))
 	tests := []struct {
@@ -255,15 +228,6 @@ func TestMinDistRectRect(t *testing.T) {
 		if got := MinDistRectRect(tc.s, r); !almostEqual(got, tc.want) {
 			t.Errorf("MinDistRectRect not symmetric for %v", tc.s)
 		}
-	}
-}
-
-func TestSumMinDistRectToGroup(t *testing.T) {
-	r := NewRect(pt(0, 0), pt(2, 2))
-	qs := []Point{pt(5, 0), pt(-3, 0), pt(1, 1)}
-	// 3 + 3 + 0
-	if got := SumMinDistRectToGroup(r, qs); !almostEqual(got, 6) {
-		t.Errorf("SumMinDistRectToGroup = %v, want 6", got)
 	}
 }
 
@@ -314,9 +278,6 @@ func TestQuickMinDistLowerBound(t *testing.T) {
 			t.Fatalf("mindist %v > dist %v for q=%v r=%v in=%v",
 				MinDistPointRect(q, r), Dist(q, in), q, r, in)
 		}
-		if MaxDistPointRect(q, r) < Dist(q, in)-1e-9 {
-			t.Fatalf("maxdist below actual distance")
-		}
 	}
 }
 
@@ -329,9 +290,6 @@ func TestQuickMinDistRectRectLowerBound(t *testing.T) {
 		ps := pointInside(rng, s)
 		if MinDistRectRect(r, s) > Dist(pr, ps)+1e-9 {
 			t.Fatalf("rect-rect mindist exceeds a realisable distance")
-		}
-		if MaxDistRectRect(r, s) < Dist(pr, ps)-1e-9 {
-			t.Fatalf("rect-rect maxdist below a realisable distance")
 		}
 	}
 }
@@ -378,44 +336,6 @@ func BenchmarkMinDistPointRect(b *testing.B) {
 	r := NewRect(pt(0, 0), pt(10, 10))
 	for i := 0; i < b.N; i++ {
 		_ = MinDistPointRect(p, r)
-	}
-}
-
-// TestSquaredAggregateVariants: the squared group aggregates must agree
-// exactly with their Sqrt counterparts — Sqrt is monotone and correctly
-// rounded, so Sqrt of the squared aggregate is bit-identical to the
-// aggregate of the Sqrts.
-func TestSquaredAggregateVariants(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
-		p := randPoint(rng)
-		qs := make([]Point, 1+rng.Intn(8))
-		for i := range qs {
-			qs[i] = randPoint(rng)
-		}
-		if got, want := math.Sqrt(MaxDistSqToGroup(p, qs)), MaxDistToGroup(p, qs); got != want {
-			t.Fatalf("sqrt(MaxDistSq)=%v != MaxDist=%v", got, want)
-		}
-		if got, want := math.Sqrt(MinDistSqToGroup(p, qs)), MinDistToGroup(p, qs); got != want {
-			t.Fatalf("sqrt(MinDistSq)=%v != MinDist=%v", got, want)
-		}
-		r := NewRect(randPoint(rng), randPoint(rng))
-		maxLB := 0.0
-		minLB := math.Inf(1)
-		for _, q := range qs {
-			if d := MinDistPointRect(q, r); d > maxLB {
-				maxLB = d
-			}
-			if d := MinDistPointRect(q, r); d < minLB {
-				minLB = d
-			}
-		}
-		if got := math.Sqrt(MaxMinDistSqRectToGroup(r, qs)); got != maxLB {
-			t.Fatalf("sqrt(MaxMinDistSq)=%v != %v", got, maxLB)
-		}
-		if got := math.Sqrt(MinMinDistSqRectToGroup(r, qs)); got != minLB {
-			t.Fatalf("sqrt(MinMinDistSq)=%v != %v", got, minLB)
-		}
 	}
 }
 

@@ -140,7 +140,7 @@ func TestBulkLoadQualityVsInsertion(t *testing.T) {
 	}
 	ins := mustTree(t, Config{MaxEntries: 20})
 	insertAll(t, ins, pts)
-	a1, a2 := str.ComputeStats().LeafArea, ins.Pack().ComputeStats().LeafArea
+	a1, a2 := computeStats(str).LeafArea, computeStats(ins.Pack()).LeafArea
 	if math.IsNaN(a1) || a1 <= 0 {
 		t.Fatalf("STR leaf area %v", a1)
 	}

@@ -9,7 +9,7 @@ import (
 	"gnn/internal/geom"
 )
 
-// TestNearestResultsOwned: NearestDF and NearestBF copy their results'
+// TestNearestResultsOwned: nearestDF and NearestBF copy their results'
 // points out of the arena, so writing to a returned point changes
 // neither a repeat answer nor the index, for a bulk-loaded and a packed
 // insertion-built arena alike. The two traversals agree bit for bit.
@@ -25,7 +25,7 @@ func TestNearestResultsOwned(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			q := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
 			for name, nearest := range map[string]func(geom.Point, int) []Neighbor{
-				"DF": rd.NearestDF, "BF": rd.NearestBF,
+				"DF": rd.nearestDF, "BF": rd.NearestBF,
 			} {
 				first := nearest(q, 7)
 				want := make([]Neighbor, len(first))
@@ -44,7 +44,7 @@ func TestNearestResultsOwned(t *testing.T) {
 	}
 }
 
-// TestNNBestRowsFollowHeldResults: the NearestDF result set grows its
+// TestNNBestRowsFollowHeldResults: the nearestDF result set grows its
 // coordinate rows with the candidates held, not with k, and recycles an
 // evicted candidate's row once full.
 func TestNNBestRowsFollowHeldResults(t *testing.T) {

@@ -229,9 +229,6 @@ func (p *Packed) IsLeaf(n int32) bool { return p.level[n] == 0 }
 // internal nodes, leaf slots for leaves.
 func (p *Packed) NodeRange(n int32) (s, e int32) { return p.start[n], p.end[n] }
 
-// ChildOf returns the child node id of routing slot s.
-func (p *Packed) ChildOf(s int32) int32 { return p.child[s] }
-
 // RectSoA returns the per-axis corner arrays of the routing slots.
 func (p *Packed) RectSoA() (lo, hi [][]float64) { return p.rlo, p.rhi }
 

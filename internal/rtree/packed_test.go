@@ -123,7 +123,7 @@ func TestPackedShape(t *testing.T) {
 			return
 		}
 		for i := s; i < e; i++ {
-			walk(p.ChildOf(i), level-1)
+			walk(p.child[i], level-1)
 		}
 	}
 	walk(p.Root(), int32(tr.Height()-1))

@@ -1,12 +1,5 @@
 package rtree
 
-import (
-	"math"
-
-	"gnn/internal/geom"
-	"gnn/internal/pq"
-)
-
 // This file holds the pooled per-query scratch of depth-first traversals.
 // Query kernels are (near-)zero-allocation in steady state: every slice
 // and heap a traversal needs is drawn from a sync.Pool-backed arena on
@@ -69,89 +62,4 @@ func (s *PCandStack) Reset() {
 	for i := range s.levels {
 		s.levels[i] = s.levels[i][:0]
 	}
-}
-
-// nnScratch is the per-query scratch of NearestDF: the per-depth
-// candidate buffers and the bounded result set, plus the fused-kernel
-// distance buffer and the point-gather scratch.
-type nnScratch struct {
-	cands PCandStack
-	dbuf  []float64
-	pt    geom.Point
-	best  nnBest
-}
-
-var nnScratchPool = pq.NewPool(func() *nnScratch { return &nnScratch{} })
-
-// release resets the scratch and returns it to the pool.
-func (s *nnScratch) release() {
-	s.cands.Reset()
-	s.best.reset(1, 0)
-	nnScratchPool.Put(s)
-}
-
-// nnBest is NearestDF's bounded result set: a max-heap of the k nearest
-// candidates keyed by squared distance. An accepted candidate's
-// coordinates are copied into a row the set owns (the row of the
-// candidate it evicts, once full), so the set never aliases the arena or
-// the caller's gather scratch, and the rows grow with the candidates
-// held, never with k.
-type nnBest struct {
-	heap pq.BoundedMax[nnRow]
-	rows []float64 // row r holds coordinates rows[r*dim : (r+1)*dim]
-	dim  int
-}
-
-// nnRow is one held candidate: its coordinate row and id.
-type nnRow struct {
-	row int32
-	id  int64
-}
-
-// reset prepares the set for a query of k results in dim dimensions,
-// dropping a row buffer above pq.RetainCap.
-func (b *nnBest) reset(k, dim int) {
-	b.heap.Reset(k)
-	b.rows = pq.Trim(b.rows)
-	b.dim = dim
-}
-
-// Kth returns the current pruning bound (see pq.BoundedMax.Kth).
-func (b *nnBest) Kth() (float64, bool) { return b.heap.Kth() }
-
-// push offers p (with its id) at squared distance d, copying it into an
-// owned row when it ranks among the k nearest. p itself is not retained.
-func (b *nnBest) push(p geom.Point, id int64, d float64) {
-	var r int32
-	if kth, full := b.heap.Kth(); full {
-		if d >= kth {
-			return
-		}
-		top, _ := b.heap.Max()
-		r = top.Value.row // reuse the evicted candidate's row
-		copy(b.rows[int(r)*b.dim:(int(r)+1)*b.dim], p)
-	} else {
-		// Rows are only appended while the heap fills, so the next row
-		// index is the number held.
-		r = int32(b.heap.Len())
-		b.rows = append(b.rows, p...)
-	}
-	b.heap.Push(nnRow{row: r, id: id}, d)
-}
-
-// neighbors returns the held candidates in ascending order, converting
-// the squared-priority keys into the Euclidean distances the API
-// reports, with their points in one slab the caller owns. Dist(p,q) is
-// defined as Sqrt(DistSq(p,q)), so the converted values are bit-identical
-// to distances computed directly.
-func (b *nnBest) neighbors() []Neighbor {
-	items := b.heap.Sorted()
-	out := make([]Neighbor, len(items))
-	slab := make([]float64, len(items)*b.dim)
-	for i, it := range items {
-		pt := slab[i*b.dim : (i+1)*b.dim : (i+1)*b.dim]
-		copy(pt, b.rows[int(it.Value.row)*b.dim:])
-		out[i] = Neighbor{Point: pt, ID: it.Value.id, Dist: math.Sqrt(it.Priority)}
-	}
-	return out
 }

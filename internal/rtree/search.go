@@ -25,63 +25,6 @@ func (rd Reader) Search(r geom.Rect, fn func(p geom.Point, id int64) bool) {
 	rd.search(rd.PackedRoot(), r, make(geom.Point, rd.p.dim), fn)
 }
 
-// NearestDF returns the k nearest neighbors of q using the depth-first
-// branch-and-bound algorithm of [RKV95]: entries of each node are visited
-// in ascending mindist order and subtrees farther than the current k-th
-// best are pruned. Results are sorted by ascending distance.
-//
-// The traversal works entirely in squared distances (comparisons are
-// order-preserving, so pruning is unaffected): the per-node candidate
-// distances come from one fused pass over the SoA arrays, candidates are
-// int32 refs, and the candidate buffers and result set come from a pooled
-// scratch; in steady state only the returned results are allocated, with
-// each result paying one Sqrt. The caller owns the returned points.
-func (rd Reader) NearestDF(q geom.Point, k int) []Neighbor {
-	if rd.p.size == 0 || k < 1 {
-		return nil
-	}
-	sc := nnScratchPool.Get()
-	sc.best.reset(k, rd.p.dim)
-	rd.nearestDF(rd.PackedRoot(), q, sc, 0)
-	out := sc.best.neighbors()
-	sc.release()
-	return out
-}
-
-func (rd Reader) nearestDF(n int32, q geom.Point, sc *nnScratch, depth int) {
-	p := rd.p
-	s, e := p.start[n], p.end[n]
-	cnt := int(e - s)
-	sc.dbuf = growFloat64(sc.dbuf, cnt)
-	buf := sc.cands.Level(depth)
-	cands := *buf
-	if p.level[n] == 0 {
-		geom.DistSqPointsPoint(p.pc, int(s), int(e), q, sc.dbuf)
-		for i := 0; i < cnt; i++ {
-			cands = append(cands, PCand{Ref: LeafRef(s + int32(i)), D: sc.dbuf[i]})
-		}
-	} else {
-		geom.MinDistSqRectsPoint(p.rlo, p.rhi, int(s), int(e), q, sc.dbuf)
-		for i := 0; i < cnt; i++ {
-			cands = append(cands, PCand{Ref: NodeRef(s + int32(i)), D: sc.dbuf[i]})
-		}
-	}
-	SortPCands(cands)
-	*buf = cands
-	for i := range cands {
-		c := cands[i]
-		if bd, ok := sc.best.Kth(); ok && c.D >= bd {
-			return // every remaining candidate is at least this far
-		}
-		if slot, leaf := RefSlot(c.Ref); leaf {
-			sc.pt = p.PointInto(slot, sc.pt)
-			sc.best.push(sc.pt, p.ids[slot], c.D)
-		} else {
-			rd.nearestDF(rd.PackedChild(slot), q, sc, depth+1)
-		}
-	}
-}
-
 // NearestBF returns the k nearest neighbors of q using the I/O-optimal
 // best-first algorithm of [HS99]. The results are sized by what the tree
 // can hold, min(k, Len), not by k, and their points are copied into one

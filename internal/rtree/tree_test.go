@@ -71,7 +71,7 @@ func TestEmptyTree(t *testing.T) {
 	if nn := tr.Pack().Reader(nil).NearestBF(geom.Point{0, 0}, 3); nn != nil {
 		t.Fatal("NN on empty tree returned results")
 	}
-	if nn := tr.Pack().Reader(nil).NearestDF(geom.Point{0, 0}, 3); nn != nil {
+	if nn := tr.Pack().Reader(nil).nearestDF(geom.Point{0, 0}, 3); nn != nil {
 		t.Fatal("DF NN on empty tree returned results")
 	}
 	tr.Pack().Reader(nil).Search(geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1}), func(geom.Point, int64) bool {
@@ -222,7 +222,7 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 		for _, algo := range []struct {
 			name string
 			run  func(geom.Point, int) []Neighbor
-		}{{"DF", rd.NearestDF}, {"BF", rd.NearestBF}} {
+		}{{"DF", rd.nearestDF}, {"BF", rd.NearestBF}} {
 			got := algo.run(q, k)
 			if len(got) != len(want) {
 				t.Fatalf("%s trial %d: %d results, want %d", algo.name, trial, len(got), len(want))
@@ -281,7 +281,7 @@ func TestBFOptimalVsDF(t *testing.T) {
 		q := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
 		cDF.Reset()
 		cBF.Reset()
-		trDF.Pack().Reader(nil).NearestDF(q, 1)
+		trDF.Pack().Reader(nil).nearestDF(q, 1)
 		trBF.Pack().Reader(nil).NearestBF(q, 1)
 		naDF += cDF.Physical()
 		naBF += cBF.Physical()
@@ -430,7 +430,7 @@ func TestStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	tr := mustTree(t, Config{MaxEntries: 10})
 	insertAll(t, tr, randPoints(rng, 1000, 100))
-	s := tr.Pack().ComputeStats()
+	s := computeStats(tr.Pack())
 	if s.Size != 1000 || s.Height != tr.Height() || s.Leaves == 0 || s.Nodes < s.Leaves {
 		t.Fatalf("stats = %+v", s)
 	}

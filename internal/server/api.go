@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"gnn"
@@ -723,10 +725,29 @@ func toJSONCost(c gnn.Cost) CostJSON {
 	}
 }
 
+// respBufs pools the buffers writeJSON encodes into; one larger than
+// maxPooledResp is dropped rather than pinned by the pool.
+var respBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledResp = 64 << 10
+
+// writeJSON encodes v before it writes the status line, so a value JSON
+// cannot represent (a distance that overflowed to +Inf) answers 500 with
+// an ErrorResponse instead of a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := respBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		json.NewEncoder(buf).Encode(ErrorResponse{Error: "encode response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(buf.Bytes()) // a failed write means the client is gone: no one is left to tell
+	if buf.Cap() <= maxPooledResp {
+		respBufs.Put(buf)
+	}
 }
 
 func writeError(w http.ResponseWriter, status int, msg string) {

@@ -257,6 +257,36 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
+// TestServeUnencodableResult: distances between finite coordinates can
+// overflow to +Inf, which JSON cannot represent. Such a response must
+// answer with an error status and a JSON body, not a 200 with an empty
+// body.
+func TestServeUnencodableResult(t *testing.T) {
+	path, _ := buildSnapshot(t, t.TempDir(), "a.snap", 500, 12)
+	_, ts := newSnapshotServer(t, path, nil)
+	for _, c := range []struct{ url, body string }{
+		{"/v1/groupnn", `{"query": [[1e300,1e300],[1,2]], "k": 2}`},
+		{"/v1/batch", `{"queries": [[[1e300,1e300],[1,2]]], "k": 2}`},
+	} {
+		resp, err := ts.Client().Post(ts.URL+c.url, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatalf("%s: %v", c.url, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", c.url, err)
+		}
+		if resp.StatusCode == http.StatusOK {
+			t.Fatalf("%s: status 200 for an unencodable result (body %q)", c.url, body)
+		}
+		var e ErrorResponse
+		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+			t.Fatalf("%s: status %d, body %q is not an error response: %v", c.url, resp.StatusCode, body, err)
+		}
+	}
+}
+
 // --- failure mode 1: corrupt hot reload -------------------------------
 
 // TestReloadFaults is the corrupt-reload gate: truncated and bit-flipped

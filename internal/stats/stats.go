@@ -7,8 +7,6 @@ package stats
 import (
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"strings"
 	"time"
 )
@@ -61,15 +59,6 @@ func (f *Figure) findSeries(name string) *Series {
 		}
 	}
 	return nil
-}
-
-// SeriesNames lists the algorithms in insertion order.
-func (f *Figure) SeriesNames() []string {
-	out := make([]string, len(f.series))
-	for i, s := range f.series {
-		out[i] = s.Name
-	}
-	return out
 }
 
 // Get returns the measurement for (algorithm, x).
@@ -181,60 +170,4 @@ func formatSeconds(d time.Duration) string {
 	default:
 		return fmt.Sprintf("%.2f", s)
 	}
-}
-
-// Summary aggregates a sample of float64 observations.
-type Summary struct {
-	Count          int
-	Mean, Min, Max float64
-	GeoMean        float64
-}
-
-// Summarize computes summary statistics of xs. The geometric mean skips
-// non-positive observations (it is used for ratio comparisons).
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := Summary{Count: len(xs), Min: math.Inf(1), Max: math.Inf(-1)}
-	logSum, logN := 0.0, 0
-	for _, x := range xs {
-		s.Mean += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-		if x > 0 {
-			logSum += math.Log(x)
-			logN++
-		}
-	}
-	s.Mean /= float64(len(xs))
-	if logN > 0 {
-		s.GeoMean = math.Exp(logSum / float64(logN))
-	}
-	return s
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using
-// nearest-rank on a sorted copy. Returns 0 for empty input.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
 }

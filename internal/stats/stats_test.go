@@ -2,7 +2,6 @@ package stats
 
 import (
 	"bytes"
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -15,8 +14,8 @@ func TestFigureAddGetRender(t *testing.T) {
 	f.Add("MBM", "4", Measurement{NodeAccesses: 35, CPU: time.Millisecond, Queries: 100})
 	f.Add("GCP", "64", Measurement{DNF: true})
 
-	if got := f.SeriesNames(); len(got) != 3 || got[0] != "MQM" || got[2] != "GCP" {
-		t.Fatalf("SeriesNames = %v", got)
+	if got := f.series; len(got) != 3 || got[0].Name != "MQM" || got[2].Name != "GCP" {
+		t.Fatalf("series %d, want MQM, MBM, GCP in insertion order", len(got))
 	}
 	m, ok := f.Get("MQM", "16")
 	if !ok || m.NodeAccesses != 47000 {
@@ -66,43 +65,5 @@ func TestFormatSeconds(t *testing.T) {
 		if got := formatSeconds(in); got != want {
 			t.Errorf("formatSeconds(%v) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 4, 8})
-	if s.Count != 4 || s.Mean != 3.75 || s.Min != 1 || s.Max != 8 {
-		t.Fatalf("Summarize = %+v", s)
-	}
-	if math.Abs(s.GeoMean-math.Sqrt(math.Sqrt(64))) > 1e-12 {
-		t.Fatalf("GeoMean = %v", s.GeoMean)
-	}
-	if z := Summarize(nil); z.Count != 0 {
-		t.Fatal("empty Summarize non-zero")
-	}
-	// Non-positive values excluded from geo-mean only.
-	s2 := Summarize([]float64{0, 4})
-	if s2.GeoMean != 4 || s2.Min != 0 {
-		t.Fatalf("Summarize with zero = %+v", s2)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{5, 1, 3, 2, 4}
-	if got := Percentile(xs, 50); got != 3 {
-		t.Fatalf("P50 = %v", got)
-	}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Fatalf("P0 = %v", got)
-	}
-	if got := Percentile(xs, 100); got != 5 {
-		t.Fatalf("P100 = %v", got)
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Fatalf("empty percentile = %v", got)
-	}
-	// Input must not be mutated.
-	if xs[0] != 5 {
-		t.Fatal("Percentile mutated input")
 	}
 }

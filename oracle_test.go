@@ -27,7 +27,8 @@ import (
 )
 
 // oracleDist is the reference aggregate distance: no kernel code, same
-// canonical FP op order (see weighted.go's SoA fast-path contract).
+// canonical FP op order (see the bit-exactness contract of the aggregate
+// family in internal/core/aggregate.go).
 func oracleDist(p gnn.Point, qs []gnn.Point, agg gnn.Aggregate, w []float64) float64 {
 	var out float64
 	if agg == gnn.MinDist {
