@@ -81,42 +81,54 @@ func TestHeuristicSafety(t *testing.T) {
 	}
 }
 
-// TestGroupAggregates pins the aggregate family on hand-computed groups.
-func TestGroupAggregates(t *testing.T) {
-	check := func(name string, got, want float64) {
-		t.Helper()
-		if math.Abs(got-want) > 1e-12 {
-			t.Errorf("%s = %v, want %v", name, got, want)
-		}
+// checkClose reports got ≠ want beyond rounding under the given name.
+func checkClose(t *testing.T, name string, got, want float64) {
+	t.Helper()
+	if math.Abs(got-want) > 1e-12 {
+		t.Errorf("%s = %v, want %v", name, got, want)
 	}
+}
+
+// TestGroupAggregates pins the exact aggregate distance and MQM's
+// threshold fold on hand-computed groups.
+func TestGroupAggregates(t *testing.T) {
 	qs := []geom.Point{{0, 0}, {10, 0}, {0, 10}}
 	g := new(soaGroup).fill(qs)
 	w, _ := newWeightCtx([]float64{1, 2, 0.5}, 3)
 	p := geom.Point{0, 0}
-	check("sum", aggDistSoA(Sum, p, g, nil), 20)
-	check("max", aggDistSoA(Max, p, g, nil), 10)
-	check("min", aggDistSoA(Min, p, g, nil), 0)
-	check("weighted sum", aggDistSoA(Sum, p, g, w), 25)
-	check("weighted max", aggDistSoA(Max, p, g, w), 20)
-	check("weighted min", aggDistSoA(Min, p, g, w), 0)
-	check("threshold max", combineThresholds(Max, []float64{3, 1, 4}, w), 3)
-	check("threshold min", combineThresholds(Min, []float64{3, 1, 4}, w), 2)
-
-	// Heuristic 3: mindists 3, 3 and 0 from r to the members.
-	r := geom.NewRect(geom.Point{0, 0}, geom.Point{2, 2})
-	g.fill([]geom.Point{{5, 0}, {-3, 0}, {1, 1}})
-	check("h3 sum", nodeLBSoA(Sum, r, g, nil), 6)
-	check("h3 max", nodeLBSoA(Max, r, g, nil), 3)
-	check("h3 min", nodeLBSoA(Min, r, g, nil), 0)
-	check("h3 weighted sum", nodeLBSoA(Sum, r, g, w), 9)
+	checkClose(t, "sum", aggDistSoA(Sum, p, g, nil), 20)
+	checkClose(t, "max", aggDistSoA(Max, p, g, nil), 10)
+	checkClose(t, "min", aggDistSoA(Min, p, g, nil), 0)
+	checkClose(t, "weighted sum", aggDistSoA(Sum, p, g, w), 25)
+	checkClose(t, "weighted max", aggDistSoA(Max, p, g, w), 20)
+	checkClose(t, "weighted min", aggDistSoA(Min, p, g, w), 0)
+	checkClose(t, "threshold max", combineThresholds(Max, []float64{3, 1, 4}, w), 3)
+	checkClose(t, "threshold min", combineThresholds(Min, []float64{3, 1, 4}, w), 2)
 
 	// Outside 2-D: the generic path, 3-4-5 and 1-2-2 triangles.
 	g.fill([]geom.Point{{3, 4, 0}, {1, 2, 2}})
-	check("3-D sum", aggDistSoA(Sum, geom.Point{0, 0, 0}, g, nil), 8)
-	check("3-D max", aggDistSoA(Max, geom.Point{0, 0, 0}, g, nil), 5)
+	checkClose(t, "3-D sum", aggDistSoA(Sum, geom.Point{0, 0, 0}, g, nil), 8)
+	checkClose(t, "3-D max", aggDistSoA(Max, geom.Point{0, 0, 0}, g, nil), 5)
 	g.fill([]geom.Point{{-2}, {7}})
-	check("1-D min", aggDistSoA(Min, geom.Point{1}, g, nil), 3)
-	check("1-D h3", nodeLBSoA(Sum, geom.NewRect(geom.Point{0}, geom.Point{5}), g, nil), 4)
+	checkClose(t, "1-D min", aggDistSoA(Min, geom.Point{1}, g, nil), 3)
+}
+
+// TestHeuristic3Groups pins heuristic 3 — for SUM, the sum of the
+// mindists from a rectangle to the group's members — and its MAX and
+// MIN analogues on hand-computed rectangles and groups.
+func TestHeuristic3Groups(t *testing.T) {
+	w, _ := newWeightCtx([]float64{1, 2, 0.5}, 3)
+	// Mindists 3, 3 and 0 from r to the members.
+	r := geom.NewRect(geom.Point{0, 0}, geom.Point{2, 2})
+	g := new(soaGroup).fill([]geom.Point{{5, 0}, {-3, 0}, {1, 1}})
+	checkClose(t, "h3 sum", nodeLBSoA(Sum, r, g, nil), 6)
+	checkClose(t, "h3 max", nodeLBSoA(Max, r, g, nil), 3)
+	checkClose(t, "h3 min", nodeLBSoA(Min, r, g, nil), 0)
+	checkClose(t, "h3 weighted sum", nodeLBSoA(Sum, r, g, w), 9)
+
+	// Outside 2-D: mindists 2 and 2 from [0, 5] to -2 and 7.
+	g.fill([]geom.Point{{-2}, {7}})
+	checkClose(t, "1-D h3", nodeLBSoA(Sum, geom.NewRect(geom.Point{0}, geom.Point{5}), g, nil), 4)
 }
 
 // TestSquaredAggregateVariants: unweighted MAX and MIN fold squared
