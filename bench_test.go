@@ -371,14 +371,20 @@ func BenchmarkIndexBuild(b *testing.B) {
 		}
 	})
 	b.Run("Insert", func(b *testing.B) {
+		// NewIndex's path: one Insert per point, then the first read's
+		// pack.
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			t, _ := rtree.New(rtree.Config{})
+			ix, err := gnn.NewIndex(gnn.IndexConfig{})
+			if err != nil {
+				b.Fatal(err)
+			}
 			for j, p := range d.Points {
-				if err := t.Insert(p, int64(j)); err != nil {
+				if err := ix.Insert(gnn.Point(p), int64(j)); err != nil {
 					b.Fatal(err)
 				}
 			}
+			ix.Pack()
 		}
 	})
 	// The loads of perfbench's TS workloads at their scale (194,971

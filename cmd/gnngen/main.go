@@ -29,7 +29,7 @@ func main() {
 		out      = flag.String("out", "", "output file (required)")
 		format   = flag.String("format", "bin", "bin | csv | snapshot")
 		shards   = flag.Int("shards", 0, "snapshot format: build a sharded index with that many shards (0 = plain)")
-		capacity = flag.Int("node-capacity", 0, "snapshot format: R*-tree node capacity (0 = default)")
+		capacity = flag.Int("node-capacity", 0, "snapshot format: R-tree node capacity (0 = default)")
 	)
 	flag.Parse()
 	if *out == "" {

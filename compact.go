@@ -21,9 +21,9 @@ import (
 var ErrCompactorRunning = errors.New("gnn: compactor already running")
 
 // ErrNotFrozen reports StartCompactor/Compact on a NewIndex before its
-// first read: its mutations go straight into the R*-tree builder, so
-// there is no overlay to compact. Call Pack (or query it) once to freeze
-// a base first.
+// first read: its mutations edit the buffer of points the first read
+// packs, so there is no overlay to compact. Call Pack (or query it) once
+// to pack a base first.
 var ErrNotFrozen = errors.New("gnn: index has no packed base; call Pack first")
 
 // CompactorConfig tunes the background compactor. On a mapped index

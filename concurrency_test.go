@@ -7,6 +7,7 @@ package gnn_test
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -229,6 +230,129 @@ func TestConcurrentDiskQueries(t *testing.T) {
 		close(errs)
 		for err := range errs {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestNewIndexUnreadRace runs writers and readers against one NewIndex
+// from before its first read: two goroutines Insert and Delete while
+// others call Len, Stats and WriteSnapshot on the unread index, then
+// Bounds and a first GroupNN pack it mid-stream. Run it under -race: the
+// buffered points are guarded by the writer lock, so nothing may race.
+// Afterwards the index holds exactly the surviving points and answers as
+// a bulk load of them does.
+func TestNewIndexUnreadRace(t *testing.T) {
+	ix, err := gnn.NewIndex(gnn.IndexConfig{NodeCapacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, perWriter = 2, 600
+	pts := make([][]gnn.Point, writers)
+	rng := rand.New(rand.NewSource(7))
+	for w := range pts {
+		pts[w] = make([]gnn.Point, perWriter)
+		for i := range pts[w] {
+			pts[w][i] = gnn.Point{rng.Float64() * 1000, rng.Float64() * 1000}
+		}
+	}
+	group := []gnn.Point{{400, 400}, {600, 450}, {500, 620}}
+	// A writer deletes every third point it inserted, three inserts
+	// later; halfway through it lets the first reads go.
+	deleted := func(i int) bool { return i%3 == 0 && i+3 < perWriter }
+	var (
+		writing, reading sync.WaitGroup
+		half             = make(chan struct{})
+		halfOnce         sync.Once
+		done             = make(chan struct{})
+	)
+	for w := 0; w < writers; w++ {
+		writing.Add(1)
+		go func(w int) {
+			defer writing.Done()
+			for i, p := range pts[w] {
+				if err := ix.Insert(p, int64(w*perWriter+i)); err != nil {
+					t.Error(err)
+					return
+				}
+				if j := i - 3; j >= 0 && deleted(j) && !ix.Delete(pts[w][j], int64(w*perWriter+j)) {
+					t.Errorf("writer %d: delete of point %d failed", w, j)
+				}
+				if i == perWriter/2 {
+					halfOnce.Do(func() { close(half) })
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < 3; r++ {
+		reading.Add(1)
+		go func(r int) {
+			defer reading.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				switch r {
+				case 0:
+					if n := ix.Len(); n < 0 || n > writers*perWriter {
+						t.Errorf("Len %d", n)
+					}
+				case 1:
+					if st := ix.Stats(); st.Dim != 2 {
+						t.Errorf("Stats %+v", st)
+					}
+				case 2:
+					if err := ix.WriteSnapshot(io.Discard); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}(r)
+	}
+	reading.Add(1)
+	go func() {
+		defer reading.Done()
+		<-half
+		ix.Bounds()
+		if _, err := ix.GroupNN(group, gnn.WithK(4)); err != nil {
+			t.Error(err)
+		}
+	}()
+	writing.Wait()
+	close(done)
+	reading.Wait()
+
+	var live []gnn.Point
+	var ids []int64
+	for w := range pts {
+		for i, p := range pts[w] {
+			if !deleted(i) {
+				live, ids = append(live, p), append(ids, int64(w*perWriter+i))
+			}
+		}
+	}
+	if ix.Len() != len(live) {
+		t.Fatalf("Len %d after the writes, want %d", ix.Len(), len(live))
+	}
+	built, err := gnn.BuildIndex(live, ids, gnn.IndexConfig{NodeCapacity: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ix.GroupNN(group, gnn.WithK(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := built.GroupNN(group, gnn.WithK(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d results, bulk load %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Dist != want[i].Dist {
+			t.Fatalf("rank %d: %v, bulk load %v", i, got[i].Dist, want[i].Dist)
 		}
 	}
 }

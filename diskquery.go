@@ -166,7 +166,7 @@ func (ix *Index) GroupNNFromSetWithCost(qs *QuerySet, algo DiskAlgorithm, opts .
 }
 
 // GroupNNClosestPairs answers a GNN query whose query set is itself
-// indexed by an R*-tree, using the group closest pairs method (§4.1).
+// indexed by an R-tree, using the group closest pairs method (§4.1).
 // pairBudget caps the number of closest pairs consumed (0 = unlimited);
 // exceeding it returns ErrBudgetExceeded, mirroring the paper's
 // non-terminating GCP configurations.

@@ -6,6 +6,7 @@ package gnn_test
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -155,12 +156,14 @@ func TestQuerySetLargerThanDataset(t *testing.T) {
 	}
 }
 
-// TestNewIndexFreezesAtFirstRead locks the builder contract at the
+// TestNewIndexFreezesAtFirstRead locks the NewIndex contract at the
 // corners: an empty bulk-loaded index answers every read path with no
-// results; a NewIndex stays an insertion builder until its first read,
-// which packs it (answers match a bulk load of the same points) and sends
-// later writes through the overlay, where the disk family refuses pending
-// mutations. Concurrent first reads and writes race under -race.
+// results; a NewIndex buffers its inserts and deletes until its first
+// read, which packs the surviving points — answers, points, ids and
+// Cost then equal BuildIndex's over those points in insertion order, for
+// every memory-resident algorithm — and sends later writes through the
+// overlay, where the disk family refuses pending mutations. Concurrent
+// first reads race under -race.
 func TestNewIndexFreezesAtFirstRead(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	group := randGroup(rng, 4)
@@ -186,10 +189,6 @@ func TestNewIndexFreezesAtFirstRead(t *testing.T) {
 	}
 
 	pts := randGroup(rng, 300)
-	built, err := gnn.BuildIndex(pts, nil, gnn.IndexConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	fresh, err := gnn.NewIndex(gnn.IndexConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -199,29 +198,74 @@ func TestNewIndexFreezesAtFirstRead(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if fresh.IsPacked() {
-		t.Fatal("NewIndex packed before its first read")
+	// A duplicate of point 20 comes and goes, points 7 and 150 go, and a
+	// delete of an absent point and a 3-D insert change nothing: the
+	// survivors keep their insertion order.
+	if err := fresh.Insert(pts[20], 20); err != nil {
+		t.Fatal(err)
 	}
-	// Concurrent first reads: exactly one freezes, all answer.
+	for _, i := range []int{20, 7, 150} {
+		if !fresh.Delete(pts[i], int64(i)) {
+			t.Fatalf("delete of buffered point %d failed", i)
+		}
+	}
+	if fresh.Delete(pts[7], 7) || fresh.Delete(gnn.Point{-1, -1}, 0) {
+		t.Fatal("delete of an absent point reported true")
+	}
+	if err := fresh.Insert(gnn.Point{1, 2, 3}, 0); err == nil {
+		t.Fatal("3-D point accepted by a 2-D index")
+	}
+	var live []gnn.Point
+	var ids []int64
+	for i, p := range pts {
+		if i != 7 && i != 150 {
+			live, ids = append(live, p), append(ids, int64(i))
+		}
+	}
+	built, err := gnn.BuildIndex(live, ids, gnn.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.IsPacked() || fresh.Len() != len(live) {
+		t.Fatalf("before the first read: packed %v, %d points; want unpacked, %d", fresh.IsPacked(), fresh.Len(), len(live))
+	}
+	if st := fresh.Stats(); st.Packed || st.Height != 0 || st.Nodes != 0 || st.Points != len(live) {
+		t.Fatalf("Stats before the first read: %+v", st)
+	}
+	// Concurrent first reads: exactly one packs, all answer as the bulk
+	// load does, node accesses included.
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(algo gnn.Algorithm) {
 			defer wg.Done()
-			got, err := fresh.GroupNN(group, gnn.WithAlgorithm(algo), gnn.WithK(5))
-			want, werr := built.GroupNN(group, gnn.WithAlgorithm(algo), gnn.WithK(5))
+			got, gc, err := fresh.GroupNNWithCost(group, gnn.WithAlgorithm(algo), gnn.WithK(5))
+			want, wc, werr := built.GroupNNWithCost(group, gnn.WithAlgorithm(algo), gnn.WithK(5))
 			if err != nil || werr != nil {
 				t.Errorf("%v: %v / %v", algo, err, werr)
 				return
 			}
+			if gc != wc {
+				t.Errorf("%v: cost %+v, bulk load %+v", algo, gc, wc)
+			}
+			if len(got) != len(want) {
+				t.Errorf("%v: %d results, bulk load %d", algo, len(got), len(want))
+				return
+			}
 			for i := range want {
-				if got[i].Dist != want[i].Dist {
-					t.Errorf("%v rank %d: %v, bulk load %v", algo, i, got[i].Dist, want[i].Dist)
+				if got[i].ID != want[i].ID || got[i].Dist != want[i].Dist || !slices.Equal(got[i].Point, want[i].Point) {
+					t.Errorf("%v rank %d: %+v, bulk load %+v", algo, i, got[i], want[i])
 				}
 			}
 		}(algos[w])
 	}
 	wg.Wait()
+	if fresh.Cost() != built.Cost() {
+		t.Fatalf("index-wide cost %+v, bulk load %+v", fresh.Cost(), built.Cost())
+	}
+	if st, bst := fresh.Stats(), built.Stats(); st.Height != bst.Height || st.Nodes != bst.Nodes || st.ArenaBytes != bst.ArenaBytes {
+		t.Fatalf("packed shape %+v, bulk load %+v", st, bst)
+	}
 	if !fresh.IsPacked() {
 		t.Fatal("first read did not pack the index")
 	}

@@ -18,7 +18,7 @@ func main() {
 		facilities[i] = gnn.Point{rng.Float64() * 1000, rng.Float64() * 1000}
 	}
 
-	// Bulk-load an R*-tree index (50 entries/node, the paper's setup).
+	// Bulk-load an R-tree index (50 entries/node, the paper's setup).
 	ix, err := gnn.BuildIndex(facilities, nil, gnn.IndexConfig{})
 	if err != nil {
 		log.Fatal(err)

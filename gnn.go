@@ -8,7 +8,7 @@
 //	D. Papadias, Q. Shen, Y. Tao, K. Mouratidis:
 //	"Group Nearest Neighbor Queries", ICDE 2004.
 //
-// Data points live in an R*-tree (Index). Memory-resident query groups are
+// Data points live in an R-tree (Index). Memory-resident query groups are
 // answered by MQM, SPM or MBM; disk-resident query sets (QuerySet) by
 // F-MQM, F-MBM or — when the query set is itself indexed — GCP. The
 // library reproduces the paper's cost model: every traversal counts
@@ -24,11 +24,12 @@
 // Every query traverses a packed base: a flat structure-of-arrays arena
 // that keeps the R-tree's pages, so node accesses follow the paper's cost
 // model exactly. BuildIndex and the snapshot opens produce one directly.
-// NewIndex starts an R*-tree insertion builder; its first read (or Pack)
-// freezes the builder into a packed base.
+// NewIndex buffers the points inserted into it; its first read (or Pack)
+// STR-packs the buffered points into a packed base, as BuildIndex packs
+// its input.
 //
-// Writes under live traffic: once an index has a packed base, Insert and
-// Delete are safe to call concurrently with any number of readers.
+// Writes under live traffic: Insert and Delete are safe to call
+// concurrently with any number of readers, on every index.
 // Mutations never touch the immutable base — inserts land in a small
 // delta overlay (a pending tail folded into a packed mini tree) and
 // deletes tombstone base points or physically remove overlay points — and
@@ -39,9 +40,8 @@
 // what a fresh index over the live point set would return. Pack (or the
 // background compactor, see StartCompactor) folds the overlay back into a
 // fresh packed base off the hot path and swaps it in under live readers.
-// Only a NewIndex before its first read keeps the builder's contract:
-// mutations go straight into the R*-tree and require external
-// synchronisation with no concurrent readers.
+// Before its first read, a NewIndex's writes edit its buffer of points
+// under the same writer lock.
 //
 // Scale-out: ShardedIndex Hilbert-partitions the data set into S
 // independent packed R-trees and answers the same query surface by
@@ -98,7 +98,7 @@ type Result struct {
 type IndexConfig struct {
 	// Dim is the point dimensionality (default 2).
 	Dim int
-	// NodeCapacity is the R*-tree fanout M (default 50, the paper's 1 KB
+	// NodeCapacity is the R-tree fanout M (default 50, the paper's 1 KB
 	// pages).
 	NodeCapacity int
 	// BufferPages attaches an LRU buffer of that many pages to the
@@ -106,18 +106,17 @@ type IndexConfig struct {
 	BufferPages int
 }
 
-// Index is an R*-tree over the data set P. Build one with NewIndex (empty,
+// Index is an R-tree over the data set P. Build one with NewIndex (empty,
 // then Insert) or BuildIndex (bulk load). All read operations are safe for
-// unlimited concurrent callers.
+// unlimited concurrent callers, and so are Insert and Delete.
 //
 // Queries traverse the index's packed base: a flat, cache-friendly SoA
 // arena. The packed base is immutable: Insert and Delete on a packed
-// index go into a delta overlay (see the package comment) and are
-// themselves safe under concurrent readers; Pack or the background
-// compactor folds the overlay back into a fresh packed base. A NewIndex
-// is an insertion builder until its first read packs it: until then
-// mutations go straight into the R*-tree and require external
-// synchronisation with no concurrent readers.
+// index go into a delta overlay (see the package comment); Pack or the
+// background compactor folds the overlay back into a fresh packed base.
+// A NewIndex buffers its points until its first read, which STR-packs
+// them into the base exactly as BuildIndex would pack the same points in
+// insertion order.
 type Index struct {
 	// view is the index's current immutable serving state: base tree,
 	// packed base arena and write overlay. Readers load it once per
@@ -128,8 +127,11 @@ type Index struct {
 	rcfg rtree.Config
 
 	// mu serializes writers: Insert, Delete, Pack and the compactor's
-	// swap step. Readers never take it.
+	// swap step. Readers take it only before a NewIndex's first read.
 	mu sync.Mutex
+	// slab holds a NewIndex's points until its first read packs them
+	// (under mu); empty once the index has a packed base.
+	slab pointSlab
 	// log records the effective mutations applied since the current base
 	// was built (under mu); the compactor replays the tail that arrived
 	// while it was repacking. A published view's seq always equals the
@@ -154,8 +156,8 @@ type Index struct {
 }
 
 // prepare readies the index for a traversal: it fails fast on a closed
-// mapping, freezes a NewIndex's builder into its packed base at the first
-// read, and forces the deferred verification of a mapped open (lazy
+// mapping, packs a NewIndex's buffered points into its packed base at the
+// first read, and forces the deferred verification of a mapped open (lazy
 // checksum + structure validation, run once). Writers that already hold
 // mu call it only on packed views, where it never locks.
 func (ix *Index) prepare() error {
@@ -164,25 +166,60 @@ func (ix *Index) prepare() error {
 	}
 	v := ix.view.Load()
 	if v.packed == nil {
-		v = ix.freeze()
+		var err error
+		if v, err = ix.freeze(); err != nil {
+			return err
+		}
 	}
 	return v.packed.Prepare()
 }
 
-// freeze packs the insertion builder of a never-read NewIndex into the
-// index's packed base (structure and pages preserved, so results and node
-// accesses are unchanged) and publishes it; from then on mutations go
-// through the overlay. It returns the current view, packed.
-func (ix *Index) freeze() *viewState {
+// freeze packs the buffered points of a never-read NewIndex into the
+// index's packed base and publishes it; from then on mutations go through
+// the overlay. It returns the current view, packed.
+func (ix *Index) freeze() (*viewState, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	v := ix.view.Load()
 	if v.packed == nil {
-		p := v.tree.Pack()
+		p, err := ix.slab.pack(ix.rcfg)
+		if err != nil {
+			return nil, err
+		}
 		v = &viewState{tree: p.Tree(), packed: p, seq: v.seq}
 		ix.view.Store(v)
+		ix.slab = pointSlab{}
 	}
-	return v
+	return v, nil
+}
+
+// pointSlab is a NewIndex's buffer of inserted points, in insertion
+// order, each a copy the index owns.
+type pointSlab struct {
+	pts []geom.Point
+	ids []int64
+}
+
+// delete removes the newest (p, id) and reports whether there was one.
+func (s *pointSlab) delete(p geom.Point, id int64) bool {
+	for i := len(s.ids) - 1; i >= 0; i-- {
+		if s.ids[i] == id && s.pts[i].Equal(p) {
+			s.pts = slices.Delete(s.pts, i, i+1)
+			s.ids = slices.Delete(s.ids, i, i+1)
+			return true
+		}
+	}
+	return false
+}
+
+// pack bulk-loads the buffered points with PackSTR, exactly as
+// BuildIndex loads the same points; the slab is left as it was.
+func (s *pointSlab) pack(cfg rtree.Config) (*rtree.Packed, error) {
+	cols, err := rtree.Columns(cfg, s.pts)
+	if err != nil {
+		return nil, err
+	}
+	return rtree.PackSTR(cfg, cols, slices.Clone(s.ids))
 }
 
 // lifecycle keeps the file view of a mapped open alive under every read
@@ -289,9 +326,10 @@ func drainRefs(refs *atomic.Int64) {
 	}
 }
 
-// newIndexOver wraps a constructed base — an insertion builder (p nil)
-// or a packed arena's shell — into an Index with its initial view
-// published.
+// newIndexOver wraps a packed arena and its shell into an Index with its
+// initial view published; a NewIndex passes no arena (p nil) and the
+// shell of an empty one, which carries the configuration until the first
+// read packs the buffered points.
 func newIndexOver(t *rtree.Tree, p *rtree.Packed, acct *pagestore.Accountant, rcfg rtree.Config) *Index {
 	ix := &Index{acct: acct, rcfg: rcfg}
 	ix.view.Store(&viewState{tree: t, packed: p})
@@ -300,16 +338,19 @@ func newIndexOver(t *rtree.Tree, p *rtree.Packed, acct *pagestore.Accountant, rc
 	return ix
 }
 
-// NewIndex returns an empty index whose R*-tree is an insertion builder:
-// Insert and Delete mutate it directly until the first read (or Pack)
-// freezes it into the packed base that every query traverses.
+// NewIndex returns an empty index that buffers its points: Insert appends
+// to the buffer and Delete removes the newest matching point from it,
+// safely under concurrent callers, until the first read (or Pack)
+// STR-packs the buffered points into the packed base every query
+// traverses — the base BuildIndex builds from the same points in
+// insertion order, so answers and Cost match it exactly.
 func NewIndex(cfg IndexConfig) (*Index, error) {
 	acct, rcfg := indexConfig(cfg)
-	t, err := rtree.New(rcfg)
+	empty, err := rtree.PackSTR(rcfg, nil, nil) // validates the configuration
 	if err != nil {
 		return nil, err
 	}
-	return newIndexOver(t, nil, acct, rcfg), nil
+	return newIndexOver(empty.Tree(), nil, acct, rcfg), nil
 }
 
 // BuildIndex bulk-loads an index from points using sort-tile-recursive
@@ -343,11 +384,11 @@ func indexConfig(cfg IndexConfig) (*pagestore.Accountant, rtree.Config) {
 }
 
 // Insert adds a data point with its identifier. On a packed index the
-// insert lands in the delta overlay — the packed base keeps serving, and
-// the insert is safe under concurrent readers; Pack or the background
-// compactor folds the overlay into a fresh base. On a NewIndex before its
-// first read it mutates the R*-tree builder directly (no concurrent
-// readers). A rejected insert (dimension mismatch, or a non-finite
+// insert lands in the delta overlay — the packed base keeps serving; Pack
+// or the background compactor folds the overlay into a fresh base. On a
+// NewIndex before its first read it appends a copy of the point to the
+// buffer the first read packs. Either way it is safe under concurrent
+// readers. A rejected insert (dimension mismatch, or a non-finite
 // coordinate: *NonFiniteError) changes nothing.
 func (ix *Index) Insert(p Point, id int64) error {
 	ix.mu.Lock()
@@ -356,14 +397,16 @@ func (ix *Index) Insert(p Point, id int64) error {
 		return ErrSnapshotClosed
 	}
 	v := ix.view.Load()
-	if v.packed == nil {
-		return v.tree.Insert(geom.Point(p), id) // same dimension and finiteness checks
-	}
 	if len(p) != v.tree.Dim() {
 		return fmt.Errorf("rtree: point dimension %d, tree dimension %d", len(p), v.tree.Dim())
 	}
 	if err := rtree.CheckFinite(0, geom.Point(p)); err != nil {
 		return err
+	}
+	if v.packed == nil {
+		ix.slab.pts = append(ix.slab.pts, geom.Point(p).Clone())
+		ix.slab.ids = append(ix.slab.ids, id)
+		return nil
 	}
 	nv, err := ix.applyInsert(v, geom.Point(p).Clone(), id)
 	if err != nil {
@@ -378,9 +421,9 @@ func (ix *Index) Insert(p Point, id int64) error {
 // Delete removes one occurrence of (p, id); it reports whether a matching
 // entry existed. On a packed index the delete either physically removes an
 // overlay point or tombstones a base occurrence — the packed base keeps
-// serving, and the delete is safe under concurrent readers. On a NewIndex
-// before its first read it mutates the R*-tree builder directly (no
-// concurrent readers). A no-op delete changes nothing.
+// serving. On a NewIndex before its first read it removes the newest
+// matching point from the buffer. Either way it is safe under concurrent
+// readers. A no-op delete changes nothing.
 func (ix *Index) Delete(p Point, id int64) bool {
 	// Counting the base occurrences reads the arena, so the delete holds a
 	// lifecycle reference like every other read of it.
@@ -392,11 +435,11 @@ func (ix *Index) Delete(p Point, id int64) bool {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	v := ix.view.Load()
-	if v.packed == nil {
-		return v.tree.Delete(geom.Point(p), id)
-	}
 	if len(p) != v.tree.Dim() {
 		return false
+	}
+	if v.packed == nil {
+		return ix.slab.delete(geom.Point(p), id)
 	}
 	if ix.prepare() != nil {
 		return false // unverifiable mapping; queries report why
@@ -414,9 +457,8 @@ func (ix *Index) Delete(p Point, id int64) bool {
 // Pack folds the index into a fresh packed base: the immutable flat
 // structure-of-arrays arena every query traverses. BuildIndex and the
 // snapshot opens produce one directly. On a NewIndex before its first
-// read Pack freezes the insertion builder into the base, as that read
-// would (structure preserved, so results and node accesses are
-// unchanged); from then on mutations go through the overlay. On a packed
+// read Pack packs the buffered points into the base, as that read would;
+// from then on mutations go through the overlay. On a packed
 // index with overlay writes Pack compacts synchronously: base and overlay
 // are folded into a fresh packed base (equivalent to Compact, with any
 // error recorded in Stats). Pack is safe under concurrent readers.
@@ -426,7 +468,7 @@ func (ix *Index) Pack() {
 	}
 	switch v := ix.view.Load(); {
 	case v.packed == nil:
-		ix.freeze()
+		ix.freeze() // an error stays for the first read to report
 	case v.ov != nil:
 		ix.Compact() // error recorded in Stats; old view keeps serving on failure
 	}
@@ -441,9 +483,17 @@ func (ix *Index) IsPacked() bool {
 }
 
 // Len returns the number of live points: base points not masked by a
-// delete tombstone, plus overlay inserts.
+// delete tombstone, plus overlay inserts, or the buffered points of a
+// NewIndex before its first read.
 func (ix *Index) Len() int {
 	v := ix.view.Load()
+	if v.packed == nil {
+		ix.mu.Lock()
+		defer ix.mu.Unlock()
+		if v = ix.view.Load(); v.packed == nil {
+			return len(ix.slab.ids)
+		}
+	}
 	n := v.tree.Len()
 	if v.ov != nil {
 		n += len(v.ov.pts) - v.ov.tombs.Total()

@@ -13,20 +13,67 @@ import (
 
 // --- shared helpers ---
 
-// buildTree inserts pts into an R*-tree builder (ids are the slice
-// positions) and returns its packed arena.
+// buildTree STR-packs pts at node capacity maxEntries (0: the default)
+// with the ids the slice positions.
 func buildTree(t testing.TB, pts []geom.Point, maxEntries int) *rtree.Packed {
 	t.Helper()
-	tr, err := rtree.New(rtree.Config{MaxEntries: maxEntries, Dim: dimOf(pts)})
+	cfg := rtree.Config{MaxEntries: maxEntries, Dim: dimOf(pts)}
+	cols, err := rtree.Columns(cfg, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range pts {
-		if err := tr.Insert(p, int64(i)); err != nil {
-			t.Fatal(err)
+	p, err := rtree.PackSTR(cfg, cols, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// buildShuffled is buildTree with about a quarter of the points swapped
+// into random leaves (drawn from seed): every routing rectangle is
+// recomputed over the moved points, so nodes overlap their siblings the
+// way no bulk-load order makes them. The arena is rebuilt from its
+// snapshot form with rtree.PackedFromSnapshot and checked with
+// CheckInvariants.
+func buildShuffled(t testing.TB, pts []geom.Point, maxEntries int, seed int64) *rtree.Packed {
+	t.Helper()
+	st := buildTree(t, pts, maxEntries).Snapshot() // borrows the arena, which is dropped
+	rng := rand.New(rand.NewSource(seed))
+	for i := range st.IDs {
+		if rng.Intn(4) != 0 {
+			continue
+		}
+		j := rng.Intn(len(st.IDs))
+		st.IDs[i], st.IDs[j] = st.IDs[j], st.IDs[i]
+		for _, col := range st.PointCols {
+			col[i], col[j] = col[j], col[i]
 		}
 	}
-	return tr.Pack()
+	// A node's routing slots precede its children's (depth-first
+	// preorder), so walking the slots backwards refits every child before
+	// the rectangle that bounds it.
+	for s := len(st.Child) - 1; s >= 0; s-- {
+		c := st.Child[s]
+		lo, hi := st.RectLo, st.RectHi
+		if st.Level[c] == 0 {
+			lo, hi = st.PointCols, st.PointCols
+		}
+		for a := range st.RectLo {
+			l, h := lo[a][st.Start[c]], hi[a][st.Start[c]]
+			for i := st.Start[c] + 1; i < st.End[c]; i++ {
+				l, h = math.Min(l, lo[a][i]), math.Max(h, hi[a][i])
+			}
+			st.RectLo[a][s], st.RectHi[a][s] = l, h
+		}
+	}
+	p, err := rtree.PackedFromSnapshot(st, len(st.PointCols), rtree.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Tree().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // dimOf is the dimension of pts, or 0 (the default, 2) when it is empty.

@@ -11,19 +11,11 @@ import (
 	"gnn/internal/rtree"
 )
 
-// buildTreeIDs STR-packs pts (ids are the slice positions).
+// buildTreeIDs STR-packs pts at node capacity 10 (ids are the slice
+// positions).
 func buildTreeIDs(t testing.TB, pts []geom.Point) *rtree.Packed {
 	t.Helper()
-	cfg := rtree.Config{MaxEntries: 10, Dim: dimOf(pts)}
-	cols, err := rtree.Columns(cfg, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := rtree.PackSTR(cfg, cols, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return buildTree(t, pts, 10)
 }
 
 func TestQueryFileBasics(t *testing.T) {

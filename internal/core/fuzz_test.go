@@ -51,9 +51,9 @@ func scanDists(pts, qs []geom.Point, agg Aggregate, w []float64, region *geom.Re
 }
 
 // FuzzKernelsMatchScan runs every memory-resident kernel on a packed
-// arena (insertion-built or STR-packed) and checks its distances against
-// scanDists (see kernelsMatchScan), over fuzzed data, group size, k,
-// aggregate, weights and region. The seed corpus lives in
+// arena (STR-packed, or with overlapping nodes: buildShuffled) and
+// checks its distances against scanDists (see kernelsMatchScan), over
+// fuzzed data, group size, k, aggregate, weights and region. The seed corpus lives in
 // testdata/fuzz/FuzzKernelsMatchScan and replays in every go test run.
 func FuzzKernelsMatchScan(f *testing.F) {
 	f.Add(int64(1), uint16(400), uint8(5), uint8(4), uint8(0), false, false)
@@ -62,7 +62,7 @@ func FuzzKernelsMatchScan(f *testing.F) {
 		pts := clusteredPts(rng, int(n)%1500+1, 500)
 		tr := buildTreeIDs(t, pts)
 		if seed%2 == 0 {
-			tr = buildTree(t, pts, 6)
+			tr = buildShuffled(t, pts, 6, seed)
 		}
 		qs := make([]geom.Point, int(groupSize)%20+1)
 		base := geom.Point{rng.Float64() * 500, rng.Float64() * 500}
@@ -155,8 +155,8 @@ func kernelsMatchScan(t *testing.T, tr *rtree.Packed, pts, qs []geom.Point, opt 
 }
 
 // TestKernelsOutside2D runs kernelsMatchScan on data that is not 2-D
-// (d = 1, 3 and 4, 20 seeds each), on STR-packed and insertion-built
-// arenas, for every aggregate, weighted or not, with and without a
+// (d = 1, 3 and 4, 20 seeds each), on STR-packed and shuffled
+// (buildShuffled) arenas, for every aggregate, weighted or not, with and without a
 // region: the fuzz target and the golden suites are all 2-D, so this is
 // what exercises the aggregate family's generic-dimension path.
 func TestKernelsOutside2D(t *testing.T) {
@@ -178,7 +178,7 @@ func TestKernelsOutside2D(t *testing.T) {
 			if seed%2 == 0 {
 				tr = buildTreeIDs(t, pts)
 			} else {
-				tr = buildTree(t, pts, 6)
+				tr = buildShuffled(t, pts, 6, seed)
 			}
 			qs := make([]geom.Point, 1+rng.Intn(12))
 			base := randIn(rng, d, 500)

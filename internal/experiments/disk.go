@@ -105,7 +105,7 @@ func scaledBlockPoints(scale float64) int {
 	return b
 }
 
-// measureGCP builds an R*-tree over the query set (its cost excluded, as
+// measureGCP builds an R-tree over the query set (its cost excluded, as
 // in §5.2) and runs GCP, reporting the summed NA of both trees.
 func (e *Env) measureGCP(tp *rtree.Packed, qpts []geom.Point, opt core.Options) (stats.Measurement, error) {
 	tq, err := e.buildTree(&dataset.Dataset{Name: "Q", Points: qpts}, 1<<40)

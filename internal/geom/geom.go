@@ -197,8 +197,7 @@ func (r Rect) Area() float64 {
 	return a
 }
 
-// Margin returns the sum of the edge lengths of r (the R*-tree split
-// goodness metric; perimeter/2 in 2D).
+// Margin returns the sum of the edge lengths of r (perimeter/2 in 2D).
 func (r Rect) Margin() float64 {
 	var m float64
 	for i := range r.Lo {
@@ -289,11 +288,6 @@ func (r Rect) ExpandPoint(p Point) Rect {
 		}
 	}
 	return Rect{Lo: lo, Hi: hi}
-}
-
-// Enlargement returns the increase in area needed for r to absorb s.
-func (r Rect) Enlargement(s Rect) float64 {
-	return r.Union(s).Area() - r.Area()
 }
 
 // MinDistPointRect returns mindist(p, r): the smallest possible distance

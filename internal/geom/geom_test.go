@@ -170,9 +170,6 @@ func TestIntersectionUnion(t *testing.T) {
 	if !u.Equal(NewRect(pt(0, 0), pt(6, 6))) {
 		t.Errorf("Union = %v", u)
 	}
-	if e := r.Enlargement(s); e != 36-16 {
-		t.Errorf("Enlargement = %v, want 20", e)
-	}
 }
 
 func TestExpandPoint(t *testing.T) {
@@ -305,9 +302,6 @@ func TestQuickUnionContains(t *testing.T) {
 		}
 		if u.Area() < r.Area()-1e-9 || u.Area() < s.Area()-1e-9 {
 			t.Fatalf("union smaller than operand")
-		}
-		if r.Enlargement(s) < -1e-9 {
-			t.Fatalf("negative enlargement")
 		}
 	}
 }

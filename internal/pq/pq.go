@@ -120,122 +120,3 @@ func (h *Heap[T]) down(i int) {
 		i = smallest
 	}
 }
-
-// BoundedMax keeps the k smallest priorities seen so far. It is a max-heap
-// of fixed capacity: pushing a (value, priority) pair evicts the current
-// maximum when full and the newcomer is smaller. It implements the
-// "best_NN list of k pairs sorted on dist(p,Q)" of the paper's k-GNN
-// extensions: Kth() is the paper's best_dist.
-type BoundedMax[T any] struct {
-	k     int
-	items []Item[T]
-}
-
-// NewBoundedMax returns a bounded heap that retains the k smallest entries.
-// It panics when k < 1: a result set of size zero is meaningless. The
-// backing array grows with the entries actually retained, so a huge k
-// costs nothing until that many entries arrive.
-func NewBoundedMax[T any](k int) *BoundedMax[T] {
-	if k < 1 {
-		panic("pq: BoundedMax requires k >= 1")
-	}
-	return &BoundedMax[T]{k: k}
-}
-
-// Reset prepares the heap for reuse by a new query with result size k,
-// retaining the backing array, which grows with the entries retained,
-// never with k. Backing arrays above RetainCap are dropped rather than
-// kept for the next query. It panics when k < 1, like NewBoundedMax.
-func (b *BoundedMax[T]) Reset(k int) {
-	if k < 1 {
-		panic("pq: BoundedMax requires k >= 1")
-	}
-	clear(b.items)
-	b.items = Trim(b.items)
-	b.k = k
-}
-
-// Len returns the number of retained entries (≤ k).
-func (b *BoundedMax[T]) Len() int { return len(b.items) }
-
-// Full reports whether k entries are retained.
-func (b *BoundedMax[T]) Full() bool { return len(b.items) == b.k }
-
-// Kth returns the current k-th smallest priority — the pruning bound
-// best_dist. Until the heap is full it returns +Inf semantics via ok=false.
-func (b *BoundedMax[T]) Kth() (float64, bool) {
-	if len(b.items) < b.k {
-		return 0, false
-	}
-	return b.items[0].Priority, true
-}
-
-// Max returns the largest retained entry: the one a Push into a full
-// heap evicts. ok is false when the heap is empty.
-func (b *BoundedMax[T]) Max() (item Item[T], ok bool) {
-	if len(b.items) == 0 {
-		return Item[T]{}, false
-	}
-	return b.items[0], true
-}
-
-// Push offers an entry; it is retained only while it ranks among the k
-// smallest. Returns true when the entry was kept.
-func (b *BoundedMax[T]) Push(value T, priority float64) bool {
-	if len(b.items) < b.k {
-		b.items = append(b.items, Item[T]{Value: value, Priority: priority})
-		b.up(len(b.items) - 1)
-		return true
-	}
-	if priority >= b.items[0].Priority {
-		return false
-	}
-	b.items[0] = Item[T]{Value: value, Priority: priority}
-	b.down(0)
-	return true
-}
-
-// Sorted returns the retained entries in ascending priority order. It
-// allocates only the returned slice: the copy is heapsorted in place
-// (swapping the max to the tail and sifting down the shrunk prefix).
-func (b *BoundedMax[T]) Sorted() []Item[T] {
-	out := make([]Item[T], len(b.items))
-	copy(out, b.items)
-	tmp := BoundedMax[T]{k: b.k}
-	for n := len(out) - 1; n > 0; n-- {
-		out[0], out[n] = out[n], out[0]
-		tmp.items = out[:n]
-		tmp.down(0)
-	}
-	return out
-}
-
-func (b *BoundedMax[T]) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if b.items[parent].Priority >= b.items[i].Priority {
-			break
-		}
-		b.items[parent], b.items[i] = b.items[i], b.items[parent]
-		i = parent
-	}
-}
-
-func (b *BoundedMax[T]) down(i int) {
-	n := len(b.items)
-	for {
-		l, r := 2*i+1, 2*i+2
-		largest := i
-		if l < n && b.items[l].Priority > b.items[largest].Priority {
-			largest = l
-		}
-		if r < n && b.items[r].Priority > b.items[largest].Priority {
-			largest = r
-		}
-		if largest == i {
-			return
-		}
-		b.items[i], b.items[largest] = b.items[largest], b.items[i]
-		i = largest
-	}
-}

@@ -2,7 +2,6 @@ package pq
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -108,90 +107,6 @@ func TestQuickHeapSortsAnyInput(t *testing.T) {
 	}
 }
 
-func TestBoundedMaxKeepsKSmallest(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		k := 1 + rng.Intn(10)
-		n := rng.Intn(200)
-		b := NewBoundedMax[int](k)
-		all := make([]float64, n)
-		for i := range all {
-			all[i] = rng.Float64() * 100
-			b.Push(i, all[i])
-		}
-		sorted := append([]float64(nil), all...)
-		sort.Float64s(sorted)
-
-		got := b.Sorted()
-		wantLen := k
-		if n < k {
-			wantLen = n
-		}
-		if len(got) != wantLen {
-			t.Fatalf("retained %d, want %d", len(got), wantLen)
-		}
-		for i, it := range got {
-			if it.Priority != sorted[i] {
-				t.Fatalf("rank %d: got %v want %v", i, it.Priority, sorted[i])
-			}
-		}
-		if kth, ok := b.Kth(); ok {
-			if kth != sorted[k-1] {
-				t.Fatalf("Kth = %v, want %v", kth, sorted[k-1])
-			}
-		} else if n >= k {
-			t.Fatal("Kth not ok on full heap")
-		}
-	}
-}
-
-func TestBoundedMaxRejectsWorse(t *testing.T) {
-	b := NewBoundedMax[string](2)
-	if b.Full() {
-		t.Fatal("empty heap full")
-	}
-	if !b.Push("a", 5) || !b.Push("b", 3) {
-		t.Fatal("initial pushes rejected")
-	}
-	if !b.Full() {
-		t.Fatal("heap should be full")
-	}
-	if b.Push("c", 9) {
-		t.Fatal("worse entry accepted")
-	}
-	if !b.Push("d", 1) {
-		t.Fatal("better entry rejected")
-	}
-	got := b.Sorted()
-	if got[0].Value != "d" || got[1].Value != "b" {
-		t.Fatalf("Sorted = %+v", got)
-	}
-}
-
-func TestBoundedMaxPanicsOnBadK(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("k=0 did not panic")
-		}
-	}()
-	NewBoundedMax[int](0)
-}
-
-func TestBoundedMaxTiesAtKth(t *testing.T) {
-	b := NewBoundedMax[int](2)
-	b.Push(1, 5)
-	b.Push(2, 5)
-	// Equal priority must NOT displace an incumbent (strict improvement only),
-	// matching the paper's "smaller distance" update rule.
-	if b.Push(3, 5) {
-		t.Fatal("tie displaced incumbent")
-	}
-	kth, ok := b.Kth()
-	if !ok || kth != 5 {
-		t.Fatalf("Kth = %v %v", kth, ok)
-	}
-}
-
 func BenchmarkHeapPushPop(b *testing.B) {
 	h := NewHeap[int](b.N)
 	rng := rand.New(rand.NewSource(1))
@@ -224,32 +139,6 @@ func TestHeapReset(t *testing.T) {
 	}
 }
 
-// TestBoundedMaxReset: Reset re-arms the heap for a different k and clears
-// prior entries.
-func TestBoundedMaxReset(t *testing.T) {
-	b := NewBoundedMax[int](2)
-	b.Push(1, 1)
-	b.Push(2, 2)
-	b.Reset(3)
-	if b.Len() != 0 || b.Full() {
-		t.Fatalf("Reset heap not empty: len=%d", b.Len())
-	}
-	for i := 0; i < 5; i++ {
-		b.Push(i, float64(i))
-	}
-	got := b.Sorted()
-	if len(got) != 3 || got[0].Value != 0 || got[2].Value != 2 {
-		t.Fatalf("Reset(3) kept wrong entries: %+v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Reset(0) did not panic")
-		}
-	}()
-	b.Reset(0)
-}
-
-// TestPool: Get returns constructed values; Put recycles them.
 func TestPool(t *testing.T) {
 	built := 0
 	p := NewPool(func() *Heap[int] {

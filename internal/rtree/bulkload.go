@@ -28,8 +28,8 @@ func (e *NonFiniteError) Error() string {
 
 // CheckFinite returns a *NonFiniteError for the first NaN or infinite
 // coordinate of p, reported as the point at position i, or nil. Every
-// path by which a point enters an index runs it: the bulk loads and
-// Insert here, and the overlay writes one layer up.
+// path by which a point enters an index runs it: the bulk loads here,
+// and the writes one layer up.
 func CheckFinite(i int, p geom.Point) error {
 	for a, v := range p {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -73,10 +73,8 @@ func Columns[P ~[]float64](cfg Config, pts []P) ([]float64, error) {
 // PackSTR takes cols and ids over: it reorders both in place into leaf
 // order and the arena adopts them as its leaf columns, so the buffer the
 // caller filled is the arena's only copy of the points. The caller must
-// not use either afterwards. The arena is
-// the one Tree.Pack produces from the tree these levels describe, bit
-// for bit (see packOrdered), and its Tree() is the arena's immutable
-// shell.
+// not use either afterwards. The arena's Tree() is its immutable shell;
+// its layout is packOrdered's.
 func PackSTR(cfg Config, cols []float64, ids []int64) (*Packed, error) {
 	cfg, pc, ids, err := adoptColumns(cfg, cols, ids)
 	if err != nil {
@@ -298,16 +296,17 @@ func (b *sortBuffers) apply(order []int32, pc [][]float64, ids []int64) {
 // and packs the levels above them bottom-up, straight into a Packed
 // arena. Each level groups consecutive nodes of the level below, M to a
 // node, until one root remains; the final node of each level is kept at
-// or above MinEntries by borrowing from its predecessor, so packed trees
-// satisfy the same fill invariants as incrementally built ones. Pages
+// or above MinEntries by borrowing from its predecessor, so every node
+// but the root meets the fill invariants CheckInvariants checks. Pages
 // are numbered level by level from the leaves up, left to right, after
-// the one page the empty root of New takes.
+// one unused page (FirstPage itself, which only an empty tree's root
+// takes): committed snapshots and their checksums fix this numbering.
 //
-// The arena is exactly what Tree.Pack writes for the tree those levels
-// describe: node ids and routing slots in depth-first preorder, leaf
-// slots in leaf order, and each routing rectangle the math.Min/math.Max
-// fold of its child's entries in entry order — the values a Rect.Union
-// chain over them yields.
+// Node ids and routing slots are in depth-first preorder, leaf slots in
+// leaf order, and each routing rectangle is the math.Min/math.Max fold
+// of its child's entries in entry order — the values a Rect.Union chain
+// over them yields. The reference loader of the package tests builds the
+// same tree node by node and checks the arena against it.
 func packOrdered(cfg Config, pc [][]float64, ids []int64) *Packed {
 	dim, n := cfg.Dim, len(ids)
 	M, m := cfg.MaxEntries, cfg.MinEntries
@@ -339,7 +338,7 @@ func packOrdered(cfg Config, pc [][]float64, ids []int64) *Packed {
 	pageBase := make([]pagestore.PageID, len(firsts))
 	next := cfg.FirstPage
 	if n > 0 {
-		next++ // the discarded root of an empty tree
+		next++ // FirstPage stays an empty tree's root page
 	}
 	for l, b := range firsts {
 		pageBase[l] = next

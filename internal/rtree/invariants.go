@@ -1,94 +1,24 @@
 package rtree
 
-import (
-	"fmt"
+import "fmt"
 
-	"gnn/internal/geom"
-)
-
-// CheckInvariants validates the structural invariants of the tree — the
-// builder's nodes, or a shell's arena — and returns the first violation
-// found, or nil. It is exported for tests and diagnostic tooling; it does
-// not charge node accesses.
+// CheckInvariants validates the structural invariants of the tree's
+// arena and returns the first violation found, or nil. It is exported
+// for tests and diagnostic tooling; it does not charge node accesses.
 //
 // Checked invariants:
 //  1. every node except the root holds between MinEntries and MaxEntries
 //     entries; the root holds at most MaxEntries (and, unless it is a leaf,
 //     at least 2);
-//  2. each routing rectangle equals the exact MBR of its child's entries;
+//  2. each routing rectangle equals the exact MBR of its child's entries,
+//     so every data point lies inside all its ancestors' rectangles;
 //  3. all leaves sit at level 0 and node levels decrease by 1 per step;
 //  4. the recorded size matches the number of data entries;
-//  5. the recorded height matches the root's level + 1;
-//  6. every data point lies inside all its ancestors' rectangles.
+//  5. the recorded height matches the root's level + 1.
 //
-// On a shell the deferred verification of a borrowed arena (checksums
-// and snapshot structure, see Packed.Prepare) runs first.
-func (t *Tree) CheckInvariants() error {
-	if t.root == nil {
-		if t.shellOf != nil {
-			return t.shellOf.checkInvariants()
-		}
-		return fmt.Errorf("rtree: nil root")
-	}
-	if t.height != t.root.level+1 {
-		return fmt.Errorf("rtree: height %d but root level %d", t.height, t.root.level)
-	}
-	count, err := t.checkNode(t.root, true)
-	if err != nil {
-		return err
-	}
-	if count != t.size {
-		return fmt.Errorf("rtree: size %d but %d data entries found", t.size, count)
-	}
-	return nil
-}
-
-func (t *Tree) checkNode(n *node, isRoot bool) (int, error) {
-	if len(n.entries) > t.cfg.MaxEntries {
-		return 0, fmt.Errorf("rtree: node %d overflows with %d entries", n.page, len(n.entries))
-	}
-	if isRoot {
-		if n.level > 0 && len(n.entries) < 2 {
-			return 0, fmt.Errorf("rtree: internal root with %d entries", len(n.entries))
-		}
-	} else if len(n.entries) < t.cfg.MinEntries {
-		return 0, fmt.Errorf("rtree: node %d underflows with %d entries (min %d)",
-			n.page, len(n.entries), t.cfg.MinEntries)
-	}
-	count := 0
-	for i, e := range n.entries {
-		if n.level == 0 {
-			if !e.IsLeafEntry() {
-				return 0, fmt.Errorf("rtree: routing entry %d in leaf %d", i, n.page)
-			}
-			if !e.Rect.Equal(geom.RectFromPoint(e.Point)) {
-				return 0, fmt.Errorf("rtree: leaf entry %d rect does not match point", i)
-			}
-			count++
-			continue
-		}
-		if e.IsLeafEntry() {
-			return 0, fmt.Errorf("rtree: data entry %d in internal node %d", i, n.page)
-		}
-		if e.child.level != n.level-1 {
-			return 0, fmt.Errorf("rtree: node %d at level %d has child at level %d",
-				n.page, n.level, e.child.level)
-		}
-		if len(e.child.entries) == 0 {
-			return 0, fmt.Errorf("rtree: empty child node %d", e.child.page)
-		}
-		if want := t.nodeMBR(e.child); !e.Rect.Equal(want) {
-			return 0, fmt.Errorf("rtree: routing rect %v of node %d != child MBR %v",
-				e.Rect, n.page, want)
-		}
-		c, err := t.checkNode(e.child, false)
-		if err != nil {
-			return 0, err
-		}
-		count += c
-	}
-	return count, nil
-}
+// The deferred verification of a borrowed arena (checksums and snapshot
+// structure, see Packed.Prepare) runs first.
+func (t *Tree) CheckInvariants() error { return t.arena.checkInvariants() }
 
 // checkInvariants is CheckInvariants over the arena. Slot ranges and
 // child ids are bounds-checked before use, so a corrupted arena fails

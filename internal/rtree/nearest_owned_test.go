@@ -11,8 +11,8 @@ import (
 
 // TestNearestResultsOwned: nearestDF and NearestBF copy their results'
 // points out of the arena, so writing to a returned point changes
-// neither a repeat answer nor the index, for a bulk-loaded and a packed
-// insertion-built arena alike. The two traversals agree bit for bit.
+// neither a repeat answer nor the index, for an STR-packed and a
+// randomly ordered arena alike. The two traversals agree bit for bit.
 func TestNearestResultsOwned(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	pts := randPoints(rng, 2000, 1000)
@@ -20,7 +20,8 @@ func TestNearestResultsOwned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []*Packed{bulk, randTree(t, rng, 2000, 10).Pack()} {
+	shuffled := packShuffled(t, Config{MaxEntries: 10}, randPoints(rng, 2000, 1000), rng)
+	for _, p := range []*Packed{bulk, shuffled} {
 		rd := p.Reader(nil)
 		for i := 0; i < 20; i++ {
 			q := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}

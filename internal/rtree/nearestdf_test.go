@@ -2,6 +2,8 @@ package rtree
 
 import (
 	"math"
+	"slices"
+	"sort"
 
 	"gnn/internal/geom"
 	"gnn/internal/pq"
@@ -83,68 +85,78 @@ func (s *nnScratch) release() {
 	nnScratchPool.Put(s)
 }
 
-// nnBest is nearestDF's bounded result set: a max-heap of the k nearest
-// candidates keyed by squared distance. An accepted candidate's
-// coordinates are copied into a row the set owns (the row of the
-// candidate it evicts, once full), so the set never aliases the arena or
-// the caller's gather scratch, and the rows grow with the candidates
-// held, never with k.
+// nnBest is nearestDF's bounded result set: the k nearest candidates
+// held so far, in a plain list kept sorted by squared distance. An
+// accepted candidate's coordinates are copied into a row the set owns
+// (the row of the candidate it evicts, once full), so the set never
+// aliases the arena or the caller's gather scratch, and the rows grow
+// with the candidates held, never with k.
 type nnBest struct {
-	heap pq.BoundedMax[nnRow]
+	held []nnRow // ascending d; at most k
+	k    int
 	rows []float64 // row r holds coordinates rows[r*dim : (r+1)*dim]
 	dim  int
 }
 
-// nnRow is one held candidate: its coordinate row and id.
+// nnRow is one held candidate: its squared distance, coordinate row and
+// id.
 type nnRow struct {
+	d   float64
 	row int32
 	id  int64
 }
 
 // reset prepares the set for a query of k results in dim dimensions,
-// dropping a row buffer above pq.RetainCap.
+// dropping a list or row buffer above pq.RetainCap.
 func (b *nnBest) reset(k, dim int) {
-	b.heap.Reset(k)
+	b.held = pq.Trim(b.held)
 	b.rows = pq.Trim(b.rows)
-	b.dim = dim
+	b.k, b.dim = k, dim
 }
 
-// Kth returns the current pruning bound (see pq.BoundedMax.Kth).
-func (b *nnBest) Kth() (float64, bool) { return b.heap.Kth() }
+// Kth returns the current pruning bound: the k-th smallest squared
+// distance held, with ok false until k candidates are held.
+func (b *nnBest) Kth() (float64, bool) {
+	if len(b.held) < b.k {
+		return 0, false
+	}
+	return b.held[b.k-1].d, true
+}
 
 // push offers p (with its id) at squared distance d, copying it into an
 // owned row when it ranks among the k nearest. p itself is not retained.
+// A candidate tied with the k-th is not taken.
 func (b *nnBest) push(p geom.Point, id int64, d float64) {
 	var r int32
-	if kth, full := b.heap.Kth(); full {
+	if kth, full := b.Kth(); full {
 		if d >= kth {
 			return
 		}
-		top, _ := b.heap.Max()
-		r = top.Value.row // reuse the evicted candidate's row
+		r = b.held[b.k-1].row // reuse the evicted candidate's row
+		b.held = b.held[:b.k-1]
 		copy(b.rows[int(r)*b.dim:(int(r)+1)*b.dim], p)
 	} else {
-		// Rows are only appended while the heap fills, so the next row
+		// Rows are only appended while the list fills, so the next row
 		// index is the number held.
-		r = int32(b.heap.Len())
+		r = int32(len(b.held))
 		b.rows = append(b.rows, p...)
 	}
-	b.heap.Push(nnRow{row: r, id: id}, d)
+	i := sort.Search(len(b.held), func(i int) bool { return b.held[i].d > d })
+	b.held = slices.Insert(b.held, i, nnRow{d: d, row: r, id: id})
 }
 
 // neighbors returns the held candidates in ascending order, converting
-// the squared-priority keys into the Euclidean distances the API
+// the squared-distance keys into the Euclidean distances the API
 // reports, with their points in one slab the caller owns. Dist(p,q) is
 // defined as Sqrt(DistSq(p,q)), so the converted values are bit-identical
 // to distances computed directly.
 func (b *nnBest) neighbors() []Neighbor {
-	items := b.heap.Sorted()
-	out := make([]Neighbor, len(items))
-	slab := make([]float64, len(items)*b.dim)
-	for i, it := range items {
+	out := make([]Neighbor, len(b.held))
+	slab := make([]float64, len(b.held)*b.dim)
+	for i, h := range b.held {
 		pt := slab[i*b.dim : (i+1)*b.dim : (i+1)*b.dim]
-		copy(pt, b.rows[int(it.Value.row)*b.dim:])
-		out[i] = Neighbor{Point: pt, ID: it.Value.id, Dist: math.Sqrt(it.Priority)}
+		copy(pt, b.rows[int(h.row)*b.dim:])
+		out[i] = Neighbor{Point: pt, ID: h.id, Dist: math.Sqrt(h.d)}
 	}
 	return out
 }

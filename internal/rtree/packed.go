@@ -7,8 +7,8 @@ import (
 	"gnn/internal/pagestore"
 )
 
-// Packed is an immutable, cache-packed snapshot of a Tree for query-time
-// use: every node lives in one flat arena indexed by int32 node ids, child
+// Packed is an immutable, cache-packed R-tree for query-time use: every
+// node lives in one flat arena indexed by int32 node ids, child
 // links are indices instead of pointers, and entry geometry is stored in
 // structure-of-arrays form — per-axis coordinate slices — so the per-node
 // candidate loops of the traversals become streaming passes over
@@ -30,14 +30,14 @@ import (
 // the file).
 //
 // Node i owns the contiguous slot range [start[i], end[i]) of whichever
-// space its level selects. Page ids are preserved from the tree the
-// loader or Pack laid out, and every traversal charges the tree's
+// space its level selects. Every node keeps the page id its loader (or
+// the snapshot's writer) gave it, and every traversal charges the tree's
 // accountant, so per-query CostTracker and aggregate node-access
 // accounting follow the paper's page model exactly.
 //
 // An arena is immutable. Its Tree is a metadata shell (size, height,
 // page range, configuration) that the query layers pass around; a
-// mutation is a new arena, built by a loader or by Pack.
+// mutation is a new arena, built by a loader.
 type Packed struct {
 	src    *Tree
 	dim    int
@@ -63,7 +63,7 @@ type Packed struct {
 
 	// prep, when non-nil, holds the deferred verification of a borrowed
 	// arena (PackedFromSnapshotBorrowed); Prepare must succeed before the
-	// arena is traversed. nil for arenas built by Pack or copied by
+	// arena is traversed. nil for arenas built by a loader or copied by
 	// PackedFromSnapshot, which are complete at construction.
 	prep *packedPrep
 
@@ -107,92 +107,10 @@ func (p *Packed) Bounds() (geom.Rect, bool) {
 	return p.mbr, true
 }
 
-// Pack lays the builder's current nodes out as a packed arena, page
-// identifiers and entry order included, so queries on it charge exactly
-// the accesses a traversal of the nodes would. The arena's Tree is a new
-// shell: later mutations of t do not affect it. Pack must not run
-// concurrently with Insert or Delete.
-func (t *Tree) Pack() *Packed {
-	// First pass: count nodes and slots so every arena is allocated once.
-	var nodes, rslots, lslots int
-	var count func(n *node)
-	count = func(n *node) {
-		nodes++
-		if n.level == 0 {
-			lslots += len(n.entries)
-			return
-		}
-		rslots += len(n.entries)
-		for _, e := range n.entries {
-			count(e.child)
-		}
-	}
-	count(t.root)
-
-	p := &Packed{
-		dim: t.cfg.Dim, size: t.size, height: t.height,
-		acct:  t.cfg.Accountant,
-		level: make([]int32, 0, nodes),
-		page:  make([]pagestore.PageID, 0, nodes),
-		start: make([]int32, 0, nodes),
-		end:   make([]int32, 0, nodes),
-		child: make([]int32, rslots),
-		rlo:   make([][]float64, t.cfg.Dim),
-		rhi:   make([][]float64, t.cfg.Dim),
-		pc:    make([][]float64, t.cfg.Dim),
-		ids:   make([]int64, 0, lslots),
-	}
-	for a := 0; a < t.cfg.Dim; a++ {
-		p.rlo[a] = make([]float64, rslots)
-		p.rhi[a] = make([]float64, rslots)
-		p.pc[a] = make([]float64, 0, lslots)
-	}
-
-	// Second pass: depth-first preorder fill. A node's slot range is
-	// claimed before its children are visited, and each routing slot's
-	// child id is patched in as the recursion returns.
-	var nextR, nextL int32
-	var fill func(n *node) int32
-	fill = func(n *node) int32 {
-		id := int32(len(p.level))
-		p.level = append(p.level, int32(n.level))
-		p.page = append(p.page, n.page)
-		if n.level == 0 {
-			p.start = append(p.start, nextL)
-			for _, e := range n.entries {
-				for a := 0; a < p.dim; a++ {
-					p.pc[a] = append(p.pc[a], e.Point[a])
-				}
-				p.ids = append(p.ids, e.ID)
-			}
-			nextL += int32(len(n.entries))
-			p.end = append(p.end, nextL)
-			return id
-		}
-		s := nextR
-		nextR += int32(len(n.entries))
-		p.start = append(p.start, s)
-		p.end = append(p.end, nextR)
-		for i, e := range n.entries {
-			for a := 0; a < p.dim; a++ {
-				p.rlo[a][s+int32(i)] = e.Rect.Lo[a]
-				p.rhi[a][s+int32(i)] = e.Rect.Hi[a]
-			}
-		}
-		for i, e := range n.entries {
-			p.child[s+int32(i)] = fill(e.child)
-		}
-		return id
-	}
-	p.root = fill(t.root)
-	p.setShell(t.cfg, t.nextPage)
-	return p
-}
-
 // setShell attaches the arena's metadata shell and computes its root
 // MBR. A borrowed arena defers the MBR to Prepare instead.
 func (p *Packed) setShell(cfg Config, nextPage pagestore.PageID) {
-	p.src = &Tree{cfg: cfg, size: p.size, height: p.height, nextPage: nextPage, shellOf: p}
+	p.src = &Tree{cfg: cfg, size: p.size, height: p.height, nextPage: nextPage, arena: p}
 	if p.prep == nil {
 		p.mbr = p.rootMBR()
 	}

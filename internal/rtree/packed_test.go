@@ -1,67 +1,17 @@
 package rtree
 
 import (
-	"errors"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"gnn/internal/geom"
 )
 
-// randTree inserts n random points into an R*-tree builder.
-func randTree(t *testing.T, rng *rand.Rand, n, maxEntries int) *Tree {
-	t.Helper()
-	tr, err := New(Config{Dim: 2, MaxEntries: maxEntries})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if err := tr.Insert(geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}, int64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return tr
-}
-
-// TestPackIndependentOfBuilder: Pack snapshots the builder into an arena
-// with its own immutable shell; later builder mutations leave the arena
-// (and its answers and invariants) untouched.
-func TestPackIndependentOfBuilder(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	tr := randTree(t, rng, 800, 8)
-	p := tr.Pack()
-	if p.Valid(tr) || !p.Valid(p.Tree()) {
-		t.Fatal("the arena must belong to its shell, not to the builder")
-	}
-	q := geom.Point{500, 500}
-	before := p.Reader(nil).NearestBF(q, 5)
-	if err := tr.Insert(q, 9999); err != nil {
-		t.Fatal(err)
-	}
-	if got := p.Reader(nil).NearestBF(q, 5); !reflect.DeepEqual(got, before) {
-		t.Fatalf("builder insert leaked into the arena: %v, was %v", got, before)
-	}
-	if got := tr.Pack().Reader(nil).NearestBF(q, 1); got[0].ID != 9999 {
-		t.Fatalf("a fresh Pack missed the insert: %v", got)
-	}
-	sh := p.Tree()
-	if err := sh.Insert(q, 1); !errors.Is(err, ErrImmutable) {
-		t.Fatalf("shell Insert: %v, want ErrImmutable", err)
-	}
-	if sh.Delete(before[0].Point, before[0].ID) {
-		t.Fatal("shell Delete reported true")
-	}
-	if err := sh.CheckInvariants(); err != nil || sh.Len() != 800 {
-		t.Fatalf("shell after builder insert: len %d, invariants %v", sh.Len(), err)
-	}
-}
-
 // TestShellCheckInvariants: a shell's CheckInvariants walks the arena and
-// reports every corruption a node walk of the builder would: a routing
-// rectangle that is not its child's exact MBR, a fill violation, a level
-// skip, a size mismatch, a wrong height, and a child id outside the
-// arena — each as an error, never a panic.
+// reports every corruption: a routing rectangle that is not its child's
+// exact MBR, a fill violation, a level skip, a size mismatch, a wrong
+// height, and a child id outside the arena — each as an error, never a
+// panic.
 func TestShellCheckInvariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	pts := make([]geom.Point, 600)
@@ -102,12 +52,18 @@ func TestShellCheckInvariants(t *testing.T) {
 }
 
 // TestPackedShape spot-checks the arena invariants: ranges partition the
-// slot spaces, levels decrease by one per child hop, pages match the
-// source nodes.
+// slot spaces, levels decrease by one per child hop, and pages and
+// routing rectangles (read back through RectInto) match the nodes of the
+// reference tree the arena lays out.
 func TestPackedShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	tr := randTree(t, rng, 1500, 10)
-	p := tr.Pack()
+	pts := randPoints(rng, 1500, 1000)
+	cfg := Config{MaxEntries: 10}
+	p := mustPack(t, cfg, pts)
+	ref, err := referenceSTR(cfg, pts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var walk func(n int32, level int32)
 	seenLeaf := 0
 	walk = func(n int32, level int32) {
@@ -126,26 +82,27 @@ func TestPackedShape(t *testing.T) {
 			walk(p.child[i], level-1)
 		}
 	}
-	walk(p.Root(), int32(tr.Height()-1))
-	if seenLeaf != tr.Len() {
-		t.Fatalf("%d leaf slots reachable, want %d", seenLeaf, tr.Len())
+	walk(p.Root(), int32(p.Height()-1))
+	if seenLeaf != p.Len() {
+		t.Fatalf("%d leaf slots reachable, want %d", seenLeaf, p.Len())
 	}
-	if p.NumLeafSlots() != tr.Len() {
-		t.Fatalf("NumLeafSlots %d, want %d", p.NumLeafSlots(), tr.Len())
+	if p.NumLeafSlots() != p.Len() {
+		t.Fatalf("NumLeafSlots %d, want %d", p.NumLeafSlots(), p.Len())
 	}
-	// Pages must be preserved — same id space as the builder's nodes.
-	if p.page[p.Root()] != tr.root.page {
-		t.Fatalf("root page %d, want %d", p.page[p.Root()], tr.root.page)
+	// Pages must be the reference's — same id space as its nodes.
+	if p.page[p.Root()] != ref.root.page {
+		t.Fatalf("root page %d, want %d", p.page[p.Root()], ref.root.page)
 	}
 	// RectInto must reproduce the routing rectangles bit for bit.
 	var dst geom.Rect
 	rootS, rootE := p.NodeRange(p.Root())
-	if !p.IsLeaf(p.Root()) {
-		for i := rootS; i < rootE; i++ {
-			p.RectInto(i, &dst)
-			if !dst.Equal(tr.root.entries[i-rootS].Rect) {
-				t.Fatalf("RectInto slot %d mismatch", i)
-			}
+	if p.IsLeaf(p.Root()) {
+		t.Fatal("1500 points at M = 10 packed into a single leaf")
+	}
+	for i := rootS; i < rootE; i++ {
+		p.RectInto(i, &dst)
+		if !dst.Equal(ref.root.entries[i-rootS].Rect) {
+			t.Fatalf("RectInto slot %d mismatch", i)
 		}
 	}
 }

@@ -13,10 +13,8 @@ func TestClosestPairIteratorOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	ps := randPoints(rng, 150, 100)
 	qs := randPoints(rng, 120, 100)
-	tp := mustTree(t, Config{MaxEntries: 6})
-	tq := mustTree(t, Config{MaxEntries: 6})
-	insertAll(t, tp, ps)
-	insertAll(t, tq, qs)
+	tp := mustPack(t, Config{MaxEntries: 6}, ps)
+	tq := mustPack(t, Config{MaxEntries: 6}, qs)
 
 	want := make([]float64, 0, len(ps)*len(qs))
 	for _, p := range ps {
@@ -26,7 +24,7 @@ func TestClosestPairIteratorOrder(t *testing.T) {
 	}
 	sort.Float64s(want)
 
-	it, err := NewClosestPairIterator(tp.Pack().Reader(nil), tq.Pack().Reader(nil))
+	it, err := NewClosestPairIterator(tp.Reader(nil), tq.Reader(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,13 +46,15 @@ func TestClosestPairIteratorOrder(t *testing.T) {
 }
 
 func TestClosestPairFirstResult(t *testing.T) {
-	tp := mustTree(t, Config{MaxEntries: 4})
-	tq := mustTree(t, Config{MaxEntries: 4})
-	tp.Insert(geom.Point{0, 0}, 1)
-	tp.Insert(geom.Point{10, 10}, 2)
-	tq.Insert(geom.Point{0, 1}, 3)
-	tq.Insert(geom.Point{50, 50}, 4)
-	it, err := NewClosestPairIterator(tp.Pack().Reader(nil), tq.Pack().Reader(nil))
+	tp, err := bulkLoadSTR(Config{MaxEntries: 4}, []geom.Point{{0, 0}, {10, 10}}, []int64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tq, err := bulkLoadSTR(Config{MaxEntries: 4}, []geom.Point{{0, 1}, {50, 50}}, []int64{3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	it, err := NewClosestPairIterator(tp.Reader(nil), tq.Reader(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,10 +65,9 @@ func TestClosestPairFirstResult(t *testing.T) {
 }
 
 func TestClosestPairEmptyTree(t *testing.T) {
-	tp := mustTree(t, Config{})
-	tq := mustTree(t, Config{})
-	tq.Insert(geom.Point{1, 1}, 1)
-	it, err := NewClosestPairIterator(tp.Pack().Reader(nil), tq.Pack().Reader(nil))
+	tp := mustPack(t, Config{}, nil)
+	tq := mustPack(t, Config{}, []geom.Point{{1, 1}})
+	it, err := NewClosestPairIterator(tp.Reader(nil), tq.Reader(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,20 +77,18 @@ func TestClosestPairEmptyTree(t *testing.T) {
 }
 
 func TestClosestPairDimensionMismatch(t *testing.T) {
-	tp := mustTree(t, Config{Dim: 2})
-	tq := mustTree(t, Config{Dim: 3})
-	if _, err := NewClosestPairIterator(tp.Pack().Reader(nil), tq.Pack().Reader(nil)); err == nil {
+	tp := mustPack(t, Config{Dim: 2}, nil)
+	tq := mustPack(t, Config{Dim: 3}, nil)
+	if _, err := NewClosestPairIterator(tp.Reader(nil), tq.Reader(nil)); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
 }
 
 func TestClosestPairPeekAndHeapStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	tp := mustTree(t, Config{MaxEntries: 6})
-	tq := mustTree(t, Config{MaxEntries: 6})
-	insertAll(t, tp, randPoints(rng, 80, 50))
-	insertAll(t, tq, randPoints(rng, 80, 50))
-	it, _ := NewClosestPairIterator(tp.Pack().Reader(nil), tq.Pack().Reader(nil))
+	tp := mustPack(t, Config{MaxEntries: 6}, randPoints(rng, 80, 50))
+	tq := mustPack(t, Config{MaxEntries: 6}, randPoints(rng, 80, 50))
+	it, _ := NewClosestPairIterator(tp.Reader(nil), tq.Reader(nil))
 	last := -1.0
 	for i := 0; i < 100; i++ {
 		if lb, ok := it.PeekDist(); ok && lb < last-1e-9 {
@@ -110,22 +107,20 @@ func TestClosestPairPeekAndHeapStats(t *testing.T) {
 
 func TestClosestPairChargesBothCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	tp := mustTree(t, Config{MaxEntries: 6})
-	tq := mustTree(t, Config{MaxEntries: 6})
-	insertAll(t, tp, randPoints(rng, 300, 100))
-	insertAll(t, tq, randPoints(rng, 300, 100))
-	tp.Accountant().Reset()
-	tq.Accountant().Reset()
+	tp := mustPack(t, Config{MaxEntries: 6}, randPoints(rng, 300, 100))
+	tq := mustPack(t, Config{MaxEntries: 6}, randPoints(rng, 300, 100))
+	tp.Tree().Accountant().Reset()
+	tq.Tree().Accountant().Reset()
 	var tk pagestore.CostTracker
-	it, _ := NewClosestPairIterator(tp.Pack().Reader(&tk), tq.Pack().Reader(&tk))
+	it, _ := NewClosestPairIterator(tp.Reader(&tk), tq.Reader(&tk))
 	for i := 0; i < 50; i++ {
 		it.Next()
 	}
-	if tp.Accountant().Physical() == 0 || tq.Accountant().Physical() == 0 {
-		t.Fatalf("accountants: P=%d Q=%d", tp.Accountant().Physical(), tq.Accountant().Physical())
+	if tp.Tree().Accountant().Physical() == 0 || tq.Tree().Accountant().Physical() == 0 {
+		t.Fatalf("accountants: P=%d Q=%d", tp.Tree().Accountant().Physical(), tq.Tree().Accountant().Physical())
 	}
-	if tk.Physical != tp.Accountant().Physical()+tq.Accountant().Physical() {
+	if tk.Physical != tp.Tree().Accountant().Physical()+tq.Tree().Accountant().Physical() {
 		t.Fatalf("shared tracker %d != P+Q aggregate %d",
-			tk.Physical, tp.Accountant().Physical()+tq.Accountant().Physical())
+			tk.Physical, tp.Tree().Accountant().Physical()+tq.Tree().Accountant().Physical())
 	}
 }

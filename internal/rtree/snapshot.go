@@ -101,7 +101,7 @@ func (p *Packed) ReadFrom(r io.Reader) (int64, error) {
 		return int64(len(data)), err
 	}
 	*p = *loaded
-	p.src.shellOf = p
+	p.src.arena = p
 	return int64(len(data)), nil
 }
 

@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"bytes"
-	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -11,41 +10,26 @@ import (
 	"gnn/internal/pagestore"
 )
 
-// buildMutatedTree grows a tree through the incremental path (inserts
-// plus some deletes), so its structure — unlike a bulk load's — carries
-// splits, reinserts and page-id gaps. That is the hardest state a
-// snapshot has to reproduce faithfully.
-func buildMutatedTree(t *testing.T, n, dim int, seed int64) *Tree {
+// buildShuffledTree packs n random points in a random leaf order (see
+// packShuffled) on pages from 1000: overlapping nodes and an offset page
+// range, the shape a snapshot has to reproduce without an STR order to
+// fall back on.
+func buildShuffledTree(t *testing.T, n, dim int, seed int64) *Packed {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	tree, err := New(Config{Dim: dim, MaxEntries: 8, FirstPage: 1000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := make([]geom.Point, 0, n)
-	for i := 0; i < n; i++ {
-		p := make(geom.Point, dim)
-		for a := range p {
-			p[a] = rng.Float64() * 512
-		}
-		pts = append(pts, p)
-		if err := tree.Insert(p, int64(i)); err != nil {
-			t.Fatal(err)
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = make(geom.Point, dim)
+		for a := range pts[i] {
+			pts[i][a] = rng.Float64() * 512
 		}
 	}
-	for i := 0; i < n/5; i++ {
-		j := rng.Intn(len(pts))
-		if !tree.Delete(pts[j], int64(j)) && pts[j] != nil {
-			t.Fatalf("delete %d failed", j)
-		}
-		pts[j] = nil
-	}
-	return tree
+	return packShuffled(t, Config{Dim: dim, MaxEntries: 8, FirstPage: 1000}, pts, rng)
 }
 
 func TestPackedSnapshotRoundTrip(t *testing.T) {
-	tree := buildMutatedTree(t, 400, 2, 11)
-	p := tree.Pack()
+	p := buildShuffledTree(t, 320, 2, 11)
+	tree := p.Tree()
 
 	var buf bytes.Buffer
 	if _, err := p.WriteTo(&buf); err != nil {
@@ -80,7 +64,7 @@ func TestPackedSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The loaded shell must describe a valid R*-tree with the writer's
+	// The loaded shell must describe a valid R-tree with the writer's
 	// shape and paging.
 	lt := loaded.Tree()
 	if err := lt.CheckInvariants(); err != nil {
@@ -93,7 +77,7 @@ func TestPackedSnapshotRoundTrip(t *testing.T) {
 	if lt.cfg.MaxEntries != tree.cfg.MaxEntries || lt.cfg.MinEntries != tree.cfg.MinEntries {
 		t.Fatalf("capacity: %d/%d vs %d/%d", lt.cfg.MinEntries, lt.cfg.MaxEntries, tree.cfg.MinEntries, tree.cfg.MaxEntries)
 	}
-	if lt.cfg.FirstPage != tree.cfg.FirstPage || lt.nextPage < tree.nextPage {
+	if lt.cfg.FirstPage != tree.cfg.FirstPage || lt.nextPage != tree.nextPage {
 		t.Fatalf("pages: first %d next %d vs first %d next %d",
 			lt.cfg.FirstPage, lt.nextPage, tree.cfg.FirstPage, tree.nextPage)
 	}
@@ -130,30 +114,5 @@ func TestPackedSnapshotRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
 		t.Fatal("snapshot bytes are not canonical across a load/save cycle")
-	}
-}
-
-// TestLoadedShellImmutable locks the post-load contract: a loaded arena's
-// tree is an immutable shell — Insert fails with ErrImmutable, Delete
-// reports false — and a change is a new arena built from the points.
-func TestLoadedShellImmutable(t *testing.T) {
-	tree := buildMutatedTree(t, 150, 2, 5)
-	var buf bytes.Buffer
-	if _, err := tree.Pack().WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var loaded Packed
-	if _, err := loaded.ReadFrom(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lt := loaded.Tree()
-	if err := lt.Insert(geom.Point{1, 2}, 1000); !errors.Is(err, ErrImmutable) {
-		t.Fatalf("Insert on a loaded shell: %v, want ErrImmutable", err)
-	}
-	if lt.Delete(loaded.PointInto(0, nil), loaded.LeafID(0)) {
-		t.Fatal("Delete on a loaded shell reported true")
-	}
-	if lt.Len() != tree.Len() || lt.CheckInvariants() != nil {
-		t.Fatalf("refused writes changed the shell: len %d", lt.Len())
 	}
 }

@@ -315,13 +315,6 @@ func (s *Server) handleGroupNN(w http.ResponseWriter, r *http.Request) {
 		s.failQuery(w, err)
 		return
 	}
-	s.stats.served.Add(1)
-	us := uint64(elapsed.Microseconds())
-	s.metrics.observeQuery(epGroupNN, parseAlgoID(strings.ToLower(req.Algo)), us)
-	entry.Outcome = "ok"
-	if s.slow.record(entry) {
-		s.metrics.slowLogged.Inc()
-	}
 	var cost gnn.Cost
 	if ex != nil {
 		cost = ex.Cost
@@ -335,7 +328,26 @@ func (s *Server) handleGroupNN(w http.ResponseWriter, r *http.Request) {
 	if req.Trace {
 		resp.Explain = ex
 	}
-	writeJSON(w, http.StatusOK, resp)
+	body, encErr := encodeJSON(resp)
+	entry.Outcome = s.account(encErr, epGroupNN, req.Algo, elapsed)
+	if s.slow.record(entry) {
+		s.metrics.slowLogged.Inc()
+	}
+	writeEncoded(w, http.StatusOK, body, encErr)
+}
+
+// account counts an answered query whose response encoded as served,
+// observing its latency under ep, and returns its slow-log outcome. A
+// response JSON cannot carry (a +Inf distance) answers 500, so that
+// query counts as failed: not served, no latency observation, outcome
+// "error".
+func (s *Server) account(encErr error, ep endpointID, algo string, elapsed time.Duration) string {
+	if encErr != nil {
+		return "error"
+	}
+	s.stats.served.Add(1)
+	s.metrics.observeQuery(ep, parseAlgoID(strings.ToLower(algo)), uint64(elapsed.Microseconds()))
+	return "ok"
 }
 
 // normAgg canonicalises a request's aggregate label.
@@ -411,9 +423,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		entries[i].Results = toJSONResults(br.Results)
 	}
-	s.stats.served.Add(1)
-	us := uint64(elapsed.Microseconds())
-	s.metrics.observeQuery(epBatch, parseAlgoID(strings.ToLower(req.Algo)), us)
+	body, encErr := encodeJSON(BatchResponse{
+		Entries:    entries,
+		ElapsedUS:  elapsed.Microseconds(),
+		Generation: h.generation,
+	})
+	outcome := s.account(encErr, epBatch, req.Algo, elapsed)
 	// A batch competes for the slow log as one unit: there is no
 	// per-query explain, so GroupSize reports how many groups it carried.
 	if s.slow.record(slowEntry{
@@ -425,15 +440,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		GroupSize: len(queries),
 		Algo:      algoNames[parseAlgoID(strings.ToLower(req.Algo))],
 		Agg:       normAgg(req.Agg),
-		Outcome:   "ok",
+		Outcome:   outcome,
 	}) {
 		s.metrics.slowLogged.Inc()
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{
-		Entries:    entries,
-		ElapsedUS:  elapsed.Microseconds(),
-		Generation: h.generation,
-	})
+	writeEncoded(w, http.StatusOK, body, encErr)
 }
 
 // displaced reports whether a request must run again on the live handle:
@@ -725,7 +736,7 @@ func toJSONCost(c gnn.Cost) CostJSON {
 	}
 }
 
-// respBufs pools the buffers writeJSON encodes into; one larger than
+// respBufs pools the buffers encodeJSON encodes into; one larger than
 // maxPooledResp is dropped rather than pinned by the pool.
 var respBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
@@ -735,12 +746,26 @@ const maxPooledResp = 64 << 10
 // cannot represent (a distance that overflowed to +Inf) answers 500 with
 // an ErrorResponse instead of a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf, err := encodeJSON(v)
+	writeEncoded(w, status, buf, err)
+}
+
+// encodeJSON encodes v into a pooled buffer, which writeEncoded returns
+// to the pool.
+func encodeJSON(v any) (*bytes.Buffer, error) {
 	buf := respBufs.Get().(*bytes.Buffer)
 	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
+	return buf, json.NewEncoder(buf).Encode(v)
+}
+
+// writeEncoded writes what encodeJSON produced with the given status or,
+// when encErr says the encoding failed, a 500 error response in its
+// place.
+func writeEncoded(w http.ResponseWriter, status int, buf *bytes.Buffer, encErr error) {
+	if encErr != nil {
 		buf.Reset()
 		status = http.StatusInternalServerError
-		json.NewEncoder(buf).Encode(ErrorResponse{Error: "encode response: " + err.Error()})
+		json.NewEncoder(buf).Encode(ErrorResponse{Error: "encode response: " + encErr.Error()})
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -260,7 +260,8 @@ func TestServeBadRequests(t *testing.T) {
 // TestServeUnencodableResult: distances between finite coordinates can
 // overflow to +Inf, which JSON cannot represent. Such a response must
 // answer with an error status and a JSON body, not a 200 with an empty
-// body.
+// body, and count as a failed query: not served, and in the slow log
+// with outcome "error", never "ok".
 func TestServeUnencodableResult(t *testing.T) {
 	path, _ := buildSnapshot(t, t.TempDir(), "a.snap", 500, 12)
 	_, ts := newSnapshotServer(t, path, nil)
@@ -283,6 +284,28 @@ func TestServeUnencodableResult(t *testing.T) {
 		var e ErrorResponse
 		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
 			t.Fatalf("%s: status %d, body %q is not an error response: %v", c.url, resp.StatusCode, body, err)
+		}
+	}
+	if st := getStats(t, ts); st.Requests.Served != 0 {
+		t.Fatalf("served %d after two unencodable answers, want 0", st.Requests.Served)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/debug/slowlog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var slow struct {
+		Slowest []slowEntry `json:"slowest"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&slow); err != nil {
+		t.Fatal(err)
+	}
+	if len(slow.Slowest) != 2 {
+		t.Fatalf("slow log holds %d entries, want both queries", len(slow.Slowest))
+	}
+	for _, e := range slow.Slowest {
+		if e.Outcome != "error" {
+			t.Fatalf("slow log entry %s has outcome %q, want error", e.Endpoint, e.Outcome)
 		}
 	}
 }

@@ -12,18 +12,21 @@ import (
 // return a typed error or a fully valid snapshot — never panic, never
 // over-allocate from forged counts — and anything it accepts must
 // re-encode and decode again (the accepted subset is self-consistent).
+// The seeds cover plain 2-D snapshots (valid, truncated, bit-flipped),
+// 1-D and 3-D ones, and 2- and 4-tree sharded ones with their Hilbert-cut
+// section (the 4-tree one also truncated and bit-flipped).
 func FuzzSnapshotDecode(f *testing.F) {
 	var seeds [][]byte
 	for _, n := range []int{0, 3, 120} {
-		st := snapshottest.BuildArena(f, n, 2, 8, int64(n)+1)
-		var buf bytes.Buffer
-		m := snapshot.Manifest{Kind: snapshot.KindPlain, Dim: 2, Points: st.Size}
-		if err := snapshot.Write(&buf, m, []*snapshot.Tree{st}); err != nil {
-			f.Fatalf("seed write: %v", err)
-		}
-		valid := buf.Bytes()
+		valid := snapshottest.EncodePlain(f, snapshottest.BuildArena(f, n, 2, 8, int64(n)+1), 2)
 		seeds = append(seeds, valid, valid[:len(valid)/2], corruptSeed(valid, 13), corruptSeed(valid, len(valid)-2))
 	}
+	for _, dim := range []int{1, 3} {
+		seeds = append(seeds, snapshottest.EncodePlain(f, snapshottest.BuildArena(f, 60, dim, 6, int64(dim)), dim))
+	}
+	seeds = append(seeds, shardedSeed(f, 2))
+	four := shardedSeed(f, 4)
+	seeds = append(seeds, four, four[:len(four)*2/3], corruptSeed(four, len(four)/2))
 	seeds = append(seeds, []byte{}, []byte("GNNSNAP\x00"), []byte("not a snapshot"))
 	for _, s := range seeds {
 		f.Add(s)
@@ -41,6 +44,31 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatalf("re-encoded snapshot fails to decode: %v", err)
 		}
 	})
+}
+
+// shardedSeed encodes a valid sharded snapshot of trees 2-D trees on
+// disjoint page ranges, each tree's first page the page after the one
+// before it.
+func shardedSeed(f *testing.F, trees int) []byte {
+	m := snapshot.Manifest{Kind: snapshot.KindSharded, Dim: 2,
+		Hilbert: &snapshot.Hilbert{Order: 16, Hi: [2]float64{1000, 1000}}}
+	var sts []*snapshot.Tree
+	var first int64
+	for i := 0; i < trees; i++ {
+		st := snapshottest.BuildArenaAt(f, 40+10*i, 2, 8, int64(i)+1, first)
+		first += st.Pages
+		m.Points += st.Size
+		m.Hilbert.CutSizes = append(m.Hilbert.CutSizes, int64(st.Size))
+		sts = append(sts, st)
+	}
+	var buf bytes.Buffer
+	if err := snapshot.Write(&buf, m, sts); err != nil {
+		f.Fatalf("seed write: %v", err)
+	}
+	if _, _, err := snapshot.Decode(buf.Bytes()); err != nil {
+		f.Fatalf("sharded seed does not decode: %v", err)
+	}
+	return buf.Bytes()
 }
 
 func corruptSeed(data []byte, off int) []byte {

@@ -32,12 +32,12 @@ const deltaFirstPage = pagestore.PageID(1) << 40
 // once and traverse only its fields, so a concurrent writer publishing a
 // successor never perturbs an in-flight traversal.
 type viewState struct {
-	// tree is the packed base's shell, or a NewIndex's insertion builder
-	// before its first read.
+	// tree is the packed base's shell; before a NewIndex's first read,
+	// the shell of an empty arena that carries the configuration.
 	tree *rtree.Tree
 	// packed is the base arena every query traverses; nil only before a
-	// NewIndex's first read, while mutations go straight into tree.
-	// Once set, the base is immutable: mutations go through the overlay.
+	// NewIndex's first read, while mutations edit Index.slab. Once set,
+	// the base is immutable: mutations go through the overlay.
 	packed *rtree.Packed
 	// ov is the write overlay; nil when the index has no un-compacted
 	// writes (the fast path: queries run exactly the single-source code

@@ -75,7 +75,7 @@ type ShardedIndex struct {
 
 // shardedView is one immutable serving version of a ShardedIndex: the
 // sharded twin of viewState. A shard set is always packed, so there is
-// no builder phase — every ShardedIndex mutates through the overlay.
+// no unread phase — every ShardedIndex mutates through the overlay.
 type shardedView struct {
 	set *shard.Set
 	ov  *overlayState

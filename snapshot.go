@@ -78,8 +78,8 @@ func WithEagerVerify() SnapshotOption {
 // atomically loaded view — a consistent point-in-time state. A view with
 // un-compacted overlay writes is compacted transiently into the snapshot
 // (the format holds exactly one packed base); the serving state is not
-// changed. A NewIndex before its first read is packed transiently the
-// same way, and stays an unfrozen builder.
+// changed. A NewIndex before its first read packs a copy of its buffered
+// points the same way, and stays unread.
 func (ix *Index) WriteSnapshot(w io.Writer) error {
 	// The write reads the arena, so it holds a lifecycle reference: Close
 	// cannot unmap a mapped index under it.
@@ -89,10 +89,13 @@ func (ix *Index) WriteSnapshot(w io.Writer) error {
 	}
 	defer ix.release(r)
 	v := ix.view.Load()
+	if v.packed == nil {
+		if v, err = ix.unreadView(); err != nil {
+			return err
+		}
+	}
 	p := v.packed
-	if p == nil {
-		p = v.tree.Pack()
-	} else if err := p.Prepare(); err != nil {
+	if err := p.Prepare(); err != nil {
 		// A mapped index must verify its borrowed bytes before
 		// re-serialising them under fresh checksums, or a corrupt mapping
 		// would be laundered into a snapshot that passes its CRCs.
@@ -109,6 +112,22 @@ func (ix *Index) WriteSnapshot(w io.Writer) error {
 	}
 	_, err = p.WriteTo(w)
 	return err
+}
+
+// unreadView returns a NewIndex's buffered points packed into a view
+// that is never published, so the index stays unread — or the current
+// view, once a first read has packed the index.
+func (ix *Index) unreadView() (*viewState, error) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if v := ix.view.Load(); v.packed != nil {
+		return v, nil
+	}
+	p, err := ix.slab.pack(ix.rcfg)
+	if err != nil {
+		return nil, err
+	}
+	return &viewState{tree: p.Tree(), packed: p}, nil
 }
 
 // WriteSnapshotFile is WriteSnapshot to a file created at path.

@@ -19,11 +19,11 @@ type Stats struct {
 	Packed bool
 	// Shards is the shard count of a ShardedIndex; 0 for a plain Index.
 	Shards int
-	// Height is the R-tree height in levels (the maximum across shards).
+	// Height is the R-tree height in levels (the maximum across shards);
+	// 0 before a NewIndex's first read, which builds the tree.
 	Height int
 	// Nodes is the total R-tree node count across the packed arena(s);
-	// 0 before a NewIndex's first read (its insertion builder keeps no
-	// node counter).
+	// 0 before a NewIndex's first read.
 	Nodes int
 	// ArenaBytes is the size of the packed arena(s): exactly the column
 	// payload a snapshot serialises, the columns being the arena's only
@@ -62,10 +62,10 @@ func (ix *Index) Stats() Stats {
 	s := Stats{
 		Points: ix.Len(),
 		Dim:    ix.Dim(),
-		Height: v.tree.Height(),
 	}
 	if p := v.packed; p != nil {
 		s.Packed = true
+		s.Height = p.Height()
 		s.Nodes = p.Nodes()
 		s.ArenaBytes = p.ArenaBytes()
 	}
