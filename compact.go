@@ -267,9 +267,8 @@ func (ix *Index) compactOnce() (err error) {
 // persistPacked rotates a snapshot of the packed arena into path
 // crash-safely, re-validating the temp file with the strict checks before
 // the rename so a torn or corrupt write can never replace a good file.
-// snapshot.VerifyFile runs every check of the copying decoder while
-// reading the file's columns in bounded chunks, so they never become
-// resident.
+// snapshot.VerifyFile runs every check of the decoder while reading the
+// file's columns in bounded chunks, so they never become resident.
 func persistPacked(path string, p *rtree.Packed) error {
 	return snapshot.AtomicWriteFile(path, func(w io.Writer) error {
 		_, err := p.WriteTo(w)

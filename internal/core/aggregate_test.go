@@ -71,7 +71,7 @@ func TestHeuristicSafety(t *testing.T) {
 			h2 := quickLBFromMindist(a, geom.MinDistRectRect(r, qmbr), n, w)
 			h3 := nodeLBSoA(a, r, g, w)
 			bound("heuristic 2", h2)
-			bound("heuristic 2 (point)", quickLBFromMindist(a, geom.MinDistPointRect(p, qmbr), n, w))
+			bound("heuristic 2 (point)", quickLBFromMindist(a, math.Sqrt(geom.MinDistSqPointRect(p, qmbr)), n, w))
 			bound("heuristic 3", h3)
 			bound("MQM threshold", combineThresholds(a, ts, w))
 			if h3 < h2*(1-tol)-tol {

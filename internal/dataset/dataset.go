@@ -202,19 +202,6 @@ func (d *Dataset) ScaleTo(target geom.Rect, name string) *Dataset {
 	return &Dataset{Name: name, Points: out}
 }
 
-// AsPairs converts the points to the [2]float64 representation used by the
-// pagestore flat files. Panics on non-2-D data.
-func (d *Dataset) AsPairs() [][2]float64 {
-	out := make([][2]float64, len(d.Points))
-	for i, p := range d.Points {
-		if len(p) != 2 {
-			panic("dataset: AsPairs requires 2-D points")
-		}
-		out[i] = [2]float64{p[0], p[1]}
-	}
-	return out
-}
-
 // --- persistence ---
 
 var magic = [4]byte{'G', 'N', 'N', '1'}

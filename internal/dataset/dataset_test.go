@@ -16,7 +16,7 @@ func TestGeneratePP(t *testing.T) {
 		t.Fatalf("PP size = %d, want %d", d.Len(), PPSize)
 	}
 	b, ok := d.Bounds()
-	if !ok || !Workspace().ContainsRect(b) {
+	if !ok || !containsRect(Workspace(), b) {
 		t.Fatalf("PP bounds %v escape workspace", b)
 	}
 	// Determinism.
@@ -45,7 +45,7 @@ func TestGenerateTS(t *testing.T) {
 		t.Fatalf("TS size = %d, want %d", d.Len(), TSSize)
 	}
 	b, ok := d.Bounds()
-	if !ok || !Workspace().ContainsRect(b) {
+	if !ok || !containsRect(Workspace(), b) {
 		t.Fatalf("TS bounds %v escape workspace", b)
 	}
 }
@@ -114,11 +114,11 @@ func TestScaleTo(t *testing.T) {
 		t.Fatalf("scaled len/name = %d/%q", s.Len(), s.Name)
 	}
 	b, _ := s.Bounds()
-	if !target.ContainsRect(b) {
+	if !containsRect(target, b) {
 		t.Fatalf("scaled bounds %v escape target %v", b, target)
 	}
 	// The scaled copy should essentially fill the target.
-	if b.Area() < target.Area()*0.9 {
+	if area(b) < area(target)*0.9 {
 		t.Fatalf("scaled bounds %v too small for %v", b, target)
 	}
 	// Empty dataset.
@@ -137,20 +137,6 @@ func TestScaleToDegenerate(t *testing.T) {
 			t.Fatalf("degenerate scale moved point to %v", p)
 		}
 	}
-}
-
-func TestAsPairs(t *testing.T) {
-	d := &Dataset{Points: []geom.Point{{1, 2}, {3, 4}}}
-	pairs := d.AsPairs()
-	if len(pairs) != 2 || pairs[1] != [2]float64{3, 4} {
-		t.Fatalf("AsPairs = %v", pairs)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AsPairs on 3-D data did not panic")
-		}
-	}()
-	(&Dataset{Points: []geom.Point{{1, 2, 3}}}).AsPairs()
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
@@ -242,4 +228,23 @@ func TestClone(t *testing.T) {
 	if c.Name != "copy" {
 		t.Fatalf("Clone name = %q", c.Name)
 	}
+}
+
+// area returns the d-dimensional volume of r (area in 2D).
+func area(r geom.Rect) float64 {
+	a := 1.0
+	for i := range r.Lo {
+		a *= r.Hi[i] - r.Lo[i]
+	}
+	return a
+}
+
+// containsRect reports whether s lies entirely inside r.
+func containsRect(r, s geom.Rect) bool {
+	for i := range r.Lo {
+		if s.Lo[i] < r.Lo[i] || s.Hi[i] > r.Hi[i] {
+			return false
+		}
+	}
+	return true
 }

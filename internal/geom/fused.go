@@ -132,7 +132,7 @@ func AccumWeightedMinDistRectsRect(lo, hi [][]float64, s, e int, w float64, m Re
 }
 
 // AddWeightedMinDistPointsRect writes dst[i] = src[i] +
-// w·MinDistPointRect(p_{s+i}, m) for the point slots [s, e) — one column
+// w·mindist(p_{s+i}, m) for the point slots [s, e) — one column
 // step of F-MBM's heuristic-6 suffix-bound matrix, fused over a leaf's
 // entry range per query block.
 func AddWeightedMinDistPointsRect(pc [][]float64, s, e int, w float64, m Rect, src, dst []float64) {

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -123,7 +124,7 @@ func TestFusedKernelsMatchScalar(t *testing.T) {
 			}
 			AddWeightedMinDistPointsRect(f.pc, s, e, 2.0, r, src, got)
 			for i := range want {
-				want[i] = src[i] + 2.0*MinDistPointRect(f.pts[s+i], r)
+				want[i] = src[i] + 2.0*math.Sqrt(MinDistSqPointRect(f.pts[s+i], r))
 			}
 			checkExact(t, "AddWeightedMinDistPointsRect", got, want)
 		}

@@ -18,9 +18,6 @@ import (
 // algorithms are dimension-agnostic, so Point is a slice.
 type Point []float64
 
-// Dim returns the dimensionality of p.
-func (p Point) Dim() int { return len(p) }
-
 // Clone returns a deep copy of p.
 func (p Point) Clone() Point {
 	q := make(Point, len(p))
@@ -100,11 +97,6 @@ func NewRect(a, b Point) Rect {
 	return Rect{Lo: lo, Hi: hi}
 }
 
-// RectFromPoint returns the degenerate rectangle containing exactly p.
-func RectFromPoint(p Point) Rect {
-	return Rect{Lo: p.Clone(), Hi: p.Clone()}
-}
-
 // BoundingRect returns the MBR of a non-empty point set.
 // It panics when pts is empty: an MBR of nothing is undefined.
 // It allocates exactly the two corner slices, growing them in place rather
@@ -150,11 +142,6 @@ func BoundingRectInto(dst Rect, pts []Point) Rect {
 // Dim returns the dimensionality of r.
 func (r Rect) Dim() int { return len(r.Lo) }
 
-// Clone returns a deep copy of r.
-func (r Rect) Clone() Rect {
-	return Rect{Lo: r.Lo.Clone(), Hi: r.Hi.Clone()}
-}
-
 // Equal reports whether the two rectangles have identical corners.
 func (r Rect) Equal(s Rect) bool {
 	return r.Lo.Equal(s.Lo) && r.Hi.Equal(s.Hi)
@@ -188,15 +175,6 @@ func (r Rect) Center() Point {
 	return c
 }
 
-// Area returns the d-dimensional volume of r (area in 2D).
-func (r Rect) Area() float64 {
-	a := 1.0
-	for i := range r.Lo {
-		a *= r.Hi[i] - r.Lo[i]
-	}
-	return a
-}
-
 // Margin returns the sum of the edge lengths of r (perimeter/2 in 2D).
 func (r Rect) Margin() float64 {
 	var m float64
@@ -216,16 +194,6 @@ func (r Rect) ContainsPoint(p Point) bool {
 	return true
 }
 
-// ContainsRect reports whether s lies entirely inside r.
-func (r Rect) ContainsRect(s Rect) bool {
-	for i := range r.Lo {
-		if s.Lo[i] < r.Lo[i] || s.Hi[i] > r.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Intersects reports whether r and s share at least one point.
 func (r Rect) Intersects(s Rect) bool {
 	for i := range r.Lo {
@@ -234,34 +202,6 @@ func (r Rect) Intersects(s Rect) bool {
 		}
 	}
 	return true
-}
-
-// Intersection returns the common region of r and s and whether it exists.
-func (r Rect) Intersection(s Rect) (Rect, bool) {
-	if !r.Intersects(s) {
-		return Rect{}, false
-	}
-	lo := make(Point, len(r.Lo))
-	hi := make(Point, len(r.Lo))
-	for i := range r.Lo {
-		lo[i] = math.Max(r.Lo[i], s.Lo[i])
-		hi[i] = math.Min(r.Hi[i], s.Hi[i])
-	}
-	return Rect{Lo: lo, Hi: hi}, true
-}
-
-// OverlapArea returns the volume of the intersection of r and s, or 0.
-func (r Rect) OverlapArea(s Rect) float64 {
-	a := 1.0
-	for i := range r.Lo {
-		lo := math.Max(r.Lo[i], s.Lo[i])
-		hi := math.Min(r.Hi[i], s.Hi[i])
-		if hi <= lo {
-			return 0
-		}
-		a *= hi - lo
-	}
-	return a
 }
 
 // Union returns the MBR of r and s.
@@ -275,30 +215,10 @@ func (r Rect) Union(s Rect) Rect {
 	return Rect{Lo: lo, Hi: hi}
 }
 
-// ExpandPoint returns the MBR of r and p.
-func (r Rect) ExpandPoint(p Point) Rect {
-	lo := r.Lo.Clone()
-	hi := r.Hi.Clone()
-	for i := range p {
-		if p[i] < lo[i] {
-			lo[i] = p[i]
-		}
-		if p[i] > hi[i] {
-			hi[i] = p[i]
-		}
-	}
-	return Rect{Lo: lo, Hi: hi}
-}
-
-// MinDistPointRect returns mindist(p, r): the smallest possible distance
-// between p and any point inside r. Zero when p lies in r. This is the
-// classic R-tree pruning bound of [RKV95] and the mindist(p, M) of
-// heuristic 2 applied to leaf entries.
-func MinDistPointRect(p Point, r Rect) float64 {
-	return math.Sqrt(MinDistSqPointRect(p, r))
-}
-
-// MinDistSqPointRect is the squared version of MinDistPointRect.
+// MinDistSqPointRect returns mindist(p, r)²: the square of the smallest
+// possible distance between p and any point inside r, zero when p lies
+// in r. mindist(p, r) is the classic R-tree pruning bound of [RKV95] and
+// the mindist(p, M) of heuristic 2 applied to leaf entries.
 func MinDistSqPointRect(p Point, r Rect) float64 {
 	var s float64
 	for i := range p {

@@ -86,7 +86,7 @@ func TestRectValid(t *testing.T) {
 	if (Rect{}).Valid() {
 		t.Error("zero rect reported valid")
 	}
-	if !RectFromPoint(pt(3, 3)).Valid() {
+	if !(Rect{Lo: pt(3, 3), Hi: pt(3, 3)}).Valid() {
 		t.Error("degenerate point rect reported invalid")
 	}
 }
@@ -113,7 +113,7 @@ func TestBoundingRect(t *testing.T) {
 
 func TestAreaMarginCenter(t *testing.T) {
 	r := NewRect(pt(0, 0), pt(4, 2))
-	if got := r.Area(); got != 8 {
+	if got := area(r); got != 8 {
 		t.Errorf("Area = %v, want 8", got)
 	}
 	if got := r.Margin(); got != 6 {
@@ -130,8 +130,8 @@ func TestContainsIntersects(t *testing.T) {
 	disjoint := NewRect(pt(11, 11), pt(12, 12))
 	touching := NewRect(pt(10, 0), pt(12, 2))
 
-	if !r.ContainsRect(s) || r.ContainsRect(disjoint) {
-		t.Error("ContainsRect wrong")
+	if !containsRect(r, s) || containsRect(r, disjoint) {
+		t.Error("containsRect wrong")
 	}
 	if !r.Intersects(s) || !s.Intersects(r) {
 		t.Error("contained rects must intersect")
@@ -153,35 +153,15 @@ func TestContainsIntersects(t *testing.T) {
 func TestIntersectionUnion(t *testing.T) {
 	r := NewRect(pt(0, 0), pt(4, 4))
 	s := NewRect(pt(2, 2), pt(6, 6))
-	got, ok := r.Intersection(s)
-	if !ok || !got.Equal(NewRect(pt(2, 2), pt(4, 4))) {
-		t.Errorf("Intersection = %v ok=%v", got, ok)
+	if !r.Intersects(s) || !r.Intersects(NewRect(pt(4, 4), pt(5, 5))) {
+		t.Error("overlapping or touching rects do not intersect")
 	}
-	if _, ok := r.Intersection(NewRect(pt(5, 5), pt(6, 6))); ok {
-		t.Error("disjoint intersection reported ok")
-	}
-	if got := r.OverlapArea(s); got != 4 {
-		t.Errorf("OverlapArea = %v, want 4", got)
-	}
-	if got := r.OverlapArea(NewRect(pt(4, 4), pt(5, 5))); got != 0 {
-		t.Errorf("touching OverlapArea = %v, want 0", got)
+	if r.Intersects(NewRect(pt(5, 5), pt(6, 6))) {
+		t.Error("disjoint rects intersect")
 	}
 	u := r.Union(s)
 	if !u.Equal(NewRect(pt(0, 0), pt(6, 6))) {
 		t.Errorf("Union = %v", u)
-	}
-}
-
-func TestExpandPoint(t *testing.T) {
-	r := RectFromPoint(pt(1, 1))
-	r = r.ExpandPoint(pt(3, 0))
-	if !r.Equal(NewRect(pt(1, 0), pt(3, 1))) {
-		t.Errorf("ExpandPoint = %v", r)
-	}
-	// Expanding with an interior point must not change the rect.
-	r2 := r.ExpandPoint(pt(2, 0.5))
-	if !r2.Equal(r) {
-		t.Errorf("interior ExpandPoint changed rect: %v", r2)
 	}
 }
 
@@ -200,8 +180,8 @@ func TestMinDistPointRect(t *testing.T) {
 		{pt(10, 10.5), .5}, // just above top-right
 	}
 	for _, tc := range tests {
-		if got := MinDistPointRect(tc.p, r); !almostEqual(got, tc.want) {
-			t.Errorf("MinDistPointRect(%v) = %v, want %v", tc.p, got, tc.want)
+		if got := math.Sqrt(MinDistSqPointRect(tc.p, r)); !almostEqual(got, tc.want) {
+			t.Errorf("mindist(%v) = %v, want %v", tc.p, got, tc.want)
 		}
 	}
 }
@@ -271,9 +251,8 @@ func TestQuickMinDistLowerBound(t *testing.T) {
 		r := NewRect(randPoint(rng), randPoint(rng))
 		q := randPoint(rng)
 		in := pointInside(rng, r)
-		if MinDistPointRect(q, r) > Dist(q, in)+1e-9 {
-			t.Fatalf("mindist %v > dist %v for q=%v r=%v in=%v",
-				MinDistPointRect(q, r), Dist(q, in), q, r, in)
+		if d := math.Sqrt(MinDistSqPointRect(q, r)); d > Dist(q, in)+1e-9 {
+			t.Fatalf("mindist %v > dist %v for q=%v r=%v in=%v", d, Dist(q, in), q, r, in)
 		}
 	}
 }
@@ -297,13 +276,32 @@ func TestQuickUnionContains(t *testing.T) {
 		r := NewRect(randPoint(rng), randPoint(rng))
 		s := NewRect(randPoint(rng), randPoint(rng))
 		u := r.Union(s)
-		if !u.ContainsRect(r) || !u.ContainsRect(s) {
+		if !containsRect(u, r) || !containsRect(u, s) {
 			t.Fatalf("union %v does not contain operands %v %v", u, r, s)
 		}
-		if u.Area() < r.Area()-1e-9 || u.Area() < s.Area()-1e-9 {
+		if area(u) < area(r)-1e-9 || area(u) < area(s)-1e-9 {
 			t.Fatalf("union smaller than operand")
 		}
 	}
+}
+
+// area returns the d-dimensional volume of r (area in 2D).
+func area(r Rect) float64 {
+	a := 1.0
+	for i := range r.Lo {
+		a *= r.Hi[i] - r.Lo[i]
+	}
+	return a
+}
+
+// containsRect reports whether s lies entirely inside r.
+func containsRect(r, s Rect) bool {
+	for i := range r.Lo {
+		if s.Lo[i] < r.Lo[i] || s.Hi[i] > r.Hi[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func randPoint(rng *rand.Rand) Point {
@@ -325,11 +323,11 @@ func BenchmarkDist(b *testing.B) {
 	}
 }
 
-func BenchmarkMinDistPointRect(b *testing.B) {
+func BenchmarkMinDistSqPointRect(b *testing.B) {
 	p := pt(-3, 5)
 	r := NewRect(pt(0, 0), pt(10, 10))
 	for i := 0; i < b.N; i++ {
-		_ = MinDistPointRect(p, r)
+		_ = MinDistSqPointRect(p, r)
 	}
 }
 

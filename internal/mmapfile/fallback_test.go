@@ -15,8 +15,8 @@ import (
 	"testing"
 )
 
-// TestFallbackNotMapped pins the mode flag: under the forced tag Open
-// must report a copied, not mapped, view.
+// TestFallbackNotMapped pins the mode: under the forced tag Open must
+// return a heap copy, with no descriptor behind it.
 func TestFallbackNotMapped(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "f")
@@ -29,8 +29,8 @@ func TestFallbackNotMapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if f.Mapped() {
-		t.Fatal("forced fallback reports Mapped()=true")
+	if f.ReaderAt() != nil {
+		t.Fatal("forced fallback kept a descriptor, as a mapping does")
 	}
 	if !bytes.Equal(f.Data(), want) {
 		t.Fatal("fallback contents diverge from the file")

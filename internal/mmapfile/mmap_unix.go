@@ -31,7 +31,7 @@ func Open(path string) (mf *File, err error) {
 	size := st.Size()
 	if size == 0 {
 		// mmap rejects zero-length mappings; an empty view needs no pages.
-		return &File{data: []byte{}, mapped: true, file: f}, nil
+		return &File{data: []byte{}, file: f}, nil
 	}
 	if size != int64(int(size)) {
 		return nil, fmt.Errorf("mmapfile: %s is %d bytes, exceeds address space", path, size)
@@ -40,7 +40,7 @@ func Open(path string) (mf *File, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("mmapfile: mmap %s: %w", path, err)
 	}
-	return &File{data: data, mapped: true, file: f}, nil
+	return &File{data: data, file: f}, nil
 }
 
 // Close unmaps the view and closes its descriptor. Any slice still

@@ -96,16 +96,6 @@ func (ts *TombSet) lookup(p geom.Point, id int64) (Tomb, bool) {
 	return Tomb{}, false
 }
 
-// Masked returns how many base occurrences of (p, id) are currently
-// deleted.
-func (ts *TombSet) Masked(p geom.Point, id int64) int {
-	t, ok := ts.lookup(p, id)
-	if !ok {
-		return 0
-	}
-	return t.Count
-}
-
 // clone copies the id → tombs map shallowly: the per-id lists stay
 // shared with ts, so a successor edits a list only through edit.
 func (ts *TombSet) clone() *TombSet {
@@ -205,17 +195,5 @@ func (ts *TombSet) Consumer() func(p geom.Point, id int64) bool {
 			}
 		}
 		return false
-	}
-}
-
-// Each invokes fn for every tombstone.
-func (ts *TombSet) Each(fn func(id int64, t Tomb)) {
-	if ts == nil {
-		return
-	}
-	for id, l := range ts.m {
-		for _, t := range l {
-			fn(id, t)
-		}
 	}
 }

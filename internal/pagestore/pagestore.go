@@ -185,17 +185,8 @@ func NewLRU(capacity int) *LRU {
 	return &LRU{capacity: capacity, nodes: make(map[PageID]*lruNode, capacity)}
 }
 
-// Capacity returns the buffer's page capacity.
-func (l *LRU) Capacity() int { return l.capacity }
-
 // Len returns the number of buffered pages.
 func (l *LRU) Len() int { return len(l.nodes) }
-
-// Contains reports whether the page is buffered, without touching recency.
-func (l *LRU) Contains(id PageID) bool {
-	_, ok := l.nodes[id]
-	return ok
-}
 
 // Access touches the page: returns true if it was already buffered (hit),
 // otherwise inserts it, evicting the least-recently-used page if full.

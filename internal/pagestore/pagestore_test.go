@@ -121,11 +121,11 @@ func TestLRUEvictionOrder(t *testing.T) {
 	if l.Access(4) { // evicts 2
 		t.Fatal("4 should miss")
 	}
-	if l.Contains(2) {
+	if contains(l, 2) {
 		t.Fatal("2 should have been evicted")
 	}
 	for _, id := range []PageID{1, 3, 4} {
-		if !l.Contains(id) {
+		if !contains(l, id) {
 			t.Fatalf("%d should be buffered", id)
 		}
 	}
@@ -143,11 +143,11 @@ func TestLRUSingleSlot(t *testing.T) {
 		t.Fatal("repeat access missed")
 	}
 	l.Access(2)
-	if l.Contains(1) {
+	if contains(l, 1) {
 		t.Fatal("capacity-1 buffer kept two pages")
 	}
-	if l.Capacity() != 1 {
-		t.Fatal("Capacity wrong")
+	if l.capacity != 1 {
+		t.Fatal("capacity wrong")
 	}
 }
 
@@ -156,7 +156,7 @@ func TestLRUClear(t *testing.T) {
 	l.Access(1)
 	l.Access(2)
 	l.Clear()
-	if l.Len() != 0 || l.Contains(1) {
+	if l.Len() != 0 || contains(l, 1) {
 		t.Fatal("Clear left entries")
 	}
 	if l.Access(1) {
@@ -280,4 +280,11 @@ func TestPointFileSharedBuffer(t *testing.T) {
 	if a.Hits() != 1 {
 		t.Fatal("re-read not served from buffer")
 	}
+}
+
+// contains reports whether the page is buffered, without touching
+// recency.
+func contains(l *LRU, id PageID) bool {
+	_, ok := l.nodes[id]
+	return ok
 }

@@ -18,30 +18,13 @@ type Heap[T any] struct {
 	items []Item[T]
 }
 
-// NewHeap returns an empty heap with capacity hint n.
-func NewHeap[T any](n int) *Heap[T] {
-	return &Heap[T]{items: make([]Item[T], 0, n)}
-}
-
 // Len returns the number of queued items.
 func (h *Heap[T]) Len() int { return len(h.items) }
-
-// Empty reports whether the heap has no items.
-func (h *Heap[T]) Empty() bool { return len(h.items) == 0 }
 
 // Push inserts value with the given priority.
 func (h *Heap[T]) Push(value T, priority float64) {
 	h.items = append(h.items, Item[T]{Value: value, Priority: priority})
 	h.up(len(h.items) - 1)
-}
-
-// Peek returns the minimum item without removing it. ok is false when the
-// heap is empty.
-func (h *Heap[T]) Peek() (item Item[T], ok bool) {
-	if len(h.items) == 0 {
-		return Item[T]{}, false
-	}
-	return h.items[0], true
 }
 
 // MinPriority returns the priority of the minimum item, or +Inf semantics

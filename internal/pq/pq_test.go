@@ -7,15 +7,15 @@ import (
 )
 
 func TestHeapBasic(t *testing.T) {
-	h := NewHeap[string](4)
-	if !h.Empty() || h.Len() != 0 {
+	h := &Heap[string]{}
+	if h.Len() != 0 {
 		t.Fatal("new heap not empty")
 	}
 	if _, ok := h.Pop(); ok {
 		t.Fatal("Pop on empty heap returned ok")
 	}
-	if _, ok := h.Peek(); ok {
-		t.Fatal("Peek on empty heap returned ok")
+	if _, ok := peek(h); ok {
+		t.Fatal("peek on empty heap returned ok")
 	}
 	h.Push("b", 2)
 	h.Push("a", 1)
@@ -26,8 +26,8 @@ func TestHeapBasic(t *testing.T) {
 	if p, ok := h.MinPriority(); !ok || p != 1 {
 		t.Fatalf("MinPriority = %v %v", p, ok)
 	}
-	if it, ok := h.Peek(); !ok || it.Value != "a" {
-		t.Fatalf("Peek = %+v", it)
+	if it, ok := peek(h); !ok || it.Value != "a" {
+		t.Fatalf("peek = %+v", it)
 	}
 	want := []string{"a", "b", "c"}
 	for _, w := range want {
@@ -36,18 +36,18 @@ func TestHeapBasic(t *testing.T) {
 			t.Fatalf("Pop = %+v, want %s", it, w)
 		}
 	}
-	if !h.Empty() {
+	if h.Len() != 0 {
 		t.Fatal("heap not empty after draining")
 	}
 }
 
 func TestHeapClear(t *testing.T) {
-	h := NewHeap[int](0)
+	h := &Heap[int]{}
 	for i := 0; i < 10; i++ {
 		h.Push(i, float64(i))
 	}
 	h.Clear()
-	if !h.Empty() {
+	if h.Len() != 0 {
 		t.Fatal("Clear left items")
 	}
 	h.Push(5, 5)
@@ -57,12 +57,12 @@ func TestHeapClear(t *testing.T) {
 }
 
 func TestHeapDuplicatePriorities(t *testing.T) {
-	h := NewHeap[int](0)
+	h := &Heap[int]{}
 	for i := 0; i < 100; i++ {
 		h.Push(i, 7)
 	}
 	seen := map[int]bool{}
-	for !h.Empty() {
+	for h.Len() != 0 {
 		it, _ := h.Pop()
 		if it.Priority != 7 {
 			t.Fatalf("priority changed: %v", it.Priority)
@@ -85,14 +85,14 @@ func TestQuickHeapSortsAnyInput(t *testing.T) {
 				priorities[i] = 0
 			}
 		}
-		h := NewHeap[int](len(priorities))
+		h := &Heap[int]{}
 		for i, p := range priorities {
 			h.Push(i, p)
 		}
 		prev := 0.0
 		first := true
 		count := 0
-		for !h.Empty() {
+		for h.Len() != 0 {
 			it, _ := h.Pop()
 			if !first && it.Priority < prev {
 				return false
@@ -108,7 +108,7 @@ func TestQuickHeapSortsAnyInput(t *testing.T) {
 }
 
 func BenchmarkHeapPushPop(b *testing.B) {
-	h := NewHeap[int](b.N)
+	h := &Heap[int]{items: make([]Item[int], 0, b.N)}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < b.N; i++ {
 		h.Push(i, rng.Float64())
@@ -121,12 +121,12 @@ func BenchmarkHeapPushPop(b *testing.B) {
 // TestHeapReset: a Reset heap behaves like a fresh one and reuses its
 // backing array.
 func TestHeapReset(t *testing.T) {
-	h := NewHeap[int](4)
+	h := &Heap[int]{}
 	for i := 0; i < 20; i++ {
 		h.Push(i, float64(20-i))
 	}
 	h.Reset()
-	if h.Len() != 0 || !h.Empty() {
+	if h.Len() != 0 {
 		t.Fatalf("Reset heap not empty: len=%d", h.Len())
 	}
 	if _, ok := h.Pop(); ok {
@@ -143,7 +143,7 @@ func TestPool(t *testing.T) {
 	built := 0
 	p := NewPool(func() *Heap[int] {
 		built++
-		return NewHeap[int](4)
+		return &Heap[int]{}
 	})
 	h := p.Get()
 	if built != 1 {
@@ -157,4 +157,13 @@ func TestPool(t *testing.T) {
 	if got := p.Get(); got == nil || got.Len() != 0 {
 		t.Fatalf("pool returned unusable heap: %+v", got)
 	}
+}
+
+// peek returns the minimum item without removing it; ok is false when
+// the heap is empty.
+func peek[T any](h *Heap[T]) (Item[T], bool) {
+	if h.Len() == 0 {
+		return Item[T]{}, false
+	}
+	return h.items[0], true
 }

@@ -205,7 +205,7 @@ func referencePartitioned(cfg Config, pts []geom.Point, ids []int64, parts int) 
 	}
 	if len(entries) > 0 {
 		for i := range entries {
-			entries[i].Rect = geom.RectFromPoint(entries[i].Point)
+			entries[i].Rect = geom.NewRect(entries[i].Point, entries[i].Point)
 		}
 		hilbertSortEntries(cfg.Dim, entries)
 	}
@@ -248,7 +248,7 @@ func referenceLoad(cfg Config, pts []geom.Point, ids []int64, order func(*refTre
 	}
 	entries := make([]entry, len(pts))
 	for i, p := range pts {
-		entries[i] = entry{Rect: geom.RectFromPoint(p), Point: p.Clone(), ID: ids[i]}
+		entries[i] = entry{Rect: geom.NewRect(p, p), Point: p.Clone(), ID: ids[i]}
 	}
 	order(t, entries)
 

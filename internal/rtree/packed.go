@@ -61,10 +61,11 @@ type Packed struct {
 	pc  [][]float64 // pc[axis][slot]
 	ids []int64
 
-	// prep, when non-nil, holds the deferred verification of a borrowed
-	// arena (PackedFromSnapshotBorrowed); Prepare must succeed before the
-	// arena is traversed. nil for arenas built by a loader or copied by
-	// PackedFromSnapshot, which are complete at construction.
+	// prep, when non-nil, holds the deferred verification of an arena
+	// loaded from a snapshot (PackedFromSnapshotBorrowed); Prepare must
+	// succeed before the arena is traversed. nil for arenas built by a
+	// loader or loaded from a verified tree (PackedFromSnapshot), which
+	// are complete at construction.
 	prep *packedPrep
 
 	// mbr is the root MBR, set at construction (by Prepare for a
@@ -81,7 +82,7 @@ type packedPrep struct {
 	err  error
 }
 
-// Prepare runs the deferred verification of a borrowed arena — section
+// Prepare runs the deferred verification of a loaded arena — section
 // checksums of the backing bytes and structural validation of the node
 // graph — and computes the root MBR. It allocates nothing per
 // point: the coordinate columns stay in the backing buffer as the only
@@ -234,9 +235,6 @@ func (p *Packed) Reader(tk *pagestore.CostTracker) Reader {
 
 // Packed returns the arena this reader traverses.
 func (r Reader) Packed() *Packed { return r.p }
-
-// Cost returns the reader's per-query tracker (nil when aggregate-only).
-func (r Reader) Cost() *pagestore.CostTracker { return r.tk }
 
 // PackedRoot returns the root node id, charging one node access.
 func (r Reader) PackedRoot() int32 {

@@ -200,9 +200,6 @@ func (it *PairIterator) PeekDist() (float64, bool) {
 	return math.Sqrt(d), true
 }
 
-// HeapLen returns the current number of queued slot pairs.
-func (it *PairIterator) HeapLen() int { return it.heap.Len() }
-
 // HeapMax returns the high-water mark of the pair heap.
 func (it *PairIterator) HeapMax() int { return it.heapMax }
 

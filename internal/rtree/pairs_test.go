@@ -100,8 +100,8 @@ func TestClosestPairPeekAndHeapStats(t *testing.T) {
 		}
 		last = pair.Dist
 	}
-	if it.HeapMax() < it.HeapLen() || it.HeapMax() == 0 {
-		t.Fatalf("heap stats: max %d, len %d", it.HeapMax(), it.HeapLen())
+	if it.HeapMax() < it.heap.Len() || it.HeapMax() == 0 {
+		t.Fatalf("heap stats: max %d, len %d", it.HeapMax(), it.heap.Len())
 	}
 }
 

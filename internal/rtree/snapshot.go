@@ -78,92 +78,34 @@ func (p *Packed) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, err
 }
 
-// ReadFrom loads a single-tree snapshot into p, implementing
-// io.ReaderFrom: the receiver (typically zero) is overwritten with the
-// deserialised arena, and p.Tree() returns its shell. The loaded arena
-// answers every query with bit-identical results, costs and node-access
-// counts to the arena that wrote the snapshot. A fresh unbuffered Accountant is attached; load through the
-// public layer (gnn.OpenSnapshot) to configure buffering.
-func (p *Packed) ReadFrom(r io.Reader) (int64, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return int64(len(data)), err
-	}
-	m, trees, err := snapshot.Decode(data)
-	if err != nil {
-		return int64(len(data)), err
-	}
-	if m.Kind != snapshot.KindPlain {
-		return int64(len(data)), fmt.Errorf("rtree: snapshot kind %v, want %v", m.Kind, snapshot.KindPlain)
-	}
-	loaded, err := PackedFromSnapshot(trees[0], m.Dim, Config{})
-	if err != nil {
-		return int64(len(data)), err
-	}
-	*p = *loaded
-	p.src.arena = p
-	return int64(len(data)), nil
+// PackedFromSnapshot reconstructs a packed arena, with its shell, from a
+// verified snapshot tree: PackedFromSnapshotBorrowed with nothing left to
+// verify, so the arena is complete at construction.
+func PackedFromSnapshot(st *snapshot.Tree, dim int, cfg Config) (*Packed, error) {
+	return PackedFromSnapshotBorrowed(st, dim, cfg, nil)
 }
 
-// PackedFromSnapshot reconstructs a packed arena, with its shell, from a
-// decoded snapshot tree. The arena arrays are adopted directly from st
-// (zero rebuild). cfg supplies runtime wiring only (the Accountant); the
-// structural parameters (dimension, node capacity, page range) come from
-// the snapshot.
+// PackedFromSnapshotBorrowed reconstructs a packed arena, with its
+// shell, from a decoded snapshot tree. The arena arrays alias st's slices
+// (which alias the snapshot's buffer, the file mapping itself for a
+// mapped open): nothing is rebuilt or copied. cfg supplies runtime wiring
+// only (the Accountant); the structural parameters (dimension, node
+// capacity, page range) come from the snapshot.
 //
 // Page identifiers are preserved node for node and the entry order
 // inside every node is the writer's, so traversals on the loaded arena
 // charge the same accesses in the same order: results, Cost and NA are
 // bit-identical to the writer's.
-func PackedFromSnapshot(st *snapshot.Tree, dim int, cfg Config) (*Packed, error) {
-	cfg.Dim = dim
-	cfg.MaxEntries = st.MaxEntries
-	cfg.MinEntries = st.MinEntries
-	cfg.FirstPage = pagestore.PageID(st.FirstPage)
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, fmt.Errorf("rtree: snapshot config: %w", err)
-	}
-
-	pages := make([]pagestore.PageID, len(st.Level))
-	maxPage := cfg.FirstPage + pagestore.PageID(st.Pages) - 1
-	for i, pg := range st.Page {
-		pages[i] = pagestore.PageID(pg)
-		if pages[i] > maxPage {
-			maxPage = pages[i]
-		}
-	}
-
-	p := &Packed{
-		dim: dim, size: st.Size, height: st.Height,
-		acct:  cfg.Accountant,
-		root:  st.Root,
-		level: st.Level,
-		page:  pages,
-		start: st.Start,
-		end:   st.End,
-		child: st.Child,
-		rlo:   st.RectLo,
-		rhi:   st.RectHi,
-		pc:    st.PointCols,
-		ids:   st.IDs,
-	}
-	p.setShell(cfg, maxPage+1)
-	return p, nil
-}
-
-// PackedFromSnapshotBorrowed is the zero-copy sibling of
-// PackedFromSnapshot: the arena arrays alias st's slices (which for a
-// mapped open alias the file mapping itself) and the expensive open work
-// is deferred.
 //
-// verify runs the caller's deferred validation of st's backing bytes
-// (checksums and structural checks, e.g. snapshot.Adopted.Verify); it is
-// invoked exactly once, from Packed.Prepare, before the first traversal.
-// After verify succeeds, Prepare computes the root MBR and nothing else:
-// the arena keeps no copy of the points, so every traversal reads the
-// coordinates straight from the backing buffer's columns, and emitted
-// results are copies the caller owns.
+// verify, when non-nil, runs the caller's deferred validation of st's
+// backing bytes (checksums and structural checks, e.g.
+// snapshot.Adopted.Verify); it is invoked exactly once, from
+// Packed.Prepare, before the first traversal. After verify succeeds,
+// Prepare computes the root MBR and nothing else: the arena keeps no
+// copy of the points, so every traversal reads the coordinates straight
+// from the backing buffer's columns, and emitted results are copies the
+// caller owns. With a nil verify st must already be verified, and the
+// root MBR is computed here.
 //
 // The caller owns the backing buffer's lifetime: it must stay alive and
 // unmodified until the returned arena is unreachable or closed one
@@ -179,9 +121,8 @@ func PackedFromSnapshotBorrowed(st *snapshot.Tree, dim int, cfg Config, verify f
 	}
 
 	// pagestore.PageID is int64 under a different name, so the page
-	// column is adopted in place rather than copied like
-	// PackedFromSnapshot does. nextPage comes from the writer-declared
-	// page range — verify confirms every node page lies inside it.
+	// column is adopted in place. nextPage comes from the writer-declared
+	// page range — verification confirms every node page lies inside it.
 	var pages []pagestore.PageID
 	if len(st.Page) > 0 {
 		pages = unsafe.Slice((*pagestore.PageID)(unsafe.Pointer(unsafe.SliceData(st.Page))), len(st.Page))
@@ -201,13 +142,15 @@ func PackedFromSnapshotBorrowed(st *snapshot.Tree, dim int, cfg Config, verify f
 		pc:    st.PointCols,
 		ids:   st.IDs,
 	}
-	p.prep = &packedPrep{fn: func() error {
-		if err := verify(); err != nil {
-			return err
-		}
-		p.mbr = p.rootMBR()
-		return nil
-	}}
+	if verify != nil {
+		p.prep = &packedPrep{fn: func() error {
+			if err := verify(); err != nil {
+				return err
+			}
+			p.mbr = p.rootMBR()
+			return nil
+		}}
+	}
 	p.setShell(cfg, cfg.FirstPage+pagestore.PageID(st.Pages))
 	return p, nil
 }

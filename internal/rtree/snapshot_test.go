@@ -8,6 +8,7 @@ import (
 
 	"gnn/internal/geom"
 	"gnn/internal/pagestore"
+	"gnn/internal/snapshot"
 )
 
 // buildShuffledTree packs n random points in a random leaf order (see
@@ -36,11 +37,16 @@ func TestPackedSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("WriteTo: %v", err)
 	}
 
-	var loaded Packed
-	if n, err := loaded.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatalf("ReadFrom: %v", err)
-	} else if n != int64(buf.Len()) {
-		t.Fatalf("ReadFrom consumed %d of %d bytes", n, buf.Len())
+	ad, err := snapshot.DecodeAdopted(buf.Bytes())
+	if err == nil {
+		err = ad.Verify()
+	}
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	loaded, err := PackedFromSnapshot(ad.Trees[0], ad.Manifest.Dim, Config{})
+	if err != nil {
+		t.Fatalf("PackedFromSnapshot: %v", err)
 	}
 
 	// The arena must be identical field for field.

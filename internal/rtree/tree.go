@@ -5,14 +5,15 @@
 // CMTV00].
 //
 // Queries traverse a Packed arena: flat structure-of-arrays node storage
-// that the bulk loaders (PackSTR) write directly and a snapshot supplies
-// as is (PackedFromSnapshot). The arena is memory-resident but
-// page-structured: every node keeps its page identifier and all query
-// traversals are routed through a per-query Reader execution context,
-// which charges each node access to the query's own
-// pagestore.CostTracker and to the tree's shared pagestore.Accountant —
-// reproducing the paper's node-access (NA) metric, optionally through an
-// LRU buffer, while keeping unlimited concurrent read traversals safe.
+// that the bulk loaders (PackSTR) write directly and that a snapshot's
+// own columns back in place (PackedFromSnapshotBorrowed). The arena is
+// memory-resident but page-structured: every node keeps its page
+// identifier and all query traversals are routed through a per-query
+// Reader execution context, which charges each node access to the
+// query's own pagestore.CostTracker and to the tree's shared
+// pagestore.Accountant — reproducing the paper's node-access (NA)
+// metric, optionally through an LRU buffer, while keeping unlimited
+// concurrent read traversals safe.
 //
 // Query algorithms outside this package (SPM, MBM, F-MBM in internal/core)
 // drive their own traversals through the exported Reader.PackedRoot and

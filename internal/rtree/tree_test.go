@@ -79,7 +79,7 @@ func TestDuplicatePoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	tr.Reader(nil).Search(geom.RectFromPoint(p), func(geom.Point, int64) bool { n++; return true })
+	tr.Reader(nil).Search(geom.NewRect(p, p), func(geom.Point, int64) bool { n++; return true })
 	if n != 50 {
 		t.Fatalf("found %d duplicates, want 50", n)
 	}

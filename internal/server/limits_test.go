@@ -82,11 +82,14 @@ func TestStatsArenaBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, trees, err := snapshot.Decode(data)
+	a, err := snapshot.DecodeAdopted(data)
+	if err == nil {
+		err = a.Verify()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := trees[0]
+	st := a.Trees[0]
 	want := int64(4*len(st.Level) + 8*len(st.Page) + 4*len(st.Start) + 4*len(st.End) + 4*len(st.Child) + 8*len(st.IDs))
 	for a := range st.PointCols {
 		want += int64(8 * (len(st.RectLo[a]) + len(st.RectHi[a]) + len(st.PointCols[a])))

@@ -49,42 +49,18 @@ func (s *Set) Snapshot() (snapshot.Manifest, []*snapshot.Tree) {
 	}, trees
 }
 
-// SetFromSnapshot reconstructs a shard set from a decoded sharded
-// snapshot: every shard's packed arena is adopted directly, with the
-// Hilbert partition intact (each shard
-// keeps exactly the points, page range and node structure it was written
-// with). All shards share cfg.Accountant (one allocated here when nil),
-// so cost accounting stays exactly additive across the partition, as
-// after Build.
-func SetFromSnapshot(m snapshot.Manifest, trees []*snapshot.Tree, cfg rtree.Config) (*Set, error) {
-	if m.Kind != snapshot.KindSharded {
-		return nil, fmt.Errorf("shard: snapshot kind %v, want %v", m.Kind, snapshot.KindSharded)
-	}
-	if len(trees) < 1 {
-		return nil, fmt.Errorf("shard: sharded snapshot with no trees")
-	}
-	if cfg.Accountant == nil {
-		cfg.Accountant = pagestore.NewAccountant(0)
-	}
-	s := &Set{units: make([]Unit, len(trees)), dim: m.Dim, size: m.Points}
-	for i, st := range trees {
-		p, err := rtree.PackedFromSnapshot(st, m.Dim, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
-		}
-		s.units[i] = Unit{Tree: p.Tree(), Packed: p}
-	}
-	return s, nil
-}
-
-// SetFromSnapshotBorrowed is the zero-copy sibling of SetFromSnapshot:
-// every shard's arena borrows the decoded snapshot's slices (for a
-// mapped open, the file mapping itself) via
-// rtree.PackedFromSnapshotBorrowed. verify is the whole-snapshot
-// deferred validation (snapshot.Adopted.Verify — internally once-only,
-// so sharing it across all shards costs one verification); it must
-// succeed, through Set.Prepare, before the first query. The caller owns
-// the backing buffer's lifetime.
+// SetFromSnapshotBorrowed reconstructs a shard set from a decoded
+// sharded snapshot: every shard's arena borrows the snapshot's slices
+// (for a mapped open, the file mapping itself) via
+// rtree.PackedFromSnapshotBorrowed, with the Hilbert partition intact
+// (each shard keeps exactly the points, page range and node structure it
+// was written with). All shards share cfg.Accountant (one allocated here
+// when nil), so cost accounting stays exactly additive across the
+// partition, as after Build. verify is the whole-snapshot deferred
+// validation (snapshot.Adopted.Verify — internally once-only, so sharing
+// it across all shards costs one verification); it must succeed, through
+// Set.Prepare, before the first query. The caller owns the backing
+// buffer's lifetime.
 func SetFromSnapshotBorrowed(m snapshot.Manifest, trees []*snapshot.Tree, cfg rtree.Config, verify func() error) (*Set, error) {
 	if m.Kind != snapshot.KindSharded {
 		return nil, fmt.Errorf("shard: snapshot kind %v, want %v", m.Kind, snapshot.KindSharded)

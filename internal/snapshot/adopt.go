@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"io"
 	"sync"
 	"unsafe"
@@ -16,25 +17,32 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// Adopted is a snapshot decoded in place: the trees' column slices alias
-// the input buffer instead of copying it. DecodeAdopted frame-checks the
-// input eagerly (magic, version, section table, every payload in
-// bounds), so all columns are safe to index — but section checksums and
+// adoptInPlace selects whether DecodeAdopted may alias an aligned input
+// buffer's columns (little-endian hosts) or must copy it first. Only host
+// endianness sets it; the package's tests clear it to run the copy path.
+var adoptInPlace = hostLittleEndian
+
+// Adopted is a decoded snapshot whose trees' column slices alias a
+// buffer instead of holding copies of it. DecodeAdopted frame-checks the
+// input eagerly (magic, version, section table, every payload in bounds,
+// the checksummed tree meta and manifest extension, section lengths), so
+// all columns are safe to index — but the column sections' checksums and
 // the tree-structure validation are deferred to Verify, which the caller
-// MUST run (and check) before traversing the trees. The input buffer
-// must stay alive, unmodified, for the lifetime of the Adopted and
-// everything built from its trees; with an mmap'd buffer that means
-// unmap only after the last query completes.
+// MUST run (and check) before traversing the trees.
 //
-// On hosts where in-place reinterpretation is unsound (big-endian, or a
-// misaligned buffer base), DecodeAdopted transparently falls back to the
-// fully-validated copying Decode: ZeroCopy reports false, Verify is a
-// no-op, and nothing references data afterwards.
+// Where the input can be adopted in place (ZeroCopy), the trees alias
+// it: it must stay alive, unmodified, for the lifetime of the Adopted and
+// everything built from its trees; with an mmap'd buffer that means unmap
+// only after the last query completes. Elsewhere (a big-endian host, or a
+// misaligned buffer base) DecodeAdopted copies the input once into an
+// 8-byte aligned buffer, adopts the copy and verifies it before
+// returning: the trees alias the copy, Verify returns the cached outcome,
+// and nothing references the input afterwards.
 type Adopted struct {
 	Manifest Manifest
 	Trees    []*Tree
 	// ZeroCopy reports whether the trees alias the input buffer (true)
-	// or were copied and fully validated at decode time (false).
+	// or a private aligned copy of it, verified at decode time (false).
 	ZeroCopy bool
 
 	data   []byte
@@ -46,33 +54,38 @@ type Adopted struct {
 	err  error
 }
 
-// DecodeAdopted parses a snapshot without copying its columns. See the
-// Adopted contract for what is and is not yet validated on return.
-// Verify checksums data in place; DecodeMapped checksums a mapped file
-// through its descriptor instead.
+// DecodeAdopted decodes a snapshot, adopting its columns where they lie.
+// See the Adopted contract for what is and is not yet validated on
+// return. Verify checksums the buffer in place; DecodeMapped checksums a
+// mapped file through its descriptor instead.
 func DecodeAdopted(data []byte) (*Adopted, error) {
+	zeroCopy := adoptable(data)
+	if !zeroCopy {
+		data = mmapfile.AlignedCopy(data)
+	}
 	f, err := parseFrame(data)
 	if err != nil {
 		return nil, err
 	}
-	if !adoptable(data) {
-		// In-place reinterpretation is unsound here; decode the slow,
-		// safe way. Verified eagerly, so Verify has nothing left to do.
-		m, trees, err := Decode(data)
-		if err != nil {
+	a, err := adopt(f, data)
+	if err != nil {
+		return nil, err
+	}
+	a.ZeroCopy = zeroCopy
+	if !zeroCopy {
+		if err := a.Verify(); err != nil {
 			return nil, err
 		}
-		return &Adopted{Manifest: m, Trees: trees}, nil
 	}
-	return adopt(f, data)
+	return a, nil
 }
 
 // DecodeMapped is DecodeAdopted over a mapped file, whose Verify reads
 // the section checksums through the descriptor the mapping was made from
 // (mmapfile.File's ReaderAt) in bounded chunks: verification leaves the
 // mapped columns out of memory, touching only the pages of the header,
-// the section table and the meta and node sections. The fallback's heap
-// copy is checksummed in place.
+// the section table and the meta and node sections. A heap copy (the
+// mmapfile fallback) is checksummed in place.
 func DecodeMapped(mf *mmapfile.File) (*Adopted, error) {
 	a, err := DecodeAdopted(mf.Data())
 	if err != nil {
@@ -82,21 +95,47 @@ func DecodeMapped(mf *mmapfile.File) (*Adopted, error) {
 	return a, nil
 }
 
+// VerifyFile validates the snapshot file at path with every check of the
+// decoder, in its order (DecodeMapped, then Verify): frame, the scalar
+// sections' checksums, tree meta and section lengths, the column
+// sections' checksums, tree structure, cross-checks. It keeps the file's
+// columns out of memory: the frame is parsed from a read-only mapping,
+// the column checksums read the file through the mapping's descriptor
+// and a verifyChunk buffer, and the structure checks run on node
+// sections adopted from the mapping, so the only mapped pages touched
+// hold the header, the section table, the padding between sections and
+// the meta and node sections.
+func VerifyFile(path string) error {
+	mf, err := mmapfile.Open(path)
+	if err != nil {
+		return err
+	}
+	defer mf.Close()
+	a, err := DecodeMapped(mf)
+	if err != nil {
+		return err
+	}
+	return a.Verify()
+}
+
 // adoptable reports whether data's columns may be reinterpreted in
 // place: a little-endian host and an 8-byte aligned base.
 func adoptable(data []byte) bool {
-	return hostLittleEndian && uintptr(unsafe.Pointer(unsafe.SliceData(data)))%8 == 0
+	return adoptInPlace && uintptr(unsafe.Pointer(unsafe.SliceData(data)))%8 == 0
 }
 
-// adopt builds the trees of a frame-checked, adoptable snapshot over its
-// payloads in data.
+// adopt builds the trees of a frame-checked snapshot over its payloads in
+// data, an 8-byte aligned buffer. It parses the scalar sections — the
+// manifest extension and the tree metas, a few dozen bytes each — so it
+// checksums them first, in place; the column sections' checksums wait
+// for Verify.
 func adopt(f *frame, data []byte) (*Adopted, error) {
+	if err := f.verifyChecksums(crcInMemory(data), false); err != nil {
+		return nil, err
+	}
 	m := f.m
 	m.Points = int(f.points) // declared; confirmed against trees in Verify
 	if m.Kind == KindSharded {
-		// The manifest extension is a handful of scalars — parse it
-		// eagerly (all reads are length-checked) rather than thread lazy
-		// state through it; its CRC is still checked in Verify.
 		h, err := decodeHilbert(f.hilbert, f.numTrees)
 		if err != nil {
 			return nil, err
@@ -114,28 +153,28 @@ func adopt(f *frame, data []byte) (*Adopted, error) {
 	return &Adopted{
 		Manifest: m,
 		Trees:    trees,
-		ZeroCopy: true,
 		data:     data,
 		secs:     f.secs,
 		points:   f.points,
 	}, nil
 }
 
-// Verify runs the validation DecodeAdopted deferred: every section's
-// CRC-32 against the bytes as they are now (read through the descriptor
-// after DecodeMapped, in the buffer otherwise), then the per-tree
-// structural validation and whole-snapshot cross-checks — exactly the
-// checks Decode performs eagerly. Idempotent and safe for concurrent
-// callers; the first outcome is cached. Until Verify has returned nil,
-// the adopted trees must not be traversed.
+// Verify runs the validation DecodeAdopted deferred: every column
+// section's CRC-32 against the bytes as they are now (read through the
+// descriptor after DecodeMapped, in the buffer otherwise), then the
+// per-tree structural validation and whole-snapshot cross-checks. On a
+// private copy it rewrites the column sections in host byte order
+// between the two. Idempotent and safe for concurrent callers; the first
+// outcome is cached. Until Verify has returned nil, the adopted trees
+// must not be traversed.
 func (a *Adopted) Verify() error {
 	a.once.Do(func() {
-		if !a.ZeroCopy {
-			return // the copying fallback validated everything already
-		}
 		f := frame{secs: a.secs}
-		if a.err = f.verifyChecksums(checksummer(a.data, a.src)); a.err != nil {
+		if a.err = f.verifyChecksums(checksummer(a.data, a.src), true); a.err != nil {
 			return
+		}
+		if !a.ZeroCopy {
+			toHostOrder(a.data, a.secs)
 		}
 		a.err = a.checkStructure()
 	})
@@ -151,6 +190,26 @@ func checksummer(data []byte, src io.ReaderAt) crcFunc {
 	return crcInMemory(data)
 }
 
+// toHostOrder rewrites the column sections of data, little-endian on the
+// wire, in host byte order in place, so the adopted slices read them
+// right: a byte swap on a big-endian host, an identity elsewhere. adopt
+// has checked every section's length against its element count.
+func toHostOrder(data []byte, secs []section) {
+	for _, s := range secs {
+		p := data[s.offset : s.offset+s.length]
+		switch columnWidth(s.kind) {
+		case 4:
+			for i := 0; i < len(p); i += 4 {
+				binary.NativeEndian.PutUint32(p[i:], binary.LittleEndian.Uint32(p[i:]))
+			}
+		case 8:
+			for i := 0; i < len(p); i += 8 {
+				binary.NativeEndian.PutUint64(p[i:], binary.LittleEndian.Uint64(p[i:]))
+			}
+		}
+	}
+}
+
 // checkStructure runs the per-tree structural validation and the
 // whole-snapshot cross-checks on the adopted trees. They read the node
 // sections and the meta counters only, never a coordinate or id column.
@@ -163,44 +222,9 @@ func (a *Adopted) checkStructure() error {
 	return crossCheck(&a.Manifest, a.Trees, a.points)
 }
 
-// VerifyFile validates the snapshot file at path with every check Decode
-// runs, in Decode's order: frame, section checksums, tree structure,
-// cross-checks. It keeps the file's columns out of memory: the frame is
-// parsed from a read-only mapping, the checksums read the file through
-// the mapping's descriptor and a verifyChunk buffer, and the structure
-// checks run on node sections adopted from the mapping, so the only
-// mapped pages touched hold the header, the section table, the padding
-// between sections and the meta and node sections. Where the mapping
-// cannot be adopted in place (a big-endian host) the file is decoded the
-// copying way.
-func VerifyFile(path string) error {
-	mf, err := mmapfile.Open(path)
-	if err != nil {
-		return err
-	}
-	defer mf.Close()
-	data := mf.Data()
-	f, err := parseFrame(data)
-	if err != nil {
-		return err
-	}
-	if !adoptable(data) {
-		_, _, err := Decode(data)
-		return err
-	}
-	if err := f.verifyChecksums(checksummer(data, mf.ReaderAt())); err != nil {
-		return err
-	}
-	a, err := adopt(f, data)
-	if err != nil {
-		return err
-	}
-	return a.checkStructure()
-}
-
 // adoptTree builds one tree whose column slices alias the section
-// payloads. Performs the same meta and length checks as decodeTree but
-// skips element copies and structural validation (deferred to Verify).
+// payloads, after the meta and exact-length checks; the structural
+// validation waits for Verify.
 func adoptTree(secs map[uint32][]byte, dim, ti int) (*Tree, error) {
 	t, nodes, rslots, lslots, err := parseTreeMeta(secs[secTreeMeta], ti)
 	if err != nil {
@@ -236,10 +260,12 @@ func adoptTree(secs map[uint32][]byte, dim, ti int) (*Tree, error) {
 	return t, nil
 }
 
-// The adopt helpers mirror the decode helpers' nil and exact-length
-// checks, then reinterpret the payload in place. Sound because the
-// caller established the host is little-endian and the buffer base is
-// 8-byte aligned, and the writer aligns every section offset to 64.
+// The adopt helpers check a section is present and exactly as long as
+// its declared element count, then reinterpret the payload in place.
+// They compare the lengths in int64, so the arithmetic cannot wrap even
+// on 32-bit platforms or with forged counts. The reinterpretation is
+// sound because the buffer base is 8-byte aligned and the writer aligns
+// every section offset to 64.
 
 func adoptI32s(p []byte, n, ti int, what string) ([]int32, error) {
 	if p == nil {
@@ -271,6 +297,8 @@ func adoptF64Cols(p []byte, dim, slots, ti int, what string) ([][]float64, error
 	if p == nil {
 		return nil, corruptf("tree %d: missing %s section", ti, what)
 	}
+	// dim ≤ MaxDim and slots < 2^32, so the product stays far below the
+	// int64 range.
 	if int64(len(p)) != 8*int64(dim)*int64(slots) {
 		return nil, corruptf("tree %d: %s section is %d bytes, want %d×%d floats", ti, what, len(p), dim, slots)
 	}

@@ -2,8 +2,11 @@ package snapshot_test
 
 import (
 	"bytes"
+	"errors"
+	"reflect"
 	"testing"
 
+	"gnn/internal/mmapfile"
 	"gnn/internal/snapshot"
 	"gnn/internal/snapshot/snapshottest"
 )
@@ -12,6 +15,10 @@ import (
 // return a typed error or a fully valid snapshot — never panic, never
 // over-allocate from forged counts — and anything it accepts must
 // re-encode and decode again (the accepted subset is self-consistent).
+// Each input is decoded twice, from an 8-byte aligned copy (adopted in
+// place) and from a misaligned one (copied once, then adopted): the two
+// must agree on accepting it, on the typed error when they reject it and
+// on the manifest and every column when they accept it.
 // The seeds cover plain 2-D snapshots (valid, truncated, bit-flipped),
 // 1-D and 3-D ones, and 2- and 4-tree sharded ones with their Hilbert-cut
 // section (the 4-tree one also truncated and bit-flipped).
@@ -32,9 +39,21 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, trees, err := snapshot.Decode(data)
+		m, trees, err := snapshot.Decode(mmapfile.AlignedCopy(data))
+		cm, ctrees, cerr := snapshot.Decode(misaligned(data))
+		for _, typed := range decodeErrors {
+			if errors.Is(err, typed) != errors.Is(cerr, typed) {
+				t.Fatalf("in place: %v; copied: %v", err, cerr)
+			}
+		}
+		if (err == nil) != (cerr == nil) {
+			t.Fatalf("in place: %v; copied: %v", err, cerr)
+		}
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(m, cm) || !reflect.DeepEqual(trees, ctrees) {
+			t.Fatal("the in-place and copied decodes differ")
 		}
 		var buf bytes.Buffer
 		if err := snapshot.Write(&buf, m, trees); err != nil {
@@ -69,6 +88,18 @@ func shardedSeed(f *testing.F, trees int) []byte {
 		f.Fatalf("sharded seed does not decode: %v", err)
 	}
 	return buf.Bytes()
+}
+
+// decodeErrors are the decoder's typed errors.
+var decodeErrors = []error{
+	snapshot.ErrBadMagic, snapshot.ErrVersion, snapshot.ErrChecksum,
+	snapshot.ErrTruncated, snapshot.ErrCorrupt,
+}
+
+// misaligned returns a copy of data whose first byte sits one byte past
+// an 8-byte boundary, which the decoder cannot adopt in place.
+func misaligned(data []byte) []byte {
+	return mmapfile.AlignedCopy(append([]byte{0}, data...))[1:]
 }
 
 func corruptSeed(data []byte, off int) []byte {

@@ -36,11 +36,11 @@
 //
 // The 64-byte section alignment (new in version 2, along with the slot
 // ranges section storing all start slots followed by all end slots
-// instead of interleaved pairs) exists so a decoder may adopt the
-// numeric columns directly from an mmap'd file: every []int32, []int64
-// and []float64 payload sits cache-line aligned, and a page-aligned
-// mapping makes the in-file arrays valid Go slices without a copy. See
-// DecodeAdopted.
+// instead of interleaved pairs) exists so the decoder adopts the numeric
+// columns where they lie: every []int32, []int64 and []float64 payload
+// sits cache-line aligned, so on a little-endian host a mapping or an
+// 8-byte aligned heap read makes the in-file arrays valid Go slices
+// without a copy. See DecodeAdopted.
 //
 // # Version and compatibility policy
 //
@@ -52,11 +52,14 @@
 // repository root) locks version 2: a format change that forgets to bump
 // the version fails its compatibility test.
 //
-// The decoder is strictly validating: it returns typed errors
-// (ErrBadMagic, ErrVersion, ErrChecksum, ErrTruncated, ErrCorrupt) and
-// never panics on corrupt input, and it allocates only what the actual
-// input length supports, so a forged header cannot trigger huge
-// allocations.
+// There is one decoder, DecodeAdopted: its trees alias the input
+// buffer, and input it cannot adopt in place (a misaligned buffer, or a
+// big-endian host) is copied once into an aligned buffer first. It is
+// strictly validating: with Verify, which a mapped open defers to the
+// first query, it returns typed errors (ErrBadMagic, ErrVersion,
+// ErrChecksum, ErrTruncated, ErrCorrupt) and never panics on corrupt
+// input, and it allocates only what the actual input length supports, so
+// a forged header cannot trigger huge allocations.
 package snapshot
 
 import (
@@ -338,12 +341,25 @@ func encodeSection(buf []byte, kind uint32, m Manifest, trees []*Tree, t *Tree) 
 // sets it; the package's tests flip it to compare the two paths.
 var writeColumnsInPlace = hostLittleEndian
 
+// columnWidth returns the element width in bytes of column section kind:
+// 4 for the int32 columns, 8 for the int64 and float64 ones, and 0 for
+// the manifest extension and the tree meta, which are scalars the codec
+// always encodes and parses field by field.
+func columnWidth(kind uint32) int {
+	switch kind {
+	case secLevels, secRanges, secChildren:
+		return 4
+	case secPages, secRectLo, secRectHi, secPoints, secIDs:
+		return 8
+	}
+	return 0
+}
+
 // inPlace reports whether Write takes section kind's payload straight
 // from the trees' memory: every column section, when
-// writeColumnsInPlace. The manifest extension and the tree meta are
-// scalars, always encoded.
+// writeColumnsInPlace.
 func inPlace(kind uint32) bool {
-	return writeColumnsInPlace && kind != secHilbert && kind != secTreeMeta
+	return writeColumnsInPlace && columnWidth(kind) != 0
 }
 
 // columnParts returns column section kind of t as the views of t's memory
@@ -568,16 +584,6 @@ func Sniff(head []byte) (Kind, bool) {
 // SniffLen is the prefix length Sniff needs.
 const SniffLen = 16
 
-// Read decodes a snapshot from r (reading it fully) and returns its
-// manifest and trees. See Decode for validation guarantees.
-func Read(r io.Reader) (Manifest, []*Tree, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return Manifest{}, nil, err
-	}
-	return Decode(data)
-}
-
 // corruptf wraps ErrCorrupt with context.
 func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
@@ -750,10 +756,14 @@ func crcReading(r io.ReaderAt) crcFunc {
 	}
 }
 
-// verifyChecksums checks every section's CRC against its payload, as
-// crc computes it: the one checksum loop of every verifier.
-func (f *frame) verifyChecksums(crc crcFunc) error {
+// verifyChecksums checks the CRC of every column section (columns) or
+// every scalar one (!columns) against its payload, as crc computes it:
+// the one checksum loop of every verifier.
+func (f *frame) verifyChecksums(crc crcFunc, columns bool) error {
 	for i, s := range f.secs {
+		if (columnWidth(s.kind) != 0) != columns {
+			continue
+		}
 		got, err := crc(s.offset, s.length)
 		if err != nil {
 			return err
@@ -807,43 +817,6 @@ func crossCheck(m *Manifest, trees []*Tree, points uint64) error {
 	return nil
 }
 
-// Decode parses and fully validates a snapshot. Corrupt or truncated
-// input yields a typed error (ErrBadMagic, ErrVersion, ErrChecksum,
-// ErrTruncated, ErrCorrupt) — never a panic — and allocations are
-// bounded by the actual input size, not by declared counts. The returned
-// trees own their memory (nothing aliases data); for the zero-copy
-// variant see DecodeAdopted.
-func Decode(data []byte) (Manifest, []*Tree, error) {
-	f, err := parseFrame(data)
-	if err != nil {
-		return Manifest{}, nil, err
-	}
-	// Verify every section's checksum before interpreting any payload.
-	if err := f.verifyChecksums(crcInMemory(data)); err != nil {
-		return Manifest{}, nil, err
-	}
-	m := f.m
-	if m.Kind == KindSharded {
-		h, err := decodeHilbert(f.hilbert, f.numTrees)
-		if err != nil {
-			return Manifest{}, nil, err
-		}
-		m.Hilbert = h
-	}
-	trees := make([]*Tree, f.numTrees)
-	for ti := range trees {
-		t, err := decodeTree(f.byTree[ti], m.Dim, ti)
-		if err != nil {
-			return Manifest{}, nil, err
-		}
-		trees[ti] = t
-	}
-	if err := crossCheck(&m, trees, f.points); err != nil {
-		return Manifest{}, nil, err
-	}
-	return m, trees, nil
-}
-
 // decodeHilbert parses the manifest-extension payload.
 func decodeHilbert(p []byte, numTrees int) (*Hilbert, error) {
 	want := 8 + 32 + 8*numTrees
@@ -867,9 +840,9 @@ func decodeHilbert(p []byte, numTrees int) (*Hilbert, error) {
 
 // parseTreeMeta parses one tree's fixed-size meta section and checks the
 // counters for internal consistency. The meta counters must agree with
-// the actual section lengths (checked by the callers' per-section
-// decode/adopt helpers) before anything is allocated, so a forged count
-// cannot over-allocate.
+// the actual section lengths (checked by adoptTree's per-section
+// helpers) before anything is allocated, so a forged count cannot
+// over-allocate.
 func parseTreeMeta(meta []byte, ti int) (t *Tree, nodes, rslots, lslots int, err error) {
 	if meta == nil {
 		return nil, 0, 0, 0, corruptf("tree %d: missing meta section", ti)
@@ -909,101 +882,6 @@ func parseTreeMeta(meta []byte, ti int) (t *Tree, nodes, rslots, lslots int, err
 		return nil, 0, 0, 0, corruptf("tree %d: node capacity %d/%d", ti, t.MinEntries, t.MaxEntries)
 	}
 	return t, nodes, rslots, lslots, nil
-}
-
-// decodeTree parses and structurally validates one tree's section group.
-func decodeTree(secs map[uint32][]byte, dim, ti int) (*Tree, error) {
-	t, nodes, rslots, lslots, err := parseTreeMeta(secs[secTreeMeta], ti)
-	if err != nil {
-		return nil, err
-	}
-	if t.Level, err = decodeI32s(secs[secLevels], nodes, ti, "levels"); err != nil {
-		return nil, err
-	}
-	if t.Page, err = decodeI64s(secs[secPages], nodes, ti, "pages"); err != nil {
-		return nil, err
-	}
-	ranges, err := decodeI32s(secs[secRanges], 2*nodes, ti, "ranges")
-	if err != nil {
-		return nil, err
-	}
-	t.Start = ranges[:nodes:nodes]
-	t.End = ranges[nodes:]
-	if t.Child, err = decodeI32s(secs[secChildren], rslots, ti, "children"); err != nil {
-		return nil, err
-	}
-	if t.RectLo, err = decodeF64Cols(secs[secRectLo], dim, rslots, ti, "rect-lo"); err != nil {
-		return nil, err
-	}
-	if t.RectHi, err = decodeF64Cols(secs[secRectHi], dim, rslots, ti, "rect-hi"); err != nil {
-		return nil, err
-	}
-	if t.PointCols, err = decodeF64Cols(secs[secPoints], dim, lslots, ti, "points"); err != nil {
-		return nil, err
-	}
-	if t.IDs, err = decodeI64s(secs[secIDs], lslots, ti, "ids"); err != nil {
-		return nil, err
-	}
-	if err := validateTreeStructure(t, nodes, rslots, lslots, ti); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// The decode helpers compare declared element counts against actual
-// section lengths in int64, so the arithmetic cannot wrap even on
-// 32-bit platforms or with forged counts — and every allocation below
-// is therefore bounded by the real input size.
-
-func decodeI32s(p []byte, n, ti int, what string) ([]int32, error) {
-	if p == nil {
-		return nil, corruptf("tree %d: missing %s section", ti, what)
-	}
-	if int64(len(p)) != 4*int64(n) {
-		return nil, corruptf("tree %d: %s section is %d bytes, want %d elements", ti, what, len(p), n)
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(p[4*i:]))
-	}
-	return out, nil
-}
-
-func decodeI64s(p []byte, n, ti int, what string) ([]int64, error) {
-	if p == nil {
-		return nil, corruptf("tree %d: missing %s section", ti, what)
-	}
-	if int64(len(p)) != 8*int64(n) {
-		return nil, corruptf("tree %d: %s section is %d bytes, want %d elements", ti, what, len(p), n)
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(p[8*i:]))
-	}
-	return out, nil
-}
-
-func decodeF64Cols(p []byte, dim, slots, ti int, what string) ([][]float64, error) {
-	if p == nil {
-		return nil, corruptf("tree %d: missing %s section", ti, what)
-	}
-	// dim ≤ MaxDim and slots < 2^32, so the product stays far below the
-	// int64 range.
-	if int64(len(p)) != 8*int64(dim)*int64(slots) {
-		return nil, corruptf("tree %d: %s section is %d bytes, want %d×%d floats", ti, what, len(p), dim, slots)
-	}
-	// One backing slab for all axes keeps the loaded arena as cache-dense
-	// as a freshly packed one. len(p) passed the exact-length check, so
-	// dim*slots fits the platform int.
-	flat := make([]float64, dim*slots)
-	for i := range flat {
-		flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
-	}
-	cols := make([][]float64, dim)
-	for a := 0; a < dim; a++ {
-		cols[a] = flat[a*slots : (a+1)*slots : (a+1)*slots]
-	}
-	return cols, nil
 }
 
 // validateTreeStructure checks the arena's graph: every node reachable

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"gnn/internal/mmapfile"
 	"gnn/internal/snapshot"
 	"gnn/internal/snapshot/snapshottest"
 )
@@ -22,24 +23,27 @@ func TestRoundTripPlain(t *testing.T) {
 		t.Run(fmt.Sprintf("n%d_d%d_c%d", tc.n, tc.dim, tc.cap), func(t *testing.T) {
 			st := snapshottest.BuildArena(t, tc.n, tc.dim, tc.cap, 42)
 			data := snapshottest.EncodePlain(t, st, tc.dim)
-			m, trees, err := snapshot.Decode(data)
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			if m.Kind != snapshot.KindPlain || m.Dim != tc.dim || m.Points != tc.n {
-				t.Fatalf("manifest %+v", m)
-			}
-			if len(trees) != 1 {
-				t.Fatalf("%d trees", len(trees))
-			}
-			if !reflect.DeepEqual(trees[0], st) {
-				t.Fatalf("arena did not round-trip:\n got %+v\nwant %+v", trees[0], st)
-			}
-			// Decoded → re-encoded bytes are identical: the format is
-			// canonical, so snapshots are stable across save/load cycles.
-			again := snapshottest.EncodePlain(t, trees[0], tc.dim)
-			if !bytes.Equal(data, again) {
-				t.Fatalf("re-encoded bytes differ (%d vs %d bytes)", len(data), len(again))
+			for _, path := range decodePaths {
+				m, trees, err := path.decode(data)
+				if err != nil {
+					t.Fatalf("%s: decode: %v", path.name, err)
+				}
+				if m.Kind != snapshot.KindPlain || m.Dim != tc.dim || m.Points != tc.n {
+					t.Fatalf("%s: manifest %+v", path.name, m)
+				}
+				if len(trees) != 1 {
+					t.Fatalf("%s: %d trees", path.name, len(trees))
+				}
+				if !reflect.DeepEqual(trees[0], st) {
+					t.Fatalf("%s: arena did not round-trip:\n got %+v\nwant %+v", path.name, trees[0], st)
+				}
+				// Decoded → re-encoded bytes are identical: the format is
+				// canonical, so snapshots are stable across save/load
+				// cycles.
+				again := snapshottest.EncodePlain(t, trees[0], tc.dim)
+				if !bytes.Equal(data, again) {
+					t.Fatalf("%s: re-encoded bytes differ (%d vs %d bytes)", path.name, len(data), len(again))
+				}
 			}
 		})
 	}
@@ -63,15 +67,65 @@ func TestRoundTripSharded(t *testing.T) {
 	if err := snapshot.Write(&buf, m, trees); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	got, gotTrees, err := snapshot.Decode(buf.Bytes())
+	for _, path := range decodePaths {
+		got, gotTrees, err := path.decode(buf.Bytes())
+		if err != nil {
+			t.Fatalf("%s: decode: %v", path.name, err)
+		}
+		if !reflect.DeepEqual(got, m) {
+			t.Fatalf("%s: manifest:\n got %+v\nwant %+v", path.name, got, m)
+		}
+		if !reflect.DeepEqual(gotTrees, trees) {
+			t.Fatalf("%s: trees did not round-trip", path.name)
+		}
+	}
+}
+
+// decodePaths are the decoder's two paths, each running every check:
+// in place, on an aligned copy of the input, and the aligned copy a
+// big-endian host decodes, forced on this host, where its host-order
+// rewrite is an identity. So the copy path is checked for everything but
+// the byte swap itself.
+var decodePaths = []struct {
+	name   string
+	decode func([]byte) (snapshot.Manifest, []*snapshot.Tree, error)
+}{
+	{"in place", func(data []byte) (snapshot.Manifest, []*snapshot.Tree, error) {
+		return decodeVia(true, mmapfile.AlignedCopy(data))
+	}},
+	{"copied", func(data []byte) (snapshot.Manifest, []*snapshot.Tree, error) {
+		defer snapshot.SetAdoptInPlace(false)()
+		return decodeVia(false, data)
+	}},
+}
+
+// decodeVia is Decode, failing unless the decoder took the path asked
+// for: in place (zeroCopy) or on a copy.
+func decodeVia(zeroCopy bool, data []byte) (snapshot.Manifest, []*snapshot.Tree, error) {
+	a, err := snapshot.DecodeAdopted(data)
 	if err != nil {
-		t.Fatalf("decode: %v", err)
+		return snapshot.Manifest{}, nil, err
 	}
-	if !reflect.DeepEqual(got, m) {
-		t.Fatalf("manifest:\n got %+v\nwant %+v", got, m)
+	if a.ZeroCopy != zeroCopy {
+		return snapshot.Manifest{}, nil, fmt.Errorf("decoded with ZeroCopy %v", a.ZeroCopy)
 	}
-	if !reflect.DeepEqual(gotTrees, trees) {
-		t.Fatalf("trees did not round-trip")
+	if err := a.Verify(); err != nil {
+		return snapshot.Manifest{}, nil, err
+	}
+	return a.Manifest, a.Trees, nil
+}
+
+// TestDecodePathsCorruptionTable runs the whole corruption table through
+// both decode paths: each must reject every case with its typed error,
+// so the copy path checks everything the in-place one does, in the same
+// order.
+func TestDecodePathsCorruptionTable(t *testing.T) {
+	for _, tc := range snapshottest.Table(t) {
+		for _, path := range decodePaths {
+			if _, _, err := path.decode(tc.Data); !errors.Is(err, tc.Want) {
+				t.Errorf("%s, %s: error %v, want %v", tc.Name, path.name, err, tc.Want)
+			}
+		}
 	}
 }
 
@@ -169,17 +223,5 @@ func TestSniff(t *testing.T) {
 	}
 	if _, ok := snapshot.Sniff([]byte("not a snapshot, longer than 16b")); ok {
 		t.Fatal("garbage sniffed as snapshot")
-	}
-}
-
-func TestReadFromReader(t *testing.T) {
-	st := snapshottest.BuildArena(t, 100, 2, 8, 9)
-	data := snapshottest.EncodePlain(t, st, 2)
-	m, trees, err := snapshot.Read(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if m.Points != 100 || len(trees) != 1 {
-		t.Fatalf("manifest %+v, %d trees", m, len(trees))
 	}
 }

@@ -283,12 +283,15 @@ func snapshotColumnBytes(t *testing.T, path string) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, trees, err := snapshot.Decode(data)
+	a, err := snapshot.DecodeAdopted(data)
+	if err == nil {
+		err = a.Verify()
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	var n int64
-	for _, st := range trees {
+	for _, st := range a.Trees {
 		n += int64(4*len(st.Level) + 8*len(st.Page) + 4*len(st.Start) + 4*len(st.End) + 4*len(st.Child) + 8*len(st.IDs))
 		for a := range st.PointCols {
 			n += int64(8 * (len(st.RectLo[a]) + len(st.RectHi[a]) + len(st.PointCols[a])))

@@ -111,7 +111,8 @@ func newShardedOver(set *shard.Set, acct *pagestore.Accountant, rcfg rtree.Confi
 
 // prepare readies the sharded index for a traversal: it fails fast on a
 // closed mapping and forces the deferred verification of a mapped open
-// (once for the whole snapshot). A no-op for built or copy-loaded sets.
+// (once for the whole snapshot). A no-op for built sets and for a heap
+// open, which verified at the open.
 func (sx *ShardedIndex) prepare() error {
 	if sx.closed.Load() {
 		return ErrSnapshotClosed

@@ -1,7 +1,6 @@
 package gnn
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -63,9 +62,9 @@ func WithSnapshotBuffer(pages int) SnapshotOption {
 // later fail a query with ErrSnapshotChecksum. Either way the checksums
 // read the file through the mapping's descriptor, not the mapping, so
 // verification leaves only the header, section table and node sections
-// resident; the columns fault in as queries touch them. The copying
-// opens (OpenSnapshot and friends) always verify eagerly; the option is
-// a no-op there.
+// resident; the columns fault in as queries touch them. The heap opens
+// (OpenSnapshot and friends) always verify eagerly; the option is a
+// no-op there.
 func WithEagerVerify() SnapshotOption {
 	return func(c *snapshotConfig) { c.eagerVerify = true }
 }
@@ -136,43 +135,93 @@ func (ix *Index) WriteSnapshotFile(path string) error {
 }
 
 // OpenSnapshot loads an index from a snapshot written by WriteSnapshot.
-// The packed arena is adopted directly — no re-bulk-loading — so the
-// loaded index serves every algorithm, mutation and compaction exactly
-// like the index that wrote it.
-// Opening a sharded snapshot fails with ErrSnapshotKind; use
-// OpenShardedSnapshot.
+// The snapshot is read once onto the heap, into an 8-byte aligned buffer
+// whose columns the packed arena adopts in place — no re-bulk-loading
+// and no second copy, so the open allocates about the snapshot's size —
+// and it is verified in full before OpenSnapshot returns. The loaded
+// index serves every algorithm, mutation and compaction exactly like the
+// index that wrote it. Opening a sharded snapshot fails with
+// ErrSnapshotKind; use OpenShardedSnapshot.
 func OpenSnapshot(r io.Reader, opts ...SnapshotOption) (*Index, error) {
-	data, err := readAllSized(r)
+	data, err := mmapfile.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	return openSnapshotBytes(data, opts)
+	return openHeap(data, opts, openPlain)
 }
 
 // OpenSnapshotFile is OpenSnapshot on the file at path.
 func OpenSnapshotFile(path string, opts ...SnapshotOption) (*Index, error) {
-	data, err := os.ReadFile(path)
+	data, err := mmapfile.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return openSnapshotBytes(data, opts)
+	return openHeap(data, opts, openPlain)
 }
 
-func openSnapshotBytes(data []byte, opts []SnapshotOption) (*Index, error) {
-	c := buildSnapshotConfig(opts)
-	m, trees, err := snapshot.Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	if m.Kind != snapshot.KindPlain {
-		return nil, fmt.Errorf("%w: %v (use OpenShardedSnapshot)", ErrSnapshotKind, m.Kind)
+// openPlain builds an Index over a decoded plain snapshot whose trees
+// alias mf's mapping, or a heap buffer when mf is nil: the one open of
+// every plain opener.
+func openPlain(ad *snapshot.Adopted, mf *mmapfile.File, c snapshotConfig) (*Index, error) {
+	if ad.Manifest.Kind != snapshot.KindPlain {
+		return nil, fmt.Errorf("%w: %v (use an OpenShardedSnapshot function)", ErrSnapshotKind, ad.Manifest.Kind)
 	}
 	acct := pagestore.NewAccountant(c.bufferPages)
-	p, err := rtree.PackedFromSnapshot(trees[0], m.Dim, rtree.Config{Accountant: acct})
+	p, err := rtree.PackedFromSnapshotBorrowed(ad.Trees[0], ad.Manifest.Dim, rtree.Config{Accountant: acct}, ad.Verify)
 	if err != nil {
 		return nil, err
 	}
-	return newIndexOver(p.Tree(), p, acct, p.Tree().Config()), nil
+	ix := newIndexOver(p.Tree(), p, acct, p.Tree().Config())
+	ix.file = mf
+	if c.eagerVerify {
+		if err := ix.prepare(); err != nil {
+			return nil, err
+		}
+	}
+	return ix, nil
+}
+
+// opener builds an index of type T over a decoded snapshot: openPlain or
+// openSharded.
+type opener[T any] func(ad *snapshot.Adopted, mf *mmapfile.File, c snapshotConfig) (T, error)
+
+// openHeap decodes a snapshot read onto the heap and opens it with open,
+// verified eagerly, with no mapping to release.
+func openHeap[T any](data []byte, opts []SnapshotOption, open opener[T]) (T, error) {
+	ad, err := snapshot.DecodeAdopted(data)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	c := buildSnapshotConfig(opts)
+	c.eagerVerify = true
+	return open(ad, nil, c)
+}
+
+// openMapped maps the snapshot file at path and opens it with open. The
+// index owns the mapping from then on, unless the decoder had to copy
+// it (a big-endian host), in which case it is released at once.
+func openMapped[T any](path string, opts []SnapshotOption, open opener[T]) (T, error) {
+	var zero T
+	mf, err := mmapfile.Open(path)
+	if err != nil {
+		return zero, err
+	}
+	ad, err := snapshot.DecodeMapped(mf)
+	if err != nil {
+		mf.Close()
+		return zero, err
+	}
+	if !ad.ZeroCopy {
+		mf.Close()
+		mf = nil
+	}
+	x, err := open(ad, mf, buildSnapshotConfig(opts))
+	if err != nil {
+		mf.Close()
+		return zero, err
+	}
+	return x, nil
 }
 
 // WriteSnapshot serialises the sharded index to w: one arena section
@@ -217,44 +266,50 @@ func (sx *ShardedIndex) WriteSnapshotFile(path string) error {
 }
 
 // OpenShardedSnapshot loads a sharded index from a snapshot written by
-// ShardedIndex.WriteSnapshot. Every shard's packed arena is adopted
-// directly; all shards share one accountant (and, with
+// ShardedIndex.WriteSnapshot, read once onto the heap and verified in
+// full as OpenSnapshot does. Every shard's packed arena adopts its
+// columns in place; all shards share one accountant (and, with
 // WithSnapshotBuffer, one LRU buffer over their disjoint page ranges),
 // so results, Cost and node-access counts are bit-identical to the
 // index that wrote it. Opening a plain snapshot fails with
 // ErrSnapshotKind; use OpenSnapshot.
 func OpenShardedSnapshot(r io.Reader, opts ...SnapshotOption) (*ShardedIndex, error) {
-	data, err := readAllSized(r)
+	data, err := mmapfile.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	return openShardedSnapshotBytes(data, opts)
+	return openHeap(data, opts, openSharded)
 }
 
 // OpenShardedSnapshotFile is OpenShardedSnapshot on the file at path.
 func OpenShardedSnapshotFile(path string, opts ...SnapshotOption) (*ShardedIndex, error) {
-	data, err := os.ReadFile(path)
+	data, err := mmapfile.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	return openShardedSnapshotBytes(data, opts)
+	return openHeap(data, opts, openSharded)
 }
 
-func openShardedSnapshotBytes(data []byte, opts []SnapshotOption) (*ShardedIndex, error) {
-	c := buildSnapshotConfig(opts)
-	m, trees, err := snapshot.Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	if m.Kind != snapshot.KindSharded {
-		return nil, fmt.Errorf("%w: %v (use OpenSnapshot)", ErrSnapshotKind, m.Kind)
+// openSharded builds a ShardedIndex over a decoded sharded snapshot whose
+// trees alias mf's mapping, or a heap buffer when mf is nil: the one
+// open of every sharded opener.
+func openSharded(ad *snapshot.Adopted, mf *mmapfile.File, c snapshotConfig) (*ShardedIndex, error) {
+	if ad.Manifest.Kind != snapshot.KindSharded {
+		return nil, fmt.Errorf("%w: %v (use an OpenSnapshot function)", ErrSnapshotKind, ad.Manifest.Kind)
 	}
 	acct := pagestore.NewAccountant(c.bufferPages)
-	set, err := shard.SetFromSnapshot(m, trees, rtree.Config{Accountant: acct})
+	set, err := shard.SetFromSnapshotBorrowed(ad.Manifest, ad.Trees, rtree.Config{Accountant: acct}, ad.Verify)
 	if err != nil {
 		return nil, err
 	}
-	return newShardedOver(set, acct, shardedRcfg(set)), nil
+	sx := newShardedOver(set, acct, shardedRcfg(set))
+	sx.file = mf
+	if c.eagerVerify {
+		if err := sx.prepare(); err != nil {
+			return nil, err
+		}
+	}
+	return sx, nil
 }
 
 // shardedRcfg recovers the build geometry of a snapshot-loaded shard set
@@ -276,13 +331,13 @@ func shardedRcfg(set *shard.Set) rtree.Config {
 // node-access counts are bit-identical to OpenSnapshot on the same
 // file.
 //
-// Header and section-table validation run eagerly — a truncated or
-// structurally broken file fails here with a typed error — while the
-// per-section checksums are verified lazily on the first query (a
-// failure surfaces there as ErrSnapshotChecksum, never as a fault);
-// WithEagerVerify moves all of it to the open. Neither allocates per
-// point: queries read the coordinates from the mapping, and results are
-// copies the caller owns.
+// Header, section-table and tree-meta validation run eagerly — a
+// truncated or structurally broken file fails here with a typed error —
+// while the column sections' checksums are verified lazily on the first
+// query (a failure surfaces there as ErrSnapshotChecksum, never as a
+// fault); WithEagerVerify moves all of it to the open. Neither allocates
+// per point: queries read the coordinates from the mapping, and results
+// are copies the caller owns.
 //
 // The mapped index serves every query a heap-loaded one does. Writes go
 // to the overlay as on any packed index, and a compaction builds its new
@@ -292,55 +347,13 @@ func shardedRcfg(set *shard.Set) rtree.Config {
 // finished, so a compacted index keeps one resident copy of its points.
 // Call Close when done to unmap the file if no compaction did; queries
 // after Close fail with ErrSnapshotClosed either way. On platforms
-// without mmap support (or when the mapping cannot be adopted in place)
-// the function transparently degrades to a read-and-copy open that
-// behaves exactly like OpenSnapshotFile.
+// without mmap support the file is read onto the heap instead and served
+// from there, with the same deferred verification and Close semantics.
+// On a big-endian host, where the mapped columns cannot be adopted in
+// place, the open copies the file once, verifies the copy and releases
+// the mapping: the index then behaves like one from OpenSnapshotFile.
 func OpenSnapshotMapped(path string, opts ...SnapshotOption) (*Index, error) {
-	c := buildSnapshotConfig(opts)
-	mf, err := mmapfile.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	ix, err := openMappedPlain(mf, c)
-	if err != nil {
-		mf.Close()
-		return nil, err
-	}
-	return ix, nil
-}
-
-func openMappedPlain(mf *mmapfile.File, c snapshotConfig) (*Index, error) {
-	ad, err := snapshot.DecodeMapped(mf)
-	if err != nil {
-		return nil, err
-	}
-	if ad.Manifest.Kind != snapshot.KindPlain {
-		return nil, fmt.Errorf("%w: %v (use OpenShardedSnapshotMapped)", ErrSnapshotKind, ad.Manifest.Kind)
-	}
-	acct := pagestore.NewAccountant(c.bufferPages)
-	if !ad.ZeroCopy {
-		// Adoption fell back to a fully verified copying decode (non-mmap
-		// platform, big-endian host or misaligned buffer); the mapping is
-		// no longer needed.
-		p, err := rtree.PackedFromSnapshot(ad.Trees[0], ad.Manifest.Dim, rtree.Config{Accountant: acct})
-		if err != nil {
-			return nil, err
-		}
-		mf.Close()
-		return newIndexOver(p.Tree(), p, acct, p.Tree().Config()), nil
-	}
-	p, err := rtree.PackedFromSnapshotBorrowed(ad.Trees[0], ad.Manifest.Dim, rtree.Config{Accountant: acct}, ad.Verify)
-	if err != nil {
-		return nil, err
-	}
-	ix := newIndexOver(p.Tree(), p, acct, p.Tree().Config())
-	ix.file = mf
-	if c.eagerVerify {
-		if err := ix.prepare(); err != nil {
-			return nil, err
-		}
-	}
-	return ix, nil
+	return openMapped(path, opts, openPlain)
 }
 
 // Close stops the background compactor (waiting for an in-flight cycle
@@ -369,48 +382,7 @@ func (ix *Index) Close() error {
 // The same serving restrictions and Close semantics apply as for
 // OpenSnapshotMapped.
 func OpenShardedSnapshotMapped(path string, opts ...SnapshotOption) (*ShardedIndex, error) {
-	c := buildSnapshotConfig(opts)
-	mf, err := mmapfile.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	sx, err := openMappedSharded(mf, c)
-	if err != nil {
-		mf.Close()
-		return nil, err
-	}
-	return sx, nil
-}
-
-func openMappedSharded(mf *mmapfile.File, c snapshotConfig) (*ShardedIndex, error) {
-	ad, err := snapshot.DecodeMapped(mf)
-	if err != nil {
-		return nil, err
-	}
-	if ad.Manifest.Kind != snapshot.KindSharded {
-		return nil, fmt.Errorf("%w: %v (use OpenSnapshotMapped)", ErrSnapshotKind, ad.Manifest.Kind)
-	}
-	acct := pagestore.NewAccountant(c.bufferPages)
-	if !ad.ZeroCopy {
-		set, err := shard.SetFromSnapshot(ad.Manifest, ad.Trees, rtree.Config{Accountant: acct})
-		if err != nil {
-			return nil, err
-		}
-		mf.Close()
-		return newShardedOver(set, acct, shardedRcfg(set)), nil
-	}
-	set, err := shard.SetFromSnapshotBorrowed(ad.Manifest, ad.Trees, rtree.Config{Accountant: acct}, ad.Verify)
-	if err != nil {
-		return nil, err
-	}
-	sx := newShardedOver(set, acct, shardedRcfg(set))
-	sx.file = mf
-	if c.eagerVerify {
-		if err := sx.prepare(); err != nil {
-			return nil, err
-		}
-	}
-	return sx, nil
+	return openMapped(path, opts, openSharded)
 }
 
 // Close stops the background compactor and the index's resident scatter
@@ -420,7 +392,7 @@ func openMappedSharded(mf *mmapfile.File, c snapshotConfig) (*ShardedIndex, erro
 // queries — it marks the index closed (later queries fail with
 // ErrSnapshotClosed on a mapped-opened index), drains the inflight ones
 // and any in-flight compaction, stops the workers, then unmaps; closing
-// twice is safe. On a built or copy-loaded index Close only stops the
+// twice is safe. On a built or heap-loaded index Close only stops the
 // compactor and the workers — later queries still succeed on transient
 // pooled ones.
 func (sx *ShardedIndex) Close() error {
@@ -439,33 +411,6 @@ func buildSnapshotConfig(opts []SnapshotOption) snapshotConfig {
 		o(&c)
 	}
 	return c
-}
-
-// readAllSized reads r to EOF like io.ReadAll but, when r is a regular
-// file, stats it first and allocates the full buffer up front — one
-// allocation instead of the doubling growth of io.ReadAll, which both
-// over-allocates (~2x the file size transiently) and copies the data
-// log(n) times on multi-hundred-megabyte snapshots.
-func readAllSized(r io.Reader) ([]byte, error) {
-	f, ok := r.(*os.File)
-	if !ok {
-		return io.ReadAll(r)
-	}
-	fi, err := f.Stat()
-	if err != nil || !fi.Mode().IsRegular() {
-		return io.ReadAll(r)
-	}
-	size := fi.Size()
-	if size <= 0 || int64(int(size)) != size {
-		return io.ReadAll(r)
-	}
-	// One spare byte so the final read returns (0, io.EOF) without
-	// triggering a growth step when the size was exact.
-	buf := bytes.NewBuffer(make([]byte, 0, int(size)+1))
-	if _, err := buf.ReadFrom(r); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // writeSnapshotFile writes via fn into a file created at path, surfacing
