@@ -25,7 +25,13 @@ type BatchResult struct {
 //
 // Each worker holds one pooled execution context for the whole batch, so
 // every query after a worker's first reuses warm scratch (heaps, candidate
-// buffers, result lists) instead of allocating.
+// buffers, result lists) instead of allocating. On a partitioned index
+// each worker answers one query at a time and, by default, scans that
+// query's shards sequentially from its own goroutine — batch throughput
+// comes from concurrent queries, and the shared pruning bound cascades
+// from shard to shard within each query, so later shards start already
+// tightly bounded. WithShards(n) overrides the per-query scatter width
+// when individual query latency matters more than batch density.
 func (ix *Index) GroupNNBatch(queries [][]Point, opts ...QueryOption) []BatchResult {
 	out := make([]BatchResult, len(queries))
 	if len(queries) == 0 {
@@ -33,28 +39,7 @@ func (ix *Index) GroupNNBatch(queries [][]Point, opts ...QueryOption) []BatchRes
 	}
 	c := buildConfig(opts)
 	core.RunPooled(len(queries), c.parallelism, func(i int, ec *core.ExecContext) {
-		out[i].Results, out[i].Cost, out[i].Err = ix.groupNN(queries[i], c, ec)
-	})
-	return out
-}
-
-// GroupNNBatch answers many GNN queries concurrently against the sharded
-// index with a worker pool of WithParallelism(n) goroutines (default
-// GOMAXPROCS). Each worker answers one query at a time and, by default,
-// scans that query's shards sequentially from its own goroutine — batch
-// throughput comes from concurrent queries, and the shared pruning bound
-// cascades from shard to shard within each query, so later shards start
-// already tightly bounded. WithShards(n) overrides the per-query scatter
-// width when individual query latency matters more than batch density.
-// Results are identical to Index.GroupNNBatch over the same points.
-func (sx *ShardedIndex) GroupNNBatch(queries [][]Point, opts ...QueryOption) []BatchResult {
-	out := make([]BatchResult, len(queries))
-	if len(queries) == 0 {
-		return out
-	}
-	c := buildConfig(opts)
-	core.RunPooled(len(queries), c.parallelism, func(i int, ec *core.ExecContext) {
-		out[i].Results, out[i].Cost, out[i].Err = sx.groupNN(queries[i], c, ec, 1)
+		out[i].Results, out[i].Cost, out[i].Err = ix.groupNN(queries[i], c, ec, sequentialScatter)
 	})
 	return out
 }

@@ -96,26 +96,21 @@ func writeSnapshot(d *dataset.Dataset, out string, shards, capacity int) error {
 		pts[i] = gnn.Point(p)
 	}
 	cfg := gnn.IndexConfig{NodeCapacity: capacity}
-	var stats gnn.Stats
+	var ix *gnn.Index
+	var err error
 	if shards > 0 {
-		sx, err := gnn.BuildShardedIndex(pts, nil, shards, cfg)
-		if err != nil {
-			return err
-		}
-		if err := sx.WriteSnapshotFile(out); err != nil {
-			return err
-		}
-		stats = sx.Stats()
+		ix, err = gnn.BuildShardedIndex(pts, nil, shards, cfg)
 	} else {
-		ix, err := gnn.BuildIndex(pts, nil, cfg)
-		if err != nil {
-			return err
-		}
-		if err := ix.WriteSnapshotFile(out); err != nil {
-			return err
-		}
-		stats = ix.Stats()
+		ix, err = gnn.BuildIndex(pts, nil, cfg)
 	}
+	if err != nil {
+		return err
+	}
+	defer ix.Close()
+	if err := ix.WriteSnapshotFile(out); err != nil {
+		return err
+	}
+	stats := ix.Stats()
 	fi, err := os.Stat(out)
 	if err != nil {
 		return err

@@ -28,16 +28,6 @@ import (
 	"gnn/internal/snapshot"
 )
 
-// server is the query surface gnnquery needs, satisfied by both
-// gnn.Index and gnn.ShardedIndex.
-type server interface {
-	GroupNN(query []gnn.Point, opts ...gnn.QueryOption) ([]gnn.Result, error)
-	Cost() gnn.Cost
-	ResetCost()
-	Stats() gnn.Stats
-	Len() int
-}
-
 func main() {
 	var (
 		dataPath  = flag.String("data", "", "dataset file (bin, csv or snapshot; required)")
@@ -121,10 +111,9 @@ func main() {
 
 // openIndex loads the data file as an index: snapshot files (detected by
 // sniffing their header) are opened directly — zero rebuild, plain or
-// sharded decided by the header's kind field so the file is decoded
-// exactly once — while dataset files are bulk-loaded as before. For
-// snapshots it prints what was loaded, via Stats.
-func openIndex(path string) (server, error) {
+// sharded as the file says — while dataset files are bulk-loaded as
+// before. For snapshots it prints what was loaded, via Stats.
+func openIndex(path string) (*gnn.Index, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -137,21 +126,15 @@ func openIndex(path string) (server, error) {
 		// what it is), but a real read error must not be mistaken for one.
 		return nil, fmt.Errorf("sniffing %s: %w", path, err)
 	}
-	if kind, ok := snapshot.Sniff(head[:n]); ok {
-		var sv server
-		var err error
-		if kind == snapshot.KindSharded {
-			sv, err = gnn.OpenShardedSnapshotFile(path)
-		} else {
-			sv, err = gnn.OpenSnapshotFile(path)
-		}
+	if snapshot.Sniff(head[:n]) {
+		ix, err := gnn.OpenSnapshotFile(path)
 		if err != nil {
 			return nil, err
 		}
-		s := sv.Stats()
+		s := ix.Stats()
 		fmt.Printf("loaded snapshot %s: %d points, dim %d, %s, %d nodes, ~%d KiB arena\n",
 			path, s.Points, s.Dim, shardsLabel(s.Shards), s.Nodes, s.ArenaBytes/1024)
-		return sv, nil
+		return ix, nil
 	}
 	data, err := loadDataset(path)
 	if err != nil {
@@ -172,17 +155,8 @@ func shardsLabel(s int) string {
 }
 
 // writeSnapshotOut persists the loaded index.
-func writeSnapshotOut(sv server, path string) error {
-	var err error
-	switch ix := sv.(type) {
-	case *gnn.Index:
-		err = ix.WriteSnapshotFile(path)
-	case *gnn.ShardedIndex:
-		err = ix.WriteSnapshotFile(path)
-	default:
-		err = fmt.Errorf("unknown index kind %T", sv)
-	}
-	if err != nil {
+func writeSnapshotOut(ix *gnn.Index, path string) error {
+	if err := ix.WriteSnapshotFile(path); err != nil {
 		return err
 	}
 	fi, err := os.Stat(path)

@@ -1,5 +1,5 @@
 // Command gnnserve is the GNN query daemon: it memory-maps an index
-// snapshot (plain or sharded, detected from the header) and serves
+// snapshot (plain or sharded: one open serves either) and serves
 // group nearest neighbor queries over an HTTP JSON API.
 //
 //	gnngen -dataset PP -n 500000 -format snapshot -out pp.snap

@@ -1,18 +1,18 @@
 // Background compaction: folding the write overlay back into a fresh
-// packed base off the hot path, swapping it in atomically under live
-// readers, and (optionally) rotating the on-disk snapshot crash-safely.
+// packed base of the same kind (one arena, or as many shards) off the hot
+// path, swapping it in atomically under live readers, and (optionally)
+// rotating the on-disk snapshot crash-safely.
 
 package gnn
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
 	"gnn/internal/overlay"
-	"gnn/internal/rtree"
+	"gnn/internal/shard"
 	"gnn/internal/snapshot"
 )
 
@@ -26,11 +26,11 @@ var ErrCompactorRunning = errors.New("gnn: compactor already running")
 // to pack a base first.
 var ErrNotFrozen = errors.New("gnn: index has no packed base; call Pack first")
 
-// CompactorConfig tunes the background compactor. On a mapped index
-// (OpenSnapshotMapped, OpenShardedSnapshotMapped) the first compaction
-// also releases the mapping: the file is unmapped once the reads that
-// started before the swap are done, so Close is no longer the only point
-// where it goes.
+// CompactorConfig tunes the background compactor. On a mapped index (one
+// opened with OpenSnapshotMapped or OpenShardedSnapshotMapped) the first
+// compaction also releases the mapping: the file is unmapped once the
+// reads that started before the swap are done, so Close is no longer the
+// only point where it goes.
 type CompactorConfig struct {
 	// Threshold is the overlay size (live overlay inserts + masked base
 	// occurrences) at which a compaction cycle is triggered. Default
@@ -62,7 +62,7 @@ func (c CompactorConfig) withDefaults() CompactorConfig {
 	return c
 }
 
-// compactor is the background loop shared by Index and ShardedIndex.
+// compactor is an index's background compaction loop.
 type compactor struct {
 	threshold int
 	interval  time.Duration
@@ -111,8 +111,9 @@ func (c *compactor) halt() {
 }
 
 // StartCompactor starts the background compactor. The index must have a
-// packed base (BuildIndex, OpenSnapshot*, or Pack on a NewIndex). A stale
-// temp file from a crashed previous rotation at cfg.Path is removed.
+// packed base (BuildIndex, BuildShardedIndex, a snapshot open, or Pack on
+// a NewIndex). A stale temp file from a crashed previous rotation at
+// cfg.Path is removed.
 func (ix *Index) StartCompactor(cfg CompactorConfig) error {
 	cfg = cfg.withDefaults()
 	ix.mu.Lock()
@@ -123,7 +124,7 @@ func (ix *Index) StartCompactor(cfg CompactorConfig) error {
 	if ix.comp != nil {
 		return ErrCompactorRunning
 	}
-	if ix.view.Load().packed == nil {
+	if ix.view.Load().set == nil {
 		return ErrNotFrozen
 	}
 	ix.persist = cfg.Path
@@ -161,9 +162,12 @@ func (ix *Index) kickCompactor(nv *viewState) {
 	}
 }
 
-// Compact synchronously folds the overlay into a fresh packed base and
-// swaps it in under live readers: the old base is never freed under a
-// traversal (in-flight queries hold their view). A mapped base's file is
+// Compact synchronously folds the overlay into a fresh packed base — a
+// partitioned base is re-partitioned into the same number of shards —
+// and swaps it in under live readers: the old base is never freed under a
+// traversal (in-flight queries hold their view), and the old shard set's
+// resident scatter workers stop after the swap, so in-flight queries on
+// it finish on pooled workers. A mapped base's file is
 // unmapped once every read that started before the swap has released its
 // lifecycle reference, so the compacted index keeps one resident copy of
 // its points instead of holding the file mapped until Close. When a
@@ -192,7 +196,7 @@ func (ix *Index) compactOnce() (err error) {
 	v := ix.view.Load()
 	path := ix.persist
 	ix.mu.Unlock()
-	if v.packed == nil {
+	if v.set == nil {
 		return ErrNotFrozen
 	}
 	if v.ov == nil {
@@ -212,28 +216,29 @@ func (ix *Index) compactOnce() (err error) {
 	// A lazily verified mapped base must pass its checks before it is
 	// folded: a corrupt one enumerates no points, and the cycle would
 	// swap (and rotate over the served file) the overlay alone.
-	if err := v.packed.Prepare(); err != nil {
+	if err := v.set.Prepare(); err != nil {
 		return fmt.Errorf("gnn: compact: %w", err)
 	}
 	// Build the replacement base off the write lock: writers and readers
 	// proceed against the captured view while this runs.
-	cols, ids, err := liveColumns([]*rtree.Packed{v.packed}, v.ov)
+	cols, ids, err := liveColumns(v.set.Arenas(), v.ov)
 	if err != nil {
 		return fmt.Errorf("gnn: compact: %w", err)
 	}
-	np, err := rtree.PackSTR(ix.rcfg, cols, ids)
+	nset, err := v.set.Rebuild(cols, ids)
 	if err != nil {
 		return fmt.Errorf("gnn: compact: %w", err)
 	}
 
 	var persistErr error
 	if path != "" {
-		persistErr = persistPacked(path, np)
+		persistErr = persist(path, nset)
 	}
 
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ix.closed.Load() {
+		nset.Close()
 		return ErrSnapshotClosed
 	}
 	// Replay the mutations that landed while the rebuild ran onto the
@@ -242,7 +247,7 @@ func (ix *Index) compactOnce() (err error) {
 	// state (tombstone multiplicities are recomputed against the new
 	// base).
 	tail := ix.log[v.seq:]
-	nv := &viewState{tree: np.Tree(), packed: np}
+	nv := &viewState{set: nset}
 	for _, m := range tail {
 		if m.Del {
 			if nv2, ok := ix.applyDelete(nv, m.P, m.ID); ok {
@@ -258,20 +263,22 @@ func (ix *Index) compactOnce() (err error) {
 	ix.log = append([]overlay.Mutation(nil), tail...)
 	ix.view.Store(nv)
 	ix.compactGen.Add(1)
-	// The new base lives on the heap: a mapped file goes once the reads
-	// that may hold the old view — this cycle's own included — release.
+	// Stop the replaced set's resident workers deterministically:
+	// in-flight queries holding the old view finish on pooled workers
+	// (shard.Set.Close is drain-safe), and the arenas themselves stay
+	// reachable until those views are dropped. The new base lives on the
+	// heap: a mapped file goes once the reads that may hold the old view —
+	// this cycle's own included — release.
+	v.set.Close()
 	ix.retire()
 	return persistErr
 }
 
-// persistPacked rotates a snapshot of the packed arena into path
-// crash-safely, re-validating the temp file with the strict checks before
-// the rename so a torn or corrupt write can never replace a good file.
+// persist rotates a snapshot of the base into path crash-safely,
+// re-validating the temp file with the strict checks before the rename
+// so a torn or corrupt write can never replace a good file.
 // snapshot.VerifyFile runs every check of the decoder while reading the
 // file's columns in bounded chunks, so they never become resident.
-func persistPacked(path string, p *rtree.Packed) error {
-	return snapshot.AtomicWriteFile(path, func(w io.Writer) error {
-		_, err := p.WriteTo(w)
-		return err
-	}, snapshot.VerifyFile)
+func persist(path string, set *shard.Set) error {
+	return snapshot.AtomicWriteFile(path, set.WriteSnapshot, snapshot.VerifyFile)
 }

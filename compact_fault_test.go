@@ -288,7 +288,7 @@ func TestCompactionFaultTableSharded(t *testing.T) {
 		if s := sx.Stats(); s.Delta != 0 || s.LastCompactionError == "" {
 			t.Fatalf("%s: stats after failed rotation: %+v", fc.name, s)
 		}
-		loaded, oerr := gnn.OpenShardedSnapshotFile(path)
+		loaded, oerr := gnn.OpenSnapshotFile(path)
 		if oerr != nil {
 			t.Fatalf("%s: previous sharded snapshot not decodable: %v", fc.name, oerr)
 		}

@@ -2,7 +2,6 @@ package gnn
 
 import (
 	"bytes"
-	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -10,8 +9,6 @@ import (
 	"reflect"
 	"testing"
 	"time"
-
-	"gnn/internal/rtree"
 )
 
 // TestCompactionMatchesFreshBuild pins what a compaction hands back: the
@@ -72,7 +69,10 @@ func TestCompactionMatchesFreshBuild(t *testing.T) {
 			// multiset is the surviving base slots, then the inserts.
 			var livePts []Point
 			var liveIDs []int64
-			base := ix.view.Load().packed
+			base, err := ix.view.Load().set.Arena()
+			if err != nil {
+				t.Fatal(err)
+			}
 			for slot, id := range base.IDs() {
 				p := Point(base.PointInto(int32(slot), nil))
 				if slot%7 == 0 {
@@ -144,18 +144,8 @@ func TestCompactionMatchesFreshBuild(t *testing.T) {
 	}
 }
 
-// folding is what TestFoldsMatchFreshBuild drives on both index kinds.
-type folding interface {
-	Insert(p Point, id int64) error
-	Delete(p Point, id int64) bool
-	StartCompactor(cfg CompactorConfig) error
-	Compact() error
-	WriteSnapshot(w io.Writer) error
-	Close() error
-}
-
-// TestFoldsMatchFreshBuild pins what a fold hands back on both index
-// kinds, built and mapped, over the shapes an in-place bulk load must
+// TestFoldsMatchFreshBuild pins what a fold hands back on a plain and a
+// sharded index, built and mapped, over the shapes an in-place bulk load must
 // get right: a random mix of deletes and inserts (one folded delta tree
 // and a pending tail), every point deleted, fewer live points than
 // shards (2 of 4), and a (point, id) stored twice with one copy
@@ -198,24 +188,14 @@ func TestFoldsMatchFreshBuild(t *testing.T) {
 		{"fewer-than-shards", random(40), nil, func(i int, _ int64, _ int) bool { return i != 5 && i != 30 }, nil},
 		{"duplicate", dup, dupIDs, func(_ int, id int64, copy int) bool { return id == 17 && copy == 0 }, nil},
 	}
-	type kind struct {
+	kinds := []struct {
 		name  string
-		build func(pts []Point, ids []int64) (folding, error)
-		open  func(path string) (folding, error)
-		// base returns a fresh index's base arenas in gather order.
-		base func(ix folding) []*rtree.Packed
+		build func(pts []Point, ids []int64) (*Index, error)
+	}{
+		{"plain", func(pts []Point, ids []int64) (*Index, error) { return BuildIndex(pts, ids, cfg) }},
+		{"sharded", func(pts []Point, ids []int64) (*Index, error) { return BuildShardedIndex(pts, ids, shards, cfg) }},
 	}
-	kinds := []kind{
-		{"plain",
-			func(pts []Point, ids []int64) (folding, error) { return BuildIndex(pts, ids, cfg) },
-			func(path string) (folding, error) { return OpenSnapshotMapped(path) },
-			func(ix folding) []*rtree.Packed { return []*rtree.Packed{ix.(*Index).view.Load().packed} }},
-		{"sharded",
-			func(pts []Point, ids []int64) (folding, error) { return BuildShardedIndex(pts, ids, shards, cfg) },
-			func(path string) (folding, error) { return OpenShardedSnapshotMapped(path) },
-			func(ix folding) []*rtree.Packed { return ix.(*ShardedIndex).view.Load().set.Arenas() }},
-	}
-	snap := func(t *testing.T, ix folding) []byte {
+	snap := func(t *testing.T, ix *Index) []byte {
 		t.Helper()
 		var b bytes.Buffer
 		if err := ix.WriteSnapshot(&b); err != nil {
@@ -238,7 +218,7 @@ func TestFoldsMatchFreshBuild(t *testing.T) {
 			var livePts, delPts []Point
 			var liveIDs, delIDs []int64
 			i, copies := 0, map[int64]int{}
-			for _, base := range k.base(built) {
+			for _, base := range built.view.Load().set.Arenas() {
 				for s, id := range base.IDs() {
 					p := Point(base.PointInto(int32(s), nil))
 					copies[id]++
@@ -263,10 +243,10 @@ func TestFoldsMatchFreshBuild(t *testing.T) {
 
 			for _, o := range []struct {
 				name string
-				open func() (folding, error)
+				open func() (*Index, error)
 			}{
-				{"built", func() (folding, error) { return k.build(sh.pts, sh.ids) }},
-				{"mapped", func() (folding, error) { return k.open(path) }},
+				{"built", func() (*Index, error) { return k.build(sh.pts, sh.ids) }},
+				{"mapped", func() (*Index, error) { return OpenSnapshotMapped(path) }},
 			} {
 				t.Run(sh.name+"/"+k.name+"/"+o.name, func(t *testing.T) {
 					ix, err := o.open()

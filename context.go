@@ -23,6 +23,9 @@ var (
 // bounded intervals (every few hundred node or point visits) and, once
 // it fires, unwinds and returns ErrCanceled or ErrDeadlineExceeded. A
 // context that can never fire (context.Background()) adds no overhead.
+// Each shard of a partitioned index polls the context independently
+// (forked checks, no cross-shard synchronisation), so the whole scatter
+// unwinds within a bounded number of node visits of the context firing.
 // Cost accounting is exact up to the stop: the index-wide counters
 // accrue whatever the abandoned traversal actually touched.
 func (ix *Index) GroupNNContext(ctx context.Context, query []Point, opts ...QueryOption) ([]Result, error) {
@@ -36,24 +39,7 @@ func (ix *Index) GroupNNContext(ctx context.Context, query []Point, opts ...Quer
 func (ix *Index) GroupNNWithCostContext(ctx context.Context, query []Point, opts ...QueryOption) ([]Result, Cost, error) {
 	c := buildConfig(opts)
 	c.cancel = core.NewCancelCheck(ctx)
-	return ix.groupNN(query, c, nil)
-}
-
-// GroupNNContext is GroupNN under a context for the sharded index. Each
-// shard of the scatter polls the context independently (forked checks,
-// no cross-shard synchronisation) and the whole scatter unwinds within
-// a bounded number of node visits of the context firing.
-func (sx *ShardedIndex) GroupNNContext(ctx context.Context, query []Point, opts ...QueryOption) ([]Result, error) {
-	res, _, err := sx.GroupNNWithCostContext(ctx, query, opts...)
-	return res, err
-}
-
-// GroupNNWithCostContext is GroupNNContext returning the query's own
-// I/O cost — the exact sum of per-shard accesses up to the stop.
-func (sx *ShardedIndex) GroupNNWithCostContext(ctx context.Context, query []Point, opts ...QueryOption) ([]Result, Cost, error) {
-	c := buildConfig(opts)
-	c.cancel = core.NewCancelCheck(ctx)
-	return sx.groupNN(query, c, nil, defaultScatterWorkers())
+	return ix.groupNN(query, c, nil, wideScatter)
 }
 
 // GroupNNBatchContext is GroupNNBatch under a context. Queries the
@@ -61,26 +47,10 @@ func (sx *ShardedIndex) GroupNNWithCostContext(ctx context.Context, query []Poin
 // ErrDeadlineExceeded in their own entry; queries already running are
 // stopped by their traversal's own poll. The error return is nil when
 // the context outlived the batch, the typed context error otherwise —
-// per-query entries remain individually meaningful either way.
+// per-query entries remain individually meaningful either way. Each
+// query gets its own forked cancel check (a CancelCheck belongs to one
+// goroutine; pool workers run concurrently).
 func (ix *Index) GroupNNBatchContext(ctx context.Context, queries [][]Point, opts ...QueryOption) ([]BatchResult, error) {
-	return batchContext(ctx, queries, opts, func(q []Point, c queryConfig, ec *core.ExecContext) ([]Result, Cost, error) {
-		return ix.groupNN(q, c, ec)
-	})
-}
-
-// GroupNNBatchContext is GroupNNBatch under a context for the sharded
-// index; semantics as for Index.GroupNNBatchContext.
-func (sx *ShardedIndex) GroupNNBatchContext(ctx context.Context, queries [][]Point, opts ...QueryOption) ([]BatchResult, error) {
-	return batchContext(ctx, queries, opts, func(q []Point, c queryConfig, ec *core.ExecContext) ([]Result, Cost, error) {
-		return sx.groupNN(q, c, ec, 1)
-	})
-}
-
-// batchContext runs the pooled batch loop with a per-query forked
-// cancel check (a CancelCheck belongs to one goroutine; pool workers
-// run concurrently, so each query gets its own).
-func batchContext(ctx context.Context, queries [][]Point, opts []QueryOption,
-	run func([]Point, queryConfig, *core.ExecContext) ([]Result, Cost, error)) ([]BatchResult, error) {
 	out := make([]BatchResult, len(queries))
 	if len(queries) == 0 {
 		return out, core.ContextErr(ctx)
@@ -98,7 +68,7 @@ func batchContext(ctx context.Context, queries [][]Point, opts []QueryOption,
 		}()
 		qc := c
 		qc.cancel = root.Fork()
-		out[i].Results, out[i].Cost, out[i].Err = run(queries[i], qc, ec)
+		out[i].Results, out[i].Cost, out[i].Err = ix.groupNN(queries[i], qc, ec, sequentialScatter)
 	})
 	return out, core.ContextErr(ctx)
 }

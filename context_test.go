@@ -248,7 +248,7 @@ func TestCloseDrainsInflight(t *testing.T) {
 // must count p's base occurrences — then inserts it and deletes it again,
 // leaving the overlay as it found it. Only the insert reports a closed
 // index; a delete on one reports false.
-func deleteInsertDelete(m mutable, p gnn.Point, id int64) error {
+func deleteInsertDelete(m *gnn.Index, p gnn.Point, id int64) error {
 	if m.Delete(p, id) {
 		return fmt.Errorf("deleted absent entry %d", id)
 	}
@@ -333,17 +333,6 @@ func TestShardedCloseDrainsInflight(t *testing.T) {
 	}
 }
 
-// compacting is the surface both index kinds share that the release
-// tests drive.
-type compacting interface {
-	io.Closer
-	mutable
-	GroupNN(query []gnn.Point, opts ...gnn.QueryOption) ([]gnn.Result, error)
-	GroupNNIterator(query []gnn.Point, opts ...gnn.QueryOption) (*gnn.Iterator, error)
-	StartCompactor(cfg gnn.CompactorConfig) error
-	Compact() error
-}
-
 // TestCloseDrainsReleasedMapping storms a mapped index, plain and
 // sharded, while compactions swap heap bases over the mapped one and so
 // release the file: queries, iterators and deletes that loaded the
@@ -360,9 +349,9 @@ func TestCloseDrainsReleasedMapping(t *testing.T) {
 	dir := t.TempDir()
 	plainPath := writeSnapFile(t, dir, "ix.snap", ix.WriteSnapshotFile)
 	shardedPath := writeSnapFile(t, dir, "sx.snap", sx.WriteSnapshotFile)
-	open := map[string]func() (compacting, error){
-		"plain":   func() (compacting, error) { return gnn.OpenSnapshotMapped(plainPath) },
-		"sharded": func() (compacting, error) { return gnn.OpenShardedSnapshotMapped(shardedPath) },
+	open := map[string]func() (*gnn.Index, error){
+		"plain":   func() (*gnn.Index, error) { return gnn.OpenSnapshotMapped(plainPath) },
+		"sharded": func() (*gnn.Index, error) { return gnn.OpenShardedSnapshotMapped(shardedPath) },
 	}
 	var absent, fresh atomic.Int64
 	for round := 0; round < 6; round++ {

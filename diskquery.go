@@ -6,6 +6,7 @@ import (
 	"gnn/internal/core"
 	"gnn/internal/geom"
 	"gnn/internal/pagestore"
+	"gnn/internal/rtree"
 )
 
 // DiskAlgorithm selects the processing method for disk-resident query
@@ -119,6 +120,7 @@ func (qs *QuerySet) ResetCost() { qs.acct.Reset() }
 // using F-MQM or F-MBM. Accepted options: WithK, WithDepthFirst (F-MBM
 // only) and WithDiskAlgorithm via the DiskQueryOption wrappers below.
 // Safe for unlimited concurrent callers sharing the index and the set.
+// It fails with ErrPartitioned on a sharded index.
 func (ix *Index) GroupNNFromSet(qs *QuerySet, algo DiskAlgorithm, opts ...QueryOption) ([]Result, error) {
 	res, _, err := ix.GroupNNFromSetWithCost(qs, algo, opts...)
 	return res, err
@@ -140,22 +142,26 @@ func (ix *Index) GroupNNFromSetWithCost(qs *QuerySet, algo DiskAlgorithm, opts .
 		return nil, Cost{}, err
 	}
 	v := ix.view.Load()
+	p, err := v.set.Arena()
+	if err != nil {
+		return nil, Cost{}, err
+	}
 	if v.ov != nil {
 		return nil, Cost{}, ErrPendingMutations
 	}
 	dopt := core.DiskOptions{Options: c.coreOptions()}
 	var tk pagestore.CostTracker
 	dopt.Cost = &tk
-	dopt.Packed = v.packed
+	dopt.Packed = p
 	if algo == DiskAuto {
 		algo = qs.AutoAlgorithm()
 	}
 	var rep *core.DiskReport
 	switch algo {
 	case DiskFMQM:
-		rep, err = core.FMQM(v.tree, qs.qf, dopt)
+		rep, err = core.FMQM(p.Tree(), qs.qf, dopt)
 	case DiskFMBM:
-		rep, err = core.FMBM(v.tree, qs.qf, dopt)
+		rep, err = core.FMBM(p.Tree(), qs.qf, dopt)
 	default:
 		return nil, Cost{}, fmt.Errorf("gnn: unknown disk algorithm %v", algo)
 	}
@@ -169,7 +175,8 @@ func (ix *Index) GroupNNFromSetWithCost(qs *QuerySet, algo DiskAlgorithm, opts .
 // indexed by an R-tree, using the group closest pairs method (§4.1).
 // pairBudget caps the number of closest pairs consumed (0 = unlimited);
 // exceeding it returns ErrBudgetExceeded, mirroring the paper's
-// non-terminating GCP configurations.
+// non-terminating GCP configurations. It fails with ErrPartitioned when
+// either index is sharded.
 func (ix *Index) GroupNNClosestPairs(queryIndex *Index, pairBudget int64, opts ...QueryOption) ([]Result, error) {
 	res, _, err := ix.GroupNNClosestPairsWithCost(queryIndex, pairBudget, opts...)
 	return res, err
@@ -184,7 +191,8 @@ func (ix *Index) GroupNNClosestPairsWithCost(queryIndex *Index, pairBudget int64
 	}
 	// The pair traversal reads both arenas, so both indexes stay
 	// referenced (and a mapped one mapped) until it finishes.
-	for _, x := range []*Index{ix, queryIndex} {
+	var arenas [2]*rtree.Packed
+	for i, x := range []*Index{ix, queryIndex} {
 		r, err := x.acquire()
 		if err != nil {
 			return nil, Cost{}, err
@@ -193,10 +201,13 @@ func (ix *Index) GroupNNClosestPairsWithCost(queryIndex *Index, pairBudget int64
 		if err := x.prepare(); err != nil {
 			return nil, Cost{}, err
 		}
-	}
-	v, qv := ix.view.Load(), queryIndex.view.Load()
-	if v.ov != nil || qv.ov != nil {
-		return nil, Cost{}, ErrPendingMutations
+		v := x.view.Load()
+		if arenas[i], err = v.set.Arena(); err != nil {
+			return nil, Cost{}, err
+		}
+		if v.ov != nil {
+			return nil, Cost{}, ErrPendingMutations
+		}
 	}
 	gopt := core.GCPOptions{
 		Options:    c.coreOptions(),
@@ -204,7 +215,7 @@ func (ix *Index) GroupNNClosestPairsWithCost(queryIndex *Index, pairBudget int64
 	}
 	var tk pagestore.CostTracker
 	gopt.Cost = &tk
-	rep, err := core.GCP(v.packed, qv.packed, gopt)
+	rep, err := core.GCP(arenas[0], arenas[1], gopt)
 	if err != nil {
 		return nil, Cost{}, err
 	}

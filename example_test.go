@@ -47,8 +47,8 @@ func ExampleWithAggregate() {
 	// sum-optimal #2, max-optimal #2
 }
 
-// Sharded serving: the same query surface over a Hilbert-partitioned set
-// of independent packed R-trees. Results are identical to a plain Index;
+// Sharded serving: the same Index over a Hilbert-partitioned set of
+// independent packed R-trees. Results are identical to BuildIndex's;
 // the shards prune each other through a shared best-distance bound and
 // the reported cost is the exact sum of per-shard node accesses.
 func ExampleBuildShardedIndex() {
@@ -62,13 +62,13 @@ func ExampleBuildShardedIndex() {
 
 	users := []gnn.Point{{12, 14}, {18, 11}, {16, 19}}
 	res, cost, _ := sx.GroupNNWithCost(users, gnn.WithK(2))
-	fmt.Printf("%d shards of %v points\n", sx.NumShards(), sx.ShardSizes())
+	fmt.Printf("%d shards over %d points\n", sx.Stats().Shards, sx.Len())
 	for _, r := range res {
 		fmt.Printf("place #%d at total distance %.2f\n", r.ID, r.Dist)
 	}
 	fmt.Printf("charged node accesses: %v\n", cost.NodeAccesses > 0)
 	// Output:
-	// 4 shards of [100 100 100 100] points
+	// 4 shards over 400 points
 	// place #63 at total distance 12.29
 	// place #62 at total distance 17.22
 	// charged node accesses: true

@@ -46,12 +46,13 @@ func traceCounters(tr *core.Trace) TraceCounters {
 }
 
 // StageTiming is one timed step of a query's execution. Stage names:
-// "query" (the whole traversal of an unsharded, non-overlay index),
-// "scatter" (one entry per shard, Shard set), "merge" (the scatter
-// gather), the overlay sources "base" / "delta" / "pending" and their
-// final "overlay-merge" ("merge" on a plain index), and — on queries
-// arriving through the HTTP server — "admission" (time spent waiting
-// for an admission slot).
+// "query" (the whole traversal of an unpartitioned index without overlay
+// writes), "scatter" (one entry per shard of a partitioned index, Shard
+// set), "merge" (the scatter's gather), the overlay sources "base" /
+// "delta" / "pending" and their final merge — "overlay-merge" on a
+// partitioned index, "merge" on an unpartitioned one — and, on queries
+// arriving through the HTTP server, "admission" (time spent waiting for
+// an admission slot).
 type StageTiming struct {
 	Name string `json:"name"`
 	// Shard is the shard index for per-shard stages, -1 otherwise.
@@ -80,7 +81,8 @@ type QueryExplain struct {
 	// K and GroupSize echo the query shape.
 	K         int `json:"k"`
 	GroupSize int `json:"group_size"`
-	// Shards is the shard count of a sharded index, 0 for a plain Index.
+	// Shards is the shard count of a partitioned index, 0 for an
+	// unpartitioned one.
 	Shards int `json:"shards,omitempty"`
 	// Overlay reports whether un-compacted writes (delta/tombstones) were
 	// merged into the answer.
@@ -97,7 +99,7 @@ type QueryExplain struct {
 }
 
 // explainFrom assembles the public report from a completed probe.
-func explainFrom(c queryConfig, groupSize, shards int, cost Cost, total time.Duration) *QueryExplain {
+func explainFrom(c queryConfig, groupSize int, cost Cost, total time.Duration) *QueryExplain {
 	p := c.probe
 	algo := c.algo
 	if algo == AlgoAuto {
@@ -108,7 +110,7 @@ func explainFrom(c queryConfig, groupSize, shards int, cost Cost, total time.Dur
 		Aggregate: c.aggregate.String(),
 		K:         c.k,
 		GroupSize: groupSize,
-		Shards:    shards,
+		Shards:    p.shards,
 		Overlay:   p.overlay,
 		Stages:    make([]StageTiming, 0, len(p.stages.Stages)),
 		Trace:     traceCounters(&p.trace),
@@ -129,9 +131,11 @@ func explainFrom(c queryConfig, groupSize, shards int, cost Cost, total time.Dur
 
 // GroupNNExplain answers the query exactly like GroupNN and additionally
 // returns a QueryExplain describing how: per-stage wall times, pruning
-// counters and execution provenance. The diagnostics are collected with
-// plain counter increments, so results are bit-identical to the
-// untraced call. Safe for unlimited concurrent callers.
+// counters and execution provenance. On a partitioned index the report
+// carries one "scatter" stage per shard (with its shard index and wall
+// time) and trace counters summed over the shards. The diagnostics are
+// collected with plain counter increments, so results are bit-identical
+// to the untraced call. Safe for unlimited concurrent callers.
 func (ix *Index) GroupNNExplain(query []Point, opts ...QueryOption) ([]Result, *QueryExplain, error) {
 	return ix.GroupNNExplainContext(context.Background(), query, opts...)
 }
@@ -143,30 +147,9 @@ func (ix *Index) GroupNNExplainContext(ctx context.Context, query []Point, opts 
 	c.cancel = core.NewCancelCheck(ctx)
 	c.probe = &explainProbe{}
 	start := time.Now()
-	res, cost, err := ix.groupNN(query, c, nil)
+	res, cost, err := ix.groupNN(query, c, nil, wideScatter)
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, explainFrom(c, len(query), 0, cost, time.Since(start)), nil
-}
-
-// GroupNNExplain is Index.GroupNNExplain for the sharded index: the
-// report additionally carries one "scatter" stage per shard (with its
-// shard index and wall time) and trace counters summed over the shards.
-func (sx *ShardedIndex) GroupNNExplain(query []Point, opts ...QueryOption) ([]Result, *QueryExplain, error) {
-	return sx.GroupNNExplainContext(context.Background(), query, opts...)
-}
-
-// GroupNNExplainContext is GroupNNExplain under a context for the
-// sharded index.
-func (sx *ShardedIndex) GroupNNExplainContext(ctx context.Context, query []Point, opts ...QueryOption) ([]Result, *QueryExplain, error) {
-	c := buildConfig(opts)
-	c.cancel = core.NewCancelCheck(ctx)
-	c.probe = &explainProbe{}
-	start := time.Now()
-	res, cost, err := sx.groupNN(query, c, nil, defaultScatterWorkers())
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, explainFrom(c, len(query), sx.NumShards(), cost, time.Since(start)), nil
+	return res, explainFrom(c, len(query), cost, time.Since(start)), nil
 }

@@ -7,15 +7,9 @@ import (
 	"gnn"
 )
 
-// explainTarget is the common surface of the plain and sharded indexes.
-type explainTarget interface {
-	GroupNN(query []gnn.Point, opts ...gnn.QueryOption) ([]gnn.Result, error)
-	GroupNNExplain(query []gnn.Point, opts ...gnn.QueryOption) ([]gnn.Result, *gnn.QueryExplain, error)
-}
-
 // requireExplainMatches runs the same query plain and explained and
 // fails unless the results are bit-identical and the explain is sane.
-func requireExplainMatches(t *testing.T, label string, ix explainTarget, q []gnn.Point, opts ...gnn.QueryOption) *gnn.QueryExplain {
+func requireExplainMatches(t *testing.T, label string, ix *gnn.Index, q []gnn.Point, opts ...gnn.QueryOption) *gnn.QueryExplain {
 	t.Helper()
 	plain, err := ix.GroupNN(q, opts...)
 	if err != nil {

@@ -7,3 +7,14 @@ package gnn
 // higher). It exists only in tests, as the reference path of the
 // differential suites; it has no effect on SUM or MIN queries.
 func WithGenericMax() QueryOption { return func(c *queryConfig) { c.genericMax = true } }
+
+// ShardSizes returns the point counts of ix's current base arenas in
+// shard order: one count on an unpartitioned index. Un-compacted overlay
+// writes are not included.
+func ShardSizes(ix *Index) []int {
+	var sizes []int
+	for _, p := range ix.view.Load().set.Arenas() {
+		sizes = append(sizes, p.Len())
+	}
+	return sizes
+}

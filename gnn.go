@@ -43,20 +43,22 @@
 // Before its first read, a NewIndex's writes edit its buffer of points
 // under the same writer lock.
 //
-// Scale-out: ShardedIndex Hilbert-partitions the data set into S
-// independent packed R-trees and answers the same query surface by
-// scatter-gather — per-shard kernels share a monotonically tightening
-// best-distance bound and a k-way merge reassembles the answer — with
-// the distances of a single Index rank for rank (exact equal-distance
-// ties may resolve to a different tied point) and per-query costs that
-// are the exact sum of per-shard node accesses.
+// Scale-out: BuildShardedIndex Hilbert-partitions the data set into S
+// independent packed R-trees, and the Index it returns answers the same
+// query surface by scatter-gather — per-shard kernels share a
+// monotonically tightening best-distance bound and a k-way merge
+// reassembles the answer — with the distances of an unpartitioned index
+// rank for rank (exact equal-distance ties may resolve to a different
+// tied point) and per-query costs that are the exact sum of per-shard
+// node accesses. The partition is chosen at construction and kept across
+// compactions and snapshots.
 //
-// Persistence: WriteSnapshot serialises the packed serving arena in a
-// versioned, checksummed binary format (internal/snapshot) and
-// OpenSnapshot cold-starts from it without re-bulk-loading — with
-// results, costs and node accesses bit-identical to the index that
-// wrote it. ShardedIndex snapshots round-trip with their partition
-// intact. See the README's "Persistence" section.
+// Persistence: WriteSnapshot serialises the packed serving arena (or
+// every shard's, with the partition) in a versioned, checksummed binary
+// format (internal/snapshot) and OpenSnapshot cold-starts from either
+// kind without re-bulk-loading — with results, costs and node accesses
+// bit-identical to the index that wrote it. See the README's
+// "Persistence" section.
 //
 // Quick start:
 //
@@ -79,6 +81,7 @@ import (
 	"gnn/internal/overlay"
 	"gnn/internal/pagestore"
 	"gnn/internal/rtree"
+	"gnn/internal/shard"
 )
 
 // Point is a point in d-dimensional Euclidean space (the paper evaluates
@@ -107,23 +110,25 @@ type IndexConfig struct {
 }
 
 // Index is an R-tree over the data set P. Build one with NewIndex (empty,
-// then Insert) or BuildIndex (bulk load). All read operations are safe for
+// then Insert), BuildIndex (bulk load), BuildShardedIndex (bulk load into
+// Hilbert shards) or a snapshot open. All read operations are safe for
 // unlimited concurrent callers, and so are Insert and Delete.
 //
-// Queries traverse the index's packed base: a flat, cache-friendly SoA
-// arena. The packed base is immutable: Insert and Delete on a packed
-// index go into a delta overlay (see the package comment); Pack or the
-// background compactor folds the overlay back into a fresh packed base.
+// Queries traverse the index's packed base: one flat, cache-friendly SoA
+// arena, or one per shard of a BuildShardedIndex or a sharded snapshot.
+// The base is immutable: Insert and Delete on a packed index go into a
+// delta overlay (see the package comment); Pack or the background
+// compactor folds the overlay back into a fresh base of the same kind.
 // A NewIndex buffers its points until its first read, which STR-packs
 // them into the base exactly as BuildIndex would pack the same points in
 // insertion order.
 type Index struct {
-	// view is the index's current immutable serving state: base tree,
-	// packed base arena and write overlay. Readers load it once per
-	// operation (lock-free); writers build a successor under mu and
-	// publish it atomically.
+	// view is the index's current immutable serving state: base and write
+	// overlay. Readers load it once per operation (lock-free); writers
+	// build a successor under mu and publish it atomically.
 	view atomic.Pointer[viewState]
-	acct *pagestore.Accountant
+	// rcfg is the build geometry, its defaults resolved; its Accountant
+	// collects every query's node accesses.
 	rcfg rtree.Config
 
 	// mu serializes writers: Insert, Delete, Pack and the compactor's
@@ -151,7 +156,8 @@ type Index struct {
 	compactErr atomic.Pointer[string] // last compaction error ("" = none)
 
 	// lifecycle holds the file view of a zero-copy open
-	// (OpenSnapshotMapped) and the references that keep it mapped.
+	// (OpenSnapshotMapped, OpenShardedSnapshotMapped) and the references
+	// that keep it mapped.
 	lifecycle
 }
 
@@ -165,13 +171,13 @@ func (ix *Index) prepare() error {
 		return ErrSnapshotClosed
 	}
 	v := ix.view.Load()
-	if v.packed == nil {
+	if v.set == nil {
 		var err error
 		if v, err = ix.freeze(); err != nil {
 			return err
 		}
 	}
-	return v.packed.Prepare()
+	return v.set.Prepare()
 }
 
 // freeze packs the buffered points of a never-read NewIndex into the
@@ -181,12 +187,12 @@ func (ix *Index) freeze() (*viewState, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	v := ix.view.Load()
-	if v.packed == nil {
-		p, err := ix.slab.pack(ix.rcfg)
+	if v.set == nil {
+		set, err := ix.slab.pack(ix.rcfg)
 		if err != nil {
 			return nil, err
 		}
-		v = &viewState{tree: p.Tree(), packed: p, seq: v.seq}
+		v = &viewState{set: set, seq: v.seq}
 		ix.view.Store(v)
 		ix.slab = pointSlab{}
 	}
@@ -212,14 +218,14 @@ func (s *pointSlab) delete(p geom.Point, id int64) bool {
 	return false
 }
 
-// pack bulk-loads the buffered points with PackSTR, exactly as
+// pack bulk-loads the buffered points into one arena, exactly as
 // BuildIndex loads the same points; the slab is left as it was.
-func (s *pointSlab) pack(cfg rtree.Config) (*rtree.Packed, error) {
+func (s *pointSlab) pack(cfg rtree.Config) (*shard.Set, error) {
 	cols, err := rtree.Columns(cfg, s.pts)
 	if err != nil {
 		return nil, err
 	}
-	return rtree.PackSTR(cfg, cols, slices.Clone(s.ids))
+	return shard.Pack(cfg, cols, slices.Clone(s.ids))
 }
 
 // lifecycle keeps the file view of a mapped open alive under every read
@@ -230,8 +236,8 @@ func (s *pointSlab) pack(cfg rtree.Config) (*rtree.Packed, error) {
 // unmapped as soon as the references taken before that swap are gone,
 // since only those can hold a view of the mapped base.
 //
-// Index and ShardedIndex embed it; for every other construction file is
-// nil, retire does nothing and Close leaves closed unset.
+// Index embeds it; for every construction but a mapped open file is nil,
+// retire does nothing and Close leaves closed unset.
 type lifecycle struct {
 	// file is the mapping; nil unless the index was opened mapped. It
 	// stays set after the unmap, so a closed mapped index still fails its
@@ -296,9 +302,8 @@ func (l *lifecycle) unmapFile() {
 }
 
 // shut marks a mapped index closed, waits for every inflight read to
-// release, runs stop (nil for none; it may still touch the base) and
-// unmaps the file unless a compaction did already. A second call returns
-// nil at once.
+// release, runs stop (it may still touch the base) and unmaps the file
+// unless a compaction did already. A second call returns nil at once.
 func (l *lifecycle) shut(stop func()) error {
 	if l.closed.Swap(true) {
 		return nil // another Close won the race and owns the drain
@@ -306,9 +311,7 @@ func (l *lifecycle) shut(stop func()) error {
 	for i := range l.refs {
 		drainRefs(&l.refs[i])
 	}
-	if stop != nil {
-		stop()
-	}
+	stop()
 	l.unmapFile()
 	return l.unmapErr
 }
@@ -326,13 +329,13 @@ func drainRefs(refs *atomic.Int64) {
 	}
 }
 
-// newIndexOver wraps a packed arena and its shell into an Index with its
-// initial view published; a NewIndex passes no arena (p nil) and the
-// shell of an empty one, which carries the configuration until the first
-// read packs the buffered points.
-func newIndexOver(t *rtree.Tree, p *rtree.Packed, acct *pagestore.Accountant, rcfg rtree.Config) *Index {
-	ix := &Index{acct: acct, rcfg: rcfg}
-	ix.view.Store(&viewState{tree: t, packed: p})
+// newIndex wraps a base into an Index with its initial view published;
+// a NewIndex passes no base (set nil) until its first read packs the
+// buffered points. rcfg is the build geometry with its defaults
+// resolved.
+func newIndex(set *shard.Set, rcfg rtree.Config) *Index {
+	ix := &Index{rcfg: rcfg}
+	ix.view.Store(&viewState{set: set})
 	empty := ""
 	ix.compactErr.Store(&empty)
 	return ix
@@ -345,41 +348,92 @@ func newIndexOver(t *rtree.Tree, p *rtree.Packed, acct *pagestore.Accountant, rc
 // traverses — the base BuildIndex builds from the same points in
 // insertion order, so answers and Cost match it exactly.
 func NewIndex(cfg IndexConfig) (*Index, error) {
-	acct, rcfg := indexConfig(cfg)
-	empty, err := rtree.PackSTR(rcfg, nil, nil) // validates the configuration
+	empty, err := rtree.PackSTR(indexConfig(cfg), nil, nil) // validates the configuration
 	if err != nil {
 		return nil, err
 	}
-	return newIndexOver(empty.Tree(), nil, acct, rcfg), nil
+	return newIndex(nil, empty.Tree().Config()), nil
 }
 
 // BuildIndex bulk-loads an index from points using sort-tile-recursive
 // packing. ids[i] identifies points[i]; pass nil to use the slice index.
 func BuildIndex(points []Point, ids []int64, cfg IndexConfig) (*Index, error) {
-	acct, rcfg := indexConfig(cfg)
+	rcfg := indexConfig(cfg)
 	cols, err := rtree.Columns(rcfg, points)
 	if err != nil {
 		return nil, err
 	}
-	p, err := rtree.PackSTR(rcfg, cols, slices.Clone(ids))
+	set, err := shard.Pack(rcfg, cols, slices.Clone(ids))
 	if err != nil {
 		return nil, err
 	}
-	return newIndexOver(p.Tree(), p, acct, rcfg), nil
+	return newIndex(set, set.Config()), nil
 }
 
-// NonFiniteError reports a point with a NaN or infinite coordinate.
-// BuildIndex, BuildShardedIndex and both Insert methods reject such a
-// point before it reaches the index or its write overlay; errors.As
-// recovers the point's position in the input and the offending axis.
+// BuildShardedIndex bulk-loads an index whose base is partitioned into
+// the given number of shards: the points are sorted by Hilbert value, the
+// curve is cut into that many spatially coherent runs of equal size, and
+// each run is STR-packed into its own arena. ids[i] identifies points[i];
+// pass nil to use the slice index. cfg applies to every shard (they share
+// one access accountant and, when cfg.BufferPages > 0, one LRU buffer
+// over disjoint page IDs).
+//
+// The index answers every query by scatter-gather: the chosen algorithm
+// runs against each shard, the shards continuously exchange their
+// best-found aggregate distance so each one prunes the others' search
+// space, and a k-way merge reassembles the global answer. It returns the
+// results an equally configured BuildIndex over the same points returns
+// — sharding is an execution strategy, not an approximation. Aggregate
+// distances match rank for rank, bit for bit; the one latitude is exact
+// ties: when distinct points share exactly the same aggregate distance
+// at the k-th boundary, the representative kept may be a different
+// member of the tie than the single traversal's first-come choice. Its
+// per-query cost is exactly the sum of the per-shard node accesses.
+// Compaction re-partitions base plus overlay into the same number of
+// shards, and snapshots keep the partition. NearestNeighbors,
+// GroupNNFromSet and GroupNNClosestPairs need one arena and fail with
+// ErrPartitioned.
+//
+// Use it when query groups are spatially concentrated relative to the
+// data spread (the common case: a few users in one city, points of
+// interest across a country): the merge then touches one or two shards
+// seriously and the rest are pruned by the shared bound after a handful
+// of node accesses. See the README's "Sharding" section for guidance.
+func BuildShardedIndex(points []Point, ids []int64, shards int, cfg IndexConfig) (*Index, error) {
+	if shards < 1 {
+		return nil, fmt.Errorf("gnn: %d shards; need at least 1", shards)
+	}
+	rcfg := indexConfig(cfg)
+	cols, err := rtree.Columns(rcfg, points)
+	if err != nil {
+		return nil, err
+	}
+	set, err := shard.Build(rcfg, cols, slices.Clone(ids), shards)
+	if err != nil {
+		return nil, err
+	}
+	return newIndex(set, set.Config()), nil
+}
+
+// NonFiniteError reports a point with a NaN, infinite or out-of-range
+// coordinate: every coordinate must be finite and at most 1e150 in
+// magnitude, so that no squared distance overflows. BuildIndex,
+// BuildShardedIndex, Insert and every query reject such a point before it
+// reaches the index, its write overlay or a kernel; errors.As recovers
+// the point's position in the input and the offending axis.
 type NonFiniteError = rtree.NonFiniteError
 
-func indexConfig(cfg IndexConfig) (*pagestore.Accountant, rtree.Config) {
-	acct := pagestore.NewAccountant(cfg.BufferPages)
-	return acct, rtree.Config{
+// ErrPartitioned reports NearestNeighbors, GroupNNFromSet or
+// GroupNNClosestPairs on an index built by BuildShardedIndex or opened
+// from a sharded snapshot: these traversals need the one arena of an
+// unpartitioned base.
+var ErrPartitioned = shard.ErrPartitioned
+
+func indexConfig(cfg IndexConfig) rtree.Config {
+	return rtree.Config{
 		Dim:        cfg.Dim,
 		MaxEntries: cfg.NodeCapacity,
-		Accountant: acct,
+		Accountant: pagestore.NewAccountant(cfg.BufferPages),
 	}
 }
 
@@ -396,14 +450,14 @@ func (ix *Index) Insert(p Point, id int64) error {
 	if ix.closed.Load() {
 		return ErrSnapshotClosed
 	}
-	v := ix.view.Load()
-	if len(p) != v.tree.Dim() {
-		return fmt.Errorf("rtree: point dimension %d, tree dimension %d", len(p), v.tree.Dim())
+	if len(p) != ix.Dim() {
+		return fmt.Errorf("rtree: point dimension %d, tree dimension %d", len(p), ix.Dim())
 	}
 	if err := rtree.CheckFinite(0, geom.Point(p)); err != nil {
 		return err
 	}
-	if v.packed == nil {
+	v := ix.view.Load()
+	if v.set == nil {
 		ix.slab.pts = append(ix.slab.pts, geom.Point(p).Clone())
 		ix.slab.ids = append(ix.slab.ids, id)
 		return nil
@@ -434,11 +488,11 @@ func (ix *Index) Delete(p Point, id int64) bool {
 	defer ix.release(r)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	v := ix.view.Load()
-	if len(p) != v.tree.Dim() {
+	if len(p) != ix.Dim() {
 		return false
 	}
-	if v.packed == nil {
+	v := ix.view.Load()
+	if v.set == nil {
 		return ix.slab.delete(geom.Point(p), id)
 	}
 	if ix.prepare() != nil {
@@ -455,19 +509,20 @@ func (ix *Index) Delete(p Point, id int64) bool {
 }
 
 // Pack folds the index into a fresh packed base: the immutable flat
-// structure-of-arrays arena every query traverses. BuildIndex and the
-// snapshot opens produce one directly. On a NewIndex before its first
-// read Pack packs the buffered points into the base, as that read would;
-// from then on mutations go through the overlay. On a packed
-// index with overlay writes Pack compacts synchronously: base and overlay
-// are folded into a fresh packed base (equivalent to Compact, with any
-// error recorded in Stats). Pack is safe under concurrent readers.
+// structure-of-arrays arena (or shard arenas) every query traverses.
+// BuildIndex, BuildShardedIndex and the snapshot opens produce one
+// directly. On a NewIndex before its first read Pack packs the buffered
+// points into the base, as that read would; from then on mutations go
+// through the overlay. On a packed index with overlay writes Pack
+// compacts synchronously: base and overlay are folded into a fresh packed
+// base (equivalent to Compact, with any error recorded in Stats). Pack is
+// safe under concurrent readers.
 func (ix *Index) Pack() {
 	if ix.closed.Load() {
 		return
 	}
 	switch v := ix.view.Load(); {
-	case v.packed == nil:
+	case v.set == nil:
 		ix.freeze() // an error stays for the first read to report
 	case v.ov != nil:
 		ix.Compact() // error recorded in Stats; old view keeps serving on failure
@@ -479,7 +534,7 @@ func (ix *Index) Pack() {
 // across Insert/Delete. Only a NewIndex before its first read (or Pack)
 // reports false.
 func (ix *Index) IsPacked() bool {
-	return ix.view.Load().packed != nil
+	return ix.view.Load().set != nil
 }
 
 // Len returns the number of live points: base points not masked by a
@@ -487,14 +542,14 @@ func (ix *Index) IsPacked() bool {
 // NewIndex before its first read.
 func (ix *Index) Len() int {
 	v := ix.view.Load()
-	if v.packed == nil {
+	if v.set == nil {
 		ix.mu.Lock()
 		defer ix.mu.Unlock()
-		if v = ix.view.Load(); v.packed == nil {
+		if v = ix.view.Load(); v.set == nil {
 			return len(ix.slab.ids)
 		}
 	}
-	n := v.tree.Len()
+	n := v.set.Len()
 	if v.ov != nil {
 		n += len(v.ov.pts) - v.ov.tombs.Total()
 	}
@@ -502,10 +557,10 @@ func (ix *Index) Len() int {
 }
 
 // Dim returns the index dimensionality.
-func (ix *Index) Dim() int { return ix.view.Load().tree.Dim() }
+func (ix *Index) Dim() int { return ix.rcfg.Dim }
 
-// Bounds returns the MBR of the indexed points as (lo, hi); ok is false
-// when the index is empty.
+// Bounds returns the MBR of the indexed points — of every shard on a
+// partitioned index — as (lo, hi); ok is false when the index is empty.
 func (ix *Index) Bounds() (lo, hi Point, ok bool) {
 	held, err := ix.acquire()
 	if err != nil {
@@ -516,7 +571,7 @@ func (ix *Index) Bounds() (lo, hi Point, ok bool) {
 		return nil, nil, false // corrupt mapping; opens/queries report why
 	}
 	v := ix.view.Load()
-	r, ok := v.tree.Bounds()
+	r, ok := v.set.Bounds()
 	if v.ov != nil && len(v.ov.pts) > 0 {
 		// Overlay inserts can extend the MBR. Deletes are not shrunk
 		// until compaction, so the bounds are conservative (never too
@@ -562,20 +617,21 @@ func (c *Cost) Add(o Cost) {
 	c.BufferHits += o.BufferHits
 }
 
-// Cost returns the access counts accumulated across all queries.
-func (ix *Index) Cost() Cost { return costOf(ix.acct.Totals()) }
+// Cost returns the access counts accumulated across all queries (and all
+// shards) since the last ResetCost.
+func (ix *Index) Cost() Cost { return costOf(ix.rcfg.Accountant.Totals()) }
 
 // ResetCost zeroes the counters, keeping any buffer contents warm.
-func (ix *Index) ResetCost() { ix.acct.Reset() }
+func (ix *Index) ResetCost() { ix.rcfg.Accountant.Reset() }
 
 // ResetCostCold zeroes the counters and drops the buffer contents.
-func (ix *Index) ResetCostCold() { ix.acct.ResetAll() }
+func (ix *Index) ResetCostCold() { ix.rcfg.Accountant.ResetAll() }
 
-// CheckInvariants validates the structure of the packed base — node fill,
-// exact routing rectangles, levels, size and height — and of the
-// overlay's delta tree when present (exposed for tests and diagnostics).
-// On a mapped index the snapshot's checksum and structural validation run
-// first.
+// CheckInvariants validates the structure of the packed base (every
+// shard's) — node fill, exact routing rectangles, levels, size and
+// height — and of the overlay's delta tree when present (exposed for
+// tests and diagnostics). On a mapped index the snapshot's checksum and
+// structural validation run first.
 func (ix *Index) CheckInvariants() error {
 	r, err := ix.acquire()
 	if err != nil {
@@ -586,18 +642,21 @@ func (ix *Index) CheckInvariants() error {
 		return err
 	}
 	v := ix.view.Load()
-	if err := v.tree.CheckInvariants(); err != nil {
+	if err := v.set.CheckInvariants(); err != nil {
 		return err
 	}
 	if v.ov != nil && v.ov.delta != nil {
-		return v.ov.delta.Tree().CheckInvariants()
+		if err := v.ov.delta.Tree().CheckInvariants(); err != nil {
+			return fmt.Errorf("overlay delta: %w", err)
+		}
 	}
 	return nil
 }
 
 // NearestNeighbors answers a classical point-NN query (k nearest indexed
 // points to q) with the best-first algorithm of [HS99] — the n = 1 special
-// case of a GNN query, exposed because it is independently useful.
+// case of a GNN query, exposed because it is independently useful. It
+// fails with ErrPartitioned on a sharded index.
 func (ix *Index) NearestNeighbors(q Point, k int) ([]Result, error) {
 	res, _, err := ix.NearestNeighborsWithCost(q, k)
 	return res, err
@@ -623,17 +682,21 @@ func (ix *Index) NearestNeighborsWithCost(q Point, k int) ([]Result, Cost, error
 	if err := ix.prepare(); err != nil {
 		return nil, Cost{}, err
 	}
-	var tk pagestore.CostTracker
 	v := ix.view.Load()
+	p, err := v.set.Arena()
+	if err != nil {
+		return nil, Cost{}, err
+	}
+	var tk pagestore.CostTracker
 	if v.ov == nil {
-		nbs := v.packed.Reader(&tk).NearestBF(geom.Point(q), k)
+		nbs := p.Reader(&tk).NearestBF(geom.Point(q), k)
 		out := make([]Result, len(nbs))
 		for i, nb := range nbs {
 			out[i] = Result{Point: Point(nb.Point), ID: nb.ID, Dist: nb.Dist}
 		}
 		return out, costOf(tk), nil
 	}
-	return ix.nearestOverlay(v, geom.Point(q), k, &tk)
+	return nearestOverlay(p, v.ov, geom.Point(q), k, &tk)
 }
 
 // nearestOverlay merges the base NN stream (tombstoned hits skipped),
@@ -643,9 +706,8 @@ func (ix *Index) NearestNeighborsWithCost(q Point, k int) ([]Result, Cost, error
 // stream's emitted point is only valid until it advances, so each taken
 // result is copied into one slab the caller owns, and the output is
 // sized by the points the view holds, not by k.
-func (ix *Index) nearestOverlay(v *viewState, q geom.Point, k int, tk *pagestore.CostTracker) ([]Result, Cost, error) {
-	ov := v.ov
-	base := v.packed.Reader(tk).NewNNIterator(q)
+func nearestOverlay(p *rtree.Packed, ov *overlayState, q geom.Point, k int, tk *pagestore.CostTracker) ([]Result, Cost, error) {
+	base := p.Reader(tk).NewNNIterator(q)
 	defer base.Close()
 	nextBase := func() (rtree.Neighbor, bool) {
 		for {
@@ -685,7 +747,7 @@ func (ix *Index) nearestOverlay(v *viewState, q geom.Point, k int, tk *pagestore
 	for i := range heads {
 		heads[i].nb, heads[i].ok = heads[i].next()
 	}
-	n, dim := min(k, v.tree.Len()+len(ov.pts)), len(q)
+	n, dim := min(k, p.Len()+len(ov.pts)), len(q)
 	out := make([]Result, 0, n)
 	slab := make([]float64, 0, n*dim)
 	for len(out) < k {

@@ -253,11 +253,11 @@ func TestSnapshotGoldenCompat(t *testing.T) {
 	}
 
 	// Sharded fixture: the partition must survive.
-	sx, err := gnn.OpenShardedSnapshotFile(goldenShardedSnapPath)
+	sx, err := gnn.OpenSnapshotFile(goldenShardedSnapPath)
 	if err != nil {
 		t.Fatalf("golden sharded fixture no longer loads: %v", err)
 	}
-	if got := sx.ShardSizes(); !reflect.DeepEqual(got, trace.ShardSizes) {
+	if got := gnn.ShardSizes(sx); !reflect.DeepEqual(got, trace.ShardSizes) {
 		t.Fatalf("sharded fixture partition %v, trace locks %v", got, trace.ShardSizes)
 	}
 	srs, err := sx.GroupNN(queries[4], gnn.WithK(3))
@@ -278,7 +278,7 @@ func TestSnapshotGoldenCompat(t *testing.T) {
 		t.Fatalf("golden sharded fixture no longer maps: %v", err)
 	}
 	defer smx.Close()
-	if got := smx.ShardSizes(); !reflect.DeepEqual(got, trace.ShardSizes) {
+	if got := gnn.ShardSizes(smx); !reflect.DeepEqual(got, trace.ShardSizes) {
 		t.Fatalf("mapped sharded fixture partition %v, trace locks %v", got, trace.ShardSizes)
 	}
 	mrs, err := smx.GroupNN(queries[4], gnn.WithK(3))
@@ -320,7 +320,7 @@ func writeGoldenFixtures(t *testing.T, pts []gnn.Point) {
 	}
 	trace := goldenTrace{
 		FormatVersion: 2, Points: loaded.Len(), NodeCapacity: goldenCap,
-		ShardSizes: sx.ShardSizes(),
+		ShardSizes: gnn.ShardSizes(sx),
 	}
 	for _, c := range goldenCases() {
 		for qi, q := range goldenQueries() {

@@ -62,7 +62,7 @@ func goldenRegion(qs []gnn.Point) (lo, hi gnn.Point) {
 
 // goldenFixture builds the fixed workload: clustered data and spatially
 // concentrated query groups from a pinned seed.
-func goldenFixture(t *testing.T) (*gnn.Index, *gnn.ShardedIndex, [][]gnn.Point) {
+func goldenFixture(t *testing.T) (*gnn.Index, *gnn.Index, [][]gnn.Point) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(123))
 	pts := clusterPoints(rng, 3000, 1000)

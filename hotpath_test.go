@@ -54,6 +54,57 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 }
 
+// shardedAllocCells bound the warm 4-shard MBM query's allocations per
+// query at what the sequential scatter read when the two index types
+// became one (BuildShardedIndex over allocFixture's TS points, the same
+// 16 groups, k = 8): its per-shard run slots, result lists and merge.
+// Lowering a bound is fine; raising one is a regression.
+var shardedAllocCells = []struct {
+	name string
+	opts []gnn.QueryOption
+	max  float64
+}{
+	{"MBM-BF/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM)}, 17.125},
+	{"MBM-BF/max", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithAggregate(gnn.MaxDist)}, 14.5},
+	{"MBM-DF/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithDepthFirst()}, 14.375},
+}
+
+// TestHotPathAllocsSharded bounds the warm scatter's allocations per
+// query on a 4-shard index, so the partitioned path cannot gain
+// allocations unseen. WithShards(1) runs the deterministic sequential
+// scatter on the caller's pooled context, as the batch engine does.
+func TestHotPathAllocsSharded(t *testing.T) {
+	d, err := env().Dataset("TS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sx, err := gnn.BuildShardedIndex(publicPoints(d.Points), nil, 4, gnn.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sx.Close()
+	_, queries := allocFixture(t)
+	for _, cell := range shardedAllocCells {
+		opts := append([]gnn.QueryOption{gnn.WithK(8), gnn.WithShards(1)}, cell.opts...)
+		var qerr error
+		perRun := testing.AllocsPerRun(20, func() {
+			for _, q := range queries {
+				if _, err := sx.GroupNN(q, opts...); err != nil {
+					qerr = err
+				}
+			}
+		})
+		if qerr != nil {
+			t.Fatalf("%s: %v", cell.name, qerr)
+		}
+		perQuery := perRun / float64(len(queries))
+		t.Logf("4 shards, %s: %.3f allocs/op", cell.name, perQuery)
+		if perQuery > cell.max {
+			t.Errorf("4 shards, %s: %.3f allocs/op, want at most %.3f", cell.name, perQuery, cell.max)
+		}
+	}
+}
+
 // maxExplainRatio bounds what an explained query may cost over the plain
 // one. Tracing does real extra work (stage clocks, prune counters), but
 // it must stay the same order of magnitude as the query.

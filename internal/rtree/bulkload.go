@@ -10,29 +10,44 @@ import (
 	"gnn/internal/radix"
 )
 
-// NonFiniteError reports a point with a NaN or infinite coordinate. No
-// index accepts one: a NaN fails every comparison and math.Min/math.Max
-// carry it into every MBR above the point, so queries silently miss
-// neighbours; an infinity makes distances and MBR extents infinite and
-// their differences NaN.
+// NonFiniteError reports a point with a coordinate that is NaN, infinite
+// or beyond ±maxCoord. No index accepts one: a NaN fails every comparison
+// and math.Min/math.Max carry it into every MBR above the point, so
+// queries silently miss neighbours; an infinity makes distances and MBR
+// extents infinite and their differences NaN; and a finite coordinate
+// beyond the bound can make a squared distance overflow to +Inf, which
+// the kernels' pruning treats as unreachable, so a query answers too few
+// results.
 type NonFiniteError struct {
 	Index int     // position of the point in a bulk-load input; 0 for a single insert
 	Axis  int     // the offending coordinate
-	Value float64 // NaN, +Inf or -Inf
+	Value float64 // NaN, ±Inf or a finite value beyond ±maxCoord
 }
 
 func (e *NonFiniteError) Error() string {
-	return fmt.Sprintf("rtree: point %d has non-finite coordinate %d (%v); coordinates must be finite",
-		e.Index, e.Axis, e.Value)
+	return fmt.Sprintf("rtree: point %d has coordinate %d out of range (%v); coordinates must be finite and within ±%g",
+		e.Index, e.Axis, e.Value, maxCoord)
 }
 
-// CheckFinite returns a *NonFiniteError for the first NaN or infinite
-// coordinate of p, reported as the point at position i, or nil. Every
-// path by which a point enters an index runs it: the bulk loads here,
-// and the writes one layer up.
+// maxCoord bounds every coordinate's magnitude. Two points within it
+// differ by at most 2·maxCoord per axis, so a squared distance in d
+// dimensions is at most d·(2·maxCoord)² = d·4e300, finite (below
+// math.MaxFloat64 ≈ 1.8e308) for every d below about 4.5e7; a rectangle's
+// mindist and every aggregate of such distances stay finite with it.
+const maxCoord = 1e150
+
+// inRange reports whether v is a coordinate an index accepts: not NaN
+// (which fails the comparison) and at most maxCoord in magnitude.
+func inRange(v float64) bool { return math.Abs(v) <= maxCoord }
+
+// CheckFinite returns a *NonFiniteError for the first coordinate of p
+// that is NaN, infinite or beyond ±maxCoord, reported as the point at
+// position i, or nil. Every path by which a point enters an index or a
+// query runs it or the same check: the bulk loads here, and the writes
+// and query groups one layer up.
 func CheckFinite(i int, p geom.Point) error {
 	for a, v := range p {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if !inRange(v) {
 			return &NonFiniteError{Index: i, Axis: a, Value: v}
 		}
 	}
@@ -139,8 +154,8 @@ func PackSTRPartitioned(cfg Config, cols []float64, ids []int64, parts int) ([]*
 
 // adoptColumns resolves cfg's defaults, rejects a coordinate buffer that
 // does not divide into cfg.Dim axes, an id slice of the wrong length and
-// any non-finite coordinate, and returns the buffer's axis columns and
-// the ids (numbered from 0 when ids is nil).
+// any coordinate CheckFinite rejects, and returns the buffer's axis
+// columns and the ids (numbered from 0 when ids is nil).
 func adoptColumns(cfg Config, cols []float64, ids []int64) (Config, [][]float64, []int64, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -163,7 +178,7 @@ func adoptColumns(cfg Config, cols []float64, ids []int64) (Config, [][]float64,
 	}
 	for i := 0; i < n; i++ {
 		for a, col := range pc {
-			if v := col[i]; math.IsNaN(v) || math.IsInf(v, 0) {
+			if v := col[i]; !inRange(v) {
 				return cfg, nil, nil, &NonFiniteError{Index: i, Axis: a, Value: v}
 			}
 		}

@@ -490,12 +490,14 @@ func TestBulkLoadMatchesReference(t *testing.T) {
 }
 
 // fuzzPalette holds the coordinates one fuzz byte selects: signed zeros,
-// small integers (dense ties), and extremes of magnitude.
-var fuzzPalette = [15]float64{negZero, 0, 1, -1, 2, -2, 0.5, -0.5, 3, 1e-300, -1e-300, 1e300, -1e300, 7, 1}
+// small integers (dense ties), and extremes of magnitude — the largest
+// the loaders accept, ±maxCoord.
+var fuzzPalette = [15]float64{negZero, 0, 1, -1, 2, -2, 0.5, -0.5, 3, 1e-300, -1e-300, maxCoord, -maxCoord, 7, 1}
 
 // fuzzPoints decodes dim-dimensional points from data: a byte below 0xF0
 // picks a palette entry; 0xF0 and above reads the next 8 bytes as raw
-// float64 bits (non-finite patterns become 0, which no loader accepts).
+// float64 bits (patterns no loader accepts — NaN, infinite or beyond
+// ±maxCoord — become 0).
 func fuzzPoints(data []byte, dim int) []geom.Point {
 	var coords []float64
 	for len(data) > 0 {
@@ -507,7 +509,7 @@ func fuzzPoints(data []byte, dim int) []geom.Point {
 		}
 		v := math.Float64frombits(binary.LittleEndian.Uint64(data))
 		data = data[8:]
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if !inRange(v) {
 			v = 0
 		}
 		coords = append(coords, v)
@@ -555,7 +557,7 @@ func TestBulkLoadRejectsNonFinite(t *testing.T) {
 			return err
 		},
 	}
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Nextafter(maxCoord, math.Inf(1)), -1e200} {
 		for axis := 0; axis < 2; axis++ {
 			pts := randPoints(rand.New(rand.NewSource(24)), 200, 100)
 			pts[137] = geom.Point{5, 5}

@@ -468,19 +468,6 @@ func closedEntry(out []gnn.BatchResult) error {
 	return nil
 }
 
-// mutableHandle resolves the live handle's write surface, or fails the
-// request. Both index kinds are mutable; the assertion only misses if a
-// future Queryable implementation opts out of writes.
-func (s *Server) mutableHandle(w http.ResponseWriter) (*handle, Mutable, bool) {
-	h := s.liveHandle()
-	m, ok := h.q.(Mutable)
-	if !ok {
-		writeError(w, http.StatusNotImplemented, "live index does not accept writes")
-		return nil, nil, false
-	}
-	return h, m, true
-}
-
 func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	var req MutateRequest
 	if !s.readJSON(w, r, &req) {
@@ -490,16 +477,11 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "empty point")
 		return
 	}
-	h, m, ok := s.mutableHandle(w)
-	if !ok {
-		return
-	}
-	err := m.Insert(gnn.Point(req.Point), req.ID)
+	h := s.liveHandle()
+	err := h.q.Insert(gnn.Point(req.Point), req.ID)
 	for s.displaced(h, err) {
-		if h, m, ok = s.mutableHandle(w); !ok {
-			return
-		}
-		err = m.Insert(gnn.Point(req.Point), req.ID)
+		h = s.liveHandle()
+		err = h.q.Insert(gnn.Point(req.Point), req.ID)
 	}
 	if err != nil {
 		s.badRequest(w, err.Error())
@@ -521,18 +503,13 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "empty point")
 		return
 	}
-	h, m, ok := s.mutableHandle(w)
-	if !ok {
-		return
-	}
-	deleted := m.Delete(gnn.Point(req.Point), req.ID)
+	h := s.liveHandle()
+	deleted := h.q.Delete(gnn.Point(req.Point), req.ID)
 	// A closed index deletes nothing and says only false, so a delete that
 	// missed on a handle a reload displaced runs again on the live one.
 	for !deleted && s.liveHandle() != h {
-		if h, m, ok = s.mutableHandle(w); !ok {
-			return
-		}
-		deleted = m.Delete(gnn.Point(req.Point), req.ID)
+		h = s.liveHandle()
+		deleted = h.q.Delete(gnn.Point(req.Point), req.ID)
 	}
 	s.stats.mutations.Add(1)
 	st := h.q.Stats()

@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -70,15 +71,19 @@ func newSnapshotServer(t *testing.T, path string, mut func(*Config)) (*Server, *
 // fakeIndex is an injectable Queryable whose queries block for delay
 // (respecting the context) — the controllable "slow kernel" the
 // deadline, overload and drain tests need. panicEvery>0 makes every
-// n-th query panic, for the containment test.
+// n-th query panic, for the containment test; infDist answers with a
+// +Inf distance, which JSON cannot encode. Writes are accepted and
+// change nothing.
 type fakeIndex struct {
 	delay      time.Duration
 	panicEvery int64
+	infDist    bool
 	calls      atomic.Int64
 	closed     atomic.Bool
 }
 
-func (f *fakeIndex) GroupNNWithCostContext(ctx context.Context, query []gnn.Point, opts ...gnn.QueryOption) ([]gnn.Result, gnn.Cost, error) {
+// answer is every fake query: one result, or the injected failure.
+func (f *fakeIndex) answer(ctx context.Context) ([]gnn.Result, gnn.Cost, error) {
 	n := f.calls.Add(1)
 	if f.panicEvery > 0 && n%f.panicEvery == 0 {
 		panic("injected kernel panic")
@@ -93,11 +98,15 @@ func (f *fakeIndex) GroupNNWithCostContext(ctx context.Context, query []gnn.Poin
 			return nil, gnn.Cost{}, gnn.ErrCanceled
 		}
 	}
-	return []gnn.Result{{Point: gnn.Point{1, 2}, ID: 7, Dist: 3}}, gnn.Cost{NodeAccesses: 1}, nil
+	dist := 3.0
+	if f.infDist {
+		dist = math.Inf(1)
+	}
+	return []gnn.Result{{Point: gnn.Point{1, 2}, ID: 7, Dist: dist}}, gnn.Cost{NodeAccesses: 1}, nil
 }
 
 func (f *fakeIndex) GroupNNExplainContext(ctx context.Context, query []gnn.Point, opts ...gnn.QueryOption) ([]gnn.Result, *gnn.QueryExplain, error) {
-	res, cost, err := f.GroupNNWithCostContext(ctx, query, opts...)
+	res, cost, err := f.answer(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -111,14 +120,17 @@ func (f *fakeIndex) GroupNNExplainContext(ctx context.Context, query []gnn.Point
 func (f *fakeIndex) GroupNNBatchContext(ctx context.Context, queries [][]gnn.Point, opts ...gnn.QueryOption) ([]gnn.BatchResult, error) {
 	out := make([]gnn.BatchResult, len(queries))
 	for i := range queries {
-		res, cost, err := f.GroupNNWithCostContext(ctx, queries[i], opts...)
+		res, cost, err := f.answer(ctx)
 		out[i] = gnn.BatchResult{Results: res, Cost: cost, Err: err}
 	}
 	return out, nil
 }
 
-func (f *fakeIndex) Stats() gnn.Stats { return gnn.Stats{Points: 1, Dim: 2} }
-func (f *fakeIndex) Close() error     { f.closed.Store(true); return nil }
+func (f *fakeIndex) Insert(gnn.Point, int64) error            { return nil }
+func (f *fakeIndex) Delete(gnn.Point, int64) bool             { return false }
+func (f *fakeIndex) StartCompactor(gnn.CompactorConfig) error { return nil }
+func (f *fakeIndex) Stats() gnn.Stats                         { return gnn.Stats{Points: 1, Dim: 2} }
+func (f *fakeIndex) Close() error                             { f.closed.Store(true); return nil }
 
 // newFakeServer stands up a daemon over an injected Queryable, skipping
 // the snapshot open (package-internal plumbing; the HTTP surface is the
@@ -240,6 +252,8 @@ func TestServeBadRequests(t *testing.T) {
 		{"unknown field", `{"query": [[1,2]], "frobnicate": true}`},
 		{"ragged points", `{"query": [[1,2],[3]]}`},
 		{"oversized", `{"query": [[` + strings.Repeat("1,", 2000) + `1]]}`},
+		// Finite, but its squared distances would overflow to +Inf.
+		{"out-of-range coordinate", `{"query": [[1e200,0]], "k": 3}`},
 	}
 	for _, tc := range cases {
 		resp, err := ts.Client().Post(ts.URL+"/v1/groupnn", "application/json", strings.NewReader(tc.body))
@@ -257,17 +271,17 @@ func TestServeBadRequests(t *testing.T) {
 	}
 }
 
-// TestServeUnencodableResult: distances between finite coordinates can
-// overflow to +Inf, which JSON cannot represent. Such a response must
-// answer with an error status and a JSON body, not a 200 with an empty
-// body, and count as a failed query: not served, and in the slow log
-// with outcome "error", never "ok".
+// TestServeUnencodableResult: JSON cannot represent a +Inf distance.
+// The index rejects the coordinates whose distances overflow, so an
+// injected index answers with one. Such a response must answer with an
+// error status and a JSON body, not a 200 with an empty body, and count
+// as a failed query: not served, and in the slow log with outcome
+// "error", never "ok".
 func TestServeUnencodableResult(t *testing.T) {
-	path, _ := buildSnapshot(t, t.TempDir(), "a.snap", 500, 12)
-	_, ts := newSnapshotServer(t, path, nil)
+	_, ts := newFakeServer(t, &fakeIndex{infDist: true}, nil)
 	for _, c := range []struct{ url, body string }{
-		{"/v1/groupnn", `{"query": [[1e300,1e300],[1,2]], "k": 2}`},
-		{"/v1/batch", `{"queries": [[[1e300,1e300],[1,2]]], "k": 2}`},
+		{"/v1/groupnn", `{"query": [[3,4],[1,2]], "k": 2}`},
+		{"/v1/batch", `{"queries": [[[3,4],[1,2]]], "k": 2}`},
 	} {
 		resp, err := ts.Client().Post(ts.URL+c.url, "application/json", strings.NewReader(c.body))
 		if err != nil {
@@ -686,7 +700,7 @@ func TestDrainRealSnapshot(t *testing.T) {
 	}
 	// Stale access after close: typed error, no fault.
 	h := srv.liveHandle()
-	if _, _, err := h.q.GroupNNWithCostContext(context.Background(), []gnn.Point{{1, 2}}); !errors.Is(err, gnn.ErrSnapshotClosed) {
+	if _, _, err := h.q.GroupNNExplainContext(context.Background(), []gnn.Point{{1, 2}}); !errors.Is(err, gnn.ErrSnapshotClosed) {
 		t.Fatalf("query after close: %v, want ErrSnapshotClosed", err)
 	}
 }
@@ -703,8 +717,9 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 	}
 }
 
-// TestSniffKind covers the open-path dispatch: plain vs sharded vs junk.
-func TestSniffKind(t *testing.T) {
+// TestOpenEitherKind covers the one open path: a plain and a sharded
+// snapshot both serve, and junk fails with ErrSnapshotBadMagic.
+func TestOpenEitherKind(t *testing.T) {
 	dir := t.TempDir()
 	plain, _ := buildSnapshot(t, dir, "p.snap", 100, 51)
 	if _, err := New(Config{SnapshotPath: plain}); err != nil {

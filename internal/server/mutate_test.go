@@ -130,12 +130,3 @@ func TestServerBackgroundCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestMutateNotSupported(t *testing.T) {
-	// A Queryable without the write surface yields 501, not a panic.
-	_, ts := newFakeServer(t, &fakeIndex{}, nil)
-	if code := postJSON(t, ts.Client(), ts.URL+"/v1/insert",
-		MutateRequest{Point: []float64{1, 2}, ID: 1}, nil); code != http.StatusNotImplemented {
-		t.Fatalf("insert on immutable index: status %d", code)
-	}
-}

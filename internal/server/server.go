@@ -22,42 +22,31 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"gnn"
-	"gnn/internal/snapshot"
 )
 
 // Queryable is the serving surface the daemon needs from an index,
-// satisfied by both *gnn.Index and *gnn.ShardedIndex. The explain
+// satisfied by *gnn.Index (the fault tests inject a fake). The explain
 // variant powers /v1/groupnn: its trace feeds the slow-query log and
 // the opt-in "trace" echo, and collecting it never changes results.
+// Insert and Delete serve POST /v1/insert and /v1/delete: writes land
+// in the delta overlay while the mapped base keeps serving, and the
+// background compactor folds them in.
 type Queryable interface {
-	GroupNNWithCostContext(ctx context.Context, query []gnn.Point, opts ...gnn.QueryOption) ([]gnn.Result, gnn.Cost, error)
 	GroupNNExplainContext(ctx context.Context, query []gnn.Point, opts ...gnn.QueryOption) ([]gnn.Result, *gnn.QueryExplain, error)
 	GroupNNBatchContext(ctx context.Context, queries [][]gnn.Point, opts ...gnn.QueryOption) ([]gnn.BatchResult, error)
-	Stats() gnn.Stats
-	Close() error
-}
-
-// Mutable is the write surface behind POST /v1/insert and /v1/delete,
-// satisfied by both index kinds: writes land in the delta overlay while
-// the mapped base keeps serving.
-type Mutable interface {
 	Insert(p gnn.Point, id int64) error
 	Delete(p gnn.Point, id int64) bool
-}
-
-// compactable is the background-maintenance surface of both index kinds.
-type compactable interface {
 	StartCompactor(gnn.CompactorConfig) error
+	Stats() gnn.Stats
+	Close() error
 }
 
 // Config tunes the daemon. Zero values select the documented defaults.
@@ -194,7 +183,7 @@ type statsCounters struct {
 
 // New opens the snapshot at cfg.SnapshotPath and returns a ready
 // server. The open maps the file zero-copy when the platform allows and
-// auto-detects plain vs sharded snapshots from the header.
+// serves a plain or a sharded snapshot alike.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	s := &Server{cfg: cfg, sem: make(chan struct{}, cfg.MaxInflight)}
@@ -229,40 +218,31 @@ func (s *Server) initTelemetry() {
 	s.metrics = newServerMetrics(s)
 }
 
-// open maps the snapshot at path into a fresh handle (not yet live).
+// open maps the snapshot at path, of either kind, into a fresh handle
+// (not yet live).
 func (s *Server) open(path string, eager bool) (*handle, error) {
-	kind, err := sniffKind(path)
-	if err != nil {
-		return nil, err
-	}
 	opts := []gnn.SnapshotOption{gnn.WithSnapshotBuffer(s.cfg.BufferPages)}
 	if eager {
 		opts = append(opts, gnn.WithEagerVerify())
 	}
-	var q Queryable
-	if kind == snapshot.KindSharded {
-		q, err = gnn.OpenShardedSnapshotMapped(path, opts...)
-	} else {
-		q, err = gnn.OpenSnapshotMapped(path, opts...)
-	}
+	ix, err := gnn.OpenSnapshotMapped(path, opts...)
 	if err != nil {
 		return nil, err
 	}
+	var q Queryable = ix
 	// Background compaction is per-handle: the displaced handle's Close
 	// stops its compactor (waiting out an in-flight cycle) as part of the
 	// drain, and the fresh handle gets its own. The rotation path is the
 	// file being served — a successful cycle atomically replaces it, so
 	// the next reload or cold start picks up the folded state.
 	if s.cfg.CompactThreshold > 0 {
-		if c, ok := q.(compactable); ok {
-			if cerr := c.StartCompactor(gnn.CompactorConfig{
-				Threshold: s.cfg.CompactThreshold,
-				Interval:  s.cfg.CompactInterval,
-				Path:      path,
-			}); cerr != nil {
-				q.Close()
-				return nil, fmt.Errorf("starting compactor: %w", cerr)
-			}
+		if cerr := q.StartCompactor(gnn.CompactorConfig{
+			Threshold: s.cfg.CompactThreshold,
+			Interval:  s.cfg.CompactInterval,
+			Path:      path,
+		}); cerr != nil {
+			q.Close()
+			return nil, fmt.Errorf("starting compactor: %w", cerr)
 		}
 	}
 	return &handle{
@@ -271,26 +251,6 @@ func (s *Server) open(path string, eager bool) (*handle, error) {
 		stats:      q.Stats(),
 		loadedAt:   time.Now(),
 	}, nil
-}
-
-// sniffKind reads the snapshot header to decide plain vs sharded, so
-// the file is opened with the matching constructor on the first try.
-func sniffKind(path string) (snapshot.Kind, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	head := make([]byte, snapshot.SniffLen)
-	n, err := io.ReadFull(f, head)
-	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-		return 0, fmt.Errorf("sniffing %s: %w", path, err)
-	}
-	kind, ok := snapshot.Sniff(head[:n])
-	if !ok {
-		return 0, fmt.Errorf("%s: %w", path, gnn.ErrSnapshotBadMagic)
-	}
-	return kind, nil
 }
 
 // Generation reports the handle's reload generation (for logging by

@@ -1,13 +1,19 @@
-// Package shard implements sharded scatter-gather execution of GNN
-// queries, the horizontal-scale twin of the single-tree read path.
+// Package shard holds an index's base, the structure every query
+// traverses, and the two ways of running a query over it.
 //
-// The data set is Hilbert-partitioned into S independent packed R-trees
-// (rtree.PackSTRPartitioned): sorting by Hilbert value and cutting
-// the curve into S runs yields spatially coherent shards, so a query
-// group's neighborhood usually concentrates in few shards and the rest
-// prune quickly. A query then runs the same unmodified MQM/SPM/MBM/brute
-// kernel against every shard — scattered over a small worker pool or
-// sequentially — with three pieces of per-shard state:
+// A Set is either one unpartitioned packed arena (Pack), the base of a
+// plain index, or a Hilbert partition of the data set into S independent
+// packed R-trees (Build, rtree.PackSTRPartitioned): sorting by Hilbert
+// value and cutting the curve into S runs yields spatially coherent
+// shards, so a query group's neighborhood usually concentrates in few
+// shards and the rest prune quickly. The set alone tells the two apart:
+// Search, NewIterator, Rebuild and WriteSnapshot run the one arena
+// directly or scatter over the shards, and everything else serves both
+// alike.
+//
+// A scattered query runs the same unmodified MQM/SPM/MBM/brute kernel
+// against every shard — over a small worker pool or sequentially — with
+// three pieces of per-shard state:
 //
 //   - its own arena and rtree.Reader (via core.Options.Packed per
 //     shard), so traversals never contend;
@@ -26,6 +32,7 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -38,19 +45,28 @@ import (
 )
 
 // Unit is one shard: an independent R-tree over a Hilbert-contiguous
-// slice of the data set, with its immutable packed snapshot.
+// slice of the data set, with its immutable packed snapshot. The one
+// arena of an unpartitioned set is a Unit too.
 type Unit struct {
 	Tree   *rtree.Tree
 	Packed *rtree.Packed
 }
 
-// Set is a Hilbert-partitioned collection of shards built once over a
-// point set. It is immutable after Build, so any number of queries may
-// run against it concurrently.
+// ErrPartitioned reports an operation that needs the one arena of an
+// unpartitioned set — a point-NN query, the disk-resident family and the
+// group closest pairs — run on a partitioned set.
+var ErrPartitioned = errors.New("shard: operation needs an unpartitioned index")
+
+// Set is an index's immutable base: one unpartitioned arena (Pack) or a
+// Hilbert partition into shards (Build). Any number of queries may run
+// against it concurrently.
 type Set struct {
 	units []Unit
 	dim   int
 	size  int
+	// partitioned is set by Build and by sharded snapshots; an
+	// unpartitioned set holds exactly one unit and never scatters.
+	partitioned bool
 
 	// Shard-per-core scatter executor, started lazily by the first fully
 	// parallel scatter and stopped by Close (or by a GC cleanup when the
@@ -84,12 +100,13 @@ func (s *Set) acquireEngine() *engine {
 	return s.eng
 }
 
-// Close stops the pinned scatter workers. Optional — a dropped Set's
-// workers are stopped by a GC cleanup — but deterministic shutdown needs
-// it. Idempotent, and safe while queries are inflight: new scatters fall
-// back to pooled workers the moment the flag flips, inflight ones are
-// drained before the worker channels close, and queries issued after
-// Close still work, on pooled workers.
+// Close stops the pinned scatter workers; a no-op on a set that never
+// scattered in parallel, an unpartitioned one included. Optional — a
+// dropped Set's workers are stopped by a GC cleanup — but deterministic
+// shutdown needs it. Idempotent, and safe while queries are inflight:
+// new scatters fall back to pooled workers the moment the flag flips,
+// inflight ones are drained before the worker channels close, and
+// queries issued after Close still work, on pooled workers.
 func (s *Set) Close() {
 	s.engMu.Lock()
 	s.closed = true
@@ -102,10 +119,10 @@ func (s *Set) Close() {
 	}
 }
 
-// Prepare forces the deferred verification of every shard arena loaded
-// from a snapshot (SetFromSnapshotBorrowed); a no-op on built sets.
-// Queries require a prior successful Prepare on loaded sets; the public
-// layer calls it on each query entry.
+// Prepare forces the deferred verification of every arena loaded from a
+// snapshot (SetFromSnapshotBorrowed); a no-op on built sets. Queries
+// require a prior successful Prepare on loaded sets; the public layer
+// calls it on each query entry.
 func (s *Set) Prepare() error {
 	for i := range s.units {
 		if err := s.units[i].Packed.Prepare(); err != nil {
@@ -113,6 +130,22 @@ func (s *Set) Prepare() error {
 		}
 	}
 	return nil
+}
+
+// Pack STR-packs the points of an axis-major coordinate buffer (with
+// their ids; nil numbers them from 0) into one unpartitioned arena
+// (rtree.PackSTR, which takes both buffers over).
+func Pack(cfg rtree.Config, cols []float64, ids []int64) (*Set, error) {
+	p, err := rtree.PackSTR(cfg, cols, ids)
+	if err != nil {
+		return nil, err
+	}
+	return single(p), nil
+}
+
+// single wraps one arena as an unpartitioned set.
+func single(p *rtree.Packed) *Set {
+	return &Set{units: []Unit{{Tree: p.Tree(), Packed: p}}, dim: p.Dim(), size: p.Len()}
 }
 
 // Build partitions the points of an axis-major coordinate buffer (with
@@ -128,7 +161,7 @@ func Build(cfg rtree.Config, cols []float64, ids []int64, shards int) (*Set, err
 	if err != nil {
 		return nil, err
 	}
-	s := &Set{units: make([]Unit, len(ps)), dim: ps[0].Dim()}
+	s := &Set{units: make([]Unit, len(ps)), dim: ps[0].Dim(), partitioned: true}
 	for i, p := range ps {
 		s.units[i] = Unit{Tree: p.Tree(), Packed: p}
 		s.size += p.Len()
@@ -136,19 +169,46 @@ func Build(cfg rtree.Config, cols []float64, ids []int64, shards int) (*Set, err
 	return s, nil
 }
 
-// NumShards returns the number of shards.
-func (s *Set) NumShards() int { return len(s.units) }
+// Rebuild packs cols and ids (taken over, as by Pack and Build) into a
+// fresh set of this set's kind and geometry: one arena, or as many
+// shards as this set has. Compaction and snapshots of a view with
+// overlay writes fold the live points through it.
+func (s *Set) Rebuild(cols []float64, ids []int64) (*Set, error) {
+	if s.partitioned {
+		return Build(s.Config(), cols, ids, len(s.units))
+	}
+	return Pack(s.Config(), cols, ids)
+}
+
+// Config returns the configuration a rebuild packs with: the arenas'
+// shared geometry and accountant, with the page range starting at 0.
+func (s *Set) Config() rtree.Config {
+	cfg := s.units[0].Tree.Config()
+	cfg.FirstPage = 0
+	return cfg
+}
+
+// Shards returns the shard count of a partitioned set, 0 for an
+// unpartitioned one.
+func (s *Set) Shards() int {
+	if !s.partitioned {
+		return 0
+	}
+	return len(s.units)
+}
 
 // Len returns the total number of indexed points.
 func (s *Set) Len() int { return s.size }
 
-// Dim returns the dimensionality.
-func (s *Set) Dim() int { return s.dim }
+// Arena returns the one arena of an unpartitioned set, or ErrPartitioned.
+func (s *Set) Arena() (*rtree.Packed, error) {
+	if s.partitioned {
+		return nil, ErrPartitioned
+	}
+	return s.units[0].Packed, nil
+}
 
-// Shard returns shard i (read-only use; exposed for tests and bounds).
-func (s *Set) Shard(i int) Unit { return s.units[i] }
-
-// CountExact returns the multiplicity of (p, id) across all shards. Like
+// CountExact returns the multiplicity of (p, id) across all arenas. Like
 // rtree's CountExact it charges nothing — it is the overlay's tombstone
 // bookkeeping, not a query.
 func (s *Set) CountExact(p geom.Point, id int64) int {
@@ -159,8 +219,8 @@ func (s *Set) CountExact(p geom.Point, id int64) int {
 	return n
 }
 
-// Arenas returns the shards' packed arenas in shard order. A borrowed
-// set must pass Prepare before their columns are read.
+// Arenas returns the packed arenas in shard order. A borrowed set must
+// pass Prepare before their columns are read.
 func (s *Set) Arenas() []*rtree.Packed {
 	out := make([]*rtree.Packed, len(s.units))
 	for i, u := range s.units {
@@ -169,13 +229,34 @@ func (s *Set) Arenas() []*rtree.Packed {
 	return out
 }
 
-// Sizes returns the per-shard point counts.
-func (s *Set) Sizes() []int {
-	out := make([]int, len(s.units))
-	for i, u := range s.units {
-		out[i] = u.Tree.Len()
+// Bounds returns the MBR of every indexed point; ok is false when the
+// set is empty.
+func (s *Set) Bounds() (r geom.Rect, ok bool) {
+	for _, u := range s.units {
+		b, has := u.Tree.Bounds()
+		switch {
+		case !has:
+		case ok:
+			r = r.Union(b)
+		default:
+			r, ok = b, true
+		}
 	}
-	return out
+	return r, ok
+}
+
+// CheckInvariants validates every arena's R-tree structure; a shard's
+// error names the shard.
+func (s *Set) CheckInvariants() error {
+	for i, u := range s.units {
+		if err := u.Tree.CheckInvariants(); err != nil {
+			if s.partitioned {
+				return fmt.Errorf("shard %d: %w", i, err)
+			}
+			return err
+		}
+	}
+	return nil
 }
 
 // Kernel is a core query entry point (core.MQM, core.SPM, core.MBM,
@@ -198,16 +279,55 @@ type shardRun struct {
 	_     [64]byte
 }
 
-// Search answers one k-best query by scatter-gather: kernel runs against
+// Search answers one k-best query. On an unpartitioned set it runs
+// kernel on the one arena directly: no per-shard slots and no merge,
+// timed as the "query" stage unless the search is one source of a
+// caller's merge (opt.Shared set), which the caller times. A partitioned
+// set scatters (see scatter).
+func (s *Set) Search(qs []geom.Point, opt core.Options, workers int, kernel Kernel) ([]core.GroupNeighbor, error) {
+	if s.partitioned {
+		return s.scatter(qs, opt, workers, kernel)
+	}
+	u := s.units[0]
+	opt.Packed = u.Packed
+	timed := opt.Stages != nil && opt.Shared == nil
+	var start time.Time
+	if timed {
+		start = time.Now()
+	}
+	gs, err := kernel(u.Tree, qs, opt)
+	if err != nil {
+		return nil, err
+	}
+	if timed {
+		opt.Stages.Record("query", -1, time.Since(start))
+	}
+	return gs, nil
+}
+
+// MergeStage names the stage of a caller's k-way merge of this set's
+// answer with other sources: "merge" on an unpartitioned set, whose
+// search records no merge of its own, and "overlay-merge" on a
+// partitioned one, to tell it from the scatter's "merge".
+func (s *Set) MergeStage() string {
+	if s.partitioned {
+		return "overlay-merge"
+	}
+	return "merge"
+}
+
+// scatter answers one k-best query by scatter-gather: kernel runs against
 // every shard with a fresh SharedBound wiring the shards together, then
 // the per-shard lists merge into the global k best and the per-shard
-// trackers sum into opt.Cost. workers caps the concurrent shard workers;
-// values < 1 mean one worker, i.e. a sequential scatter, which reuses
-// opt.Exec (the batch engine's warm per-worker context) and carries the
-// bound from shard to shard, while workers > 1 run shards concurrently on
-// pooled contexts for latency. The merged result does not depend on
+// trackers sum into opt.Cost. workers caps the concurrent shard workers:
+// 0 means one per available core (GOMAXPROCS), and other values below 2
+// one worker, i.e. a sequential scatter, which reuses opt.Exec (the batch
+// engine's warm per-worker context) and carries the bound from shard to
+// shard, while workers > 1 run shards concurrently on pooled contexts for
+// latency. The merged result does not depend on
 // workers or timing. Each shard runs on its own arena (Options.Packed).
-func (s *Set) Search(qs []geom.Point, opt core.Options, workers int, kernel Kernel) ([]core.GroupNeighbor, error) {
+// A traced scatter records one "scatter" stage per shard and a "merge".
+func (s *Set) scatter(qs []geom.Point, opt core.Options, workers int, kernel Kernel) ([]core.GroupNeighbor, error) {
 	n := len(s.units)
 	k := opt.K
 	if k == 0 {
@@ -252,6 +372,9 @@ func (s *Set) Search(qs []geom.Point, opt core.Options, workers int, kernel Kern
 		if timed {
 			runs[i].dur = time.Since(start)
 		}
+	}
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
@@ -360,11 +483,21 @@ type iterHead struct {
 	done  bool
 }
 
-// NewIterator starts a sharded incremental scan. Every per-shard iterator
-// charges opt.Cost (safe: the merge advances them from the caller's
-// goroutine only), so the iterator's reported cost is exactly the sum of
-// per-shard node accesses. Constructing it reads every shard's root.
-func (s *Set) NewIterator(qs []geom.Point, opt core.Options) (*Iterator, error) {
+// NewIterator starts an incremental scan: the arena's own
+// core.GNNIterator on an unpartitioned set, or the lazy merge of the
+// per-shard scans on a partitioned one. Every per-shard iterator charges
+// opt.Cost (safe: the merge advances them from the caller's goroutine
+// only), so the iterator's reported cost is exactly the sum of per-shard
+// node accesses. Constructing it reads every shard's root.
+func (s *Set) NewIterator(qs []geom.Point, opt core.Options) (core.Stream, error) {
+	if !s.partitioned {
+		opt.Packed = s.units[0].Packed
+		it, err := core.NewGNNIterator(s.units[0].Tree, qs, opt)
+		if err != nil {
+			return nil, err
+		}
+		return it, nil
+	}
 	it := &Iterator{
 		its:   make([]core.Stream, len(s.units)),
 		heads: make([]iterHead, len(s.units)),

@@ -53,13 +53,13 @@ func TestBuildPartition(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.NumShards() != shards {
-			t.Fatalf("%d shards, want %d", s.NumShards(), shards)
+		if s.Shards() != shards {
+			t.Fatalf("%d shards, want %d", s.Shards(), shards)
 		}
 		seen := map[int64]bool{}
 		total, min, max := 0, len(pts), 0
 		for i := 0; i < shards; i++ {
-			u := s.Shard(i)
+			u := s.units[i]
 			if !u.Packed.Valid(u.Tree) {
 				t.Fatalf("shard %d not packed", i)
 			}
@@ -102,8 +102,8 @@ func TestDisjointPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[int64]bool{}
-	for i := range s.NumShards() {
-		for _, pg := range s.Shard(i).Packed.Snapshot().Page {
+	for i := range s.Shards() {
+		for _, pg := range s.units[i].Packed.Snapshot().Page {
 			if seen[pg] {
 				t.Fatalf("tree %d reuses page %d", i, pg)
 			}

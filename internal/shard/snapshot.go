@@ -2,37 +2,41 @@ package shard
 
 import (
 	"fmt"
+	"io"
 
-	"gnn/internal/geom"
 	"gnn/internal/hilbert"
 	"gnn/internal/pagestore"
 	"gnn/internal/rtree"
 	"gnn/internal/snapshot"
 )
 
-// Snapshot returns the serialisable form of the shard set: a sharded
-// manifest (one Hilbert cut per shard plus the partition bounding box,
-// recomputed from the shard bounds exactly as Build derived it) and one
-// arena per shard, in shard order. The per-tree arenas borrow the packed
-// snapshots' slices; treat them as read-only.
+// WriteSnapshot writes the set to w as a snapshot: a plain one of the one
+// arena (rtree.Packed.WriteTo) for an unpartitioned set, or a sharded one
+// — one arena section group per shard plus the sharded manifest — for a
+// partitioned set.
+func (s *Set) WriteSnapshot(w io.Writer) error {
+	if !s.partitioned {
+		_, err := s.units[0].Packed.WriteTo(w)
+		return err
+	}
+	m, trees := s.Snapshot()
+	return snapshot.Write(w, m, trees)
+}
+
+// Snapshot returns the serialisable form of a partitioned set: a
+// sharded manifest (one Hilbert cut per shard plus the partition bounding
+// box, recomputed from the shard bounds exactly as Build derived it) and
+// one arena per shard, in shard order. The per-tree arenas borrow the
+// packed snapshots' slices; treat them as read-only.
 func (s *Set) Snapshot() (snapshot.Manifest, []*snapshot.Tree) {
 	trees := make([]*snapshot.Tree, len(s.units))
 	cuts := make([]int64, len(s.units))
-	var bbox geom.Rect
-	have := false
 	for i, u := range s.units {
 		trees[i] = u.Packed.Snapshot()
 		cuts[i] = int64(u.Tree.Len())
-		if r, ok := u.Tree.Bounds(); ok {
-			if have {
-				bbox = bbox.Union(r)
-			} else {
-				bbox, have = r, true
-			}
-		}
 	}
 	h := &snapshot.Hilbert{Order: hilbert.DefaultOrder, CutSizes: cuts}
-	if have {
+	if bbox, ok := s.Bounds(); ok {
 		h.Lo[0], h.Hi[0] = bbox.Lo[0], bbox.Hi[0]
 		// Mirror the partitioner's axis handling: 1-D data degenerates the
 		// second axis to the first axis' minimum.
@@ -49,29 +53,34 @@ func (s *Set) Snapshot() (snapshot.Manifest, []*snapshot.Tree) {
 	}, trees
 }
 
-// SetFromSnapshotBorrowed reconstructs a shard set from a decoded
-// sharded snapshot: every shard's arena borrows the snapshot's slices
-// (for a mapped open, the file mapping itself) via
-// rtree.PackedFromSnapshotBorrowed, with the Hilbert partition intact
-// (each shard keeps exactly the points, page range and node structure it
-// was written with). All shards share cfg.Accountant (one allocated here
-// when nil), so cost accounting stays exactly additive across the
-// partition, as after Build. verify is the whole-snapshot deferred
-// validation (snapshot.Adopted.Verify — internally once-only, so sharing
-// it across all shards costs one verification); it must succeed, through
+// SetFromSnapshotBorrowed reconstructs a set from a decoded snapshot of
+// either kind: a plain snapshot becomes an unpartitioned set, a sharded
+// one a partitioned set with the Hilbert partition intact (each shard
+// keeps exactly the points, page range and node structure it was written
+// with). Every arena borrows the snapshot's slices (for a mapped open,
+// the file mapping itself) via rtree.PackedFromSnapshotBorrowed. All
+// shards share cfg.Accountant (one allocated here when nil), so cost
+// accounting stays exactly additive across the partition, as after
+// Build. verify is the whole-snapshot deferred validation
+// (snapshot.Adopted.Verify — internally once-only, so sharing it across
+// all shards costs one verification); it must succeed, through
 // Set.Prepare, before the first query. The caller owns the backing
 // buffer's lifetime.
 func SetFromSnapshotBorrowed(m snapshot.Manifest, trees []*snapshot.Tree, cfg rtree.Config, verify func() error) (*Set, error) {
-	if m.Kind != snapshot.KindSharded {
-		return nil, fmt.Errorf("shard: snapshot kind %v, want %v", m.Kind, snapshot.KindSharded)
-	}
 	if len(trees) < 1 {
-		return nil, fmt.Errorf("shard: sharded snapshot with no trees")
+		return nil, fmt.Errorf("shard: snapshot with no trees")
 	}
 	if cfg.Accountant == nil {
 		cfg.Accountant = pagestore.NewAccountant(0)
 	}
-	s := &Set{units: make([]Unit, len(trees)), dim: m.Dim, size: m.Points}
+	if m.Kind == snapshot.KindPlain {
+		p, err := rtree.PackedFromSnapshotBorrowed(trees[0], m.Dim, cfg, verify)
+		if err != nil {
+			return nil, err
+		}
+		return single(p), nil
+	}
+	s := &Set{units: make([]Unit, len(trees)), dim: m.Dim, size: m.Points, partitioned: true}
 	for i, st := range trees {
 		p, err := rtree.PackedFromSnapshotBorrowed(st, m.Dim, cfg, verify)
 		if err != nil {

@@ -100,10 +100,10 @@ var (
 type Kind uint32
 
 const (
-	// KindPlain is a single-tree index (gnn.Index).
+	// KindPlain is a single-tree index (gnn.BuildIndex).
 	KindPlain Kind = 0
-	// KindSharded is a Hilbert-partitioned index (gnn.ShardedIndex): one
-	// tree section group per shard plus the manifest extension.
+	// KindSharded is a Hilbert-partitioned index (gnn.BuildShardedIndex):
+	// one tree section group per shard plus the manifest extension.
 	KindSharded Kind = 1
 )
 
@@ -570,15 +570,12 @@ func validateForWrite(m Manifest, trees []*Tree) error {
 // Decoding
 
 // Sniff inspects the first bytes of a file (at least SniffLen) and
-// reports whether they open a snapshot and, if so, of which kind — the
-// cheap dispatch for tools that must route a path to the right loader
-// without decoding the file twice. It performs no validation beyond the
-// magic; the full decoder still decides whether the file is sound.
-func Sniff(head []byte) (Kind, bool) {
-	if len(head) < SniffLen || string(head[:len(Magic)]) != Magic {
-		return 0, false
-	}
-	return Kind(binary.LittleEndian.Uint32(head[12:])), true
+// reports whether they open a snapshot — the cheap check for tools that
+// must tell a snapshot from another input format without decoding it.
+// It performs no validation beyond the magic; the full decoder still
+// decides whether the file is sound, and of which kind.
+func Sniff(head []byte) bool {
+	return len(head) >= SniffLen && string(head[:len(Magic)]) == Magic
 }
 
 // SniffLen is the prefix length Sniff needs.

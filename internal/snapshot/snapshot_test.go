@@ -215,13 +215,13 @@ func TestDecodeRejectsOverlappingShardPages(t *testing.T) {
 func TestSniff(t *testing.T) {
 	st := snapshottest.BuildArena(t, 30, 2, 8, 1)
 	plain := snapshottest.EncodePlain(t, st, 2)
-	if kind, ok := snapshot.Sniff(plain[:snapshot.SniffLen]); !ok || kind != snapshot.KindPlain {
-		t.Fatalf("plain sniff: %v %v", kind, ok)
+	if !snapshot.Sniff(plain[:snapshot.SniffLen]) {
+		t.Fatal("plain snapshot not sniffed as one")
 	}
-	if _, ok := snapshot.Sniff(plain[:snapshot.SniffLen-1]); ok {
+	if snapshot.Sniff(plain[:snapshot.SniffLen-1]) {
 		t.Fatal("short head sniffed as snapshot")
 	}
-	if _, ok := snapshot.Sniff([]byte("not a snapshot, longer than 16b")); ok {
+	if snapshot.Sniff([]byte("not a snapshot, longer than 16b")) {
 		t.Fatal("garbage sniffed as snapshot")
 	}
 }

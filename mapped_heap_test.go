@@ -133,17 +133,9 @@ func TestBulkLoadArenaAllocs(t *testing.T) {
 	pts := randGroup(rng, n)
 	ins := randGroup(rng, inserts)
 
-	type writable interface {
-		io.Closer
-		StartCompactor(gnn.CompactorConfig) error
-		Insert(gnn.Point, int64) error
-		Delete(gnn.Point, int64) bool
-		Compact() error
-		Stats() gnn.Stats
-	}
 	// compaction maps the snapshot write makes, queues the writes and
 	// measures the Compact that folds them.
-	compaction := func(name string, write func(string) error, open func(string) (writable, error)) func() (int64, int64) {
+	compaction := func(name string, write func(string) error, open func(string) (*gnn.Index, error)) func() (int64, int64) {
 		return func() (int64, int64) {
 			ix, err := open(writeSnapFile(t, dir, name+".snap", write))
 			if err != nil {
@@ -188,9 +180,9 @@ func TestBulkLoadArenaAllocs(t *testing.T) {
 		load func() (alloc, arena int64)
 	}{
 		{"compact", compaction("plain", plain.WriteSnapshotFile,
-			func(p string) (writable, error) { return gnn.OpenSnapshotMapped(p) })},
+			func(p string) (*gnn.Index, error) { return gnn.OpenSnapshotMapped(p) })},
 		{"compact-sharded", compaction("sharded", sharded.WriteSnapshotFile,
-			func(p string) (writable, error) { return gnn.OpenShardedSnapshotMapped(p) })},
+			func(p string) (*gnn.Index, error) { return gnn.OpenShardedSnapshotMapped(p) })},
 		{"BuildIndex", func() (int64, int64) {
 			var ix *gnn.Index
 			alloc := allocated(func() { ix, err = gnn.BuildIndex(pts, nil, gnn.IndexConfig{}) })
@@ -200,7 +192,7 @@ func TestBulkLoadArenaAllocs(t *testing.T) {
 			return alloc, ix.Stats().ArenaBytes
 		}},
 		{"BuildShardedIndex", func() (int64, int64) {
-			var sx *gnn.ShardedIndex
+			var sx *gnn.Index
 			alloc := allocated(func() { sx, err = gnn.BuildShardedIndex(pts, nil, shards, gnn.IndexConfig{}) })
 			if err != nil {
 				t.Fatal(err)
@@ -218,7 +210,7 @@ func TestBulkLoadArenaAllocs(t *testing.T) {
 }
 
 // TestHeapOpenAllocs pins what a heap open allocates against the file it
-// reads: OpenSnapshotFile, OpenShardedSnapshotFile (4 shards) and
+// reads: OpenSnapshotFile on a plain and a 4-shard snapshot and
 // OpenSnapshot on an *os.File, each on a snapshot of the 194,971 2-D
 // points of TS. Each reads the file once, at its exact size, into the
 // buffer whose columns the arenas adopt, so it allocates at most 1.1×
@@ -246,17 +238,13 @@ func TestHeapOpenAllocs(t *testing.T) {
 	sx.Close()
 	ix, sx = nil, nil
 
-	type loaded interface {
-		io.Closer
-		Len() int
-	}
 	for _, c := range []struct {
 		name, path string
-		open       func(string) (loaded, error)
+		open       func(string) (*gnn.Index, error)
 	}{
-		{"OpenSnapshotFile", plain, func(p string) (loaded, error) { return gnn.OpenSnapshotFile(p) }},
-		{"OpenShardedSnapshotFile", sharded, func(p string) (loaded, error) { return gnn.OpenShardedSnapshotFile(p) }},
-		{"OpenSnapshot", plain, func(p string) (loaded, error) {
+		{"OpenSnapshotFile", plain, func(p string) (*gnn.Index, error) { return gnn.OpenSnapshotFile(p) }},
+		{"OpenSnapshotFile/sharded", sharded, func(p string) (*gnn.Index, error) { return gnn.OpenSnapshotFile(p) }},
+		{"OpenSnapshot", plain, func(p string) (*gnn.Index, error) {
 			f, err := os.Open(p)
 			if err != nil {
 				return nil, err
@@ -269,7 +257,7 @@ func TestHeapOpenAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var x loaded
+		var x *gnn.Index
 		alloc := allocated(func() { x, err = c.open(c.path) })
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -324,7 +312,7 @@ func TestMappedOpenFraction(t *testing.T) {
 			func(p string) (io.Closer, error) { return gnn.OpenSnapshotFile(p) },
 			func(p string) (io.Closer, error) { return gnn.OpenSnapshotMapped(p) }},
 		{"sharded", writeSnapFile(t, dir, "sharded.snap", sx.WriteSnapshotFile),
-			func(p string) (io.Closer, error) { return gnn.OpenShardedSnapshotFile(p) },
+			func(p string) (io.Closer, error) { return gnn.OpenSnapshotFile(p) },
 			func(p string) (io.Closer, error) { return gnn.OpenShardedSnapshotMapped(p) }},
 	}
 	timed := func(open func(string) (io.Closer, error), path string) time.Duration {

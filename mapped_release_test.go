@@ -47,18 +47,18 @@ func TestCompactionReleasesMapping(t *testing.T) {
 
 	for _, kind := range []struct {
 		name  string
-		heap  compacting
+		heap  *gnn.Index
 		write func(string) error
-		open  func(string) (compacting, error)
+		open  func(string) (*gnn.Index, error)
 	}{
 		{"plain", plain, plain.WriteSnapshotFile,
-			func(p string) (compacting, error) { return gnn.OpenSnapshotMapped(p) }},
+			func(p string) (*gnn.Index, error) { return gnn.OpenSnapshotMapped(p) }},
 		{"sharded", sharded, sharded.WriteSnapshotFile,
-			func(p string) (compacting, error) { return gnn.OpenShardedSnapshotMapped(p) }},
+			func(p string) (*gnn.Index, error) { return gnn.OpenShardedSnapshotMapped(p) }},
 	} {
 		t.Run(kind.name, func(t *testing.T) {
 			dir := t.TempDir()
-			open := func(name string) (compacting, string) {
+			open := func(name string) (*gnn.Index, string) {
 				t.Helper()
 				path := writeSnapFile(t, dir, name, kind.write)
 				mx, err := kind.open(path)
@@ -76,7 +76,7 @@ func TestCompactionReleasesMapping(t *testing.T) {
 				}
 				return mx, path
 			}
-			compact := func(mx compacting) {
+			compact := func(mx *gnn.Index) {
 				t.Helper()
 				if err := mx.Insert(gnn.Point{500, 500}, n); err != nil {
 					t.Fatal(err)
@@ -207,12 +207,12 @@ func TestVerifiedOpenResidency(t *testing.T) {
 	for _, kind := range []struct {
 		name  string
 		write func(string) error
-		open  func(string, ...gnn.SnapshotOption) (compacting, error)
+		open  func(string, ...gnn.SnapshotOption) (*gnn.Index, error)
 	}{
 		{"plain", plain.WriteSnapshotFile,
-			func(p string, o ...gnn.SnapshotOption) (compacting, error) { return gnn.OpenSnapshotMapped(p, o...) }},
+			func(p string, o ...gnn.SnapshotOption) (*gnn.Index, error) { return gnn.OpenSnapshotMapped(p, o...) }},
 		{"sharded", sharded.WriteSnapshotFile,
-			func(p string, o ...gnn.SnapshotOption) (compacting, error) {
+			func(p string, o ...gnn.SnapshotOption) (*gnn.Index, error) {
 				return gnn.OpenShardedSnapshotMapped(p, o...)
 			}},
 	} {

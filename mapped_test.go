@@ -156,7 +156,7 @@ func TestShardedMappedOpenEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		path := writeSnapFile(t, dir, "sx.snap", sx.WriteSnapshotFile)
-		heap, err := gnn.OpenShardedSnapshotFile(path)
+		heap, err := gnn.OpenSnapshotFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,8 +164,8 @@ func TestShardedMappedOpenEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(mapped.ShardSizes(), sx.ShardSizes()) {
-			t.Fatalf("S=%d: partition changed: %v vs %v", shards, mapped.ShardSizes(), sx.ShardSizes())
+		if !reflect.DeepEqual(gnn.ShardSizes(mapped), gnn.ShardSizes(sx)) {
+			t.Fatalf("S=%d: partition changed: %v vs %v", shards, gnn.ShardSizes(mapped), gnn.ShardSizes(sx))
 		}
 		if err := mapped.CheckInvariants(); err != nil {
 			t.Fatalf("S=%d: %v", shards, err)
@@ -331,16 +331,7 @@ func TestMappedCorruption(t *testing.T) {
 	}
 	ex.Close()
 
-	// Kind confusion is caught eagerly on the mapped path too.
-	pts := goldenPoints(200)
-	sx, err := gnn.BuildShardedIndex(pts, nil, 2, gnn.IndexConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spath := writeSnapFile(t, dir, "sx.snap", sx.WriteSnapshotFile)
-	if _, err := gnn.OpenSnapshotMapped(spath); !errors.Is(err, gnn.ErrSnapshotKind) {
-		t.Fatalf("sharded via plain mapped open: %v", err)
-	}
+	// The one kind-named open rejects a plain file eagerly.
 	if _, err := gnn.OpenShardedSnapshotMapped(path); !errors.Is(err, gnn.ErrSnapshotKind) {
 		t.Fatalf("plain via sharded mapped open: %v", err)
 	}
@@ -349,6 +340,11 @@ func TestMappedCorruption(t *testing.T) {
 	}
 
 	// Sharded lazy corruption follows the same contract.
+	sx, err := gnn.BuildShardedIndex(goldenPoints(200), nil, 2, gnn.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spath := writeSnapFile(t, dir, "sx.snap", sx.WriteSnapshotFile)
 	sdata, err := os.ReadFile(spath)
 	if err != nil {
 		t.Fatal(err)
@@ -381,14 +377,7 @@ func TestMappedCorruption(t *testing.T) {
 // compactor rotating into that same file, one insert, then a cycle. The
 // cycle must fail with the verification error and change nothing: no
 // swap (Len keeps the base), and no rotation over the served file.
-func requireCompactionRefusesCorruptBase(t *testing.T, label, path string, ix interface {
-	mutable
-	Len() int
-	Stats() gnn.Stats
-	StartCompactor(gnn.CompactorConfig) error
-	Compact() error
-	Close() error
-}) {
+func requireCompactionRefusesCorruptBase(t *testing.T, label, path string, ix *gnn.Index) {
 	t.Helper()
 	defer ix.Close()
 	onDisk, err := os.ReadFile(path)
@@ -645,15 +634,8 @@ func TestMappedRegionQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	type regionQueryable interface {
-		GroupNN(query []gnn.Point, opts ...gnn.QueryOption) ([]gnn.Result, error)
-		GroupNNIterator(query []gnn.Point, opts ...gnn.QueryOption) (*gnn.Iterator, error)
-		Insert(p gnn.Point, id int64) error
-		Compact() error
-		Close() error
-	}
-	openPlain := func() (regionQueryable, error) { return gnn.OpenSnapshotMapped(path) }
-	openSharded := func() (regionQueryable, error) { return gnn.OpenShardedSnapshotMapped(spath) }
+	openPlain := func() (*gnn.Index, error) { return gnn.OpenSnapshotMapped(path) }
+	openSharded := func() (*gnn.Index, error) { return gnn.OpenShardedSnapshotMapped(spath) }
 	group := []gnn.Point{{480, 500}, {520, 530}, {500, 470}}
 	region := gnn.WithRegion(gnn.Point{300, 300}, gnn.Point{700, 700})
 	qix, err := gnn.BuildIndex(group, nil, gnn.IndexConfig{})
@@ -678,7 +660,7 @@ func TestMappedRegionQueries(t *testing.T) {
 	}
 	for _, kind := range []struct {
 		name    string
-		open    func() (regionQueryable, error)
+		open    func() (*gnn.Index, error)
 		compact bool
 	}{
 		{"mapped", openPlain, false},
@@ -725,12 +707,12 @@ func TestMappedRegionQueries(t *testing.T) {
 			}
 			sameResults(t, kind.name+"/iterator", first(ref.GroupNNIterator(group, region)),
 				first(mx.GroupNNIterator(group, region)))
-			if px, ok := mx.(*gnn.Index); ok {
+			if mx.Stats().Shards == 0 { // GCP needs one arena
 				want, err := ref.GroupNNClosestPairs(qix, 0, gnn.WithK(4))
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := px.GroupNNClosestPairs(qix, 0, gnn.WithK(4))
+				got, err := mx.GroupNNClosestPairs(qix, 0, gnn.WithK(4))
 				if err != nil {
 					t.Fatalf("GCP: %v", err)
 				}
@@ -739,12 +721,134 @@ func TestMappedRegionQueries(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err = qix.GroupNNClosestPairs(px, 0, gnn.WithK(4))
+				got, err = qix.GroupNNClosestPairs(mx, 0, gnn.WithK(4))
 				if err != nil {
 					t.Fatalf("GCP with a mapped query index: %v", err)
 				}
 				sameResults(t, kind.name+"/GCP-query", want, got)
 			}
 		})
+	}
+}
+
+// TestMappedOpensEitherKind: every open serves a plain and a sharded
+// snapshot alike. OpenSnapshot, OpenSnapshotFile and OpenSnapshotMapped
+// each open both kinds, report Stats().Shards 0 and 4, and answer with
+// the results and Cost of the BuildIndex and BuildShardedIndex that
+// wrote them; OpenShardedSnapshotMapped, the one kind-named open, still
+// rejects a plain file. On the partitioned index the operations that
+// need one arena fail with ErrPartitioned, and Bounds is the union of
+// the shard bounds and the overlay.
+func TestMappedOpensEitherKind(t *testing.T) {
+	pts, plain, queries := snapshotFixture(t, 2000, 61)
+	sharded, err := gnn.BuildShardedIndex(pts, nil, 4, gnn.IndexConfig{NodeCapacity: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+	dir := t.TempDir()
+	kinds := []struct {
+		name   string
+		built  *gnn.Index
+		path   string
+		shards int
+	}{
+		{"plain", plain, writeSnapFile(t, dir, "ix.snap", plain.WriteSnapshotFile), 0},
+		{"sharded", sharded, writeSnapFile(t, dir, "sx.snap", sharded.WriteSnapshotFile), 4},
+	}
+	opens := []struct {
+		name string
+		open func(path string) (*gnn.Index, error)
+	}{
+		{"OpenSnapshot", func(path string) (*gnn.Index, error) {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return nil, err
+			}
+			return gnn.OpenSnapshot(bytes.NewReader(data))
+		}},
+		{"OpenSnapshotFile", func(path string) (*gnn.Index, error) { return gnn.OpenSnapshotFile(path) }},
+		{"OpenSnapshotMapped", func(path string) (*gnn.Index, error) { return gnn.OpenSnapshotMapped(path) }},
+	}
+	// WithShards(1): the sequential scatter, whose NA does not depend on
+	// worker timing.
+	cells := [][]gnn.QueryOption{
+		{gnn.WithK(5), gnn.WithShards(1)},
+		{gnn.WithK(5), gnn.WithShards(1), gnn.WithAggregate(gnn.MaxDist)},
+		{gnn.WithK(5), gnn.WithShards(1), gnn.WithAlgorithm(gnn.AlgoMQM)},
+		{gnn.WithK(5), gnn.WithShards(1), gnn.WithAlgorithm(gnn.AlgoSPM), gnn.WithDepthFirst()},
+	}
+	for _, k := range kinds {
+		for _, o := range opens {
+			ix, err := o.open(k.path)
+			if err != nil {
+				t.Fatalf("%s of a %s snapshot: %v", o.name, k.name, err)
+			}
+			if got := ix.Stats().Shards; got != k.shards {
+				t.Errorf("%s of a %s snapshot: Stats().Shards = %d, want %d", o.name, k.name, got, k.shards)
+			}
+			for _, q := range queries {
+				for _, opts := range cells {
+					want, wantCost, err := k.built.GroupNNWithCost(q, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, cost, err := ix.GroupNNWithCost(q, opts...)
+					if err != nil || !reflect.DeepEqual(got, want) || cost != wantCost {
+						t.Fatalf("%s of a %s snapshot: %v %+v (err %v), built %v %+v",
+							o.name, k.name, got, cost, err, want, wantCost)
+					}
+				}
+			}
+			ix.Close()
+		}
+	}
+	if _, err := gnn.OpenShardedSnapshotMapped(kinds[0].path); !errors.Is(err, gnn.ErrSnapshotKind) {
+		t.Fatalf("OpenShardedSnapshotMapped of a plain snapshot: %v, want ErrSnapshotKind", err)
+	}
+
+	qs, err := gnn.NewQuerySet(queries[0], gnn.QuerySetConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func() error{
+		"NearestNeighbors": func() error { _, err := sharded.NearestNeighbors(gnn.Point{500, 500}, 3); return err },
+		"NearestNeighborsWithCost": func() error {
+			_, _, err := sharded.NearestNeighborsWithCost(gnn.Point{500, 500}, 3)
+			return err
+		},
+		"GroupNNFromSet": func() error { _, err := sharded.GroupNNFromSet(qs, gnn.DiskFMBM); return err },
+		"GroupNNFromSetWithCost": func() error {
+			_, _, err := sharded.GroupNNFromSetWithCost(qs, gnn.DiskFMQM)
+			return err
+		},
+		"GroupNNClosestPairs/data":  func() error { _, err := sharded.GroupNNClosestPairs(plain, 0); return err },
+		"GroupNNClosestPairs/query": func() error { _, err := plain.GroupNNClosestPairs(sharded, 0); return err },
+		"GroupNNClosestPairsWithCost": func() error {
+			_, _, err := sharded.GroupNNClosestPairsWithCost(sharded, 0)
+			return err
+		},
+	} {
+		if err := run(); !errors.Is(err, gnn.ErrPartitioned) {
+			t.Errorf("%s on a sharded index: %v, want ErrPartitioned", name, err)
+		}
+	}
+
+	// The shards' bounds unite to the plain index's, and an overlay insert
+	// outside them extends the union.
+	lo, hi, ok := sharded.Bounds()
+	plo, phi, pok := plain.Bounds()
+	if !ok || !pok || !reflect.DeepEqual(lo, plo) || !reflect.DeepEqual(hi, phi) {
+		t.Fatalf("sharded Bounds %v %v (ok %v), plain %v %v (ok %v)", lo, hi, ok, plo, phi, pok)
+	}
+	if err := sharded.Insert(gnn.Point{-40, 1200}, 99999); err != nil {
+		t.Fatal(err)
+	}
+	lo, hi, _ = sharded.Bounds()
+	if want := (gnn.Point{-40, plo[1]}); !reflect.DeepEqual(lo, want) {
+		t.Errorf("Bounds lo after an overlay insert = %v, want %v", lo, want)
+	}
+	if want := (gnn.Point{phi[0], 1200}); !reflect.DeepEqual(hi, want) {
+		t.Errorf("Bounds hi after an overlay insert = %v, want %v", hi, want)
 	}
 }

@@ -87,28 +87,23 @@ func metaXforms() []metaXform {
 	}
 }
 
-// metaEngine abstracts the two index kinds under test.
+// metaEngine is one of the two index constructions under test, plain and
+// sharded.
 type metaEngine struct {
 	name  string
-	build func(t *testing.T, pts []gnn.Point) interface {
-		GroupNN(q []gnn.Point, opts ...gnn.QueryOption) ([]gnn.Result, error)
-	}
+	build func(t *testing.T, pts []gnn.Point) *gnn.Index
 }
 
 func metaEngines() []metaEngine {
 	return []metaEngine{
-		{"index", func(t *testing.T, pts []gnn.Point) interface {
-			GroupNN(q []gnn.Point, opts ...gnn.QueryOption) ([]gnn.Result, error)
-		} {
+		{"index", func(t *testing.T, pts []gnn.Point) *gnn.Index {
 			ix, err := gnn.BuildIndex(pts, nil, gnn.IndexConfig{NodeCapacity: 16})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return ix
 		}},
-		{"sharded", func(t *testing.T, pts []gnn.Point) interface {
-			GroupNN(q []gnn.Point, opts ...gnn.QueryOption) ([]gnn.Result, error)
-		} {
+		{"sharded", func(t *testing.T, pts []gnn.Point) *gnn.Index {
 			sx, err := gnn.BuildShardedIndex(pts, nil, 5, gnn.IndexConfig{NodeCapacity: 16})
 			if err != nil {
 				t.Fatal(err)

@@ -12,7 +12,7 @@ import (
 
 // disagreements counts the groups whose k-NN SUM answer differs from the
 // brute-force oracle over the live points pts with identifiers ids.
-func disagreements(t *testing.T, g grouper, pts []gnn.Point, ids []int64, groups [][]gnn.Point, k int) int {
+func disagreements(t *testing.T, g *gnn.Index, pts []gnn.Point, ids []int64, groups [][]gnn.Point, k int) int {
 	t.Helper()
 	bad := 0
 	for _, qs := range groups {
@@ -107,26 +107,22 @@ func TestNaNPointRegression(t *testing.T) {
 }
 
 // TestNonFiniteRejected checks every way a point enters an index: each
-// rejects NaN and ±Inf on either axis with a *NonFiniteError naming the
-// point and axis, and leaves the index unchanged.
+// rejects NaN, ±Inf and a finite coordinate beyond ±1e150 on either axis
+// with a *NonFiniteError naming the point and axis, and leaves the index
+// unchanged.
 func TestNonFiniteRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	pts := randGroup(rng, 500)
 	cfg := gnn.IndexConfig{NodeCapacity: 8}
-	type target interface {
-		Insert(gnn.Point, int64) error
-		Len() int
-		Stats() gnn.Stats
-	}
-	targets := map[string]func() target{
-		"Index/packed": func() target {
+	targets := map[string]func() *gnn.Index{
+		"Index/packed": func() *gnn.Index {
 			ix, err := gnn.BuildIndex(pts, nil, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return ix
 		},
-		"Index/never-packed": func() target {
+		"Index/never-packed": func() *gnn.Index {
 			ix, err := gnn.NewIndex(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -138,7 +134,7 @@ func TestNonFiniteRejected(t *testing.T) {
 			}
 			return ix
 		},
-		"ShardedIndex": func() target {
+		"Index/sharded": func() *gnn.Index {
 			sx, err := gnn.BuildShardedIndex(pts, nil, 3, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -146,7 +142,7 @@ func TestNonFiniteRejected(t *testing.T) {
 			return sx
 		},
 	}
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1e200} {
 		for axis := 0; axis < 2; axis++ {
 			p := gnn.Point{250, 750}
 			p[axis] = bad
@@ -178,12 +174,12 @@ func TestNonFiniteRejected(t *testing.T) {
 // sameFloat is equality that also holds between two NaNs.
 func sameFloat(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
 
-// TestNonFiniteQueryRejected is the query-side table: a NaN or ±Inf
-// coordinate on either axis of any group member is rejected with
-// *gnn.NonFiniteError (naming the member and axis) by every query entry
-// point of both index kinds, where a NaN member would otherwise yield k
-// results with Dist NaN and a nil error. Mapped indexes and indexes with
-// pending writes are covered too.
+// TestNonFiniteQueryRejected is the query-side table: a NaN, ±Inf or
+// out-of-range coordinate on either axis of any group member is rejected
+// with *gnn.NonFiniteError (naming the member and axis) by every query
+// entry point of a plain and a sharded index, where a NaN member would
+// otherwise yield k results with Dist NaN and a nil error. Mapped
+// indexes and indexes with pending writes are covered too.
 func TestNonFiniteQueryRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	pts := randGroup(rng, 400)
@@ -209,54 +205,43 @@ func TestNonFiniteQueryRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	type querier interface {
-		GroupNN([]gnn.Point, ...gnn.QueryOption) ([]gnn.Result, error)
-		GroupNNWithCost([]gnn.Point, ...gnn.QueryOption) ([]gnn.Result, gnn.Cost, error)
-		GroupNNContext(context.Context, []gnn.Point, ...gnn.QueryOption) ([]gnn.Result, error)
-		GroupNNWithCostContext(context.Context, []gnn.Point, ...gnn.QueryOption) ([]gnn.Result, gnn.Cost, error)
-		GroupNNBatch([][]gnn.Point, ...gnn.QueryOption) []gnn.BatchResult
-		GroupNNBatchContext(context.Context, [][]gnn.Point, ...gnn.QueryOption) ([]gnn.BatchResult, error)
-		GroupNNExplain([]gnn.Point, ...gnn.QueryOption) ([]gnn.Result, *gnn.QueryExplain, error)
-		GroupNNExplainContext(context.Context, []gnn.Point, ...gnn.QueryOption) ([]gnn.Result, *gnn.QueryExplain, error)
-		GroupNNIterator([]gnn.Point, ...gnn.QueryOption) (*gnn.Iterator, error)
-	}
 	ctx := context.Background()
-	entries := map[string]func(q querier, g []gnn.Point) error{
-		"GroupNN": func(q querier, g []gnn.Point) error {
+	entries := map[string]func(q *gnn.Index, g []gnn.Point) error{
+		"GroupNN": func(q *gnn.Index, g []gnn.Point) error {
 			_, err := q.GroupNN(g, gnn.WithK(3))
 			return err
 		},
-		"GroupNNWithCost": func(q querier, g []gnn.Point) error {
+		"GroupNNWithCost": func(q *gnn.Index, g []gnn.Point) error {
 			_, _, err := q.GroupNNWithCost(g, gnn.WithK(3))
 			return err
 		},
-		"GroupNNContext": func(q querier, g []gnn.Point) error {
+		"GroupNNContext": func(q *gnn.Index, g []gnn.Point) error {
 			_, err := q.GroupNNContext(ctx, g, gnn.WithK(3))
 			return err
 		},
-		"GroupNNWithCostContext": func(q querier, g []gnn.Point) error {
+		"GroupNNWithCostContext": func(q *gnn.Index, g []gnn.Point) error {
 			_, _, err := q.GroupNNWithCostContext(ctx, g, gnn.WithK(3))
 			return err
 		},
-		"GroupNNBatch": func(q querier, g []gnn.Point) error {
+		"GroupNNBatch": func(q *gnn.Index, g []gnn.Point) error {
 			return q.GroupNNBatch([][]gnn.Point{g}, gnn.WithK(3))[0].Err
 		},
-		"GroupNNBatchContext": func(q querier, g []gnn.Point) error {
+		"GroupNNBatchContext": func(q *gnn.Index, g []gnn.Point) error {
 			out, err := q.GroupNNBatchContext(ctx, [][]gnn.Point{g}, gnn.WithK(3))
 			if err != nil {
 				return err
 			}
 			return out[0].Err
 		},
-		"GroupNNExplain": func(q querier, g []gnn.Point) error {
+		"GroupNNExplain": func(q *gnn.Index, g []gnn.Point) error {
 			_, _, err := q.GroupNNExplain(g, gnn.WithK(3))
 			return err
 		},
-		"GroupNNExplainContext": func(q querier, g []gnn.Point) error {
+		"GroupNNExplainContext": func(q *gnn.Index, g []gnn.Point) error {
 			_, _, err := q.GroupNNExplainContext(ctx, g, gnn.WithK(3))
 			return err
 		},
-		"GroupNNIterator": func(q querier, g []gnn.Point) error {
+		"GroupNNIterator": func(q *gnn.Index, g []gnn.Point) error {
 			it, err := q.GroupNNIterator(g)
 			if err == nil {
 				it.Close()
@@ -264,8 +249,8 @@ func TestNonFiniteQueryRejected(t *testing.T) {
 			return err
 		},
 	}
-	indexes := map[string]querier{"Index": ix, "ShardedIndex": sx, "Index/mapped": mapped, "Index/writes": written}
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+	indexes := map[string]*gnn.Index{"Index": ix, "Index/sharded": sx, "Index/mapped": mapped, "Index/writes": written}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e200} {
 		for axis := 0; axis < 2; axis++ {
 			group := []gnn.Point{{100, 200}, {300, 400}, {250, 350}}
 			group[1][axis] = bad
@@ -280,11 +265,99 @@ func TestNonFiniteQueryRejected(t *testing.T) {
 				for ename, run := range entries {
 					check(iname+"."+ename, run(q, group), 1)
 				}
-			}
-			for iname, q := range map[string]*gnn.Index{"Index": ix, "Index/mapped": mapped, "Index/writes": written} {
 				_, err := q.NearestNeighbors(group[1], 3)
 				check(iname+".NearestNeighbors", err, 0)
 			}
 		}
+	}
+}
+
+// TestOutOfRangeCoordinatesRejected pins the magnitude bound. A finite
+// coordinate beyond ±1e150 can square to +Inf, and the kernels prune any
+// key equal to an +Inf bound: the group {(1e200, 0)} answered 0 of k = 3
+// under MBM (1 under MQM), and an index over {(1e200, 0), (0, 0)} answered
+// one of its two points. Every way such a coordinate reaches a kernel now
+// fails with *gnn.NonFiniteError naming it, on a plain and a 4-shard
+// index alike, while coordinates at ±1e150 still answer exactly.
+func TestOutOfRangeCoordinatesRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	pts := randGroup(rng, 500)
+	plain, err := gnn.BuildIndex(pts, nil, gnn.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := gnn.BuildShardedIndex(pts, nil, 4, gnn.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+	groupNN := func(opts ...gnn.QueryOption) func(*gnn.Index, []gnn.Point) error {
+		return func(ix *gnn.Index, g []gnn.Point) error {
+			_, err := ix.GroupNN(g, append([]gnn.QueryOption{gnn.WithK(3)}, opts...)...)
+			return err
+		}
+	}
+	for _, far := range []float64{1e200, -1e155, math.Nextafter(1e150, math.Inf(1))} {
+		group := []gnn.Point{{500, 500}, {far, 0}}
+		check := func(what string, err error, index int) {
+			t.Helper()
+			var nf *gnn.NonFiniteError
+			if !errors.As(err, &nf) || nf.Index != index || nf.Axis != 0 || nf.Value != far {
+				t.Errorf("%s with %v: err %v, want *NonFiniteError at point %d axis 0", what, far, err, index)
+			}
+		}
+		in := append(append([]gnn.Point(nil), pts...), gnn.Point{far, 0})
+		_, err := gnn.BuildIndex(in, nil, gnn.IndexConfig{})
+		check("BuildIndex", err, len(pts))
+		_, err = gnn.BuildShardedIndex(in, nil, 4, gnn.IndexConfig{})
+		check("BuildShardedIndex", err, len(pts))
+		for iname, ix := range map[string]*gnn.Index{"plain": plain, "sharded": sharded} {
+			for _, c := range []struct {
+				name string
+				run  func(*gnn.Index, []gnn.Point) error
+			}{
+				{"MQM", groupNN(gnn.WithAlgorithm(gnn.AlgoMQM))},
+				{"SPM", groupNN(gnn.WithAlgorithm(gnn.AlgoSPM))},
+				{"MBM-BF", groupNN(gnn.WithAlgorithm(gnn.AlgoMBM))},
+				{"MBM-DF", groupNN(gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithDepthFirst())},
+				{"MBM-BF/max", groupNN(gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithAggregate(gnn.MaxDist))},
+				{"brute", groupNN(gnn.WithAlgorithm(gnn.AlgoBruteForce))},
+				{"iterator", func(ix *gnn.Index, g []gnn.Point) error {
+					it, err := ix.GroupNNIterator(g)
+					if err == nil {
+						it.Close()
+					}
+					return err
+				}},
+				{"batch", func(ix *gnn.Index, g []gnn.Point) error {
+					return ix.GroupNNBatch([][]gnn.Point{g}, gnn.WithK(3))[0].Err
+				}},
+			} {
+				check(iname+"/"+c.name, c.run(ix, group), 1)
+			}
+			_, err := ix.NearestNeighbors(group[1], 3)
+			check(iname+"/NearestNeighbors", err, 0)
+			check(iname+"/Insert", ix.Insert(group[1], 9999), 0)
+			if ix.Len() != len(pts) {
+				t.Fatalf("%s: a rejected insert changed the index to %d points", iname, ix.Len())
+			}
+		}
+	}
+
+	// The bound itself is accepted, and its distances stay finite.
+	edge := []gnn.Point{{1e150, -1e150}, {0, 0}}
+	for _, build := range []func() (*gnn.Index, error){
+		func() (*gnn.Index, error) { return gnn.BuildIndex(edge, nil, gnn.IndexConfig{}) },
+		func() (*gnn.Index, error) { return gnn.BuildShardedIndex(edge, nil, 2, gnn.IndexConfig{}) },
+	} {
+		ix, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := ix.GroupNN([]gnn.Point{{-1e150, 1e150}}, gnn.WithK(2))
+		if err != nil || len(res) != 2 || math.IsInf(res[1].Dist, 0) {
+			t.Fatalf("group at the bound: %v (err %v), want both points at finite distances", res, err)
+		}
+		ix.Close()
 	}
 }

@@ -169,15 +169,9 @@ func oracleCells() []oracleCell {
 	}
 }
 
-// iterGrouper is an index that also serves incremental scans.
-type iterGrouper interface {
-	grouper
-	GroupNNIterator(query []gnn.Point, opts ...gnn.QueryOption) (*gnn.Iterator, error)
-}
-
 // oracleAnswer runs one cell's query: GroupNN, or the first k results of
 // the incremental iterator.
-func oracleAnswer(g iterGrouper, cell oracleCell, qs []gnn.Point, opts []gnn.QueryOption) ([]gnn.Result, error) {
+func oracleAnswer(g *gnn.Index, cell oracleCell, qs []gnn.Point, opts []gnn.QueryOption) ([]gnn.Result, error) {
 	if !cell.iter {
 		return g.GroupNN(qs, opts...)
 	}
@@ -223,7 +217,7 @@ func oracleWeights(n int) []float64 {
 
 // oracleCheck runs one cell against one environment and compares with
 // the brute-force ground truth, tie-aware.
-func oracleCheck(t *testing.T, env string, g iterGrouper, pts []gnn.Point, ids []int64,
+func oracleCheck(t *testing.T, env string, g *gnn.Index, pts []gnn.Point, ids []int64,
 	groups [][]gnn.Point, cell oracleCell) {
 	t.Helper()
 	for gi, qs := range groups {
@@ -311,7 +305,7 @@ func TestOracleDifferential(t *testing.T) {
 
 	envs := []struct {
 		name string
-		g    iterGrouper
+		g    *gnn.Index
 		pts  []gnn.Point
 		ids  []int64
 	}{

@@ -1,4 +1,4 @@
-// The delta-overlay write path of Index: an immutable packed base plus a
+// The delta-overlay write path of Index: an immutable base plus a
 // small write overlay (pending tail, folded delta tree, delete
 // tombstones), every version published atomically so queries never see a
 // half-applied write. See the package comment's "Writes under live
@@ -15,6 +15,7 @@ import (
 	"gnn/internal/overlay"
 	"gnn/internal/pagestore"
 	"gnn/internal/rtree"
+	"gnn/internal/shard"
 )
 
 // pendFold is the pending-tail length at which the overlay folds its
@@ -32,13 +33,11 @@ const deltaFirstPage = pagestore.PageID(1) << 40
 // once and traverse only its fields, so a concurrent writer publishing a
 // successor never perturbs an in-flight traversal.
 type viewState struct {
-	// tree is the packed base's shell; before a NewIndex's first read,
-	// the shell of an empty arena that carries the configuration.
-	tree *rtree.Tree
-	// packed is the base arena every query traverses; nil only before a
-	// NewIndex's first read, while mutations edit Index.slab. Once set,
-	// the base is immutable: mutations go through the overlay.
-	packed *rtree.Packed
+	// set is the base every query traverses: one unpartitioned arena or a
+	// Hilbert shard set. It is nil only before a NewIndex's first read,
+	// while mutations edit Index.slab. Once set, the base is immutable:
+	// mutations go through the overlay.
+	set *shard.Set
 	// ov is the write overlay; nil when the index has no un-compacted
 	// writes (the fast path: queries run exactly the single-source code
 	// that served before overlays existed).
@@ -77,7 +76,7 @@ func (v *viewState) succ(ov *overlayState) *viewState {
 	if ov.empty() {
 		ov = nil
 	}
-	return &viewState{tree: v.tree, packed: v.packed, ov: ov, seq: v.seq + 1}
+	return &viewState{set: v.set, ov: ov, seq: v.seq + 1}
 }
 
 // deltaConfig is the base geometry with the delta page range.
@@ -86,9 +85,8 @@ func deltaConfig(rcfg rtree.Config) rtree.Config {
 	return rcfg
 }
 
-// applier folds one mutation into an overlay state. It is the write
-// logic shared by Index and ShardedIndex: each supplies its delta-tree
-// geometry and its way of counting exact base occurrences.
+// applier folds one mutation into an overlay state over one base: its
+// delta-tree geometry and its way of counting exact base occurrences.
 type applier struct {
 	dcfg      rtree.Config
 	baseCount func(p geom.Point, id int64) int
@@ -180,11 +178,10 @@ func (a applier) delete(ov *overlayState, p geom.Point, id int64) (*overlayState
 	return &nov, true
 }
 
-// applier binds the shared write logic to one plain-index view; base
-// multiplicities are counted uncharged (tombstone bookkeeping, not a
-// query).
+// applier binds the write logic to one view; base multiplicities are
+// counted uncharged (tombstone bookkeeping, not a query).
 func (ix *Index) applier(v *viewState) applier {
-	return applier{dcfg: deltaConfig(ix.rcfg), baseCount: v.packed.CountExact}
+	return applier{dcfg: deltaConfig(ix.rcfg), baseCount: v.set.CountExact}
 }
 
 // applyInsert returns the successor view for inserting (p, id).

@@ -22,12 +22,7 @@ import (
 // deletes of base points (tombstones), deletes of overlay points
 // (physical removal, both pending and folded), and re-inserts of deleted
 // base points (resurrection).
-type mutable interface {
-	Insert(p gnn.Point, id int64) error
-	Delete(p gnn.Point, id int64) bool
-}
-
-func runMutationScript(t *testing.T, target mutable, pts []gnn.Point, rng *rand.Rand) ([]gnn.Point, []int64) {
+func runMutationScript(t *testing.T, target *gnn.Index, pts []gnn.Point, rng *rand.Rand) ([]gnn.Point, []int64) {
 	t.Helper()
 	live := make([]gnn.Point, len(pts))
 	ids := make([]int64, len(pts))
@@ -100,14 +95,10 @@ func variants() []variant {
 	return out
 }
 
-type grouper interface {
-	GroupNN(query []gnn.Point, opts ...gnn.QueryOption) ([]gnn.Result, error)
-}
-
 // assertEquivalent sweeps the variant grid over both indexes and demands
 // identical results. Coordinates are distinct random floats, so exact
 // aggregate-distance ties (the one sanctioned divergence) do not occur.
-func assertEquivalent(t *testing.T, label string, got, want grouper, groups [][]gnn.Point) {
+func assertEquivalent(t *testing.T, label string, got, want *gnn.Index, groups [][]gnn.Point) {
 	t.Helper()
 	for _, v := range variants() {
 		for gi, q := range groups {

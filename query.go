@@ -93,6 +93,7 @@ type explainProbe struct {
 	trace   core.Trace
 	stages  core.StageLog
 	overlay bool // overlay sources were merged into the answer
+	shards  int  // the base's shard count, 0 when unpartitioned
 }
 
 // WithK requests the k best group neighbors (default 1).
@@ -128,14 +129,14 @@ func WithRegion(lo, hi Point) QueryOption {
 // GOMAXPROCS). It has no effect on single queries.
 func WithParallelism(n int) QueryOption { return func(c *queryConfig) { c.parallelism = n } }
 
-// WithShards caps the concurrent per-query shard workers of a
-// ShardedIndex query. The default depends on the call: single queries
-// scatter across all shards in parallel (latency), batch queries scan
-// the shards of each query sequentially from the batch worker's
-// goroutine (throughput — parallelism then comes from concurrent
-// queries, and the shared pruning bound cascades from shard to shard).
-// Results never depend on this knob, only scheduling does. It has no
-// effect on a plain Index.
+// WithShards caps the concurrent per-query shard workers of a query on a
+// partitioned index (BuildShardedIndex, or a sharded snapshot). The
+// default depends on the call: single queries scatter across all shards
+// in parallel (latency), batch queries scan the shards of each query
+// sequentially from the batch worker's goroutine (throughput —
+// parallelism then comes from concurrent queries, and the shared pruning
+// bound cascades from shard to shard). Results never depend on this
+// knob, only scheduling does. It has no effect on an unpartitioned index.
 func WithShards(n int) QueryOption { return func(c *queryConfig) { c.shards = n } }
 
 func buildConfig(opts []QueryOption) queryConfig {
@@ -168,30 +169,40 @@ func (ix *Index) GroupNN(query []Point, opts ...QueryOption) ([]Result, error) {
 }
 
 // GroupNNWithCost is GroupNN returning this query's own I/O cost alongside
-// the results. The index-wide aggregate (Index.Cost) accrues the same
+// the results — on a partitioned index the exact sum of all per-shard
+// node accesses. The index-wide aggregate (Index.Cost) accrues the same
 // counts, so per-query costs of any set of queries sum to the aggregate.
 func (ix *Index) GroupNNWithCost(query []Point, opts ...QueryOption) ([]Result, Cost, error) {
-	return ix.groupNN(query, buildConfig(opts), nil)
+	return ix.groupNN(query, buildConfig(opts), nil, wideScatter)
 }
 
-// groupNN dispatches one memory-resident query and returns its results
-// with the query's own cost (partial when the query was canceled). ec
-// supplies the query's pooled scratch arena, which also holds the
-// query's cost tracker; nil draws one from the pool for the duration of
-// the call (the batch engine passes one per worker so a whole batch
-// reuses the same warm scratch).
-func (ix *Index) groupNN(query []Point, c queryConfig, ec *core.ExecContext) ([]Result, Cost, error) {
+// The scatter widths of a partitioned base when WithShards was not
+// given: a single query scatters across every core for latency, a batch
+// worker scans its query's shards one after another on its own context.
+const (
+	wideScatter       = 0 // shard.Set.Search reads 0 as one worker per core
+	sequentialScatter = 1
+)
+
+// groupNN answers one memory-resident query and returns its results with
+// the query's own cost (partial when the query was canceled): the one
+// query path behind every GroupNN variant. ec supplies the query's pooled
+// scratch arena, which also holds the query's cost tracker; nil draws one
+// from the pool for the duration of the call (the batch engine passes one
+// per worker so a whole batch reuses the same warm scratch).
+// defaultWorkers is wideScatter or sequentialScatter.
+func (ix *Index) groupNN(query []Point, c queryConfig, ec *core.ExecContext, defaultWorkers int) ([]Result, Cost, error) {
 	if ec == nil {
 		ec = core.AcquireExec()
 		defer ec.Release()
 	}
 	tk := ec.Tracker()
-	res, err := ix.answer(query, c, tk, ec)
+	res, err := ix.answer(query, c, tk, ec, defaultWorkers)
 	return res, costOf(*tk), err
 }
 
 // answer runs one memory-resident query on ec's scratch, charging tk.
-func (ix *Index) answer(query []Point, c queryConfig, tk *pagestore.CostTracker, ec *core.ExecContext) ([]Result, error) {
+func (ix *Index) answer(query []Point, c queryConfig, tk *pagestore.CostTracker, ec *core.ExecContext, defaultWorkers int) ([]Result, error) {
 	r, err := ix.acquire()
 	if err != nil {
 		return nil, err
@@ -215,26 +226,21 @@ func (ix *Index) answer(query []Point, c queryConfig, tk *pagestore.CostTracker,
 	if err != nil {
 		return nil, err
 	}
+	workers := c.shards
+	if workers == 0 {
+		workers = defaultWorkers
+	}
 	if c.probe != nil {
 		c.probe.overlay = v.ov != nil
+		c.probe.shards = v.set.Shards()
 	}
+	var gs []core.GroupNeighbor
 	if v.ov == nil {
-		// No overlay writes: exactly the single-source path, bit for bit.
-		opt.Packed = v.packed
-		var start time.Time
-		if opt.Stages != nil {
-			start = time.Now()
-		}
-		gs, err := kern(v.tree, qs, opt)
-		if err != nil {
-			return nil, err
-		}
-		if opt.Stages != nil {
-			opt.Stages.Record("query", -1, time.Since(start))
-		}
-		return toResults(gs), nil
+		// No overlay writes: the base alone answers.
+		gs, err = v.set.Search(qs, opt, workers, kern)
+	} else {
+		gs, err = overlayQuery(v, qs, opt, workers, kern, c.k)
 	}
-	gs, err := overlayQuery(v, qs, opt, c.k, kern)
 	if err != nil {
 		return nil, err
 	}
@@ -242,17 +248,19 @@ func (ix *Index) answer(query []Point, c queryConfig, tk *pagestore.CostTracker,
 }
 
 // overlayQuery answers a query on a mutated view by running the kernel
-// once per source — base tree (tombstoned hits vetoed), delta tree,
-// pending tail — and k-way-merging the per-source lists, exactly the
-// discipline of the sharded scatter. The sources run sequentially and
-// share one tightening bound, and all charge the same per-query tracker,
-// so reported cost is the exact sum of per-source node accesses.
-func overlayQuery(v *viewState, qs []geom.Point, opt core.Options, k int, kern shard.Kernel) ([]core.GroupNeighbor, error) {
+// once per source — the base (tombstoned hits vetoed; every shard of a
+// partitioned one), delta tree, pending tail — and k-way-merging the
+// per-source lists, exactly the discipline of the sharded scatter. The
+// sources run sequentially and share one tightening bound, and all charge
+// the same per-query tracker, so reported cost is the exact sum of
+// per-source node accesses.
+func overlayQuery(v *viewState, qs []geom.Point, opt core.Options, workers int, kern shard.Kernel, k int) ([]core.GroupNeighbor, error) {
 	ov := v.ov
 	shared := core.NewSharedBound()
 	lists := make([][]core.GroupNeighbor, 0, 3)
 	// Stage timing rides the sequential source order: one entry per
-	// overlay source, plus the final merge.
+	// overlay source, plus the final merge. A partitioned base also
+	// records its own per-shard "scatter" and "merge" stages.
 	timed := opt.Stages != nil
 	var start time.Time
 	if timed {
@@ -267,12 +275,11 @@ func overlayQuery(v *viewState, qs []geom.Point, opt core.Options, k int, kern s
 	}
 
 	bopt := opt
-	bopt.Packed = v.packed
 	bopt.Shared = shared
 	if ov.tombs.Total() > 0 {
 		bopt.Reject = ov.tombs.Rejects
 	}
-	gs, err := kern(v.tree, qs, bopt)
+	gs, err := v.set.Search(qs, bopt, workers, kern)
 	if err != nil {
 		return nil, err
 	}
@@ -302,16 +309,16 @@ func overlayQuery(v *viewState, qs []geom.Point, opt core.Options, k int, kern s
 		mark("pending")
 	}
 	merged := core.MergeNeighbors(k, lists)
-	mark("merge")
+	mark(v.set.MergeStage())
 	return merged, nil
 }
 
 // groupPoints converts the caller's query group into dst (len(query)
-// long) without copying coordinates, and rejects a NaN or infinite
-// coordinate with *NonFiniteError: one would poison every aggregate
-// distance and pruning bound the kernels compute. Every query entry
-// point (plain, sharded, batch, explain, iterator, context) converts
-// its group here.
+// long) without copying coordinates, and rejects a NaN, infinite or
+// out-of-range coordinate with *NonFiniteError: one would poison or
+// overflow every aggregate distance and pruning bound the kernels
+// compute. Every query entry point (plain, batch, explain, iterator,
+// context) converts its group here.
 func groupPoints(dst []geom.Point, query []Point) ([]geom.Point, error) {
 	for i, q := range query {
 		if err := rtree.CheckFinite(i, geom.Point(q)); err != nil {
@@ -323,7 +330,7 @@ func groupPoints(dst []geom.Point, query []Point) ([]geom.Point, error) {
 }
 
 // kernelFor maps a public algorithm to its core entry point — the single
-// dispatch table shared by the plain and the sharded read paths.
+// dispatch table of every read path.
 func kernelFor(a Algorithm) (shard.Kernel, error) {
 	switch a {
 	case AlgoMQM:
@@ -339,14 +346,6 @@ func kernelFor(a Algorithm) (shard.Kernel, error) {
 	}
 }
 
-// gnnStream is the engine behind a public Iterator: the single-tree
-// incremental scan (core.GNNIterator) or the sharded k-way merge
-// (shard.Iterator). Both emit neighbors in ascending aggregate distance.
-type gnnStream interface {
-	Next() (core.GroupNeighbor, bool)
-	Close()
-}
-
 // Iterator reports group nearest neighbors one at a time in ascending
 // aggregate distance, so callers need not fix k in advance (incremental
 // MBM). An Iterator is a single query's execution context: use it from one
@@ -354,7 +353,9 @@ type gnnStream interface {
 // that stop before exhausting the scan should Close the iterator so its
 // pooled scratch is recycled; forgetting to Close only costs the reuse.
 type Iterator struct {
-	it gnnStream
+	// it is the single-tree incremental scan (core.GNNIterator) or a lazy
+	// k-way merge of scans (shard.Iterator), ascending either way.
+	it core.Stream
 	tk pagestore.CostTracker
 	// done releases the owning index's lifecycle reference (so Close can
 	// drain live iterators); nil once released.
@@ -368,9 +369,14 @@ type Iterator struct {
 // to the new owner.
 func (it *Iterator) iterDone() bool { return it.it == nil }
 
-// GroupNNIterator starts an incremental GNN scan. The iterator holds a
-// reference on the index until Close or exhaustion, so a concurrent
-// Index.Close waits for it; close iterators you abandon early.
+// GroupNNIterator starts an incremental GNN scan. On a partitioned index
+// the per-shard incremental MBM streams merge lazily into one globally
+// ascending stream, advancing a shard only when its lower bound is the
+// smallest; results and ordering match an unpartitioned index over the
+// same points, and cost is the exact sum of per-shard accesses. The
+// iterator holds a reference on the index until Close or exhaustion, so
+// a concurrent Index.Close waits for it; close iterators you abandon
+// early.
 func (ix *Index) GroupNNIterator(query []Point, opts ...QueryOption) (*Iterator, error) {
 	r, err := ix.acquire()
 	if err != nil {
@@ -391,34 +397,28 @@ func (ix *Index) GroupNNIterator(query []Point, opts ...QueryOption) (*Iterator,
 	opt.Cost = &out.tk
 	v := ix.view.Load()
 	if v.ov == nil {
-		opt.Packed = v.packed
-		it, err := core.NewGNNIterator(v.tree, qs, opt)
-		if err != nil {
-			ix.release(r)
-			return nil, err
-		}
-		out.it = it
+		out.it, err = v.set.NewIterator(qs, opt)
 	} else {
-		it, err := overlayIterator(v, qs, opt)
-		if err != nil {
-			ix.release(r)
-			return nil, err
-		}
-		out.it = it
+		out.it, err = overlayIterator(v, qs, opt)
+	}
+	if err != nil {
+		ix.release(r)
+		return nil, err
 	}
 	out.done = func() { ix.release(r) }
 	return out, nil
 }
 
-// overlayIterator starts an incremental scan on a mutated view: one
-// GNNIterator per tree source (base with tombstoned hits vetoed, delta),
-// the pending tail as a pre-computed sorted list, all k-way merged by the
-// same machinery that merges shard iterators. Every source charges the
-// iterator's tracker, so cost stays the exact sum of node accesses.
-func overlayIterator(v *viewState, qs []geom.Point, opt core.Options) (*shard.Iterator, error) {
+// overlayIterator starts an incremental scan on a mutated view: the base
+// scan (tombstoned hits vetoed; the lazy shard merge of a partitioned
+// base), a GNNIterator over the delta tree and the pending tail as a
+// pre-computed sorted list, all k-way merged by the same machinery that
+// merges shard iterators. Every source charges the iterator's tracker, so
+// cost stays the exact sum of node accesses.
+func overlayIterator(v *viewState, qs []geom.Point, opt core.Options) (core.Stream, error) {
 	ov := v.ov
 	streams := make([]core.Stream, 0, 3)
-	fail := func(err error) (*shard.Iterator, error) {
+	fail := func(err error) (core.Stream, error) {
 		for _, s := range streams {
 			s.Close()
 		}
@@ -426,11 +426,10 @@ func overlayIterator(v *viewState, qs []geom.Point, opt core.Options) (*shard.It
 	}
 
 	bopt := opt
-	bopt.Packed = v.packed
 	if ov.tombs.Total() > 0 {
 		bopt.Reject = ov.tombs.Rejects
 	}
-	bit, err := core.NewGNNIterator(v.tree, qs, bopt)
+	bit, err := v.set.NewIterator(qs, bopt)
 	if err != nil {
 		return fail(err)
 	}

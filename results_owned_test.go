@@ -12,12 +12,6 @@ import (
 	"gnn/internal/snapshot"
 )
 
-// ownedQuerier is the query surface shared by Index and ShardedIndex.
-type ownedQuerier interface {
-	GroupNN([]gnn.Point, ...gnn.QueryOption) ([]gnn.Result, error)
-	GroupNNIterator([]gnn.Point, ...gnn.QueryOption) (*gnn.Iterator, error)
-}
-
 // resultBits is a result in bit-exact form, detached from its Point.
 type resultBits struct {
 	id   int64
@@ -102,7 +96,7 @@ func TestMappedResultPointsOwned(t *testing.T) {
 	}
 	// answers runs every query once, returning the answers in bit form
 	// and scribbling over every returned point afterwards.
-	answers := func(t *testing.T, q ownedQuerier) [][]resultBits {
+	answers := func(t *testing.T, q *gnn.Index) [][]resultBits {
 		t.Helper()
 		var out [][]resultBits
 		keep := func(res []gnn.Result, err error) {
@@ -117,8 +111,8 @@ func TestMappedResultPointsOwned(t *testing.T) {
 			for _, opts := range algos {
 				keep(q.GroupNN(g, append([]gnn.QueryOption{gnn.WithK(6)}, opts...)...))
 			}
-			if ix, ok := q.(*gnn.Index); ok {
-				keep(ix.NearestNeighbors(g[0], 6))
+			if q.Stats().Shards == 0 { // point-NN needs one arena
+				keep(q.NearestNeighbors(g[0], 6))
 			}
 			it, err := q.GroupNNIterator(g)
 			if err != nil {
@@ -137,7 +131,7 @@ func TestMappedResultPointsOwned(t *testing.T) {
 		}
 		return out
 	}
-	for name, q := range map[string]ownedQuerier{
+	for name, q := range map[string]*gnn.Index{
 		"built": built, "mapped": mapped, "sharded": sharded,
 		"sharded-mapped": shardedMapped, "writes": written,
 	} {
@@ -218,11 +212,7 @@ func TestHugeKAllocatesByResults(t *testing.T) {
 			t.Fatalf("%s with k = %d allocated %d bytes, budget %d", what, k, n, budget)
 		}
 	}
-	type batcher interface {
-		ownedQuerier
-		GroupNNBatch([][]gnn.Point, ...gnn.QueryOption) []gnn.BatchResult
-	}
-	for name, q := range map[string]batcher{
+	for name, q := range map[string]*gnn.Index{
 		"plain": plain, "sharded": sharded, "mapped": mapped, "sharded-mapped": shardedMapped,
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -237,8 +227,8 @@ func TestHugeKAllocatesByResults(t *testing.T) {
 				b := q.GroupNNBatch([][]gnn.Point{group}, gnn.WithK(k))
 				return b[0].Results, b[0].Err
 			})
-			if ix, ok := q.(*gnn.Index); ok {
-				measure(t, "NearestNeighbors", func() ([]gnn.Result, error) { return ix.NearestNeighbors(group[0], k) })
+			if q.Stats().Shards == 0 { // point-NN needs one arena
+				measure(t, "NearestNeighbors", func() ([]gnn.Result, error) { return q.NearestNeighbors(group[0], k) })
 			}
 		})
 	}

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Black-box smoke of a real gnnserve process: start → query → reject a
-# corrupt reload → accept a good reload → SIGTERM drain → clean exit,
+# corrupt reload → accept a good reload → reload onto a 4-shard snapshot
+# (one open serves either kind) → SIGTERM drain → clean exit,
 # then a second run exercising the write path: inserts through
 # /v1/insert, background compaction rotating the serving snapshot, and a
 # SIGTERM that waits out the compactor (exit 0, no temp-file orphan, the
@@ -44,6 +45,7 @@ go build -o "${BIN}/gnngen" ./cmd/gnngen
 echo "== generate snapshots"
 "${BIN}/gnngen" -dataset clustered -n 50000 -seed 1 -format snapshot -out "${DIR}/v1.snap"
 "${BIN}/gnngen" -dataset clustered -n 60000 -seed 2 -format snapshot -out "${DIR}/v2.snap"
+"${BIN}/gnngen" -dataset clustered -n 40000 -seed 3 -format snapshot -shards 4 -out "${DIR}/s4.snap"
 # A corrupt candidate: one bit flipped mid-payload.
 python3 - "$DIR" <<'PY'
 import sys, pathlib
@@ -89,6 +91,17 @@ sleep 0.5
 code=$(http GET "${URL}/v1/stats")
 [ "${code}" = "200" ] || fail "stats after SIGHUP: HTTP ${code}"
 grep -q '"ok":2' "${DIR}/resp" || fail "SIGHUP reload not counted (want reload.ok=2)"
+
+echo "== reload across kinds: a plain daemon swaps onto a 4-shard snapshot"
+code=$(http POST "${URL}/admin/reload" "{\"path\":\"${DIR}/s4.snap\"}")
+[ "${code}" = "200" ] || { cat "${DIR}/resp" >&2; fail "sharded reload: HTTP ${code}"; }
+code=$(http GET "${URL}/v1/stats")
+[ "${code}" = "200" ] || fail "stats after sharded reload: HTTP ${code}"
+grep -q '"generation":4' "${DIR}/resp" || fail "sharded reload did not bump the generation to 4"
+grep -q '"shards":4' "${DIR}/resp" || fail "stats after sharded reload do not report 4 shards"
+code=$(http POST "${URL}/v1/groupnn" '{"query":[[2000,3000],[2500,3500]],"k":3}')
+[ "${code}" = "200" ] || { cat "${DIR}/resp" >&2; fail "query on the sharded snapshot: HTTP ${code}"; }
+grep -q '"generation":4' "${DIR}/resp" || fail "query not answered by the sharded generation"
 
 echo "== SIGTERM drains and exits zero"
 kill -TERM "${SRV_PID}"

@@ -1,7 +1,7 @@
-// Differential suite for the sharded scatter-gather execution: a
-// ShardedIndex must return exactly the results of a plain Index over the
-// same points — for every algorithm, aggregate, k, layout and scatter
-// width — and its reported per-query cost must be exactly the sum of the
+// Differential suite for the sharded scatter-gather execution: an index
+// from BuildShardedIndex must return exactly the results of BuildIndex
+// over the same points — for every algorithm, aggregate, k, layout and
+// scatter width — and its reported per-query cost must be exactly the sum of the
 // per-shard node accesses (verified against the shard-shared aggregate
 // accountant). Run with -race; the concurrent-batch test is written for
 // it.
@@ -90,7 +90,7 @@ func sameResults(t *testing.T, name string, want, got []gnn.Result) {
 }
 
 // buildBoth builds a plain and a sharded index over the same points.
-func buildBoth(t testing.TB, pts []gnn.Point, shards int, cfg gnn.IndexConfig) (*gnn.Index, *gnn.ShardedIndex) {
+func buildBoth(t testing.TB, pts []gnn.Point, shards int, cfg gnn.IndexConfig) (*gnn.Index, *gnn.Index) {
 	t.Helper()
 	ix, err := gnn.BuildIndex(pts, nil, cfg)
 	if err != nil {
@@ -100,9 +100,9 @@ func buildBoth(t testing.TB, pts []gnn.Point, shards int, cfg gnn.IndexConfig) (
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sx.NumShards() != shards || sx.Len() != len(pts) {
+	if sx.Stats().Shards != shards || sx.Len() != len(pts) {
 		t.Fatalf("sharded index: %d shards over %d points, want %d over %d",
-			sx.NumShards(), sx.Len(), shards, len(pts))
+			sx.Stats().Shards, sx.Len(), shards, len(pts))
 	}
 	if err := sx.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -121,7 +121,7 @@ func TestShardedEquivalence(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 7} {
 		ix, sx := buildBoth(t, pts, shards, gnn.IndexConfig{NodeCapacity: 16})
-		sizes := sx.ShardSizes()
+		sizes := gnn.ShardSizes(sx)
 		total, min, max := 0, sx.Len(), 0
 		for _, n := range sizes {
 			total += n
@@ -259,7 +259,7 @@ func TestShardedIteratorEquivalence(t *testing.T) {
 }
 
 // TestShardedBatchConcurrent fires concurrent sharded batches and single
-// queries at one ShardedIndex (the -race consumer): every answer must
+// queries at one sharded index (the -race consumer): every answer must
 // match the serial reference and the per-query costs of the whole run
 // must sum exactly to the aggregate the accountant accrued.
 func TestShardedBatchConcurrent(t *testing.T) {

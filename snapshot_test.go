@@ -198,12 +198,12 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		if err := sx.WriteSnapshot(&buf); err != nil {
 			t.Fatalf("S=%d WriteSnapshot: %v", shards, err)
 		}
-		loaded, err := gnn.OpenShardedSnapshot(&buf)
+		loaded, err := gnn.OpenSnapshot(&buf)
 		if err != nil {
-			t.Fatalf("S=%d OpenShardedSnapshot: %v", shards, err)
+			t.Fatalf("S=%d OpenSnapshot: %v", shards, err)
 		}
-		if !reflect.DeepEqual(loaded.ShardSizes(), sx.ShardSizes()) {
-			t.Fatalf("S=%d: partition changed: %v vs %v", shards, loaded.ShardSizes(), sx.ShardSizes())
+		if !reflect.DeepEqual(gnn.ShardSizes(loaded), gnn.ShardSizes(sx)) {
+			t.Fatalf("S=%d: partition changed: %v vs %v", shards, gnn.ShardSizes(loaded), gnn.ShardSizes(sx))
 		}
 		if got, want := loaded.Stats(), sx.Stats(); got != want {
 			t.Fatalf("S=%d: stats diverged: %+v vs %+v", shards, got, want)
@@ -358,26 +358,6 @@ func TestSnapshotErrors(t *testing.T) {
 	if err := ix.WriteSnapshot(&plain); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := gnn.OpenShardedSnapshot(bytes.NewReader(plain.Bytes())); !errors.Is(err, gnn.ErrSnapshotKind) {
-		t.Fatalf("plain via sharded open: %v", err)
-	}
-
-	pts := make([]gnn.Point, 300)
-	rng := rand.New(rand.NewSource(6))
-	for i := range pts {
-		pts[i] = gnn.Point{rng.Float64(), rng.Float64()}
-	}
-	sx, err := gnn.BuildShardedIndex(pts, nil, 2, gnn.IndexConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sharded bytes.Buffer
-	if err := sx.WriteSnapshot(&sharded); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := gnn.OpenSnapshot(bytes.NewReader(sharded.Bytes())); !errors.Is(err, gnn.ErrSnapshotKind) {
-		t.Fatalf("sharded via plain open: %v", err)
-	}
 
 	// A flipped payload byte surfaces as a checksum error end to end.
 	data := plain.Bytes()
@@ -416,12 +396,12 @@ func TestSnapshotFileHelpers(t *testing.T) {
 	if err := sx.WriteSnapshotFile(spath); err != nil {
 		t.Fatal(err)
 	}
-	sloaded, err := gnn.OpenShardedSnapshotFile(spath)
+	sloaded, err := gnn.OpenSnapshotFile(spath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sloaded.NumShards() != 3 || sloaded.Len() != 200 {
-		t.Fatalf("sharded file round-trip: %d shards, %d points", sloaded.NumShards(), sloaded.Len())
+	if sloaded.Stats().Shards != 3 || sloaded.Len() != 200 {
+		t.Fatalf("sharded file round-trip: %d shards, %d points", sloaded.Stats().Shards, sloaded.Len())
 	}
 	if _, err := gnn.OpenSnapshotFile(filepath.Join(dir, "missing.snap")); err == nil {
 		t.Fatal("missing file should error")

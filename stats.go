@@ -17,7 +17,9 @@ type Stats struct {
 	// unset it: the base arena keeps serving, with the delta sources
 	// merged in.
 	Packed bool
-	// Shards is the shard count of a ShardedIndex; 0 for a plain Index.
+	// Shards is the shard count of a partitioned index (BuildShardedIndex,
+	// or a sharded snapshot); 0 for an unpartitioned one. Compaction keeps
+	// it.
 	Shards int
 	// Height is the R-tree height in levels (the maximum across shards);
 	// 0 before a NewIndex's first read, which builds the tree.
@@ -47,32 +49,32 @@ type Stats struct {
 	LastCompactionError string
 }
 
-// compactStats fills the shared compaction counters.
-func (s *Stats) compactStats(gen uint64, ns int64, errp *string) {
-	s.CompactGen = gen
-	s.LastCompaction = time.Duration(ns)
-	if errp != nil {
-		s.LastCompactionError = *errp
-	}
-}
-
-// Stats reports the index's current shape and serving state.
+// Stats reports the index's current shape and serving state. On a
+// partitioned index Height is the maximum shard height and
+// Nodes/ArenaBytes sum over the shards.
 func (ix *Index) Stats() Stats {
 	v := ix.view.Load()
 	s := Stats{
-		Points: ix.Len(),
-		Dim:    ix.Dim(),
+		Points:         ix.Len(),
+		Dim:            ix.Dim(),
+		CompactGen:     ix.compactGen.Load(),
+		LastCompaction: time.Duration(ix.compactNS.Load()),
 	}
-	if p := v.packed; p != nil {
+	if errp := ix.compactErr.Load(); errp != nil {
+		s.LastCompactionError = *errp
+	}
+	if v.set != nil {
 		s.Packed = true
-		s.Height = p.Height()
-		s.Nodes = p.Nodes()
-		s.ArenaBytes = p.ArenaBytes()
+		s.Shards = v.set.Shards()
+		for _, p := range v.set.Arenas() {
+			s.Height = max(s.Height, p.Height())
+			s.Nodes += p.Nodes()
+			s.ArenaBytes += p.ArenaBytes()
+		}
 	}
 	if v.ov != nil {
 		s.Delta = len(v.ov.pts)
 		s.Tombstones = v.ov.tombs.Total()
 	}
-	s.compactStats(ix.compactGen.Load(), ix.compactNS.Load(), ix.compactErr.Load())
 	return s
 }
