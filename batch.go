@@ -1,8 +1,6 @@
 package gnn
 
-import (
-	"gnn/internal/core"
-)
+import "context"
 
 // BatchResult is the outcome of one query of a GroupNNBatch call.
 type BatchResult struct {
@@ -26,20 +24,13 @@ type BatchResult struct {
 // Each worker holds one pooled execution context for the whole batch, so
 // every query after a worker's first reuses warm scratch (heaps, candidate
 // buffers, result lists) instead of allocating. On a partitioned index
-// each worker answers one query at a time and, by default, scans that
-// query's shards sequentially from its own goroutine — batch throughput
-// comes from concurrent queries, and the shared pruning bound cascades
-// from shard to shard within each query, so later shards start already
-// tightly bounded. WithShards(n) overrides the per-query scatter width
-// when individual query latency matters more than batch density.
+// each worker answers one query at a time and scans that query's shards
+// sequentially from its own goroutine — batch throughput comes from
+// concurrent queries, and the shared pruning bound cascades from shard to
+// shard within each query, so later shards start already tightly
+// bounded. A panic inside one query fails that query's entry, not the
+// batch. It is GroupNNBatchContext under a context that never fires.
 func (ix *Index) GroupNNBatch(queries [][]Point, opts ...QueryOption) []BatchResult {
-	out := make([]BatchResult, len(queries))
-	if len(queries) == 0 {
-		return out
-	}
-	c := buildConfig(opts)
-	core.RunPooled(len(queries), c.parallelism, func(i int, ec *core.ExecContext) {
-		out[i].Results, out[i].Cost, out[i].Err = ix.groupNN(queries[i], c, ec, sequentialScatter)
-	})
+	out, _ := ix.GroupNNBatchContext(context.Background(), queries, opts...)
 	return out
 }

@@ -165,9 +165,7 @@ func (ix *Index) kickCompactor(nv *viewState) {
 // Compact synchronously folds the overlay into a fresh packed base — a
 // partitioned base is re-partitioned into the same number of shards —
 // and swaps it in under live readers: the old base is never freed under a
-// traversal (in-flight queries hold their view), and the old shard set's
-// resident scatter workers stop after the swap, so in-flight queries on
-// it finish on pooled workers. A mapped base's file is
+// traversal (in-flight queries hold their view). A mapped base's file is
 // unmapped once every read that started before the swap has released its
 // lifecycle reference, so the compacted index keeps one resident copy of
 // its points instead of holding the file mapped until Close. When a
@@ -238,7 +236,6 @@ func (ix *Index) compactOnce() (err error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ix.closed.Load() {
-		nset.Close()
 		return ErrSnapshotClosed
 	}
 	// Replay the mutations that landed while the rebuild ran onto the
@@ -263,13 +260,10 @@ func (ix *Index) compactOnce() (err error) {
 	ix.log = append([]overlay.Mutation(nil), tail...)
 	ix.view.Store(nv)
 	ix.compactGen.Add(1)
-	// Stop the replaced set's resident workers deterministically:
-	// in-flight queries holding the old view finish on pooled workers
-	// (shard.Set.Close is drain-safe), and the arenas themselves stay
-	// reachable until those views are dropped. The new base lives on the
-	// heap: a mapped file goes once the reads that may hold the old view —
-	// this cycle's own included — release.
-	v.set.Close()
+	// The replaced arenas stay reachable until the in-flight queries
+	// holding the old view drop it. The new base lives on the heap: a
+	// mapped file goes once the reads that may hold the old view — this
+	// cycle's own included — release.
 	ix.retire()
 	return persistErr
 }

@@ -297,9 +297,9 @@ func closeUnderStorm(t *testing.T, c io.Closer, ops []func(i int) error, workers
 }
 
 // TestShardedCloseDrainsInflight is TestCloseDrainsInflight for the
-// sharded mapped open, which additionally stops resident scatter workers
-// mid-storm; the workers query, write snapshots and write, with every
-// other round left to the writers alone.
+// sharded mapped open, whose queries scatter over every shard of the one
+// mapping while Close drains them; the workers query, write snapshots and
+// write, with every other round left to the writers alone.
 func TestShardedCloseDrainsInflight(t *testing.T) {
 	pts, _, queries := snapshotFixture(t, 4000, 29)
 	sx, err := gnn.BuildShardedIndex(pts, nil, 4, gnn.IndexConfig{})

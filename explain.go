@@ -73,10 +73,11 @@ type QueryExplain struct {
 	Algorithm string `json:"algorithm"`
 	// Aggregate is the distance combination served ("sum", "max", "min").
 	Aggregate string `json:"aggregate"`
-	// MaxKernel records the MAX aggregate's kernel provenance: "meb" for
-	// the dedicated minimum-enclosing-ball kernel, "generic" for the
-	// per-member reference path the differential tests select. Empty for
-	// SUM/MIN queries.
+	// MaxKernel records the MAX aggregate's kernel provenance under MBM:
+	// "meb" for the dedicated minimum-enclosing-ball kernel, "generic" for
+	// the per-member bounds — the reference path the differential tests
+	// select, and the path of a one-point group. Empty for SUM/MIN queries
+	// and the other algorithms.
 	MaxKernel string `json:"max_kernel,omitempty"`
 	// K and GroupSize echo the query shape.
 	K         int `json:"k"`
@@ -117,10 +118,10 @@ func explainFrom(c queryConfig, groupSize int, cost Cost, total time.Duration) *
 		Cost:      cost,
 		TotalUS:   total.Microseconds(),
 	}
-	if c.aggregate == MaxDist && (algo == AlgoMBM) {
-		ex.MaxKernel = "meb"
-		if c.genericMax {
-			ex.MaxKernel = "generic"
+	if c.aggregate == MaxDist && algo == AlgoMBM {
+		ex.MaxKernel = "generic"
+		if c.coreOptions().MEBEnabled(groupSize) {
+			ex.MaxKernel = "meb"
 		}
 	}
 	for _, s := range p.stages.Stages {

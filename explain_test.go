@@ -36,12 +36,15 @@ func requireExplainMatches(t *testing.T, label string, ix *gnn.Index, q []gnn.Po
 
 func TestExplainPlainIndexAllAlgorithms(t *testing.T) {
 	pts, ix, queries := snapshotFixture(t, 3000, 23)
+	// size truncates every query group to its first size points; 0 keeps
+	// the whole group.
 	cases := []struct {
 		name string
+		size int
 		opts []gnn.QueryOption
 		chk  func(t *testing.T, ex *gnn.QueryExplain)
 	}{
-		{"MBM", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithK(4)}, func(t *testing.T, ex *gnn.QueryExplain) {
+		{"MBM", 0, []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithK(4)}, func(t *testing.T, ex *gnn.QueryExplain) {
 			if ex.Algorithm != "MBM" || ex.Trace.NodesVisited == 0 {
 				t.Errorf("MBM explain: %+v", ex)
 			}
@@ -49,17 +52,17 @@ func TestExplainPlainIndexAllAlgorithms(t *testing.T) {
 				t.Errorf("MBM pruned nothing: %+v", ex.Trace)
 			}
 		}},
-		{"auto-resolves-to-MBM", []gnn.QueryOption{gnn.WithK(2)}, func(t *testing.T, ex *gnn.QueryExplain) {
+		{"auto-resolves-to-MBM", 0, []gnn.QueryOption{gnn.WithK(2)}, func(t *testing.T, ex *gnn.QueryExplain) {
 			if ex.Algorithm != "MBM" {
 				t.Errorf("auto resolved to %q, want MBM", ex.Algorithm)
 			}
 		}},
-		{"MBM-df", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithDepthFirst(), gnn.WithK(4)}, func(t *testing.T, ex *gnn.QueryExplain) {
+		{"MBM-df", 0, []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithDepthFirst(), gnn.WithK(4)}, func(t *testing.T, ex *gnn.QueryExplain) {
 			if ex.Trace.NodesVisited == 0 {
 				t.Errorf("MBM-df explain: %+v", ex.Trace)
 			}
 		}},
-		{"SPM", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoSPM), gnn.WithK(4)}, func(t *testing.T, ex *gnn.QueryExplain) {
+		{"SPM", 0, []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoSPM), gnn.WithK(4)}, func(t *testing.T, ex *gnn.QueryExplain) {
 			if ex.Algorithm != "SPM" || ex.Trace.NodesVisited == 0 {
 				t.Errorf("SPM explain: %+v", ex)
 			}
@@ -67,32 +70,42 @@ func TestExplainPlainIndexAllAlgorithms(t *testing.T) {
 				t.Errorf("SPM heuristic 1 pruned nothing: %+v", ex.Trace)
 			}
 		}},
-		{"SPM-df", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoSPM), gnn.WithDepthFirst()}, func(t *testing.T, ex *gnn.QueryExplain) {
+		{"SPM-df", 0, []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoSPM), gnn.WithDepthFirst()}, func(t *testing.T, ex *gnn.QueryExplain) {
 			if ex.Trace.NodesPrunedH1+ex.Trace.PointsPrunedH1 == 0 {
 				t.Errorf("SPM-df heuristic 1 pruned nothing: %+v", ex.Trace)
 			}
 		}},
-		{"MQM", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMQM), gnn.WithK(4)}, func(t *testing.T, ex *gnn.QueryExplain) {
+		{"MQM", 0, []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMQM), gnn.WithK(4)}, func(t *testing.T, ex *gnn.QueryExplain) {
 			if ex.Algorithm != "MQM" || ex.Trace.StreamAdvances == 0 {
 				t.Errorf("MQM explain: %+v", ex)
 			}
 		}},
-		{"brute", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoBruteForce)}, func(t *testing.T, ex *gnn.QueryExplain) {
+		{"brute", 0, []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoBruteForce)}, func(t *testing.T, ex *gnn.QueryExplain) {
 			if ex.Trace.PointsScanned != len(pts) {
 				t.Errorf("brute scanned %d points, want %d", ex.Trace.PointsScanned, len(pts))
 			}
 		}},
-		{"MBM-max-meb", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithAggregate(gnn.MaxDist)}, func(t *testing.T, ex *gnn.QueryExplain) {
+		{"MBM-max-meb", 0, []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithAggregate(gnn.MaxDist)}, func(t *testing.T, ex *gnn.QueryExplain) {
 			if ex.MaxKernel != "meb" {
 				t.Errorf("max kernel = %q, want meb", ex.MaxKernel)
 			}
 		}},
-		{"MBM-max-generic", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithAggregate(gnn.MaxDist), gnn.WithGenericMax()}, func(t *testing.T, ex *gnn.QueryExplain) {
+		{"MBM-max-generic", 0, []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithAggregate(gnn.MaxDist), gnn.WithGenericMax()}, func(t *testing.T, ex *gnn.QueryExplain) {
 			if ex.MaxKernel != "generic" {
 				t.Errorf("max kernel = %q, want generic", ex.MaxKernel)
 			}
 		}},
-		{"MBM-region", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithRegion(gnn.Point{200, 200}, gnn.Point{700, 700})}, func(t *testing.T, ex *gnn.QueryExplain) {
+		// MBM runs the generic bounds on a one-point MAX group: its MEB
+		// bound would only repeat heuristic 2.
+		{"MBM-max-one-point", 1, []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithAggregate(gnn.MaxDist)}, func(t *testing.T, ex *gnn.QueryExplain) {
+			if ex.MaxKernel != "generic" {
+				t.Errorf("max kernel = %q, want generic", ex.MaxKernel)
+			}
+			if ex.Trace.NodesPrunedMEB+ex.Trace.PointsPrunedMEB != 0 {
+				t.Errorf("one-point group pruned by MEB: %+v", ex.Trace)
+			}
+		}},
+		{"MBM-region", 0, []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithRegion(gnn.Point{200, 200}, gnn.Point{700, 700})}, func(t *testing.T, ex *gnn.QueryExplain) {
 			if ex.Trace.NodesVisited == 0 {
 				t.Error("region MBM visited no nodes")
 			}
@@ -101,6 +114,9 @@ func TestExplainPlainIndexAllAlgorithms(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			for _, q := range queries[:4] {
+				if c.size > 0 {
+					q = q[:c.size]
+				}
 				ex := requireExplainMatches(t, c.name, ix, q, c.opts...)
 				if ex.Shards != 0 || ex.Overlay {
 					t.Errorf("plain index explain has Shards=%d Overlay=%v", ex.Shards, ex.Overlay)

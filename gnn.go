@@ -302,16 +302,15 @@ func (l *lifecycle) unmapFile() {
 }
 
 // shut marks a mapped index closed, waits for every inflight read to
-// release, runs stop (it may still touch the base) and unmaps the file
-// unless a compaction did already. A second call returns nil at once.
-func (l *lifecycle) shut(stop func()) error {
+// release and unmaps the file unless a compaction did already. A second
+// call returns nil at once.
+func (l *lifecycle) shut() error {
 	if l.closed.Swap(true) {
 		return nil // another Close won the race and owns the drain
 	}
 	for i := range l.refs {
 		drainRefs(&l.refs[i])
 	}
-	stop()
 	l.unmapFile()
 	return l.unmapErr
 }

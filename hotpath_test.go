@@ -55,18 +55,18 @@ func TestHotPathAllocs(t *testing.T) {
 }
 
 // shardedAllocCells bound the warm 4-shard MBM query's allocations per
-// query at what the sequential scatter read when the two index types
-// became one (BuildShardedIndex over allocFixture's TS points, the same
-// 16 groups, k = 8): its per-shard run slots, result lists and merge.
-// Lowering a bound is fine; raising one is a regression.
+// query at what the sequential scatter reads (BuildShardedIndex over
+// allocFixture's TS points, the same 16 groups, k = 8): its per-shard run
+// slots, result lists and merge. Lowering a bound is fine; raising one
+// is a regression.
 var shardedAllocCells = []struct {
 	name string
 	opts []gnn.QueryOption
 	max  float64
 }{
-	{"MBM-BF/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM)}, 17.125},
-	{"MBM-BF/max", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithAggregate(gnn.MaxDist)}, 14.5},
-	{"MBM-DF/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithDepthFirst()}, 14.375},
+	{"MBM-BF/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM)}, 16.125},
+	{"MBM-BF/max", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithAggregate(gnn.MaxDist)}, 13.5},
+	{"MBM-DF/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithDepthFirst()}, 13.375},
 }
 
 // TestHotPathAllocsSharded bounds the warm scatter's allocations per

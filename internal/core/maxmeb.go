@@ -47,10 +47,11 @@ type mebCtx struct {
 	wmin  float64    // weighted MAX: max_i w_i·|pq_i| ≥ w_min·(MEB bound)
 }
 
-// mebEnabled reports whether the dedicated MAX path applies: the MAX
-// aggregate, not forced generic, and a group of at least two points (a
-// singleton's MEB bound degenerates to the existing heuristics).
-func (o Options) mebEnabled(n int) bool {
+// MEBEnabled reports whether MBM runs the dedicated MAX path on a group
+// of n points: the MAX aggregate, not forced generic, and a group of at
+// least two points (a singleton's MEB bound degenerates to the existing
+// heuristics). Query explain reports the kernel from it.
+func (o Options) MEBEnabled(n int) bool {
 	return o.Aggregate == Max && !o.GenericMax && n >= 2
 }
 

@@ -53,7 +53,7 @@ func MBM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 			ec:   ec,
 		}
 		st.qcent = ec.centerOf(st.qmbr)
-		if opt.mebEnabled(len(qs)) {
+		if opt.MEBEnabled(len(qs)) {
 			st.meb = ec.mebFor(qs, w)
 		}
 		st.df(st.rd.PackedRoot(), 0)
@@ -305,7 +305,7 @@ func NewGNNIterator(t *rtree.Tree, qs []geom.Point, opt Options) (*GNNIterator, 
 	it.opt = opt
 	it.w = w
 	it.mebp = nil
-	if opt.mebEnabled(len(qs)) {
+	if opt.MEBEnabled(len(qs)) {
 		it.meb.init(&it.mebs, qs, w)
 		it.mebp = &it.meb
 	}

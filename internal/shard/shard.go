@@ -12,8 +12,9 @@
 // alike.
 //
 // A scattered query runs the same unmodified MQM/SPM/MBM/brute kernel
-// against every shard — over a small worker pool or sequentially — with
-// three pieces of per-shard state:
+// against every shard — sequentially on the caller's goroutine, or over a
+// small pool of goroutines (core.RunPooled) — with three pieces of
+// per-shard state:
 //
 //   - its own arena and rtree.Reader (via core.Options.Packed per
 //     shard), so traversals never contend;
@@ -28,14 +29,15 @@
 // ascending result lists into the global k best. The merged answer is
 // provably identical to an unsharded search regardless of worker timing
 // (see core.SharedBound); only per-shard node-access counts vary with
-// when bounds get published, and only under concurrent scatter.
+// when bounds get published, and only under concurrent scatter. A set
+// owns no goroutine: a parallel scatter's workers finish before it
+// returns.
 package shard
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"gnn/internal/core"
@@ -44,79 +46,22 @@ import (
 	"gnn/internal/rtree"
 )
 
-// Unit is one shard: an independent R-tree over a Hilbert-contiguous
-// slice of the data set, with its immutable packed snapshot. The one
-// arena of an unpartitioned set is a Unit too.
-type Unit struct {
-	Tree   *rtree.Tree
-	Packed *rtree.Packed
-}
-
 // ErrPartitioned reports an operation that needs the one arena of an
 // unpartitioned set — a point-NN query, the disk-resident family and the
 // group closest pairs — run on a partitioned set.
 var ErrPartitioned = errors.New("shard: operation needs an unpartitioned index")
 
 // Set is an index's immutable base: one unpartitioned arena (Pack) or a
-// Hilbert partition into shards (Build). Any number of queries may run
-// against it concurrently.
+// Hilbert partition into shards (Build), each shard an independent packed
+// R-tree over a Hilbert-contiguous run of the data set. Any number of
+// queries may run against it concurrently.
 type Set struct {
-	units []Unit
-	dim   int
-	size  int
+	arenas []*rtree.Packed
+	dim    int
+	size   int
 	// partitioned is set by Build and by sharded snapshots; an
-	// unpartitioned set holds exactly one unit and never scatters.
+	// unpartitioned set holds exactly one arena and never scatters.
 	partitioned bool
-
-	// Shard-per-core scatter executor, started lazily by the first fully
-	// parallel scatter and stopped by Close (or by a GC cleanup when the
-	// Set becomes unreachable without one).
-	engMu  sync.Mutex
-	eng    *engine
-	closed bool
-}
-
-// acquireEngine returns the running scatter executor with one scatter
-// lease held, starting it on first use; nil after Close (callers then
-// fall back to pooled scatter). The lease (release it with eng.release)
-// is what lets Close drain inflight scatters instead of closing the
-// worker channels under them.
-func (s *Set) acquireEngine() *engine {
-	s.engMu.Lock()
-	defer s.engMu.Unlock()
-	if s.closed {
-		return nil
-	}
-	if s.eng == nil {
-		s.eng = newEngine(len(s.units))
-		// Backstop for callers that drop the Set without Close: the
-		// cleanup must not reference s (it would never become
-		// unreachable), only the engine.
-		runtime.AddCleanup(s, func(e *engine) { e.close() }, s.eng)
-	}
-	// Under engMu and before the closed flag flips, so no lease can be
-	// taken once Close has started waiting.
-	s.eng.scatters.Add(1)
-	return s.eng
-}
-
-// Close stops the pinned scatter workers; a no-op on a set that never
-// scattered in parallel, an unpartitioned one included. Optional — a
-// dropped Set's workers are stopped by a GC cleanup — but deterministic
-// shutdown needs it. Idempotent, and safe while queries are inflight:
-// new scatters fall back to pooled workers the moment the flag flips,
-// inflight ones are drained before the worker channels close, and
-// queries issued after Close still work, on pooled workers.
-func (s *Set) Close() {
-	s.engMu.Lock()
-	s.closed = true
-	eng := s.eng
-	s.eng = nil
-	s.engMu.Unlock()
-	if eng != nil {
-		eng.scatters.Wait()
-		eng.close()
-	}
 }
 
 // Prepare forces the deferred verification of every arena loaded from a
@@ -124,8 +69,8 @@ func (s *Set) Close() {
 // require a prior successful Prepare on loaded sets; the public layer
 // calls it on each query entry.
 func (s *Set) Prepare() error {
-	for i := range s.units {
-		if err := s.units[i].Packed.Prepare(); err != nil {
+	for _, p := range s.arenas {
+		if err := p.Prepare(); err != nil {
 			return err
 		}
 	}
@@ -145,7 +90,7 @@ func Pack(cfg rtree.Config, cols []float64, ids []int64) (*Set, error) {
 
 // single wraps one arena as an unpartitioned set.
 func single(p *rtree.Packed) *Set {
-	return &Set{units: []Unit{{Tree: p.Tree(), Packed: p}}, dim: p.Dim(), size: p.Len()}
+	return &Set{arenas: []*rtree.Packed{p}, dim: p.Dim(), size: p.Len()}
 }
 
 // Build partitions the points of an axis-major coordinate buffer (with
@@ -161,9 +106,8 @@ func Build(cfg rtree.Config, cols []float64, ids []int64, shards int) (*Set, err
 	if err != nil {
 		return nil, err
 	}
-	s := &Set{units: make([]Unit, len(ps)), dim: ps[0].Dim(), partitioned: true}
-	for i, p := range ps {
-		s.units[i] = Unit{Tree: p.Tree(), Packed: p}
+	s := &Set{arenas: ps, dim: ps[0].Dim(), partitioned: true}
+	for _, p := range ps {
 		s.size += p.Len()
 	}
 	return s, nil
@@ -175,7 +119,7 @@ func Build(cfg rtree.Config, cols []float64, ids []int64, shards int) (*Set, err
 // overlay writes fold the live points through it.
 func (s *Set) Rebuild(cols []float64, ids []int64) (*Set, error) {
 	if s.partitioned {
-		return Build(s.Config(), cols, ids, len(s.units))
+		return Build(s.Config(), cols, ids, len(s.arenas))
 	}
 	return Pack(s.Config(), cols, ids)
 }
@@ -183,7 +127,7 @@ func (s *Set) Rebuild(cols []float64, ids []int64) (*Set, error) {
 // Config returns the configuration a rebuild packs with: the arenas'
 // shared geometry and accountant, with the page range starting at 0.
 func (s *Set) Config() rtree.Config {
-	cfg := s.units[0].Tree.Config()
+	cfg := s.arenas[0].Tree().Config()
 	cfg.FirstPage = 0
 	return cfg
 }
@@ -194,7 +138,7 @@ func (s *Set) Shards() int {
 	if !s.partitioned {
 		return 0
 	}
-	return len(s.units)
+	return len(s.arenas)
 }
 
 // Len returns the total number of indexed points.
@@ -205,7 +149,7 @@ func (s *Set) Arena() (*rtree.Packed, error) {
 	if s.partitioned {
 		return nil, ErrPartitioned
 	}
-	return s.units[0].Packed, nil
+	return s.arenas[0], nil
 }
 
 // CountExact returns the multiplicity of (p, id) across all arenas. Like
@@ -213,27 +157,22 @@ func (s *Set) Arena() (*rtree.Packed, error) {
 // bookkeeping, not a query.
 func (s *Set) CountExact(p geom.Point, id int64) int {
 	n := 0
-	for _, u := range s.units {
-		n += u.Packed.CountExact(p, id)
+	for _, a := range s.arenas {
+		n += a.CountExact(p, id)
 	}
 	return n
 }
 
-// Arenas returns the packed arenas in shard order. A borrowed set must
-// pass Prepare before their columns are read.
-func (s *Set) Arenas() []*rtree.Packed {
-	out := make([]*rtree.Packed, len(s.units))
-	for i, u := range s.units {
-		out[i] = u.Packed
-	}
-	return out
-}
+// Arenas returns the packed arenas in shard order: the set's own slice,
+// which callers must not modify. A borrowed set must pass Prepare before
+// their columns are read.
+func (s *Set) Arenas() []*rtree.Packed { return s.arenas }
 
 // Bounds returns the MBR of every indexed point; ok is false when the
 // set is empty.
 func (s *Set) Bounds() (r geom.Rect, ok bool) {
-	for _, u := range s.units {
-		b, has := u.Tree.Bounds()
+	for _, p := range s.arenas {
+		b, has := p.Bounds()
 		switch {
 		case !has:
 		case ok:
@@ -248,8 +187,8 @@ func (s *Set) Bounds() (r geom.Rect, ok bool) {
 // CheckInvariants validates every arena's R-tree structure; a shard's
 // error names the shard.
 func (s *Set) CheckInvariants() error {
-	for i, u := range s.units {
-		if err := u.Tree.CheckInvariants(); err != nil {
+	for i, p := range s.arenas {
+		if err := p.Tree().CheckInvariants(); err != nil {
 			if s.partitioned {
 				return fmt.Errorf("shard %d: %w", i, err)
 			}
@@ -288,14 +227,14 @@ func (s *Set) Search(qs []geom.Point, opt core.Options, workers int, kernel Kern
 	if s.partitioned {
 		return s.scatter(qs, opt, workers, kernel)
 	}
-	u := s.units[0]
-	opt.Packed = u.Packed
+	p := s.arenas[0]
+	opt.Packed = p
 	timed := opt.Stages != nil && opt.Shared == nil
 	var start time.Time
 	if timed {
 		start = time.Now()
 	}
-	gs, err := kernel(u.Tree, qs, opt)
+	gs, err := kernel(p.Tree(), qs, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -320,15 +259,16 @@ func (s *Set) MergeStage() string {
 // every shard with a fresh SharedBound wiring the shards together, then
 // the per-shard lists merge into the global k best and the per-shard
 // trackers sum into opt.Cost. workers caps the concurrent shard workers:
-// 0 means one per available core (GOMAXPROCS), and other values below 2
-// one worker, i.e. a sequential scatter, which reuses opt.Exec (the batch
-// engine's warm per-worker context) and carries the bound from shard to
-// shard, while workers > 1 run shards concurrently on pooled contexts for
-// latency. The merged result does not depend on
-// workers or timing. Each shard runs on its own arena (Options.Packed).
-// A traced scatter records one "scatter" stage per shard and a "merge".
+// 0 means one per available core (GOMAXPROCS). A width of one (or a
+// one-shard set) scatters sequentially on the caller's goroutine, reusing
+// opt.Exec (the batch engine's warm per-worker context) and carrying the
+// bound from shard to shard; a wider one runs the shards concurrently on
+// core.RunPooled's transient workers for latency. The merged result does
+// not depend on workers or timing. Each shard runs on its own arena
+// (Options.Packed). A traced scatter records one "scatter" stage per
+// shard and a "merge".
 func (s *Set) scatter(qs []geom.Point, opt core.Options, workers int, kernel Kernel) ([]core.GroupNeighbor, error) {
-	n := len(s.units)
+	n := len(s.arenas)
 	k := opt.K
 	if k == 0 {
 		k = 1
@@ -346,7 +286,7 @@ func (s *Set) scatter(qs []geom.Point, opt core.Options, workers int, kernel Ker
 	traced := opt.Trace != nil
 	timed := opt.Stages != nil
 	runs := make([]shardRun, n)
-	perShardOpt := func(i int) core.Options {
+	runShard := func(i int, ec *core.ExecContext) {
 		o := opt
 		o.Cost = &runs[i].tk
 		o.Shared = bound
@@ -358,17 +298,12 @@ func (s *Set) scatter(qs []geom.Point, opt core.Options, workers int, kernel Ker
 		if traced {
 			o.Trace = &runs[i].trace
 		}
-		o.Packed = s.units[i].Packed
-		return o
-	}
-	runShard := func(i int, ec *core.ExecContext) {
-		o := perShardOpt(i)
 		o.Exec = ec
 		var start time.Time
 		if timed {
 			start = time.Now()
 		}
-		runs[i].list, runs[i].err = runKernel(kernel, s.units[i].Tree, qs, o)
+		runs[i].list, runs[i].err = runKernel(kernel, s.arenas[i], qs, o)
 		if timed {
 			runs[i].dur = time.Since(start)
 		}
@@ -376,40 +311,18 @@ func (s *Set) scatter(qs []geom.Point, opt core.Options, workers int, kernel Ker
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	switch {
-	case workers <= 1:
+	if min(workers, n) <= 1 {
 		// Sequential scatter reuses the caller's warm context (the batch
 		// engine's per-worker arena) instead of cycling the pool.
-		ec, owned := execFor(opt)
-		for i := range s.units {
+		ec := opt.Exec
+		if ec == nil {
+			ec = core.AcquireExec()
+			defer ec.Release()
+		}
+		for i := range n {
 			runShard(i, ec)
 		}
-		if owned {
-			ec.Release()
-		}
-	case workers >= n:
-		// Full-parallel scatter — the serving default — runs on the
-		// shard-per-core engine: shard i always executes on pinned worker
-		// i with that worker's private context, so the fan-out shares
-		// nothing but the pruning bound.
-		if eng := s.acquireEngine(); eng != nil {
-			eng.scatter(qs, runs, s.units, kernel, timed, func(i int) core.Options {
-				o := perShardOpt(i)
-				o.Exec = nil // the pinned worker supplies its own
-				return o
-			})
-			eng.release()
-			break
-		}
-		// Closed set: serve on transient pooled workers instead.
-		core.RunPooled(n, workers, runShard)
-	default:
-		// A caller-capped worker count below the shard count keeps the
-		// pooled work-stealing scatter: the engine's 1:1 shard-worker
-		// assignment cannot honour the cap.
+	} else {
 		core.RunPooled(n, workers, runShard)
 	}
 	lists := make([][]core.GroupNeighbor, n)
@@ -439,43 +352,37 @@ func (s *Set) scatter(qs []geom.Point, opt core.Options, workers int, kernel Ker
 	return merged, nil
 }
 
-// runKernel invokes the kernel with per-shard panic containment: a panic
-// inside a traversal (a corrupt arena that slipped past validation, a bug
-// in a kernel) becomes that shard's error instead of killing the process.
-// The serving layer depends on this to turn kernel panics into 500s.
-func runKernel(kernel Kernel, t *rtree.Tree, qs []geom.Point, o core.Options) (res []core.GroupNeighbor, err error) {
+// runKernel invokes the kernel on arena p with per-shard panic
+// containment: a panic inside a traversal (a corrupt arena that slipped
+// past validation, a bug in a kernel) becomes that shard's error instead
+// of killing the process. The serving layer depends on this to turn
+// kernel panics into 500s.
+func runKernel(kernel Kernel, p *rtree.Packed, qs []geom.Point, o core.Options) (res []core.GroupNeighbor, err error) {
 	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("shard: kernel panic: %v", p)
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("shard: kernel panic: %v", r)
 		}
 	}()
-	return kernel(t, qs, o)
+	o.Packed = p
+	return kernel(p.Tree(), qs, o)
 }
 
-// execFor returns the caller-supplied context or draws a pooled one;
-// owned reports whether the caller of execFor must release it.
-func execFor(opt core.Options) (*core.ExecContext, bool) {
-	if opt.Exec != nil {
-		return opt.Exec, false
-	}
-	return core.AcquireExec(), true
-}
-
-// Iterator merges the per-shard incremental GNN scans into one globally
-// ascending stream — the sharded twin of core.GNNIterator. The merge is
-// lazy: a shard is only advanced when its current lower bound (the peek
-// of its best-first heap) is the smallest among all shards, so far-away
-// shards pay almost no node accesses until the scan actually reaches
-// their territory. Use from a single goroutine, like every iterator; any
-// number of Iterators may run concurrently.
+// Iterator merges ascending-distance streams — the per-shard incremental
+// GNN scans of a partitioned set, or an overlay's sources — into one
+// globally ascending stream. The merge is lazy: a stream is only advanced
+// when its current lower bound (the peek of its best-first heap) is the
+// smallest among all streams, so far-away shards pay almost no node
+// accesses until the scan actually reaches their territory. Use from a
+// single goroutine, like every iterator; any number of Iterators may run
+// concurrently.
 type Iterator struct {
 	its   []core.Stream
 	heads []iterHead
 }
 
-// iterHead is the merge state of one shard: either an exact buffered
+// iterHead is the merge state of one stream: either an exact buffered
 // result (exact == true; key is its distance) or a lower bound on
-// whatever the shard yields next (exact == false; key is the peek).
+// whatever the stream yields next (exact == false; key is the peek).
 type iterHead struct {
 	res   core.GroupNeighbor
 	key   float64
@@ -491,33 +398,28 @@ type iterHead struct {
 // node accesses. Constructing it reads every shard's root.
 func (s *Set) NewIterator(qs []geom.Point, opt core.Options) (core.Stream, error) {
 	if !s.partitioned {
-		opt.Packed = s.units[0].Packed
-		it, err := core.NewGNNIterator(s.units[0].Tree, qs, opt)
+		p := s.arenas[0]
+		opt.Packed = p
+		it, err := core.NewGNNIterator(p.Tree(), qs, opt)
 		if err != nil {
 			return nil, err
 		}
 		return it, nil
 	}
-	it := &Iterator{
-		its:   make([]core.Stream, len(s.units)),
-		heads: make([]iterHead, len(s.units)),
-	}
-	for i, u := range s.units {
+	streams := make([]core.Stream, len(s.arenas))
+	for i, p := range s.arenas {
 		o := opt
-		o.Packed = u.Packed
-		sub, err := core.NewGNNIterator(u.Tree, qs, o)
+		o.Packed = p
+		sub, err := core.NewGNNIterator(p.Tree(), qs, o)
 		if err != nil {
-			it.Close()
+			for _, open := range streams[:i] {
+				open.Close()
+			}
 			return nil, err
 		}
-		it.its[i] = sub
-		if d, ok := sub.PeekDist(); ok {
-			it.heads[i].key = d
-		} else {
-			it.heads[i].done = true
-		}
+		streams[i] = sub
 	}
-	return it, nil
+	return NewMergedIterator(streams), nil
 }
 
 // Next returns the next group nearest neighbor across all shards in
@@ -594,11 +496,9 @@ func (it *Iterator) Close() {
 }
 
 // NewMergedIterator merges arbitrary ascending-distance candidate streams
-// with the same lazy two-phase discipline as the sharded iterator: a
-// stream is only advanced once its lower bound is the global minimum. The
-// overlay index uses it to merge base, delta and pending streams into one
-// exact ascending scan. The merge takes ownership of the streams: Close
-// closes them all, and a nil stream slot is skipped.
+// (see Iterator): a partitioned set's per-shard scans, or an overlay
+// index's base, delta and pending streams. The merge takes ownership of
+// the streams: Close closes them all, and a nil stream slot is skipped.
 func NewMergedIterator(streams []core.Stream) *Iterator {
 	it := &Iterator{
 		its:   streams,

@@ -59,14 +59,11 @@ func TestBuildPartition(t *testing.T) {
 		seen := map[int64]bool{}
 		total, min, max := 0, len(pts), 0
 		for i := 0; i < shards; i++ {
-			u := s.units[i]
-			if !u.Packed.Valid(u.Tree) {
-				t.Fatalf("shard %d not packed", i)
-			}
-			if err := u.Tree.CheckInvariants(); err != nil {
+			p := s.arenas[i]
+			if err := p.Tree().CheckInvariants(); err != nil {
 				t.Fatalf("shard %d: %v", i, err)
 			}
-			n := u.Tree.Len()
+			n := p.Len()
 			total += n
 			if n < min {
 				min = n
@@ -74,13 +71,13 @@ func TestBuildPartition(t *testing.T) {
 			if n > max {
 				max = n
 			}
-			for s, id := range u.Packed.IDs() {
+			for s, id := range p.IDs() {
 				if seen[id] {
 					t.Fatalf("id %d appears in two shards", id)
 				}
 				seen[id] = true
-				if p := u.Packed.PointInto(int32(s), nil); !p.Equal(pts[id]) {
-					t.Fatalf("id %d moved: %v vs %v", id, p, pts[id])
+				if q := p.PointInto(int32(s), nil); !q.Equal(pts[id]) {
+					t.Fatalf("id %d moved: %v vs %v", id, q, pts[id])
 				}
 			}
 		}
@@ -103,7 +100,7 @@ func TestDisjointPages(t *testing.T) {
 	}
 	seen := map[int64]bool{}
 	for i := range s.Shards() {
-		for _, pg := range s.units[i].Packed.Snapshot().Page {
+		for _, pg := range s.arenas[i].Snapshot().Page {
 			if seen[pg] {
 				t.Fatalf("tree %d reuses page %d", i, pg)
 			}

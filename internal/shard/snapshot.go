@@ -16,7 +16,7 @@ import (
 // partitioned set.
 func (s *Set) WriteSnapshot(w io.Writer) error {
 	if !s.partitioned {
-		_, err := s.units[0].Packed.WriteTo(w)
+		_, err := s.arenas[0].WriteTo(w)
 		return err
 	}
 	m, trees := s.Snapshot()
@@ -29,11 +29,11 @@ func (s *Set) WriteSnapshot(w io.Writer) error {
 // one arena per shard, in shard order. The per-tree arenas borrow the
 // packed snapshots' slices; treat them as read-only.
 func (s *Set) Snapshot() (snapshot.Manifest, []*snapshot.Tree) {
-	trees := make([]*snapshot.Tree, len(s.units))
-	cuts := make([]int64, len(s.units))
-	for i, u := range s.units {
-		trees[i] = u.Packed.Snapshot()
-		cuts[i] = int64(u.Tree.Len())
+	trees := make([]*snapshot.Tree, len(s.arenas))
+	cuts := make([]int64, len(s.arenas))
+	for i, p := range s.arenas {
+		trees[i] = p.Snapshot()
+		cuts[i] = int64(p.Len())
 	}
 	h := &snapshot.Hilbert{Order: hilbert.DefaultOrder, CutSizes: cuts}
 	if bbox, ok := s.Bounds(); ok {
@@ -80,13 +80,13 @@ func SetFromSnapshotBorrowed(m snapshot.Manifest, trees []*snapshot.Tree, cfg rt
 		}
 		return single(p), nil
 	}
-	s := &Set{units: make([]Unit, len(trees)), dim: m.Dim, size: m.Points, partitioned: true}
+	s := &Set{arenas: make([]*rtree.Packed, len(trees)), dim: m.Dim, size: m.Points, partitioned: true}
 	for i, st := range trees {
 		p, err := rtree.PackedFromSnapshotBorrowed(st, m.Dim, cfg, verify)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		s.units[i] = Unit{Tree: p.Tree(), Packed: p}
+		s.arenas[i] = p
 	}
 	return s, nil
 }

@@ -145,8 +145,7 @@ func TestMappedOpenEquivalence(t *testing.T) {
 
 // TestShardedMappedOpenEquivalence: the sharded zero-copy open preserves
 // the partition and answers bit-identically to the heap-decoded set,
-// under both the sequential and the full-parallel (resident worker)
-// scatter paths.
+// under both the sequential and the pooled parallel scatter.
 func TestShardedMappedOpenEquivalence(t *testing.T) {
 	pts, _, queries := snapshotFixture(t, 2200, 41)
 	dir := t.TempDir()
@@ -171,10 +170,10 @@ func TestShardedMappedOpenEquivalence(t *testing.T) {
 			t.Fatalf("S=%d: %v", shards, err)
 		}
 		// WithShards(1) forces the sequential scatter — fully deterministic,
-		// so results AND costs must match bit for bit. WithShards(8) >= S
-		// routes through the resident per-shard workers, where per-shard
-		// node accesses legitimately vary with bound-publication timing:
-		// there only the results are compared.
+		// so results AND costs must match bit for bit. WithShards(8) runs
+		// the shards on pooled workers, where per-shard node accesses
+		// legitimately vary with bound-publication timing: there only the
+		// results are compared.
 		for qi, q := range queries {
 			opts := []gnn.QueryOption{gnn.WithK(1 + qi%4), gnn.WithShards(1)}
 			hr, hc, herr := heap.GroupNNWithCost(q, opts...)
@@ -216,8 +215,8 @@ func TestShardedMappedOpenEquivalence(t *testing.T) {
 }
 
 // TestMappedConcurrentQueries hammers one mapped sharded index from many
-// goroutines through the resident-worker scatter path (this test is the
-// race detector's main target for the engine).
+// goroutines through the pooled parallel scatter (this test is the race
+// detector's main target for concurrent shard workers over one mapping).
 func TestMappedConcurrentQueries(t *testing.T) {
 	pts, _, queries := snapshotFixture(t, 1500, 55)
 	sx, err := gnn.BuildShardedIndex(pts, nil, 3, gnn.IndexConfig{NodeCapacity: 16})
@@ -527,7 +526,7 @@ func TestMappedClose(t *testing.T) {
 	}
 
 	// Sharded Close: mapped queries fail afterwards; a built set keeps
-	// serving (its resident workers just restart on demand).
+	// serving.
 	pts := goldenPoints(300)
 	sx, err := gnn.BuildShardedIndex(pts, nil, 2, gnn.IndexConfig{})
 	if err != nil {

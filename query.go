@@ -77,7 +77,10 @@ type queryConfig struct {
 	weights     []float64
 	region      *geom.Rect
 	parallelism int
-	shards      int
+	// shards is set only by the test-only WithShards (export_test.go),
+	// which pins a partitioned base's scatter width; 0 leaves it to the
+	// call (see wideScatter).
+	shards int
 	// genericMax is set only by the test-only WithGenericMax
 	// (export_test.go), the reference path of the MAX differential suites.
 	genericMax bool
@@ -129,16 +132,6 @@ func WithRegion(lo, hi Point) QueryOption {
 // GOMAXPROCS). It has no effect on single queries.
 func WithParallelism(n int) QueryOption { return func(c *queryConfig) { c.parallelism = n } }
 
-// WithShards caps the concurrent per-query shard workers of a query on a
-// partitioned index (BuildShardedIndex, or a sharded snapshot). The
-// default depends on the call: single queries scatter across all shards
-// in parallel (latency), batch queries scan the shards of each query
-// sequentially from the batch worker's goroutine (throughput —
-// parallelism then comes from concurrent queries, and the shared pruning
-// bound cascades from shard to shard). Results never depend on this
-// knob, only scheduling does. It has no effect on an unpartitioned index.
-func WithShards(n int) QueryOption { return func(c *queryConfig) { c.shards = n } }
-
 func buildConfig(opts []QueryOption) queryConfig {
 	c := queryConfig{k: 1}
 	for _, o := range opts {
@@ -176,9 +169,11 @@ func (ix *Index) GroupNNWithCost(query []Point, opts ...QueryOption) ([]Result, 
 	return ix.groupNN(query, buildConfig(opts), nil, wideScatter)
 }
 
-// The scatter widths of a partitioned base when WithShards was not
-// given: a single query scatters across every core for latency, a batch
-// worker scans its query's shards one after another on its own context.
+// The scatter widths of a partitioned base: a single query scatters
+// across every core for latency, a batch worker scans its query's shards
+// one after another on its own context (parallelism then comes from
+// concurrent queries, and the shared pruning bound cascades from shard to
+// shard). Results never depend on the width, only scheduling does.
 const (
 	wideScatter       = 0 // shard.Set.Search reads 0 as one worker per core
 	sequentialScatter = 1

@@ -195,7 +195,7 @@ func TestHugeKAllocatesByResults(t *testing.T) {
 	group := []gnn.Point{{2, 2}, {3, 3}}
 	measure := func(t *testing.T, what string, query func() ([]gnn.Result, error)) {
 		t.Helper()
-		if _, err := query(); err != nil { // warm one-time set-up (scatter workers, verification)
+		if _, err := query(); err != nil { // warm one-time set-up (pooled scratch, verification)
 			t.Fatal(err)
 		}
 		runtime.GC()

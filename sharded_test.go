@@ -12,8 +12,10 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"gnn"
 )
@@ -320,6 +322,32 @@ func TestShardedBatchConcurrent(t *testing.T) {
 	if agg := sx.Cost(); agg != total {
 		t.Fatalf("concurrent cost-sum invariant broken: Σ per-query %+v, accountant %+v", total, agg)
 	}
+}
+
+// TestShardedScatterLeavesNoGoroutine checks that a parallel scatter's
+// workers end with its query: an index that answered wide scatters and
+// was never closed holds no goroutine. The index stays reachable until
+// the end, so no finalizer or cleanup can stand in for the check.
+func TestShardedScatterLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	rng := rand.New(rand.NewSource(12))
+	sx, err := gnn.BuildShardedIndex(clusterPoints(rng, 2000, 1000), nil, 4, gnn.IndexConfig{NodeCapacity: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 8 {
+		if _, err := sx.GroupNN(queryGroup(rng, 8, 1000), gnn.WithK(4), gnn.WithShards(8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for n := runtime.NumGoroutine(); n > before; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the queries, %d before the build", n, before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	runtime.KeepAlive(sx)
 }
 
 // TestShardedEdgeCases exercises the degenerate shapes: empty index,

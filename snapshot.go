@@ -110,7 +110,6 @@ func (ix *Index) WriteSnapshot(w io.Writer) error {
 		if set, err = set.Rebuild(cols, ids); err != nil {
 			return err
 		}
-		defer set.Close()
 	}
 	return set.WriteSnapshot(w)
 }
@@ -268,30 +267,25 @@ func OpenShardedSnapshotMapped(path string, opts ...SnapshotOption) (*Index, err
 }
 
 // Close stops the background compactor (waiting for an in-flight cycle
-// to finish or abort cleanly) and a partitioned base's resident scatter
-// workers and, on an index opened with OpenSnapshotMapped or
-// OpenShardedSnapshotMapped, releases the file mapping if a compaction
-// has not released it already. Close is safe under concurrent queries:
-// on a mapped index it first marks the index closed — queries and writes
-// arriving after that fail with ErrSnapshotClosed rather than touching
-// unmapped memory, even when a compaction released the mapping earlier —
-// then waits for every inflight query, open iterator and compaction cycle
-// to finish before the workers stop and the file is actually unmapped.
-// On every other construction later queries still succeed, a partitioned
-// one's on transient pooled workers. Closing twice is safe; the second
-// call returns nil immediately.
+// to finish or abort cleanly) and, on an index opened with
+// OpenSnapshotMapped or OpenShardedSnapshotMapped, releases the file
+// mapping if a compaction has not released it already. Those are the only
+// resources an index holds beyond memory — a query's scatter workers end
+// with the query — so Close matters only for a mapped or compacting
+// index. Close is safe under concurrent queries: on a mapped index it
+// first marks the index closed — queries and writes arriving after that
+// fail with ErrSnapshotClosed rather than touching unmapped memory, even
+// when a compaction released the mapping earlier — then waits for every
+// inflight query, open iterator and compaction cycle to finish before the
+// file is actually unmapped. On every other construction later queries
+// still succeed. Closing twice is safe; the second call returns nil
+// immediately.
 func (ix *Index) Close() error {
 	ix.StopCompactor()
-	stopWorkers := func() {
-		if set := ix.view.Load().set; set != nil {
-			set.Close()
-		}
-	}
 	if ix.file == nil {
-		stopWorkers()
 		return nil
 	}
-	return ix.shut(stopWorkers)
+	return ix.shut()
 }
 
 func buildSnapshotConfig(opts []SnapshotOption) snapshotConfig {
