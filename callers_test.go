@@ -31,7 +31,6 @@ var exportAllowlist = map[string]string{
 	"gnn/internal/geom.MinEnclosingBall":        testOnly,
 	"gnn/internal/geom.Rect.Equal":              testOnly,
 	"gnn/internal/geom.Rect.Intersects":         testOnly,
-	"gnn/internal/hilbert.Decode":               testOnly,
 	"gnn/internal/overlay.TombSet.Len":          testOnly,
 	"gnn/internal/pagestore.CostTracker.Reset":  testOnly,
 	"gnn/internal/pagestore.LRU.Len":            testOnly,

@@ -9,11 +9,15 @@
 //
 // The curve follows the classic iterative rotate/flip formulation: a
 // curve of order k visits every cell of a 2^k × 2^k grid exactly once.
-// Decode applies the rule level by level; Encode applies it four levels
-// at a time through a table derived from it.
+// Encode applies it four levels at a time through a table derived from
+// the rule.
 package hilbert
 
-import "gnn/internal/radix"
+import (
+	"cmp"
+
+	"gnn/internal/radix"
+)
 
 // DefaultOrder is the curve order used when sorting floating-point data:
 // a 2^16 × 2^16 grid gives sub-meter resolution on the paper's
@@ -93,34 +97,6 @@ func Encode(order uint, x, y uint32) uint64 {
 	return d
 }
 
-// Decode is the inverse of Encode: it maps a curve distance d back to the
-// grid cell (x, y) it occupies on a curve of the given order, 1 to 32.
-func Decode(order uint, d uint64) (x, y uint32) {
-	t := d
-	for l := uint(0); l < order; l++ {
-		s := uint32(1) << l
-		rx := uint32(1) & uint32(t/2)
-		ry := uint32(1) & uint32(t^uint64(rx))
-		x, y = rotate(s, x, y, rx, ry)
-		x += s * rx
-		y += s * ry
-		t /= 4
-	}
-	return x, y
-}
-
-// rotate flips/rotates a quadrant so the curve pieces connect.
-func rotate(s, x, y, rx, ry uint32) (uint32, uint32) {
-	if ry == 0 {
-		if rx == 1 {
-			x = s - 1 - x
-			y = s - 1 - y
-		}
-		x, y = y, x
-	}
-	return x, y
-}
-
 // Mapper quantises floating-point coordinates from an arbitrary bounding
 // box onto the Hilbert grid, so real datasets can be curve-ordered.
 type Mapper struct {
@@ -157,21 +133,72 @@ func (m *Mapper) Value(x, y float64) uint64 {
 	return Encode(m.order, gx, gy)
 }
 
+// Words writes the radix word of every point of the columns xs and ys
+// into words: the point's 32-bit curve value (Value's; the curve's order
+// must be at most 16) with its low half cleared as the image, and its
+// index as the position. Points whose images tie are ordered by their
+// full values: see Order.
+//
+// Words is Value and Encode in one loop, with the curve's constants read
+// once and unrolled into the two table lookups that yield the top half.
+// Below order 16 a leading lookup may read zero nibbles; it adds no
+// digits and turns the curve by four swaps, the identity, so the words
+// hold what Encode computes.
+func (m *Mapper) Words(xs, ys []float64, words []uint64) {
+	minX, minY, scaleX, scaleY := m.minX, m.minY, m.scaleX, m.scaleY
+	max := uint32(1)<<m.order - 1
+	var start uint32
+	if pad := -m.order & 3; pad%2 == 1 {
+		start = swapState
+	}
+	t := &encodeTable
+	ys, words = ys[:len(xs)], words[:len(xs)]
+	for i, x := range xs {
+		y := ys[i]
+		gx := uint32((x - minX) * scaleX)
+		gy := uint32((y - minY) * scaleY)
+		if x < minX {
+			gx = 0
+		}
+		if y < minY {
+			gy = 0
+		}
+		gx, gy = min(gx, max), min(gy, max)
+		e := t[start<<8|(gx>>12&15)<<4|gy>>12&15]
+		d := uint64(e >> 2)
+		e = t[uint32(e&3)<<8|(gx>>8&15)<<4|gy>>8&15]
+		d = d<<8 | uint64(e>>2)
+		words[i] = radix.Word(d<<16, i)
+	}
+}
+
+// Order returns the radix order of the words Words writes for the
+// columns xs and ys: by curve value, then by position. Words whose
+// images tie are settled on their full values as the second key.
+func (m *Mapper) Order(xs, ys []float64) radix.Order {
+	return radix.ByKey(nil, func(p int) uint32 { return uint32(m.Value(xs[p], ys[p])) })
+}
+
 // Perm returns the permutation that orders n items by ascending Hilbert
 // value of the coordinates at(i) reports: Perm(...)[rank] is the index of
 // the item with that rank. Equal values keep their input order (stable),
-// so the permutation is deterministic. The positions are the radix sort's
-// own int32 values, so n must not exceed math.MaxInt32. The bulk loaders
-// sort their curve values with radix.Sort in buffers they reuse; this is
-// the same order.
+// so the permutation is deterministic. n must not exceed math.MaxInt32.
+// The values are sorted as radix words; on a curve of order above 16 a
+// word holds a value's top 32 bits, and the full values settle ties.
 func Perm(n int, m *Mapper, at func(i int) (x, y float64)) []int32 {
+	shift := max(0, 2*int(m.order)-32)
 	keys := make([]uint64, n)
-	pos := make([]int32, n)
+	words := make([]uint64, 2*n)
 	for i := range keys {
 		x, y := at(i)
-		keys[i], pos[i] = m.Value(x, y), int32(i)
+		keys[i] = m.Value(x, y)
+		words[i] = radix.Word(keys[i]>>shift, i)
 	}
-	radix.Sort(keys, pos, nil)
+	radix.Sort(words[:n], words[n:], radix.ByKey(func(p, q int) int { return cmp.Compare(keys[p], keys[q]) }, nil))
+	pos := make([]int32, n)
+	for r, w := range words[:n] {
+		pos[r] = int32(radix.Pos(w))
+	}
 	return pos
 }
 

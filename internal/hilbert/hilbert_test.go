@@ -8,6 +8,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"gnn/internal/radix"
 )
 
 func TestEncodeOrder1(t *testing.T) {
@@ -36,9 +38,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 					t.Fatalf("order %d: duplicate value %d", order, d)
 				}
 				seen[d] = true
-				gx, gy := Decode(order, d)
+				gx, gy := decode(order, d)
 				if gx != x || gy != y {
-					t.Fatalf("order %d: Decode(Encode(%d,%d)) = (%d,%d)", order, x, y, gx, gy)
+					t.Fatalf("order %d: decode(Encode(%d,%d)) = (%d,%d)", order, x, y, gx, gy)
 				}
 			}
 		}
@@ -56,9 +58,9 @@ func TestCurveContinuity(t *testing.T) {
 	// (Manhattan distance exactly 1) — the locality property MQM relies on.
 	const order = 6
 	n := uint64(1) << order
-	px, py := Decode(order, 0)
+	px, py := decode(order, 0)
 	for d := uint64(1); d < n*n; d++ {
-		x, y := Decode(order, d)
+		x, y := decode(order, d)
 		dx := math.Abs(float64(x) - float64(px))
 		dy := math.Abs(float64(y) - float64(py))
 		if dx+dy != 1 {
@@ -74,13 +76,43 @@ func TestQuickRoundTripLargeOrder(t *testing.T) {
 		f := func(x, y uint32) bool {
 			x &= mask
 			y &= mask
-			gx, gy := Decode(order, Encode(order, x, y))
+			gx, gy := decode(order, Encode(order, x, y))
 			return gx == x && gy == y
 		}
 		if err := quick.Check(f, nil); err != nil {
 			t.Errorf("order %d: %v", order, err)
 		}
 	}
+}
+
+// decode is the inverse of Encode, the round-trip tests' helper: it maps
+// a curve distance d back to the grid cell (x, y) it occupies on a curve
+// of the given order, 1 to 32, applying the rotate/flip rule level by
+// level.
+func decode(order uint, d uint64) (x, y uint32) {
+	t := d
+	for l := uint(0); l < order; l++ {
+		s := uint32(1) << l
+		rx := uint32(1) & uint32(t/2)
+		ry := uint32(1) & uint32(t^uint64(rx))
+		x, y = rotate(s, x, y, rx, ry)
+		x += s * rx
+		y += s * ry
+		t /= 4
+	}
+	return x, y
+}
+
+// rotate flips/rotates a quadrant so the curve pieces connect.
+func rotate(s, x, y, rx, ry uint32) (uint32, uint32) {
+	if ry == 0 {
+		if rx == 1 {
+			x = s - 1 - x
+			y = s - 1 - y
+		}
+		x, y = y, x
+	}
+	return x, y
 }
 
 // referenceEncode is the specification of Encode: the classic loop that
@@ -204,6 +236,39 @@ func TestSortByValuePreservesMultiset(t *testing.T) {
 	}
 	if sum != sum2 {
 		t.Fatalf("elements lost during sort: %v vs %v", sum, sum2)
+	}
+}
+
+// TestWordsMatchValue checks Words against Value, point for point, on
+// every curve order it accepts, with points inside the mapper's box,
+// beyond it on every side (which Value clamps) and on its edges: each
+// word's image is the point's 32-bit value with its low half cleared,
+// and Order sorts the words as the values sort, ties by index.
+func TestWordsMatchValue(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for order := uint(1); order <= 16; order++ {
+		m := NewMapper(order, -5, 10, 95, 60)
+		xs, ys := make([]float64, 500), make([]float64, 500)
+		for i := range xs {
+			xs[i], ys[i] = rng.Float64()*140-25, rng.Float64()*80
+		}
+		xs[0], ys[0], xs[1], ys[1] = -5, 10, 95, 60
+		words := make([]uint64, len(xs))
+		m.Words(xs, ys, words)
+		for i, w := range words {
+			if want := m.Value(xs[i], ys[i])&^0xffff<<32 | uint64(i); w != want {
+				t.Fatalf("order %d: word of (%v, %v) is %#x, want %#x", order, xs[i], ys[i], w, want)
+			}
+		}
+		radix.Sort(words, make([]uint64, len(words)), m.Order(xs, ys))
+		got := make([]int32, len(words))
+		for r, w := range words {
+			got[r] = int32(radix.Pos(w))
+		}
+		at := func(i int) (float64, float64) { return xs[i], ys[i] }
+		if want := referencePerm(len(xs), m, at); !slices.Equal(got, want) {
+			t.Fatalf("order %d: Order sorts the words as %v, want %v", order, got, want)
+		}
 	}
 }
 

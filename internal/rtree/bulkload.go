@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -91,97 +92,140 @@ func Columns[P ~[]float64](cfg Config, pts []P) ([]float64, error) {
 // not use either afterwards. The arena's Tree() is its immutable shell;
 // its layout is packOrdered's.
 func PackSTR(cfg Config, cols []float64, ids []int64) (*Packed, error) {
-	cfg, pc, ids, err := adoptColumns(cfg, cols, ids)
+	l, err := adopt(cfg, cols, ids)
 	if err != nil {
 		return nil, err
 	}
-	var b sortBuffers
-	b.strOrder(cfg, pc, ids)
-	return packOrdered(cfg, pc, ids), nil
+	if len(l.words) > 0 {
+		x := radix.NewScale(l.loX, l.hiX)
+		for i, v := range l.xs {
+			l.words[i] = radix.Word(x.Image(v), i)
+		}
+		l.str(l.words, l.spare, nil)
+		l.apply(l.spare)
+	}
+	return packOrdered(l.cfg, l.pc, l.ids), nil
 }
 
 // packHilbert is PackSTR with the leaves in Hilbert order instead — the
 // classic Hilbert-packed R-tree. Only the first two dimensions contribute
-// to the ordering.
+// to the ordering; equal curve values keep their input order.
 func packHilbert(cfg Config, cols []float64, ids []int64) (*Packed, error) {
-	cfg, pc, ids, err := adoptColumns(cfg, cols, ids)
+	l, err := adopt(cfg, cols, ids)
 	if err != nil {
 		return nil, err
 	}
-	var b sortBuffers
-	b.hilbertOrder(pc, ids)
-	return packOrdered(cfg, pc, ids), nil
+	if len(l.words) > 0 {
+		_, order := l.curveWords()
+		radix.Sort(l.words, l.spare, order)
+		l.apply(l.words)
+	}
+	return packOrdered(l.cfg, l.pc, l.ids), nil
 }
 
 // PackSTRPartitioned Hilbert-partitions the points into parts contiguous
-// chunks of near-equal size (the classic shard split: sort by Hilbert
-// value, cut the curve into parts runs, so every chunk is spatially
-// coherent) and STR-packs one independent arena per chunk, as PackSTR
-// does. It takes cols and ids over as PackSTR does: the split reorders
-// them into curve order in place, so each chunk's columns are one
-// contiguous run of every axis, which its arena adopts after STR-ordering
-// it in place. All arenas share cfg.Accountant (one allocated here when
-// nil) and their page IDs are offset to be disjoint, so they can also
-// share an LRU buffer and the usual node-access accounting stays exactly
-// additive across the partition. Points beyond 2-D are ordered on their
-// first two axes, like packHilbert; 1-D points on their single axis.
+// chunks of near-equal size (the classic shard split: order the points
+// by Hilbert value, ties by input order, and cut the curve into parts
+// runs, so every chunk is spatially coherent) and STR-packs one
+// independent arena per chunk, as PackSTR does. STR breaks a chunk's
+// ties on the first axis by curve value, then by input order: the order
+// the chunk's points have on the curve. It takes cols and ids over as
+// PackSTR does, reordering them so each chunk's leaves are one
+// contiguous run of every axis, which its arena adopts. All arenas share
+// cfg.Accountant (one allocated here when nil) and their page IDs are
+// offset to be disjoint, so they can also share an LRU buffer and the
+// usual node-access accounting stays exactly additive across the
+// partition. Points beyond 2-D are ordered on their first two axes, like
+// packHilbert; 1-D points on their single axis.
+//
+// The curve is cut, not sorted: radix.Cut moves each chunk's points to
+// its run, where each chunk is STR-ordered. One gather then applies
+// every chunk's order.
 func PackSTRPartitioned(cfg Config, cols []float64, ids []int64, parts int) ([]*Packed, error) {
 	if parts < 1 {
 		return nil, fmt.Errorf("rtree: %d partitions; need at least 1", parts)
 	}
-	cfg, pc, ids, err := adoptColumns(cfg, cols, ids) // resolves the shared Accountant once
+	l, err := adopt(cfg, cols, ids) // resolves the shared Accountant once
 	if err != nil {
 		return nil, err
 	}
-	var b sortBuffers
-	b.hilbertOrder(pc, ids)
-	n := len(ids)
+	cfg, pc, ids, n := l.cfg, l.pc, l.ids, len(l.ids)
+	ends := make([]int, parts)
+	for s := range ends {
+		ends[s] = n * (s + 1) / parts
+	}
+	if n > 0 {
+		curve, order := l.curveWords()
+		radix.Cut(l.words, l.spare, ends, order)
+		// Every chunk's words take their first-axis images.
+		x := radix.NewScale(l.loX, l.hiX)
+		for r, w := range l.spare {
+			p := radix.Pos(w)
+			l.spare[r] = radix.Word(x.Image(l.xs[p]), p)
+		}
+		lo := 0
+		for _, hi := range ends {
+			l.str(l.spare[lo:hi], l.words[lo:hi], curve)
+			lo = hi
+		}
+		l.apply(l.words)
+	}
 	out := make([]*Packed, 0, parts)
-	for s := 0; s < parts; s++ {
-		lo, hi := n*s/parts, n*(s+1)/parts
+	lo := 0
+	for _, hi := range ends {
 		chunk := make([][]float64, len(pc))
 		for a, col := range pc {
 			chunk[a] = col[lo:hi:hi]
 		}
-		cids := ids[lo:hi:hi]
-		b.strOrder(cfg, chunk, cids)
-		p := packOrdered(cfg, chunk, cids)
+		p := packOrdered(cfg, chunk, ids[lo:hi:hi])
 		cfg.FirstPage += pagestore.PageID(p.Tree().Pages())
 		out = append(out, p)
+		lo = hi
 	}
 	return out, nil
 }
 
-// adoptColumns resolves cfg's defaults, rejects a coordinate buffer that
-// does not divide into cfg.Dim axes, an id slice of the wrong length and
-// any coordinate CheckFinite rejects, and returns the buffer's axis
-// columns and the ids (numbered from 0 when ids is nil).
-func adoptColumns(cfg Config, cols []float64, ids []int64) (Config, [][]float64, []int64, error) {
+// A load orders the points of one bulk load for packing. Its two word
+// columns (a key image and a position each; see radix.Word) are its
+// working memory: a sort or a cut reads one and writes the other, and
+// the gather that applies the final order goes through the free one.
+// Every position is the point's index in the input, so an order is
+// applied once, whatever ordered it.
+type load struct {
+	cfg          Config
+	pc           [][]float64
+	ids          []int64
+	xs, ys       []float64 // the first two axes; ys is nil for 1-D points
+	loX, hiX     float64   // the points' extent on xs
+	loY, hiY     float64   // ... and on ys, when not nil
+	words, spare []uint64
+}
+
+// adopt resolves cfg's defaults, rejects a coordinate buffer that does
+// not divide into cfg.Dim axes, an id slice of the wrong length and any
+// coordinate CheckFinite rejects (the first in point order), and returns
+// the load of the buffer's points: its axis columns, the ids (numbered
+// from 0 when ids is nil), their extents on the first two axes, and its
+// word columns.
+func adopt(cfg Config, cols []float64, ids []int64) (*load, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
-		return cfg, nil, nil, err
+		return nil, err
 	}
 	dim := cfg.Dim
 	if len(cols)%dim != 0 {
-		return cfg, nil, nil, fmt.Errorf("rtree: %d coordinates do not divide into %d-dimensional points", len(cols), dim)
+		return nil, fmt.Errorf("rtree: %d coordinates do not divide into %d-dimensional points", len(cols), dim)
 	}
 	n := len(cols) / dim
 	if n > math.MaxInt32 {
-		return cfg, nil, nil, fmt.Errorf("rtree: %d points exceed the packed arena's int32 slots", n)
+		return nil, fmt.Errorf("rtree: %d points exceed the packed arena's int32 slots", n)
 	}
 	if ids != nil && len(ids) != n {
-		return cfg, nil, nil, fmt.Errorf("rtree: %d ids for %d points", len(ids), n)
+		return nil, fmt.Errorf("rtree: %d ids for %d points", len(ids), n)
 	}
 	pc := make([][]float64, dim)
 	for a := range pc {
 		pc[a] = cols[a*n : (a+1)*n : (a+1)*n]
-	}
-	for i := 0; i < n; i++ {
-		for a, col := range pc {
-			if v := col[i]; !inRange(v) {
-				return cfg, nil, nil, &NonFiniteError{Index: i, Axis: a, Value: v}
-			}
-		}
 	}
 	if ids == nil {
 		ids = make([]int64, n)
@@ -189,94 +233,40 @@ func adoptColumns(cfg Config, cols []float64, ids []int64) (Config, [][]float64,
 			ids[i] = int64(i)
 		}
 	}
-	return cfg, pc, ids, nil
-}
-
-// sortBuffers are the orderings' working memory, sized to the longest
-// input sorted through them: a key column indexed by position, the
-// order of positions a radix sort produces, and the sort's scratch. The
-// key column also carries the gather that applies an order in place.
-type sortBuffers struct {
-	keys  []uint64
-	order []int32
-	radix radix.Scratch
-}
-
-// start returns the key column and the identity order over n positions.
-func (b *sortBuffers) start(n int) ([]uint64, []int32) {
-	if len(b.keys) < n {
-		b.keys, b.order = make([]uint64, n), make([]int32, n)
+	l := &load{cfg: cfg, pc: pc, ids: ids, xs: pc[0]}
+	if dim >= 2 {
+		l.ys = pc[1]
 	}
-	keys, order := b.keys[:n], b.order[:n]
-	for i := range order {
-		order[i] = int32(i)
-	}
-	return keys, order
-}
-
-// strOrder reorders the points of pc and ids in place into STR leaf
-// order. Points are sorted on the first axis and cut into slabs of
-// ⌈√(leaves)⌉·M points, each slab sorted on the second axis (points
-// beyond 2-D are tiled on their first two axes, which preserves
-// correctness — tiling is purely a quality heuristic). Both sorts are
-// stable radix sorts of the coordinates' radix.Float64Key images, so
-// ties, -0 against +0 included, keep their input order: the order a
-// stable sort under < gives.
-func (b *sortBuffers) strOrder(cfg Config, pc [][]float64, ids []int64) {
-	n := len(ids)
-	keys, order := b.start(n)
-	for i, v := range pc[0] {
-		keys[i] = radix.Float64Key(v)
-	}
-	radix.Sort(keys, order, &b.radix)
-	if cfg.Dim >= 2 {
-		M := cfg.MaxEntries
-		nLeaves := (n + M - 1) / M
-		perSlab := int(math.Ceil(math.Sqrt(float64(nLeaves)))) * M
-		for i, v := range pc[1] {
-			keys[i] = radix.Float64Key(v)
-		}
-		for lo := 0; lo < n; lo += perSlab {
-			radix.Sort(keys, order[lo:min(lo+perSlab, n)], &b.radix)
-		}
-	}
-	b.apply(order, pc, ids)
-}
-
-// hilbertOrder reorders the points of pc and ids in place into the
-// Hilbert order of the curve fitted to their bounding box on the first
-// two axes (a 1-D point set degenerates the second axis to the first
-// axis' minimum). Equal curve values keep their input order.
-func (b *sortBuffers) hilbertOrder(pc [][]float64, ids []int64) {
-	n := len(ids)
 	if n == 0 {
-		return
+		return l, nil
 	}
-	xs, ys := pc[0], pc[0]
-	if len(pc) >= 2 {
-		ys = pc[1]
+	// The extents come with the range check of every column.
+	for a, col := range pc {
+		lo, hi, ok := extent(col)
+		if !ok {
+			return nil, firstOutOfRange(pc)
+		}
+		switch a {
+		case 0:
+			l.loX, l.hiX = lo, hi
+		case 1:
+			l.loY, l.hiY = lo, hi
+		}
 	}
-	// The box on the first two axes, folded as geom.BoundingRect folds it.
-	loX, hiX := span(xs)
-	loY, hiY := span(ys)
-	if len(pc) < 2 {
-		hiY = loY // a zero-height box: every 1-D point maps to grid row 0
-	}
-	m := hilbert.NewMapper(hilbert.DefaultOrder, loX, loY, hiX, hiY)
-	keys, order := b.start(n)
-	for i, x := range xs {
-		keys[i] = m.Value(x, ys[i])
-	}
-	radix.Sort(keys, order, &b.radix)
-	b.apply(order, pc, ids)
+	l.words, l.spare = make([]uint64, n), make([]uint64, n)
+	return l, nil
 }
 
-// span returns the least and greatest of the non-empty, NaN-free col,
-// keeping the first of equal values (so -0 or +0, whichever comes
-// first).
-func span(col []float64) (lo, hi float64) {
+// extent returns the least and greatest of the non-empty col, keeping
+// the first of equal values (so -0 or +0, whichever comes first; the
+// sign of a zero extent changes no curve value and no image), and
+// whether every value is a coordinate an index accepts (inRange).
+func extent(col []float64) (lo, hi float64, ok bool) {
 	lo, hi = col[0], col[0]
-	for _, v := range col[1:] {
+	for _, v := range col {
+		if !inRange(v) {
+			return lo, hi, false
+		}
 		if v < lo {
 			lo = v
 		}
@@ -284,26 +274,130 @@ func span(col []float64) (lo, hi float64) {
 			hi = v
 		}
 	}
-	return lo, hi
+	return lo, hi, true
 }
 
-// apply reorders every column of pc, and ids, so the point at rank r is
-// the one order[r] names, gathering each column through the key column.
-func (b *sortBuffers) apply(order []int32, pc [][]float64, ids []int64) {
-	tmp := b.keys[:len(order)]
-	for _, col := range pc {
-		for r, i := range order {
-			tmp[r] = math.Float64bits(col[i])
+// firstOutOfRange returns the *NonFiniteError of the first point of pc,
+// in input order, with a coordinate no index accepts, or nil.
+func firstOutOfRange(pc [][]float64) error {
+	for i := range pc[0] {
+		for a, col := range pc {
+			if v := col[i]; !inRange(v) {
+				return &NonFiniteError{Index: i, Axis: a, Value: v}
+			}
+		}
+	}
+	return nil
+}
+
+// curveWords fits the Hilbert curve to the points' box on their first
+// two axes (for 1-D points a zero-height box, which maps every point to
+// grid row 0), writes every point's curve word (hilbert.Mapper.Words)
+// into the first word column, and returns the curve and the order of
+// its words.
+func (l *load) curveWords() (*hilbert.Mapper, radix.Order) {
+	ys, loY, hiY := l.ys, l.loY, l.hiY
+	if ys == nil {
+		ys, loY, hiY = l.xs, l.loX, l.loX
+	}
+	curve := hilbert.NewMapper(hilbert.DefaultOrder, l.loX, loY, l.hiX, hiY)
+	curve.Words(l.xs, ys, l.words)
+	return curve, curve.Order(l.xs, ys)
+}
+
+// str writes the words of in to out, which must be as long, in STR leaf
+// order, leaving in free. Each word of in names a point and carries its
+// first-axis image (a radix.Scale over the load's extent). The points
+// are sorted on the first axis, cut into slabs of ⌈√(leaves)⌉·M points,
+// and each slab sorted on the second axis (points beyond 2-D are tiled
+// on their first two axes, which preserves correctness — tiling is
+// purely a quality heuristic). A tie on the first axis, -0 against +0
+// included, is broken by curve value when curve is not nil (a chunk of
+// a Hilbert split), then by input order; a tie on the second axis by
+// the first axis, then by input order: the order stable sorts under <
+// give, the first from the chunk's curve order.
+//
+// Only the slabs' order reaches the leaves, so the first axis is not
+// sorted: radix.Cut selects the slab boundaries and moves each slab's
+// points there, and radix.Sort sorts each slab on the second axis. 1-D
+// points are sorted once.
+func (l *load) str(in, out []uint64, curve *hilbert.Mapper) {
+	n := len(in)
+	xs, ys := l.xs, l.ys
+	byX := func(p, q int) int { return cmp.Compare(xs[p], xs[q]) }
+	if ys == nil {
+		// The curve of 1-D points follows the axis: equal coordinates
+		// have equal curve values.
+		copy(out, in)
+		radix.Sort(out, in, radix.ByKey(byX, nil))
+		return
+	}
+	M := l.cfg.MaxEntries
+	nLeaves := (n + M - 1) / M
+	perSlab := int(math.Ceil(math.Sqrt(float64(nLeaves)))) * M
+	src := in
+	if n > perSlab {
+		ends := make([]int, 0, (n+perSlab-1)/perSlab)
+		for e := perSlab; e < n; e += perSlab {
+			ends = append(ends, e)
+		}
+		ends = append(ends, n)
+		var byCurve func(p int) uint32
+		if curve != nil {
+			byCurve = func(p int) uint32 { return uint32(curve.Value(xs[p], ys[p])) }
+		}
+		radix.Cut(in, out, ends, radix.ByKey(byX, byCurve))
+		src = out
+	}
+	// Points equal on both axes have equal curve values, so the first
+	// axis and input order settle a tie on the second.
+	y := radix.NewScale(l.loY, l.hiY)
+	for r, w := range src {
+		p := radix.Pos(w)
+		out[r] = radix.Word(y.Image(ys[p]), p)
+	}
+	byY := radix.ByKey(func(p, q int) int {
+		if c := cmp.Compare(ys[p], ys[q]); c != 0 {
+			return c
+		}
+		return byX(p, q)
+	}, nil)
+	for lo := 0; lo < n; lo += perSlab {
+		hi := min(lo+perSlab, n)
+		radix.Sort(out[lo:hi], in[lo:hi], byY)
+	}
+}
+
+// apply reorders every column of the load's points, and its ids, into
+// order, one of its word columns: the point at rank r is the one at
+// position radix.Pos(order[r]). It gathers each axis but the last
+// through the other word column; the last pass gathers the last axis
+// there and the ids into order itself, each word read just before it is
+// overwritten, so it reads the order once for both. order is consumed.
+func (l *load) apply(order []uint64) {
+	tmp := l.spare
+	if len(order) > 0 && &order[0] == &l.spare[0] {
+		tmp = l.words
+	}
+	tmp = tmp[:len(order)]
+	pc, ids := l.pc, l.ids
+	last := len(pc) - 1
+	for _, col := range pc[:last] {
+		for r, w := range order {
+			tmp[r] = math.Float64bits(col[radix.Pos(w)])
 		}
 		for r, v := range tmp {
 			col[r] = math.Float64frombits(v)
 		}
 	}
-	for r, i := range order {
-		tmp[r] = uint64(ids[i])
+	col := pc[last]
+	for r, w := range order {
+		p := radix.Pos(w)
+		tmp[r], order[r] = math.Float64bits(col[p]), uint64(ids[p])
 	}
-	for r, v := range tmp {
-		ids[r] = int64(v)
+	col, ids = col[:len(order)], ids[:len(order)]
+	for r, v := range order {
+		col[r], ids[r] = math.Float64frombits(tmp[r]), int64(v)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"gnn/internal/dataset"
 	"gnn/internal/geom"
 	"gnn/internal/hilbert"
 	"gnn/internal/pagestore"
@@ -575,6 +576,34 @@ func TestBulkLoadRejectsNonFinite(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// BenchmarkPackTS loads the 194,971 points of TS from their columns,
+// plain (PackSTR) and cut into four Hilbert shards (PackSTRPartitioned):
+// the loader alone, without the copy of the caller's points that the
+// root package's BenchmarkIndexBuild also times.
+func BenchmarkPackTS(b *testing.B) {
+	src, err := Columns(Config{}, dataset.GenerateTS(1).Points)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cols := make([]float64, len(src))
+	for _, c := range []struct {
+		name string
+		load func([]float64) error
+	}{
+		{"STR", func(cols []float64) error { _, err := PackSTR(Config{}, cols, nil); return err }},
+		{"Partitioned4", func(cols []float64) error { _, err := PackSTRPartitioned(Config{}, cols, nil, 4); return err }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for b.Loop() {
+				copy(cols, src)
+				if err := c.load(cols); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"gnn/internal/geom"
 	"gnn/internal/pagestore"
+	"gnn/internal/radix"
 )
 
 // refTree is the pointer-linked tree the reference loaders build (see
@@ -164,13 +165,15 @@ func packShuffled(t testing.TB, cfg Config, pts []geom.Point, rng *rand.Rand) *P
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, pc, ids, err := adoptColumns(cfg, cols, nil)
+	l, err := adopt(cfg, cols, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b sortBuffers
-	_, order := b.start(len(ids))
+	order := l.words
+	for i := range order {
+		order[i] = radix.Word(0, i)
+	}
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-	b.apply(order, pc, ids)
-	return packOrdered(cfg, pc, ids)
+	l.apply(order)
+	return packOrdered(l.cfg, l.pc, l.ids)
 }

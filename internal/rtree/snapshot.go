@@ -3,7 +3,6 @@ package rtree
 import (
 	"fmt"
 	"io"
-	"math"
 	"unsafe"
 
 	"gnn/internal/geom"
@@ -169,18 +168,28 @@ func (p *Packed) rootMBR() geom.Rect {
 }
 
 // nodeSpan returns the extent on axis a of non-empty node n's entries:
-// the math.Min/math.Max fold of their corners in entry order, the values
-// a Rect.Union chain over the entries yields.
+// the least of their low corners and the greatest of their high ones.
+// The builtin min and max order -0 below +0, so for NaN-free corners
+// these are the values a math.Min/math.Max fold, and so a Rect.Union
+// chain over the entries, yields. On NaN-free values both are
+// associative and commutative, so the fold runs as two interleaved
+// chains, which halves its dependent steps without changing a value.
 func (p *Packed) nodeSpan(n int32, a int) (lo, hi float64) {
 	los, his := p.rlo[a], p.rhi[a]
 	if p.level[n] == 0 {
 		los, his = p.pc[a], p.pc[a]
 	}
-	s, e := p.start[n], p.end[n]
-	lo, hi = los[s], his[s]
-	for i := s + 1; i < e; i++ {
-		lo = math.Min(lo, los[i])
-		hi = math.Max(hi, his[i])
+	los = los[p.start[n]:p.end[n]]
+	his = his[p.start[n]:p.end[n]][:len(los)]
+	lo, hi = los[0], his[0]
+	lo1, hi1 := lo, hi
+	i := 1
+	for ; i+1 < len(los); i += 2 {
+		lo, hi = min(lo, los[i]), max(hi, his[i])
+		lo1, hi1 = min(lo1, los[i+1]), max(hi1, his[i+1])
 	}
-	return lo, hi
+	if i < len(los) {
+		lo, hi = min(lo, los[i]), max(hi, his[i])
+	}
+	return min(lo, lo1), max(hi, hi1)
 }

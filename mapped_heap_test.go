@@ -122,10 +122,12 @@ func TestCompactedMappedHeap(t *testing.T) {
 // a compaction of a mapped plain index and of a mapped 4-shard index
 // (1,500 inserts and 500 deletes folded, snapshot rotation included),
 // BuildIndex and the 4-shard BuildShardedIndex. Each load writes the
-// points once, into the columns the new arena adopts, and sorts them
-// through a key column and two position buffers, so it allocates at
-// most twice the arena; staging the points point-major first, or
-// carrying keys through the sort, breaks the bound.
+// points once, into the columns the new arena adopts, and orders them
+// through two columns of radix words (a key image and a position each,
+// 16 B a point). Each case is bounded at its reading when the loader
+// took that shape (1.78×, 1.79×, 1.65× and 1.65× the arena) plus 0.05×;
+// staging the points point-major first, or a third working column,
+// breaks the bound.
 func TestBulkLoadArenaAllocs(t *testing.T) {
 	const n, inserts, deletes, shards = 100_000, 1_500, 500, 4
 	dir := t.TempDir()
@@ -176,14 +178,15 @@ func TestBulkLoadArenaAllocs(t *testing.T) {
 	defer sharded.Close()
 
 	for _, c := range []struct {
-		name string
-		load func() (alloc, arena int64)
+		name     string
+		maxRatio float64
+		load     func() (alloc, arena int64)
 	}{
-		{"compact", compaction("plain", plain.WriteSnapshotFile,
+		{"compact", 1.83, compaction("plain", plain.WriteSnapshotFile,
 			func(p string) (*gnn.Index, error) { return gnn.OpenSnapshotMapped(p) })},
-		{"compact-sharded", compaction("sharded", sharded.WriteSnapshotFile,
+		{"compact-sharded", 1.84, compaction("sharded", sharded.WriteSnapshotFile,
 			func(p string) (*gnn.Index, error) { return gnn.OpenShardedSnapshotMapped(p) })},
-		{"BuildIndex", func() (int64, int64) {
+		{"BuildIndex", 1.70, func() (int64, int64) {
 			var ix *gnn.Index
 			alloc := allocated(func() { ix, err = gnn.BuildIndex(pts, nil, gnn.IndexConfig{}) })
 			if err != nil {
@@ -191,7 +194,7 @@ func TestBulkLoadArenaAllocs(t *testing.T) {
 			}
 			return alloc, ix.Stats().ArenaBytes
 		}},
-		{"BuildShardedIndex", func() (int64, int64) {
+		{"BuildShardedIndex", 1.70, func() (int64, int64) {
 			var sx *gnn.Index
 			alloc := allocated(func() { sx, err = gnn.BuildShardedIndex(pts, nil, shards, gnn.IndexConfig{}) })
 			if err != nil {
@@ -203,8 +206,8 @@ func TestBulkLoadArenaAllocs(t *testing.T) {
 	} {
 		alloc, arena := c.load()
 		t.Logf("%s: arena %d B, allocated %d B (%.2f× arena)", c.name, arena, alloc, float64(alloc)/float64(arena))
-		if alloc > 2*arena {
-			t.Errorf("%s allocated %d B, over 2 × its %d B arena", c.name, alloc, arena)
+		if float64(alloc) > c.maxRatio*float64(arena) {
+			t.Errorf("%s allocated %d B, over %.2f × its %d B arena", c.name, alloc, c.maxRatio, arena)
 		}
 	}
 }
