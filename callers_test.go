@@ -24,28 +24,18 @@ var exportAllowlist = map[string]string{
 	// Exports only tests call, there when this test was added. Each is
 	// named by tests of its own (most by a test of that export alone), so
 	// deleting one takes those tests with it; none may join them.
-	"gnn/internal/core.QueryFile.Accountant":    testOnly,
-	"gnn/internal/dataset.Dataset.Clone":        testOnly,
-	"gnn/internal/experiments.Env.Config":       testOnly,
-	"gnn/internal/geom.Ball.ContainsPoint":      testOnly,
-	"gnn/internal/geom.MinEnclosingBall":        testOnly,
-	"gnn/internal/geom.Rect.Equal":              testOnly,
-	"gnn/internal/geom.Rect.Intersects":         testOnly,
-	"gnn/internal/overlay.TombSet.Len":          testOnly,
-	"gnn/internal/pagestore.CostTracker.Reset":  testOnly,
-	"gnn/internal/pagestore.LRU.Len":            testOnly,
-	"gnn/internal/pagestore.PointFile.BlockLen": testOnly,
-	"gnn/internal/pagestore.PointFile.Len":      testOnly,
-	"gnn/internal/rtree.NNIterator.PeekDist":    testOnly,
-	"gnn/internal/rtree.Packed.Root":            testOnly,
-	"gnn/internal/rtree.PairIterator.PeekDist":  testOnly,
-	"gnn/internal/rtree.Reader.Search":          testOnly,
-	"gnn/internal/rtree.Tree.Height":            testOnly,
-	"gnn/internal/stats.Figure.Get":             testOnly,
-	"gnn/internal/telemetry.Counter.Add":        testOnly,
-	"gnn/internal/telemetry.Gauge.Set":          testOnly,
-	"gnn/internal/telemetry.Histogram.Count":    testOnly,
-	"gnn/internal/telemetry.Histogram.SumUS":    testOnly,
+	"gnn/internal/dataset.Dataset.Clone":     testOnly,
+	"gnn/internal/experiments.Env.Config":    testOnly,
+	"gnn/internal/geom.Ball.ContainsPoint":   testOnly,
+	"gnn/internal/geom.MinEnclosingBall":     testOnly,
+	"gnn/internal/geom.Rect.Equal":           testOnly,
+	"gnn/internal/geom.Rect.Intersects":      testOnly,
+	"gnn/internal/overlay.TombSet.Len":       testOnly,
+	"gnn/internal/stats.Figure.Get":          testOnly,
+	"gnn/internal/telemetry.Counter.Add":     testOnly,
+	"gnn/internal/telemetry.Gauge.Set":       testOnly,
+	"gnn/internal/telemetry.Histogram.Count": testOnly,
+	"gnn/internal/telemetry.Histogram.SumUS": testOnly,
 }
 
 // testOnly is the allowlist reason of an export only tests call.

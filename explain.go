@@ -48,11 +48,12 @@ func traceCounters(tr *core.Trace) TraceCounters {
 // StageTiming is one timed step of a query's execution. Stage names:
 // "query" (the whole traversal of an unpartitioned index without overlay
 // writes), "scatter" (one entry per shard of a partitioned index, Shard
-// set), "merge" (the scatter's gather), the overlay sources "base" /
-// "delta" / "pending" and their final merge — "overlay-merge" on a
-// partitioned index, "merge" on an unpartitioned one — and, on queries
-// arriving through the HTTP server, "admission" (time spent waiting for
-// an admission slot).
+// set) and "merge" (their gather); on an index with overlay writes, after
+// a partitioned base's "scatter" entries, "base" (the whole base
+// search), "delta", "pending" and the one final merge of every source —
+// "overlay-merge" on a partitioned index, "merge" on an unpartitioned
+// one; and, on queries arriving through the HTTP server, "admission"
+// (time spent waiting for an admission slot).
 type StageTiming struct {
 	Name string `json:"name"`
 	// Shard is the shard index for per-shard stages, -1 otherwise.

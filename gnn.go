@@ -35,9 +35,11 @@
 // deletes tombstone base points or physically remove overlay points — and
 // every write publishes a new immutable index view atomically, so an
 // in-flight query keeps traversing the consistent view it started on.
-// Queries merge the base, delta and pending candidate streams with the
-// same shared-bound machinery the sharded scatter uses, returning exactly
-// what a fresh index over the live point set would return. Pack (or the
+// Every read runs the base's arenas, the delta tree and the pending tail
+// as one list of sources (internal/shard): a k-best query under one
+// shared pruning bound and one merge, an iterator or point-NN query as a
+// lazy merge of their ascending streams. It returns exactly what a fresh
+// index over the live point set would return. Pack (or the
 // background compactor, see StartCompactor) folds the overlay back into a
 // fresh packed base off the hot path and swaps it in under live readers.
 // Before its first read, a NewIndex's writes edit its buffer of points
@@ -682,93 +684,16 @@ func (ix *Index) NearestNeighborsWithCost(q Point, k int) ([]Result, Cost, error
 		return nil, Cost{}, err
 	}
 	v := ix.view.Load()
-	p, err := v.set.Arena()
+	var tk pagestore.CostTracker
+	nbs, err := v.set.Nearest(geom.Point(q), k, &tk, v.read)
 	if err != nil {
 		return nil, Cost{}, err
 	}
-	var tk pagestore.CostTracker
-	if v.ov == nil {
-		nbs := p.Reader(&tk).NearestBF(geom.Point(q), k)
-		out := make([]Result, len(nbs))
-		for i, nb := range nbs {
-			out[i] = Result{Point: Point(nb.Point), ID: nb.ID, Dist: nb.Dist}
-		}
-		return out, costOf(tk), nil
+	out := make([]Result, len(nbs))
+	for i, nb := range nbs {
+		out[i] = Result{Point: Point(nb.Point), ID: nb.ID, Dist: nb.Dist}
 	}
-	return nearestOverlay(p, v.ov, geom.Point(q), k, &tk)
-}
-
-// nearestOverlay merges the base NN stream (tombstoned hits skipped),
-// the delta-tree NN stream and the exact pending distances into the k
-// nearest live points. Cost is the sum of both tree traversals' node
-// accesses; the pending tail is a memory array and charges nothing. A
-// stream's emitted point is only valid until it advances, so each taken
-// result is copied into one slab the caller owns, and the output is
-// sized by the points the view holds, not by k.
-func nearestOverlay(p *rtree.Packed, ov *overlayState, q geom.Point, k int, tk *pagestore.CostTracker) ([]Result, Cost, error) {
-	base := p.Reader(tk).NewNNIterator(q)
-	defer base.Close()
-	nextBase := func() (rtree.Neighbor, bool) {
-		for {
-			nb, ok := base.Next()
-			if !ok {
-				return rtree.Neighbor{}, false
-			}
-			if ov.tombs.Rejects(nb.Point, nb.ID) {
-				continue
-			}
-			return nb, true
-		}
-	}
-	nextDelta := func() (rtree.Neighbor, bool) { return rtree.Neighbor{}, false }
-	if ov.delta != nil {
-		delta := ov.delta.Reader(tk).NewNNIterator(q)
-		defer delta.Close()
-		nextDelta = func() (rtree.Neighbor, bool) { return delta.Next() }
-	}
-	pend := core.ScanNeighbors(ov.pts[ov.folded:], ov.ids[ov.folded:], q)
-	pi := 0
-	nextPend := func() (rtree.Neighbor, bool) {
-		if pi >= len(pend) {
-			return rtree.Neighbor{}, false
-		}
-		g := pend[pi]
-		pi++
-		return rtree.Neighbor{Point: g.Point, ID: g.ID, Dist: g.Dist}, true
-	}
-
-	type head struct {
-		nb   rtree.Neighbor
-		ok   bool
-		next func() (rtree.Neighbor, bool)
-	}
-	heads := []head{{next: nextBase}, {next: nextDelta}, {next: nextPend}}
-	for i := range heads {
-		heads[i].nb, heads[i].ok = heads[i].next()
-	}
-	n, dim := min(k, p.Len()+len(ov.pts)), len(q)
-	out := make([]Result, 0, n)
-	slab := make([]float64, 0, n*dim)
-	for len(out) < k {
-		pick := -1
-		for i := range heads {
-			if !heads[i].ok {
-				continue
-			}
-			if pick == -1 || heads[i].nb.Dist < heads[pick].nb.Dist {
-				pick = i
-			}
-		}
-		if pick == -1 {
-			break
-		}
-		nb := heads[pick].nb
-		s := len(slab)
-		slab = append(slab, nb.Point...)
-		out = append(out, Result{Point: Point(slab[s : s+dim : s+dim]), ID: nb.ID, Dist: nb.Dist})
-		heads[pick].nb, heads[pick].ok = heads[pick].next()
-	}
-	return out, costOf(*tk), nil
+	return out, costOf(tk), nil
 }
 
 func toResults(gs []core.GroupNeighbor) []Result {

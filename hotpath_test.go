@@ -8,11 +8,13 @@
 package gnn_test
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
 	"gnn"
+	"gnn/internal/dataset"
 )
 
 // hotPathAllocs is the warm packed MBM kernel's allocation count per
@@ -101,6 +103,93 @@ func TestHotPathAllocsSharded(t *testing.T) {
 		t.Logf("4 shards, %s: %.3f allocs/op", cell.name, perQuery)
 		if perQuery > cell.max {
 			t.Errorf("4 shards, %s: %.3f allocs/op, want at most %.3f", cell.name, perQuery, cell.max)
+		}
+	}
+}
+
+// overlayAllocCells bound the warm MBM query's allocations per query on
+// indexes carrying every overlay source (overlayAllocFixture): the
+// sources' result lists, the pending scan's accumulator and the merge.
+// Lowering a bound is fine; raising one is a regression.
+var overlayAllocCells = []struct {
+	name         string
+	opts         []gnn.QueryOption
+	plain, shard float64
+}{
+	{"MBM-BF/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM)}, 21, 30.125},
+	{"MBM-BF/max", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithAggregate(gnn.MaxDist)}, 21, 27.5},
+}
+
+// overlayAllocFixture writes an overlay onto ix: 300 inserts, so 256 sit
+// in a folded delta tree and 44 in the pending tail, and 30 deletes of
+// base points, which tombstone them.
+func overlayAllocFixture(t *testing.T, ix *gnn.Index, pts []gnn.Point) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(17))
+	span := dataset.Workspace().Hi[0]
+	for i := 0; i < 300; i++ {
+		if err := ix.Insert(gnn.Point{rng.Float64() * span, rng.Float64() * span}, int64(len(pts)+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 30; i++ {
+		j := i * (len(pts) / 30)
+		if !ix.Delete(pts[j], int64(j)) {
+			t.Fatalf("delete of base point %d failed", j)
+		}
+	}
+	if s := ix.Stats(); s.Delta != 300 || s.Tombstones != 30 {
+		t.Fatalf("overlay fixture: %+v", s)
+	}
+}
+
+// TestHotPathAllocsOverlay bounds the warm read of a view with writes —
+// base, delta tree and pending tail under one bound and one merge — on a
+// plain and a 4-shard index, so the overlay path cannot gain allocations
+// unseen. WithShards(1) runs the sequential scatter on the caller's
+// pooled context.
+func TestHotPathAllocsOverlay(t *testing.T) {
+	d, err := env().Dataset("TS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := publicPoints(d.Points)
+	plain, err := gnn.BuildIndex(pts, nil, gnn.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := gnn.BuildShardedIndex(pts, nil, 4, gnn.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+	_, queries := allocFixture(t)
+	for _, ix := range []*gnn.Index{plain, sharded} {
+		overlayAllocFixture(t, ix, pts)
+	}
+	for _, cell := range overlayAllocCells {
+		opts := append([]gnn.QueryOption{gnn.WithK(8), gnn.WithShards(1)}, cell.opts...)
+		for _, c := range []struct {
+			label string
+			ix    *gnn.Index
+			max   float64
+		}{{"plain", plain, cell.plain}, {"4 shards", sharded, cell.shard}} {
+			var qerr error
+			perRun := testing.AllocsPerRun(20, func() {
+				for _, q := range queries {
+					if _, err := c.ix.GroupNN(q, opts...); err != nil {
+						qerr = err
+					}
+				}
+			})
+			if qerr != nil {
+				t.Fatalf("%s, %s: %v", c.label, cell.name, qerr)
+			}
+			perQuery := perRun / float64(len(queries))
+			t.Logf("%s with overlay, %s: %.3f allocs/op", c.label, cell.name, perQuery)
+			if perQuery > c.max {
+				t.Errorf("%s with overlay, %s: %.3f allocs/op, want at most %.3f", c.label, cell.name, perQuery, c.max)
+			}
 		}
 	}
 }

@@ -48,7 +48,7 @@ func TestQueryFileBasics(t *testing.T) {
 	if total != 95 {
 		t.Fatalf("blocks cover %d points", total)
 	}
-	if qf.Accountant().Logical() == 0 {
+	if qf.acct.Logical() == 0 {
 		t.Fatal("block reads not charged")
 	}
 	// Hilbert blocking should produce spatially compact blocks: total MBR
@@ -72,6 +72,80 @@ func TestQueryFileValidation(t *testing.T) {
 	qf, err := NewQueryFile([]geom.Point{{1, 2}}, 0, nil, 0)
 	if err != nil || qf.NumBlocks() != 1 {
 		t.Fatalf("default block size: %v, %d blocks", err, qf.NumBlocks())
+	}
+	if _, err := NewQueryFile([]geom.Point{{1, 2}}, -1, nil, 0); err == nil {
+		t.Fatal("negative block size accepted")
+	}
+}
+
+// linePts returns n distinct 2-D points along the diagonal.
+func linePts(n int) []geom.Point {
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Point{float64(i), float64(i)}
+	}
+	return pts
+}
+
+// TestQueryFileBlockPages checks the page reads of each block: one per
+// page of pagestore.DefaultPageCapacity points the block spans, charged
+// to the file's accountant and the reader's tracker alike.
+func TestQueryFileBlockPages(t *testing.T) {
+	a := pagestore.NewAccountant(0)
+	qf, err := NewQueryFile(linePts(125), 35, a, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qf.Len() != 125 || qf.NumBlocks() != 4 || qf.Pages() != 3 {
+		t.Fatalf("Len/NumBlocks/Pages = %d/%d/%d", qf.Len(), qf.NumBlocks(), qf.Pages())
+	}
+	// Block 0 (points 0-34) spans page 0; block 1 (35-69) pages 0-1;
+	// block 2 (70-104) pages 1-2; block 3 (105-124) page 2.
+	for i, want := range []struct{ n, pages int64 }{{35, 1}, {35, 2}, {35, 2}, {20, 1}} {
+		var tk pagestore.CostTracker
+		before := a.Logical()
+		blk, err := qf.ReadBlock(i, &tk)
+		if err != nil || int64(len(blk)) != want.n || int64(qf.BlockLen(i)) != want.n {
+			t.Fatalf("ReadBlock(%d): %d points (BlockLen %d), %v; want %d", i, len(blk), qf.BlockLen(i), err, want.n)
+		}
+		if got := a.Logical() - before; got != want.pages || tk.Logical != want.pages {
+			t.Fatalf("block %d: %d page reads aggregate, %d tracker; want %d", i, got, tk.Logical, want.pages)
+		}
+	}
+}
+
+func TestQueryFileOutOfRange(t *testing.T) {
+	qf, err := NewQueryFile(linePts(5), 5, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{1, -1} {
+		if _, err := qf.ReadBlock(i, nil); !errors.Is(err, errOutOfRange) {
+			t.Fatalf("ReadBlock(%d) err = %v", i, err)
+		}
+	}
+}
+
+// TestQueryFileSharedBuffer: two files sharing an accountant and its
+// buffer must not collide on page IDs.
+func TestQueryFileSharedBuffer(t *testing.T) {
+	a := pagestore.NewAccountant(100)
+	f1, err := NewQueryFile(linePts(10), 10, a, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2, err := NewQueryFile(linePts(10), 10, a, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f1.ReadBlock(0, nil)
+	f2.ReadBlock(0, nil)
+	if a.Hits() != 0 {
+		t.Fatal("distinct files shared a page ID")
+	}
+	f1.ReadBlock(0, nil)
+	if a.Hits() != 1 {
+		t.Fatal("re-read not served from buffer")
 	}
 }
 

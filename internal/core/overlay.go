@@ -1,22 +1,24 @@
-// Overlay support: the pieces the delta-overlay index layer composes on
-// top of the paper kernels. A mutated index answers a query by running
-// the chosen kernel once per source (immutable base tree, small delta
-// tree, unfolded pending points) and reassembling the exact answer with
-// MergeNeighbors — the same multi-source discipline the sharded scatter
-// uses, so the bit-exactness argument is identical.
+// Overlay support: the pieces a view's read path (internal/shard)
+// composes on top of the paper kernels — the scans of the unfolded
+// pending points (ScanPoints, ScanAll) and the Stream surface its lazy
+// merges consume. A view with writes runs the kernel once per tree
+// source (the base's arenas, the small delta tree) and merges every
+// source's answer like the sharded scatter merges its shards', so the
+// bit-exactness argument is the same.
 
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"gnn/internal/geom"
 )
 
 // Stream is an ascending-distance candidate stream: the common surface of
 // GNNIterator (one per tree source) and ListStream (pending points). The
-// shard merge iterator consumes Streams, which lets one merge
-// implementation serve both sharded queries and overlay queries.
+// shard merge iterator consumes Streams, which lets one merge serve every
+// source of a view.
 type Stream interface {
 	// Next returns the next candidate; ok is false when exhausted. The
 	// candidate's Point may be the stream's scratch, valid only until the
@@ -37,10 +39,9 @@ type ListStream struct {
 	pos   int
 }
 
-// NewListStream sorts items ascending by distance and wraps them. The
-// slice is retained and reordered in place.
+// NewListStream wraps items, ascending by distance as ScanAll returns
+// them. The slice is retained.
 func NewListStream(items []GroupNeighbor) *ListStream {
-	sort.SliceStable(items, func(i, j int) bool { return items[i].Dist < items[j].Dist })
 	return &ListStream{items: items}
 }
 
@@ -125,18 +126,6 @@ func ScanAll(pts []geom.Point, ids []int64, qs []geom.Point, opt Options) ([]Gro
 			out = append(out, GroupNeighbor{Point: p, ID: ids[i], Dist: aggDistSoA(opt.Aggregate, p, g, w)})
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Dist < out[j].Dist })
+	slices.SortStableFunc(out, func(a, b GroupNeighbor) int { return cmp.Compare(a.Dist, b.Dist) })
 	return out, nil
-}
-
-// ScanNeighbors is ScanPoints for the overlay's pending tail of a plain
-// nearest-neighbor (single query point) search: exact distances, sorted
-// ascending, no node accesses.
-func ScanNeighbors(pts []geom.Point, ids []int64, q geom.Point) []GroupNeighbor {
-	out := make([]GroupNeighbor, 0, len(pts))
-	for i, p := range pts {
-		out = append(out, GroupNeighbor{Point: p, ID: ids[i], Dist: geom.Dist(p, q)})
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Dist < out[j].Dist })
-	return out
 }

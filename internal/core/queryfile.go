@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"gnn/internal/geom"
@@ -13,21 +14,26 @@ const DefaultBlockPoints = 10000
 
 // QueryFile models a disk-resident, non-indexed query set Q, prepared as
 // §4.2/4.3 prescribe: the points are sorted by Hilbert value and packed
-// into pages; consecutive pages form memory-sized blocks Q_1..Q_m. The
-// block MBRs M_i and cardinalities n_i are retained in memory (they are
-// by-products of the sorting pass, whose cost the paper excludes).
+// into pages of pagestore.DefaultPageCapacity points; consecutive pages
+// form memory-sized blocks Q_1..Q_m. The block MBRs M_i and cardinalities
+// n_i are retained in memory (they are by-products of the sorting pass,
+// whose cost the paper excludes).
 //
 // Reading a block charges one physical page read per page it spans to the
 // file's shared Accountant (optionally via an LRU buffer) and to the
 // caller's per-query tracker. A QueryFile is immutable after construction,
 // so concurrent queries may read it freely.
 type QueryFile struct {
-	file   *pagestore.PointFile
-	blocks [][]geom.Point // decoded blocks (charging happens in file)
-	mbrs   []geom.Rect
-	ns     []int
-	total  int
+	blocks      [][]geom.Point // the Hilbert-sorted points, block by block
+	mbrs        []geom.Rect
+	blockPoints int
+	total       int
+	acct        *pagestore.Accountant
+	basePage    pagestore.PageID
 }
+
+// errOutOfRange reports a block index beyond the end of a QueryFile.
+var errOutOfRange = errors.New("core: query file block index out of range")
 
 // NewQueryFile builds a QueryFile from 2-D query points. blockPoints
 // defaults to DefaultBlockPoints when zero; acct may be nil (private
@@ -44,58 +50,51 @@ func NewQueryFile(pts []geom.Point, blockPoints int, acct *pagestore.Accountant,
 	if blockPoints == 0 {
 		blockPoints = DefaultBlockPoints
 	}
+	if blockPoints < 1 {
+		return nil, fmt.Errorf("core: block size %d < 1", blockPoints)
+	}
+	if acct == nil {
+		acct = pagestore.NewAccountant(0)
+	}
 	sorted := hilbertSortDataset(pts)
-	pairs := make([][2]float64, len(sorted))
-	for i, p := range sorted {
-		pairs[i] = [2]float64{p[0], p[1]}
-	}
-	file, err := pagestore.NewPointFile(pairs, pagestore.DefaultPageCapacity, blockPoints, acct, basePage)
-	if err != nil {
-		return nil, err
-	}
-	qf := &QueryFile{file: file, total: len(sorted)}
-	m := file.NumBlocks()
-	qf.blocks = make([][]geom.Point, m)
-	qf.mbrs = make([]geom.Rect, m)
-	qf.ns = make([]int, m)
-	for i := 0; i < m; i++ {
-		lo := i * blockPoints
-		hi := lo + blockPoints
-		if hi > len(sorted) {
-			hi = len(sorted)
-		}
-		qf.blocks[i] = sorted[lo:hi]
-		qf.mbrs[i] = geom.BoundingRect(sorted[lo:hi])
-		qf.ns[i] = hi - lo
+	qf := &QueryFile{blockPoints: blockPoints, total: len(sorted), acct: acct, basePage: basePage}
+	for lo := 0; lo < len(sorted); lo += blockPoints {
+		blk := sorted[lo:min(lo+blockPoints, len(sorted))]
+		qf.blocks = append(qf.blocks, blk)
+		qf.mbrs = append(qf.mbrs, geom.BoundingRect(blk))
 	}
 	return qf, nil
 }
 
 // NumBlocks returns m, the number of memory-sized blocks.
-func (qf *QueryFile) NumBlocks() int { return len(qf.ns) }
+func (qf *QueryFile) NumBlocks() int { return len(qf.blocks) }
 
 // Len returns the total number of query points n.
 func (qf *QueryFile) Len() int { return qf.total }
 
 // BlockLen returns n_i without touching the disk.
-func (qf *QueryFile) BlockLen(i int) int { return qf.ns[i] }
+func (qf *QueryFile) BlockLen(i int) int { return len(qf.blocks[i]) }
 
 // MBR returns M_i without touching the disk.
 func (qf *QueryFile) MBR(i int) geom.Rect { return qf.mbrs[i] }
 
-// ReadBlock loads block i, charging its page reads to the file's
-// accountant and the caller's tracker (nil for aggregate-only), and
-// returns its points. The returned slice is shared and must be treated as
-// read-only.
+// ReadBlock loads block i, charging one access per page it spans to the
+// file's accountant and the caller's tracker (nil for aggregate-only),
+// and returns its points. The returned slice is shared and must be
+// treated as read-only.
 func (qf *QueryFile) ReadBlock(i int, tk *pagestore.CostTracker) ([]geom.Point, error) {
-	if _, err := qf.file.ReadBlock(i, tk); err != nil { // charges the I/O
-		return nil, err
+	if i < 0 || i >= len(qf.blocks) {
+		return nil, fmt.Errorf("%w: block %d of %d", errOutOfRange, i, len(qf.blocks))
+	}
+	lo := i * qf.blockPoints
+	hi := lo + len(qf.blocks[i])
+	for p := lo / pagestore.DefaultPageCapacity; p <= (hi-1)/pagestore.DefaultPageCapacity; p++ {
+		qf.acct.Access(qf.basePage+pagestore.PageID(p), tk)
 	}
 	return qf.blocks[i], nil
 }
 
-// Accountant exposes the file's shared accountant (page reads of Q).
-func (qf *QueryFile) Accountant() *pagestore.Accountant { return qf.file.Accountant() }
-
 // Pages returns the number of pages Q occupies.
-func (qf *QueryFile) Pages() int { return qf.file.Pages() }
+func (qf *QueryFile) Pages() int {
+	return (qf.total + pagestore.DefaultPageCapacity - 1) / pagestore.DefaultPageCapacity
+}

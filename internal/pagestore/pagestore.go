@@ -13,14 +13,9 @@
 //     physical reads (the NA a disk system would actually pay).
 //   - LRU is a classic least-recently-used page buffer over abstract page
 //     identifiers.
-//   - PointFile models a flat disk file of points (the non-indexed,
-//     disk-resident query set Q of §4), read block-by-block with page-read
-//     accounting, as consumed by F-MQM and F-MBM.
 package pagestore
 
 import (
-	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -62,9 +57,6 @@ func (c *CostTracker) Add(other CostTracker) {
 	c.Physical += other.Physical
 	c.Hits += other.Hits
 }
-
-// Reset zeroes the tracker.
-func (c *CostTracker) Reset() { *c = CostTracker{} }
 
 // Accountant models the disk subsystem shared by every query against one
 // index: the aggregate access counts (atomic, so unlimited concurrent
@@ -185,9 +177,6 @@ func NewLRU(capacity int) *LRU {
 	return &LRU{capacity: capacity, nodes: make(map[PageID]*lruNode, capacity)}
 }
 
-// Len returns the number of buffered pages.
-func (l *LRU) Len() int { return len(l.nodes) }
-
 // Access touches the page: returns true if it was already buffered (hit),
 // otherwise inserts it, evicting the least-recently-used page if full.
 func (l *LRU) Access(id PageID) bool {
@@ -244,96 +233,4 @@ func (l *LRU) moveToFront(n *lruNode) {
 	}
 	l.unlink(n)
 	l.pushFront(n)
-}
-
-// ErrOutOfRange reports a block index beyond the end of a PointFile.
-var ErrOutOfRange = errors.New("pagestore: block index out of range")
-
-// PointFile models the flat, non-indexed query file of §4: a sequence of
-// 2-D points packed into pages of PointsPerPage entries. Reading a block
-// charges one physical read per page through the file's Accountant and the
-// reader's per-query tracker. Concurrent reads are safe.
-type PointFile struct {
-	points        [][2]float64
-	pointsPerPage int
-	blockPoints   int // points per in-memory block (10,000 in §5.2)
-	acct          *Accountant
-	basePage      PageID
-}
-
-// NewPointFile wraps points as a disk file. pointsPerPage is the page
-// capacity (the paper's 50); blockPoints is the number of points loaded per
-// memory block (the paper's 10,000). basePage offsets the file's page IDs
-// so several files can share one buffer without collisions. A nil acct gets
-// a private unbuffered accountant.
-func NewPointFile(points [][2]float64, pointsPerPage, blockPoints int, acct *Accountant, basePage PageID) (*PointFile, error) {
-	if pointsPerPage < 1 {
-		return nil, fmt.Errorf("pagestore: pointsPerPage %d < 1", pointsPerPage)
-	}
-	if blockPoints < 1 {
-		return nil, fmt.Errorf("pagestore: blockPoints %d < 1", blockPoints)
-	}
-	if acct == nil {
-		acct = NewAccountant(0)
-	}
-	return &PointFile{
-		points:        points,
-		pointsPerPage: pointsPerPage,
-		blockPoints:   blockPoints,
-		acct:          acct,
-		basePage:      basePage,
-	}, nil
-}
-
-// Len returns the number of points in the file.
-func (f *PointFile) Len() int { return len(f.points) }
-
-// NumBlocks returns the number of memory blocks the file splits into.
-func (f *PointFile) NumBlocks() int {
-	if len(f.points) == 0 {
-		return 0
-	}
-	return (len(f.points) + f.blockPoints - 1) / f.blockPoints
-}
-
-// BlockLen returns the number of points in block i.
-func (f *PointFile) BlockLen(i int) (int, error) {
-	if i < 0 || i >= f.NumBlocks() {
-		return 0, fmt.Errorf("%w: block %d of %d", ErrOutOfRange, i, f.NumBlocks())
-	}
-	lo := i * f.blockPoints
-	hi := lo + f.blockPoints
-	if hi > len(f.points) {
-		hi = len(f.points)
-	}
-	return hi - lo, nil
-}
-
-// ReadBlock loads block i into memory, charging one access per page the
-// block spans to the file's accountant and, when tk is non-nil, to the
-// caller's per-query tracker. The returned slice aliases the file's storage
-// and must be treated as read-only.
-func (f *PointFile) ReadBlock(i int, tk *CostTracker) ([][2]float64, error) {
-	if i < 0 || i >= f.NumBlocks() {
-		return nil, fmt.Errorf("%w: block %d of %d", ErrOutOfRange, i, f.NumBlocks())
-	}
-	lo := i * f.blockPoints
-	hi := lo + f.blockPoints
-	if hi > len(f.points) {
-		hi = len(f.points)
-	}
-	firstPage := lo / f.pointsPerPage
-	lastPage := (hi - 1) / f.pointsPerPage
-	for p := firstPage; p <= lastPage; p++ {
-		f.acct.Access(f.basePage+PageID(p), tk)
-	}
-	return f.points[lo:hi], nil
-}
-
-// Accountant exposes the file's shared accountant.
-func (f *PointFile) Accountant() *Accountant { return f.acct }
-
-// Pages returns the total number of pages the file occupies.
-func (f *PointFile) Pages() int {
-	return (len(f.points) + f.pointsPerPage - 1) / f.pointsPerPage
 }

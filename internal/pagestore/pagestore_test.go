@@ -1,7 +1,6 @@
 package pagestore
 
 import (
-	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -52,7 +51,7 @@ func TestAccountantNilTracker(t *testing.T) {
 	}
 }
 
-func TestCostTrackerAddReset(t *testing.T) {
+func TestCostTrackerAdd(t *testing.T) {
 	var x, y CostTracker
 	x.record(false)
 	y.record(false)
@@ -60,10 +59,6 @@ func TestCostTrackerAddReset(t *testing.T) {
 	x.Add(y)
 	if x.Logical != 3 || x.Physical != 2 || x.Hits != 1 {
 		t.Fatalf("Add result = %d/%d/%d", x.Logical, x.Physical, x.Hits)
-	}
-	x.Reset()
-	if x != (CostTracker{}) {
-		t.Fatal("Reset did not zero")
 	}
 }
 
@@ -129,8 +124,8 @@ func TestLRUEvictionOrder(t *testing.T) {
 			t.Fatalf("%d should be buffered", id)
 		}
 	}
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d", l.Len())
+	if len(l.nodes) != 3 {
+		t.Fatalf("%d pages buffered", len(l.nodes))
 	}
 }
 
@@ -156,7 +151,7 @@ func TestLRUClear(t *testing.T) {
 	l.Access(1)
 	l.Access(2)
 	l.Clear()
-	if l.Len() != 0 || contains(l, 1) {
+	if len(l.nodes) != 0 || contains(l, 1) {
 		t.Fatal("Clear left entries")
 	}
 	if l.Access(1) {
@@ -199,86 +194,9 @@ func TestLRUStress(t *testing.T) {
 		if len(model) > 8 {
 			model = model[:8]
 		}
-		if l.Len() != len(model) {
-			t.Fatalf("step %d: Len %d vs model %d", i, l.Len(), len(model))
+		if len(l.nodes) != len(model) {
+			t.Fatalf("step %d: %d pages buffered vs model %d", i, len(l.nodes), len(model))
 		}
-	}
-}
-
-func mkPoints(n int) [][2]float64 {
-	pts := make([][2]float64, n)
-	for i := range pts {
-		pts[i] = [2]float64{float64(i), float64(i)}
-	}
-	return pts
-}
-
-func TestPointFileBlocks(t *testing.T) {
-	a := NewAccountant(0)
-	f, err := NewPointFile(mkPoints(25), 10, 7, a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Len() != 25 || f.NumBlocks() != 4 || f.Pages() != 3 {
-		t.Fatalf("Len/NumBlocks/Pages = %d/%d/%d", f.Len(), f.NumBlocks(), f.Pages())
-	}
-	var tk CostTracker
-	for i, want := range []int{7, 7, 7, 4} {
-		n, err := f.BlockLen(i)
-		if err != nil || n != want {
-			t.Fatalf("BlockLen(%d) = %d, %v", i, n, err)
-		}
-		blk, err := f.ReadBlock(i, &tk)
-		if err != nil || len(blk) != want {
-			t.Fatalf("ReadBlock(%d) len = %d, %v", i, len(blk), err)
-		}
-	}
-	// Block 0 spans page 0 (pts 0-6): 1 page. Block 1 spans pages 0-1: 2.
-	// Block 2 (pts 14-20) spans pages 1-2: 2. Block 3 (21-24) page 2: 1.
-	if a.Logical() != 6 || tk.Logical != 6 {
-		t.Fatalf("page reads = %d aggregate / %d tracker, want 6", a.Logical(), tk.Logical)
-	}
-}
-
-func TestPointFileOutOfRange(t *testing.T) {
-	f, _ := NewPointFile(mkPoints(5), 10, 5, nil, 0)
-	if _, err := f.ReadBlock(1, nil); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("ReadBlock(1) err = %v", err)
-	}
-	if _, err := f.ReadBlock(-1, nil); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("ReadBlock(-1) err = %v", err)
-	}
-	if _, err := f.BlockLen(99); !errors.Is(err, ErrOutOfRange) {
-		t.Fatalf("BlockLen(99) err = %v", err)
-	}
-}
-
-func TestPointFileValidation(t *testing.T) {
-	if _, err := NewPointFile(nil, 0, 5, nil, 0); err == nil {
-		t.Fatal("pointsPerPage 0 accepted")
-	}
-	if _, err := NewPointFile(nil, 5, 0, nil, 0); err == nil {
-		t.Fatal("blockPoints 0 accepted")
-	}
-	f, err := NewPointFile(nil, 5, 5, nil, 0)
-	if err != nil || f.NumBlocks() != 0 || f.Pages() != 0 {
-		t.Fatal("empty file mishandled")
-	}
-}
-
-func TestPointFileSharedBuffer(t *testing.T) {
-	// Two files sharing an accountant+buffer must not collide on page IDs.
-	a := NewAccountant(100)
-	f1, _ := NewPointFile(mkPoints(10), 10, 10, a, 0)
-	f2, _ := NewPointFile(mkPoints(10), 10, 10, a, 1000)
-	f1.ReadBlock(0, nil)
-	f2.ReadBlock(0, nil)
-	if a.Hits() != 0 {
-		t.Fatal("distinct files shared a page ID")
-	}
-	f1.ReadBlock(0, nil)
-	if a.Hits() != 1 {
-		t.Fatal("re-read not served from buffer")
 	}
 }
 

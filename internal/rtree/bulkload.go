@@ -107,22 +107,6 @@ func PackSTR(cfg Config, cols []float64, ids []int64) (*Packed, error) {
 	return packOrdered(l.cfg, l.pc, l.ids), nil
 }
 
-// packHilbert is PackSTR with the leaves in Hilbert order instead — the
-// classic Hilbert-packed R-tree. Only the first two dimensions contribute
-// to the ordering; equal curve values keep their input order.
-func packHilbert(cfg Config, cols []float64, ids []int64) (*Packed, error) {
-	l, err := adopt(cfg, cols, ids)
-	if err != nil {
-		return nil, err
-	}
-	if len(l.words) > 0 {
-		_, order := l.curveWords()
-		radix.Sort(l.words, l.spare, order)
-		l.apply(l.words)
-	}
-	return packOrdered(l.cfg, l.pc, l.ids), nil
-}
-
 // PackSTRPartitioned Hilbert-partitions the points into parts contiguous
 // chunks of near-equal size (the classic shard split: order the points
 // by Hilbert value, ties by input order, and cut the curve into parts
@@ -135,8 +119,8 @@ func packHilbert(cfg Config, cols []float64, ids []int64) (*Packed, error) {
 // cfg.Accountant (one allocated here when nil) and their page IDs are
 // offset to be disjoint, so they can also share an LRU buffer and the
 // usual node-access accounting stays exactly additive across the
-// partition. Points beyond 2-D are ordered on their first two axes, like
-// packHilbert; 1-D points on their single axis.
+// partition. Points beyond 2-D are ordered on their first two axes; 1-D
+// points on their single axis.
 //
 // The curve is cut, not sorted: radix.Cut moves each chunk's points to
 // its run, where each chunk is STR-ordered. One gather then applies

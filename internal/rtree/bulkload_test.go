@@ -26,15 +26,6 @@ func bulkLoadSTR(cfg Config, pts []geom.Point, ids []int64) (*Packed, error) {
 	return PackSTR(cfg, cols, slices.Clone(ids))
 }
 
-// bulkLoadHilbert copies pts into columns and Hilbert-packs them.
-func bulkLoadHilbert(cfg Config, pts []geom.Point, ids []int64) (*Packed, error) {
-	cols, err := Columns(cfg, pts)
-	if err != nil {
-		return nil, err
-	}
-	return packHilbert(cfg, cols, slices.Clone(ids))
-}
-
 func TestBulkLoadSTR(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	pts := randPoints(rng, 3000, 1000)
@@ -61,26 +52,6 @@ func TestBulkLoadSTR(t *testing.T) {
 	}
 }
 
-func TestBulkLoadHilbert(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	pts := randPoints(rng, 2500, 1000)
-	tr, err := bulkLoadHilbert(Config{MaxEntries: 10}, pts, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Tree().CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	q := geom.Point{500, 500}
-	want := bruteKNN(pts, q, 10)
-	got := tr.Reader(nil).NearestBF(q, 10)
-	for i := range got {
-		if !almostEq(got[i].Dist, want[i]) {
-			t.Fatalf("rank %d: %v vs %v", i, got[i].Dist, want[i])
-		}
-	}
-}
-
 func TestBulkLoadEmptyAndTiny(t *testing.T) {
 	tr, err := bulkLoadSTR(Config{}, nil, nil)
 	if err != nil || tr.Len() != 0 {
@@ -90,7 +61,7 @@ func TestBulkLoadEmptyAndTiny(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts := []geom.Point{{1, 1}, {2, 2}}
-	tr, err = bulkLoadHilbert(Config{}, pts, []int64{7, 8})
+	tr, err = bulkLoadSTR(Config{}, pts, []int64{7, 8})
 	if err != nil || tr.Len() != 2 || tr.Height() != 1 {
 		t.Fatalf("tiny bulk load: %v len %d h %d", err, tr.Len(), tr.Height())
 	}
@@ -115,15 +86,8 @@ func TestBulkLoadSizesProperty(t *testing.T) {
 		n := int(nRaw%1200) + 1
 		rng := rand.New(rand.NewSource(seed))
 		pts := randPoints(rng, n, 500)
-		for _, build := range []func(Config, []geom.Point, []int64) (*Packed, error){
-			bulkLoadSTR, bulkLoadHilbert,
-		} {
-			tr, err := build(Config{MaxEntries: 8}, pts, nil)
-			if err != nil || tr.Len() != n || len(tr.IDs()) != n || tr.Tree().CheckInvariants() != nil {
-				return false
-			}
-		}
-		return true
+		tr, err := bulkLoadSTR(Config{MaxEntries: 8}, pts, nil)
+		return err == nil && tr.Len() == n && len(tr.IDs()) == n && tr.Tree().CheckInvariants() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
@@ -157,15 +121,6 @@ func referenceSTR(cfg Config, pts []geom.Point, ids []int64) (*refTree, error) {
 				slices.SortStableFunc(entries[lo:min(lo+perSlab, len(entries))], cmpAxis(1))
 			}
 		}
-	})
-}
-
-// referenceHilbert is the specification of packHilbert: the curve is
-// fitted to the mbrOf bounds of the leaf entries, which are then swapped
-// into curve order in place.
-func referenceHilbert(cfg Config, pts []geom.Point, ids []int64) (*refTree, error) {
-	return referenceLoad(cfg, pts, ids, func(t *refTree, entries []entry) {
-		hilbertSortEntries(t.cfg.Dim, entries)
 	})
 }
 
@@ -290,28 +245,13 @@ func sameBits(a, b geom.Point) bool {
 	return true
 }
 
-type loader func(Config, []geom.Point, []int64) (*refTree, error)
-
-// algorithm is one bulk-load order: the arena packer and the reference it
-// must reproduce.
-type algorithm struct {
-	name      string
-	pack      func(cfg Config, coords []float64, ids []int64) (*Packed, error)
-	reference loader
-}
-
-var (
-	strAlgorithm     = algorithm{"STR", PackSTR, referenceSTR}
-	hilbertAlgorithm = algorithm{"Hilbert", packHilbert, referenceHilbert}
-)
-
-// checkAgainstReference packs pts with an algorithm's packer, builds its
-// reference, and fails on the first difference between the arena and the
-// reference tree's pack (see checkPacked).
-func checkAgainstReference(t *testing.T, label string, al algorithm, cfg Config, pts []geom.Point, ids []int64) {
+// checkAgainstReference packs pts with PackSTR, builds referenceSTR, and
+// fails on the first difference between the arena and the reference
+// tree's pack (see checkPacked).
+func checkAgainstReference(t *testing.T, label string, cfg Config, pts []geom.Point, ids []int64) {
 	t.Helper()
-	label = al.name + "/" + label
-	want, err := al.reference(cfg, pts, ids)
+	label = "STR/" + label
+	want, err := referenceSTR(cfg, pts, ids)
 	if err != nil {
 		t.Fatalf("%s: reference: %v", label, err)
 	}
@@ -319,7 +259,7 @@ func checkAgainstReference(t *testing.T, label string, al algorithm, cfg Config,
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	p, err := al.pack(cfg, coords, slices.Clone(ids)) // the packer reorders ids in place
+	p, err := PackSTR(cfg, coords, slices.Clone(ids)) // the packer reorders ids in place
 	if err != nil {
 		t.Fatalf("%s: pack: %v", label, err)
 	}
@@ -341,10 +281,10 @@ func checkPacked(p *Packed, want *refTree) error {
 	}
 	gb, gok := tr.Bounds()
 	wb, wok := want.bounds()
-	if tr.size != want.size || tr.height != want.height || tr.nextPage != want.nextPage ||
+	if tr.size != want.size || tr.nextPage != want.nextPage ||
 		gok != wok || (wok && (!sameBits(gb.Lo, wb.Lo) || !sameBits(gb.Hi, wb.Hi))) {
-		return fmt.Errorf("shell size/height/nextPage/bounds %d/%d/%d/%v, want %d/%d/%d/%v",
-			tr.size, tr.height, tr.nextPage, gb, want.size, want.height, want.nextPage, wb)
+		return fmt.Errorf("shell size/nextPage/bounds %d/%d/%v, want %d/%d/%v",
+			tr.size, tr.nextPage, gb, want.size, want.nextPage, wb)
 	}
 	return tr.CheckInvariants()
 }
@@ -475,8 +415,7 @@ func TestBulkLoadMatchesReference(t *testing.T) {
 						ids[i] = int64(n - i) // not the point index
 					}
 					label := fmt.Sprintf("dim%d/M%d/m%d/n%d/%s", dim, M, m, n, g.name)
-					checkAgainstReference(t, label, strAlgorithm, cfg, pts, ids)
-					checkAgainstReference(t, label, hilbertAlgorithm, cfg, pts, ids)
+					checkAgainstReference(t, label, cfg, pts, ids)
 					checkPartitioned(t, label, cfg, pts, ids, 1+n%5)
 				}
 			}
@@ -484,8 +423,7 @@ func TestBulkLoadMatchesReference(t *testing.T) {
 	}
 	for _, g := range refGenerators {
 		pts := genPoints(rng, 10000, 2, g.coord)
-		checkAgainstReference(t, "10k/"+g.name, strAlgorithm, Config{}, pts, nil)
-		checkAgainstReference(t, "10k/"+g.name, hilbertAlgorithm, Config{}, pts, nil)
+		checkAgainstReference(t, "10k/"+g.name, Config{}, pts, nil)
 		checkPartitioned(t, "10k/"+g.name, Config{}, pts, nil, 4)
 	}
 }
@@ -523,10 +461,9 @@ func fuzzPoints(data []byte, dim int) []geom.Point {
 }
 
 // FuzzBulkLoadSTR checks the STR loader against referenceSTR — the packed
-// arena column for column — on fuzzed point
-// sets, dimensions 1–3, and node capacities 4–16 with every legal
-// minimum fill; the Hilbert and partitioned loaders are checked the same
-// way on the same input. The seed corpus lives in
+// arena column for column — on fuzzed point sets, dimensions 1–3, and
+// node capacities 4–16 with every legal minimum fill; the partitioned
+// loader is checked the same way on the same input. The seed corpus lives in
 // testdata/fuzz/FuzzBulkLoadSTR and replays in every plain go test run.
 func FuzzBulkLoadSTR(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 1, 2, 2, 1, 0, 0, 0, 3, 3}, uint8(2), uint8(0), uint8(0))
@@ -535,8 +472,7 @@ func FuzzBulkLoadSTR(f *testing.F) {
 		M := int(maxE%13) + 4
 		cfg := Config{Dim: d, MaxEntries: M, MinEntries: int(minE) % (M/2 + 1)} // 0 = default fill
 		pts := fuzzPoints(data, d)
-		checkAgainstReference(t, "fuzz", strAlgorithm, cfg, pts, nil)
-		checkAgainstReference(t, "fuzz", hilbertAlgorithm, cfg, pts, nil)
+		checkAgainstReference(t, "fuzz", cfg, pts, nil)
 		checkPartitioned(t, "fuzz", cfg, pts, nil, 1+len(data)%4)
 	})
 }
@@ -547,10 +483,6 @@ func TestBulkLoadRejectsNonFinite(t *testing.T) {
 	loaders := map[string]func(Config, []float64) error{
 		"STR": func(cfg Config, coords []float64) error {
 			_, err := PackSTR(cfg, coords, nil)
-			return err
-		},
-		"Hilbert": func(cfg Config, coords []float64) error {
-			_, err := packHilbert(cfg, coords, nil)
 			return err
 		},
 		"Partitioned": func(cfg Config, coords []float64) error {

@@ -111,7 +111,7 @@ func (p *Packed) Bounds() (geom.Rect, bool) {
 // setShell attaches the arena's metadata shell and computes its root
 // MBR. A borrowed arena defers the MBR to Prepare instead.
 func (p *Packed) setShell(cfg Config, nextPage pagestore.PageID) {
-	p.src = &Tree{cfg: cfg, size: p.size, height: p.height, nextPage: nextPage, arena: p}
+	p.src = &Tree{cfg: cfg, size: p.size, nextPage: nextPage, arena: p}
 	if p.prep == nil {
 		p.mbr = p.rootMBR()
 	}
@@ -136,10 +136,6 @@ func (p *Packed) Height() int { return p.height }
 
 // Nodes returns the number of nodes in the arena.
 func (p *Packed) Nodes() int { return len(p.level) }
-
-// Root returns the root node id without charging an access (use
-// Reader.PackedRoot on query paths).
-func (p *Packed) Root() int32 { return p.root }
 
 // IsLeaf reports whether node n is at leaf level.
 func (p *Packed) IsLeaf(n int32) bool { return p.level[n] == 0 }
@@ -280,25 +276,4 @@ func growFloat64(dst []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return dst[:n]
-}
-
-// search walks node n for Reader.Search; pt is the gather scratch handed
-// to fn.
-func (rd Reader) search(n int32, r geom.Rect, pt geom.Point, fn func(geom.Point, int64) bool) bool {
-	p := rd.p
-	s, e := p.start[n], p.end[n]
-	if p.level[n] == 0 {
-		for i := s; i < e; i++ {
-			if p.PointIn(i, r) && !fn(p.PointInto(i, pt), p.ids[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	for i := s; i < e; i++ {
-		if p.RectIntersects(i, r) && !rd.search(rd.PackedChild(i), r, pt, fn) {
-			return false
-		}
-	}
-	return true
 }

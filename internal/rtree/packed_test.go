@@ -82,7 +82,7 @@ func TestPackedShape(t *testing.T) {
 			walk(p.child[i], level-1)
 		}
 	}
-	walk(p.Root(), int32(p.Height()-1))
+	walk(p.root, int32(p.Height()-1))
 	if seenLeaf != p.Len() {
 		t.Fatalf("%d leaf slots reachable, want %d", seenLeaf, p.Len())
 	}
@@ -90,13 +90,13 @@ func TestPackedShape(t *testing.T) {
 		t.Fatalf("NumLeafSlots %d, want %d", p.NumLeafSlots(), p.Len())
 	}
 	// Pages must be the reference's — same id space as its nodes.
-	if p.page[p.Root()] != ref.root.page {
-		t.Fatalf("root page %d, want %d", p.page[p.Root()], ref.root.page)
+	if p.page[p.root] != ref.root.page {
+		t.Fatalf("root page %d, want %d", p.page[p.root], ref.root.page)
 	}
 	// RectInto must reproduce the routing rectangles bit for bit.
 	var dst geom.Rect
-	rootS, rootE := p.NodeRange(p.Root())
-	if p.IsLeaf(p.Root()) {
+	rootS, rootE := p.NodeRange(p.root)
+	if p.IsLeaf(p.root) {
 		t.Fatal("1500 points at M = 10 packed into a single leaf")
 	}
 	for i := rootS; i < rootE; i++ {

@@ -187,19 +187,6 @@ func (it *PairIterator) Next() (Pair, bool) {
 	}
 }
 
-// PeekDist returns a lower bound on the distance of the next pair; ok is
-// false when exhausted or closed.
-func (it *PairIterator) PeekDist() (float64, bool) {
-	if it.closed {
-		return 0, false
-	}
-	d, ok := it.heap.MinPriority()
-	if !ok {
-		return 0, false
-	}
-	return math.Sqrt(d), true
-}
-
 // HeapMax returns the high-water mark of the pair heap.
 func (it *PairIterator) HeapMax() int { return it.heapMax }
 

@@ -14,17 +14,6 @@ type Neighbor struct {
 	Dist  float64
 }
 
-// Search invokes fn for every indexed point inside r (boundaries
-// inclusive). Traversal stops early when fn returns false. Visited nodes
-// are charged to the reader's context. fn must not retain p: it is one
-// scratch point reused for every hit. Copy it to keep it.
-func (rd Reader) Search(r geom.Rect, fn func(p geom.Point, id int64) bool) {
-	if rd.p.size == 0 {
-		return
-	}
-	rd.search(rd.PackedRoot(), r, make(geom.Point, rd.p.dim), fn)
-}
-
 // NearestBF returns the k nearest neighbors of q using the I/O-optimal
 // best-first algorithm of [HS99]. The results are sized by what the tree
 // can hold, min(k, Len), not by k, and their points are copied into one

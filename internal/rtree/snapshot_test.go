@@ -76,9 +76,8 @@ func TestPackedSnapshotRoundTrip(t *testing.T) {
 	if err := lt.CheckInvariants(); err != nil {
 		t.Fatalf("loaded tree invariants: %v", err)
 	}
-	if lt.Len() != tree.Len() || lt.Height() != tree.Height() || lt.Dim() != tree.Dim() {
-		t.Fatalf("tree shape: %d/%d/%d vs %d/%d/%d",
-			lt.Len(), lt.Height(), lt.Dim(), tree.Len(), tree.Height(), tree.Dim())
+	if lt.Len() != tree.Len() || lt.Dim() != tree.Dim() {
+		t.Fatalf("tree shape: %d/%d vs %d/%d", lt.Len(), lt.Dim(), tree.Len(), tree.Dim())
 	}
 	if lt.cfg.MaxEntries != tree.cfg.MaxEntries || lt.cfg.MinEntries != tree.cfg.MinEntries {
 		t.Fatalf("capacity: %d/%d vs %d/%d", lt.cfg.MinEntries, lt.cfg.MaxEntries, tree.cfg.MinEntries, tree.cfg.MaxEntries)

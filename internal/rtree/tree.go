@@ -82,14 +82,13 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// Tree is the metadata shell of a packed arena: its configuration, size,
-// height and page range, which the query layers pass around. It is
+// Tree is the metadata shell of a packed arena: its configuration, size
+// and page range, which the query layers pass around. It is
 // immutable, so any number of queries may share it; a change to the
 // points is a new arena.
 type Tree struct {
 	cfg      Config
 	size     int
-	height   int // number of levels; 1 = root is a leaf
 	nextPage pagestore.PageID
 	// arena is the packed arena this tree is the shell of: Bounds and
 	// CheckInvariants are served from it.
@@ -104,9 +103,6 @@ func (t *Tree) Config() Config { return t.cfg }
 
 // Len returns the number of indexed points.
 func (t *Tree) Len() int { return t.size }
-
-// Height returns the number of levels (1 when the root is a leaf).
-func (t *Tree) Height() int { return t.height }
 
 // Dim returns the tree's dimensionality.
 func (t *Tree) Dim() int { return t.cfg.Dim }

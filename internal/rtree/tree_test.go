@@ -47,8 +47,8 @@ func TestConfigValidation(t *testing.T) {
 func TestEmptyTree(t *testing.T) {
 	p := mustPack(t, Config{}, nil)
 	tr := p.Tree()
-	if tr.Len() != 0 || tr.Height() != 1 {
-		t.Fatalf("Len/Height = %d/%d", tr.Len(), tr.Height())
+	if tr.Len() != 0 || p.Height() != 1 {
+		t.Fatalf("Len/Height = %d/%d", tr.Len(), p.Height())
 	}
 	if _, ok := tr.Bounds(); ok {
 		t.Fatal("empty tree has bounds")
@@ -59,10 +59,6 @@ func TestEmptyTree(t *testing.T) {
 	if nn := p.Reader(nil).nearestDF(geom.Point{0, 0}, 3); nn != nil {
 		t.Fatal("DF NN on empty tree returned results")
 	}
-	p.Reader(nil).Search(geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1}), func(geom.Point, int64) bool {
-		t.Fatal("search on empty tree yielded a point")
-		return true
-	})
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -78,49 +74,9 @@ func TestDuplicatePoints(t *testing.T) {
 	if err := tr.Tree().CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	n := 0
-	tr.Reader(nil).Search(geom.NewRect(p, p), func(geom.Point, int64) bool { n++; return true })
-	if n != 50 {
-		t.Fatalf("found %d duplicates, want 50", n)
-	}
-}
-
-func TestSearchMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	pts := randPoints(rng, 1500, 1000)
-	tr := mustPack(t, Config{MaxEntries: 10}, pts)
-	for trial := 0; trial < 50; trial++ {
-		r := geom.NewRect(
-			geom.Point{rng.Float64() * 1000, rng.Float64() * 1000},
-			geom.Point{rng.Float64() * 1000, rng.Float64() * 1000})
-		want := map[int64]bool{}
-		for i, p := range pts {
-			if r.ContainsPoint(p) {
-				want[int64(i)] = true
-			}
-		}
-		got := map[int64]bool{}
-		tr.Reader(nil).Search(r, func(_ geom.Point, id int64) bool { got[id] = true; return true })
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d, want %d", trial, len(got), len(want))
-		}
-		for id := range want {
-			if !got[id] {
-				t.Fatalf("trial %d: missing id %d", trial, id)
-			}
-		}
-	}
-}
-
-func TestSearchEarlyStop(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	pts := randPoints(rng, 500, 100)
-	tr := mustPack(t, Config{MaxEntries: 8}, pts)
-	count := 0
-	tr.Reader(nil).Search(geom.NewRect(geom.Point{0, 0}, geom.Point{100, 100}),
-		func(geom.Point, int64) bool { count++; return count < 5 })
-	if count != 5 {
-		t.Fatalf("early stop visited %d points", count)
+	nn := tr.Reader(nil).NearestBF(p, 100)
+	if len(nn) != 50 || nn[49].Dist != 0 {
+		t.Fatalf("found %d duplicates, want 50 at distance 0", len(nn))
 	}
 }
 

@@ -1,5 +1,6 @@
 // Package shard holds an index's base, the structure every query
-// traverses, and the two ways of running a query over it.
+// traverses, and runs every read of a view over it: one published state
+// of an index, its base plus its write overlay (Overlay).
 //
 // A Set is either one unpartitioned packed arena (Pack), the base of a
 // plain index, or a Hilbert partition of the data set into S independent
@@ -7,14 +8,18 @@
 // value and cutting the curve into S runs yields spatially coherent
 // shards, so a query group's neighborhood usually concentrates in few
 // shards and the rest prune quickly. The set alone tells the two apart:
-// Search, NewIterator, Rebuild and WriteSnapshot run the one arena
-// directly or scatter over the shards, and everything else serves both
-// alike.
+// Search, NewIterator, Nearest, Rebuild and WriteSnapshot run the one
+// arena directly or scatter over the shards, and everything else serves
+// both alike.
 //
-// A scattered query runs the same unmodified MQM/SPM/MBM/brute kernel
-// against every shard — sequentially on the caller's goroutine, or over a
-// small pool of goroutines (core.RunPooled) — with three pieces of
-// per-shard state:
+// A read runs a list of sources: the base's arenas and, after writes,
+// the overlay's delta tree and pending tail. A k-best search runs the
+// same unmodified MQM/SPM/MBM/brute kernel against every source under
+// one core.SharedBound, through which the sources exchange their current
+// k-th best distance and prune each other's search space. The shards
+// run sequentially on the caller's goroutine, or over a small pool of
+// goroutines (core.RunPooled), each with three pieces of per-shard
+// state:
 //
 //   - its own arena and rtree.Reader (via core.Options.Packed per
 //     shard), so traversals never contend;
@@ -22,16 +27,18 @@
 //     gather time, so reported cost is exactly the sum of per-shard node
 //     accesses (and the shared Accountant keeps the index-wide aggregate
 //     consistent as always);
-//   - the query's core.SharedBound, through which shards exchange their
-//     current k-th best distance and prune each other's search space.
+//   - its own trace and wall time, merged at gather time.
 //
-// The gather half (core.MergeNeighbors) k-way-merges the per-shard
-// ascending result lists into the global k best. The merged answer is
-// provably identical to an unsharded search regardless of worker timing
-// (see core.SharedBound); only per-shard node-access counts vary with
-// when bounds get published, and only under concurrent scatter. A set
-// owns no goroutine: a parallel scatter's workers finish before it
-// returns.
+// The delta tree and the pending tail run after the base on the caller's
+// goroutine. One core.MergeNeighbors k-way-merges every source's
+// ascending result list into the global k best. The merged answer is
+// provably identical to an unsharded search over the live points
+// regardless of worker timing (see core.SharedBound); only per-shard
+// node-access counts vary with when bounds get published, and only under
+// concurrent scatter. The incremental scan (NewIterator) and the
+// point-NN search (Nearest) merge the same sources' ascending streams
+// lazily instead (Iterator). A set owns no goroutine: a parallel
+// scatter's workers finish before it returns.
 package shard
 
 import (
@@ -199,8 +206,24 @@ func (s *Set) CheckInvariants() error {
 }
 
 // Kernel is a core query entry point (core.MQM, core.SPM, core.MBM,
-// core.BruteForce) run identically against every shard.
+// core.BruteForce) run identically against every source.
 type Kernel func(t *rtree.Tree, qs []geom.Point, opt core.Options) ([]core.GroupNeighbor, error)
+
+// Overlay is the write overlay of one view as its reads take it: the
+// sources a base's arenas are read together with. A nil *Overlay is a
+// view without writes.
+type Overlay struct {
+	// Reject vetoes the base's tombstoned points (core.Options.Reject);
+	// nil masks nothing.
+	Reject core.RejectFunc
+	// Delta is the packed mini tree over the folded overlay inserts; nil
+	// before the first fold.
+	Delta *rtree.Packed
+	// Pending holds the inserts not yet folded, with their IDs. They are
+	// scanned linearly and charge no node accesses.
+	Pending []geom.Point
+	IDs     []int64
+}
 
 // shardRun is the per-shard slot of one scattered query: its result list,
 // its own cost tracker, and — when the query is traced — its own trace
@@ -218,46 +241,96 @@ type shardRun struct {
 	_     [64]byte
 }
 
-// Search answers one k-best query. On an unpartitioned set it runs
-// kernel on the one arena directly: no per-shard slots and no merge,
-// timed as the "query" stage unless the search is one source of a
-// caller's merge (opt.Shared set), which the caller times. A partitioned
-// set scatters (see scatter).
-func (s *Set) Search(qs []geom.Point, opt core.Options, workers int, kernel Kernel) ([]core.GroupNeighbor, error) {
-	if s.partitioned {
-		return s.scatter(qs, opt, workers, kernel)
-	}
-	p := s.arenas[0]
-	opt.Packed = p
-	timed := opt.Stages != nil && opt.Shared == nil
+// Search answers one k-best query over the view of this set and ov. An
+// unpartitioned set without an overlay runs kernel on its one arena
+// directly, timed as the "query" stage. Otherwise every source runs
+// under one shared pruning bound: the base's arenas first (with ov's
+// Reject; a partitioned set scatters, see scatter), then the delta tree
+// and the pending tail on the caller's goroutine, and one k-way merge of
+// all their lists answers. workers caps a scatter's concurrent shard
+// workers. A traced search records the "scatter" stages of a partitioned
+// base, then, with an overlay, "base" (the whole base search), "delta"
+// and "pending", and last the merge: "overlay-merge" on a partitioned set
+// with an overlay, "merge" otherwise.
+func (s *Set) Search(qs []geom.Point, opt core.Options, workers int, kernel Kernel, ov *Overlay) ([]core.GroupNeighbor, error) {
+	timed := opt.Stages != nil
 	var start time.Time
 	if timed {
 		start = time.Now()
 	}
-	gs, err := kernel(p.Tree(), qs, opt)
+	mark := func(name string) {
+		if timed {
+			now := time.Now()
+			opt.Stages.Record(name, -1, now.Sub(start))
+			start = now
+		}
+	}
+	if !s.partitioned && ov == nil {
+		p := s.arenas[0]
+		opt.Packed = p
+		gs, err := kernel(p.Tree(), qs, opt)
+		if err != nil {
+			return nil, err
+		}
+		mark("query")
+		return gs, nil
+	}
+	opt.Shared = core.NewSharedBound()
+	bopt := opt
+	if ov != nil {
+		bopt.Reject = ov.Reject
+	}
+	// One list per base arena, the delta and the pending tail; an
+	// unpartitioned view's lists fit on the stack.
+	var few [3][]core.GroupNeighbor
+	lists := few[:0]
+	if n := len(s.arenas) + 2; n > len(few) {
+		lists = make([][]core.GroupNeighbor, 0, n)
+	}
+	var err error
+	if s.partitioned {
+		lists, err = s.scatter(lists, qs, bopt, workers, kernel)
+	} else {
+		var gs []core.GroupNeighbor
+		gs, err = runKernel(kernel, s.arenas[0], qs, bopt)
+		lists = append(lists, gs)
+	}
 	if err != nil {
 		return nil, err
 	}
+	merge := "merge"
+	if ov != nil {
+		mark("base")
+		if ov.Delta != nil {
+			gs, err := runKernel(kernel, ov.Delta, qs, opt)
+			if err != nil {
+				return nil, err
+			}
+			lists = append(lists, gs)
+			mark("delta")
+		}
+		if len(ov.Pending) > 0 {
+			gs, err := core.ScanPoints(ov.Pending, ov.IDs, qs, opt)
+			if err != nil {
+				return nil, err
+			}
+			lists = append(lists, gs)
+			mark("pending")
+		}
+		if s.partitioned {
+			merge = "overlay-merge"
+		}
+	}
 	if timed {
-		opt.Stages.Record("query", -1, time.Since(start))
+		start = time.Now()
 	}
-	return gs, nil
+	merged := core.MergeNeighbors(max(opt.K, 1), lists)
+	mark(merge)
+	return merged, nil
 }
 
-// MergeStage names the stage of a caller's k-way merge of this set's
-// answer with other sources: "merge" on an unpartitioned set, whose
-// search records no merge of its own, and "overlay-merge" on a
-// partitioned one, to tell it from the scatter's "merge".
-func (s *Set) MergeStage() string {
-	if s.partitioned {
-		return "overlay-merge"
-	}
-	return "merge"
-}
-
-// scatter answers one k-best query by scatter-gather: kernel runs against
-// every shard with a fresh SharedBound wiring the shards together, then
-// the per-shard lists merge into the global k best and the per-shard
+// scatter runs kernel against every shard under opt.Shared and appends
+// the per-shard result lists to lists, in shard order; the per-shard
 // trackers sum into opt.Cost. workers caps the concurrent shard workers:
 // 0 means one per available core (GOMAXPROCS). A width of one (or a
 // one-shard set) scatters sequentially on the caller's goroutine, reusing
@@ -266,20 +339,9 @@ func (s *Set) MergeStage() string {
 // core.RunPooled's transient workers for latency. The merged result does
 // not depend on workers or timing. Each shard runs on its own arena
 // (Options.Packed). A traced scatter records one "scatter" stage per
-// shard and a "merge".
-func (s *Set) scatter(qs []geom.Point, opt core.Options, workers int, kernel Kernel) ([]core.GroupNeighbor, error) {
+// shard.
+func (s *Set) scatter(lists [][]core.GroupNeighbor, qs []geom.Point, opt core.Options, workers int, kernel Kernel) ([][]core.GroupNeighbor, error) {
 	n := len(s.arenas)
-	k := opt.K
-	if k == 0 {
-		k = 1
-	}
-	// Adopt a caller-supplied bound (the overlay read path threads one
-	// bound through base shards, delta tree and pending scan) or create
-	// the scatter's own.
-	bound := opt.Shared
-	if bound == nil {
-		bound = core.NewSharedBound()
-	}
 	// Diagnostics are per-shard state like the cost tracker: a traced
 	// scatter redirects each worker into its run slot's private trace and
 	// merges at gather time; stage timing rides the same flag machinery.
@@ -289,7 +351,6 @@ func (s *Set) scatter(qs []geom.Point, opt core.Options, workers int, kernel Ker
 	runShard := func(i int, ec *core.ExecContext) {
 		o := opt
 		o.Cost = &runs[i].tk
-		o.Shared = bound
 		// A CancelCheck is single-goroutine state: each shard of the
 		// scatter polls the same context through its own fork.
 		o.Cancel = opt.Cancel.Fork()
@@ -325,7 +386,6 @@ func (s *Set) scatter(qs []geom.Point, opt core.Options, workers int, kernel Ker
 	} else {
 		core.RunPooled(n, workers, runShard)
 	}
-	lists := make([][]core.GroupNeighbor, n)
 	for i := range runs {
 		if runs[i].err != nil {
 			return nil, runs[i].err
@@ -339,24 +399,16 @@ func (s *Set) scatter(qs []geom.Point, opt core.Options, workers int, kernel Ker
 		if timed {
 			opt.Stages.Record("scatter", i, runs[i].dur)
 		}
-		lists[i] = runs[i].list
+		lists = append(lists, runs[i].list)
 	}
-	var mergeStart time.Time
-	if timed {
-		mergeStart = time.Now()
-	}
-	merged := core.MergeNeighbors(k, lists)
-	if timed {
-		opt.Stages.Record("merge", -1, time.Since(mergeStart))
-	}
-	return merged, nil
+	return lists, nil
 }
 
-// runKernel invokes the kernel on arena p with per-shard panic
-// containment: a panic inside a traversal (a corrupt arena that slipped
-// past validation, a bug in a kernel) becomes that shard's error instead
-// of killing the process. The serving layer depends on this to turn
-// kernel panics into 500s.
+// runKernel invokes the kernel on arena p with panic containment: a
+// panic inside a traversal (a corrupt arena that slipped past
+// validation, a bug in a kernel) becomes that source's error instead of
+// killing the process. The serving layer depends on this to turn kernel
+// panics into 500s.
 func runKernel(kernel Kernel, p *rtree.Packed, qs []geom.Point, o core.Options) (res []core.GroupNeighbor, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -367,16 +419,15 @@ func runKernel(kernel Kernel, p *rtree.Packed, qs []geom.Point, o core.Options) 
 	return kernel(p.Tree(), qs, o)
 }
 
-// Iterator merges ascending-distance streams — the per-shard incremental
-// GNN scans of a partitioned set, or an overlay's sources — into one
-// globally ascending stream. The merge is lazy: a stream is only advanced
-// when its current lower bound (the peek of its best-first heap) is the
-// smallest among all streams, so far-away shards pay almost no node
-// accesses until the scan actually reaches their territory. Use from a
+// Iterator merges the ascending-distance streams of a view's sources —
+// its base arenas, delta tree and pending tail — into one globally
+// ascending stream. The merge is lazy: a stream is only advanced when its
+// current lower bound (the peek of its best-first heap) is the smallest
+// among all streams, so far-away shards pay almost no node accesses
+// until the scan actually reaches their territory. Use from a
 // single goroutine, like every iterator; any number of Iterators may run
 // concurrently.
 type Iterator struct {
-	its   []core.Stream
 	heads []iterHead
 }
 
@@ -384,48 +435,149 @@ type Iterator struct {
 // result (exact == true; key is its distance) or a lower bound on
 // whatever the stream yields next (exact == false; key is the peek).
 type iterHead struct {
+	src   core.Stream
 	res   core.GroupNeighbor
 	key   float64
 	exact bool
 	done  bool
 }
 
-// NewIterator starts an incremental scan: the arena's own
-// core.GNNIterator on an unpartitioned set, or the lazy merge of the
-// per-shard scans on a partitioned one. Every per-shard iterator charges
-// opt.Cost (safe: the merge advances them from the caller's goroutine
-// only), so the iterator's reported cost is exactly the sum of per-shard
-// node accesses. Constructing it reads every shard's root.
-func (s *Set) NewIterator(qs []geom.Point, opt core.Options) (core.Stream, error) {
-	if !s.partitioned {
-		p := s.arenas[0]
-		opt.Packed = p
-		it, err := core.NewGNNIterator(p.Tree(), qs, opt)
+// NewIterator starts an incremental scan over the view of this set and
+// ov: the arena's own core.GNNIterator on an unpartitioned set without
+// an overlay, else the lazy merge of one GNNIterator per base arena
+// (with ov's Reject), the delta tree's GNNIterator and the pending
+// tail's exact distances, sorted. Every tree stream charges opt.Cost
+// (safe: the merge advances them from the caller's goroutine only), so
+// the iterator's reported cost is exactly the sum of their node
+// accesses. Constructing it reads every tree's root.
+func (s *Set) NewIterator(qs []geom.Point, opt core.Options, ov *Overlay) (core.Stream, error) {
+	if !s.partitioned && ov == nil {
+		opt.Packed = s.arenas[0]
+		it, err := core.NewGNNIterator(opt.Packed.Tree(), qs, opt)
 		if err != nil {
 			return nil, err
 		}
 		return it, nil
 	}
-	streams := make([]core.Stream, len(s.arenas))
-	for i, p := range s.arenas {
-		o := opt
-		o.Packed = p
-		sub, err := core.NewGNNIterator(p.Tree(), qs, o)
-		if err != nil {
-			for _, open := range streams[:i] {
-				open.Close()
-			}
-			return nil, err
-		}
-		streams[i] = sub
+	merged := &Iterator{heads: make([]iterHead, 0, len(s.arenas)+2)}
+	fail := func(err error) (core.Stream, error) {
+		merged.Close()
+		return nil, err
 	}
-	return NewMergedIterator(streams), nil
+	bopt := opt
+	if ov != nil {
+		bopt.Reject = ov.Reject
+	}
+	for _, p := range s.arenas {
+		o := bopt
+		o.Packed = p
+		it, err := core.NewGNNIterator(p.Tree(), qs, o)
+		if err != nil {
+			return fail(err)
+		}
+		merged.push(it)
+	}
+	if ov != nil {
+		if ov.Delta != nil {
+			o := opt
+			o.Packed = ov.Delta
+			it, err := core.NewGNNIterator(ov.Delta.Tree(), qs, o)
+			if err != nil {
+				return fail(err)
+			}
+			merged.push(it)
+		}
+		if len(ov.Pending) > 0 {
+			list, err := core.ScanAll(ov.Pending, ov.IDs, qs, opt)
+			if err != nil {
+				return fail(err)
+			}
+			merged.push(core.NewListStream(list))
+		}
+	}
+	return merged, nil
 }
 
-// Next returns the next group nearest neighbor across all shards in
-// ascending aggregate distance; ok is false when every shard is
-// exhausted. Ties between shards resolve to the lower shard index, so the
-// stream is deterministic.
+// Nearest answers a point-NN query, the k nearest points of the view of
+// this set and ov to q, charging tk; a partitioned set fails with
+// ErrPartitioned. Without an overlay it is the arena's best-first search
+// (rtree.Reader.NearestBF). With one it lazily merges the base's
+// incremental scan (tombstoned hits skipped), the delta tree's and the
+// pending tail's exact distances. The results' points are copied into
+// one slab the caller owns, sized by the points the view holds, not by
+// k.
+func (s *Set) Nearest(q geom.Point, k int, tk *pagestore.CostTracker, ov *Overlay) ([]rtree.Neighbor, error) {
+	p, err := s.Arena()
+	if err != nil {
+		return nil, err
+	}
+	if ov == nil {
+		return p.Reader(tk).NearestBF(q, k), nil
+	}
+	// The pending tail is scored before any scan opens, so a failure
+	// leaves none to close.
+	var pend []core.GroupNeighbor
+	if len(ov.Pending) > 0 {
+		if pend, err = core.ScanAll(ov.Pending, ov.IDs, []geom.Point{q}, core.Options{}); err != nil {
+			return nil, err
+		}
+	}
+	it := &Iterator{heads: make([]iterHead, 0, 3)}
+	defer it.Close()
+	it.push(&nnStream{it: p.Reader(tk).NewNNIterator(q), reject: ov.Reject})
+	held := p.Len() + len(ov.Pending)
+	if ov.Delta != nil {
+		it.push(&nnStream{it: ov.Delta.Reader(tk).NewNNIterator(q)})
+		held += ov.Delta.Len()
+	}
+	if len(pend) > 0 {
+		it.push(core.NewListStream(pend))
+	}
+	n, dim := min(k, held), len(q)
+	out := make([]rtree.Neighbor, 0, n)
+	slab := make([]float64, 0, n*dim)
+	for len(out) < k {
+		g, ok := it.Next()
+		if !ok {
+			break
+		}
+		at := len(slab)
+		slab = append(slab, g.Point...)
+		out = append(out, rtree.Neighbor{Point: slab[at : at+dim : at+dim], ID: g.ID, Dist: g.Dist})
+	}
+	return out, nil
+}
+
+// nnStream adapts a point-NN scan to core.Stream, skipping the hits
+// reject vetoes (nil vetoes none).
+type nnStream struct {
+	it     *rtree.NNIterator
+	reject core.RejectFunc
+}
+
+func (s *nnStream) Next() (core.GroupNeighbor, bool) {
+	for {
+		nb, ok := s.it.Next()
+		if !ok {
+			return core.GroupNeighbor{}, false
+		}
+		if s.reject == nil || !s.reject(nb.Point, nb.ID) {
+			return core.GroupNeighbor{Point: nb.Point, ID: nb.ID, Dist: nb.Dist}, true
+		}
+	}
+}
+
+// PeekDist bounds the next hit from below: a skipped hit is no closer
+// than the one after it.
+func (s *nnStream) PeekDist() (float64, bool) { return s.it.PeekDist() }
+
+func (s *nnStream) Close() { s.it.Close() }
+
+// Next returns the next group nearest neighbor across all sources in
+// ascending aggregate distance; ok is false when every source is
+// exhausted. Ties resolve to the earlier stream (base arenas in shard
+// order, then the delta, then the pending tail), so the stream is
+// deterministic.
 func (it *Iterator) Next() (core.GroupNeighbor, bool) {
 	for {
 		pick := -1
@@ -444,22 +596,22 @@ func (it *Iterator) Next() (core.GroupNeighbor, bool) {
 		}
 		h := &it.heads[pick]
 		if h.exact {
-			// Smallest key is an exact result: every other shard's next
+			// Smallest key is an exact result: every other source's next
 			// result is at least its own key ≥ this one, so emit it and
-			// refill this shard's head with its new lower bound.
+			// refill this source's head with its new lower bound.
 			g := h.res
 			h.res = core.GroupNeighbor{}
-			if d, ok := it.its[pick].PeekDist(); ok {
+			if d, ok := h.src.PeekDist(); ok {
 				h.key, h.exact = d, false
 			} else {
 				h.done = true
 			}
 			return g, true
 		}
-		// Smallest key is only a bound: advance that shard to an exact
-		// result (its distance may well exceed another shard's key, which
-		// the next pass of the loop then prefers).
-		g, ok := it.its[pick].Next()
+		// Smallest key is only a bound: advance that source to an exact
+		// result (its distance may well exceed another source's key,
+		// which the next pass of the loop then prefers).
+		g, ok := h.src.Next()
 		if !ok {
 			h.done = true
 			continue
@@ -484,36 +636,26 @@ func (it *Iterator) PeekDist() (float64, bool) {
 	return d, ok
 }
 
-// Close releases every per-shard iterator's pooled scratch. Idempotent.
+// Close releases every source stream's pooled scratch. Idempotent.
 func (it *Iterator) Close() {
-	for i, sub := range it.its {
-		if sub != nil {
-			sub.Close()
+	for i := range it.heads {
+		h := &it.heads[i]
+		if h.src != nil {
+			h.src.Close()
+			h.src = nil
 		}
-		it.its[i] = nil
-		it.heads[i].done = true
+		h.done = true
 	}
 }
 
-// NewMergedIterator merges arbitrary ascending-distance candidate streams
-// (see Iterator): a partitioned set's per-shard scans, or an overlay
-// index's base, delta and pending streams. The merge takes ownership of
-// the streams: Close closes them all, and a nil stream slot is skipped.
-func NewMergedIterator(streams []core.Stream) *Iterator {
-	it := &Iterator{
-		its:   streams,
-		heads: make([]iterHead, len(streams)),
+// push adds an ascending-distance stream to the merge, which takes it
+// over: Close closes it. Streams pushed earlier win ties.
+func (it *Iterator) push(src core.Stream) {
+	h := iterHead{src: src}
+	if d, ok := src.PeekDist(); ok {
+		h.key = d
+	} else {
+		h.done = true
 	}
-	for i, sub := range streams {
-		if sub == nil {
-			it.heads[i].done = true
-			continue
-		}
-		if d, ok := sub.PeekDist(); ok {
-			it.heads[i].key = d
-		} else {
-			it.heads[i].done = true
-		}
-	}
-	return it
+	it.heads = append(it.heads, h)
 }

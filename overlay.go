@@ -42,6 +42,9 @@ type viewState struct {
 	// writes (the fast path: queries run exactly the single-source code
 	// that served before overlays existed).
 	ov *overlayState
+	// read is ov as the base's reads take it (built once per view); nil
+	// exactly when ov is.
+	read *shard.Overlay
 	// seq is the mutation-log length when this view was published.
 	seq uint64
 }
@@ -74,9 +77,13 @@ func (ov *overlayState) empty() bool {
 // overlay.
 func (v *viewState) succ(ov *overlayState) *viewState {
 	if ov.empty() {
-		ov = nil
+		return &viewState{set: v.set, seq: v.seq + 1}
 	}
-	return &viewState{set: v.set, ov: ov, seq: v.seq + 1}
+	read := &shard.Overlay{Delta: ov.delta, Pending: ov.pts[ov.folded:], IDs: ov.ids[ov.folded:]}
+	if ov.tombs.Total() > 0 {
+		read.Reject = ov.tombs.Rejects
+	}
+	return &viewState{set: v.set, ov: ov, read: read, seq: v.seq + 1}
 }
 
 // deltaConfig is the base geometry with the delta page range.

@@ -302,6 +302,63 @@ func TestOverlayDifferentialSharded(t *testing.T) {
 	}
 }
 
+// TestOverlayWithKZero: WithK(0) means the default k of 1 on every read
+// path — GroupNN, GroupNNBatch and GroupNNExplain, whose K reports the k
+// served — on a plain and a sharded index, before and after writes.
+func TestOverlayWithKZero(t *testing.T) {
+	pts, groups, rng := overlayFixture(t, 400, 74)
+	plain, err := gnn.BuildIndex(pts, nil, gnn.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := gnn.BuildShardedIndex(pts, nil, 4, gnn.IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sharded.Close()
+	check := func(label string, ix *gnn.Index) {
+		t.Helper()
+		for _, algo := range []gnn.Algorithm{gnn.AlgoMBM, gnn.AlgoMQM, gnn.AlgoSPM, gnn.AlgoBruteForce} {
+			for gi, q := range groups {
+				got, err := ix.GroupNN(q, gnn.WithK(0), gnn.WithAlgorithm(algo))
+				if err != nil {
+					t.Fatalf("%s %v group %d: %v", label, algo, gi, err)
+				}
+				want, err := ix.GroupNN(q, gnn.WithK(1), gnn.WithAlgorithm(algo))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != 1 || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %v group %d: WithK(0) = %v, WithK(1) = %v", label, algo, gi, got, want)
+				}
+			}
+		}
+		got, want := ix.GroupNNBatch(groups, gnn.WithK(0)), ix.GroupNNBatch(groups, gnn.WithK(1))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s batch: WithK(0) = %+v, WithK(1) = %+v", label, got, want)
+		}
+		res, ex, err := ix.GroupNNExplain(groups[0], gnn.WithK(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.K != 1 || !reflect.DeepEqual(res, want[0].Results) {
+			t.Fatalf("%s explain: K = %d, results %v, want K = 1 and %v", label, ex.K, res, want[0].Results)
+		}
+	}
+	for _, c := range []struct {
+		label string
+		ix    *gnn.Index
+	}{{"plain", plain}, {"sharded", sharded}} {
+		check(c.label, c.ix)
+		if err := c.ix.Insert(gnn.Point{rng.Float64() * 100, rng.Float64() * 100}, int64(len(pts))); err != nil {
+			t.Fatal(err)
+		}
+		check(c.label+" after an insert", c.ix)
+		runMutationScript(t, c.ix, pts, rng)
+		check(c.label+" after the mutation script", c.ix)
+	}
+}
+
 // TestOverlaySnapshotRoundTrip: snapshotting a mutated index compacts
 // transiently — the loaded index equals a fresh build over the live
 // multiset, and the serving index still carries its overlay.

@@ -3,7 +3,6 @@ package gnn
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"gnn/internal/core"
 	"gnn/internal/geom"
@@ -99,7 +98,8 @@ type explainProbe struct {
 	shards  int  // the base's shard count, 0 when unpartitioned
 }
 
-// WithK requests the k best group neighbors (default 1).
+// WithK requests the k best group neighbors (default 1; 0 means the
+// default).
 func WithK(k int) QueryOption { return func(c *queryConfig) { c.k = k } }
 
 // WithAlgorithm forces a specific processing method.
@@ -132,10 +132,16 @@ func WithRegion(lo, hi Point) QueryOption {
 // GOMAXPROCS). It has no effect on single queries.
 func WithParallelism(n int) QueryOption { return func(c *queryConfig) { c.parallelism = n } }
 
+// buildConfig applies opts over the defaults. A k of 0 (WithK(0)) means
+// the default, 1, resolved here so that every read path and explain's K
+// see the k that is served.
 func buildConfig(opts []QueryOption) queryConfig {
-	c := queryConfig{k: 1}
+	var c queryConfig
 	for _, o := range opts {
 		o(&c)
+	}
+	if c.k == 0 {
+		c.k = 1
 	}
 	return c
 }
@@ -229,83 +235,11 @@ func (ix *Index) answer(query []Point, c queryConfig, tk *pagestore.CostTracker,
 		c.probe.overlay = v.ov != nil
 		c.probe.shards = v.set.Shards()
 	}
-	var gs []core.GroupNeighbor
-	if v.ov == nil {
-		// No overlay writes: the base alone answers.
-		gs, err = v.set.Search(qs, opt, workers, kern)
-	} else {
-		gs, err = overlayQuery(v, qs, opt, workers, kern, c.k)
-	}
+	gs, err := v.set.Search(qs, opt, workers, kern, v.read)
 	if err != nil {
 		return nil, err
 	}
 	return toResults(gs), nil
-}
-
-// overlayQuery answers a query on a mutated view by running the kernel
-// once per source — the base (tombstoned hits vetoed; every shard of a
-// partitioned one), delta tree, pending tail — and k-way-merging the
-// per-source lists, exactly the discipline of the sharded scatter. The
-// sources run sequentially and share one tightening bound, and all charge
-// the same per-query tracker, so reported cost is the exact sum of
-// per-source node accesses.
-func overlayQuery(v *viewState, qs []geom.Point, opt core.Options, workers int, kern shard.Kernel, k int) ([]core.GroupNeighbor, error) {
-	ov := v.ov
-	shared := core.NewSharedBound()
-	lists := make([][]core.GroupNeighbor, 0, 3)
-	// Stage timing rides the sequential source order: one entry per
-	// overlay source, plus the final merge. A partitioned base also
-	// records its own per-shard "scatter" and "merge" stages.
-	timed := opt.Stages != nil
-	var start time.Time
-	if timed {
-		start = time.Now()
-	}
-	mark := func(name string) {
-		if timed {
-			now := time.Now()
-			opt.Stages.Record(name, -1, now.Sub(start))
-			start = now
-		}
-	}
-
-	bopt := opt
-	bopt.Shared = shared
-	if ov.tombs.Total() > 0 {
-		bopt.Reject = ov.tombs.Rejects
-	}
-	gs, err := v.set.Search(qs, bopt, workers, kern)
-	if err != nil {
-		return nil, err
-	}
-	lists = append(lists, gs)
-	mark("base")
-
-	if ov.delta != nil {
-		dopt := opt
-		dopt.Shared = shared
-		dopt.Packed = ov.delta
-		gs, err := kern(ov.delta.Tree(), qs, dopt)
-		if err != nil {
-			return nil, err
-		}
-		lists = append(lists, gs)
-		mark("delta")
-	}
-
-	if pend := ov.pts[ov.folded:]; len(pend) > 0 {
-		sopt := opt
-		sopt.Shared = shared
-		gs, err := core.ScanPoints(pend, ov.ids[ov.folded:], qs, sopt)
-		if err != nil {
-			return nil, err
-		}
-		lists = append(lists, gs)
-		mark("pending")
-	}
-	merged := core.MergeNeighbors(k, lists)
-	mark(v.set.MergeStage())
-	return merged, nil
 }
 
 // groupPoints converts the caller's query group into dst (len(query)
@@ -391,63 +325,13 @@ func (ix *Index) GroupNNIterator(query []Point, opts ...QueryOption) (*Iterator,
 	opt := c.coreOptions()
 	opt.Cost = &out.tk
 	v := ix.view.Load()
-	if v.ov == nil {
-		out.it, err = v.set.NewIterator(qs, opt)
-	} else {
-		out.it, err = overlayIterator(v, qs, opt)
-	}
+	out.it, err = v.set.NewIterator(qs, opt, v.read)
 	if err != nil {
 		ix.release(r)
 		return nil, err
 	}
 	out.done = func() { ix.release(r) }
 	return out, nil
-}
-
-// overlayIterator starts an incremental scan on a mutated view: the base
-// scan (tombstoned hits vetoed; the lazy shard merge of a partitioned
-// base), a GNNIterator over the delta tree and the pending tail as a
-// pre-computed sorted list, all k-way merged by the same machinery that
-// merges shard iterators. Every source charges the iterator's tracker, so
-// cost stays the exact sum of node accesses.
-func overlayIterator(v *viewState, qs []geom.Point, opt core.Options) (core.Stream, error) {
-	ov := v.ov
-	streams := make([]core.Stream, 0, 3)
-	fail := func(err error) (core.Stream, error) {
-		for _, s := range streams {
-			s.Close()
-		}
-		return nil, err
-	}
-
-	bopt := opt
-	if ov.tombs.Total() > 0 {
-		bopt.Reject = ov.tombs.Rejects
-	}
-	bit, err := v.set.NewIterator(qs, bopt)
-	if err != nil {
-		return fail(err)
-	}
-	streams = append(streams, bit)
-
-	if ov.delta != nil {
-		dopt := opt
-		dopt.Packed = ov.delta
-		dit, err := core.NewGNNIterator(ov.delta.Tree(), qs, dopt)
-		if err != nil {
-			return fail(err)
-		}
-		streams = append(streams, dit)
-	}
-
-	if pend := ov.pts[ov.folded:]; len(pend) > 0 {
-		list, err := core.ScanAll(pend, ov.ids[ov.folded:], qs, opt)
-		if err != nil {
-			return fail(err)
-		}
-		streams = append(streams, core.NewListStream(list))
-	}
-	return shard.NewMergedIterator(streams), nil
 }
 
 // Next returns the next group nearest neighbor; ok is false when the data
