@@ -73,8 +73,19 @@ func TestQueryFileValidation(t *testing.T) {
 	if err != nil || qf.NumBlocks() != 1 {
 		t.Fatalf("default block size: %v, %d blocks", err, qf.NumBlocks())
 	}
-	if _, err := NewQueryFile([]geom.Point{{1, 2}}, -1, nil, 0); err == nil {
-		t.Fatal("negative block size accepted")
+}
+
+// TestQueryFileBlockSizeValidation: a block size of 0 selects
+// DefaultBlockPoints, and any negative block size is rejected.
+func TestQueryFileBlockSizeValidation(t *testing.T) {
+	for _, bp := range []int{-1, -DefaultBlockPoints} {
+		if _, err := NewQueryFile(linePts(3), bp, nil, 0); err == nil {
+			t.Fatalf("block size %d accepted", bp)
+		}
+	}
+	qf, err := NewQueryFile(linePts(DefaultBlockPoints+1), 0, nil, 0)
+	if err != nil || qf.NumBlocks() != 2 || qf.BlockLen(0) != DefaultBlockPoints {
+		t.Fatalf("block size 0: %v, %d blocks", err, qf.NumBlocks())
 	}
 }
 
