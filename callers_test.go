@@ -24,18 +24,13 @@ var exportAllowlist = map[string]string{
 	// Exports only tests call, there when this test was added. Each is
 	// named by tests of its own (most by a test of that export alone), so
 	// deleting one takes those tests with it; none may join them.
-	"gnn/internal/dataset.Dataset.Clone":     testOnly,
-	"gnn/internal/experiments.Env.Config":    testOnly,
-	"gnn/internal/geom.Ball.ContainsPoint":   testOnly,
-	"gnn/internal/geom.MinEnclosingBall":     testOnly,
-	"gnn/internal/geom.Rect.Equal":           testOnly,
-	"gnn/internal/geom.Rect.Intersects":      testOnly,
-	"gnn/internal/overlay.TombSet.Len":       testOnly,
-	"gnn/internal/stats.Figure.Get":          testOnly,
-	"gnn/internal/telemetry.Counter.Add":     testOnly,
-	"gnn/internal/telemetry.Gauge.Set":       testOnly,
-	"gnn/internal/telemetry.Histogram.Count": testOnly,
-	"gnn/internal/telemetry.Histogram.SumUS": testOnly,
+	"gnn/internal/dataset.Dataset.Clone":   testOnly,
+	"gnn/internal/experiments.Env.Config":  testOnly,
+	"gnn/internal/geom.Ball.ContainsPoint": testOnly,
+	"gnn/internal/geom.MinEnclosingBall":   testOnly,
+	"gnn/internal/geom.Rect.Equal":         testOnly,
+	"gnn/internal/geom.Rect.Intersects":    testOnly,
+	"gnn/internal/stats.Figure.Get":        testOnly,
 }
 
 // testOnly is the allowlist reason of an export only tests call.
@@ -116,9 +111,9 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 }
 
 // addInterface records typ's method signatures in ifaces when typ is an
-// interface with methods. Signatures are compared as strings, which name
-// types by their full package paths, so an interface and a type from
-// different type-checks of one package still match.
+// interface with methods. Signatures are compared as strings (signature),
+// which name types by their full package paths, so an interface and a
+// type from different type-checks of one package still match.
 func addInterface(ifaces map[string]map[string]string, typ types.Type) {
 	iface, ok := typ.Underlying().(*types.Interface)
 	if !ok || iface.NumMethods() == 0 {
@@ -131,9 +126,26 @@ func addInterface(ifaces map[string]map[string]string, typ types.Type) {
 	sigs := map[string]string{}
 	for i := 0; i < iface.NumMethods(); i++ {
 		m := iface.Method(i)
-		sigs[m.Name()] = types.TypeString(m.Type(), nil)
+		sigs[m.Name()] = signature(m)
 	}
 	ifaces[key] = sigs
+}
+
+// signature prints f's signature with each parameter and result type's
+// aliases resolved: go/types prints an alias by its own name, and a
+// method returning the aliased type implements an interface method
+// returning the alias.
+func signature(f *types.Func) string {
+	sig := f.Type().(*types.Signature)
+	unalias := func(t *types.Tuple) *types.Tuple {
+		vars := make([]*types.Var, t.Len())
+		for i := range vars {
+			v := t.At(i)
+			vars[i] = types.NewParam(v.Pos(), v.Pkg(), v.Name(), types.Unalias(v.Type()))
+		}
+		return types.NewTuple(vars...)
+	}
+	return types.TypeString(types.NewSignatureType(nil, nil, nil, unalias(sig.Params()), unalias(sig.Results()), sig.Variadic()), nil)
 }
 
 // implementsUsed reports whether m's receiver type (or a pointer to it)
@@ -146,8 +158,8 @@ func implementsUsed(m *types.Func, ifaces map[string]map[string]string) bool {
 	have := map[string]string{}
 	mset := types.NewMethodSet(types.NewPointer(recv))
 	for i := 0; i < mset.Len(); i++ {
-		f := mset.At(i).Obj()
-		have[f.Name()] = types.TypeString(f.Type(), nil)
+		f := mset.At(i).Obj().(*types.Func)
+		have[f.Name()] = signature(f)
 	}
 	for _, sigs := range ifaces {
 		if _, ok := sigs[m.Name()]; !ok {

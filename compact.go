@@ -11,7 +11,6 @@ import (
 	"os"
 	"time"
 
-	"gnn/internal/overlay"
 	"gnn/internal/shard"
 	"gnn/internal/snapshot"
 )
@@ -124,7 +123,7 @@ func (ix *Index) StartCompactor(cfg CompactorConfig) error {
 	if ix.comp != nil {
 		return ErrCompactorRunning
 	}
-	if ix.view.Load().set == nil {
+	if ix.view.Load() == nil {
 		return ErrNotFrozen
 	}
 	ix.persist = cfg.Path
@@ -132,7 +131,7 @@ func (ix *Index) StartCompactor(cfg CompactorConfig) error {
 		os.Remove(snapshot.TempPath(cfg.Path))
 	}
 	c := newCompactor(cfg, func() error { return ix.compactOnce() },
-		func() int { return ix.view.Load().overlaySize() })
+		func() int { return overlaySize(ix.view.Load()) })
 	ix.comp = c
 	go c.loop()
 	return nil
@@ -153,8 +152,8 @@ func (ix *Index) StopCompactor() {
 
 // kickCompactor nudges the background loop when a write pushes the
 // overlay past the threshold. Called under mu.
-func (ix *Index) kickCompactor(nv *viewState) {
-	if ix.comp != nil && nv.overlaySize() >= ix.comp.threshold {
+func (ix *Index) kickCompactor(s *shard.Set) {
+	if ix.comp != nil && overlaySize(s) >= ix.comp.threshold {
 		select {
 		case ix.comp.kick <- struct{}{}:
 		default:
@@ -182,7 +181,7 @@ func (ix *Index) compactOnce() (err error) {
 	defer ix.compactMu.Unlock()
 
 	// Hold a lifecycle reference for the whole cycle so Close's drain
-	// waits for it: the rebuild walks the base tree, which on a mapped
+	// waits for it: the fold walks the base tree, which on a mapped
 	// index reads the mapping Close would unmap.
 	r, err := ix.acquire()
 	if err != nil {
@@ -190,14 +189,18 @@ func (ix *Index) compactOnce() (err error) {
 	}
 	defer ix.release(r)
 
+	// Capture the view to fold, and log every write published after it
+	// for the replay.
 	ix.mu.Lock()
-	v := ix.view.Load()
+	s := ix.view.Load()
 	path := ix.persist
+	fold := s != nil && overlaySize(s) > 0
+	ix.logging = fold
 	ix.mu.Unlock()
-	if v.set == nil {
+	if s == nil {
 		return ErrNotFrozen
 	}
-	if v.ov == nil {
+	if !fold {
 		return nil // nothing to fold
 	}
 
@@ -211,54 +214,45 @@ func (ix *Index) compactOnce() (err error) {
 		ix.compactErr.Store(&msg)
 	}()
 
-	// A lazily verified mapped base must pass its checks before it is
-	// folded: a corrupt one enumerates no points, and the cycle would
-	// swap (and rotate over the served file) the overlay alone.
-	if err := v.set.Prepare(); err != nil {
-		return fmt.Errorf("gnn: compact: %w", err)
-	}
 	// Build the replacement base off the write lock: writers and readers
-	// proceed against the captured view while this runs.
-	cols, ids, err := liveColumns(v.set.Arenas(), v.ov)
-	if err != nil {
-		return fmt.Errorf("gnn: compact: %w", err)
+	// proceed against the captured view while this runs. A lazily
+	// verified mapped base must pass its checks before it is folded: a
+	// corrupt one enumerates no points, and the cycle would swap (and
+	// rotate over the served file) the overlay alone.
+	var nset *shard.Set
+	foldErr := s.Prepare()
+	if foldErr == nil {
+		nset, foldErr = s.Fold()
 	}
-	nset, err := v.set.Rebuild(cols, ids)
-	if err != nil {
-		return fmt.Errorf("gnn: compact: %w", err)
-	}
-
 	var persistErr error
-	if path != "" {
+	if foldErr == nil && path != "" {
 		persistErr = persist(path, nset)
 	}
 
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	log := ix.log
+	ix.log, ix.logging = nil, false
+	if foldErr != nil {
+		return fmt.Errorf("gnn: compact: %w", foldErr)
+	}
 	if ix.closed.Load() {
 		return ErrSnapshotClosed
 	}
-	// Replay the mutations that landed while the rebuild ran onto the
-	// fresh base: the new base is exactly the live multiset at capture
-	// time, so applying the log tail in order reproduces the current
-	// state (tombstone multiplicities are recomputed against the new
-	// base).
-	tail := ix.log[v.seq:]
-	nv := &viewState{set: nset}
-	for _, m := range tail {
+	// Replay the writes that landed while the fold ran onto the fresh
+	// base: the new base is exactly the live multiset at capture time, so
+	// applying the log in order reproduces the current state (tombstone
+	// multiplicities are recomputed against the new base).
+	for _, m := range log {
 		if m.Del {
-			if nv2, ok := ix.applyDelete(nv, m.P, m.ID); ok {
-				nv = nv2
+			if ns, ok := nset.Delete(m.P, m.ID); ok {
+				nset = ns
 			}
-		} else {
-			if nv2, aerr := ix.applyInsert(nv, m.P, m.ID); aerr == nil {
-				nv = nv2
-			}
+		} else if ns, ierr := nset.Insert(m.P, m.ID); ierr == nil {
+			nset = ns
 		}
 	}
-	nv.seq = uint64(len(tail))
-	ix.log = append([]overlay.Mutation(nil), tail...)
-	ix.view.Store(nv)
+	ix.view.Store(nset)
 	ix.compactGen.Add(1)
 	// The replaced arenas stay reachable until the in-flight queries
 	// holding the old view drop it. The new base lives on the heap: a

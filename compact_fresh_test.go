@@ -11,6 +11,10 @@ import (
 	"time"
 )
 
+// pendFold is the pending-tail length at which the write overlay folds
+// its inserts into a delta tree.
+const pendFold = 256
+
 // TestCompactionMatchesFreshBuild pins what a compaction hands back: the
 // packed base the same points would get from a fresh build, whether the
 // replaced base was built on the heap or mapped from a file. The
@@ -69,7 +73,7 @@ func TestCompactionMatchesFreshBuild(t *testing.T) {
 			// multiset is the surviving base slots, then the inserts.
 			var livePts []Point
 			var liveIDs []int64
-			base, err := ix.view.Load().set.Arena()
+			base, err := ix.view.Load().Arena()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,14 +95,14 @@ func TestCompactionMatchesFreshBuild(t *testing.T) {
 				livePts = append(livePts, p)
 				liveIDs = append(liveIDs, int64(n+i))
 			}
-			if ix.view.Load().ov.delta == nil {
+			if !hasStage(t, ix, group, "delta") {
 				t.Fatal("inserts did not fold a delta tree")
 			}
 			if err := ix.Compact(); err != nil {
 				t.Fatal(err)
 			}
-			if v := ix.view.Load(); v.ov != nil {
-				t.Fatal("compaction left an overlay")
+			if s := ix.Stats(); s.Delta != 0 || s.Tombstones != 0 {
+				t.Fatalf("compaction left an overlay: %+v", s)
 			}
 
 			fresh, err := BuildIndex(livePts, liveIDs, cfg)
@@ -218,7 +222,7 @@ func TestFoldsMatchFreshBuild(t *testing.T) {
 			var livePts, delPts []Point
 			var liveIDs, delIDs []int64
 			i, copies := 0, map[int64]int{}
-			for _, base := range built.view.Load().set.Arenas() {
+			for _, base := range built.view.Load().Arenas() {
 				for s, id := range base.IDs() {
 					p := Point(base.PointInto(int32(s), nil))
 					copies[id]++
@@ -285,4 +289,54 @@ func TestFoldsMatchFreshBuild(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOverlayLogOnlyDuringFold pins that the mutation log holds only the
+// writes a running compaction will replay: writes with no cycle in
+// flight are not logged, and a cycle leaves the log empty and off.
+func TestOverlayLogOnlyDuringFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pts := make([]Point, 2000)
+	for i := range pts {
+		pts[i] = Point{rng.Float64() * 1000, rng.Float64() * 1000}
+	}
+	ix, err := BuildIndex(pts, nil, IndexConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 600 {
+		if err := ix.Insert(Point{rng.Float64() * 1000, rng.Float64() * 1000}, int64(len(pts)+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range 60 {
+		if !ix.Delete(pts[i], int64(i)) {
+			t.Fatalf("delete of base point %d failed", i)
+		}
+	}
+	if n := len(ix.log); n != 0 {
+		t.Fatalf("%d writes logged with no compaction running", n)
+	}
+	if err := ix.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if len(ix.log) != 0 || ix.logging {
+		t.Fatalf("compaction left %d logged writes (logging %v)", len(ix.log), ix.logging)
+	}
+}
+
+// hasStage reports whether a traced query of group on ix records the
+// named stage.
+func hasStage(t *testing.T, ix *Index, group []Point, name string) bool {
+	t.Helper()
+	_, ex, err := ix.GroupNNExplain(group)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range ex.Stages {
+		if s.Name == name {
+			return true
+		}
+	}
+	return false
 }

@@ -141,12 +141,12 @@ func (ix *Index) GroupNNFromSetWithCost(qs *QuerySet, algo DiskAlgorithm, opts .
 	if err := ix.prepare(); err != nil {
 		return nil, Cost{}, err
 	}
-	v := ix.view.Load()
-	p, err := v.set.Arena()
+	s := ix.view.Load()
+	p, err := s.Arena()
 	if err != nil {
 		return nil, Cost{}, err
 	}
-	if v.ov != nil {
+	if overlaySize(s) > 0 {
 		return nil, Cost{}, ErrPendingMutations
 	}
 	dopt := core.DiskOptions{Options: c.coreOptions()}
@@ -201,11 +201,11 @@ func (ix *Index) GroupNNClosestPairsWithCost(queryIndex *Index, pairBudget int64
 		if err := x.prepare(); err != nil {
 			return nil, Cost{}, err
 		}
-		v := x.view.Load()
-		if arenas[i], err = v.set.Arena(); err != nil {
+		s := x.view.Load()
+		if arenas[i], err = s.Arena(); err != nil {
 			return nil, Cost{}, err
 		}
-		if v.ov != nil {
+		if overlaySize(s) > 0 {
 			return nil, Cost{}, ErrPendingMutations
 		}
 	}

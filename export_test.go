@@ -22,7 +22,7 @@ func WithShards(n int) QueryOption { return func(c *queryConfig) { c.shards = n 
 // writes are not included.
 func ShardSizes(ix *Index) []int {
 	var sizes []int
-	for _, p := range ix.view.Load().set.Arenas() {
+	for _, p := range ix.view.Load().Arenas() {
 		sizes = append(sizes, p.Len())
 	}
 	return sizes

@@ -35,15 +35,18 @@
 // deletes tombstone base points or physically remove overlay points — and
 // every write publishes a new immutable index view atomically, so an
 // in-flight query keeps traversing the consistent view it started on.
+// One module, internal/shard, owns a view: its base arenas and its
+// overlay, the writes that build a successor, the reads and the fold.
 // Every read runs the base's arenas, the delta tree and the pending tail
-// as one list of sources (internal/shard): a k-best query under one
-// shared pruning bound and one merge, an iterator or point-NN query as a
-// lazy merge of their ascending streams. It returns exactly what a fresh
-// index over the live point set would return. Pack (or the
+// as one list of sources: a k-best query under one shared pruning bound
+// and one merge, an iterator or point-NN query as a lazy merge of their
+// ascending streams. It returns exactly what a fresh index over the live
+// point set would return. This package orders the writers: Pack (or the
 // background compactor, see StartCompactor) folds the overlay back into a
-// fresh packed base off the hot path and swaps it in under live readers.
-// Before its first read, a NewIndex's writes edit its buffer of points
-// under the same writer lock.
+// fresh packed base off the hot path and swaps it in under live readers,
+// replaying the writes that landed during the fold. Before its first
+// read, a NewIndex's writes edit its buffer of points under the same
+// writer lock.
 //
 // Scale-out: BuildShardedIndex Hilbert-partitions the data set into S
 // independent packed R-trees, and the Index it returns answers the same
@@ -127,8 +130,9 @@ type IndexConfig struct {
 type Index struct {
 	// view is the index's current immutable serving state: base and write
 	// overlay. Readers load it once per operation (lock-free); writers
-	// build a successor under mu and publish it atomically.
-	view atomic.Pointer[viewState]
+	// build a successor under mu and publish it atomically. It is nil
+	// only before a NewIndex's first read, while writes edit slab.
+	view atomic.Pointer[shard.Set]
 	// rcfg is the build geometry, its defaults resolved; its Accountant
 	// collects every query's node accesses.
 	rcfg rtree.Config
@@ -139,11 +143,11 @@ type Index struct {
 	// slab holds a NewIndex's points until its first read packs them
 	// (under mu); empty once the index has a packed base.
 	slab pointSlab
-	// log records the effective mutations applied since the current base
-	// was built (under mu); the compactor replays the tail that arrived
-	// while it was repacking. A published view's seq always equals the
-	// log length at publish time.
-	log []overlay.Mutation
+	// logging is set (under mu) while a compaction cycle folds a view it
+	// captured; log then records the effective writes published after
+	// that view, which the cycle replays onto its fresh base.
+	logging bool
+	log     []overlay.Mutation
 	// comp is the background compactor, nil unless StartCompactor ran.
 	comp *compactor
 	// compactMu serializes whole compaction cycles (manual Compact/Pack
@@ -172,33 +176,32 @@ func (ix *Index) prepare() error {
 	if ix.closed.Load() {
 		return ErrSnapshotClosed
 	}
-	v := ix.view.Load()
-	if v.set == nil {
+	s := ix.view.Load()
+	if s == nil {
 		var err error
-		if v, err = ix.freeze(); err != nil {
+		if s, err = ix.freeze(); err != nil {
 			return err
 		}
 	}
-	return v.set.Prepare()
+	return s.Prepare()
 }
 
 // freeze packs the buffered points of a never-read NewIndex into the
 // index's packed base and publishes it; from then on mutations go through
 // the overlay. It returns the current view, packed.
-func (ix *Index) freeze() (*viewState, error) {
+func (ix *Index) freeze() (*shard.Set, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	v := ix.view.Load()
-	if v.set == nil {
-		set, err := ix.slab.pack(ix.rcfg)
-		if err != nil {
+	s := ix.view.Load()
+	if s == nil {
+		var err error
+		if s, err = ix.slab.pack(ix.rcfg); err != nil {
 			return nil, err
 		}
-		v = &viewState{set: set, seq: v.seq}
-		ix.view.Store(v)
+		ix.view.Store(s)
 		ix.slab = pointSlab{}
 	}
-	return v, nil
+	return s, nil
 }
 
 // pointSlab is a NewIndex's buffer of inserted points, in insertion
@@ -336,7 +339,9 @@ func drainRefs(refs *atomic.Int64) {
 // resolved.
 func newIndex(set *shard.Set, rcfg rtree.Config) *Index {
 	ix := &Index{rcfg: rcfg}
-	ix.view.Store(&viewState{set: set})
+	if set != nil {
+		ix.view.Store(set)
+	}
 	empty := ""
 	ix.compactErr.Store(&empty)
 	return ix
@@ -457,19 +462,18 @@ func (ix *Index) Insert(p Point, id int64) error {
 	if err := rtree.CheckFinite(0, geom.Point(p)); err != nil {
 		return err
 	}
-	v := ix.view.Load()
-	if v.set == nil {
-		ix.slab.pts = append(ix.slab.pts, geom.Point(p).Clone())
+	pc := geom.Point(p).Clone()
+	s := ix.view.Load()
+	if s == nil {
+		ix.slab.pts = append(ix.slab.pts, pc)
 		ix.slab.ids = append(ix.slab.ids, id)
 		return nil
 	}
-	nv, err := ix.applyInsert(v, geom.Point(p).Clone(), id)
+	ns, err := s.Insert(pc, id)
 	if err != nil {
 		return err
 	}
-	ix.log = append(ix.log, overlay.Mutation{P: geom.Point(p).Clone(), ID: id})
-	ix.view.Store(nv)
-	ix.kickCompactor(nv)
+	ix.publish(ns, overlay.Mutation{P: pc, ID: id})
 	return nil
 }
 
@@ -492,21 +496,39 @@ func (ix *Index) Delete(p Point, id int64) bool {
 	if len(p) != ix.Dim() {
 		return false
 	}
-	v := ix.view.Load()
-	if v.set == nil {
+	s := ix.view.Load()
+	if s == nil {
 		return ix.slab.delete(geom.Point(p), id)
 	}
 	if ix.prepare() != nil {
 		return false // unverifiable mapping; queries report why
 	}
-	nv, ok := ix.applyDelete(v, geom.Point(p).Clone(), id)
+	pc := geom.Point(p).Clone()
+	ns, ok := s.Delete(pc, id)
 	if !ok {
 		return false
 	}
-	ix.log = append(ix.log, overlay.Mutation{Del: true, P: geom.Point(p).Clone(), ID: id})
-	ix.view.Store(nv)
-	ix.kickCompactor(nv)
+	ix.publish(ns, overlay.Mutation{Del: true, P: pc, ID: id})
 	return true
+}
+
+// publish stores the successor view of the effective write m, logs m
+// while a compaction cycle will replay it, and nudges the compactor.
+// Called under mu. The view and the log share m's point; neither edits
+// it.
+func (ix *Index) publish(s *shard.Set, m overlay.Mutation) {
+	if ix.logging {
+		ix.log = append(ix.log, m)
+	}
+	ix.view.Store(s)
+	ix.kickCompactor(s)
+}
+
+// overlaySize is a view's overlay footprint for compaction triggering:
+// overlay inserts plus masked base occurrences.
+func overlaySize(s *shard.Set) int {
+	inserts, tombstones := s.Overlay()
+	return inserts + tombstones
 }
 
 // Pack folds the index into a fresh packed base: the immutable flat
@@ -522,10 +544,10 @@ func (ix *Index) Pack() {
 	if ix.closed.Load() {
 		return
 	}
-	switch v := ix.view.Load(); {
-	case v.set == nil:
+	switch s := ix.view.Load(); {
+	case s == nil:
 		ix.freeze() // an error stays for the first read to report
-	case v.ov != nil:
+	case overlaySize(s) > 0:
 		ix.Compact() // error recorded in Stats; old view keeps serving on failure
 	}
 }
@@ -535,26 +557,22 @@ func (ix *Index) Pack() {
 // across Insert/Delete. Only a NewIndex before its first read (or Pack)
 // reports false.
 func (ix *Index) IsPacked() bool {
-	return ix.view.Load().set != nil
+	return ix.view.Load() != nil
 }
 
 // Len returns the number of live points: base points not masked by a
 // delete tombstone, plus overlay inserts, or the buffered points of a
 // NewIndex before its first read.
 func (ix *Index) Len() int {
-	v := ix.view.Load()
-	if v.set == nil {
+	s := ix.view.Load()
+	if s == nil {
 		ix.mu.Lock()
 		defer ix.mu.Unlock()
-		if v = ix.view.Load(); v.set == nil {
+		if s = ix.view.Load(); s == nil {
 			return len(ix.slab.ids)
 		}
 	}
-	n := v.set.Len()
-	if v.ov != nil {
-		n += len(v.ov.pts) - v.ov.tombs.Total()
-	}
-	return n
+	return s.Len()
 }
 
 // Dim returns the index dimensionality.
@@ -562,6 +580,9 @@ func (ix *Index) Dim() int { return ix.rcfg.Dim }
 
 // Bounds returns the MBR of the indexed points — of every shard on a
 // partitioned index — as (lo, hi); ok is false when the index is empty.
+// Overlay inserts extend it at once, but deletes shrink it only at the
+// next compaction, so on a mutated index it may be larger than the live
+// points' MBR, never smaller.
 func (ix *Index) Bounds() (lo, hi Point, ok bool) {
 	held, err := ix.acquire()
 	if err != nil {
@@ -571,18 +592,7 @@ func (ix *Index) Bounds() (lo, hi Point, ok bool) {
 	if ix.prepare() != nil {
 		return nil, nil, false // corrupt mapping; opens/queries report why
 	}
-	v := ix.view.Load()
-	r, ok := v.set.Bounds()
-	if v.ov != nil && len(v.ov.pts) > 0 {
-		// Overlay inserts can extend the MBR. Deletes are not shrunk
-		// until compaction, so the bounds are conservative (never too
-		// small) on a mutated index.
-		or := geom.BoundingRect(v.ov.pts)
-		if ok {
-			or = or.Union(r)
-		}
-		r, ok = or, true
-	}
+	r, ok := ix.view.Load().Bounds()
 	if !ok {
 		return nil, nil, false
 	}
@@ -642,16 +652,7 @@ func (ix *Index) CheckInvariants() error {
 	if err := ix.prepare(); err != nil {
 		return err
 	}
-	v := ix.view.Load()
-	if err := v.set.CheckInvariants(); err != nil {
-		return err
-	}
-	if v.ov != nil && v.ov.delta != nil {
-		if err := v.ov.delta.Tree().CheckInvariants(); err != nil {
-			return fmt.Errorf("overlay delta: %w", err)
-		}
-	}
-	return nil
+	return ix.view.Load().CheckInvariants()
 }
 
 // NearestNeighbors answers a classical point-NN query (k nearest indexed
@@ -683,17 +684,12 @@ func (ix *Index) NearestNeighborsWithCost(q Point, k int) ([]Result, Cost, error
 	if err := ix.prepare(); err != nil {
 		return nil, Cost{}, err
 	}
-	v := ix.view.Load()
 	var tk pagestore.CostTracker
-	nbs, err := v.set.Nearest(geom.Point(q), k, &tk, v.read)
+	nbs, err := ix.view.Load().Nearest(geom.Point(q), k, &tk)
 	if err != nil {
 		return nil, Cost{}, err
 	}
-	out := make([]Result, len(nbs))
-	for i, nb := range nbs {
-		out[i] = Result{Point: Point(nb.Point), ID: nb.ID, Dist: nb.Dist}
-	}
-	return out, costOf(tk), nil
+	return toResults(nbs), costOf(tk), nil
 }
 
 func toResults(gs []core.GroupNeighbor) []Result {

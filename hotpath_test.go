@@ -120,6 +120,13 @@ var overlayAllocCells = []struct {
 	{"MBM-BF/max", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithAggregate(gnn.MaxDist)}, 21, 27.5},
 }
 
+// overlayNNAllocs bounds the warm point-NN query's allocations per query
+// (k = 8) on the plain index of overlayAllocFixture: its lazy merge of
+// the base scan, with the tombstones' filter, the delta tree's scan and
+// the pending tail, and the results. Lowering it is fine; raising it is
+// a regression.
+const overlayNNAllocs = 8
+
 // overlayAllocFixture writes an overlay onto ix: 300 inserts, so 256 sit
 // in a folded delta tree and 44 in the pending tail, and 30 deletes of
 // base points, which tombstone them.
@@ -145,9 +152,9 @@ func overlayAllocFixture(t *testing.T, ix *gnn.Index, pts []gnn.Point) {
 
 // TestHotPathAllocsOverlay bounds the warm read of a view with writes —
 // base, delta tree and pending tail under one bound and one merge — on a
-// plain and a 4-shard index, so the overlay path cannot gain allocations
-// unseen. WithShards(1) runs the sequential scatter on the caller's
-// pooled context.
+// plain and a 4-shard index, and the point-NN query on the plain one, so
+// the overlay path cannot gain allocations unseen. WithShards(1) runs the
+// sequential scatter on the caller's pooled context.
 func TestHotPathAllocsOverlay(t *testing.T) {
 	d, err := env().Dataset("TS")
 	if err != nil {
@@ -191,6 +198,22 @@ func TestHotPathAllocsOverlay(t *testing.T) {
 				t.Errorf("%s with overlay, %s: %.3f allocs/op, want at most %.3f", c.label, cell.name, perQuery, c.max)
 			}
 		}
+	}
+	var nnErr error
+	perRun := testing.AllocsPerRun(20, func() {
+		for _, q := range queries {
+			if _, err := plain.NearestNeighbors(q[0], 8); err != nil {
+				nnErr = err
+			}
+		}
+	})
+	if nnErr != nil {
+		t.Fatalf("plain with overlay, NearestNeighbors: %v", nnErr)
+	}
+	perQuery := perRun / float64(len(queries))
+	t.Logf("plain with overlay, NearestNeighbors: %.3f allocs/op", perQuery)
+	if perQuery > overlayNNAllocs {
+		t.Errorf("plain with overlay, NearestNeighbors: %.3f allocs/op, want at most %d", perQuery, overlayNNAllocs)
 	}
 }
 

@@ -35,12 +35,9 @@ import (
 )
 
 // GroupNeighbor is one GNN result: a data point and its aggregate distance
-// to the query group.
-type GroupNeighbor struct {
-	Point geom.Point
-	ID    int64
-	Dist  float64
-}
+// to the query group. It is the point-NN result type, so a point-NN scan
+// (*rtree.NNIterator) is a Stream as it is.
+type GroupNeighbor = rtree.Neighbor
 
 // RejectFunc vetoes a candidate data point (see Options.Reject). It must
 // be pure and safe for concurrent use: the sharded scatter calls one

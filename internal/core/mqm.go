@@ -103,67 +103,49 @@ func MQM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 	return best.results(), nil
 }
 
-// sortByHilbertWeighted sorts the query points by Hilbert value and keeps
-// the weight vector aligned.
+// sortByHilbertWeighted orders a 2-D query group by Hilbert value over
+// its MBR and permutes the weights by the same order; other
+// dimensionalities are returned unchanged.
 func sortByHilbertWeighted(qs []geom.Point, w *weightCtx) ([]geom.Point, *weightCtx) {
-	if w == nil {
-		return sortByHilbert(qs), nil
-	}
-	type pair struct {
-		p geom.Point
-		w float64
-	}
-	pairs := make([]pair, len(qs))
-	for i := range qs {
-		pairs[i] = pair{qs[i], w.w[i]}
-	}
-	if len(qs) > 0 && len(qs[0]) == 2 {
-		r := geom.BoundingRect(qs)
-		m := hilbert.NewMapper(hilbert.DefaultOrder, r.Lo[0], r.Lo[1], r.Hi[0], r.Hi[1])
-		hilbert.SortByValue(len(pairs), m,
-			func(i int) (float64, float64) { return pairs[i].p[0], pairs[i].p[1] },
-			func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
-	}
-	outQ := make([]geom.Point, len(pairs))
-	outW := make([]float64, len(pairs))
-	for i, pr := range pairs {
-		outQ[i] = pr.p
-		outW[i] = pr.w
-	}
-	ctx, _ := newWeightCtx(outW, len(outW)) // already validated
-	return outQ, ctx
-}
-
-// sortByHilbert returns qs ordered by Hilbert value (2-D input only; other
-// dimensionalities are returned unchanged).
-func sortByHilbert(qs []geom.Point) []geom.Point {
 	if len(qs) == 0 || len(qs[0]) != 2 {
-		return qs
+		return qs, w
 	}
+	perm := hilbertPerm(qs, geom.BoundingRect(qs))
 	out := make([]geom.Point, len(qs))
-	copy(out, qs)
-	r := geom.BoundingRect(out)
-	m := hilbert.NewMapper(hilbert.DefaultOrder, r.Lo[0], r.Lo[1], r.Hi[0], r.Hi[1])
-	hilbert.SortByValue(len(out), m,
-		func(i int) (float64, float64) { return out[i][0], out[i][1] },
-		func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
+	for r, i := range perm {
+		out[r] = qs[i]
+	}
+	if w == nil {
+		return out, nil
+	}
+	ws := make([]float64, len(qs))
+	for r, i := range perm {
+		ws[r] = w.w[i]
+	}
+	ctx, _ := newWeightCtx(ws, len(ws)) // already validated
+	return out, ctx
 }
 
 // hilbertSortDataset orders a 2-D point slice by Hilbert value over the
 // canonical workspace — the external-sort preprocessing of §4.2/4.3.
 func hilbertSortDataset(pts []geom.Point) []geom.Point {
 	out := make([]geom.Point, len(pts))
-	copy(out, pts)
-	if len(out) == 0 || len(out[0]) != 2 {
+	if len(pts) == 0 || len(pts[0]) != 2 {
+		copy(out, pts)
 		return out
 	}
-	ws := dataset.Workspace()
-	r := geom.BoundingRect(out)
-	r = r.Union(ws) // cover points outside the canonical workspace too
-	m := hilbert.NewMapper(hilbert.DefaultOrder, r.Lo[0], r.Lo[1], r.Hi[0], r.Hi[1])
-	hilbert.SortByValue(len(out), m,
-		func(i int) (float64, float64) { return out[i][0], out[i][1] },
-		func(i, j int) { out[i], out[j] = out[j], out[i] })
+	// Cover points outside the canonical workspace too.
+	box := geom.BoundingRect(pts).Union(dataset.Workspace())
+	for r, i := range hilbertPerm(pts, box) {
+		out[r] = pts[i]
+	}
 	return out
+}
+
+// hilbertPerm returns the order of the 2-D points pts by ascending
+// Hilbert value over box (hilbert.Perm): the r-th point in that order is
+// pts[perm[r]].
+func hilbertPerm(pts []geom.Point, box geom.Rect) []int32 {
+	m := hilbert.NewMapper(hilbert.DefaultOrder, box.Lo[0], box.Lo[1], box.Hi[0], box.Hi[1])
+	return hilbert.Perm(len(pts), m, func(i int) (float64, float64) { return pts[i][0], pts[i][1] })
 }

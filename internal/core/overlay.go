@@ -16,9 +16,9 @@ import (
 )
 
 // Stream is an ascending-distance candidate stream: the common surface of
-// GNNIterator (one per tree source) and ListStream (pending points). The
-// shard merge iterator consumes Streams, which lets one merge serve every
-// source of a view.
+// GNNIterator (one per tree source), rtree.NNIterator (a point-NN scan)
+// and ListStream (pending points). The shard merge iterator consumes
+// Streams, which lets one merge serve every source of a view.
 type Stream interface {
 	// Next returns the next candidate; ok is false when exhausted. The
 	// candidate's Point may be the stream's scratch, valid only until the

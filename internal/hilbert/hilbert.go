@@ -201,26 +201,3 @@ func Perm(n int, m *Mapper, at func(i int) (x, y float64)) []int32 {
 	}
 	return pos
 }
-
-// SortByValue sorts items in place by ascending Hilbert value of the
-// coordinates that at(i) reports. It is the sorting entry point of MQM,
-// F-MQM and F-MBM.
-func SortByValue(n int, m *Mapper, at func(i int) (x, y float64), swap func(i, j int)) {
-	idx := Perm(n, m, at)
-	// Apply the permutation with the provided swap, tracking positions.
-	pos := make([]int32, n)  // pos[item] = current index of item
-	item := make([]int32, n) // item[index] = item currently at index
-	for i := range pos {
-		pos[i], item[i] = int32(i), int32(i)
-	}
-	for target, want := range idx {
-		cur := pos[want]
-		if int(cur) == target {
-			continue
-		}
-		swap(int(cur), target)
-		other := item[target]
-		pos[want], pos[other] = int32(target), cur
-		item[target], item[cur] = want, other
-	}
-}

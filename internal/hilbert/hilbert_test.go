@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -197,48 +196,6 @@ func TestMapperDegenerateExtent(t *testing.T) {
 	}
 }
 
-func TestSortByValue(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	type p struct{ x, y float64 }
-	pts := make([]p, 500)
-	for i := range pts {
-		pts[i] = p{rng.Float64() * 1000, rng.Float64() * 1000}
-	}
-	m := NewMapper(DefaultOrder, 0, 0, 1000, 1000)
-	SortByValue(len(pts), m,
-		func(i int) (float64, float64) { return pts[i].x, pts[i].y },
-		func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
-
-	keys := make([]uint64, len(pts))
-	for i, q := range pts {
-		keys[i] = m.Value(q.x, q.y)
-	}
-	if !sort.SliceIsSorted(keys, func(a, b int) bool { return keys[a] < keys[b] }) {
-		t.Fatal("SortByValue did not order by Hilbert value")
-	}
-}
-
-func TestSortByValuePreservesMultiset(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	xs := make([]float64, 200)
-	sum := 0.0
-	for i := range xs {
-		xs[i] = math.Trunc(rng.Float64() * 100)
-		sum += xs[i]
-	}
-	m := NewMapper(DefaultOrder, 0, 0, 100, 100)
-	SortByValue(len(xs), m,
-		func(i int) (float64, float64) { return xs[i], xs[i] },
-		func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	sum2 := 0.0
-	for _, v := range xs {
-		sum2 += v
-	}
-	if sum != sum2 {
-		t.Fatalf("elements lost during sort: %v vs %v", sum, sum2)
-	}
-}
-
 // TestWordsMatchValue checks Words against Value, point for point, on
 // every curve order it accepts, with points inside the mapper's box,
 // beyond it on every side (which Value clamps) and on its edges: each
@@ -335,12 +292,8 @@ func TestHilbertLocalityBeatsRandom(t *testing.T) {
 	}
 	randomHop := hop()
 	m := NewMapper(DefaultOrder, 0, 0, 1000, 1000)
-	SortByValue(n, m,
-		func(i int) (float64, float64) { return xs[i], ys[i] },
-		func(i, j int) {
-			xs[i], xs[j] = xs[j], xs[i]
-			ys[i], ys[j] = ys[j], ys[i]
-		})
+	perm := Perm(n, m, func(i int) (float64, float64) { return xs[i], ys[i] })
+	xs, ys = gather(xs, perm), gather(ys, perm)
 	sortedHop := hop()
 	if sortedHop > randomHop/3 {
 		t.Fatalf("Hilbert sort hop %.1f not ≪ random hop %.1f", sortedHop, randomHop)
@@ -353,4 +306,14 @@ func BenchmarkEncode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sinkValue += Encode(16, uint32(i)&0xffff, uint32(i>>8)&0xffff)
 	}
+}
+
+// gather returns vs in the order perm gives: its r-th value is
+// vs[perm[r]].
+func gather(vs []float64, perm []int32) []float64 {
+	out := make([]float64, len(vs))
+	for r, i := range perm {
+		out[r] = vs[i]
+	}
+	return out
 }

@@ -54,18 +54,6 @@ func (ts *TombSet) Total() int {
 	return ts.total
 }
 
-// Len returns the number of distinct tombstoned (point, id) pairs.
-func (ts *TombSet) Len() int {
-	if ts == nil {
-		return 0
-	}
-	n := 0
-	for _, l := range ts.m {
-		n += len(l)
-	}
-	return n
-}
-
 // Rejects reports whether a base hit (p, id) is fully masked: a tombstone
 // for the exact point exists and every base occurrence is deleted. While
 // Count < BaseN at least one copy is live, and because result sets

@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"fmt"
-	"io"
 	"unsafe"
 
 	"gnn/internal/geom"
@@ -52,29 +51,6 @@ func (p *Packed) ArenaBytes() int64 {
 	return nodes*(4+8+4+4) + // level, page, start, end
 		rslots*4 + 2*d*rslots*8 + // child, rlo, rhi
 		d*lslots*8 + lslots*8 // pc, ids
-}
-
-// countingWriter tracks bytes written for io.WriterTo bookkeeping.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
-// WriteTo serialises the packed arena as a single-tree (plain) snapshot
-// in the format of internal/snapshot, implementing io.WriterTo. Sharded
-// snapshots are assembled one layer up (internal/shard) from the same
-// per-tree sections.
-func (p *Packed) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	m := snapshot.Manifest{Kind: snapshot.KindPlain, Dim: p.dim, Points: p.size}
-	err := snapshot.Write(cw, m, []*snapshot.Tree{p.Snapshot()})
-	return cw.n, err
 }
 
 // PackedFromSnapshot reconstructs a packed arena, with its shell, from a

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -28,13 +29,19 @@ func buildShuffledTree(t *testing.T, n, dim int, seed int64) *Packed {
 	return packShuffled(t, Config{Dim: dim, MaxEntries: 8, FirstPage: 1000}, pts, rng)
 }
 
+// writePlain writes p as a plain, single-tree snapshot.
+func writePlain(w io.Writer, p *Packed) error {
+	m := snapshot.Manifest{Kind: snapshot.KindPlain, Dim: p.dim, Points: p.size}
+	return snapshot.Write(w, m, []*snapshot.Tree{p.Snapshot()})
+}
+
 func TestPackedSnapshotRoundTrip(t *testing.T) {
 	p := buildShuffledTree(t, 320, 2, 11)
 	tree := p.Tree()
 
 	var buf bytes.Buffer
-	if _, err := p.WriteTo(&buf); err != nil {
-		t.Fatalf("WriteTo: %v", err)
+	if err := writePlain(&buf, p); err != nil {
+		t.Fatalf("write: %v", err)
 	}
 
 	ad, err := snapshot.DecodeAdopted(buf.Bytes())
@@ -114,7 +121,7 @@ func TestPackedSnapshotRoundTrip(t *testing.T) {
 	// Round-trip is canonical: writing the loaded arena reproduces the
 	// exact bytes.
 	var again bytes.Buffer
-	if _, err := loaded.WriteTo(&again); err != nil {
+	if err := writePlain(&again, loaded); err != nil {
 		t.Fatalf("re-write: %v", err)
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {

@@ -1,16 +1,23 @@
-// Package shard holds an index's base, the structure every query
-// traverses, and runs every read of a view over it: one published state
-// of an index, its base plus its write overlay (Overlay).
+// Package shard holds an index's views. A view (Set) is one published
+// state of an index: its base arenas, which every query traverses, plus
+// its write overlay. The package owns the overlay's layout, its writes
+// (Insert, Delete), its reads and its fold back into a fresh base (Fold).
 //
-// A Set is either one unpartitioned packed arena (Pack), the base of a
-// plain index, or a Hilbert partition of the data set into S independent
-// packed R-trees (Build, rtree.PackSTRPartitioned): sorting by Hilbert
-// value and cutting the curve into S runs yields spatially coherent
-// shards, so a query group's neighborhood usually concentrates in few
-// shards and the rest prune quickly. The set alone tells the two apart:
-// Search, NewIterator, Nearest, Rebuild and WriteSnapshot run the one
+// The base is either one unpartitioned packed arena (Pack), the base of
+// a plain index, or a Hilbert partition of the data set into S
+// independent packed R-trees (Build, rtree.PackSTRPartitioned): sorting
+// by Hilbert value and cutting the curve into S runs yields spatially
+// coherent shards, so a query group's neighborhood usually concentrates
+// in few shards and the rest prune quickly. The set alone tells the two
+// apart: Search, NewIterator, Nearest, Fold and WriteSnapshot run the one
 // arena directly or scatter over the shards, and everything else serves
 // both alike.
+//
+// The overlay never edits the base. Inserts land in a pending tail that
+// every pendFold inserts is folded into a packed delta mini tree;
+// deletes tombstone base points or remove overlay points. Every write
+// returns a successor set over the same arenas (copy-on-write), so a
+// query keeps the consistent view it started on.
 //
 // A read runs a list of sources: the base's arenas and, after writes,
 // the overlay's delta tree and pending tail. A k-best search runs the
@@ -58,17 +65,23 @@ import (
 // group closest pairs — run on a partitioned set.
 var ErrPartitioned = errors.New("shard: operation needs an unpartitioned index")
 
-// Set is an index's immutable base: one unpartitioned arena (Pack) or a
-// Hilbert partition into shards (Build), each shard an independent packed
-// R-tree over a Hilbert-contiguous run of the data set. Any number of
-// queries may run against it concurrently.
+// Set is one immutable view of an index: its base, one unpartitioned
+// arena (Pack) or a Hilbert partition into shards (Build), each shard an
+// independent packed R-tree over a Hilbert-contiguous run of the data
+// set, plus the write overlay on top of it. Insert and Delete return
+// successor sets over the same arenas; Fold packs the live points into a
+// fresh set without writes. Any number of queries may run against a set
+// concurrently.
 type Set struct {
 	arenas []*rtree.Packed
 	dim    int
-	size   int
+	size   int // points in the arenas
 	// partitioned is set by Build and by sharded snapshots; an
 	// unpartitioned set holds exactly one arena and never scatters.
 	partitioned bool
+	// w is the write overlay; nil without writes (the fast path: reads
+	// run exactly the base's own code).
+	w *writes
 }
 
 // Prepare forces the deferred verification of every arena loaded from a
@@ -120,17 +133,6 @@ func Build(cfg rtree.Config, cols []float64, ids []int64, shards int) (*Set, err
 	return s, nil
 }
 
-// Rebuild packs cols and ids (taken over, as by Pack and Build) into a
-// fresh set of this set's kind and geometry: one arena, or as many
-// shards as this set has. Compaction and snapshots of a view with
-// overlay writes fold the live points through it.
-func (s *Set) Rebuild(cols []float64, ids []int64) (*Set, error) {
-	if s.partitioned {
-		return Build(s.Config(), cols, ids, len(s.arenas))
-	}
-	return Pack(s.Config(), cols, ids)
-}
-
 // Config returns the configuration a rebuild packs with: the arenas'
 // shared geometry and accountant, with the page range starting at 0.
 func (s *Set) Config() rtree.Config {
@@ -148,8 +150,12 @@ func (s *Set) Shards() int {
 	return len(s.arenas)
 }
 
-// Len returns the total number of indexed points.
-func (s *Set) Len() int { return s.size }
+// Len returns the number of live points: the arenas' points not masked
+// by a tombstone, plus the overlay inserts.
+func (s *Set) Len() int {
+	inserts, tombstones := s.Overlay()
+	return s.size + inserts - tombstones
+}
 
 // Arena returns the one arena of an unpartitioned set, or ErrPartitioned.
 func (s *Set) Arena() (*rtree.Packed, error) {
@@ -159,24 +165,15 @@ func (s *Set) Arena() (*rtree.Packed, error) {
 	return s.arenas[0], nil
 }
 
-// CountExact returns the multiplicity of (p, id) across all arenas. Like
-// rtree's CountExact it charges nothing — it is the overlay's tombstone
-// bookkeeping, not a query.
-func (s *Set) CountExact(p geom.Point, id int64) int {
-	n := 0
-	for _, a := range s.arenas {
-		n += a.CountExact(p, id)
-	}
-	return n
-}
-
 // Arenas returns the packed arenas in shard order: the set's own slice,
 // which callers must not modify. A borrowed set must pass Prepare before
 // their columns are read.
 func (s *Set) Arenas() []*rtree.Packed { return s.arenas }
 
-// Bounds returns the MBR of every indexed point; ok is false when the
-// set is empty.
+// Bounds returns the MBR of the arenas' points and the overlay inserts;
+// ok is false when there are none. Deletes do not shrink it until a
+// fold, so the bounds of a view with writes are conservative (never too
+// small).
 func (s *Set) Bounds() (r geom.Rect, ok bool) {
 	for _, p := range s.arenas {
 		b, has := p.Bounds()
@@ -188,11 +185,18 @@ func (s *Set) Bounds() (r geom.Rect, ok bool) {
 			r, ok = b, true
 		}
 	}
+	if s.w != nil && len(s.w.pts) > 0 {
+		or := geom.BoundingRect(s.w.pts)
+		if ok {
+			or = or.Union(r)
+		}
+		r, ok = or, true
+	}
 	return r, ok
 }
 
-// CheckInvariants validates every arena's R-tree structure; a shard's
-// error names the shard.
+// CheckInvariants validates every arena's R-tree structure, then the
+// overlay's delta tree; a shard's error names the shard.
 func (s *Set) CheckInvariants() error {
 	for i, p := range s.arenas {
 		if err := p.Tree().CheckInvariants(); err != nil {
@@ -202,28 +206,17 @@ func (s *Set) CheckInvariants() error {
 			return err
 		}
 	}
+	if s.w != nil && s.w.delta != nil {
+		if err := s.w.delta.Tree().CheckInvariants(); err != nil {
+			return fmt.Errorf("overlay delta: %w", err)
+		}
+	}
 	return nil
 }
 
 // Kernel is a core query entry point (core.MQM, core.SPM, core.MBM,
 // core.BruteForce) run identically against every source.
 type Kernel func(t *rtree.Tree, qs []geom.Point, opt core.Options) ([]core.GroupNeighbor, error)
-
-// Overlay is the write overlay of one view as its reads take it: the
-// sources a base's arenas are read together with. A nil *Overlay is a
-// view without writes.
-type Overlay struct {
-	// Reject vetoes the base's tombstoned points (core.Options.Reject);
-	// nil masks nothing.
-	Reject core.RejectFunc
-	// Delta is the packed mini tree over the folded overlay inserts; nil
-	// before the first fold.
-	Delta *rtree.Packed
-	// Pending holds the inserts not yet folded, with their IDs. They are
-	// scanned linearly and charge no node accesses.
-	Pending []geom.Point
-	IDs     []int64
-}
 
 // shardRun is the per-shard slot of one scattered query: its result list,
 // its own cost tracker, and — when the query is traced — its own trace
@@ -241,18 +234,18 @@ type shardRun struct {
 	_     [64]byte
 }
 
-// Search answers one k-best query over the view of this set and ov. An
-// unpartitioned set without an overlay runs kernel on its one arena
-// directly, timed as the "query" stage. Otherwise every source runs
-// under one shared pruning bound: the base's arenas first (with ov's
-// Reject; a partitioned set scatters, see scatter), then the delta tree
+// Search answers one k-best query over the view. An unpartitioned set
+// without writes runs kernel on its one arena directly, timed as the
+// "query" stage. Otherwise every source runs under one shared pruning
+// bound: the base's arenas first (with the tombstones' veto; a
+// partitioned set scatters, see scatter), then the delta tree
 // and the pending tail on the caller's goroutine, and one k-way merge of
 // all their lists answers. workers caps a scatter's concurrent shard
 // workers. A traced search records the "scatter" stages of a partitioned
 // base, then, with an overlay, "base" (the whole base search), "delta"
 // and "pending", and last the merge: "overlay-merge" on a partitioned set
 // with an overlay, "merge" otherwise.
-func (s *Set) Search(qs []geom.Point, opt core.Options, workers int, kernel Kernel, ov *Overlay) ([]core.GroupNeighbor, error) {
+func (s *Set) Search(qs []geom.Point, opt core.Options, workers int, kernel Kernel) ([]core.GroupNeighbor, error) {
 	timed := opt.Stages != nil
 	var start time.Time
 	if timed {
@@ -265,7 +258,8 @@ func (s *Set) Search(qs []geom.Point, opt core.Options, workers int, kernel Kern
 			start = now
 		}
 	}
-	if !s.partitioned && ov == nil {
+	w := s.w
+	if !s.partitioned && w == nil {
 		p := s.arenas[0]
 		opt.Packed = p
 		gs, err := kernel(p.Tree(), qs, opt)
@@ -277,8 +271,8 @@ func (s *Set) Search(qs []geom.Point, opt core.Options, workers int, kernel Kern
 	}
 	opt.Shared = core.NewSharedBound()
 	bopt := opt
-	if ov != nil {
-		bopt.Reject = ov.Reject
+	if w != nil {
+		bopt.Reject = w.reject
 	}
 	// One list per base arena, the delta and the pending tail; an
 	// unpartitioned view's lists fit on the stack.
@@ -299,18 +293,18 @@ func (s *Set) Search(qs []geom.Point, opt core.Options, workers int, kernel Kern
 		return nil, err
 	}
 	merge := "merge"
-	if ov != nil {
+	if w != nil {
 		mark("base")
-		if ov.Delta != nil {
-			gs, err := runKernel(kernel, ov.Delta, qs, opt)
+		if w.delta != nil {
+			gs, err := runKernel(kernel, w.delta, qs, opt)
 			if err != nil {
 				return nil, err
 			}
 			lists = append(lists, gs)
 			mark("delta")
 		}
-		if len(ov.Pending) > 0 {
-			gs, err := core.ScanPoints(ov.Pending, ov.IDs, qs, opt)
+		if pts, ids := w.pending(); len(pts) > 0 {
+			gs, err := core.ScanPoints(pts, ids, qs, opt)
 			if err != nil {
 				return nil, err
 			}
@@ -442,16 +436,17 @@ type iterHead struct {
 	done  bool
 }
 
-// NewIterator starts an incremental scan over the view of this set and
-// ov: the arena's own core.GNNIterator on an unpartitioned set without
-// an overlay, else the lazy merge of one GNNIterator per base arena
-// (with ov's Reject), the delta tree's GNNIterator and the pending
+// NewIterator starts an incremental scan over the view: the arena's own
+// core.GNNIterator on an unpartitioned set without writes, else the lazy
+// merge of one GNNIterator per base arena (with the tombstones' veto),
+// the delta tree's GNNIterator and the pending
 // tail's exact distances, sorted. Every tree stream charges opt.Cost
 // (safe: the merge advances them from the caller's goroutine only), so
 // the iterator's reported cost is exactly the sum of their node
 // accesses. Constructing it reads every tree's root.
-func (s *Set) NewIterator(qs []geom.Point, opt core.Options, ov *Overlay) (core.Stream, error) {
-	if !s.partitioned && ov == nil {
+func (s *Set) NewIterator(qs []geom.Point, opt core.Options) (core.Stream, error) {
+	w := s.w
+	if !s.partitioned && w == nil {
 		opt.Packed = s.arenas[0]
 		it, err := core.NewGNNIterator(opt.Packed.Tree(), qs, opt)
 		if err != nil {
@@ -465,8 +460,8 @@ func (s *Set) NewIterator(qs []geom.Point, opt core.Options, ov *Overlay) (core.
 		return nil, err
 	}
 	bopt := opt
-	if ov != nil {
-		bopt.Reject = ov.Reject
+	if w != nil {
+		bopt.Reject = w.reject
 	}
 	for _, p := range s.arenas {
 		o := bopt
@@ -477,18 +472,18 @@ func (s *Set) NewIterator(qs []geom.Point, opt core.Options, ov *Overlay) (core.
 		}
 		merged.push(it)
 	}
-	if ov != nil {
-		if ov.Delta != nil {
+	if w != nil {
+		if w.delta != nil {
 			o := opt
-			o.Packed = ov.Delta
-			it, err := core.NewGNNIterator(ov.Delta.Tree(), qs, o)
+			o.Packed = w.delta
+			it, err := core.NewGNNIterator(w.delta.Tree(), qs, o)
 			if err != nil {
 				return fail(err)
 			}
 			merged.push(it)
 		}
-		if len(ov.Pending) > 0 {
-			list, err := core.ScanAll(ov.Pending, ov.IDs, qs, opt)
+		if pts, ids := w.pending(); len(pts) > 0 {
+			list, err := core.ScanAll(pts, ids, qs, opt)
 			if err != nil {
 				return fail(err)
 			}
@@ -498,43 +493,49 @@ func (s *Set) NewIterator(qs []geom.Point, opt core.Options, ov *Overlay) (core.
 	return merged, nil
 }
 
-// Nearest answers a point-NN query, the k nearest points of the view of
-// this set and ov to q, charging tk; a partitioned set fails with
-// ErrPartitioned. Without an overlay it is the arena's best-first search
-// (rtree.Reader.NearestBF). With one it lazily merges the base's
+// Nearest answers a point-NN query, the k nearest live points of the
+// view to q, charging tk; a partitioned set fails with ErrPartitioned.
+// Without writes it is the arena's best-first search
+// (rtree.Reader.NearestBF). With them it lazily merges the base's
 // incremental scan (tombstoned hits skipped), the delta tree's and the
 // pending tail's exact distances. The results' points are copied into
 // one slab the caller owns, sized by the points the view holds, not by
 // k.
-func (s *Set) Nearest(q geom.Point, k int, tk *pagestore.CostTracker, ov *Overlay) ([]rtree.Neighbor, error) {
+func (s *Set) Nearest(q geom.Point, k int, tk *pagestore.CostTracker) ([]core.GroupNeighbor, error) {
 	p, err := s.Arena()
 	if err != nil {
 		return nil, err
 	}
-	if ov == nil {
+	w := s.w
+	if w == nil {
 		return p.Reader(tk).NearestBF(q, k), nil
 	}
 	// The pending tail is scored before any scan opens, so a failure
 	// leaves none to close.
+	pts, ids := w.pending()
 	var pend []core.GroupNeighbor
-	if len(ov.Pending) > 0 {
-		if pend, err = core.ScanAll(ov.Pending, ov.IDs, []geom.Point{q}, core.Options{}); err != nil {
+	if len(pts) > 0 {
+		if pend, err = core.ScanAll(pts, ids, []geom.Point{q}, core.Options{}); err != nil {
 			return nil, err
 		}
 	}
 	it := &Iterator{heads: make([]iterHead, 0, 3)}
 	defer it.Close()
-	it.push(&nnStream{it: p.Reader(tk).NewNNIterator(q), reject: ov.Reject})
-	held := p.Len() + len(ov.Pending)
-	if ov.Delta != nil {
-		it.push(&nnStream{it: ov.Delta.Reader(tk).NewNNIterator(q)})
-		held += ov.Delta.Len()
+	if base := p.Reader(tk).NewNNIterator(q); w.reject != nil {
+		it.push(&unmasked{NNIterator: base, reject: w.reject})
+	} else {
+		it.push(base)
+	}
+	held := p.Len() + len(pts)
+	if w.delta != nil {
+		it.push(w.delta.Reader(tk).NewNNIterator(q))
+		held += w.delta.Len()
 	}
 	if len(pend) > 0 {
 		it.push(core.NewListStream(pend))
 	}
 	n, dim := min(k, held), len(q)
-	out := make([]rtree.Neighbor, 0, n)
+	out := make([]core.GroupNeighbor, 0, n)
 	slab := make([]float64, 0, n*dim)
 	for len(out) < k {
 		g, ok := it.Next()
@@ -543,35 +544,28 @@ func (s *Set) Nearest(q geom.Point, k int, tk *pagestore.CostTracker, ov *Overla
 		}
 		at := len(slab)
 		slab = append(slab, g.Point...)
-		out = append(out, rtree.Neighbor{Point: slab[at : at+dim : at+dim], ID: g.ID, Dist: g.Dist})
+		g.Point = slab[at : at+dim : at+dim]
+		out = append(out, g)
 	}
 	return out, nil
 }
 
-// nnStream adapts a point-NN scan to core.Stream, skipping the hits
-// reject vetoes (nil vetoes none).
-type nnStream struct {
-	it     *rtree.NNIterator
+// unmasked is a base point-NN scan that skips the hits reject vetoes. A
+// skipped hit is no closer than the one after it, so the scan's
+// PeekDist still bounds the next hit from below.
+type unmasked struct {
+	*rtree.NNIterator
 	reject core.RejectFunc
 }
 
-func (s *nnStream) Next() (core.GroupNeighbor, bool) {
+func (u *unmasked) Next() (core.GroupNeighbor, bool) {
 	for {
-		nb, ok := s.it.Next()
-		if !ok {
-			return core.GroupNeighbor{}, false
-		}
-		if s.reject == nil || !s.reject(nb.Point, nb.ID) {
-			return core.GroupNeighbor{Point: nb.Point, ID: nb.ID, Dist: nb.Dist}, true
+		nb, ok := u.NNIterator.Next()
+		if !ok || !u.reject(nb.Point, nb.ID) {
+			return nb, ok
 		}
 	}
 }
-
-// PeekDist bounds the next hit from below: a skipped hit is no closer
-// than the one after it.
-func (s *nnStream) PeekDist() (float64, bool) { return s.it.PeekDist() }
-
-func (s *nnStream) Close() { s.it.Close() }
 
 // Next returns the next group nearest neighbor across all sources in
 // ascending aggregate distance; ok is false when every source is

@@ -135,7 +135,7 @@ func TestSearchMatchesSingleTree(t *testing.T) {
 				var tk pagestore.CostTracker
 				o := opt
 				o.Cost = &tk
-				got, err := set.Search(qs, o, workers, kern, nil)
+				got, err := set.Search(qs, o, workers, kern)
 				if err != nil {
 					t.Fatalf("%s sharded: %v", name, err)
 				}
@@ -172,7 +172,7 @@ func TestIteratorMatchesSingleTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	it, err := set.NewIterator(qs, core.Options{}, nil)
+	it, err := set.NewIterator(qs, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

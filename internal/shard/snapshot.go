@@ -10,29 +10,43 @@ import (
 	"gnn/internal/snapshot"
 )
 
-// WriteSnapshot writes the set to w as a snapshot: a plain one of the one
-// arena (rtree.Packed.WriteTo) for an unpartitioned set, or a sharded one
+// WriteSnapshot writes the view to w as a snapshot of its live points:
+// a plain one of the one arena for an unpartitioned set, or a sharded one
 // — one arena section group per shard plus the sharded manifest — for a
-// partitioned set.
+// partitioned set. A view with writes is folded first (Fold); the set
+// itself is unchanged. A borrowed set is verified first (Prepare), so a
+// corrupt mapping is never laundered into a snapshot that passes its
+// checksums.
 func (s *Set) WriteSnapshot(w io.Writer) error {
-	if !s.partitioned {
-		_, err := s.arenas[0].WriteTo(w)
+	if err := s.Prepare(); err != nil {
 		return err
 	}
-	m, trees := s.Snapshot()
+	f, err := s.Fold()
+	if err != nil {
+		return err
+	}
+	m, trees := f.Snapshot()
 	return snapshot.Write(w, m, trees)
 }
 
-// Snapshot returns the serialisable form of a partitioned set: a
-// sharded manifest (one Hilbert cut per shard plus the partition bounding
-// box, recomputed from the shard bounds exactly as Build derived it) and
-// one arena per shard, in shard order. The per-tree arenas borrow the
-// packed snapshots' slices; treat them as read-only.
+// Snapshot returns the serialisable form of the set's arenas, which a
+// set with writes must fold first: the plain manifest and the one arena
+// of an unpartitioned set, or a sharded manifest (one Hilbert cut per
+// shard plus the partition bounding box, recomputed from the shard
+// bounds exactly as Build derived it) and one arena per shard, in shard
+// order. The per-tree arenas borrow the packed snapshots' slices; treat
+// them as read-only.
 func (s *Set) Snapshot() (snapshot.Manifest, []*snapshot.Tree) {
 	trees := make([]*snapshot.Tree, len(s.arenas))
-	cuts := make([]int64, len(s.arenas))
 	for i, p := range s.arenas {
 		trees[i] = p.Snapshot()
+	}
+	m := snapshot.Manifest{Kind: snapshot.KindPlain, Dim: s.dim, Points: s.size}
+	if !s.partitioned {
+		return m, trees
+	}
+	cuts := make([]int64, len(s.arenas))
+	for i, p := range s.arenas {
 		cuts[i] = int64(p.Len())
 	}
 	h := &snapshot.Hilbert{Order: hilbert.DefaultOrder, CutSizes: cuts}
@@ -45,12 +59,8 @@ func (s *Set) Snapshot() (snapshot.Manifest, []*snapshot.Tree) {
 			h.Lo[1], h.Hi[1] = bbox.Lo[1], bbox.Hi[1]
 		}
 	}
-	return snapshot.Manifest{
-		Kind:    snapshot.KindSharded,
-		Dim:     s.dim,
-		Points:  s.size,
-		Hilbert: h,
-	}, trees
+	m.Kind, m.Hilbert = snapshot.KindSharded, h
+	return m, trees
 }
 
 // SetFromSnapshotBorrowed reconstructs a set from a decoded snapshot of

@@ -84,9 +84,6 @@ type Counter struct {
 // Inc adds 1.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
@@ -94,9 +91,6 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 type Gauge struct {
 	v atomic.Int64
 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
 // Add adds delta (may be negative).
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
@@ -117,12 +111,6 @@ func (h *Histogram) Observe(us uint64) {
 	h.count.Add(1)
 	h.sumUS.Add(us)
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
-// SumUS returns the sum of all observations in microseconds.
-func (h *Histogram) SumUS() uint64 { return h.sumUS.Load() }
 
 // AddTo adds h's bucket counts and sum into b. The read is not atomic
 // across buckets, so under concurrent recording a summary is

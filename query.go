@@ -222,7 +222,7 @@ func (ix *Index) answer(query []Point, c queryConfig, tk *pagestore.CostTracker,
 	opt := c.coreOptions()
 	opt.Cost = tk
 	opt.Exec = ec
-	v := ix.view.Load()
+	s := ix.view.Load()
 	kern, err := kernelFor(c.algo)
 	if err != nil {
 		return nil, err
@@ -232,10 +232,10 @@ func (ix *Index) answer(query []Point, c queryConfig, tk *pagestore.CostTracker,
 		workers = defaultWorkers
 	}
 	if c.probe != nil {
-		c.probe.overlay = v.ov != nil
-		c.probe.shards = v.set.Shards()
+		c.probe.overlay = overlaySize(s) > 0
+		c.probe.shards = s.Shards()
 	}
-	gs, err := v.set.Search(qs, opt, workers, kern, v.read)
+	gs, err := s.Search(qs, opt, workers, kern)
 	if err != nil {
 		return nil, err
 	}
@@ -324,8 +324,7 @@ func (ix *Index) GroupNNIterator(query []Point, opts ...QueryOption) (*Iterator,
 	out := &Iterator{}
 	opt := c.coreOptions()
 	opt.Cost = &out.tk
-	v := ix.view.Load()
-	out.it, err = v.set.NewIterator(qs, opt, v.read)
+	out.it, err = ix.view.Load().NewIterator(qs, opt)
 	if err != nil {
 		ix.release(r)
 		return nil, err

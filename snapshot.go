@@ -89,45 +89,25 @@ func (ix *Index) WriteSnapshot(w io.Writer) error {
 		return err
 	}
 	defer ix.release(r)
-	v := ix.view.Load()
-	if v.set == nil {
-		if v, err = ix.unreadView(); err != nil {
+	s := ix.view.Load()
+	if s == nil {
+		if s, err = ix.unreadView(); err != nil {
 			return err
 		}
 	}
-	set := v.set
-	if err := set.Prepare(); err != nil {
-		// A mapped index must verify its borrowed bytes before
-		// re-serialising them under fresh checksums, or a corrupt mapping
-		// would be laundered into a snapshot that passes its CRCs.
-		return err
-	}
-	if v.ov != nil {
-		cols, ids, err := liveColumns(set.Arenas(), v.ov)
-		if err != nil {
-			return err
-		}
-		if set, err = set.Rebuild(cols, ids); err != nil {
-			return err
-		}
-	}
-	return set.WriteSnapshot(w)
+	return s.WriteSnapshot(w)
 }
 
 // unreadView returns a NewIndex's buffered points packed into a view
 // that is never published, so the index stays unread — or the current
 // view, once a first read has packed the index.
-func (ix *Index) unreadView() (*viewState, error) {
+func (ix *Index) unreadView() (*shard.Set, error) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if v := ix.view.Load(); v.set != nil {
-		return v, nil
+	if s := ix.view.Load(); s != nil {
+		return s, nil
 	}
-	set, err := ix.slab.pack(ix.rcfg)
-	if err != nil {
-		return nil, err
-	}
-	return &viewState{set: set}, nil
+	return ix.slab.pack(ix.rcfg)
 }
 
 // WriteSnapshotFile is WriteSnapshot to a file created at path.

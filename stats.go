@@ -63,18 +63,15 @@ func (ix *Index) Stats() Stats {
 	if errp := ix.compactErr.Load(); errp != nil {
 		s.LastCompactionError = *errp
 	}
-	if v.set != nil {
+	if v != nil {
 		s.Packed = true
-		s.Shards = v.set.Shards()
-		for _, p := range v.set.Arenas() {
+		s.Shards = v.Shards()
+		for _, p := range v.Arenas() {
 			s.Height = max(s.Height, p.Height())
 			s.Nodes += p.Nodes()
 			s.ArenaBytes += p.ArenaBytes()
 		}
-	}
-	if v.ov != nil {
-		s.Delta = len(v.ov.pts)
-		s.Tombstones = v.ov.tombs.Total()
+		s.Delta, s.Tombstones = v.Overlay()
 	}
 	return s
 }
