@@ -32,6 +32,9 @@ import (
 // benchScale shrinks PP to ~2.4k and TS to ~19.5k points.
 const benchScale = 0.1
 
+// benchPairBudget caps the GCP pairs of one benchmark query.
+const benchPairBudget = 2_000_000
+
 var (
 	benchEnvOnce sync.Once
 	benchEnv     *experiments.Env
@@ -43,7 +46,7 @@ func env() *experiments.Env {
 			Scale:         benchScale,
 			Queries:       20,
 			Seed:          1,
-			GCPPairBudget: 2_000_000,
+			GCPPairBudget: benchPairBudget,
 		})
 	})
 	return benchEnv
@@ -210,7 +213,7 @@ func benchDiskCell(b *testing.B, dataP, dataQ string, area float64, overlapMode 
 				FirstPage:  1 << 40,
 			}, qpts)
 			if _, err := core.GCP(pp, pq, core.GCPOptions{
-				Options: core.Options{K: 8}, PairBudget: e.Config().GCPPairBudget,
+				Options: core.Options{K: 8}, PairBudget: benchPairBudget,
 			}); err != nil && err != core.ErrBudgetExceeded {
 				b.Fatal(err)
 			}
@@ -371,8 +374,8 @@ func BenchmarkIndexBuild(b *testing.B) {
 		}
 	})
 	b.Run("Insert", func(b *testing.B) {
-		// NewIndex's path: one Insert per point, then the first read's
-		// pack.
+		// NewIndex's path: one Insert per point, then the pack its first
+		// read (or Compact) runs.
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			ix, err := gnn.NewIndex(gnn.IndexConfig{})
@@ -384,7 +387,9 @@ func BenchmarkIndexBuild(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			ix.Pack()
+			if err := ix.Compact(); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	// The loads of perfbench's TS workloads at their scale (194,971

@@ -20,21 +20,7 @@ import (
 var exportAllowlist = map[string]string{
 	"gnn/internal/snapshot/snapshottest": "the snapshot corruption table and its fixtures: a helper package for the decoder's and the compactor's tests",
 	"gnn/internal/core.BestFirst":        "Traversal's zero value: the default traversal, selected by leaving the option unset",
-
-	// Exports only tests call, there when this test was added. Each is
-	// named by tests of its own (most by a test of that export alone), so
-	// deleting one takes those tests with it; none may join them.
-	"gnn/internal/dataset.Dataset.Clone":   testOnly,
-	"gnn/internal/experiments.Env.Config":  testOnly,
-	"gnn/internal/geom.Ball.ContainsPoint": testOnly,
-	"gnn/internal/geom.MinEnclosingBall":   testOnly,
-	"gnn/internal/geom.Rect.Equal":         testOnly,
-	"gnn/internal/geom.Rect.Intersects":    testOnly,
-	"gnn/internal/stats.Figure.Get":        testOnly,
 }
-
-// testOnly is the allowlist reason of an export only tests call.
-const testOnly = "only tests call it"
 
 // TestInternalExportsHaveCallers fails on an exported identifier of a
 // package under internal/ — a package-level name, or a method of one of

@@ -19,12 +19,6 @@ import (
 // intervening StopCompactor.
 var ErrCompactorRunning = errors.New("gnn: compactor already running")
 
-// ErrNotFrozen reports StartCompactor/Compact on a NewIndex before its
-// first read: its mutations edit the buffer of points the first read
-// packs, so there is no overlay to compact. Call Pack (or query it) once
-// to pack a base first.
-var ErrNotFrozen = errors.New("gnn: index has no packed base; call Pack first")
-
 // CompactorConfig tunes the background compactor. On a mapped index (one
 // opened with OpenSnapshotMapped or OpenShardedSnapshotMapped) the first
 // compaction also releases the mapping: the file is unmapped once the
@@ -109,12 +103,15 @@ func (c *compactor) halt() {
 	<-c.done
 }
 
-// StartCompactor starts the background compactor. The index must have a
-// packed base (BuildIndex, BuildShardedIndex, a snapshot open, or Pack on
-// a NewIndex). A stale temp file from a crashed previous rotation at
-// cfg.Path is removed.
+// StartCompactor starts the background compactor. On a NewIndex before
+// its first read it first packs the buffered points, as that read would.
+// A stale temp file from a crashed previous rotation at cfg.Path is
+// removed.
 func (ix *Index) StartCompactor(cfg CompactorConfig) error {
 	cfg = cfg.withDefaults()
+	if _, err := ix.freeze(); err != nil {
+		return err
+	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	if ix.closed.Load() {
@@ -122,9 +119,6 @@ func (ix *Index) StartCompactor(cfg CompactorConfig) error {
 	}
 	if ix.comp != nil {
 		return ErrCompactorRunning
-	}
-	if ix.view.Load() == nil {
-		return ErrNotFrozen
 	}
 	ix.persist = cfg.Path
 	if cfg.Path != "" {
@@ -171,7 +165,9 @@ func (ix *Index) kickCompactor(s *shard.Set) {
 // rotation path is configured (StartCompactor), the new base is also
 // rotated to disk crash-safely; a rotation failure is returned and
 // recorded but the in-memory swap still happens. Compacting an index
-// without overlay writes is a cheap no-op.
+// without overlay writes is a cheap no-op. On a NewIndex before its first
+// read Compact packs the buffered points into the base, as that read
+// would; from then on writes go through the overlay.
 func (ix *Index) Compact() error {
 	return ix.compactOnce()
 }
@@ -188,18 +184,18 @@ func (ix *Index) compactOnce() (err error) {
 		return err
 	}
 	defer ix.release(r)
+	if _, err := ix.freeze(); err != nil {
+		return err
+	}
 
 	// Capture the view to fold, and log every write published after it
 	// for the replay.
 	ix.mu.Lock()
 	s := ix.view.Load()
 	path := ix.persist
-	fold := s != nil && overlaySize(s) > 0
+	fold := overlaySize(s) > 0
 	ix.logging = fold
 	ix.mu.Unlock()
-	if s == nil {
-		return ErrNotFrozen
-	}
 	if !fold {
 		return nil // nothing to fold
 	}
@@ -244,11 +240,11 @@ func (ix *Index) compactOnce() (err error) {
 	// applying the log in order reproduces the current state (tombstone
 	// multiplicities are recomputed against the new base).
 	for _, m := range log {
-		if m.Del {
-			if ns, ok := nset.Delete(m.P, m.ID); ok {
+		if m.del {
+			if ns, ok := nset.Delete(m.p, m.id); ok {
 				nset = ns
 			}
-		} else if ns, ierr := nset.Insert(m.P, m.ID); ierr == nil {
+		} else if ns, ierr := nset.Insert(m.p, m.id); ierr == nil {
 			nset = ns
 		}
 	}

@@ -23,21 +23,12 @@ const (
 	DiskFMBM
 )
 
-// DefaultAutoBlockThreshold is the default block count at which DiskAuto
-// switches from F-MQM to F-MBM. The paper's PP query set yields 3 blocks
-// (F-MQM wins) and its TS query set 20 blocks (F-MBM wins); the crossover
-// sits between. Tune it per workload with
-// QuerySetConfig.AutoBlockThreshold.
-const DefaultAutoBlockThreshold = 8
-
-// autoDiskAlgorithm resolves DiskAuto for a query set of the given block
-// count under the given crossover threshold.
-func autoDiskAlgorithm(blocks, threshold int) DiskAlgorithm {
-	if blocks <= threshold {
-		return DiskFMQM
-	}
-	return DiskFMBM
-}
+// autoBlockThreshold is the block count up to which DiskAuto runs F-MQM
+// (few blocks: per-block streams stay cheap) and beyond which it runs
+// F-MBM (many blocks: one pruned traversal wins). The paper's PP query
+// set yields 3 blocks (F-MQM wins) and its TS query set 20 blocks (F-MBM
+// wins); the crossover sits between.
+const autoBlockThreshold = 8
 
 // String names the disk algorithm.
 func (a DiskAlgorithm) String() string {
@@ -60,11 +51,6 @@ type QuerySetConfig struct {
 	BlockPoints int
 	// BufferPages attaches an LRU buffer over the set's pages.
 	BufferPages int
-	// AutoBlockThreshold is the block count at which DiskAuto switches
-	// from F-MQM (few blocks: per-block streams stay cheap) to F-MBM
-	// (many blocks: one pruned traversal wins). Default
-	// DefaultAutoBlockThreshold; negative forces F-MBM for every set.
-	AutoBlockThreshold int
 }
 
 // QuerySet is a disk-resident, non-indexed query set: Hilbert-sorted,
@@ -72,9 +58,8 @@ type QuerySetConfig struct {
 // and F-MBM. Build one with NewQuerySet. A QuerySet is immutable after
 // construction, so concurrent queries may share it.
 type QuerySet struct {
-	qf            *core.QueryFile
-	acct          *pagestore.Accountant
-	autoThreshold int
+	qf   *core.QueryFile
+	acct *pagestore.Accountant
 }
 
 // NewQuerySet prepares a disk-resident query set from 2-D points.
@@ -88,17 +73,17 @@ func NewQuerySet(points []Point, cfg QuerySetConfig) (*QuerySet, error) {
 	if err != nil {
 		return nil, err
 	}
-	threshold := cfg.AutoBlockThreshold
-	if threshold == 0 {
-		threshold = DefaultAutoBlockThreshold
-	}
-	return &QuerySet{qf: qf, acct: acct, autoThreshold: threshold}, nil
+	return &QuerySet{qf: qf, acct: acct}, nil
 }
 
 // AutoAlgorithm returns the algorithm DiskAuto resolves to for this set:
-// F-MQM up to the configured block threshold, F-MBM beyond it.
+// F-MQM up to 8 blocks, F-MBM beyond. Pass DiskFMQM or DiskFMBM to
+// GroupNNFromSet to choose one regardless of the block count.
 func (qs *QuerySet) AutoAlgorithm() DiskAlgorithm {
-	return autoDiskAlgorithm(qs.Blocks(), qs.autoThreshold)
+	if qs.Blocks() <= autoBlockThreshold {
+		return DiskFMQM
+	}
+	return DiskFMBM
 }
 
 // Len returns the number of query points.

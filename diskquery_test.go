@@ -28,67 +28,61 @@ func diskFixture(t *testing.T, nData, nQuery int) (*gnn.Index, []gnn.Point) {
 	return ix, qpts
 }
 
-// TestDiskAutoThreshold covers both sides of the configurable F-MQM/F-MBM
-// crossover: the same query set resolves to F-MQM when its block count is
-// at or below the threshold and to F-MBM above it, and DiskAuto's results
-// match the explicitly chosen algorithm's in both regimes.
+// TestDiskAutoThreshold covers both sides of the F-MQM/F-MBM crossover:
+// a query set of 8 blocks resolves to F-MQM and one of 9 to F-MBM, and
+// DiskAuto answers exactly like the algorithm it resolves to, cost
+// included. Passing DiskFMBM runs F-MBM on a set DiskAuto sends to F-MQM.
 func TestDiskAutoThreshold(t *testing.T) {
-	ix, qpts := diskFixture(t, 2000, 600)
-	// 600 points at 100 per block = 6 blocks.
-	build := func(threshold int) *gnn.QuerySet {
-		qs, err := gnn.NewQuerySet(qpts, gnn.QuerySetConfig{BlockPoints: 100, AutoBlockThreshold: threshold})
+	ix, qpts := diskFixture(t, 2000, 900)
+	build := func(pts []gnn.Point, blocks int) *gnn.QuerySet {
+		qs, err := gnn.NewQuerySet(pts, gnn.QuerySetConfig{BlockPoints: 100})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if qs.Blocks() != 6 {
-			t.Fatalf("fixture drifted: %d blocks, want 6", qs.Blocks())
+		if qs.Blocks() != blocks {
+			t.Fatalf("fixture drifted: %d blocks, want %d", qs.Blocks(), blocks)
 		}
 		return qs
 	}
-
-	below := build(6) // blocks == threshold → F-MQM
-	if got := below.AutoAlgorithm(); got != gnn.DiskFMQM {
-		t.Fatalf("6 blocks, threshold 6: auto resolved to %v, want F-MQM", got)
-	}
-	above := build(5) // blocks > threshold → F-MBM
-	if got := above.AutoAlgorithm(); got != gnn.DiskFMBM {
-		t.Fatalf("6 blocks, threshold 5: auto resolved to %v, want F-MBM", got)
-	}
-	// Negative threshold forces F-MBM even for tiny sets.
-	forced, err := gnn.NewQuerySet(qpts[:50], gnn.QuerySetConfig{BlockPoints: 100, AutoBlockThreshold: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := forced.AutoAlgorithm(); got != gnn.DiskFMBM {
-		t.Fatalf("negative threshold: auto resolved to %v, want F-MBM", got)
-	}
-	// Zero keeps the default crossover.
-	def := build(0)
-	if got := def.AutoAlgorithm(); got != gnn.DiskFMQM {
-		t.Fatalf("default threshold with 6 blocks: auto resolved to %v, want F-MQM", got)
-	}
-
-	// End to end: DiskAuto must answer exactly like the algorithm it
-	// resolves to, on both sides of the crossover.
 	for _, tc := range []struct {
 		name string
 		qs   *gnn.QuerySet
 		want gnn.DiskAlgorithm
 	}{
-		{"fmqm-side", below, gnn.DiskFMQM},
-		{"fmbm-side", above, gnn.DiskFMBM},
+		{"fmqm-side", build(qpts[:800], 8), gnn.DiskFMQM},
+		{"fmbm-side", build(qpts, 9), gnn.DiskFMBM},
 	} {
-		auto, err := ix.GroupNNFromSet(tc.qs, gnn.DiskAuto, gnn.WithK(3))
+		if got := tc.qs.AutoAlgorithm(); got != tc.want {
+			t.Fatalf("%s: auto resolved to %v, want %v", tc.name, got, tc.want)
+		}
+		auto, ac, err := ix.GroupNNFromSetWithCost(tc.qs, gnn.DiskAuto, gnn.WithK(3))
 		if err != nil {
 			t.Fatalf("%s auto: %v", tc.name, err)
 		}
-		explicit, err := ix.GroupNNFromSet(tc.qs, tc.want, gnn.WithK(3))
+		explicit, ec, err := ix.GroupNNFromSetWithCost(tc.qs, tc.want, gnn.WithK(3))
 		if err != nil {
 			t.Fatalf("%s explicit: %v", tc.name, err)
 		}
-		if !reflect.DeepEqual(auto, explicit) {
-			t.Fatalf("%s: DiskAuto diverged from %v\nauto:     %v\nexplicit: %v",
-				tc.name, tc.want, auto, explicit)
+		if !reflect.DeepEqual(auto, explicit) || ac != ec {
+			t.Fatalf("%s: DiskAuto diverged from %v\nauto:     %v at %+v\nexplicit: %v at %+v",
+				tc.name, tc.want, auto, ac, explicit, ec)
 		}
+	}
+	// On one block DiskAuto runs F-MQM; DiskFMBM runs F-MBM, at another
+	// cost.
+	small := build(qpts[:50], 1)
+	if small.AutoAlgorithm() != gnn.DiskFMQM {
+		t.Fatalf("1 block: auto resolved to %v, want F-MQM", small.AutoAlgorithm())
+	}
+	_, fmqm, err := ix.GroupNNFromSetWithCost(small, gnn.DiskAuto, gnn.WithK(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, fmbm, err := ix.GroupNNFromSetWithCost(small, gnn.DiskFMBM, gnn.WithK(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmqm == fmbm {
+		t.Fatalf("DiskFMBM and DiskAuto on one block both cost %+v: F-MBM did not run", fmbm)
 	}
 }

@@ -14,42 +14,28 @@ import (
 )
 
 // TestAutoAlgorithmCrossover pins the DiskAuto resolution on both sides
-// of the block threshold, at the exact threshold, with a custom
-// threshold, and with the documented negative override.
+// of the 8-block crossover and at it: the block count decides, not the
+// number of points.
 func TestAutoAlgorithmCrossover(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	mk := func(points, blockPoints, threshold int) *gnn.QuerySet {
-		t.Helper()
-		qs, err := gnn.NewQuerySet(randGroup(rng, points), gnn.QuerySetConfig{
-			BlockPoints: blockPoints, AutoBlockThreshold: threshold,
-		})
+	for _, tc := range []struct {
+		points, blockPoints, blocks int
+		want                        gnn.DiskAlgorithm
+	}{
+		{50, 100, 1, gnn.DiskFMQM},
+		{800, 100, 8, gnn.DiskFMQM},
+		{801, 100, 9, gnn.DiskFMBM},
+		{296, 37, 8, gnn.DiskFMQM},
+		{297, 37, 9, gnn.DiskFMBM},
+	} {
+		qs, err := gnn.NewQuerySet(randGroup(rng, tc.points), gnn.QuerySetConfig{BlockPoints: tc.blockPoints})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return qs
-	}
-
-	// Default threshold (8): 1 block and 8 blocks resolve to F-MQM, 9 to
-	// F-MBM.
-	if got := mk(50, 100, 0).AutoAlgorithm(); got != gnn.DiskFMQM {
-		t.Fatalf("1 block resolved to %v", got)
-	}
-	if qs := mk(800, 100, 0); qs.Blocks() != 8 || qs.AutoAlgorithm() != gnn.DiskFMQM {
-		t.Fatalf("%d blocks resolved to %v, want 8 → F-MQM", qs.Blocks(), qs.AutoAlgorithm())
-	}
-	if qs := mk(801, 100, 0); qs.Blocks() != 9 || qs.AutoAlgorithm() != gnn.DiskFMBM {
-		t.Fatalf("%d blocks resolved to %v, want 9 → F-MBM", qs.Blocks(), qs.AutoAlgorithm())
-	}
-	// Custom threshold moves the crossover.
-	if got := mk(300, 100, 2).AutoAlgorithm(); got != gnn.DiskFMBM {
-		t.Fatalf("3 blocks over threshold 2 resolved to %v", got)
-	}
-	if got := mk(200, 100, 2).AutoAlgorithm(); got != gnn.DiskFMQM {
-		t.Fatalf("2 blocks at threshold 2 resolved to %v", got)
-	}
-	// Negative threshold forces F-MBM for every set.
-	if got := mk(10, 100, -1).AutoAlgorithm(); got != gnn.DiskFMBM {
-		t.Fatalf("negative threshold resolved to %v", got)
+		if qs.Blocks() != tc.blocks || qs.AutoAlgorithm() != tc.want {
+			t.Fatalf("%d points at %d a block: %d blocks resolved to %v, want %d → %v",
+				tc.points, tc.blockPoints, qs.Blocks(), qs.AutoAlgorithm(), tc.blocks, tc.want)
+		}
 	}
 
 	// An empty query set is rejected at construction (AutoAlgorithm can
@@ -226,9 +212,6 @@ func TestNewIndexFreezesAtFirstRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.IsPacked() || fresh.Len() != len(live) {
-		t.Fatalf("before the first read: packed %v, %d points; want unpacked, %d", fresh.IsPacked(), fresh.Len(), len(live))
-	}
 	if st := fresh.Stats(); st.Packed || st.Height != 0 || st.Nodes != 0 || st.Points != len(live) {
 		t.Fatalf("Stats before the first read: %+v", st)
 	}
@@ -266,7 +249,7 @@ func TestNewIndexFreezesAtFirstRead(t *testing.T) {
 	if st, bst := fresh.Stats(), built.Stats(); st.Height != bst.Height || st.Nodes != bst.Nodes || st.ArenaBytes != bst.ArenaBytes {
 		t.Fatalf("packed shape %+v, bulk load %+v", st, bst)
 	}
-	if !fresh.IsPacked() {
+	if !fresh.Stats().Packed {
 		t.Fatal("first read did not pack the index")
 	}
 	if err := fresh.CheckInvariants(); err != nil {
@@ -287,5 +270,69 @@ func TestNewIndexFreezesAtFirstRead(t *testing.T) {
 	}
 	if _, err := fresh.GroupNNFromSet(qset, gnn.DiskAuto); !errors.Is(err, gnn.ErrPendingMutations) {
 		t.Fatalf("mutated: disk query: %v, want ErrPendingMutations", err)
+	}
+}
+
+// TestCompactPacksNewIndex: Compact, and StartCompactor, on a NewIndex
+// before its first read pack its buffered points as that read would, and
+// run no compaction cycle. The index then reports the Stats of a
+// BuildIndex over the same points in insertion order, and answers every
+// memory-resident algorithm with its results and Cost.
+func TestCompactPacksNewIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	pts, group := randGroup(rng, 700), randGroup(rng, 5)
+	cfg := gnn.IndexConfig{NodeCapacity: 16}
+	for _, tc := range []struct {
+		name string
+		pack func(*gnn.Index) error
+	}{
+		{"Compact", (*gnn.Index).Compact},
+		{"StartCompactor", func(ix *gnn.Index) error {
+			return ix.StartCompactor(gnn.CompactorConfig{})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix, err := gnn.NewIndex(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ix.StopCompactor()
+			for i, p := range pts {
+				if err := ix.Insert(p, int64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tc.pack(ix); err != nil {
+				t.Fatalf("%s on a never-read NewIndex: %v", tc.name, err)
+			}
+			built, err := gnn.BuildIndex(pts, nil, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st, bst := ix.Stats(), built.Stats(); st != bst || !st.Packed {
+				t.Fatalf("Stats %+v, bulk load %+v", st, bst)
+			}
+			for _, algo := range []gnn.Algorithm{gnn.AlgoMBM, gnn.AlgoMQM, gnn.AlgoSPM, gnn.AlgoBruteForce} {
+				got, gc, err := ix.GroupNNWithCost(group, gnn.WithAlgorithm(algo), gnn.WithK(5))
+				want, wc, werr := built.GroupNNWithCost(group, gnn.WithAlgorithm(algo), gnn.WithK(5))
+				if err != nil || werr != nil {
+					t.Fatalf("%v: %v / %v", algo, err, werr)
+				}
+				if gc != wc || len(got) != len(want) {
+					t.Fatalf("%v: %d results at %+v, bulk load %d at %+v", algo, len(got), gc, len(want), wc)
+				}
+				for i := range want {
+					if got[i].ID != want[i].ID || got[i].Dist != want[i].Dist || !slices.Equal(got[i].Point, want[i].Point) {
+						t.Fatalf("%v rank %d: %+v, bulk load %+v", algo, i, got[i], want[i])
+					}
+				}
+			}
+			if ix.Cost() != built.Cost() {
+				t.Fatalf("index-wide cost %+v, bulk load %+v", ix.Cost(), built.Cost())
+			}
+			if st, bst := ix.Stats(), built.Stats(); st != bst {
+				t.Fatalf("Stats after the queries %+v, bulk load %+v", st, bst)
+			}
+		})
 	}
 }

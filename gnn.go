@@ -24,9 +24,9 @@
 // Every query traverses a packed base: a flat structure-of-arrays arena
 // that keeps the R-tree's pages, so node accesses follow the paper's cost
 // model exactly. BuildIndex and the snapshot opens produce one directly.
-// NewIndex buffers the points inserted into it; its first read (or Pack)
-// STR-packs the buffered points into a packed base, as BuildIndex packs
-// its input.
+// NewIndex buffers the points inserted into it; its first read (or
+// Compact) STR-packs the buffered points into a packed base, as
+// BuildIndex packs its input.
 //
 // Writes under live traffic: Insert and Delete are safe to call
 // concurrently with any number of readers, on every index.
@@ -41,12 +41,12 @@
 // as one list of sources: a k-best query under one shared pruning bound
 // and one merge, an iterator or point-NN query as a lazy merge of their
 // ascending streams. It returns exactly what a fresh index over the live
-// point set would return. This package orders the writers: Pack (or the
-// background compactor, see StartCompactor) folds the overlay back into a
-// fresh packed base off the hot path and swaps it in under live readers,
-// replaying the writes that landed during the fold. Before its first
-// read, a NewIndex's writes edit its buffer of points under the same
-// writer lock.
+// point set would return. This package orders the writers: Compact (or
+// the background compactor, see StartCompactor) folds the overlay back
+// into a fresh packed base off the hot path and swaps it in under live
+// readers, replaying the writes that landed during the fold. Before its
+// first read, a NewIndex's writes edit its buffer of points under the
+// same writer lock.
 //
 // Scale-out: BuildShardedIndex Hilbert-partitions the data set into S
 // independent packed R-trees, and the Index it returns answers the same
@@ -83,7 +83,6 @@ import (
 	"gnn/internal/core"
 	"gnn/internal/geom"
 	"gnn/internal/mmapfile"
-	"gnn/internal/overlay"
 	"gnn/internal/pagestore"
 	"gnn/internal/rtree"
 	"gnn/internal/shard"
@@ -122,11 +121,11 @@ type IndexConfig struct {
 // Queries traverse the index's packed base: one flat, cache-friendly SoA
 // arena, or one per shard of a BuildShardedIndex or a sharded snapshot.
 // The base is immutable: Insert and Delete on a packed index go into a
-// delta overlay (see the package comment); Pack or the background
+// delta overlay (see the package comment); Compact or the background
 // compactor folds the overlay back into a fresh base of the same kind.
-// A NewIndex buffers its points until its first read, which STR-packs
-// them into the base exactly as BuildIndex would pack the same points in
-// insertion order.
+// A NewIndex buffers its points until its first read (or Compact), which
+// STR-packs them into the base exactly as BuildIndex would pack the same
+// points in insertion order.
 type Index struct {
 	// view is the index's current immutable serving state: base and write
 	// overlay. Readers load it once per operation (lock-free); writers
@@ -137,8 +136,8 @@ type Index struct {
 	// collects every query's node accesses.
 	rcfg rtree.Config
 
-	// mu serializes writers: Insert, Delete, Pack and the compactor's
-	// swap step. Readers take it only before a NewIndex's first read.
+	// mu serializes writers: Insert, Delete and a compaction's capture
+	// and swap steps. Readers take it only before a NewIndex's first read.
 	mu sync.Mutex
 	// slab holds a NewIndex's points until its first read packs them
 	// (under mu); empty once the index has a packed base.
@@ -147,11 +146,11 @@ type Index struct {
 	// captured; log then records the effective writes published after
 	// that view, which the cycle replays onto its fresh base.
 	logging bool
-	log     []overlay.Mutation
+	log     []mutation
 	// comp is the background compactor, nil unless StartCompactor ran.
 	comp *compactor
-	// compactMu serializes whole compaction cycles (manual Compact/Pack
-	// vs the background loop) so two repacks never interleave.
+	// compactMu serializes whole compaction cycles (manual Compact vs
+	// the background loop) so two repacks never interleave.
 	compactMu sync.Mutex
 	// persist is the crash-safe rotation target ("" = no on-disk
 	// rotation), set by StartCompactor; guarded by mu.
@@ -202,6 +201,17 @@ func (ix *Index) freeze() (*shard.Set, error) {
 		ix.slab = pointSlab{}
 	}
 	return s, nil
+}
+
+// mutation is one effective write that a compaction cycle replays onto
+// its fresh base: an insert that landed in the overlay (or resurrected a
+// tombstoned point), or a delete that removed a live point. No-ops never
+// enter the log, so replaying it onto the fold of the view the cycle
+// captured reproduces the live multiset exactly.
+type mutation struct {
+	del bool
+	p   geom.Point
+	id  int64
 }
 
 // pointSlab is a NewIndex's buffer of inserted points, in insertion
@@ -349,7 +359,7 @@ func newIndex(set *shard.Set, rcfg rtree.Config) *Index {
 
 // NewIndex returns an empty index that buffers its points: Insert appends
 // to the buffer and Delete removes the newest matching point from it,
-// safely under concurrent callers, until the first read (or Pack)
+// safely under concurrent callers, until the first read (or Compact)
 // STR-packs the buffered points into the packed base every query
 // traverses — the base BuildIndex builds from the same points in
 // insertion order, so answers and Cost match it exactly.
@@ -444,12 +454,12 @@ func indexConfig(cfg IndexConfig) rtree.Config {
 }
 
 // Insert adds a data point with its identifier. On a packed index the
-// insert lands in the delta overlay — the packed base keeps serving; Pack
-// or the background compactor folds the overlay into a fresh base. On a
-// NewIndex before its first read it appends a copy of the point to the
-// buffer the first read packs. Either way it is safe under concurrent
-// readers. A rejected insert (dimension mismatch, or a non-finite
-// coordinate: *NonFiniteError) changes nothing.
+// insert lands in the delta overlay — the packed base keeps serving;
+// Compact or the background compactor folds the overlay into a fresh
+// base. On a NewIndex before its first read it appends a copy of the
+// point to the buffer the first read packs. Either way it is safe under
+// concurrent readers. A rejected insert (dimension mismatch, or a
+// non-finite coordinate: *NonFiniteError) changes nothing.
 func (ix *Index) Insert(p Point, id int64) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -473,7 +483,7 @@ func (ix *Index) Insert(p Point, id int64) error {
 	if err != nil {
 		return err
 	}
-	ix.publish(ns, overlay.Mutation{P: pc, ID: id})
+	ix.publish(ns, mutation{p: pc, id: id})
 	return nil
 }
 
@@ -508,7 +518,7 @@ func (ix *Index) Delete(p Point, id int64) bool {
 	if !ok {
 		return false
 	}
-	ix.publish(ns, overlay.Mutation{Del: true, P: pc, ID: id})
+	ix.publish(ns, mutation{del: true, p: pc, id: id})
 	return true
 }
 
@@ -516,7 +526,7 @@ func (ix *Index) Delete(p Point, id int64) bool {
 // while a compaction cycle will replay it, and nudges the compactor.
 // Called under mu. The view and the log share m's point; neither edits
 // it.
-func (ix *Index) publish(s *shard.Set, m overlay.Mutation) {
+func (ix *Index) publish(s *shard.Set, m mutation) {
 	if ix.logging {
 		ix.log = append(ix.log, m)
 	}
@@ -529,35 +539,6 @@ func (ix *Index) publish(s *shard.Set, m overlay.Mutation) {
 func overlaySize(s *shard.Set) int {
 	inserts, tombstones := s.Overlay()
 	return inserts + tombstones
-}
-
-// Pack folds the index into a fresh packed base: the immutable flat
-// structure-of-arrays arena (or shard arenas) every query traverses.
-// BuildIndex, BuildShardedIndex and the snapshot opens produce one
-// directly. On a NewIndex before its first read Pack packs the buffered
-// points into the base, as that read would; from then on mutations go
-// through the overlay. On a packed index with overlay writes Pack
-// compacts synchronously: base and overlay are folded into a fresh packed
-// base (equivalent to Compact, with any error recorded in Stats). Pack is
-// safe under concurrent readers.
-func (ix *Index) Pack() {
-	if ix.closed.Load() {
-		return
-	}
-	switch s := ix.view.Load(); {
-	case s == nil:
-		ix.freeze() // an error stays for the first read to report
-	case overlaySize(s) > 0:
-		ix.Compact() // error recorded in Stats; old view keeps serving on failure
-	}
-}
-
-// IsPacked reports whether the index has its packed base. Overlay writes
-// do not unpack the base: a built or snapshot-opened index stays packed
-// across Insert/Delete. Only a NewIndex before its first read (or Pack)
-// reports false.
-func (ix *Index) IsPacked() bool {
-	return ix.view.Load() != nil
 }
 
 // Len returns the number of live points: base points not masked by a

@@ -36,7 +36,8 @@ import (
 
 // GroupNeighbor is one GNN result: a data point and its aggregate distance
 // to the query group. It is the point-NN result type, so a point-NN scan
-// (*rtree.NNIterator) is a Stream as it is.
+// (*rtree.NNIterator) and a GNNIterator yield the same type, and one merge
+// serves both.
 type GroupNeighbor = rtree.Neighbor
 
 // RejectFunc vetoes a candidate data point (see Options.Reject). It must

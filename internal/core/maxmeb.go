@@ -12,7 +12,7 @@ import (
 //
 //	dist_max(p,Q)² ≥ |p−c*|² + r*²
 //
-// (see geom.MinEnclosingBall). Heuristics 2 and 3 collapse to zero for
+// (see geom.MEBScratch). Heuristics 2 and 3 collapse to zero for
 // nodes overlapping the group's hull — exactly where the MAX answer
 // lives, since best_dist ≥ r* always — while the MEB bound stays ≥ r*
 // there. The kernels therefore keep their traversal order and existing

@@ -61,15 +61,6 @@ func (d *Dataset) Bounds() (geom.Rect, bool) {
 // Len returns the number of points.
 func (d *Dataset) Len() int { return len(d.Points) }
 
-// Clone returns a deep copy with the given name.
-func (d *Dataset) Clone(name string) *Dataset {
-	pts := make([]geom.Point, len(d.Points))
-	for i, p := range d.Points {
-		pts[i] = p.Clone()
-	}
-	return &Dataset{Name: name, Points: pts}
-}
-
 // GeneratePP returns the PP substitute: PPSize points in ~280 Gaussian
 // clusters whose centres are skewed towards the "east" (high x), mimicking
 // the population distribution of North America. Deterministic per seed.

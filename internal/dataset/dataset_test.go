@@ -218,18 +218,6 @@ func TestReadCSVHandlesCommentsAndErrors(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	d := GenerateUniform("orig", 10, 9)
-	c := d.Clone("copy")
-	c.Points[0][0] = -1
-	if d.Points[0][0] == -1 {
-		t.Fatal("Clone aliases points")
-	}
-	if c.Name != "copy" {
-		t.Fatalf("Clone name = %q", c.Name)
-	}
-}
-
 // area returns the d-dimensional volume of r (area in 2D).
 func area(r geom.Rect) float64 {
 	a := 1.0

@@ -74,9 +74,6 @@ func NewEnv(cfg Config) *Env {
 	}
 }
 
-// Config returns the environment's effective configuration.
-func (e *Env) Config() Config { return e.cfg }
-
 // Dataset returns the named dataset ("PP" or "TS"), scaled per the
 // configuration, generating and caching it on first use.
 func (e *Env) Dataset(name string) (*dataset.Dataset, error) {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -53,9 +54,10 @@ func TestEnvTree(t *testing.T) {
 	}
 }
 
-// checkFigure checks the figure's series, read off the rows of its
-// rendered node-access panel, and that every cell holds a measurement.
-func checkFigure(t *testing.T, fig *stats.Figure, wantSeries []string, xCount int) {
+// naPanel reads the figure's rendered node-access panel: the series
+// names in row order, and each series' cells, one per x-value, as the
+// table prints them.
+func naPanel(t *testing.T, fig *stats.Figure) (names []string, cells map[string][]string) {
 	t.Helper()
 	var b strings.Builder
 	if err := fig.Render(&b); err != nil {
@@ -63,13 +65,47 @@ func checkFigure(t *testing.T, fig *stats.Figure, wantSeries []string, xCount in
 	}
 	// The title and the panel header come first, then one row per series
 	// in insertion order, then a blank line.
-	var names []string
+	cells = map[string][]string{}
 	for _, row := range strings.Split(b.String(), "\n")[2:] {
 		if row == "" {
 			break
 		}
-		names = append(names, strings.Fields(row)[0])
+		f := strings.Fields(row)
+		names = append(names, f[0])
+		cells[f[0]] = f[1:]
 	}
+	return names, cells
+}
+
+// na returns the node accesses of the (series, x) cell as the figure's
+// table prints them; a missing or DNF cell fails the test.
+func na(t *testing.T, fig *stats.Figure, series, x string) float64 {
+	t.Helper()
+	_, cells := naPanel(t, fig)
+	i := slices.Index(fig.XValues, x)
+	if i < 0 || i >= len(cells[series]) {
+		t.Fatalf("%s: no cell (%s, %s)", fig.Title, series, x)
+	}
+	c := cells[series][i]
+	scale := 1.0
+	switch {
+	case strings.HasSuffix(c, "k"):
+		c, scale = c[:len(c)-1], 1e3
+	case strings.HasSuffix(c, "M"):
+		c, scale = c[:len(c)-1], 1e6
+	}
+	v, err := strconv.ParseFloat(c, 64)
+	if err != nil {
+		t.Fatalf("%s: cell (%s, %s) reads %q", fig.Title, series, x, cells[series][i])
+	}
+	return v * scale
+}
+
+// checkFigure checks the figure's series, read off the rows of its
+// rendered node-access panel, and that every cell holds a measurement.
+func checkFigure(t *testing.T, fig *stats.Figure, wantSeries []string, xCount int) {
+	t.Helper()
+	names, cells := naPanel(t, fig)
 	if !slices.Equal(names, wantSeries) {
 		t.Fatalf("%s: series %v, want %v", fig.Title, names, wantSeries)
 	}
@@ -77,13 +113,18 @@ func checkFigure(t *testing.T, fig *stats.Figure, wantSeries []string, xCount in
 		t.Fatalf("%s: %d x-values", fig.Title, len(fig.XValues))
 	}
 	for _, s := range names {
-		for _, x := range fig.XValues {
-			m, ok := fig.Get(s, x)
-			if !ok {
+		if len(cells[s]) != xCount {
+			t.Fatalf("%s: series %s has cells %v", fig.Title, s, cells[s])
+		}
+		for i, x := range fig.XValues {
+			switch c := cells[s][i]; c {
+			case "-":
 				t.Fatalf("%s: missing cell (%s, %s)", fig.Title, s, x)
-			}
-			if !m.DNF && m.NodeAccesses <= 0 {
-				t.Fatalf("%s: cell (%s,%s) has NA %v", fig.Title, s, x, m.NodeAccesses)
+			case "DNF":
+			default:
+				if v := na(t, fig, s, x); v <= 0 {
+					t.Fatalf("%s: cell (%s,%s) has NA %v", fig.Title, s, x, v)
+				}
 			}
 		}
 	}
@@ -102,14 +143,12 @@ func TestFig51Small(t *testing.T) {
 	checkFigure(t, fig, []string{"MQM", "SPM", "MBM"}, 3)
 
 	// Expected shape: MQM's NA grows with n and exceeds MBM's at n=64.
-	mqm64, _ := fig.Get("MQM", "64")
-	mbm64, _ := fig.Get("MBM", "64")
-	if mqm64.NodeAccesses <= mbm64.NodeAccesses {
-		t.Errorf("MQM NA %v not above MBM NA %v at n=64", mqm64.NodeAccesses, mbm64.NodeAccesses)
+	mqm64, mbm64 := na(t, fig, "MQM", "64"), na(t, fig, "MBM", "64")
+	if mqm64 <= mbm64 {
+		t.Errorf("MQM NA %v not above MBM NA %v at n=64", mqm64, mbm64)
 	}
-	mqm4, _ := fig.Get("MQM", "4")
-	if mqm64.NodeAccesses <= mqm4.NodeAccesses {
-		t.Errorf("MQM NA did not grow with n: %v vs %v", mqm4.NodeAccesses, mqm64.NodeAccesses)
+	if mqm4 := na(t, fig, "MQM", "4"); mqm64 <= mqm4 {
+		t.Errorf("MQM NA did not grow with n: %v vs %v", mqm4, mqm64)
 	}
 }
 
@@ -127,10 +166,9 @@ func TestFig52And53Small(t *testing.T) {
 	// Costs grow with M (checked loosely here — at 2% dataset scale the
 	// absolute NA counts are tiny and noisy; the full-scale shape check
 	// lives in EXPERIMENTS.md / the bench harness).
-	lo, _ := fig.Get("MBM", "2%")
-	hi, _ := fig.Get("MBM", "32%")
-	if hi.NodeAccesses < 0.5*lo.NodeAccesses {
-		t.Errorf("MBM NA collapsed with M: %v -> %v", lo.NodeAccesses, hi.NodeAccesses)
+	lo, hi := na(t, fig, "MBM", "2%"), na(t, fig, "MBM", "32%")
+	if hi < 0.5*lo {
+		t.Errorf("MBM NA collapsed with M: %v -> %v", lo, hi)
 	}
 
 	fig, err = e.runMemSweep(memSweep{
@@ -174,10 +212,9 @@ func TestAblations(t *testing.T) {
 	checkFigure(t, fig, []string{"MBM", "MBM-H2only", "SPM"}, 4)
 	// Full MBM must not access more nodes than H2-only anywhere.
 	for _, x := range fig.XValues {
-		full, _ := fig.Get("MBM", x)
-		h2, _ := fig.Get("MBM-H2only", x)
-		if full.NodeAccesses > h2.NodeAccesses {
-			t.Errorf("x=%s: full MBM NA %v above H2-only %v", x, full.NodeAccesses, h2.NodeAccesses)
+		full, h2 := na(t, fig, "MBM", x), na(t, fig, "MBM-H2only", x)
+		if full > h2 {
+			t.Errorf("x=%s: full MBM NA %v above H2-only %v", x, full, h2)
 		}
 	}
 
@@ -192,10 +229,9 @@ func TestAblations(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkFigure(t, fig, []string{"MQM"}, 4)
-	none, _ := fig.Get("MQM", "0")
-	big, _ := fig.Get("MQM", "2048")
-	if big.NodeAccesses > none.NodeAccesses {
-		t.Errorf("buffer increased MQM NA: %v -> %v", none.NodeAccesses, big.NodeAccesses)
+	none, big := na(t, fig, "MQM", "0"), na(t, fig, "MQM", "2048")
+	if big > none {
+		t.Errorf("buffer increased MQM NA: %v -> %v", none, big)
 	}
 }
 

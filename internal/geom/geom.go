@@ -142,11 +142,6 @@ func BoundingRectInto(dst Rect, pts []Point) Rect {
 // Dim returns the dimensionality of r.
 func (r Rect) Dim() int { return len(r.Lo) }
 
-// Equal reports whether the two rectangles have identical corners.
-func (r Rect) Equal(s Rect) bool {
-	return r.Lo.Equal(s.Lo) && r.Hi.Equal(s.Hi)
-}
-
 // String renders the rectangle as "[lo - hi]".
 func (r Rect) String() string {
 	return fmt.Sprintf("[%v - %v]", r.Lo, r.Hi)
@@ -188,16 +183,6 @@ func (r Rect) Margin() float64 {
 func (r Rect) ContainsPoint(p Point) bool {
 	for i := range p {
 		if p[i] < r.Lo[i] || p[i] > r.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Intersects reports whether r and s share at least one point.
-func (r Rect) Intersects(s Rect) bool {
-	for i := range r.Lo {
-		if r.Hi[i] < s.Lo[i] || s.Hi[i] < r.Lo[i] {
 			return false
 		}
 	}

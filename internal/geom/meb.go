@@ -34,12 +34,6 @@ type Ball struct {
 	Support []Point
 }
 
-// ContainsPoint reports whether p lies in the ball, within the solver's
-// relative tolerance.
-func (b Ball) ContainsPoint(p Point) bool {
-	return containsSq(b.Center, b.RadiusSq, p)
-}
-
 // mebEps is the relative containment tolerance of the solver. Points
 // within rSq·(1+mebEps) of the squared radius count as enclosed, which
 // keeps the recursion from chasing ulp-level violations into degenerate
@@ -53,15 +47,7 @@ func containsSq(c Point, rSq float64, p Point) bool {
 	return DistSq(p, c) <= rSq+mebEps*(1+rSq)
 }
 
-// MinEnclosingBall returns the minimum enclosing ball of a non-empty
-// point set. It panics when pts is empty. The convenience form allocates
-// its scratch; hot paths hold a MEBScratch and call its method instead.
-func MinEnclosingBall(pts []Point) Ball {
-	var s MEBScratch
-	return s.MinEnclosingBall(pts)
-}
-
-// MEBScratch holds the reusable buffers of MinEnclosingBall so a pooled
+// MEBScratch holds the reusable buffers of the MEB solver so a pooled
 // caller computes the ball allocation-free once warm. The zero value is
 // ready to use. Not safe for concurrent use.
 type MEBScratch struct {
@@ -86,8 +72,8 @@ func (s *MEBScratch) Reset() {
 }
 
 // MinEnclosingBall computes the MEB of a non-empty point set into the
-// scratch's buffers. The returned Center and Support are views valid
-// until the next call on the same scratch.
+// scratch's buffers; it panics when pts is empty. The returned Center and
+// Support are views valid until the next call on the same scratch.
 func (s *MEBScratch) MinEnclosingBall(pts []Point) Ball {
 	if len(pts) == 0 {
 		panic("geom: MinEnclosingBall of empty point set")

@@ -47,9 +47,15 @@ var mebFixtures = []struct {
 		pt(1.5, 3, 3), 4.5},
 }
 
+// minEnclosingBall is the MEB of pts on a fresh scratch.
+func minEnclosingBall(pts []Point) Ball {
+	var s MEBScratch
+	return s.MinEnclosingBall(pts)
+}
+
 func TestMinEnclosingBallFixtures(t *testing.T) {
 	for _, tc := range mebFixtures {
-		b := MinEnclosingBall(tc.pts)
+		b := minEnclosingBall(tc.pts)
 		if !almostEqual(b.Radius, tc.radius) {
 			t.Errorf("%s: radius = %v, want %v", tc.name, b.Radius, tc.radius)
 		}
@@ -75,7 +81,7 @@ func checkBallInvariants(t *testing.T, name string, pts []Point, b Ball) {
 		t.Errorf("%s: inconsistent Radius %v vs RadiusSq %v", name, b.Radius, b.RadiusSq)
 	}
 	for i, p := range pts {
-		if !b.ContainsPoint(p) {
+		if !containsSq(b.Center, b.RadiusSq, p) {
 			t.Errorf("%s: point %d %v outside ball c=%v r=%v (dist %v)",
 				name, i, p, b.Center, b.Radius, Dist(p, b.Center))
 		}
@@ -178,7 +184,7 @@ func TestMinEnclosingBallRandom(t *testing.T) {
 					}
 					pts[i] = p
 				}
-				b := MinEnclosingBall(pts)
+				b := minEnclosingBall(pts)
 				checkBallInvariants(t, "random", pts, b)
 			}
 		}
@@ -191,7 +197,7 @@ func TestMinEnclosingBallRandom(t *testing.T) {
 func TestMEBScratchReuse(t *testing.T) {
 	var s MEBScratch
 	for _, tc := range mebFixtures {
-		want := MinEnclosingBall(tc.pts)
+		want := minEnclosingBall(tc.pts)
 		got := s.MinEnclosingBall(tc.pts)
 		if got.RadiusSq != want.RadiusSq {
 			t.Errorf("%s: scratch RadiusSq %v != fresh %v", tc.name, got.RadiusSq, want.RadiusSq)
@@ -243,8 +249,8 @@ func TestMEBTranslationInvariance(t *testing.T) {
 			pts[i] = p
 			moved[i] = pt(p[0]+off[0], p[1]+off[1])
 		}
-		a := MinEnclosingBall(pts)
-		b := MinEnclosingBall(moved)
+		a := minEnclosingBall(pts)
+		b := minEnclosingBall(moved)
 		rtol := 1e-12 * (1 + a.RadiusSq)
 		if math.Abs(a.RadiusSq-b.RadiusSq) > rtol {
 			t.Fatalf("trial %d: RadiusSq drifted under translation: %v vs %v",

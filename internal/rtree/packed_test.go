@@ -101,8 +101,13 @@ func TestPackedShape(t *testing.T) {
 	}
 	for i := rootS; i < rootE; i++ {
 		p.RectInto(i, &dst)
-		if !dst.Equal(ref.root.entries[i-rootS].Rect) {
+		if !rectEqual(dst, ref.root.entries[i-rootS].Rect) {
 			t.Fatalf("RectInto slot %d mismatch", i)
 		}
 	}
+}
+
+// rectEqual reports whether r and s have identical corners.
+func rectEqual(r, s geom.Rect) bool {
+	return r.Lo.Equal(s.Lo) && r.Hi.Equal(s.Hi)
 }

@@ -95,7 +95,7 @@ func TestPackedSnapshotRoundTrip(t *testing.T) {
 	}
 	wb, ok1 := tree.Bounds()
 	lb, ok2 := lt.Bounds()
-	if ok1 != ok2 || !wb.Equal(lb) {
+	if ok1 != ok2 || !rectEqual(wb, lb) {
 		t.Fatalf("bounds: %v vs %v", lb, wb)
 	}
 	if !loaded.Valid(lt) {

@@ -15,9 +15,12 @@
 //
 // The overlay never edits the base. Inserts land in a pending tail that
 // every pendFold inserts is folded into a packed delta mini tree;
-// deletes tombstone base points or remove overlay points. Every write
-// returns a successor set over the same arenas (copy-on-write), so a
-// query keeps the consistent view it started on.
+// deletes tombstone base points or remove overlay points. The tombstones
+// keep each masked point's base multiplicity: a re-insert of a masked
+// point revives it, reads veto only fully masked points, and the fold
+// drops exactly the masked occurrences. Every write returns a successor
+// set over the same arenas (copy-on-write), so a query keeps the
+// consistent view it started on.
 //
 // A read runs a list of sources: the base's arenas and, after writes,
 // the overlay's delta tree and pending tail. A k-best search runs the
@@ -413,6 +416,48 @@ func runKernel(kernel Kernel, p *rtree.Packed, qs []geom.Point, o core.Options) 
 	return kernel(p.Tree(), qs, o)
 }
 
+// Stream is an ascending-distance candidate stream: the common surface of
+// the sources an Iterator merges. core.GNNIterator (one per tree source)
+// and rtree.NNIterator (a point-NN scan) are Streams as they are; the
+// pending tail's sorted exact distances stream through listStream.
+type Stream interface {
+	// Next returns the next candidate; ok is false when exhausted. The
+	// candidate's Point may be the stream's scratch, valid only until the
+	// stream's next Next or Close: consumers that keep it copy it.
+	Next() (core.GroupNeighbor, bool)
+	// PeekDist returns a lower bound on the next candidate's distance;
+	// ok is false when exhausted.
+	PeekDist() (float64, bool)
+	// Close releases the stream's resources; it is idempotent.
+	Close()
+}
+
+// listStream streams a pre-computed result list, ascending by distance
+// as core.ScanAll returns it. Unlike a tree iterator's, its distances are
+// exact, so PeekDist is tight.
+type listStream struct {
+	items []core.GroupNeighbor
+	pos   int
+}
+
+func (ls *listStream) Next() (core.GroupNeighbor, bool) {
+	if ls.pos >= len(ls.items) {
+		return core.GroupNeighbor{}, false
+	}
+	g := ls.items[ls.pos]
+	ls.pos++
+	return g, true
+}
+
+func (ls *listStream) PeekDist() (float64, bool) {
+	if ls.pos >= len(ls.items) {
+		return 0, false
+	}
+	return ls.items[ls.pos].Dist, true
+}
+
+func (ls *listStream) Close() { ls.items = nil; ls.pos = 0 }
+
 // Iterator merges the ascending-distance streams of a view's sources —
 // its base arenas, delta tree and pending tail — into one globally
 // ascending stream. The merge is lazy: a stream is only advanced when its
@@ -429,7 +474,7 @@ type Iterator struct {
 // result (exact == true; key is its distance) or a lower bound on
 // whatever the stream yields next (exact == false; key is the peek).
 type iterHead struct {
-	src   core.Stream
+	src   Stream
 	res   core.GroupNeighbor
 	key   float64
 	exact bool
@@ -444,7 +489,7 @@ type iterHead struct {
 // (safe: the merge advances them from the caller's goroutine only), so
 // the iterator's reported cost is exactly the sum of their node
 // accesses. Constructing it reads every tree's root.
-func (s *Set) NewIterator(qs []geom.Point, opt core.Options) (core.Stream, error) {
+func (s *Set) NewIterator(qs []geom.Point, opt core.Options) (Stream, error) {
 	w := s.w
 	if !s.partitioned && w == nil {
 		opt.Packed = s.arenas[0]
@@ -455,7 +500,7 @@ func (s *Set) NewIterator(qs []geom.Point, opt core.Options) (core.Stream, error
 		return it, nil
 	}
 	merged := &Iterator{heads: make([]iterHead, 0, len(s.arenas)+2)}
-	fail := func(err error) (core.Stream, error) {
+	fail := func(err error) (Stream, error) {
 		merged.Close()
 		return nil, err
 	}
@@ -487,7 +532,7 @@ func (s *Set) NewIterator(qs []geom.Point, opt core.Options) (core.Stream, error
 			if err != nil {
 				return fail(err)
 			}
-			merged.push(core.NewListStream(list))
+			merged.push(&listStream{items: list})
 		}
 	}
 	return merged, nil
@@ -532,7 +577,7 @@ func (s *Set) Nearest(q geom.Point, k int, tk *pagestore.CostTracker) ([]core.Gr
 		held += w.delta.Len()
 	}
 	if len(pend) > 0 {
-		it.push(core.NewListStream(pend))
+		it.push(&listStream{items: pend})
 	}
 	n, dim := min(k, held), len(q)
 	out := make([]core.GroupNeighbor, 0, n)
@@ -644,7 +689,7 @@ func (it *Iterator) Close() {
 
 // push adds an ascending-distance stream to the merge, which takes it
 // over: Close closes it. Streams pushed earlier win ties.
-func (it *Iterator) push(src core.Stream) {
+func (it *Iterator) push(src Stream) {
 	h := iterHead{src: src}
 	if d, ok := src.PeekDist(); ok {
 		h.key = d

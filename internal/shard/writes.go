@@ -2,11 +2,11 @@ package shard
 
 import (
 	"errors"
+	"maps"
 	"slices"
 
 	"gnn/internal/core"
 	"gnn/internal/geom"
-	"gnn/internal/overlay"
 	"gnn/internal/pagestore"
 	"gnn/internal/rtree"
 )
@@ -27,10 +27,10 @@ const deltaFirstPage = pagestore.PageID(1) << 40
 type writes struct {
 	pts    []geom.Point // overlay-inserted points, insertion order
 	ids    []int64
-	folded int              // pts[:folded] are indexed by delta; the rest is the pending tail
-	delta  *rtree.Packed    // packed mini tree over pts[:folded]; nil while folded == 0
-	tombs  *overlay.TombSet // masked base occurrences
-	// reject is tombs.Rejects, bound once per view so that reads pass
+	folded int           // pts[:folded] are indexed by delta; the rest is the pending tail
+	delta  *rtree.Packed // packed mini tree over pts[:folded]; nil while folded == 0
+	tombs  *tombSet      // masked base occurrences
+	// reject is tombs.rejects, bound once per view so that reads pass
 	// core.Options.Reject without allocating; nil without tombstones.
 	reject core.RejectFunc
 }
@@ -48,7 +48,7 @@ func (s *Set) Overlay() (inserts, tombstones int) {
 	if s.w == nil {
 		return 0, 0
 	}
-	return len(s.w.pts), s.w.tombs.Total()
+	return len(s.w.pts), s.w.tombs.total()
 }
 
 // with returns the successor of s over the same arenas with the overlay
@@ -56,10 +56,10 @@ func (s *Set) Overlay() (inserts, tombstones int) {
 func (s *Set) with(w writes) *Set {
 	n := *s
 	n.w = nil
-	if len(w.pts) > 0 || w.tombs.Total() > 0 {
+	if len(w.pts) > 0 || w.tombs.total() > 0 {
 		w.reject = nil
-		if w.tombs.Total() > 0 {
-			w.reject = w.tombs.Rejects
+		if w.tombs.total() > 0 {
+			w.reject = w.tombs.rejects
 		}
 		n.w = &w
 	}
@@ -75,7 +75,7 @@ func (s *Set) Insert(p geom.Point, id int64) (*Set, error) {
 	if s.w != nil {
 		w = *s.w
 	}
-	if ts, ok := w.tombs.Resurrect(p, id); ok {
+	if ts, ok := w.tombs.resurrect(p, id); ok {
 		w.tombs = ts
 		return s.with(w), nil
 	}
@@ -109,7 +109,7 @@ func (s *Set) Delete(p geom.Point, id int64) (*Set, bool) {
 		}
 		return s.with(w), true
 	}
-	ts, ok := w.tombs.Delete(p, id, s.countExact(p, id))
+	ts, ok := w.tombs.delete(p, id, s.countExact(p, id))
 	if !ok {
 		return nil, false
 	}
@@ -198,7 +198,7 @@ func (s *Set) liveColumns() ([]float64, []int64, error) {
 	// Each tombstone masks one base point, so live base points fill the
 	// first live slots of every axis; a base point beyond them means the
 	// tombstones do not match the base.
-	live := -tombs.Total()
+	live := -tombs.total()
 	for _, p := range s.arenas {
 		live += p.Len()
 	}
@@ -208,11 +208,11 @@ func (s *Set) liveColumns() ([]float64, []int64, error) {
 	n := live + len(pts)
 	cols := make([]float64, s.dim*n)
 	ids := make([]int64, 0, n)
-	drop := tombs.Consumer()
+	drop := tombs.consumer()
 	pt := make(geom.Point, s.dim)
 	for _, p := range s.arenas {
 		pc, pids := p.PointSoA(), p.IDs()
-		if tombs.Total() == 0 {
+		if tombs.total() == 0 {
 			for a, col := range pc {
 				copy(cols[a*n+len(ids):], col)
 			}
@@ -238,4 +238,164 @@ func (s *Set) liveColumns() ([]float64, []int64, error) {
 		}
 	}
 	return cols, append(ids, s.w.ids...), nil
+}
+
+// tomb masks count of the baseN exact (p, id) occurrences in the base.
+// count < baseN means some copies are still live: base hits for the
+// point survive. count == baseN masks the point entirely.
+type tomb struct {
+	p     geom.Point
+	count int
+	baseN int
+}
+
+// tombSet is an immutable set of tombstones keyed by point id (the base
+// may hold several distinct points per id, hence the per-id list):
+// delete and resurrect return a successor and leave the receiver as it
+// was, so a published view reads it lock-free. The zero value and the
+// nil pointer are both the empty set.
+type tombSet struct {
+	m    map[int64][]tomb
+	size int // Σ count: the masked base occurrences
+}
+
+// total returns the number of masked base occurrences (counting
+// multiplicity).
+func (ts *tombSet) total() int {
+	if ts == nil {
+		return 0
+	}
+	return ts.size
+}
+
+// rejects reports whether a base hit (p, id) is fully masked: a tombstone
+// for the exact point exists and every base occurrence is deleted. While
+// count < baseN at least one copy is live, and because result sets
+// deduplicate by id, keeping the hit yields exactly what a fresh index
+// holding the remaining copies would return.
+func (ts *tombSet) rejects(p geom.Point, id int64) bool {
+	if ts == nil {
+		return false
+	}
+	for _, t := range ts.m[id] {
+		if t.count >= t.baseN && t.p.Equal(p) {
+			return true
+		}
+	}
+	return false
+}
+
+// lookup returns the tombstone for (p, id), if any.
+func (ts *tombSet) lookup(p geom.Point, id int64) (tomb, bool) {
+	if ts == nil {
+		return tomb{}, false
+	}
+	for _, t := range ts.m[id] {
+		if t.p.Equal(p) {
+			return t, true
+		}
+	}
+	return tomb{}, false
+}
+
+// clone copies the id → tombs map shallowly: the per-id lists stay
+// shared with ts, so a successor edits a list only through edit.
+func (ts *tombSet) clone() *tombSet {
+	if ts == nil {
+		return &tombSet{m: make(map[int64][]tomb)}
+	}
+	return &tombSet{m: maps.Clone(ts.m), size: ts.size}
+}
+
+// edit gives the clone n a private copy of id's list, with room for
+// one more tomb, and returns it.
+func (n *tombSet) edit(id int64) []tomb {
+	l := append(make([]tomb, 0, len(n.m[id])+1), n.m[id]...)
+	n.m[id] = l
+	return l
+}
+
+// delete records one more deletion of (p, id) whose base multiplicity is
+// baseN (consulted only when no tombstone exists yet). It returns the new
+// set and whether the deletion took effect; masking beyond baseN — or a
+// baseN of zero — is refused with the receiver unchanged.
+func (ts *tombSet) delete(p geom.Point, id int64, baseN int) (*tombSet, bool) {
+	if t, ok := ts.lookup(p, id); ok {
+		if t.count >= t.baseN {
+			return ts, false // already fully masked
+		}
+		n := ts.clone()
+		l := n.edit(id)
+		for i := range l {
+			if l[i].p.Equal(p) {
+				l[i].count++
+				break
+			}
+		}
+		n.size++
+		return n, true
+	}
+	if baseN <= 0 {
+		return ts, false
+	}
+	n := ts.clone()
+	n.m[id] = append(n.edit(id), tomb{p: p.Clone(), count: 1, baseN: baseN})
+	n.size++
+	return n, true
+}
+
+// resurrect undoes one deletion of (p, id): an insert of a tombstoned
+// base point decrements its tombstone instead of growing the delta, which
+// keeps the live multiset exact. It returns the new set and whether a
+// masked occurrence existed to revive.
+func (ts *tombSet) resurrect(p geom.Point, id int64) (*tombSet, bool) {
+	t, ok := ts.lookup(p, id)
+	if !ok || t.count == 0 {
+		return ts, false
+	}
+	n := ts.clone()
+	l := n.edit(id)
+	for i := range l {
+		if l[i].p.Equal(p) {
+			l[i].count--
+			if l[i].count == 0 {
+				l[i] = l[len(l)-1]
+				l = l[:len(l)-1]
+				if len(l) == 0 {
+					delete(n.m, id)
+				} else {
+					n.m[id] = l
+				}
+			}
+			break
+		}
+	}
+	n.size--
+	return n, true
+}
+
+// consumer returns a stateful drop-filter for one enumeration of the
+// base: the n-th call with a masked (p, id) returns true (drop) while n ≤
+// count, so exactly the deleted multiplicity is skipped and surviving
+// duplicates pass through. The fold materialises the live multiset with
+// it.
+func (ts *tombSet) consumer() func(p geom.Point, id int64) bool {
+	if ts.total() == 0 {
+		return func(geom.Point, int64) bool { return false }
+	}
+	// A private deep copy: the filter decrements counts in place.
+	left := make(map[int64][]tomb, len(ts.m))
+	for id, l := range ts.m {
+		left[id] = slices.Clone(l)
+	}
+	return func(p geom.Point, id int64) bool {
+		l := left[id]
+		for i := range l {
+			if l[i].count > 0 && l[i].p.Equal(p) {
+				l[i].count--
+				return true
+			}
+		}
+		return false
+	}
 }

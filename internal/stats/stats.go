@@ -61,16 +61,6 @@ func (f *Figure) findSeries(name string) *Series {
 	return nil
 }
 
-// Get returns the measurement for (algorithm, x).
-func (f *Figure) Get(algorithm, x string) (Measurement, bool) {
-	s := f.findSeries(algorithm)
-	if s == nil {
-		return Measurement{}, false
-	}
-	m, ok := s.Points[x]
-	return m, ok
-}
-
 // Render writes the figure as two aligned tables (NA and CPU), matching
 // the two panels of each figure in the paper.
 func (f *Figure) Render(w io.Writer) error {

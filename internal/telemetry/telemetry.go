@@ -101,14 +101,12 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // A Histogram is a fixed-bucket power-of-2 microsecond histogram.
 type Histogram struct {
 	buckets [NumBuckets]atomic.Uint64
-	count   atomic.Uint64
 	sumUS   atomic.Uint64
 }
 
 // Observe records one duration in microseconds.
 func (h *Histogram) Observe(us uint64) {
 	h.buckets[bucketIndex(us)].Add(1)
-	h.count.Add(1)
 	h.sumUS.Add(us)
 }
 

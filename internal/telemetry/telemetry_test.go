@@ -27,8 +27,8 @@ func TestCounterGaugeHistogramBasics(t *testing.T) {
 	h.Observe(1)
 	h.Observe(2)
 	h.Observe(1 << 20)
-	if got := h.count.Load(); got != 4 {
-		t.Fatalf("hist count = %d, want 4", got)
+	if b := read(h); b.Total() != 4 {
+		t.Fatalf("hist count = %d, want 4", b.Total())
 	}
 	if got := h.sumUS.Load(); got != 3+1<<20 {
 		t.Fatalf("hist sum = %d, want %d", got, 3+1<<20)
@@ -242,8 +242,8 @@ func TestConcurrentRecording(t *testing.T) {
 	if g.Value() != workers*perWorker {
 		t.Errorf("gauge = %d, want %d", g.Value(), workers*perWorker)
 	}
-	if n := h.count.Load(); n != workers*perWorker {
-		t.Errorf("histogram count = %d, want %d", n, workers*perWorker)
+	if b := read(h); b.Total() != workers*perWorker {
+		t.Errorf("histogram count = %d, want %d", b.Total(), workers*perWorker)
 	}
 }
 
@@ -329,7 +329,7 @@ func TestHistogramOverflowBucket(t *testing.T) {
 			t.Errorf("quantile %v = %d, want overflow-bucket bound %d", q, v, want)
 		}
 	}
-	if n := h.count.Load(); n != 2 {
+	if n := b.Total(); n != 2 {
 		t.Errorf("count = %d, want 2", n)
 	}
 }
@@ -353,9 +353,6 @@ func TestHistogramConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := h.count.Load(); n != workers*perWorker {
-		t.Errorf("count = %d, want %d", n, workers*perWorker)
-	}
 	b := read(&h)
 	if n := b.Total(); n != workers*perWorker {
 		t.Errorf("bucket sum = %d, want %d", n, workers*perWorker)

@@ -428,7 +428,7 @@ func TestMappedImmutable(t *testing.T) {
 	if err := mx.Insert(gnn.Point{1, 2}, 9001); err != nil {
 		t.Fatalf("Insert on mapped index: %v", err)
 	}
-	if !mx.IsPacked() {
+	if !mx.Stats().Packed {
 		t.Fatal("overlay writes must not invalidate the packed layout")
 	}
 	res, err := mx.GroupNN([]gnn.Point{{1, 2}}, gnn.WithK(1))
@@ -454,7 +454,10 @@ func TestMappedImmutable(t *testing.T) {
 	if mx.Delete(gnn.Point{1, 2}, 9001) {
 		t.Fatal("second Delete should report false")
 	}
-	mx.Pack() // must be a no-op: the drained overlay leaves nothing to compact
+	// A no-op: the drained overlay leaves nothing to compact.
+	if err := mx.Compact(); err != nil || mx.Stats().CompactGen != 0 {
+		t.Fatalf("Compact of a drained overlay: %v, %d cycles", err, mx.Stats().CompactGen)
+	}
 	if _, err := mx.GroupNN(queries[0], gnn.WithK(2)); err != nil {
 		t.Fatalf("query after drained overlay: %v", err)
 	}

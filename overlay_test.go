@@ -521,19 +521,9 @@ func TestOverlayEdgeCases(t *testing.T) {
 }
 
 // TestCompactorLifecycle locks the compactor's control surface: start,
-// double-start, threshold trigger, stop, and the not-frozen guard.
+// double-start, threshold trigger and stop. TestCompactPacksNewIndex
+// covers a start on a NewIndex before its first read.
 func TestCompactorLifecycle(t *testing.T) {
-	nx, err := gnn.NewIndex(gnn.IndexConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := nx.StartCompactor(gnn.CompactorConfig{}); !errors.Is(err, gnn.ErrNotFrozen) {
-		t.Fatalf("StartCompactor on never-packed index: %v", err)
-	}
-	if err := nx.Compact(); !errors.Is(err, gnn.ErrNotFrozen) {
-		t.Fatalf("Compact on never-packed index: %v", err)
-	}
-
 	pts, _, _ := overlayFixture(t, 100, 76)
 	ix, err := gnn.BuildIndex(pts, nil, gnn.IndexConfig{})
 	if err != nil {

@@ -284,7 +284,7 @@ func kernelFor(a Algorithm) (shard.Kernel, error) {
 type Iterator struct {
 	// it is the single-tree incremental scan (core.GNNIterator) or a lazy
 	// k-way merge of scans (shard.Iterator), ascending either way.
-	it core.Stream
+	it shard.Stream
 	tk pagestore.CostTracker
 	// done releases the owning index's lifecycle reference (so Close can
 	// drain live iterators); nil once released.

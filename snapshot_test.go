@@ -254,14 +254,14 @@ func TestSnapshotOfUnpackedIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ix.IsPacked() {
+	if ix.Stats().Packed {
 		t.Fatal("incremental index unexpectedly packed")
 	}
 	loaded := roundTrip(t, ix)
-	if ix.IsPacked() {
+	if ix.Stats().Packed {
 		t.Fatal("WriteSnapshot must not change the writer's serving state")
 	}
-	if !loaded.IsPacked() {
+	if !loaded.Stats().Packed {
 		t.Fatal("loaded index should serve packed")
 	}
 	q := []gnn.Point{{10, 20}, {30, 40}, {50, 5}}
@@ -428,7 +428,9 @@ func TestStats(t *testing.T) {
 	if s = ix.Stats(); s.Delta != 0 || s.Points != 800 {
 		t.Fatalf("drained overlay stats: %+v", s)
 	}
-	ix.Pack()
+	if err := ix.Compact(); err != nil {
+		t.Fatal(err)
+	}
 	if s = ix.Stats(); !s.Packed {
 		t.Fatalf("re-packed stats: %+v", s)
 	}

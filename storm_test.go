@@ -15,16 +15,16 @@ import (
 	"gnn"
 )
 
-// TestPackRaceRegression: Pack used to rebuild the tree in place under
-// readers. Now it publishes a fresh view; concurrent queries must never
-// error or observe a half-built base.
+// TestPackRaceRegression: Compact publishes a fresh packed base under
+// live readers; concurrent queries must never error or observe a
+// half-built base.
 func TestPackRaceRegression(t *testing.T) {
 	pts, groups, _ := overlayFixture(t, 2000, 91)
 	ix, err := gnn.BuildIndex(pts, nil, gnn.IndexConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Seed an overlay so every Pack has real folding work.
+	// Seed an overlay so the first Compact has real folding work.
 	for i := 0; i < 50; i++ {
 		if err := ix.Insert(gnn.Point{float64(i), float64(i)}, int64(50_000+i)); err != nil {
 			t.Fatal(err)
@@ -53,8 +53,8 @@ func TestPackRaceRegression(t *testing.T) {
 					fails.Add(1)
 					return
 				}
-				// The live multiset never changes across Packs, so results
-				// must be identical throughout.
+				// The live multiset never changes across compactions, so
+				// results must be identical throughout.
 				for i := range got {
 					if got[i].ID != want[i].ID {
 						fails.Add(1)
@@ -65,15 +65,17 @@ func TestPackRaceRegression(t *testing.T) {
 		}()
 	}
 	for i := 0; i < 20; i++ {
-		ix.Pack()
+		if err := ix.Compact(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	close(stop)
 	wg.Wait()
 	if n := fails.Load(); n != 0 {
-		t.Fatalf("%d readers failed or diverged during concurrent Pack", n)
+		t.Fatalf("%d readers failed or diverged during concurrent Compact", n)
 	}
-	if !ix.IsPacked() {
-		t.Fatal("index not packed")
+	if s := ix.Stats(); !s.Packed || s.Delta != 0 {
+		t.Fatalf("index not packed and folded: %+v", s)
 	}
 	if err := ix.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -125,8 +127,8 @@ func runStorm(t *testing.T, mutate func(w, i int) bool, query func(r int) error,
 }
 
 // TestReadWriteStormPlain: mixed insert/delete traffic with a background
-// compactor on a small threshold, plus Pack and synchronous Compact
-// thrown in from the writers, while readers run queries, NN lookups, and
+// compactor on a small threshold, plus synchronous Compact thrown in
+// from the writers, while readers run queries, NN lookups, and
 // iterators. Zero query failures; exact final Len.
 func TestReadWriteStormPlain(t *testing.T) {
 	pts, groups, _ := overlayFixture(t, 1000, 92)
@@ -156,13 +158,11 @@ func TestReadWriteStormPlain(t *testing.T) {
 				t.Errorf("reinsert %d: %v", id, err)
 				return false
 			}
-		case 7:
+		case 7, 9:
 			if err := ix.Compact(); err != nil {
 				t.Errorf("compact: %v", err)
 				return false
 			}
-		case 9:
-			ix.Pack()
 		}
 		return true
 	}
