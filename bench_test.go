@@ -222,7 +222,7 @@ func benchDiskCell(b *testing.B, dataP, dataQ string, area float64, overlapMode 
 			if err != nil {
 				b.Fatal(err)
 			}
-			dopt := core.DiskOptions{Options: core.Options{K: 8, Packed: pp}}
+			dopt := core.Options{K: 8, Packed: pp}
 			if algo == "F-MQM" {
 				_, err = core.FMQM(tp, qf, dopt)
 			} else {

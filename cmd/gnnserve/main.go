@@ -11,9 +11,10 @@
 // get the query's explain report — stage timings, pruning counters,
 // provenance — in the response), POST /v1/batch (many groups, one
 // deadline), POST /v1/insert and /v1/delete (writes into the delta
-// overlay while the mapped base keeps serving), GET /v1/stats
-// (counters, latency percentiles, reload/compaction health and process
-// runtime stats), GET /metrics (Prometheus text exposition), GET
+// overlay while the mapped base keeps serving), GET /v1/stats (request
+// counts and latency percentiles read from the /metrics series,
+// reload/compaction health and process runtime stats), GET /metrics
+// (Prometheus text exposition), GET
 // /debug/slowlog (the N slowest queries with their explain traces), GET
 // /debug/pprof/* (the standard Go profiles), GET /healthz (process
 // liveness), GET /readyz (serving readiness; flips 503 during drain),

@@ -134,7 +134,7 @@ func (ix *Index) GroupNNFromSetWithCost(qs *QuerySet, algo DiskAlgorithm, opts .
 	if overlaySize(s) > 0 {
 		return nil, Cost{}, ErrPendingMutations
 	}
-	dopt := core.DiskOptions{Options: c.coreOptions()}
+	dopt := c.coreOptions()
 	var tk pagestore.CostTracker
 	dopt.Cost = &tk
 	dopt.Packed = p

@@ -98,8 +98,8 @@ func iterOn(p *rtree.Packed, qs []geom.Point, opt Options) (*GNNIterator, error)
 }
 
 // diskOn runs a disk-resident kernel on arena p.
-func diskOn(p *rtree.Packed, kernel func(*rtree.Tree, *QueryFile, DiskOptions) (*DiskReport, error),
-	qf *QueryFile, opt DiskOptions) (*DiskReport, error) {
+func diskOn(p *rtree.Packed, kernel func(*rtree.Tree, *QueryFile, Options) (*DiskReport, error),
+	qf *QueryFile, opt Options) (*DiskReport, error) {
 	opt.Packed = p
 	return kernel(p.Tree(), qf, opt)
 }

@@ -91,9 +91,9 @@ func TestDiskReportCostMatchesAggregates(t *testing.T) {
 		tr.Tree().Accountant().Reset()
 		var rep *DiskReport
 		if algo == "F-MQM" {
-			rep, err = diskOn(tr, FMQM, qf, DiskOptions{Options: Options{K: 3}})
+			rep, err = diskOn(tr, FMQM, qf, Options{K: 3})
 		} else {
-			rep, err = diskOn(tr, FMBM, qf, DiskOptions{Options: Options{K: 3}})
+			rep, err = diskOn(tr, FMBM, qf, Options{K: 3})
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -285,7 +285,7 @@ func TestFMQMMatchesBruteForce(t *testing.T) {
 		}
 		k := 1 + rng.Intn(4)
 		want := bruteForcePoints(pts, qs, k)
-		rep, err := diskOn(tr, FMQM, qf, DiskOptions{Options: Options{K: k}})
+		rep, err := diskOn(tr, FMQM, qf, Options{K: k})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -310,7 +310,7 @@ func TestFMBMMatchesBruteForce(t *testing.T) {
 		k := 1 + rng.Intn(4)
 		want := bruteForcePoints(pts, qs, k)
 		for _, trav := range []Traversal{BestFirst, DepthFirst} {
-			rep, err := diskOn(tr, FMBM, qf, DiskOptions{Options: Options{K: k, Traversal: trav}})
+			rep, err := diskOn(tr, FMBM, qf, Options{K: k, Traversal: trav})
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
@@ -330,12 +330,12 @@ func TestFDiskAlgorithmsSingleBlockEqualsMemory(t *testing.T) {
 	if qf.NumBlocks() != 1 {
 		t.Fatal("expected one block")
 	}
-	rep1, err := diskOn(tr, FMQM, qf, DiskOptions{Options: Options{K: 3}})
+	rep1, err := diskOn(tr, FMQM, qf, Options{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResults(t, "FMQM-1block", rep1.Neighbors, want)
-	rep2, err := diskOn(tr, FMBM, qf, DiskOptions{Options: Options{K: 3}})
+	rep2, err := diskOn(tr, FMBM, qf, Options{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,16 +346,16 @@ func TestFDiskErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	tr := buildTreeIDs(t, randPts(rng, 50, 100))
 	qf, _ := NewQueryFile(randPts(rng, 20, 100), 10, nil, 0)
-	if _, err := diskOn(tr, FMQM, qf, DiskOptions{Options: Options{K: -1}}); !errors.Is(err, ErrBadK) {
+	if _, err := diskOn(tr, FMQM, qf, Options{K: -1}); !errors.Is(err, ErrBadK) {
 		t.Fatal("FMQM bad k accepted")
 	}
-	if _, err := diskOn(tr, FMQM, qf, DiskOptions{Options: Options{Aggregate: Min}}); !errors.Is(err, ErrUnsupportedAggregate) {
+	if _, err := diskOn(tr, FMQM, qf, Options{Aggregate: Min}); !errors.Is(err, ErrUnsupportedAggregate) {
 		t.Fatal("FMQM Min accepted")
 	}
-	if _, err := diskOn(tr, FMBM, qf, DiskOptions{Options: Options{K: -1}}); !errors.Is(err, ErrBadK) {
+	if _, err := diskOn(tr, FMBM, qf, Options{K: -1}); !errors.Is(err, ErrBadK) {
 		t.Fatal("FMBM bad k accepted")
 	}
-	if _, err := diskOn(tr, FMBM, qf, DiskOptions{Options: Options{Aggregate: Max}}); !errors.Is(err, ErrUnsupportedAggregate) {
+	if _, err := diskOn(tr, FMBM, qf, Options{Aggregate: Max}); !errors.Is(err, ErrUnsupportedAggregate) {
 		t.Fatal("FMBM Max accepted")
 	}
 }
@@ -363,11 +363,11 @@ func TestFDiskErrors(t *testing.T) {
 func TestFDiskEmptyTree(t *testing.T) {
 	tr := buildTree(t, nil, 0)
 	qf, _ := NewQueryFile([]geom.Point{{1, 1}, {2, 2}}, 10, nil, 0)
-	rep, err := diskOn(tr, FMBM, qf, DiskOptions{})
+	rep, err := diskOn(tr, FMBM, qf, Options{})
 	if err != nil || len(rep.Neighbors) != 0 {
 		t.Fatalf("FMBM empty tree: %v, %d", err, len(rep.Neighbors))
 	}
-	rep, err = diskOn(tr, FMQM, qf, DiskOptions{})
+	rep, err = diskOn(tr, FMQM, qf, Options{})
 	if err != nil || len(rep.Neighbors) != 0 {
 		t.Fatalf("FMQM empty tree: %v, %d", err, len(rep.Neighbors))
 	}
@@ -381,7 +381,7 @@ func TestDiskAlgorithmsChargeQueryIO(t *testing.T) {
 	qc := pagestore.NewAccountant(0)
 	qf, _ := NewQueryFile(qs, 50, qc, 0)
 	tr.Tree().Accountant().Reset()
-	rep, err := diskOn(tr, FMBM, qf, DiskOptions{})
+	rep, err := diskOn(tr, FMBM, qf, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +411,7 @@ func TestFMBMBufferReducesQReads(t *testing.T) {
 		}
 		qc := pagestore.NewAccountant(pages)
 		qf, _ := NewQueryFile(qs, 50, qc, 0)
-		if _, err := diskOn(tr, FMBM, qf, DiskOptions{}); err != nil {
+		if _, err := diskOn(tr, FMBM, qf, Options{}); err != nil {
 			t.Fatal(err)
 		}
 		return qc.Physical()
@@ -437,11 +437,11 @@ func TestGCPAndFVariantsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmqm, err := diskOn(tp, FMQM, qf, DiskOptions{Options: Options{K: 3}})
+		fmqm, err := diskOn(tp, FMQM, qf, Options{K: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmbm, err := diskOn(tp, FMBM, qf, DiskOptions{Options: Options{K: 3}})
+		fmbm, err := diskOn(tp, FMBM, qf, Options{K: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,13 +26,13 @@ func TestDiskAlgorithmsKLargerThanDataset(t *testing.T) {
 	}
 	sameResults(t, "GCP/k>|P|", rep.Neighbors, want)
 
-	drep, err := diskOn(tp, FMQM, qf, DiskOptions{Options: Options{K: 20}})
+	drep, err := diskOn(tp, FMQM, qf, Options{K: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResults(t, "FMQM/k>|P|", drep.Neighbors, want)
 
-	drep, err = diskOn(tp, FMBM, qf, DiskOptions{Options: Options{K: 20}})
+	drep, err = diskOn(tp, FMBM, qf, Options{K: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +52,11 @@ func TestDiskAlgorithmsSingleDataPoint(t *testing.T) {
 	if err != nil || len(rep.Neighbors) != 1 || !almostSame(rep.Neighbors[0].Dist, want) {
 		t.Fatalf("GCP: %v %+v", err, rep)
 	}
-	drep, err := diskOn(tp, FMQM, qf, DiskOptions{})
+	drep, err := diskOn(tp, FMQM, qf, Options{})
 	if err != nil || len(drep.Neighbors) != 1 || !almostSame(drep.Neighbors[0].Dist, want) {
 		t.Fatalf("FMQM: %v %+v", err, drep)
 	}
-	drep, err = diskOn(tp, FMBM, qf, DiskOptions{})
+	drep, err = diskOn(tp, FMBM, qf, Options{})
 	if err != nil || len(drep.Neighbors) != 1 || !almostSame(drep.Neighbors[0].Dist, want) {
 		t.Fatalf("FMBM: %v %+v", err, drep)
 	}
@@ -120,12 +120,12 @@ func TestDisjointQueryWorkspace(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResults(t, "GCP/disjoint", rep.Neighbors, wantPts)
-	drep, err := diskOn(tp, FMQM, qf, DiskOptions{Options: Options{K: 3}})
+	drep, err := diskOn(tp, FMQM, qf, Options{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResults(t, "FMQM/disjoint", drep.Neighbors, wantPts)
-	drep, err = diskOn(tp, FMBM, qf, DiskOptions{Options: Options{K: 3}})
+	drep, err = diskOn(tp, FMBM, qf, Options{K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestFMQMRoundsBounded(t *testing.T) {
 	qs := randPts(rng, 100, 200)
 	tr := buildTreeIDs(t, pts)
 	qf, _ := NewQueryFile(qs, 10, nil, 0) // 10 blocks
-	rep, err := diskOn(tr, FMQM, qf, DiskOptions{})
+	rep, err := diskOn(tr, FMQM, qf, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,10 +205,10 @@ func TestDiskAlgorithmsRejectExtensionOptions(t *testing.T) {
 		if _, err := GCP(tp, tq, GCPOptions{Options: opt}); err != ErrUnsupportedOption {
 			t.Errorf("GCP err = %v", err)
 		}
-		if _, err := diskOn(tp, FMQM, qf, DiskOptions{Options: opt}); err != ErrUnsupportedOption {
+		if _, err := diskOn(tp, FMQM, qf, opt); err != ErrUnsupportedOption {
 			t.Errorf("FMQM err = %v", err)
 		}
-		if _, err := diskOn(tp, FMBM, qf, DiskOptions{Options: opt}); err != ErrUnsupportedOption {
+		if _, err := diskOn(tp, FMBM, qf, opt); err != ErrUnsupportedOption {
 			t.Errorf("FMBM err = %v", err)
 		}
 	}

@@ -164,14 +164,14 @@ func TestEquivalenceDiskKernels(t *testing.T) {
 		}
 		cells := []cell{
 			{"F-MQM", func(o Options) ([]GroupNeighbor, error) {
-				rep, err := diskOn(tr, FMQM, qf, DiskOptions{Options: o})
+				rep, err := diskOn(tr, FMQM, qf, o)
 				if err != nil {
 					return nil, err
 				}
 				return rep.Neighbors, nil
 			}},
 			{"F-MBM-BF", func(o Options) ([]GroupNeighbor, error) {
-				rep, err := diskOn(tr, FMBM, qf, DiskOptions{Options: o})
+				rep, err := diskOn(tr, FMBM, qf, o)
 				if err != nil {
 					return nil, err
 				}
@@ -179,7 +179,7 @@ func TestEquivalenceDiskKernels(t *testing.T) {
 			}},
 			{"F-MBM-DF", func(o Options) ([]GroupNeighbor, error) {
 				o.Traversal = DepthFirst
-				rep, err := diskOn(tr, FMBM, qf, DiskOptions{Options: o})
+				rep, err := diskOn(tr, FMBM, qf, o)
 				if err != nil {
 					return nil, err
 				}
@@ -220,10 +220,10 @@ func TestEquivalenceSumOnlyRejections(t *testing.T) {
 		if _, err := on(tr, SPM, qpts, Options{K: 1, Aggregate: agg}); err != ErrUnsupportedAggregate {
 			t.Fatalf("SPM(%v): err = %v", agg, err)
 		}
-		if _, err := diskOn(tr, FMQM, qf, DiskOptions{Options: Options{K: 1, Aggregate: agg}}); err != ErrUnsupportedAggregate {
+		if _, err := diskOn(tr, FMQM, qf, Options{K: 1, Aggregate: agg}); err != ErrUnsupportedAggregate {
 			t.Fatalf("FMQM(%v): err = %v", agg, err)
 		}
-		if _, err := diskOn(tr, FMBM, qf, DiskOptions{Options: Options{K: 1, Aggregate: agg}}); err != ErrUnsupportedAggregate {
+		if _, err := diskOn(tr, FMBM, qf, Options{K: 1, Aggregate: agg}); err != ErrUnsupportedAggregate {
 			t.Fatalf("FMBM(%v): err = %v", agg, err)
 		}
 		if _, err := GCP(tr, qtree, GCPOptions{Options: Options{K: 1, Aggregate: agg}}); err != ErrUnsupportedAggregate {

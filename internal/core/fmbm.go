@@ -30,8 +30,8 @@ import (
 // visited node.
 //
 // SUM aggregate only (the weighted bounds are sums).
-func FMBM(t *rtree.Tree, qf *QueryFile, opt DiskOptions) (*DiskReport, error) {
-	opt.Options = opt.Options.withDefaults()
+func FMBM(t *rtree.Tree, qf *QueryFile, opt Options) (*DiskReport, error) {
+	opt = opt.withDefaults()
 	if opt.K < 1 {
 		return nil, ErrBadK
 	}
@@ -71,7 +71,7 @@ func FMBM(t *rtree.Tree, qf *QueryFile, opt DiskOptions) (*DiskReport, error) {
 type fmbmRun struct {
 	rd     rtree.Reader
 	qf     *QueryFile
-	opt    DiskOptions
+	opt    Options
 	best   *kbest
 	ec     *ExecContext
 	report *DiskReport

@@ -8,11 +8,6 @@ import (
 	"gnn/internal/rtree"
 )
 
-// DiskOptions configures the disk-resident algorithms F-MQM and F-MBM.
-type DiskOptions struct {
-	Options
-}
-
 // DiskReport carries the result and cost diagnostics of a disk-resident
 // run.
 type DiskReport struct {
@@ -50,8 +45,8 @@ type fmqmCand struct {
 // they were drawn before the threshold was reached and may still win.
 //
 // SUM aggregate only (the threshold decomposition over blocks is a sum).
-func FMQM(t *rtree.Tree, qf *QueryFile, opt DiskOptions) (*DiskReport, error) {
-	opt.Options = opt.Options.withDefaults()
+func FMQM(t *rtree.Tree, qf *QueryFile, opt Options) (*DiskReport, error) {
+	opt = opt.withDefaults()
 	if opt.K < 1 {
 		return nil, ErrBadK
 	}
@@ -129,9 +124,9 @@ func FMQM(t *rtree.Tree, qf *QueryFile, opt DiskOptions) (*DiskReport, error) {
 		// 2) Draw the next local NN of group j.
 		if drawing && !exhausted[j] {
 			if iters[j] == nil {
-				// opt.Options carries the per-query tracker, so the
-				// per-block GNN streams charge it too.
-				it, err := NewGNNIterator(t, pts, opt.Options)
+				// opt carries the per-query tracker, so the per-block GNN
+				// streams charge it too.
+				it, err := NewGNNIterator(t, pts, opt)
 				if err != nil {
 					return nil, err
 				}

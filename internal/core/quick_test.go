@@ -96,12 +96,12 @@ func TestQuickDiskAlgorithmsAgree(t *testing.T) {
 			t.Log("GCP mismatch")
 			return false
 		}
-		fq, err := diskOn(tp, FMQM, qf, DiskOptions{Options: Options{K: 2}})
+		fq, err := diskOn(tp, FMQM, qf, Options{K: 2})
 		if !match(fq.Neighbors, err) {
 			t.Log("FMQM mismatch")
 			return false
 		}
-		fb, err := diskOn(tp, FMBM, qf, DiskOptions{Options: Options{K: 2}})
+		fb, err := diskOn(tp, FMBM, qf, Options{K: 2})
 		if !match(fb.Neighbors, err) {
 			t.Log("FMBM mismatch")
 			return false

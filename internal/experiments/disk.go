@@ -148,9 +148,9 @@ func (e *Env) measureFDisk(pp *rtree.Packed, qpts []geom.Point, algo string, blo
 	var rep *core.DiskReport
 	switch algo {
 	case "F-MQM":
-		rep, err = core.FMQM(tp, qf, core.DiskOptions{Options: opt})
+		rep, err = core.FMQM(tp, qf, opt)
 	case "F-MBM":
-		rep, err = core.FMBM(tp, qf, core.DiskOptions{Options: opt})
+		rep, err = core.FMBM(tp, qf, opt)
 	default:
 		err = fmt.Errorf("experiments: unknown disk algorithm %q", algo)
 	}

@@ -128,7 +128,14 @@ type StatsResponse struct {
 		ArenaBytes int64  `json:"arena_bytes"`
 		LoadedAt   string `json:"loaded_at"`
 	} `json:"index"`
-	// Requests are the monotonic outcome counters.
+	// Requests reads the gnn_requests_total cells of /metrics: Served is
+	// outcome "ok" summed over the groupnn and batch endpoints, Mutations
+	// "ok" over insert and delete, and Rejected, Canceled, Deadlines,
+	// Panics and BadReq are the outcomes "rejected", "canceled",
+	// "deadline", "panic" and "bad_request" summed over those four
+	// endpoints (a malformed /admin/reload body counts only under
+	// endpoint "admin"). An answer that could not be encoded counts
+	// under outcome "error", in none of these. Inflight is gnn_inflight.
 	Requests struct {
 		Served    uint64 `json:"served"`
 		Rejected  uint64 `json:"rejected"`
@@ -139,8 +146,9 @@ type StatsResponse struct {
 		Inflight  int64  `json:"inflight"`
 		Mutations uint64 `json:"mutations"`
 	} `json:"requests"`
-	// Reload reports hot-reload health; LastError is the most recent
-	// rejected reload's message, empty after a success.
+	// Reload reports hot-reload health: OK and Failed read
+	// gnn_reloads_total and gnn_reloads_failed_total, and LastError is
+	// the most recent rejected reload's message, empty after a success.
 	Reload struct {
 		OK        uint64 `json:"ok"`
 		Failed    uint64 `json:"failed"`
@@ -176,8 +184,9 @@ type StatsResponse struct {
 	} `json:"runtime"`
 }
 
-// routes mounts every endpoint. Query endpoints pass through the
-// admission and panic-containment wrapper; control-plane endpoints —
+// routes mounts every endpoint. Every instrumented route contains its
+// panics; query and write endpoints also pass admission (guard), while
+// control-plane endpoints —
 // including /metrics, the slow-query log and the pprof handlers — are
 // never throttled (an overloaded server must still answer its health
 // checks, surface its telemetry and accept a reload).
@@ -218,18 +227,12 @@ func (s *Server) handleSlowLog(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"slowest": s.slow.snapshot()})
 }
 
-// guard wraps a query handler with panic containment and admission
-// control, in that order: a panic anywhere past admission still
-// releases the slot (the release is deferred before the handler runs),
-// and the recover converts it to a 500 instead of killing the process.
+// guard wraps a query or write handler with admission control: it runs
+// only once it holds an execution slot, and a panic past admission
+// still releases the slot (the release is deferred before the handler
+// runs, and instrument recovers the panic).
 func (s *Server) guard(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if p := recover(); p != nil {
-				s.stats.panics.Add(1)
-				writeError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", p))
-			}
-		}()
 		if !s.ready.Load() {
 			writeError(w, http.StatusServiceUnavailable, "draining")
 			return
@@ -237,28 +240,15 @@ func (s *Server) guard(h http.HandlerFunc) http.HandlerFunc {
 		enqueued := time.Now()
 		release, err := s.admit(r.Context())
 		if err != nil {
-			if errors.Is(err, errSaturated) {
-				s.stats.rejected.Add(1)
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusTooManyRequests, "server at capacity; retry")
-				return
-			}
-			if errors.Is(err, context.DeadlineExceeded) {
-				s.stats.deadlines.Add(1)
-				writeError(w, http.StatusGatewayTimeout, "deadline expired while queued")
-				return
-			}
-			// The client gave up while queued.
-			s.stats.canceled.Add(1)
-			writeError(w, StatusClientClosedRequest, "client closed request while queued")
+			fail(w, err)
 			return
 		}
 		defer release()
 		// The admission wait becomes the explain report's first stage, so
 		// a trace distinguishes "slow kernel" from "slow to get a slot".
 		r = r.WithContext(context.WithValue(r.Context(), ctxKeyAdmissionWait, time.Since(enqueued)))
-		s.stats.inflight.Add(1)
-		defer s.stats.inflight.Add(-1)
+		s.inflight.Add(1)
+		defer s.inflight.Add(-1)
 		h(w, r)
 	}
 }
@@ -268,7 +258,7 @@ func (s *Server) handleGroupNN(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
-	opts, query, ok := s.buildQuery(w, req.Query, req.K, req.Algo, req.Agg)
+	opts, query, ok := buildQuery(w, req.Query, req.K, req.Algo, req.Agg)
 	if !ok {
 		return
 	}
@@ -308,11 +298,8 @@ func (s *Server) handleGroupNN(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// Failed queries compete for the slow log too — a deadline blowout
 		// is exactly the kind of query an operator wants to see.
-		entry.Outcome = outcomeLabel(err)
-		if s.slow.record(entry) {
-			s.metrics.slowLogged.Inc()
-		}
-		s.failQuery(w, err)
+		entry.Outcome = outcomeNames[fail(w, err)]
+		s.recordSlow(entry)
 		return
 	}
 	var cost gnn.Cost
@@ -330,24 +317,27 @@ func (s *Server) handleGroupNN(w http.ResponseWriter, r *http.Request) {
 	}
 	body, encErr := encodeJSON(resp)
 	entry.Outcome = s.account(encErr, epGroupNN, req.Algo, elapsed)
-	if s.slow.record(entry) {
-		s.metrics.slowLogged.Inc()
-	}
+	s.recordSlow(entry)
 	writeEncoded(w, http.StatusOK, body, encErr)
 }
 
-// account counts an answered query whose response encoded as served,
-// observing its latency under ep, and returns its slow-log outcome. A
-// response JSON cannot carry (a +Inf distance) answers 500, so that
-// query counts as failed: not served, no latency observation, outcome
-// "error".
+// account observes an answered query's latency under ep and returns its
+// slow-log outcome. A response JSON cannot carry (a +Inf distance)
+// answers 500, so that query counts as failed: outcome "error", no
+// latency observation.
 func (s *Server) account(encErr error, ep endpointID, algo string, elapsed time.Duration) string {
 	if encErr != nil {
-		return "error"
+		return outcomeNames[outError]
 	}
-	s.stats.served.Add(1)
 	s.metrics.observeQuery(ep, parseAlgoID(strings.ToLower(algo)), uint64(elapsed.Microseconds()))
-	return "ok"
+	return outcomeNames[outOK]
+}
+
+// recordSlow offers a finished query to the slow log.
+func (s *Server) recordSlow(e slowEntry) {
+	if s.slow.record(e) {
+		s.metrics.slowLogged.Inc()
+	}
 }
 
 // normAgg canonicalises a request's aggregate label.
@@ -359,37 +349,25 @@ func normAgg(agg string) string {
 	return a
 }
 
-// outcomeLabel names a query error for the slow log.
-func outcomeLabel(err error) string {
-	switch {
-	case errors.Is(err, gnn.ErrDeadlineExceeded):
-		return "deadline"
-	case errors.Is(err, gnn.ErrCanceled):
-		return "canceled"
-	default:
-		return "error"
-	}
-}
-
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	if !s.readJSON(w, r, &req) {
 		return
 	}
 	if len(req.Queries) == 0 {
-		s.badRequest(w, "empty batch")
+		badRequest(w, "empty batch")
 		return
 	}
 	queries := make([][]gnn.Point, len(req.Queries))
 	for i, q := range req.Queries {
 		pts, err := toPoints(q)
 		if err != nil {
-			s.badRequest(w, fmt.Sprintf("query %d: %v", i, err))
+			badRequest(w, fmt.Sprintf("query %d: %v", i, err))
 			return
 		}
 		queries[i] = pts
 	}
-	opts, ok := s.buildOptions(w, req.K, req.Algo, req.Agg)
+	opts, ok := buildOptions(w, req.K, req.Algo, req.Agg)
 	if !ok {
 		return
 	}
@@ -411,7 +389,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// The whole batch was cut short by the request's own context;
 		// classify like a single query (entries carry the per-query
 		// detail, but the client is gone or out of time either way).
-		s.failQuery(w, err)
+		fail(w, err)
 		return
 	}
 	entries := make([]BatchEntryJSON, len(out))
@@ -431,7 +409,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	outcome := s.account(encErr, epBatch, req.Algo, elapsed)
 	// A batch competes for the slow log as one unit: there is no
 	// per-query explain, so GroupSize reports how many groups it carried.
-	if s.slow.record(slowEntry{
+	s.recordSlow(slowEntry{
 		Time:      slowStamp(time.Now()),
 		RequestID: requestIDFrom(r.Context()),
 		Endpoint:  "batch",
@@ -441,9 +419,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		Algo:      algoNames[parseAlgoID(strings.ToLower(req.Algo))],
 		Agg:       normAgg(req.Agg),
 		Outcome:   outcome,
-	}) {
-		s.metrics.slowLogged.Inc()
-	}
+	})
 	writeEncoded(w, http.StatusOK, body, encErr)
 }
 
@@ -474,7 +450,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Point) == 0 {
-		s.badRequest(w, "empty point")
+		badRequest(w, "empty point")
 		return
 	}
 	h := s.liveHandle()
@@ -484,10 +460,9 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		err = h.q.Insert(gnn.Point(req.Point), req.ID)
 	}
 	if err != nil {
-		s.badRequest(w, err.Error())
+		badRequest(w, err.Error())
 		return
 	}
-	s.stats.mutations.Add(1)
 	st := h.q.Stats()
 	writeJSON(w, http.StatusOK, MutateResponse{
 		Delta: st.Delta, Tombstones: st.Tombstones, Generation: h.generation,
@@ -500,7 +475,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Point) == 0 {
-		s.badRequest(w, "empty point")
+		badRequest(w, "empty point")
 		return
 	}
 	h := s.liveHandle()
@@ -511,7 +486,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 		h = s.liveHandle()
 		deleted = h.q.Delete(gnn.Point(req.Point), req.ID)
 	}
-	s.stats.mutations.Add(1)
 	st := h.q.Stats()
 	writeJSON(w, http.StatusOK, MutateResponse{
 		Deleted: deleted,
@@ -540,18 +514,19 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Overlay.LastCompactionUS = st.LastCompaction.Microseconds()
 	resp.Overlay.LastCompactionErr = st.LastCompactionError
 
-	resp.Requests.Served = s.stats.served.Load()
-	resp.Requests.Rejected = s.stats.rejected.Load()
-	resp.Requests.Canceled = s.stats.canceled.Load()
-	resp.Requests.Deadlines = s.stats.deadlines.Load()
-	resp.Requests.Panics = s.stats.panics.Load()
-	resp.Requests.BadReq = s.stats.badReq.Load()
-	resp.Requests.Inflight = s.stats.inflight.Load()
-	resp.Requests.Mutations = s.stats.mutations.Load()
+	m := s.metrics
+	resp.Requests.Served = m.count(outOK, epGroupNN, epBatch)
+	resp.Requests.Rejected = m.count(outRejected, guarded...)
+	resp.Requests.Canceled = m.count(outCanceled, guarded...)
+	resp.Requests.Deadlines = m.count(outDeadline, guarded...)
+	resp.Requests.Panics = m.count(outPanic, guarded...)
+	resp.Requests.BadReq = m.count(outBadRequest, guarded...)
+	resp.Requests.Inflight = s.inflight.Load()
+	resp.Requests.Mutations = m.count(outOK, epInsert, epDelete)
 
-	resp.Reload.OK = s.stats.reloads.Load()
-	resp.Reload.Failed = s.stats.reloadsFailed.Load()
-	if msg := s.stats.lastReloadErr.Load(); msg != nil {
+	resp.Reload.OK = m.reloadsOK.Value()
+	resp.Reload.Failed = m.reloadsFailed.Value()
+	if msg := s.lastReloadErr.Load(); msg != nil {
 		resp.Reload.LastError = *msg
 	}
 
@@ -588,24 +563,29 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// failQuery classifies a query error into its HTTP status and counter.
-func (s *Server) failQuery(w http.ResponseWriter, err error) {
+// fail answers a request that failed with err: 429 (with Retry-After)
+// when no slot came free, 504 when its deadline expired, 499 when its
+// client went away, queued or mid-query, 503 when the index closed under
+// it, else 400. It returns the outcome instrument counts that status
+// under, for the slow log.
+func fail(w http.ResponseWriter, err error) outcomeID {
+	status := http.StatusBadRequest
 	switch {
-	case errors.Is(err, gnn.ErrDeadlineExceeded):
-		s.stats.deadlines.Add(1)
-		writeError(w, http.StatusGatewayTimeout, err.Error())
-	case errors.Is(err, gnn.ErrCanceled):
-		s.stats.canceled.Add(1)
-		writeError(w, StatusClientClosedRequest, err.Error())
+	case errors.Is(err, errSaturated):
+		status = http.StatusTooManyRequests
+		w.Header().Set("Retry-After", "1")
+	case errors.Is(err, context.DeadlineExceeded):
+		status = http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
+		status = StatusClientClosedRequest
 	case errors.Is(err, gnn.ErrSnapshotClosed):
 		// Only reachable in a shutdown race; the request arrived as the
 		// live handle was being torn down (a reload's displaced handle
 		// sends its requests to the live one: see displaced).
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-	default:
-		s.stats.badReq.Add(1)
-		writeError(w, http.StatusBadRequest, err.Error())
+		status = http.StatusServiceUnavailable
 	}
+	writeError(w, status, err.Error())
+	return outcomeOf(status)
 }
 
 // requestContext derives the per-request deadline: the request's own
@@ -628,27 +608,27 @@ func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, into any) bool
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		s.badRequest(w, "bad request body: "+err.Error())
+		badRequest(w, "bad request body: "+err.Error())
 		return false
 	}
 	return true
 }
 
 // buildQuery validates and converts a request's query group + options.
-func (s *Server) buildQuery(w http.ResponseWriter, raw [][]float64, k int, algo, agg string) ([]gnn.QueryOption, []gnn.Point, bool) {
+func buildQuery(w http.ResponseWriter, raw [][]float64, k int, algo, agg string) ([]gnn.QueryOption, []gnn.Point, bool) {
 	query, err := toPoints(raw)
 	if err != nil {
-		s.badRequest(w, err.Error())
+		badRequest(w, err.Error())
 		return nil, nil, false
 	}
-	opts, ok := s.buildOptions(w, k, algo, agg)
+	opts, ok := buildOptions(w, k, algo, agg)
 	if !ok {
 		return nil, nil, false
 	}
 	return opts, query, true
 }
 
-func (s *Server) buildOptions(w http.ResponseWriter, k int, algo, agg string) ([]gnn.QueryOption, bool) {
+func buildOptions(w http.ResponseWriter, k int, algo, agg string) ([]gnn.QueryOption, bool) {
 	if k <= 0 {
 		k = 1
 	}
@@ -662,7 +642,7 @@ func (s *Server) buildOptions(w http.ResponseWriter, k int, algo, agg string) ([
 	case "brute":
 		opts = append(opts, gnn.WithAlgorithm(gnn.AlgoBruteForce))
 	default:
-		s.badRequest(w, fmt.Sprintf("unknown algo %q (want mqm|spm|mbm|brute)", algo))
+		badRequest(w, fmt.Sprintf("unknown algo %q (want mqm|spm|mbm|brute)", algo))
 		return nil, false
 	}
 	switch strings.ToLower(agg) {
@@ -672,14 +652,13 @@ func (s *Server) buildOptions(w http.ResponseWriter, k int, algo, agg string) ([
 	case "min":
 		opts = append(opts, gnn.WithAggregate(gnn.MinDist))
 	default:
-		s.badRequest(w, fmt.Sprintf("unknown agg %q (want sum|max|min)", agg))
+		badRequest(w, fmt.Sprintf("unknown agg %q (want sum|max|min)", agg))
 		return nil, false
 	}
 	return opts, true
 }
 
-func (s *Server) badRequest(w http.ResponseWriter, msg string) {
-	s.stats.badReq.Add(1)
+func badRequest(w http.ResponseWriter, msg string) {
 	writeError(w, http.StatusBadRequest, msg)
 }
 

@@ -502,13 +502,13 @@ func TestClientDisconnect(t *testing.T) {
 		done <- err
 	}()
 	// Wait for the query to be inflight, then hang up.
-	waitFor(t, time.Second, func() bool { return s.stats.inflight.Load() == 1 })
+	waitFor(t, time.Second, func() bool { return s.inflight.Load() == 1 })
 	cancel()
 	if err := <-done; err == nil {
 		t.Fatal("expected client-side error after cancel")
 	}
-	waitFor(t, time.Second, func() bool { return s.stats.canceled.Load() == 1 })
-	waitFor(t, time.Second, func() bool { return s.stats.inflight.Load() == 0 })
+	waitFor(t, time.Second, func() bool { return getStats(t, ts).Requests.Canceled == 1 })
+	waitFor(t, time.Second, func() bool { return s.inflight.Load() == 0 })
 }
 
 // TestPanicContainment checks a panicking kernel becomes a 500 and the
@@ -613,7 +613,7 @@ func TestGracefulDrain(t *testing.T) {
 		inflight <- postJSON(t, ts.Client(), ts.URL+"/v1/groupnn",
 			QueryRequest{Query: [][]float64{{1, 2}}, TimeoutMS: 5_000}, nil)
 	}()
-	waitFor(t, time.Second, func() bool { return s.stats.inflight.Load() == 1 })
+	waitFor(t, time.Second, func() bool { return s.inflight.Load() == 1 })
 
 	// SIGTERM step 1: readiness off.
 	s.NotReady()

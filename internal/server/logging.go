@@ -51,11 +51,13 @@ func (g *reqIDGen) next() string {
 	return fmt.Sprintf("%08x-%06d", g.nonce, g.seq.Add(1))
 }
 
-// instrument wraps a route with the daemon's per-request observability:
-// a request ID (honoring an inbound X-Request-ID and always echoing one
-// back), the outcome counter for metered endpoints, and one structured
-// log line per request. ep < 0 marks an unmetered control-plane route —
-// it still gets the ID and the log line, just no counter series.
+// instrument wraps a route with the daemon's per-request observability
+// and panic containment: a request ID (honoring an inbound X-Request-ID
+// and always echoing one back), the recovery of a panic in h as a 500,
+// the outcome counter for metered endpoints — the one place a request's
+// outcome is counted — and one structured log line per request. ep < 0
+// marks an unmetered control-plane route: it still gets the ID, the
+// recovery and the log line, just no counter series.
 func (s *Server) instrument(ep endpointID, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		rid := r.Header.Get("X-Request-ID")
@@ -66,13 +68,17 @@ func (s *Server) instrument(ep endpointID, h http.HandlerFunc) http.HandlerFunc 
 		r = r.WithContext(context.WithValue(r.Context(), ctxKeyRequestID, rid))
 		rec := &statusRecorder{ResponseWriter: w}
 		start := time.Now()
-		h(rec, r)
+		panicked := contain(h, rec, r)
 		elapsed := time.Since(start)
 		if rec.status == 0 {
 			rec.status = 200
 		}
 		if ep >= 0 {
-			s.metrics.requests[ep][outcomeOf(rec.status)].Inc()
+			o := outcomeOf(rec.status)
+			if panicked {
+				o = outPanic
+			}
+			s.metrics.requests[ep][o].Inc()
 		}
 		// Health probes poll every few seconds; keep them out of the Info
 		// stream so the log is requests, not liveness noise.
@@ -89,6 +95,20 @@ func (s *Server) instrument(ep endpointID, h http.HandlerFunc) http.HandlerFunc 
 			slog.String("remote", r.RemoteAddr),
 		)
 	}
+}
+
+// contain runs h and recovers a panic in it, which answers 500 instead
+// of killing the process. It reports whether h panicked. A guarded
+// handler's deferred slot release runs before the recovery.
+func contain(h http.HandlerFunc, w http.ResponseWriter, r *http.Request) (panicked bool) {
+	defer func() {
+		if p := recover(); p != nil {
+			panicked = true
+			writeError(w, http.StatusInternalServerError, fmt.Sprintf("internal error: %v", p))
+		}
+	}()
+	h(w, r)
+	return false
 }
 
 // epNone marks routes that get logging but no outcome counter series.

@@ -26,8 +26,9 @@ const (
 
 var endpointNames = [numEndpoints]string{"groupnn", "batch", "insert", "delete", "admin"}
 
-// outcomeID classifies how a request ended, derived from the response
-// status code so the counters are incremented in exactly one place.
+// outcomeID classifies how a request ended: instrument derives it from
+// the response status (outcomeOf), or names it outPanic when it
+// recovered a panic, and counts it in exactly one place.
 type outcomeID int
 
 const (
@@ -37,15 +38,17 @@ const (
 	outCanceled
 	outDeadline
 	outPanic
+	outError
 	outUnavailable
 	numOutcomes
 )
 
 var outcomeNames = [numOutcomes]string{
-	"ok", "bad_request", "rejected", "canceled", "deadline", "panic", "unavailable",
+	"ok", "bad_request", "rejected", "canceled", "deadline", "panic", "error", "unavailable",
 }
 
-// outcomeOf maps a response status to its outcome counter.
+// outcomeOf maps a response status to its outcome counter. A 500 that
+// is not a recovered panic is an answer that could not be encoded.
 func outcomeOf(status int) outcomeID {
 	switch {
 	case status < 400:
@@ -57,13 +60,17 @@ func outcomeOf(status int) outcomeID {
 	case status == 504:
 		return outDeadline
 	case status == 500:
-		return outPanic
+		return outError
 	case status == 503:
 		return outUnavailable
 	default:
 		return outBadRequest
 	}
 }
+
+// guarded lists the endpoints that pass admission (guard), whose
+// outcomes /v1/stats sums.
+var guarded = []endpointID{epGroupNN, epBatch, epInsert, epDelete}
 
 // algoID indexes the per-algorithm latency histograms.
 type algoID int
@@ -87,7 +94,6 @@ type serverMetrics struct {
 	requests [numEndpoints][numOutcomes]*telemetry.Counter
 	latency  [numEndpoints][numAlgos]*telemetry.Histogram
 
-	queueDepth    *telemetry.Gauge
 	reloadsOK     *telemetry.Counter
 	reloadsFailed *telemetry.Counter
 	slowLogged    *telemetry.Counter
@@ -122,8 +128,9 @@ func newServerMetrics(s *Server) *serverMetrics {
 	}
 
 	reg.GaugeFunc("gnn_inflight", "Queries currently executing.",
-		func() float64 { return float64(s.stats.inflight.Load()) })
-	m.queueDepth = reg.Gauge("gnn_queue_depth", "Requests waiting for an admission slot.")
+		func() float64 { return float64(s.inflight.Load()) })
+	reg.GaugeFunc("gnn_queue_depth", "Requests waiting for an admission slot.",
+		func() float64 { return float64(s.queued.Load()) })
 	reg.GaugeFunc("gnn_snapshot_generation", "Reload generation of the live snapshot.",
 		func() float64 { return float64(s.liveHandle().generation) })
 	m.reloadsOK = reg.Counter("gnn_reloads_total", "Successful hot snapshot reloads.")
@@ -162,6 +169,15 @@ func newServerMetrics(s *Server) *serverMetrics {
 // algorithm series.
 func (m *serverMetrics) observeQuery(ep endpointID, a algoID, us uint64) {
 	m.latency[ep][a].Observe(us)
+}
+
+// count sums outcome o's requests over the endpoints eps.
+func (m *serverMetrics) count(o outcomeID, eps ...endpointID) uint64 {
+	var n uint64
+	for _, ep := range eps {
+		n += m.requests[ep][o].Value()
+	}
+	return n
 }
 
 // servedLatency sums every registered latency series (the query

@@ -149,8 +149,16 @@ type Server struct {
 	reloadMu   sync.Mutex
 	generation atomic.Uint64
 
-	stats statsCounters
-	mux   *http.ServeMux
+	// inflight counts executing queries and queued the requests waiting
+	// for a slot: the gnn_inflight and gnn_queue_depth gauges. Every
+	// request outcome is a gnn_requests_total cell, counted once, by
+	// instrument; /v1/stats reads those cells.
+	inflight, queued atomic.Int64
+	// lastReloadErr is the last rejected reload's message, nil after a
+	// successful one.
+	lastReloadErr atomic.Pointer[string]
+
+	mux *http.ServeMux
 
 	// Observability plane, built once by initTelemetry: the Prometheus
 	// registry and pre-registered series, the slow-query log, the shared
@@ -161,24 +169,6 @@ type Server struct {
 	logger    *slog.Logger
 	reqIDs    *reqIDGen
 	startedAt time.Time
-}
-
-// statsCounters are the daemon's monotonic failure-mode counters,
-// exposed by /v1/stats. Everything is atomic: the hot path never takes
-// a lock to account an outcome.
-type statsCounters struct {
-	served    atomic.Uint64 // 2xx query responses
-	rejected  atomic.Uint64 // 429 admission rejections
-	canceled  atomic.Uint64 // client-gone cancellations (499)
-	deadlines atomic.Uint64 // deadline-exceeded failures (504)
-	panics    atomic.Uint64 // recovered per-request panics (500)
-	badReq    atomic.Uint64 // malformed requests (4xx)
-	inflight  atomic.Int64  // currently executing queries
-	mutations atomic.Uint64 // accepted inserts + deletes
-
-	reloads       atomic.Uint64 // successful hot reloads
-	reloadsFailed atomic.Uint64 // rejected reloads (live index kept)
-	lastReloadErr atomic.Pointer[string]
 }
 
 // New opens the snapshot at cfg.SnapshotPath and returns a ready
@@ -282,16 +272,14 @@ func (s *Server) Reload(path string) (*handle, error) {
 	// ErrSnapshotChecksum later.
 	h, err := s.open(path, true)
 	if err != nil {
-		s.stats.reloadsFailed.Add(1)
 		s.metrics.reloadsFailed.Inc()
 		msg := err.Error()
-		s.stats.lastReloadErr.Store(&msg)
+		s.lastReloadErr.Store(&msg)
 		return nil, err
 	}
 	s.live.Store(h)
-	s.stats.reloads.Add(1)
 	s.metrics.reloadsOK.Inc()
-	s.stats.lastReloadErr.Store(nil)
+	s.lastReloadErr.Store(nil)
 	// The old mapping drains via its refcount: Close blocks until the
 	// last query that acquired it finishes, so it must not run on this
 	// (or any request's) goroutine.
@@ -318,8 +306,8 @@ func (s *Server) DrainTimeout() time.Duration { return s.cfg.DrainTimeout }
 
 // admit acquires an execution slot, waiting at most QueueWait (or the
 // request's own remaining deadline, whichever ends first). It returns a
-// release function, or an error classifying the rejection.
-var errSaturated = errors.New("server: at capacity")
+// release function, or errSaturated or the context's error (see fail).
+var errSaturated = errors.New("server at capacity; retry")
 
 func (s *Server) admit(ctx context.Context) (func(), error) {
 	select {
@@ -327,8 +315,8 @@ func (s *Server) admit(ctx context.Context) (func(), error) {
 		return s.release, nil
 	default:
 	}
-	s.metrics.queueDepth.Add(1)
-	defer s.metrics.queueDepth.Add(-1)
+	s.queued.Add(1)
+	defer s.queued.Add(-1)
 	t := time.NewTimer(s.cfg.QueueWait)
 	defer t.Stop()
 	select {
@@ -337,7 +325,7 @@ func (s *Server) admit(ctx context.Context) (func(), error) {
 	case <-t.C:
 		return nil, errSaturated
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return nil, fmt.Errorf("while queued: %w", ctx.Err())
 	}
 }
 

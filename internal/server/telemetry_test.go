@@ -6,16 +6,19 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
 	"math"
 	"net/http"
+	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gnn/internal/telemetry"
 )
@@ -412,6 +415,122 @@ func TestStatsLatencyMatchesMetrics(t *testing.T) {
 	}
 	if want := sum / count; st.LatencyUS.Mean != want {
 		t.Errorf("/v1/stats mean = %v µs, /metrics _sum/_count = %v µs", st.LatencyUS.Mean, want)
+	}
+}
+
+// TestStatsAgreeWithMetrics drives one request of every outcome through
+// one daemon, then checks that each /v1/stats requests and reload count
+// equals its sum of /metrics cells: a request is counted once, under the
+// one outcome both endpoints report. An answer that could not be encoded
+// is outcome "error", not "panic", and a malformed reload body counts
+// only under endpoint "admin".
+func TestStatsAgreeWithMetrics(t *testing.T) {
+	fake := &fakeIndex{}
+	s, ts := newFakeServer(t, fake, func(c *Config) {
+		c.MaxInflight = 1
+		c.QueueWait = 20 * time.Millisecond
+	})
+	t.Cleanup(func() { s.Close() })
+	client := ts.Client()
+	query := QueryRequest{Query: [][]float64{{1, 2}}}
+	batch := BatchRequest{Queries: [][][]float64{{{1, 2}}}}
+	post := func(path string, body any, want int) {
+		t.Helper()
+		if got := postJSON(t, client, ts.URL+path, body, nil); got != want {
+			t.Fatalf("POST %s: status %d, want %d", path, got, want)
+		}
+	}
+	cells := func() (map[[2]string]uint64, map[string]telemetry.Family) {
+		fams := fetchFamilies(t, ts.URL)
+		out := map[[2]string]uint64{}
+		for _, c := range fams["gnn_requests_total"].Samples {
+			out[[2]string{c.Labels["endpoint"], c.Labels["outcome"]}] = uint64(c.Value)
+		}
+		return out, fams
+	}
+	inflight := func() float64 { return fetchFamilies(t, ts.URL)["gnn_inflight"].Samples[0].Value }
+
+	post("/v1/groupnn", query, http.StatusOK)
+	post("/v1/batch", batch, http.StatusOK)
+	post("/v1/insert", MutateRequest{Point: []float64{1, 2}, ID: 1}, http.StatusOK)
+	post("/v1/delete", MutateRequest{Point: []float64{1, 2}, ID: 1}, http.StatusOK)
+	post("/v1/groupnn", map[string]any{"query": [][]float64{}}, http.StatusBadRequest)
+
+	// A query holding the only slot until its client hangs up (499) makes
+	// the next one wait out the queue (429).
+	fake.delay = time.Minute
+	body, _ := json.Marshal(QueryRequest{Query: [][]float64{{1, 2}}, TimeoutMS: 60_000})
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/groupnn", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if resp, err := client.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitFor(t, time.Second, func() bool { return inflight() == 1 })
+	post("/v1/groupnn", query, http.StatusTooManyRequests)
+	cancel()
+	<-done
+	waitFor(t, time.Second, func() bool { c, _ := cells(); return c[[2]string{"groupnn", "canceled"}] == 1 })
+	post("/v1/groupnn", QueryRequest{Query: [][]float64{{1, 2}}, TimeoutMS: 20}, http.StatusGatewayTimeout)
+
+	fake.delay, fake.panicEvery = 0, 1
+	post("/v1/groupnn", query, http.StatusInternalServerError)
+	fake.panicEvery, fake.infDist = 0, true
+	post("/v1/groupnn", query, http.StatusInternalServerError)
+	post("/v1/batch", batch, http.StatusInternalServerError)
+	fake.infDist = false
+
+	post("/admin/reload", ReloadRequest{Path: filepath.Join(t.TempDir(), "missing.snap")}, http.StatusConflict)
+	post("/admin/reload", map[string]any{"frobnicate": true}, http.StatusBadRequest)
+	snap, _ := buildSnapshot(t, t.TempDir(), "next.snap", 100, 23)
+	post("/admin/reload", ReloadRequest{Path: snap}, http.StatusOK)
+
+	s.NotReady()
+	post("/v1/groupnn", query, http.StatusServiceUnavailable)
+
+	st := getStats(t, ts)
+	c, fams := cells()
+	sum := func(outcome string, endpoints ...string) uint64 {
+		var n uint64
+		for _, ep := range endpoints {
+			n += c[[2]string{ep, outcome}]
+		}
+		return n
+	}
+	value := func(name string) uint64 { return uint64(fams[name].Samples[0].Value) }
+	guarded := []string{"groupnn", "batch", "insert", "delete"}
+	for _, f := range []struct {
+		field                string
+		stats, metrics, want uint64
+	}{
+		{"requests.served", st.Requests.Served, sum("ok", "groupnn", "batch"), 2},
+		{"requests.mutations", st.Requests.Mutations, sum("ok", "insert", "delete"), 2},
+		{"requests.bad_request", st.Requests.BadReq, sum("bad_request", guarded...), 1},
+		{"requests.rejected", st.Requests.Rejected, sum("rejected", guarded...), 1},
+		{"requests.canceled", st.Requests.Canceled, sum("canceled", guarded...), 1},
+		{"requests.deadline_exceeded", st.Requests.Deadlines, sum("deadline", guarded...), 1},
+		{"requests.panics", st.Requests.Panics, sum("panic", guarded...), 1},
+		{"requests.inflight", uint64(st.Requests.Inflight), value("gnn_inflight"), 0},
+		{"reload.ok", st.Reload.OK, value("gnn_reloads_total"), 1},
+		{"reload.failed", st.Reload.Failed, value("gnn_reloads_failed_total"), 1},
+	} {
+		if f.stats != f.metrics || f.stats != f.want {
+			t.Errorf("%s: /v1/stats %d, /metrics %d, want %d", f.field, f.stats, f.metrics, f.want)
+		}
+	}
+	for _, ep := range []string{"groupnn", "batch"} {
+		if n := c[[2]string{ep, "error"}]; n != 1 {
+			t.Errorf(`%s: %d unencodable answers under outcome="error", want 1`, ep, n)
+		}
+	}
+	if n := c[[2]string{"groupnn", "unavailable"}]; n != 1 {
+		t.Errorf(`groupnn: %d draining answers under outcome="unavailable", want 1`, n)
 	}
 }
 

@@ -47,7 +47,7 @@
 // node-access counts vary with when bounds get published, and only under
 // concurrent scatter. The incremental scan (NewIterator) and the
 // point-NN search (Nearest) merge the same sources' ascending streams
-// lazily instead (Iterator). A set owns no goroutine: a parallel
+// lazily instead (iterator). A set owns no goroutine: a parallel
 // scatter's workers finish before it returns.
 package shard
 
@@ -417,7 +417,7 @@ func runKernel(kernel Kernel, p *rtree.Packed, qs []geom.Point, o core.Options) 
 }
 
 // Stream is an ascending-distance candidate stream: the common surface of
-// the sources an Iterator merges. core.GNNIterator (one per tree source)
+// the sources an iterator merges. core.GNNIterator (one per tree source)
 // and rtree.NNIterator (a point-NN scan) are Streams as they are; the
 // pending tail's sorted exact distances stream through listStream.
 type Stream interface {
@@ -458,15 +458,15 @@ func (ls *listStream) PeekDist() (float64, bool) {
 
 func (ls *listStream) Close() { ls.items = nil; ls.pos = 0 }
 
-// Iterator merges the ascending-distance streams of a view's sources —
+// iterator merges the ascending-distance streams of a view's sources —
 // its base arenas, delta tree and pending tail — into one globally
 // ascending stream. The merge is lazy: a stream is only advanced when its
 // current lower bound (the peek of its best-first heap) is the smallest
 // among all streams, so far-away shards pay almost no node accesses
 // until the scan actually reaches their territory. Use from a
-// single goroutine, like every iterator; any number of Iterators may run
+// single goroutine, like every iterator; any number of them may run
 // concurrently.
-type Iterator struct {
+type iterator struct {
 	heads []iterHead
 }
 
@@ -499,7 +499,7 @@ func (s *Set) NewIterator(qs []geom.Point, opt core.Options) (Stream, error) {
 		}
 		return it, nil
 	}
-	merged := &Iterator{heads: make([]iterHead, 0, len(s.arenas)+2)}
+	merged := &iterator{heads: make([]iterHead, 0, len(s.arenas)+2)}
 	fail := func(err error) (Stream, error) {
 		merged.Close()
 		return nil, err
@@ -564,7 +564,7 @@ func (s *Set) Nearest(q geom.Point, k int, tk *pagestore.CostTracker) ([]core.Gr
 			return nil, err
 		}
 	}
-	it := &Iterator{heads: make([]iterHead, 0, 3)}
+	it := &iterator{heads: make([]iterHead, 0, 3)}
 	defer it.Close()
 	if base := p.Reader(tk).NewNNIterator(q); w.reject != nil {
 		it.push(&unmasked{NNIterator: base, reject: w.reject})
@@ -617,7 +617,7 @@ func (u *unmasked) Next() (core.GroupNeighbor, bool) {
 // exhausted. Ties resolve to the earlier stream (base arenas in shard
 // order, then the delta, then the pending tail), so the stream is
 // deterministic.
-func (it *Iterator) Next() (core.GroupNeighbor, bool) {
+func (it *iterator) Next() (core.GroupNeighbor, bool) {
 	for {
 		pick := -1
 		var key float64
@@ -661,7 +661,7 @@ func (it *Iterator) Next() (core.GroupNeighbor, bool) {
 
 // PeekDist returns a lower bound on the distance of the next result; ok
 // is false when the scan is exhausted.
-func (it *Iterator) PeekDist() (float64, bool) {
+func (it *iterator) PeekDist() (float64, bool) {
 	d, ok := 0.0, false
 	for i := range it.heads {
 		h := &it.heads[i]
@@ -676,7 +676,7 @@ func (it *Iterator) PeekDist() (float64, bool) {
 }
 
 // Close releases every source stream's pooled scratch. Idempotent.
-func (it *Iterator) Close() {
+func (it *iterator) Close() {
 	for i := range it.heads {
 		h := &it.heads[i]
 		if h.src != nil {
@@ -689,7 +689,7 @@ func (it *Iterator) Close() {
 
 // push adds an ascending-distance stream to the merge, which takes it
 // over: Close closes it. Streams pushed earlier win ties.
-func (it *Iterator) push(src Stream) {
+func (it *iterator) push(src Stream) {
 	h := iterHead{src: src}
 	if d, ok := src.PeekDist(); ok {
 		h.key = d

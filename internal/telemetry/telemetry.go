@@ -6,14 +6,15 @@
 //
 //   - Registration (startup): every metric — and every label
 //     combination — is created up front via Registry.Counter /
-//     Gauge / GaugeFunc / Histogram. Registration validates names,
+//     GaugeFunc / Histogram. Registration validates names,
 //     renders the exposition label string once, and panics on
 //     duplicates or malformed names, so a bad metric fails loudly at
 //     boot rather than silently at scrape time.
-//   - Recording (hot path): Counter.Add, Gauge.Set and
-//     Histogram.Observe are single atomic operations on pre-allocated
-//     cells. No maps, no interfaces, no allocation — safe to call from
-//     the query fast path that must stay at its allocs/op budget.
+//   - Recording (hot path): Counter.Inc and Histogram.Observe are
+//     single atomic operations on pre-allocated cells. No maps, no
+//     interfaces, no allocation — safe to call from the query fast
+//     path that must stay at its allocs/op budget. A gauge is read at
+//     scrape time from state its owner keeps (GaugeFunc).
 //
 // Exposition (Registry.WritePrometheus) renders the standard text
 // format: one # HELP / # TYPE header per family followed by its
@@ -86,17 +87,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// A Gauge is a settable signed metric cell.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Add adds delta (may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // A Histogram is a fixed-bucket power-of-2 microsecond histogram.
 type Histogram struct {
@@ -174,7 +164,6 @@ type metricKind uint8
 
 const (
 	kindCounter metricKind = iota
-	kindGauge
 	kindGaugeFunc
 	kindHistogram
 )
@@ -194,7 +183,6 @@ func (k metricKind) String() string {
 type series struct {
 	labels  string // pre-rendered {k="v",...} or ""
 	counter *Counter
-	gauge   *Gauge
 	fn      func() float64
 	hist    *Histogram
 }
@@ -232,13 +220,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	c := &Counter{}
 	r.register(name, help, kindCounter, labels, &series{counter: c})
 	return c
-}
-
-// Gauge registers and returns a gauge cell.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, kindGauge, labels, &series{gauge: g})
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is collected by calling fn
@@ -392,8 +373,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			switch f.kind {
 			case kindCounter:
 				writeSample(&b, f.name, s.labels, strconv.FormatUint(s.counter.Value(), 10))
-			case kindGauge:
-				writeSample(&b, f.name, s.labels, strconv.FormatInt(s.gauge.Value(), 10))
 			case kindGaugeFunc:
 				writeSample(&b, f.name, s.labels, formatFloat(s.fn()))
 			case kindHistogram:

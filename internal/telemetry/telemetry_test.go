@@ -4,13 +4,15 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
 func TestCounterGaugeHistogramBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_requests_total", "requests", Label{"endpoint", "/v1/groupnn"})
-	g := r.Gauge("test_inflight", "inflight requests")
+	var inflight atomic.Int64
+	r.GaugeFunc("test_inflight", "inflight requests", func() float64 { return float64(inflight.Load()) })
 	h := r.Histogram("test_latency_us", "latency")
 
 	c.Inc()
@@ -18,10 +20,10 @@ func TestCounterGaugeHistogramBasics(t *testing.T) {
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	g.v.Store(7)
-	g.Add(-2)
-	if got := g.Value(); got != 5 {
-		t.Fatalf("gauge = %d, want 5", got)
+	inflight.Store(7)
+	inflight.Add(-2)
+	if got := r.families["test_inflight"].series[0].fn(); got != 5 {
+		t.Fatalf("gauge = %g, want 5", got)
 	}
 	h.Observe(0)
 	h.Observe(1)
@@ -81,7 +83,7 @@ func TestKindConflictPanics(t *testing.T) {
 			t.Fatal("kind conflict did not panic")
 		}
 	}()
-	r.Gauge("conflict_total", "x")
+	r.GaugeFunc("conflict_total", "x", func() float64 { return 0 })
 }
 
 func TestInvalidNamePanics(t *testing.T) {
@@ -102,7 +104,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("rt_requests_total", "total requests", Label{"endpoint", "/v1/groupnn"}, Label{"outcome", "ok"})
 	c2 := r.Counter("rt_requests_total", "total requests", Label{"endpoint", "/v1/groupnn"}, Label{"outcome", "error"})
-	g := r.Gauge("rt_inflight", "inflight")
+	r.GaugeFunc("rt_inflight", "inflight", func() float64 { return -2 })
 	r.GaugeFunc("rt_heap_bytes", "heap", func() float64 { return 12345.5 })
 	h := r.Histogram("rt_latency_us", "latency", Label{"algo", "mbm"})
 	r.Histogram("rt_latency_us", "latency", Label{"algo", "spm"})
@@ -110,7 +112,6 @@ func TestExpositionRoundTrip(t *testing.T) {
 
 	c.v.Add(3)
 	c2.Inc()
-	g.v.Store(-2)
 	h.Observe(5)
 	h.Observe(1 << 50) // overflow bucket
 	esc.Inc()
@@ -148,6 +149,9 @@ func TestExpositionRoundTrip(t *testing.T) {
 	}
 	if f := byName["rt_heap_bytes"]; len(f.Samples) != 1 || f.Samples[0].Value != 12345.5 {
 		t.Errorf("gauge func parsed as %+v", f)
+	}
+	if f := byName["rt_inflight"]; f.Type != "gauge" || len(f.Samples) != 1 || f.Samples[0].Value != -2 {
+		t.Errorf("negative gauge parsed as %+v", f)
 	}
 	lat := byName["rt_latency_us"]
 	if lat.Type != "histogram" {
@@ -211,7 +215,8 @@ func TestParseAcceptsTimestampAndBareSamples(t *testing.T) {
 func TestConcurrentRecording(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("cc_total", "")
-	g := r.Gauge("cc_gauge", "")
+	var g atomic.Int64
+	r.GaugeFunc("cc_gauge", "", func() float64 { return float64(g.Load()) })
 	h := r.Histogram("cc_latency_us", "")
 	const workers, perWorker = 8, 1000
 	var wg sync.WaitGroup
@@ -239,8 +244,8 @@ func TestConcurrentRecording(t *testing.T) {
 	if c.Value() != workers*perWorker {
 		t.Errorf("counter = %d, want %d", c.Value(), workers*perWorker)
 	}
-	if g.Value() != workers*perWorker {
-		t.Errorf("gauge = %d, want %d", g.Value(), workers*perWorker)
+	if g.Load() != workers*perWorker {
+		t.Errorf("gauge = %d, want %d", g.Load(), workers*perWorker)
 	}
 	if b := read(h); b.Total() != workers*perWorker {
 		t.Errorf("histogram count = %d, want %d", b.Total(), workers*perWorker)
@@ -250,11 +255,9 @@ func TestConcurrentRecording(t *testing.T) {
 func TestRecordingDoesNotAllocate(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("na_total", "")
-	g := r.Gauge("na_gauge", "")
 	h := r.Histogram("na_latency_us", "")
 	if n := testing.AllocsPerRun(1000, func() {
 		c.Inc()
-		g.Add(-1)
 		h.Observe(137)
 	}); n != 0 {
 		t.Fatalf("hot-path recording allocates %.1f allocs/op, want 0", n)

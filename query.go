@@ -60,9 +60,9 @@ const (
 // ErrPendingMutations reports a disk-family query (F-MQM, F-MBM, GCP) on
 // an index carrying un-compacted overlay writes. These algorithms drive a
 // stateful traversal over one base structure and have no sound
-// multi-source merge; fold the overlay first (Index.Compact or Pack) and
-// retry. The memory-resident family serves mutated indexes directly.
-var ErrPendingMutations = errors.New("gnn: index has pending mutations; call Compact (or Pack) first")
+// multi-source merge; fold the overlay first (Index.Compact) and retry.
+// The memory-resident family serves mutated indexes directly.
+var ErrPendingMutations = errors.New("gnn: index has pending mutations; call Compact first")
 
 // QueryOption customises a GroupNN call.
 type QueryOption func(*queryConfig)
@@ -283,7 +283,7 @@ func kernelFor(a Algorithm) (shard.Kernel, error) {
 // pooled scratch is recycled; forgetting to Close only costs the reuse.
 type Iterator struct {
 	// it is the single-tree incremental scan (core.GNNIterator) or a lazy
-	// k-way merge of scans (shard.Iterator), ascending either way.
+	// k-way merge of scans (shard's iterator), ascending either way.
 	it shard.Stream
 	tk pagestore.CostTracker
 	// done releases the owning index's lifecycle reference (so Close can

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Black-box smoke of a real gnnserve process: start → query → reject a
 # corrupt reload → accept a good reload → reload onto a 4-shard snapshot
-# (one open serves either kind) → SIGTERM drain → clean exit,
+# (one open serves either kind) → /v1/stats agrees with /metrics →
+# SIGTERM drain → clean exit,
 # then a second run exercising the write path: inserts through
 # /v1/insert, background compaction rotating the serving snapshot, and a
 # SIGTERM that waits out the compactor (exit 0, no temp-file orphan, the
@@ -102,6 +103,37 @@ grep -q '"shards":4' "${DIR}/resp" || fail "stats after sharded reload do not re
 code=$(http POST "${URL}/v1/groupnn" '{"query":[[2000,3000],[2500,3500]],"k":3}')
 [ "${code}" = "200" ] || { cat "${DIR}/resp" >&2; fail "query on the sharded snapshot: HTTP ${code}"; }
 grep -q '"generation":4' "${DIR}/resp" || fail "query not answered by the sharded generation"
+code=$(http POST "${URL}/v1/batch" '{"queries":[[[2000,3000]],[[2500,3500]]],"k":1}')
+[ "${code}" = "200" ] || { cat "${DIR}/resp" >&2; fail "batch on the sharded snapshot: HTTP ${code}"; }
+
+echo "== /v1/stats reads the counts /metrics exports"
+code=$(http GET "${URL}/v1/stats")
+[ "${code}" = "200" ] || fail "stats: HTTP ${code}"
+mv "${DIR}/resp" "${DIR}/stats.json"
+code=$(http GET "${URL}/metrics")
+[ "${code}" = "200" ] || fail "metrics: HTTP ${code}"
+python3 - "${DIR}/stats.json" "${DIR}/resp" <<'PY' || fail "/v1/stats disagrees with /metrics"
+import json, re, sys
+stats = json.load(open(sys.argv[1]))
+served = reloads = None
+for line in open(sys.argv[2]):
+    m = re.fullmatch(r'(\w+)(?:\{(.*)\})? (\S+)', line.strip())
+    if not m:
+        continue
+    name, value = m.group(1), int(float(m.group(3)))
+    labels = dict(re.findall(r'(\w+)="([^"]*)"', m.group(2) or ""))
+    if name == "gnn_requests_total" and labels["outcome"] == "ok" and labels["endpoint"] in ("groupnn", "batch"):
+        served = (served or 0) + value
+    elif name == "gnn_reloads_total":
+        reloads = value
+want = {"requests.served": (stats["requests"]["served"], served),
+        "reload.ok": (stats["reload"]["ok"], reloads)}
+bad = False
+for field, (got, scraped) in want.items():
+    print(f"   {field}: /v1/stats {got}, /metrics {scraped}")
+    bad |= scraped is None or got == 0 or got != scraped
+sys.exit(1 if bad else 0)
+PY
 
 echo "== SIGTERM drains and exits zero"
 kill -TERM "${SRV_PID}"

@@ -1,7 +1,7 @@
 package gnn_test
 
 // Read/write storms: concurrent queries, iterators, inserts, deletes,
-// Pack, and background compaction on one index, run under -race in CI.
+// Compact, and background compaction on one index, run under -race in CI.
 // The contracts: zero failed queries, every query result internally
 // consistent (a snapshot of SOME published view), final Len equal to the
 // serial expectation, and invariants intact afterwards.
