@@ -66,9 +66,9 @@ var shardedAllocCells = []struct {
 	opts []gnn.QueryOption
 	max  float64
 }{
-	{"MBM-BF/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM)}, 16.125},
-	{"MBM-BF/max", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithAggregate(gnn.MaxDist)}, 13.5},
-	{"MBM-DF/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithDepthFirst()}, 13.375},
+	{"MBM-BF/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM)}, 15.125},
+	{"MBM-BF/max", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithAggregate(gnn.MaxDist)}, 12.5},
+	{"MBM-DF/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithDepthFirst()}, 12.375},
 }
 
 // TestHotPathAllocsSharded bounds the warm scatter's allocations per
@@ -116,8 +116,8 @@ var overlayAllocCells = []struct {
 	opts         []gnn.QueryOption
 	plain, shard float64
 }{
-	{"MBM-BF/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM)}, 21, 30.125},
-	{"MBM-BF/max", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithAggregate(gnn.MaxDist)}, 21, 27.5},
+	{"MBM-BF/sum", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM)}, 20, 29.125},
+	{"MBM-BF/max", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithAggregate(gnn.MaxDist)}, 20, 26.5},
 }
 
 // overlayNNAllocs bounds the warm point-NN query's allocations per query

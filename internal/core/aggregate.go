@@ -19,9 +19,10 @@ import (
 //
 // A nil *weightCtx is the unweighted path throughout.
 //
-// The group is laid out once per query as per-axis columns (soaGroup), so
-// the per-member loops stream contiguous arrays instead of chasing one
-// pointer per member. Bit-exactness contract: a member's term is the Sqrt
+// The group is laid out once per query, for all its sources (group.go),
+// as per-axis columns (soaGroup), so the per-member loops stream
+// contiguous arrays instead of chasing one pointer per member.
+// Bit-exactness contract: a member's term is the Sqrt
 // of its squared distance, accumulated in ascending axis order (the 2-D
 // dx*dx + dy*dy equals the (0+dx²)+dy² accumulation bit for bit, squares
 // being non-negative), times its weight, and the terms fold in member
@@ -34,8 +35,8 @@ import (
 
 // soaGroup is a query group laid out for the aggregate family:
 // cols[axis][j] holds coordinate axis of member j, and sq is a
-// group-sized scratch column for the per-member terms. Both live in one
-// backing that is reused across queries.
+// group-sized scratch column for the per-member terms, each traversal's
+// own (group.terms). fill lays both out in one reusable backing.
 type soaGroup struct {
 	cols [][]float64
 	sq   []float64

@@ -4,12 +4,16 @@ import (
 	"math"
 	"slices"
 	"sync/atomic"
+
+	"gnn/internal/geom"
 )
 
-// SharedBound is a monotonically tightening upper bound on the k-th best
-// aggregate distance of one logical query, shared by several concurrent
+// SharedBound is the state one logical query shares across several
 // traversals of disjoint data partitions (the sharded scatter-gather
-// execution). Each partition's kernel prunes with the minimum of its own
+// execution, the overlay's delta tree and pending tail): the query's
+// group, prepared once for all of them (ExecContext.Share), and a
+// monotonically tightening upper bound on the k-th best aggregate
+// distance. Each partition's kernel prunes with the minimum of its own
 // k-th best and this bound, and publishes its k-th best whenever it
 // tightens, so a shard that has already found close neighbors cuts the
 // search space of every other shard.
@@ -29,17 +33,23 @@ import (
 // The value is stored as the bit pattern of a float64 in an atomic
 // uint64; all stored values are non-negative (distances or +Inf), so the
 // CAS loop in Tighten needs no ABA care beyond value comparison. The zero
-// value is NOT usable — construct with NewSharedBound, which starts at
-// +Inf (no information).
+// value is NOT usable: a query's execution context holds its bound and
+// starts it at +Inf (no information) in Share.
 type SharedBound struct {
 	bits atomic.Uint64
+	grp  group
 }
 
-// NewSharedBound returns a bound initialised to +Inf.
-func NewSharedBound() *SharedBound {
-	b := &SharedBound{}
+// Share prepares qs (dim dimensions) as the group of a query over several
+// sources, in ec's bound, reset to +Inf: pass it to every source as
+// Options.Shared. It holds until ec's next Share or Release.
+func (ec *ExecContext) Share(qs []geom.Point, dim int, opt Options) (*SharedBound, error) {
+	b := &ec.shared
 	b.bits.Store(math.Float64bits(math.Inf(1)))
-	return b
+	if err := b.grp.prepare(qs, dim, opt.withDefaults()); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // Load returns the current bound.

@@ -9,10 +9,20 @@ import (
 	"gnn/internal/geom"
 )
 
+// sharedBound returns the fresh bound of a one-point query's Share.
+func sharedBound(t *testing.T) *SharedBound {
+	t.Helper()
+	b, err := new(ExecContext).Share([]geom.Point{{0, 0}}, 2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 // TestSharedBoundMonotonic hammers one bound from many goroutines and
 // checks it converges to the global minimum and never rises.
 func TestSharedBoundMonotonic(t *testing.T) {
-	b := NewSharedBound()
+	b := sharedBound(t)
 	if !math.IsInf(b.Load(), 1) {
 		t.Fatalf("fresh bound is %v, want +Inf", b.Load())
 	}
@@ -103,7 +113,7 @@ func TestMergeNeighbors(t *testing.T) {
 // to a bound publishes its k-th best once full and folds a foreign
 // tighter bound into its pruning radius.
 func TestKBestSharedPublishes(t *testing.T) {
-	b := NewSharedBound()
+	b := sharedBound(t)
 	best := newKBest(2)
 	best.shared = b
 	gn := func(id int64, d float64) GroupNeighbor { return GroupNeighbor{ID: id, Dist: d} }

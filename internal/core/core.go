@@ -148,13 +148,14 @@ type Options struct {
 	// traversal walks. It is required; a nil arena, or one that is not
 	// the tree's (Packed.Valid), fails the query with ErrNoArena.
 	Packed *rtree.Packed
-	// Shared, when non-nil, couples this traversal to the other partitions
-	// of one sharded query: MQM, SPM, MBM and BruteForce prune with
+	// Shared, when non-nil, couples this traversal to the other sources
+	// of one query: MQM, SPM, MBM, BruteForce and the scans prune with
 	// min(local k-th best, Shared) and publish their local k-th best into
-	// it whenever it tightens. The per-partition result lists may then be
+	// it whenever it tightens. The per-source result lists may then be
 	// truncated below K — every truncated candidate provably cannot rank
 	// among the final k — and MergeNeighbors reassembles the exact answer.
-	// nil (the default) is a plain standalone query.
+	// Kernels read the group it carries (Share) if prepared from their very
+	// members. nil (the default) is a plain standalone query.
 	Shared *SharedBound
 	// Reject, when non-nil, vetoes candidates before they can enter the
 	// result set: a data point for which Reject returns true is skipped
@@ -189,6 +190,24 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// diskOptions is withDefaults for F-MQM, F-MBM and GCP (unweighted,
+// unconstrained SUM only), with a tracker for the cost their reports carry.
+func (o Options) diskOptions() (Options, error) {
+	o = o.withDefaults()
+	switch {
+	case o.K < 1:
+		return o, ErrBadK
+	case o.Aggregate != Sum:
+		return o, ErrUnsupportedAggregate
+	case o.Weights != nil || o.Region != nil:
+		return o, ErrUnsupportedOption
+	}
+	if o.Cost == nil {
+		o.Cost = &pagestore.CostTracker{}
+	}
+	return o, nil
+}
+
 // Errors shared by the algorithms.
 var (
 	// ErrEmptyQuery reports an empty query group.
@@ -209,27 +228,6 @@ var (
 	// queried tree's packed arena.
 	ErrNoArena = errors.New("core: Options.Packed is not the queried tree's packed arena")
 )
-
-// validate checks the arena and the query group of a memory-resident
-// query.
-func validate(t *rtree.Tree, qs []geom.Point, opt Options) error {
-	if !opt.Packed.Valid(t) {
-		return ErrNoArena
-	}
-	if len(qs) == 0 {
-		return ErrEmptyQuery
-	}
-	if opt.K < 1 {
-		return ErrBadK
-	}
-	for i, q := range qs {
-		if len(q) != t.Dim() {
-			return fmt.Errorf("core: query point %d has dimension %d, tree dimension %d",
-				i, len(q), t.Dim())
-		}
-	}
-	return nil
-}
 
 // kbest maintains the k best (smallest-distance) group neighbors found so
 // far, deduplicated by point ID. It is a small sorted slice rather than a
@@ -255,12 +253,6 @@ type kbest struct {
 type kbItem struct {
 	ID   int64
 	Dist float64
-}
-
-// newKBest returns a standalone accumulator for k results whose buffers
-// grow with the results held.
-func newKBest(k int) *kbest {
-	return &kbest{k: k}
 }
 
 // bound returns the current pruning bound best_dist: the k-th best
@@ -338,34 +330,46 @@ func (b *kbest) results() []GroupNeighbor {
 // the validation baseline; it does not charge node accesses (a sequential
 // file scan, not an index traversal).
 func BruteForce(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
+	return runKernel(bruteForce, t, qs, opt)
+}
+
+// kernel is the body of a memory-resident kernel: it searches tree t for
+// the prepared group grp, offering its candidates to best.
+type kernel func(t *rtree.Tree, grp *group, opt Options, best *kbest, ec *ExecContext) error
+
+// runKernel runs body with the query's group (groupOf) and the context's
+// result accumulator (coupled to Options.Shared and Options.Reject), and
+// returns the k best it found, or the cancellation it latched.
+func runKernel(body kernel, t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 	opt = opt.withDefaults()
-	if err := validate(t, qs, opt); err != nil {
-		return nil, err
-	}
-	w, err := newWeightCtx(opt.Weights, len(qs))
+	ec, owned := opt.exec()
+	defer releaseIfOwned(ec, owned)
+	grp, err := opt.groupOf(&ec.grp, t, qs)
 	if err != nil {
 		return nil, err
 	}
-	ec, owned := opt.exec()
-	defer releaseIfOwned(ec, owned)
-	best := ec.kbestShared(t, opt.K, opt.Shared, opt.Reject)
-	bruteForceScan(opt.Packed, qs, w, opt, best, ec)
+	best := ec.kbestFor(t, opt.K, opt.Reject)
+	best.shared = opt.Shared
+	if err := body(t, grp, opt, best, ec); err != nil {
+		return nil, err
+	}
 	if err := opt.Cancel.Failure(); err != nil {
 		return nil, err
 	}
 	return best.results(), nil
 }
 
-// bruteForceScan is the baseline's scan: every leaf slot, in the arena's
+// bruteForce is the baseline's scan: every leaf slot, in the arena's
 // depth-first slot order, scored by the one exact aggregate.
-func bruteForceScan(p *rtree.Packed, qs []geom.Point, w *weightCtx, opt Options, best *kbest, ec *ExecContext) {
-	g := ec.grp.fill(qs)
+func bruteForce(_ *rtree.Tree, grp *group, opt Options, best *kbest, ec *ExecContext) error {
+	p := opt.Packed
+	ec.terms = grp.terms(ec.terms.sq)
 	n := int32(p.NumLeafSlots())
 	for s := int32(0); s < n; s++ {
 		// A direct poll every 512 points, not the strided Stop: a scan of
 		// a small index must still see a context that fired before it.
 		if s%512 == 0 && opt.Cancel.Check() != nil {
-			return
+			return nil
 		}
 		if tr := opt.Trace; tr != nil {
 			tr.PointsScanned++
@@ -377,6 +381,7 @@ func bruteForceScan(p *rtree.Packed, qs []geom.Point, w *weightCtx, opt Options,
 			tr.ExactDistances++
 		}
 		pt := ec.gather(p, s)
-		best.offer(GroupNeighbor{Point: pt, ID: p.LeafID(s), Dist: aggDistSoA(opt.Aggregate, pt, g, w)})
+		best.offer(GroupNeighbor{Point: pt, ID: p.LeafID(s), Dist: aggDistSoA(opt.Aggregate, pt, &ec.terms, grp.w)})
 	}
+	return nil
 }

@@ -104,6 +104,12 @@ func diskOn(p *rtree.Packed, kernel func(*rtree.Tree, *QueryFile, Options) (*Dis
 	return kernel(p.Tree(), qf, opt)
 }
 
+// newKBest returns a standalone accumulator for k results whose buffers
+// grow with the results held.
+func newKBest(k int) *kbest {
+	return &kbest{k: k}
+}
+
 func randPts(rng *rand.Rand, n int, span float64) []geom.Point {
 	pts := make([]geom.Point, n)
 	for i := range pts {

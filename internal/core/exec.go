@@ -15,19 +15,18 @@ import (
 // every slice and heap a query needs in steady state — the result
 // accumulator, per-depth candidate buffers for depth-first traversals,
 // best-first entry heaps, MQM's threshold and iterator slices, F-MBM's
-// leaf buffers, the query-MBR corners, the leaf-point gather scratch and
-// the query's cost tracker — lives here and is reused across queries, so
-// a warm kernel allocates (almost) nothing.
+// leaf buffers, the query group a kernel prepares when the query shares
+// none, the leaf-point gather scratch and the query's cost tracker — lives
+// here and is reused across queries, so a warm kernel allocates (almost)
+// nothing.
 //
 // Acquire a context with AcquireExec and return it with Release, or set
 // Options.Exec to reuse one context across many sequential queries (the
 // batch engine holds one per worker). A context must never be shared by
 // concurrent queries: like Options.Cost, it is unsynchronised by design.
 type ExecContext struct {
-	best  kbest
-	tk    pagestore.CostTracker
-	qmbr  geom.Rect
-	qcent geom.Point
+	best kbest
+	tk   pagestore.CostTracker
 
 	// Traversal scratch: per-depth ref candidates, the int32 best-first
 	// heap, the fused-kernel distance buffers and a spare rectangle for the
@@ -44,13 +43,12 @@ type ExecContext struct {
 	// the result accumulator copies what it keeps.
 	pt geom.Point
 
-	// The query group laid out for the aggregate family (aggregate.go).
-	grp soaGroup
-
-	// Dedicated aggregate-MAX scratch: the minimum-enclosing-ball solver's
-	// buffers and the derived pruning context (see maxmeb.go).
-	mebs geom.MEBScratch
-	meb  mebCtx
+	// A multi-source query's shared state (Share), a kernel's own group,
+	// its view with term scratch (group.terms), MQM's Hilbert-ordered copy.
+	shared SharedBound
+	grp    group
+	terms  soaGroup
+	hil    soaGroup
 
 	// Conversion buffer of the public layer (query []Point → []geom.Point).
 	qsbuf []geom.Point
@@ -88,14 +86,15 @@ func (ec *ExecContext) Release() {
 	ec.heap.Reset()
 	clear(ec.qsbuf[:cap(ec.qsbuf)])
 	ec.qsbuf = pq.Trim(ec.qsbuf)
+	ec.shared.grp.release()
 	ec.grp.release()
+	ec.terms = soaGroup{sq: pq.Trim(ec.terms.sq)}
+	ec.hil.release()
 	ec.thresholds = pq.Trim(ec.thresholds)
 	clear(ec.iters[:cap(ec.iters)])
 	ec.iters = pq.Trim(ec.iters)
 	ec.fcands = ec.fcands[:0]
 	ec.lbs = ec.lbs[:0]
-	ec.mebs.Reset()
-	ec.meb = mebCtx{}
 	execPool.Put(ec)
 }
 
@@ -183,58 +182,11 @@ func (ec *ExecContext) kbestFor(t *rtree.Tree, k int, rej RejectFunc) *kbest {
 	return &ec.best
 }
 
-// kbestShared is kbestFor coupled to a cross-shard pruning bound (nil for
-// a standalone query — the common case — which behaves exactly as before).
-func (ec *ExecContext) kbestShared(t *rtree.Tree, k int, s *SharedBound, rej RejectFunc) *kbest {
-	b := ec.kbestFor(t, k, rej)
-	b.shared = s
-	return b
-}
-
 // gather copies packed leaf slot s's coordinates into the context's
 // gather scratch and returns it (valid until the next gather).
 func (ec *ExecContext) gather(p *rtree.Packed, s int32) geom.Point {
 	ec.pt = p.PointInto(s, ec.pt)
 	return ec.pt
-}
-
-// mebFor arms and returns the context's dedicated-MAX pruning context for
-// this query group (see maxmeb.go).
-func (ec *ExecContext) mebFor(qs []geom.Point, w *weightCtx) *mebCtx {
-	ec.meb.init(&ec.mebs, qs, w)
-	return &ec.meb
-}
-
-// boundingRect computes MBR(qs) into the context's reusable corners.
-func (ec *ExecContext) boundingRect(qs []geom.Point) geom.Rect {
-	ec.qmbr = geom.BoundingRectInto(ec.qmbr, qs)
-	return ec.qmbr
-}
-
-// centerOf computes r's centre into the context's reusable point.
-func (ec *ExecContext) centerOf(r geom.Rect) geom.Point {
-	d := r.Dim()
-	if cap(ec.qcent) < d {
-		ec.qcent = make(geom.Point, d)
-	}
-	ec.qcent = ec.qcent[:d]
-	for i := range ec.qcent {
-		ec.qcent[i] = (r.Lo[i] + r.Hi[i]) / 2
-	}
-	return ec.qcent
-}
-
-// floats returns a zeroed []float64 of length n backed by dst, growing it
-// as needed.
-func growFloats(dst []float64, n int) []float64 {
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		dst[i] = 0
-	}
-	return dst
 }
 
 // grow returns dst with length n (contents undefined), reallocating only

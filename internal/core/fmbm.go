@@ -4,7 +4,6 @@ import (
 	"slices"
 
 	"gnn/internal/geom"
-	"gnn/internal/pagestore"
 	"gnn/internal/rtree"
 )
 
@@ -31,28 +30,18 @@ import (
 //
 // SUM aggregate only (the weighted bounds are sums).
 func FMBM(t *rtree.Tree, qf *QueryFile, opt Options) (*DiskReport, error) {
-	opt = opt.withDefaults()
-	if opt.K < 1 {
-		return nil, ErrBadK
-	}
-	if opt.Aggregate != Sum {
-		return nil, ErrUnsupportedAggregate
-	}
-	if opt.Weights != nil || opt.Region != nil {
-		return nil, ErrUnsupportedOption
+	opt, err := opt.diskOptions()
+	if err != nil {
+		return nil, err
 	}
 	if !opt.Packed.Valid(t) {
 		return nil, ErrNoArena
-	}
-	if opt.Cost == nil {
-		opt.Cost = &pagestore.CostTracker{}
 	}
 	ec, owned := opt.exec()
 	defer releaseIfOwned(ec, owned)
 	f := &fmbmRun{rd: opt.Packed.Reader(opt.Cost),
 		qf: qf, opt: opt, best: ec.kbestFor(t, opt.K, opt.Reject), ec: ec, report: &DiskReport{}}
 	if t.Len() > 0 {
-		var err error
 		if opt.Traversal == DepthFirst {
 			rootRect, _ := t.Bounds()
 			err = f.df(f.rd.PackedRoot(), rootRect, 0)
@@ -84,7 +73,7 @@ type fmbmRun struct {
 // instead of twice per comparison inside the sort closure.
 func (f *fmbmRun) orderBlocks(ndRect geom.Rect) []int {
 	m := f.qf.NumBlocks()
-	f.ec.blockDist = growFloats(f.ec.blockDist, m)
+	f.ec.blockDist = grow(f.ec.blockDist, m)
 	blockDist := f.ec.blockDist
 	for i := 0; i < m; i++ {
 		blockDist[i] = geom.MinDistRectRect(ndRect, f.qf.MBR(i))

@@ -46,18 +46,9 @@ type fmqmCand struct {
 //
 // SUM aggregate only (the threshold decomposition over blocks is a sum).
 func FMQM(t *rtree.Tree, qf *QueryFile, opt Options) (*DiskReport, error) {
-	opt = opt.withDefaults()
-	if opt.K < 1 {
-		return nil, ErrBadK
-	}
-	if opt.Aggregate != Sum {
-		return nil, ErrUnsupportedAggregate
-	}
-	if opt.Weights != nil || opt.Region != nil {
-		return nil, ErrUnsupportedOption
-	}
-	if opt.Cost == nil {
-		opt.Cost = &pagestore.CostTracker{}
+	opt, err := opt.diskOptions()
+	if err != nil {
+		return nil, err
 	}
 	ec, owned := opt.exec()
 	defer releaseIfOwned(ec, owned)
@@ -69,7 +60,8 @@ func FMQM(t *rtree.Tree, qf *QueryFile, opt Options) (*DiskReport, error) {
 		}
 	}()
 	exhausted := make([]bool, m)
-	ec.thresholds = growFloats(ec.thresholds, m)
+	ec.thresholds = grow(ec.thresholds, m)
+	clear(ec.thresholds)
 	thresholds := ec.thresholds
 	var pending []*fmqmCand
 	best := ec.kbestFor(t, opt.K, opt.Reject)

@@ -62,24 +62,16 @@ type gcpCand struct {
 //
 // The SUM aggregate only: the accumulation is a running sum.
 func GCP(pp, pq *rtree.Packed, opt GCPOptions) (*GCPReport, error) {
-	opt.Options = opt.Options.withDefaults()
-	if opt.K < 1 {
-		return nil, ErrBadK
+	o, err := opt.Options.diskOptions()
+	if err != nil {
+		return nil, err
 	}
-	if opt.Aggregate != Sum {
-		return nil, ErrUnsupportedAggregate
-	}
-	if opt.Weights != nil || opt.Region != nil {
-		return nil, ErrUnsupportedOption
-	}
+	opt.Options = o
 	if pp == nil || pq == nil {
 		return nil, ErrNoArena
 	}
 	if pq.Len() == 0 {
 		return nil, ErrEmptyQuery
-	}
-	if opt.Cost == nil {
-		opt.Cost = &pagestore.CostTracker{}
 	}
 	// Both trees charge the same per-query tracker, so the report's cost is
 	// the combined NA over P and Q.

@@ -38,8 +38,8 @@ import (
 const mebSlackRel = 1e-6
 
 // mebCtx is the per-query pruning context of the dedicated MAX kernel.
-// Its zero value is inert; init arms it. Pooled inside ExecContext and
-// GNNIterator.
+// Its zero value is inert; init arms it. The prepared group holds it
+// (group.mebFor).
 type mebCtx struct {
 	c     geom.Point // MEB center (view into the owning scratch)
 	rhoSq float64    // min squared center-to-support distance

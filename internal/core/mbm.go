@@ -22,52 +22,33 @@ import (
 // below; the depth-first variant follows Figure 3.7.
 //
 // Both variants traverse the packed arena (Options.Packed) and draw their
-// scratch (candidate buffers, result list, query MBR corners, heaps) from
-// the pooled execution context, so a warm query allocates only its
-// results: the slice and the slab of their points. A region constraint
+// scratch (candidate buffers, result list, heaps) from the pooled
+// execution context, so a warm query allocates only its results: the
+// slice and the slab of their points. A region constraint
 // (Options.Region) prunes every entry that cannot hold a qualifying point.
 func MBM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
-	opt = opt.withDefaults()
-	if err := validate(t, qs, opt); err != nil {
-		return nil, err
-	}
+	return runKernel(mbm, t, qs, opt)
+}
+
+func mbm(t *rtree.Tree, grp *group, opt Options, best *kbest, ec *ExecContext) error {
 	if t.Len() == 0 {
-		return nil, nil
+		return nil
 	}
-	ec, owned := opt.exec()
-	defer releaseIfOwned(ec, owned)
 	if opt.Traversal == DepthFirst {
-		w, err := newWeightCtx(opt.Weights, len(qs))
-		if err != nil {
-			return nil, err
-		}
-		best := ec.kbestShared(t, opt.K, opt.Shared, opt.Reject)
+		ec.terms = grp.terms(ec.terms.sq)
 		st := mbmState{
 			rd:   opt.Packed.Reader(opt.Cost),
-			qs:   qs,
-			g:    ec.grp.fill(qs),
-			qmbr: ec.boundingRect(qs),
-			w:    w,
+			grp:  grp,
+			meb:  grp.mebFor(opt),
 			opt:  opt,
 			best: best,
 			ec:   ec,
 		}
-		st.qcent = ec.centerOf(st.qmbr)
-		if opt.MEBEnabled(len(qs)) {
-			st.meb = ec.mebFor(qs, w)
-		}
 		st.df(st.rd.PackedRoot(), 0)
-		if err := opt.Cancel.Failure(); err != nil {
-			return nil, err
-		}
-		return best.results(), nil
+		return nil
 	}
-	it, err := NewGNNIterator(t, qs, opt)
-	if err != nil {
-		return nil, err
-	}
+	it := gnnIterPool.Get().start(t, grp, opt)
 	defer it.Close()
-	best := ec.kbestShared(t, opt.K, opt.Shared, opt.Reject)
 	for len(best.items) < opt.K {
 		// The iterator emits in ascending order, so once its lower bound
 		// reaches the pruning bound nothing ahead can improve the result.
@@ -83,14 +64,11 @@ func MBM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 		}
 		best.offer(g)
 	}
-	// A canceled iterator reports exhaustion; surface the latched error.
-	if err := opt.Cancel.Failure(); err != nil {
-		return nil, err
-	}
-	if tr := opt.Trace; tr != nil {
+	// A canceled iterator reports exhaustion: no census of what it left.
+	if tr := opt.Trace; tr != nil && opt.Cancel.Failure() == nil {
 		it.drainPruneCounts(tr)
 	}
-	return best.results(), nil
+	return nil
 }
 
 // drainPruneCounts classifies everything still queued when best-first
@@ -115,16 +93,12 @@ func (it *GNNIterator) drainPruneCounts(tr *Trace) {
 
 // mbmState carries the per-query state of a depth-first MBM traversal.
 type mbmState struct {
-	rd    rtree.Reader
-	qs    []geom.Point
-	g     *soaGroup // the query group, for the exact distance and heuristic 3
-	qmbr  geom.Rect
-	qcent geom.Point // centre of qmbr — the tie-break reference
-	meb   *mebCtx    // dedicated aggregate-MAX bound; nil on the generic path
-	w     *weightCtx
-	opt   Options
-	best  *kbest
-	ec    *ExecContext
+	rd   rtree.Reader
+	grp  *group  // the query group (its view with term scratch is ec.terms)
+	meb  *mebCtx // dedicated aggregate-MAX bound; nil on the generic path
+	opt  Options
+	best *kbest
+	ec   *ExecContext
 }
 
 // df is the depth-first MBM of Figure 3.7: entries sorted by mindist to
@@ -150,12 +124,12 @@ func (st *mbmState) df(nd int32, depth int) {
 	leaf := p.IsLeaf(nd)
 	if leaf {
 		pc := p.PointSoA()
-		geom.MinDistSqPointsRect(pc, int(s), int(e), st.qmbr, d)
-		geom.DistSqPointsPoint(pc, int(s), int(e), st.qcent, d2)
+		geom.MinDistSqPointsRect(pc, int(s), int(e), st.grp.mbr, d)
+		geom.DistSqPointsPoint(pc, int(s), int(e), st.grp.cent, d2)
 	} else {
 		lo, hi := p.RectSoA()
-		geom.MinDistSqRectsRect(lo, hi, int(s), int(e), st.qmbr, d)
-		geom.MinDistSqRectsPoint(lo, hi, int(s), int(e), st.qcent, d2)
+		geom.MinDistSqRectsRect(lo, hi, int(s), int(e), st.grp.mbr, d)
+		geom.MinDistSqRectsPoint(lo, hi, int(s), int(e), st.grp.cent, d2)
 	}
 	buf := st.ec.cands.Level(depth)
 	cands := *buf
@@ -173,13 +147,13 @@ func (st *mbmState) df(nd int32, depth int) {
 	}
 	rtree.SortPCands(cands)
 	*buf = cands
-	n := len(st.qs)
+	n, w := len(st.grp.qs), st.grp.w
 	for i := range cands {
 		c := cands[i]
 		// Heuristic 2 from the sort key: √key is the mindist to the query
 		// MBR bit for bit, because every mindist function is defined as
 		// the Sqrt of its squared variant.
-		lb := quickLBFromMindist(st.opt.Aggregate, math.Sqrt(c.D), n, st.w)
+		lb := quickLBFromMindist(st.opt.Aggregate, math.Sqrt(c.D), n, w)
 		slot, isPoint := rtree.RefSlot(c.Ref)
 		if isPoint {
 			// Heuristic 2 on points: mindist(p,M) ≥ best_dist/n discards
@@ -197,7 +171,7 @@ func (st *mbmState) df(nd int32, depth int) {
 			st.opt.Trace.add(func(tr *Trace) { tr.ExactDistances++ })
 			st.best.offer(GroupNeighbor{
 				Point: pt, ID: p.LeafID(slot),
-				Dist: aggDistSoA(st.opt.Aggregate, pt, st.g, st.w),
+				Dist: aggDistSoA(st.opt.Aggregate, pt, &st.ec.terms, w),
 			})
 			continue
 		}
@@ -213,7 +187,7 @@ func (st *mbmState) df(nd int32, depth int) {
 			continue // MEB node bound: skip just this node (order unchanged)
 		}
 		if !st.opt.DisableHeuristic3 {
-			if nodeLBSoA(st.opt.Aggregate, st.ec.prect, st.g, st.w) >= st.best.bound() {
+			if nodeLBSoA(st.opt.Aggregate, st.ec.prect, &st.ec.terms, w) >= st.best.bound() {
 				st.opt.Trace.add(func(tr *Trace) { tr.NodesPrunedH3++ })
 				continue // heuristic 3: skip just this node
 			}
@@ -240,28 +214,25 @@ func (st *mbmState) df(nd int32, depth int) {
 // it, results emerge in exact ascending order while far nodes and points
 // never pay the n-distance computation.
 //
-// Iterators (and their heaps and MBR corners) are drawn from a pool;
-// callers that finish early should Close the iterator so its scratch is
-// recycled. Forgetting to Close costs only the reuse, never correctness.
+// Iterators (and their heaps and scratch) are drawn from a pool; callers
+// that finish early should Close the iterator so its scratch is recycled.
+// Forgetting to Close costs only the reuse, never correctness.
 //
 // An emitted point is gathered into the iterator's scratch, so a result's
 // Point is valid only until the next Next or Close; consumers that keep
 // results (the result accumulator, the public iterator) copy it.
 type GNNIterator struct {
 	rd     rtree.Reader
-	qs     []geom.Point
-	qmbr   geom.Rect
 	opt    Options
-	w      *weightCtx
-	grp    soaGroup         // the query group, for the exact distance and heuristic 3
+	grp    *group           // the prepared query group: the query's shared one, or own
+	own    group            // the group prepared here when the query shares none
+	terms  soaGroup         // grp's columns with this iterator's term scratch
+	meb    *mebCtx          // grp's enclosing-ball bound on the dedicated MAX path, else nil
 	heap   pq.Heap[gnnItem] // 8-byte items, fused keys
 	dbuf   []float64        // fused-kernel distance buffer
 	dbuf2  []float64        // fused MEB-bound buffer
 	prect  geom.Rect        // spare rect for the heuristic-3 bound
 	pt     geom.Point       // leaf-point gather scratch
-	mebs   geom.MEBScratch  // dedicated aggregate-MAX solver scratch
-	meb    mebCtx
-	mebp   *mebCtx // armed (&meb) on the dedicated MAX path, else nil
 	closed bool
 }
 
@@ -287,34 +258,32 @@ type gnnItem struct {
 // NewGNNIterator starts an incremental GNN scan of t around qs. The
 // iterator owns its scratch (it does not borrow Options.Exec, so any
 // number of iterators — F-MQM runs one per query block — may coexist
-// within one query).
+// within one query). It reads the query's shared group (Options.Shared)
+// when that was prepared from qs, and prepares its own otherwise.
 func NewGNNIterator(t *rtree.Tree, qs []geom.Point, opt Options) (*GNNIterator, error) {
 	opt = opt.withDefaults()
-	if err := validate(t, qs, opt); err != nil {
-		return nil, err
-	}
-	w, err := newWeightCtx(opt.Weights, len(qs))
-	if err != nil {
-		return nil, err
-	}
 	it := gnnIterPool.Get()
-	it.rd = opt.Packed.Reader(opt.Cost)
-	it.qs = qs
-	it.grp.fill(qs)
-	it.qmbr = geom.BoundingRectInto(it.qmbr, qs)
-	it.opt = opt
-	it.w = w
-	it.mebp = nil
-	if opt.MEBEnabled(len(qs)) {
-		it.meb.init(&it.mebs, qs, w)
-		it.mebp = &it.meb
+	grp, err := opt.groupOf(&it.own, t, qs)
+	if err != nil {
+		gnnIterPool.Put(it)
+		return nil, err
 	}
+	return it.start(t, grp, opt), nil
+}
+
+// start arms a pooled iterator for a scan of t around grp.
+func (it *GNNIterator) start(t *rtree.Tree, grp *group, opt Options) *GNNIterator {
+	it.rd = opt.Packed.Reader(opt.Cost)
+	it.opt = opt
+	it.grp = grp
+	it.terms = grp.terms(it.terms.sq)
+	it.meb = grp.mebFor(opt)
 	it.closed = false
 	it.heap.Reset()
 	if t.Len() > 0 {
 		it.pushNode(it.rd.PackedRoot())
 	}
-	return it, nil
+	return it
 }
 
 // pushNode enqueues node nd's slots with their heuristic-2 keys, derived
@@ -325,52 +294,43 @@ func (it *GNNIterator) pushNode(nd int32) {
 	s, e := p.NodeRange(nd)
 	cnt := int(e - s)
 	it.dbuf = grow(it.dbuf, cnt)
-	n := len(it.qs)
-	region := it.opt.Region
-	if p.IsLeaf(nd) {
-		geom.MinDistSqPointsRect(p.PointSoA(), int(s), int(e), it.qmbr, it.dbuf)
-		if it.mebp != nil {
-			// Dedicated MAX path: one more fused pass yields the squared
-			// center distances, and each key is raised to the MEB bound.
-			// Keys only rise, and every key still lower-bounds the exact
-			// distance, so emission order stays exact while far
-			// candidates surface later — or never.
-			it.dbuf2 = grow(it.dbuf2, cnt)
-			geom.DistSqPointsPoint(p.PointSoA(), int(s), int(e), it.mebp.c, it.dbuf2)
-		}
-		for i := 0; i < cnt; i++ {
-			slot := s + int32(i)
-			if region != nil && !p.PointIn(slot, *region) {
-				continue
-			}
-			key := quickLBFromMindist(it.opt.Aggregate, math.Sqrt(it.dbuf[i]), n, it.w)
-			if it.mebp != nil {
-				if mb := it.mebp.fromMindistSq(it.dbuf2[i]); mb > key {
-					key = mb
-				}
-			}
-			it.heap.Push(gnnItem{rtree.LeafRef(slot), pointCheap}, key)
-		}
-		return
-	}
-	lo, hi := p.RectSoA()
-	geom.MinDistSqRectsRect(lo, hi, int(s), int(e), it.qmbr, it.dbuf)
-	if it.mebp != nil {
+	// Dedicated MAX path: one more fused pass yields the squared center
+	// distances, and each key is raised to the MEB bound. Keys only rise,
+	// and every key still lower-bounds the exact distance, so emission
+	// order stays exact while far candidates surface later — or never.
+	if it.meb != nil {
 		it.dbuf2 = grow(it.dbuf2, cnt)
-		geom.MinDistSqRectsPoint(lo, hi, int(s), int(e), it.mebp.c, it.dbuf2)
 	}
+	leaf := p.IsLeaf(nd)
+	if leaf {
+		geom.MinDistSqPointsRect(p.PointSoA(), int(s), int(e), it.grp.mbr, it.dbuf)
+		if it.meb != nil {
+			geom.DistSqPointsPoint(p.PointSoA(), int(s), int(e), it.meb.c, it.dbuf2)
+		}
+	} else {
+		lo, hi := p.RectSoA()
+		geom.MinDistSqRectsRect(lo, hi, int(s), int(e), it.grp.mbr, it.dbuf)
+		if it.meb != nil {
+			geom.MinDistSqRectsPoint(lo, hi, int(s), int(e), it.meb.c, it.dbuf2)
+		}
+	}
+	n, w, region := len(it.grp.qs), it.grp.w, it.opt.Region
 	for i := 0; i < cnt; i++ {
 		slot := s + int32(i)
-		if region != nil && !p.RectIntersects(slot, *region) {
+		item := gnnItem{rtree.NodeRef(slot), nodeCheap}
+		if leaf {
+			item = gnnItem{rtree.LeafRef(slot), pointCheap}
+		}
+		if region != nil && (leaf && !p.PointIn(slot, *region) || !leaf && !p.RectIntersects(slot, *region)) {
 			continue
 		}
-		key := quickLBFromMindist(it.opt.Aggregate, math.Sqrt(it.dbuf[i]), n, it.w)
-		if it.mebp != nil {
-			if mb := it.mebp.fromMindistSq(it.dbuf2[i]); mb > key {
+		key := quickLBFromMindist(it.opt.Aggregate, math.Sqrt(it.dbuf[i]), n, w)
+		if it.meb != nil {
+			if mb := it.meb.fromMindistSq(it.dbuf2[i]); mb > key {
 				key = mb
 			}
 		}
-		it.heap.Push(gnnItem{rtree.NodeRef(slot), nodeCheap}, key)
+		it.heap.Push(item, key)
 	}
 }
 
@@ -405,12 +365,12 @@ func (it *GNNIterator) Next() (GroupNeighbor, bool) {
 				continue // tombstoned: drop before the exact-distance stage
 			}
 			it.opt.Trace.add(func(tr *Trace) { tr.ExactDistances++ })
-			exact := aggDistSoA(it.opt.Aggregate, it.pt, &it.grp, it.w)
+			exact := aggDistSoA(it.opt.Aggregate, it.pt, &it.terms, it.grp.w)
 			it.heap.Push(gnnItem{item.Value.ref, pointExact}, exact)
 		case nodeCheap:
 			if !it.opt.DisableHeuristic3 {
 				p.RectInto(slot, &it.prect)
-				tight := nodeLBSoA(it.opt.Aggregate, it.prect, &it.grp, it.w)
+				tight := nodeLBSoA(it.opt.Aggregate, it.prect, &it.terms, it.grp.w)
 				if tight > item.Priority {
 					it.heap.Push(gnnItem{item.Value.ref, nodeTight}, tight)
 					continue
@@ -446,13 +406,11 @@ func (it *GNNIterator) Close() {
 	}
 	it.closed = true
 	it.rd = rtree.Reader{}
-	it.qs = nil
-	it.grp.release()
 	it.opt = Options{}
-	it.w = nil
-	it.mebp = nil
-	it.meb = mebCtx{}
-	it.mebs.Reset()
+	it.grp = nil
+	it.own.release()
+	it.terms = soaGroup{sq: pq.Trim(it.terms.sq)}
+	it.meb = nil
 	it.heap.Reset()
 	gnnIterPool.Put(it)
 }

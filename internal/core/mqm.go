@@ -18,22 +18,17 @@ import (
 // T = agg(t_1..t_n) reaches best_dist, since every unseen point p has
 // |p q_i| ≥ t_i for all i and therefore dist(p,Q) ≥ T.
 func MQM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
-	opt = opt.withDefaults()
-	if err := validate(t, qs, opt); err != nil {
-		return nil, err
-	}
-	w, err := newWeightCtx(opt.Weights, len(qs))
-	if err != nil {
-		return nil, err
-	}
+	return runKernel(mqm, t, qs, opt)
+}
+
+func mqm(_ *rtree.Tree, grp *group, opt Options, best *kbest, ec *ExecContext) error {
 	// Sort a copy of Q by Hilbert value (2-D only; the ordering is a pure
 	// locality optimisation and does not affect correctness). Weights are
-	// permuted alongside their query points.
-	qs, w = sortByHilbertWeighted(qs, w)
+	// permuted alongside, and MQM's own columns fold in this order.
+	qs, w := sortByHilbertWeighted(grp)
 	n := len(qs)
+	g := ec.hil.fill(qs)
 
-	ec, owned := opt.exec()
-	defer releaseIfOwned(ec, owned)
 	// The per-point NN streams never consult the region: MQM filters
 	// results point by point.
 	rd := opt.Packed.Reader(opt.Cost)
@@ -48,10 +43,9 @@ func MQM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 			iters[i] = nil
 		}
 	}()
-	ec.thresholds = growFloats(ec.thresholds, n)
+	ec.thresholds = grow(ec.thresholds, n)
+	clear(ec.thresholds)
 	thresholds := ec.thresholds
-	g := ec.grp.fill(qs)
-	best := ec.kbestShared(t, opt.K, opt.Shared, opt.Reject)
 
 	// T = agg_i(w_i·t_i). For SUM (the common case) it is maintained
 	// incrementally; MAX/MIN recompute, which is still cheap because the
@@ -72,7 +66,7 @@ func MQM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 
 	for i := 0; ; i = (i + 1) % n {
 		if opt.Cancel.Stop() {
-			return nil, opt.Cancel.Failure()
+			return nil
 		}
 		if combined() >= best.bound() {
 			break // T ≥ best_dist: no unseen point can be closer
@@ -89,7 +83,7 @@ func MQM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 		}
 		tSum += weightOf(i) * (nb.Dist - thresholds[i])
 		thresholds[i] = nb.Dist
-		if regionAllows(opt.Region, nb.Point) {
+		if opt.Region == nil || opt.Region.ContainsPoint(nb.Point) {
 			if tr := opt.Trace; tr != nil {
 				tr.ExactDistances++
 			}
@@ -100,17 +94,18 @@ func MQM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 			})
 		}
 	}
-	return best.results(), nil
+	return nil
 }
 
-// sortByHilbertWeighted orders a 2-D query group by Hilbert value over
-// its MBR and permutes the weights by the same order; other
-// dimensionalities are returned unchanged.
-func sortByHilbertWeighted(qs []geom.Point, w *weightCtx) ([]geom.Point, *weightCtx) {
-	if len(qs) == 0 || len(qs[0]) != 2 {
+// sortByHilbertWeighted orders the members of a 2-D prepared group by
+// Hilbert value over its MBR and permutes the weights by the same order;
+// other dimensionalities are returned unchanged.
+func sortByHilbertWeighted(grp *group) ([]geom.Point, *weightCtx) {
+	qs, w := grp.qs, grp.w
+	if len(grp.cols) != 2 {
 		return qs, w
 	}
-	perm := hilbertPerm(qs, geom.BoundingRect(qs))
+	perm := hilbertPerm(qs, grp.mbr)
 	out := make([]geom.Point, len(qs))
 	for r, i := range perm {
 		out[r] = qs[i]

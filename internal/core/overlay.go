@@ -18,35 +18,12 @@ import (
 // list — the overlay's pending tail, points inserted since the delta tree
 // was last folded. It charges no node accesses (the pending tail is a
 // memory-resident array, not an index) and honours the full option set
-// the kernels do: aggregate, weights, region, shared bound. Reject is
-// deliberately ignored: pending points are physically removed on delete,
-// never tombstoned.
+// the kernels do: aggregate, weights, region, shared bound and group.
+// Reject is deliberately ignored: pending points are physically removed
+// on delete, never tombstoned.
 func ScanPoints(pts []geom.Point, ids []int64, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
-	opt = opt.withDefaults()
-	if len(qs) == 0 {
-		return nil, ErrEmptyQuery
-	}
-	if opt.K < 1 {
-		return nil, ErrBadK
-	}
-	w, err := newWeightCtx(opt.Weights, len(qs))
-	if err != nil {
-		return nil, err
-	}
-	ec, owned := opt.exec()
-	defer releaseIfOwned(ec, owned)
-	g := ec.grp.fill(qs)
-	best := newKBest(opt.K)
-	best.shared = opt.Shared
-	for i, p := range pts {
-		if i%256 == 0 && opt.Cancel.Stop() {
-			break
-		}
-		if regionAllows(opt.Region, p) {
-			best.offer(GroupNeighbor{Point: p, ID: ids[i], Dist: aggDistSoA(opt.Aggregate, p, g, w)})
-		}
-	}
-	if err := opt.Cancel.Failure(); err != nil {
+	best := &kbest{k: opt.withDefaults().K, shared: opt.Shared}
+	if err := scan(pts, ids, qs, opt, func(g GroupNeighbor) { best.offer(g) }); err != nil {
 		return nil, err
 	}
 	return best.results(), nil
@@ -57,23 +34,32 @@ func ScanPoints(pts []geom.Point, ids []int64, qs []geom.Point, opt Options) ([]
 // the incremental iterator path, which cannot bound k in advance: the
 // view's merge streams the sorted list beside the tree iterators.
 func ScanAll(pts []geom.Point, ids []int64, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
-	opt = opt.withDefaults()
-	if len(qs) == 0 {
-		return nil, ErrEmptyQuery
-	}
-	w, err := newWeightCtx(opt.Weights, len(qs))
-	if err != nil {
-		return nil, err
-	}
-	ec, owned := opt.exec()
-	defer releaseIfOwned(ec, owned)
-	g := ec.grp.fill(qs)
 	out := make([]GroupNeighbor, 0, len(pts))
-	for i, p := range pts {
-		if regionAllows(opt.Region, p) {
-			out = append(out, GroupNeighbor{Point: p, ID: ids[i], Dist: aggDistSoA(opt.Aggregate, p, g, w)})
-		}
+	if err := scan(pts, ids, qs, opt, func(g GroupNeighbor) { out = append(out, g) }); err != nil {
+		return nil, err
 	}
 	slices.SortStableFunc(out, func(a, b GroupNeighbor) int { return cmp.Compare(a.Dist, b.Dist) })
 	return out, nil
+}
+
+// scan hands keep every point the region admits, scored against the
+// query's prepared group, until the query is canceled.
+func scan(pts []geom.Point, ids []int64, qs []geom.Point, opt Options, keep func(GroupNeighbor)) error {
+	opt = opt.withDefaults()
+	ec, owned := opt.exec()
+	defer releaseIfOwned(ec, owned)
+	grp, err := opt.groupOf(&ec.grp, nil, qs)
+	if err != nil {
+		return err
+	}
+	ec.terms = grp.terms(ec.terms.sq)
+	for i, p := range pts {
+		if i%256 == 0 && opt.Cancel.Stop() {
+			break
+		}
+		if opt.Region == nil || opt.Region.ContainsPoint(p) {
+			keep(GroupNeighbor{Point: p, ID: ids[i], Dist: aggDistSoA(opt.Aggregate, p, &ec.terms, grp.w)})
+		}
+	}
+	return opt.Cancel.Failure()
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"gnn/internal/centroid"
 	"gnn/internal/geom"
 	"gnn/internal/rtree"
 )
@@ -21,37 +20,27 @@ import (
 // The lemma is specific to the SUM aggregate; SPM returns
 // ErrUnsupportedAggregate for MAX and MIN.
 func SPM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
-	opt = opt.withDefaults()
-	if err := validate(t, qs, opt); err != nil {
-		return nil, err
-	}
+	return runKernel(spm, t, qs, opt)
+}
+
+func spm(t *rtree.Tree, grp *group, opt Options, best *kbest, ec *ExecContext) error {
 	if opt.Aggregate != Sum {
-		return nil, ErrUnsupportedAggregate
+		return ErrUnsupportedAggregate
 	}
-	w, err := newWeightCtx(opt.Weights, len(qs))
-	if err != nil {
-		return nil, err
-	}
-	q, err := spmCentroid(qs, opt.Centroid)
-	if err != nil {
-		return nil, err
-	}
-	ec, owned := opt.exec()
-	defer releaseIfOwned(ec, owned)
-	g := ec.grp.fill(qs)
 	// Lemma 1 under weights: w_i·|p q_i| ≥ w_i·(|pq| − |q_i q|), so
 	// dist_w(p,Q) ≥ W·|pq| − dist_w(q,Q) with W = Σ w_i. The centroid q
 	// may be any point (the unweighted Fermat point is used even for
 	// weighted queries — the bound stays sound, only slightly looser).
-	dq := aggDistSoA(Sum, q, g, w)
-	n := float64(len(qs))
+	q, dq := grp.centroid(opt.Centroid)
+	w := grp.w
+	n := float64(len(grp.qs))
 	if w != nil {
 		n = w.sum
 	}
-	best := ec.kbestShared(t, opt.K, opt.Shared, opt.Reject)
+	ec.terms = grp.terms(ec.terms.sq)
 	if t.Len() > 0 {
 		run := spmRun{rd: opt.Packed.Reader(opt.Cost),
-			g: g, q: q, dq: dq, n: n, w: w, region: opt.Region,
+			q: q, dq: dq, n: n, w: w, region: opt.Region,
 			best: best, ec: ec, cancel: opt.Cancel, trace: opt.Trace}
 		if opt.Traversal == DepthFirst {
 			run.df(run.rd.PackedRoot(), 0)
@@ -59,16 +48,12 @@ func SPM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 			run.bf()
 		}
 	}
-	if err := opt.Cancel.Failure(); err != nil {
-		return nil, err
-	}
-	return best.results(), nil
+	return nil
 }
 
 // spmRun carries the per-query state of an SPM traversal.
 type spmRun struct {
 	rd     rtree.Reader
-	g      *soaGroup  // the query group, for the exact distance
 	q      geom.Point // centroid
 	dq     float64    // dist_w(q, Q)
 	n      float64    // W = Σ w_i (or n when unweighted)
@@ -78,20 +63,6 @@ type spmRun struct {
 	ec     *ExecContext
 	cancel *CancelCheck
 	trace  *Trace
-}
-
-// spmCentroid computes the approximate centroid.
-func spmCentroid(qs []geom.Point, m CentroidMethod) (geom.Point, error) {
-	switch m {
-	case Weiszfeld:
-		q, _, err := centroid.Weiszfeld(qs, centroid.Options{})
-		return q, err
-	case ArithmeticMean:
-		return centroid.Mean(qs)
-	default:
-		q, _, err := centroid.GradientDescent(qs, centroid.Options{})
-		return q, err
-	}
 }
 
 // threshold is the heuristic-1 pruning radius (best_dist+dist(q,Q))/W.
@@ -112,7 +83,7 @@ func (r *spmRun) offer(s int32) {
 	pt := r.ec.gather(p, s)
 	r.best.offer(GroupNeighbor{
 		Point: pt, ID: p.LeafID(s),
-		Dist: aggDistSoA(Sum, pt, r.g, r.w),
+		Dist: aggDistSoA(Sum, pt, &r.ec.terms, r.w),
 	})
 }
 

@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"gnn/internal/geom"
 )
 
 // This file extends the paper's framework along two axes it flags as
@@ -53,10 +51,4 @@ func newWeightCtx(w []float64, n int) (*weightCtx, error) {
 		}
 	}
 	return ctx, nil
-}
-
-// regionAllows reports whether a data point qualifies under the optional
-// constraint region.
-func regionAllows(region *geom.Rect, p geom.Point) bool {
-	return region == nil || region.ContainsPoint(p)
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -603,12 +604,17 @@ func (s *Server) requestContext(r *http.Request, timeoutMS int) (context.Context
 }
 
 // readJSON decodes the request body, bounding its size and rejecting
-// trailing garbage. Returns false (response already written) on error.
+// trailing garbage: after the one JSON value only whitespace may follow.
+// Returns false (response already written) on error.
 func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, into any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
 		badRequest(w, "bad request body: "+err.Error())
+		return false
+	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		badRequest(w, "bad request body: data after the JSON value")
 		return false
 	}
 	return true

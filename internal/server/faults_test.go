@@ -235,8 +235,9 @@ func TestServeQueryEquivalence(t *testing.T) {
 	}
 }
 
-// TestServeBadRequests checks the 400 surface: malformed JSON, empty
-// group, unknown algorithm, oversized body.
+// TestServeBadRequests checks the 400 surface: malformed JSON, data
+// after the JSON value, empty group, unknown algorithm, oversized body.
+// Whitespace after the value (curl's trailing newline) is no such data.
 func TestServeBadRequests(t *testing.T) {
 	dir := t.TempDir()
 	path, _ := buildSnapshot(t, dir, "a.snap", 500, 12)
@@ -247,6 +248,9 @@ func TestServeBadRequests(t *testing.T) {
 		body string
 	}{
 		{"malformed", `{"query": [[1,2]`},
+		{"trailing garbage", `{"query": [[1,2]]} x`},
+		{"two values", `{"query": [[1,2]]}{"query": [[3,4]]}`},
+		{"trailing bracket", `{"query": [[1,2]]}]`},
 		{"empty group", `{"query": []}`},
 		{"unknown algo", `{"query": [[1,2]], "algo": "dijkstra"}`},
 		{"unknown field", `{"query": [[1,2]], "frobnicate": true}`},
@@ -265,6 +269,15 @@ func TestServeBadRequests(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", tc.name, resp.StatusCode)
 		}
+	}
+	resp, err := ts.Client().Post(ts.URL+"/v1/groupnn", "application/json", strings.NewReader(`{"query": [[1,2]]}`+" \r\n\t\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trailing whitespace: status %d, want 200", resp.StatusCode)
 	}
 	if s := getStats(t, ts); s.Requests.BadReq != uint64(len(cases)) {
 		t.Fatalf("bad_request counter %d, want %d", s.Requests.BadReq, len(cases))

@@ -40,15 +40,17 @@ const (
 	outPanic
 	outError
 	outUnavailable
+	outConflict
 	numOutcomes
 )
 
 var outcomeNames = [numOutcomes]string{
-	"ok", "bad_request", "rejected", "canceled", "deadline", "panic", "error", "unavailable",
+	"ok", "bad_request", "rejected", "canceled", "deadline", "panic", "error", "unavailable", "conflict",
 }
 
 // outcomeOf maps a response status to its outcome counter. A 500 that
-// is not a recovered panic is an answer that could not be encoded.
+// is not a recovered panic is an answer that could not be encoded; a 409
+// is a well-formed reload whose snapshot was rejected.
 func outcomeOf(status int) outcomeID {
 	switch {
 	case status < 400:
@@ -63,6 +65,8 @@ func outcomeOf(status int) outcomeID {
 		return outError
 	case status == 503:
 		return outUnavailable
+	case status == 409:
+		return outConflict
 	default:
 		return outBadRequest
 	}

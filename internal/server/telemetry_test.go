@@ -422,8 +422,9 @@ func TestStatsLatencyMatchesMetrics(t *testing.T) {
 // one daemon, then checks that each /v1/stats requests and reload count
 // equals its sum of /metrics cells: a request is counted once, under the
 // one outcome both endpoints report. An answer that could not be encoded
-// is outcome "error", not "panic", and a malformed reload body counts
-// only under endpoint "admin".
+// is outcome "error", not "panic", a malformed reload body counts only
+// under endpoint "admin", and a rejected reload there is outcome
+// "conflict", apart from the malformed body's "bad_request".
 func TestStatsAgreeWithMetrics(t *testing.T) {
 	fake := &fakeIndex{}
 	s, ts := newFakeServer(t, fake, func(c *Config) {
@@ -531,6 +532,11 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 	}
 	if n := c[[2]string{"groupnn", "unavailable"}]; n != 1 {
 		t.Errorf(`groupnn: %d draining answers under outcome="unavailable", want 1`, n)
+	}
+	for outcome, want := range map[string]uint64{"conflict": 1, "bad_request": 1} {
+		if n, ok := c[[2]string{"admin", outcome}]; !ok || n != want {
+			t.Errorf(`admin: outcome=%q reads %d (exported %v), want %d`, outcome, n, ok, want)
+		}
 	}
 }
 

@@ -25,11 +25,11 @@
 // A read runs a list of sources: the base's arenas and, after writes,
 // the overlay's delta tree and pending tail. A k-best search runs the
 // same unmodified MQM/SPM/MBM/brute kernel against every source under
-// one core.SharedBound, through which the sources exchange their current
-// k-th best distance and prune each other's search space. The shards
-// run sequentially on the caller's goroutine, or over a small pool of
-// goroutines (core.RunPooled), each with three pieces of per-shard
-// state:
+// one core.SharedBound, held by the query's execution context: the query
+// group, prepared once, and the current k-th best distance, through which
+// the sources prune each other's search space. The shards run
+// sequentially on the caller's goroutine, or over a small pool of
+// goroutines (core.RunPooled), each with three pieces of per-shard state:
 //
 //   - its own arena and rtree.Reader (via core.Options.Packed per
 //     shard), so traversals never contend;
@@ -239,11 +239,11 @@ type shardRun struct {
 
 // Search answers one k-best query over the view. An unpartitioned set
 // without writes runs kernel on its one arena directly, timed as the
-// "query" stage. Otherwise every source runs under one shared pruning
-// bound: the base's arenas first (with the tombstones' veto; a
-// partitioned set scatters, see scatter), then the delta tree
-// and the pending tail on the caller's goroutine, and one k-way merge of
-// all their lists answers. workers caps a scatter's concurrent shard
+// "query" stage. Otherwise every source runs under one shared group and
+// pruning bound: the base's arenas first (with the tombstones' veto; a
+// partitioned set scatters, see scatter), then the delta tree and the
+// pending tail on the caller's goroutine, and one k-way merge of all
+// their lists answers. workers caps a scatter's concurrent shard
 // workers. A traced search records the "scatter" stages of a partitioned
 // base, then, with an overlay, "base" (the whole base search), "delta"
 // and "pending", and last the merge: "overlay-merge" on a partitioned set
@@ -272,7 +272,14 @@ func (s *Set) Search(qs []geom.Point, opt core.Options, workers int, kernel Kern
 		mark("query")
 		return gs, nil
 	}
-	opt.Shared = core.NewSharedBound()
+	if opt.Exec == nil {
+		opt.Exec = core.AcquireExec()
+		defer opt.Exec.Release()
+	}
+	var err error
+	if opt.Shared, err = opt.Exec.Share(qs, s.dim, opt); err != nil {
+		return nil, err
+	}
 	bopt := opt
 	if w != nil {
 		bopt.Reject = w.reject
@@ -284,7 +291,6 @@ func (s *Set) Search(qs []geom.Point, opt core.Options, workers int, kernel Kern
 	if n := len(s.arenas) + 2; n > len(few) {
 		lists = make([][]core.GroupNeighbor, 0, n)
 	}
-	var err error
 	if s.partitioned {
 		lists, err = s.scatter(lists, qs, bopt, workers, kernel)
 	} else {
@@ -372,13 +378,8 @@ func (s *Set) scatter(lists [][]core.GroupNeighbor, qs []geom.Point, opt core.Op
 	if min(workers, n) <= 1 {
 		// Sequential scatter reuses the caller's warm context (the batch
 		// engine's per-worker arena) instead of cycling the pool.
-		ec := opt.Exec
-		if ec == nil {
-			ec = core.AcquireExec()
-			defer ec.Release()
-		}
 		for i := range n {
-			runShard(i, ec)
+			runShard(i, opt.Exec)
 		}
 	} else {
 		core.RunPooled(n, workers, runShard)
@@ -460,14 +461,16 @@ func (ls *listStream) Close() { ls.items = nil; ls.pos = 0 }
 
 // iterator merges the ascending-distance streams of a view's sources —
 // its base arenas, delta tree and pending tail — into one globally
-// ascending stream. The merge is lazy: a stream is only advanced when its
-// current lower bound (the peek of its best-first heap) is the smallest
-// among all streams, so far-away shards pay almost no node accesses
-// until the scan actually reaches their territory. Use from a
+// ascending stream (holding the context of their shared group until
+// Close). The merge is lazy: a stream is only advanced when its current
+// lower bound (the peek of its best-first heap) is the smallest among all
+// streams, so far-away shards pay almost no node accesses until the scan
+// actually reaches their territory. Use from a
 // single goroutine, like every iterator; any number of them may run
 // concurrently.
 type iterator struct {
 	heads []iterHead
+	ec    *core.ExecContext
 }
 
 // iterHead is the merge state of one stream: either an exact buffered
@@ -484,8 +487,8 @@ type iterHead struct {
 // NewIterator starts an incremental scan over the view: the arena's own
 // core.GNNIterator on an unpartitioned set without writes, else the lazy
 // merge of one GNNIterator per base arena (with the tombstones' veto),
-// the delta tree's GNNIterator and the pending
-// tail's exact distances, sorted. Every tree stream charges opt.Cost
+// the delta tree's GNNIterator and the pending tail's exact distances,
+// sorted, all over one shared group. Every tree stream charges opt.Cost
 // (safe: the merge advances them from the caller's goroutine only), so
 // the iterator's reported cost is exactly the sum of their node
 // accesses. Constructing it reads every tree's root.
@@ -499,10 +502,14 @@ func (s *Set) NewIterator(qs []geom.Point, opt core.Options) (Stream, error) {
 		}
 		return it, nil
 	}
-	merged := &iterator{heads: make([]iterHead, 0, len(s.arenas)+2)}
+	merged := &iterator{heads: make([]iterHead, 0, len(s.arenas)+2), ec: core.AcquireExec()}
 	fail := func(err error) (Stream, error) {
 		merged.Close()
 		return nil, err
+	}
+	var err error
+	if opt.Shared, err = merged.ec.Share(qs, s.dim, opt); err != nil {
+		return fail(err)
 	}
 	bopt := opt
 	if w != nil {
@@ -675,7 +682,7 @@ func (it *iterator) PeekDist() (float64, bool) {
 	return d, ok
 }
 
-// Close releases every source stream's pooled scratch. Idempotent.
+// Close releases the sources' and the group's pooled scratch. Idempotent.
 func (it *iterator) Close() {
 	for i := range it.heads {
 		h := &it.heads[i]
@@ -685,6 +692,8 @@ func (it *iterator) Close() {
 		}
 		h.done = true
 	}
+	it.ec.Release() // nil-safe
+	it.ec = nil
 }
 
 // push adds an ascending-distance stream to the merge, which takes it

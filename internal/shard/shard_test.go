@@ -109,47 +109,72 @@ func TestDisjointPages(t *testing.T) {
 	}
 }
 
+// randPtsDim is randPts in dim dimensions.
+func randPtsDim(rng *rand.Rand, n, dim int, span float64) []geom.Point {
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = make(geom.Point, dim)
+		for a := range pts[i] {
+			pts[i][a] = rng.Float64() * span
+		}
+	}
+	return pts
+}
+
 // TestSearchMatchesSingleTree runs the same kernels against a sharded set
 // and one monolithic tree and demands identical merged answers, for both
-// scatter widths.
+// scatter widths, for SUM and MAX (SPM is SUM-only), on 2-D and 3-D
+// points. MAX runs MBM's enclosing-ball bound, which the shards read
+// from the one group the query prepares; at workers = 4 concurrent shard
+// workers read that group while each writes its own term scratch (the
+// 3-D cells write it on every exact distance too), so under -race this
+// checks that the shared group is only read.
 func TestSearchMatchesSingleTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	pts := randPts(rng, 2000, 800)
-	single := packPts(t, rtree.Config{MaxEntries: 16}, pts)
-	set, err := buildPts(rtree.Config{MaxEntries: 16}, pts, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
 	kernels := map[string]Kernel{"MBM": core.MBM, "MQM": core.MQM, "SPM": core.SPM, "brute": core.BruteForce}
-	for trial := 0; trial < 8; trial++ {
-		qs := randPts(rng, trial%5+1, 800)
-		opt := core.Options{K: trial%4 + 1}
-		for name, kern := range kernels {
-			sopt := opt
-			sopt.Packed = single
-			want, err := kern(single.Tree(), qs, sopt)
-			if err != nil {
-				t.Fatalf("%s single: %v", name, err)
-			}
-			for _, workers := range []int{1, 4} {
-				var tk pagestore.CostTracker
-				o := opt
-				o.Cost = &tk
-				got, err := set.Search(qs, o, workers, kern)
-				if err != nil {
-					t.Fatalf("%s sharded: %v", name, err)
-				}
-				cfg := fmt.Sprintf("%s/workers=%d", name, workers)
-				if len(got) != len(want) {
-					t.Fatalf("%s: %d results, want %d", cfg, len(got), len(want))
-				}
-				for i := range want {
-					if want[i].Dist != got[i].Dist || want[i].ID != got[i].ID {
-						t.Fatalf("%s diverged at %d:\nwant %+v\ngot  %+v", cfg, i, want, got)
+	for _, dim := range []int{2, 3} {
+		cfg := rtree.Config{MaxEntries: 16, Dim: dim}
+		pts := randPtsDim(rng, 2000, dim, 800)
+		single := packPts(t, cfg, pts)
+		set, err := buildPts(cfg, pts, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 8; trial++ {
+			qs := randPtsDim(rng, trial%5+1, dim, 800)
+			for _, agg := range []core.Aggregate{core.Sum, core.Max} {
+				opt := core.Options{K: trial%4 + 1, Aggregate: agg}
+				for name, kern := range kernels {
+					if name == "SPM" && agg != core.Sum {
+						continue
 					}
-				}
-				if tk.Logical == 0 && name != "brute" {
-					t.Fatalf("%s: no node accesses recorded", cfg)
+					sopt := opt
+					sopt.Packed = single
+					want, err := kern(single.Tree(), qs, sopt)
+					if err != nil {
+						t.Fatalf("%s single: %v", name, err)
+					}
+					for _, workers := range []int{1, 4} {
+						var tk pagestore.CostTracker
+						o := opt
+						o.Cost = &tk
+						got, err := set.Search(qs, o, workers, kern)
+						if err != nil {
+							t.Fatalf("%s sharded: %v", name, err)
+						}
+						cell := fmt.Sprintf("%s/%v/%d-D/workers=%d", name, agg, dim, workers)
+						if len(got) != len(want) {
+							t.Fatalf("%s: %d results, want %d", cell, len(got), len(want))
+						}
+						for i := range want {
+							if want[i].Dist != got[i].Dist || want[i].ID != got[i].ID {
+								t.Fatalf("%s diverged at %d:\nwant %+v\ngot  %+v", cell, i, want, got)
+							}
+						}
+						if tk.Logical == 0 && name != "brute" {
+							t.Fatalf("%s: no node accesses recorded", cell)
+						}
+					}
 				}
 			}
 		}
@@ -214,7 +239,12 @@ func TestSharedBoundTruncation(t *testing.T) {
 	if len(full) < 10 {
 		t.Skip("dataset too small")
 	}
-	b := core.NewSharedBound()
+	ec := core.AcquireExec()
+	defer ec.Release()
+	b, err := ec.Share(qs, 2, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	b.Tighten(full[4].Dist) // pretend another shard already found 10 ≤ this
 	got, err := core.MBM(p.Tree(), qs, core.Options{K: 10, Shared: b, Packed: p})
 	if err != nil {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Black-box smoke of a real gnnserve process: start → query → reject a
-# corrupt reload → accept a good reload → reload onto a 4-shard snapshot
-# (one open serves either kind) → /v1/stats agrees with /metrics →
-# SIGTERM drain → clean exit,
+# body with data after its JSON value → reject a corrupt reload → accept
+# a good reload → reload onto a 4-shard snapshot (one open serves either
+# kind) → /v1/stats agrees with /metrics, which counts the rejected
+# reload as outcome "conflict" → SIGTERM drain → clean exit,
 # then a second run exercising the write path: inserts through
 # /v1/insert, background compaction rotating the serving snapshot, and a
 # SIGTERM that waits out the compactor (exit 0, no temp-file orphan, the
@@ -72,6 +73,10 @@ code=$(http POST "${URL}/v1/groupnn" '{"query":[[2000,3000],[2500,3500]],"k":3,"
 [ "${code}" = "200" ] || { cat "${DIR}/resp" >&2; fail "query: HTTP ${code}"; }
 grep -q '"generation":1' "${DIR}/resp" || fail "query not answered by generation 1"
 
+echo "== a body with data after its JSON value is rejected"
+code=$(http POST "${URL}/v1/groupnn" '{"query":[[2000,3000]],"k":1} x')
+[ "${code}" = "400" ] || fail "body with trailing bytes: want 400, got ${code}"
+
 echo "== corrupt reload is rejected, daemon keeps serving"
 code=$(http POST "${URL}/admin/reload" "{\"path\":\"${DIR}/broken.snap\"}")
 [ "${code}" = "409" ] || fail "corrupt reload: want 409, got ${code}"
@@ -106,7 +111,7 @@ grep -q '"generation":4' "${DIR}/resp" || fail "query not answered by the sharde
 code=$(http POST "${URL}/v1/batch" '{"queries":[[[2000,3000]],[[2500,3500]]],"k":1}')
 [ "${code}" = "200" ] || { cat "${DIR}/resp" >&2; fail "batch on the sharded snapshot: HTTP ${code}"; }
 
-echo "== /v1/stats reads the counts /metrics exports"
+echo "== /v1/stats reads the counts /metrics exports; a rejected reload is a conflict"
 code=$(http GET "${URL}/v1/stats")
 [ "${code}" = "200" ] || fail "stats: HTTP ${code}"
 mv "${DIR}/resp" "${DIR}/stats.json"
@@ -115,7 +120,7 @@ code=$(http GET "${URL}/metrics")
 python3 - "${DIR}/stats.json" "${DIR}/resp" <<'PY' || fail "/v1/stats disagrees with /metrics"
 import json, re, sys
 stats = json.load(open(sys.argv[1]))
-served = reloads = None
+served = reloads = conflicts = failed = None
 for line in open(sys.argv[2]):
     m = re.fullmatch(r'(\w+)(?:\{(.*)\})? (\S+)', line.strip())
     if not m:
@@ -124,14 +129,21 @@ for line in open(sys.argv[2]):
     labels = dict(re.findall(r'(\w+)="([^"]*)"', m.group(2) or ""))
     if name == "gnn_requests_total" and labels["outcome"] == "ok" and labels["endpoint"] in ("groupnn", "batch"):
         served = (served or 0) + value
+    elif name == "gnn_requests_total" and labels["outcome"] == "conflict" and labels["endpoint"] == "admin":
+        conflicts = value
     elif name == "gnn_reloads_total":
         reloads = value
+    elif name == "gnn_reloads_failed_total":
+        failed = value
 want = {"requests.served": (stats["requests"]["served"], served),
-        "reload.ok": (stats["reload"]["ok"], reloads)}
+        "reload.ok": (stats["reload"]["ok"], reloads),
+        "reload.failed": (stats["reload"]["failed"], failed)}
 bad = False
 for field, (got, scraped) in want.items():
     print(f"   {field}: /v1/stats {got}, /metrics {scraped}")
     bad |= scraped is None or got == 0 or got != scraped
+print(f'   admin outcome="conflict": {conflicts}, gnn_reloads_failed_total: {failed}')
+bad |= conflicts is None or conflicts == 0 or conflicts != failed
 sys.exit(1 if bad else 0)
 PY
 
